@@ -2,9 +2,16 @@
 
 The root has fetched the candidate slices' events — each slice arrives as a
 run that is already sorted, because the local node sorted its window before
-slicing.  The root therefore never re-sorts: it k-way merges the runs and
-selects the element at local rank ``k − n_below``.
+slicing.  Only one element is wanted, the one at local rank ``k − n_below``
+of the merged runs.  On the live path the runs arrive as numpy-backed
+:class:`~repro.streaming.columns.EventColumns` and the root takes it with a
+rank select over the columns; event-object runs (the simulator), the stdlib
+columns backend and NaN-bearing windows go through the k-way merge, which is
+also the reference the select is tested against.
 """
+
+# Hot-path module: no per-event ``Event`` construction here — see
+# tests/test_hotpath_lint.py.
 
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import heapq
 from typing import Iterable, Sequence
 
 from repro.errors import CalculationError
+from repro.streaming.columns import select_rank
 from repro.streaming.events import Event, event_key
 from repro.core.window_cut import CutResult
 
@@ -52,6 +60,15 @@ def calculate_quantile(
         CalculationError: If the runs do not match the cut (wrong total
             count, or the local rank falls outside the merged events).
     """
+    runs = list(runs)
+    selected = select_rank(runs, cut.local_rank)
+    if (
+        selected is not None
+        and sum(len(run) for run in runs) == cut.candidate_events
+    ):
+        return selected
+    # Not NaN-free numpy columns, or a count/rank mismatch to report: the
+    # merge below is the reference for all of them.
     merged = merge_candidate_runs(runs)
     if len(merged) != cut.candidate_events:
         raise CalculationError(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro.core.calculation import calculate_quantile
 from repro.core.identification import identify_multi
@@ -110,7 +110,9 @@ class _CutState:
     cuts: Mapping[float, CutResult] = field(default_factory=dict)
     total: int = 0
     expected_runs: int = 0
-    runs: dict[tuple[int, int], tuple[Event, ...]] = field(
+    #: Candidate runs as decoded — columnar on the live path, so the shared
+    #: cut takes calculation's rank select.
+    runs: dict[tuple[int, int], Sequence[Event]] = field(
         default_factory=dict
     )
 
@@ -509,9 +511,7 @@ class RootQueryPlane:
         state = self._cuts.get((message.group_id, message.window))
         if state is None:
             return []  # group torn down while the fetch was in flight
-        state.runs[(message.sender, message.slice_index)] = tuple(
-            message.events
-        )
+        state.runs[(message.sender, message.slice_index)] = message.events
         if len(state.runs) < state.expected_runs:
             return []
         group = self.registry.group(message.group_id)

@@ -22,10 +22,13 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.calculation import calculate_quantile
 from repro.core.engine import dema_quantile
-from repro.errors import SliceError
+from repro.errors import CalculationError, SliceError
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
+from repro.core.synopsis import SliceSynopsis
+from repro.core.window_cut import CutResult
 from repro.streaming.columns import EventColumns, get_backend, set_backend
 from repro.streaming.events import Event, event_key, make_events
 
@@ -182,6 +185,74 @@ def test_served_quantiles_identical(per_node, q, gamma):
     assert result.candidate_events == expected.candidate_events
     assert result.candidate_slices == expected.candidate_slices
     assert result.synopses == expected.synopses
+
+
+# ---------------------------------------------------------------------------
+# Root calculation: the rank select over candidate columns must return the
+# very event the object path's k-way merge puts at the local rank.
+
+# A pool this small makes every window mostly ties, so the rank's value
+# routinely spans several runs and both zeros sit side by side.
+_TIE_POOL = [0.0, -0.0, 1.0, -1.0, 2.0, float("inf"), float("-inf")]
+
+
+@st.composite
+def candidate_runs(draw):
+    """Sorted per-node windows cut into slices: the runs a root fetches."""
+    pool = draw(st.sampled_from([_TIE_POOL, _TIE_POOL + [float("nan")]]))
+    gamma = draw(st.integers(min_value=1, max_value=6))
+    runs = []
+    for node_id in range(1, draw(st.integers(min_value=1, max_value=4)) + 1):
+        values = draw(st.lists(st.sampled_from(pool), max_size=12))
+        window = sorted(
+            (
+                Event(
+                    value=_F64.unpack(_F64.pack(value))[0],
+                    timestamp=draw(st.integers(min_value=0, max_value=50)),
+                    node_id=node_id,
+                    seq=seq,
+                )
+                for seq, value in enumerate(values)
+            ),
+            key=event_key,
+        )
+        runs.extend(
+            window[i : i + gamma] for i in range(0, len(window), gamma)
+        )
+    runs = list(draw(st.permutations(runs)))
+    if runs and draw(st.booleans()):
+        # A protocol violation: both paths must name the same event.
+        victim = draw(st.integers(min_value=0, max_value=len(runs) - 1))
+        runs[victim] = runs[victim][::-1]
+    return runs
+
+
+def _calculated(cut, runs):
+    """The selected event's bits, or the error the calculation raised."""
+    try:
+        return _bits(calculate_quantile(cut, runs))
+    except CalculationError as error:
+        return str(error)
+
+
+@given(candidate_runs())
+@settings(max_examples=150, deadline=None)
+def test_rank_select_identical_to_merge(runs):
+    n = sum(len(run) for run in runs)
+    columnar = [EventColumns.from_events(run) for run in runs]
+    candidates = ()
+    if n:
+        candidates = (
+            SliceSynopsis(
+                first_key=(0.0, 1, 0), last_key=(0.0, 1, 0), count=n,
+                node_id=1, slice_index=0, n_slices=1,
+            ),
+        )
+    # Every rank, so every position inside every tie group, plus the two
+    # just outside the fetched events.
+    for local_rank in range(0, n + 2):
+        cut = CutResult(rank=local_rank, candidates=candidates, n_below=0)
+        assert _calculated(cut, columnar) == _calculated(cut, runs)
 
 
 # ---------------------------------------------------------------------------
