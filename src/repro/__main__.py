@@ -278,7 +278,6 @@ def _cmd_live(args: argparse.Namespace) -> int:
         q=args.q,
         seed=args.seed,
         telemetry=_telemetry_from_args(args),
-        columnar=not args.objects,
     )
     completed = [o for o in report.outcomes if o.value is not None]
     print(
@@ -1003,9 +1002,6 @@ def main(argv: list[str] | None = None) -> int:
     live.add_argument("--bench", action="store_true",
                       help="write the BENCH_live.json artifact")
     live.add_argument("--bench-output", default=None, metavar="PATH")
-    live.add_argument("--objects", action="store_true",
-                      help="replay per-event objects instead of columnar "
-                           "batches (bit-identical results, slower)")
     live.add_argument("--uvloop", action="store_true",
                       help="install uvloop as the event-loop policy if "
                            "available (falls back to asyncio with a "

@@ -15,11 +15,7 @@ import platform
 import sys
 from typing import Any
 
-from repro.bench.generator import (
-    GeneratorConfig,
-    workload,
-    workload_columns,
-)
+from repro.bench.generator import GeneratorConfig, workload_columns
 from repro.core.query import QuantileQuery
 from repro.network.metrics import LatencyStats
 from repro.obs.live.config import TelemetryConfig
@@ -91,7 +87,6 @@ def live_benchmark(
     q: float = 0.5,
     seed: int = 42,
     telemetry: "TelemetryConfig | None" = None,
-    columnar: bool = True,
 ) -> tuple[LiveClusterConfig, LiveRunReport]:
     """Generate a workload, run the live cluster once, return both halves.
 
@@ -100,10 +95,7 @@ def live_benchmark(
     a ``time_scale`` of 1.0 replays at exactly that wall-clock rate and
     0.0 measures the runtime's ceiling.  ``telemetry`` turns the live
     telemetry plane on for the benchmarked run; the report's
-    ``telemetry`` section carries what it measured.  ``columnar`` feeds
-    the cluster columnar batches (the production fast path); ``False``
-    replays the same events as per-event objects — results are
-    bit-identical either way, only the wall clock differs.
+    ``telemetry`` section carries what it measured.
     """
     query = QuantileQuery(q=q, gamma=gamma)
     config = LiveClusterConfig(
@@ -114,8 +106,7 @@ def live_benchmark(
         time_scale=time_scale,
         telemetry=telemetry,
     )
-    make_workload = workload_columns if columnar else workload
-    streams = make_workload(
+    streams = workload_columns(
         list(range(1, n_locals + 1)),
         GeneratorConfig(
             event_rate=max(1.0, rate / n_locals),

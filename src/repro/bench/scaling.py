@@ -46,7 +46,6 @@ def scaling_curve(
     transport: str = "tcp",
     streams_per_local: int = 2,
     seed: int = 42,
-    columnar: bool = True,
     progress: "Callable[[int, float], None] | None" = None,
 ) -> list[dict[str, Any]]:
     """One curve point per entry of ``locals_counts``.
@@ -64,7 +63,6 @@ def scaling_curve(
             duration_s=duration_s,
             transport=transport,
             seed=seed,
-            columnar=columnar,
         )
         point = {
             "n_locals": n_locals,
@@ -88,7 +86,6 @@ def write_scaling(
     mode: str = "full",
     transport: str = "tcp",
     rate: float = 20_000.0,
-    columnar: bool = True,
 ) -> dict[str, Any]:
     """Write the curve artifact; returns the written dict."""
     payload: dict[str, Any] = {
@@ -99,7 +96,6 @@ def write_scaling(
         "config": {
             "transport": transport,
             "aggregate_rate": rate,
-            "columnar": columnar,
         },
         "points": points,
     }

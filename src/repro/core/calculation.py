@@ -3,11 +3,11 @@
 The root has fetched the candidate slices' events — each slice arrives as a
 run that is already sorted, because the local node sorted its window before
 slicing.  Only one element is wanted, the one at local rank ``k − n_below``
-of the merged runs.  On the live path the runs arrive as numpy-backed
+of the merged runs.  On the live path the runs arrive as
 :class:`~repro.streaming.columns.EventColumns` and the root takes it with a
-rank select over the columns; event-object runs (the simulator), the stdlib
-columns backend and NaN-bearing windows go through the k-way merge, which is
-also the reference the select is tested against.
+rank select over the columns; event-object runs (the simulator) and
+NaN-bearing windows go through the k-way merge, which is also the reference
+the select is tested against.
 """
 
 # Hot-path module: no per-event ``Event`` construction here — see

@@ -2,7 +2,7 @@
 
 :func:`run_mesh_cluster` deploys R root shards behind the deterministic
 window→shard routing function, optionally a relay tier of fan-in F, and
-``n_locals`` locals fed by phased stream replays.  Membership events are
+``n_locals`` locals fed by gated stream replays.  Membership events are
 driven at grid boundaries by a coordinator coroutine: the replays pause
 at each boundary, the coordinator applies the joins/leaves on every
 shard, and only then do post-boundary events flow — so a join serves its
@@ -34,11 +34,7 @@ from repro.mesh.config import MeshConfig
 from repro.mesh.failover import FailoverController
 from repro.mesh.relay import RelayServer
 from repro.mesh.routing import relay_node_id, shard_node_id, shard_of
-from repro.mesh.servers import (
-    MeshLocalServer,
-    MeshRootServer,
-    PhasedStreamServer,
-)
+from repro.mesh.servers import MeshLocalServer, MeshRootServer
 from repro.network.metrics import LatencyStats
 from repro.network.topology import TopologyConfig, relay_groups
 from repro.obs.fleet import FleetCollector, TelemetryUplink
@@ -46,7 +42,12 @@ from repro.obs.live.http import TelemetryServer
 from repro.obs.live.recorder import FlightRecorder
 from repro.obs.live.sampler import RuntimeSampler
 from repro.obs.tracer import NOOP_TRACER, RecordingTracer, Tracer
-from repro.runtime.servers import LIVE_OPS_PER_SECOND, LiveFabric
+from repro.runtime.cluster import _NO_EVENTS, _as_columns, _grid
+from repro.runtime.servers import (
+    LIVE_OPS_PER_SECOND,
+    LiveFabric,
+    StreamServer,
+)
 from repro.runtime.transport import (
     FailureLatch,
     MemoryNetwork,
@@ -176,23 +177,6 @@ class MeshRunReport:
         return {outcome.window: outcome for outcome in self.outcomes}
 
 
-def _grid(
-    streams: Mapping[int, Sequence[Event]], window_length_ms: int
-) -> "tuple[int, int]":
-    """The tumbling grid ``[start, end)`` covering every event."""
-    timestamps = [
-        event.timestamp
-        for events in streams.values()
-        for event in events
-    ]
-    if not timestamps:
-        raise ConfigurationError("mesh run needs at least one event")
-    lo, hi = min(timestamps), max(timestamps)
-    start = (lo // window_length_ms) * window_length_ms
-    end = (hi // window_length_ms + 1) * window_length_ms
-    return start, end
-
-
 def _membership_ranges(
     config: MeshConfig, grid_start: int, grid_end: int
 ) -> "dict[int, tuple[int, int]]":
@@ -240,7 +224,7 @@ def mesh_oracle(
     one, so one engine run covers every membership schedule.
     """
     length = config.query.window_length_ms
-    grid_start, grid_end = _grid(streams, length)
+    grid_start, grid_end = _grid(_as_columns(streams), length)
     ranges = _membership_ranges(config, grid_start, grid_end)
     n_nodes = max(ranges)
     truncated = {
@@ -307,8 +291,10 @@ async def run_mesh_cluster(
     Args:
         config: Shards, relays, membership schedule, transport.
         streams: Per-local event streams in timestamp order, keyed by
-            local id — including runtime joiners (their pre-join events
-            are dropped, as are a leaver's post-leave events).
+            local id, as :class:`~repro.streaming.columns.EventColumns`
+            batches or sequences of events (converted once, here) —
+            including runtime joiners (their pre-join events are dropped,
+            as are a leaver's post-leave events).
         tracer: Observability hooks; membership changes and relay
             combines are recorded as spans, current membership as the
             ``mesh_members`` gauge.
@@ -318,6 +304,7 @@ async def run_mesh_cluster(
             failure detectors can degrade around what it breaks.
     """
     length = config.query.window_length_ms
+    streams = _as_columns(streams)
     grid_start, grid_end = _grid(streams, length)
     ranges = _membership_ranges(config, grid_start, grid_end)
     unknown = set(streams) - set(ranges)
@@ -336,6 +323,16 @@ async def run_mesh_cluster(
                 f"membership boundary {event.at_ms} is not on the "
                 f"{length} ms tumbling grid"
             )
+    if config.membership:
+        # A replay finds each boundary's cut by binary search; on an
+        # out-of-order stream that would ship post-boundary events
+        # before the boundary's gate opens.
+        for local_id, share in streams.items():
+            if not share.timestamps_sorted():
+                raise ConfigurationError(
+                    f"local {local_id}'s stream is not in timestamp "
+                    "order; membership boundaries need ordered streams"
+                )
 
     windows = [
         Window(start, start + length)
@@ -526,9 +523,9 @@ async def run_mesh_cluster(
         relays.append(relay)
 
     # ------------------------------------------------------------------
-    # locals and their phased stream replays
+    # locals and their gated stream replays
     locals_by_id: dict[int, MeshLocalServer] = {}
-    stream_servers: list[PhasedStreamServer] = []
+    stream_servers: list[StreamServer] = []
     replays: list[asyncio.Task] = []
     next_stream_id = [_STREAM_ID_BASE]
 
@@ -588,20 +585,13 @@ async def run_mesh_cluster(
                 uplinks[shard_node_id(index)] = stream
         await local.connect_upstreams(uplinks, join_from=join_from)
 
-        share = [
-            event
-            for event in streams.get(local_id, ())
-            if lo <= event.timestamp < hi
-        ]
-        split: list[list[Event]] = [
-            [] for _ in range(config.streams_per_local)
-        ]
-        for position, event in enumerate(share):
-            split[position % config.streams_per_local].append(event)
-        for events in split:
-            server = PhasedStreamServer(
+        share = streams.get(local_id, _NO_EVENTS)
+        timestamps = share.timestamps
+        share = share[(lo <= timestamps) & (timestamps < hi)]
+        for k in range(config.streams_per_local):
+            server = StreamServer(
                 next_stream_id[0],
-                events=events,
+                events=share[k::config.streams_per_local],
                 batch_size=config.batch_size,
                 grid_start=lo,
                 grid_end=hi,
@@ -612,7 +602,7 @@ async def run_mesh_cluster(
             next_stream_id[0] += 1
             stream_servers.append(server)
 
-            async def replay(srv: PhasedStreamServer, dst: int) -> None:
+            async def replay(srv: StreamServer, dst: int) -> None:
                 pipe = await network.dial(dst)
                 track("stream_local", srv.stream_id, dst, pipe)
                 await srv.replay(pipe)

@@ -50,7 +50,6 @@ from repro.obs.live.context import TraceContext, trace_id_for_window
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.runtime.codec import Hello
 from repro.runtime.transport import FailureLatch, MessageStream
-from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
 __all__ = [
@@ -60,6 +59,9 @@ __all__ = [
     "explode_runs",
     "RelayServer",
 ]
+
+# Hot-path module: candidate runs are combined and exploded as the
+# columnar batches the codec decoded (tests/test_hotpath_lint.py).
 
 #: Placeholder window on control/telemetry frames (the wire header needs
 #: a valid window; these frames are not about any window).
@@ -100,16 +102,8 @@ def combine_runs(
 ) -> RelayRunsMessage:
     """Merge per-child candidate runs into one relay frame."""
     keys = sorted(parts)
-    # Columnar runs pass through unconverted (they are immutable batch
-    # views); object runs snapshot to tuples exactly as before.
-    def section_events(events):
-        return (
-            events if isinstance(events, EventColumns) else tuple(events)
-        )
-
     sections = tuple(
-        (child, index, section_events(parts[child, index].events))
-        for child, index in keys
+        (child, index, parts[child, index].events) for child, index in keys
     )
     section_contexts = (
         tuple(contexts.get(key) for key in keys) if contexts else ()
@@ -140,13 +134,18 @@ def explode_synopses(
 
 
 def explode_runs(message: RelayRunsMessage) -> "list[CandidateEventsMessage]":
-    """Reconstruct the per-child candidate-run frames a relay combined."""
+    """Reconstruct the per-child candidate-run frames a relay combined.
+
+    Each section's events pass through as decoded — columnar off the
+    wire — so a run that crossed a relay reaches the root's calculation
+    in the same form as one sent directly.
+    """
     return [
         CandidateEventsMessage(
             sender=node_id,
             window=message.window,
             slice_index=slice_index,
-            events=tuple(events),
+            events=events,
         )
         for node_id, slice_index, events in message.sections
     ]

@@ -1,6 +1,6 @@
-"""Mesh hosts: sharded roots, multi-uplink locals, gated stream replay.
+"""Mesh hosts: sharded roots and multi-uplink locals.
 
-All three are thin shells around the unmodified live hosts:
+Both are thin shells around the unmodified live hosts:
 
 ``MeshRootServer``
     A :class:`~repro.runtime.servers.RootServer` whose operator owns only
@@ -16,28 +16,26 @@ All three are thin shells around the unmodified live hosts:
     outgoing frame by its window's owner shard.  The operator still
     addresses everything to root id 0; routing is a host concern.
 
-``PhasedStreamServer``
-    A stream replay that pauses at membership boundaries: it ships every
-    pre-boundary batch, seals them with a watermark *at* the boundary,
-    and then waits for the cluster driver to apply the joins/leaves and
-    open the gate.  Because no post-boundary event can be in flight
-    before the gate opens, no window at or past the boundary can complete
-    before every shard has applied the membership change — which is the
-    whole correctness argument for elastic membership, enforced by
-    construction instead of by locks.
+Streams replay through the flat cluster's
+:class:`~repro.runtime.servers.StreamServer`, gated at membership
+boundaries: it ships every pre-boundary batch, seals them with a
+watermark *at* the boundary, and then waits for the cluster driver to
+apply the joins/leaves and open the gate.  Because no post-boundary event
+can be in flight before the gate opens, no window at or past the boundary
+can complete before every shard has applied the membership change — which
+is the whole correctness argument for elastic membership, enforced by
+construction instead of by locks.
 """
 
 from __future__ import annotations
 
 import asyncio
-import bisect
 import contextlib
 import dataclasses
 from typing import Mapping, Sequence
 
 from repro.errors import TransportError
 from repro.network.messages import (
-    EventBatchMessage,
     GammaUpdateMessage,
     HeartbeatMessage,
     JoinMessage,
@@ -49,7 +47,6 @@ from repro.network.messages import (
     ShardFailoverMessage,
     TelemetryDigestMessage,
     TelemetrySnapshotMessage,
-    WatermarkMessage,
     WindowReleaseMessage,
 )
 from repro.mesh.relay import explode_runs, explode_synopses
@@ -66,12 +63,14 @@ from repro.obs.live.context import (
     trace_id_for_window,
 )
 from repro.runtime.codec import Hello
-from repro.runtime.servers import LocalServer, RootServer, batches_for
+from repro.runtime.servers import LocalServer, RootServer
 from repro.runtime.transport import MessageStream
-from repro.streaming.events import Event
 from repro.streaming.windows import Window
 
-__all__ = ["MeshRootServer", "MeshLocalServer", "PhasedStreamServer"]
+# Hot-path module: exploded relay sections reach the operators as the
+# columnar batches they were decoded into (tests/test_hotpath_lint.py).
+
+__all__ = ["MeshRootServer", "MeshLocalServer"]
 
 #: Placeholder window on membership/heartbeat frames (the wire header
 #: needs a valid window; these frames are not about any window).
@@ -745,97 +744,3 @@ class MeshLocalServer(LocalServer):
         await self._stop_mesh_tasks()
         await super().shutdown()
 
-
-class PhasedStreamServer:
-    """Stream replay that pauses at membership boundaries.
-
-    The boundary protocol: every batch with a timestamp below boundary
-    ``b`` is shipped, then a watermark at exactly ``b`` (sealing every
-    window that ends at or before ``b``), then the replay blocks on
-    ``gates[b]``.  The cluster driver opens the gate only after every
-    shard has applied the boundary's joins and leaves — so data and
-    membership can never race.
-    """
-
-    def __init__(self, stream_id: int, *, events: Sequence[Event],
-                 batch_size: int, grid_start: int, grid_end: int,
-                 window_length_ms: int,
-                 gates: "Mapping[int, asyncio.Event] | None" = None,
-                 time_scale: float = 0.0) -> None:
-        self.stream_id = stream_id
-        self._events = tuple(events)
-        self._batch_size = max(1, batch_size)
-        self._grid_start = grid_start
-        self._grid_end = grid_end
-        self._length = window_length_ms
-        self._gates = dict(gates or {})
-        self._time_scale = time_scale
-        self._epoch: "float | None" = None
-        self.events_sent = 0
-
-    async def replay(self, stream: MessageStream) -> None:
-        await stream.send(Hello(node_id=self.stream_id, role="stream"))
-        self._epoch = asyncio.get_event_loop().time()
-        span = Window(
-            self._grid_start, max(self._grid_end, self._grid_start + 1)
-        )
-        timestamps = [event.timestamp for event in self._events]
-        boundaries = sorted(
-            b for b in self._gates if self._grid_start < b < self._grid_end
-        )
-        cursor = 0
-        for boundary in (*boundaries, self._grid_end):
-            stop = bisect.bisect_left(timestamps, boundary, cursor)
-            await self._ship(
-                stream, self._events[cursor:stop], span, boundary
-            )
-            cursor = stop
-            if boundary != self._grid_end:
-                await self._gates[boundary].wait()
-        await stream.close()
-
-    async def _ship(
-        self,
-        stream: MessageStream,
-        events: "tuple[Event, ...]",
-        span: Window,
-        seal_to: int,
-    ) -> None:
-        """One phase: every batch, then the sealing watermark."""
-        length = self._length
-        loop = asyncio.get_event_loop()
-        watermarked_window: int | None = None
-        for batch in batches_for(events, length, self._batch_size):
-            last_ts = batch[-1].timestamp
-            if self._time_scale > 0 and self._epoch is not None:
-                # Same pacing contract as the flat cluster's StreamServer:
-                # a batch ending at event-time t leaves no earlier than
-                # epoch + (t - grid_start) * time_scale / 1000.
-                target = self._epoch + (
-                    (last_ts - self._grid_start) / 1000.0
-                ) * self._time_scale
-                delay = target - loop.time()
-                if delay > 0:
-                    await asyncio.sleep(delay)
-            await stream.send(
-                EventBatchMessage(
-                    sender=self.stream_id,
-                    window=Window(batch[0].timestamp, last_ts + 1),
-                    events=batch,
-                )
-            )
-            window_index = last_ts // length
-            if window_index != watermarked_window:
-                watermarked_window = window_index
-                await stream.send(
-                    WatermarkMessage(
-                        sender=self.stream_id, window=span,
-                        watermark_time=last_ts,
-                    )
-                )
-            self.events_sent += len(batch)
-        await stream.send(
-            WatermarkMessage(
-                sender=self.stream_id, window=span, watermark_time=seal_to
-            )
-        )

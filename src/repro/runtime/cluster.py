@@ -65,6 +65,9 @@ ROOT_NODE_ID = 0
 #: Event timestamps are milliseconds; wall clock runs in seconds.
 _MS_PER_SECOND = 1000.0
 
+#: The share of a local no stream was given for.
+_NO_EVENTS = EventColumns.from_wire(b"")
+
 
 @dataclass(frozen=True, slots=True)
 class LiveClusterConfig:
@@ -345,25 +348,33 @@ def _cluster_summary(
     }
 
 
+def _as_columns(
+    streams: Mapping[int, Sequence[Event]],
+) -> dict[int, EventColumns]:
+    """Each local's share as one columnar batch — the clusters' entry line.
+
+    Columnar shares pass through and a sequence of events is converted
+    once, so nothing below this call asks which form it was handed.
+    """
+    return {
+        local_id: (
+            share
+            if isinstance(share, EventColumns)
+            else EventColumns.from_events(share)
+        )
+        for local_id, share in streams.items()
+    }
+
+
 def _grid(
-    streams: Mapping[int, Sequence[Event]], window_length_ms: int
+    streams: Mapping[int, EventColumns], window_length_ms: int
 ) -> tuple[int, int]:
     """The tumbling-window grid ``[start, end)`` covering every event."""
-    lo = hi = None
-    for events in streams.values():
-        if not len(events):
-            continue
-        if isinstance(events, EventColumns):
-            # Columnar shares answer min/max off the timestamp array.
-            share_lo = events.min_timestamp()
-            share_hi = events.max_timestamp()
-        else:
-            share_lo = min(event.timestamp for event in events)
-            share_hi = max(event.timestamp for event in events)
-        lo = share_lo if lo is None else min(lo, share_lo)
-        hi = share_hi if hi is None else max(hi, share_hi)
-    if lo is None:
-        raise ConfigurationError("live run needs at least one event")
+    shares = [events for events in streams.values() if len(events)]
+    if not shares:
+        raise ConfigurationError("a run needs at least one event")
+    lo = min(events.min_timestamp() for events in shares)
+    hi = max(events.max_timestamp() for events in shares)
     start = (lo // window_length_ms) * window_length_ms
     end = (hi // window_length_ms + 1) * window_length_ms
     return start, end
@@ -383,8 +394,10 @@ async def run_live_cluster(
     Args:
         config: Deployment shape, transport and pacing.
         streams: Per-**local-node** event streams (keys ``1..n_locals``),
-            each in timestamp order; a local's stream is split round-robin
-            over its stream servers exactly as the simulated engine does.
+            each in timestamp order, as :class:`EventColumns` batches or
+            sequences of events (converted once, here); a local's stream
+            is split round-robin over its stream servers exactly as the
+            simulated engine does.
         tracer: Observability hooks; live message deliveries are recorded
             as protocol traces.
         driver: Optional query-plane driver coroutine.  When given, the
@@ -406,6 +419,7 @@ async def run_live_cluster(
     length = config.query.window_length_ms
     if config.query.is_sliding:
         raise ConfigurationError("the live runtime seals tumbling grids only")
+    streams = _as_columns(streams)
     grid_start, grid_end = _grid(streams, length)
     expected_windows = (grid_end - grid_start) // length
 
@@ -589,22 +603,14 @@ async def run_live_cluster(
             await network.listen(local_id, local.serve)
             await local.connect_root(await dial_root())
 
-            share = streams.get(local_id, ())
+            share = streams.get(local_id, _NO_EVENTS)
             n_shards = config.streams_per_local
-            if isinstance(share, EventColumns):
-                # Strided views give exactly the round-robin assignment
-                # (shard k takes events k, k+n, k+2n, …) without copying.
-                shards: list[Sequence[Event]] = [
-                    share[k::n_shards] for k in range(n_shards)
-                ]
-            else:
-                shards = [[] for _ in range(n_shards)]
-                for index, event in enumerate(share):
-                    shards[index % n_shards].append(event)
-            for shard in shards:
+            # Strided views give exactly the round-robin assignment
+            # (shard k takes events k, k+n, k+2n, …) without copying.
+            for k in range(n_shards):
                 server = StreamServer(
                     next_stream_id,
-                    events=shard,
+                    events=share[k::n_shards],
                     batch_size=config.batch_size,
                     grid_start=grid_start,
                     grid_end=grid_end,

@@ -179,33 +179,42 @@ def tag_of(message: Message) -> int:
 # ----------------------------------------------------------------------
 
 
-#: Cache of whole-batch structs keyed by event count.  ``"<I" + "dIII"*n``
-#: is byte-identical to ``COUNT.pack(n)`` followed by ``n`` ``EVENT.pack``
-#: calls (little-endian formats never pad), so one ``pack`` replaces ``n``
-#: pack calls plus an ``n``-way join on the live ingest path.  Bounded so a
-#: pathological mix of batch sizes cannot grow it without limit.
-_EVENT_BATCH_STRUCTS: dict[int, struct.Struct] = {}
-_EVENT_BATCH_CACHE_MAX = 4096
+#: Cache of whole-array structs keyed by event count.  ``"<" + "dIII"*n``
+#: is byte-identical to ``n`` ``EVENT.pack`` calls (little-endian formats
+#: never pad), so one ``pack`` replaces ``n`` pack calls plus an ``n``-way
+#: join.  Bounded so a pathological mix of batch sizes cannot grow it
+#: without limit.
+_EVENT_ARRAY_STRUCTS: dict[int, struct.Struct] = {}
+_EVENT_ARRAY_CACHE_MAX = 4096
 
 
-def _event_batch_struct(n: int) -> struct.Struct:
-    fmt = _EVENT_BATCH_STRUCTS.get(n)
+def _event_array_struct(n: int) -> struct.Struct:
+    fmt = _EVENT_ARRAY_STRUCTS.get(n)
     if fmt is None:
-        fmt = struct.Struct("<I" + "dIII" * n)
-        if len(_EVENT_BATCH_STRUCTS) < _EVENT_BATCH_CACHE_MAX:
-            _EVENT_BATCH_STRUCTS[n] = fmt
+        fmt = struct.Struct("<" + "dIII" * n)
+        if len(_EVENT_ARRAY_STRUCTS) < _EVENT_ARRAY_CACHE_MAX:
+            _EVENT_ARRAY_STRUCTS[n] = fmt
     return fmt
 
 
-def _encode_events(events) -> bytes:
+def _event_array(events) -> bytes:
+    """The ``n`` × 20-byte wire event array of a batch.
+
+    The one place the codec asks which form it was handed: live batches
+    are columnar and already *are* the wire layout; the query plane's
+    pane runs and simulator nodes hosted live still send event objects.
+    """
     if isinstance(events, EventColumns):
-        # Columnar batches ARE the wire layout: count prefix + raw columns.
-        return wire.COUNT.pack(len(events)) + events.to_wire()
+        return events.to_wire()
     args: list = []
     extend = args.extend
     for ev in events:
         extend((ev.value, ev.timestamp, ev.node_id, ev.seq))
-    return _event_batch_struct(len(events)).pack(len(events), *args)
+    return _event_array_struct(len(events)).pack(*args)
+
+
+def _encode_events(events) -> bytes:
+    return wire.COUNT.pack(len(events)) + _event_array(events)
 
 
 def _encode_event_batch(m: EventBatchMessage) -> bytes:
@@ -410,13 +419,7 @@ def _encode_relay_runs(m: RelayRunsMessage) -> bytes:
                 node_id, slice_index, len(events)
             )
         )
-        if isinstance(events, EventColumns):
-            parts.append(events.to_wire())
-            continue
-        args: list = []
-        for ev in events:
-            args.extend((ev.value, ev.timestamp, ev.node_id, ev.seq))
-        parts.append(struct.pack("<" + "dIII" * len(events), *args))
+        parts.append(_event_array(events))
     return b"".join(parts)
 
 

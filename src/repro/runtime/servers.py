@@ -33,13 +33,12 @@ becomes an event-loop timer.
 from __future__ import annotations
 
 import asyncio
-import bisect
 import contextlib
 import heapq
-import itertools
-import operator
 import random
-from typing import Awaitable, Callable, Sequence
+from typing import Awaitable, Callable, Mapping
+
+import numpy as np
 
 from repro.errors import TransportError
 from repro.faults.plan import ToleranceConfig
@@ -69,7 +68,6 @@ from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.runtime.codec import Hello
 from repro.runtime.transport import FailureLatch, MessageStream
 from repro.streaming.columns import EventColumns
-from repro.streaming.events import Event
 from repro.streaming.windows import Window
 
 # Hot-path module: event batches stay columnar from workload to window,
@@ -1076,76 +1074,29 @@ class LocalServer(NodeHost):
 
 
 def batches_for(
-    events: Sequence[Event], window_length_ms: int, batch_size: int
-) -> "list[Sequence[Event]]":
+    events: EventColumns, window_length_ms: int, batch_size: int
+) -> "list[EventColumns]":
     """Split ``events`` into size-capped batches that never span a window.
 
-    Shared by :class:`StreamServer` and the mesh's phased stream replay:
-    both need the simulator driver's batching discipline — a batch holds
-    events of exactly one tumbling window of the agreed grid, capped at
-    ``batch_size`` events.
-
-    Columnar inputs batch on the timestamp array and come back as
-    zero-copy :class:`EventColumns` slices — the object path below is
-    untouched and produces the same boundaries.
+    The simulator driver's batching discipline: a batch holds events of
+    exactly one tumbling window of the agreed grid, capped at
+    ``batch_size`` events.  One rule covers in-order and out-of-order
+    streams alike — every run of consecutive events with equal
+    ``timestamp // window_length_ms`` is chopped at ``batch_size`` — and
+    the batches come back as zero-copy slices of ``events``.
     """
-    if isinstance(events, EventColumns):
-        if not len(events):
-            return []
-        if events.timestamps_sorted():
-            length = window_length_ms
-            size = max(1, batch_size)
-            timestamps = events.timestamps.tolist()
-            column_batches: list[EventColumns] = []
-            lo, n = 0, len(events)
-            while lo < n:
-                window_end = (timestamps[lo] // length + 1) * length
-                hi = bisect.bisect_left(timestamps, window_end, lo)
-                for i in range(lo, hi, size):
-                    column_batches.append(events[i:min(i + size, hi)])
-                lo = hi
-            return column_batches
-        # Out-of-order columns are a cold path: fall through to the
-        # per-event grouping below over materialized events.
-        events = tuple(events)
-    else:
-        events = tuple(events)
-    if not events:
+    n = len(events)
+    if not n:
         return []
-    length = window_length_ms
     size = max(1, batch_size)
-    batches: list[tuple[Event, ...]] = []
-    timestamps = [event.timestamp for event in events]
-    if not any(
-        map(operator.gt, timestamps, itertools.islice(timestamps, 1, None))
-    ):
-        # Timestamp-ordered replay (the normal case): locate each
-        # window boundary with one bisect instead of two floor
-        # divisions per event, then slice the run into size-capped
-        # chunks.  Produces exactly the batches the per-event loop
-        # below would.
-        lo, n = 0, len(events)
-        while lo < n:
-            window_end = (timestamps[lo] // length + 1) * length
-            hi = bisect.bisect_left(timestamps, window_end, lo)
-            for i in range(lo, hi, size):
-                batches.append(tuple(events[i:min(i + size, hi)]))
-            lo = hi
-        return batches
-    # Out-of-order replay: group per event, breaking a batch whenever
-    # the window changes or the size cap is hit.
-    batch: list[Event] = []
-    for event in events:
-        crosses = batch and (
-            batch[0].timestamp // length != event.timestamp // length
-        )
-        if crosses or len(batch) >= size:
-            batches.append(tuple(batch))
-            batch = []
-        batch.append(event)
-    if batch:
-        batches.append(tuple(batch))
-    return batches
+    windows = events.timestamps // window_length_ms
+    run_starts = np.flatnonzero(windows[1:] != windows[:-1]) + 1
+    bounds = [0, *run_starts.tolist(), n]
+    return [
+        events[i:min(i + size, hi)]
+        for lo, hi in zip(bounds, bounds[1:])
+        for i in range(lo, hi, size)
+    ]
 
 
 class StreamServer:
@@ -1156,21 +1107,29 @@ class StreamServer:
     per second of event time, the batch whose last timestamp is ``t`` is
     sent no earlier than ``epoch + (t - grid_start) * time_scale / 1000``.
     A ``time_scale`` of zero replays as fast as backpressure allows.
+
+    ``gates`` (the mesh's membership boundaries, event time → event)
+    split the replay into phases: every event with a timestamp below
+    boundary ``b`` is shipped, then a watermark at exactly ``b`` (sealing
+    every window that ends at or before ``b``), then the replay blocks on
+    ``gates[b]``.  The mesh driver opens the gate only after every shard
+    has applied the boundary's joins and leaves — so data and membership
+    can never race.  A stream replayed across a boundary must be in
+    timestamp order (the mesh driver rejects any other before it starts a
+    server); without gates the replay is one phase and any order goes.
     """
 
-    def __init__(self, stream_id: int, *, events: Sequence[Event],
+    def __init__(self, stream_id: int, *, events: EventColumns,
                  batch_size: int, grid_start: int, grid_end: int,
                  window_length_ms: int, time_scale: float = 0.0,
+                 gates: "Mapping[int, asyncio.Event] | None" = None,
                  tracer: Tracer = NOOP_TRACER,
                  wire_tracing: bool = False,
                  sample_rate: float = 1.0,
                  epoch: float | None = None) -> None:
         self.stream_id = stream_id
-        # Columnar workloads stay columnar; anything else snapshots to a
-        # tuple exactly as before.
-        self._events = (
-            events if isinstance(events, EventColumns) else tuple(events)
-        )
+        self._events = events
+        self._gates = dict(gates or {})
         self._batch_size = max(1, batch_size)
         self._grid_start = grid_start
         self._grid_end = grid_end
@@ -1186,13 +1145,38 @@ class StreamServer:
         self._epoch = epoch
         self.events_sent = 0
 
-    def _batches(self) -> "list[Sequence[Event]]":
-        return batches_for(
-            self._events, self._window_length_ms, self._batch_size
-        )
-
     async def replay(self, stream: MessageStream) -> None:
-        """Ship every batch plus sealing watermarks, then the final one.
+        """Ship every phase — the whole stream when there are no gates —
+        waiting at each boundary for its gate, then close."""
+        await stream.send(Hello(node_id=self.stream_id, role="stream"))
+        loop = asyncio.get_event_loop()
+        epoch = loop.time()
+        clock_zero = self._epoch if self._epoch is not None else epoch
+        boundaries = sorted(
+            b for b in self._gates if self._grid_start < b < self._grid_end
+        )
+        cuts = np.searchsorted(self._events.timestamps, boundaries).tolist()
+        cursor = 0
+        for boundary, stop in zip(
+            (*boundaries, self._grid_end), (*cuts, len(self._events))
+        ):
+            await self._ship(
+                stream, self._events[cursor:stop], boundary, epoch, clock_zero
+            )
+            cursor = stop
+            if boundary != self._grid_end:
+                await self._gates[boundary].wait()
+        await stream.close()
+
+    async def _ship(
+        self,
+        stream: MessageStream,
+        events: EventColumns,
+        seal_to: int,
+        epoch: float,
+        clock_zero: float,
+    ) -> None:
+        """One phase: every batch, then the watermark sealing to ``seal_to``.
 
         A watermark is emitted only with the *first* batch of each window,
         not with every batch: the local server seals on
@@ -1204,21 +1188,14 @@ class StreamServer:
         count), and dropping them leaves every seal on exactly the same
         received frame as before.
         """
-        await stream.send(Hello(node_id=self.stream_id, role="stream"))
         loop = asyncio.get_event_loop()
-        epoch = loop.time()
-        clock_zero = self._epoch if self._epoch is not None else epoch
         span = Window(self._grid_start, max(self._grid_end, self._grid_start + 1))
         length = self._window_length_ms
         watermarked_window: int | None = None
         send_many = getattr(stream, "send_many", None)
-        for batch in self._batches():
-            if isinstance(batch, EventColumns):
-                first_ts = batch.timestamp_at(0)
-                last_ts = batch.timestamp_at(-1)
-            else:
-                first_ts = batch[0].timestamp
-                last_ts = batch[-1].timestamp
+        for batch in batches_for(events, length, self._batch_size):
+            first_ts = batch.timestamp_at(0)
+            last_ts = batch.timestamp_at(-1)
             if self._time_scale > 0:
                 target = epoch + (
                     (last_ts - self._grid_start) / _MS_PER_SECOND
@@ -1276,8 +1253,6 @@ class StreamServer:
             self.events_sent += len(batch)
         await stream.send(
             WatermarkMessage(
-                sender=self.stream_id, window=span,
-                watermark_time=self._grid_end,
+                sender=self.stream_id, window=span, watermark_time=seal_to
             )
         )
-        await stream.close()

@@ -11,17 +11,10 @@ Events only become :class:`Event` instances at the columnar boundary —
 element access, iteration, and the operators' cold fallback paths — which
 is exactly where the hot-path lint allows construction.
 
-Two interchangeable backends sit behind one interface:
-
-``numpy``
-    Columns are views into one structured ndarray with the exact wire
-    dtype (:data:`EVENT_DTYPE`), so decode is ``np.frombuffer`` and encode
-    is ``tobytes`` — no per-event work at all.  Sorting uses a stable
-    ``np.lexsort`` over the total-order key.
-``python``
-    Columns are :mod:`array` arrays; sorting mirrors the object path's
-    Timsort comparisons index-by-index.  The fallback when numpy is
-    unavailable, and the reference the bit-identity tests compare against.
+The columns are views into one structured ndarray with the exact wire
+dtype (:data:`EVENT_DTYPE`), so decode is ``np.frombuffer`` and encode is
+``tobytes`` — no per-event work at all.  Sorting uses a stable
+``np.lexsort`` over the total-order key.
 
 **Bit-identity contract.**  Every operation here produces *exactly* the
 sequence the object path produces:
@@ -30,101 +23,47 @@ sequence the object path produces:
   pairs are unique), so for NaN-free data any correct sort yields the one
   sorted permutation, and a *stable* sort over ``run ++ buffer`` equals
   the object path's "sort buffer, then merge with run priority on ties"
-  even if keys ever collide.  ``np.lexsort`` is stable, so the numpy
-  backend qualifies.
+  even if keys ever collide.  ``np.lexsort`` is stable, so it qualifies.
 * NaN values break comparison sorts deterministically-but-arbitrarily;
   ``np.lexsort`` would instead push NaNs last, diverging from the object
   path.  Batches containing NaN therefore fall back to a comparison
   mirror — index sort with the same key tuples plus the same two-pointer
   merge — which performs the identical comparisons in the identical
   order, reproducing the object path's permutation bit for bit.
-
-Select the backend with ``REPRO_COLUMNS_BACKEND=python|numpy`` (read at
-import) or :func:`set_backend` at runtime; the choice affects only where
-new batches are constructed, never their observable contents.
 """
 
 from __future__ import annotations
 
-import os
 import struct
-import sys
-from array import array
 from typing import Iterable, Iterator, Sequence
 
-from repro.errors import CalculationError, CodecError, ConfigurationError
+import numpy as _np
+
+from repro.errors import CalculationError, CodecError
 from repro.runtime import wire
 from repro.streaming.events import Event
-
-try:  # pragma: no cover - the image bakes numpy in; the gate is for ports
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 __all__ = [
     "EVENT_DTYPE",
     "EventColumns",
     "concat_columns",
-    "get_backend",
     "merge_runs",
     "select_rank",
-    "set_backend",
 ]
 
 #: The wire layout of one event as a numpy structured dtype.  Packed (no
 #: padding), little-endian — ``frombuffer`` of an event-batch payload and
 #: ``tobytes`` of a batch are byte-identical to ``struct`` with
 #: :data:`repro.runtime.wire.EVENT`.
-EVENT_DTYPE = (
-    _np.dtype(
-        [
-            ("value", "<f8"),
-            ("timestamp", "<u4"),
-            ("node_id", "<u4"),
-            ("seq", "<u4"),
-        ]
-    )
-    if _np is not None
-    else None
+EVENT_DTYPE = _np.dtype(
+    [
+        ("value", "<f8"),
+        ("timestamp", "<u4"),
+        ("node_id", "<u4"),
+        ("seq", "<u4"),
+    ]
 )
-if EVENT_DTYPE is not None:
-    assert EVENT_DTYPE.itemsize == wire.EVENT_WIRE_BYTES
-
-_BACKENDS = ("numpy", "python")
-
-
-def _default_backend() -> str:
-    requested = os.environ.get("REPRO_COLUMNS_BACKEND", "").strip().lower()
-    if requested == "python":
-        return "python"
-    return "numpy" if _np is not None else "python"
-
-
-_backend = _default_backend()
-
-
-def get_backend() -> str:
-    """The backend new batches are built with (``numpy`` or ``python``)."""
-    return _backend
-
-
-def set_backend(name: str) -> str:
-    """Select the construction backend; returns the previous one.
-
-    Raises:
-        ConfigurationError: For an unknown name, or ``numpy`` when numpy
-            is not importable.
-    """
-    global _backend
-    if name not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown columns backend {name!r}; expected one of {_BACKENDS}"
-        )
-    if name == "numpy" and _np is None:
-        raise ConfigurationError("numpy backend requested but numpy is absent")
-    previous = _backend
-    _backend = name
-    return previous
+assert EVENT_DTYPE.itemsize == wire.EVENT_WIRE_BYTES
 
 
 def _batch_struct(n: int) -> struct.Struct:
@@ -135,18 +74,17 @@ class EventColumns:
     """One immutable batch of events in columnar form.
 
     Behaves as a read-only :class:`Sequence` of :class:`Event` — ``len``,
-    integer indexing (materializes one event), slicing with any step
-    (returns columns), iteration, and ``==`` against any event sequence —
-    while exposing the columns themselves to vectorized consumers.
+    integer indexing (materializes one event), slicing with any step or a
+    boolean row mask (returns columns), iteration, and ``==`` against any
+    event sequence — while exposing the columns themselves to vectorized
+    consumers.
     """
 
-    __slots__ = ("_arr", "_cols")
+    __slots__ = ("_arr",)
 
-    def __init__(self, arr=None, cols=None) -> None:
-        # Exactly one representation: a structured ndarray (numpy backend)
-        # or a (values, timestamps, node_ids, seqs) tuple of stdlib arrays.
+    def __init__(self, arr) -> None:
+        #: One structured ndarray of :data:`EVENT_DTYPE` records.
         self._arr = arr
-        self._cols = cols
 
     # -- construction ---------------------------------------------------
 
@@ -172,18 +110,7 @@ class EventColumns:
                 f"event array of {n_bytes} bytes does not hold the "
                 f"announced {count} events ({count * stride} bytes)"
             )
-        if _backend == "numpy":
-            return cls(arr=_np.frombuffer(raw, dtype=EVENT_DTYPE))
-        values = array("d")
-        timestamps = array("I")
-        node_ids = array("I")
-        seqs = array("I")
-        for value, timestamp, node_id, seq in wire.EVENT.iter_unpack(raw):
-            values.append(value)
-            timestamps.append(timestamp)
-            node_ids.append(node_id)
-            seqs.append(seq)
-        return cls(cols=(values, timestamps, node_ids, seqs))
+        return cls(_np.frombuffer(raw, dtype=EVENT_DTYPE))
 
     @classmethod
     def from_arrays(
@@ -195,27 +122,13 @@ class EventColumns:
         ``0..n-1``.  Values outside the wire ranges are the caller's bug,
         exactly as they are on the object encode path.
         """
-        if _np is None:
-            raise ConfigurationError(
-                "EventColumns.from_arrays needs numpy; build from events "
-                "or wire bytes instead"
-            )
         n = len(values)
         arr = _np.empty(n, dtype=EVENT_DTYPE)
         arr["value"] = values
         arr["timestamp"] = timestamps
         arr["node_id"] = node_ids
         arr["seq"] = _np.arange(n, dtype="<u4") if seqs is None else seqs
-        if _backend == "numpy":
-            return cls(arr=arr)
-        if sys.byteorder == "little":
-            cols = (array("d"), array("I"), array("I"), array("I"))
-            for col, name in zip(
-                cols, ("value", "timestamp", "node_id", "seq")
-            ):
-                col.frombytes(_np.ascontiguousarray(arr[name]).tobytes())
-            return cls(cols=cols)
-        return cls.from_wire(arr.tobytes())
+        return cls(arr)
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "EventColumns":
@@ -231,61 +144,29 @@ class EventColumns:
         return cls.from_wire(packed)
 
     def _take(self, indices) -> "EventColumns":
-        if self._arr is not None:
-            return EventColumns(arr=self._arr.take(indices))
-        values, timestamps, node_ids, seqs = self._cols
-        return EventColumns(
-            cols=(
-                array("d", (values[i] for i in indices)),
-                array("I", (timestamps[i] for i in indices)),
-                array("I", (node_ids[i] for i in indices)),
-                array("I", (seqs[i] for i in indices)),
-            )
-        )
+        return EventColumns(self._arr.take(indices))
 
     # -- sequence protocol ----------------------------------------------
 
     def __len__(self) -> int:
-        if self._arr is not None:
-            return len(self._arr)
-        return len(self._cols[0])
+        return len(self._arr)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            if self._arr is not None:
-                return EventColumns(arr=self._arr[index])
-            return EventColumns(
-                cols=tuple(col[index] for col in self._cols)
-            )
-        if self._arr is not None:
-            rec = self._arr[index]
-            return Event(
-                value=float(rec["value"]),
-                timestamp=int(rec["timestamp"]),
-                node_id=int(rec["node_id"]),
-                seq=int(rec["seq"]),
-            )
-        values, timestamps, node_ids, seqs = self._cols
+        if isinstance(index, (slice, _np.ndarray)):
+            return EventColumns(self._arr[index])
+        rec = self._arr[index]
         return Event(
-            value=values[index],
-            timestamp=timestamps[index],
-            node_id=node_ids[index],
-            seq=seqs[index],
+            value=float(rec["value"]),
+            timestamp=int(rec["timestamp"]),
+            node_id=int(rec["node_id"]),
+            seq=int(rec["seq"]),
         )
 
     def __iter__(self) -> Iterator[Event]:
-        if self._arr is not None:
-            for value, timestamp, node_id, seq in self._arr.tolist():
-                yield Event(
-                    value=value, timestamp=timestamp,
-                    node_id=node_id, seq=seq,
-                )
-            return
-        values, timestamps, node_ids, seqs = self._cols
-        for i in range(len(values)):
+        for value, timestamp, node_id, seq in self._arr.tolist():
             yield Event(
-                value=values[i], timestamp=timestamps[i],
-                node_id=node_ids[i], seq=seqs[i],
+                value=value, timestamp=timestamp,
+                node_id=node_id, seq=seq,
             )
 
     def __eq__(self, other) -> bool:
@@ -314,143 +195,89 @@ class EventColumns:
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        backend = "numpy" if self._arr is not None else "python"
-        return f"EventColumns(n={len(self)}, backend={backend})"
+        return f"EventColumns(n={len(self)})"
 
     # -- columns --------------------------------------------------------
 
     @property
     def values(self):
         """The value column (f64)."""
-        if self._arr is not None:
-            return self._arr["value"]
-        return self._cols[0]
+        return self._arr["value"]
 
     @property
     def timestamps(self):
         """The event-time column (u32 milliseconds)."""
-        if self._arr is not None:
-            return self._arr["timestamp"]
-        return self._cols[1]
+        return self._arr["timestamp"]
 
     @property
     def node_ids(self):
         """The producing-node column (u32)."""
-        if self._arr is not None:
-            return self._arr["node_id"]
-        return self._cols[2]
+        return self._arr["node_id"]
 
     @property
     def seqs(self):
         """The per-node sequence column (u32)."""
-        if self._arr is not None:
-            return self._arr["seq"]
-        return self._cols[3]
+        return self._arr["seq"]
 
     # -- scalar accessors (exact Python types, for synopsis keys) -------
 
     def key_at(self, index: int) -> tuple[float, int, int]:
         """The strict total-order key of event ``index``, as pure floats
         and ints — byte-identical to ``Event.key`` on the object path."""
-        if self._arr is not None:
-            rec = self._arr[index]
-            return (
-                float(rec["value"]), int(rec["node_id"]), int(rec["seq"])
-            )
-        values, _, node_ids, seqs = self._cols
-        return (values[index], node_ids[index], seqs[index])
+        rec = self._arr[index]
+        return (float(rec["value"]), int(rec["node_id"]), int(rec["seq"]))
 
     def timestamp_at(self, index: int) -> int:
-        if self._arr is not None:
-            return int(self._arr[index]["timestamp"])
-        return self._cols[1][index]
+        return int(self._arr[index]["timestamp"])
 
     def min_timestamp(self) -> int:
-        if self._arr is not None:
-            return int(self._arr["timestamp"].min())
-        return min(self._cols[1])
+        return int(self._arr["timestamp"].min())
 
     def max_timestamp(self) -> int:
-        if self._arr is not None:
-            return int(self._arr["timestamp"].max())
-        return max(self._cols[1])
+        return int(self._arr["timestamp"].max())
 
     def timestamps_sorted(self) -> bool:
         """Whether timestamps are non-decreasing (ordered replay)."""
         if len(self) < 2:
             return True
-        if self._arr is not None:
-            ts = self._arr["timestamp"]
-            return not bool((ts[1:] < ts[:-1]).any())
-        ts = self._cols[1]
-        return all(ts[i] <= ts[i + 1] for i in range(len(ts) - 1))
+        ts = self._arr["timestamp"]
+        return not bool((ts[1:] < ts[:-1]).any())
 
     # -- wire -----------------------------------------------------------
 
     def to_wire(self) -> bytes:
         """The batch's wire event array — byte-identical to packing each
         event with :data:`repro.runtime.wire.EVENT` in order."""
-        if self._arr is not None:
-            return _np.ascontiguousarray(self._arr).tobytes()
-        values, timestamps, node_ids, seqs = self._cols
-        n = len(values)
-        return _batch_struct(n).pack(
-            *(
-                field
-                for i in range(n)
-                for field in (
-                    values[i], timestamps[i], node_ids[i], seqs[i]
-                )
-            )
-        )
+        return _np.ascontiguousarray(self._arr).tobytes()
 
     # -- sorting --------------------------------------------------------
 
     def _keys(self) -> list[tuple[float, int, int]]:
         """All total-order keys as pure-Python tuples, in batch order."""
-        if self._arr is not None:
-            return [
-                (value, node_id, seq)
-                for value, _, node_id, seq in self._arr.tolist()
-            ]
-        values, _, node_ids, seqs = self._cols
         return [
-            (values[i], node_ids[i], seqs[i]) for i in range(len(values))
+            (value, node_id, seq)
+            for value, _, node_id, seq in self._arr.tolist()
         ]
 
     def has_nan(self) -> bool:
-        if self._arr is not None:
-            return bool(_np.isnan(self._arr["value"]).any())
-        return any(value != value for value in self._cols[0])
+        return bool(_np.isnan(self._arr["value"]).any())
 
 
 def concat_columns(chunks: Sequence[EventColumns]) -> EventColumns:
-    """Concatenate batches in order (converting backends if mixed)."""
+    """Concatenate batches in order."""
     if len(chunks) == 1:
         return chunks[0]
     if not chunks:
         return EventColumns.from_wire(b"")
-    if all(chunk._arr is not None for chunk in chunks):
-        # As bytes: numpy concatenates packed records field by field,
-        # several times slower than the one copy this is.
-        raw = _np.concatenate(
-            [
-                _np.ascontiguousarray(chunk._arr).view(_np.uint8)
-                for chunk in chunks
-            ]
-        )
-        return EventColumns(arr=raw.view(EVENT_DTYPE))
-    if any(chunk._arr is not None for chunk in chunks):
-        # Mixed backends (a runtime set_backend mid-stream): rebuild
-        # everything through the wire form, which both speak.
-        return EventColumns.from_wire(
-            b"".join(chunk.to_wire() for chunk in chunks)
-        )
-    cols = tuple(array(tc) for tc in ("d", "I", "I", "I"))
-    for chunk in chunks:
-        for col, src in zip(cols, chunk._cols):
-            col.extend(src)
-    return EventColumns(cols=cols)
+    # As bytes: numpy concatenates packed records field by field, several
+    # times slower than the one copy this is.
+    raw = _np.concatenate(
+        [
+            _np.ascontiguousarray(chunk._arr).view(_np.uint8)
+            for chunk in chunks
+        ]
+    )
+    return EventColumns(raw.view(EVENT_DTYPE))
 
 
 def _merge_comparison_mirror(
@@ -461,8 +288,7 @@ def _merge_comparison_mirror(
     Stable index sort of the pending batch by key tuple (the same Timsort
     comparisons ``list.sort(key=event_key)`` performs), then the same
     two-pointer merge with run priority on ``<=``.  Used whenever NaN
-    values make comparison order the contract, and by the python backend
-    throughout.
+    values make comparison order the contract.
 
     The object path's append-only early-out (whole batch lands after the
     run) is mirrored too — with a NaN mid-run it is *not* equivalent to
@@ -497,16 +323,16 @@ def merge_runs(
     """Sort ``pending`` and merge it into the sorted ``run``.
 
     Bit-identical to the object path (see the module docstring): a stable
-    ``lexsort`` over ``run ++ pending`` when the numpy backend applies
-    and no value is NaN, the comparison mirror otherwise.
+    ``lexsort`` over ``run ++ pending`` when no value is NaN, the
+    comparison mirror otherwise.
     """
     full = pending if run is None or not len(run) else concat_columns(
         [run, pending]
     )
-    if full._arr is not None and not full.has_nan():
+    if not full.has_nan():
         arr = full._arr
         order = _np.lexsort((arr["seq"], arr["node_id"], arr["value"]))
-        return EventColumns(arr=arr.take(order))
+        return EventColumns(arr.take(order))
     return _merge_comparison_mirror(run, pending)
 
 
@@ -521,7 +347,7 @@ def select_rank(runs: Sequence, local_rank: int) -> "Event | None":
     materialises that one row.
 
     Returns ``None`` — the caller's object merge owns the case — when a
-    run is not a numpy-backed batch or a value is NaN (comparison order is
+    run is not a columnar batch or a value is NaN (comparison order is
     the contract there, as in :func:`merge_runs`), or when ``local_rank``
     falls outside the rows.
 
@@ -531,7 +357,7 @@ def select_rank(runs: Sequence, local_rank: int) -> "Event | None":
     """
     batches = []
     for run in runs:
-        if not isinstance(run, EventColumns) or run._arr is None:
+        if not isinstance(run, EventColumns):
             return None
         if len(run):
             batches.append(run)

@@ -9,7 +9,7 @@ from repro.core.calculation import calculate_quantile, merge_candidate_runs
 from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SliceSynopsis
 from repro.core.window_cut import CutResult, window_cut
-from repro.streaming.columns import EventColumns, select_rank, set_backend
+from repro.streaming.columns import EventColumns, select_rank
 from repro.streaming.events import event_key, make_events
 
 
@@ -110,29 +110,13 @@ class TestCalculateQuantile:
 
 
 class TestCalculateQuantileColumns(TestCalculateQuantile):
-    """Every case again on numpy-backed columns: the rank select."""
+    """Every case again on columns: the rank select."""
 
     as_run = staticmethod(EventColumns.from_events)
 
     def test_runs_take_the_select(self):
         cut, runs, events = self.make_cut_and_runs(range(100), gamma=10, rank=42)
         assert select_rank(runs, cut.local_rank) == events[41]
-
-
-class TestCalculateQuantileStdlibColumns(TestCalculateQuantile):
-    """Stdlib-array columns have no vectorised select: object path."""
-
-    @staticmethod
-    def as_run(events):
-        previous = set_backend("python")
-        try:
-            return EventColumns.from_events(events)
-        finally:
-            set_backend(previous)
-
-    def test_runs_take_the_object_path(self):
-        cut, runs, _ = self.make_cut_and_runs(range(100), gamma=10, rank=42)
-        assert select_rank(runs, cut.local_rank) is None
 
 
 class TestPathSelection:

@@ -175,6 +175,21 @@ class TestElasticMembership:
         with pytest.raises(ConfigurationError):
             run_mesh(config, self.streams())
 
+    def test_membership_on_an_unordered_stream_rejected(self):
+        """A replay cuts its phases at each boundary by binary search;
+        on an out-of-order stream that would ship post-boundary events
+        before the boundary's gate opens, so the run must not start."""
+        from repro.errors import ConfigurationError
+
+        config = MeshConfig(
+            n_locals=4, n_shards=2, query=QUERY, membership=self.MEMBERSHIP
+        )
+        streams = self.streams()
+        streams[3] = list(streams[3])
+        streams[3][10], streams[3][-10] = streams[3][-10], streams[3][10]
+        with pytest.raises(ConfigurationError, match="timestamp order"):
+            run_mesh(config, streams)
+
 
 class TestChaosComposition:
     TOLERANCE = ToleranceConfig(

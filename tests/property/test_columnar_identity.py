@@ -5,8 +5,8 @@ never *what* the protocol computes: the same workload through
 ``SortedLocalWindow`` fed per-event ``Event`` objects and fed
 ``EventColumns`` batches must seal the same window (bit for bit, NaN
 payloads included), cut the same ranks, and serve the same quantiles —
-and the numpy backend must be indistinguishable from the pure-python one
-all the way up through a live cluster and a sharded mesh run.
+and a live cluster or sharded mesh handed ``Event`` sequences must be
+indistinguishable from one handed the same events as ``EventColumns``.
 
 Event fingerprints compare ``struct.pack``ed value bits, not ``==``:
 NaN events are never equal to anything, yet must still come out in the
@@ -14,7 +14,6 @@ exact order the object path would have produced.
 """
 
 import contextlib
-import functools
 import math
 import signal
 import struct
@@ -29,7 +28,7 @@ from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 from repro.core.synopsis import SliceSynopsis
 from repro.core.window_cut import CutResult
-from repro.streaming.columns import EventColumns, get_backend, set_backend
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event, event_key, make_events
 
 _F64 = struct.Struct("<d")
@@ -92,11 +91,10 @@ def event_batches(draw):
     return chunks
 
 
-@pytest.fixture(params=["numpy", "python"], autouse=True)
+@pytest.fixture(params=["numpy"], autouse=True)
 def backend(request):
-    previous = set_backend(request.param)
-    yield request.param
-    set_backend(previous)
+    """The one representation; the parameter keeps the recorded test ids."""
+    return request.param
 
 
 @given(event_batches(), st.booleans())
@@ -256,15 +254,15 @@ def test_rank_select_identical_to_merge(runs):
 
 
 # ---------------------------------------------------------------------------
-# Backend identity end to end: the numpy-backed columns and the stdlib
-# ``array`` columns must drive a live cluster and a sharded mesh to the
-# same windows, the same values and the same wire-byte totals.
+# Feed identity end to end: a cluster handed ``Event`` sequences converts
+# them once at entry, so it must reach the same windows, the same values
+# and the same wire-byte totals as one handed the columns directly.
 
 
 @contextlib.contextmanager
 def _hard_timeout(seconds: int):
     def on_alarm(signum, frame):
-        raise TimeoutError(f"backend identity run exceeded {seconds}s")
+        raise TimeoutError(f"feed identity run exceeded {seconds}s")
 
     previous = signal.signal(signal.SIGALRM, on_alarm)
     signal.alarm(seconds)
@@ -275,78 +273,60 @@ def _hard_timeout(seconds: int):
         signal.signal(signal.SIGALRM, previous)
 
 
-@functools.lru_cache(maxsize=None)
-def _live_outcomes(backend_name: str):
-    from repro.bench.generator import GeneratorConfig, workload_columns
-    from repro.core.query import QuantileQuery
-    from repro.runtime.cluster import LiveClusterConfig, run_live
-
-    previous = set_backend(backend_name)
-    try:
-        streams = workload_columns(
-            [1, 2],
-            GeneratorConfig(event_rate=300.0, duration_s=2.0, seed=23),
-        )
-        config = LiveClusterConfig(
-            n_locals=2,
-            streams_per_local=2,
-            query=QuantileQuery(q=0.5, gamma=64),
-            transport="memory",
-            timeout_s=60.0,
-        )
-        with _hard_timeout(120):
-            report = run_live(config, streams)
-    finally:
-        set_backend(previous)
-    outcomes = tuple(
+def _outcome_bits(report):
+    return [
         (o.window, _F64.pack(o.value), o.global_window_size,
          o.candidate_events, o.synopses_received)
         for o in sorted(report.outcomes, key=lambda o: o.window)
         if o.value is not None
+    ]
+
+
+def _as_objects(streams):
+    return {node_id: list(events) for node_id, events in streams.items()}
+
+
+def test_live_run_object_fed_equals_column_fed():
+    from repro.bench.generator import GeneratorConfig, workload_columns
+    from repro.core.query import QuantileQuery
+    from repro.runtime.cluster import LiveClusterConfig, run_live
+
+    streams = workload_columns(
+        [1, 2], GeneratorConfig(event_rate=300.0, duration_s=2.0, seed=23)
     )
-    return outcomes, report.total_bytes
+    config = LiveClusterConfig(
+        n_locals=2,
+        streams_per_local=2,
+        query=QuantileQuery(q=0.5, gamma=64),
+        transport="memory",
+        timeout_s=60.0,
+    )
+    with _hard_timeout(120):
+        columns = run_live(config, streams)
+        objects = run_live(config, _as_objects(streams))
+    assert len(_outcome_bits(columns)) >= 2
+    assert _outcome_bits(objects) == _outcome_bits(columns)
+    assert objects.total_bytes == columns.total_bytes
 
 
-@functools.lru_cache(maxsize=None)
-def _mesh_outcomes(backend_name: str):
-    from repro.bench.generator import GeneratorConfig, workload
+def test_mesh_run_object_fed_equals_column_fed():
+    from repro.bench.generator import GeneratorConfig, workload_columns
     from repro.core.query import QuantileQuery
     from repro.mesh import MeshConfig, run_mesh
 
-    previous = set_backend(backend_name)
-    try:
-        streams = workload(
-            [1, 2],
-            GeneratorConfig(event_rate=120.0, duration_s=2.0, seed=29),
-        )
-        config = MeshConfig(
-            n_locals=2,
-            streams_per_local=1,
-            n_shards=2,
-            query=QuantileQuery(q=0.5, gamma=64),
-            transport="memory",
-        )
-        with _hard_timeout(120):
-            report = run_mesh(config, streams)
-    finally:
-        set_backend(previous)
-    return tuple(
-        (o.window, _F64.pack(o.value))
-        for o in sorted(report.outcomes, key=lambda o: o.window)
-        if o.value is not None
+    streams = workload_columns(
+        [1, 2], GeneratorConfig(event_rate=120.0, duration_s=2.0, seed=29)
     )
-
-
-def test_live_run_identical_across_backends():
-    numpy_outcomes, numpy_bytes = _live_outcomes("numpy")
-    python_outcomes, python_bytes = _live_outcomes("python")
-    assert len(numpy_outcomes) >= 2
-    assert numpy_outcomes == python_outcomes
-    assert numpy_bytes == python_bytes
-
-
-def test_mesh_run_identical_across_backends():
-    numpy_outcomes = _mesh_outcomes("numpy")
-    python_outcomes = _mesh_outcomes("python")
-    assert len(numpy_outcomes) >= 1
-    assert numpy_outcomes == python_outcomes
+    config = MeshConfig(
+        n_locals=2,
+        streams_per_local=1,
+        n_shards=2,
+        query=QuantileQuery(q=0.5, gamma=64),
+        transport="memory",
+    )
+    with _hard_timeout(120):
+        columns = run_mesh(config, streams)
+        objects = run_mesh(config, _as_objects(streams))
+    assert len(_outcome_bits(columns)) >= 1
+    assert _outcome_bits(objects) == _outcome_bits(columns)
+    assert objects.total_bytes == columns.total_bytes

@@ -5,24 +5,17 @@ import struct
 
 import pytest
 
-from repro.errors import CodecError, ConfigurationError
+from repro.errors import CodecError
 from repro.runtime import wire
 from repro.streaming import columns
-from repro.streaming.columns import (
-    EventColumns,
-    concat_columns,
-    get_backend,
-    merge_runs,
-    set_backend,
-)
+from repro.streaming.columns import EventColumns, concat_columns, merge_runs
 from repro.streaming.events import Event, event_key, make_events
 
 
-@pytest.fixture(params=["numpy", "python"])
+@pytest.fixture(params=["numpy"])
 def backend(request):
-    previous = set_backend(request.param)
-    yield request.param
-    set_backend(previous)
+    """The one representation; the parameter keeps the recorded test ids."""
+    return request.param
 
 
 def _pack(events):
@@ -121,35 +114,6 @@ class TestSequenceProtocol:
         assert EventColumns.from_events(
             sorted(EVENTS, key=lambda e: e.timestamp)
         ).timestamps_sorted()
-
-
-class TestBackends:
-    def test_backend_switch_round_trips(self):
-        previous = set_backend("python")
-        try:
-            py = EventColumns.from_events(EVENTS)
-            set_backend("numpy")
-            np_cols = EventColumns.from_events(EVENTS)
-        finally:
-            set_backend(previous)
-        assert py == np_cols
-        assert py.to_wire() == np_cols.to_wire()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown"):
-            set_backend("fortran")
-        assert get_backend() in ("numpy", "python")
-
-    def test_mixed_backend_concat(self):
-        previous = set_backend("python")
-        try:
-            py = EventColumns.from_events(EVENTS[:2])
-            set_backend("numpy")
-            np_cols = EventColumns.from_events(EVENTS[2:])
-            merged = concat_columns([py, np_cols])
-        finally:
-            set_backend(previous)
-        assert tuple(merged) == EVENTS
 
 
 class TestMergeRuns:

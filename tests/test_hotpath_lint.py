@@ -9,15 +9,20 @@ counts).  Every module that opts into the discipline carries a
 ``Hot-path module:`` marker comment naming this test; the lint walks the
 whole package so a marked module can never silently drop out of the
 checked set by being moved.
+
+A second lint keeps the live path on one representation: between a
+cluster's entry point and its root every batch is an ``EventColumns``, so
+``isinstance(…, EventColumns)`` inside ``runtime/`` and ``mesh/`` is a
+fork on what the caller handed in — allowed only where a ``Sequence`` of
+events is still legitimately accepted.
 """
 
+import ast
 import pathlib
 import re
 
-import pytest
-
 import repro
-from repro.streaming.columns import EventColumns, get_backend
+from repro.streaming.columns import EventColumns
 
 MARKER = "Hot-path module:"
 
@@ -35,6 +40,8 @@ EXPECTED_MARKED = {
     "core/local_node.py",
     "core/slicing.py",
     "core/sorted_window.py",
+    "mesh/relay.py",
+    "mesh/servers.py",
     "runtime/codec.py",
     "runtime/servers.py",
     "runtime/transport.py",
@@ -73,21 +80,56 @@ def test_lint_regex_matches_constructor_calls_only():
     assert not EVENT_CALL.search("msg = EventBatchMessage(1, w)")
 
 
+#: The only functions under ``runtime/`` and ``mesh/`` that may ask whether
+#: a batch is columnar: the clusters' entry normaliser and the codec's one
+#: event-array encoder (pane runs and live-hosted simulator nodes still
+#: send ``Event`` sequences).
+ALLOWED_REPRESENTATION_FORKS = {
+    ("runtime/cluster.py", "_as_columns"),
+    ("runtime/codec.py", "_event_array"),
+}
+
+
+def _representation_forks():
+    forks = set()
+    for package in ("runtime", "mesh"):
+        for path in sorted((PACKAGE_ROOT / package).rglob("*.py")):
+            name = path.relative_to(PACKAGE_ROOT).as_posix()
+            for function in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(
+                    function, (ast.FunctionDef, ast.AsyncFunctionDef)
+                ):
+                    continue
+                for node in ast.walk(function):
+                    if (
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"
+                        and "EventColumns" in ast.unparse(node.args[1])
+                    ):
+                        forks.add((name, function.name))
+    return forks
+
+
+def test_live_path_forks_on_representation_only_at_its_edges():
+    assert _representation_forks() <= ALLOWED_REPRESENTATION_FORKS
+
+
 def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     """The regex cannot see ``list(run)``: iterating an ``EventColumns`` is
-    the other way to pay one ``Event`` per row, and root calculation used
-    to.  With iteration booby-trapped, the calculation step and a whole
-    live run at the library-default gamma must still complete."""
+    the other way to pay one ``Event`` per row, and root calculation and
+    the mesh's replay and relay explode used to.  With iteration
+    booby-trapped, the calculation step, a whole live run at the
+    library-default gamma and a sharded mesh run with and without a relay
+    tier must still complete."""
     from repro.bench.generator import GeneratorConfig, workload_columns
     from repro.core.calculation import calculate_quantile
     from repro.core.query import QuantileQuery
     from repro.core.slicing import slice_sorted_events
     from repro.core.sorted_window import SortedLocalWindow
     from repro.core.window_cut import window_cut
+    from repro.mesh import MeshConfig, run_mesh
     from repro.runtime.cluster import LiveClusterConfig, run_live
 
-    if get_backend() != "numpy":
-        pytest.skip("stdlib columns backend: the object path is the contract")
     config = GeneratorConfig(event_rate=20_000.0, duration_s=2.0, seed=11)
     streams = workload_columns([1, 2], config)
 
@@ -121,3 +163,23 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     answered = [o for o in report.outcomes if o.value is not None]
     assert len(answered) >= 2
     assert sum(o.candidate_events for o in answered) > 0
+
+    mesh_streams = workload_columns(
+        list(range(1, 7)),
+        GeneratorConfig(event_rate=5_000.0, duration_s=2.0, seed=11),
+    )
+    for relay_fanin in (0, 3):
+        report = run_mesh(
+            MeshConfig(
+                n_locals=6,
+                streams_per_local=2,
+                n_shards=2,
+                relay_fanin=relay_fanin,
+                query=QuantileQuery(q=0.5, gamma=1_000),
+                transport="memory",
+            ),
+            mesh_streams,
+        )
+        answered = [o for o in report.outcomes if o.value is not None]
+        assert len(answered) >= 2
+        assert sum(o.candidate_events for o in answered) > 0
