@@ -7,18 +7,19 @@ once, at the window cut.
 
 Two ingest shapes share the class:
 
-* **Object batches** (the simulator, the query plane): arrivals collect in
+* **Object batches** (the simulator and the baselines): arrivals collect in
   a plain appendable list; compaction is one ``list.sort`` of the buffer
   (Timsort, which exploits the near-sorted runs real streams produce)
   followed by a linear merge into the existing sorted run.  That is
   O(n log n) total — the same bound as per-event ``insort`` — but with
   O(1) ingest cost per event and none of the O(n) ``memmove`` traffic
   binary insertion pays on large windows.
-* **Columnar batches** (the live hot path): :class:`EventColumns` chunks
-  collect unconverted; compaction concatenates them and sorts/merges on
-  the parallel arrays via :func:`repro.streaming.columns.merge_runs`,
-  never materializing per-event objects.  The run itself then *stays*
-  columnar through :meth:`seal` into slicing.
+* **Columnar batches** (the live hot path and the query plane's panes):
+  :class:`EventColumns` chunks collect unconverted; compaction
+  concatenates them and sorts/merges on the parallel arrays via
+  :func:`repro.streaming.columns.merge_runs`, never materializing
+  per-event objects.  The run itself then *stays* columnar through
+  :meth:`seal` into slicing.
 
 The observable contract is identical either way: :meth:`seal`,
 :meth:`sorted_events` and iteration yield the one sorted sequence the

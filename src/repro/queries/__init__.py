@@ -5,14 +5,14 @@ A query-plane subsystem spanning core and runtime: clients register
 wire**, against a running live cluster; queries sharing a (key selector,
 window shape) execute as one group — one synopsis transfer and one
 identification cut per (key, window) regardless of how many quantiles
-ride it — and overlapping sliding windows reuse sorted pane runs through
-a two-stack aggregator instead of re-sorting per slide.
+ride it — and overlapping sliding windows reuse sorted pane runs instead
+of re-sorting every pane per slide.
 
 Layers:
 
 * :mod:`repro.queries.spec` — query specs, key selectors, validation.
-* :mod:`repro.queries.slide` — pane store + two-stack sliding-run
-  aggregation (shared-slice sliding windows).
+* :mod:`repro.queries.slide` — columnar pane store + sliding windows
+  over sealed pane runs (shared-slice sliding windows).
 * :mod:`repro.queries.registry` — root-side query/group bookkeeping.
 * :mod:`repro.queries.local` — the local node's query plane.
 * :mod:`repro.queries.root` — the root node's query plane.

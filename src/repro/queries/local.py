@@ -2,13 +2,14 @@
 
 A :class:`LocalQueryPlane` rides inside a running
 :class:`~repro.runtime.servers.LocalServer`: the server taps every
-ingested event batch and every watermark advance into the plane, and
+decoded event batch and every watermark advance into the plane, and
 forwards root messages whose ``group_id`` is non-zero.  The plane keeps
 one :class:`~repro.queries.slide.PaneStore` per distinct
 ``(selector, pane length)`` — shared by every query group that reads it —
 and one :class:`~repro.queries.slide.SlidingRunAggregator` per group, so
 overlapping sliding windows reuse sorted pane runs instead of re-sorting
-per slide.
+every pane per slide.  Batches stay columnar from the tap to the
+candidate runs the plane sends back.
 
 Start negotiation: on a group registration the plane proposes the first
 window start it can *guarantee* — the smallest step-aligned timestamp
@@ -21,7 +22,6 @@ plane serves every window from that start on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.slicing import SlicedWindow, slice_sorted_events
 from repro.network.messages import (
@@ -34,9 +34,12 @@ from repro.network.messages import (
     SynopsisMessage,
 )
 from repro.queries.slide import PaneStore, SlidingRunAggregator
-from repro.queries.spec import QuerySpec
-from repro.streaming.events import Event
+from repro.queries.spec import QuerySpec, Selector, parse_selector
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
+
+# Hot-path module: batches, panes and runs are ``EventColumns``; selectors
+# are row masks, never per-event calls (tests/test_hotpath_lint.py).
 
 __all__ = ["LocalQueryPlane"]
 
@@ -47,28 +50,18 @@ def _align_up(timestamp: int, step: int) -> int:
 
 
 @dataclass(slots=True)
-class _StoreSlot:
-    """A pane store plus the compiled selector predicate feeding it."""
-
-    store: PaneStore
-    predicate: Callable[[Event], bool]
-
-
-@dataclass(slots=True)
 class _LocalGroup:
     """Per-group execution state on one local node."""
 
     group_id: int
     spec: QuerySpec
-    slot: _StoreSlot
+    store: PaneStore
     aggregator: SlidingRunAggregator = field(
         default_factory=SlidingRunAggregator
     )
     active: bool = False
     #: Start of the next window to seal (advances by the group step).
     next_window_start: int = 0
-    #: Start of the next pane to push into the aggregator.
-    next_pane_start: int = 0
     #: Sealed-but-unanswered windows, kept until the root's candidate
     #: request (possibly empty) releases them.
     pending: dict[Window, SlicedWindow] = field(default_factory=dict)
@@ -80,7 +73,9 @@ class LocalQueryPlane:
     def __init__(self, node_id: int, *, grid_start: int = 0) -> None:
         self.node_id = node_id
         self._grid_start = grid_start
-        self._slots: dict[tuple[str, int], _StoreSlot] = {}
+        #: ``(selector, pane length)`` → the parsed selector and the pane
+        #: store it feeds, shared by every group with that key.
+        self._stores: dict[tuple[str, int], tuple[Selector, PaneStore]] = {}
         self._groups: dict[int, _LocalGroup] = {}
         self._max_seen_ts = grid_start - 1
         self._watermark: int | None = None
@@ -95,18 +90,16 @@ class LocalQueryPlane:
     @property
     def stores(self) -> tuple[PaneStore, ...]:
         """The live pane stores (one per distinct selector/pane pair)."""
-        return tuple(slot.store for slot in self._slots.values())
+        return tuple(store for _, store in self._stores.values())
 
-    def ingest(self, events: tuple[Event, ...]) -> None:
-        """Feed a batch of ingested events into every matching store."""
-        for event in events:
-            if event.timestamp > self._max_seen_ts:
-                self._max_seen_ts = event.timestamp
-        for slot in self._slots.values():
-            predicate, store = slot.predicate, slot.store
-            for event in events:
-                if predicate(event):
-                    store.add(event)
+    def ingest(self, batch: EventColumns) -> None:
+        """Feed a decoded event batch into every store, one mask each."""
+        if not len(batch):
+            return
+        self._max_seen_ts = max(self._max_seen_ts, batch.max_timestamp())
+        for selector, store in self._stores.values():
+            mask = selector.mask(batch)
+            store.add(batch if mask is None else batch[mask])
 
     def on_watermark(self, watermark: int) -> list[Message]:
         """Advance event time; seal and report every completed window."""
@@ -146,16 +139,13 @@ class LocalQueryPlane:
                 freshness_ms=message.freshness_ms,
             )
             key = (spec.selector, spec.pane_ms)
-            slot = self._slots.get(key)
-            if slot is None:
-                slot = _StoreSlot(
-                    store=PaneStore(spec.pane_ms),
-                    predicate=spec.predicate(),
+            if key not in self._stores:
+                self._stores[key] = (
+                    parse_selector(spec.selector), PaneStore(spec.pane_ms)
                 )
-                self._slots[key] = slot
-            slot.store.refs += 1
             group = _LocalGroup(
-                group_id=message.group_id, spec=spec, slot=slot
+                group_id=message.group_id, spec=spec,
+                store=self._stores[key][1],
             )
             self._groups[message.group_id] = group
         if group.active:
@@ -182,7 +172,6 @@ class LocalQueryPlane:
             return []
         group.active = True
         group.next_window_start = message.window.start
-        group.next_pane_start = message.window.start
         if self._watermark is None:
             return []
         out = self._advance(group, self._watermark)
@@ -195,18 +184,20 @@ class LocalQueryPlane:
         out: list[Message] = []
         spec = group.spec
         length, step = spec.length_ms, spec.step
-        store = group.slot.store
+        store = group.store
         aggregator = group.aggregator
         start = group.next_window_start
         while start + length <= watermark:
             window = Window(start, start + length)
             while aggregator.covered and aggregator.covered[0] < start:
                 aggregator.evict()
-            pane = max(group.next_pane_start, start)
+            # Panes still covered were pushed by the previous window; with
+            # none left (first window, or step >= length) start afresh.
+            covered = aggregator.covered
+            pane = covered[-1] + store.pane_ms if covered else start
             while pane < window.end:
                 aggregator.push(pane, store.sealed_run(pane))
                 pane += store.pane_ms
-            group.next_pane_start = pane
             run = aggregator.query()
             sliced = slice_sorted_events(run, spec.gamma, self.node_id)
             group.pending[window] = sliced
@@ -250,31 +241,23 @@ class LocalQueryPlane:
         group = self._groups.pop(group_id, None)
         if group is None:
             return
-        slot = group.slot
-        slot.store.refs -= 1
-        if slot.store.refs <= 0:
-            key = (group.spec.selector, group.spec.pane_ms)
-            self._slots.pop(key, None)
+        if not any(g.store is group.store for g in self._groups.values()):
+            # The last reader left: the store goes with it.
+            self._stores.pop((group.spec.selector, group.spec.pane_ms), None)
 
     def _prune_stores(self) -> None:
         """Free panes no remaining group can still need.
 
         A store is prunable up to the earliest ``next_window_start`` of
-        its reader groups; groups still negotiating their start pin the
-        store entirely (their horizon is not yet known).
+        its readers, capped at event time (a gap-window group's next start
+        runs ahead of it): the watermark, below which a row is late, and
+        ``max_seen + 1``, the earliest start a later joiner is promised.
+        Groups still negotiating their start pin the store entirely.
         """
-        floors: dict[int, int | None] = {}
-        for group in self._groups.values():
-            store_id = id(group.slot.store)
-            if not group.active:
-                floors[store_id] = None
-            elif store_id not in floors:
-                floors[store_id] = group.next_window_start
-            elif floors[store_id] is not None:
-                floors[store_id] = min(
-                    floors[store_id], group.next_window_start
-                )
-        for slot in self._slots.values():
-            floor = floors.get(id(slot.store))
-            if floor is not None:
-                slot.store.prune_before(floor)
+        for store in self.stores:
+            readers = [g for g in self._groups.values() if g.store is store]
+            if readers and all(group.active for group in readers):
+                store.prune_before(min(
+                    self._watermark, self._max_seen_ts + 1,
+                    *(group.next_window_start for group in readers),
+                ))

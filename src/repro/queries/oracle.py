@@ -54,8 +54,8 @@ def oracle_results(
         horizon_end: End of the event-time grid; only windows fitting
             entirely below it are expected.
     """
-    predicate = spec.predicate()
-    selected = [event for event in events if predicate(event)]
+    matches = spec.predicate().matches
+    selected = [event for event in events if matches(event)]
     selected.sort(key=lambda event: event.timestamp)
     timestamps = [event.timestamp for event in selected]
     out: dict[Window, OracleResult] = {}

@@ -1,75 +1,71 @@
-"""Shared-slice sliding windows: pane store + two-stack run aggregation.
+"""Shared-slice sliding windows: sealed pane runs, one sort per window.
 
 Overlapping sliding windows share events; re-sorting every window from
-scratch does Θ(window · log window) work per *slide*.  The plane instead
-follows the two-stack (DABA-style) scheme of Tangwongsan, Hirzel and
-Schneider for mergeable aggregates, instantiated over the **sorted run**
-monoid: the elements are event runs sorted by the strict total order
-:func:`~repro.streaming.events.event_key`, and the monoid operation is a
-linear two-way merge.  Because the order is strict (no two events
-compare equal), *any* merge tree over the same panes yields the
-byte-identical sequence a full sort would — which is what makes the
-amortized structure safe to substitute for the naive recompute
-(property-tested in ``tests/queries``).
+scratch sorts every shared event once per *slide*.  For a non-decomposable
+function the partial that overlapping windows can share is the **sorted
+pane run**: events are bucketed into fixed panes of ``gcd(length, step)``
+ms, each pane is sorted exactly once, and a window's run is one stable
+sort of the concatenation of its panes' runs.  Because the total order
+:func:`~repro.streaming.events.event_key` is strict (no two events compare
+equal) that is the byte-identical sequence a full sort of the window gives
+(property-tested in ``tests/queries``).  There is no merge tree over the
+runs: on columns merging two sorted runs *is* a ``lexsort`` of their
+concatenation, so each node of a tree would re-sort its inputs
+(docs/queries.md has the measurements).
 
 Two pieces:
 
-* :class:`PaneStore` — events bucketed into fixed panes of
-  ``gcd(length, step)`` ms, each pane a
-  :class:`~repro.core.sorted_window.SortedLocalWindow` sealed exactly
-  once into a cached sorted run.  Stores are shared across every query
-  group with the same (selector, pane length), so one ingest sort
-  serves all of them.
-* :class:`SlidingRunAggregator` — the two-stack window assembler: pushes
-  and evictions cost O(1) amortized merges per pane, and ``query()``
-  returns the current window's full sorted run.
+* :class:`PaneStore` — columnar batches split by ``timestamp // pane_ms``
+  into one :class:`~repro.core.sorted_window.SortedLocalWindow` per pane,
+  sealed exactly once into a cached sorted run.  Stores are shared across
+  every query group with the same (selector, pane length), so one ingest
+  sort serves all of them.
+* :class:`SlidingRunAggregator` — a group's FIFO of sealed pane runs;
+  ``query()`` returns the current window's full sorted run.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 
+import numpy as np
+
+from repro.core.sorted_window import SortedLocalWindow
 from repro.errors import QueryError
-from repro.streaming.events import Event, event_key
+from repro.streaming.columns import EventColumns, concat_columns, merge_runs
 
-__all__ = ["PaneStore", "SlidingRunAggregator", "merge_runs"]
+# Hot-path module: panes, pane runs and window runs are ``EventColumns``
+# from ingest to the slicer; no per-event object is built and no batch is
+# iterated here (enforced by tests/test_hotpath_lint.py).
 
-
-def merge_runs(
-    left: tuple[Event, ...], right: tuple[Event, ...]
-) -> tuple[Event, ...]:
-    """Two-way merge of key-sorted runs (either side may be empty)."""
-    if not left:
-        return right
-    if not right:
-        return left
-    return tuple(heapq.merge(left, right, key=event_key))
+__all__ = ["PaneStore", "SlidingRunAggregator"]
 
 
 class PaneStore:
     """Fixed panes of sorted events, sealed once, shared across groups.
 
     A pane is the half-open interval ``[k * pane_ms, (k+1) * pane_ms)``.
-    Ingest appends into the pane's :class:`SortedLocalWindow` (O(1) per
-    event); :meth:`sealed_run` sorts the pane exactly once and caches the
+    Ingest hands each pane its rows of the batch unconverted (no per-event
+    work); :meth:`sealed_run` sorts the pane exactly once and caches the
     run, so every window overlapping the pane reuses the same sorted
-    slice.  Events arriving for an already-sealed pane are counted and
-    dropped — on the live path the min-watermark seal guarantee makes
-    this impossible, but the store is also a direct API for tests.
+    slice.  Rows arriving for a pane that is already sealed or pruned are
+    counted and dropped — on the live path the min-watermark seal
+    guarantee makes this impossible, but the store is also a direct API
+    for tests.
     """
 
     def __init__(self, pane_ms: int) -> None:
         if pane_ms <= 0:
             raise QueryError(f"pane length must be > 0 ms, got {pane_ms}")
         self._pane_ms = pane_ms
-        self._open: dict[int, list[Event]] = {}
-        self._sealed: dict[int, tuple[Event, ...]] = {}
-        #: Events that arrived for a pane already sealed (late beyond the
-        #: watermark guarantee) and were dropped.
+        self._open: dict[int, SortedLocalWindow] = {}
+        self._sealed: dict[int, EventColumns] = {}
+        #: Start of the oldest pane not yet pruned; everything below it is
+        #: gone for good (a pruned pane was sealed or will never be read).
+        self._floor = 0
+        #: Rows (not calls) that arrived for a pane already sealed or
+        #: pruned — late beyond the watermark guarantee — and were dropped.
         self.late_dropped = 0
-        #: Reference count: how many query groups read this store.
-        self.refs = 0
 
     @property
     def pane_ms(self) -> int:
@@ -80,99 +76,85 @@ class PaneStore:
         """The start of the pane containing ``timestamp``."""
         return (timestamp // self._pane_ms) * self._pane_ms
 
-    def add(self, event: Event) -> None:
-        """Ingest one event into its pane (drops if the pane is sealed)."""
-        start = self.pane_start(event.timestamp)
-        if start in self._sealed:
-            self.late_dropped += 1
+    def add(self, batch: EventColumns) -> None:
+        """Ingest a batch, splitting its rows over the panes they fall in."""
+        if not len(batch):
             return
-        self._open.setdefault(start, []).append(event)
+        first = self.pane_start(batch.min_timestamp())
+        if first == self.pane_start(batch.max_timestamp()):
+            self._add_rows(first, batch)
+            return
+        # Two panes in one batch means pane_ms fits the u32 column.
+        panes = batch.timestamps // self._pane_ms
+        for pane in np.unique(panes):
+            self._add_rows(int(pane) * self._pane_ms, batch[panes == pane])
 
-    def sealed_run(self, start: int) -> tuple[Event, ...]:
+    def _add_rows(self, start: int, rows: EventColumns) -> None:
+        if start < self._floor or start in self._sealed:
+            self.late_dropped += len(rows)
+            return
+        pane = self._open.get(start)
+        if pane is None:
+            pane = self._open[start] = SortedLocalWindow()
+        pane.add_all(rows)
+
+    def sealed_run(self, start: int) -> EventColumns:
         """The pane's sorted run; seals (sorts) the pane on first call."""
         run = self._sealed.get(start)
         if run is None:
-            events = self._open.pop(start, [])
-            events.sort(key=event_key)
-            run = tuple(events)
+            pane = self._open.pop(start, None)
+            run = EventColumns.from_wire(b"") if pane is None else pane.seal()
             self._sealed[start] = run
         return run
 
     def prune_before(self, timestamp: int) -> None:
-        """Drop every pane entirely before ``timestamp``."""
+        """Drop every pane entirely before ``timestamp``, for good."""
+        self._floor = max(self._floor, self.pane_start(timestamp))
         for panes in (self._open, self._sealed):
-            for start in [s for s in panes if s + self._pane_ms <= timestamp]:
+            for start in [s for s in panes if s < self._floor]:
                 del panes[start]
 
 
 class SlidingRunAggregator:
-    """Two-stack sliding aggregation over the sorted-run monoid.
+    """A group's sliding window as a FIFO of sealed pane runs.
 
-    Maintains a FIFO of pane runs; :meth:`push` admits the newest pane,
-    :meth:`evict` retires the oldest, and :meth:`query` returns the merge
-    of everything in between.  The classic two-stack layout — a *back*
-    list with one running total, and a *front* stack of suffix merges
-    built at flip time — moves each pane from back to front exactly once,
-    so the amortized cost per slide is O(1) merges instead of re-merging
-    (or re-sorting) the full window.
+    :meth:`push` admits the newest pane, :meth:`evict` retires the oldest,
+    and :meth:`query` returns everything in between as one sorted run.
+    Sliding costs O(panes entering + leaving) bookkeeping; the sort itself
+    is paid once per window, over runs each pane sorted once.
     """
 
     def __init__(self) -> None:
-        #: Suffix merges of the front panes: ``_front[-1]`` is the merge
-        #: of every front pane still in the window.
-        self._front: list[tuple[Event, ...]] = []
-        self._back: list[tuple[Event, ...]] = []
-        self._back_total: tuple[Event, ...] = ()
-        #: Pane starts currently in the window, oldest first.
-        self._covered: deque[int] = deque()
-        #: Total merge work performed, in events touched (work metric for
-        #: the amortization tests and the bench artifact).
-        self.events_merged = 0
+        #: ``(pane start, sealed run)`` of the panes in the window, oldest
+        #: first.
+        self._panes: deque[tuple[int, EventColumns]] = deque()
 
     def __len__(self) -> int:
-        return len(self._covered)
+        return len(self._panes)
 
     @property
     def covered(self) -> "tuple[int, ...]":
         """Pane starts currently aggregated, oldest first."""
-        return tuple(self._covered)
+        return tuple(start for start, _ in self._panes)
 
-    def _merge(
-        self, left: tuple[Event, ...], right: tuple[Event, ...]
-    ) -> tuple[Event, ...]:
-        if left and right:
-            self.events_merged += len(left) + len(right)
-        return merge_runs(left, right)
-
-    def push(self, pane_start: int, run: tuple[Event, ...]) -> None:
+    def push(self, pane_start: int, run: EventColumns) -> None:
         """Admit the next pane's sorted run (panes must arrive in order)."""
-        if self._covered and pane_start <= self._covered[-1]:
+        if self._panes and pane_start <= self._panes[-1][0]:
             raise QueryError(
                 f"panes must be pushed in ascending order; got {pane_start} "
-                f"after {self._covered[-1]}"
+                f"after {self._panes[-1][0]}"
             )
-        self._covered.append(pane_start)
-        self._back.append(run)
-        self._back_total = self._merge(self._back_total, run)
+        self._panes.append((pane_start, run))
 
     def evict(self) -> None:
         """Retire the oldest pane still in the window."""
-        if not self._covered:
+        if not self._panes:
             raise QueryError("cannot evict from an empty aggregator")
-        self._covered.popleft()
-        if not self._front:
-            # Flip: move the back panes to the front, precomputing suffix
-            # merges newest → oldest so ``_front[-1]`` always covers every
-            # front pane still in the window and each evict is a pop.
-            acc: tuple[Event, ...] = ()
-            for run in reversed(self._back):
-                acc = self._merge(run, acc)
-                self._front.append(acc)
-            self._back = []
-            self._back_total = ()
-        self._front.pop()
+        self._panes.popleft()
 
-    def query(self) -> tuple[Event, ...]:
+    def query(self) -> EventColumns:
         """The current window's full sorted run."""
-        front = self._front[-1] if self._front else ()
-        return self._merge(front, self._back_total)
+        runs = [run for _, run in self._panes if len(run)]
+        stacked = concat_columns(runs)
+        # A lone pane's run is already the window's run.
+        return stacked if len(runs) <= 1 else merge_runs(None, stacked)

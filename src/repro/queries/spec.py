@@ -28,15 +28,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.errors import QueryError
 from repro.core.slicing import MIN_GAMMA
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 
 __all__ = [
     "QuerySpec",
+    "Selector",
     "VALID_KINDS",
     "parse_selector",
     "GroupShape",
@@ -60,15 +61,49 @@ VALID_KINDS = ("tumbling", "sliding", "session")
 #: window.  ``(selector, kind, length_ms, step_ms, gamma)``.
 GroupShape = tuple[str, str, int, int, int]
 
+_U32_MAX = 0xFFFFFFFF
 
-def parse_selector(selector: str) -> Callable[[Event], bool]:
-    """Compile a key selector into an event predicate.
+
+@dataclass(frozen=True, slots=True)
+class Selector:
+    """A parsed key selector: one grammar, two evaluators — per event for
+    the oracle, per columnar batch for the live plane."""
+
+    kind: str = "all"  # "all" | "node" | "mod"
+    modulus: int = 1
+    #: The node id (``node``) or the residue (``mod``).
+    target: int = 0
+
+    def matches(self, event: Event) -> bool:
+        """Whether one event is selected."""
+        if self.kind == "all":
+            return True
+        if self.kind == "node":
+            return event.node_id == self.target
+        return event.seq % self.modulus == self.target
+
+    def mask(self, columns: EventColumns):
+        """Boolean row mask over a batch; ``None`` selects every row."""
+        if self.kind == "all":
+            return None
+        if self.kind == "node":
+            return columns.node_ids == self.target
+        seqs = columns.seqs
+        # A modulus beyond the u32 column leaves every seq as it is (and
+        # numpy refuses to take it); ``==`` accepts any Python integer.
+        if self.modulus <= _U32_MAX:
+            seqs = seqs % self.modulus
+        return seqs == self.target
+
+
+def parse_selector(selector: str) -> Selector:
+    """Parse a key selector.
 
     Raises:
         QueryError: If ``selector`` does not match the grammar.
     """
     if selector == "all":
-        return lambda event: True
+        return Selector()
     parts = selector.split(":")
     if parts[0] == "node" and len(parts) == 2:
         try:
@@ -79,7 +114,7 @@ def parse_selector(selector: str) -> Callable[[Event], bool]:
             ) from None
         if node_id < 0:
             raise QueryError(f"selector {selector!r}: node id must be >= 0")
-        return lambda event: event.node_id == node_id
+        return Selector("node", target=node_id)
     if parts[0] == "mod" and len(parts) == 3:
         try:
             modulus, residue = int(parts[1]), int(parts[2])
@@ -93,7 +128,7 @@ def parse_selector(selector: str) -> Callable[[Event], bool]:
             raise QueryError(
                 f"selector {selector!r}: residue must be in [0, {modulus})"
             )
-        return lambda event: event.seq % modulus == residue
+        return Selector("mod", modulus, residue)
     raise QueryError(
         f"unknown selector {selector!r}; expected 'all', 'node:<id>' or "
         "'mod:<m>:<r>'"
@@ -173,7 +208,7 @@ class QuerySpec:
         """The shared pane length: ``gcd(length, step)``.
 
         Every window boundary of this query falls on a pane boundary, so
-        sorted pane runs compose into window runs without re-sorting.
+        sorted pane runs compose into window runs with no pane re-sorted.
         """
         return math.gcd(self.length_ms, self.step)
 
@@ -183,8 +218,8 @@ class QuerySpec:
         return (self.selector, self.kind, self.length_ms, self.step,
                 self.gamma)
 
-    def predicate(self) -> Callable[[Event], bool]:
-        """The compiled key-selector predicate."""
+    def predicate(self) -> Selector:
+        """The parsed key selector (``.matches(event)`` per event)."""
         return parse_selector(self.selector)
 
     def window_starts(self, start_from: int, horizon_end: int) -> list[int]:

@@ -201,8 +201,8 @@ def _event_array(events) -> bytes:
     """The ``n`` × 20-byte wire event array of a batch.
 
     The one place the codec asks which form it was handed: live batches
-    are columnar and already *are* the wire layout; the query plane's
-    pane runs and simulator nodes hosted live still send event objects.
+    and the query plane's candidate runs are columnar and already *are*
+    the wire layout; simulator nodes hosted live still send event objects.
     """
     if isinstance(events, EventColumns):
         return events.to_wire()

@@ -1,49 +1,74 @@
 """Shared-slice sliding windows: bit-identity against the naive recompute.
 
-The aggregator substitutes an amortized two-stack merge structure for a
-full per-window sort; these tests check the substitution is invisible —
-every window's run is **bit-identical** (same objects in the same order)
-to sorting the window's events from scratch — across overlap, tumbling
+The plane sorts each pane once and builds a window's run with one stable
+sort over its panes' runs; these tests check the sharing is invisible —
+every window's run is **bit-identical** (the same value/timestamp/
+node_id/seq bytes in the same order) to filtering the window out of the
+stream and sorting it from scratch — across overlap, tumbling
 degeneration and gap configurations, including a full hypothesis sweep
-over random streams and window shapes.
+over random streams, window shapes and batch sizes, plus the cases only
+batches have: a batch spanning several panes, out-of-order timestamps
+inside a batch, an empty batch, an empty pane inside a window.
 """
 
 import math
-import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import QueryError
-from repro.queries.slide import PaneStore, SlidingRunAggregator, merge_runs
-from repro.streaming.events import Event, event_key
+from repro.queries.slide import PaneStore, SlidingRunAggregator
+from repro.streaming.columns import EVENT_DTYPE, EventColumns
 
 
-def make_stream(n, *, span_ms, seed, n_nodes=3):
-    rng = random.Random(seed)
-    return [
-        Event(
-            value=rng.gauss(50.0, 20.0),
-            timestamp=rng.randrange(span_ms),
-            node_id=rng.randrange(1, n_nodes + 1),
-            seq=seq,
+def make_stream(n, *, span_ms, seed, n_nodes=3, ordered=False):
+    """``n`` events in arrival order; timestamps shuffled unless ordered."""
+    rng = np.random.default_rng(seed)
+    timestamps = rng.integers(0, span_ms, size=n)
+    if ordered:
+        timestamps.sort()
+    return EventColumns.from_arrays(
+        rng.normal(50.0, 20.0, size=n).round(1),  # rounded: value ties
+        timestamps,
+        rng.integers(1, n_nodes + 1, size=n),
+    )
+
+
+def columns(*rows):
+    """A batch from ``(value, timestamp, node_id, seq)`` rows."""
+    return EventColumns(np.array(list(rows), dtype=EVENT_DTYPE))
+
+
+def rows_of(events):
+    return list(
+        zip(
+            events.values.tolist(),
+            events.timestamps.tolist(),
+            events.node_ids.tolist(),
+            events.seqs.tolist(),
         )
-        for seq in range(n)
-    ]
+    )
 
 
 def naive_window_run(events, start, length):
-    """The reference: filter the window, sort from scratch."""
-    inside = [e for e in events if start <= e.timestamp < start + length]
-    return tuple(sorted(inside, key=event_key))
+    """The reference, with no numpy sort in it: filter the window's rows,
+    sort them from scratch by the event key, pack them as wire bytes."""
+    inside = [r for r in rows_of(events) if start <= r[1] < start + length]
+    inside.sort(key=lambda r: (r[0], r[2], r[3]))
+    return np.array(inside, dtype=EVENT_DTYPE).tobytes()
 
 
-def windows_via_aggregator(events, *, length, step, horizon):
+def fill(store, events, batch_rows):
+    for at in range(0, len(events), batch_rows):
+        store.add(events[at:at + batch_rows])
+
+
+def windows_via_aggregator(events, *, length, step, horizon, batch_rows=64):
     """Drive PaneStore + SlidingRunAggregator over the whole stream."""
     pane_ms = math.gcd(length, step)
     store = PaneStore(pane_ms)
-    for e in events:
-        store.add(e)
+    fill(store, events, batch_rows)
     aggregator = SlidingRunAggregator()
     runs = {}
     next_pane = 0
@@ -64,25 +89,34 @@ def windows_via_aggregator(events, *, length, step, horizon):
     ids=["half-overlap", "quarter-overlap", "gcd-300", "tumbling", "gaps"],
 )
 def test_bit_identical_to_naive_recompute(length, step):
-    events = make_stream(600, span_ms=6000, seed=13)
-    runs = windows_via_aggregator(events, length=length, step=step,
-                                  horizon=6000)
-    assert runs  # the shape must actually produce windows
-    for start, run in runs.items():
-        assert run == naive_window_run(events, start, length)
+    # Shuffled arrival: every 64-row batch spans many panes, out of order.
+    # Ordered arrival in 16-row batches: most batches sit inside one pane.
+    for ordered, batch_rows in ((False, 64), (True, 16)):
+        events = make_stream(600, span_ms=6000, seed=13, ordered=ordered)
+        runs = windows_via_aggregator(events, length=length, step=step,
+                                      horizon=6000, batch_rows=batch_rows)
+        assert runs  # the shape must actually produce windows
+        for start, run in runs.items():
+            assert run.to_wire() == naive_window_run(events, start, length)
 
 
 def test_slide_equals_size_is_bit_identical_to_tumbling():
-    # slide == size must degenerate to tumbling exactly: same runs, and
-    # no merge ever happens across pane boundaries beyond the single pane.
+    # slide == size must degenerate to tumbling exactly: one pane per
+    # window, and the window's run IS the pane's cached run (no re-sort).
     events = make_stream(400, span_ms=4000, seed=7)
+    store = PaneStore(1000)
+    fill(store, events, 64)
+    aggregator = SlidingRunAggregator()
+    for start in range(0, 3001, 1000):
+        if len(aggregator):
+            aggregator.evict()
+        aggregator.push(start, store.sealed_run(start))
+        run = aggregator.query()
+        assert run is store.sealed_run(start)
+        assert run.to_wire() == naive_window_run(events, start, 1000)
     sliding = windows_via_aggregator(events, length=1000, step=1000,
                                      horizon=4000)
-    tumbling = {
-        start: naive_window_run(events, start, 1000)
-        for start in range(0, 3001, 1000)
-    }
-    assert sliding == tumbling
+    assert sorted(sliding) == [0, 1000, 2000, 3000]
 
 
 def test_gap_windows_skip_uncovered_events():
@@ -91,17 +125,53 @@ def test_gap_windows_skip_uncovered_events():
     events = make_stream(500, span_ms=8000, seed=3)
     runs = windows_via_aggregator(events, length=500, step=2000,
                                   horizon=8000)
-    covered = set()
+    served = set()
     for start, run in runs.items():
-        assert run == naive_window_run(events, start, 500)
-        covered.update(id(e) for e in run)
-    in_gaps = [
-        e for e in events
-        if (e.timestamp % 2000) >= 500 and id(e) not in covered
-    ]
+        assert run.to_wire() == naive_window_run(events, start, 500)
+        served.update(run.seqs.tolist())
+    in_gaps = {r[3] for r in rows_of(events) if r[1] % 2000 >= 500}
     assert in_gaps  # the workload really had gap events
-    for e in in_gaps:
-        assert all(e not in run for run in runs.values())
+    assert not in_gaps & served
+    assert len(in_gaps) + len(served) == len(events)
+
+
+def test_batch_spanning_several_panes_is_split_by_pane():
+    store = PaneStore(500)
+    batch = columns(
+        (5.0, 1200, 1, 0), (1.0, 30, 1, 1), (4.0, 700, 2, 2),
+        (2.0, 1499, 2, 3), (3.0, 499, 1, 4), (0.5, 1000, 1, 5),
+    )
+    store.add(batch)
+    for start in (0, 500, 1000):
+        assert store.sealed_run(start).to_wire() == naive_window_run(
+            batch, start, 500
+        )
+    assert store.late_dropped == 0
+
+
+def test_empty_batch_is_a_no_op():
+    store = PaneStore(500)
+    store.add(EventColumns.from_wire(b""))
+    assert len(store.sealed_run(0)) == 0
+    assert store.late_dropped == 0
+
+
+def test_empty_pane_inside_a_window():
+    # Window [0, 1500) over panes 0 / 500 / 1000 with nothing in the middle
+    # one; then a window whose every pane is empty.
+    events = columns((2.0, 100, 1, 0), (1.0, 1400, 1, 1), (3.0, 1100, 2, 2))
+    store = PaneStore(500)
+    store.add(events)
+    aggregator = SlidingRunAggregator()
+    for start in (0, 500, 1000):
+        aggregator.push(start, store.sealed_run(start))
+    assert len(store.sealed_run(500)) == 0
+    assert aggregator.query().to_wire() == naive_window_run(events, 0, 1500)
+    empty = SlidingRunAggregator()
+    empty.push(2000, store.sealed_run(2000))
+    empty.push(2500, store.sealed_run(2500))
+    assert len(empty.query()) == 0
+    assert len(SlidingRunAggregator().query()) == 0
 
 
 def test_late_event_in_overlap_lands_in_both_windows():
@@ -110,86 +180,77 @@ def test_late_event_in_overlap_lands_in_both_windows():
     # already sealed, but before ITS pane seals — must appear in both
     # windows' runs, in exact sort position.
     store = PaneStore(500)
-    on_time = [
-        Event(value=float(i), timestamp=i * 90, node_id=1, seq=i)
-        for i in range(15)
-    ]
-    for e in on_time:
-        store.add(e)
+    on_time = columns(*((float(i), i * 90, 1, i) for i in range(15)))
+    store.add(on_time)
     store.sealed_run(0)  # pane [0, 500) seals first
-    late = Event(value=-1.0, timestamp=700, node_id=2, seq=99)
+    late = columns((-1.0, 700, 2, 99))
     store.add(late)  # late, but its pane [500, 1000) is still open
     assert store.late_dropped == 0
 
-    events = on_time + [late]
-    first = merge_runs(store.sealed_run(0), store.sealed_run(500))
-    assert first == naive_window_run(events, 0, 1000)
-    assert late in first
-    second = merge_runs(store.sealed_run(500), store.sealed_run(1000))
-    assert second == naive_window_run(events, 500, 1000)
-    assert late in second
+    events = columns(*rows_of(on_time), *rows_of(late))
+    aggregator = SlidingRunAggregator()
+    aggregator.push(0, store.sealed_run(0))
+    aggregator.push(500, store.sealed_run(500))
+    first = aggregator.query()
+    assert first.to_wire() == naive_window_run(events, 0, 1000)
+    assert 99 in first.seqs.tolist()
+    aggregator.evict()
+    aggregator.push(1000, store.sealed_run(1000))
+    second = aggregator.query()
+    assert second.to_wire() == naive_window_run(events, 500, 1000)
+    assert 99 in second.seqs.tolist()
 
 
 def test_event_late_past_the_seal_is_dropped_and_counted():
     store = PaneStore(500)
-    store.add(Event(value=1.0, timestamp=100, node_id=1, seq=0))
+    store.add(columns((1.0, 100, 1, 0)))
     sealed = store.sealed_run(0)
-    store.add(Event(value=2.0, timestamp=200, node_id=1, seq=1))
-    assert store.late_dropped == 1
-    assert store.sealed_run(0) == sealed  # the cached run is immutable
+    # Three rows for the sealed pane, one for an open one: rows are
+    # counted (not calls) and only the late ones go.
+    store.add(columns(
+        (2.0, 200, 1, 1), (3.0, 600, 1, 2), (4.0, 10, 1, 3), (5.0, 499, 1, 4)
+    ))
+    assert store.late_dropped == 3
+    assert store.sealed_run(0) is sealed  # the cached run is immutable
+    assert store.sealed_run(500).seqs.tolist() == [2]
+
+
+def test_row_for_a_pruned_pane_is_dropped_and_counted():
+    # The store must remember that a pruned pane is gone: a later row for
+    # it may not re-open the pane (it would be silently discarded at the
+    # next prune, never counted).
+    store = PaneStore(500)
+    store.add(columns((1.0, 100, 1, 0), (2.0, 600, 1, 1)))
+    store.sealed_run(0)
+    store.prune_before(1000)  # pane 0 was sealed, pane 500 still open
+    store.add(columns((3.0, 150, 1, 2), (4.0, 700, 1, 3), (5.0, 1001, 1, 4)))
+    assert store.late_dropped == 2
+    assert len(store.sealed_run(0)) == 0
+    assert len(store.sealed_run(500)) == 0
+    assert store.sealed_run(1000).seqs.tolist() == [4]
 
 
 def test_pane_store_prune_drops_old_panes_only():
     store = PaneStore(500)
-    for ts in (100, 600, 1100):
-        store.add(Event(value=1.0, timestamp=ts, node_id=1, seq=ts))
+    store.add(columns((1.0, 100, 1, 100), (1.0, 600, 1, 600),
+                      (1.0, 1100, 1, 1100)))
     store.sealed_run(0)
     store.prune_before(1000)
-    assert store.sealed_run(0) == ()   # pruned (open AND sealed)
-    assert store.sealed_run(500) == () # pruned while still open
+    assert len(store.sealed_run(0)) == 0    # pruned (open AND sealed)
+    assert len(store.sealed_run(500)) == 0  # pruned while still open
     assert len(store.sealed_run(1000)) == 1
 
 
 def test_push_out_of_order_rejected():
     aggregator = SlidingRunAggregator()
-    aggregator.push(1000, ())
+    aggregator.push(1000, EventColumns.from_wire(b""))
     with pytest.raises(QueryError, match="ascending order"):
-        aggregator.push(500, ())
+        aggregator.push(500, EventColumns.from_wire(b""))
 
 
 def test_evict_from_empty_rejected():
     with pytest.raises(QueryError, match="empty"):
         SlidingRunAggregator().evict()
-
-
-def test_amortized_merges_beat_recompute_work():
-    # The work metric (events touched by merges) must grow like
-    # O(n · length/step) rather than the naive Θ(windows · window-size
-    # · log) resort — just check it stays well below the naive event
-    # touches for a heavily overlapping shape.
-    events = make_stream(2000, span_ms=10_000, seed=5)
-    length, step = 2000, 250
-    aggregator_runs = {}
-    pane_ms = math.gcd(length, step)
-    store = PaneStore(pane_ms)
-    for e in events:
-        store.add(e)
-    aggregator = SlidingRunAggregator()
-    naive_touches = 0
-    next_pane = 0
-    for start in range(0, 10_000 - length + 1, step):
-        while aggregator.covered and aggregator.covered[0] < start:
-            aggregator.evict()
-        while next_pane < start + length:
-            if next_pane >= start:
-                aggregator.push(next_pane, store.sealed_run(next_pane))
-            next_pane += pane_ms
-        aggregator_runs[start] = aggregator.query()
-        naive_touches += len(aggregator_runs[start])
-    # Each query() merges front+back once, so >= one touch per window
-    # event is unavoidable; "shared" means we stay within a small factor
-    # of that, instead of the sort's extra log factor per window.
-    assert aggregator.events_merged < 3 * naive_touches
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,14 +260,16 @@ def test_amortized_merges_beat_recompute_work():
     length_panes=st.integers(min_value=1, max_value=6),
     step_panes=st.integers(min_value=1, max_value=8),
     pane_ms=st.sampled_from([100, 250, 500]),
+    batch_rows=st.sampled_from([1, 7, 64, 1000]),
+    ordered=st.booleans(),
 )
-def test_property_any_shape_matches_naive(seed, n, length_panes,
-                                          step_panes, pane_ms):
+def test_property_any_shape_matches_naive(seed, n, length_panes, step_panes,
+                                          pane_ms, batch_rows, ordered):
     length = length_panes * pane_ms
     step = step_panes * pane_ms
     span = 10 * pane_ms * max(length_panes, step_panes)
-    events = make_stream(n, span_ms=span, seed=seed)
+    events = make_stream(n, span_ms=span, seed=seed, ordered=ordered)
     runs = windows_via_aggregator(events, length=length, step=step,
-                                  horizon=span)
+                                  horizon=span, batch_rows=batch_rows)
     for start, run in runs.items():
-        assert run == naive_window_run(events, start, length)
+        assert run.to_wire() == naive_window_run(events, start, length)

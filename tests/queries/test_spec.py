@@ -79,15 +79,15 @@ class TestValidation:
 
 class TestSelectors:
     def test_all_matches_everything(self):
-        assert parse_selector("all")(event(seq=123, node_id=9))
+        assert parse_selector("all").matches(event(seq=123, node_id=9))
 
     def test_node_selector(self):
-        predicate = parse_selector("node:2")
+        predicate = parse_selector("node:2").matches
         assert predicate(event(node_id=2))
         assert not predicate(event(node_id=3))
 
     def test_mod_selector(self):
-        predicate = parse_selector("mod:3:1")
+        predicate = parse_selector("mod:3:1").matches
         assert [predicate(event(seq=s)) for s in range(6)] == [
             False, True, False, False, True, False,
         ]

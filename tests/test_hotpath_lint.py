@@ -12,9 +12,9 @@ checked set by being moved.
 
 A second lint keeps the live path on one representation: between a
 cluster's entry point and its root every batch is an ``EventColumns``, so
-``isinstance(…, EventColumns)`` inside ``runtime/`` and ``mesh/`` is a
-fork on what the caller handed in — allowed only where a ``Sequence`` of
-events is still legitimately accepted.
+``isinstance(…, EventColumns)`` inside ``runtime/``, ``mesh/`` and
+``queries/`` is a fork on what the caller handed in — allowed only where
+a ``Sequence`` of events is still legitimately accepted.
 """
 
 import ast
@@ -42,6 +42,8 @@ EXPECTED_MARKED = {
     "core/sorted_window.py",
     "mesh/relay.py",
     "mesh/servers.py",
+    "queries/local.py",
+    "queries/slide.py",
     "runtime/codec.py",
     "runtime/servers.py",
     "runtime/transport.py",
@@ -80,10 +82,10 @@ def test_lint_regex_matches_constructor_calls_only():
     assert not EVENT_CALL.search("msg = EventBatchMessage(1, w)")
 
 
-#: The only functions under ``runtime/`` and ``mesh/`` that may ask whether
-#: a batch is columnar: the clusters' entry normaliser and the codec's one
-#: event-array encoder (pane runs and live-hosted simulator nodes still
-#: send ``Event`` sequences).
+#: The only functions under ``runtime/``, ``mesh/`` and ``queries/`` that
+#: may ask whether a batch is columnar: the clusters' entry normaliser and
+#: the codec's one event-array encoder (simulator nodes hosted live still
+#: send ``Event`` sequences; the query plane's pane runs no longer do).
 ALLOWED_REPRESENTATION_FORKS = {
     ("runtime/cluster.py", "_as_columns"),
     ("runtime/codec.py", "_event_array"),
@@ -92,7 +94,7 @@ ALLOWED_REPRESENTATION_FORKS = {
 
 def _representation_forks():
     forks = set()
-    for package in ("runtime", "mesh"):
+    for package in ("runtime", "mesh", "queries"):
         for path in sorted((PACKAGE_ROOT / package).rglob("*.py")):
             name = path.relative_to(PACKAGE_ROOT).as_posix()
             for function in ast.walk(ast.parse(path.read_text())):
@@ -119,8 +121,9 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     the other way to pay one ``Event`` per row, and root calculation and
     the mesh's replay and relay explode used to.  With iteration
     booby-trapped, the calculation step, a whole live run at the
-    library-default gamma and a sharded mesh run with and without a relay
-    tier must still complete."""
+    library-default gamma, a sharded mesh run with and without a relay
+    tier and a graded multi-query run (the plane used to walk every batch
+    once per pane store) must still complete."""
     from repro.bench.generator import GeneratorConfig, workload_columns
     from repro.core.calculation import calculate_quantile
     from repro.core.query import QuantileQuery
@@ -128,6 +131,7 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     from repro.core.sorted_window import SortedLocalWindow
     from repro.core.window_cut import window_cut
     from repro.mesh import MeshConfig, run_mesh
+    from repro.queries.runner import run_query_scenario
     from repro.runtime.cluster import LiveClusterConfig, run_live
 
     config = GeneratorConfig(event_rate=20_000.0, duration_s=2.0, seed=11)
@@ -183,3 +187,11 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
         answered = [o for o in report.outcomes if o.value is not None]
         assert len(answered) >= 2
         assert sum(o.candidate_events for o in answered) > 0
+
+    # Tumbling ∥ sliding queries over three selectors, every served result
+    # graded against the per-event oracle (which reads the object streams
+    # it was handed, never a columnar batch).
+    queries = run_query_scenario(n_queries=6, n_keys=3, transport="memory")
+    assert queries.ok, queries.mismatches
+    assert queries.results_graded > 0
+    assert queries.groups == 6
