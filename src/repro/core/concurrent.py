@@ -46,7 +46,11 @@ from repro.core.calculation import calculate_quantile
 from repro.core.query import QuantileQuery
 from repro.core.slicing import SlicedWindow, slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
-from repro.core.synopsis import SliceSynopsis
+from repro.core.synopsis import (
+    SliceSynopsis,
+    as_synopsis_columns,
+    concat_synopses,
+)
 from repro.core.window_cut import CutResult, window_cut_multi
 
 import math
@@ -254,7 +258,7 @@ class ConcurrentDemaLocalNode(SimulatedNode):
 class _GroupWindowState:
     """Root-side bookkeeping for one (group, window) pair."""
 
-    synopses: dict[int, tuple[SliceSynopsis, ...]] = field(default_factory=dict)
+    synopses: dict[int, Sequence[SliceSynopsis]] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
     cuts: dict[int, CutResult] = field(default_factory=dict)
     requests: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -340,11 +344,9 @@ class ConcurrentDemaRootNode(SimulatedNode):
                 )
             return
 
-        all_synopses = [
-            synopsis
-            for batch in state.synopses.values()
-            for synopsis in batch
-        ]
+        all_synopses = concat_synopses(
+            [as_synopsis_columns(batch) for batch in state.synopses.values()]
+        )
         n_synopses = len(all_synopses)
         ops = _IDENTIFY_OPS_PER_SYNOPSIS * n_synopses * max(
             1.0, math.log2(max(n_synopses, 2))

@@ -13,8 +13,17 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.errors import IdentificationError
 from repro.streaming.aggregates import quantile_rank
-from repro.core.synopsis import SliceSynopsis
-from repro.core.window_cut import CutResult, window_cut, window_cut_multi
+from repro.core.synopsis import (
+    SliceSynopsis,
+    SynopsisColumns,
+    as_synopsis_columns,
+    concat_synopses,
+)
+from repro.core.window_cut import CutResult, window_cut_multi
+
+# Hot-path module: batches arrive as ``SynopsisColumns`` and reach
+# window-cut as one concatenated batch; only the candidates a cut returns
+# are rows (enforced by tests/test_hotpath_lint.py).
 
 __all__ = ["IdentificationResult", "MultiIdentificationResult", "identify",
            "identify_multi"]
@@ -80,31 +89,35 @@ class MultiIdentificationResult:
         return total
 
 
-def _validate_batches(
-    synopses_by_node: Mapping[int, Sequence[SliceSynopsis]],
+def _gather(
+    synopses_by_node: Mapping[int, "SynopsisColumns | Sequence[SliceSynopsis]"],
     window_sizes: Mapping[int, int],
-) -> int:
-    """Cross-check batches against reported sizes; return the global size."""
+) -> tuple[SynopsisColumns, int]:
+    """Cross-check batches against reported sizes; return them as one
+    batch (rows handed in are converted here) and the global size."""
     if set(synopses_by_node) != set(window_sizes):
         raise IdentificationError(
             "synopsis batches and window sizes cover different node sets: "
             f"{sorted(synopses_by_node)} vs {sorted(window_sizes)}"
         )
+    batches = []
     for node_id, batch in synopses_by_node.items():
-        covered = sum(synopsis.count for synopsis in batch)
+        batch = as_synopsis_columns(batch)
+        covered = batch.event_count()
         if covered != window_sizes[node_id]:
             raise IdentificationError(
                 f"node {node_id} reports window size {window_sizes[node_id]} "
                 f"but its synopses cover {covered} events"
             )
+        batches.append(batch)
     global_window_size = sum(window_sizes.values())
     if global_window_size == 0:
         raise IdentificationError("global window is empty")
-    return global_window_size
+    return concat_synopses(batches), global_window_size
 
 
 def identify_multi(
-    synopses_by_node: Mapping[int, Sequence[SliceSynopsis]],
+    synopses_by_node: Mapping[int, "SynopsisColumns | Sequence[SliceSynopsis]"],
     window_sizes: Mapping[int, int],
     qs: Sequence[float],
 ) -> MultiIdentificationResult:
@@ -115,88 +128,59 @@ def identify_multi(
     amortization the multi-query plane's shared-cut execution rests on.
 
     Args:
-        synopses_by_node: Synopsis batches keyed by local node id.
-        window_sizes: Reported local window sizes keyed by node id.
+        synopses_by_node: Synopsis batches keyed by local node id.  A node
+            with an empty local window contributes an empty batch.
+        window_sizes: Reported local window sizes keyed by node id; must be
+            consistent with the synopses.
         qs: The quantiles, each in ``(0, 1]``; duplicates collapse.
 
     Raises:
-        IdentificationError: Same contract as :func:`identify`, plus an
-            empty ``qs``.
+        IdentificationError: If the reported sizes disagree with the
+            synopses, node sets mismatch, the global window is empty, or
+            ``qs`` is.
     """
     unique_qs = tuple(sorted(set(qs)))
     if not unique_qs:
         raise IdentificationError("need at least one quantile to identify")
-    global_window_size = _validate_batches(synopses_by_node, window_sizes)
+    synopses, global_window_size = _gather(synopses_by_node, window_sizes)
     ranks = {q: quantile_rank(q, global_window_size) for q in unique_qs}
-    all_synopses = _flatten(synopses_by_node)
     cuts_by_rank = window_cut_multi(
-        all_synopses, sorted(set(ranks.values())),
+        synopses, sorted(set(ranks.values())),
         global_window_size=global_window_size,
     )
-    cuts = {q: cuts_by_rank[rank] for q, rank in ranks.items()}
     requests: dict[int, set[int]] = {}
     for cut in cuts_by_rank.values():
         for synopsis in cut.candidates:
             requests.setdefault(synopsis.node_id, set()).add(
                 synopsis.slice_index
             )
-    frozen = {
-        node_id: tuple(sorted(indices))
-        for node_id, indices in requests.items()
-    }
     return MultiIdentificationResult(
         qs=unique_qs,
         global_window_size=global_window_size,
-        cuts=cuts,
-        requests=frozen,
+        cuts={q: cuts_by_rank[rank] for q, rank in ranks.items()},
+        requests={
+            node_id: tuple(sorted(indices))
+            for node_id, indices in requests.items()
+        },
     )
 
 
 def identify(
-    synopses_by_node: Mapping[int, Sequence[SliceSynopsis]],
+    synopses_by_node: Mapping[int, "SynopsisColumns | Sequence[SliceSynopsis]"],
     window_sizes: Mapping[int, int],
     q: float,
 ) -> IdentificationResult:
-    """Run the identification step over one global window.
-
-    Args:
-        synopses_by_node: Synopsis batches keyed by local node id.  A node
-            with an empty local window contributes an empty batch.
-        window_sizes: Reported local window sizes keyed by node id; must be
-            consistent with the synopses.
-        q: The quantile in ``(0, 1]``.
+    """Run the identification step over one global window:
+    :func:`identify_multi` for the single quantile ``q``, same arguments
+    and errors.
 
     Returns:
         The fetch plan.
-
-    Raises:
-        IdentificationError: If the reported sizes disagree with the
-            synopses, node sets mismatch, or the global window is empty.
     """
-    global_window_size = _validate_batches(synopses_by_node, window_sizes)
-    rank = quantile_rank(q, global_window_size)
-    all_synopses = _flatten(synopses_by_node)
-    cut = window_cut(all_synopses, rank, global_window_size=global_window_size)
-
-    requests: dict[int, list[int]] = {}
-    for synopsis in cut.candidates:
-        requests.setdefault(synopsis.node_id, []).append(synopsis.slice_index)
-    frozen = {
-        node_id: tuple(sorted(indices))
-        for node_id, indices in requests.items()
-    }
+    plan = identify_multi(synopses_by_node, window_sizes, (q,))
     return IdentificationResult(
         q=q,
-        global_window_size=global_window_size,
-        cut=cut,
-        requests=frozen,
+        global_window_size=plan.global_window_size,
+        cut=plan.cuts[q],
+        requests=plan.requests,
     )
-
-
-def _flatten(
-    synopses_by_node: Mapping[int, Sequence[SliceSynopsis]],
-) -> list[SliceSynopsis]:
-    flat: list[SliceSynopsis] = []
-    for batch in synopses_by_node.values():
-        flat.extend(batch)
-    return flat

@@ -18,6 +18,7 @@ from repro.streaming.aggregates import quantile_rank
 from repro.streaming.events import Event
 from repro.core.calculation import calculate_quantile
 from repro.core.slicing import slice_sorted_events
+from repro.core.synopsis import concat_synopses
 from repro.core.window_cut import CutResult, window_cut_multi
 
 __all__ = ["MultiQuantileResult", "dema_quantiles"]
@@ -80,7 +81,7 @@ def dema_quantiles(
         )
         for node_id, events in local_windows.items()
     }
-    synopses = [s for win in sliced.values() for s in win.synopses]
+    synopses = concat_synopses([win.synopses for win in sliced.values()])
     total = sum(win.window_size for win in sliced.values())
 
     ranks_by_q = {q: quantile_rank(q, total) for q in unique_qs}

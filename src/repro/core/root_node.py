@@ -73,7 +73,7 @@ class WindowOutcome:
 class _WindowState:
     """Root-side bookkeeping for one in-flight global window."""
 
-    synopses: dict[int, tuple[SliceSynopsis, ...]] = field(default_factory=dict)
+    synopses: dict[int, Sequence[SliceSynopsis]] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
     identification: IdentificationResult | None = None
     runs: dict[tuple[int, int], tuple[Event, ...]] = field(default_factory=dict)

@@ -11,23 +11,30 @@ slice.  A window with a single event yields one 1-event slice — its synopsis
 
 from __future__ import annotations
 
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
-
 from typing import Sequence
+
+import numpy as _np
 
 from repro.errors import SliceError
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
-from repro.core.synopsis import SliceSynopsis
+from repro.core.synopsis import SYNOPSIS_DTYPE, SynopsisColumns
 
-# Hot-path module: a columnar window slices into columnar runs — keys are
-# read straight off the arrays, and no per-event ``Event`` objects are
-# built here (enforced by tests/test_hotpath_lint.py).
+# Hot-path module: a window's synopses are one ``SynopsisColumns`` batch
+# written column by column from the slice boundaries, and a slice's run
+# is cut from the sealed window on request — no per-event ``Event`` and
+# no per-slice ``SliceSynopsis`` objects are built here (enforced by
+# tests/test_hotpath_lint.py).
 
 __all__ = ["SlicedWindow", "slice_sorted_events", "MIN_GAMMA"]
 
 #: Every slice must hold at least two events (Section 3.1), hence γ ≥ 2.
 MIN_GAMMA = 2
+
+#: The six leading fields of a synopsis record: its first and last key.
+_KEY_PAIR_DTYPE = _np.dtype(SYNOPSIS_DTYPE.descr[:6])
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,26 +43,35 @@ class SlicedWindow:
 
     Attributes:
         node_id: Owner of the window.
-        runs: Per-slice sorted event runs; ``runs[i]`` backs ``synopses[i]``.
-            Each run is a tuple of events or a columnar batch view,
-            depending on how the window was fed — both are immutable
-            event sequences with identical contents.
+        events: The sealed window in ascending key order — a tuple of
+            events or a columnar batch, depending on how the window was
+            fed; both are immutable event sequences with identical
+            contents.
+        bounds: Slice boundaries into ``events``: slice ``i`` is
+            ``events[bounds[i]:bounds[i + 1]]``.
         synopses: One synopsis per slice, in value order.
     """
 
     node_id: int
-    runs: tuple[Sequence[Event], ...]
-    synopses: tuple[SliceSynopsis, ...]
+    events: Sequence[Event]
+    bounds: Sequence[int]
+    synopses: SynopsisColumns
 
     @property
     def window_size(self) -> int:
         """Total number of events in the local window."""
-        return sum(len(run) for run in self.runs)
+        return len(self.events)
 
     @property
     def n_slices(self) -> int:
         """Number of slices the window was cut into."""
-        return len(self.runs)
+        return len(self.synopses)
+
+    @property
+    def runs(self) -> Sequence[Sequence[Event]]:
+        """Per-slice sorted event runs; ``runs[i]`` backs ``synopses[i]``.
+        A read-only view that cuts each run when it is asked for."""
+        return _Runs(self)
 
     def run_for(self, slice_index: int) -> Sequence[Event]:
         """The sorted event run backing slice ``slice_index``.
@@ -63,12 +79,34 @@ class SlicedWindow:
         Raises:
             SliceError: If the index is out of range.
         """
-        if not 0 <= slice_index < len(self.runs):
+        if not 0 <= slice_index < self.n_slices:
             raise SliceError(
                 f"slice index {slice_index} out of range "
-                f"(window has {len(self.runs)} slices)"
+                f"(window has {self.n_slices} slices)"
             )
-        return self.runs[slice_index]
+        # Columnar runs are zero-copy views into the window's arrays.
+        return self.events[
+            self.bounds[slice_index]:self.bounds[slice_index + 1]
+        ]
+
+
+class _Runs(_SequenceABC):
+    """``SlicedWindow.runs``: the runs as a lazy sequence."""
+
+    __slots__ = ("_window",)
+
+    def __init__(self, window: SlicedWindow) -> None:
+        self._window = window
+
+    def __len__(self) -> int:
+        return self._window.n_slices
+
+    def __getitem__(self, index: int) -> Sequence[Event]:
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(index)
+        return self._window.run_for(index)
 
 
 def slice_sorted_events(
@@ -77,9 +115,9 @@ def slice_sorted_events(
     """Cut a sorted local window into γ-sized slices with synopses.
 
     Args:
-        sorted_events: The window's events in ascending key order.  Order is
-            validated in a debug assertion only; callers are the sorted
-            window and tests.
+        sorted_events: The window's events in ascending key order.  Only
+            each slice's own ``first_key <= last_key`` is checked;
+            callers are the sorted window and tests.
         gamma: Target slice size; must be ≥ 2.
         node_id: Owner stamped into every synopsis.
 
@@ -87,38 +125,47 @@ def slice_sorted_events(
         The sliced window.  Empty input yields a window with zero slices.
 
     Raises:
-        SliceError: If ``gamma < 2``.
+        SliceError: If ``gamma < 2``, or a slice's first key exceeds its
+            last (a NaN value left the run unordered).
     """
     if gamma < MIN_GAMMA:
         raise SliceError(f"gamma must be >= {MIN_GAMMA}, got {gamma}")
     n = len(sorted_events)
-    if n == 0:
-        return SlicedWindow(node_id=node_id, runs=(), synopses=())
-
-    boundaries = list(range(0, n, gamma))
+    starts = _np.arange(0, n, gamma)
     # A trailing 1-event slice cannot form a synopsis with two distinct
     # events; merge it into the previous slice (only possible when n > 1).
-    if len(boundaries) > 1 and n - boundaries[-1] == 1:
-        boundaries.pop()
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts = starts[:-1]
+    bounds = _np.append(starts, n)
+    lasts = bounds[1:] - 1
 
-    columnar = isinstance(sorted_events, EventColumns)
-    runs = []
-    for b, start in enumerate(boundaries):
-        end = boundaries[b + 1] if b + 1 < len(boundaries) else n
-        # Columnar runs are zero-copy views into the window's arrays.
-        run = sorted_events[start:end]
-        runs.append(run if columnar else tuple(run))
-
-    n_slices = len(runs)
-    synopses = tuple(
-        SliceSynopsis(
-            first_key=run.key_at(0) if columnar else run[0].key,
-            last_key=run.key_at(-1) if columnar else run[-1].key,
-            count=len(run),
-            node_id=node_id,
-            slice_index=index,
-            n_slices=n_slices,
+    records = _np.empty(len(starts), dtype=SYNOPSIS_DTYPE)
+    if isinstance(sorted_events, EventColumns):
+        first, last = sorted_events[starts], sorted_events[lasts]
+        records["first_value"] = first.values
+        records["first_node"] = first.node_ids
+        records["first_seq"] = first.seqs
+        records["last_value"] = last.values
+        records["last_node"] = last.node_ids
+        records["last_seq"] = last.seqs
+    else:
+        sorted_events = tuple(sorted_events)
+        keys = _np.array(
+            [
+                sorted_events[i].key + sorted_events[j].key
+                for i, j in zip(starts.tolist(), lasts.tolist())
+            ],
+            dtype=_KEY_PAIR_DTYPE,
         )
-        for index, run in enumerate(runs)
+        for name in _KEY_PAIR_DTYPE.names:
+            records[name] = keys[name]
+    records["count"] = _np.diff(bounds)
+    records["slice_index"] = _np.arange(len(starts), dtype="<u4")
+    records["n_slices"] = len(starts)
+    records["node_id"] = node_id
+    return SlicedWindow(
+        node_id=node_id,
+        events=sorted_events,
+        bounds=bounds,
+        synopses=SynopsisColumns(records).validated(node_id, SliceError),
     )
-    return SlicedWindow(node_id=node_id, runs=tuple(runs), synopses=synopses)

@@ -6,20 +6,20 @@ whose events must be fetched to answer the quantile exactly, plus the exact
 number of events that rank below every candidate (``n_below``) so the
 calculation step can select the right element from the merged candidates.
 
-Two implementations are provided:
-
 * :func:`rank_bound_candidates` — the reference: computes per-slice rank
   bounds for every slice and keeps those whose bound interval contains
-  ``k``.  Obviously correct, O(total²) in the worst case within a unit.
-* :func:`window_cut` — the paper's algorithm: a sweep in ascending position
-  order that stops as soon as the unit containing ``k`` has been processed
-  (the "scan from the edges toward the quantile position, then break" of
-  Algorithm 1), and prunes inside that unit with the same rank bounds.
+  ``k``.  Obviously correct, works on rows and :mod:`repro.core.units`.
+* :func:`window_cut` / :func:`window_cut_multi` — the paper's algorithm: a
+  sweep in ascending position order up to the unit containing ``k`` (the
+  "scan from the edges toward the quantile position, then break" of
+  Algorithm 1), pruning inside that unit with the same rank bounds.
   Cover-slices enclosed by a candidate are kept whenever their bound
-  interval can reach ``k``, exactly as Section 3.2 prescribes.
+  interval can reach ``k``, exactly as Section 3.2 prescribes.  One sweep,
+  vectorised over a :class:`~repro.core.synopsis.SynopsisColumns` batch,
+  serves any number of ranks; its row-at-a-time form takes NaN-keyed
+  batches.
 
-Both return identical results (property-tested); ``window_cut`` simply does
-asymptotically less work when the quantile's unit sits early in the order.
+All three return identical candidates and ``n_below`` (property-tested).
 """
 
 from __future__ import annotations
@@ -28,9 +28,20 @@ import bisect
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as _np
+
 from repro.errors import IdentificationError
-from repro.core.synopsis import SliceSynopsis
+from repro.core.synopsis import (
+    SliceSynopsis,
+    SynopsisColumns,
+    as_synopsis_columns,
+)
 from repro.core.units import SliceKind, SliceUnit, build_units, classify_slice
+
+# Hot-path module: the sweep reads a ``SynopsisColumns`` batch's columns
+# and materialises rows for the candidates only — through
+# ``SynopsisColumns.rows``, never by iterating the batch or constructing
+# ``SliceSynopsis`` here (enforced by tests/test_hotpath_lint.py).
 
 __all__ = [
     "CutResult",
@@ -94,14 +105,6 @@ def _cut_unit(unit: SliceUnit, rank: int) -> tuple[list[SliceSynopsis], int]:
     members = unit.members
     offset = unit.offset
     n = len(members)
-    if n == 1:
-        # A singleton's rank bounds are exact: offset+1 .. offset+count.
-        member = members[0]
-        if offset + member.count < rank:
-            return [], member.count
-        if offset + 1 <= rank:
-            return [member], 0
-        return [], 0
     # Rank bounds for all members are computed together: one sorted pass
     # plus two bisects per member replaces the O(members²) pairwise
     # certainly-above/-below scans of :meth:`SliceUnit.min_rank` /
@@ -115,7 +118,6 @@ def _cut_unit(unit: SliceUnit, rank: int) -> tuple[list[SliceSynopsis], int]:
     cum = [0] * (n + 1)
     for i, count in enumerate(counts):
         cum[i + 1] = cum[i] + count
-    size = cum[n]
     # Certainly below — ``last_key < member.first_key`` — needs the same
     # prefix trick in ascending ``last_key`` order.
     by_last = sorted(zip((member.last_key for member in members), counts))
@@ -178,94 +180,46 @@ def rank_bound_candidates(
 
 
 def window_cut(
-    synopses: Iterable[SliceSynopsis],
+    synopses: "SynopsisColumns | Iterable[SliceSynopsis]",
     rank: int,
     *,
     global_window_size: int | None = None,
 ) -> CutResult:
-    """Window-cut per Algorithm 1: sweep toward the quantile, then break.
-
-    Slices are visited in ascending position order (ascending ``first_key``
-    after unit grouping).  Units entirely left of ``rank`` only contribute
-    their sizes to ``n_below``; the sweep stops right after processing the
-    unit whose exact rank interval contains ``rank`` — the early exits of
-    lines 7 and 14 in Algorithm 1.  Within that unit, compound members are
-    kept when their rank-bound interval can reach ``rank`` and cover-slices
-    enclosed by a candidate are kept under the same test (Section 3.2's
-    cover-slice rule).
-
-    Args:
-        synopses: All slice synopses of the global window.
-        rank: The 1-based global rank to locate.
-        global_window_size: Optional cross-check; when provided it must equal
-            the sum of synopsis counts.
-
-    Raises:
-        IdentificationError: On an empty window, an out-of-range rank, or a
-            ``global_window_size`` mismatch.
-    """
-    ordered = sorted(synopses, key=lambda s: (s.first_key, s.last_key))
-    total = sum(synopsis.count for synopsis in ordered)
-    if global_window_size is not None and global_window_size != total:
-        raise IdentificationError(
-            f"synopses cover {total} events but the global window reports "
-            f"{global_window_size}"
-        )
-    _validate_rank(rank, total)
-
-    # Sweep units lazily in ascending position order and stop at the first
-    # unit whose rank interval reaches ``rank`` — the early exit of
-    # Algorithm 1.  Units after it are never materialized.
-    n_below = 0
-    scanned = 0
-    index = 0
-    while index < len(ordered):
-        scanned += 1
-        members = [ordered[index]]
-        current_max = ordered[index].last_key
-        index += 1
-        while index < len(ordered) and ordered[index].first_key <= current_max:
-            members.append(ordered[index])
-            if ordered[index].last_key > current_max:
-                current_max = ordered[index].last_key
-            index += 1
-        unit = SliceUnit(members=tuple(members), offset=n_below)
-        if unit.pos_end < rank:
-            n_below += unit.size
-            continue
-        candidates, below_in_unit = _cut_unit(unit, rank)
-        return CutResult(
-            rank=rank,
-            candidates=tuple(candidates),
-            n_below=n_below + below_in_unit,
-            units_scanned=scanned,
-            kinds=_census([unit], candidates),
-        )
-    raise IdentificationError(
-        f"no unit contains rank {rank}; synopses are inconsistent"
-    )  # pragma: no cover - unreachable after _validate_rank
+    """Window-cut per Algorithm 1 for one rank: :func:`window_cut_multi`
+    with ``(rank,)``, same arguments and errors."""
+    return window_cut_multi(
+        synopses, (rank,), global_window_size=global_window_size
+    )[rank]
 
 
 def window_cut_multi(
-    synopses: Iterable[SliceSynopsis],
+    synopses: "SynopsisColumns | Iterable[SliceSynopsis]",
     ranks: Sequence[int],
     *,
     global_window_size: int | None = None,
 ) -> dict[int, CutResult]:
     """Resolve several ranks from **one** sweep over the synopses.
 
-    The multi-query plane's workhorse: N queries sharing a (key, window)
-    need N ranks from the same synopsis set, and a single ascending sweep
-    resolves each rank the moment its containing unit is materialized.
-    Every returned :class:`CutResult` is exactly what
-    :func:`window_cut` would produce for that rank alone — same
-    candidates, same ``n_below``, same ``units_scanned``, same kinds
-    census (property-tested) — the sweep is simply not repeated per rank.
+    Slices are visited in ascending position order (ascending ``first_key``
+    after unit grouping).  Units entirely left of a rank only contribute
+    their sizes to its ``n_below``; the unit whose exact rank interval
+    contains it ends its sweep — the early exits of lines 7 and 14 in
+    Algorithm 1 — and ``units_scanned`` counts the units up to there.
+    Within that unit, compound members are kept when their rank-bound
+    interval can reach the rank and cover-slices enclosed by a candidate
+    are kept under the same test (Section 3.2's cover-slice rule).  N
+    queries sharing a (key, window) get their N ranks from the one pass,
+    each :class:`CutResult` what a sweep for that rank alone produces.
+
+    The sweep is vectorised over the batch's columns (rows handed in are
+    converted here).  A NaN key makes comparison order the contract, as in
+    :func:`~repro.streaming.columns.merge_runs`, and takes the row sweep.
 
     Args:
         synopses: All slice synopses of the global window.
         ranks: The 1-based global ranks to locate; duplicates collapse.
-        global_window_size: Optional cross-check against the synopsis sum.
+        global_window_size: Optional cross-check; when provided it must
+            equal the sum of synopsis counts.
 
     Returns:
         A :class:`CutResult` per distinct rank, keyed by rank.
@@ -276,8 +230,8 @@ def window_cut_multi(
     """
     if not ranks:
         raise IdentificationError("need at least one rank to cut for")
-    ordered = sorted(synopses, key=lambda s: (s.first_key, s.last_key))
-    total = sum(synopsis.count for synopsis in ordered)
+    columns = as_synopsis_columns(synopses)
+    total = columns.event_count()
     if global_window_size is not None and global_window_size != total:
         raise IdentificationError(
             f"synopses cover {total} events but the global window reports "
@@ -286,7 +240,73 @@ def window_cut_multi(
     pending = sorted(set(ranks))
     for rank in pending:
         _validate_rank(rank, total)
+    if columns.has_nan():
+        return _sweep_rows(list(columns), pending)
+    return _sweep_columns(columns, pending)
 
+
+def _sweep_columns(
+    columns: SynopsisColumns, pending: Sequence[int]
+) -> dict[int, CutResult]:
+    """The sweep on columns: every key comparison is an integer one."""
+    first, last = columns.key_ranks()
+    n = len(first)
+    # Sweep order: ascending (first_key, last_key), stable like ``sorted``.
+    by_first = _np.lexsort((last, first))
+    first, last = first[by_first], last[by_first]
+    counts = columns.records["count"][by_first].astype(_np.int64)
+    # A row opens a unit when its first key lies beyond every last key so
+    # far; it is enclosed (a cover-slice) when an earlier row reaches at
+    # least as far, or the next row starts at the same key (and, sorted
+    # after it, ends no earlier).
+    reach = _np.maximum.accumulate(last)
+    opens = _np.ones(n + 1, dtype=bool)
+    opens[1:-1] = first[1:] > reach[:-1]
+    enclosed = _np.zeros(n, dtype=bool)
+    enclosed[1:] = reach[:-1] >= last[1:]
+    enclosed[:-1] |= first[1:] == first[:-1]
+    unit_number = _np.cumsum(opens)
+    # ``_cut_unit``'s rank bounds for every row at once.  Rows starting at
+    # or before a row's last key are a prefix of the sweep order, rows
+    # ending before its first key a prefix of ascending-last order; rows of
+    # earlier units are in both prefixes and rows of later units in
+    # neither, so the unit offsets come with the prefix sums.
+    started = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(counts, out=started[1:])
+    max_rank = started[_np.searchsorted(first, last, side="right")]
+    by_last = _np.argsort(last, kind="stable")
+    ended = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(counts[by_last], out=ended[1:])
+    min_rank = ended[_np.searchsorted(last[by_last], first, side="left")] + 1
+
+    cuts: dict[int, CutResult] = {}
+    for rank in pending:
+        # Only rows of the unit holding ``rank`` can bracket it; every row
+        # of a unit below it, and nothing of a unit above, tops out short.
+        chosen = _np.flatnonzero((min_rank <= rank) & (rank <= max_rank))
+        head = chosen[0]
+        alone = bool(opens[head] and opens[head + 1])
+        covers = int(enclosed[chosen].sum())
+        cuts[rank] = CutResult(
+            rank=rank,
+            candidates=columns.rows(by_first[chosen]),
+            n_below=int(counts[max_rank < rank].sum()),
+            units_scanned=int(unit_number[head]),
+            kinds={
+                SliceKind.SEPARATE.value: int(alone),
+                SliceKind.COMPOUND.value: len(chosen) - covers - alone,
+                SliceKind.COVER.value: covers,
+            },
+        )
+    return cuts
+
+
+def _sweep_rows(
+    synopses: Sequence[SliceSynopsis], pending: Sequence[int]
+) -> dict[int, CutResult]:
+    """The sweep on rows, comparing key tuples: the NaN path, and the form
+    the tests hold the vectorised sweep against."""
+    ordered = sorted(synopses, key=lambda s: (s.first_key, s.last_key))
     cuts: dict[int, CutResult] = {}
     n_below = 0
     scanned = 0
@@ -318,11 +338,6 @@ def window_cut_multi(
             )
             next_rank += 1
         n_below += unit.size
-    if next_rank < len(pending):
-        raise IdentificationError(
-            f"no unit contains rank {pending[next_rank]}; synopses are "
-            "inconsistent"
-        )  # pragma: no cover - unreachable after _validate_rank
     return cuts
 
 

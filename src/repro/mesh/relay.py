@@ -82,7 +82,7 @@ def combine_synopses(
     """
     children = sorted(parts)
     sections = tuple(
-        (child, parts[child].local_window_size, tuple(parts[child].synopses))
+        (child, parts[child].local_window_size, parts[child].synopses)
         for child in children
     )
     section_contexts = (
@@ -119,14 +119,15 @@ def explode_synopses(
 ) -> "list[SynopsisMessage]":
     """Reconstruct the per-child synopsis frames a relay combined.
 
-    The result is exactly what each child would have sent directly, so
-    the identification operator cannot tell a relay was involved.
+    The result is exactly what each child would have sent directly —
+    each section's batch passes through as decoded, columnar — so the
+    identification operator cannot tell a relay was involved.
     """
     return [
         SynopsisMessage(
             sender=node_id,
             window=message.window,
-            synopses=tuple(synopses),
+            synopses=synopses,
             local_window_size=size,
         )
         for node_id, size, synopses in message.sections

@@ -111,7 +111,9 @@ class SortedRunMessage(Message):
 class SynopsisMessage(Message):
     """Dema identification step: slice synopses of one local window."""
 
-    synopses: tuple = ()  # tuple[SliceSynopsis, ...]; typed loosely to avoid a cycle
+    #: A ``SynopsisColumns`` batch (or a tuple of ``SliceSynopsis`` rows);
+    #: typed loosely to avoid a cycle.
+    synopses: tuple = ()
     local_window_size: int = 0
 
     @property
@@ -448,7 +450,7 @@ class RelaySynopsisMessage(Message):
     at the relay boundary.
     """
 
-    #: tuple[(node_id, local_window_size, tuple[SliceSynopsis, ...]), ...]
+    #: tuple[(node_id, local_window_size, SynopsisColumns batch), ...]
     sections: tuple = ()
     #: tuple[TraceContext | None, ...] aligned with ``sections`` (typed
     #: loosely to keep this module import-free of the tracing layer).

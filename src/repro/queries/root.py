@@ -34,6 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.core.calculation import calculate_quantile
 from repro.core.identification import identify_multi
+from repro.core.synopsis import SynopsisColumns
 from repro.core.window_cut import CutResult
 from repro.errors import QueryError
 from repro.network.messages import (
@@ -103,7 +104,7 @@ class _ClientLog:
 class _CutState:
     """In-flight state for one (group, window) shared cut."""
 
-    synopses: dict[int, tuple] = field(default_factory=dict)
+    synopses: dict[int, SynopsisColumns] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
     #: Query ids snapshotted at identification time; results go to these.
     snapshot: tuple[int, ...] = ()
@@ -423,7 +424,7 @@ class RootQueryPlane:
         state = self._cuts.setdefault(
             (message.group_id, message.window), _CutState()
         )
-        state.synopses[message.sender] = tuple(message.synopses)
+        state.synopses[message.sender] = message.synopses
         state.sizes[message.sender] = message.local_window_size
         if set(state.synopses) != set(self.local_ids):
             return []

@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.core.synopsis import SliceSynopsis
+from repro.core.synopsis import SynopsisColumns, as_synopsis_columns
 from repro.errors import CodecError
 from repro.obs.live.context import TraceContext
 from repro.network.messages import (
@@ -69,8 +69,9 @@ from repro.runtime import wire
 from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
-# Hot-path module: event arrays decode into zero-copy ``EventColumns``
-# views and encode from them — no per-event ``Event`` construction here
+# Hot-path module: event and synopsis arrays decode into zero-copy
+# ``EventColumns`` / ``SynopsisColumns`` views and encode from them — no
+# per-event ``Event`` or per-slice ``SliceSynopsis`` construction here
 # (enforced by tests/test_hotpath_lint.py).
 
 __all__ = [
@@ -226,23 +227,11 @@ def _encode_sorted_run(m: SortedRunMessage) -> bytes:
 
 
 def _encode_synopsis(m: SynopsisMessage) -> bytes:
-    parts = [
-        wire.COUNT.pack(len(m.synopses)),
-        wire.U64.pack(m.local_window_size),
-    ]
-    pack = wire.SYNOPSIS.pack
-    for s in m.synopses:
-        parts.append(
-            pack(
-                *s.first_key,
-                *s.last_key,
-                s.count,
-                s.slice_index,
-                s.n_slices,
-                s.node_id,
-            )
-        )
-    return b"".join(parts)
+    return (
+        wire.COUNT.pack(len(m.synopses))
+        + wire.U64.pack(m.local_window_size)
+        + as_synopsis_columns(m.synopses).to_wire()
+    )
 
 
 def _encode_candidate_request(m: CandidateRequestMessage) -> bytes:
@@ -399,15 +388,13 @@ def _encode_telemetry_digest(m: TelemetryDigestMessage) -> bytes:
 
 def _encode_relay_synopsis(m: RelaySynopsisMessage) -> bytes:
     parts = [wire.COUNT.pack(len(m.sections))]
-    pack = wire.RELAY_SYNOPSIS.pack
     for node_id, local_window_size, synopses in m.sections:
         parts.append(
             wire.RELAY_SYNOPSIS_SECTION_FIXED.pack(
                 node_id, local_window_size, len(synopses)
             )
         )
-        for s in synopses:
-            parts.append(pack(*s.first_key, *s.last_key, s.count))
+        parts.append(as_synopsis_columns(synopses).to_relay_wire())
     return b"".join(parts)
 
 
@@ -529,24 +516,13 @@ def _decode_sorted_run(r, sender, window, group_id):
 
 
 def _decode_synopsis(r, sender, window, group_id):
+    # The synopsis array is the payload tail; the columnar constructor
+    # rejects a byte length that disagrees with the count and any batch
+    # that is not the sender's complete, ordered one.
     n = r.count()
     (local_window_size,) = r.unpack(wire.U64)
-    synopses = []
-    for _ in range(n):
-        raw = r.unpack(wire.SYNOPSIS)
-        synopses.append(
-            SliceSynopsis(
-                first_key=(raw[0], raw[1], raw[2]),
-                last_key=(raw[3], raw[4], raw[5]),
-                count=raw[6],
-                slice_index=raw[7],
-                n_slices=raw[8],
-                node_id=raw[9],
-            )
-        )
-    return SynopsisMessage(
-        sender, window, group_id, tuple(synopses), local_window_size
-    )
+    synopses = SynopsisColumns.from_wire(r.rest(), n, sender)
+    return SynopsisMessage(sender, window, group_id, synopses, local_window_size)
 
 
 def _decode_candidate_request(r, sender, window, group_id):
@@ -719,20 +695,12 @@ def _decode_relay_synopsis(r, sender, window, group_id):
         node_id, local_window_size, n = r.unpack(
             wire.RELAY_SYNOPSIS_SECTION_FIXED
         )
-        synopses = []
-        for index in range(n):
-            raw = r.unpack(wire.RELAY_SYNOPSIS)
-            synopses.append(
-                SliceSynopsis(
-                    first_key=(raw[0], raw[1], raw[2]),
-                    last_key=(raw[3], raw[4], raw[5]),
-                    count=raw[6],
-                    slice_index=index,
-                    n_slices=n,
-                    node_id=node_id,
-                )
-            )
-        sections.append((node_id, local_window_size, tuple(synopses)))
+        # ``slice_index`` / ``n_slices`` / ``node_id`` are not on the wire:
+        # they are the row's position, the section's length and its owner.
+        synopses = SynopsisColumns.from_relay_wire(
+            r.view(n * wire.RELAY_SYNOPSIS_WIRE_BYTES), n, node_id
+        )
+        sections.append((node_id, local_window_size, synopses))
     return RelaySynopsisMessage(sender, window, group_id, tuple(sections))
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import SliceError
 from repro.core.slicing import MIN_GAMMA, slice_sorted_events
+from repro.core.synopsis import SynopsisColumns
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 
 
@@ -91,3 +93,47 @@ class TestRunAccess:
             sliced.run_for(2)
         with pytest.raises(SliceError):
             sliced.run_for(-1)
+
+    def test_runs_is_a_lazy_read_only_sequence(self):
+        events = sorted_events(10)
+        sliced = slice_sorted_events(events, 4, 1)
+        runs = sliced.runs
+        assert len(runs) == 3
+        assert [list(run) for run in runs] == [
+            events[0:4], events[4:8], events[8:10]
+        ]
+        assert runs[-1] == sliced.run_for(2)
+        with pytest.raises(IndexError):
+            runs[3]
+        with pytest.raises(TypeError):
+            runs[0] = ()
+
+    def test_columnar_runs_are_views_cut_on_request(self):
+        columns = EventColumns.from_events(sorted_events(10))
+        sliced = slice_sorted_events(columns, 4, 1)
+        assert sliced.events is columns
+        run = sliced.run_for(1)
+        assert isinstance(run, EventColumns) and run == columns[4:8]
+        assert run.values.base is not None  # a view, not a copy
+
+
+class TestBatch:
+    def test_both_representations_emit_the_same_columnar_batch(self):
+        events = sorted_events(23, node_id=5)
+        from_objects = slice_sorted_events(events, 4, 5).synopses
+        from_columns = slice_sorted_events(
+            EventColumns.from_events(events), 4, 5
+        ).synopses
+        assert isinstance(from_objects, SynopsisColumns)
+        assert isinstance(from_columns, SynopsisColumns)
+        assert from_objects.to_wire() == from_columns.to_wire()
+        assert from_columns.validated(5, SliceError) is from_columns
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_unordered_run_is_a_slice_error(self, columnar):
+        # What a NaN mid-window leaves behind: a "sorted" run that is not.
+        events = make_events([3.0, float("nan"), 1.0, 5.0, 6.0], node_id=1)
+        if columnar:
+            events = EventColumns.from_events(events)
+        with pytest.raises(SliceError, match="synopsis 0 of 2.*first_key"):
+            slice_sorted_events(events, 3, 1)

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.errors import SliceError
-from repro.core.synopsis import SliceSynopsis
+from repro.core.synopsis import (
+    SliceSynopsis,
+    SynopsisColumns,
+    as_synopsis_columns,
+    concat_synopses,
+)
 
 
 def synopsis(first, last, count=10, node_id=1, index=0, total=1):
@@ -102,3 +107,93 @@ class TestRelations:
     def test_encloses_self(self):
         s = synopsis(1, 10)
         assert s.encloses(s)
+
+
+def batch_rows(node_id=1, n=3):
+    """Node ``node_id``'s complete batch of ``n`` ten-event slices."""
+    return tuple(
+        SliceSynopsis(
+            first_key=(10.0 * i, node_id, 10 * i),
+            last_key=(10.0 * i + 9, node_id, 10 * i + 9),
+            count=10, node_id=node_id, slice_index=i, n_slices=n,
+        )
+        for i in range(n)
+    )
+
+
+class TestSynopsisColumns:
+    def test_behaves_as_the_tuple_of_its_rows(self):
+        rows = batch_rows()
+        batch = SynopsisColumns.from_rows(rows)
+        assert len(batch) == 3
+        assert batch[0] == rows[0] and batch[-1] == rows[-1]
+        assert tuple(batch) == rows and batch.rows([2, 0]) == (rows[2], rows[0])
+        assert batch == rows and rows == batch and batch == list(rows)
+        assert batch == SynopsisColumns.from_rows(rows)
+        assert batch != rows[:2] and batch != rows[::-1]
+        assert hash(batch) == hash(rows)
+        assert batch[1:] == rows[1:]
+        assert batch.event_count() == 30
+
+    def test_rows_carry_python_scalars(self):
+        row = SynopsisColumns.from_rows(batch_rows())[1]
+        assert type(row.first_key[0]) is float
+        assert {type(x) for x in (*row.first_key[1:], row.count, row.node_id,
+                                  row.slice_index, row.n_slices)} == {int}
+
+    def test_empty_batch(self):
+        empty = concat_synopses([])
+        assert len(empty) == 0 and empty == () and empty.event_count() == 0
+        assert empty.validated(7, SliceError) is empty
+        assert as_synopsis_columns(()) == ()
+
+    def test_concat_keeps_batch_order(self):
+        a, b = batch_rows(1, 2), batch_rows(2, 3)
+        joined = concat_synopses(
+            [SynopsisColumns.from_rows(a), SynopsisColumns.from_rows(b)]
+        )
+        assert joined == a + b
+        single = SynopsisColumns.from_rows(a)
+        assert concat_synopses([single]) is single
+        assert as_synopsis_columns(single) is single
+
+    def test_valid_batch_passes_validation(self):
+        batch = SynopsisColumns.from_rows(batch_rows(node_id=4))
+        assert batch.validated(4, SliceError) is batch
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("count", 0, "count must be >= 1"),
+            ("first_value", 99.0, "first_key exceeds last_key"),
+            ("slice_index", 0, "complete, ordered batch"),
+            ("n_slices", 4, "complete, ordered batch"),
+            ("node_id", 5, "not owned by node 4"),
+        ],
+    )
+    def test_validation_names_the_first_offending_row(self, field, value, reason):
+        records = SynopsisColumns.from_rows(batch_rows(node_id=4)).records
+        records[field][1:] = value
+        with pytest.raises(SliceError, match=f"synopsis 1 of 3.*{reason}"):
+            SynopsisColumns(records).validated(4, SliceError)
+
+    def test_incomplete_batch_rejected(self):
+        # The first two of three slices: every row is valid on its own.
+        batch = SynopsisColumns.from_rows(batch_rows(node_id=4)[:2])
+        with pytest.raises(SliceError, match="synopsis 0 of 2"):
+            batch.validated(4, SliceError)
+
+    def test_key_ranks_order_like_key_tuples(self):
+        rows = (
+            SliceSynopsis((1.0, 2, 0), (1.0, 2, 5), 6, 2, 0, 1),
+            SliceSynopsis((1.0, 1, 7), (2.0, 1, 9), 3, 1, 0, 1),
+            SliceSynopsis((-0.0, 3, 0), (0.0, 3, 0), 1, 3, 0, 1),
+            SliceSynopsis((1.0, 2, 5), (1.0, 2, 5), 1, 2, 0, 1),
+        )
+        first, last = SynopsisColumns.from_rows(rows).key_ranks()
+        keys = [s.first_key for s in rows] + [s.last_key for s in rows]
+        ranks = [*first.tolist(), *last.tolist()]
+        for a, rank_a in zip(keys, ranks):
+            for b, rank_b in zip(keys, ranks):
+                assert (a < b) == (rank_a < rank_b)
+                assert (a == b) == (rank_a == rank_b)

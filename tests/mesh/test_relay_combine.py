@@ -6,6 +6,8 @@ root operators cannot tell a relay was involved.
 """
 
 from repro import make_events
+from repro.core.slicing import slice_sorted_events
+from repro.core.synopsis import SynopsisColumns
 from repro.mesh.relay import (
     combine_runs,
     combine_synopses,
@@ -13,6 +15,8 @@ from repro.mesh.relay import (
     explode_synopses,
 )
 from repro.network.messages import CandidateEventsMessage, SynopsisMessage
+from repro.runtime.codec import decode_frame, encode_frame
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
 WINDOW = Window(1_000, 2_000)
@@ -54,6 +58,32 @@ class TestSynopsisRoundTrip:
         combined = combine_synopses({1: synopsis_frame(1, 1)}, RELAY, WINDOW)
         assert combined.sender == RELAY
         assert combined.window == WINDOW
+
+
+    def test_columnar_batches_pass_through_untouched(self):
+        # The relay never rows a batch out: the section holds the decoded
+        # batch itself, and over the wire it comes back columnar and equal.
+        parts = {}
+        for child in (2, 1):
+            events = EventColumns.from_events(
+                make_events([float(i) for i in range(25)], node_id=child)
+            )
+            cut = slice_sorted_events(events, 4, child)
+            parts[child] = decode_frame(encode_frame(SynopsisMessage(
+                sender=child, window=WINDOW, synopses=cut.synopses,
+                local_window_size=cut.window_size,
+            )))
+        combined = combine_synopses(parts, RELAY, WINDOW)
+        assert all(
+            batch is parts[child].synopses
+            for child, _, batch in combined.sections
+        )
+        exploded = explode_synopses(decode_frame(encode_frame(combined)))
+        assert all(isinstance(m.synopses, SynopsisColumns) for m in exploded)
+        assert {m.sender: m for m in exploded} == parts
+        assert [encode_frame(m) for m in exploded] == [
+            encode_frame(parts[child]) for child in (1, 2)
+        ]
 
 
 class TestRunsRoundTrip:

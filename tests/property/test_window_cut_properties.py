@@ -1,11 +1,25 @@
 """Properties of units and the window-cut algorithm."""
 
+from importlib import import_module
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.slicing import slice_sorted_events
+from repro.core.synopsis import SynopsisColumns, concat_synopses
 from repro.core.units import build_units
-from repro.core.window_cut import rank_bound_candidates, window_cut
+from repro.core.window_cut import (
+    rank_bound_candidates,
+    window_cut,
+    window_cut_multi,
+)
+from repro.errors import IdentificationError
 from repro.streaming.events import event_key, make_events
+
+#: ``repro.core.window_cut`` the module (the package re-exports the function
+#: under the same name).
+window_cut_module = import_module("repro.core.window_cut")
 
 
 @st.composite
@@ -101,3 +115,105 @@ def test_pruned_slices_are_classifiable(case, rank_seed):
             continue
         events = runs[synopsis.slice_id]
         assert all(e.key != truth_key for e in events)
+
+
+# ---------------------------------------------------------------------------
+# One sweep, three forms: the vectorised sweep over a ``SynopsisColumns``
+# batch, the row sweep it replaced on the live path (now the NaN path) and
+# the exhaustive reference must agree on everything a ``CutResult`` says.
+# ---------------------------------------------------------------------------
+
+# A tiny pool forces duplicate values within and across nodes (ties are
+# broken by node id and sequence number); signed zeros compare equal.
+_cut_values = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 2.0, 3.0]),
+    st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
+)
+
+
+@st.composite
+def node_batches(draw):
+    """Per-node synopsis batches of 1–6 nodes cut at one γ in 2–20; empty
+    and one-event local windows included."""
+    gamma = draw(st.integers(min_value=2, max_value=20))
+    batches = []
+    for node_id in range(1, draw(st.integers(min_value=1, max_value=6)) + 1):
+        values = draw(st.lists(_cut_values, min_size=0, max_size=60))
+        events = sorted(make_events(values, node_id=node_id), key=event_key)
+        batches.append(slice_sorted_events(events, gamma, node_id).synopses)
+    return batches
+
+
+def _ranks(total, seeds):
+    """Rank 1, rank n and a few in between."""
+    return sorted({1, total, *(seed % total + 1 for seed in seeds)})
+
+
+_rank_seeds = st.lists(st.integers(min_value=0, max_value=10**6), max_size=5)
+
+
+@given(node_batches(), _rank_seeds)
+@settings(max_examples=300, deadline=None)
+def test_vectorised_sweep_equals_row_sweep_and_reference(batches, seeds):
+    columns = concat_synopses(batches)
+    rows = list(columns)
+    total = columns.event_count()
+    if not total:
+        with pytest.raises(IdentificationError):
+            window_cut_multi(columns, [1])
+        return
+    ranks = _ranks(total, seeds)
+    by_rows = window_cut_module._sweep_rows(rows, ranks)
+    # Columns in, and rows in (converted at the door): both vectorised.
+    with mock.patch.object(
+        window_cut_module, "_sweep_rows", side_effect=AssertionError
+    ):
+        by_columns = window_cut_multi(columns, ranks, global_window_size=total)
+        assert window_cut_multi(rows, ranks) == by_columns
+        assert window_cut(columns, ranks[-1]) == by_columns[ranks[-1]]
+    # ``CutResult`` equality covers candidates (in order), ``n_below``,
+    # ``units_scanned`` and the ``kinds`` census.
+    assert by_columns == by_rows
+    for rank in ranks:
+        reference = rank_bound_candidates(rows, rank)
+        assert by_columns[rank].candidates == reference.candidates
+        assert by_columns[rank].n_below == reference.n_below
+        assert by_columns[rank].kinds == reference.kinds
+
+
+@given(
+    node_batches(), _rank_seeds,
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=10**6),
+            st.sampled_from(["first_value", "last_value"]),
+        ),
+        min_size=1, max_size=3,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_nan_keyed_batches_take_the_row_sweep(batches, seeds, poison):
+    records = concat_synopses(batches).records.copy()
+    if not len(records):
+        return
+    for seed, field in poison:
+        # A NaN key never *exceeds* its partner, so the rows stay valid.
+        records[field][seed % len(records)] = float("nan")
+    columns = SynopsisColumns(records)
+    assert columns.has_nan()
+    ranks = _ranks(columns.event_count(), seeds)
+    with mock.patch.object(
+        window_cut_module, "_sweep_columns", side_effect=AssertionError
+    ):
+        cuts = window_cut_multi(columns, ranks)
+    # NaN rows are unequal to themselves: compare ids, not rows.
+    rows = list(columns)
+    by_rows = window_cut_module._sweep_rows(rows, ranks)
+    for rank in ranks:
+        reference = rank_bound_candidates(rows, rank)
+        ids = [s.slice_id for s in cuts[rank].candidates]
+        assert ids == [s.slice_id for s in by_rows[rank].candidates]
+        assert ids == [s.slice_id for s in reference.candidates]
+        assert cuts[rank].n_below == by_rows[rank].n_below == reference.n_below
+        assert cuts[rank].units_scanned == by_rows[rank].units_scanned
+        assert cuts[rank].kinds == by_rows[rank].kinds == reference.kinds

@@ -8,11 +8,12 @@ NaN payloads, whose dataclasses are never ``==`` to anything, still count.
 """
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.synopsis import SliceSynopsis
+from repro.core.synopsis import SliceSynopsis, SynopsisColumns
 from repro.errors import CodecError
 from repro.network.messages import (
     MESSAGE_HEADER_BYTES,
@@ -91,58 +92,61 @@ window_kinds = st.sampled_from(["tumbling", "sliding", "session"])
 
 
 @st.composite
-def synopses(draw):
-    keys = sorted(
-        [
-            (draw(finite_f64), draw(u32), draw(u32)),
-            (draw(finite_f64), draw(u32), draw(u32)),
-        ]
-    )
-    n_slices = draw(st.integers(min_value=1, max_value=64))
-    return SliceSynopsis(
-        first_key=keys[0],
-        last_key=keys[1],
-        count=draw(st.integers(min_value=1, max_value=2**32 - 1)),
-        node_id=draw(u32),
-        slice_index=draw(st.integers(min_value=0, max_value=n_slices - 1)),
-        n_slices=n_slices,
+def synopsis_batches(draw, node_id, max_size=8):
+    """A complete, ordered batch as node ``node_id`` cuts it.
+
+    Row ``i`` is labelled slice ``i`` of ``n`` and every row is owned by
+    ``node_id`` — the only batches the decoders admit, and (tag 23 drops
+    owner, index and total) the only ones a relay section reconstructs.
+    """
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    batch = []
+    for index in range(n):
+        keys = sorted(
+            [
+                (draw(finite_f64), draw(u32), draw(u32)),
+                (draw(finite_f64), draw(u32), draw(u32)),
+            ]
+        )
+        batch.append(
+            SliceSynopsis(
+                first_key=keys[0],
+                last_key=keys[1],
+                count=draw(st.integers(min_value=1, max_value=2**32 - 1)),
+                node_id=node_id,
+                slice_index=index,
+                n_slices=n,
+            )
+        )
+    return tuple(batch)
+
+
+@st.composite
+def synopsis_messages(draw):
+    sender = draw(u32)
+    return SynopsisMessage(
+        sender, draw(windows), draw(u32),
+        draw(synopsis_batches(sender)), draw(u64),
     )
 
 
 @st.composite
 def relay_synopsis_sections(draw):
-    """Sections whose dropped fields (owner, index, total) reconstruct.
-
-    The compact wire form omits ``node_id`` (section header),
-    ``slice_index`` (position) and ``n_slices`` (section length), so only
-    sections consistent with those conventions round-trip to equal
-    objects — which is exactly what a relay combining complete, ordered
-    batches produces.
-    """
     sections = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         node_id = draw(u32)
-        n = draw(st.integers(min_value=0, max_value=4))
-        batch = []
-        for index in range(n):
-            keys = sorted(
-                [
-                    (draw(finite_f64), draw(u32), draw(u32)),
-                    (draw(finite_f64), draw(u32), draw(u32)),
-                ]
-            )
-            batch.append(
-                SliceSynopsis(
-                    first_key=keys[0],
-                    last_key=keys[1],
-                    count=draw(st.integers(min_value=1, max_value=2**32 - 1)),
-                    node_id=node_id,
-                    slice_index=index,
-                    n_slices=n,
-                )
-            )
-        sections.append((node_id, draw(u64), tuple(batch)))
+        sections.append(
+            (node_id, draw(u64), draw(synopsis_batches(node_id, max_size=4)))
+        )
     return tuple(sections)
+
+
+relay_synopsis_messages = st.builds(
+    lambda sender, window, group_id, sections: RelaySynopsisMessage(
+        sender, window, group_id, sections=sections
+    ),
+    u32, windows, u32, relay_synopsis_sections(),
+)
 
 
 @st.composite
@@ -170,9 +174,7 @@ messages = st.one_of(
     _with_header(event_batches).map(
         lambda t: SortedRunMessage(t[0], t[1], t[2], t[3])
     ),
-    _with_header(
-        st.tuples(st.lists(synopses(), max_size=8).map(tuple), u64)
-    ).map(lambda t: SynopsisMessage(t[0], t[1], t[2], t[3][0], t[3][1])),
+    synopsis_messages(),
     _with_header(st.lists(u32, max_size=30).map(tuple)).map(
         lambda t: CandidateRequestMessage(t[0], t[1], t[2], t[3])
     ),
@@ -243,9 +245,7 @@ messages = st.one_of(
             t[0], t[1], t[2], epoch=t[3][0], members=t[3][1]
         )
     ),
-    _with_header(relay_synopsis_sections()).map(
-        lambda t: RelaySynopsisMessage(t[0], t[1], t[2], sections=t[3])
-    ),
+    relay_synopsis_messages,
     _with_header(relay_run_sections()).map(
         lambda t: RelayRunsMessage(t[0], t[1], t[2], sections=t[3])
     ),
@@ -346,14 +346,14 @@ S = SliceSynopsis(
     count=6,
     node_id=3,
     slice_index=0,
-    n_slices=2,
+    n_slices=1,
 )
 
 SAMPLES = [
     (Message(1, W), 0),
     (EventBatchMessage(1, W, events=(E, E)), 4 + 2 * 20),
     (SortedRunMessage(1, W, events=(E,)), 4 + 20),
-    (SynopsisMessage(1, W, synopses=(S,), local_window_size=6), 4 + 8 + 48),
+    (SynopsisMessage(3, W, synopses=(S,), local_window_size=6), 4 + 8 + 48),
     (CandidateRequestMessage(0, W, slice_indices=(0, 1, 2)), 4 + 3 * 4),
     (CandidateEventsMessage(1, W, slice_index=1, events=(E,)), 4 + 4 + 20),
     (SynopsisRequestMessage(0, W), 0),
@@ -1002,3 +1002,220 @@ def test_relay_runs_section_count_overruns_rejected():
     payload[12:16] = wire.U32.pack(2)
     with pytest.raises(CodecError, match="truncated"):
         decode_payload(tag_of(message), bytes(payload), sender=9, window=W)
+
+
+# ----------------------------------------------------------------------
+# Synopsis batches (tags 4 and 23): columnar on both sides of the wire,
+# the same bytes as the row-at-a-time ``struct`` packing they replaced.
+# ----------------------------------------------------------------------
+
+
+def _pack_rows(rows):
+    """Tag 4's synopsis array, one ``struct`` pack per row."""
+    return b"".join(
+        wire.SYNOPSIS.pack(
+            *s.first_key, *s.last_key,
+            s.count, s.slice_index, s.n_slices, s.node_id,
+        )
+        for s in rows
+    )
+
+
+def _pack_relay_rows(rows):
+    """A tag-23 section's compact synopsis array, one pack per row."""
+    return b"".join(
+        wire.RELAY_SYNOPSIS.pack(*s.first_key, *s.last_key, s.count)
+        for s in rows
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(synopsis_messages())
+def test_synopsis_frame_is_the_struct_packing_of_its_rows(message):
+    expected = (
+        wire.COUNT.pack(len(message.synopses))
+        + wire.U64.pack(message.local_window_size)
+        + _pack_rows(message.synopses)
+    )
+    assert encode_payload(message) == expected
+    assert message.payload_bytes == len(expected)
+    decoded = decode_frame(encode_frame(message))
+    assert isinstance(decoded.synopses, SynopsisColumns)
+    # The columnar twin encodes to the same bytes, and stands in for the
+    # tuple of rows wherever a message is compared or hashed.
+    assert encode_payload(decoded) == expected
+    assert decoded.payload_bytes == len(expected)
+    assert decoded == message and message == decoded
+    assert hash(decoded) == hash(message)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relay_synopsis_messages)
+def test_relay_synopsis_frame_is_the_struct_packing_of_its_rows(message):
+    parts = [wire.COUNT.pack(len(message.sections))]
+    for node_id, size, rows in message.sections:
+        parts.append(
+            wire.RELAY_SYNOPSIS_SECTION_FIXED.pack(node_id, size, len(rows))
+        )
+        parts.append(_pack_relay_rows(rows))
+    expected = b"".join(parts)
+    assert encode_payload(message) == expected
+    assert message.payload_bytes == len(expected)
+    decoded = decode_frame(encode_frame(message))
+    assert all(
+        isinstance(batch, SynopsisColumns) for _, _, batch in decoded.sections
+    )
+    assert encode_payload(decoded) == expected
+    assert decoded == message and message == decoded
+    assert hash(decoded) == hash(message)
+
+
+def _nan_batch():
+    """Two rows whose keys carry NaNs with distinct payload bits (a NaN
+    never *exceeds* anything, so the rows are valid)."""
+    quiet, payload = struct.unpack(
+        "<dd", bytes.fromhex("000000000000f87f" "efbeadde0000f8ff")
+    )
+    return (
+        SliceSynopsis(
+            first_key=(quiet, 3, 0), last_key=(2.0, 3, 5),
+            count=6, node_id=3, slice_index=0, n_slices=2,
+        ),
+        SliceSynopsis(
+            first_key=(2.5, 3, 6), last_key=(payload, 3, 11),
+            count=6, node_id=3, slice_index=1, n_slices=2,
+        ),
+    )
+
+
+def test_synopsis_nan_bit_patterns_survive_the_wire():
+    rows = _nan_batch()
+    flat = SynopsisMessage(3, W, synopses=rows, local_window_size=12)
+    relayed = RelaySynopsisMessage(9, W, sections=((3, 12, rows),))
+    assert _pack_rows(rows) in encode_frame(flat)
+    assert _pack_relay_rows(rows) in encode_frame(relayed)
+    for message in (flat, relayed):
+        frame = encode_frame(message)
+        assert encode_frame(decode_frame(frame)) == frame
+
+
+_ROWS = (
+    SliceSynopsis(
+        first_key=(1.0, 3, 0), last_key=(2.0, 3, 5),
+        count=6, node_id=3, slice_index=0, n_slices=2,
+    ),
+    SliceSynopsis(
+        first_key=(2.5, 3, 6), last_key=(3.0, 3, 11),
+        count=6, node_id=3, slice_index=1, n_slices=2,
+    ),
+)
+
+
+def _flat_payload(**fields):
+    """Node 3's tag-4 payload of ``_ROWS`` with ``fields`` of row 1
+    overwritten (names of ``SYNOPSIS_DTYPE``)."""
+    records = SynopsisColumns.from_rows(_ROWS).records.copy()
+    for name, value in fields.items():
+        records[name][1] = value
+    return wire.COUNT.pack(2) + wire.U64.pack(12) + records.tobytes()
+
+
+def _decode_flat(payload, sender=3):
+    return decode_payload(
+        TAG_BY_TYPE[SynopsisMessage], payload, sender=sender, window=W
+    )
+
+
+def test_flat_payload_helper_is_the_identity_without_fields():
+    assert _decode_flat(_flat_payload()).synopses == _ROWS
+
+
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ({"count": 0}, "count must be >= 1"),
+        ({"first_value": 3.5}, "first_key exceeds last_key"),
+        # A value tie on the same node: the sequence number decides.
+        ({"first_value": 3.0, "first_seq": 12}, "first_key exceeds last_key"),
+        ({"slice_index": 0}, "complete, ordered batch"),
+        ({"slice_index": 2, "n_slices": 3}, "complete, ordered batch"),
+        ({"n_slices": 7}, "complete, ordered batch"),
+        ({"node_id": 9}, "not owned by node 3"),
+    ],
+    ids=["zero-count", "inverted-values", "inverted-seqs", "repeated-index",
+         "index-past-total", "wrong-total", "foreign-node"],
+)
+def test_malformed_synopsis_record_is_a_codec_error(fields, reason):
+    # ``SliceSynopsis.__post_init__`` used to raise ``SliceError`` out of
+    # the decoder for the first three and ``index-past-total``; the rest
+    # it never checked.
+    with pytest.raises(CodecError, match=f"synopsis 1 of 2.*{reason}"):
+        _decode_flat(_flat_payload(**fields))
+
+
+def test_synopsis_batch_from_another_sender_rejected():
+    with pytest.raises(CodecError, match="synopsis 0 of 2.*not owned by node 1"):
+        _decode_flat(_flat_payload(), sender=1)
+
+
+def test_batch_the_relay_would_rewrite_is_rejected_on_the_flat_path():
+    # A lone record labelled slice 3 of 7 of node 9, sent by node 1: tag 23
+    # would rebuild it as slice 0 of 1 of the section's node, so tag 4
+    # must not admit it either.
+    record = wire.SYNOPSIS.pack(1.0, 9, 0, 2.0, 9, 5, 6, 3, 7, 9)
+    payload = wire.COUNT.pack(1) + wire.U64.pack(6) + record
+    with pytest.raises(CodecError, match="synopsis 0 of 1"):
+        decode_payload(TAG_BY_TYPE[SynopsisMessage], payload, sender=1, window=W)
+    # The very rows a relay section reconstructs are what tag 4 admits.
+    relayed = decode_frame(encode_frame(
+        RelaySynopsisMessage(9, W, sections=((3, 12, _ROWS),))
+    ))
+    (_, _, batch), = relayed.sections
+    assert batch.to_wire() == _pack_rows(_ROWS)
+    assert decode_frame(
+        encode_frame(SynopsisMessage(3, W, synopses=batch, local_window_size=12))
+    ).synopses == _ROWS
+
+
+@pytest.mark.parametrize(
+    "record, reason",
+    [
+        (wire.RELAY_SYNOPSIS.pack(2.5, 3, 6, 3.0, 3, 11, 0), "count must be"),
+        (wire.RELAY_SYNOPSIS.pack(3.5, 3, 6, 3.0, 3, 11, 6), "first_key exceeds"),
+    ],
+    ids=["zero-count", "inverted-keys"],
+)
+def test_malformed_relay_synopsis_record_is_a_codec_error(record, reason):
+    message = RelaySynopsisMessage(9, W, sections=((3, 12, _ROWS),))
+    payload = encode_payload(message)
+    payload = payload[:-wire.RELAY_SYNOPSIS_WIRE_BYTES] + record
+    with pytest.raises(CodecError, match=f"synopsis 1 of 2.*{reason}"):
+        decode_payload(tag_of(message), payload, sender=9, window=W)
+
+
+def test_synopsis_array_length_mismatch_rejected():
+    message = SynopsisMessage(3, W, synopses=_ROWS, local_window_size=12)
+    payload = encode_payload(message)
+    for bad in (
+        payload[:-1],                        # mid-record truncation
+        payload[:-48],                       # one whole record short
+        payload + _pack_rows(_ROWS[:1]),     # one whole record extra
+        payload + b"\x00" * 7,
+    ):
+        with pytest.raises(CodecError, match="announced 2 synopses"):
+            decode_payload(tag_of(message), bad, sender=3, window=W)
+
+
+def test_relay_synopsis_section_count_overruns_rejected():
+    message = RelaySynopsisMessage(9, W, sections=((3, 12, _ROWS),))
+    payload = bytearray(encode_payload(message))
+    # Section synopsis count: after the section count (4), node_id (4)
+    # and local window size (8).
+    payload[16:20] = wire.U32.pack(3)
+    with pytest.raises(CodecError, match="truncated"):
+        decode_payload(tag_of(message), bytes(payload), sender=9, window=W)
+    with pytest.raises(CodecError, match="trailing"):
+        decode_payload(
+            tag_of(message), encode_payload(message) + b"\x00" * 36,
+            sender=9, window=W,
+        )

@@ -1,4 +1,5 @@
-"""Lint: marked hot-path modules must never construct ``Event`` objects.
+"""Lint: marked hot-path modules must never construct ``Event`` objects,
+nor ``SliceSynopsis`` rows outside the batch's one row materialiser.
 
 The columnar refactor's whole payoff is that event batches cross the
 stream → local → root pipeline as parallel arrays; a single stray
@@ -10,7 +11,13 @@ counts).  Every module that opts into the discipline carries a
 whole package so a marked module can never silently drop out of the
 checked set by being moved.
 
-A second lint keeps the live path on one representation: between a
+Synopses get the same treatment: a local's slice batch is one
+``SynopsisColumns`` from the slicer through the wire, the relay and
+window-cut, and ``SliceSynopsis`` rows exist only for the few candidates a
+cut hands out — built by ``core/synopsis.py``'s ``_row`` and nowhere else
+in a marked module.
+
+A further lint keeps the live path on one representation: between a
 cluster's entry point and its root every batch is an ``EventColumns``, so
 ``isinstance(…, EventColumns)`` inside ``runtime/``, ``mesh/`` and
 ``queries/`` is a fork on what the caller handed in — allowed only where
@@ -22,6 +29,7 @@ import pathlib
 import re
 
 import repro
+from repro.core.synopsis import SynopsisColumns, concat_synopses
 from repro.streaming.columns import EventColumns
 
 MARKER = "Hot-path module:"
@@ -37,9 +45,12 @@ PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 #: loses it, so the discipline cannot be turned off by deleting a comment.
 EXPECTED_MARKED = {
     "core/calculation.py",
+    "core/identification.py",
     "core/local_node.py",
     "core/slicing.py",
     "core/sorted_window.py",
+    "core/synopsis.py",
+    "core/window_cut.py",
     "mesh/relay.py",
     "mesh/servers.py",
     "queries/local.py",
@@ -80,6 +91,63 @@ def test_lint_regex_matches_constructor_calls_only():
     assert not EVENT_CALL.search("self.done = asyncio.Event()")
     assert not EVENT_CALL.search("cols = EventColumns.from_wire(raw)")
     assert not EVENT_CALL.search("msg = EventBatchMessage(1, w)")
+
+
+#: The only function of a marked module that may call ``SliceSynopsis(...)``:
+#: the row materialiser behind a batch's indexing, iteration and ``rows``.
+ALLOWED_SYNOPSIS_CONSTRUCTORS = {("core/synopsis.py", "_row")}
+
+
+def _scopes(tree):
+    """``(scope name, node)`` for every node: once per enclosing function,
+    or under ``<module>`` for statements outside any function."""
+    for statement in ast.walk(tree):
+        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(statement):
+                yield statement.name, node
+    for statement in tree.body:
+        if not isinstance(
+            statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            for node in ast.walk(statement):
+                yield "<module>", node
+
+
+def _synopsis_constructors(source):
+    return {
+        scope
+        for scope, node in _scopes(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and "SliceSynopsis" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+    }
+
+
+def test_synopsis_rows_are_built_only_by_the_row_materialiser():
+    sites = {
+        (name, scope)
+        for name, path in _marked_modules().items()
+        for scope in _synopsis_constructors(path.read_text())
+    }
+    assert sites == ALLOWED_SYNOPSIS_CONSTRUCTORS
+
+
+def test_synopsis_lint_sees_calls_in_functions_and_at_module_level():
+    assert _synopsis_constructors(
+        "def decode(raw):\n    return [SliceSynopsis(*r) for r in raw]\n"
+    ) == {"decode"}
+    assert _synopsis_constructors(
+        "EMPTY = SliceSynopsis(k, k, 1, 0, 0, 1)\n"
+    ) == {"<module>"}
+    assert _synopsis_constructors(
+        "def f(raw):\n    return synopsis.SliceSynopsis(*raw)\n"
+    ) == {"f"}
+    assert not _synopsis_constructors(
+        "def f(batch: SliceSynopsis):\n"
+        "    # no SliceSynopsis(...) here\n"
+        "    return batch.rows(idx), SliceSynopsis\n"
+    )
 
 
 #: The only functions under ``runtime/``, ``mesh/`` and ``queries/`` that
@@ -123,7 +191,13 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     booby-trapped, the calculation step, a whole live run at the
     library-default gamma, a sharded mesh run with and without a relay
     tier and a graded multi-query run (the plane used to walk every batch
-    once per pane store) must still complete."""
+    once per pane store) must still complete.
+
+    Iterating a ``SynopsisColumns`` is the same cost one level up — one
+    ``SliceSynopsis`` per slice, 20,000 a window at gamma=10 — so it is
+    trapped too: window-cut over the concatenated batches, live runs at
+    both ends of gamma, the relayed mesh run and the multi-query run
+    must complete on columns, materialising candidates only."""
     from repro.bench.generator import GeneratorConfig, workload_columns
     from repro.core.calculation import calculate_quantile
     from repro.core.query import QuantileQuery
@@ -140,33 +214,37 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     def trap(self):
         raise AssertionError("EventColumns iterated on the live path")
 
+    def synopsis_trap(self):
+        raise AssertionError("SynopsisColumns iterated on the live path")
+
     monkeypatch.setattr(EventColumns, "__iter__", trap)
+    monkeypatch.setattr(SynopsisColumns, "__iter__", synopsis_trap)
 
     sliced = {}
     for node_id, events in streams.items():
         window = SortedLocalWindow()
         window.add_all(events)
         sliced[node_id] = slice_sorted_events(window.seal(), 1_000, node_id)
-    synopses = [s for cut in sliced.values() for s in cut.synopses]
-    total = sum(s.count for s in synopses)
-    cut = window_cut(synopses, (total + 1) // 2)
+    synopses = concat_synopses([cut.synopses for cut in sliced.values()])
+    cut = window_cut(synopses, (synopses.event_count() + 1) // 2)
     runs = [sliced[s.node_id].run_for(s.slice_index) for s in cut.candidates]
     assert len(runs) > 1
     assert calculate_quantile(cut, runs).value > 0.0
 
-    report = run_live(
-        LiveClusterConfig(
-            n_locals=2,
-            streams_per_local=1,
-            query=QuantileQuery(q=0.5, gamma=10_000),
-            transport="memory",
-            timeout_s=60.0,
-        ),
-        streams,
-    )
-    answered = [o for o in report.outcomes if o.value is not None]
-    assert len(answered) >= 2
-    assert sum(o.candidate_events for o in answered) > 0
+    for gamma in (10_000, 10):
+        report = run_live(
+            LiveClusterConfig(
+                n_locals=2,
+                streams_per_local=1,
+                query=QuantileQuery(q=0.5, gamma=gamma),
+                transport="memory",
+                timeout_s=60.0,
+            ),
+            streams,
+        )
+        answered = [o for o in report.outcomes if o.value is not None]
+        assert len(answered) >= 2
+        assert sum(o.candidate_events for o in answered) > 0
 
     mesh_streams = workload_columns(
         list(range(1, 7)),
