@@ -670,7 +670,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     print(f"tolerance: {report.reconnects} reconnects, "
           f"{report.heartbeat_misses} heartbeat misses, "
           f"{report.locals_declared_dead} locals declared dead")
-    if report.shards:
+    if report.shards > 1 or report.relay_fanin:
         print(f"failover : {report.shard_failovers} shard failovers, "
               f"{report.windows_adopted} windows adopted, "
               f"{report.relay_frames_replayed} relay frames replayed "
@@ -1134,9 +1134,10 @@ def main(argv: list[str] | None = None) -> int:
     chaos.add_argument("--q", type=float, default=0.5)
     chaos.add_argument("--seed", type=int, default=7)
     chaos.add_argument("--shards", type=int, default=0,
-                       help="mesh scenarios: root shard count (default 2)")
+                       help="live mode: root shard count (default 1; "
+                            "2 for the kill-shard scenarios)")
     chaos.add_argument("--relay-fanin", type=int, default=0,
-                       help="mesh scenarios: relay fan-in (0 = no relays; "
+                       help="live mode: relay fan-in (0 = no relays; "
                             "kill-shard-with-relay defaults to 3)")
     _add_telemetry_flags(chaos)
 

@@ -3,8 +3,10 @@
 :func:`run_chaos` generates a seeded workload, computes the fault-free
 ground truth with a plain :class:`~repro.core.engine.DemaEngine`, then runs
 the *same* workload under the scenario's fault plan — either compiled onto
-the simulator or injected into the live asyncio cluster — and classifies
-every ground-truth window:
+the simulator or handed to the one live cluster driver as
+``ClusterConfig.faults``, on whatever topology ``shards``/``relay_fanin``
+name — and classifies every ground-truth window with the one grader,
+:func:`~repro.mesh.cluster.grade_outcomes`:
 
 ``recovered``
     Answered with completeness 1.0 and a value bit-identical to the
@@ -32,13 +34,15 @@ from repro.bench.generator import GeneratorConfig, workload
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
-from repro.faults.plan import FaultPlan, ToleranceConfig, describe_event
+from repro.faults.plan import FaultPlan, ToleranceConfig
 from repro.faults.scenarios import SCENARIOS, build_plan
 from repro.faults.simulate import compile_plan
+from repro.mesh.cluster import grade_outcomes, mesh_oracle
+from repro.mesh.config import ClusterConfig
 from repro.network.topology import TopologyConfig
 from repro.obs.live.config import TelemetryConfig
 from repro.obs.tracer import NOOP_TRACER, Tracer
-from repro.runtime.cluster import LiveClusterConfig, run_live
+from repro.runtime.cluster import run_live
 from repro.streaming.windows import Window
 
 __all__ = ["ChaosReport", "run_chaos"]
@@ -69,17 +73,16 @@ class ChaosReport:
     #: Live mode with telemetry: the run report's telemetry section
     #: (bound port, flight-recorder path, traced span count).
     telemetry: dict = field(default_factory=dict)
-    #: Mesh scenarios: deployment shape and failover accounting.
-    shards: int = 0
+    #: Live mode: deployment shape and failover accounting.
+    shards: int = 1
     relay_fanin: int = 0
     shard_failovers: int = 0
     windows_adopted: int = 0
     relay_frames_replayed: int = 0
     #: Query scenarios: driver connections re-established mid-run.
     driver_reconnects: int = 0
-    #: Aggregate grade counts for substrates whose grading is not
-    #: per-window (mesh runs grade per window but fill this directly;
-    #: query runs grade per (query, window) pair).  When set, it is the
+    #: Aggregate grade counts where grading is not per-window (query
+    #: scenarios grade per (query, window) pair).  When set, it is the
     #: source of truth for :meth:`count` and :attr:`classes` stays empty.
     class_counts: "dict[str, int] | None" = None
 
@@ -106,22 +109,6 @@ class ChaosReport:
         return self.count("mismatch")
 
 
-def _classify(truth: dict, outcomes) -> dict:
-    got = {outcome.window: outcome for outcome in outcomes}
-    classes: dict[Window, str] = {}
-    for window, value in truth.items():
-        outcome = got.get(window)
-        if outcome is None or outcome.value is None:
-            classes[window] = "lost"
-        elif outcome.completeness < 1.0:
-            classes[window] = "degraded"
-        elif outcome.value == value:
-            classes[window] = "recovered"
-        else:
-            classes[window] = "mismatch"
-    return classes
-
-
 def run_chaos(
     scenario_name: str,
     *,
@@ -146,7 +133,8 @@ def run_chaos(
         scenario_name: A key of :data:`~repro.faults.scenarios.SCENARIOS`.
         mode: ``"sim"`` compiles the plan onto the discrete-event
             simulator; ``"live"`` injects it into the asyncio cluster.
-            Mesh and query scenarios run live only.
+            Shard-kill and query scenarios, and any sharded or relayed
+            topology, run live only.
         seed: Seeds both the workload and the scenario's fault timings.
         n_locals: Local node count (fault targets are drawn from these).
         streams_per_local: Live replay tasks per local (live mode only).
@@ -159,10 +147,12 @@ def run_chaos(
         tracer: Observability hooks for the faulted run.
         telemetry: Live mode: turn on the telemetry plane (wire tracing,
             scrape endpoint, flight recorder) for the chaotic run.
-        shards: Mesh scenarios: root shard count (defaults to 2 — the
-            smallest ring with a successor to fail onto).
-        relay_fanin: Mesh scenarios: relay fan-in (``kill-shard-with-relay``
-            defaults to 3; ``0`` keeps the flat local→shard wiring).
+        shards: Root shard count; any scenario runs on any count the
+            cluster config accepts.  Defaults to 1, or 2 for the
+            ``kill-shard`` scenarios — the smallest ring with a successor
+            to fail onto.
+        relay_fanin: Relay fan-in (``kill-shard-with-relay`` defaults to
+            3; ``0`` keeps the direct local→root wiring).
     """
     if mode not in ("sim", "live"):
         raise ConfigurationError(
@@ -174,46 +164,84 @@ def run_chaos(
             f"unknown chaos scenario {scenario_name!r}; "
             f"expected one of {sorted(SCENARIOS)}"
         )
-    if scenario.substrate == "mesh":
-        return _run_mesh_chaos(
-            scenario_name,
-            mode=mode,
-            seed=seed,
-            n_locals=n_locals,
-            streams_per_local=streams_per_local,
-            rate=rate,
-            duration_s=duration_s,
-            transport=transport,
-            gamma=gamma,
-            q=q,
-            tracer=tracer,
-            telemetry=telemetry,
-            shards=shards,
-            relay_fanin=relay_fanin,
-        )
-    if scenario.substrate == "query":
-        return _run_query_chaos(
-            scenario_name,
-            mode=mode,
-            seed=seed,
-            n_locals=n_locals,
-            streams_per_local=streams_per_local,
-            rate=rate,
-            duration_s=duration_s,
-            time_scale=time_scale,
-            transport=transport,
-            gamma=gamma,
-            tracer=tracer,
-        )
-    if shards or relay_fanin:
+    kills_shard = scenario.substrate == "mesh"
+    n_shards = shards or (2 if kills_shard else 1)
+    fanin = relay_fanin or (3 if scenario_name == "kill-shard-with-relay" else 0)
+    if mode == "sim" and (scenario.substrate != "flat" or n_shards > 1 or fanin):
         raise ConfigurationError(
-            f"scenario {scenario_name!r} runs on the flat topology; "
-            "--shards/--relay-fanin apply to mesh scenarios only"
+            f"scenario {scenario_name!r} with {n_shards} shard(s) and relay "
+            f"fan-in {fanin} runs on the live substrate only (the simulator "
+            "has one root and no shard, relay or query plane)"
         )
     plan = build_plan(
-        scenario_name, seed=seed, horizon_s=duration_s, n_locals=n_locals
+        scenario_name, seed=seed, horizon_s=duration_s,
+        n_locals=n_shards if kills_shard else n_locals,
     )
-    query = QuantileQuery(q=q, gamma=gamma)
+    if scenario.substrate == "query":
+        from repro.queries.runner import run_query_scenario
+
+        # Grades per (query, window) pair against the per-query oracle:
+        # ``lost`` pairs never arrived, ``mismatch`` covers wrong values
+        # and duplicate deliveries (exactly-once failing either way).
+        started = time.monotonic()
+        qreport = run_query_scenario(
+            driver_drop=True,
+            n_locals=n_locals,
+            streams_per_local=streams_per_local,
+            event_rate=rate,
+            duration_s=duration_s,
+            time_scale=max(time_scale, 0.05),
+            transport=transport,
+            gamma=gamma,
+            seed=seed,
+            tracer=None,
+        )
+        lost = sum(
+            "no result for window" in note for note in qreport.mismatches
+        )
+        bad = len(qreport.mismatches) - lost
+        return ChaosReport(
+            scenario=scenario_name,
+            mode=mode,
+            seed=seed,
+            plan=plan,
+            applied=list(qreport.live.fault_events),
+            windows=qreport.results_graded + lost,
+            class_counts={
+                "recovered": qreport.results_graded - bad,
+                "degraded": 0,
+                "lost": lost,
+                "mismatch": bad,
+            },
+            wall_seconds=time.monotonic() - started,
+            driver_reconnects=qreport.driver_reconnects,
+        )
+
+    detect = scenario.detect_after_s
+    #: A kill pinned to a protocol point needs windows in flight at that
+    #: point, so shard kills replay unpaced; everything else is paced so
+    #: the wall-clock schedule lands mid-stream.
+    pace = 0.0 if kills_shard else time_scale
+    config = ClusterConfig(
+        n_locals=n_locals,
+        streams_per_local=streams_per_local,
+        n_shards=n_shards,
+        relay_fanin=fanin,
+        query=QuantileQuery(q=q, gamma=gamma),
+        transport=transport,
+        time_scale=pace,
+        timeout_s=120.0,
+        relay_flush_s=0.1,
+        faults=plan,
+        tolerance=ToleranceConfig(
+            declare_dead_after_s=(
+                _NO_DETECT_GRACE_S
+                if detect is None
+                else max(0.15, detect * pace)
+            )
+        ),
+        telemetry=telemetry,
+    )
     streams = workload(
         list(range(1, n_locals + 1)),
         GeneratorConfig(
@@ -222,22 +250,14 @@ def run_chaos(
             seed=seed,
         ),
     )
-    truth_report = DemaEngine(
-        query, TopologyConfig(n_local_nodes=n_locals)
-    ).run(streams)
-    truth = {
-        outcome.window: outcome.value
-        for outcome in truth_report.outcomes
-        if outcome.value is not None
-    }
+    truth = mesh_oracle(streams, config)
 
     started = time.monotonic()
     if mode == "sim":
-        tolerance = ToleranceConfig()
         engine = DemaEngine(
-            query,
+            config.query,
             TopologyConfig(n_local_nodes=n_locals),
-            reliability=tolerance.reliability,
+            reliability=config.tolerance.reliability,
             degrade_after_retries=True,
             tracer=tracer,
         )
@@ -245,9 +265,8 @@ def run_chaos(
             plan,
             engine.simulator,
             root=engine.root,
-            detect_after_s=scenario.detect_after_s,
+            detect_after_s=detect,
         )
-        report = engine.run(streams)
         return ChaosReport(
             scenario=scenario_name,
             mode=mode,
@@ -255,29 +274,11 @@ def run_chaos(
             plan=plan,
             applied=applied,
             windows=len(truth),
-            classes=_classify(truth, report.outcomes),
+            classes=grade_outcomes(truth, engine.run(streams).outcomes),
             locals_declared_dead=engine.root.deaths_declared,
             wall_seconds=time.monotonic() - started,
         )
 
-    detect = scenario.detect_after_s
-    declare_dead = (
-        _NO_DETECT_GRACE_S
-        if detect is None
-        else max(0.15, detect * time_scale)
-    )
-    tolerance = ToleranceConfig(declare_dead_after_s=declare_dead)
-    config = LiveClusterConfig(
-        n_locals=n_locals,
-        streams_per_local=streams_per_local,
-        query=query,
-        transport=transport,
-        time_scale=time_scale,
-        timeout_s=120.0,
-        faults=plan,
-        tolerance=tolerance,
-        telemetry=telemetry,
-    )
     live = run_live(config, streams, tracer=tracer)
     return ChaosReport(
         scenario=scenario_name,
@@ -286,185 +287,15 @@ def run_chaos(
         plan=plan,
         applied=list(live.fault_events),
         windows=len(truth),
-        classes=_classify(truth, live.outcomes),
+        classes=grade_outcomes(truth, live.outcomes),
         reconnects=live.reconnects,
         heartbeat_misses=live.heartbeat_misses,
         locals_declared_dead=live.locals_declared_dead,
         wall_seconds=time.monotonic() - started,
         telemetry=live.telemetry,
-    )
-
-
-def _run_mesh_chaos(
-    scenario_name: str,
-    *,
-    mode: str,
-    seed: int,
-    n_locals: int,
-    streams_per_local: int,
-    rate: float,
-    duration_s: float,
-    transport: str,
-    gamma: int,
-    q: float,
-    tracer: Tracer,
-    telemetry: TelemetryConfig | None,
-    shards: int,
-    relay_fanin: int,
-) -> ChaosReport:
-    """Kill one root shard mid-run and grade the failover end to end.
-
-    The victim comes from the scenario's seeded plan; the kill itself is
-    pinned to a protocol point — the victim's first answered window —
-    via the :meth:`~repro.mesh.servers.MeshRootServer.crash_after`
-    tripwire, because an unpaced replay outruns any wall-clock schedule.
-    """
-    import asyncio
-
-    from repro.mesh.cluster import (
-        classify_outcomes,
-        mesh_oracle,
-        run_mesh_cluster,
-    )
-    from repro.mesh.config import MeshConfig
-
-    if mode != "live":
-        raise ConfigurationError(
-            f"mesh scenario {scenario_name!r} runs on the live substrate "
-            "only (the simulator has no shard plane)"
-        )
-    n_shards = shards if shards else 2
-    if n_shards < 2:
-        raise ConfigurationError(
-            "kill-shard needs at least 2 shards — a lone root has no "
-            "successor to fail onto"
-        )
-    fanin = relay_fanin
-    if not fanin and scenario_name == "kill-shard-with-relay":
-        fanin = 3
-    plan = build_plan(
-        scenario_name, seed=seed, horizon_s=duration_s, n_locals=n_shards
-    )
-    victim = plan.schedule()[0].node
-    assert victim is not None
-
-    query = QuantileQuery(q=q, gamma=gamma)
-    streams = workload(
-        list(range(1, n_locals + 1)),
-        GeneratorConfig(
-            event_rate=max(1.0, rate / n_locals),
-            duration_s=duration_s,
-            seed=seed,
-        ),
-    )
-    config = MeshConfig(
-        n_locals=n_locals,
-        streams_per_local=streams_per_local,
-        n_shards=n_shards,
-        relay_fanin=fanin,
-        query=query,
-        transport=transport,
-        timeout_s=120.0,
-        relay_flush_s=0.1,
-        # Fast heartbeats drive the failover sweep; the *local* death
-        # threshold stays loose — no local dies in these scenarios, and
-        # a tight threshold lets one slow tick on a loaded host declare
-        # a healthy local dead and degrade windows spuriously.
-        tolerance=ToleranceConfig(
-            heartbeat_interval_s=0.02, declare_dead_after_s=2.0
-        ),
-        telemetry=telemetry,
-    )
-    truth = mesh_oracle(streams, config)
-
-    async def disturb(ctx) -> None:
-        ctx.shards[victim].crash_after(1)
-
-    started = time.monotonic()
-    report = asyncio.run(
-        run_mesh_cluster(config, streams, tracer=tracer, disturb=disturb)
-    )
-    return ChaosReport(
-        scenario=scenario_name,
-        mode=mode,
-        seed=seed,
-        plan=plan,
-        applied=[describe_event(event) for event in plan.schedule()],
-        windows=len(truth),
-        class_counts=classify_outcomes(truth, report.outcomes),
-        locals_declared_dead=report.locals_declared_dead,
-        heartbeat_misses=report.heartbeat_misses,
-        wall_seconds=time.monotonic() - started,
         shards=n_shards,
         relay_fanin=fanin,
-        shard_failovers=report.shard_failovers,
-        windows_adopted=report.windows_adopted,
-        relay_frames_replayed=report.relay_frames_replayed,
-        telemetry=report.telemetry,
-    )
-
-
-def _run_query_chaos(
-    scenario_name: str,
-    *,
-    mode: str,
-    seed: int,
-    n_locals: int,
-    streams_per_local: int,
-    rate: float,
-    duration_s: float,
-    time_scale: float,
-    transport: str,
-    gamma: int,
-    tracer: Tracer,
-) -> ChaosReport:
-    """Drop the query driver's connection mid-run; grade exactly-once.
-
-    Grades per (query, window) pair: ``recovered`` results matched the
-    per-query oracle bit-identically, ``lost`` pairs never arrived, and
-    ``mismatch`` covers wrong values and duplicate deliveries (the
-    exactly-once promise failing in either direction).
-    """
-    from repro.queries.runner import run_query_scenario
-
-    if mode != "live":
-        raise ConfigurationError(
-            f"query scenario {scenario_name!r} runs on the live substrate "
-            "only (the simulator has no query plane)"
-        )
-    plan = build_plan(
-        scenario_name, seed=seed, horizon_s=duration_s, n_locals=n_locals
-    )
-    started = time.monotonic()
-    qreport = run_query_scenario(
-        driver_drop=True,
-        n_locals=n_locals,
-        streams_per_local=streams_per_local,
-        event_rate=rate,
-        duration_s=duration_s,
-        time_scale=max(time_scale, 0.05),
-        transport=transport,
-        gamma=gamma,
-        seed=seed,
-        tracer=None,
-    )
-    lost = sum(
-        1 for note in qreport.mismatches if "no result for window" in note
-    )
-    bad = len(qreport.mismatches) - lost
-    return ChaosReport(
-        scenario=scenario_name,
-        mode=mode,
-        seed=seed,
-        plan=plan,
-        applied=[describe_event(event) for event in plan.schedule()],
-        windows=qreport.results_graded + lost,
-        class_counts={
-            "recovered": qreport.results_graded - bad,
-            "degraded": 0,
-            "lost": lost,
-            "mismatch": bad,
-        },
-        wall_seconds=time.monotonic() - started,
-        driver_reconnects=qreport.driver_reconnects,
+        shard_failovers=live.shard_failovers,
+        windows_adopted=live.windows_adopted,
+        relay_frames_replayed=live.relay_frames_replayed,
     )

@@ -1,7 +1,10 @@
 """Scale-out mesh: elastic membership, sharded roots, relay aggregation.
 
-The mesh generalizes the single-root live runtime along three axes,
-without touching a line of the Dema operators:
+The mesh generalizes the single-root live cluster along three axes,
+without touching a line of the Dema operators — and without a second
+driver: each axis is an option on the one
+:class:`~repro.mesh.config.ClusterConfig` that
+:func:`repro.runtime.cluster.run_cluster` deploys.
 
 * **Elastic membership** — locals join and leave mid-run at grid
   boundaries; windows re-plan around the change instead of hanging.
@@ -14,18 +17,15 @@ without touching a line of the Dema operators:
   bytes grow with the relay count instead of the local count.
 
 See ``docs/mesh.md`` for the protocol details and invariants.
+
+The live hosts in :mod:`repro.runtime.servers` import this package's
+routing and relay modules, and this package's cluster names live in
+:mod:`repro.runtime.cluster`; attribute access is therefore lazy (PEP
+562), as in :mod:`repro.runtime`, so neither import creates a cycle.
 """
 
-from repro.mesh.config import MembershipEvent, MeshConfig
-from repro.mesh.cluster import (
-    MeshChaosContext,
-    MeshRunReport,
-    classify_outcomes,
-    mesh_oracle,
-    run_mesh,
-    run_mesh_cluster,
-)
-from repro.mesh.failover import FailoverController
+from __future__ import annotations
+
 from repro.mesh.routing import (
     RELAY_ID_BASE,
     SHARD_ID_BASE,
@@ -52,3 +52,29 @@ __all__ = [
     "shard_node_id",
     "shard_of",
 ]
+
+#: Lazily resolved exports: attribute name -> defining submodule.
+_LAZY = {
+    "FailoverController": "repro.mesh.failover",
+    "MembershipEvent": "repro.mesh.config",
+    "MeshConfig": "repro.mesh.config",
+    "MeshChaosContext": "repro.mesh.cluster",
+    "MeshRunReport": "repro.mesh.cluster",
+    "classify_outcomes": "repro.mesh.cluster",
+    "mesh_oracle": "repro.mesh.cluster",
+    "run_mesh": "repro.mesh.cluster",
+    "run_mesh_cluster": "repro.mesh.cluster",
+}
+
+
+def __getattr__(name: str):
+    target = _LAZY.get(name)
+    if target is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(target), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

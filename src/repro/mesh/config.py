@@ -1,4 +1,14 @@
-"""Mesh deployment shape: shards, relays and the membership schedule."""
+"""The one live-cluster config: topology, pacing, faults, membership.
+
+A live deployment is one tree — streams → locals → (optional relays) →
+root shards — and :class:`ClusterConfig` describes all of it.  The flat
+three-layer cluster is simply ``n_shards=1, relay_fanin=0`` (the
+defaults); ``LiveClusterConfig`` and ``MeshConfig`` are two older names
+for this one class.
+
+Feature combinations that cannot work are rejected in exactly one place,
+:meth:`ClusterConfig.check`, each with its reason.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +16,16 @@ from dataclasses import dataclass, field
 
 from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
-from repro.faults.plan import ToleranceConfig
+from repro.faults.plan import FaultPlan, ToleranceConfig
 from repro.obs.live.config import TelemetryConfig
 from repro.runtime.transport import DEFAULT_QUEUE_FRAMES
 
-__all__ = ["MembershipEvent", "MeshConfig"]
+__all__ = ["MembershipEvent", "ClusterConfig", "MeshConfig"]
+
+#: Fault kinds that sever or gate a local's own uplinks.
+_LOCAL_LINK_FAULTS = frozenset(
+    {"crash", "restart", "drop_link", "partition_start", "partition_heal"}
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,46 +58,52 @@ class MembershipEvent:
 
 
 @dataclass(frozen=True, slots=True)
-class MeshConfig:
-    """Shape of one mesh run.
+class ClusterConfig:
+    """Shape, pacing and survival policy of one live run.
 
     Attributes:
         n_locals: Locals present from the start (ids ``1..n_locals``).
             Joiners get ids above that, named by the membership schedule.
         streams_per_local: Replay tasks feeding each local.
         n_shards: Root shards; window ownership is
-            :func:`~repro.mesh.routing.shard_of`.
-        relay_fanin: Children per relay.  ``0`` (the default) runs the
-            flat topology — every local dials every shard directly.  With
-            a positive fan-in, locals are partitioned into relay groups
+            :func:`~repro.mesh.routing.shard_of`.  One shard is the
+            classic single root.
+        relay_fanin: Children per relay.  ``0`` (the default) has no
+            relay tier — every local dials every shard directly.  With a
+            positive fan-in, locals are partitioned into relay groups
             and only the relays dial the shards.
-        query: The quantile query.  Mesh runs require a **fixed** γ:
-            adaptive γ is per-root state, and independent shards would
-            diverge from the single-root baseline.
-        batch_size: Events per replayed batch.
-        transport: ``"memory"`` or ``"tcp"``.
+        query: The quantile query.  Adaptive γ is per-root state, so it
+            needs ``n_shards == 1``; bit-identity with the simulator
+            needs a fixed γ either way.
+        batch_size: Events per replayed batch (window splits still apply).
+        transport: ``"memory"`` (deterministic, in-process) or ``"tcp"``
+            (real localhost sockets).
+        time_scale: Wall-clock seconds per second of event time.  ``1.0``
+            replays in real time, ``0.0`` as fast as backpressure allows.
         queue_frames: Bound of each in-memory pipe direction.
-        timeout_s: Overall run deadline; ``None`` waits forever.
-        time_scale: Wall seconds per event-time second for the replays.
-            ``0`` (the default) replays unpaced, as fast as backpressure
-            allows; a positive scale paces the run so telemetry scrapes
-            and watchers see a *serving* mesh rather than a burst.
+        timeout_s: Overall deadline for the run; ``None`` waits forever.
+        faults: Optional fault schedule injected while the run is live;
+            event times scale to the wall clock by ``time_scale``.
+        tolerance: Survival policy (heartbeats, reconnect backoff, the
+            reliability timers).  Defaults to :class:`ToleranceConfig`
+            whenever ``faults`` is given; without either, the cluster runs
+            the deterministic fail-fast path.
+        telemetry: Live telemetry plane (wire-level trace context on
+            every host, per-node uplinks into the fleet collector, the
+            runtime sampler, the ``/summary`` + ``/fleet`` scrape
+            endpoint, the flight recorder).  ``None`` — the default —
+            starts none of it and puts zero extra bytes on the wire;
+            quantile results are bit-identical either way.
+        durable_queries: Retain per-driver result logs at the root and
+            replay them when a driver reconnects with a resume cursor,
+            so a dropped query connection loses no results.  Only
+            meaningful when a query driver is attached.
         membership: Planned joins and leaves (may be empty).
         relay_flush_s: Relay combine-buffer deadline: a window's combined
             frame is forwarded when every eligible child has reported or
             when this many wall seconds have passed since the first
             section arrived, whichever is first — a crashed child can
             delay a relay frame, never stall it.
-        tolerance: Optional survival policy.  ``None`` (the default) runs
-            the deterministic fail-fast path, which is also the
-            bit-identity configuration; set it to compose with fault
-            injection (heartbeats flow through relays transparently).
-        telemetry: Optional fleet-telemetry plane.  ``None`` (the
-            default) is the bit-identity configuration: no tracer, no
-            uplink tasks, zero telemetry bytes on the wire.  Set it to
-            start per-node telemetry uplinks, the coordinator's
-            :class:`~repro.obs.fleet.FleetCollector` and (if
-            ``http_port`` is set) the ``/fleet`` HTTP surface.
     """
 
     n_locals: int = 4
@@ -92,13 +113,15 @@ class MeshConfig:
     query: QuantileQuery = field(default_factory=QuantileQuery)
     batch_size: int = 512
     transport: str = "memory"
+    time_scale: float = 0.0
     queue_frames: int = DEFAULT_QUEUE_FRAMES
     timeout_s: float | None = 60.0
-    time_scale: float = 0.0
-    membership: tuple[MembershipEvent, ...] = ()
-    relay_flush_s: float = 1.0
+    faults: FaultPlan | None = None
     tolerance: ToleranceConfig | None = None
     telemetry: TelemetryConfig | None = None
+    durable_queries: bool = False
+    membership: tuple[MembershipEvent, ...] = ()
+    relay_flush_s: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_locals < 1:
@@ -109,10 +132,6 @@ class MeshConfig:
             raise ConfigurationError(
                 f"need at least one root shard, got {self.n_shards}"
             )
-        if self.time_scale < 0:
-            raise ConfigurationError(
-                f"time scale must be >= 0, got {self.time_scale}"
-            )
         if self.relay_fanin < 0:
             raise ConfigurationError(
                 f"relay fan-in must be >= 0, got {self.relay_fanin}"
@@ -121,13 +140,10 @@ class MeshConfig:
             raise ConfigurationError(
                 f"transport must be 'memory' or 'tcp', got {self.transport!r}"
             )
-        if self.query.adaptive:
+        if self.time_scale < 0:
             raise ConfigurationError(
-                "mesh runs need a fixed gamma: adaptive gamma is per-root "
-                "state and independent shards would diverge"
+                f"time_scale must be >= 0, got {self.time_scale}"
             )
-        if self.query.is_sliding:
-            raise ConfigurationError("the live runtime seals tumbling grids only")
         if self.relay_flush_s <= 0:
             raise ConfigurationError(
                 f"relay_flush_s must be > 0, got {self.relay_flush_s}"
@@ -146,3 +162,73 @@ class MeshConfig:
                     f"local {event.local_id} is an initial member and "
                     f"cannot join at runtime"
                 )
+        self.check()
+
+    def check(self, *, driver: "bool | None" = None) -> None:
+        """Reject feature combinations that cannot work, with the reason.
+
+        The one validator: the constructor calls it before anyone knows
+        whether a query driver will be attached (``driver=None``), and
+        the cluster driver calls it again once it does.
+        """
+        if self.query.is_sliding:
+            raise ConfigurationError("the live runtime seals tumbling grids only")
+        if self.query.adaptive and self.n_shards > 1:
+            raise ConfigurationError(
+                "sharded runs need a fixed gamma: adaptive gamma is per-root "
+                "state and independent shards would diverge"
+            )
+        if driver and self.n_shards > 1:
+            raise ConfigurationError(
+                "a query driver needs n_shards == 1: the root query plane "
+                "is per-root state and shards would each see a share of "
+                "every group's windows"
+            )
+        if driver and self.relay_fanin > 0:
+            raise ConfigurationError(
+                "a query driver needs relay_fanin == 0: group_id means "
+                "'query group' to the plane and 'child behind this relay' "
+                "to the root's relay routing"
+            )
+        if driver and self.membership:
+            raise ConfigurationError(
+                "a query driver needs an empty membership schedule: the "
+                "root query plane's member table is fixed at start, so a "
+                "leaver would stall every group and a joiner go unheard"
+            )
+        kinds = (
+            {event.kind for event in self.faults.events}
+            if self.faults is not None
+            else set()
+        )
+        if kinds - {"kill_shard"} and self.time_scale <= 0:
+            raise ConfigurationError(
+                "fault injection needs time_scale > 0 — event-time fault "
+                "schedules are meaningless at replay-as-fast-as-possible "
+                "(only kill_shard is pinned to a protocol point instead)"
+            )
+        if "kill_shard" in kinds and self.n_shards < 2:
+            raise ConfigurationError(
+                "kill_shard needs at least 2 shards — a lone root has no "
+                "successor to fail onto"
+            )
+        if kinds & _LOCAL_LINK_FAULTS and self.relay_fanin > 0:
+            raise ConfigurationError(
+                "crash/drop_link/partition faults need relay_fanin == 0: "
+                "session resume is a local↔root handshake, and a relay "
+                "forwards neither a child's resume hello nor its redial"
+            )
+        if (
+            driver is not None
+            and "driver_drop" in kinds
+            and not (driver and self.durable_queries)
+        ):
+            raise ConfigurationError(
+                "driver_drop needs a query driver with durable_queries: "
+                "there is no driver session to sever and resume otherwise"
+            )
+
+
+#: The mesh's name for the one config (``LiveClusterConfig`` is the flat
+#: cluster's, in :mod:`repro.runtime.cluster`).
+MeshConfig = ClusterConfig

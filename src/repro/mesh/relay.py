@@ -176,6 +176,7 @@ class RelayServer:
     """
 
     def __init__(self, index: int, *, window_length_ms: int, n_shards: int,
+                 children: "tuple[int, ...]" = (),
                  flush_after_s: float = 1.0,
                  tracer: Tracer = NOOP_TRACER,
                  failures: FailureLatch | None = None,
@@ -197,6 +198,12 @@ class RelayServer:
         self._loop = asyncio.get_event_loop()
         #: Connected children and their streams.
         self._children: dict[int, MessageStream] = {}
+        #: Children whose report a window waits for: the group's founding
+        #: members from the start — *before* they connect, or a child that
+        #: reports while its siblings are still dialing is flushed alone
+        #: and the rest of the group rides the flush deadline — plus
+        #: whoever connects later (joiners), minus whoever disconnects.
+        self._awaited: set[int] = set(children)
         #: Elastic eligibility, mirroring the root's membership table.
         self._joined_from: dict[int, int] = {}
         self._left_at: dict[int, int] = {}
@@ -321,6 +328,7 @@ class RelayServer:
             )
         child = first.node_id
         self._children[child] = stream
+        self._awaited.add(child)
         try:
             while True:
                 try:
@@ -335,6 +343,7 @@ class RelayServer:
         finally:
             if self._children.get(child) is stream:
                 del self._children[child]
+                self._awaited.discard(child)
 
     async def _on_child_message(
         self, child: int, message: Message,
@@ -476,10 +485,10 @@ class RelayServer:
     # combine buffers
 
     def _eligible_children(self, window: Window) -> "set[int]":
-        """Connected children that are members for ``window``."""
+        """Awaited children that are members for ``window``."""
         return {
             child
-            for child in self._children
+            for child in self._awaited
             if self._joined_from.get(child, window.start) <= window.start
             and window.start < self._left_at.get(child, window.end)
         }

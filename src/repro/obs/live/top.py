@@ -47,17 +47,17 @@ def render_summary(summary: dict) -> str:
         f"windows {summary.get('windows_done', 0)}"
         f"/{summary.get('windows_expected', 0)}",
         "",
-        f"{'NODE':>6}  {'PHASE':<22} {'COUNT':>7} {'SECONDS':>10}",
+        f"{'NODE':>8}  {'PHASE':<22} {'COUNT':>7} {'SECONDS':>10}",
     ]
     for node in summary.get("nodes", []):
         node_id = node.get("node")
         phases = node.get("phases", {})
         if not phases:
-            lines.append(f"{node_id:>6}  {'(no live spans yet)':<22}")
+            lines.append(f"{node_id:>8}  {'(no live spans yet)':<22}")
             continue
         first = True
         for name, entry in phases.items():
-            label = f"{node_id:>6}" if first else f"{'':>6}"
+            label = f"{node_id:>8}" if first else f"{'':>8}"
             lines.append(
                 f"{label}  {name:<22} {entry['count']:>7} "
                 f"{entry['seconds']:>10.4f}"
@@ -65,12 +65,12 @@ def render_summary(summary: dict) -> str:
             first = False
     lines += [
         "",
-        f"{'LINK':<14} {'SRC':>4} {'DST':>4} {'BACKLOG':>8} "
+        f"{'LINK':<14} {'SRC':>8} {'DST':>8} {'BACKLOG':>8} "
         f"{'STALL_S':>9} {'FR_SENT':>8} {'FR_RECV':>8}",
     ]
     for link in summary.get("links", []):
         lines.append(
-            f"{link['layer']:<14} {link['src']:>4} {link['dst']:>4} "
+            f"{link['layer']:<14} {link['src']:>8} {link['dst']:>8} "
             f"{link['send_backlog']:>8} {link['send_stall_s']:>9.4f} "
             f"{link['frames_sent']:>8} {link['frames_received']:>8}"
         )

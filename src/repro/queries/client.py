@@ -92,18 +92,6 @@ class QueryClient:
         except TransportError:
             pass
 
-    async def drop_connection(self) -> None:
-        """Sever the link without closing the client (chaos helper).
-
-        The read loop observes the EOF and, when a ``dial`` callback was
-        given, redials with the resume cursor — exactly what a driver
-        surviving a network blip does.
-        """
-        try:
-            await self.stream.close()
-        except TransportError:
-            pass
-
     async def register(
         self, query_id: int, spec: QuerySpec, *, timeout: float = 30.0
     ) -> QueryAckMessage:

@@ -22,11 +22,12 @@ from repro.obs.tracer import RecordingTracer, Tracer
 from repro.queries.client import QueryClient
 from repro.queries.oracle import grade_results, oracle_results
 from repro.queries.spec import QuerySpec
+from repro.faults.scenarios import build_plan
 from repro.runtime.cluster import (
     LiveClusterConfig,
     LiveRunReport,
     QueryDriverContext,
-    run_live_cluster,
+    run_live,
 )
 
 __all__ = ["QueryScenarioReport", "build_specs", "run_query_scenario"]
@@ -130,12 +131,12 @@ def run_query_scenario(
     already-active group, one forcing a fresh group — and deregisters
     every other initial query while the streams are still flowing.
 
-    With ``driver_drop`` the cluster runs durable queries: once the run
-    has served at least one result the driver severs its connection and
-    redials with its resume cursor; grading then proves every result
-    still arrived exactly once (the duplicate check in
-    :func:`~repro.queries.oracle.grade_results` makes "at most once"
-    explicit, completeness makes it "at least once").
+    With ``driver_drop`` the cluster runs durable queries under the
+    seeded ``driver-drop`` fault plan: mid-run the cluster severs the
+    driver's connection, and the client redials with its resume cursor;
+    grading then proves every result still arrived exactly once (the
+    duplicate check in :func:`~repro.queries.oracle.grade_results` makes
+    "at most once" explicit, completeness makes it "at least once").
 
     ``specs`` overrides the generated batch (the bench uses this to run
     each query alone for the amortization baseline).
@@ -172,6 +173,14 @@ def run_query_scenario(
         time_scale=time_scale,
         timeout_s=timeout_s,
         durable_queries=driver_drop,
+        faults=(
+            build_plan(
+                "driver-drop", seed=seed, horizon_s=duration_s,
+                n_locals=n_locals,
+            )
+            if driver_drop
+            else None
+        ),
     )
 
     initial = {index + 1: spec for index, spec in enumerate(specs)}
@@ -184,53 +193,37 @@ def run_query_scenario(
 
     async def driver(context: QueryDriverContext) -> dict:
         grid_end_box["grid_end"] = context.grid_end
-        redial_gate = asyncio.Event()
-        redial_gate.set()
+        expected_total = 0
 
-        async def gated_dial():
-            await redial_gate.wait()
+        async def held_dial():
+            # Hold the redial shut until the root has produced the
+            # *entire* run — everything after the drop lands only in the
+            # retained per-client log, so the resume must replay that
+            # tail from the acked cursor.
+            while context.plane_results() < expected_total:
+                await asyncio.sleep(0.01)
             return await context.dial(DRIVER_CLIENT_ID)
 
         client = QueryClient(
             await context.dial(DRIVER_CLIENT_ID),
             DRIVER_CLIENT_ID,
-            dial=gated_dial if driver_drop else None,
+            dial=held_dial if driver_drop else None,
         )
         await client.start()
         try:
             for query_id, spec in initial.items():
                 await client.register(query_id, spec)
+            expected_total = sum(
+                len(
+                    spec.window_starts(
+                        client.horizons[query_id], context.grid_end
+                    )
+                )
+                for query_id, spec in initial.items()
+            )
             context.start_replay()
             if driver_drop:
-                # Sever the driver link after the first served result,
-                # then hold the redial shut until the root has produced
-                # the *entire* run — everything after the drop lands
-                # only in the retained per-client log.  Reopening the
-                # gate forces a resume that must replay that tail from
-                # the acked cursor.
-                await client.wait_for(
-                    lambda c: any(c.results.values()), timeout=timeout_s
-                )
-                expected_total = sum(
-                    len(
-                        spec.window_starts(
-                            client.horizons[query_id], context.grid_end
-                        )
-                    )
-                    for query_id, spec in initial.items()
-                )
-                redial_gate.clear()
-                await client.drop_connection()
-                loop = asyncio.get_event_loop()
-                deadline = loop.time() + timeout_s
-                while context.plane_results() < expected_total:
-                    if loop.time() > deadline:
-                        raise QueryError(
-                            "timed out waiting for the disconnected "
-                            "plane to finish the run"
-                        )
-                    await asyncio.sleep(0.01)
-                redial_gate.set()
+                # The fault plan severs this connection mid-run.
                 await client.wait_for(
                     lambda c: c.reconnects >= 1, timeout=timeout_s
                 )
@@ -304,9 +297,7 @@ def run_query_scenario(
         finally:
             await client.close()
 
-    report = asyncio.run(
-        run_live_cluster(config, streams, tracer=tracer, driver=driver)
-    )
+    report = run_live(config, streams, tracer=tracer, driver=driver)
 
     served = report.queries.get("results", {})
     horizons = report.queries.get("horizons", {})

@@ -20,6 +20,15 @@ Three hosts mirror the simulated three-layer topology:
 ``RootServer``
     Wraps an unmodified :class:`~repro.core.root_node.DemaRootNode` and
     signals completion once every expected grid window has an outcome.
+    One root owns every window; R of them are root *shards*, each owning
+    the windows :func:`~repro.mesh.routing.shard_of` deals it.  Either
+    way it is this one class: it accepts ``local``, ``relay`` and
+    ``driver`` peers, applies membership messages to the operator's
+    table, and explodes relay frames back into the per-child originals.
+
+A local holds one uplink per root shard (one, on the classic single-root
+cluster) or a single relay uplink, and routes each outgoing frame by its
+window's owner; the operator still addresses everything to root id 0.
 
 The operators still talk to their ``self.simulator`` — here a
 :class:`LiveFabric`, the asyncio implementation of the
@@ -34,22 +43,37 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import heapq
 import random
-from typing import Awaitable, Callable, Mapping
+from typing import Awaitable, Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import TransportError
 from repro.faults.plan import ToleranceConfig
+from repro.mesh.relay import explode_runs, explode_synopses
+from repro.mesh.routing import (
+    RELAY_ID_BASE,
+    SHARD_ID_BASE,
+    ShardMap,
+    shard_node_id,
+)
 from repro.network.messages import (
     CandidateEventsMessage,
     CandidateRequestMessage,
     EventBatchMessage,
+    GammaUpdateMessage,
     HeartbeatMessage,
+    JoinMessage,
+    LeaveMessage,
     Message,
     QueryResultMessage,
+    RelayRunsMessage,
+    RelaySynopsisMessage,
     ResultMessage,
+    RouteUpdateMessage,
+    ShardFailoverMessage,
     SynopsisMessage,
     TelemetryDigestMessage,
     TelemetrySnapshotMessage,
@@ -70,9 +94,9 @@ from repro.runtime.transport import FailureLatch, MessageStream
 from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
-# Hot-path module: event batches stay columnar from workload to window,
-# and no per-event ``Event`` objects are constructed here (enforced by
-# tests/test_hotpath_lint.py).
+# Hot-path module: event batches stay columnar from workload to window
+# (exploded relay sections included), and no per-event ``Event`` objects
+# are constructed here (enforced by tests/test_hotpath_lint.py).
 
 __all__ = [
     "LIVE_OPS_PER_SECOND",
@@ -92,9 +116,9 @@ LIVE_OPS_PER_SECOND = 1e15
 #: Milliseconds of event time per second of fabric time.
 _MS_PER_SECOND = 1000.0
 
-#: Placeholder window on heartbeat frames (heartbeats are not about any
-#: window, but the wire header needs a valid one).
-_HEARTBEAT_WINDOW = Window(0, 1)
+#: Placeholder window on heartbeat, membership and telemetry frames
+#: (they are not about any window, but the wire header needs a valid one).
+_CONTROL_WINDOW = Window(0, 1)
 
 #: Receiver-side live span names by incoming message type: the phase of
 #: the window lifecycle that handling this message performs.  Types not
@@ -250,57 +274,71 @@ class NodeHost:
             self.node.on_message(message, now)
             await self.flush()
 
-    async def flush(self) -> None:
-        """Ship every message the operator queued on the fabric.
+    def _resolve(self, dst: int, message: Message) -> int:
+        """The peer whose stream carries ``message`` toward ``dst``."""
+        return dst
 
-        Consecutive messages to the same destination coalesce into one
+    async def flush(self) -> None:
+        """Ship every message the operator queued on the fabric."""
+        queued = self.fabric.drain()
+        if queued:
+            await self._send_routed(queued, droppable=self._drop_unroutable)
+
+    async def _send_routed(
+        self, pairs: "Sequence[tuple[int, Message]]", *, droppable: bool
+    ) -> None:
+        """The one send path: resolve each frame's carrier and ship it.
+
+        Consecutive messages for the same peer coalesce into one
         ``send_many`` — one writev + one drain on TCP instead of a write
         and drain per frame (candidate serves and synopsis fan-out queue
-        many frames per destination in a row).
+        many frames per destination in a row).  ``droppable`` sends to a
+        missing or dead peer are counted in :attr:`dropped_sends`
+        instead of raising.
         """
-        queued = self.fabric.drain()
-        i, n = 0, len(queued)
+        peers = [self._resolve(dst, message) for dst, message in pairs]
+        i, n = 0, len(pairs)
         while i < n:
-            dst = queued[i][0]
+            peer_id = peers[i]
             j = i + 1
-            while j < n and queued[j][0] == dst:
+            while j < n and peers[j] == peer_id:
                 j += 1
-            group = [message for _, message in queued[i:j]]
+            group = [message for _, message in pairs[i:j]]
             i = j
-            stream = self._peers.get(dst)
+            stream = self._peers.get(peer_id)
             if stream is None:
-                if self._drop_unroutable:
+                if droppable:
                     self.dropped_sends += len(group)
                     continue
                 raise TransportError(
-                    f"node {self.node_id} has no stream to peer {dst}"
+                    f"node {self.node_id} has no stream to peer {peer_id}"
                 )
             send_many = getattr(stream, "send_many", None)
-            if len(group) > 1 and send_many is not None:
-                try:
+            try:
+                if len(group) > 1 and send_many is not None:
                     await send_many(group)
-                except TransportError:
-                    if not self._drop_unroutable:
-                        raise
-                    self.dropped_sends += len(group)
-                continue
-            for message in group:
-                try:
-                    await stream.send(message)
-                except TransportError:
-                    if not self._drop_unroutable:
-                        raise
-                    self.dropped_sends += 1
+                else:
+                    for message in group:
+                        await stream.send(message)
+            except TransportError:
+                if not droppable:
+                    raise
+                self.dropped_sends += len(group)
 
     def _on_fabric_timer(self) -> None:
         """Timer actions queue messages; spawn a task to flush them."""
         with contextlib.suppress(RuntimeError):  # event loop closing
-            asyncio.ensure_future(self._flush_after_timer())
+            asyncio.ensure_future(self._guarded(self._flush_after_timer()))
 
     async def _flush_after_timer(self) -> None:
+        await self.flush()
+        self._after_timer_flush()
+
+    async def _guarded(self, awaitable) -> None:
+        """Run a background task; its death trips the cluster's latch
+        instead of vanishing with the task."""
         try:
-            await self.flush()
-            self._after_timer_flush()
+            await awaitable
         except asyncio.CancelledError:
             raise
         except BaseException as exc:
@@ -351,7 +389,7 @@ class NodeHost:
 
 
 class RootServer(NodeHost):
-    """Hosts the Dema root; completes once every grid window answered.
+    """Hosts one Dema root (shard); completes once its windows answered.
 
     With a :class:`~repro.faults.plan.ToleranceConfig` the server also
     plays failure detector: it tracks the last time each local was heard
@@ -361,26 +399,38 @@ class RootServer(NodeHost):
     completeness fraction below 1.  A returning local's fresh ``Hello``
     reverses the verdict and, when the hello carries a resume cursor, gets
     a catch-up release so the local can prune its retained state.
+
+    ``downstream`` is the relay routing table (child local id → the relay
+    whose stream carries frames for it); empty when locals dial directly.
     """
 
     def __init__(self, node, fabric: LiveFabric, *, expected_windows: int,
+                 downstream: "Mapping[int, int] | None" = None,
                  tracer: Tracer = NOOP_TRACER,
                  tolerance: ToleranceConfig | None = None,
                  failures: FailureLatch | None = None,
                  wire_tracing: bool = False,
                  echo_heartbeats: bool = False,
                  query_plane=None,
-                 on_telemetry=None) -> None:
+                 on_telemetry=None,
+                 uplink=None) -> None:
         super().__init__(node, fabric, tracer,
                          drop_unroutable=tolerance is not None,
                          failures=failures, wire_tracing=wire_tracing)
         self._expected_windows = expected_windows
         self._tolerance = tolerance
+        self._downstream: dict[int, int] = dict(downstream or {})
         #: Optional fleet-telemetry sink: uplinked
         #: ``TelemetrySnapshotMessage``/``TelemetryDigestMessage`` frames
         #: are handed here (usually ``FleetCollector.on_message``) and
         #: never reach the operator.  ``None`` drops them.
         self._on_telemetry = on_telemetry
+        #: Optional :class:`~repro.obs.fleet.TelemetryUplink`: the root's
+        #: own contribution to the fleet plane (ingress frame sizes as a
+        #: digest plus outcome counters).  Roots are collocated with the
+        #: collector, so the cluster driver pumps this directly — no wire
+        #: hop.
+        self.uplink = uplink
         #: Optional :class:`~repro.queries.root.RootQueryPlane`: handles
         #: driver connections and every ``group_id != 0`` frame.
         self._query_plane = query_plane
@@ -391,6 +441,8 @@ class RootServer(NodeHost):
         #: round-trip time.  Off by default — the echo is extra traffic.
         self._echo_heartbeats = echo_heartbeats
         self.done = asyncio.Event()
+        if expected_windows == 0:
+            self.done.set()  # a shard whose window share is empty
         #: Wall-clock (fabric) completion time per finished window.
         self.result_walls: dict[Window, float] = {}
         #: Fabric time each local was last heard from (tolerant mode).
@@ -398,6 +450,12 @@ class RootServer(NodeHost):
         self.heartbeat_misses = 0
         self.locals_declared_dead = 0
         self.reconnect_hellos = 0
+        #: Failover state: set by :meth:`crash` (chaos) and by the
+        #: coordinator's takeover protocol (:meth:`adopt_windows`).
+        self.crashed = False
+        self.failover_epoch = 0
+        self.windows_adopted = 0
+        self._crash_after: int | None = None
         self._known_locals: set[int] = set()
         self._accounted = 0
         self._monitor_task: asyncio.Task | None = None
@@ -469,6 +527,7 @@ class RootServer(NodeHost):
         result stream per client is what makes the resume cursor exact.
         """
         plane = self._query_plane
+        live = []
         for dst, reply in outgoing:
             if (
                 plane is not None
@@ -479,14 +538,8 @@ class RootServer(NodeHost):
                 if wake is not None:
                     wake.set()
                 continue
-            stream = self._peers.get(dst)
-            if stream is None:
-                self.dropped_sends += 1
-                continue
-            try:
-                await stream.send(reply)
-            except TransportError:
-                self.dropped_sends += 1
+            live.append((dst, reply))
+        await self._send_routed(live, droppable=True)
 
     async def _drive_results(
         self, client_id: int, stream: MessageStream, cursor: int,
@@ -564,20 +617,25 @@ class RootServer(NodeHost):
             await self._ship_plane(plane.on_client_gone(client_id))
 
     async def serve(self, stream: MessageStream) -> None:
-        """Connection handler for one dialing local node or driver."""
-        roles = (
-            ("local", "driver") if self._query_plane is not None
-            else "local"
+        """Connection handler for one dialing local, relay or driver."""
+        roles = ("local", "relay") + (
+            ("driver",) if self._query_plane is not None else ()
         )
         hello = await self.expect_hello(stream, roles)
         if hello.role == "driver":
             await self._serve_driver(hello, stream)
             return
         self.register_peer(hello.node_id, stream)
-        if self._tolerance is not None:
+        if self._tolerance is not None and hello.role == "local":
             self._on_local_hello(hello)
             await self.flush()
             self._account_outcomes()
+        elif self._tolerance is not None:
+            # A relay's children never dial us, so their hellos cannot
+            # enroll them; enroll every known member now and let their
+            # forwarded heartbeats keep the deadlines fed.
+            for local_id in self.node.current_members:
+                self._observe(local_id)
         try:
             while True:
                 try:
@@ -585,22 +643,33 @@ class RootServer(NodeHost):
                 except TransportError:
                     if self._tolerance is None:
                         raise
-                    break  # link severed mid-frame; the local will redial
-                if message is None:
+                    break  # link severed mid-frame; the peer will redial
+                if message is None or self.crashed:
+                    # Crash is a synchronous freeze: the flag is set
+                    # before the crash yields, so nothing dispatched
+                    # after it can mutate the operator's outcome log.
                     break
                 if isinstance(message, Hello):
                     raise TransportError("unexpected second hello")
                 if self._tolerance is not None:
-                    self._observe(message.sender)
+                    # Liveness evidence is per *original sender*: frames a
+                    # relay forwards keep the child's id, so children
+                    # behind relays are monitored transparently; the relay
+                    # id itself (no heartbeats of its own) is never
+                    # enrolled.
+                    if message.sender in self.node.local_ids:
+                        self._observe(message.sender)
                     if isinstance(message, HeartbeatMessage):
                         if self._echo_heartbeats:
                             with contextlib.suppress(TransportError):
-                                await stream.send(message)
+                                await stream.send(
+                                    self._addressed(message.sender, message)
+                                )
                         continue
                 if isinstance(
                     message, (TelemetrySnapshotMessage, TelemetryDigestMessage)
                 ):
-                    # In-band fleet telemetry rides the local link the way
+                    # In-band fleet telemetry rides the data links the way
                     # heartbeats do; it is collector traffic, never operator
                     # input.
                     if self._on_telemetry is not None:
@@ -614,12 +683,212 @@ class RootServer(NodeHost):
                         self._query_plane.on_local_message(message)
                     )
                     continue
+                if self.uplink is not None:
+                    self.uplink.observe(
+                        "shard_ingress_bytes", float(message.wire_bytes)
+                    )
+                    self.uplink.inc_stat("ingress_frames")
                 await self.dispatch(message, stream.last_context)
                 self._account_outcomes()
+                if self._maybe_trip_crash():
+                    break
         finally:
             # Only unregister if a reconnect has not already replaced us.
             if self._peers.get(hello.node_id) is stream:
                 del self._peers[hello.node_id]
+
+    # -- membership & relay frames -------------------------------------
+
+    async def dispatch(
+        self, message: Message, context: TraceContext | None = None
+    ) -> None:
+        if isinstance(message, JoinMessage):
+            if self.node.add_local(message.sender, message.first_window_start):
+                await self._on_membership_change()
+            await self.flush()
+        elif isinstance(message, LeaveMessage):
+            if self.node.remove_local(
+                message.sender, message.effective_from, self.fabric.now
+            ):
+                await self._on_membership_change()
+            # The leave may have completed degraded-eligible windows.
+            await self.flush()
+            self._account_outcomes()
+        elif isinstance(message, (RelaySynopsisMessage, RelayRunsMessage)):
+            # Each exploded part dispatches under its own section context
+            # (captured by the relay at combine time), so the child's
+            # spans — not the relay hop's — parent the shard-side work
+            # and the window's timeline survives the combine/explode.
+            explode = (
+                explode_synopses
+                if isinstance(message, RelaySynopsisMessage)
+                else explode_runs
+            )
+            contexts = message.section_contexts
+            for index, part in enumerate(explode(message)):
+                part_context = (
+                    contexts[index] if index < len(contexts) else None
+                )
+                await super().dispatch(part, part_context or context)
+        else:
+            await super().dispatch(message, context)
+
+    async def _on_membership_change(self) -> None:
+        """Trace the new member table and tell every connected peer."""
+        members = self.node.current_members
+        if self.tracer.enabled:
+            now = self.fabric.now
+            self.tracer.record(
+                "mesh_membership", self.node_id, now, now,
+                epoch=self.node.membership_epoch, members=len(members),
+            )
+            self.tracer.registry.gauge(
+                "mesh_members",
+                "Locals currently admitted to the mesh.",
+            ).set(float(len(members)))
+        await self._broadcast(
+            RouteUpdateMessage(
+                sender=self.node_id,
+                window=_CONTROL_WINDOW,
+                epoch=self.node.membership_epoch,
+                members=members,
+            )
+        )
+
+    async def _broadcast(self, message: Message) -> None:
+        for stream in list(self._peers.values()):
+            with contextlib.suppress(TransportError):
+                await stream.send(message)
+
+    # -- relay-aware outbound routing ----------------------------------
+
+    def _resolve(self, dst: int, message: Message) -> int:
+        return self._downstream.get(dst, dst)
+
+    def _addressed(self, dst: int, message: Message) -> Message:
+        """``message`` as it travels toward ``dst``: a frame a relay
+        carries names the child in ``group_id``."""
+        if dst in self._downstream:
+            return dataclasses.replace(message, group_id=dst)
+        return message
+
+    async def flush(self) -> None:
+        """Ship queued frames, routing relay children via their relay.
+
+        A frame for a child behind a relay travels on the relay's stream
+        with the child in ``group_id``; identical broadcast-shaped frames
+        (releases, gamma updates) are coalesced into one ``group_id`` 0
+        frame per relay, which the relay fans out — the downlink copy of
+        the uplink's combining.
+        """
+        if not self._downstream:
+            await super().flush()
+            return
+        broadcast_sent: set[tuple[int, type, Window, int]] = set()
+        routed = []
+        for dst, message in self.fabric.drain():
+            if dst in self._downstream and isinstance(
+                message, (WindowReleaseMessage, GammaUpdateMessage)
+            ):
+                key = (
+                    self._downstream[dst], type(message), message.window,
+                    getattr(message, "gamma", 0),
+                )
+                if key in broadcast_sent:
+                    continue
+                broadcast_sent.add(key)  # group_id 0: relay broadcasts it
+            else:
+                message = self._addressed(dst, message)
+            routed.append((dst, message))
+        await self._send_routed(routed, droppable=True)
+
+    # -- failover --------------------------------------------------------
+
+    def crash_after(self, n_outcomes: int) -> None:
+        """Arm a deterministic mid-run crash (chaos tripwire).
+
+        The serve loop freezes this shard *synchronously* — flag set and
+        fabric halted with no intervening yield — the moment its
+        operator has answered ``n_outcomes`` windows, then severs the
+        peer links asynchronously.  Unpaced replays burst through whole
+        runs between event-loop ticks, so a wall-clock kill cannot
+        reliably land mid-run; the tripwire pins the kill to a protocol
+        point instead, making ``kill-shard`` scenarios reproducible.
+        """
+        self._crash_after = n_outcomes
+
+    def _maybe_trip_crash(self) -> bool:
+        if (
+            self._crash_after is None
+            or self.crashed
+            or len(self.node.outcomes) < self._crash_after
+        ):
+            return False
+        self.crashed = True
+        self.fabric.halt()
+        asyncio.ensure_future(self.crash())
+        return True
+
+    async def crash(self) -> None:
+        """Abrupt shard death: stop monitoring and sever every peer link.
+
+        Peers observe the EOF, report the link down, and the coordinator
+        runs the takeover.  The operator's already-answered outcomes stay
+        readable in-process for the final report — exactly what a
+        post-mortem of the real process would recover from its log.
+        """
+        self.crashed = True
+        self.fabric.halt()
+        await self.stop_monitor()
+        for stream in list(self._peers.values()):
+            with contextlib.suppress(TransportError):
+                await stream.close()
+        self._peers.clear()
+
+    def adopt_windows(self, windows: "Sequence[Window]", *, epoch: int,
+                      finalized: "Sequence[Window]" = ()) -> None:
+        """Take over a dead predecessor's unanswered windows.
+
+        ``windows`` is the share this shard must now answer on top of its
+        own; ``finalized`` is everything the predecessor already answered
+        (inherited so replayed synopses get releases, never duplicate
+        answers).  Completion arithmetic is re-armed: a shard that was
+        born done (or finished early) wakes back up for the adopted
+        share.
+        """
+        self.failover_epoch = max(self.failover_epoch, epoch)
+        self.node.inherit_finalized(finalized)
+        self._expected_windows += len(windows)
+        self.windows_adopted += len(windows)
+        outcomes = len(self.node.outcomes) + self.node.aborted_windows
+        if outcomes < self._expected_windows:
+            self.done.clear()
+        if self.tracer.enabled:
+            now = self.fabric.now
+            self.tracer.record(
+                "shard_takeover", self.node_id, now, now,
+                epoch=epoch, adopted=len(windows),
+            )
+            self.tracer.registry.counter(
+                "shard_windows_adopted_total",
+                "Windows re-homed to a successor shard by failover.",
+            ).inc(len(windows))
+
+    async def announce_failover(self, shard_map: ShardMap) -> None:
+        """Broadcast the new epoch's shard map to every connected peer.
+
+        In-band announcement: locals and relays (who forward to their
+        children) converge on the same ``(epoch, dead)`` pair and reroute
+        + replay from retained buffers.
+        """
+        await self._broadcast(
+            ShardFailoverMessage(
+                sender=self.node_id,
+                window=_CONTROL_WINDOW,
+                epoch=shard_map.epoch,
+                dead=tuple(sorted(shard_map.dead)),
+            )
+        )
 
     def start_monitor(self) -> None:
         """Start the heartbeat monitor task (tolerant mode only)."""
@@ -731,19 +1000,29 @@ class LocalServer(NodeHost):
     once ``min(watermarks) >= s + L``.  Because each stream's events are
     FIFO-ordered before its watermark and timestamps are non-decreasing,
     no event for a sealed window can still be in flight.
+
+    Upstream the local holds one session per root shard — or a single
+    relay session — in :attr:`_upstreams`, each with its own reader task
+    (redialing with backoff in tolerant mode), one heartbeat loop over
+    all of them, and one routed send: the operator addresses root id 0
+    and :meth:`_resolve` picks the relay or the window's owner shard.
     """
 
     def __init__(self, node, fabric: LiveFabric, *, expected_streams: int,
                  grid_start: int, grid_end: int, window_length_ms: int,
+                 n_shards: int = 1,
                  tracer: Tracer = NOOP_TRACER,
                  tolerance: ToleranceConfig | None = None,
-                 dial_root: Callable[
-                     [], Awaitable[MessageStream]
+                 dial: Callable[
+                     [int], Awaitable[MessageStream]
                  ] | None = None,
                  failures: FailureLatch | None = None,
                  wire_tracing: bool = False,
                  sample_rate: float = 1.0,
-                 query_plane=None) -> None:
+                 query_plane=None,
+                 on_upstream_down=None,
+                 uplink=None,
+                 uplink_interval_s: float = 0.25) -> None:
         super().__init__(node, fabric, tracer,
                          drop_unroutable=tolerance is not None,
                          failures=failures, wire_tracing=wire_tracing)
@@ -760,34 +1039,70 @@ class LocalServer(NodeHost):
         self._watermarks: dict[int, int] = {}
         #: Wall-clock (fabric) seal time per sealed window.
         self.seal_walls: dict[Window, float] = {}
-        self._root_task: asyncio.Task | None = None
         self._tolerance = tolerance
-        self._dial_root = dial_root
-        self._root_stream: MessageStream | None = None
-        self._heartbeat_task: asyncio.Task | None = None
+        #: ``dial(peer_id)`` opens a stream to a shard or relay; used for
+        #: the first connection and every redial.
+        self._dial = dial
+        #: Peer id → current session; a single entry behind a relay.
+        self._upstreams: dict[int, MessageStream] = {}
+        #: Set iff the only upstream is a relay: constant-route fast path.
+        self._relay_peer: int | None = None
+        #: Readers (one per upstream), the heartbeat loop, the uplink loop.
+        self._tasks: list[asyncio.Task] = []
         self._heartbeat_seq = 0
         #: Head-based sampling rate for the trace roots this host opens
         #: (the per-window synopsis seal).
         self._sample_rate = sample_rate
         #: Fabric send time by heartbeat sequence, for RTT on echoes.
         self._heartbeat_sent: dict[int, float] = {}
+        #: Optional :class:`~repro.obs.fleet.TelemetryUplink`.  ``None``
+        #: (the default) starts no uplink task and ships zero telemetry
+        #: bytes — the bit-identity configuration.
+        self.uplink = uplink
+        self._uplink_interval = uplink_interval_s
+        #: Windows whose release has been observed (for seal→result
+        #: latency and staleness accounting; releases may repeat after a
+        #: failover replay, so observation is once per window).
+        self._released_windows: set[Window] = set()
+        #: Latest membership epoch seen from each upstream peer.
+        self.route_epochs: dict[int, int] = {}
+        #: Epoch-versioned shard liveness; frames route by its owner.
+        self._shard_map = ShardMap(max(1, n_shards))
+        #: Coordinator callback ``(shard_index) -> None`` fired when an
+        #: uplink to a shard dies (failure-detection evidence).
+        self._on_upstream_down = on_upstream_down
         self._closing = False
         self._crashed = False
         self._resumed = asyncio.Event()
         self._rng = random.Random(f"reconnect:{node.node_id}")
         self.reconnects = 0
         self.crashes = 0
+        self.failovers_seen = 0
+        self.fenced_frames = 0
 
-    async def connect_root(self, root_stream: MessageStream) -> None:
-        """Register and announce ourselves on the dialed root stream."""
-        await self._attach_root(root_stream)
-        self._start_root_task()
+    # -- upstream sessions ---------------------------------------------
 
-    def _start_root_task(self) -> None:
-        self._root_task = asyncio.ensure_future(self._guarded_read_root())
+    async def connect_upstreams(
+        self, peer_ids: "Sequence[int]", *, join_from: int | None = None
+    ) -> None:
+        """Dial every upstream, announce, and start reading them.
 
-    async def _attach_root(self, stream: MessageStream) -> None:
-        """Adopt ``stream`` as the root session and announce ourselves.
+        ``join_from`` marks a runtime joiner: a
+        :class:`~repro.network.messages.JoinMessage` goes out FIFO-first
+        on every uplink, so no shard can see the joiner's data before its
+        membership.
+        """
+        if len(peer_ids) == 1 and peer_ids[0] >= RELAY_ID_BASE:
+            self._relay_peer = peer_ids[0]
+        for peer_id in peer_ids:
+            await self._attach(peer_id, await self._dial(peer_id), join_from)
+        self._start_tasks()
+
+    async def _attach(
+        self, peer_id: int, stream: MessageStream,
+        join_from: int | None = None,
+    ) -> None:
+        """Adopt ``stream`` as the session to ``peer_id`` and say hello.
 
         The hello carries the resume cursor (last released window end) so
         a reconnecting local gets a catch-up release; replaying the pending
@@ -795,70 +1110,126 @@ class LocalServer(NodeHost):
         swallowed — the root deduplicates, so this is safe on a fresh
         connection too.
         """
-        self._root_stream = stream
-        self.register_peer(0, stream)
+        self._upstreams[peer_id] = stream
+        self.register_peer(peer_id, stream)
         resume = self.node.last_release_end if self._tolerance else -1
         await stream.send(
             Hello(node_id=self.node_id, role="local", resume_from=resume)
         )
+        if join_from is not None:
+            await stream.send(
+                JoinMessage(
+                    sender=self.node_id,
+                    window=_CONTROL_WINDOW,
+                    first_window_start=join_from,
+                )
+            )
         if self._tolerance is not None:
             self.node.replay_pending(self.fabric.now)
             await self.flush()
-            self._start_heartbeats()
 
-    async def _guarded_read_root(self) -> None:
-        try:
-            await self._read_root()
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            if self._failures is None:
-                raise
-            self._failures.record(exc)
+    def _start_tasks(self) -> None:
+        """One reader per upstream, plus the heartbeat and uplink loops."""
+        loops = [self._read_upstream(peer_id) for peer_id in self._upstreams]
+        if self._tolerance is not None:
+            loops.append(self._heartbeats())
+        if self.uplink is not None:
+            loops.append(self._telemetry_uplink())
+        self._tasks = [
+            asyncio.ensure_future(self._guarded(loop)) for loop in loops
+        ]
 
-    async def _read_root(self) -> None:
-        """Candidate requests, gamma updates and releases from the root.
+    async def _stop_tasks(self) -> None:
+        tasks, self._tasks = self._tasks, []
+        for task in tasks:
+            task.cancel()
+        for task in tasks:
+            with contextlib.suppress(asyncio.CancelledError):
+                await task
 
-        In tolerant mode an EOF (or mid-frame death) of the root session is
-        not fatal: the local redials with exponential backoff and resumes.
+    async def announce_leave(self, effective_from: int) -> None:
+        """Tell every upstream this local serves no window past the mark."""
+        for stream in self._upstreams.values():
+            with contextlib.suppress(TransportError):
+                await stream.send(
+                    LeaveMessage(
+                        sender=self.node_id,
+                        window=_CONTROL_WINDOW,
+                        effective_from=effective_from,
+                    )
+                )
+
+    async def _read_upstream(self, peer_id: int) -> None:
+        """Candidate requests, gamma updates and releases from one peer.
+
+        In tolerant mode an EOF (or mid-frame death) of the session is
+        not fatal: the local redials with exponential backoff and resumes
+        — unless the peer is a shard the current map declares dead, whose
+        windows the successor now answers.
         """
         while True:
-            stream = self._root_stream
-            if stream is None:
-                return
+            stream = self._upstreams[peer_id]
             try:
                 message = await stream.recv()
             except TransportError:
                 if self._tolerance is None:
                     raise
                 message = None  # link died mid-frame: treat as EOF
-            if message is not None:
-                if isinstance(message, HeartbeatMessage):
-                    # Telemetry echo from the root: close the RTT loop.
-                    self._record_heartbeat_rtt(message.sequence)
-                    continue
-                if message.group_id != 0 and self._query_plane is not None:
-                    # Query-plane traffic multiplexed on the root link.
-                    self._note_plane_message(message)
-                    await self._ship_plane(
-                        self._query_plane.on_root_message(message)
+            if message is None:
+                if self._closing or self._crashed:
+                    return
+                self._report_upstream_down(peer_id)
+                if self._tolerance is None or self._is_fenced(peer_id):
+                    return
+                if not await self._reconnect(peer_id):
+                    raise TransportError(
+                        f"local {self.node_id} exhausted "
+                        f"{self._tolerance.reconnect_max_attempts} "
+                        f"reconnect attempts to peer {peer_id}"
                     )
-                    continue
-                await self.dispatch(message, stream.last_context)
-                continue
-            if self._closing or self._crashed or self._tolerance is None:
-                return
-            if not await self._reconnect():
-                raise TransportError(
-                    f"local {self.node_id} exhausted "
-                    f"{self._tolerance.reconnect_max_attempts} "
-                    "reconnect attempts to the root"
+            elif self._is_fenced(peer_id):
+                # A dead shard resurrecting cannot speak for windows
+                # that already moved: everything it says is stale.
+                self.fenced_frames += 1
+            elif isinstance(message, ShardFailoverMessage):
+                await self._on_shard_failover(message)
+            elif isinstance(message, RouteUpdateMessage):
+                self.route_epochs[peer_id] = max(
+                    self.route_epochs.get(peer_id, 0), message.epoch
                 )
+            elif isinstance(message, HeartbeatMessage):
+                # Telemetry echo from the root: close the RTT loop.
+                self._record_heartbeat_rtt(message.sequence)
+            elif message.group_id != 0 and self._query_plane is not None:
+                # Query-plane traffic multiplexed on the root link.
+                self._note_plane_message(message)
+                await self._ship_plane(
+                    self._query_plane.on_root_message(message)
+                )
+            else:
+                if self.uplink is not None and isinstance(
+                    message, WindowReleaseMessage
+                ):
+                    self._observe_release(message.window)
+                await self.dispatch(message, stream.last_context)
 
-    async def _reconnect(self) -> bool:
-        """Redial the root with exponential backoff + jitter."""
+    def _is_fenced(self, peer_id: int) -> bool:
+        """Whether ``peer_id`` is a shard the current epoch declares dead."""
+        if not SHARD_ID_BASE <= peer_id < RELAY_ID_BASE:
+            return False
+        return not self._shard_map.is_live(peer_id - SHARD_ID_BASE)
+
+    def _report_upstream_down(self, peer_id: int) -> None:
+        """Hand link-death evidence for a shard uplink to the coordinator."""
+        if self._on_upstream_down is None:
+            return
+        if SHARD_ID_BASE <= peer_id < RELAY_ID_BASE:
+            self._on_upstream_down(peer_id - SHARD_ID_BASE)
+
+    async def _reconnect(self, peer_id: int) -> bool:
+        """Redial one upstream with exponential backoff + jitter."""
         tolerance = self._tolerance
-        if tolerance is None or self._dial_root is None:
+        if tolerance is None or self._dial is None:
             return False
         for attempt in range(tolerance.reconnect_max_attempts):
             delay = min(
@@ -867,13 +1238,13 @@ class LocalServer(NodeHost):
             )
             delay *= 1.0 + tolerance.reconnect_jitter * self._rng.random()
             await asyncio.sleep(delay)
-            if self._closing or self._crashed:
-                return True  # crash()/shutdown() owns the session now
+            if self._closing or self._crashed or self._is_fenced(peer_id):
+                return True  # crash()/shutdown()/failover owns it now
             try:
-                stream = await self._dial_root()
+                stream = await self._dial(peer_id)
             except TransportError:
-                continue  # root unreachable (e.g. partition); back off more
-            await self._attach_root(stream)
+                continue  # peer unreachable (e.g. partition); back off more
+            await self._attach(peer_id, stream)
             self.reconnects += 1
             if self.tracer.enabled:
                 now = self.fabric.now
@@ -884,33 +1255,24 @@ class LocalServer(NodeHost):
             return True
         return False
 
-    def _start_heartbeats(self) -> None:
-        if self._tolerance is None:
-            return
-        if self._heartbeat_task is None or self._heartbeat_task.done():
-            self._heartbeat_task = asyncio.ensure_future(self._heartbeats())
-
     async def _heartbeats(self) -> None:
-        """Periodic liveness beacons on the current root session."""
+        """Liveness beacons on every uplink (relays forward verbatim)."""
         assert self._tolerance is not None
         interval = self._tolerance.heartbeat_interval_s
         while not self._closing:
             await asyncio.sleep(interval)
-            stream = self._root_stream
-            if stream is None or self._crashed:
-                continue
             self._heartbeat_seq += 1
             self._heartbeat_sent[self._heartbeat_seq] = self.fabric.now
             if len(self._heartbeat_sent) > 64:  # unechoed beats: cap it
                 self._heartbeat_sent.pop(min(self._heartbeat_sent))
-            with contextlib.suppress(TransportError):
-                await stream.send(
-                    HeartbeatMessage(
-                        sender=self.node_id,
-                        window=_HEARTBEAT_WINDOW,
-                        sequence=self._heartbeat_seq,
-                    )
-                )
+            beat = HeartbeatMessage(
+                sender=self.node_id,
+                window=_CONTROL_WINDOW,
+                sequence=self._heartbeat_seq,
+            )
+            for stream in list(self._upstreams.values()):
+                with contextlib.suppress(TransportError):
+                    await stream.send(beat)
 
     def _record_heartbeat_rtt(self, sequence: int) -> None:
         sent = self._heartbeat_sent.pop(sequence, None)
@@ -922,14 +1284,6 @@ class LocalServer(NodeHost):
             node=str(self.node_id),
         ).observe(max(0.0, self.fabric.now - sent))
 
-    async def _stop_heartbeats(self) -> None:
-        if self._heartbeat_task is None:
-            return
-        self._heartbeat_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._heartbeat_task
-        self._heartbeat_task = None
-
     async def crash(self) -> None:
         """Simulate abrupt process death: stop all activity, drop links.
 
@@ -940,26 +1294,171 @@ class LocalServer(NodeHost):
         self._crashed = True
         self.crashes += 1
         self._resumed = asyncio.Event()
-        await self._stop_heartbeats()
-        if self._root_task is not None:
-            self._root_task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await self._root_task
-            self._root_task = None
-        if self._root_stream is not None:
+        await self._stop_tasks()
+        for stream in self._upstreams.values():
             with contextlib.suppress(TransportError):
-                await self._root_stream.close()
+                await stream.close()
 
     async def restart(self) -> None:
-        """Come back up: redial the root and resume the session."""
+        """Come back up: redial every live upstream and resume."""
         self._crashed = False
-        if not await self._reconnect():
-            raise TransportError(
-                f"local {self.node_id} could not re-reach the root "
-                "after restarting"
-            )
-        self._start_root_task()
+        for peer_id in list(self._upstreams):
+            if not self._is_fenced(peer_id) and not await self._reconnect(
+                peer_id
+            ):
+                raise TransportError(
+                    f"local {self.node_id} could not re-reach peer "
+                    f"{peer_id} after restarting"
+                )
+        self._start_tasks()
         self._resumed.set()
+
+    # -- shard failover ------------------------------------------------
+
+    async def _on_shard_failover(self, message: ShardFailoverMessage) -> None:
+        """Converge on a newer shard map and replay retained windows.
+
+        The successor now owns the dead shard's windows; every sealed
+        window still retained (sent but unreleased — the release is the
+        pruning horizon) is re-announced so the new owner can run the
+        unmodified identification/calculation protocol on it.  Windows
+        the dead shard already answered get back a release instead.
+        Stale (non-monotonic) epochs are ignored: that is the fence
+        against a dead shard's late resurrection.
+        """
+        if message.epoch <= self._shard_map.epoch:
+            return
+        self._shard_map = ShardMap(
+            n_shards=self._shard_map.n_shards,
+            epoch=message.epoch,
+            dead=frozenset(message.dead),
+        )
+        self.failovers_seen += 1
+        if self.tracer.enabled:
+            now = self.fabric.now
+            self.tracer.record(
+                "shard_failover", self.node_id, now, now,
+                epoch=message.epoch, dead=len(message.dead),
+            )
+            self.tracer.registry.counter(
+                "shard_failovers_seen_total",
+                "Failover announcements applied by mesh hosts.",
+            ).inc()
+        self.node.replay_pending(self.fabric.now)
+        if not self.wire_tracing:
+            await self.flush()
+            return
+        # Each replayed window's frames travel under a fresh
+        # ``live_failover_replay`` span carrying the window's trace id and
+        # the new shard-map epoch, so the successor shard's dispatch spans
+        # parent onto it and the stitched timeline spans both the dead
+        # shard's work and its adopter's.
+        by_window: "dict[Window, list[tuple[int, Message]]]" = {}
+        for dst, queued in self.fabric.drain():
+            by_window.setdefault(queued.window, []).append((dst, queued))
+        for window in sorted(by_window, key=lambda w: w.start):
+            trace_id = trace_id_for_window(window.start)
+            span_id = 0
+            if should_sample(trace_id, self._sample_rate):
+                span_id = self.tracer.begin(
+                    "live_failover_replay", self.node_id, self.fabric.now,
+                    window=window, trace_id=trace_id, epoch=message.epoch,
+                )
+            with context_scope(
+                TraceContext(trace_id, span_id) if span_id else None
+            ):
+                await self._send_routed(
+                    by_window[window], droppable=self._drop_unroutable
+                )
+            if span_id:
+                self.tracer.end(span_id, self.fabric.now)
+
+    # -- fleet telemetry -----------------------------------------------
+
+    def _observe_release(self, window: Window) -> None:
+        """Sample this window's seal→release latency (once per window).
+
+        This is the local's own decentralized view of answer latency —
+        seal to release arrival, one release hop more than seal→result —
+        and it only exists when a reliability config makes roots emit
+        releases.  The authoritative seal→result digest lives on the
+        shard uplinks, fed by the cluster driver where both walls meet.
+        """
+        if window in self._released_windows:
+            return
+        self._released_windows.add(window)
+        sealed = self.seal_walls.get(window)
+        if sealed is not None:
+            self.uplink.observe(
+                "seal_to_release_s", max(0.0, self.fabric.now - sealed)
+            )
+
+    async def _telemetry_uplink(self) -> None:
+        """Summarize-and-send loop: this node's metrics, in-band.
+
+        Every interval the node refreshes its flat stats (window
+        progress, staleness, drop counters), samples its own event-loop
+        lag, and ships the cumulative digests + snapshot on the first
+        live upstream — telemetry piggybacks on connections that already
+        exist, exactly like heartbeats, so partitions and failover
+        exercise it for free.
+        """
+        uplink = self.uplink
+        assert uplink is not None
+        loop = asyncio.get_event_loop()
+        while not self._closing:
+            before = loop.time()
+            await asyncio.sleep(self._uplink_interval)
+            lag = loop.time() - before - self._uplink_interval
+            uplink.observe("event_loop_lag_s", max(0.0, lag))
+            self.refresh_uplink_stats()
+            await self.send_telemetry(uplink.build(_CONTROL_WINDOW))
+
+    def refresh_uplink_stats(self) -> None:
+        """Refresh the flat stats the next uplink snapshot will carry."""
+        uplink = self.uplink
+        if uplink is None:
+            return
+        pending = [
+            wall
+            for window, wall in self.seal_walls.items()
+            if window not in self._released_windows
+        ]
+        now = self.fabric.now
+        uplink.set_stat("windows_sealed", float(len(self.seal_walls)))
+        uplink.set_stat(
+            "windows_released", float(len(self._released_windows))
+        )
+        uplink.set_stat("windows_pending", float(len(pending)))
+        uplink.set_stat(
+            "oldest_pending_age_s",
+            max(0.0, now - min(pending)) if pending else 0.0,
+        )
+        uplink.set_stat("dropped_sends", float(self.dropped_sends))
+        uplink.set_stat("failovers_seen", float(self.failovers_seen))
+
+    async def send_telemetry(self, frames: "Sequence[Message]") -> None:
+        """Ship one uplink's frames on the first live upstream.
+
+        One upstream suffices — every shard feeds the same collector, and
+        cumulative sequence-stamped digests make the choice of carrier
+        irrelevant.  A dead or fenced upstream just means the next one
+        carries this round.
+        """
+        if not frames:
+            return
+        for peer_id in sorted(self._upstreams):
+            if self._is_fenced(peer_id):
+                continue
+            stream = self._upstreams[peer_id]
+            try:
+                for frame in frames:
+                    await stream.send(frame)
+                return
+            except TransportError:
+                continue
+
+    # -- downstream: the stream servers --------------------------------
 
     async def serve(self, stream: MessageStream) -> None:
         """Connection handler for one dialing stream server."""
@@ -1048,29 +1547,27 @@ class LocalServer(NodeHost):
         watermark = min(self._watermarks.values())
         await self._ship_plane(plane.on_watermark(watermark))
 
+    def _resolve(self, dst: int, message: Message) -> int:
+        """The operator addresses the root as id 0; the host resolves that
+        to the relay uplink, or to the owner shard of the frame's window."""
+        if dst != 0:
+            return dst
+        if self._relay_peer is not None:
+            return self._relay_peer
+        return shard_node_id(self._shard_map.owner(
+            message.window.start, self._window_length_ms,
+        ))
+
     async def _ship_plane(self, messages: "list[Message]") -> None:
-        """Send query-plane messages to the root session."""
-        stream = self._peers.get(0)
-        for reply in messages:
-            if stream is None:
-                self.dropped_sends += 1
-                continue
-            try:
-                await stream.send(reply)
-            except TransportError:
-                self.dropped_sends += 1
+        """Send query-plane messages toward the root; losses are counted."""
+        await self._send_routed(
+            [(0, reply) for reply in messages], droppable=True
+        )
 
     async def shutdown(self) -> None:
-        """Stop listening to the root (called by the cluster on teardown)."""
+        """Stop every upstream task (called by the cluster on teardown)."""
         self._closing = True
-        await self._stop_heartbeats()
-        if self._root_task is not None:
-            self._root_task.cancel()
-            try:
-                await self._root_task
-            except asyncio.CancelledError:
-                pass
-            self._root_task = None
+        await self._stop_tasks()
 
 
 def batches_for(

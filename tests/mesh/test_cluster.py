@@ -198,7 +198,7 @@ class TestChaosComposition:
 
     def test_crashed_local_degrades_instead_of_hanging(self):
         async def crash_one(ctx):
-            await ctx.locals_by_id[2].crash_mesh()
+            await ctx.locals_by_id[2].crash()
 
         config = MeshConfig(
             n_locals=4,

@@ -8,7 +8,7 @@ windows from the locals' and relays' retained buffers and runs the
 unmodified operators on them.
 
 Kills are pinned to a protocol point with
-:meth:`~repro.mesh.servers.MeshRootServer.crash_after` (the victim dies
+:meth:`~repro.runtime.servers.RootServer.crash_after` (the victim dies
 right after its N-th answered window): unpaced replays burst through a
 whole run between event-loop ticks, so wall-clock kill schedules always
 land after completion and test nothing.
@@ -18,12 +18,11 @@ import pytest
 
 from repro.bench.generator import GeneratorConfig, workload
 from repro.core.query import QuantileQuery
-from repro.errors import ConfigurationError
 from repro.faults.plan import ToleranceConfig
 from repro.mesh.cluster import classify_outcomes, mesh_oracle, run_mesh
 from repro.mesh.config import MeshConfig
 from repro.mesh.routing import ShardMap
-from repro.mesh.servers import MeshRootServer
+from repro.runtime.servers import RootServer
 
 #: Fixed γ — the bit-identity configuration.
 QUERY = QuantileQuery(q=0.5, gamma=10_000)
@@ -169,7 +168,7 @@ class TestFailoverMechanics:
         from repro.streaming.windows import Window
 
         async def scenario():
-            shard = MeshRootServer(
+            shard = RootServer(
                 DemaRootNode(
                     1 << 20,
                     local_ids=[1, 2],

@@ -20,6 +20,7 @@ from repro.bench.generator import GeneratorConfig, workload
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
+from repro.mesh.routing import shard_node_id
 from repro.network.topology import TopologyConfig
 from repro.obs.tracer import RecordingTracer
 from repro.runtime.cluster import LiveClusterConfig, run_live
@@ -134,13 +135,15 @@ def test_tracer_records_live_links_and_messages():
     assert "CandidateEventsMessage" in kinds
 
     registry = tracer.registry
-    # Every local ↔ root link got byte and message gauges.
+    # Every local ↔ root link got byte and message gauges (the lone root
+    # is shard 0 of one).
+    root = str(shard_node_id(0))
     for local_id in range(1, N_LOCALS + 1):
-        up = registry.value("live_link_bytes", src=str(local_id), dst="0")
-        down = registry.value("live_link_bytes", src="0", dst=str(local_id))
+        up = registry.value("live_link_bytes", src=str(local_id), dst=root)
+        down = registry.value("live_link_bytes", src=root, dst=str(local_id))
         assert up > 0 and down > 0
         assert registry.value(
-            "live_link_messages", src=str(local_id), dst="0"
+            "live_link_messages", src=str(local_id), dst=root
         ) > 0
 
 

@@ -33,6 +33,7 @@ from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.errors import TransportError
 from repro.faults.plan import FaultEvent, FaultPlan, ToleranceConfig
+from repro.mesh.routing import shard_node_id
 from repro.network.topology import TopologyConfig
 from repro.obs.live import (
     LIVE_PHASES,
@@ -143,11 +144,12 @@ class TestCausalTimeline:
         timeline = window_timeline(tracer.spans, 0)
         # Every lifecycle phase appears...
         assert set(LIVE_PHASES) <= set(timeline["phases"])
-        # ...across all three layers: root 0, locals 1..2, streams 3+.
+        # ...across all three layers: the root (shard 0 of one), locals
+        # 1..2, and the streams above them.
         nodes = set(timeline["nodes"])
-        assert 0 in nodes
+        assert shard_node_id(0) in nodes
         assert nodes & set(range(1, N_LOCALS + 1))
-        assert any(node > N_LOCALS for node in nodes)
+        assert any(node > shard_node_id(0) for node in nodes)
 
     def test_every_wire_hop_has_a_resolvable_parent(self, transport):
         _, tracer = _traced_run(transport)

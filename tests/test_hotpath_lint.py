@@ -52,7 +52,6 @@ EXPECTED_MARKED = {
     "core/synopsis.py",
     "core/window_cut.py",
     "mesh/relay.py",
-    "mesh/servers.py",
     "queries/local.py",
     "queries/slide.py",
     "runtime/codec.py",
@@ -182,6 +181,68 @@ def _representation_forks():
 
 def test_live_path_forks_on_representation_only_at_its_edges():
     assert _representation_forks() <= ALLOWED_REPRESENTATION_FORKS
+
+
+#: One live cluster: each host class is constructed in exactly one
+#: function of the package — the one driver.  A second construction site
+#: is a second driver (or a subclass standing in for one) growing back.
+HOST_CONSTRUCTORS = {
+    "RootServer": ("runtime/cluster.py", "run_cluster"),
+    "LocalServer": ("runtime/cluster.py", "wire_local"),
+    "RelayServer": ("runtime/cluster.py", "run_cluster"),
+    "StreamServer": ("runtime/cluster.py", "start_replays"),
+    "FailoverController": ("runtime/cluster.py", "run_cluster"),
+}
+
+
+def _innermost_scopes(tree):
+    """``(innermost enclosing function name, node)`` for every node."""
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        for child in ast.iter_child_nodes(node):
+            yield scope, child
+            yield from visit(child, scope)
+
+    yield from visit(tree, "<module>")
+
+
+def _constructions(source, names):
+    return {
+        (getattr(node.func, "id", None) or node.func.attr, scope)
+        for scope, node in _innermost_scopes(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+        in names
+    }
+
+
+def test_each_host_is_constructed_in_exactly_one_function():
+    sites = {}
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        name = path.relative_to(PACKAGE_ROOT).as_posix()
+        for host, scope in _constructions(path.read_text(), HOST_CONSTRUCTORS):
+            sites.setdefault(host, set()).add((name, scope))
+    assert sites == {
+        host: {site} for host, site in HOST_CONSTRUCTORS.items()
+    }
+
+
+def test_constructor_lint_sees_nested_functions_and_attribute_calls():
+    source = (
+        "async def run_cluster():\n"
+        "    root = RootServer(node)\n"
+        "    async def wire_local():\n"
+        "        return servers.LocalServer(node)\n"
+        "def other():\n"
+        "    return [RootServer(n) for n in nodes], RootServer\n"
+    )
+    assert _constructions(source, {"RootServer", "LocalServer"}) == {
+        ("RootServer", "run_cluster"),
+        ("LocalServer", "wire_local"),
+        ("RootServer", "other"),
+    }
 
 
 def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
