@@ -16,18 +16,19 @@ Two ingest shapes share the class:
   binary insertion pays on large windows.
 * **Columnar batches** (the live hot path and the query plane's panes):
   :class:`EventColumns` chunks collect unconverted; compaction
-  concatenates them and sorts/merges on the parallel arrays via
-  :func:`repro.streaming.columns.merge_runs`, never materializing
-  per-event objects.  The run itself then *stays* columnar through
-  :meth:`seal` into slicing.
+  concatenates them and orders the rows via
+  :func:`repro.streaming.columns.merge_runs` — one unstable ``argsort``
+  of the value column, ties repaired by ``(node_id, seq)``, one ``take``
+  of whole records — never materializing per-event objects.  The run
+  itself then *stays* columnar through :meth:`seal` into slicing.
 
 The observable contract is identical either way: :meth:`seal`,
 :meth:`sorted_events` and iteration yield the one sorted sequence the
 insertion-based implementation produced (the total-order key is strict,
-so there is exactly one sorted permutation; with NaN values the columnar
-merge mirrors the object path's comparisons bit for bit).  A window fed a
-*mix* of object and columnar batches degrades to the object algorithm
-over the materialized union.
+so there is exactly one sorted permutation and no sort needs to be stable
+to find it; with NaN values the columnar merge mirrors the object path's
+comparisons bit for bit).  A window fed a *mix* of object and columnar
+batches degrades to the object algorithm over the materialized union.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ __all__ = ["SortedLocalWindow"]
 class SortedLocalWindow:
     """Events of one local window, kept sorted by total-order key."""
 
-    __slots__ = ("_run", "_buffer", "_chunks", "_sealed")
+    __slots__ = ("_run", "_buffer", "_chunks", "_chunked", "_sealed")
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
         # _run is list[Event] (object mode) or EventColumns (columnar).
@@ -58,14 +59,13 @@ class SortedLocalWindow:
             self._run = sorted(events, key=event_key)
         self._buffer: list[Event] = []
         self._chunks: list[EventColumns] = []
+        #: Events held in ``_chunks`` — ``len()`` runs once per ingested
+        #: batch, so it must not walk the chunk list.
+        self._chunked = 0
         self._sealed = False
 
     def __len__(self) -> int:
-        return (
-            len(self._run)
-            + len(self._buffer)
-            + sum(len(chunk) for chunk in self._chunks)
-        )
+        return len(self._run) + len(self._buffer) + self._chunked
 
     def __iter__(self) -> Iterator[Event]:
         """Iterate events in sorted order (compacts first)."""
@@ -102,6 +102,7 @@ class SortedLocalWindow:
         if isinstance(events, EventColumns):
             if len(events):
                 self._chunks.append(events)
+                self._chunked += len(events)
         else:
             self._buffer.extend(events)
 
@@ -133,20 +134,19 @@ class SortedLocalWindow:
         buf = self._buffer
         if chunks:
             run = self._run
+            self._chunks, self._chunked = [], 0
             if not buf and (isinstance(run, EventColumns) or not run):
                 # Pure columnar: sort/merge on the parallel arrays.
                 pending = concat_columns(chunks)
                 self._run = merge_runs(
                     run if isinstance(run, EventColumns) else None, pending
                 )
-                self._chunks = []
                 return
             # Mixed object/columnar feed: degrade to the object algorithm
             # over everything.  Chunk events join the pending buffer; a
             # columnar run rematerializes once.
             for chunk in chunks:
                 buf.extend(chunk)
-            self._chunks = []
             if isinstance(run, EventColumns):
                 self._run = list(run)
         elif isinstance(self._run, EventColumns) and buf:

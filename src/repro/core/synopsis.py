@@ -25,7 +25,7 @@ import numpy as _np
 
 from repro.errors import CodecError, SliceError
 from repro.runtime import wire
-from repro.streaming.columns import concat_records
+from repro.streaming.columns import _key_order, concat_records
 from repro.streaming.events import EventKey
 
 # Hot-path module: a batch of synopses is one array end to end; the only
@@ -326,19 +326,11 @@ class SynopsisColumns:
         values = _np.concatenate((arr["first_value"], arr["last_value"]))
         nodes = _np.concatenate((arr["first_node"], arr["last_node"]))
         seqs = _np.concatenate((arr["first_seq"], arr["last_seq"]))
-        # Sort by value, then break ties — rare on real-valued data — among
-        # the tied keys only (which permutes equal values, so ``values``
-        # stays sorted): a three-key lexsort of everything costs 7× the
-        # one argsort.
-        order = _np.argsort(values, kind="stable")
+        # A batch is a few nodes' slices, each node's in key order: on
+        # sorted runs numpy's mergesort beats its unstable kernel (0.41
+        # vs 0.70 ms for 40,000 keys; on random keys 3.1 vs 0.5).
+        order = _key_order(values, nodes, seqs, kind="stable")
         values = values[order]
-        tied = _np.zeros(len(order) + 1, dtype=bool)
-        tied[1:-1] = values[1:] == values[:-1]
-        tied = _np.flatnonzero(tied[1:] | tied[:-1])
-        keys = order[tied]
-        order[tied] = keys[
-            _np.lexsort((seqs[keys], nodes[keys], values[tied]))
-        ]
         nodes, seqs = nodes[order], seqs[order]
         distinct = _np.ones(len(order), dtype=_np.intp)
         distinct[1:] = (

@@ -4,12 +4,12 @@ Overlapping sliding windows share events; re-sorting every window from
 scratch sorts every shared event once per *slide*.  For a non-decomposable
 function the partial that overlapping windows can share is the **sorted
 pane run**: events are bucketed into fixed panes of ``gcd(length, step)``
-ms, each pane is sorted exactly once, and a window's run is one stable
-sort of the concatenation of its panes' runs.  Because the total order
+ms, each pane is sorted exactly once, and a window's run is one sort of
+the concatenation of its panes' runs.  Because the total order
 :func:`~repro.streaming.events.event_key` is strict (no two events compare
 equal) that is the byte-identical sequence a full sort of the window gives
 (property-tested in ``tests/queries``).  There is no merge tree over the
-runs: on columns merging two sorted runs *is* a ``lexsort`` of their
+runs: on columns merging two sorted runs *is* a sort of their
 concatenation, so each node of a tree would re-sort its inputs
 (docs/queries.md has the measurements).
 

@@ -13,23 +13,29 @@ is exactly where the hot-path lint allows construction.
 
 The columns are views into one structured ndarray with the exact wire
 dtype (:data:`EVENT_DTYPE`), so decode is ``np.frombuffer`` and encode is
-``tobytes`` — no per-event work at all.  Sorting uses a stable
-``np.lexsort`` over the total-order key.
+``tobytes`` — no per-event work at all.  Sorting is one unstable
+``np.argsort`` of the value column plus a repair of the rows whose
+values tie (:func:`_key_order`).
 
 **Bit-identity contract.**  Every operation here produces *exactly* the
 sequence the object path produces:
 
 * The total-order key ``(value, node_id, seq)`` is strict (node_id/seq
-  pairs are unique), so for NaN-free data any correct sort yields the one
-  sorted permutation, and a *stable* sort over ``run ++ buffer`` equals
-  the object path's "sort buffer, then merge with run priority on ties"
-  even if keys ever collide.  ``np.lexsort`` is stable, so it qualifies.
+  pairs are unique), so for NaN-free data there is exactly one sorted
+  permutation and any correct sort yields it — stability buys nothing.
+  The sort therefore orders by value alone with numpy's fastest
+  (unstable) kernel and then puts only the rows inside runs of equal
+  values (``-0.0 == 0.0`` included) in ``(node_id, seq)`` order.  Should
+  keys ever collide outright, the repair leaves exact twins in arrival
+  order over ``run ++ buffer``, which equals the object path's "sort
+  buffer, then merge with run priority on ties".
 * NaN values break comparison sorts deterministically-but-arbitrarily;
-  ``np.lexsort`` would instead push NaNs last, diverging from the object
-  path.  Batches containing NaN therefore fall back to a comparison
-  mirror — index sort with the same key tuples plus the same two-pointer
-  merge — which performs the identical comparisons in the identical
-  order, reproducing the object path's permutation bit for bit.
+  numpy would instead push NaNs last, diverging from the object path.
+  Batches containing NaN (seen on the last sorted value) therefore fall
+  back to a comparison mirror — index sort with the same key tuples plus
+  the same two-pointer merge — which performs the identical comparisons
+  in the identical order, reproducing the object path's permutation bit
+  for bit.
 """
 
 from __future__ import annotations
@@ -260,9 +266,6 @@ class EventColumns:
             for value, _, node_id, seq in self._arr.tolist()
         ]
 
-    def has_nan(self) -> bool:
-        return bool(_np.isnan(self._arr["value"]).any())
-
 
 def concat_records(arrays: Sequence, dtype):
     """Concatenate packed structured arrays of one ``dtype``, in order.
@@ -324,23 +327,63 @@ def _merge_comparison_mirror(
     return concat_columns([run, pending])._take(merged)
 
 
+#: ``_key_order`` repairs ties in place while at most one neighbouring
+#: pair of sorted values in this many is equal; above that (quantised
+#: data) one stable sort of everything is cheaper than the repair.
+#: Measured, not a setting: on a 50,000-row window the repair wins up to
+#: about two equal pairs in five (docs/performance.md).
+_TIE_REPAIR_LIMIT = 4
+
+
+def _key_order(values, node_ids, seqs, kind=None):
+    """The permutation ``np.lexsort((seqs, node_ids, values))`` returns —
+    rows by ``(value, node_id, seq)``, equal keys in index order — without
+    a stable sort of every row.  NaN values come last, in no set order.
+
+    One ``argsort`` of the contiguous value column — numpy's default,
+    unstable kernel unless the caller knows a ``kind`` that suits its
+    input better — orders all rows whose value is unique.  Rows in runs
+    of equal values are taken in index order and sorted by the full key
+    among themselves, which fills the positions they occupy; only they
+    are touched.
+    """
+    values = _np.ascontiguousarray(values)
+    order = _np.argsort(values, kind=kind)
+    ranked = values.take(order)
+    tie = ranked[1:] == ranked[:-1]
+    ties = _np.count_nonzero(tie)
+    if not ties:
+        return order
+    if ties * _TIE_REPAIR_LIMIT > len(order):
+        return _np.lexsort((seqs, node_ids, values))
+    tied = _np.zeros(len(order) + 1, dtype=bool)
+    tied[1:-1] = tie
+    tied = _np.flatnonzero(tied[1:] | tied[:-1])
+    rows = _np.sort(order[tied])
+    order[tied] = rows[
+        _np.lexsort((seqs[rows], node_ids[rows], values[rows]))
+    ]
+    return order
+
+
 def merge_runs(
     run: "EventColumns | None", pending: EventColumns
 ) -> EventColumns:
     """Sort ``pending`` and merge it into the sorted ``run``.
 
-    Bit-identical to the object path (see the module docstring): a stable
-    ``lexsort`` over ``run ++ pending`` when no value is NaN, the
+    Bit-identical to the object path (see the module docstring): the one
+    permutation the strict key allows over ``run ++ pending`` — exact
+    twins in arrival order, run first — when no value is NaN, the
     comparison mirror otherwise.
     """
     full = pending if run is None or not len(run) else concat_columns(
         [run, pending]
     )
-    if not full.has_nan():
-        arr = full._arr
-        order = _np.lexsort((arr["seq"], arr["node_id"], arr["value"]))
-        return EventColumns(arr.take(order))
-    return _merge_comparison_mirror(run, pending)
+    arr = full._arr
+    order = _key_order(arr["value"], arr["node_id"], arr["seq"])
+    if _np.isnan(arr["value"][order[-1:]]).any():
+        return _merge_comparison_mirror(run, pending)
+    return EventColumns(arr.take(order))
 
 
 def select_rank(runs: Sequence, local_rank: int) -> "Event | None":

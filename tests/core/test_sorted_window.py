@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SliceError
 from repro.core.sorted_window import SortedLocalWindow
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 
 
@@ -38,6 +39,27 @@ class TestInsertion:
         for event in events:
             window.add(event)
         assert len(window) == 100
+
+    @pytest.mark.parametrize("feed", ["object", "columnar", "mixed"])
+    def test_len_is_constant_time_bookkeeping(self, feed):
+        # len() is a running count, not a walk over the chunk list: it
+        # must still be exact after every add_all, whichever form the
+        # batches take, and across a mid-window compaction.
+        window = SortedLocalWindow()
+        total = 0
+        for index, size in enumerate([5, 0, 17, 1, 64, 3, 9, 30]):
+            batch = make_events(
+                [float((index * 7 + k) % 11) for k in range(size)],
+                start_seq=total,
+            )
+            columnar = feed == "columnar" or (feed == "mixed" and index % 2)
+            window.add_all(EventColumns.from_events(batch) if columnar else batch)
+            total += size
+            assert len(window) == total
+            if index == 4:
+                assert len(window.sorted_events()) == total
+                assert len(window) == total
+        assert len(window.seal()) == total == len(window)
 
     def test_iteration_is_sorted(self):
         window = SortedLocalWindow()
@@ -129,8 +151,6 @@ class TestSnapshotSemantics:
         assert [e.value for e in after] == [1.0, 2.0, 3.0]
 
     def test_columnar_snapshot_is_the_run(self):
-        from repro.streaming.columns import EventColumns
-
         window = SortedLocalWindow()
         window.add_all(EventColumns.from_events(make_events([3, 1, 2])))
         snapshot = window.sorted_events()

@@ -61,28 +61,14 @@ def _synopsis_bits(synopsis):
 # a shared NaN object would flip tuple comparisons through CPython's
 # identity fast path, an order production never sees.
 _values = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, float("nan"), float("inf")]),
+    st.sampled_from(
+        [0.0, -0.0, 1.0, -1.0, float("nan"), float("inf"), float("-inf")]
+    ),
     st.floats(allow_nan=True, allow_infinity=True, width=64),
 ).map(lambda v: _F64.unpack(_F64.pack(v))[0])
 
 
-@st.composite
-def event_batches(draw):
-    """A chunked arrival sequence: list of chunks of events.
-
-    Timestamps are drawn independently, so chunks routinely contain
-    late events relative to earlier chunks.
-    """
-    n = draw(st.integers(min_value=0, max_value=60))
-    events = [
-        Event(
-            value=draw(_values),
-            timestamp=draw(st.integers(min_value=0, max_value=50)),
-            node_id=draw(st.integers(min_value=1, max_value=3)),
-            seq=i,
-        )
-        for i in range(n)
-    ]
+def _chunked(draw, events):
     chunks = []
     while events:
         size = draw(st.integers(min_value=1, max_value=max(1, len(events))))
@@ -91,14 +77,79 @@ def event_batches(draw):
     return chunks
 
 
+@st.composite
+def event_batches(draw, twins=False):
+    """A chunked arrival sequence: list of chunks of events.
+
+    Timestamps are drawn independently, so chunks routinely contain
+    late events relative to earlier chunks.  With ``twins`` the sequence
+    numbers repeat, so whole keys collide and only the timestamps tell
+    such events apart.
+    """
+    n = draw(st.integers(min_value=0, max_value=60))
+    events = [
+        Event(
+            value=draw(_values),
+            timestamp=draw(st.integers(min_value=0, max_value=50)),
+            node_id=draw(st.integers(min_value=1, max_value=3)),
+            seq=draw(st.integers(min_value=0, max_value=3)) if twins else i,
+        )
+        for i in range(n)
+    ]
+    return _chunked(draw, events)
+
+
+@st.composite
+def rare_tie_batches(draw):
+    """Distinct NaN-free values, then a few rows (at most one in eight)
+    re-use another row's value — a zero possibly with the other sign — and
+    half of those its whole key: ties rare enough that the sort kernel
+    repairs them in place instead of falling back to a stable sort."""
+    values = draw(st.lists(
+        st.floats(allow_nan=False, allow_infinity=True, width=64),
+        min_size=8, max_size=60, unique=True,
+    ))
+    n = len(values)
+    events = [
+        Event(
+            value=value,
+            timestamp=draw(st.integers(min_value=0, max_value=50)),
+            node_id=draw(st.integers(min_value=1, max_value=3)),
+            seq=i,
+        )
+        for i, value in enumerate(values)
+    ]
+    rows = st.integers(min_value=0, max_value=n - 1)
+    for _ in range(draw(st.integers(min_value=1, max_value=n // 8))):
+        source, target = events[draw(rows)], draw(rows)
+        value = source.value
+        if value == 0.0 and draw(st.booleans()):
+            value = -value
+        whole_key = draw(st.booleans())
+        events[target] = Event(
+            value=value,
+            timestamp=events[target].timestamp,
+            node_id=source.node_id if whole_key else events[target].node_id,
+            seq=source.seq if whole_key else events[target].seq,
+        )
+    return _chunked(draw, events)
+
+
 @pytest.fixture(params=["numpy"], autouse=True)
 def backend(request):
     """The one representation; the parameter keeps the recorded test ids."""
     return request.param
 
 
-@given(event_batches(), st.booleans())
-@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        event_batches(),
+        event_batches(twins=True),
+        rare_tie_batches(),
+    ),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
 def test_sealed_windows_identical(chunks, compact_between):
     object_window = SortedLocalWindow()
     columnar_window = SortedLocalWindow()

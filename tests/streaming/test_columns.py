@@ -1,8 +1,10 @@
 """Unit tests for the columnar event-batch type."""
 
 import math
+import random
 import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import CodecError
@@ -116,6 +118,55 @@ class TestSequenceProtocol:
         ).timestamps_sorted()
 
 
+def _events(values, *, nodes=(1,), seqs=None):
+    """Events in arrival order: distinct timestamps, ``nodes`` cycled,
+    ``seq`` the arrival index unless given (repeats make exact twins)."""
+    return [
+        Event(
+            value=value, timestamp=index, node_id=nodes[index % len(nodes)],
+            seq=index if seqs is None else seqs[index],
+        )
+        for index, value in enumerate(values)
+    ]
+
+
+def _input_classes():
+    rng = random.Random(5)
+    inf = float("inf")
+    pool = [0.5, 1.5, 2.5]
+    return {
+        "continuous": _events([rng.random() for _ in range(200)]),
+        "value_pool": _events(
+            [rng.choice(pool) for _ in range(200)], nodes=(3, 1, 2)
+        ),
+        "rare_ties": _events(
+            [rng.random() for _ in range(180)] + [0.25] * 3 + [0.75] * 2,
+            nodes=(2, 1),
+        ),
+        "signed_zeros": _events(
+            [rng.choice([0.0, -0.0]) for _ in range(30)]
+            + [rng.random() - 0.5 for _ in range(170)],
+            nodes=(2, 1),
+        ),
+        "infinities": _events(
+            [rng.choice([inf, -inf]) for _ in range(20)]
+            + [rng.random() for _ in range(180)],
+            nodes=(1, 2),
+        ),
+        # Keys collide outright, timestamps tell the twins apart.
+        "exact_twins": _events(
+            [rng.choice(pool) for _ in range(40)]
+            + [rng.random() for _ in range(160)],
+            seqs=[rng.randrange(4) for _ in range(200)],
+        ),
+    }
+
+
+#: What a window's values can look like, by name — each held against the
+#: object path byte for byte.
+INPUT_CLASSES = _input_classes()
+
+
 class TestMergeRuns:
     def test_sorts_like_object_path(self, backend):
         pending = EventColumns.from_events(EVENTS)
@@ -187,6 +238,58 @@ class TestMergeRuns:
         run = merge_runs(None, EventColumns.from_events([twin]))
         merged = merge_runs(run, EventColumns.from_events([twin]))
         assert list(merged) == [twin, twin]
+
+    @pytest.mark.parametrize("name", sorted(INPUT_CLASSES))
+    def test_input_class_sorts_like_object_path(self, backend, name):
+        events = INPUT_CLASSES[name]
+        merged = merge_runs(None, EventColumns.from_events(events))
+        assert merged.to_wire() == _pack(sorted(events, key=event_key))
+
+    @pytest.mark.parametrize("name", sorted(INPUT_CLASSES))
+    def test_input_class_merges_into_sorted_run(self, backend, name):
+        events = INPUT_CLASSES[name]
+        head, tail = events[:70], events[70:]
+        run = merge_runs(None, EventColumns.from_events(head))
+        merged = merge_runs(run, EventColumns.from_events(tail))
+        # Twins: the run's before pending's, each side in arrival order.
+        expected = sorted(sorted(head, key=event_key) + tail, key=event_key)
+        assert merged.to_wire() == _pack(expected)
+
+    @pytest.mark.parametrize(
+        "decimals, repaired", [(3, True), (0, False)]
+    )
+    def test_large_windows_on_both_sides_of_the_tie_limit(
+        self, backend, decimals, repaired
+    ):
+        # Hypothesis-sized windows never reach the tie limit with real
+        # values; these land below it (ties repaired in place) and above
+        # it (one stable sort of everything).
+        n = 16_384
+        rng = np.random.default_rng(42)
+        values = np.round(rng.normal(50.0, 20.0, n), decimals)
+        cols = EventColumns.from_arrays(
+            values, np.arange(n), rng.integers(1, 4, n)
+        )
+        ties = n - len(np.unique(values))
+        assert 0 < ties
+        assert (ties * columns._TIE_REPAIR_LIMIT <= n) == repaired
+        expected = np.lexsort((cols.seqs, cols.node_ids, cols.values))
+        assert merge_runs(None, cols).to_wire() == cols[expected].to_wire()
+
+    def test_nan_values_order_last(self, backend):
+        # The kernel's own NaN rule (merge_runs reads it off the last row
+        # and hands the batch to the comparison mirror).
+        values = np.array([2.0, float("nan"), 1.0, 1.0, float("nan"), 0.5])
+        nodes = np.array([1, 1, 2, 1, 2, 2], dtype="<u4")
+        seqs = np.arange(6, dtype="<u4")
+        order = columns._key_order(values, nodes, seqs).tolist()
+        assert order[:4] == [5, 3, 2, 0]
+        assert sorted(order[4:]) == [1, 4]
+
+    def test_empty(self, backend):
+        empty = EventColumns.from_wire(b"")
+        assert merge_runs(None, empty).to_wire() == b""
+        assert merge_runs(empty, empty).to_wire() == b""
 
 
 class TestConcat:

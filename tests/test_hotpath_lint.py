@@ -22,6 +22,10 @@ cluster's entry point and its root every batch is an ``EventColumns``, so
 ``isinstance(…, EventColumns)`` inside ``runtime/``, ``mesh/`` and
 ``queries/`` is a fork on what the caller handed in — allowed only where
 a ``Sequence`` of events is still legitimately accepted.
+
+And one keeps the ordering of rows in one place: numpy sorts on the live
+path occur only inside a short list of named functions, so a second
+(stable, whole-window) sort cannot arrive unnoticed.
 """
 
 import ast
@@ -243,6 +247,71 @@ def test_constructor_lint_sees_nested_functions_and_attribute_calls():
         ("LocalServer", "wire_local"),
         ("RootServer", "other"),
     }
+
+
+#: The functions of the live-path modules that may call a numpy or in-place
+#: sort (``lexsort``, ``argsort``, ``np.sort``, ``.sort(``): the shared
+#: key-order kernel every window sort goes through, the root's rank select
+#: (ties at one value only), window-cut's sweep over synopsis ranks, and
+#: the object-mode compaction.  The builtin ``sorted`` is not policed — it
+#: orders dict keys all over ``runtime/``; the comparison mirrors
+#: (``_merge_comparison_mirror``, ``_sweep_rows``) are its only row users.
+ALLOWED_SORT_SITES = {
+    ("streaming/columns.py", "_key_order"),
+    ("streaming/columns.py", "select_rank"),
+    ("core/window_cut.py", "_sweep_columns"),
+    ("core/sorted_window.py", "_compact"),
+}
+
+SORT_CALLS = {"lexsort", "argsort", "sort"}
+
+LIVE_PATH_MODULES = (
+    "streaming/columns.py",
+    "core/sorted_window.py",
+    "core/slicing.py",
+    "core/synopsis.py",
+    "core/window_cut.py",
+    "queries/slide.py",
+    "runtime/*.py",
+    "mesh/*.py",
+)
+
+
+def _sort_sites(source):
+    return {
+        scope
+        for scope, node in _innermost_scopes(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in SORT_CALLS
+    }
+
+
+def test_rows_are_ordered_in_one_place():
+    sites = set()
+    for pattern in LIVE_PATH_MODULES:
+        paths = sorted(PACKAGE_ROOT.glob(pattern))
+        assert paths, pattern
+        for path in paths:
+            name = path.relative_to(PACKAGE_ROOT).as_posix()
+            sites |= {(name, scope) for scope in _sort_sites(path.read_text())}
+    assert sites == ALLOWED_SORT_SITES
+
+
+def test_sort_lint_sees_numpy_and_method_sorts_only():
+    source = (
+        "def seal(arr):\n"
+        "    order = _np.lexsort((arr['seq'], arr['value']))\n"
+        "    def inner():\n"
+        "        return np.argsort(arr, kind='stable')\n"
+        "def compact(buf):\n"
+        "    buf.sort(key=event_key)\n"
+        "def copy(arr):\n"
+        "    return numpy.sort(arr)\n"
+        "def fine(d):\n"
+        "    return sorted(d), np.searchsorted(a, b), d.timestamps_sorted()\n"
+    )
+    assert _sort_sites(source) == {"seal", "inner", "compact", "copy"}
 
 
 def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
