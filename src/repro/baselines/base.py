@@ -24,12 +24,36 @@ from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 
 __all__ = [
+    "bucket_by_window",
     "WindowRecord",
     "SystemReport",
     "BaselineEngine",
     "build_system",
     "SYSTEM_NAMES",
 ]
+
+
+def bucket_by_window(
+    events: Sequence[Event], length: int, completed: "set[Window]"
+) -> tuple[list[tuple[Window, list[Event]]], int]:
+    """Group a batch by tumbling window, dropping events of ``completed`` ones.
+
+    Returns ``(groups, late)``: the open windows in the order they first
+    appear in the batch, each with its events in arrival order, and the
+    number of events whose window is in ``completed``.  Buckets are keyed by
+    the integer window start, so a ``Window`` is built and looked up in
+    ``completed`` once per distinct window per batch, not once per event.
+    """
+    buckets: dict[int, list[Event]] = {}
+    for event in events:
+        start = event.timestamp - event.timestamp % length
+        buckets.setdefault(start, []).append(event)
+    groups = [
+        (Window(start, start + length), bucket)
+        for start, bucket in buckets.items()
+    ]
+    late = sum(len(bucket) for window, bucket in groups if window in completed)
+    return [group for group in groups if group[0] not in completed], late
 
 
 @dataclass(frozen=True, slots=True)

@@ -27,7 +27,7 @@ from repro.streaming.events import Event, event_key
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.core.sorted_window import SortedLocalWindow
-from repro.baselines.base import BaselineRootMixin
+from repro.baselines.base import BaselineRootMixin, bucket_by_window
 
 __all__ = ["DesisLocalNode", "DesisRootNode"]
 
@@ -68,22 +68,17 @@ class DesisLocalNode(SimulatedNode):
         Sorting is incremental, so the per-event insertion cost is charged
         here — the same model as Dema's local node.
         """
-        batch_counts: dict[Window, int] = {}
-        sizes: dict[Window, int] = {}
-        for event in events:
-            window = self._assigner.assign(event.timestamp)[0]
-            if window in self._completed:
-                self._late_events += 1
-                continue
-            sorted_window = self._open.setdefault(window, SortedLocalWindow())
-            sorted_window.add(event)
-            batch_counts[window] = batch_counts.get(window, 0) + 1
-            sizes[window] = len(sorted_window)
-        self._events_ingested += len(events)
-        insert_ops = sum(
-            count * math.log2(max(sizes[window], 2))
-            for window, count in batch_counts.items()
+        groups, late = bucket_by_window(
+            events, self._assigner.length, self._completed
         )
+        self._late_events += late
+        insert_ops = 0.0
+        for window, bucket in groups:
+            sorted_window = self._open.setdefault(window, SortedLocalWindow())
+            for event in bucket:
+                sorted_window.add(event)
+            insert_ops += len(bucket) * math.log2(max(len(sorted_window), 2))
+        self._events_ingested += len(events)
         return self.work(INGEST_OPS * len(events) + insert_ops, now)
 
     def on_window_complete(self, window: Window, now: float) -> None:

@@ -20,7 +20,7 @@ from repro.streaming.events import Event
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.sketches.kll import KllSketch
-from repro.baselines.base import BaselineRootMixin
+from repro.baselines.base import BaselineRootMixin, bucket_by_window
 
 __all__ = ["KllLocalNode", "KllRootNode", "DEFAULT_K"]
 
@@ -69,16 +69,17 @@ class KllLocalNode(SimulatedNode):
 
     def ingest(self, events: Sequence[Event], now: float) -> float:
         """Fold the batch into the owning window's sketch."""
-        for event in events:
-            window = self._assigner.assign(event.timestamp)[0]
-            if window in self._completed:
-                self._late_events += 1
-                continue
+        groups, late = bucket_by_window(
+            events, self._assigner.length, self._completed
+        )
+        self._late_events += late
+        for window, bucket in groups:
             sketch = self._open.get(window)
             if sketch is None:
                 sketch = KllSketch(self._k, seed=self.node_id)
                 self._open[window] = sketch
-            sketch.add(event.value)
+            for event in bucket:
+                sketch.add(event.value)
         self._events_ingested += len(events)
         ops = (INGEST_OPS + _SKETCH_OPS_PER_EVENT) * len(events)
         return self.work(ops, now)

@@ -31,7 +31,11 @@ from repro.streaming.events import Event
 from repro.streaming.windows import TumblingWindows, Window
 from repro.core.query import QuantileQuery
 from repro.network.topology import TopologyConfig
-from repro.baselines.base import BaselineEngine, BaselineRootMixin
+from repro.baselines.base import (
+    BaselineEngine,
+    BaselineRootMixin,
+    bucket_by_window,
+)
 
 __all__ = [
     "PartialAggLocalNode",
@@ -126,20 +130,20 @@ class PartialAggLocalNode(SimulatedNode):
 
     def ingest(self, events: Sequence[Event], now: float) -> float:
         """Fold the batch into per-window partial aggregates (O(1) state)."""
-        for event in events:
-            window = self._assigner.assign(event.timestamp)[0]
-            if window in self._completed:
-                self._late_events += 1
-                continue
-            lifted = self._function.lift(event.value)
-            if window in self._partials:
-                self._partials[window] = self._function.combine(
-                    self._partials[window], lifted
-                )
-                self._counts[window] += 1
-            else:
-                self._partials[window] = lifted
-                self._counts[window] = 1
+        groups, late = bucket_by_window(
+            events, self._assigner.length, self._completed
+        )
+        self._late_events += late
+        for window, bucket in groups:
+            for event in bucket:
+                lifted = self._function.lift(event.value)
+                if window in self._partials:
+                    self._partials[window] = self._function.combine(
+                        self._partials[window], lifted
+                    )
+                else:
+                    self._partials[window] = lifted
+            self._counts[window] = self._counts.get(window, 0) + len(bucket)
         self._events_ingested += len(events)
         ops = (INGEST_OPS + _FOLD_OPS_PER_EVENT) * len(events)
         return self.work(ops, now)

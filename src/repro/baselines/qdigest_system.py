@@ -19,7 +19,7 @@ from repro.streaming.events import Event
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.sketches.qdigest import QDigest
-from repro.baselines.base import BaselineRootMixin
+from repro.baselines.base import BaselineRootMixin, bucket_by_window
 
 __all__ = ["QDigestLocalNode", "QDigestRootNode", "DEFAULT_VALUE_RANGE"]
 
@@ -85,16 +85,17 @@ class QDigestLocalNode(SimulatedNode):
 
     def ingest(self, events: Sequence[Event], now: float) -> float:
         """Quantize and fold the batch into the owning window's digest."""
-        for event in events:
-            window = self._assigner.assign(event.timestamp)[0]
-            if window in self._completed:
-                self._late_events += 1
-                continue
+        groups, late = bucket_by_window(
+            events, self._assigner.length, self._completed
+        )
+        self._late_events += late
+        for window, bucket in groups:
             digest = self._open.get(window)
             if digest is None:
                 digest = QDigest(self._k, self._depth)
                 self._open[window] = digest
-            digest.add(self._bucket(event.value))
+            for event in bucket:
+                digest.add(self._bucket(event.value))
         self._events_ingested += len(events)
         ops = (INGEST_OPS + _DIGEST_OPS_PER_EVENT) * len(events)
         return self.work(ops, now)

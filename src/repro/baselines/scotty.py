@@ -28,7 +28,7 @@ from repro.streaming.aggregates import quantile_rank
 from repro.streaming.events import Event, event_key
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
-from repro.baselines.base import BaselineRootMixin
+from repro.baselines.base import BaselineRootMixin, bucket_by_window
 
 __all__ = ["ScottyLocalNode", "ScottyRootNode"]
 
@@ -133,12 +133,12 @@ class ScottyRootNode(SimulatedNode, BaselineRootMixin):
             ops = receive_ops(message.payload_bytes)
             ops += INGEST_OPS * len(message.events)
             self.work(ops, now)
-            for event in message.events:
-                window = self._assigner.assign(event.timestamp)[0]
-                if window in self._closed:
-                    self._late_events += 1
-                    continue
-                self._buffers.setdefault(window, []).append(event)
+            groups, late = bucket_by_window(
+                message.events, self._assigner.length, self._closed
+            )
+            self._late_events += late
+            for window, bucket in groups:
+                self._buffers.setdefault(window, []).extend(bucket)
         elif isinstance(message, WatermarkMessage):
             seen = self._watermarks.setdefault(message.window, set())
             seen.add(message.sender)

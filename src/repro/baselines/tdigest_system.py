@@ -18,7 +18,7 @@ from repro.streaming.events import Event
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.sketches.tdigest import DEFAULT_COMPRESSION, TDigest
-from repro.baselines.base import BaselineRootMixin
+from repro.baselines.base import BaselineRootMixin, bucket_by_window
 
 __all__ = ["TDigestLocalNode", "TDigestRootNode"]
 
@@ -65,18 +65,19 @@ class TDigestLocalNode(SimulatedNode):
 
     def ingest(self, events: Sequence[Event], now: float) -> float:
         """Fold the batch into the owning window's digest."""
-        for event in events:
-            window = self._assigner.assign(event.timestamp)[0]
-            if window in self._completed:
-                self._late_events += 1
-                continue
+        groups, late = bucket_by_window(
+            events, self._assigner.length, self._completed
+        )
+        self._late_events += late
+        for window, bucket in groups:
             digest = self._open.get(window)
             if digest is None:
                 digest = TDigest(self._compression)
                 self._open[window] = digest
                 self._counts[window] = 0
-            digest.add(event.value)
-            self._counts[window] += 1
+            for event in bucket:
+                digest.add(event.value)
+            self._counts[window] += len(bucket)
         self._events_ingested += len(events)
         ops = (INGEST_OPS + _DIGEST_OPS_PER_EVENT) * len(events)
         return self.work(ops, now)

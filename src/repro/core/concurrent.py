@@ -21,8 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import ConfigurationError, IdentificationError, SliceError
-from repro.network.driver import MS_PER_SECOND
+from repro.network.driver import (
+    MS_PER_SECOND,
+    BatchSourceDriver,
+    event_timestamps,
+    window_segments,
+)
 from repro.network.messages import (
     CandidateEventsMessage,
     CandidateRequestMessage,
@@ -517,8 +524,7 @@ class ConcurrentDemaEngine:
             root_factory=root_factory,
             local_factory=local_factory,
         )
-        self._batch_size = batch_size
-        self._events_ingested = 0
+        self._driver = BatchSourceDriver(self._simulator, batch_size=batch_size)
         if self._tracer.enabled:
             for node in self._simulator.nodes.values():
                 node.set_tracer(self._tracer)
@@ -553,18 +559,28 @@ class ConcurrentDemaEngine:
             raise ConfigurationError(
                 f"streams reference unknown local nodes {sorted(unknown)}"
             )
+        assigners = {
+            group.group_id: group.prototype.assigner() for group in self._groups
+        }
         group_windows: dict[int, set[Window]] = {
-            group.group_id: set() for group in self._groups
+            group_id: set() for group_id in assigners
         }
         for local_id in self._topology.local_ids:
-            events = streams.get(local_id, ())
-            self._feed(self._simulator.nodes[local_id], events)
-            for group in self._groups:
-                assigner = group.prototype.assigner()
-                for event in events:
-                    group_windows[group.group_id].update(
-                        assigner.assign(event.timestamp)
-                    )
+            events = tuple(streams.get(local_id, ()))
+            timestamps = event_timestamps(events, ordered=True)
+            # A batch splits wherever any group's window assignment
+            # changes, so arrivals stay within their windows.
+            cuts = []
+            for group_id, assigner in assigners.items():
+                starts, windows = window_segments(timestamps, assigner)
+                cuts.append(starts)
+                group_windows[group_id].update(windows)
+            self._driver.schedule_batches(
+                self._simulator.nodes[local_id],
+                events,
+                timestamps,
+                np.unique(np.concatenate(cuts)),
+            )
         for local_id in self._topology.local_ids:
             operator = self._simulator.nodes[local_id]
             for group_id, windows in group_windows.items():
@@ -594,38 +610,5 @@ class ConcurrentDemaEngine:
             network=NetworkMetrics.capture(self._simulator),
             latency=latency,
             final_time=final_time,
-            events_ingested=self._events_ingested,
-        )
-
-    def _feed(self, operator, events: Sequence[Event]) -> None:
-        """Schedule ingestion batches; splits whenever any group's window
-        assignment changes so arrivals stay within their windows."""
-        assigners = [group.prototype.assigner() for group in self._groups]
-
-        def signature(timestamp: int):
-            return tuple(assigner.assign(timestamp) for assigner in assigners)
-
-        batch: list[Event] = []
-        last_timestamp: int | None = None
-        for event in events:
-            if last_timestamp is not None and event.timestamp < last_timestamp:
-                raise ConfigurationError(
-                    "event timestamps must be non-decreasing"
-                )
-            last_timestamp = event.timestamp
-            if batch and (
-                len(batch) >= self._batch_size
-                or signature(batch[0].timestamp) != signature(event.timestamp)
-            ):
-                self._schedule_batch(operator, tuple(batch))
-                batch = []
-            batch.append(event)
-        if batch:
-            self._schedule_batch(operator, tuple(batch))
-
-    def _schedule_batch(self, operator, batch: tuple[Event, ...]) -> None:
-        arrival = batch[-1].timestamp / MS_PER_SECOND
-        self._events_ingested += len(batch)
-        self._simulator.schedule(
-            arrival, lambda now, b=batch: operator.ingest(b, now)
+            events_ingested=self._driver.scheduled_events,
         )

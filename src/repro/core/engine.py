@@ -17,12 +17,23 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.network.driver import MS_PER_SECOND, BatchSourceDriver
+from repro.network.driver import (
+    MS_PER_SECOND,
+    BatchSourceDriver,
+    event_timestamps,
+    split_arrivals,
+    window_segments,
+)
 from repro.network.metrics import LatencyStats, NetworkMetrics
 from repro.network.simulator import Simulator
 from repro.obs.tracer import NOOP_TRACER
 from repro.network.topology import Topology, TopologyConfig
+from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
+
+# Hot-path module: every stream becomes an ``EventColumns`` once, at the
+# engine's door, and window sets come from the driver's segmenter — no loop
+# here assigns windows (enforced by tests/test_hotpath_lint.py).
 from repro.core.calculation import calculate_quantile
 from repro.core.identification import identify
 from repro.core.local_node import DemaLocalNode
@@ -219,12 +230,23 @@ class DemaEngine:
         assert self._root is not None
         return self._root
 
-    def run(self, streams: Mapping[int, Sequence[Event]]) -> DemaRunReport:
+    def _check_known(self, streams: Mapping) -> None:
+        unknown = set(streams) - set(self._topology.local_ids)
+        if unknown:
+            raise ConfigurationError(
+                f"streams reference unknown local nodes {sorted(unknown)}"
+            )
+
+    def run(
+        self, streams: "Mapping[int, EventColumns | Sequence[Event]]"
+    ) -> DemaRunReport:
         """Feed per-local-node streams through the deployment and drain it.
 
         Args:
             streams: Event streams keyed by *local node id* (the ids in
-                ``topology.local_ids``); missing nodes receive no events.
+                ``topology.local_ids``), each an ``EventColumns`` or a
+                sequence of ``Event`` — converted to columns once, here;
+                missing nodes receive no events.
 
         Returns:
             The run report with per-window outcomes and metrics.
@@ -232,15 +254,11 @@ class DemaEngine:
         Raises:
             ConfigurationError: If a stream targets an unknown node.
         """
-        unknown = set(streams) - set(self._topology.local_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"streams reference unknown local nodes {sorted(unknown)}"
-            )
+        self._check_known(streams)
         assigner = self._query.assigner()
         all_windows: set = set()
         for local_id in self._topology.local_ids:
-            events = streams.get(local_id, ())
+            events = as_event_columns(streams.get(local_id, ()))
             operator = self._simulator.nodes[local_id]
             all_windows.update(self._driver.feed(operator, events, assigner))
         return self._finish(all_windows, allowed_lateness_ms=0)
@@ -260,18 +278,16 @@ class DemaEngine:
                 window stays open.  Arrivals later than this are dropped by
                 the local nodes and counted in their ``late_events``.
         """
-        unknown = set(arrivals) - set(self._topology.local_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"streams reference unknown local nodes {sorted(unknown)}"
-            )
+        self._check_known(arrivals)
         assigner = self._query.assigner()
         all_windows: set = set()
         for local_id in self._topology.local_ids:
-            pairs = arrivals.get(local_id, ())
+            events, arrival_ms = split_arrivals(arrivals.get(local_id, ()))
             operator = self._simulator.nodes[local_id]
             all_windows.update(
-                self._driver.feed_unordered(operator, pairs, assigner)
+                self._driver.feed_arrivals(
+                    operator, as_event_columns(events), arrival_ms, assigner
+                )
             )
         return self._finish(
             all_windows, allowed_lateness_ms=allowed_lateness_ms
@@ -279,7 +295,7 @@ class DemaEngine:
 
     def run_via_sensors(
         self,
-        streams: Mapping[int, Sequence[Event]],
+        streams: "Mapping[int, EventColumns | Sequence[Event]]",
         *,
         allowed_lateness_ms: int | None = None,
     ) -> DemaRunReport:
@@ -291,24 +307,22 @@ class DemaEngine:
         local operator, paying bytes, latency and CPU at both ends.
 
         Args:
-            streams: Per-local-node event streams in timestamp order.
+            streams: Per-local-node event streams in timestamp order
+                (``EventColumns`` or sequences of ``Event``).
             allowed_lateness_ms: Window grace to absorb the sensor→local
                 link delay.  Defaults to a bound derived from the link
                 latency, so no event is dropped as late.
 
         Raises:
-            ConfigurationError: If the topology has no sensor tier or a
-                stream targets an unknown local node.
+            ConfigurationError: If the topology has no sensor tier, a
+                stream targets an unknown local node, or a sensor's share
+                regresses in time.
         """
         if not any(self._topology.stream_ids.values()):
             raise ConfigurationError(
                 "run_via_sensors requires TopologyConfig.streams_per_local > 0"
             )
-        unknown = set(streams) - set(self._topology.local_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"streams reference unknown local nodes {sorted(unknown)}"
-            )
+        self._check_known(streams)
         if allowed_lateness_ms is None:
             # The sensor may hold a reading for up to its batch-age bound,
             # plus link latency and a transfer allowance.
@@ -327,16 +341,14 @@ class DemaEngine:
         assigner = self._query.assigner()
         all_windows: set = set()
         for local_id in self._topology.local_ids:
-            events = streams.get(local_id, ())
+            events = as_event_columns(streams.get(local_id, ()))
             sensors = self._topology.stream_ids[local_id]
-            shares: list[list[Event]] = [[] for _ in sensors]
-            for index, event in enumerate(events):
-                shares[index % len(sensors)].append(event)
-            for sensor_id, share in zip(sensors, shares):
-                sensor = self._simulator.nodes[sensor_id]
-                sensor.load(share)
-            for event in events:
-                all_windows.update(assigner.assign(event.timestamp))
+            _, windows = window_segments(event_timestamps(events), assigner)
+            all_windows.update(windows)
+            for index, sensor_id in enumerate(sensors):
+                self._simulator.nodes[sensor_id].load(
+                    events[index :: len(sensors)]
+                )
             self._driver.account_external_events(len(events))
         return self._finish(
             all_windows, allowed_lateness_ms=allowed_lateness_ms

@@ -25,7 +25,7 @@ from repro.network.messages import (
 import math
 
 from repro.network.simulator import INGEST_OPS, SimulatedNode, receive_ops
-from repro.streaming.columns import EventColumns
+from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
 from repro.streaming.windows import TumblingWindows, Window
 
@@ -143,98 +143,36 @@ class DemaLocalNode(SimulatedNode):
                 self._arm_resend_timer(window, now)
         return len(self._pending)
 
-    def ingest(self, events: Sequence[Event], now: float) -> float:
+    def ingest(
+        self, events: "EventColumns | Sequence[Event]", now: float
+    ) -> float:
         """Accept a batch of raw events; returns CPU completion time.
 
-        Events are grouped by tumbling window and appended in one batch per
-        window; the sort itself is deferred to the window cut (the batched
-        form of the paper's incremental sorting).  The *simulated* CPU
-        charge is unchanged — ``count · log2(window size)`` per window, the
-        cost model of per-event insertion — so simulator results stay
-        bit-identical while the live path pays only O(1) per event.
+        Events are grouped by window and appended in one batch per window;
+        the sort itself is deferred to the window cut (the batched form of
+        the paper's incremental sorting).  The *simulated* CPU charge is
+        unchanged — ``count · log2(window size)`` per window, the cost model
+        of per-event insertion, summed in the order the windows first
+        appear in the batch — so simulator results stay bit-identical while
+        the live path pays only O(1) per event.  Events of a window that
+        already shipped its synopses would break the root's rank
+        arithmetic: they are dropped and counted as late.
         """
         late = 0
         assigner = self._assigner
         completed = self._completed
-        if (
-            isinstance(events, EventColumns)
-            and isinstance(assigner, TumblingWindows)
-            and len(events)
-        ):
-            # Columnar fast path: the live replay never sends a batch that
-            # spans a window boundary (batches_for splits on them), so one
-            # min/max check assigns the whole batch at array speed.  A
-            # boundary-spanning batch from another caller falls through to
-            # the generic per-event loop below.
+        grouped: "list[tuple[Window, EventColumns | list[Event]]]" = []
+        if isinstance(assigner, TumblingWindows):
+            # Tumbling windows take columns only: an object batch is
+            # converted as at the engine's door.
+            events = as_event_columns(events)
             length = assigner.length
-            lo = events.min_timestamp()
-            start = lo - lo % length
-            if events.max_timestamp() < start + length:
+            for start, rows in events.by_tumbling_window(length):
                 window = Window(start, start + length)
                 if window in completed:
-                    late = len(events)
-                    grouped: list[tuple[Window, Sequence[Event]]] = []
+                    late += len(rows)
                 else:
-                    grouped = [(window, events)]
-                self._late_events += late
-                insert_ops = 0.0
-                for window, bucket in grouped:
-                    sorted_window = self._open.get(window)
-                    if sorted_window is None:
-                        sorted_window = self._open[window] = (
-                            SortedLocalWindow()
-                        )
-                    sorted_window.add_all(bucket)
-                    # Identical simulated charge to the per-event loop:
-                    # count · log2(window size after the batch landed).
-                    insert_ops += len(bucket) * math.log2(
-                        max(len(sorted_window), 2)
-                    )
-                self._events_ingested += len(events)
-                finish = self.work(
-                    INGEST_OPS * len(events) + insert_ops, now
-                )
-                if self._tracer.enabled:
-                    self._tracer.record(
-                        "ingest",
-                        self.node_id,
-                        now,
-                        finish,
-                        events=len(events),
-                        ops=INGEST_OPS * len(events) + insert_ops,
-                    )
-                return finish
-        if isinstance(assigner, TumblingWindows):
-            # Tumbling assignment is a pure floor-division; computing it
-            # inline avoids one method call and one Window allocation per
-            # event.  Buckets are keyed by the integer window *start*
-            # because hashing an int is far cheaper than hashing a Window
-            # dataclass — the hot loop is one dict probe plus one append
-            # per event, and Window objects plus the completed-set check
-            # happen once per distinct window per batch (a ``None`` bucket
-            # is the memoized "already completed" verdict).
-            length = assigner.length
-            buckets: dict[int, list[Event] | None] = {}
-            grouped: list[tuple[Window, list[Event]]] = []
-            for event in events:
-                start = event.timestamp - event.timestamp % length
-                bucket = buckets.get(start)
-                if bucket is None:
-                    if start in buckets:
-                        # The window already shipped its synopses; a late
-                        # event cannot be folded in without breaking the
-                        # root's rank arithmetic, so it is dropped and
-                        # counted.
-                        late += 1
-                        continue
-                    window = Window(start, start + length)
-                    if window in completed:
-                        buckets[start] = None
-                        late += 1
-                        continue
-                    bucket = buckets[start] = []
-                    grouped.append((window, bucket))
-                bucket.append(event)
+                    grouped.append((window, rows))
         else:
             batch: dict[Window, list[Event]] = {}
             for event in events:
@@ -259,7 +197,7 @@ class DemaLocalNode(SimulatedNode):
             )
         self._events_ingested += len(events)
         finish = self.work(INGEST_OPS * len(events) + insert_ops, now)
-        if self._tracer.enabled and events:
+        if self._tracer.enabled and len(events):
             self._tracer.record(
                 "ingest",
                 self.node_id,

@@ -26,12 +26,12 @@ from repro.network.topology import TopologyConfig
 from repro.runtime.cluster import (
     ClusterReport as MeshRunReport,
     MeshChaosContext,
-    _as_columns,
     _grid,
     _membership_ranges,
     run_cluster as run_mesh_cluster,
     run_live as run_mesh,
 )
+from repro.streaming.columns import as_event_columns
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 
@@ -60,7 +60,9 @@ def mesh_oracle(
     one, so one engine run covers every membership schedule.
     """
     length = config.query.window_length_ms
-    grid_start, grid_end = _grid(_as_columns(streams), length)
+    grid_start, grid_end = _grid(
+        {n: as_event_columns(share) for n, share in streams.items()}, length
+    )
     ranges = _membership_ranges(config, grid_start, grid_end)
     n_nodes = max(ranges)
     truncated = {

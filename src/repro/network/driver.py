@@ -7,18 +7,42 @@ workloads to all of them.  The driver schedules event batches at their
 event-time instants (simulated seconds = timestamp milliseconds / 1000) and
 announces window completion right after the window's last instant, playing
 the role of the data-stream layer plus a perfect watermark.
+
+A stream is cut into batches by arithmetic on its timestamp column:
+:func:`window_segments` finds where the window assignment changes, and the
+batches are ``events[a:b]`` slices inside those segments.
 """
 
 from __future__ import annotations
 
+import operator as _operator
 from typing import Protocol, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.simulator import Simulator
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
-from repro.streaming.windows import Window, WindowAssigner
+from repro.streaming.windows import (
+    SlidingWindows,
+    TumblingWindows,
+    Window,
+    WindowAssigner,
+)
 
-__all__ = ["LocalOperator", "BatchSourceDriver", "MS_PER_SECOND"]
+# Hot-path module: a stream is segmented on its timestamp column — no loop
+# here runs per event, and none assigns windows (enforced by
+# tests/test_hotpath_lint.py).
+
+__all__ = [
+    "LocalOperator",
+    "BatchSourceDriver",
+    "MS_PER_SECOND",
+    "event_timestamps",
+    "split_arrivals",
+    "window_segments",
+]
 
 #: Event timestamps are milliseconds; the simulator clock runs in seconds.
 MS_PER_SECOND = 1000.0
@@ -27,11 +51,96 @@ MS_PER_SECOND = 1000.0
 class LocalOperator(Protocol):
     """What the driver requires of a local node operator."""
 
-    def ingest(self, events: Sequence[Event], now: float) -> float:
-        """Accept a batch of events arriving at simulated time ``now``."""
+    def ingest(
+        self, events: "EventColumns | Sequence[Event]", now: float
+    ) -> float:
+        """Accept a batch arriving at simulated time ``now``: a slice of the
+        fed stream — ``EventColumns`` of a columnar one, else a tuple."""
 
     def on_window_complete(self, window: Window, now: float) -> None:
         """React to the event-time end of ``window``."""
+
+
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """Positions where ``column`` differs from its predecessor (0 first)."""
+    if not len(column):
+        return np.zeros(0, dtype=np.intp)
+    return np.flatnonzero(np.concatenate(([True], column[1:] != column[:-1])))
+
+
+def event_timestamps(
+    events: "EventColumns | Sequence[Event]", *, ordered: bool = False
+) -> np.ndarray:
+    """The stream's event times as int64 (window arithmetic on the column's
+    own u32 wraps silently near 2**32).
+
+    Raises:
+        ConfigurationError: With ``ordered``, if timestamps regress; names
+            the first offending pair.
+    """
+    if isinstance(events, EventColumns):
+        timestamps = events.timestamps.astype(np.int64)
+    else:
+        timestamps = np.fromiter(
+            map(_operator.attrgetter("timestamp"), events), np.int64, len(events)
+        )
+    if ordered:
+        regressions = np.flatnonzero(timestamps[1:] < timestamps[:-1])
+        if len(regressions):
+            first = int(regressions[0])
+            raise ConfigurationError(
+                f"event timestamps must be non-decreasing; saw "
+                f"{timestamps[first + 1]} after {timestamps[first]}"
+            )
+    return timestamps
+
+
+def window_segments(
+    timestamps: np.ndarray, assigner: WindowAssigner
+) -> tuple[np.ndarray, list[Window]]:
+    """Where the window assignment changes along a stream, and what it touches.
+
+    Returns ``(starts, windows)``: the ascending positions ``i`` (0 first)
+    where ``assigner.assign(timestamps[i])`` differs from the previous
+    event's assignment, and every window some event belongs to, in
+    chronological order; both empty for an empty stream.  ``timestamps``
+    (int64) may be in any order — sorted ones give the fewest segments.
+
+    Fixed-length assigners are integer arithmetic: an event at ``t`` is in
+    the windows numbered ``(t - length) // step + 1 .. t // step``, window
+    ``k`` starting at ``k * step`` (tumbling is ``step == length``).  Any
+    other assigner is asked once per distinct timestamp.
+    """
+    if not len(timestamps):
+        return _run_starts(timestamps), []
+    if isinstance(assigner, (TumblingWindows, SlidingWindows)):
+        length = assigner.length
+        step = getattr(assigner, "step", length)
+        newest = timestamps // step
+        oldest = (timestamps - length) // step + 1
+        # Both are non-decreasing in t: between any two events they move
+        # the same way, so their sum changes exactly where either does.
+        starts = _run_starts(newest + oldest)
+        spans = zip(oldest[starts].tolist(), newest[starts].tolist())
+        numbers = sorted({k for lo, hi in spans for k in range(lo, hi + 1)})
+        return starts, [Window(k * step, k * step + length) for k in numbers]
+    runs = _run_starts(timestamps)
+    stamps = timestamps[runs].tolist()
+    distinct = list(dict.fromkeys(stamps))
+    assigned = dict(zip(distinct, map(assigner.assign, distinct)))
+    per_run = [assigned[stamp] for stamp in stamps]
+    changed = [True, *map(_operator.ne, per_run[1:], per_run)]
+    return runs[changed], sorted(set().union(*assigned.values()))
+
+
+def split_arrivals(
+    arrivals: Sequence[tuple[Event, int]],
+) -> tuple[tuple[Event, ...], np.ndarray]:
+    """``(event, arrival_ms)`` pairs as an event tuple and an int64 array."""
+    return (
+        tuple(event for event, _ in arrivals),
+        np.fromiter((ms for _, ms in arrivals), np.int64, len(arrivals)),
+    )
 
 
 class BatchSourceDriver:
@@ -64,18 +173,47 @@ class BatchSourceDriver:
         """Count events injected outside the driver (e.g. sensor nodes)."""
         self._scheduled_events += count
 
+    def schedule_batches(
+        self,
+        operator: LocalOperator,
+        events: "EventColumns | Sequence[Event]",
+        arrival_ms: np.ndarray,
+        starts: np.ndarray,
+    ) -> None:
+        """Schedule ``events`` as slices that never cross a segment start.
+
+        Each segment ``[starts[i], starts[i + 1])`` is cut into slices of at
+        most ``batch_size``; a slice arrives at the ``arrival_ms`` of its
+        last event.
+        """
+        size = self._batch_size
+        bounds = [*starts.tolist(), len(events)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            for a in range(lo, hi, size):
+                b = min(a + size, hi)
+                self._simulator.schedule(
+                    int(arrival_ms[b - 1]) / MS_PER_SECOND,
+                    lambda now, batch=events[a:b]: operator.ingest(batch, now),
+                )
+        self._scheduled_events += len(events)
+
     def feed(
         self,
         operator: LocalOperator,
-        events: Sequence[Event],
+        events: "EventColumns | Sequence[Event]",
         assigner: WindowAssigner,
     ) -> list[Window]:
-        """Schedule ``events`` into ``operator`` and announce window ends.
+        """Schedule ``events`` into ``operator``; returns the windows touched.
 
         Args:
             operator: The local operator to drive.
-            events: The node's stream in non-decreasing timestamp order.
-            assigner: Tumbling windows that frame the stream.
+            events: The node's stream in non-decreasing timestamp order, as
+                an ``EventColumns`` or a sequence of ``Event``; the operator
+                is handed slices of it (columns, or tuples of ``Event``).
+            assigner: Any window assigner (tumbling, sliding, session).  A
+                batch never spans a change of window assignment, holds at
+                most ``batch_size`` events, and arrives at the timestamp of
+                its last event.
 
         Window completion is *not* scheduled here: in a multi-node deployment
         every local node must announce every global window (a node whose
@@ -87,45 +225,14 @@ class BatchSourceDriver:
             The windows this node's events touch, in chronological order.
 
         Raises:
-            ConfigurationError: If timestamps regress.
+            ConfigurationError: If timestamps regress; nothing is scheduled.
         """
-        windows: set[Window] = set()
-        batch: list[Event] = []
-        last_timestamp: int | None = None
-
-        def flush(batch_events: list[Event]) -> None:
-            arrival = batch_events[-1].timestamp / MS_PER_SECOND
-            self._simulator.schedule(
-                arrival, lambda now, b=tuple(batch_events): operator.ingest(b, now)
-            )
-
-        for event in events:
-            if last_timestamp is not None and event.timestamp < last_timestamp:
-                raise ConfigurationError(
-                    f"event timestamps must be non-decreasing; saw "
-                    f"{event.timestamp} after {last_timestamp}"
-                )
-            last_timestamp = event.timestamp
-            windows.update(assigner.assign(event.timestamp))
-            # Never let a batch span a window boundary: arrival times must
-            # stay within the owning window(s).
-            crosses_window = batch and assigner.assign(
-                batch[0].timestamp
-            ) != assigner.assign(event.timestamp)
-            if crosses_window:
-                flush(batch)
-                self._scheduled_events += len(batch)
-                batch = []
-            batch.append(event)
-            if len(batch) >= self._batch_size:
-                flush(batch)
-                self._scheduled_events += len(batch)
-                batch = []
-        if batch:
-            flush(batch)
-            self._scheduled_events += len(batch)
-
-        return sorted(windows)
+        if not isinstance(events, EventColumns):
+            events = tuple(events)
+        timestamps = event_timestamps(events, ordered=True)
+        starts, windows = window_segments(timestamps, assigner)
+        self.schedule_batches(operator, events, timestamps, starts)
+        return windows
 
     def feed_unordered(
         self,
@@ -148,38 +255,40 @@ class BatchSourceDriver:
             window was sealed before they arrived are dropped by the
             operator and counted as late.
         """
-        ordered = sorted(enumerate(arrivals), key=lambda ia: (ia[1][1], ia[0]))
-        windows: set[Window] = set()
-        batch: list[Event] = []
-        batch_arrival = 0
+        return self.feed_arrivals(operator, *split_arrivals(arrivals), assigner)
 
-        def flush() -> None:
-            arrival_s = batch_arrival / MS_PER_SECOND
-            self._simulator.schedule(
-                arrival_s,
-                lambda now, b=tuple(batch): operator.ingest(b, now),
+    def feed_arrivals(
+        self,
+        operator: LocalOperator,
+        events: "EventColumns | Sequence[Event]",
+        arrival_ms: np.ndarray,
+        assigner: WindowAssigner,
+    ) -> list[Window]:
+        """:meth:`feed_unordered` on a stream and its arrival column.
+
+        Events are delivered in ``(arrival_ms, position)`` order.  A batch
+        only groups events sharing one arrival instant, so nothing is
+        delivered earlier or later than it arrived.
+
+        Raises:
+            ConfigurationError: If an arrival time is negative.
+        """
+        order = np.argsort(arrival_ms, kind="stable")
+        arrival_ms = arrival_ms[order]
+        if len(order) and arrival_ms[0] < 0:
+            raise ConfigurationError(
+                f"negative arrival time {arrival_ms[0]} for "
+                f"{events[int(order[0])]}"
             )
-
-        for _, (event, arrival_ms) in ordered:
-            if arrival_ms < 0:
-                raise ConfigurationError(
-                    f"negative arrival time {arrival_ms} for {event}"
-                )
-            windows.update(assigner.assign(event.timestamp))
-            # A batch only groups events sharing one arrival instant, so
-            # nothing is delivered earlier or later than it arrived.
-            if batch and (
-                arrival_ms != batch_arrival or len(batch) >= self._batch_size
-            ):
-                flush()
-                self._scheduled_events += len(batch)
-                batch = []
-            batch.append(event)
-            batch_arrival = arrival_ms
-        if batch:
-            flush()
-            self._scheduled_events += len(batch)
-        return sorted(windows)
+        if isinstance(events, EventColumns):
+            events = events[order]
+        else:
+            events = tuple(map(events.__getitem__, order.tolist()))
+        _, windows = window_segments(event_timestamps(events), assigner)
+        self.schedule_batches(
+            operator, events, arrival_ms, _run_starts(arrival_ms)
+        )
+        return windows
 
     def announce_windows(
         self,

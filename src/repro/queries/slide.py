@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from collections import deque
 
-import numpy as np
-
 from repro.core.sorted_window import SortedLocalWindow
 from repro.errors import QueryError
 from repro.streaming.columns import EventColumns, concat_columns, merge_runs
@@ -78,16 +76,8 @@ class PaneStore:
 
     def add(self, batch: EventColumns) -> None:
         """Ingest a batch, splitting its rows over the panes they fall in."""
-        if not len(batch):
-            return
-        first = self.pane_start(batch.min_timestamp())
-        if first == self.pane_start(batch.max_timestamp()):
-            self._add_rows(first, batch)
-            return
-        # Two panes in one batch means pane_ms fits the u32 column.
-        panes = batch.timestamps // self._pane_ms
-        for pane in np.unique(panes):
-            self._add_rows(int(pane) * self._pane_ms, batch[panes == pane])
+        for start, rows in batch.by_tumbling_window(self._pane_ms):
+            self._add_rows(start, rows)
 
     def _add_rows(self, start: int, rows: EventColumns) -> None:
         if start < self._floor or start in self._sealed:

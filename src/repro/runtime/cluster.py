@@ -68,7 +68,7 @@ from repro.runtime.transport import (
     MessageStream,
     TcpNetwork,
 )
-from repro.streaming.columns import EventColumns
+from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 
@@ -235,24 +235,6 @@ class ClusterReport:
 
 #: The flat cluster's name for the one report.
 LiveRunReport = ClusterReport
-
-
-def _as_columns(
-    streams: Mapping[int, Sequence[Event]],
-) -> dict[int, EventColumns]:
-    """Each local's share as one columnar batch — the cluster's entry line.
-
-    Columnar shares pass through and a sequence of events is converted
-    once, so nothing below this call asks which form it was handed.
-    """
-    return {
-        local_id: (
-            share
-            if isinstance(share, EventColumns)
-            else EventColumns.from_events(share)
-        )
-        for local_id, share in streams.items()
-    }
 
 
 def _grid(
@@ -488,7 +470,10 @@ async def run_cluster(
     """
     config.check(driver=driver is not None)
     length = config.query.window_length_ms
-    streams = _as_columns(streams)
+    streams = {
+        local_id: as_event_columns(share)
+        for local_id, share in streams.items()
+    }
     grid_start, grid_end = _grid(streams, length)
     ranges = _membership_ranges(config, grid_start, grid_end)
     unknown = set(streams) - set(ranges)

@@ -40,7 +40,7 @@ sequence the object path produces:
 
 from __future__ import annotations
 
-import struct
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as _np
@@ -52,6 +52,7 @@ from repro.streaming.events import Event
 __all__ = [
     "EVENT_DTYPE",
     "EventColumns",
+    "as_event_columns",
     "concat_columns",
     "concat_records",
     "merge_runs",
@@ -73,8 +74,8 @@ EVENT_DTYPE = _np.dtype(
 assert EVENT_DTYPE.itemsize == wire.EVENT_WIRE_BYTES
 
 
-def _batch_struct(n: int) -> struct.Struct:
-    return struct.Struct("<" + "dIII" * n)
+#: Largest timestamp, node id or sequence number the wire layout holds.
+_U32_MAX = 0xFFFFFFFF
 
 
 class EventColumns:
@@ -139,16 +140,36 @@ class EventColumns:
 
     @classmethod
     def from_events(cls, events: Iterable[Event]) -> "EventColumns":
-        """Build a batch from event objects (tests and cold paths)."""
-        events = list(events)
-        packed = _batch_struct(len(events)).pack(
-            *(
-                field
-                for ev in events
-                for field in (ev.value, ev.timestamp, ev.node_id, ev.seq)
-            )
+        """Build a batch from event objects, one pass per column.
+
+        Byte-identical to packing each event with
+        :data:`repro.runtime.wire.EVENT` in order.
+
+        Raises:
+            OverflowError: If a timestamp, node id or sequence number is
+                negative or does not fit the wire's 32 bits (nothing wraps).
+            TypeError, ValueError: If a field is not a number.
+        """
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        n = len(events)
+        arr = _np.empty(n, dtype=EVENT_DTYPE)
+        arr["value"] = _np.fromiter(
+            map(float, map(attrgetter("value"), events)), "<f8", n
         )
-        return cls.from_wire(packed)
+        for field in ("timestamp", "node_id", "seq"):
+            # Through int64: a direct u32 conversion of an out-of-range
+            # integer wraps on numpy < 2.
+            column = _np.fromiter(
+                map(attrgetter(field), events), _np.int64, n
+            )
+            if n and not 0 <= column.min() <= column.max() <= _U32_MAX:
+                raise OverflowError(
+                    f"event {field} outside the wire's 32 bits: "
+                    f"{int(column.min())}..{int(column.max())}"
+                )
+            arr[field] = column
+        return cls(arr)
 
     def _take(self, indices) -> "EventColumns":
         return EventColumns(self._arr.take(indices))
@@ -243,6 +264,30 @@ class EventColumns:
     def max_timestamp(self) -> int:
         return int(self._arr["timestamp"].max())
 
+    def by_tumbling_window(
+        self, length: int
+    ) -> "list[tuple[int, EventColumns]]":
+        """``(window start, rows)`` for each tumbling window of ``length``
+        the batch touches, in the order the windows first appear in it.
+
+        A batch inside one window — every batch of an ordered replay — is
+        handed back as is.
+        """
+        if not len(self):
+            return []
+        lo = self.min_timestamp()
+        start = lo - lo % length
+        if self.max_timestamp() < start + length:
+            return [(start, self)]
+        # Two windows in one batch means ``length`` fits the u32 column;
+        # starts are computed in Python ints, which cannot wrap.
+        numbers = self._arr["timestamp"] // length
+        groups = []
+        for number in _np.unique(numbers).tolist():
+            rows = numbers == number
+            groups.append((int(rows.argmax()), number * length, self[rows]))
+        return [group[1:] for group in sorted(groups, key=lambda g: g[0])]
+
     def timestamps_sorted(self) -> bool:
         """Whether timestamps are non-decreasing (ordered replay)."""
         if len(self) < 2:
@@ -265,6 +310,18 @@ class EventColumns:
             (value, node_id, seq)
             for value, _, node_id, seq in self._arr.tolist()
         ]
+
+
+def as_event_columns(events: "EventColumns | Iterable[Event]") -> EventColumns:
+    """``events`` as a batch: itself if columnar, else built from objects.
+
+    The one door both substrates convert at — the live cluster and the
+    simulated engine each call it once per local's stream, so nothing
+    behind either asks which form it was handed.
+    """
+    if isinstance(events, EventColumns):
+        return events
+    return EventColumns.from_events(events)
 
 
 def concat_records(arrays: Sequence, dtype):

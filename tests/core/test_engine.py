@@ -4,6 +4,12 @@ import random
 
 import pytest
 
+from repro.bench.generator import (
+    GeneratorConfig,
+    SensorStreamGenerator,
+    workload,
+    workload_columns,
+)
 from repro.errors import ConfigurationError
 from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
@@ -127,3 +133,114 @@ class TestDemaEngine:
         assert report_a.values == report_b.values
         assert report_a.network.total_bytes == report_b.network.total_bytes
         assert report_a.final_time == report_b.final_time
+
+
+DOOR_CONFIG = GeneratorConfig(
+    event_rate=1500.0, duration_s=2.5, seed=5, max_arrival_delay_ms=120
+)
+DOOR_QUERY = QuantileQuery(q=0.5, window_length_ms=1000, gamma=40)
+DOOR_NODES = [1, 2, 3]
+
+
+def _summary(engine, report):
+    nodes = engine.simulator.nodes
+    return {
+        "outcomes": [
+            (o.window.start, o.value, o.result_time, o.candidate_events)
+            for o in report.outcomes
+        ],
+        "final_time": report.final_time,
+        "total_bytes": report.network.total_bytes,
+        "cpu_ops": {n: nodes[n].cpu.total_ops for n in sorted(nodes)},
+        "late_events": {n: nodes[n].late_events for n in DOOR_NODES},
+    }
+
+
+def door_runs(columnar):
+    """One seeded workload through each of the engine's three doors, fed
+    as ``Event`` objects or as ``EventColumns``."""
+    generate = workload_columns if columnar else workload
+    streams = generate(DOOR_NODES, DOOR_CONFIG)
+    delays = {
+        n: SensorStreamGenerator(DOOR_CONFIG).arrival_times(n).tolist()
+        for n in DOOR_NODES
+    }
+    arrivals = {n: list(zip(streams[n], delays[n])) for n in DOOR_NODES}
+    runs = {}
+    engine = DemaEngine(DOOR_QUERY, TopologyConfig(n_local_nodes=3))
+    runs["run"] = _summary(engine, engine.run(streams))
+    engine = DemaEngine(DOOR_QUERY, TopologyConfig(n_local_nodes=3))
+    runs["run_unordered"] = _summary(
+        engine, engine.run_unordered(arrivals, allowed_lateness_ms=40)
+    )
+    engine = DemaEngine(
+        DOOR_QUERY, TopologyConfig(n_local_nodes=3, streams_per_local=2)
+    )
+    runs["run_via_sensors"] = _summary(engine, engine.run_via_sensors(streams))
+    return runs
+
+
+#: ``door_runs(columnar=False)`` at the parent of the PR that moved the
+#: conversion to the engine's door (commit a9b1b41): the simulated world —
+#: values, clocks, bytes, charges, late drops — that batching must not move.
+DOOR_GOLDEN = {
+    "run": {
+        "outcomes": [
+            (0, 44.62493290929341, 1.000363745277327, 200),
+            (1000, 36.413325813564825, 2.000359953349234, 160),
+            (2000, 40.08423830462307, 3.0003367220146173, 160),
+        ],
+        "final_time": 3.000323142094617,
+        "total_bytes": 25372,
+        "cpu_ops": {
+            0: 27060.880235125278,
+            1: 53404.38867460606,
+            2: 53381.38867460606,
+            3: 53381.38867460606,
+        },
+        "late_events": {1: 0, 2: 0, 3: 0},
+    },
+    "run_unordered": {
+        "outcomes": [
+            (0, 44.85442718075182, 1.0403624945313183, 200),
+            (1000, 36.16412990883978, 2.0403624795313187, 200),
+            (2000, 40.08423830462307, 3.0403367220146174, 160),
+        ],
+        "final_time": 3.040323142094617,
+        "total_bytes": 25928,
+        "cpu_ops": {
+            0: 27405.111450503402,
+            1: 49603.080648718205,
+            2: 49614.196420134664,
+            3: 49536.10588265672,
+        },
+        "late_events": {1: 78, 2: 77, 3: 82},
+    },
+    "run_via_sensors": {
+        "outcomes": [
+            (0, 44.62493290929341, 1.022363745277327, 200),
+            (1000, 36.413325813564825, 2.022359953349234, 160),
+            (2000, 40.08423830462307, 3.022336722014617, 160),
+        ],
+        "final_time": 3.0223231420946166,
+        "total_bytes": 277372,
+        "cpu_ops": {
+            0: 27060.880235125278,
+            1: 109625.98952375728,
+            2: 109602.68039138155,
+            3: 109602.68066778089,
+            **dict.fromkeys(range(4, 10), 7500.0),
+        },
+        "late_events": {1: 0, 2: 0, 3: 0},
+    },
+}
+
+
+class TestColumnsAtTheDoor:
+    def test_objects_and_columns_run_the_same_simulation(self):
+        assert door_runs(columnar=False) == door_runs(columnar=True)
+
+    def test_simulated_world_equals_the_parent_commit(self):
+        runs = door_runs(columnar=True)
+        assert any(runs["run_unordered"]["late_events"].values())
+        assert runs == DOOR_GOLDEN

@@ -76,6 +76,90 @@ class TestConstruction:
         assert math.isnan(cols[0].value)
 
 
+def _nan(payload):
+    return struct.unpack("<d", struct.pack("<Q", 0x7FF8 << 48 | payload))[0]
+
+
+class TestFromEvents:
+    """``from_events`` fills one column per pass; its bytes are the row-wise
+    ``struct`` packing, and nothing out of range wraps."""
+
+    EDGE = (
+        Event(value=0.0, timestamp=0, node_id=0, seq=0),
+        Event(value=-0.0, timestamp=1, node_id=1, seq=2**32 - 1),
+        Event(value=math.inf, timestamp=2**32 - 1, node_id=2, seq=1),
+        Event(value=-math.inf, timestamp=5, node_id=2**32 - 1, seq=2),
+        Event(value=_nan(1), timestamp=6, node_id=3, seq=3),
+        Event(value=-_nan(0xBEEF), timestamp=7, node_id=3, seq=4),
+        Event(value=5e-324, timestamp=8, node_id=3, seq=5),
+        Event(value=7, timestamp=9, node_id=3, seq=6),  # an int value
+    )
+
+    @pytest.mark.parametrize("container", [tuple, list, iter])
+    def test_bytes_equal_row_wise_struct_packing(self, container):
+        cols = EventColumns.from_events(container(self.EDGE))
+        assert cols.to_wire() == _pack(self.EDGE)
+        assert len(cols) == len(self.EDGE)
+
+    def test_empty(self):
+        assert EventColumns.from_events([]).to_wire() == b""
+
+    @pytest.mark.parametrize("field", ["timestamp", "node_id", "seq"])
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2**63, -(2**63) - 1])
+    def test_out_of_range_integers_raise_instead_of_wrapping(self, field, bad):
+        fields = dict(value=1.0, timestamp=1, node_id=1, seq=1)
+        fields[field] = bad
+        with pytest.raises(OverflowError):
+            EventColumns.from_events([EVENTS[0], Event(**fields)])
+
+    @pytest.mark.parametrize("bad", ["x", None, [1.0]])
+    def test_non_numeric_value_raises(self, bad):
+        event = Event(value=bad, timestamp=1, node_id=1, seq=1)
+        with pytest.raises((TypeError, ValueError)):
+            EventColumns.from_events([event])
+
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_non_numeric_integer_field_raises(self, bad):
+        event = Event(value=1.0, timestamp=bad, node_id=1, seq=1)
+        with pytest.raises((TypeError, ValueError)):
+            EventColumns.from_events([event])
+
+    def test_as_event_columns_passes_columns_through(self):
+        cols = EventColumns.from_events(EVENTS)
+        assert columns.as_event_columns(cols) is cols
+        assert columns.as_event_columns(list(EVENTS)).to_wire() == _pack(EVENTS)
+
+
+class TestByTumblingWindow:
+    def _batch(self, stamps):
+        return EventColumns.from_events(
+            Event(value=float(i), timestamp=ts, node_id=1, seq=i)
+            for i, ts in enumerate(stamps)
+        )
+
+    def test_one_window_hands_the_batch_back(self):
+        batch = self._batch([1000, 1500, 1999])
+        assert batch.by_tumbling_window(1000) == [(1000, batch)]
+        assert batch.by_tumbling_window(1000)[0][1] is batch
+        assert self._batch([]).by_tumbling_window(1000) == []
+
+    def test_windows_come_in_first_appearance_order(self):
+        batch = self._batch([2100, 300, 2200, 1500, 301])
+        split = batch.by_tumbling_window(1000)
+        assert [start for start, _ in split] == [2000, 0, 1000]
+        assert [[e.seq for e in rows] for _, rows in split] == [
+            [0, 2], [1, 4], [3]
+        ]
+
+    def test_starts_near_the_u32_edge_do_not_wrap(self):
+        top = 2**32 - 1
+        split = self._batch([top - 1000, top]).by_tumbling_window(1000)
+        assert [start for start, _ in split] == [
+            (top - 1000) // 1000 * 1000, top // 1000 * 1000
+        ]
+        assert split[-1][0] + 1000 > 2**32
+
+
 class TestSequenceProtocol:
     def test_indexing_materializes_pure_python_types(self, backend):
         cols = EventColumns.from_events(EVENTS)

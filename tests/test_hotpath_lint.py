@@ -21,7 +21,9 @@ A further lint keeps the live path on one representation: between a
 cluster's entry point and its root every batch is an ``EventColumns``, so
 ``isinstance(…, EventColumns)`` inside ``runtime/``, ``mesh/`` and
 ``queries/`` is a fork on what the caller handed in — allowed only where
-a ``Sequence`` of events is still legitimately accepted.
+a ``Sequence`` of events is still legitimately accepted.  The simulated
+substrate (``core/``, ``network/``, ``streaming/``) is held to an exact
+list of the forks it still has, and its door to "no loop assigns windows".
 
 And one keeps the ordering of rows in one place: numpy sorts on the live
 path occur only inside a short list of named functions, so a second
@@ -49,6 +51,7 @@ PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 #: loses it, so the discipline cannot be turned off by deleting a comment.
 EXPECTED_MARKED = {
     "core/calculation.py",
+    "core/engine.py",
     "core/identification.py",
     "core/local_node.py",
     "core/slicing.py",
@@ -56,6 +59,7 @@ EXPECTED_MARKED = {
     "core/synopsis.py",
     "core/window_cut.py",
     "mesh/relay.py",
+    "network/driver.py",
     "queries/local.py",
     "queries/slide.py",
     "runtime/codec.py",
@@ -153,19 +157,38 @@ def test_synopsis_lint_sees_calls_in_functions_and_at_module_level():
     )
 
 
-#: The only functions under ``runtime/``, ``mesh/`` and ``queries/`` that
-#: may ask whether a batch is columnar: the clusters' entry normaliser and
-#: the codec's one event-array encoder (simulator nodes hosted live still
-#: send ``Event`` sequences; the query plane's pane runs no longer do).
+#: The only function under ``runtime/``, ``mesh/`` and ``queries/`` that may
+#: ask whether a batch is columnar: the codec's one event-array encoder
+#: (simulator nodes hosted live still send ``Event`` sequences; the query
+#: plane's pane runs no longer do).  The clusters' entry normaliser is
+#: ``streaming.columns.as_event_columns``, shared with the simulated engine.
 ALLOWED_REPRESENTATION_FORKS = {
-    ("runtime/cluster.py", "_as_columns"),
     ("runtime/codec.py", "_event_array"),
 }
 
+#: Every function of the simulated substrate (``core/``, ``network/``) and
+#: of ``streaming/`` that still asks: the door both substrates convert at,
+#: the driver's three readers of a stream that baselines feed as objects, and
+#: what is left of ``repro.core``'s object mode behind Desis and
+#: ``core/concurrent.py`` (ROADMAP item 1).  Held with ``==`` so the
+#: deletion PR can only shrink it.
+SIM_REPRESENTATION_FORKS = {
+    ("streaming/columns.py", "as_event_columns"),
+    ("streaming/columns.py", "__eq__"),
+    ("streaming/columns.py", "select_rank"),
+    ("network/driver.py", "event_timestamps"),
+    ("network/driver.py", "feed"),
+    ("network/driver.py", "feed_arrivals"),
+    ("core/sorted_window.py", "__init__"),
+    ("core/sorted_window.py", "add_all"),
+    ("core/sorted_window.py", "_compact"),
+    ("core/slicing.py", "slice_sorted_events"),
+}
 
-def _representation_forks():
+
+def _representation_forks(*packages):
     forks = set()
-    for package in ("runtime", "mesh", "queries"):
+    for package in packages:
         for path in sorted((PACKAGE_ROOT / package).rglob("*.py")):
             name = path.relative_to(PACKAGE_ROOT).as_posix()
             for function in ast.walk(ast.parse(path.read_text())):
@@ -184,7 +207,65 @@ def _representation_forks():
 
 
 def test_live_path_forks_on_representation_only_at_its_edges():
-    assert _representation_forks() <= ALLOWED_REPRESENTATION_FORKS
+    assert (
+        _representation_forks("runtime", "mesh", "queries")
+        == ALLOWED_REPRESENTATION_FORKS
+    )
+
+
+def test_simulated_path_forks_on_representation_only_where_listed():
+    assert (
+        _representation_forks("core", "network", "streaming")
+        == SIM_REPRESENTATION_FORKS
+    )
+
+
+#: The modules whose loops must never assign windows: the simulator's door
+#: cuts a stream by arithmetic on its timestamp column
+#: (``network.driver.window_segments``), and three window allocations per
+#: event must not grow back.
+SEGMENTED_MODULES = ("network/driver.py", "core/engine.py")
+
+_LOOPS = (
+    ast.For, ast.AsyncFor, ast.While,
+    ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp,
+)
+
+
+def _assigning_loops(source):
+    """Line numbers of loops (statements or comprehensions) whose body
+    calls ``.assign(`` or ``.assign_event(``."""
+    return sorted({
+        loop.lineno
+        for loop in ast.walk(ast.parse(source))
+        if isinstance(loop, _LOOPS)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", None) in ("assign", "assign_event")
+    })
+
+
+def test_no_loop_of_the_simulator_door_assigns_windows():
+    for name in SEGMENTED_MODULES:
+        source = (PACKAGE_ROOT / name).read_text()
+        assert not _assigning_loops(source), name
+
+
+def test_assignment_lint_sees_loops_and_comprehensions():
+    assert _assigning_loops(
+        "for event in events:\n"
+        "    if event:\n"
+        "        windows.update(assigner.assign(event.timestamp))\n"
+    ) == [1]
+    assert _assigning_loops(
+        "seen = {w for e in events for w in self._assigner.assign_event(e)}\n"
+    ) == [1]
+    assert not _assigning_loops(
+        "assigned = dict(zip(distinct, map(assigner.assign, distinct)))\n"
+        "first = assigner.assign(stamps[0])\n"
+        "for window in windows:\n"
+        "    schedule(window)\n"
+    )
 
 
 #: One live cluster: each host class is constructed in exactly one
