@@ -13,12 +13,13 @@ from repro.core.window_cut import window_cut
 from repro.core.engine import dema_quantile
 from repro.sketches.qdigest import QDigest
 from repro.sketches.tdigest import TDigest
-from repro.streaming.events import event_key, make_events
+from repro.streaming.columns import EventColumns
+from repro.streaming.events import make_events
 
 RNG = random.Random(1234)
 VALUES_10K = [RNG.gauss(100, 15) for _ in range(10_000)]
-EVENTS_10K = make_events(VALUES_10K, node_id=1)
-SORTED_10K = sorted(EVENTS_10K, key=event_key)
+EVENTS_10K = EventColumns.from_events(make_events(VALUES_10K, node_id=1))
+SORTED_10K = SortedLocalWindow(EVENTS_10K).seal()
 
 
 def test_sorted_window_insert_10k(benchmark):
@@ -39,14 +40,17 @@ def test_slicing_10k(benchmark):
 def test_window_cut_200_slices(benchmark):
     synopses = []
     for node_id in (1, 2):
-        events = sorted(
+        events = EventColumns.from_events(
             make_events(
                 [RNG.gauss(100 * node_id, 40) for _ in range(10_000)],
                 node_id=node_id,
-            ),
-            key=event_key,
+            )
         )
-        synopses.extend(slice_sorted_events(events, 100, node_id).synopses)
+        synopses.extend(
+            slice_sorted_events(
+                SortedLocalWindow(events).seal(), 100, node_id
+            ).synopses
+        )
     result = benchmark(window_cut, synopses, 10_000)
     assert result.candidates
 

@@ -19,6 +19,7 @@ from repro.network.metrics import LatencyStats, NetworkMetrics
 from repro.network.simulator import SimulatedNode, Simulator
 from repro.network.topology import Topology, TopologyConfig
 from repro.obs.tracer import NOOP_TRACER
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
@@ -34,25 +35,19 @@ __all__ = [
 
 
 def bucket_by_window(
-    events: Sequence[Event], length: int, completed: "set[Window]"
-) -> tuple[list[tuple[Window, list[Event]]], int]:
+    events: EventColumns, length: int, completed: "set[Window]"
+) -> tuple[list[tuple[Window, EventColumns]], int]:
     """Group a batch by tumbling window, dropping events of ``completed`` ones.
 
     Returns ``(groups, late)``: the open windows in the order they first
-    appear in the batch, each with its events in arrival order, and the
-    number of events whose window is in ``completed``.  Buckets are keyed by
-    the integer window start, so a ``Window`` is built and looked up in
-    ``completed`` once per distinct window per batch, not once per event.
+    appear in the batch, each with its rows in arrival order, and the
+    number of events whose window is in ``completed``.
     """
-    buckets: dict[int, list[Event]] = {}
-    for event in events:
-        start = event.timestamp - event.timestamp % length
-        buckets.setdefault(start, []).append(event)
     groups = [
-        (Window(start, start + length), bucket)
-        for start, bucket in buckets.items()
+        (Window(start, start + length), rows)
+        for start, rows in events.by_window(length)
     ]
-    late = sum(len(bucket) for window, bucket in groups if window in completed)
+    late = sum(len(rows) for window, rows in groups if window in completed)
     return [group for group in groups if group[0] not in completed], late
 
 
@@ -185,8 +180,11 @@ class BaselineEngine:
         """The root operator."""
         return self._root_holder[0]
 
-    def run(self, streams: Mapping[int, Sequence[Event]]) -> SystemReport:
-        """Feed per-local-node streams and drain the simulation."""
+    def run(
+        self, streams: "Mapping[int, EventColumns | Sequence[Event]]"
+    ) -> SystemReport:
+        """Feed per-local-node streams (``EventColumns`` or sequences of
+        ``Event``; the driver converts) and drain the simulation."""
         unknown = set(streams) - set(self._topology.local_ids)
         if unknown:
             raise ConfigurationError(

@@ -10,7 +10,6 @@ sorting cost moves to the edge.
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Sequence
 
@@ -23,11 +22,16 @@ from repro.network.simulator import (
     receive_ops,
 )
 from repro.streaming.aggregates import quantile_rank
-from repro.streaming.events import Event, event_key
+from repro.streaming.columns import EventColumns, select_rank
 from repro.streaming.windows import Window
+from repro.core.calculation import merge_candidate_runs
 from repro.core.query import QuantileQuery
 from repro.core.sorted_window import SortedLocalWindow
 from repro.baselines.base import BaselineRootMixin, bucket_by_window
+
+# Hot-path module: windows are sorted, shipped and rank-selected as
+# ``EventColumns`` — no per-event ``Event`` objects (enforced by
+# tests/test_hotpath_lint.py).
 
 __all__ = ["DesisLocalNode", "DesisRootNode"]
 
@@ -62,7 +66,7 @@ class DesisLocalNode(SimulatedNode):
         """Events dropped because their window had already shipped."""
         return self._late_events
 
-    def ingest(self, events: Sequence[Event], now: float) -> float:
+    def ingest(self, events: EventColumns, now: float) -> float:
         """Insert events into their window's sorted buffer.
 
         Sorting is incremental, so the per-event insertion cost is charged
@@ -73,11 +77,10 @@ class DesisLocalNode(SimulatedNode):
         )
         self._late_events += late
         insert_ops = 0.0
-        for window, bucket in groups:
+        for window, rows in groups:
             sorted_window = self._open.setdefault(window, SortedLocalWindow())
-            for event in bucket:
-                sorted_window.add(event)
-            insert_ops += len(bucket) * math.log2(max(len(sorted_window), 2))
+            sorted_window.add_all(rows)
+            insert_ops += len(rows) * math.log2(max(len(sorted_window), 2))
         self._events_ingested += len(events)
         return self.work(INGEST_OPS * len(events) + insert_ops, now)
 
@@ -87,12 +90,10 @@ class DesisLocalNode(SimulatedNode):
             return
         self._completed.add(window)
         sorted_window = self._open.pop(window, SortedLocalWindow())
-        events = sorted_window.seal()
-        finish = now
         message = SortedRunMessage(
-            sender=self.node_id, window=window, events=tuple(events)
+            sender=self.node_id, window=window, events=sorted_window.seal()
         )
-        self.send(message, self._root_id, finish)
+        self.send(message, self._root_id, now)
 
     def on_message(self, message: Message, now: float) -> None:
         if isinstance(message, EventBatchMessage):
@@ -119,7 +120,7 @@ class DesisRootNode(SimulatedNode, BaselineRootMixin):
         BaselineRootMixin.__init__(self)
         self._local_ids = tuple(local_ids)
         self._query = query
-        self._runs: dict[Window, dict[int, tuple[Event, ...]]] = {}
+        self._runs: dict[Window, dict[int, EventColumns]] = {}
 
     @property
     def open_windows(self) -> int:
@@ -149,7 +150,7 @@ class DesisRootNode(SimulatedNode, BaselineRootMixin):
         if total == 0:
             self._emit(window, None, 0, now)
             return
-        non_empty = [run for run in runs.values() if run]
+        non_empty = [run for run in runs.values() if len(run)]
         finish = self.work(merge_cost(total, len(non_empty)), now)
         if self._tracer.enabled:
             self._tracer.record(
@@ -161,6 +162,8 @@ class DesisRootNode(SimulatedNode, BaselineRootMixin):
                 events=total,
                 runs=len(non_empty),
             )
-        merged = list(heapq.merge(*non_empty, key=event_key))
         rank = quantile_rank(self._query.q, total)
-        self._emit(window, merged[rank - 1].value, total, finish)
+        selected = select_rank(non_empty, rank)
+        if selected is None:  # NaN values: the k-way merge owns their order
+            selected = merge_candidate_runs(non_empty)[rank - 1]
+        self._emit(window, selected.value, total, finish)

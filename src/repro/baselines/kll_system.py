@@ -16,7 +16,7 @@ from typing import Sequence
 from repro.errors import AggregationError
 from repro.network.messages import DigestMessage, EventBatchMessage, Message
 from repro.network.simulator import INGEST_OPS, SimulatedNode, receive_ops
-from repro.streaming.events import Event
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.sketches.kll import KllSketch
@@ -67,19 +67,18 @@ class KllLocalNode(SimulatedNode):
         """Events dropped because their window had already shipped."""
         return self._late_events
 
-    def ingest(self, events: Sequence[Event], now: float) -> float:
+    def ingest(self, events: EventColumns, now: float) -> float:
         """Fold the batch into the owning window's sketch."""
         groups, late = bucket_by_window(
             events, self._assigner.length, self._completed
         )
         self._late_events += late
-        for window, bucket in groups:
+        for window, rows in groups:
             sketch = self._open.get(window)
             if sketch is None:
                 sketch = KllSketch(self._k, seed=self.node_id)
                 self._open[window] = sketch
-            for event in bucket:
-                sketch.add(event.value)
+            sketch.add_all(rows.values.tolist())
         self._events_ingested += len(events)
         ops = (INGEST_OPS + _SKETCH_OPS_PER_EVENT) * len(events)
         return self.work(ops, now)

@@ -27,7 +27,7 @@ from repro.streaming.aggregates import (
     AggregationFunction,
     get_function,
 )
-from repro.streaming.events import Event
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import TumblingWindows, Window
 from repro.core.query import QuantileQuery
 from repro.network.topology import TopologyConfig
@@ -128,22 +128,22 @@ class PartialAggLocalNode(SimulatedNode):
         """Events dropped because their window had already shipped."""
         return self._late_events
 
-    def ingest(self, events: Sequence[Event], now: float) -> float:
+    def ingest(self, events: EventColumns, now: float) -> float:
         """Fold the batch into per-window partial aggregates (O(1) state)."""
         groups, late = bucket_by_window(
             events, self._assigner.length, self._completed
         )
         self._late_events += late
-        for window, bucket in groups:
-            for event in bucket:
-                lifted = self._function.lift(event.value)
+        for window, rows in groups:
+            for value in rows.values.tolist():
+                lifted = self._function.lift(value)
                 if window in self._partials:
                     self._partials[window] = self._function.combine(
                         self._partials[window], lifted
                     )
                 else:
                     self._partials[window] = lifted
-            self._counts[window] = self._counts.get(window, 0) + len(bucket)
+            self._counts[window] = self._counts.get(window, 0) + len(rows)
         self._events_ingested += len(events)
         ops = (INGEST_OPS + _FOLD_OPS_PER_EVENT) * len(events)
         return self.work(ops, now)

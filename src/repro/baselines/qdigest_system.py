@@ -15,7 +15,7 @@ from typing import Sequence
 from repro.errors import AggregationError
 from repro.network.messages import EventBatchMessage, Message, QDigestMessage
 from repro.network.simulator import INGEST_OPS, SimulatedNode, receive_ops
-from repro.streaming.events import Event
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.sketches.qdigest import QDigest
@@ -83,19 +83,18 @@ class QDigestLocalNode(SimulatedNode):
         span = self._high - self._low
         return int((clamped - self._low) / span * self._buckets)
 
-    def ingest(self, events: Sequence[Event], now: float) -> float:
+    def ingest(self, events: EventColumns, now: float) -> float:
         """Quantize and fold the batch into the owning window's digest."""
         groups, late = bucket_by_window(
             events, self._assigner.length, self._completed
         )
         self._late_events += late
-        for window, bucket in groups:
+        for window, rows in groups:
             digest = self._open.get(window)
             if digest is None:
                 digest = QDigest(self._k, self._depth)
                 self._open[window] = digest
-            for event in bucket:
-                digest.add(self._bucket(event.value))
+            digest.add_all(map(self._bucket, rows.values.tolist()))
         self._events_ingested += len(events)
         ops = (INGEST_OPS + _DIGEST_OPS_PER_EVENT) * len(events)
         return self.work(ops, now)

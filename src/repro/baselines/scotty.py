@@ -25,9 +25,10 @@ from repro.network.simulator import (
     sort_cost,
 )
 from repro.streaming.aggregates import quantile_rank
-from repro.streaming.events import Event, event_key
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
+from repro.core.sorted_window import SortedLocalWindow
 from repro.baselines.base import BaselineRootMixin, bucket_by_window
 
 __all__ = ["ScottyLocalNode", "ScottyRootNode"]
@@ -55,16 +56,16 @@ class ScottyLocalNode(SimulatedNode):
         """Raw events accepted so far."""
         return self._events_ingested
 
-    def ingest(self, events: Sequence[Event], now: float) -> float:
+    def ingest(self, events: EventColumns, now: float) -> float:
         """Forward the batch upstream unchanged."""
         self._events_ingested += len(events)
         finish = self.work(INGEST_OPS * len(events), now)
-        if events:
+        if len(events):
             # The window tag is advisory; the root files each event by its
             # own timestamp, so mixed-window batches are fine.
-            window = self._assigner.assign(events[0].timestamp)[0]
+            window = self._assigner.assign(events.timestamp_at(0))[0]
             message = EventBatchMessage(
-                sender=self.node_id, window=window, events=tuple(events)
+                sender=self.node_id, window=window, events=events
             )
             self.send(message, self._root_id, finish)
         return finish
@@ -105,7 +106,7 @@ class ScottyRootNode(SimulatedNode, BaselineRootMixin):
         self._local_ids = tuple(local_ids)
         self._query = query
         self._assigner = query.assigner()
-        self._buffers: dict[Window, list[Event]] = {}
+        self._buffers: dict[Window, SortedLocalWindow] = {}
         self._watermarks: dict[Window, set[int]] = {}
         self._closed: set[Window] = set()
         self._late_events = 0
@@ -137,8 +138,10 @@ class ScottyRootNode(SimulatedNode, BaselineRootMixin):
                 message.events, self._assigner.length, self._closed
             )
             self._late_events += late
-            for window, bucket in groups:
-                self._buffers.setdefault(window, []).extend(bucket)
+            for window, rows in groups:
+                self._buffers.setdefault(
+                    window, SortedLocalWindow()
+                ).add_all(rows)
         elif isinstance(message, WatermarkMessage):
             seen = self._watermarks.setdefault(message.window, set())
             seen.add(message.sender)
@@ -152,8 +155,8 @@ class ScottyRootNode(SimulatedNode, BaselineRootMixin):
     def _close(self, window: Window, now: float) -> None:
         self._watermarks.pop(window, None)
         self._closed.add(window)
-        events = self._buffers.pop(window, [])
-        if not events:
+        events = self._buffers.pop(window, None)
+        if events is None:
             self._emit(window, None, 0, now)
             return
         finish = self.work(sort_cost(len(events)), now)
@@ -166,6 +169,6 @@ class ScottyRootNode(SimulatedNode, BaselineRootMixin):
                 window=window,
                 events=len(events),
             )
-        ordered = sorted(events, key=event_key)
+        ordered = events.seal()
         rank = quantile_rank(self._query.q, len(ordered))
         self._emit(window, ordered[rank - 1].value, len(ordered), finish)

@@ -14,7 +14,7 @@ from typing import Sequence
 from repro.errors import AggregationError
 from repro.network.messages import DigestMessage, EventBatchMessage, Message
 from repro.network.simulator import INGEST_OPS, SimulatedNode, receive_ops
-from repro.streaming.events import Event
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.sketches.tdigest import DEFAULT_COMPRESSION, TDigest
@@ -63,21 +63,20 @@ class TDigestLocalNode(SimulatedNode):
         """Events dropped because their window had already shipped."""
         return self._late_events
 
-    def ingest(self, events: Sequence[Event], now: float) -> float:
+    def ingest(self, events: EventColumns, now: float) -> float:
         """Fold the batch into the owning window's digest."""
         groups, late = bucket_by_window(
             events, self._assigner.length, self._completed
         )
         self._late_events += late
-        for window, bucket in groups:
+        for window, rows in groups:
             digest = self._open.get(window)
             if digest is None:
                 digest = TDigest(self._compression)
                 self._open[window] = digest
                 self._counts[window] = 0
-            for event in bucket:
-                digest.add(event.value)
-            self._counts[window] += len(bucket)
+            digest.add_all(rows.values.tolist())
+            self._counts[window] += len(rows)
         self._events_ingested += len(events)
         ops = (INGEST_OPS + _DIGEST_OPS_PER_EVENT) * len(events)
         return self.work(ops, now)

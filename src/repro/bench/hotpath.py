@@ -10,15 +10,16 @@ pre-optimization baseline, so a regression shows up as an artifact diff
 
 Benchmark boundaries are chosen to stay comparable across refactors:
 
-``ingest_sort``
-    N shuffled events through :class:`SortedLocalWindow` (add + seal),
-    i.e. everything between "event arrives" and "sorted run exists",
-    regardless of where an implementation chooses to pay the sort.
+``ingest_columnar``
+    N shuffled events through :class:`SortedLocalWindow` (add_all of
+    512-event batches + seal), i.e. everything between "batch arrives"
+    and "sorted run exists", regardless of where an implementation
+    chooses to pay the sort.
 ``cut_slice``
     γ-slicing an already sorted run into synopses.
 ``tdigest_merge``
     Root-style :meth:`TDigest.merge_all` over pre-built digests.
-``codec_roundtrip``
+``codec_columnar``
     ``encode_frame`` + ``decode_frame`` of full event batches.
 ``live``
     The live asyncio cluster, same configuration as ``BENCH_live.json``.
@@ -138,26 +139,13 @@ def _shuffled_events(n: int, seed: int) -> list[Event]:
     ]
 
 
-def bench_ingest_sort(config: HotpathConfig) -> float:
-    """Events/s through SortedLocalWindow add + seal (arrival → sorted run)."""
-    events = _shuffled_events(config.ingest_events, config.seed)
-
-    def run() -> int:
-        window = SortedLocalWindow()
-        add = window.add
-        for event in events:
-            add(event)
-        window.seal()
-        return len(events)
-
-    return _best_of(run, config.repeats)
-
-
 def bench_cut_slice(config: HotpathConfig) -> float:
     """Events/s through γ-slicing of an already sorted run."""
-    events = sorted(
-        _shuffled_events(config.slice_events, config.seed + 1)
-    )
+    events = SortedLocalWindow(
+        EventColumns.from_events(
+            _shuffled_events(config.slice_events, config.seed + 1)
+        )
+    ).seal()
 
     def run() -> int:
         slice_sorted_events(events, config.gamma, node_id=1)
@@ -186,27 +174,9 @@ def bench_tdigest_merge(config: HotpathConfig) -> float:
     return _best_of(run, config.repeats)
 
 
-def bench_codec_roundtrip(config: HotpathConfig) -> float:
-    """Events/s through encode_frame + decode_frame of full event batches."""
-    events = tuple(_shuffled_events(config.codec_batch, config.seed + 2))
-    message = EventBatchMessage(
-        sender=1, window=Window(0, 1000), events=events
-    )
-
-    def run() -> int:
-        for _ in range(config.codec_rounds):
-            decode_frame(encode_frame(message))
-        return config.codec_rounds * len(events)
-
-    return _best_of(run, config.repeats)
-
-
 def bench_ingest_columnar(config: HotpathConfig) -> float:
-    """Events/s through columnar batch ingest (add_all + seal on arrays).
-
-    Same arrival → sorted-run boundary as ``ingest_sort``, but fed the
-    way the live path feeds it: batches of :class:`EventColumns`.
-    """
+    """Events/s through batch ingest (add_all + seal on arrays), fed the
+    way the live path feeds it: batches of :class:`EventColumns`."""
     events = EventColumns.from_events(
         _shuffled_events(config.ingest_events, config.seed)
     )
@@ -224,9 +194,8 @@ def bench_ingest_columnar(config: HotpathConfig) -> float:
 
 
 def bench_codec_columnar(config: HotpathConfig) -> float:
-    """Events/s through encode + decode of *columnar* event batches —
-    the wire path live streams actually take (no object materialization
-    on either side)."""
+    """Events/s through encode_frame + decode_frame of full event batches
+    (no object materialization on either side)."""
     events = EventColumns.from_events(
         _shuffled_events(config.codec_batch, config.seed + 2)
     )
@@ -260,11 +229,9 @@ def bench_live(config: HotpathConfig) -> float:
 
 #: Metric name → benchmark callable; iteration order is report order.
 BENCHMARKS: dict[str, Callable[[HotpathConfig], float]] = {
-    "ingest_sort_events_per_s": bench_ingest_sort,
     "ingest_columnar_events_per_s": bench_ingest_columnar,
     "cut_slice_events_per_s": bench_cut_slice,
     "tdigest_merges_per_s": bench_tdigest_merge,
-    "codec_roundtrip_events_per_s": bench_codec_roundtrip,
     "codec_columnar_events_per_s": bench_codec_columnar,
     "live_events_per_s": bench_live,
 }

@@ -19,7 +19,7 @@ from typing import Mapping
 from repro.network.metrics import LatencyStats
 from repro.bench.accuracy import accuracy_vs_ground_truth
 from repro.bench.charts import bar_chart, series_chart
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload, workload_columns
 from repro.bench.harness import (
     ThroughputResult,
     capacity_estimate,
@@ -265,22 +265,19 @@ def exp_ablation_window_cut(
     Without pruning, the whole overlap unit containing the quantile rank is
     fetched; window-cut keeps only members whose rank bounds reach the rank.
     """
-    from repro.streaming.windows import TumblingWindows
     from repro.core.slicing import slice_sorted_events
+    from repro.core.sorted_window import SortedLocalWindow
     from repro.core.units import build_units
     from repro.core.window_cut import window_cut
 
     config = GeneratorConfig(
         event_rate=per_node_rate, duration_s=float(n_windows), seed=seed
     )
-    streams = workload(range(1, 3), config)
-    assigner = TumblingWindows(1000)
+    streams = workload_columns(range(1, 3), config)
     per_window: dict = {}
     for node_id, events in streams.items():
-        for event in events:
-            per_window.setdefault(
-                assigner.window_for(event.timestamp), {}
-            ).setdefault(node_id, []).append(event)
+        for start, rows in events.by_window(1000):
+            per_window.setdefault(start, {})[node_id] = rows
 
     cut_total = 0
     unit_total = 0
@@ -289,7 +286,7 @@ def exp_ablation_window_cut(
         synopses = []
         for node_id, events in window_events.items():
             sliced = slice_sorted_events(
-                sorted(events, key=lambda e: e.key), BENCH_GAMMA, node_id
+                SortedLocalWindow(events).seal(), BENCH_GAMMA, node_id
             )
             synopses.extend(sliced.synopses)
         total = sum(s.count for s in synopses)

@@ -3,11 +3,10 @@
 The root has fetched the candidate slices' events — each slice arrives as a
 run that is already sorted, because the local node sorted its window before
 slicing.  Only one element is wanted, the one at local rank ``k − n_below``
-of the merged runs.  On the live path the runs arrive as
+of the merged runs.  The runs arrive as
 :class:`~repro.streaming.columns.EventColumns` and the root takes it with a
-rank select over the columns; event-object runs (the simulator) and
-NaN-bearing windows go through the k-way merge, which is also the reference
-the select is tested against.
+rank select over the columns; NaN-bearing windows go through the k-way
+merge, which is also the reference the select is tested against.
 """
 
 # Hot-path module: no per-event ``Event`` construction here — see
@@ -19,7 +18,7 @@ import heapq
 from typing import Iterable, Sequence
 
 from repro.errors import CalculationError
-from repro.streaming.columns import select_rank
+from repro.streaming.columns import EventColumns, as_event_columns, select_rank
 from repro.streaming.events import Event, event_key
 from repro.core.window_cut import CutResult
 
@@ -45,13 +44,14 @@ def merge_candidate_runs(runs: Iterable[Sequence[Event]]) -> list[Event]:
 
 
 def calculate_quantile(
-    cut: CutResult, runs: Iterable[Sequence[Event]]
+    cut: CutResult, runs: "Iterable[EventColumns | Sequence[Event]]"
 ) -> Event:
     """Select the quantile event from the fetched candidate runs.
 
     Args:
         cut: The window-cut result that produced the fetch plan.
-        runs: The candidate slices' event runs, in any order.
+        runs: The candidate slices' event runs, in any order, each an
+            ``EventColumns`` or a sequence of ``Event`` (converted here).
 
     Returns:
         The event whose global rank is ``cut.rank``.
@@ -60,15 +60,15 @@ def calculate_quantile(
         CalculationError: If the runs do not match the cut (wrong total
             count, or the local rank falls outside the merged events).
     """
-    runs = list(runs)
+    runs = [as_event_columns(run) for run in runs]
     selected = select_rank(runs, cut.local_rank)
     if (
         selected is not None
         and sum(len(run) for run in runs) == cut.candidate_events
     ):
         return selected
-    # Not NaN-free numpy columns, or a count/rank mismatch to report: the
-    # merge below is the reference for all of them.
+    # NaN values, or a count/rank mismatch to report: the merge below is
+    # the reference for all of them.
     merged = merge_candidate_runs(runs)
     if len(merged) != cut.candidate_events:
         raise CalculationError(

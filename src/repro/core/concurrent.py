@@ -47,6 +47,7 @@ from repro.network.simulator import (
 from repro.network.topology import Topology, TopologyConfig
 from repro.obs.tracer import NOOP_TRACER
 from repro.streaming.aggregates import quantile_rank
+from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 from repro.core.calculation import calculate_quantile
@@ -61,6 +62,10 @@ from repro.core.synopsis import (
 from repro.core.window_cut import CutResult, window_cut_multi
 
 import math
+
+# Hot-path module: every group's windows take ``EventColumns`` batches — no
+# loop here runs per ``Event`` or assigns windows (enforced by
+# tests/test_hotpath_lint.py).
 
 __all__ = [
     "QueryGroup",
@@ -175,9 +180,6 @@ class ConcurrentDemaLocalNode(SimulatedNode):
         super().__init__(node_id, ops_per_second=ops_per_second)
         self._root_id = root_id
         self._groups = {group.group_id: group for group in groups}
-        self._assigners = {
-            group.group_id: group.prototype.assigner() for group in groups
-        }
         self._state = {
             group.group_id: _GroupLocalState() for group in groups
         }
@@ -188,25 +190,34 @@ class ConcurrentDemaLocalNode(SimulatedNode):
         """Raw events accepted so far (once, regardless of group count)."""
         return self._events_ingested
 
-    def ingest(self, events: Sequence[Event], now: float) -> float:
-        """Route each event into every group's open windows.
+    def ingest(self, events: EventColumns, now: float) -> float:
+        """Route the batch into every group's open windows.
 
         Ingestion (parse + route) is paid once per event; the sorted insert
         is paid once per *group* per event because each group maintains its
-        own sorted windows.
+        own sorted windows: ``log2(window size after the insert)`` per event
+        per (group, window), summed event-major over the rows each window
+        received (docs/cost-model.md: the order of the float sum is part of
+        the simulated clock).
         """
+        inserts: list[tuple[int, int]] = []  # (size before, rows added)
+        for group_id, group in self._groups.items():
+            length, step, _ = group.shape
+            state = self._state[group_id]
+            for start, rows in events.by_window(length, step):
+                window = Window(start, start + length)
+                if window in state.completed:
+                    continue
+                sorted_window = state.open.setdefault(
+                    window, SortedLocalWindow()
+                )
+                inserts.append((len(sorted_window), len(rows)))
+                sorted_window.add_all(rows)
         insert_ops = 0.0
-        for event in events:
-            for group_id, assigner in self._assigners.items():
-                state = self._state[group_id]
-                for window in assigner.assign_event(event):
-                    if window in state.completed:
-                        continue
-                    sorted_window = state.open.setdefault(
-                        window, SortedLocalWindow()
-                    )
-                    sorted_window.add(event)
-                    insert_ops += math.log2(max(len(sorted_window), 2))
+        for row in range(1, len(events) + 1):
+            for before, added in inserts:
+                if row <= added:
+                    insert_ops += math.log2(max(before + row, 2))
         self._events_ingested += len(events)
         return self.work(INGEST_OPS * len(events) + insert_ops, now)
 
@@ -269,7 +280,7 @@ class _GroupWindowState:
     sizes: dict[int, int] = field(default_factory=dict)
     cuts: dict[int, CutResult] = field(default_factory=dict)
     requests: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    runs: dict[tuple[int, int], tuple[Event, ...]] = field(default_factory=dict)
+    runs: dict[tuple[int, int], EventColumns] = field(default_factory=dict)
     expected_runs: int = 0
 
 
@@ -551,9 +562,10 @@ class ConcurrentDemaEngine:
         return self._root
 
     def run(
-        self, streams: Mapping[int, Sequence[Event]]
+        self, streams: "Mapping[int, EventColumns | Sequence[Event]]"
     ) -> ConcurrentRunReport:
-        """Feed per-local-node streams through every query at once."""
+        """Feed per-local-node streams (``EventColumns`` or sequences of
+        ``Event``, converted to columns here) through every query at once."""
         unknown = set(streams) - set(self._topology.local_ids)
         if unknown:
             raise ConfigurationError(
@@ -566,7 +578,7 @@ class ConcurrentDemaEngine:
             group_id: set() for group_id in assigners
         }
         for local_id in self._topology.local_ids:
-            events = tuple(streams.get(local_id, ()))
+            events = as_event_columns(streams.get(local_id, ()))
             timestamps = event_timestamps(events, ordered=True)
             # A batch splits wherever any group's window assignment
             # changes, so arrivals stay within their windows.

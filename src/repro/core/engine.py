@@ -31,16 +31,17 @@ from repro.network.topology import Topology, TopologyConfig
 from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
 
-# Hot-path module: every stream becomes an ``EventColumns`` once, at the
-# engine's door, and window sets come from the driver's segmenter — no loop
-# here assigns windows (enforced by tests/test_hotpath_lint.py).
+# Hot-path module: every stream becomes an ``EventColumns`` once — at the
+# driver's door, or here where no driver is in the way — and window sets come
+# from the driver's segmenter: no loop here assigns windows (enforced by
+# tests/test_hotpath_lint.py).
 from repro.core.calculation import calculate_quantile
 from repro.core.identification import identify
 from repro.core.local_node import DemaLocalNode
 from repro.core.query import QuantileQuery
 from repro.core.root_node import DemaRootNode, WindowOutcome
 from repro.core.slicing import slice_sorted_events
-from repro.core.window_cut import CutResult
+from repro.core.sorted_window import SortedLocalWindow
 
 __all__ = ["DemaResult", "DemaRunReport", "dema_quantile", "DemaEngine"]
 
@@ -76,7 +77,7 @@ class DemaResult:
 
 
 def dema_quantile(
-    local_windows: Mapping[int, Sequence[Event]],
+    local_windows: "Mapping[int, EventColumns | Sequence[Event]]",
     q: float,
     gamma: int,
 ) -> DemaResult:
@@ -88,7 +89,8 @@ def dema_quantile(
     calculation step.
 
     Args:
-        local_windows: Per-node event collections (any order within a node).
+        local_windows: Per-node event collections (any order within a
+            node), each an ``EventColumns`` or a sequence of ``Event``.
         q: The quantile in ``(0, 1]``.
         gamma: The slice factor, ≥ 2.
 
@@ -104,7 +106,7 @@ def dema_quantile(
 
     sliced = {
         node_id: slice_sorted_events(
-            sorted(events, key=lambda e: e.key), gamma, node_id
+            SortedLocalWindow(as_event_columns(events)).seal(), gamma, node_id
         )
         for node_id, events in local_windows.items()
     }
@@ -245,8 +247,8 @@ class DemaEngine:
         Args:
             streams: Event streams keyed by *local node id* (the ids in
                 ``topology.local_ids``), each an ``EventColumns`` or a
-                sequence of ``Event`` — converted to columns once, here;
-                missing nodes receive no events.
+                sequence of ``Event`` — converted to columns once, by the
+                driver; missing nodes receive no events.
 
         Returns:
             The run report with per-window outcomes and metrics.
@@ -258,7 +260,7 @@ class DemaEngine:
         assigner = self._query.assigner()
         all_windows: set = set()
         for local_id in self._topology.local_ids:
-            events = as_event_columns(streams.get(local_id, ()))
+            events = streams.get(local_id, ())
             operator = self._simulator.nodes[local_id]
             all_windows.update(self._driver.feed(operator, events, assigner))
         return self._finish(all_windows, allowed_lateness_ms=0)
@@ -286,7 +288,7 @@ class DemaEngine:
             operator = self._simulator.nodes[local_id]
             all_windows.update(
                 self._driver.feed_arrivals(
-                    operator, as_event_columns(events), arrival_ms, assigner
+                    operator, events, arrival_ms, assigner
                 )
             )
         return self._finish(

@@ -9,8 +9,6 @@ requested slices, and then frees the window.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.errors import SliceError
 from repro.network.messages import (
     CandidateEventsMessage,
@@ -25,9 +23,8 @@ from repro.network.messages import (
 import math
 
 from repro.network.simulator import INGEST_OPS, SimulatedNode, receive_ops
-from repro.streaming.columns import EventColumns, as_event_columns
-from repro.streaming.events import Event
-from repro.streaming.windows import TumblingWindows, Window
+from repro.streaming.columns import EventColumns
+from repro.streaming.windows import Window
 
 # Hot-path module: columnar batches flow through ingest → window → slices
 # without materializing per-event ``Event`` objects (enforced by
@@ -62,7 +59,8 @@ class DemaLocalNode(SimulatedNode):
         super().__init__(node_id, ops_per_second=ops_per_second)
         self._root_id = root_id
         self._query = query
-        self._assigner = query.assigner()
+        self._window_length = query.window_length_ms
+        self._window_step = query.window_step_ms
         self._gamma = query.gamma
         self._reliability = reliability
         self._retain = retain_until_release or reliability is not None
@@ -143,9 +141,7 @@ class DemaLocalNode(SimulatedNode):
                 self._arm_resend_timer(window, now)
         return len(self._pending)
 
-    def ingest(
-        self, events: "EventColumns | Sequence[Event]", now: float
-    ) -> float:
+    def ingest(self, events: EventColumns, now: float) -> float:
         """Accept a batch of raw events; returns CPU completion time.
 
         Events are grouped by window and appended in one batch per window;
@@ -158,43 +154,18 @@ class DemaLocalNode(SimulatedNode):
         already shipped its synopses would break the root's rank
         arithmetic: they are dropped and counted as late.
         """
-        late = 0
-        assigner = self._assigner
-        completed = self._completed
-        grouped: "list[tuple[Window, EventColumns | list[Event]]]" = []
-        if isinstance(assigner, TumblingWindows):
-            # Tumbling windows take columns only: an object batch is
-            # converted as at the engine's door.
-            events = as_event_columns(events)
-            length = assigner.length
-            for start, rows in events.by_tumbling_window(length):
-                window = Window(start, start + length)
-                if window in completed:
-                    late += len(rows)
-                else:
-                    grouped.append((window, rows))
-        else:
-            batch: dict[Window, list[Event]] = {}
-            for event in events:
-                for window in assigner.assign_event(event):
-                    if window in completed:
-                        late += 1
-                        continue
-                    bucket = batch.get(window)
-                    if bucket is None:
-                        bucket = batch[window] = []
-                    bucket.append(event)
-            grouped = list(batch.items())
-        self._late_events += late
+        length = self._window_length
         insert_ops = 0.0
-        for window, bucket in grouped:
+        for start, rows in events.by_window(length, self._window_step):
+            window = Window(start, start + length)
+            if window in self._completed:
+                self._late_events += len(rows)
+                continue
             sorted_window = self._open.get(window)
             if sorted_window is None:
                 sorted_window = self._open[window] = SortedLocalWindow()
-            sorted_window.add_all(bucket)
-            insert_ops += len(bucket) * math.log2(
-                max(len(sorted_window), 2)
-            )
+            sorted_window.add_all(rows)
+            insert_ops += len(rows) * math.log2(max(len(sorted_window), 2))
         self._events_ingested += len(events)
         finish = self.work(INGEST_OPS * len(events) + insert_ops, now)
         if self._tracer.enabled and len(events):

@@ -15,9 +15,11 @@ from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.streaming.aggregates import quantile_rank
+from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
 from repro.core.calculation import calculate_quantile
 from repro.core.slicing import slice_sorted_events
+from repro.core.sorted_window import SortedLocalWindow
 from repro.core.synopsis import concat_synopses
 from repro.core.window_cut import CutResult, window_cut_multi
 
@@ -50,14 +52,15 @@ class MultiQuantileResult:
 
 
 def dema_quantiles(
-    local_windows: Mapping[int, Sequence[Event]],
+    local_windows: "Mapping[int, EventColumns | Sequence[Event]]",
     qs: Sequence[float],
     gamma: int,
 ) -> MultiQuantileResult:
     """Compute several exact quantiles with one shared identification pass.
 
     Args:
-        local_windows: Per-node event collections (any order within a node).
+        local_windows: Per-node event collections (any order within a
+            node), each an ``EventColumns`` or a sequence of ``Event``.
         qs: The quantiles, each in ``(0, 1]``; duplicates are collapsed.
         gamma: The slice factor, ≥ 2.
 
@@ -77,7 +80,7 @@ def dema_quantiles(
 
     sliced = {
         node_id: slice_sorted_events(
-            sorted(events, key=lambda e: e.key), gamma, node_id
+            SortedLocalWindow(as_event_columns(events)).seal(), gamma, node_id
         )
         for node_id, events in local_windows.items()
     }

@@ -19,7 +19,6 @@ import numpy as _np
 
 from repro.errors import SliceError
 from repro.streaming.columns import EventColumns
-from repro.streaming.events import Event
 from repro.core.synopsis import SYNOPSIS_DTYPE, SynopsisColumns
 
 # Hot-path module: a window's synopses are one ``SynopsisColumns`` batch
@@ -33,9 +32,6 @@ __all__ = ["SlicedWindow", "slice_sorted_events", "MIN_GAMMA"]
 #: Every slice must hold at least two events (Section 3.1), hence γ ≥ 2.
 MIN_GAMMA = 2
 
-#: The six leading fields of a synopsis record: its first and last key.
-_KEY_PAIR_DTYPE = _np.dtype(SYNOPSIS_DTYPE.descr[:6])
-
 
 @dataclass(frozen=True, slots=True)
 class SlicedWindow:
@@ -43,17 +39,14 @@ class SlicedWindow:
 
     Attributes:
         node_id: Owner of the window.
-        events: The sealed window in ascending key order — a tuple of
-            events or a columnar batch, depending on how the window was
-            fed; both are immutable event sequences with identical
-            contents.
+        events: The sealed window in ascending key order.
         bounds: Slice boundaries into ``events``: slice ``i`` is
             ``events[bounds[i]:bounds[i + 1]]``.
         synopses: One synopsis per slice, in value order.
     """
 
     node_id: int
-    events: Sequence[Event]
+    events: EventColumns
     bounds: Sequence[int]
     synopses: SynopsisColumns
 
@@ -68,13 +61,14 @@ class SlicedWindow:
         return len(self.synopses)
 
     @property
-    def runs(self) -> Sequence[Sequence[Event]]:
+    def runs(self) -> Sequence[EventColumns]:
         """Per-slice sorted event runs; ``runs[i]`` backs ``synopses[i]``.
         A read-only view that cuts each run when it is asked for."""
         return _Runs(self)
 
-    def run_for(self, slice_index: int) -> Sequence[Event]:
-        """The sorted event run backing slice ``slice_index``.
+    def run_for(self, slice_index: int) -> EventColumns:
+        """The sorted event run backing slice ``slice_index`` — a zero-copy
+        view into the window's arrays.
 
         Raises:
             SliceError: If the index is out of range.
@@ -84,7 +78,6 @@ class SlicedWindow:
                 f"slice index {slice_index} out of range "
                 f"(window has {self.n_slices} slices)"
             )
-        # Columnar runs are zero-copy views into the window's arrays.
         return self.events[
             self.bounds[slice_index]:self.bounds[slice_index + 1]
         ]
@@ -101,7 +94,7 @@ class _Runs(_SequenceABC):
     def __len__(self) -> int:
         return self._window.n_slices
 
-    def __getitem__(self, index: int) -> Sequence[Event]:
+    def __getitem__(self, index: int) -> EventColumns:
         if index < 0:
             index += len(self)
         if not 0 <= index < len(self):
@@ -110,7 +103,7 @@ class _Runs(_SequenceABC):
 
 
 def slice_sorted_events(
-    sorted_events: Sequence[Event], gamma: int, node_id: int
+    sorted_events: EventColumns, gamma: int, node_id: int
 ) -> SlicedWindow:
     """Cut a sorted local window into γ-sized slices with synopses.
 
@@ -140,25 +133,13 @@ def slice_sorted_events(
     lasts = bounds[1:] - 1
 
     records = _np.empty(len(starts), dtype=SYNOPSIS_DTYPE)
-    if isinstance(sorted_events, EventColumns):
-        first, last = sorted_events[starts], sorted_events[lasts]
-        records["first_value"] = first.values
-        records["first_node"] = first.node_ids
-        records["first_seq"] = first.seqs
-        records["last_value"] = last.values
-        records["last_node"] = last.node_ids
-        records["last_seq"] = last.seqs
-    else:
-        sorted_events = tuple(sorted_events)
-        keys = _np.array(
-            [
-                sorted_events[i].key + sorted_events[j].key
-                for i, j in zip(starts.tolist(), lasts.tolist())
-            ],
-            dtype=_KEY_PAIR_DTYPE,
-        )
-        for name in _KEY_PAIR_DTYPE.names:
-            records[name] = keys[name]
+    first, last = sorted_events[starts], sorted_events[lasts]
+    records["first_value"] = first.values
+    records["first_node"] = first.node_ids
+    records["first_seq"] = first.seqs
+    records["last_value"] = last.values
+    records["last_node"] = last.node_ids
+    records["last_seq"] = last.seqs
     records["count"] = _np.diff(bounds)
     records["slice_index"] = _np.arange(len(starts), dtype="<u4")
     records["n_slices"] = len(starts)

@@ -16,13 +16,13 @@ batches are ``events[a:b]`` slices inside those segments.
 from __future__ import annotations
 
 import operator as _operator
-from typing import Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.simulator import Simulator
-from repro.streaming.columns import EventColumns
+from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
 from repro.streaming.windows import (
     SlidingWindows,
@@ -51,11 +51,9 @@ MS_PER_SECOND = 1000.0
 class LocalOperator(Protocol):
     """What the driver requires of a local node operator."""
 
-    def ingest(
-        self, events: "EventColumns | Sequence[Event]", now: float
-    ) -> float:
+    def ingest(self, events: EventColumns, now: float) -> float:
         """Accept a batch arriving at simulated time ``now``: a slice of the
-        fed stream — ``EventColumns`` of a columnar one, else a tuple."""
+        fed stream."""
 
     def on_window_complete(self, window: Window, now: float) -> None:
         """React to the event-time end of ``window``."""
@@ -69,7 +67,7 @@ def _run_starts(column: np.ndarray) -> np.ndarray:
 
 
 def event_timestamps(
-    events: "EventColumns | Sequence[Event]", *, ordered: bool = False
+    events: EventColumns, *, ordered: bool = False
 ) -> np.ndarray:
     """The stream's event times as int64 (window arithmetic on the column's
     own u32 wraps silently near 2**32).
@@ -78,12 +76,7 @@ def event_timestamps(
         ConfigurationError: With ``ordered``, if timestamps regress; names
             the first offending pair.
     """
-    if isinstance(events, EventColumns):
-        timestamps = events.timestamps.astype(np.int64)
-    else:
-        timestamps = np.fromiter(
-            map(_operator.attrgetter("timestamp"), events), np.int64, len(events)
-        )
+    timestamps = events.timestamps.astype(np.int64)
     if ordered:
         regressions = np.flatnonzero(timestamps[1:] < timestamps[:-1])
         if len(regressions):
@@ -135,10 +128,10 @@ def window_segments(
 
 def split_arrivals(
     arrivals: Sequence[tuple[Event, int]],
-) -> tuple[tuple[Event, ...], np.ndarray]:
-    """``(event, arrival_ms)`` pairs as an event tuple and an int64 array."""
+) -> tuple[EventColumns, np.ndarray]:
+    """``(event, arrival_ms)`` pairs as an event batch and an int64 array."""
     return (
-        tuple(event for event, _ in arrivals),
+        EventColumns.from_events(event for event, _ in arrivals),
         np.fromiter((ms for _, ms in arrivals), np.int64, len(arrivals)),
     )
 
@@ -176,7 +169,7 @@ class BatchSourceDriver:
     def schedule_batches(
         self,
         operator: LocalOperator,
-        events: "EventColumns | Sequence[Event]",
+        events: EventColumns,
         arrival_ms: np.ndarray,
         starts: np.ndarray,
     ) -> None:
@@ -200,7 +193,7 @@ class BatchSourceDriver:
     def feed(
         self,
         operator: LocalOperator,
-        events: "EventColumns | Sequence[Event]",
+        events: "EventColumns | Iterable[Event]",
         assigner: WindowAssigner,
     ) -> list[Window]:
         """Schedule ``events`` into ``operator``; returns the windows touched.
@@ -208,8 +201,8 @@ class BatchSourceDriver:
         Args:
             operator: The local operator to drive.
             events: The node's stream in non-decreasing timestamp order, as
-                an ``EventColumns`` or a sequence of ``Event``; the operator
-                is handed slices of it (columns, or tuples of ``Event``).
+                an ``EventColumns`` or a sequence of ``Event`` (converted
+                here); the operator is handed ``EventColumns`` slices.
             assigner: Any window assigner (tumbling, sliding, session).  A
                 batch never spans a change of window assignment, holds at
                 most ``batch_size`` events, and arrives at the timestamp of
@@ -227,8 +220,7 @@ class BatchSourceDriver:
         Raises:
             ConfigurationError: If timestamps regress; nothing is scheduled.
         """
-        if not isinstance(events, EventColumns):
-            events = tuple(events)
+        events = as_event_columns(events)
         timestamps = event_timestamps(events, ordered=True)
         starts, windows = window_segments(timestamps, assigner)
         self.schedule_batches(operator, events, timestamps, starts)
@@ -260,7 +252,7 @@ class BatchSourceDriver:
     def feed_arrivals(
         self,
         operator: LocalOperator,
-        events: "EventColumns | Sequence[Event]",
+        events: "EventColumns | Iterable[Event]",
         arrival_ms: np.ndarray,
         assigner: WindowAssigner,
     ) -> list[Window]:
@@ -273,6 +265,7 @@ class BatchSourceDriver:
         Raises:
             ConfigurationError: If an arrival time is negative.
         """
+        events = as_event_columns(events)
         order = np.argsort(arrival_ms, kind="stable")
         arrival_ms = arrival_ms[order]
         if len(order) and arrival_ms[0] < 0:
@@ -280,10 +273,7 @@ class BatchSourceDriver:
                 f"negative arrival time {arrival_ms[0]} for "
                 f"{events[int(order[0])]}"
             )
-        if isinstance(events, EventColumns):
-            events = events[order]
-        else:
-            events = tuple(map(events.__getitem__, order.tolist()))
+        events = events[order]
         _, windows = window_segments(event_timestamps(events), assigner)
         self.schedule_batches(
             operator, events, arrival_ms, _run_starts(arrival_ms)

@@ -16,6 +16,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.runtime import wire
+from repro.streaming.columns import (
+    EMPTY_EVENTS,
+    EventColumns,
+    as_event_columns,
+)
 from repro.streaming.events import EVENT_WIRE_BYTES, Event
 from repro.streaming.windows import Window
 
@@ -89,7 +94,7 @@ class Message:
 class EventBatchMessage(Message):
     """Raw events forwarded upstream (centralized aggregation)."""
 
-    events: tuple[Event, ...] = ()
+    events: EventColumns = EMPTY_EVENTS
 
     @property
     def payload_bytes(self) -> int:
@@ -100,7 +105,7 @@ class EventBatchMessage(Message):
 class SortedRunMessage(Message):
     """A fully sorted local window (Desis-style decentralized sorting)."""
 
-    events: tuple[Event, ...] = ()
+    events: EventColumns = EMPTY_EVENTS
 
     @property
     def payload_bytes(self) -> int:
@@ -141,7 +146,7 @@ class CandidateEventsMessage(Message):
     """Dema calculation step: the requested candidate events (pre-sorted)."""
 
     slice_index: int = 0
-    events: tuple[Event, ...] = ()
+    events: EventColumns = EMPTY_EVENTS
 
     @property
     def payload_bytes(self) -> int:
@@ -479,7 +484,7 @@ class RelayRunsMessage(Message):
     payload byte accounting and skippable by older peers.
     """
 
-    #: tuple[(node_id, slice_index, tuple[Event, ...]), ...]
+    #: tuple[(node_id, slice_index, EventColumns), ...]
     sections: tuple = ()
     #: tuple[TraceContext | None, ...] aligned with ``sections``.
     section_contexts: tuple = ()
@@ -606,4 +611,6 @@ def batch_events(
     sender: int, window: Window, events: Sequence[Event]
 ) -> EventBatchMessage:
     """Convenience constructor for a raw-event batch."""
-    return EventBatchMessage(sender=sender, window=window, events=tuple(events))
+    return EventBatchMessage(
+        sender=sender, window=window, events=as_event_columns(events)
+    )

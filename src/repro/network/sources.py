@@ -12,12 +12,21 @@ exercised end to end.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
+
+import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.network.driver import event_timestamps
 from repro.network.messages import EventBatchMessage, Message
 from repro.network.simulator import INGEST_OPS, SimulatedNode
+from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
+from repro.streaming.windows import Window
+
+# Hot-path module: a sensor's share is cut into transmissions by position
+# on its timestamp column and shipped as ``EventColumns`` slices — no loop
+# here runs per event (enforced by tests/test_hotpath_lint.py).
 
 __all__ = ["StreamSensorNode"]
 
@@ -65,52 +74,43 @@ class StreamSensorNode(SimulatedNode):
         """Events scheduled for transmission so far."""
         return self._events_produced
 
-    def load(self, events: Sequence[Event]) -> None:
+    def load(self, events: "EventColumns | Iterable[Event]") -> None:
         """Schedule the sensor's readings for transmission.
 
         Args:
-            events: The sensor's stream in non-decreasing timestamp order.
+            events: The sensor's stream in non-decreasing timestamp order,
+                as an ``EventColumns`` or a sequence of ``Event`` (converted
+                here).
 
         Raises:
-            ConfigurationError: If timestamps regress.
+            ConfigurationError: If timestamps regress; nothing is scheduled.
         """
-        batch: list[Event] = []
-        last_timestamp: int | None = None
-        for event in events:
-            if last_timestamp is not None and event.timestamp < last_timestamp:
-                raise ConfigurationError(
-                    f"sensor timestamps must be non-decreasing; saw "
-                    f"{event.timestamp} after {last_timestamp}"
-                )
-            last_timestamp = event.timestamp
+        events = as_event_columns(events)
+        timestamps = event_timestamps(events, ordered=True)
+        a = 0
+        while a < len(events):
             # Flush before the oldest buffered reading grows stale; this
             # also bounds how far a batch can spill past a window boundary.
-            if batch and (
-                event.timestamp - batch[0].timestamp
-                >= self._max_batch_delay_ms
-            ):
-                self._schedule_batch(tuple(batch))
-                batch = []
-            batch.append(event)
-            if len(batch) >= self._batch_size:
-                self._schedule_batch(tuple(batch))
-                batch = []
-        if batch:
-            self._schedule_batch(tuple(batch))
+            stale = int(np.searchsorted(
+                timestamps, timestamps[a] + self._max_batch_delay_ms
+            ))
+            b = min(a + self._batch_size, stale)
+            self._schedule_batch(events[a:b])
+            a = b
 
-    def _schedule_batch(self, batch: tuple[Event, ...]) -> None:
-        send_time = batch[-1].timestamp / 1000.0
+    def _schedule_batch(self, batch: EventColumns) -> None:
+        send_time = batch.timestamp_at(-1) / 1000.0
         self._events_produced += len(batch)
         self.simulator.schedule(
             send_time, lambda now, b=batch: self._transmit(b, now)
         )
 
-    def _transmit(self, batch: tuple[Event, ...], now: float) -> None:
+    def _transmit(self, batch: EventColumns, now: float) -> None:
         finish = self.work(INGEST_OPS * len(batch), now)
+        # An advisory window tag covering the batch (receivers re-assign).
+        span = Window(batch.timestamp_at(0), batch.timestamp_at(-1) + 1)
         message = EventBatchMessage(
-            sender=self.node_id,
-            window=_span_of(batch),
-            events=batch,
+            sender=self.node_id, window=span, events=batch
         )
         self.send(message, self._local_id, finish)
 
@@ -119,12 +119,3 @@ class StreamSensorNode(SimulatedNode):
             f"sensor {self.node_id} does not accept messages, got "
             f"{type(message).__name__}"
         )
-
-
-def _span_of(batch: tuple[Event, ...]):
-    """An advisory window tag covering the batch (receivers re-assign)."""
-    from repro.streaming.windows import Window
-
-    start = batch[0].timestamp
-    end = batch[-1].timestamp + 1
-    return Window(start, end)

@@ -30,7 +30,12 @@ from collections import deque
 
 from repro.core.sorted_window import SortedLocalWindow
 from repro.errors import QueryError
-from repro.streaming.columns import EventColumns, concat_columns, merge_runs
+from repro.streaming.columns import (
+    EMPTY_EVENTS,
+    EventColumns,
+    concat_columns,
+    merge_runs,
+)
 
 # Hot-path module: panes, pane runs and window runs are ``EventColumns``
 # from ingest to the slicer; no per-event object is built and no batch is
@@ -76,7 +81,7 @@ class PaneStore:
 
     def add(self, batch: EventColumns) -> None:
         """Ingest a batch, splitting its rows over the panes they fall in."""
-        for start, rows in batch.by_tumbling_window(self._pane_ms):
+        for start, rows in batch.by_window(self._pane_ms):
             self._add_rows(start, rows)
 
     def _add_rows(self, start: int, rows: EventColumns) -> None:
@@ -93,7 +98,7 @@ class PaneStore:
         run = self._sealed.get(start)
         if run is None:
             pane = self._open.pop(start, None)
-            run = EventColumns.from_wire(b"") if pane is None else pane.seal()
+            run = EMPTY_EVENTS if pane is None else pane.seal()
             self._sealed[start] = run
         return run
 

@@ -68,7 +68,11 @@ from repro.runtime.transport import (
     MessageStream,
     TcpNetwork,
 )
-from repro.streaming.columns import EventColumns, as_event_columns
+from repro.streaming.columns import (
+    EMPTY_EVENTS,
+    EventColumns,
+    as_event_columns,
+)
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 
@@ -95,9 +99,6 @@ _EPOCH_POLL_S = 0.002
 
 #: Placeholder window on telemetry frames built by the cluster driver.
 _TELEMETRY_WINDOW = Window(0, 1)
-
-#: The share of a local no stream was given for.
-_NO_EVENTS = EventColumns.from_wire(b"")
 
 
 @dataclass(frozen=True, slots=True)
@@ -693,7 +694,7 @@ async def run_cluster(
     def start_replays(local_id: int) -> None:
         """Create the local's stream servers and their replay tasks."""
         lo, hi = ranges[local_id]
-        share = streams.get(local_id, _NO_EVENTS)
+        share = streams.get(local_id, EMPTY_EVENTS)
         if (lo, hi) != (grid_start, grid_end):
             # Membership demands timestamp-sorted streams (checked
             # above), so truncation is a zero-copy slice.

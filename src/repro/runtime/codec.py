@@ -28,7 +28,6 @@ simulator's byte accounting and old captures valid.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -180,42 +179,9 @@ def tag_of(message: Message) -> int:
 # ----------------------------------------------------------------------
 
 
-#: Cache of whole-array structs keyed by event count.  ``"<" + "dIII"*n``
-#: is byte-identical to ``n`` ``EVENT.pack`` calls (little-endian formats
-#: never pad), so one ``pack`` replaces ``n`` pack calls plus an ``n``-way
-#: join.  Bounded so a pathological mix of batch sizes cannot grow it
-#: without limit.
-_EVENT_ARRAY_STRUCTS: dict[int, struct.Struct] = {}
-_EVENT_ARRAY_CACHE_MAX = 4096
-
-
-def _event_array_struct(n: int) -> struct.Struct:
-    fmt = _EVENT_ARRAY_STRUCTS.get(n)
-    if fmt is None:
-        fmt = struct.Struct("<" + "dIII" * n)
-        if len(_EVENT_ARRAY_STRUCTS) < _EVENT_ARRAY_CACHE_MAX:
-            _EVENT_ARRAY_STRUCTS[n] = fmt
-    return fmt
-
-
-def _event_array(events) -> bytes:
-    """The ``n`` × 20-byte wire event array of a batch.
-
-    The one place the codec asks which form it was handed: live batches
-    and the query plane's candidate runs are columnar and already *are*
-    the wire layout; simulator nodes hosted live still send event objects.
-    """
-    if isinstance(events, EventColumns):
-        return events.to_wire()
-    args: list = []
-    extend = args.extend
-    for ev in events:
-        extend((ev.value, ev.timestamp, ev.node_id, ev.seq))
-    return _event_array_struct(len(events)).pack(*args)
-
-
-def _encode_events(events) -> bytes:
-    return wire.COUNT.pack(len(events)) + _event_array(events)
+def _encode_events(events: EventColumns) -> bytes:
+    # A columnar batch already *is* the wire layout.
+    return wire.COUNT.pack(len(events)) + events.to_wire()
 
 
 def _encode_event_batch(m: EventBatchMessage) -> bytes:
@@ -406,7 +372,7 @@ def _encode_relay_runs(m: RelayRunsMessage) -> bytes:
                 node_id, slice_index, len(events)
             )
         )
-        parts.append(_event_array(events))
+        parts.append(events.to_wire())
     return b"".join(parts)
 
 

@@ -1,15 +1,17 @@
-"""Columnar event batches: the live hot path's data layout.
+"""Columnar event batches: the one data layout behind every public door.
 
 An :class:`EventColumns` holds one batch of events as parallel columns
 (value f64, timestamp u32, node_id u32, seq u32) instead of per-event
 :class:`~repro.streaming.events.Event` objects.  It is built zero-copy
 straight off the wire (the 20-byte-stride event array of an event-batch
-frame *is* the columnar layout), flows through the stream and local
-servers into :class:`~repro.core.sorted_window.SortedLocalWindow`, and is
-sorted, merged, sliced and re-encoded without materializing objects.
-Events only become :class:`Event` instances at the columnar boundary —
-element access, iteration, and the operators' cold fallback paths — which
-is exactly where the hot-path lint allows construction.
+frame *is* the columnar layout) or once at a door from a sequence of
+``Event`` (:func:`as_event_columns`), flows through the live servers, the
+simulated operators and the baselines into
+:class:`~repro.core.sorted_window.SortedLocalWindow`, and is sorted,
+merged, sliced and re-encoded without materializing objects.  Events only
+become :class:`Event` instances at the columnar boundary — element access,
+iteration, and the NaN reference merge — which is exactly where the
+hot-path lint allows construction.
 
 The columns are views into one structured ndarray with the exact wire
 dtype (:data:`EVENT_DTYPE`), so decode is ``np.frombuffer`` and encode is
@@ -18,7 +20,9 @@ dtype (:data:`EVENT_DTYPE`), so decode is ``np.frombuffer`` and encode is
 values tie (:func:`_key_order`).
 
 **Bit-identity contract.**  Every operation here produces *exactly* the
-sequence the object path produces:
+sequence a comparison sort of ``Event`` objects by key produces
+(``sorted(events, key=event_key)``, and for incremental compaction a sort
+of the arrivals merged into the run with run priority on ties):
 
 * The total-order key ``(value, node_id, seq)`` is strict (node_id/seq
   pairs are unique), so for NaN-free data there is exactly one sorted
@@ -27,15 +31,14 @@ sequence the object path produces:
   (unstable) kernel and then puts only the rows inside runs of equal
   values (``-0.0 == 0.0`` included) in ``(node_id, seq)`` order.  Should
   keys ever collide outright, the repair leaves exact twins in arrival
-  order over ``run ++ buffer``, which equals the object path's "sort
-  buffer, then merge with run priority on ties".
+  order over ``run ++ buffer``, which equals "sort the buffer, then merge
+  with run priority on ties".
 * NaN values break comparison sorts deterministically-but-arbitrarily;
-  numpy would instead push NaNs last, diverging from the object path.
-  Batches containing NaN (seen on the last sorted value) therefore fall
-  back to a comparison mirror — index sort with the same key tuples plus
-  the same two-pointer merge — which performs the identical comparisons
-  in the identical order, reproducing the object path's permutation bit
-  for bit.
+  numpy would instead push NaNs last.  Batches containing NaN (seen on
+  the last sorted value) therefore fall back to a comparison mirror —
+  index sort with the same key tuples plus the same two-pointer merge —
+  which performs the identical comparisons in the identical order,
+  reproducing that permutation bit for bit.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from repro.runtime import wire
 from repro.streaming.events import Event
 
 __all__ = [
+    "EMPTY_EVENTS",
     "EVENT_DTYPE",
     "EventColumns",
     "as_event_columns",
@@ -127,8 +131,8 @@ class EventColumns:
         """Build a batch from numpy arrays (the generator's fast path).
 
         ``node_ids`` may be a scalar (broadcast); ``seqs`` defaults to
-        ``0..n-1``.  Values outside the wire ranges are the caller's bug,
-        exactly as they are on the object encode path.
+        ``0..n-1``.  Values outside the wire ranges are the caller's bug
+        (:meth:`from_events` checks them).
         """
         n = len(values)
         arr = _np.empty(n, dtype=EVENT_DTYPE)
@@ -251,7 +255,7 @@ class EventColumns:
 
     def key_at(self, index: int) -> tuple[float, int, int]:
         """The strict total-order key of event ``index``, as pure floats
-        and ints — byte-identical to ``Event.key`` on the object path."""
+        and ints — byte-identical to the ``Event.key`` of that row."""
         rec = self._arr[index]
         return (float(rec["value"]), int(rec["node_id"]), int(rec["seq"]))
 
@@ -264,29 +268,45 @@ class EventColumns:
     def max_timestamp(self) -> int:
         return int(self._arr["timestamp"].max())
 
-    def by_tumbling_window(
-        self, length: int
+    def by_window(
+        self, length: int, step: "int | None" = None
     ) -> "list[tuple[int, EventColumns]]":
-        """``(window start, rows)`` for each tumbling window of ``length``
-        the batch touches, in the order the windows first appear in it.
+        """``(window start, rows)`` for each fixed-length window the batch
+        touches — ``SlidingWindows(length, step).assign`` row by row, on
+        the timestamp column (``step`` omitted: tumbling).
 
-        A batch inside one window — every batch of an ordered replay — is
-        handed back as is.
+        An event at ``t`` is in the windows numbered ``(t - length) // step
+        + 1 .. t // step``, window ``k`` starting at ``k * step`` — negative
+        for the windows that straddle time zero.  Groups come in the order
+        the windows first appear in the batch, earliest window first within
+        a row; rows keep batch order.  A batch with one window assignment —
+        every batch of an ordered replay — is handed back as is.
         """
         if not len(self):
             return []
-        lo = self.min_timestamp()
-        start = lo - lo % length
-        if self.max_timestamp() < start + length:
-            return [(start, self)]
-        # Two windows in one batch means ``length`` fits the u32 column;
-        # starts are computed in Python ints, which cannot wrap.
-        numbers = self._arr["timestamp"] // length
+        if step is None:
+            step = length
+        lo, hi = self.min_timestamp(), self.max_timestamp()
+        number, last = (lo - length) // step + 1, hi // step
+        if (hi - length) // step + 1 == number and lo // step == last:
+            return [(k * step, self) for k in range(number, last + 1)]
+        # int64: the u32 column wraps below zero and near 2**32.
+        timestamps = self._arr["timestamp"].astype(_np.int64)
         groups = []
-        for number in _np.unique(numbers).tolist():
-            rows = numbers == number
-            groups.append((int(rows.argmax()), number * length, self[rows]))
-        return [group[1:] for group in sorted(groups, key=lambda g: g[0])]
+        while number <= last:
+            start = number * step
+            rows = (timestamps >= start) & (timestamps < start + length)
+            first = int(rows.argmax())
+            if rows[first]:
+                groups.append((first, start, self[rows]))
+                number += 1
+            else:
+                # Nothing here: on to the oldest window of the next event.
+                later = timestamps[timestamps >= start + length]
+                number = (int(later.min()) - length) // step + 1
+        # Stable, and the walk ascends: a row's windows stay earliest first.
+        groups = sorted(groups, key=lambda group: group[0])
+        return [group[1:] for group in groups]
 
     def timestamps_sorted(self) -> bool:
         """Whether timestamps are non-decreasing (ordered replay)."""
@@ -312,12 +332,18 @@ class EventColumns:
         ]
 
 
+#: The batch of no events: what an empty window seals to and a message
+#: without events carries.  Shared — batches are immutable.
+EMPTY_EVENTS = EventColumns(_np.empty(0, dtype=EVENT_DTYPE))
+
+
 def as_event_columns(events: "EventColumns | Iterable[Event]") -> EventColumns:
     """``events`` as a batch: itself if columnar, else built from objects.
 
-    The one door both substrates convert at — the live cluster and the
-    simulated engine each call it once per local's stream, so nothing
-    behind either asks which form it was handed.
+    The one door every public entry point converts at — the live cluster,
+    the simulated engines, the driver, the sensors and the in-memory
+    ``dema_quantile(s)`` / ``calculate_quantile`` — so nothing behind them
+    asks which form it was handed.
     """
     if isinstance(events, EventColumns):
         return events
@@ -350,15 +376,16 @@ def concat_columns(chunks: Sequence[EventColumns]) -> EventColumns:
 def _merge_comparison_mirror(
     run: "EventColumns | None", pending: EventColumns
 ) -> EventColumns:
-    """The object path's exact algorithm on columns.
+    """A comparison-sorted window's exact algorithm on columns.
 
     Stable index sort of the pending batch by key tuple (the same Timsort
-    comparisons ``list.sort(key=event_key)`` performs), then the same
-    two-pointer merge with run priority on ``<=``.  Used whenever NaN
-    values make comparison order the contract.
+    comparisons ``list.sort(key=event_key)`` performs), then a two-pointer
+    merge with run priority on ``<=``.  Used whenever NaN values make
+    comparison order the contract
+    (``tests/property/test_columnar_identity.py`` holds the reference).
 
-    The object path's append-only early-out (whole batch lands after the
-    run) is mirrored too — with a NaN mid-run it is *not* equivalent to
+    The append-only early-out (whole batch lands after the run) is part
+    of that contract too — with a NaN mid-run it is *not* equivalent to
     the merge loop, which dumps the rest of the batch the moment it
     reaches the incomparable key, so skipping it would reorder.
     """
@@ -428,7 +455,7 @@ def merge_runs(
 ) -> EventColumns:
     """Sort ``pending`` and merge it into the sorted ``run``.
 
-    Bit-identical to the object path (see the module docstring): the one
+    Bit-identical to a comparison sort (see the module docstring): the one
     permutation the strict key allows over ``run ++ pending`` — exact
     twins in arrival order, run first — when no value is NaN, the
     comparison mirror otherwise.
@@ -443,31 +470,27 @@ def merge_runs(
     return EventColumns(arr.take(order))
 
 
-def select_rank(runs: Sequence, local_rank: int) -> "Event | None":
+def select_rank(
+    runs: Sequence[EventColumns], local_rank: int
+) -> "Event | None":
     """The event at 1-based ``local_rank`` of the merged sorted ``runs``.
 
     The root's calculation step as a rank select: one concatenation, a
     vectorised sortedness check, ``np.partition`` for the rank's value and
     a ``(node_id, seq)`` sort over the rows tied at that value only.  It
     picks the row a stable key-sort of the concatenated runs puts at that
-    rank, which is the element the object path's k-way merge yields, and
+    rank, which is the element a k-way merge of the runs yields, and
     materialises that one row.
 
-    Returns ``None`` — the caller's object merge owns the case — when a
-    run is not a columnar batch or a value is NaN (comparison order is
-    the contract there, as in :func:`merge_runs`), or when ``local_rank``
-    falls outside the rows.
+    Returns ``None`` — the caller's k-way merge owns the case — when a
+    value is NaN (comparison order is the contract there, as in
+    :func:`merge_runs`) or when ``local_rank`` falls outside the rows.
 
     Raises:
         CalculationError: If a run is not sorted by event key, naming the
-            first offending event exactly as the object path does.
+            first offending event exactly as ``merge_candidate_runs`` does.
     """
-    batches = []
-    for run in runs:
-        if not isinstance(run, EventColumns):
-            return None
-        if len(run):
-            batches.append(run)
+    batches = [run for run in runs if len(run)]
     if not batches:
         return None
     stacked = concat_columns(batches)

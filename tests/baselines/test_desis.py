@@ -6,6 +6,7 @@ from repro.errors import AggregationError
 from repro.network.channels import Channel
 from repro.network.messages import GammaUpdateMessage, SortedRunMessage
 from repro.network.simulator import SimulatedNode, Simulator
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
@@ -36,7 +37,9 @@ class TestLocal:
 
     def test_ships_sorted_run_at_window_end(self):
         simulator, root, local = self.deploy()
-        events = make_events([5, 1, 4, 2], node_id=1, timestamp_step=10)
+        events = EventColumns.from_events(
+            make_events([5, 1, 4, 2], node_id=1, timestamp_step=10)
+        )
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         simulator.run()
@@ -47,7 +50,9 @@ class TestLocal:
 
     def test_nothing_sent_before_window_end(self):
         simulator, root, local = self.deploy()
-        events = make_events([1, 2], node_id=1, timestamp_step=10)
+        events = EventColumns.from_events(
+            make_events([1, 2], node_id=1, timestamp_step=10)
+        )
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.run()
         assert root.received == []
@@ -86,7 +91,7 @@ class TestRoot:
         return simulator, root, senders
 
     def send_run(self, simulator, sender, values, node_id, at=1.0):
-        events = tuple(
+        events = EventColumns.from_events(
             sorted(make_events(values, node_id=node_id), key=event_key)
         )
         message = SortedRunMessage(sender=node_id, window=WINDOW, events=events)

@@ -6,6 +6,7 @@ from repro.errors import AggregationError, SketchError
 from repro.network.messages import GammaUpdateMessage, QDigestMessage
 from repro.network.channels import Channel
 from repro.network.simulator import SimulatedNode, Simulator
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import make_events
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
@@ -62,7 +63,9 @@ class TestLocalNode:
 
     def test_ships_digest_message(self):
         simulator, root, local = self.deploy()
-        events = make_events(range(200), node_id=1, timestamp_step=1)
+        events = EventColumns.from_events(
+            make_events(range(200), node_id=1, timestamp_step=1)
+        )
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         simulator.run()
@@ -72,7 +75,9 @@ class TestLocalNode:
 
     def test_values_outside_range_clamped(self):
         simulator, root, local = self.deploy()
-        events = make_events([-50.0, 5_000.0], node_id=1, timestamp_step=1)
+        events = EventColumns.from_events(
+            make_events([-50.0, 5_000.0], node_id=1, timestamp_step=1)
+        )
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         simulator.run()

@@ -10,6 +10,7 @@ from repro.network.messages import (
     WatermarkMessage,
 )
 from repro.network.simulator import SimulatedNode, Simulator
+from repro.streaming.columns import EMPTY_EVENTS, EventColumns
 from repro.streaming.events import make_events
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
@@ -41,7 +42,9 @@ def deploy_local():
 class TestLocal:
     def test_forwards_raw_batches_immediately(self):
         simulator, root, local = deploy_local()
-        events = make_events(range(5), node_id=1, timestamp_step=10)
+        events = EventColumns.from_events(
+            make_events(range(5), node_id=1, timestamp_step=10)
+        )
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.run()
         batches = [m for m in root.received if isinstance(m, EventBatchMessage)]
@@ -58,7 +61,7 @@ class TestLocal:
 
     def test_empty_ingest_sends_nothing(self):
         simulator, root, local = deploy_local()
-        simulator.schedule(0.1, lambda t: local.ingest([], t))
+        simulator.schedule(0.1, lambda t: local.ingest(EMPTY_EVENTS, t))
         simulator.run()
         assert root.received == []
 
@@ -92,11 +95,11 @@ class TestRoot:
         simulator, root, senders = deploy_root()
         batch_a = EventBatchMessage(
             sender=1, window=WINDOW,
-            events=tuple(make_events([5, 1, 9], node_id=1)),
+            events=EventColumns.from_events(make_events([5, 1, 9], node_id=1)),
         )
         batch_b = EventBatchMessage(
             sender=2, window=WINDOW,
-            events=tuple(make_events([2, 8], node_id=2)),
+            events=EventColumns.from_events(make_events([2, 8], node_id=2)),
         )
         simulator.schedule(0.1, lambda t: senders[1].send(batch_a, 0, t))
         simulator.schedule(0.2, lambda t: senders[2].send(batch_b, 0, t))

@@ -8,6 +8,7 @@ from repro.errors import AggregationError
 from repro.network.channels import Channel
 from repro.network.messages import DigestMessage, GammaUpdateMessage
 from repro.network.simulator import SimulatedNode, Simulator
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import make_events
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
@@ -38,7 +39,9 @@ class TestLocal:
 
     def test_ships_digest_at_window_end(self):
         simulator, root, local = self.deploy()
-        events = make_events(range(100), node_id=1, timestamp_step=5)
+        events = EventColumns.from_events(
+            make_events(range(100), node_id=1, timestamp_step=5)
+        )
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         simulator.run()
@@ -49,7 +52,9 @@ class TestLocal:
 
     def test_digest_much_smaller_than_raw(self):
         simulator, root, local = self.deploy()
-        events = make_events(range(10_000), node_id=1, timestamp_step=0)
+        events = EventColumns.from_events(
+            make_events(range(10_000), node_id=1, timestamp_step=0)
+        )
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         simulator.run()

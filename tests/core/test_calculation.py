@@ -46,13 +46,15 @@ def _cut(local_rank, candidate_events):
 
 
 class TestCalculateQuantile:
-    #: How a run of events reaches the root; the columnar subclasses below
-    #: rerun every case through the rank select.
+    #: How a run of events reaches the door: as ``Event`` objects here,
+    #: as columns in the subclass below.
     as_run = staticmethod(list)
 
     def make_cut_and_runs(self, values, gamma, rank):
         events = sorted(make_events(values, node_id=1), key=event_key)
-        sliced = slice_sorted_events(events, gamma, 1)
+        sliced = slice_sorted_events(
+            EventColumns.from_events(events), gamma, 1
+        )
         cut = window_cut(sliced.synopses, rank)
         runs = [
             self.as_run(sliced.run_for(s.slice_index)) for s in cut.candidates
@@ -110,7 +112,7 @@ class TestCalculateQuantile:
 
 
 class TestCalculateQuantileColumns(TestCalculateQuantile):
-    """Every case again on columns: the rank select."""
+    """Every case again on columns, the form the select itself takes."""
 
     as_run = staticmethod(EventColumns.from_events)
 
@@ -125,10 +127,9 @@ class TestPathSelection:
     def runs(self):
         return [make_events([1, 4, 7], node_id=1), make_events([2, 5], node_id=2)]
 
-    def test_mixed_columns_and_lists_take_the_merge(self):
+    def test_mixed_columns_and_lists_convert_at_the_door(self):
         first, second = self.runs()
         mixed = [EventColumns.from_events(first), second]
-        assert select_rank(mixed, 3) is None
         assert calculate_quantile(_cut(3, 5), mixed) == first[1]
 
     def test_nan_takes_the_merge(self):
@@ -160,14 +161,12 @@ class TestErrorParity:
         )
         return [events[0:4], events[4:7], events[7:10]]
 
-    def both(self, cut, runs):
-        """The message each path raises for the same input."""
-        messages = []
-        for as_run in (list, EventColumns.from_events):
-            with pytest.raises(CalculationError) as info:
-                calculate_quantile(cut, [as_run(run) for run in runs])
-            messages.append(str(info.value))
-        return messages
+    def message(self, cut, runs):
+        with pytest.raises(CalculationError) as info:
+            calculate_quantile(
+                cut, [EventColumns.from_events(run) for run in runs]
+            )
+        return str(info.value)
 
     def test_unsorted_run_names_the_same_event(self):
         runs = self.runs()
@@ -175,20 +174,24 @@ class TestErrorParity:
         # plain descent in the third: the first violation is the one named.
         runs[1] = [runs[1][1], runs[1][0], runs[1][2]]
         runs[2] = list(reversed(runs[2]))
-        object_message, columnar_message = self.both(_cut(5, 10), runs)
-        assert columnar_message == object_message
-        assert repr(runs[1][1]) in columnar_message
+        with pytest.raises(CalculationError) as merge_error:
+            merge_candidate_runs(runs)
+        message = self.message(_cut(5, 10), runs)
+        assert message == str(merge_error.value)
+        assert repr(runs[1][1]) in message
 
     def test_unsorted_beats_wrong_count_beats_rank(self):
         runs = self.runs()
         tampered = [runs[0], list(reversed(runs[1])), runs[2]]
-        for message in self.both(_cut(0, 99), tampered):
-            assert "not sorted" in message
-        for message in self.both(_cut(0, 99), runs):
-            assert "expected 99 candidate events, received 10" in message
+        assert "not sorted" in self.message(_cut(0, 99), tampered)
+        assert "expected 99 candidate events, received 10" in self.message(
+            _cut(0, 99), runs
+        )
         for rank in (0, 11):
-            for message in self.both(_cut(rank, 10), runs):
-                assert f"local rank {rank} outside the 10 fetched" in message
+            assert (
+                f"local rank {rank} outside the 10 fetched"
+                in self.message(_cut(rank, 10), runs)
+            )
 
     def test_seam_between_runs_is_not_a_violation(self):
         runs = self.runs()

@@ -15,6 +15,9 @@ from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
 from repro.streaming.events import make_events
 from repro.streaming.windows import TumblingWindows
+from repro.baselines.base import build_system
+from repro.baselines.partial import build_partial_system
+from repro.core.concurrent import ConcurrentDemaEngine
 from repro.core.engine import DemaEngine, dema_quantile
 from repro.core.query import QuantileQuery
 
@@ -144,21 +147,44 @@ DOOR_NODES = [1, 2, 3]
 
 def _summary(engine, report):
     nodes = engine.simulator.nodes
+
+    def row(o):
+        exact = (
+            o.window.start,
+            o.value,
+            o.result_time,
+            getattr(o, "candidate_events", o.global_window_size),
+        )
+        if hasattr(o, "query_index"):  # several window shapes in one run
+            exact += (o.query_index, o.window.end)
+        return exact
+
     return {
-        "outcomes": [
-            (o.window.start, o.value, o.result_time, o.candidate_events)
-            for o in report.outcomes
-        ],
+        "outcomes": [row(o) for o in report.outcomes],
         "final_time": report.final_time,
         "total_bytes": report.network.total_bytes,
         "cpu_ops": {n: nodes[n].cpu.total_ops for n in sorted(nodes)},
-        "late_events": {n: nodes[n].late_events for n in DOOR_NODES},
+        "late_events": {
+            n: nodes[n].late_events
+            for n in sorted(nodes)
+            if hasattr(nodes[n], "late_events")
+        },
     }
 
 
+#: Four queries in three sharing groups, one of them sliding.
+DOOR_CONCURRENT = [
+    DOOR_QUERY,
+    QuantileQuery(q=0.9, window_length_ms=1000, gamma=40),
+    QuantileQuery(q=0.25, window_length_ms=500, gamma=30),
+    QuantileQuery(q=0.5, window_length_ms=1000, window_step_ms=500, gamma=40),
+]
+DOOR_BASELINES = ("scotty", "desis", "tdigest", "kll", "qdigest")
+
+
 def door_runs(columnar):
-    """One seeded workload through each of the engine's three doors, fed
-    as ``Event`` objects or as ``EventColumns``."""
+    """One seeded workload through every simulated engine's doors, fed as
+    ``Event`` objects or as ``EventColumns``."""
     generate = workload_columns if columnar else workload
     streams = generate(DOOR_NODES, DOOR_CONFIG)
     delays = {
@@ -166,10 +192,11 @@ def door_runs(columnar):
         for n in DOOR_NODES
     }
     arrivals = {n: list(zip(streams[n], delays[n])) for n in DOOR_NODES}
+    topology = TopologyConfig(n_local_nodes=3)
     runs = {}
-    engine = DemaEngine(DOOR_QUERY, TopologyConfig(n_local_nodes=3))
+    engine = DemaEngine(DOOR_QUERY, topology)
     runs["run"] = _summary(engine, engine.run(streams))
-    engine = DemaEngine(DOOR_QUERY, TopologyConfig(n_local_nodes=3))
+    engine = DemaEngine(DOOR_QUERY, topology)
     runs["run_unordered"] = _summary(
         engine, engine.run_unordered(arrivals, allowed_lateness_ms=40)
     )
@@ -177,12 +204,49 @@ def door_runs(columnar):
         DOOR_QUERY, TopologyConfig(n_local_nodes=3, streams_per_local=2)
     )
     runs["run_via_sensors"] = _summary(engine, engine.run_via_sensors(streams))
+
+    # Sliding windows; 10/4 (step does not divide length) on the streams'
+    # first 150 events, ~100 ms, to keep its window count readable.
+    for length, step, cut in ((1000, 300, None), (10, 4, 150)):
+        query = QuantileQuery(
+            q=0.5, window_length_ms=length, window_step_ms=step, gamma=40
+        )
+        engine = DemaEngine(query, topology)
+        runs[f"slide_{length}_{step}/run"] = _summary(
+            engine, engine.run({n: streams[n][:cut] for n in DOOR_NODES})
+        )
+        engine = DemaEngine(query, topology)
+        runs[f"slide_{length}_{step}/run_unordered"] = _summary(
+            engine,
+            engine.run_unordered(
+                {n: arrivals[n][:cut] for n in DOOR_NODES},
+                allowed_lateness_ms=40,
+            ),
+        )
+
+    engine = ConcurrentDemaEngine(DOOR_CONCURRENT, topology)
+    runs["concurrent"] = _summary(engine, engine.run(streams))
+
+    def baseline(name):
+        if name == "partial":
+            return build_partial_system("sum", topology)
+        return build_system(name, DOOR_QUERY, topology)
+
+    for name in (*DOOR_BASELINES, "partial"):
+        engine = baseline(name)
+        runs[f"{name}/run"] = _summary(engine, engine.run(streams))
+        engine = baseline(name)
+        runs[f"{name}/run_unordered"] = _summary(
+            engine, engine.run_unordered(arrivals, allowed_lateness_ms=40)
+        )
     return runs
 
 
-#: ``door_runs(columnar=False)`` at the parent of the PR that moved the
-#: conversion to the engine's door (commit a9b1b41): the simulated world —
-#: values, clocks, bytes, charges, late drops — that batching must not move.
+#: The simulated world — values, clocks, bytes, charges, late drops — that
+#: no change of representation may move.  ``door_runs(columnar=False)``
+#: recorded while the operators still had an ``Event``-object arm: Dema's
+#: three tumbling doors at commit a9b1b41 (before the conversion moved to the
+#: engine's door), every other run at 9b87a79 (before that arm was deleted).
 DOOR_GOLDEN = {
     "run": {
         "outcomes": [
@@ -232,6 +296,308 @@ DOOR_GOLDEN = {
             **dict.fromkeys(range(4, 10), 7500.0),
         },
         "late_events": {1: 0, 2: 0, 3: 0},
+    },
+    "slide_1000_300/run": {
+        "outcomes": [
+            (-900, 25.845423605916878, 0.10032339443909506, 200),
+            (-600, 45.08885505492683, 0.40033583567588155, 200),
+            (-300, 48.534929864752726, 0.7003500778850995, 200),
+            (0, 44.62493290929341, 1.000363745277327, 200),
+            (300, 43.656734147362535, 1.3003637452773271, 200),
+            (600, 38.312208905283605, 1.6003637452773272, 200),
+            (900, 36.365442715899405, 1.900363745277327, 200),
+            (1200, 37.30600701701204, 2.200363745277329, 200),
+            (1500, 37.99019124098767, 2.500363745277329, 200),
+            (1800, 39.35094666771359, 2.800350077885101, 200),
+            (2100, 38.46532404166111, 3.100335835675882, 200),
+            (2400, 18.885989451970087, 3.400323394439096, 200),
+        ],
+        "final_time": 3.4003060225910007,
+        "total_bytes": 99600,
+        "cpu_ops": {
+            0: 102708.86082310155,
+            1: 139067.33919860626,
+            2: 138952.33919860626,
+            3: 138975.33919860626,
+        },
+        "late_events": {1: 0, 2: 0, 3: 0},
+    },
+    "slide_1000_300/run_unordered": {
+        "outcomes": [
+            (-900, 24.100715876696334, 0.1403205104721452, 179),
+            (-600, 43.74532852978323, 0.44033530694791917, 200),
+            (-300, 48.317772857276225, 0.7403488621955564, 200),
+            (0, 44.85442718075182, 1.0403624945313183, 200),
+            (300, 44.162838363867486, 1.3403625195313182, 200),
+            (600, 38.311499094278915, 1.6403624845313183, 200),
+            (900, 35.95597444857209, 1.9403624638253418, 200),
+            (1200, 37.002844744072675, 2.2403625145313186, 200),
+            (1500, 38.63123852860902, 2.5403624395313185, 200),
+            (1800, 39.35094666771359, 2.840350077885101, 200),
+            (2100, 38.46532404166111, 3.140335835675882, 200),
+            (2400, 18.885989451970087, 3.440323394439096, 200),
+        ],
+        "final_time": 3.4403060225910007,
+        "total_bytes": 97980,
+        "cpu_ops": {
+            0: 100671.93672121939,
+            1: 129528.13114924722,
+            2: 129372.097397526,
+            3: 129562.62762027835,
+        },
+        "late_events": {1: 344, 2: 358, 3: 342},
+    },
+    "slide_10_4/run": {
+        "outcomes": [
+            (-8, 35.136141867348535, 0.002302444337750043, 3),
+            (-4, 35.136141867348535, 0.006303022737750044, 9),
+            (0, 32.40953720136979, 0.01030487113775004, 30),
+            (4, 32.95464031145466, 0.01430487113775004, 30),
+            (8, 41.94130660400724, 0.018303601137750033, 15),
+            (12, 45.26510651246423, 0.022303601137750033, 15),
+            (16, 51.68161085857804, 0.026303601137750033, 15),
+            (20, 55.821498290894255, 0.030303601137750033, 15),
+            (24, 54.42917538939788, 0.034303601137750064, 15),
+            (28, 27.230407751960087, 0.03830487113775006, 30),
+            (32, 17.006875082219473, 0.04230487113775006, 30),
+            (36, 16.668438524800617, 0.04630487113775006, 30),
+            (40, 17.401682143300974, 0.05030487113775006, 30),
+            (44, 20.28341326979892, 0.05430487113775006, 30),
+            (48, 20.638540215740317, 0.05830487113775006, 30),
+            (52, 18.160021734586824, 0.06230487113775006, 30),
+            (56, 16.110960410549605, 0.06630627275431271, 45),
+            (60, 16.110960410549605, 0.07030627275431271, 45),
+            (64, 18.13076745123325, 0.0743062727543127, 45),
+            (68, 20.547326004331314, 0.07830487113775005, 30),
+            (72, 21.34771966960445, 0.08230487113775005, 30),
+            (76, 26.284501125877995, 0.08630487113775004, 30),
+            (80, 35.335245697491715, 0.09030487113775004, 30),
+            (84, 35.00232882703085, 0.0943062727543127, 45),
+            (88, 32.780624465719654, 0.09830487113775005, 30),
+            (92, 32.780624465719654, 0.10230434193775005, 24),
+            (96, 40.6475171927896, 0.10630328353775005, 12),
+        ],
+        "final_time": 0.10630218353775005,
+        "total_bytes": 27072,
+        "cpu_ops": {
+            0: 17193.82110036346,
+            1: 2278.946163871747,
+            2: 2448.4461638717476,
+            3: 2326.9461638717476,
+        },
+        "late_events": {1: 0, 2: 0, 3: 0},
+    },
+    "slide_10_4/run_unordered": {
+        "outcomes": [
+            (-8, 1.9951765517321434, 0.04230179608, 1),
+            (-4, 16.599435963892756, 0.04630243433775004, 3),
+            (0, 30.862308816708506, 0.050303182137750056, 11),
+            (4, 32.95464031145466, 0.05430325073775006, 12),
+            (8, 38.11488059282907, 0.05830299773775006, 9),
+            (12, 31.825828331548756, 0.06230272353775004, 6),
+            (16, 35.71829707832267, 0.06630299773775006, 9),
+            (20, 55.821498290894255, 0.07030272353775006, 6),
+            (24, 61.09640072848312, 0.07430263213775005, 5),
+            (28, 19.29654856799806, 0.07830309073775006, 10),
+            (32, 17.27429053514393, 0.08230326713775006, 12),
+            (36, 17.006875082219473, 0.08630318713775005, 11),
+            (40, 16.668438524800617, 0.09030307433775006, 10),
+            (44, 17.8292766215027, 0.09430351853775006, 15),
+            (48, 20.638540215740317, 0.09830290633775006, 8),
+            (52, 17.553053772974984, 0.10230314933775003, 11),
+            (56, 14.341056290022088, 0.10630325073775004, 12),
+            (60, 15.007692653408405, 0.11030405203400012, 20),
+            (64, 16.110960410549605, 0.11430368753475012, 16),
+            (68, 20.547326004331314, 0.11830301073775006, 9),
+            (72, 16.89745342098975, 0.12230309213775005, 10),
+            (76, 7.7533853436790565, 0.12630324713774996, 12),
+            (80, 19.85688601196631, 0.13030271353775003, 6),
+            (84, 37.96918574180901, 0.13430307433775002, 10),
+            (88, 61.1507839026077, 0.13830289633775003, 8),
+            (92, 40.6475171927896, 0.14230291433775, 8),
+            (96, 34.60445892622459, 0.14630243433775, 3),
+        ],
+        "final_time": 0.214,
+        "total_bytes": 17312,
+        "cpu_ops": {
+            0: 9418.56695025096,
+            1: 1208.3783974426797,
+            2: 1339.2224344411707,
+            3: 1286.042734435402,
+        },
+        "late_events": {1: 250, 2: 237, 3: 240},
+    },
+    "concurrent": {
+        "outcomes": [
+            (-500, 48.34736233285829, 0.5003367220146162, 2250, 3, 500),
+            (0, 28.89746403570742, 0.5003591676887229, 2250, 2, 500),
+            (0, 44.62493290929341, 1.000363745277327, 4500, 3, 1000),
+            (0, 44.62493290929341, 1.000435381463887, 4500, 0, 1000),
+            (0, 87.59944700116623, 1.000435381463887, 4500, 1, 1000),
+            (500, 22.252865948112163, 1.0004487229099577, 2250, 2, 1000),
+            (500, 38.37467317629719, 1.500363745277327, 4500, 3, 1500),
+            (1000, 20.0303678343035, 1.5003823990233383, 2250, 2, 1500),
+            (1000, 36.413325813564825, 2.000359953349234, 4500, 3, 2000),
+            (1000, 36.413325813564825, 2.000431373472701, 4500, 0, 2000),
+            (1000, 66.6118506885392, 2.000431373472701, 4500, 1, 2000),
+            (1500, 20.4258889208535, 2.000444714918773, 2250, 2, 2000),
+            (1500, 37.99019124098767, 2.500363745277329, 4500, 3, 2500),
+            (2000, 20.5063844435135, 2.500382399023342, 2250, 2, 2500),
+            (2000, 40.08423830462307, 3.0003367220146173, 2250, 3, 3000),
+            (2000, 40.08423830462307, 3.000375147283849, 2250, 0, 3000),
+            (2000, 82.2506680543423, 3.000375147283849, 2250, 1, 3000),
+        ],
+        "final_time": 3.0003475562438493,
+        "total_bytes": 123876,
+        "cpu_ops": {
+            0: 136683.7536669072,
+            1: 153963.193631112,
+            2: 153948.193631112,
+            3: 153907.193631112,
+        },
+        "late_events": {},
+    },
+    "scotty/run": {
+        "outcomes": [
+            (0, 44.62493290929341, 1.0011932266357493, 4500),
+            (1000, 36.413325813564825, 2.00119322663575, 4500),
+            (2000, 40.08423830462307, 3.0006021197178754, 2250),
+        ],
+        "final_time": 3.0001010128000005,
+        "total_bytes": 226224,
+        "cpu_ops": {0: 751120.917874698, 1: 15000.0, 2: 15000.0, 3: 15000.0},
+        "late_events": {0: 0},
+    },
+    "scotty/run_unordered": {
+        "outcomes": [
+            (0, 44.85442718075182, 1.0411612266371142, 4382),
+            (1000, 36.16412990883978, 2.041160955839031, 4381),
+            (2000, 40.08423830462307, 3.0406021197178754, 2250),
+        ],
+        "final_time": 3.0401010128000006,
+        "total_bytes": 439020,
+        "cpu_ops": {0: 803287.7588039356, 1: 15000.0, 2: 15000.0, 3: 15000.0},
+        "late_events": {0: 237},
+    },
+    "desis/run": {
+        "outcomes": [
+            (0, 44.62493290929341, 1.0004839381762662, 4500),
+            (1000, 36.413325813564825, 2.000483938176266, 4500),
+            (2000, 40.08423830462307, 3.0002925573481343, 2250),
+        ],
+        "final_time": 3.0001058115200006,
+        "total_bytes": 225324,
+        "cpu_ops": {
+            0: 186679.82813311298,
+            1: 51381.38867460606,
+            2: 51381.38867460606,
+            3: 51381.38867460606,
+        },
+        "late_events": {1: 0, 2: 0, 3: 0},
+    },
+    "desis/run_unordered": {
+        "outcomes": [
+            (0, 44.85442718075182, 1.040473897048391, 4382),
+            (1000, 36.16412990883978, 2.0404737949235785, 4381),
+            (2000, 40.08423830462307, 3.0402925573481343, 2250),
+        ],
+        "final_time": 3.0401058115200006,
+        "total_bytes": 220584,
+        "cpu_ops": {
+            0: 182749.19202044207,
+            1: 47619.080648718176,
+            2: 47629.69642013466,
+            3: 47577.10588265671,
+        },
+        "late_events": {1: 78, 2: 77, 3: 82},
+    },
+    "tdigest/run": {
+        "outcomes": [
+            (0, 44.58317129359473, 1.0001360237199999, 4500),
+            (1000, 36.24838466536791, 2.00013639348, 4500),
+            (2000, 40.14584720323711, 3.000135248360001, 2250),
+        ],
+        "final_time": 3.0001110889600007,
+        "total_bytes": 9060,
+        "cpu_ops": {0: 15243.0, 1: 47800.0, 2: 47928.0, 3: 47864.0},
+        "late_events": {1: 0, 2: 0, 3: 0},
+    },
+    "tdigest/run_unordered": {
+        "outcomes": [
+            (0, 45.00868723845611, 1.0401363037199998, 4382),
+            (1000, 36.23527359289198, 2.0401370037200004, 4381),
+            (2000, 40.041957232741545, 3.0401352734800007, 2250),
+        ],
+        "final_time": 3.0401109238400004,
+        "total_bytes": 9108,
+        "cpu_ops": {0: 15327.0, 1: 47864.0, 2: 47896.0, 3: 47880.0},
+        "late_events": {1: 78, 2: 77, 3: 82},
+    },
+    "kll/run": {
+        "outcomes": [
+            (0, 44.32334752436114, 1.0002410761999998, 4500),
+            (1000, 36.07932459362675, 2.0002410762, 4500),
+            (2000, 40.14286751566015, 3.00019693028, 2250),
+        ],
+        "final_time": 3.0001256652800006,
+        "total_bytes": 37572,
+        "cpu_ops": {0: 55863.0, 1: 46776.0, 2: 46776.0, 3: 46776.0},
+        "late_events": {1: 0, 2: 0, 3: 0},
+    },
+    "kll/run_unordered": {
+        "outcomes": [
+            (0, 44.475387602968254, 1.0402364649999998, 4382),
+            (1000, 36.07932459362675, 2.0402359696400003, 4381),
+            (2000, 40.123814183661636, 3.04019693028, 2250),
+        ],
+        "final_time": 3.0401256652800006,
+        "total_bytes": 36660,
+        "cpu_ops": {0: 54495.0, 1: 46560.0, 2: 46572.0, 3: 46512.0},
+        "late_events": {1: 78, 2: 77, 3: 82},
+    },
+    "qdigest/run": {
+        "outcomes": [
+            (0, 45.35188915339071, 1.0002611682800002, 4500),
+            (1000, 36.80644570591467, 2.0002604534, 4500),
+            (2000, 40.712934139046574, 3.000267219480001, 2250),
+        ],
+        "final_time": 3.0001388073600004,
+        "total_bytes": 61100,
+        "cpu_ops": {0: 76033.0, 1: 47628.0, 2: 47620.0, 3: 47604.0},
+        "late_events": {1: 0, 2: 0, 3: 0},
+    },
+    "qdigest/run_unordered": {
+        "outcomes": [
+            (0, 45.59604468046145, 1.0402563914799998, 4382),
+            (1000, 36.562290178843924, 2.0402564022, 4381),
+            (2000, 40.712934139046574, 3.040267219480001, 2250),
+        ],
+        "final_time": 3.0401388073600004,
+        "total_bytes": 60028,
+        "cpu_ops": {0: 74693.0, 1: 47420.0, 2: 47460.0, 3: 47436.0},
+        "late_events": {1: 78, 2: 77, 3: 82},
+    },
+    "partial/run": {
+        "outcomes": [
+            (0, 213694.17498369794, 1.00010101664, 4500),
+            (1000, 168221.0205410946, 2.0001010166400004, 4500),
+            (2000, 98060.7147132629, 3.0001010166400004, 2250),
+        ],
+        "final_time": 3.0001010166400004,
+        "total_bytes": 468,
+        "cpu_ops": {0: 207.0, 1: 22500.0, 2: 22500.0, 3: 22500.0},
+        "late_events": {1: 0, 2: 0, 3: 0},
+    },
+    "partial/run_unordered": {
+        "outcomes": [
+            (0, 209529.7953499243, 1.04010101664, 4382),
+            (1000, 163079.08328088486, 2.0401010166400004, 4381),
+            (2000, 98060.71471326289, 3.0401010166400004, 2250),
+        ],
+        "final_time": 3.0401010166400004,
+        "total_bytes": 468,
+        "cpu_ops": {0: 207.0, 1: 22500.0, 2: 22500.0, 3: 22500.0},
+        "late_events": {1: 78, 2: 77, 3: 82},
     },
 }
 

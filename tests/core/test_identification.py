@@ -5,12 +5,15 @@ import pytest
 from repro.errors import IdentificationError
 from repro.core.identification import identify
 from repro.core.slicing import slice_sorted_events
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 
 
 def sliced(values, node_id, gamma=5):
     events = sorted(make_events(values, node_id=node_id), key=event_key)
-    return slice_sorted_events(events, gamma, node_id)
+    return slice_sorted_events(
+        EventColumns.from_events(events), gamma, node_id
+    )
 
 
 class TestIdentify:

@@ -13,9 +13,9 @@ from repro.network.messages import (
     SynopsisMessage,
 )
 from repro.network.simulator import INGEST_OPS, SimulatedNode, Simulator
-from repro.streaming.columns import EventColumns
-from repro.streaming.events import Event, make_events
-from repro.streaming.windows import Window
+from repro.streaming.columns import EMPTY_EVENTS, EventColumns
+from repro.streaming.events import Event, event_key, make_events
+from repro.streaming.windows import TumblingWindows, Window
 from repro.core.local_node import DemaLocalNode
 from repro.core.query import QuantileQuery
 
@@ -44,10 +44,14 @@ def deploy(gamma=5):
 WINDOW = Window(0, 1000)
 
 
+def columns(values, **kwargs):
+    return EventColumns.from_events(make_events(values, **kwargs))
+
+
 class TestIngestAndSynopses:
     def test_window_complete_sends_synopses(self):
         simulator, root, local = deploy(gamma=5)
-        events = make_events(range(12), node_id=1, timestamp_step=10)
+        events = columns(range(12), node_id=1, timestamp_step=10)
         simulator.schedule(0.5, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         simulator.run()
@@ -65,9 +69,18 @@ class TestIngestAndSynopses:
         assert root.received[0].local_window_size == 0
         assert root.received[0].synopses == ()
 
+    def test_empty_window_seals_to_a_columnar_zero_slice_window(self):
+        # What a live local hosts: the retained window of a node that saw
+        # no event is an empty batch, the form every later reader expects.
+        simulator, root, local = deploy()
+        local.on_window_complete(WINDOW, 1.0)
+        sliced = local._pending[WINDOW]
+        assert sliced.events is EMPTY_EVENTS
+        assert sliced.n_slices == sliced.window_size == 0
+
     def test_events_split_across_windows(self):
         simulator, root, local = deploy()
-        events = make_events(range(4), node_id=1, timestamp_step=400)
+        events = columns(range(4), node_id=1, timestamp_step=400)
         simulator.schedule(1.3, lambda t: local.ingest(events, t))
         simulator.schedule(1.5, lambda t: local.on_window_complete(WINDOW, t))
         simulator.schedule(
@@ -79,7 +92,7 @@ class TestIngestAndSynopses:
 
     def test_counters(self):
         simulator, root, local = deploy()
-        events = make_events(range(7), node_id=1, timestamp_step=1)
+        events = columns(range(7), node_id=1, timestamp_step=1)
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         simulator.run()
@@ -89,7 +102,7 @@ class TestIngestAndSynopses:
 
     def test_synopses_cover_sorted_values(self):
         simulator, root, local = deploy(gamma=4)
-        events = make_events([9, 1, 5, 3, 7, 2, 8, 4], node_id=1, timestamp_step=1)
+        events = columns([9, 1, 5, 3, 7, 2, 8, 4], node_id=1, timestamp_step=1)
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         simulator.run()
@@ -99,9 +112,9 @@ class TestIngestAndSynopses:
 
 
 class TestMultiWindowBatches:
-    """A batch of any span goes through the columnar split, whichever form
-    it arrives in; the simulated charge is summed per window in the order
-    the windows first appear in the batch."""
+    """A batch of any span goes through the columnar split; the simulated
+    charge is summed per window in the order the windows first appear in
+    the batch."""
 
     #: (timestamp, how many) in arrival order: window 3000 first, then
     #: 1000, the sealed window 0, 2000, and the rest of 3000.
@@ -134,21 +147,24 @@ class TestMultiWindowBatches:
         return root, local, finishes[0]
 
     def test_objects_and_columns_agree(self):
+        # The columnar split against bucketing the ``Event`` objects one
+        # by one.
         batch = self.batch()
-        results = [
-            self.ingest(form)
-            for form in (batch, tuple(batch), EventColumns.from_events(batch))
-        ]
-        for root, local, finish in results:
-            assert local.late_events == 2
-            assert local.events_ingested == 18
-            assert finish == results[0][2]
-            assert local.cpu.total_ops == results[0][1].cpu.total_ops
-            sizes = [m.local_window_size for m in root.received]
-            assert sizes == [0, 3, 3, 10]
-            assert [m.synopses for m in root.received] == [
-                m.synopses for m in results[0][0].received
-            ]
+        per_window = {}
+        for event in batch:
+            window = TumblingWindows(1000).window_for(event.timestamp)
+            per_window.setdefault(window, []).append(event)
+        root, local, _ = self.ingest(EventColumns.from_events(batch))
+        assert local.late_events == len(per_window[Window(0, 1000)]) == 2
+        assert local.events_ingested == 18
+        assert root.received[0].local_window_size == 0
+        for message, start in zip(root.received[1:], (1000, 2000, 3000), strict=True):
+            expected = sorted(
+                per_window[Window(start, start + 1000)], key=event_key
+            )
+            assert message.local_window_size == len(expected)
+            assert message.synopses[0].first_key == expected[0].key
+            assert message.synopses[-1].last_key == expected[-1].key
 
     def test_charge_is_summed_in_first_appearance_order(self):
         counts = {3000: 10, 1000: 3, 2000: 3}  # first-appearance order
@@ -176,32 +192,31 @@ class TestMultiWindowBatches:
             Event(value=v, timestamp=10 * i, node_id=1, seq=i)
             for i, v in enumerate(values)
         ]
-        # Timsort on key tuples — what the object path has always done.
+        # Timsort on key tuples: with NaN, comparison order is the contract.
         expected = sorted(batch, key=lambda e: e.key)
-        for form in (batch, EventColumns.from_events(batch)):
-            simulator, root, local = deploy(gamma=2)
-            local.ingest(form, 0.1)
-            local.on_window_complete(WINDOW, 1.0)
-            request = CandidateRequestMessage(
-                sender=0, window=WINDOW, slice_indices=(0, 1, 2)
-            )
-            local.on_message(request, 1.5)
-            simulator.run()
-            served = [
-                e
-                for m in root.received
-                if isinstance(m, CandidateEventsMessage)
-                for e in m.events
-            ]
-            assert [(e.seq, e.timestamp) for e in served] == [
-                (e.seq, e.timestamp) for e in expected
-            ]
+        simulator, root, local = deploy(gamma=2)
+        local.ingest(EventColumns.from_events(batch), 0.1)
+        local.on_window_complete(WINDOW, 1.0)
+        request = CandidateRequestMessage(
+            sender=0, window=WINDOW, slice_indices=(0, 1, 2)
+        )
+        local.on_message(request, 1.5)
+        simulator.run()
+        served = [
+            e
+            for m in root.received
+            if isinstance(m, CandidateEventsMessage)
+            for e in m.events
+        ]
+        assert [(e.seq, e.timestamp) for e in served] == [
+            (e.seq, e.timestamp) for e in expected
+        ]
 
 
 class TestCandidateServing:
     def run_with_request(self, indices):
         simulator, root, local = deploy(gamma=4)
-        events = make_events(range(10), node_id=1, timestamp_step=10)
+        events = columns(range(10), node_id=1, timestamp_step=10)
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         request = CandidateRequestMessage(
@@ -242,7 +257,7 @@ class TestGammaUpdates:
         simulator, root, local = deploy(gamma=5)
         update = GammaUpdateMessage(sender=0, window=WINDOW, gamma=3)
         simulator.schedule(0.0, lambda t: root.send(update, 1, t))
-        events = make_events(range(9), node_id=1, timestamp_step=10)
+        events = columns(range(9), node_id=1, timestamp_step=10)
         simulator.schedule(0.5, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(WINDOW, t))
         simulator.run()
@@ -274,19 +289,19 @@ class TestCrossLayerLateAccounting:
 
     def test_local_node_boundary_verdicts(self):
         simulator, root, local = deploy()
-        events = make_events(range(10), node_id=1, timestamp_step=5)
+        events = columns(range(10), node_id=1, timestamp_step=5)
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(
             Window(0, 1000), t
         ))
         # An event at end - 1 targets the sealed window: dropped, counted.
         simulator.schedule(2.0, lambda t: local.ingest(
-            make_events([1.0], node_id=1, start_timestamp=999,
+            columns([1.0], node_id=1, start_timestamp=999,
                         start_seq=100), t
         ))
         # An event exactly at end belongs to [1000, 2000): accepted.
         simulator.schedule(3.0, lambda t: local.ingest(
-            make_events([2.0], node_id=1, start_timestamp=1000,
+            columns([2.0], node_id=1, start_timestamp=1000,
                         start_seq=101), t
         ))
         simulator.run()
@@ -297,7 +312,7 @@ class TestCrossLayerLateAccounting:
         from repro.network.messages import WindowReleaseMessage
 
         simulator, root, local = deploy()
-        events = make_events(range(10), node_id=1, timestamp_step=5)
+        events = columns(range(10), node_id=1, timestamp_step=5)
         simulator.schedule(0.1, lambda t: local.ingest(events, t))
         simulator.schedule(1.0, lambda t: local.on_window_complete(
             Window(0, 1000), t
@@ -307,7 +322,7 @@ class TestCrossLayerLateAccounting:
         # Timestamp == last_release_end is the first admissible
         # timestamp of the next window, never a late event.
         simulator.schedule(2.0, lambda t: local.ingest(
-            make_events([3.0], node_id=1, start_timestamp=1000,
+            columns([3.0], node_id=1, start_timestamp=1000,
                         start_seq=200), t
         ))
         simulator.run()

@@ -11,6 +11,7 @@ from repro.network.messages import (
     WindowReleaseMessage,
 )
 from repro.network.simulator import SimulatedNode, Simulator
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
@@ -70,10 +71,10 @@ def deploy(reliability, *, serve_candidates=(True, True)):
     for node_id, serving in zip((1, 2), serve_candidates):
         # Identical value ranges: the median's candidate slices span both
         # nodes, so both must serve in the calculation phase.
-        events = sorted(
+        events = EventColumns.from_events(sorted(
             make_events(range(10, 20), node_id=node_id),
             key=event_key,
-        )
+        ))
         local = ScriptedLocal(node_id, slice_sorted_events(events, 5, node_id))
         local.serve_candidates = serving
         simulator.add_node(local)

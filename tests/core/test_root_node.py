@@ -11,6 +11,7 @@ from repro.network.messages import (
     SynopsisMessage,
 )
 from repro.network.simulator import SimulatedNode, Simulator
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
@@ -55,7 +56,9 @@ def deploy(node_values, q=0.5, gamma=5, adaptive=False):
     locals_ = {}
     for node_id, values in node_values.items():
         events = sorted(make_events(values, node_id=node_id), key=event_key)
-        sliced = slice_sorted_events(events, gamma, node_id)
+        sliced = slice_sorted_events(
+            EventColumns.from_events(events), gamma, node_id
+        )
         local = LocalStub(node_id, sliced)
         simulator.add_node(local)
         simulator.connect(Channel(node_id, 0))
@@ -109,7 +112,7 @@ class TestProtocol:
         root = DemaRootNode(0, local_ids=[1, 2], query=query)
         simulator.add_node(root)
         local = LocalStub(1, slice_sorted_events(
-            sorted(make_events(range(10), node_id=1), key=event_key), 5, 1))
+            EventColumns.from_events(make_events(range(10), node_id=1)), 5, 1))
         simulator.add_node(local)
         simulator.connect(Channel(1, 0))
         simulator.connect(Channel(0, 1))

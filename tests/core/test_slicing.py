@@ -5,12 +5,14 @@ import pytest
 from repro.errors import SliceError
 from repro.core.slicing import MIN_GAMMA, slice_sorted_events
 from repro.core.synopsis import SynopsisColumns
-from repro.streaming.columns import EventColumns
+from repro.streaming.columns import EMPTY_EVENTS, EventColumns
 from repro.streaming.events import event_key, make_events
 
 
 def sorted_events(n, node_id=1):
-    return sorted(make_events(range(n), node_id=node_id), key=event_key)
+    return EventColumns.from_events(
+        sorted(make_events(range(n), node_id=node_id), key=event_key)
+    )
 
 
 class TestSliceSizes:
@@ -35,9 +37,10 @@ class TestSliceSizes:
         assert sliced.synopses[0].count == 1
 
     def test_empty_window(self):
-        sliced = slice_sorted_events([], 10, 1)
+        sliced = slice_sorted_events(EMPTY_EVENTS, 10, 1)
         assert sliced.n_slices == 0
         assert sliced.window_size == 0
+        assert sliced.events is EMPTY_EVENTS
 
     def test_gamma_larger_than_window(self):
         sliced = slice_sorted_events(sorted_events(5), 100, 1)
@@ -58,6 +61,8 @@ class TestSliceSizes:
 class TestSynopses:
     def test_synopsis_boundaries_match_runs(self):
         sliced = slice_sorted_events(sorted_events(10), 3, 7)
+        assert isinstance(sliced.synopses, SynopsisColumns)
+        assert sliced.synopses.validated(7, SliceError) is sliced.synopses
         for run, synopsis in zip(sliced.runs, sliced.synopses):
             assert synopsis.first_key == run[0].key
             assert synopsis.last_key == run[-1].key
@@ -99,9 +104,7 @@ class TestRunAccess:
         sliced = slice_sorted_events(events, 4, 1)
         runs = sliced.runs
         assert len(runs) == 3
-        assert [list(run) for run in runs] == [
-            events[0:4], events[4:8], events[8:10]
-        ]
+        assert list(runs) == [events[0:4], events[4:8], events[8:10]]
         assert runs[-1] == sliced.run_for(2)
         with pytest.raises(IndexError):
             runs[3]
@@ -109,7 +112,7 @@ class TestRunAccess:
             runs[0] = ()
 
     def test_columnar_runs_are_views_cut_on_request(self):
-        columns = EventColumns.from_events(sorted_events(10))
+        columns = sorted_events(10)
         sliced = slice_sorted_events(columns, 4, 1)
         assert sliced.events is columns
         run = sliced.run_for(1)
@@ -118,22 +121,11 @@ class TestRunAccess:
 
 
 class TestBatch:
-    def test_both_representations_emit_the_same_columnar_batch(self):
-        events = sorted_events(23, node_id=5)
-        from_objects = slice_sorted_events(events, 4, 5).synopses
-        from_columns = slice_sorted_events(
-            EventColumns.from_events(events), 4, 5
-        ).synopses
-        assert isinstance(from_objects, SynopsisColumns)
-        assert isinstance(from_columns, SynopsisColumns)
-        assert from_objects.to_wire() == from_columns.to_wire()
-        assert from_columns.validated(5, SliceError) is from_columns
-
-    @pytest.mark.parametrize("columnar", [False, True])
+    @pytest.mark.parametrize("columnar", [True])  # keeps the recorded id
     def test_unordered_run_is_a_slice_error(self, columnar):
         # What a NaN mid-window leaves behind: a "sorted" run that is not.
-        events = make_events([3.0, float("nan"), 1.0, 5.0, 6.0], node_id=1)
-        if columnar:
-            events = EventColumns.from_events(events)
+        events = EventColumns.from_events(
+            make_events([3.0, float("nan"), 1.0, 5.0, 6.0], node_id=1)
+        )
         with pytest.raises(SliceError, match="synopsis 0 of 2.*first_key"):
             slice_sorted_events(events, 3, 1)

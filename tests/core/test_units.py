@@ -108,6 +108,7 @@ class TestRankBounds:
         # Construct events, slice them, and verify the true rank interval of
         # every slice lies within [min_rank, max_rank].
         from repro.core.slicing import slice_sorted_events
+        from repro.streaming.columns import EventColumns
         from repro.streaming.events import event_key, make_events
         import random
 
@@ -120,7 +121,9 @@ class TestRankBounds:
         }
         synopses = []
         for node_id, events in node_events.items():
-            synopses.extend(slice_sorted_events(events, 20, node_id).synopses)
+            synopses.extend(slice_sorted_events(
+                EventColumns.from_events(events), 20, node_id
+            ).synopses)
         all_events = sorted(
             (e for events in node_events.values() for e in events),
             key=event_key,

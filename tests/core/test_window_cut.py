@@ -8,6 +8,7 @@ from repro.errors import IdentificationError
 from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SliceSynopsis
 from repro.core.window_cut import rank_bound_candidates, window_cut
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 
 
@@ -29,7 +30,9 @@ def sliced_workload(node_values, gamma):
     all_events = []
     for node_id, values in node_values.items():
         events = sorted(make_events(values, node_id=node_id), key=event_key)
-        sliced = slice_sorted_events(events, gamma, node_id)
+        sliced = slice_sorted_events(
+            EventColumns.from_events(events), gamma, node_id
+        )
         synopses.extend(sliced.synopses)
         for index in range(sliced.n_slices):
             runs[(node_id, index)] = sliced.run_for(index)

@@ -1,16 +1,21 @@
-"""Property: the columnar hot path is bit-identical to the object path.
+"""Property: the columnar operators are bit-identical to a sorted list.
 
-The columnar refactor's contract is that it changes *where* bytes live,
-never *what* the protocol computes: the same workload through
-``SortedLocalWindow`` fed per-event ``Event`` objects and fed
-``EventColumns`` batches must seal the same window (bit for bit, NaN
-payloads included), cut the same ranks, and serve the same quantiles —
-and a live cluster or sharded mesh handed ``Event`` sequences must be
+The columnar layout changes *where* bytes live, never *what* the protocol
+computes: a ``SortedLocalWindow`` fed ``EventColumns`` batches must seal
+the window ``sorted(events, key=event_key)`` yields (bit for bit), cut the
+slices a walk over that list cuts, and serve the same quantiles — and a
+live cluster or sharded mesh handed ``Event`` sequences must be
 indistinguishable from one handed the same events as ``EventColumns``.
 
+With NaN values no sorted order exists and the *comparison order* is the
+contract: ``merge_runs`` must make the decisions a comparison sort of each
+compaction's arrivals followed by a two-pointer merge makes —
+:class:`ComparisonSortedWindow` below, the algorithm ``SortedLocalWindow``
+ran on ``Event`` objects before it became columnar-only.
+
 Event fingerprints compare ``struct.pack``ed value bits, not ``==``:
-NaN events are never equal to anything, yet must still come out in the
-exact order the object path would have produced.
+NaN events are never equal to anything, yet must still come out in that
+exact order.
 """
 
 import contextlib
@@ -21,7 +26,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.calculation import calculate_quantile
+from repro.core.calculation import calculate_quantile, merge_candidate_runs
 from repro.core.engine import dema_quantile
 from repro.errors import CalculationError, SliceError
 from repro.core.slicing import slice_sorted_events
@@ -141,6 +146,46 @@ def backend(request):
     return request.param
 
 
+class ComparisonSortedWindow:
+    """The NaN reference: a window kept sorted by comparisons alone.
+
+    Each compaction stable-sorts the arrivals since the last one and merges
+    them into the run with two pointers, the run winning ``<=``; a batch
+    that lands wholly after the run is appended without the merge (with a
+    NaN mid-run that is *not* the same as merging, which dumps the rest of
+    the batch the moment it meets the incomparable key).
+    """
+
+    def __init__(self):
+        self.run, self.buffer = [], []
+
+    def add_all(self, events):
+        self.buffer.extend(events)
+
+    def sorted_events(self):
+        buf, self.buffer = sorted(self.buffer, key=event_key), []
+        run = self.run
+        if not buf:
+            return run
+        if not run or run[-1].key <= buf[0].key:
+            run.extend(buf)
+            return run
+        merged, i, j = [], 0, 0
+        while i < len(run) and j < len(buf):
+            if run[i].key <= buf[j].key:
+                merged.append(run[i])
+                i += 1
+            else:
+                merged.append(buf[j])
+                j += 1
+        self.run = merged + run[i:] + buf[j:]
+        return self.run
+
+
+def _has_nan(events):
+    return any(math.isnan(event.value) for event in events)
+
+
 @given(
     st.one_of(
         event_batches(),
@@ -151,51 +196,63 @@ def backend(request):
 )
 @settings(max_examples=300, deadline=None)
 def test_sealed_windows_identical(chunks, compact_between):
-    object_window = SortedLocalWindow()
-    columnar_window = SortedLocalWindow()
+    reference = ComparisonSortedWindow()
+    window = SortedLocalWindow()
     for chunk in chunks:
-        for event in chunk:
-            object_window.add(event)
-        columnar_window.add_all(EventColumns.from_events(chunk))
+        reference.add_all(chunk)
+        window.add_all(EventColumns.from_events(chunk))
         if compact_between:
             # Mid-window cuts force the incremental merge path (run +
             # pending) instead of one big terminal sort.
-            object_window.sorted_events()
-            columnar_window.sorted_events()
-    sealed_obj = object_window.seal()
-    sealed_col = columnar_window.seal()
-    assert _window_bits(sealed_col) == _window_bits(sealed_obj)
+            reference.sorted_events()
+            window.sorted_events()
+    events = [event for chunk in chunks for event in chunk]
+    expected = reference.sorted_events()
+    if not _has_nan(events):
+        # The independent oracle: one stable sort of everything (exact
+        # twins stay in arrival order).
+        assert _window_bits(expected) == _window_bits(
+            sorted(events, key=event_key)
+        )
+    assert _window_bits(window.seal()) == _window_bits(expected)
 
 
 @given(event_batches(), st.integers(min_value=2, max_value=20))
 @settings(max_examples=100, deadline=None)
 def test_cuts_identical(chunks, gamma):
     events = [event for chunk in chunks for event in chunk]
-    object_window = SortedLocalWindow()
-    columnar_window = SortedLocalWindow()
-    for event in events:
-        object_window.add(event)
-    if events:
-        columnar_window.add_all(EventColumns.from_events(events))
+    reference = ComparisonSortedWindow()
+    reference.add_all(events)
+    ordered = reference.sorted_events()
+    sealed = SortedLocalWindow(EventColumns.from_events(events)).seal()
 
-    sealed_obj = object_window.seal()
-    sealed_col = columnar_window.seal()
-    try:
-        sliced_obj = slice_sorted_events(sealed_obj, gamma, node_id=1)
-    except SliceError:
+    # The slices a walk over the list cuts: γ events each, a trailing
+    # single event folded into the slice before it.
+    starts = list(range(0, len(ordered), gamma))
+    if len(starts) > 1 and len(ordered) - starts[-1] == 1:
+        starts.pop()
+    runs = [ordered[a:b] for a, b in zip(starts, starts[1:] + [len(ordered)])]
+    if any(run[0].key > run[-1].key for run in runs):
         # NaN can leave the "sorted" run unordered, which synopsis
-        # validation rejects — the columnar cut must reject identically.
+        # validation rejects.
+        assert _has_nan(events)
         with pytest.raises(SliceError):
-            slice_sorted_events(sealed_col, gamma, node_id=1)
+            slice_sorted_events(sealed, gamma, node_id=1)
         return
-    sliced_col = slice_sorted_events(sealed_col, gamma, node_id=1)
+    sliced = slice_sorted_events(sealed, gamma, node_id=1)
 
-    assert sliced_col.window_size == sliced_obj.window_size
-    assert [_synopsis_bits(s) for s in sliced_col.synopses] == [
-        _synopsis_bits(s) for s in sliced_obj.synopses
+    assert sliced.window_size == len(ordered)
+    assert [_synopsis_bits(s) for s in sliced.synopses] == [
+        _synopsis_bits(
+            SliceSynopsis(
+                first_key=run[0].key, last_key=run[-1].key, count=len(run),
+                node_id=1, slice_index=index, n_slices=len(runs),
+            )
+        )
+        for index, run in enumerate(runs)
     ]
-    assert [_window_bits(run) for run in sliced_col.runs] == [
-        _window_bits(run) for run in sliced_obj.runs
+    assert [_window_bits(run) for run in sliced.runs] == [
+        _window_bits(run) for run in runs
     ]
 
 
@@ -238,7 +295,7 @@ def test_served_quantiles_identical(per_node, q, gamma):
 
 # ---------------------------------------------------------------------------
 # Root calculation: the rank select over candidate columns must return the
-# very event the object path's k-way merge puts at the local rank.
+# very event the reference k-way merge puts at the local rank.
 
 # A pool this small makes every window mostly ties, so the rank's value
 # routinely spans several runs and both zeros sit side by side.
@@ -276,10 +333,26 @@ def candidate_runs(draw):
     return runs
 
 
-def _calculated(cut, runs):
+def _merged(cut, runs):
+    """``calculate_quantile`` as the reference merge alone computes it."""
+    merged = merge_candidate_runs(runs)
+    if len(merged) != cut.candidate_events:
+        raise CalculationError(
+            f"expected {cut.candidate_events} candidate events, "
+            f"received {len(merged)}"
+        )
+    if not 1 <= cut.local_rank <= len(merged):
+        raise CalculationError(
+            f"local rank {cut.local_rank} outside the {len(merged)} fetched "
+            "events; identification and calculation disagree"
+        )
+    return merged[cut.local_rank - 1]
+
+
+def _outcome(calculate, cut, runs):
     """The selected event's bits, or the error the calculation raised."""
     try:
-        return _bits(calculate_quantile(cut, runs))
+        return _bits(calculate(cut, runs))
     except CalculationError as error:
         return str(error)
 
@@ -301,7 +374,9 @@ def test_rank_select_identical_to_merge(runs):
     # just outside the fetched events.
     for local_rank in range(0, n + 2):
         cut = CutResult(rank=local_rank, candidates=candidates, n_below=0)
-        assert _calculated(cut, columnar) == _calculated(cut, runs)
+        assert _outcome(calculate_quantile, cut, columnar) == _outcome(
+            _merged, cut, runs
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from repro.core.window_cut import (
     window_cut_multi,
 )
 from repro.errors import IdentificationError
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 
 #: ``repro.core.window_cut`` the module (the package re-exports the function
@@ -39,7 +40,9 @@ def sliced_synopses(draw):
             )
         )
         events = sorted(make_events(values, node_id=node_id), key=event_key)
-        sliced = slice_sorted_events(events, gamma, node_id)
+        sliced = slice_sorted_events(
+            EventColumns.from_events(events), gamma, node_id
+        )
         synopses.extend(sliced.synopses)
         for index in range(sliced.n_slices):
             runs[(node_id, index)] = sliced.run_for(index)
@@ -140,7 +143,9 @@ def node_batches(draw):
     for node_id in range(1, draw(st.integers(min_value=1, max_value=6)) + 1):
         values = draw(st.lists(_cut_values, min_size=0, max_size=60))
         events = sorted(make_events(values, node_id=node_id), key=event_key)
-        batches.append(slice_sorted_events(events, gamma, node_id).synopses)
+        batches.append(slice_sorted_events(
+            EventColumns.from_events(events), gamma, node_id
+        ).synopses)
     return batches
 
 

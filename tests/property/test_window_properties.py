@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 from repro.streaming.windows import SessionWindows, SlidingWindows, TumblingWindows
 
@@ -43,6 +44,60 @@ def test_sliding_windows_cover_and_bound(timestamp, length, step):
     assert starts == sorted(starts)
 
 
+@st.composite
+def window_shapes_and_stamps(draw):
+    """``(length, step, timestamps)``: step | length, step ∤ length and
+    step == length (tumbling); timestamps below ``length`` (windows with
+    negative starts) and well above it, ordered or not, spanning anything
+    from one window assignment to dozens."""
+    step = draw(st.integers(min_value=1, max_value=50))
+    length = draw(st.one_of(
+        st.just(step),
+        st.integers(min_value=1, max_value=6).map(lambda k: k * step),
+        st.integers(min_value=step, max_value=6 * step),
+    ))
+    base = draw(st.sampled_from([0, length - 1, 7 * length, 2**32 - 1 - 400]))
+    base = max(base, 0)
+    stamps = draw(st.lists(
+        st.integers(min_value=base, max_value=base + draw(
+            st.sampled_from([0, step, length, 400])
+        )),
+        max_size=40,
+    ))
+    if draw(st.booleans()):
+        stamps.sort()
+    return length, step, stamps
+
+
+@given(window_shapes_and_stamps())
+@settings(max_examples=400, deadline=None)
+def test_by_window_equals_row_by_row_assignment(shape):
+    length, step, stamps = shape
+    assigner = (
+        TumblingWindows(length) if step == length
+        else SlidingWindows(length, step)
+    )
+    events = [
+        event
+        for i, t in enumerate(stamps)
+        for event in make_events([float(i)], start_timestamp=t, start_seq=i)
+    ]
+    # dict order: windows as they first appear, earliest first within an
+    # event; each bucket in arrival order.
+    expected = {}
+    for event in events:
+        for window in assigner.assign(event.timestamp):
+            assert window.length == length
+            expected.setdefault(window.start, []).append(event)
+    batch = EventColumns.from_events(events)
+    groupings = [batch.by_window(length, step)]
+    if step == length:
+        groupings.append(batch.by_window(length))
+    for grouped in groupings:
+        assert [start for start, _ in grouped] == list(expected)
+        assert [rows for _, rows in grouped] == list(expected.values())
+
+
 @given(st.lists(timestamps, min_size=1, max_size=60),
        st.integers(min_value=1, max_value=10**4))
 @settings(max_examples=200, deadline=None)
@@ -73,10 +128,9 @@ def test_session_windows_disjoint_and_cover(stamps, gap):
 @settings(max_examples=200, deadline=None)
 def test_sorted_window_is_a_sorting_network(values):
     window = SortedLocalWindow()
-    window.add_all(make_events(values))
-    sealed = window.seal()
-    assert [e.value for e in sealed] == sorted(values)
-    assert [e.key for e in sealed] == sorted(e.key for e in sealed)
+    events = make_events(values)
+    window.add_all(EventColumns.from_events(events))
+    assert window.seal() == sorted(events, key=event_key)
 
 
 @given(
@@ -87,7 +141,9 @@ def test_sorted_window_is_a_sorting_network(values):
 @settings(max_examples=200, deadline=None)
 def test_slicing_invariants(values, gamma):
     events = sorted(make_events(values), key=event_key)
-    sliced = slice_sorted_events(events, gamma, node_id=0)
+    sliced = slice_sorted_events(
+        EventColumns.from_events(events), gamma, node_id=0
+    )
     assert sliced.window_size == len(values)
     assert sum(s.count for s in sliced.synopses) == len(values)
     # Slice sizes: every slice <= gamma + 1 (remainder fold), and >= 2

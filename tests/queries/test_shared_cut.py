@@ -17,6 +17,7 @@ from repro.core.identification import identify, identify_multi
 from repro.core.slicing import slice_sorted_events
 from repro.core.window_cut import window_cut, window_cut_multi
 from repro.streaming.aggregates import quantile_rank
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 
 
@@ -26,7 +27,9 @@ def sliced_nodes(seed, n_nodes=3, per_node=120, gamma=7):
     for node_id in range(1, n_nodes + 1):
         values = [rng.gauss(25.0 * node_id, 30.0) for _ in range(per_node)]
         events = sorted(make_events(values, node_id=node_id), key=event_key)
-        nodes[node_id] = slice_sorted_events(events, gamma, node_id)
+        nodes[node_id] = slice_sorted_events(
+            EventColumns.from_events(events), gamma, node_id
+        )
     return nodes
 
 

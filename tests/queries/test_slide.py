@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.slicing import slice_sorted_events
 from repro.errors import QueryError
 from repro.queries.slide import PaneStore, SlidingRunAggregator
-from repro.streaming.columns import EVENT_DTYPE, EventColumns
+from repro.streaming.columns import EMPTY_EVENTS, EVENT_DTYPE, EventColumns
 
 
 def make_stream(n, *, span_ms, seed, n_nodes=3, ordered=False):
@@ -172,6 +173,19 @@ def test_empty_pane_inside_a_window():
     empty.push(2500, store.sealed_run(2500))
     assert len(empty.query()) == 0
     assert len(SlidingRunAggregator().query()) == 0
+
+
+def test_pane_less_slide_cuts_a_columnar_zero_slice_window():
+    # No pane at all, and panes that never saw an event: the window's run
+    # is an empty batch — never a list — and slices to nothing.
+    store = PaneStore(500)
+    assert store.sealed_run(0) is EMPTY_EVENTS
+    pushed = SlidingRunAggregator()
+    pushed.push(0, store.sealed_run(0))
+    for aggregator in (SlidingRunAggregator(), pushed):
+        sliced = slice_sorted_events(aggregator.query(), 4, node_id=1)
+        assert isinstance(sliced.events, EventColumns)
+        assert sliced.n_slices == sliced.window_size == 0
 
 
 def test_late_event_in_overlap_lands_in_both_windows():

@@ -23,6 +23,7 @@ from repro.runtime.transport import (
     TcpNetwork,
     memory_pipe,
 )
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 
@@ -31,7 +32,12 @@ W = Window(0, 1000)
 MESSAGES = [
     Hello(node_id=3, role="stream"),
     WatermarkMessage(3, W, watermark_time=500),
-    EventBatchMessage(3, W, events=(Event(1.5, 10, 3, 0), Event(2.5, 20, 3, 1))),
+    EventBatchMessage(
+        3, W,
+        events=EventColumns.from_events(
+            (Event(1.5, 10, 3, 0), Event(2.5, 20, 3, 1))
+        ),
+    ),
     GammaUpdateMessage(0, W, gamma=64),
 ]
 

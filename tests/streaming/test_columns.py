@@ -139,13 +139,13 @@ class TestByTumblingWindow:
 
     def test_one_window_hands_the_batch_back(self):
         batch = self._batch([1000, 1500, 1999])
-        assert batch.by_tumbling_window(1000) == [(1000, batch)]
-        assert batch.by_tumbling_window(1000)[0][1] is batch
-        assert self._batch([]).by_tumbling_window(1000) == []
+        assert batch.by_window(1000) == [(1000, batch)]
+        assert batch.by_window(1000)[0][1] is batch
+        assert self._batch([]).by_window(1000) == []
 
     def test_windows_come_in_first_appearance_order(self):
         batch = self._batch([2100, 300, 2200, 1500, 301])
-        split = batch.by_tumbling_window(1000)
+        split = batch.by_window(1000)
         assert [start for start, _ in split] == [2000, 0, 1000]
         assert [[e.seq for e in rows] for _, rows in split] == [
             [0, 2], [1, 4], [3]
@@ -153,11 +153,25 @@ class TestByTumblingWindow:
 
     def test_starts_near_the_u32_edge_do_not_wrap(self):
         top = 2**32 - 1
-        split = self._batch([top - 1000, top]).by_tumbling_window(1000)
+        split = self._batch([top - 1000, top]).by_window(1000)
         assert [start for start, _ in split] == [
             (top - 1000) // 1000 * 1000, top // 1000 * 1000
         ]
         assert split[-1][0] + 1000 > 2**32
+
+    def test_sliding_rows_land_in_every_window_that_holds_them(self):
+        # 10/4: windows start at multiples of 4 and overlap; the ones
+        # straddling time zero have negative starts.
+        batch = self._batch([9, 1, 13])
+        split = batch.by_window(10, 4)
+        assert [start for start, _ in split] == [0, 4, 8, -8, -4, 12]
+        assert [[e.seq for e in rows] for _, rows in split] == [
+            [0, 1], [0, 2], [0, 2], [1], [1], [2]
+        ]
+        # One assignment for the whole batch: each window gets it as is.
+        whole = self._batch([8, 9, 9])
+        assert whole.by_window(10, 4) == [(0, whole), (4, whole), (8, whole)]
+        assert all(rows is whole for _, rows in whole.by_window(10, 4))
 
 
 class TestSequenceProtocol:

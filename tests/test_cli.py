@@ -268,7 +268,7 @@ class TestPerf:
         baseline_path = str(tmp_path / "committed.json")
         out = str(tmp_path / "bench.json")
         # An unreachable smoke baseline must fail the smoke gate ...
-        impossible = {"ingest_sort_events_per_s": 1e15}
+        impossible = {"ingest_columnar_events_per_s": 1e15}
         write_hotpath(
             baseline_path, tiny_configs, impossible,
             {"baseline_smoke": impossible},
@@ -279,7 +279,7 @@ class TestPerf:
         ]) == 1
         assert "REGRESSION" in capsys.readouterr().out
         # ... and a trivially low one must pass.
-        easy = {"ingest_sort_events_per_s": 1e-6}
+        easy = {"ingest_columnar_events_per_s": 1e-6}
         write_hotpath(
             baseline_path, tiny_configs, easy,
             {"baseline_smoke": easy},
@@ -305,8 +305,8 @@ class TestPerf:
 
         baseline_path = str(tmp_path / "committed.json")
         out = str(tmp_path / "bench.json")
-        impossible_full = {"ingest_sort_events_per_s": 1e15}
-        easy_smoke = {"ingest_sort_events_per_s": 1e-6}
+        impossible_full = {"ingest_columnar_events_per_s": 1e15}
+        easy_smoke = {"ingest_columnar_events_per_s": 1e-6}
         write_hotpath(
             baseline_path, tiny_configs, easy_smoke,
             {"baseline": impossible_full, "baseline_smoke": easy_smoke},
@@ -326,8 +326,8 @@ class TestPerf:
 
         baseline_path = str(tmp_path / "committed.json")
         out = str(tmp_path / "bench.json")
-        full = {"ingest_sort_events_per_s": 1e-6}
-        smoke = {"ingest_sort_events_per_s": 123.0}
+        full = {"ingest_columnar_events_per_s": 1e-6}
+        smoke = {"ingest_columnar_events_per_s": 123.0}
         write_hotpath(
             baseline_path, tiny_configs, full,
             {"baseline": full, "baseline_smoke": smoke},
@@ -338,8 +338,8 @@ class TestPerf:
         artifact = load_artifact(out)
         # Speedup is computed against the full baseline, and both
         # baselines survive the rewrite.
-        assert "ingest_sort_events_per_s" in artifact["speedup"]
-        assert artifact["speedup"]["ingest_sort_events_per_s"] > 1.0
+        assert "ingest_columnar_events_per_s" in artifact["speedup"]
+        assert artifact["speedup"]["ingest_columnar_events_per_s"] > 1.0
         assert artifact["baseline_smoke"] == smoke
 
     def test_curve_writes_scaling_artifact(

@@ -17,13 +17,13 @@ window-cut, and ``SliceSynopsis`` rows exist only for the few candidates a
 cut hands out — built by ``core/synopsis.py``'s ``_row`` and nowhere else
 in a marked module.
 
-A further lint keeps the live path on one representation: between a
-cluster's entry point and its root every batch is an ``EventColumns``, so
-``isinstance(…, EventColumns)`` inside ``runtime/``, ``mesh/`` and
-``queries/`` is a fork on what the caller handed in — allowed only where
-a ``Sequence`` of events is still legitimately accepted.  The simulated
-substrate (``core/``, ``network/``, ``streaming/``) is held to an exact
-list of the forks it still has, and its door to "no loop assigns windows".
+A further lint keeps both substrates on one representation: behind the
+public doors every batch is an ``EventColumns``, so
+``isinstance(…, EventColumns)`` is a fork on what the caller handed in.
+None is left in ``runtime/``, ``mesh/`` or ``queries/``; ``core/``,
+``network/`` and ``streaming/`` hold exactly two — the one converter every
+door calls and ``EventColumns.__eq__`` — and the simulator's door and
+local operators are held to "no loop assigns windows".
 
 And one keeps the ordering of rows in one place: numpy sorts on the live
 path occur only inside a short list of named functions, so a second
@@ -50,7 +50,9 @@ PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 #: The modules expected to carry the marker today; the lint fails if one
 #: loses it, so the discipline cannot be turned off by deleting a comment.
 EXPECTED_MARKED = {
+    "baselines/desis.py",
     "core/calculation.py",
+    "core/concurrent.py",
     "core/engine.py",
     "core/identification.py",
     "core/local_node.py",
@@ -60,6 +62,7 @@ EXPECTED_MARKED = {
     "core/window_cut.py",
     "mesh/relay.py",
     "network/driver.py",
+    "network/sources.py",
     "queries/local.py",
     "queries/slide.py",
     "runtime/codec.py",
@@ -157,32 +160,18 @@ def test_synopsis_lint_sees_calls_in_functions_and_at_module_level():
     )
 
 
-#: The only function under ``runtime/``, ``mesh/`` and ``queries/`` that may
-#: ask whether a batch is columnar: the codec's one event-array encoder
-#: (simulator nodes hosted live still send ``Event`` sequences; the query
-#: plane's pane runs no longer do).  The clusters' entry normaliser is
-#: ``streaming.columns.as_event_columns``, shared with the simulated engine.
-ALLOWED_REPRESENTATION_FORKS = {
-    ("runtime/codec.py", "_event_array"),
-}
+#: No function under ``runtime/``, ``mesh/`` or ``queries/`` may ask whether
+#: a batch is columnar: the codec encodes ``EventColumns`` and nothing else,
+#: and the clusters' entry normaliser is ``streaming.columns.as_event_columns``.
+ALLOWED_REPRESENTATION_FORKS = set()
 
-#: Every function of the simulated substrate (``core/``, ``network/``) and
-#: of ``streaming/`` that still asks: the door both substrates convert at,
-#: the driver's three readers of a stream that baselines feed as objects, and
-#: what is left of ``repro.core``'s object mode behind Desis and
-#: ``core/concurrent.py`` (ROADMAP item 1).  Held with ``==`` so the
-#: deletion PR can only shrink it.
+#: Every function of ``core/``, ``network/`` and ``streaming/`` that asks:
+#: the one door every public entry point converts at, and batch equality
+#: (a batch compares equal to any event sequence).  Held with ``==``: an
+#: operator that forks on its input's type again fails here.
 SIM_REPRESENTATION_FORKS = {
     ("streaming/columns.py", "as_event_columns"),
     ("streaming/columns.py", "__eq__"),
-    ("streaming/columns.py", "select_rank"),
-    ("network/driver.py", "event_timestamps"),
-    ("network/driver.py", "feed"),
-    ("network/driver.py", "feed_arrivals"),
-    ("core/sorted_window.py", "__init__"),
-    ("core/sorted_window.py", "add_all"),
-    ("core/sorted_window.py", "_compact"),
-    ("core/slicing.py", "slice_sorted_events"),
 }
 
 
@@ -222,9 +211,15 @@ def test_simulated_path_forks_on_representation_only_where_listed():
 
 #: The modules whose loops must never assign windows: the simulator's door
 #: cuts a stream by arithmetic on its timestamp column
-#: (``network.driver.window_segments``), and three window allocations per
+#: (``network.driver.window_segments``), the local operators group a batch
+#: the same way (``EventColumns.by_window``), and window allocations per
 #: event must not grow back.
-SEGMENTED_MODULES = ("network/driver.py", "core/engine.py")
+SEGMENTED_MODULES = (
+    "network/driver.py",
+    "core/engine.py",
+    "core/local_node.py",
+    "core/concurrent.py",
+)
 
 _LOOPS = (
     ast.For, ast.AsyncFor, ast.While,
@@ -333,15 +328,14 @@ def test_constructor_lint_sees_nested_functions_and_attribute_calls():
 #: The functions of the live-path modules that may call a numpy or in-place
 #: sort (``lexsort``, ``argsort``, ``np.sort``, ``.sort(``): the shared
 #: key-order kernel every window sort goes through, the root's rank select
-#: (ties at one value only), window-cut's sweep over synopsis ranks, and
-#: the object-mode compaction.  The builtin ``sorted`` is not policed — it
-#: orders dict keys all over ``runtime/``; the comparison mirrors
-#: (``_merge_comparison_mirror``, ``_sweep_rows``) are its only row users.
+#: (ties at one value only) and window-cut's sweep over synopsis ranks.
+#: The builtin ``sorted`` is not policed — it orders dict keys all over
+#: ``runtime/``; the comparison mirrors (``_merge_comparison_mirror``,
+#: ``_sweep_rows``) are its only row users.
 ALLOWED_SORT_SITES = {
     ("streaming/columns.py", "_key_order"),
     ("streaming/columns.py", "select_rank"),
     ("core/window_cut.py", "_sweep_columns"),
-    ("core/sorted_window.py", "_compact"),
 }
 
 SORT_CALLS = {"lexsort", "argsort", "sort"}
