@@ -11,7 +11,7 @@ Usage::
     python -m repro live --rate 20000    # live asyncio cluster over TCP
     python -m repro query --queries 8    # live multi-query plane, graded
     python -m repro mesh --shards 4 --relay-fanin 8 --locals 100  # scale-out
-    python -m repro fleet                # fleet-telemetry smoke + BENCH_fleet
+    python -m repro fleet                # fleet-telemetry plane, scraped + graded
     python -m repro chaos --scenario crash-reconnect   # fault injection
     python -m repro top --port 9470      # watch a serving cluster live
     python -m repro top --mesh           # fleet view of a serving mesh
@@ -231,28 +231,137 @@ def _print_telemetry(telemetry: dict) -> None:
     print(f"telemetry: {', '.join(parts)}")
 
 
-def _cmd_live(args: argparse.Namespace) -> int:
-    from repro.bench.live import (
-        DEFAULT_BENCH_PATH,
-        live_benchmark,
-        write_live_bench,
-    )
+def _wire_line(report) -> str:
     from repro.bench.reporting import format_bytes
 
-    if args.locals < 1:
-        print(
-            f"error: --n-locals must be at least 1, got {args.locals}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.streams < 1:
-        print(
-            "error: --streams-per-local must be at least 1, "
-            f"got {args.streams}",
-            file=sys.stderr,
-        )
-        return 2
+    layers = ", ".join(
+        f"{layer} {format_bytes(count)}"
+        for layer, count in sorted(report.bytes_by_layer.items())
+    )
+    return f"on the wire: {format_bytes(report.total_bytes)} ({layers})"
 
+
+def _run_graded_cluster(
+    args: argparse.Namespace,
+    *,
+    n_shards: int,
+    relay_fanin: int,
+    time_scale: float,
+    rate_per_local: float,
+    membership: tuple = (),
+) -> int:
+    """Run one live cluster, grade it against the oracle, print the report.
+
+    ``repro mesh`` and ``repro live`` are this function; ``live`` is the
+    flat topology (one shard, no relay tier) with an aggregate ``--rate``.
+    """
+    from repro.bench.generator import GeneratorConfig, workload
+    from repro.bench.reporting import format_bytes
+    from repro.core.query import QuantileQuery
+    from repro.errors import ConfigurationError
+    from repro.mesh import (
+        MeshConfig,
+        classify_outcomes,
+        mesh_oracle,
+        run_mesh,
+    )
+
+    joiners = [e.local_id for e in membership if e.kind == "join"]
+    try:
+        config = MeshConfig(
+            n_locals=args.locals,
+            streams_per_local=args.streams,
+            n_shards=n_shards,
+            relay_fanin=relay_fanin,
+            query=QuantileQuery(q=args.q, gamma=args.gamma),
+            transport=args.transport,
+            time_scale=time_scale,
+            membership=membership,
+            telemetry=_telemetry_from_args(args),
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    streams = workload(
+        list(range(1, args.locals + 1)) + joiners,
+        GeneratorConfig(
+            event_rate=rate_per_local,
+            duration_s=args.duration,
+            seed=args.seed,
+        ),
+    )
+    report = run_mesh(config, streams)
+    classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+
+    tier = (
+        f"relay fan-in {config.relay_fanin}" if config.relay_fanin
+        else "flat (no relay tier)"
+    )
+    print(
+        f"live cluster over {config.transport}: {config.n_shards} root "
+        f"shard{'s' if config.n_shards != 1 else ''}, "
+        f"{tier}, {config.n_locals} locals × "
+        f"{config.streams_per_local} streams"
+    )
+    print(
+        f"replayed {report.events_sent} events in "
+        f"{report.wall_seconds:.3f}s wall "
+        f"({report.events_per_second:,.0f} events/s)"
+    )
+    for window, outcome in sorted(report.outcome_by_window().items()):
+        if outcome.value is None:
+            continue
+        print(
+            f"  window [{window.start / 1000:.0f}s,"
+            f"{window.end / 1000:.0f}s): "
+            f"q{args.q:g}={outcome.value:10.4f}  "
+            f"n={outcome.global_window_size:<7d} "
+            f"candidates={outcome.candidate_events}"
+        )
+    if membership:
+        print(
+            f"membership: {len(joiners)} joins, "
+            f"{len(membership) - len(joiners)} leaves; "
+            f"members now {report.members}, "
+            f"shard epochs {report.membership_epochs}"
+        )
+    stats = report.seal_to_result
+    if stats.count:
+        print(
+            f"seal→result latency: p50 {stats.p50 * 1e3:.2f} ms  "
+            f"p95 {stats.p95 * 1e3:.2f} ms  max {stats.max * 1e3:.2f} ms"
+        )
+    print(_wire_line(report))
+    print(
+        f"root ingress: {format_bytes(report.root_ingress_bytes)}"
+        + (
+            f" ({report.relay_frames_combined} relay-combined frames, "
+            f"{report.relay_sections_combined} sections)"
+            if config.relay_fanin
+            else ""
+        )
+    )
+    print(
+        f"windows: {classes['recovered']} recovered, "
+        f"{classes['degraded']} degraded, {classes['lost']} lost, "
+        f"{classes['mismatch']} mismatched (of {report.windows})"
+    )
+    _print_telemetry(report.telemetry)
+    if report.telemetry.get("fleet"):
+        fleet = report.telemetry["fleet"]
+        print(
+            f"fleet: {fleet['frames']} telemetry frames "
+            f"({fleet['bytes']} bytes), {fleet['digest_count']} digests "
+            f"from {len(fleet['senders'])} nodes"
+        )
+    if classes["mismatch"]:
+        print("MISMATCHED WINDOWS: values diverged at full completeness "
+              "— protocol bug")
+        return 1
+    return 0
+
+
+def _cmd_live(args: argparse.Namespace) -> int:
     if args.uvloop:
         # uvloop is an optional accelerator, never a requirement: when the
         # module is absent the run proceeds on stock asyncio unchanged.
@@ -266,90 +375,49 @@ def _cmd_live(args: argparse.Namespace) -> int:
             )
         else:
             uvloop.install()
-
-    config, report = live_benchmark(
-        n_locals=args.locals,
-        streams_per_local=args.streams,
-        rate=args.rate,
-        duration_s=args.duration,
-        transport=args.transport,
+    return _run_graded_cluster(
+        args,
+        n_shards=1,
+        relay_fanin=0,
         time_scale=0.0 if args.fast else args.time_scale,
-        gamma=args.gamma,
-        q=args.q,
-        seed=args.seed,
-        telemetry=_telemetry_from_args(args),
+        # --rate is the aggregate here: each local generates its share.
+        rate_per_local=max(1.0, args.rate / max(1, args.locals)),
     )
-    completed = [o for o in report.outcomes if o.value is not None]
-    print(
-        f"live cluster over {config.transport}: 1 root, "
-        f"{config.n_locals} locals, "
-        f"{config.n_locals * config.streams_per_local} streams"
+
+
+def _cmd_mesh(args: argparse.Namespace) -> int:
+    return _run_graded_cluster(
+        args,
+        n_shards=args.shards,
+        relay_fanin=args.relay_fanin,
+        time_scale=args.time_scale,
+        rate_per_local=args.rate,
+        membership=_parse_membership(args.join, args.leave),
     )
-    print(
-        f"replayed {report.events_sent} events in "
-        f"{report.wall_seconds:.3f}s wall "
-        f"({report.events_per_second:,.0f} events/s)"
-    )
-    for outcome in sorted(report.outcomes, key=lambda o: o.window):
-        if outcome.value is None:
-            continue
-        print(
-            f"  window [{outcome.window.start / 1000:.0f}s,"
-            f"{outcome.window.end / 1000:.0f}s): "
-            f"q{args.q:g}={outcome.value:10.4f}  "
-            f"n={outcome.global_window_size:<7d} "
-            f"candidates={outcome.candidate_events}"
-        )
-    stats = report.seal_to_result
-    if stats.count:
-        print(
-            f"seal→result latency: p50 {stats.p50 * 1e3:.2f} ms  "
-            f"p95 {stats.p95 * 1e3:.2f} ms  max {stats.max * 1e3:.2f} ms"
-        )
-    print(
-        f"on the wire: {format_bytes(report.total_bytes)} "
-        f"({', '.join(f'{k} {format_bytes(v)}' for k, v in sorted(report.bytes_by_layer.items()))})"
-    )
-    print(f"windows: {len(completed)}/{report.windows} with results")
-    _print_telemetry(report.telemetry)
-    if args.bench:
-        path = args.bench_output or DEFAULT_BENCH_PATH
-        write_live_bench(path, config, report, seed=args.seed)
-        print(f"wrote {path}")
-    return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.bench.queries import (
-        DEFAULT_BENCH_PATH,
-        queries_benchmark,
-        write_queries_bench,
-    )
-    from repro.bench.reporting import format_bytes
+    from repro.errors import ConfigurationError
+    from repro.queries.runner import run_query_scenario
 
-    if args.smoke:
-        # CI mode: 8 mixed queries over 3 keys on the memory transport,
-        # churning half of them mid-run, then grading every result.
-        args.queries, args.keys = 8, 3
-        args.transport = "memory"
-        args.churn = True
-        if args.time_scale <= 0:
-            args.time_scale = 0.3
-        args.bench = True
-    report, artifact = queries_benchmark(
-        n_queries=args.queries,
-        n_keys=args.keys,
-        n_locals=args.locals,
-        streams_per_local=args.streams,
-        rate=args.rate,
-        duration_s=args.duration,
-        transport=args.transport,
-        time_scale=args.time_scale,
-        churn=args.churn,
-        seed=args.seed,
-        gamma=args.gamma,
-        window_ms=args.window_ms,
-    )
+    try:
+        report = run_query_scenario(
+            n_queries=args.queries,
+            n_keys=args.keys,
+            n_locals=args.locals,
+            streams_per_local=args.streams,
+            event_rate=args.rate,
+            duration_s=args.duration,
+            transport=args.transport,
+            time_scale=args.time_scale,
+            churn=args.churn,
+            seed=args.seed,
+            gamma=args.gamma,
+            window_ms=args.window_ms,
+        )
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         f"multi-query plane over {args.transport}: "
         f"{report.n_registered} queries registered "
@@ -365,35 +433,14 @@ def _cmd_query(args: argparse.Namespace) -> int:
         f"identification cuts: {report.identification_cuts} "
         f"({report.duplicate_cuts} duplicated per (group, window))"
     )
-    amortization = artifact["amortization"]
-    independent = artifact["independent_runs"]
-    print(
-        f"bytes: shared {format_bytes(report.live.total_bytes)} vs "
-        f"{independent['runs']} independent runs "
-        f"{format_bytes(independent['total_bytes'])} "
-        f"(ratio {amortization['total_bytes_ratio']}, aggregation-layer "
-        f"ratio {amortization['aggregation_bytes_ratio']})"
-    )
-    if report.nacks:
-        for nack in report.nacks:
-            print(f"  nack: {nack}")
-    if args.bench:
-        path = args.bench_output or DEFAULT_BENCH_PATH
-        write_queries_bench(path, artifact)
-        print(f"wrote {path}")
-    failed = False
-    if report.mismatches:
-        for mismatch in report.mismatches:
-            print(f"MISMATCH: {mismatch}")
-        failed = True
+    print(_wire_line(report.live))
+    for nack in report.nacks:
+        print(f"  nack: {nack}")
+    for mismatch in report.mismatches:
+        print(f"MISMATCH: {mismatch}")
     if report.duplicate_cuts:
         print("DUPLICATE CUTS: the shared-cut invariant was violated")
-        failed = True
-    if independent["mismatches"]:
-        print(f"MISMATCH: {independent['mismatches']} grading failures "
-              "in the independent baseline runs")
-        failed = True
-    if failed:
+    if not report.ok:
         return 1
     print("all served results bit-identical to the single-query oracle")
     return 0
@@ -418,214 +465,6 @@ def _parse_membership(joins: list[str], leaves: list[str]):
                 MembershipEvent(at_ms=at_ms, local_id=local_id, kind=kind)
             )
     return tuple(sorted(events, key=lambda e: (e.at_ms, e.local_id)))
-
-
-def _mesh_smoke(args: argparse.Namespace) -> int:
-    """CI gate: elastic relay scenario graded, then the scale curve."""
-    from repro.bench.generator import GeneratorConfig, workload
-    from repro.bench.scale import DEFAULT_SCALE_PATH, write_scale_bench
-    from repro.core.query import QuantileQuery
-    from repro.errors import HarnessError
-    from repro.mesh import (
-        MembershipEvent,
-        MeshConfig,
-        classify_outcomes,
-        mesh_oracle,
-        run_mesh,
-    )
-
-    query = QuantileQuery(q=args.q, gamma=args.gamma)
-    config = MeshConfig(
-        n_locals=4,
-        streams_per_local=2,
-        n_shards=2,
-        relay_fanin=2,
-        query=query,
-        transport="memory",
-        membership=(
-            MembershipEvent(at_ms=2_000, local_id=5, kind="join"),
-            MembershipEvent(at_ms=3_000, local_id=2, kind="leave"),
-        ),
-    )
-    streams = workload(
-        [1, 2, 3, 4, 5],
-        GeneratorConfig(event_rate=120.0, duration_s=4.0, seed=args.seed),
-    )
-    report = run_mesh(config, streams)
-    classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
-    print(
-        "elastic smoke: 4+1 locals, 2 shards, relay fan-in 2, "
-        "join 5@2s, leave 2@3s"
-    )
-    print(
-        f"  windows: {classes['recovered']} recovered, "
-        f"{classes['degraded']} degraded, {classes['lost']} lost, "
-        f"{classes['mismatch']} mismatched; "
-        f"members now {report.members}"
-    )
-    if (
-        classes["mismatch"]
-        or classes["lost"]
-        or classes["degraded"]
-        or not classes["recovered"]
-    ):
-        print("SMOKE FAILED: elastic scenario is not bit-identical to "
-              "the single-root oracle")
-        return 1
-
-    path = args.bench_output or DEFAULT_SCALE_PATH
-    try:
-        result = write_scale_bench(
-            path,
-            q=args.q,
-            gamma=args.gamma,
-            seed=args.seed,
-        )
-    except HarnessError as exc:
-        print(f"SMOKE FAILED: {exc}")
-        return 1
-    for point in result["curve"]:
-        relay = point["relay"]
-        print(
-            f"  {point['n_locals']:>4} locals: "
-            f"{relay['events_per_second']:>12,.0f} events/s relayed, "
-            f"frame savings {point['relay_frame_savings']:.0%}, "
-            f"ingress savings {point['relay_ingress_savings']:.1%}"
-        )
-    print(f"wrote {path}")
-    print("all mesh runs bit-identical to the single-root oracle")
-    return 0
-
-
-def _cmd_mesh(args: argparse.Namespace) -> int:
-    from repro.bench.reporting import format_bytes
-
-    if args.smoke:
-        return _mesh_smoke(args)
-
-    from repro.bench.generator import GeneratorConfig, workload
-    from repro.bench.scale import DEFAULT_SCALE_PATH, write_scale_bench
-    from repro.core.query import QuantileQuery
-    from repro.errors import ConfigurationError, HarnessError
-    from repro.mesh import (
-        MeshConfig,
-        classify_outcomes,
-        mesh_oracle,
-        run_mesh,
-    )
-
-    membership = _parse_membership(args.join, args.leave)
-    joiners = [e.local_id for e in membership if e.kind == "join"]
-    try:
-        config = MeshConfig(
-            n_locals=args.locals,
-            streams_per_local=args.streams,
-            n_shards=args.shards,
-            relay_fanin=args.relay_fanin,
-            query=QuantileQuery(q=args.q, gamma=args.gamma),
-            transport=args.transport,
-            time_scale=args.time_scale,
-            membership=membership,
-            telemetry=_telemetry_from_args(args),
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    streams = workload(
-        list(range(1, args.locals + 1)) + joiners,
-        GeneratorConfig(
-            event_rate=args.rate, duration_s=args.duration, seed=args.seed
-        ),
-    )
-    report = run_mesh(config, streams)
-    classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
-
-    tier = (
-        f"relay fan-in {config.relay_fanin}" if config.relay_fanin
-        else "flat (no relay tier)"
-    )
-    print(
-        f"mesh over {config.transport}: {config.n_shards} root shards, "
-        f"{tier}, {config.n_locals} locals × "
-        f"{config.streams_per_local} streams"
-    )
-    print(
-        f"replayed {report.events_sent} events in "
-        f"{report.wall_seconds:.3f}s wall "
-        f"({report.events_per_second:,.0f} events/s)"
-    )
-    for window, outcome in sorted(report.outcome_by_window().items()):
-        if outcome.value is None:
-            continue
-        print(
-            f"  window [{window.start / 1000:.0f}s,"
-            f"{window.end / 1000:.0f}s): "
-            f"q{args.q:g}={outcome.value:10.4f}  "
-            f"n={outcome.global_window_size:<7d}"
-        )
-    if membership:
-        print(
-            f"membership: {len(joiners)} joins, "
-            f"{len(membership) - len(joiners)} leaves; "
-            f"members now {report.members}, "
-            f"shard epochs {report.membership_epochs}"
-        )
-    stats = report.seal_to_result
-    if stats.count:
-        print(
-            f"seal→result latency: p50 {stats.p50 * 1e3:.2f} ms  "
-            f"p95 {stats.p95 * 1e3:.2f} ms  max {stats.max * 1e3:.2f} ms"
-        )
-    print(
-        f"on the wire: {format_bytes(report.total_bytes)} "
-        f"({', '.join(f'{k} {format_bytes(v)}' for k, v in sorted(report.bytes_by_layer.items()))})"
-    )
-    print(
-        f"root ingress: {format_bytes(report.root_ingress_bytes)}"
-        + (
-            f" ({report.relay_frames_combined} relay-combined frames, "
-            f"{report.relay_sections_combined} sections)"
-            if config.relay_fanin
-            else ""
-        )
-    )
-    print(
-        f"windows: {classes['recovered']} recovered, "
-        f"{classes['degraded']} degraded, {classes['lost']} lost, "
-        f"{classes['mismatch']} mismatched (of {report.windows})"
-    )
-    _print_telemetry(report.telemetry)
-    if report.telemetry.get("fleet"):
-        fleet = report.telemetry["fleet"]
-        print(
-            f"fleet: {fleet['frames']} telemetry frames "
-            f"({fleet['bytes']} bytes), {fleet['digest_count']} digests "
-            f"from {len(fleet['senders'])} nodes"
-        )
-    if args.bench:
-        path = args.bench_output or DEFAULT_SCALE_PATH
-        try:
-            write_scale_bench(
-                path,
-                streams_per_local=args.streams,
-                n_shards=args.shards,
-                relay_fanin=args.relay_fanin or 8,
-                event_rate=int(args.rate),
-                duration_s=int(args.duration),
-                q=args.q,
-                gamma=args.gamma,
-                seed=args.seed,
-                transport=args.transport,
-            )
-        except HarnessError as exc:
-            print(f"BENCH FAILED: {exc}")
-            return 1
-        print(f"wrote {path}")
-    if classes["mismatch"]:
-        print("MISMATCHED WINDOWS: values diverged at full completeness "
-              "— protocol bug")
-        return 1
-    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -690,71 +529,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_perf(args: argparse.Namespace) -> int:
-    from repro.bench import hotpath
-
-    config = hotpath.SMOKE if args.smoke else hotpath.FULL
-    mode = "smoke" if args.smoke else "full"
-    print(f"hot-path benchmarks ({mode} mode)")
-    current = hotpath.run_hotpath(
-        config,
-        include_live=not args.no_live,
-        progress=lambda name, rate: print(f"  {name:32s} {rate:>14,.2f}"),
-    )
-
-    # Per-mode baselines: a smoke run is compared against (and gated on)
-    # the committed *smoke* numbers only, and both baselines are carried
-    # into the rewritten artifact untouched — a smoke run must never
-    # clobber or be judged by the full-mode baseline.
-    artifact = hotpath.load_artifact(args.baseline)
-    if artifact is None:
-        baselines: dict[str, dict[str, float]] = {}
-        print(f"no baseline artifact at {args.baseline}; "
-              "writing current numbers without a comparison")
-    else:
-        baselines = {
-            "baseline": artifact.get("baseline") or {},
-            "baseline_smoke": artifact.get("baseline_smoke") or {},
-        }
-    baseline = baselines.get(hotpath.baseline_key(mode)) or {}
-
-    hotpath.write_hotpath(
-        args.output, config, current, baselines, mode=mode,
-    )
-    print(f"wrote {args.output}")
-    for name, rate in current.items():
-        reference = baseline.get(name)
-        if reference:
-            print(f"  {name:32s} {rate / reference:6.2f}x baseline")
-
-    if args.curve:
-        from repro.bench import scaling
-
-        counts = (
-            scaling.SMOKE_LOCALS if args.smoke else scaling.FULL_LOCALS
-        )
-        print(f"throughput-vs-locals curve ({', '.join(map(str, counts))})")
-        points = scaling.scaling_curve(
-            locals_counts=counts,
-            duration_s=1.0 if args.smoke else 3.0,
-            progress=lambda n, rate: print(
-                f"  {n:2d} locals {rate:>14,.0f} ev/s"
-            ),
-        )
-        scaling.write_scaling(args.curve_output, points, mode=mode)
-        print(f"wrote {args.curve_output}")
-
-    if args.smoke:
-        failures = hotpath.check_regressions(current, baseline)
-        if failures:
-            for failure in failures:
-                print(f"REGRESSION: {failure}")
-            return 1
-        print("no hot-path regressions beyond tolerance "
-              f"({hotpath.REGRESSION_TOLERANCE:.0%})")
-    return 0
-
-
 def _cmd_top(args: argparse.Namespace) -> int:
     from repro.obs.live.top import run_top
 
@@ -770,12 +544,11 @@ def _cmd_top(args: argparse.Namespace) -> int:
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Fleet telemetry smoke: run a mesh, scrape /fleet mid-run, grade it.
 
-    The CI gate behind ``repro fleet --smoke``: a telemetry-enabled mesh
-    run whose ``/fleet`` endpoint is scraped *while the cluster serves*,
-    asserting the scrape is valid JSON with a nonzero merged digest
-    count, then grading the fleet's merged seal→result percentiles
-    against the centrally-computed oracle, and finally writing the
-    digest-vs-raw byte-cost artifact (BENCH_fleet.json).
+    The CI gate: a telemetry-enabled mesh run whose ``/fleet`` endpoint
+    is scraped *while the cluster serves*, asserting the scrape is valid
+    JSON with a nonzero merged digest count, then grading the fleet's
+    merged seal→result percentiles against the centrally-computed
+    oracle, and finally bounding the digest-vs-raw byte cost at 10%.
     """
     import asyncio as _asyncio
     import queue as _queue
@@ -783,7 +556,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.bench.generator import GeneratorConfig, workload
     from repro.core.query import QuantileQuery
     from repro.mesh import MeshConfig, classify_outcomes, mesh_oracle, run_mesh
-    from repro.obs.fleet import DEFAULT_FLEET_PATH, write_fleet_bench
+    from repro.obs.fleet import fleet_benchmark
     from repro.obs.live.config import TelemetryConfig
     from repro.obs.live.top import fetch_json, render_fleet
 
@@ -871,19 +644,15 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     elif central.count:
         print("SMOKE FAILED: fleet view has no seal→result digest")
         failed = True
-    path = args.bench_output or DEFAULT_FLEET_PATH
-    artifact = write_fleet_bench(path, seed=args.seed)
-    worst = max(
-        point["digest_fraction_of_raw"] for point in artifact["curve"]
-    )
-    for point in artifact["curve"]:
+    curve = fleet_benchmark(seed=args.seed)["curve"]
+    worst = max(point["digest_fraction_of_raw"] for point in curve)
+    for point in curve:
         print(
             f"  {point['n_locals']:>4} locals: digest uplink "
             f"{point['digest_uplink_bytes']:>9} B vs raw "
             f"{point['raw_sample_bytes']:>11} B "
             f"({point['digest_fraction_of_raw']:.1%})"
         )
-    print(f"wrote {path}")
     if worst > 0.10:
         print(
             f"SMOKE FAILED: digest uplink costs {worst:.1%} of raw-sample "
@@ -999,9 +768,6 @@ def main(argv: list[str] | None = None) -> int:
     live.add_argument("--gamma", type=int, default=100)
     live.add_argument("--q", type=float, default=0.5)
     live.add_argument("--seed", type=int, default=42)
-    live.add_argument("--bench", action="store_true",
-                      help="write the BENCH_live.json artifact")
-    live.add_argument("--bench-output", default=None, metavar="PATH")
     live.add_argument("--uvloop", action="store_true",
                       help="install uvloop as the event-loop policy if "
                            "available (falls back to asyncio with a "
@@ -1019,7 +785,7 @@ def main(argv: list[str] | None = None) -> int:
     query.add_argument("--streams", type=int, default=2,
                        help="stream servers per local node")
     query.add_argument("--rate", type=float, default=400.0,
-                       help="target aggregate events/second")
+                       help="events/second generated per local node")
     query.add_argument("--duration", type=float, default=4.0,
                        help="workload length in event-time seconds")
     query.add_argument("--transport", default="memory",
@@ -1034,13 +800,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="window length in event-time milliseconds")
     query.add_argument("--gamma", type=int, default=32)
     query.add_argument("--seed", type=int, default=7)
-    query.add_argument("--smoke", action="store_true",
-                       help="CI mode: 8 churning queries over 3 keys on "
-                            "the memory transport, bench artifact on, "
-                            "nonzero exit on any oracle mismatch")
-    query.add_argument("--bench", action="store_true",
-                       help="write the BENCH_queries.json artifact")
-    query.add_argument("--bench-output", default=None, metavar="PATH")
 
     mesh = sub.add_parser(
         "mesh", help="scale-out mesh: sharded roots, relays, elastic "
@@ -1057,7 +816,7 @@ def main(argv: list[str] | None = None) -> int:
     mesh.add_argument("--relay-fanin", type=int, default=0,
                       help="children per relay (0 = no relay tier)")
     mesh.add_argument("--rate", type=float, default=200.0,
-                      help="target aggregate events/second")
+                      help="events/second generated per local node")
     mesh.add_argument("--duration", type=float, default=4.0,
                       help="workload length in event-time seconds")
     mesh.add_argument("--transport", default="memory",
@@ -1075,15 +834,6 @@ def main(argv: list[str] | None = None) -> int:
     mesh.add_argument("--leave", action="append", default=[],
                       metavar="LOCAL@MS",
                       help="retire local LOCAL at event-time MS; repeatable")
-    mesh.add_argument("--smoke", action="store_true",
-                      help="CI mode: graded elastic relay scenario, then "
-                           "the 2..100-local scale curve with the "
-                           "BENCH_scale.json artifact; nonzero exit on "
-                           "any oracle divergence")
-    mesh.add_argument("--bench", action="store_true",
-                      help="also run the scale curve and write the "
-                           "BENCH_scale.json artifact")
-    mesh.add_argument("--bench-output", default=None, metavar="PATH")
     _add_telemetry_flags(mesh)
 
     fleet = sub.add_parser(
@@ -1098,7 +848,7 @@ def main(argv: list[str] | None = None) -> int:
     fleet.add_argument("--relay-fanin", type=int, default=4,
                        help="children per relay (0 = no relay tier)")
     fleet.add_argument("--rate", type=float, default=300.0,
-                       help="target aggregate events/second")
+                       help="events/second generated per local node")
     fleet.add_argument("--duration", type=float, default=6.0,
                        help="workload length in event-time seconds")
     fleet.add_argument("--gamma", type=int, default=10_000)
@@ -1108,8 +858,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="wall seconds per event-time second; the run "
                             "must be paced so the mid-run /fleet scrape "
                             "sees a serving mesh (0 = unpaced)")
-    fleet.add_argument("--bench-output", default=None, metavar="PATH",
-                       help="BENCH_fleet.json output path")
 
     chaos = sub.add_parser(
         "chaos", help="run a cluster under a named fault scenario"
@@ -1156,29 +904,6 @@ def main(argv: list[str] | None = None) -> int:
                      help="scrape /fleet and render the mesh-wide fleet "
                           "view instead of /summary")
 
-    perf = sub.add_parser(
-        "perf", help="hot-path microbenchmarks and regression check"
-    )
-    perf.add_argument("--smoke", action="store_true",
-                      help="CI mode: shrink the live benchmark and exit "
-                           "nonzero on a >tolerance regression vs the "
-                           "committed baseline")
-    perf.add_argument("--no-live", action="store_true",
-                      help="skip the end-to-end live cluster benchmark")
-    perf.add_argument("-o", "--output", default="BENCH_hotpath.json",
-                      metavar="PATH", help="artifact output path")
-    perf.add_argument("--baseline", default="BENCH_hotpath.json",
-                      metavar="PATH",
-                      help="artifact holding the baseline numbers to "
-                           "compare against (default: the committed "
-                           "BENCH_hotpath.json)")
-    perf.add_argument("--curve", action="store_true",
-                      help="also measure the throughput-vs-locals "
-                           "scaling curve and write its artifact")
-    perf.add_argument("--curve-output", default="BENCH_scaling.json",
-                      metavar="PATH",
-                      help="scaling-curve artifact output path")
-
     sweep = sub.add_parser("sweep", help="sweep a parameter over systems")
     sweep.add_argument("--parameter", required=True,
                        choices=["gamma", "n_local_nodes", "event_rate", "q",
@@ -1209,7 +934,6 @@ def main(argv: list[str] | None = None) -> int:
         "mesh": _cmd_mesh,
         "fleet": _cmd_fleet,
         "chaos": _cmd_chaos,
-        "perf": _cmd_perf,
         "top": _cmd_top,
     }
     return handlers[args.command](args)

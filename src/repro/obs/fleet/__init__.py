@@ -14,19 +14,13 @@ Off by default; with telemetry disabled no uplink task is started and
 zero telemetry bytes touch the wire.
 """
 
-from repro.obs.fleet.bench import (
-    DEFAULT_FLEET_PATH,
-    fleet_benchmark,
-    write_fleet_bench,
-)
+from repro.obs.fleet.bench import fleet_benchmark
 from repro.obs.fleet.collector import FLEET_QUANTILES, FleetCollector
 from repro.obs.fleet.uplink import TelemetryUplink
 
 __all__ = [
-    "DEFAULT_FLEET_PATH",
     "FLEET_QUANTILES",
     "FleetCollector",
     "TelemetryUplink",
     "fleet_benchmark",
-    "write_fleet_bench",
 ]

@@ -8,24 +8,20 @@ benchmark measures both sides with the *real* wire messages — the digest
 side runs actual :class:`~repro.obs.fleet.uplink.TelemetryUplink`
 instances and sums the built frames' ``wire_bytes``; the raw side
 charges the identical framing (header, metric name, count prefix) with
-f64 samples in place of centroids — and writes ``BENCH_fleet.json``.
+f64 samples in place of centroids.  ``repro fleet`` prints the curve and
+exits nonzero when a point costs more than 10% of raw shipping.
 """
 
 from __future__ import annotations
 
-import json
-import platform
 import random
-import sys
 from typing import Any
 
 from repro.runtime import wire
 from repro.obs.fleet.uplink import TelemetryUplink
 from repro.streaming.windows import Window
 
-__all__ = ["fleet_benchmark", "write_fleet_bench", "DEFAULT_FLEET_PATH"]
-
-DEFAULT_FLEET_PATH = "BENCH_fleet.json"
+__all__ = ["fleet_benchmark"]
 
 #: Locals-curve points; 100 is the acceptance point (digest ≤ 10% raw).
 DEFAULT_CURVE = (10, 50, 100)
@@ -100,9 +96,6 @@ def fleet_benchmark(
             "savings": 1.0 - digest_bytes / raw_bytes,
         })
     return {
-        "benchmark": "fleet_telemetry",
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
         "config": {
             "metrics": list(metrics),
             "samples_per_round": samples_per_round,
@@ -111,14 +104,3 @@ def fleet_benchmark(
         },
         "curve": points,
     }
-
-
-def write_fleet_bench(
-    path: str = DEFAULT_FLEET_PATH, **kwargs: Any
-) -> "dict[str, Any]":
-    """Run :func:`fleet_benchmark` and write the JSON artifact."""
-    result = fleet_benchmark(**kwargs)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return result

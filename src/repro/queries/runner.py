@@ -138,8 +138,8 @@ def run_query_scenario(
     duplicate check in :func:`~repro.queries.oracle.grade_results` makes
     "at most once" explicit, completeness makes it "at least once").
 
-    ``specs`` overrides the generated batch (the bench uses this to run
-    each query alone for the amortization baseline).
+    ``specs`` overrides the generated batch (the tests use this to run
+    each query alone as the cost baseline for serving them together).
     """
     if churn and time_scale <= 0:
         raise ConfigurationError(

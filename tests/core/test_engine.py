@@ -13,7 +13,7 @@ from repro.bench.generator import (
 from repro.errors import ConfigurationError
 from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
-from repro.streaming.events import make_events
+from repro.streaming.events import Event, make_events
 from repro.streaming.windows import TumblingWindows
 from repro.baselines.base import build_system
 from repro.baselines.partial import build_partial_system
@@ -69,6 +69,44 @@ class TestDemaQuantile:
         events = {1: make_events(range(10), node_id=1)}
         result = dema_quantile(events, q=0.3, gamma=3)
         assert result.rank == 3
+
+
+class TestBitIdenticalResults:
+    """Shuffled three-node input, extreme q: still the exact element."""
+
+    def _workload(self, seed):
+        rng = random.Random(seed)
+        streams = {}
+        for node_id in (1, 2, 3):
+            events = [
+                Event(
+                    value=rng.random() * 1000.0,
+                    timestamp=rng.randrange(0, 1000),
+                    node_id=node_id,
+                    seq=seq,
+                )
+                for seq in range(400)
+            ]
+            rng.shuffle(events)
+            streams[node_id] = events
+        return streams
+
+    def test_dema_matches_exact_oracle_bit_for_bit(self):
+        streams = self._workload(seed=7)
+        values = [e.value for events in streams.values() for e in events]
+        for q in (0.01, 0.5, 0.99, 1.0):
+            result = dema_quantile(streams, q, gamma=20)
+            # Dema is exact: the answer IS an element of the multiset, so
+            # equality is exact, not approximate.
+            assert result.value == exact_quantile(values, q)
+
+    def test_repeated_runs_identical(self):
+        streams = self._workload(seed=11)
+        first = dema_quantile(streams, 0.5, gamma=20)
+        second = dema_quantile(streams, 0.5, gamma=20)
+        assert first.value == second.value
+        assert first.rank == second.rank
+        assert first.candidate_events == second.candidate_events
 
 
 class TestDemaEngine:

@@ -57,9 +57,25 @@ class TestShardedBitIdentity:
         assert_bit_identical(config, streams_for(range(1, 4)))
 
     def test_hundred_locals(self):
-        config = MeshConfig(n_locals=100, n_shards=4, query=QUERY)
+        """100 locals on 4 shards, flat and behind fan-in-8 relays: both
+        oracle-graded, and the relay tier cuts what reaches the roots."""
         streams = streams_for(range(1, 101), rate=30.0, duration=2.0)
-        assert_bit_identical(config, streams)
+        flat, relayed = (
+            assert_bit_identical(
+                MeshConfig(
+                    n_locals=100, n_shards=4, relay_fanin=fanin, query=QUERY
+                ),
+                streams,
+            )
+            for fanin in (0, 8)
+        )
+
+        def root_link_frames(report):
+            layers = report.messages_by_layer
+            return layers.get("local_root", 0) + layers.get("relay_root", 0)
+
+        assert root_link_frames(relayed) < root_link_frames(flat)
+        assert relayed.root_ingress_bytes < flat.root_ingress_bytes
 
 
 class TestRelayTier:

@@ -23,7 +23,6 @@ from repro.obs.fleet import (
     FleetCollector,
     TelemetryUplink,
     fleet_benchmark,
-    write_fleet_bench,
 )
 from repro.obs.live.top import render_fleet
 from repro.runtime.codec import decode_frame, encode_frame
@@ -183,14 +182,6 @@ class TestFleetBench:
             assert point["savings"] == pytest.approx(
                 1.0 - point["digest_fraction_of_raw"]
             )
-
-    def test_artifact_round_trips_through_json(self, tmp_path):
-        path = tmp_path / "BENCH_fleet.json"
-        written = write_fleet_bench(
-            str(path), curve=(2,), samples_per_round=100, rounds=1
-        )
-        assert json.loads(path.read_text()) == written
-        assert written["benchmark"] == "fleet_telemetry"
 
 
 class TestRenderFleet:

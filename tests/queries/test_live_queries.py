@@ -91,6 +91,21 @@ class TestScenarios:
         assert report.n_registered == 1
         assert report.groups == 1
 
+    def test_serving_together_costs_fewer_bytes_than_apart(self):
+        """Two queries on one cluster share the replay, the panes and the
+        cut; two single-query deployments pay for each twice."""
+        common = dict(
+            n_locals=2, streams_per_local=1, duration_s=2.0, event_rate=200.0
+        )
+        specs = build_specs(2, 1, window_ms=1000, gamma=32)
+        shared = run_query_scenario(specs=specs, **common)
+        apart = [run_query_scenario(specs=[spec], **common) for spec in specs]
+        for report in (shared, *apart):
+            assert report.ok, report.mismatches
+        assert shared.live.total_bytes < sum(
+            report.live.total_bytes for report in apart
+        )
+
 
 def register_message(query_id, spec, *, sender=9001):
     return QueryRegisterMessage(

@@ -2,6 +2,8 @@
 
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -70,7 +72,6 @@ MODULES = [
     "repro.bench.model",
     "repro.bench.sweep",
     "repro.bench.runner",
-    "repro.bench.queries",
     "repro.queries.spec",
     "repro.queries.slide",
     "repro.queries.registry",
@@ -135,3 +136,31 @@ class TestExceptionHierarchy:
 
         with pytest.raises(ReproError):
             dema_quantile({}, q=0.5, gamma=2)
+
+
+class TestOneRuler:
+    """``python -m perfbench`` is the only thing that writes a performance
+    number: ``repro.bench`` is the simulated-clock paper harness and
+    nothing under ``src/repro`` names a ``BENCH_*.json`` results file."""
+
+    SRC = Path(repro.__file__).parent
+
+    def test_bench_package_is_the_paper_harness(self):
+        modules = {path.stem for path in (self.SRC / "bench").glob("*.py")}
+        assert modules == {
+            "__init__", "generator", "workloads", "harness", "accuracy",
+            "charts", "model", "reporting", "runner", "sweep",
+        }
+
+    def test_no_source_file_names_a_bench_artifact(self):
+        pattern = re.compile(r"BENCH_\w+\.json")
+        offenders = [
+            str(path.relative_to(self.SRC))
+            for path in sorted(self.SRC.rglob("*.py"))
+            if pattern.search(path.read_text(encoding="utf-8"))
+        ]
+        assert offenders == []
+
+    def test_no_committed_bench_artifact(self):
+        root = self.SRC.parent.parent
+        assert sorted(path.name for path in root.glob("BENCH_*.json")) == []
