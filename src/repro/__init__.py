@@ -38,8 +38,8 @@ from repro.errors import ReproError
 from repro.streaming.events import Event, make_events
 from repro.streaming.windows import SessionWindows, SlidingWindows, TumblingWindows
 from repro.streaming.aggregates import exact_quantile, get_function, quantile_rank
-from repro.core.engine import DemaEngine, DemaResult, dema_quantile
-from repro.core.multi import MultiQuantileResult, dema_quantiles
+from repro.core.engine import DemaEngine, DemaResult, MultiQuantileResult
+from repro.core.engine import dema_quantile, dema_quantiles
 from repro.core.reliability import ReliabilityConfig
 from repro.core.concurrent import ConcurrentDemaEngine
 from repro.core.query import QuantileQuery

@@ -8,12 +8,14 @@ that can contain the requested quantile rank, fetches exactly those events,
 and selects the answer — bit-exact, at a fraction of the network cost of
 centralized aggregation.
 
-Two entry points:
+Entry points, all identifying through one
+:func:`~repro.core.identification.identify_multi` pass per window:
 
-* :func:`repro.core.engine.dema_quantile` — pure in-memory algorithm (no
-  simulator), the easiest way to use or study Dema;
-* :class:`repro.core.engine.DemaEngine` — full decentralized deployment on
-  the simulated network, used by the benchmarks.
+* :func:`repro.core.engine.dema_quantile` / ``dema_quantiles`` — pure
+  in-memory algorithm (no simulator), the easiest way to use or study Dema;
+* :class:`repro.core.engine.DemaEngine` /
+  :class:`~repro.core.concurrent.ConcurrentDemaEngine` — one query or many
+  sharing their synopses, deployed on the simulated network.
 """
 
 from repro.core.synopsis import SliceSynopsis
@@ -29,7 +31,6 @@ from repro.core.adaptive import (
     optimal_gamma,
     transfer_cost,
 )
-from repro.core.multi import MultiQuantileResult, dema_quantiles
 from repro.core.reliability import ReliabilityConfig
 from repro.core.concurrent import (
     ConcurrentDemaEngine,
@@ -40,7 +41,7 @@ from repro.core.concurrent import (
 from repro.core.query import QuantileQuery
 from repro.core.local_node import DemaLocalNode
 from repro.core.root_node import DemaRootNode
-from repro.core.engine import DemaEngine, dema_quantile
+from repro.core.engine import DemaEngine, MultiQuantileResult, dema_quantile, dema_quantiles
 
 __all__ = [
     "SliceSynopsis",

@@ -9,11 +9,12 @@ same physical nodes.
 Sharing structure.  Queries are partitioned into **groups** by their window
 shape and slice factor.  Within a group the expensive local work happens
 once: one sorted window, one slicing pass, one synopsis batch on the wire.
-The root answers every quantile of the group from those synopses, fetching
-the *union* of the candidate slices (the same sharing as
-:func:`repro.core.multi.dema_quantiles`).  Groups with different window
-shapes share only the physical substrate — ingestion CPU, channels and
-their contention.
+The root answers every quantile of the group with one
+:func:`~repro.core.identification.identify_multi` pass over those synopses,
+fetching the *union* of the candidate slices — the shared cut
+:func:`repro.core.engine.dema_quantiles` and the live query root use.
+Groups with different window shapes share only the physical substrate —
+ingestion CPU, channels and their contention.
 """
 
 from __future__ import annotations
@@ -46,20 +47,16 @@ from repro.network.simulator import (
 )
 from repro.network.topology import Topology, TopologyConfig
 from repro.obs.tracer import NOOP_TRACER
-from repro.streaming.aggregates import quantile_rank
 from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 from repro.core.calculation import calculate_quantile
+from repro.core.identification import MultiIdentificationResult, identify_multi
+from repro.core.local_node import _SERVE_OPS_PER_EVENT, _SLICE_OPS_PER_EVENT
 from repro.core.query import QuantileQuery
 from repro.core.slicing import SlicedWindow, slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
-from repro.core.synopsis import (
-    SliceSynopsis,
-    as_synopsis_columns,
-    concat_synopses,
-)
-from repro.core.window_cut import CutResult, window_cut_multi
+from repro.core.synopsis import SliceSynopsis
 
 import math
 
@@ -75,12 +72,6 @@ __all__ = [
     "ConcurrentDemaRootNode",
     "ConcurrentDemaEngine",
 ]
-
-#: Abstract ops for the slicing pass (per event), as in the single-query node.
-_SLICE_OPS_PER_EVENT = 0.5
-
-#: Abstract ops for serving one candidate event.
-_SERVE_OPS_PER_EVENT = 0.5
 
 #: Abstract ops per synopsis during identification.
 _IDENTIFY_OPS_PER_SYNOPSIS = 4.0
@@ -278,10 +269,13 @@ class _GroupWindowState:
 
     synopses: dict[int, Sequence[SliceSynopsis]] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
-    cuts: dict[int, CutResult] = field(default_factory=dict)
-    requests: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    plan: MultiIdentificationResult | None = None
     runs: dict[tuple[int, int], EventColumns] = field(default_factory=dict)
-    expected_runs: int = 0
+
+    @property
+    def expected_runs(self) -> int:
+        """Candidate runs the plan requested, across every local."""
+        return sum(len(indices) for indices in self.plan.requests.values())
 
 
 class ConcurrentDemaRootNode(SimulatedNode):
@@ -362,10 +356,10 @@ class ConcurrentDemaRootNode(SimulatedNode):
                 )
             return
 
-        all_synopses = concat_synopses(
-            [as_synopsis_columns(batch) for batch in state.synopses.values()]
+        state.plan = identify_multi(
+            state.synopses, state.sizes, [q for _, q in group.quantiles]
         )
-        n_synopses = len(all_synopses)
+        n_synopses = sum(len(batch) for batch in state.synopses.values())
         ops = _IDENTIFY_OPS_PER_SYNOPSIS * n_synopses * max(
             1.0, math.log2(max(n_synopses, 2))
         ) * len(group.quantiles)
@@ -381,35 +375,12 @@ class ConcurrentDemaRootNode(SimulatedNode):
                 synopses=n_synopses,
                 quantiles=len(group.quantiles),
             )
-
-        ranks = {
-            query_index: quantile_rank(q, total)
-            for query_index, q in group.quantiles
-        }
-        cuts_by_rank = window_cut_multi(
-            all_synopses, sorted(set(ranks.values())),
-            global_window_size=total,
-        )
-        union: set[tuple[int, int]] = set()
-        for query_index, _ in group.quantiles:
-            cut = cuts_by_rank[ranks[query_index]]
-            state.cuts[query_index] = cut
-            union.update(cut.candidate_ids)
-
-        requests: dict[int, list[int]] = {}
-        for node_id, slice_index in union:
-            requests.setdefault(node_id, []).append(slice_index)
-        state.requests = {
-            node_id: tuple(sorted(indices))
-            for node_id, indices in requests.items()
-        }
-        state.expected_runs = len(union)
         for local_id in self._local_ids:
             request = CandidateRequestMessage(
                 sender=self.node_id,
                 window=window,
                 group_id=group_id,
-                slice_indices=state.requests.get(local_id, ()),
+                slice_indices=state.plan.requests.get(local_id, ()),
             )
             self.send(request, local_id, finish)
 
@@ -419,7 +390,7 @@ class ConcurrentDemaRootNode(SimulatedNode):
         now = self.work(receive_ops(message.payload_bytes), now)
         key = (message.group_id, message.window)
         state = self._states.get(key)
-        if state is None or not state.cuts:
+        if state is None or state.plan is None:
             raise IdentificationError(
                 f"unexpected candidate events for group {message.group_id}, "
                 f"window {message.window}"
@@ -456,10 +427,9 @@ class ConcurrentDemaRootNode(SimulatedNode):
                 candidate_events=total_fetched,
                 runs=len(state.runs),
             )
-        total = sum(state.sizes.values())
         self._states.pop((group_id, window))
         for query_index, q in group.quantiles:
-            cut = state.cuts[query_index]
+            cut = state.plan.cuts[q]
             runs = [
                 state.runs[synopsis.slice_id] for synopsis in cut.candidates
             ]
@@ -470,7 +440,7 @@ class ConcurrentDemaRootNode(SimulatedNode):
                     q=q,
                     window=window,
                     value=answer.value,
-                    global_window_size=total,
+                    global_window_size=state.plan.global_window_size,
                     result_time=finish,
                 )
             )

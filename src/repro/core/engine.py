@@ -1,9 +1,10 @@
 """Dema entry points: pure algorithm and full simulated deployment.
 
-:func:`dema_quantile` runs identification + calculation in-process over
-already-collected local windows — no simulator, no messages.  It is the
-algorithmic heart of the paper in one call, used by tests, examples and the
-accuracy experiment.
+:func:`dema_quantiles` runs identification + calculation in-process over
+already-collected local windows — no simulator, no messages — for several
+quantiles with one :func:`~repro.core.identification.identify_multi` pass;
+:func:`dema_quantile` is its one-``q`` case.  The algorithmic heart of the
+paper in one call, used by tests, examples and the accuracy experiment.
 
 :class:`DemaEngine` deploys Dema operators on the simulated three-layer
 network, drives per-node workloads through it, and reports results together
@@ -36,14 +37,15 @@ from repro.streaming.events import Event
 # from the driver's segmenter: no loop here assigns windows (enforced by
 # tests/test_hotpath_lint.py).
 from repro.core.calculation import calculate_quantile
-from repro.core.identification import identify
+from repro.core.identification import MultiIdentificationResult, identify_multi
 from repro.core.local_node import DemaLocalNode
 from repro.core.query import QuantileQuery
 from repro.core.root_node import DemaRootNode, WindowOutcome
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 
-__all__ = ["DemaResult", "DemaRunReport", "dema_quantile", "DemaEngine"]
+__all__ = ["DemaResult", "MultiQuantileResult", "DemaRunReport", "dema_quantile",
+           "dema_quantiles", "DemaEngine"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,57 +78,122 @@ class DemaResult:
         return 2 * self.synopses + self.candidate_events
 
 
-def dema_quantile(
-    local_windows: "Mapping[int, EventColumns | Sequence[Event]]",
-    q: float,
-    gamma: int,
-) -> DemaResult:
-    """Compute an exact quantile the Dema way, in memory.
+@dataclass(frozen=True, slots=True)
+class MultiQuantileResult:
+    """Outcome of one multi-quantile Dema computation.
 
-    Each entry of ``local_windows`` plays the role of one local node's
-    window: it is sorted locally, sliced with ``gamma``, reduced to
-    synopses, and only candidate slices are "transferred" to the
-    calculation step.
-
-    Args:
-        local_windows: Per-node event collections (any order within a
-            node), each an ``EventColumns`` or a sequence of ``Event``.
-        q: The quantile in ``(0, 1]``.
-        gamma: The slice factor, ≥ 2.
-
-    Returns:
-        The result with transfer-cost accounting.
-
-    Raises:
-        ConfigurationError: If no nodes are given.
-        IdentificationError: If all windows are empty.
+    Attributes:
+        values: Exact quantile values keyed by the requested ``q``.
+        ranks: The global rank located for each ``q``.
+        global_window_size: Total events across the local windows.
+        candidate_events: Events fetched for the union of all candidate
+            slices (each slice counted once).
+        synopses: Synopses shipped in the identification step.
     """
+
+    values: Mapping[float, float]
+    ranks: Mapping[float, int]
+    global_window_size: int
+    candidate_events: int
+    synopses: int
+
+    @property
+    def transfer_events(self) -> int:
+        """Events-on-the-wire cost of the whole multi-quantile query."""
+        return 2 * self.synopses + self.candidate_events
+
+
+def _answer(
+    local_windows: "Mapping[int, EventColumns | Sequence[Event]]",
+    qs: Sequence[float],
+    gamma: int,
+) -> tuple[MultiIdentificationResult, dict[float, float], int]:
+    """Sort and slice every local window, identify every ``q`` in one
+    shared pass, fetch the union of the candidate slices once, and select
+    each answer; returns the plan, the values and the synopsis count."""
     if not local_windows:
         raise ConfigurationError("need at least one local window")
-
+    if not qs:
+        raise ConfigurationError("need at least one quantile")
     sliced = {
         node_id: slice_sorted_events(
             SortedLocalWindow(as_event_columns(events)).seal(), gamma, node_id
         )
         for node_id, events in local_windows.items()
     }
-    synopses_by_node = {n: s.synopses for n, s in sliced.items()}
-    sizes = {n: s.window_size for n, s in sliced.items()}
-    identification = identify(synopses_by_node, sizes, q)
-
-    runs = [
-        sliced[node_id].run_for(index)
-        for node_id, indices in identification.requests.items()
+    plan = identify_multi(
+        {n: s.synopses for n, s in sliced.items()},
+        {n: s.window_size for n, s in sliced.items()},
+        qs,
+    )
+    runs = {
+        (node_id, index): sliced[node_id].run_for(index)
+        for node_id, indices in plan.requests.items()
         for index in indices
-    ]
-    answer = calculate_quantile(identification.cut, runs)
+    }
+    values = {
+        q: calculate_quantile(
+            cut, [runs[synopsis.slice_id] for synopsis in cut.candidates]
+        ).value
+        for q, cut in plan.cuts.items()
+    }
+    return plan, values, sum(len(s.synopses) for s in sliced.values())
+
+
+def dema_quantiles(
+    local_windows: "Mapping[int, EventColumns | Sequence[Event]]",
+    qs: Sequence[float],
+    gamma: int,
+) -> MultiQuantileResult:
+    """Compute several exact quantiles with one shared identification pass.
+
+    Each entry of ``local_windows`` plays the role of one local node's
+    window: it is sorted locally, sliced with ``gamma`` and reduced to
+    synopses.  Synopses are shipped once for every quantile, and the
+    calculation step fetches the **union** of every rank's candidate
+    slices, so a slice needed by two quantiles crosses the network once.
+
+    Args:
+        local_windows: Per-node event collections (any order within a
+            node), each an ``EventColumns`` or a sequence of ``Event``.
+        qs: The quantiles, each in ``(0, 1]``; duplicates are collapsed.
+        gamma: The slice factor, ≥ 2.
+
+    Returns:
+        Exact values for every requested quantile plus shared transfer
+        accounting.
+
+    Raises:
+        ConfigurationError: If no nodes or no quantiles are given.
+        IdentificationError: If all windows are empty.
+    """
+    plan, values, n_synopses = _answer(local_windows, qs, gamma)
+    return MultiQuantileResult(
+        values=values,
+        ranks={q: cut.rank for q, cut in plan.cuts.items()},
+        global_window_size=plan.global_window_size,
+        candidate_events=plan.candidate_events,
+        synopses=n_synopses,
+    )
+
+
+def dema_quantile(
+    local_windows: "Mapping[int, EventColumns | Sequence[Event]]",
+    q: float,
+    gamma: int,
+) -> DemaResult:
+    """Compute an exact quantile the Dema way, in memory, with
+    transfer-cost accounting: :func:`dema_quantiles` for the single
+    quantile ``q``, same arguments and errors."""
+    plan, values, n_synopses = _answer(local_windows, (q,), gamma)
+    cut = plan.cuts[q]
     return DemaResult(
-        value=answer.value,
-        rank=identification.rank,
-        global_window_size=identification.global_window_size,
-        candidate_events=identification.candidate_events,
-        candidate_slices=len(identification.cut.candidates),
-        synopses=sum(len(batch) for batch in synopses_by_node.values()),
+        value=values[q],
+        rank=cut.rank,
+        global_window_size=plan.global_window_size,
+        candidate_events=cut.candidate_events,
+        candidate_slices=len(cut.candidates),
+        synopses=n_synopses,
     )
 
 

@@ -2,16 +2,23 @@
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, IdentificationError
 from repro.core.concurrent import (
     ConcurrentDemaEngine,
+    ConcurrentDemaRootNode,
     group_queries,
 )
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
+from repro.core.slicing import slice_sorted_events
+from repro.core.sorted_window import SortedLocalWindow
+from repro.network.messages import SynopsisMessage
 from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
 from repro.bench.generator import GeneratorConfig, workload
+from repro.streaming.columns import as_event_columns
+from repro.streaming.events import make_events
+from repro.streaming.windows import Window
 
 
 def make_streams(rate=1_000.0, seconds=3.0, seed=5):
@@ -140,7 +147,43 @@ class TestSharing:
         engine = ConcurrentDemaEngine(
             [QuantileQuery(q=0.5, gamma=50)], TopologyConfig(n_local_nodes=2)
         )
-        from repro.streaming.events import make_events
-
         with pytest.raises(ConfigurationError):
             engine.run({9: make_events([1.0], node_id=9)})
+
+
+class _RecordingFabric:
+    """Stands in for the simulator: records what the root sends."""
+
+    def __init__(self):
+        self.routed = []
+
+    def route(self, message, src, dst, now):
+        self.routed.append((message, dst))
+
+
+class TestRootValidation:
+    def test_per_node_size_skew_rejected_even_when_it_cancels(self):
+        group = group_queries([QuantileQuery(q=0.5, gamma=10)])[0]
+        root = ConcurrentDemaRootNode(0, local_ids=[1, 2], groups=[group])
+        fabric = _RecordingFabric()
+        root.attach(fabric)
+        window = Window(0, 1000)
+        messages = []
+        for node_id, skew in ((1, +5), (2, -5)):
+            events = make_events(
+                [float(v) for v in range(40)], node_id=node_id
+            )
+            sliced = slice_sorted_events(
+                SortedLocalWindow(as_event_columns(events)).seal(), 10, node_id
+            )
+            messages.append(SynopsisMessage(
+                sender=node_id,
+                window=window,
+                group_id=group.group_id,
+                synopses=sliced.synopses,
+                local_window_size=sliced.window_size + skew,
+            ))
+        root.on_message(messages[0], 0.0)
+        with pytest.raises(IdentificationError, match="node 1 "):
+            root.on_message(messages[1], 0.0)
+        assert fabric.routed == []

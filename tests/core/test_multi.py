@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, IdentificationError
 from repro.core.engine import dema_quantile
-from repro.core.multi import dema_quantiles
+from repro.core import dema_quantiles
 from repro.streaming.aggregates import exact_quantile
 from repro.streaming.events import make_events
 
@@ -84,3 +84,7 @@ class TestValidation:
     def test_no_quantiles_rejected(self):
         with pytest.raises(ConfigurationError):
             dema_quantiles(windows(), (), gamma=10)
+
+    def test_all_empty_windows_rejected(self):
+        with pytest.raises(IdentificationError, match="global window is empty"):
+            dema_quantiles({1: [], 2: []}, (0.5,), gamma=10)

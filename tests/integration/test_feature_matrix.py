@@ -96,7 +96,7 @@ class TestMultiQuantileMatchesConcurrent:
     def test_two_apis_agree(self):
         """The in-memory multi-quantile API and the concurrent deployment
         answer the same questions identically."""
-        from repro.core.multi import dema_quantiles
+        from repro.core import dema_quantiles
         from repro.streaming.windows import TumblingWindows
 
         streams = make_streams(seconds=2.0)

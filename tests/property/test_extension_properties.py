@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.adaptive import NodeGammaController, optimal_gamma, transfer_cost
 from repro.core.concurrent import group_queries
 from repro.core.engine import dema_quantile
-from repro.core.multi import dema_quantiles
+from repro.core import dema_quantiles
 from repro.core.query import QuantileQuery
 from repro.streaming.aggregates import exact_quantile
 from repro.streaming.events import make_events

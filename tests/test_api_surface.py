@@ -37,7 +37,6 @@ MODULES = [
     "repro.core.local_node",
     "repro.core.root_node",
     "repro.core.engine",
-    "repro.core.multi",
     "repro.core.concurrent",
     "repro.core.reliability",
     "repro.streaming.events",

@@ -28,6 +28,11 @@ local operators are held to "no loop assigns windows".
 And one keeps the ordering of rows in one place: numpy sorts on the live
 path occur only inside a short list of named functions, so a second
 (stable, whole-window) sort cannot arrive unnoticed.
+
+The last keeps the shared cut in one place: quantiles become ranks, one
+window-cut sweep and one union fetch plan only in ``identify_multi``, which
+the in-memory entry points, the simulator's concurrent root and the live
+query root all call instead of re-deriving it.
 """
 
 import ast
@@ -387,6 +392,30 @@ def test_sort_lint_sees_numpy_and_method_sorts_only():
         "    return sorted(d), np.searchsorted(a, b), d.timestamps_sorted()\n"
     )
     assert _sort_sites(source) == {"seal", "inner", "compact", "copy"}
+
+
+#: Every function that calls ``window_cut_multi`` (anywhere in the
+#: package) or ``quantile_rank`` (in ``core/``): the single-rank wrapper and
+#: the one shared cut.  A multi-quantile path that ranks or cuts on its own
+#: is a second copy of the cut growing back.
+WINDOW_CUT_MULTI_CALLERS = {
+    ("core/window_cut.py", "window_cut"),
+    ("core/identification.py", "identify_multi"),
+}
+QUANTILE_RANK_CALLERS = {("core/identification.py", "identify_multi")}
+
+
+def _call_sites(package, callee):
+    return {
+        (path.relative_to(PACKAGE_ROOT).as_posix(), scope)
+        for path in sorted((PACKAGE_ROOT / package).rglob("*.py"))
+        for _, scope in _constructions(path.read_text(), {callee})
+    }
+
+
+def test_quantiles_are_ranked_and_cut_in_one_place():
+    assert _call_sites(".", "window_cut_multi") == WINDOW_CUT_MULTI_CALLERS
+    assert _call_sites("core", "quantile_rank") == QUANTILE_RANK_CALLERS
 
 
 def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
