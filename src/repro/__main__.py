@@ -199,8 +199,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _telemetry_from_args(args: argparse.Namespace):
-    """Build a TelemetryConfig from the shared live/chaos CLI flags."""
-    if args.telemetry_port is None and args.flight_recorder is None:
+    """Build a TelemetryConfig from the telemetry flags, if a command has them."""
+    if getattr(args, "telemetry_port", None) is None and (
+        getattr(args, "flight_recorder", None) is None
+    ):
         return None
     from repro.obs.live.config import TelemetryConfig
 
@@ -229,6 +231,13 @@ def _print_telemetry(telemetry: dict) -> None:
         state = "dumped" if telemetry.get("flight_recorder_dumped") else "armed"
         parts.append(f"flight recorder {state}: {telemetry['flight_recorder']}")
     print(f"telemetry: {', '.join(parts)}")
+    if telemetry.get("fleet"):
+        fleet = telemetry["fleet"]
+        print(
+            f"fleet: {fleet['frames']} telemetry frames "
+            f"({fleet['bytes']} bytes), {fleet['digest_count']} digests "
+            f"from {len(fleet['senders'])} nodes"
+        )
 
 
 def _wire_line(report) -> str:
@@ -241,124 +250,160 @@ def _wire_line(report) -> str:
     return f"on the wire: {format_bytes(report.total_bytes)} ({layers})"
 
 
-def _run_graded_cluster(
-    args: argparse.Namespace,
-    *,
-    n_shards: int,
-    relay_fanin: int,
-    time_scale: float,
-    rate_per_local: float,
-    membership: tuple = (),
-) -> int:
+def _print_graded(rows, counts, total, *, notes=(), wire=None,
+                  label="windows: ") -> None:
+    """The one report printer: ``(window, detail)`` lines, then ``notes``,
+    the wire line and the recovered/degraded/lost/mismatched line."""
+    for window, detail in rows:
+        print(f"  window [{window.start / 1000:.0f}s,"
+              f"{window.end / 1000:.0f}s): {detail}")
+    for note in notes:
+        print(note)
+    if wire is not None:
+        print(_wire_line(wire))
+    print(f"{label}{counts['recovered']} recovered, "
+          f"{counts['degraded']} degraded, {counts['lost']} lost, "
+          f"{counts['mismatch']} mismatched (of {total})")
+
+
+#: The topology/workload flag group: flag -> (dest, type, help).  Each
+#: dest is a field of ClusterConfig, QuantileQuery or GeneratorConfig; a
+#: command without the flag gets that type's default.
+_CLUSTER_FLAGS = {
+    "--locals": ("n_locals", int, "local (edge) node count"),
+    "--streams": ("streams_per_local", int, "stream servers per local"),
+    "--shards": ("n_shards", int, "root shard count"),
+    "--relay-fanin": ("relay_fanin", int, "children per relay (0 = none)"),
+    "--transport": ("transport", str, "memory or tcp (localhost)"),
+    "--time-scale": ("time_scale", float,
+                     "wall seconds per event-time second (0 = unpaced)"),
+    "--rate": ("event_rate", float, "events/second per local node"),
+    "--duration": ("duration_s", float, "event-time seconds of workload"),
+    "--gamma": ("gamma", int, "slices per local window"),
+    "--q": ("q", float, "the quantile"),
+    "--seed": ("seed", int, "workload and fault-plan seed"),
+}
+
+
+def _add_cluster_flags(parser, *, aggregate_rate=False, **defaults) -> None:
+    """Add the flags of :data:`_CLUSTER_FLAGS` whose dest has a default.
+
+    With ``aggregate_rate``, ``--rate`` is the whole cluster's and each
+    local generates its share.  A ``None`` default (``chaos``'s shards
+    and fan-in) leaves the value to the scenario.
+    """
+    parser.set_defaults(aggregate_rate=aggregate_rate)
+    for flag, (dest, kind, text) in _CLUSTER_FLAGS.items():
+        if dest not in defaults:
+            continue
+        if dest == "event_rate" and aggregate_rate:
+            text = "aggregate events/second, split over the locals"
+        shown = "scenario's" if defaults[dest] is None else "%(default)s"
+        parser.add_argument(
+            flag, dest=dest, type=kind, default=defaults.pop(dest),
+            choices=("memory", "tcp") if dest == "transport" else None,
+            help=f"{text} (default: {shown})",
+        )
+    assert not defaults, f"not cluster flags: {sorted(defaults)}"
+
+
+def _configs_from_args(args: argparse.Namespace):
+    """The ``(ClusterConfig, GeneratorConfig)`` pair a live command names."""
+    from dataclasses import fields
+
+    from repro.bench.generator import GeneratorConfig
+    from repro.core.query import QuantileQuery
+    from repro.faults.scenarios import get_scenario
+    from repro.mesh.config import ClusterConfig
+
+    given = {}
+    if args.command == "chaos":  # unset topology flags: the scenario's
+        scenario = get_scenario(args.scenario)
+        given.update(n_shards=scenario.n_shards,
+                     relay_fanin=scenario.relay_fanin)
+    for dest, _, _ in _CLUSTER_FLAGS.values():
+        if getattr(args, dest, None) is not None:
+            given[dest] = getattr(args, dest)
+
+    def of(kind) -> dict:
+        return {f.name: given[f.name] for f in fields(kind) if f.name in given}
+
+    config = ClusterConfig(
+        query=QuantileQuery(**of(QuantileQuery)),
+        timeout_s=120.0,
+        membership=_parse_membership(args),
+        telemetry=_telemetry_from_args(args),
+        **of(ClusterConfig),
+    )
+    if args.aggregate_rate:
+        given["event_rate"] = max(1.0, given["event_rate"] / config.n_locals)
+    return config, GeneratorConfig(**of(GeneratorConfig))
+
+
+def _parse_membership(args: argparse.Namespace):
+    """Parse repeated ``--join``/``--leave LOCAL@MS`` flags into events."""
+    from repro.mesh import MembershipEvent
+
+    events = []
+    for kind in ("join", "leave"):
+        for spec in getattr(args, kind, ()):
+            local_raw, _, at_raw = spec.partition("@")
+            try:
+                local_id, at_ms = int(local_raw), int(at_raw)
+            except ValueError:
+                raise SystemExit(f"error: --{kind} expects LOCAL@MS "
+                                 f"(e.g. 5@2000), got {spec!r}")
+            events.append(MembershipEvent(at_ms, local_id, kind))
+    return tuple(sorted(events, key=lambda e: (e.at_ms, e.local_id)))
+
+
+def _run_cluster(config, generator, **run_kwargs):
     """Run one live cluster, grade it against the oracle, print the report.
 
-    ``repro mesh`` and ``repro live`` are this function; ``live`` is the
-    flat topology (one shard, no relay tier) with an aggregate ``--rate``.
+    ``repro live``, ``mesh`` and ``fleet`` all run through here; returns
+    the run report and its grade counts.
     """
-    from repro.bench.generator import GeneratorConfig, workload
+    from repro.bench.generator import workload
     from repro.bench.reporting import format_bytes
-    from repro.core.query import QuantileQuery
-    from repro.errors import ConfigurationError
-    from repro.mesh import (
-        MeshConfig,
-        classify_outcomes,
-        mesh_oracle,
-        run_mesh,
-    )
+    from repro.mesh import classify_outcomes, mesh_oracle, run_mesh
 
-    joiners = [e.local_id for e in membership if e.kind == "join"]
-    try:
-        config = MeshConfig(
-            n_locals=args.locals,
-            streams_per_local=args.streams,
-            n_shards=n_shards,
-            relay_fanin=relay_fanin,
-            query=QuantileQuery(q=args.q, gamma=args.gamma),
-            transport=args.transport,
-            time_scale=time_scale,
-            membership=membership,
-            telemetry=_telemetry_from_args(args),
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    streams = workload(
-        list(range(1, args.locals + 1)) + joiners,
-        GeneratorConfig(
-            event_rate=rate_per_local,
-            duration_s=args.duration,
-            seed=args.seed,
-        ),
-    )
-    report = run_mesh(config, streams)
-    classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+    joiners = [e.local_id for e in config.membership if e.kind == "join"]
+    streams = workload(list(range(1, config.n_locals + 1)) + joiners, generator)
+    report = run_mesh(config, streams, **run_kwargs)
+    counts = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
 
-    tier = (
-        f"relay fan-in {config.relay_fanin}" if config.relay_fanin
-        else "flat (no relay tier)"
-    )
-    print(
-        f"live cluster over {config.transport}: {config.n_shards} root "
-        f"shard{'s' if config.n_shards != 1 else ''}, "
-        f"{tier}, {config.n_locals} locals × "
-        f"{config.streams_per_local} streams"
-    )
-    print(
-        f"replayed {report.events_sent} events in "
-        f"{report.wall_seconds:.3f}s wall "
-        f"({report.events_per_second:,.0f} events/s)"
-    )
-    for window, outcome in sorted(report.outcome_by_window().items()):
-        if outcome.value is None:
-            continue
-        print(
-            f"  window [{window.start / 1000:.0f}s,"
-            f"{window.end / 1000:.0f}s): "
-            f"q{args.q:g}={outcome.value:10.4f}  "
-            f"n={outcome.global_window_size:<7d} "
-            f"candidates={outcome.candidate_events}"
-        )
-    if membership:
-        print(
-            f"membership: {len(joiners)} joins, "
-            f"{len(membership) - len(joiners)} leaves; "
-            f"members now {report.members}, "
-            f"shard epochs {report.membership_epochs}"
-        )
+    tier = (f"relay fan-in {config.relay_fanin}" if config.relay_fanin
+            else "flat (no relay tier)")
+    print(f"live cluster over {config.transport}: {config.n_shards} root "
+          f"shard{'s' if config.n_shards != 1 else ''}, {tier}, "
+          f"{config.n_locals} locals × {config.streams_per_local} streams")
+    print(f"replayed {report.events_sent} events in "
+          f"{report.wall_seconds:.3f}s wall "
+          f"({report.events_per_second:,.0f} events/s)")
+    notes = []
+    if config.membership:
+        notes.append(f"membership: {len(joiners)} joins, "
+                     f"{len(config.membership) - len(joiners)} leaves; "
+                     f"members now {report.members}, "
+                     f"shard epochs {report.membership_epochs}")
     stats = report.seal_to_result
     if stats.count:
-        print(
-            f"seal→result latency: p50 {stats.p50 * 1e3:.2f} ms  "
-            f"p95 {stats.p95 * 1e3:.2f} ms  max {stats.max * 1e3:.2f} ms"
-        )
-    print(_wire_line(report))
-    print(
-        f"root ingress: {format_bytes(report.root_ingress_bytes)}"
-        + (
-            f" ({report.relay_frames_combined} relay-combined frames, "
-            f"{report.relay_sections_combined} sections)"
-            if config.relay_fanin
-            else ""
-        )
-    )
-    print(
-        f"windows: {classes['recovered']} recovered, "
-        f"{classes['degraded']} degraded, {classes['lost']} lost, "
-        f"{classes['mismatch']} mismatched (of {report.windows})"
-    )
-    _print_telemetry(report.telemetry)
-    if report.telemetry.get("fleet"):
-        fleet = report.telemetry["fleet"]
-        print(
-            f"fleet: {fleet['frames']} telemetry frames "
-            f"({fleet['bytes']} bytes), {fleet['digest_count']} digests "
-            f"from {len(fleet['senders'])} nodes"
-        )
-    if classes["mismatch"]:
-        print("MISMATCHED WINDOWS: values diverged at full completeness "
-              "— protocol bug")
-        return 1
-    return 0
+        notes.append(f"seal→result latency: p50 {stats.p50 * 1e3:.2f} ms  "
+                     f"p95 {stats.p95 * 1e3:.2f} ms  "
+                     f"max {stats.max * 1e3:.2f} ms")
+    relayed = (f" ({report.relay_frames_combined} relay-combined frames, "
+               f"{report.relay_sections_combined} sections)")
+    notes.append(f"root ingress: {format_bytes(report.root_ingress_bytes)}"
+                 + (relayed if config.relay_fanin else ""))
+    rows = [
+        (window, f"q{config.query.q:g}={outcome.value:10.4f}  "
+                 f"n={outcome.global_window_size:<7d} "
+                 f"candidates={outcome.candidate_events}")
+        for window, outcome in sorted(report.outcome_by_window().items())
+        if outcome.value is not None
+    ]
+    _print_graded(rows, counts, report.windows, notes=notes, wire=report)
+    return report, counts
 
 
 def _cmd_live(args: argparse.Namespace) -> int:
@@ -368,71 +413,41 @@ def _cmd_live(args: argparse.Namespace) -> int:
         try:
             import uvloop
         except ImportError:
-            print(
-                "warning: --uvloop requested but uvloop is not installed; "
-                "continuing on the default asyncio event loop",
-                file=sys.stderr,
-            )
+            print("warning: --uvloop requested but uvloop is not installed; "
+                  "continuing on the default asyncio event loop",
+                  file=sys.stderr)
         else:
             uvloop.install()
-    return _run_graded_cluster(
-        args,
-        n_shards=1,
-        relay_fanin=0,
-        time_scale=0.0 if args.fast else args.time_scale,
-        # --rate is the aggregate here: each local generates its share.
-        rate_per_local=max(1.0, args.rate / max(1, args.locals)),
-    )
+    return _cmd_mesh(args)
 
 
 def _cmd_mesh(args: argparse.Namespace) -> int:
-    return _run_graded_cluster(
-        args,
-        n_shards=args.shards,
-        relay_fanin=args.relay_fanin,
-        time_scale=args.time_scale,
-        rate_per_local=args.rate,
-        membership=_parse_membership(args.join, args.leave),
-    )
+    report, counts = _run_cluster(*_configs_from_args(args))
+    _print_telemetry(report.telemetry)
+    if counts["mismatch"]:
+        print("MISMATCHED WINDOWS: values diverged at full completeness "
+              "— protocol bug")
+        return 1
+    return 0
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError
     from repro.queries.runner import run_query_scenario
 
-    try:
-        report = run_query_scenario(
-            n_queries=args.queries,
-            n_keys=args.keys,
-            n_locals=args.locals,
-            streams_per_local=args.streams,
-            event_rate=args.rate,
-            duration_s=args.duration,
-            transport=args.transport,
-            time_scale=args.time_scale,
-            churn=args.churn,
-            seed=args.seed,
-            gamma=args.gamma,
-            window_ms=args.window_ms,
-        )
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"multi-query plane over {args.transport}: "
-        f"{report.n_registered} queries registered "
-        f"({report.n_deregistered} deregistered mid-run), "
-        f"{report.groups} shared-cut groups"
+    config, generator = _configs_from_args(args)
+    report = run_query_scenario(
+        config, generator, n_queries=args.queries, n_keys=args.keys,
+        window_ms=args.window_ms, churn=args.churn,
     )
-    print(
-        f"served {report.results_served} results "
-        f"({report.queries_per_second:,.1f} results/s), "
-        f"graded {report.results_graded} against the oracle"
-    )
-    print(
-        f"identification cuts: {report.identification_cuts} "
-        f"({report.duplicate_cuts} duplicated per (group, window))"
-    )
+    print(f"multi-query plane over {config.transport}: "
+          f"{report.n_registered} queries registered "
+          f"({report.n_deregistered} deregistered mid-run), "
+          f"{report.groups} shared-cut groups")
+    print(f"served {report.results_served} results "
+          f"({report.queries_per_second:,.1f} results/s), "
+          f"graded {report.results_graded} against the oracle")
+    print(f"identification cuts: {report.identification_cuts} "
+          f"({report.duplicate_cuts} duplicated per (group, window))")
     print(_wire_line(report.live))
     for nack in report.nacks:
         print(f"  nack: {nack}")
@@ -446,27 +461,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_membership(joins: list[str], leaves: list[str]):
-    """Parse repeated ``LOCAL@MS`` membership flags into events."""
-    from repro.mesh import MembershipEvent
-
-    events = []
-    for kind, specs in (("join", joins), ("leave", leaves)):
-        for spec in specs:
-            local_raw, _, at_raw = spec.partition("@")
-            try:
-                local_id, at_ms = int(local_raw), int(at_raw)
-            except ValueError:
-                raise SystemExit(
-                    f"error: --{kind} expects LOCAL@MS "
-                    f"(e.g. 5@2000), got {spec!r}"
-                )
-            events.append(
-                MembershipEvent(at_ms=at_ms, local_id=local_id, kind=kind)
-            )
-    return tuple(sorted(events, key=lambda e: (e.at_ms, e.local_id)))
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.runner import run_chaos
     from repro.faults.scenarios import SCENARIOS
@@ -475,37 +469,18 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         for name, scenario in SCENARIOS.items():
             print(f"{name:<16} {scenario.description}")
         return 0
-    report = run_chaos(
-        args.scenario,
-        mode=args.mode,
-        seed=args.seed,
-        n_locals=args.locals,
-        streams_per_local=args.streams,
-        rate=args.rate,
-        duration_s=args.duration,
-        time_scale=args.time_scale,
-        transport=args.transport,
-        gamma=args.gamma,
-        q=args.q,
-        telemetry=_telemetry_from_args(args),
-        shards=args.shards,
-        relay_fanin=args.relay_fanin,
-    )
+    config, generator = _configs_from_args(args)
+    report = run_chaos(args.scenario, config, generator, mode=args.mode)
     print(f"chaos scenario {report.scenario!r} on the {report.mode} "
           f"substrate (seed {report.seed})")
     print("fault events applied:")
-    for line in report.applied:
+    for line in report.applied or ["(none)"]:
         print(f"  {line}")
-    if not report.applied:
-        print("  (none)")
     print()
-    for window in sorted(report.classes):
-        print(f"  window [{window.start / 1000:.0f}s,"
-              f"{window.end / 1000:.0f}s): {report.classes[window]}")
-    print()
-    print(f"windows  : {report.recovered} recovered, "
-          f"{report.degraded} degraded, {report.lost} lost, "
-          f"{report.mismatched} mismatched (of {report.windows})")
+    grades = ("recovered", "degraded", "lost", "mismatch")
+    _print_graded(sorted(report.classes.items()),
+                  {grade: report.count(grade) for grade in grades},
+                  report.windows, notes=[""], label="windows  : ")
     print(f"tolerance: {report.reconnects} reconnects, "
           f"{report.heartbeat_misses} heartbeat misses, "
           f"{report.locals_declared_dead} locals declared dead")
@@ -522,147 +497,97 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if report.mismatched:
         print("MISMATCHED WINDOWS: values diverged at full completeness "
               "— protocol bug")
-        return 1
-    if report.lost:
+    elif report.lost:
         print("LOST WINDOWS: some windows were never answered")
-        return 1
-    return 0
-
-
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.live.top import run_top
-
-    return run_top(
-        args.host,
-        args.port,
-        interval_s=args.interval,
-        once=args.once,
-        mesh=args.mesh,
-    )
+    return 1 if report.mismatched or report.lost else 0
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     """Fleet telemetry smoke: run a mesh, scrape /fleet mid-run, grade it.
 
     The CI gate: a telemetry-enabled mesh run whose ``/fleet`` endpoint
-    is scraped *while the cluster serves*, asserting the scrape is valid
-    JSON with a nonzero merged digest count, then grading the fleet's
-    merged seal→result percentiles against the centrally-computed
-    oracle, and finally bounding the digest-vs-raw byte cost at 10%.
+    is scraped *while the cluster serves* (so the run must be paced: an
+    unpaced mesh starves the HTTP plane), asserting a nonzero merged
+    digest count, then grading the fleet's merged seal→result
+    percentiles against the central ones, and finally bounding the
+    digest-vs-raw byte cost at 10%.
     """
-    import asyncio as _asyncio
-    import queue as _queue
+    import asyncio
+    import queue
+    from dataclasses import replace
 
-    from repro.bench.generator import GeneratorConfig, workload
-    from repro.core.query import QuantileQuery
-    from repro.mesh import MeshConfig, classify_outcomes, mesh_oracle, run_mesh
     from repro.obs.fleet import fleet_benchmark
     from repro.obs.live.config import TelemetryConfig
     from repro.obs.live.top import fetch_json, render_fleet
 
-    ports: "_queue.Queue[int]" = _queue.Queue()
-    config = MeshConfig(
-        n_locals=args.locals,
-        n_shards=args.shards,
-        relay_fanin=args.relay_fanin,
-        query=QuantileQuery(q=args.q, gamma=args.gamma),
-        # Paced replay: an unpaced mesh run saturates the event loop and
-        # starves the HTTP plane, so the mid-run scrape would always lose
-        # the race.  ~duration * time_scale seconds of wall clock leaves
-        # the loop mostly idle between batches.
-        time_scale=args.time_scale,
-        telemetry=TelemetryConfig(
-            http_port=0, announce=ports.put, sampler_interval_s=0.02
-        ),
-        timeout_s=120.0,
-    )
-    streams = workload(
-        list(range(1, args.locals + 1)),
-        GeneratorConfig(
-            event_rate=args.rate, duration_s=args.duration, seed=args.seed
-        ),
-    )
+    ports: "queue.Queue[int]" = queue.Queue()
+    config, generator = _configs_from_args(args)
+    config = replace(config, telemetry=TelemetryConfig(
+        http_port=0, announce=ports.put, sampler_interval_s=0.02))
     scraped: dict = {}
 
     async def scrape_mid_run(ctx) -> None:
         port = ports.get(timeout=5.0)
         # Keep scraping until the collector holds merged digests (or the
         # run ends and cancels us) — the last successful scrape wins.
-        while True:
+        while not scraped.get("digest_count"):
             try:
-                doc = await _asyncio.to_thread(
-                    fetch_json, "127.0.0.1", port, "/fleet", 2.0
-                )
-                scraped.clear()
-                scraped.update(doc)
-                if doc.get("digest_count", 0) > 0:
-                    return
+                scraped.update(await asyncio.to_thread(
+                    fetch_json, "127.0.0.1", port, "/fleet", 2.0))
             except Exception:
                 pass
-            await _asyncio.sleep(0.02)
+            await asyncio.sleep(0.02)
 
-    report = run_mesh(config, streams, disturb=scrape_mid_run)
-    classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+    report, counts = _run_cluster(config, generator, disturb=scrape_mid_run)
     final = report.telemetry["fleet"]
     mid = scraped or final
-    print(
-        f"fleet smoke: {config.n_locals} locals, {config.n_shards} shards, "
-        f"relay fan-in {config.relay_fanin}"
-    )
-    print(
-        f"  mid-run /fleet scrape: {mid['frames']} frames, "
-        f"{mid['digest_count']} digests"
-        + ("" if scraped else " (run outpaced the scraper; final view)")
-    )
+    print(f"  mid-run /fleet scrape: {mid['frames']} frames, "
+          f"{mid['digest_count']} digests"
+          + ("" if scraped else " (run outpaced the scraper; final view)"))
     print(render_fleet(final))
-    failed = False
+    failures = []
     if final["digest_count"] <= 0:
-        print("SMOKE FAILED: no merged telemetry digests")
-        failed = True
-    if classes["mismatch"] or classes["lost"]:
-        print(f"SMOKE FAILED: oracle divergence {classes}")
-        failed = True
+        failures.append("no merged telemetry digests")
+    if counts["mismatch"] or counts["lost"]:
+        failures.append(f"oracle divergence {counts}")
     merged = final["metrics"].get("seal_to_result_s", {})
     central = report.seal_to_result
-    if central.count and merged.get("count"):
+    if central.count and not merged.get("count"):
+        failures.append("fleet view has no seal→result digest")
+    elif central.count:
         # The shard digests are built from exactly the samples the
         # central LatencyStats aggregates, so the comparison is only
         # bounded by t-digest interpolation.
         for name, reference in (("p50", central.p50), ("p95", central.p95)):
-            got = merged[name]
-            bound = max(0.05 * reference, 1e-4)
-            print(
-                f"  seal→result {name}: fleet {got * 1e3:.3f} ms vs "
-                f"central {reference * 1e3:.3f} ms"
-            )
+            got, bound = merged[name], max(0.05 * reference, 1e-4)
+            print(f"  seal→result {name}: fleet {got * 1e3:.3f} ms vs "
+                  f"central {reference * 1e3:.3f} ms")
             if abs(got - reference) > bound:
-                print(
-                    f"SMOKE FAILED: fleet {name} diverges from the "
-                    f"central oracle by more than {bound * 1e3:.3f} ms"
-                )
-                failed = True
-    elif central.count:
-        print("SMOKE FAILED: fleet view has no seal→result digest")
-        failed = True
+                failures.append(f"fleet {name} diverges from the central "
+                                f"oracle by more than {bound * 1e3:.3f} ms")
     curve = fleet_benchmark(seed=args.seed)["curve"]
-    worst = max(point["digest_fraction_of_raw"] for point in curve)
     for point in curve:
-        print(
-            f"  {point['n_locals']:>4} locals: digest uplink "
-            f"{point['digest_uplink_bytes']:>9} B vs raw "
-            f"{point['raw_sample_bytes']:>11} B "
-            f"({point['digest_fraction_of_raw']:.1%})"
-        )
+        print(f"  {point['n_locals']:>4} locals: digest uplink "
+              f"{point['digest_uplink_bytes']:>9} B vs raw "
+              f"{point['raw_sample_bytes']:>11} B "
+              f"({point['digest_fraction_of_raw']:.1%})")
+    worst = max(point["digest_fraction_of_raw"] for point in curve)
     if worst > 0.10:
-        print(
-            f"SMOKE FAILED: digest uplink costs {worst:.1%} of raw-sample "
-            "shipping at some fleet size (bound: 10%)"
-        )
-        failed = True
-    if failed:
+        failures.append(f"digest uplink costs {worst:.1%} of raw-sample "
+                        "shipping at some fleet size (bound: 10%)")
+    for failure in failures:
+        print(f"SMOKE FAILED: {failure}")
+    if failures:
         return 1
     print("fleet telemetry plane healthy; digests within the byte budget")
     return 0
+
+
+def _cmd_top(args: argparse.Namespace) -> int:
+    from repro.obs.live.top import run_top
+
+    return run_top(args.host, args.port, interval_s=args.interval,
+                   once=args.once, mesh=args.mesh)
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
@@ -677,7 +602,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
-    """Shared live-telemetry flags for the ``live`` and ``chaos`` commands."""
+    """Shared live-telemetry flags for ``live``, ``mesh`` and ``chaos``."""
     parser.add_argument(
         "--telemetry-port", type=int, default=None, metavar="PORT",
         help="serve /metrics and /timeline on this port during the run "
@@ -694,36 +619,38 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", help="package and experiment inventory")
+    def command(name: str, handler, help: str) -> argparse.ArgumentParser:
+        sub_parser = sub.add_parser(name, help=help)
+        sub_parser.set_defaults(handler=handler)
+        return sub_parser
 
-    demo = sub.add_parser("demo", help="guided demonstration")
+    command("info", _cmd_info, "package and experiment inventory")
+
+    demo = command("demo", _cmd_demo, "guided demonstration")
     demo.add_argument("--seed", type=int, default=42)
 
-    quantile = sub.add_parser("quantile", help="one decentralized quantile")
+    quantile = command("quantile", _cmd_quantile, "one decentralized quantile")
     quantile.add_argument("--q", type=float, default=0.5)
     quantile.add_argument("--gamma", type=int, default=100)
     quantile.add_argument("--nodes", type=int, default=3)
     quantile.add_argument("--events-per-node", type=int, default=10_000)
     quantile.add_argument("--seed", type=int, default=42)
 
-    experiments = sub.add_parser(
-        "experiments", help="regenerate paper figures"
-    )
+    experiments = command("experiments", _cmd_experiments,
+                          "regenerate paper figures")
     experiments.add_argument("figures", nargs="*")
     experiments.add_argument("--all", action="store_true")
     experiments.add_argument("--quick", action="store_true")
 
-    trace = sub.add_parser(
-        "trace", help="run a named scenario under the recording tracer"
-    )
+    trace = command("trace", _cmd_trace,
+                    "run a named scenario under the recording tracer")
     trace.add_argument(
         "scenario", nargs="?", default="quickstart",
         help="scenario name (see --list); default: quickstart",
@@ -740,127 +667,68 @@ def main(argv: list[str] | None = None) -> int:
     trace.add_argument("--report", action="store_true",
                        help="print the per-phase breakdown after tracing")
 
-    report = sub.add_parser(
-        "report", help="per-phase latency/byte breakdown of a JSONL trace"
-    )
+    report = command("report", _cmd_report,
+                     "per-phase latency/byte breakdown of a JSONL trace")
     report.add_argument("trace", help="path to a .trace.jsonl file")
 
-    live = sub.add_parser(
-        "live", help="run a live asyncio cluster (real wire protocol)"
+    # The live commands: one topology/workload flag group, per-command
+    # defaults (README.md, "Topology flags", tabulates them).
+    live = command("live", _cmd_live,
+                   "run a live asyncio cluster (real wire protocol)")
+    _add_cluster_flags(
+        live, aggregate_rate=True, n_locals=2, streams_per_local=2,
+        transport="tcp", time_scale=1.0, event_rate=20_000.0,
+        duration_s=3.0, gamma=100, q=0.5, seed=42,
     )
-    live.add_argument("--locals", "--n-locals", dest="locals",
-                      type=int, default=2,
-                      help="local (edge) node count")
-    live.add_argument("--streams", "--streams-per-local", dest="streams",
-                      type=int, default=2,
-                      help="stream servers per local node")
-    live.add_argument("--rate", type=float, default=20_000.0,
-                      help="target aggregate events/second")
-    live.add_argument("--duration", type=float, default=3.0,
-                      help="workload length in event-time seconds")
-    live.add_argument("--transport", default="tcp",
-                      choices=["tcp", "memory"])
-    live.add_argument("--time-scale", type=float, default=1.0,
-                      help="wall seconds per event-time second (1.0 = "
-                           "real time)")
-    live.add_argument("--fast", action="store_true",
-                      help="replay unpaced, as fast as backpressure allows")
-    live.add_argument("--gamma", type=int, default=100)
-    live.add_argument("--q", type=float, default=0.5)
-    live.add_argument("--seed", type=int, default=42)
     live.add_argument("--uvloop", action="store_true",
                       help="install uvloop as the event-loop policy if "
                            "available (falls back to asyncio with a "
                            "warning when it is not)")
     _add_telemetry_flags(live)
 
-    query = sub.add_parser(
-        "query", help="live multi-query plane with runtime registration"
+    query = command("query", _cmd_query,
+                    "live multi-query plane with runtime registration")
+    _add_cluster_flags(
+        query, n_locals=3, streams_per_local=2, transport="memory",
+        time_scale=0.0, event_rate=400.0, duration_s=4.0, gamma=32, seed=7,
     )
     query.add_argument("--queries", type=int, default=8,
                        help="concurrent queries to register at runtime")
     query.add_argument("--keys", type=int, default=3,
                        help="distinct key selectors to cycle over")
-    query.add_argument("--locals", type=int, default=3)
-    query.add_argument("--streams", type=int, default=2,
-                       help="stream servers per local node")
-    query.add_argument("--rate", type=float, default=400.0,
-                       help="events/second generated per local node")
-    query.add_argument("--duration", type=float, default=4.0,
-                       help="workload length in event-time seconds")
-    query.add_argument("--transport", default="memory",
-                       choices=["tcp", "memory"])
-    query.add_argument("--time-scale", type=float, default=0.0,
-                       help="wall seconds per event-time second "
-                            "(0 = replay unpaced; churn needs > 0)")
     query.add_argument("--churn", action="store_true",
                        help="register joiners and deregister half the "
                             "queries mid-run (needs --time-scale > 0)")
     query.add_argument("--window-ms", type=int, default=1000,
                        help="window length in event-time milliseconds")
-    query.add_argument("--gamma", type=int, default=32)
-    query.add_argument("--seed", type=int, default=7)
 
-    mesh = sub.add_parser(
-        "mesh", help="scale-out mesh: sharded roots, relays, elastic "
-                     "membership"
+    mesh = command("mesh", _cmd_mesh,
+                   "scale-out mesh: sharded roots, relays, elastic membership")
+    _add_cluster_flags(
+        mesh, n_locals=8, streams_per_local=1, n_shards=2, relay_fanin=0,
+        transport="memory", time_scale=0.0, event_rate=200.0,
+        duration_s=4.0, gamma=10_000, q=0.5, seed=42,
     )
-    mesh.add_argument("--locals", "--n-locals", dest="locals",
-                      type=int, default=8,
-                      help="initial local (edge) node count")
-    mesh.add_argument("--streams", "--streams-per-local", dest="streams",
-                      type=int, default=1,
-                      help="stream servers per local node")
-    mesh.add_argument("--shards", type=int, default=2,
-                      help="root shard count (window-partitioned)")
-    mesh.add_argument("--relay-fanin", type=int, default=0,
-                      help="children per relay (0 = no relay tier)")
-    mesh.add_argument("--rate", type=float, default=200.0,
-                      help="events/second generated per local node")
-    mesh.add_argument("--duration", type=float, default=4.0,
-                      help="workload length in event-time seconds")
-    mesh.add_argument("--transport", default="memory",
-                      choices=["tcp", "memory"])
-    mesh.add_argument("--time-scale", type=float, default=0.0,
-                      help="wall seconds per event-time second (0 = replay "
-                           "unpaced; pace the run to watch it serve)")
-    mesh.add_argument("--gamma", type=int, default=10_000)
-    mesh.add_argument("--q", type=float, default=0.5)
-    mesh.add_argument("--seed", type=int, default=42)
-    mesh.add_argument("--join", action="append", default=[],
-                      metavar="LOCAL@MS",
-                      help="add local LOCAL at event-time MS (a window "
-                           "boundary); repeatable")
-    mesh.add_argument("--leave", action="append", default=[],
-                      metavar="LOCAL@MS",
-                      help="retire local LOCAL at event-time MS; repeatable")
+    for kind, text in (("join", "add local LOCAL at event-time MS (a "
+                                "window boundary)"),
+                       ("leave", "retire local LOCAL at event-time MS")):
+        mesh.add_argument(f"--{kind}", action="append", default=[],
+                          metavar="LOCAL@MS", help=f"{text}; repeatable")
     _add_telemetry_flags(mesh)
 
-    fleet = sub.add_parser(
-        "fleet", help="fleet-telemetry smoke: scrape /fleet mid-run and "
-                      "grade the merged digests"
+    fleet = command("fleet", _cmd_fleet, "fleet-telemetry smoke: scrape "
+                    "/fleet mid-run and grade the merged digests")
+    _add_cluster_flags(
+        fleet, n_locals=16, n_shards=2, relay_fanin=4, time_scale=0.4,
+        event_rate=300.0, duration_s=6.0, gamma=10_000, q=0.5, seed=42,
     )
-    fleet.add_argument("--locals", "--n-locals", dest="locals",
-                       type=int, default=16,
-                       help="local (edge) node count")
-    fleet.add_argument("--shards", type=int, default=2,
-                       help="root shard count")
-    fleet.add_argument("--relay-fanin", type=int, default=4,
-                       help="children per relay (0 = no relay tier)")
-    fleet.add_argument("--rate", type=float, default=300.0,
-                       help="events/second generated per local node")
-    fleet.add_argument("--duration", type=float, default=6.0,
-                       help="workload length in event-time seconds")
-    fleet.add_argument("--gamma", type=int, default=10_000)
-    fleet.add_argument("--q", type=float, default=0.5)
-    fleet.add_argument("--seed", type=int, default=42)
-    fleet.add_argument("--time-scale", type=float, default=0.4,
-                       help="wall seconds per event-time second; the run "
-                            "must be paced so the mid-run /fleet scrape "
-                            "sees a serving mesh (0 = unpaced)")
 
-    chaos = sub.add_parser(
-        "chaos", help="run a cluster under a named fault scenario"
+    chaos = command("chaos", _cmd_chaos,
+                    "run a cluster under a named fault scenario")
+    _add_cluster_flags(
+        chaos, aggregate_rate=True, n_locals=2, streams_per_local=2,
+        n_shards=None, relay_fanin=None, transport="memory", time_scale=0.3,
+        event_rate=300.0, duration_s=3.0, gamma=64, q=0.5, seed=7,
     )
     chaos.add_argument("--scenario", default="crash-reconnect",
                        help="scenario name (see --list)")
@@ -868,30 +736,10 @@ def main(argv: list[str] | None = None) -> int:
                        help="list available scenarios and exit")
     chaos.add_argument("--mode", default="live", choices=["sim", "live"],
                        help="substrate: discrete-event sim or live asyncio")
-    chaos.add_argument("--transport", default="memory",
-                       choices=["tcp", "memory"],
-                       help="live mode transport")
-    chaos.add_argument("--locals", type=int, default=2)
-    chaos.add_argument("--streams", type=int, default=2,
-                       help="stream servers per local (live mode)")
-    chaos.add_argument("--rate", type=float, default=300.0)
-    chaos.add_argument("--duration", type=float, default=3.0)
-    chaos.add_argument("--time-scale", type=float, default=0.3,
-                       help="live mode: wall seconds per event-time second")
-    chaos.add_argument("--gamma", type=int, default=64)
-    chaos.add_argument("--q", type=float, default=0.5)
-    chaos.add_argument("--seed", type=int, default=7)
-    chaos.add_argument("--shards", type=int, default=0,
-                       help="live mode: root shard count (default 1; "
-                            "2 for the kill-shard scenarios)")
-    chaos.add_argument("--relay-fanin", type=int, default=0,
-                       help="live mode: relay fan-in (0 = no relays; "
-                            "kill-shard-with-relay defaults to 3)")
     _add_telemetry_flags(chaos)
 
-    top = sub.add_parser(
-        "top", help="attach to a serving cluster's telemetry endpoint"
-    )
+    top = command("top", _cmd_top,
+                  "attach to a serving cluster's telemetry endpoint")
     top.add_argument("--host", default="127.0.0.1")
     top.add_argument("--port", type=int, default=None,
                      help="telemetry endpoint port (omit to watch a "
@@ -904,7 +752,7 @@ def main(argv: list[str] | None = None) -> int:
                      help="scrape /fleet and render the mesh-wide fleet "
                           "view instead of /summary")
 
-    sweep = sub.add_parser("sweep", help="sweep a parameter over systems")
+    sweep = command("sweep", _cmd_sweep, "sweep a parameter over systems")
     sweep.add_argument("--parameter", required=True,
                        choices=["gamma", "n_local_nodes", "event_rate", "q",
                                 "loss_rate"])
@@ -919,24 +767,23 @@ def main(argv: list[str] | None = None) -> int:
     sweep.add_argument("--q", type=float, default=0.5)
     sweep.add_argument("--event-rate", type=float, default=2_000.0)
     sweep.add_argument("--csv", default=None, metavar="PATH")
+    return parser
 
-    args = parser.parse_args(argv)
-    handlers = {
-        "info": _cmd_info,
-        "demo": _cmd_demo,
-        "quantile": _cmd_quantile,
-        "experiments": _cmd_experiments,
-        "sweep": _cmd_sweep,
-        "trace": _cmd_trace,
-        "report": _cmd_report,
-        "live": _cmd_live,
-        "query": _cmd_query,
-        "mesh": _cmd_mesh,
-        "fleet": _cmd_fleet,
-        "chaos": _cmd_chaos,
-        "top": _cmd_top,
-    }
-    return handlers[args.command](args)
+
+def main(argv: list[str] | None = None) -> int:
+    """CLI entry point.
+
+    A :class:`~repro.errors.ConfigurationError` from any command becomes
+    one ``error: …`` line on stderr and exit status 2.
+    """
+    from repro.errors import ConfigurationError
+
+    args = _parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ both execution substrates:
   (crash windows and partitions become channel outage intervals, detection
   becomes scheduled ``mark_dead`` calls), and
 * the live asyncio cluster, via the chaos driver inside
-  :func:`repro.runtime.cluster.run_live_cluster` (crashes call
+  :func:`repro.runtime.cluster.run_cluster` (crashes call
   ``LocalServer.crash()``, link drops sever the wrapped transport, event
   times scale to wall time by the run's ``time_scale``).
 

@@ -4,8 +4,8 @@
 ground truth with a plain :class:`~repro.core.engine.DemaEngine`, then runs
 the *same* workload under the scenario's fault plan — either compiled onto
 the simulator or handed to the one live cluster driver as
-``ClusterConfig.faults``, on whatever topology ``shards``/``relay_fanin``
-name — and classifies every ground-truth window with the one grader,
+``ClusterConfig.faults``, on whatever topology the caller's config
+names — and classifies every ground-truth window with the one grader,
 :func:`~repro.mesh.cluster.grade_outcomes`:
 
 ``recovered``
@@ -28,19 +28,17 @@ lazily; plan building stays importable without asyncio machinery.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bench.generator import GeneratorConfig, workload
 from repro.core.engine import DemaEngine
-from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, ToleranceConfig
-from repro.faults.scenarios import SCENARIOS, build_plan
+from repro.faults.scenarios import build_plan, get_scenario
 from repro.faults.simulate import compile_plan
 from repro.mesh.cluster import grade_outcomes, mesh_oracle
 from repro.mesh.config import ClusterConfig
 from repro.network.topology import TopologyConfig
-from repro.obs.live.config import TelemetryConfig
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.runtime.cluster import run_live
 from repro.streaming.windows import Window
@@ -111,71 +109,51 @@ class ChaosReport:
 
 def run_chaos(
     scenario_name: str,
+    config: ClusterConfig,
+    generator: GeneratorConfig,
     *,
     mode: str = "sim",
-    seed: int = 7,
-    n_locals: int = 2,
-    streams_per_local: int = 2,
-    rate: float = 300.0,
-    duration_s: float = 3.0,
-    time_scale: float = 0.3,
-    transport: str = "memory",
-    gamma: int = 64,
-    q: float = 0.5,
     tracer: Tracer = NOOP_TRACER,
-    telemetry: TelemetryConfig | None = None,
-    shards: int = 0,
-    relay_fanin: int = 0,
 ) -> ChaosReport:
     """Run one named scenario and grade every window against ground truth.
 
     Args:
         scenario_name: A key of :data:`~repro.faults.scenarios.SCENARIOS`.
+        config: The cluster to run it on — topology, transport, pacing,
+            query (a fixed γ: adaptive γ would break bit-equality),
+            deadline and telemetry.  The scenario's fault plan, survival
+            policy and relay flush deadline replace the config's own; the
+            ``kill-shard`` scenarios replay unpaced and ``driver-drop``
+            at least at ``time_scale`` 0.05.  Fault targets are drawn from
+            its locals (its shards for the ``kill-shard`` scenarios).
+        generator: Each local's workload; its ``seed`` also seeds the
+            scenario's fault timings and its ``duration_s`` is the plan
+            horizon.
         mode: ``"sim"`` compiles the plan onto the discrete-event
             simulator; ``"live"`` injects it into the asyncio cluster.
             Shard-kill and query scenarios, and any sharded or relayed
             topology, run live only.
-        seed: Seeds both the workload and the scenario's fault timings.
-        n_locals: Local node count (fault targets are drawn from these).
-        streams_per_local: Live replay tasks per local (live mode only).
-        rate: Aggregate events per second of event time.
-        duration_s: Workload length in event-time seconds (= plan horizon).
-        time_scale: Live mode: wall seconds per event-time second.
-        transport: Live mode: ``"memory"`` or ``"tcp"``.
-        gamma: Fixed slice count (adaptive γ would break bit-equality).
-        q: The quantile.
         tracer: Observability hooks for the faulted run.
-        telemetry: Live mode: turn on the telemetry plane (wire tracing,
-            scrape endpoint, flight recorder) for the chaotic run.
-        shards: Root shard count; any scenario runs on any count the
-            cluster config accepts.  Defaults to 1, or 2 for the
-            ``kill-shard`` scenarios — the smallest ring with a successor
-            to fail onto.
-        relay_fanin: Relay fan-in (``kill-shard-with-relay`` defaults to
-            3; ``0`` keeps the direct local→root wiring).
     """
     if mode not in ("sim", "live"):
         raise ConfigurationError(
             f"chaos mode must be 'sim' or 'live', got {mode!r}"
         )
-    scenario = SCENARIOS.get(scenario_name)
-    if scenario is None:
-        raise ConfigurationError(
-            f"unknown chaos scenario {scenario_name!r}; "
-            f"expected one of {sorted(SCENARIOS)}"
-        )
+    scenario = get_scenario(scenario_name)
     kills_shard = scenario.substrate == "mesh"
-    n_shards = shards or (2 if kills_shard else 1)
-    fanin = relay_fanin or (3 if scenario_name == "kill-shard-with-relay" else 0)
-    if mode == "sim" and (scenario.substrate != "flat" or n_shards > 1 or fanin):
+    if mode == "sim" and (
+        scenario.substrate != "flat" or config.n_shards > 1 or config.relay_fanin
+    ):
         raise ConfigurationError(
-            f"scenario {scenario_name!r} with {n_shards} shard(s) and relay "
-            f"fan-in {fanin} runs on the live substrate only (the simulator "
-            "has one root and no shard, relay or query plane)"
+            f"scenario {scenario_name!r} with {config.n_shards} shard(s) and "
+            f"relay fan-in {config.relay_fanin} runs on the live substrate "
+            "only (the simulator has one root and no shard, relay or query "
+            "plane)"
         )
+    seed = generator.seed
     plan = build_plan(
-        scenario_name, seed=seed, horizon_s=duration_s,
-        n_locals=n_shards if kills_shard else n_locals,
+        scenario_name, seed=seed, horizon_s=generator.duration_s,
+        n_locals=config.n_shards if kills_shard else config.n_locals,
     )
     if scenario.substrate == "query":
         from repro.queries.runner import run_query_scenario
@@ -185,16 +163,9 @@ def run_chaos(
         # and duplicate deliveries (exactly-once failing either way).
         started = time.monotonic()
         qreport = run_query_scenario(
+            replace(config, time_scale=max(config.time_scale, 0.05)),
+            generator,
             driver_drop=True,
-            n_locals=n_locals,
-            streams_per_local=streams_per_local,
-            event_rate=rate,
-            duration_s=duration_s,
-            time_scale=max(time_scale, 0.05),
-            transport=transport,
-            gamma=gamma,
-            seed=seed,
-            tracer=None,
         )
         lost = sum(
             "no result for window" in note for note in qreport.mismatches
@@ -221,16 +192,10 @@ def run_chaos(
     #: A kill pinned to a protocol point needs windows in flight at that
     #: point, so shard kills replay unpaced; everything else is paced so
     #: the wall-clock schedule lands mid-stream.
-    pace = 0.0 if kills_shard else time_scale
-    config = ClusterConfig(
-        n_locals=n_locals,
-        streams_per_local=streams_per_local,
-        n_shards=n_shards,
-        relay_fanin=fanin,
-        query=QuantileQuery(q=q, gamma=gamma),
-        transport=transport,
+    pace = 0.0 if kills_shard else config.time_scale
+    config = replace(
+        config,
         time_scale=pace,
-        timeout_s=120.0,
         relay_flush_s=0.1,
         faults=plan,
         tolerance=ToleranceConfig(
@@ -240,23 +205,15 @@ def run_chaos(
                 else max(0.15, detect * pace)
             )
         ),
-        telemetry=telemetry,
     )
-    streams = workload(
-        list(range(1, n_locals + 1)),
-        GeneratorConfig(
-            event_rate=max(1.0, rate / n_locals),
-            duration_s=duration_s,
-            seed=seed,
-        ),
-    )
+    streams = workload(list(range(1, config.n_locals + 1)), generator)
     truth = mesh_oracle(streams, config)
 
     started = time.monotonic()
     if mode == "sim":
         engine = DemaEngine(
             config.query,
-            TopologyConfig(n_local_nodes=n_locals),
+            TopologyConfig(n_local_nodes=config.n_locals),
             reliability=config.tolerance.reliability,
             degrade_after_retries=True,
             tracer=tracer,
@@ -293,8 +250,8 @@ def run_chaos(
         locals_declared_dead=live.locals_declared_dead,
         wall_seconds=time.monotonic() - started,
         telemetry=live.telemetry,
-        shards=n_shards,
-        relay_fanin=fanin,
+        shards=config.n_shards,
+        relay_fanin=config.relay_fanin,
         shard_failovers=live.shard_failovers,
         windows_adopted=live.windows_adopted,
         relay_frames_replayed=live.relay_frames_replayed,

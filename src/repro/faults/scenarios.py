@@ -22,7 +22,7 @@ from typing import Callable
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultEvent, FaultPlan
 
-__all__ = ["ChaosScenario", "SCENARIOS", "build_plan"]
+__all__ = ["ChaosScenario", "SCENARIOS", "build_plan", "get_scenario"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,6 +43,11 @@ class ChaosScenario:
             live topology without relays; ``"mesh"`` targets a root shard
             (at least two, live only); ``"query"`` needs a query driver
             with durable sessions (live only).
+        n_shards: Root shards the scenario needs; the CLI uses it when
+            ``--shards`` is not given.  ``kill-shard`` needs two — the
+            smallest ring with a successor to fail onto.
+        relay_fanin: Relay fan-in the CLI uses when ``--relay-fanin`` is
+            not given.
     """
 
     name: str
@@ -50,6 +55,8 @@ class ChaosScenario:
     detect_after_s: float | None
     build: Callable[[random.Random, float, int], tuple[FaultEvent, ...]]
     substrate: str = "flat"
+    n_shards: int = 1
+    relay_fanin: int = 0
 
 
 def _pick_local(rng: random.Random, n_locals: int) -> int:
@@ -185,6 +192,7 @@ SCENARIOS: dict[str, ChaosScenario] = {
             detect_after_s=None,
             build=_kill_shard,
             substrate="mesh",
+            n_shards=2,
         ),
         ChaosScenario(
             name="kill-shard-with-relay",
@@ -195,6 +203,8 @@ SCENARIOS: dict[str, ChaosScenario] = {
             detect_after_s=None,
             build=_kill_shard,
             substrate="mesh",
+            n_shards=2,
+            relay_fanin=3,
         ),
         ChaosScenario(
             name="driver-drop",
@@ -210,16 +220,22 @@ SCENARIOS: dict[str, ChaosScenario] = {
 }
 
 
-def build_plan(
-    name: str, *, seed: int, horizon_s: float, n_locals: int
-) -> FaultPlan:
-    """Instantiate the named scenario into a concrete plan."""
+def get_scenario(name: str) -> ChaosScenario:
+    """The named scenario; an unknown name is a configuration error."""
     scenario = SCENARIOS.get(name)
     if scenario is None:
         raise ConfigurationError(
             f"unknown chaos scenario {name!r}; "
             f"expected one of {sorted(SCENARIOS)}"
         )
+    return scenario
+
+
+def build_plan(
+    name: str, *, seed: int, horizon_s: float, n_locals: int
+) -> FaultPlan:
+    """Instantiate the named scenario into a concrete plan."""
+    scenario = get_scenario(name)
     rng = random.Random(f"{name}:{seed}")
     events = scenario.build(rng, horizon_s, n_locals)
     return FaultPlan(seed=seed, horizon_s=horizon_s, events=events)

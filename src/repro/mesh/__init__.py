@@ -40,12 +40,10 @@ __all__ = [
     "MembershipEvent",
     "MeshChaosContext",
     "MeshConfig",
-    "MeshRunReport",
     "ShardMap",
     "classify_outcomes",
     "mesh_oracle",
     "run_mesh",
-    "run_mesh_cluster",
     "RELAY_ID_BASE",
     "SHARD_ID_BASE",
     "relay_node_id",
@@ -59,11 +57,9 @@ _LAZY = {
     "MembershipEvent": "repro.mesh.config",
     "MeshConfig": "repro.mesh.config",
     "MeshChaosContext": "repro.mesh.cluster",
-    "MeshRunReport": "repro.mesh.cluster",
     "classify_outcomes": "repro.mesh.cluster",
     "mesh_oracle": "repro.mesh.cluster",
     "run_mesh": "repro.mesh.cluster",
-    "run_mesh_cluster": "repro.mesh.cluster",
 }
 
 

@@ -2,8 +2,8 @@
 
 There is one cluster driver, :func:`repro.runtime.cluster.run_cluster`;
 a mesh is that driver with ``n_shards > 1`` and/or ``relay_fanin > 0``
-on its config, and ``run_mesh``/``run_mesh_cluster``/``MeshRunReport``
-are this package's names for the same objects.
+on its config, and ``run_mesh`` is this package's name for
+:func:`~repro.runtime.cluster.run_live`.
 
 Without faults and with a fixed γ, a run's per-window quantile values
 are **bit-identical** to the single-root
@@ -24,11 +24,9 @@ from repro.core.root_node import WindowOutcome
 from repro.mesh.config import ClusterConfig
 from repro.network.topology import TopologyConfig
 from repro.runtime.cluster import (
-    ClusterReport as MeshRunReport,
     MeshChaosContext,
     _grid,
     _membership_ranges,
-    run_cluster as run_mesh_cluster,
     run_live as run_mesh,
 )
 from repro.streaming.columns import as_event_columns
@@ -37,8 +35,6 @@ from repro.streaming.windows import Window
 
 __all__ = [
     "MeshChaosContext",
-    "MeshRunReport",
-    "run_mesh_cluster",
     "run_mesh",
     "mesh_oracle",
     "grade_outcomes",

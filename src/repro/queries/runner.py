@@ -14,7 +14,8 @@ queries ride the group.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 from repro.bench.generator import GeneratorConfig, workload
 from repro.errors import ConfigurationError, QueryError
@@ -23,12 +24,8 @@ from repro.queries.client import QueryClient
 from repro.queries.oracle import grade_results, oracle_results
 from repro.queries.spec import QuerySpec
 from repro.faults.scenarios import build_plan
-from repro.runtime.cluster import (
-    LiveClusterConfig,
-    LiveRunReport,
-    QueryDriverContext,
-    run_live,
-)
+from repro.mesh.config import ClusterConfig
+from repro.runtime.cluster import ClusterReport, QueryDriverContext, run_live
 
 __all__ = ["QueryScenarioReport", "build_specs", "run_query_scenario"]
 
@@ -56,7 +53,7 @@ class QueryScenarioReport:
     duplicate_cuts: int
     horizons: dict[int, int]
     wall_seconds: float
-    live: LiveRunReport
+    live: ClusterReport
     nacks: list[str] = field(default_factory=list)
     #: Driver connections re-established mid-run (durable sessions only).
     driver_reconnects: int = 0
@@ -106,30 +103,28 @@ def build_specs(
 
 
 def run_query_scenario(
+    config: ClusterConfig,
+    generator: GeneratorConfig,
     *,
     n_queries: int = 8,
     n_keys: int = 3,
-    n_locals: int = 3,
-    streams_per_local: int = 2,
-    event_rate: float = 400.0,
-    duration_s: float = 4.0,
-    transport: str = "memory",
-    time_scale: float = 0.0,
-    churn: bool = False,
-    seed: int = 7,
-    gamma: int = 32,
     window_ms: int = 1000,
-    timeout_s: float = 120.0,
-    tracer: Tracer | None = None,
+    churn: bool = False,
     specs: "list[QuerySpec] | None" = None,
     driver_drop: bool = False,
+    tracer: Tracer | None = None,
 ) -> QueryScenarioReport:
     """Run one live multi-query scenario and grade it end to end.
 
-    With ``churn`` (requires ``time_scale > 0`` so there *is* a mid-run)
-    the driver additionally registers two late joiners — one into an
-    already-active group, one forcing a fresh group — and deregisters
-    every other initial query while the streams are still flowing.
+    ``config`` is the cluster the plane rides on (its ``query.gamma`` is
+    every generated spec's γ, its ``timeout_s`` also bounds the driver's
+    waits) and ``generator`` each local's workload.
+
+    With ``churn`` (requires ``config.time_scale > 0`` so there *is* a
+    mid-run) the driver additionally registers two late joiners — one
+    into an already-active group, one forcing a fresh group — and
+    deregisters every other initial query while the streams are still
+    flowing.
 
     With ``driver_drop`` the cluster runs durable queries under the
     seeded ``driver-drop`` fault plan: mid-run the cluster severs the
@@ -141,6 +136,10 @@ def run_query_scenario(
     ``specs`` overrides the generated batch (the tests use this to run
     each query alone as the cost baseline for serving them together).
     """
+    time_scale = config.time_scale
+    duration_s = generator.duration_s
+    gamma = config.query.gamma
+    timeout_s = math.inf if config.timeout_s is None else config.timeout_s
     if churn and time_scale <= 0:
         raise ConfigurationError(
             "churn needs time_scale > 0 — registering and deregistering "
@@ -159,29 +158,16 @@ def run_query_scenario(
             n_queries, n_keys, window_ms=window_ms, gamma=gamma
         )
     n_queries = len(specs)
-    local_ids = list(range(1, n_locals + 1))
-    streams = workload(
-        local_ids,
-        GeneratorConfig(
-            event_rate=event_rate, duration_s=duration_s, seed=seed
-        ),
-    )
-    config = LiveClusterConfig(
-        n_locals=n_locals,
-        streams_per_local=streams_per_local,
-        transport=transport,
-        time_scale=time_scale,
-        timeout_s=timeout_s,
-        durable_queries=driver_drop,
-        faults=(
-            build_plan(
-                "driver-drop", seed=seed, horizon_s=duration_s,
-                n_locals=n_locals,
-            )
-            if driver_drop
-            else None
-        ),
-    )
+    streams = workload(list(range(1, config.n_locals + 1)), generator)
+    if driver_drop:
+        config = replace(
+            config,
+            durable_queries=True,
+            faults=build_plan(
+                "driver-drop", seed=generator.seed, horizon_s=duration_s,
+                n_locals=config.n_locals,
+            ),
+        )
 
     initial = {index + 1: spec for index, spec in enumerate(specs)}
     dropped: list[int] = []

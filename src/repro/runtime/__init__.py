@@ -43,9 +43,7 @@ from repro.runtime.wire import (
 
 __all__ = [
     "LiveClusterConfig",
-    "LiveRunReport",
     "run_live",
-    "run_live_cluster",
     "Hello",
     "encode_frame",
     "encode_payload",
@@ -66,9 +64,7 @@ __all__ = [
 #: Lazily resolved exports: attribute name -> defining submodule.
 _LAZY = {
     "LiveClusterConfig": "repro.runtime.cluster",
-    "LiveRunReport": "repro.runtime.cluster",
     "run_live": "repro.runtime.cluster",
-    "run_live_cluster": "repro.runtime.cluster",
     "Hello": "repro.runtime.codec",
     "encode_frame": "repro.runtime.codec",
     "encode_payload": "repro.runtime.codec",

@@ -80,11 +80,9 @@ __all__ = [
     "ClusterConfig",
     "ClusterReport",
     "LiveClusterConfig",
-    "LiveRunReport",
     "MeshChaosContext",
     "QueryDriverContext",
     "run_cluster",
-    "run_live_cluster",
     "run_live",
 ]
 
@@ -232,10 +230,6 @@ class ClusterReport:
 
     def outcome_by_window(self) -> "dict[Window, WindowOutcome]":
         return {outcome.window: outcome for outcome in self.outcomes}
-
-
-#: The flat cluster's name for the one report.
-LiveRunReport = ClusterReport
 
 
 def _grid(
@@ -1216,10 +1210,6 @@ async def run_cluster(
         telemetry=telemetry_report,
         queries=driver_result,
     )
-
-
-#: The older names of the one driver coroutine.
-run_live_cluster = run_cluster
 
 
 def run_live(

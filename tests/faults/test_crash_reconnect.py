@@ -12,20 +12,22 @@ import contextlib
 import functools
 import signal
 
+from repro.bench.generator import GeneratorConfig
+from repro.core.query import QuantileQuery
 from repro.faults.runner import run_chaos
 from repro.faults.scenarios import build_plan
+from repro.mesh.config import ClusterConfig
 
 SEED = 7
-KWARGS = dict(
-    seed=SEED,
+CONFIG = ClusterConfig(
     n_locals=2,
     streams_per_local=2,
-    rate=300.0,
-    duration_s=3.0,
+    query=QuantileQuery(q=0.5, gamma=64),
+    transport="memory",
     time_scale=0.3,
-    gamma=64,
-    q=0.5,
+    timeout_s=120.0,
 )
+GENERATOR = GeneratorConfig(event_rate=150.0, duration_s=3.0, seed=SEED)
 
 
 @contextlib.contextmanager
@@ -45,7 +47,7 @@ def hard_timeout(seconds: int):
 @functools.lru_cache(maxsize=None)
 def _run(scenario: str, mode: str):
     with hard_timeout(120):
-        return run_chaos(scenario, mode=mode, transport="memory", **KWARGS)
+        return run_chaos(scenario, CONFIG, GENERATOR, mode=mode)
 
 
 class TestCrashReconnectLive:
@@ -79,8 +81,8 @@ class TestSimLiveParity:
             build_plan(
                 "crash-reconnect",
                 seed=SEED,
-                horizon_s=KWARGS["duration_s"],
-                n_locals=KWARGS["n_locals"],
+                horizon_s=GENERATOR.duration_s,
+                n_locals=CONFIG.n_locals,
             ).described()
         )
 
@@ -105,4 +107,4 @@ class TestOtherScenariosLive:
         assert report.lost == 0
         assert report.mismatched == 0
         # Every local was cut and had to redial after the heal.
-        assert report.reconnects >= KWARGS["n_locals"]
+        assert report.reconnects >= CONFIG.n_locals

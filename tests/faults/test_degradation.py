@@ -17,6 +17,7 @@ from repro.faults.plan import ToleranceConfig
 from repro.faults.runner import run_chaos
 from repro.faults.scenarios import SCENARIOS, build_plan
 from repro.faults.simulate import compile_plan
+from repro.mesh.config import ClusterConfig
 from repro.network.topology import TopologyConfig
 from repro.bench.generator import GeneratorConfig, workload
 
@@ -98,11 +99,17 @@ def _live_report():
     with hard_timeout(120):
         return run_chaos(
             "dead-local",
+            ClusterConfig(
+                n_locals=N_LOCALS,
+                streams_per_local=2,
+                query=QuantileQuery(q=0.5, gamma=64),
+                time_scale=0.3,
+                timeout_s=120.0,
+            ),
+            GeneratorConfig(
+                event_rate=300.0 / N_LOCALS, duration_s=3.0, seed=SEED
+            ),
             mode="live",
-            seed=SEED,
-            n_locals=N_LOCALS,
-            transport="memory",
-            time_scale=0.3,
         )
 
 

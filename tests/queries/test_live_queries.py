@@ -11,7 +11,10 @@ directly, without a cluster.
 
 import pytest
 
+from repro.bench.generator import GeneratorConfig
+from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
+from repro.mesh.config import ClusterConfig
 from repro.network.messages import (
     QueryAckMessage,
     QueryRegisterMessage,
@@ -23,10 +26,27 @@ from repro.queries.runner import build_specs, run_query_scenario
 from repro.queries.spec import CONTROL_WINDOW, QuerySpec
 
 
+def configs(
+    *, n_locals=3, streams_per_local=2, time_scale=0.0, rate=400.0,
+    duration_s=4.0,
+):
+    """The ``repro query`` defaults, with the knobs these tests turn."""
+    return (
+        ClusterConfig(
+            n_locals=n_locals,
+            streams_per_local=streams_per_local,
+            query=QuantileQuery(gamma=32),
+            time_scale=time_scale,
+            timeout_s=120.0,
+        ),
+        GeneratorConfig(event_rate=rate, duration_s=duration_s, seed=7),
+    )
+
+
 class TestScenarios:
     def test_eight_queries_graded_bit_identical(self):
         report = run_query_scenario(
-            n_queries=8, n_keys=3, duration_s=3.0, event_rate=300.0
+            *configs(duration_s=3.0, rate=300.0), n_queries=8, n_keys=3
         )
         assert report.ok, report.mismatches
         assert report.n_registered == 8
@@ -40,11 +60,9 @@ class TestScenarios:
 
     def test_churn_registers_and_deregisters_mid_run(self):
         report = run_query_scenario(
+            *configs(duration_s=3.0, rate=300.0, time_scale=0.25),
             n_queries=6,
             n_keys=2,
-            duration_s=3.0,
-            event_rate=300.0,
-            time_scale=0.25,
             churn=True,
         )
         assert report.ok, report.mismatches
@@ -57,7 +75,7 @@ class TestScenarios:
 
     def test_churn_without_pacing_rejected(self):
         with pytest.raises(ConfigurationError, match="time_scale"):
-            run_query_scenario(churn=True, time_scale=0.0)
+            run_query_scenario(*configs(), churn=True)
 
     def test_driver_drop_replays_exactly_once(self):
         """A driver severed mid-run redials with its resume cursor and
@@ -65,11 +83,7 @@ class TestScenarios:
         completeness (at least once) and the duplicate guard (at most
         once) against the per-query oracle."""
         report = run_query_scenario(
-            n_queries=4,
-            duration_s=4.0,
-            event_rate=400.0,
-            time_scale=0.05,
-            driver_drop=True,
+            *configs(time_scale=0.05), n_queries=4, driver_drop=True
         )
         assert report.ok, report.mismatches
         assert report.driver_reconnects >= 1
@@ -80,12 +94,12 @@ class TestScenarios:
         """An unpaced replay bursts every result out before the drop can
         land, so the scenario refuses to pretend it tested anything."""
         with pytest.raises(ConfigurationError, match="time_scale"):
-            run_query_scenario(driver_drop=True, time_scale=0.0)
+            run_query_scenario(*configs(), driver_drop=True)
 
     def test_single_spec_override(self):
         spec = build_specs(1, 1, window_ms=1000, gamma=32)[0]
         report = run_query_scenario(
-            specs=[spec], duration_s=2.0, event_rate=200.0
+            *configs(duration_s=2.0, rate=200.0), specs=[spec]
         )
         assert report.ok, report.mismatches
         assert report.n_registered == 1
@@ -94,12 +108,12 @@ class TestScenarios:
     def test_serving_together_costs_fewer_bytes_than_apart(self):
         """Two queries on one cluster share the replay, the panes and the
         cut; two single-query deployments pay for each twice."""
-        common = dict(
-            n_locals=2, streams_per_local=1, duration_s=2.0, event_rate=200.0
+        common = configs(
+            n_locals=2, streams_per_local=1, duration_s=2.0, rate=200.0
         )
         specs = build_specs(2, 1, window_ms=1000, gamma=32)
-        shared = run_query_scenario(specs=specs, **common)
-        apart = [run_query_scenario(specs=[spec], **common) for spec in specs]
+        shared = run_query_scenario(*common, specs=specs)
+        apart = [run_query_scenario(*common, specs=[spec]) for spec in specs]
         for report in (shared, *apart):
             assert report.ok, report.mismatches
         assert shared.live.total_bytes < sum(

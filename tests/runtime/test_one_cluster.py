@@ -30,12 +30,10 @@ from repro.network.topology import TopologyConfig
 from repro.obs.live.config import TelemetryConfig
 from repro.obs.tracer import RecordingTracer
 from repro.runtime.cluster import (
+    ClusterReport,
     LiveClusterConfig,
-    LiveRunReport,
     _cluster_summary,
-    run_cluster,
     run_live,
-    run_live_cluster,
 )
 
 
@@ -55,11 +53,17 @@ def hard_timeout(seconds: int):
 
 def test_each_pair_is_two_names_for_one_object():
     import repro.mesh as mesh
+    import repro.runtime as runtime
 
     assert mesh.MeshConfig is LiveClusterConfig
-    assert mesh.MeshRunReport is LiveRunReport
     assert mesh.run_mesh is run_live
-    assert mesh.run_mesh_cluster is run_live_cluster is run_cluster
+    # The report and the driver coroutine have one name each.
+    for package, names in (
+        (mesh, ("MeshRunReport", "run_mesh_cluster")),
+        (runtime, ("LiveRunReport", "run_live_cluster")),
+    ):
+        for name in names:
+            assert not hasattr(package, name), name
 
 
 # ----------------------------------------------------------------------
@@ -104,6 +108,7 @@ def test_golden_wire(topology):
     )
     with hard_timeout(120):
         report = run_live(config, streams)
+    assert isinstance(report, ClusterReport)
     assert report.values == GOLDEN_VALUES
     assert report.bytes_by_layer == golden_bytes
     assert report.messages_by_layer == golden_messages

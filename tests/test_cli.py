@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _configs_from_args, _parser, main
 
 
 class TestInfo:
@@ -75,11 +75,11 @@ class TestTrace:
         assert "Per-window latency breakdown" in out
         assert "NO" not in out  # every window's phases sum to its latency
 
-    def test_unknown_scenario_rejected(self, tmp_path):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            main(["trace", "frobnicate", "-o", str(tmp_path / "x.jsonl")])
+    def test_unknown_scenario_rejected(self, capsys, tmp_path):
+        assert main(
+            ["trace", "frobnicate", "-o", str(tmp_path / "x.jsonl")]
+        ) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestReport:
@@ -157,7 +157,7 @@ class TestLive:
     def test_flat_run_prints_windows_and_the_oracle_grade(self, capsys):
         assert main([
             "live", "--rate", "2000", "--duration", "2",
-            "--transport", "memory", "--fast",
+            "--transport", "memory", "--time-scale", "0",
         ]) == 0
         out = capsys.readouterr().out
         assert "1 root shard," in out
@@ -202,11 +202,22 @@ class TestChaos:
         assert "recovered" in out and "degraded" in out
         assert "locals declared dead" in out
 
-    def test_unknown_scenario_rejected(self):
-        from repro.errors import ConfigurationError
+    def test_unknown_scenario_rejected(self, capsys):
+        assert main(["chaos", "--scenario", "asteroid", "--mode", "sim"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown chaos scenario")
 
-        with pytest.raises(ConfigurationError, match="unknown"):
-            main(["chaos", "--scenario", "asteroid", "--mode", "sim"])
+    @pytest.mark.parametrize("argv, topology", [
+        (["--scenario", "kill-shard"], (2, 0)),
+        (["--scenario", "kill-shard-with-relay"], (2, 3)),
+        (["--scenario", "kill-shard-with-relay", "--relay-fanin", "0"], (2, 0)),
+        (["--scenario", "kill-shard", "--shards", "3"], (3, 0)),
+        (["--scenario", "crash-reconnect", "--shards", "2"], (2, 0)),
+    ])
+    def test_scenario_topology_fills_only_unset_flags(self, argv, topology):
+        config, _ = _configs_from_args(_parser().parse_args(["chaos", *argv]))
+        assert (config.n_shards, config.relay_fanin) == topology
 
 
 class TestParsing:
@@ -226,6 +237,9 @@ class TestParsing:
         ["query", "--bench"],
         ["query", "--smoke"],
         ["fleet", "--bench-output", "x.json"],
+        ["live", "--fast"],
+        ["live", "--n-locals", "2"],
+        ["mesh", "--streams-per-local", "2"],
     ])
     def test_legacy_bench_surface_is_gone(self, argv):
         """perfbench is the one ruler: no subcommand writes a results file."""
@@ -237,6 +251,8 @@ class TestParsing:
         ["live", "--locals", "0"],
         ["mesh", "--shards", "0"],
         ["query", "--churn"],  # churn needs --time-scale > 0
+        ["chaos", "--scenario", "asteroid"],
+        ["fleet", "--shards", "0"],
     ])
     def test_config_errors_exit_2_with_one_line(self, capsys, argv):
         assert main(argv) == 2
@@ -244,3 +260,30 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+
+#: Each live command's defaults, as ``(n_locals, streams_per_local,
+#: n_shards, relay_fanin, transport, time_scale)`` and ``(per-local
+#: event_rate, duration_s, gamma, q, seed)``.  `live` and `chaos` take an
+#: aggregate --rate (20,000 and 300 ev/s over two locals).
+DEFAULTS = {
+    "live": ((2, 2, 1, 0, "tcp", 1.0), (10_000.0, 3.0, 100, 0.5, 42)),
+    "mesh": ((8, 1, 2, 0, "memory", 0.0), (200.0, 4.0, 10_000, 0.5, 42)),
+    "fleet": ((16, 1, 2, 4, "memory", 0.4), (300.0, 6.0, 10_000, 0.5, 42)),
+    "chaos": ((2, 2, 1, 0, "memory", 0.3), (150.0, 3.0, 64, 0.5, 7)),
+    "query": ((3, 2, 1, 0, "memory", 0.0), (400.0, 4.0, 32, 0.5, 7)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(DEFAULTS))
+def test_live_commands_keep_their_defaults(command):
+    config, generator = _configs_from_args(_parser().parse_args([command]))
+    topology, workload = DEFAULTS[command]
+    assert (
+        config.n_locals, config.streams_per_local, config.n_shards,
+        config.relay_fanin, config.transport, config.time_scale,
+    ) == topology
+    assert (
+        generator.event_rate, generator.duration_s, config.query.gamma,
+        config.query.q, generator.seed,
+    ) == workload

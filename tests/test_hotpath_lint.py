@@ -330,6 +330,27 @@ def test_constructor_lint_sees_nested_functions_and_attribute_calls():
     }
 
 
+#: One way to say "run this cluster": the CLI turns its topology flags
+#: into a cluster config in one function, and the chaos and query runners
+#: take the caller's config (``dataclasses.replace`` onto it, never a
+#: fresh one).  Every name of the one config class counts.
+CLUSTER_CONFIG_NAMES = {"ClusterConfig", "LiveClusterConfig", "MeshConfig"}
+
+
+def test_cluster_configs_are_built_in_one_cli_function():
+    paths = [
+        PACKAGE_ROOT / "__main__.py",
+        *sorted((PACKAGE_ROOT / "faults").rglob("*.py")),
+        *sorted((PACKAGE_ROOT / "queries").rglob("*.py")),
+    ]
+    sites = {
+        (path.relative_to(PACKAGE_ROOT).as_posix(), scope)
+        for path in paths
+        for _, scope in _constructions(path.read_text(), CLUSTER_CONFIG_NAMES)
+    }
+    assert sites == {("__main__.py", "_configs_from_args")}
+
+
 #: The functions of the live-path modules that may call a numpy or in-place
 #: sort (``lexsort``, ``argsort``, ``np.sort``, ``.sort(``): the shared
 #: key-order kernel every window sort goes through, the root's rank select
@@ -503,7 +524,17 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     # Tumbling ∥ sliding queries over three selectors, every served result
     # graded against the per-event oracle (which reads the object streams
     # it was handed, never a columnar batch).
-    queries = run_query_scenario(n_queries=6, n_keys=3, transport="memory")
+    queries = run_query_scenario(
+        LiveClusterConfig(
+            n_locals=3,
+            streams_per_local=2,
+            query=QuantileQuery(gamma=32),
+            timeout_s=120.0,
+        ),
+        GeneratorConfig(event_rate=400.0, duration_s=4.0, seed=7),
+        n_queries=6,
+        n_keys=3,
+    )
     assert queries.ok, queries.mismatches
     assert queries.results_graded > 0
     assert queries.groups == 6
