@@ -11,9 +11,10 @@ organized as:
   aggregation-function classification.
 * :mod:`repro.network` — deterministic discrete-event network simulator that
   stands in for the paper's 9-node cluster.
-* :mod:`repro.sketches` — t-digest and q-digest, implemented from scratch.
-* :mod:`repro.baselines` — Scotty, Desis and t-digest systems on the same
-  simulated topology.
+* :mod:`repro.sketches` — t-digest, q-digest and KLL, implemented from
+  scratch.
+* :mod:`repro.baselines` — Scotty, Desis, t-digest, KLL, q-digest and
+  partial-aggregation systems on the same simulated topology.
 * :mod:`repro.bench` — workload generator, measurement harness, and the
   runner that regenerates every figure of the evaluation section.
 * :mod:`repro.obs` — observability: span tracer on the simulated clock,

@@ -6,29 +6,50 @@ per-local-node streams, and read back a :class:`SystemReport` with window
 records, network metrics and latency statistics.  Dema's own engine returns
 a structurally identical report, so ``report.outcomes[i].value`` means the
 same thing for every system.
+
+Every baseline but Scotty runs one protocol: a local folds each window into
+a summary, ships it once at window end, and the root waits for one summary
+per local, merges them and answers.  :class:`SummaryLocalNode` and
+:class:`SummaryRootNode` run that protocol; a :class:`Summary` supplies
+only what differs between Desis, t-digest, KLL, q-digest and partial
+aggregation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from functools import partial
+from typing import Any, Callable, Mapping, Sequence
 
-from repro.errors import ConfigurationError
+from repro.errors import AggregationError, ConfigurationError
 from repro.network.driver import MS_PER_SECOND, BatchSourceDriver
+from repro.network.messages import EventBatchMessage, Message
 from repro.network.metrics import LatencyStats, NetworkMetrics
-from repro.network.simulator import SimulatedNode, Simulator
-from repro.network.topology import Topology, TopologyConfig
+from repro.network.simulator import (
+    INGEST_OPS,
+    SimulatedNode,
+    Simulator,
+    receive_ops,
+)
+from repro.network.topology import ROOT_NODE_ID, Topology, TopologyConfig
 from repro.obs.tracer import NOOP_TRACER
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 
+# Hot-path module: the summary local folds ``EventColumns`` rows by window
+# — no per-event ``Event`` objects (enforced by tests/test_hotpath_lint.py).
+
 __all__ = [
     "bucket_by_window",
     "WindowRecord",
     "SystemReport",
+    "Summary",
+    "SummaryLocalNode",
+    "SummaryRootNode",
     "BaselineEngine",
+    "build_summary_system",
     "build_system",
     "SYSTEM_NAMES",
 ]
@@ -122,16 +143,187 @@ class BaselineRootMixin:
         )
 
 
+class Summary:
+    """What one summary baseline folds a local window into.
+
+    A subclass names its wire message, its root merge span and its
+    per-event fold charge (paid on top of ``INGEST_OPS`` for every event of
+    a batch, late ones included), and implements the four steps below.
+    Quantile summaries answer the ``q`` they are built with.
+    """
+
+    #: The message type a local ships its summary in.
+    message: type[Message]
+    #: The root's merge span, recorded when the merge charges work.
+    span: str
+    #: Abstract CPU ops per ingested event on top of ``INGEST_OPS``.
+    ops_per_event = 0.0
+
+    def __init__(self, q: float) -> None:
+        self.q = q
+
+    def new(self, node_id: int) -> Any:
+        """An empty window state for local ``node_id``."""
+        raise NotImplementedError
+
+    def fold(self, state: Any, rows: EventColumns) -> float:
+        """Fold one window's rows into ``state``; return any extra ops."""
+        raise NotImplementedError
+
+    def ship(
+        self, state: Any, sender: int, window: Window
+    ) -> tuple[Message, float | None]:
+        """The message carrying ``state`` and the ops charged before it
+        leaves (``None``: the local sends without a CPU charge)."""
+        raise NotImplementedError
+
+    def merge(
+        self, messages: list
+    ) -> tuple[float | None, int, float | None, dict]:
+        """Answer a window from every local's message, in arrival order.
+
+        Returns ``(value, global size, ops, span attributes)``: ``value``
+        is ``None`` for an empty window, and ``ops`` is ``None`` where the
+        root answers at arrival time without a CPU charge or span.
+        """
+        raise NotImplementedError
+
+
+class SummaryLocalNode(SimulatedNode):
+    """Local operator: folds each window into a summary, ships it once."""
+
+    def __init__(
+        self,
+        node_id: int,
+        *,
+        root_id: int,
+        query: QuantileQuery,
+        summary: Summary,
+        ops_per_second: float = 1e8,
+    ) -> None:
+        super().__init__(node_id, ops_per_second=ops_per_second)
+        self._root_id = root_id
+        self._length = query.assigner().length
+        self._summary = summary
+        self._open: dict[Window, Any] = {}
+        self._completed: set[Window] = set()
+        self._late_events = 0
+
+    @property
+    def late_events(self) -> int:
+        """Events dropped because their window had already shipped."""
+        return self._late_events
+
+    def ingest(self, events: EventColumns, now: float) -> float:
+        """Fold the batch into its open windows' summaries."""
+        summary = self._summary
+        groups, late = bucket_by_window(events, self._length, self._completed)
+        self._late_events += late
+        fold_ops = 0.0
+        for window, rows in groups:
+            state = self._open.get(window)
+            if state is None:
+                state = self._open[window] = summary.new(self.node_id)
+            fold_ops += summary.fold(state, rows)
+        ops = (INGEST_OPS + summary.ops_per_event) * len(events) + fold_ops
+        return self.work(ops, now)
+
+    def on_window_complete(self, window: Window, now: float) -> None:
+        """Ship the window's summary upstream (once)."""
+        if window in self._completed:
+            return
+        self._completed.add(window)
+        state = self._open.pop(window, None)
+        if state is None:
+            state = self._summary.new(self.node_id)
+        message, ops = self._summary.ship(state, self.node_id, window)
+        send_at = now if ops is None else self.work(ops, now)
+        self.send(message, self._root_id, send_at)
+
+    def on_message(self, message: Message, now: float) -> None:
+        if isinstance(message, EventBatchMessage):
+            finish = self.work(receive_ops(message.payload_bytes), now)
+            self.ingest(message.events, finish)
+            return
+        raise AggregationError(
+            f"{type(self._summary).__name__} local node received unexpected "
+            f"{type(message).__name__}"
+        )
+
+
+class SummaryRootNode(SimulatedNode, BaselineRootMixin):
+    """Root operator: merges one summary per local and answers."""
+
+    def __init__(
+        self,
+        node_id: int,
+        *,
+        local_ids: Sequence[int],
+        summary: Summary,
+        ops_per_second: float = 2e8,
+    ) -> None:
+        SimulatedNode.__init__(self, node_id, ops_per_second=ops_per_second)
+        BaselineRootMixin.__init__(self)
+        self._n_locals = len(local_ids)
+        self._summary = summary
+        self._pending: dict[Window, dict[int, Message]] = {}
+
+    @property
+    def open_windows(self) -> int:
+        """Windows still awaiting summaries."""
+        return len(self._pending)
+
+    def on_message(self, message: Message, now: float) -> None:
+        """Collect one summary per local node, then merge and answer."""
+        summary = self._summary
+        if not isinstance(message, summary.message):
+            raise AggregationError(
+                f"{type(summary).__name__} root received unexpected "
+                f"{type(message).__name__}"
+            )
+        self.work(receive_ops(message.payload_bytes), now)
+        pending = self._pending.setdefault(message.window, {})
+        if message.sender in pending:
+            raise AggregationError(
+                f"duplicate {type(summary).__name__} from node "
+                f"{message.sender} for window {message.window}"
+            )
+        pending[message.sender] = message
+        if len(pending) == self._n_locals:
+            self._close(message.window, now)
+
+    def _close(self, window: Window, now: float) -> None:
+        messages = list(self._pending.pop(window).values())
+        value, size, ops, attrs = self._summary.merge(messages)
+        finish = now
+        if ops is not None:
+            finish = self.work(ops, now)
+            if self._tracer.enabled:
+                self._tracer.record(
+                    self._summary.span,
+                    self.node_id,
+                    now,
+                    finish,
+                    window=window,
+                    **attrs,
+                )
+        self._emit(window, value, size, finish)
+
+
 class BaselineEngine:
-    """Deploys one baseline's local/root operators and runs workloads."""
+    """Deploys one baseline's local/root operators and runs workloads.
+
+    ``root(node_id, local_ids=…, ops_per_second=…)`` and ``local(node_id,
+    root_id=…, ops_per_second=…)`` build the operators.
+    """
 
     def __init__(
         self,
         query: QuantileQuery,
         topology_config: TopologyConfig,
         *,
-        root_factory: Callable[[int, float, Sequence[int], QuantileQuery], SimulatedNode],
-        local_factory: Callable[[int, float, int, QuantileQuery], SimulatedNode],
+        root: Callable[..., SimulatedNode],
+        local: Callable[..., SimulatedNode],
         batch_size: int = 512,
         tracer=None,
     ) -> None:
@@ -139,21 +331,15 @@ class BaselineEngine:
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._simulator = Simulator(tracer=self._tracer)
         local_ids = list(range(1, topology_config.n_local_nodes + 1))
-        self._root_holder: list[SimulatedNode] = []
-
-        def make_root(node_id: int, ops: float) -> SimulatedNode:
-            root = root_factory(node_id, ops, local_ids, query)
-            self._root_holder.append(root)
-            return root
-
-        def make_local(node_id: int, ops: float) -> SimulatedNode:
-            return local_factory(node_id, ops, 0, query)
-
         self._topology = Topology.build(
             self._simulator,
             topology_config,
-            root_factory=make_root,
-            local_factory=make_local,
+            root_factory=lambda node_id, ops: root(
+                node_id, local_ids=local_ids, ops_per_second=ops
+            ),
+            local_factory=lambda node_id, ops: local(
+                node_id, root_id=ROOT_NODE_ID, ops_per_second=ops
+            ),
         )
         self._driver = BatchSourceDriver(self._simulator, batch_size=batch_size)
         if self._tracer.enabled:
@@ -178,23 +364,28 @@ class BaselineEngine:
     @property
     def root(self) -> SimulatedNode:
         """The root operator."""
-        return self._root_holder[0]
+        return self._simulator.nodes[self._topology.root_id]
+
+    def _feeds(self, streams: Mapping[int, Any]) -> list[tuple[SimulatedNode, Any]]:
+        """Each local operator with its stream, after rejecting unknown ids."""
+        unknown = set(streams) - set(self._topology.local_ids)
+        if unknown:
+            raise ConfigurationError(
+                f"streams reference unknown local nodes {sorted(unknown)}"
+            )
+        return [
+            (self._simulator.nodes[local_id], streams.get(local_id, ()))
+            for local_id in self._topology.local_ids
+        ]
 
     def run(
         self, streams: "Mapping[int, EventColumns | Sequence[Event]]"
     ) -> SystemReport:
         """Feed per-local-node streams (``EventColumns`` or sequences of
         ``Event``; the driver converts) and drain the simulation."""
-        unknown = set(streams) - set(self._topology.local_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"streams reference unknown local nodes {sorted(unknown)}"
-            )
         assigner = self._query.assigner()
         all_windows: set[Window] = set()
-        for local_id in self._topology.local_ids:
-            events = streams.get(local_id, ())
-            operator = self._simulator.nodes[local_id]
+        for operator, events in self._feeds(streams):
             all_windows.update(self._driver.feed(operator, events, assigner))
         return self._finish(all_windows, allowed_lateness_ms=0)
 
@@ -209,16 +400,9 @@ class BaselineEngine:
         Arrivals later than their window's end plus the allowed lateness
         are dropped by the operators and counted as late.
         """
-        unknown = set(arrivals) - set(self._topology.local_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"streams reference unknown local nodes {sorted(unknown)}"
-            )
         assigner = self._query.assigner()
         all_windows: set[Window] = set()
-        for local_id in self._topology.local_ids:
-            pairs = arrivals.get(local_id, ())
-            operator = self._simulator.nodes[local_id]
+        for operator, pairs in self._feeds(arrivals):
             all_windows.update(
                 self._driver.feed_unordered(operator, pairs, assigner)
             )
@@ -255,6 +439,25 @@ class BaselineEngine:
         )
 
 
+def build_summary_system(
+    summary: Summary,
+    query: QuantileQuery,
+    topology_config: TopologyConfig,
+    *,
+    batch_size: int = 512,
+    tracer=None,
+) -> BaselineEngine:
+    """Deploy the summary pair over ``query``'s tumbling windows."""
+    return BaselineEngine(
+        query,
+        topology_config,
+        root=partial(SummaryRootNode, summary=summary),
+        local=partial(SummaryLocalNode, query=query, summary=summary),
+        batch_size=batch_size,
+        tracer=tracer,
+    )
+
+
 def build_system(
     name: str,
     query: QuantileQuery,
@@ -263,8 +466,10 @@ def build_system(
     batch_size: int = 512,
     tracer=None,
 ):
-    """Factory for any system by name: dema, scotty, desis, tdigest.
+    """Factory for any system of :data:`SYSTEM_NAMES` by name.
 
+    Dema runs its own engine and Scotty its forwarding pair; desis,
+    tdigest, qdigest and kll run the summary pair with their summary.
     Returns an engine with a uniform ``run(streams) -> report`` interface.
     Passing a :class:`~repro.obs.tracer.RecordingTracer` instruments the
     deployment; the default is the shared no-op tracer.
@@ -275,10 +480,10 @@ def build_system(
     # Imported here to avoid circular imports at package load time.
     from repro.core.engine import DemaEngine
     from repro.baselines.scotty import ScottyLocalNode, ScottyRootNode
-    from repro.baselines.desis import DesisLocalNode, DesisRootNode
-    from repro.baselines.tdigest_system import TDigestLocalNode, TDigestRootNode
-    from repro.baselines.qdigest_system import QDigestLocalNode, QDigestRootNode
-    from repro.baselines.kll_system import KllLocalNode, KllRootNode
+    from repro.baselines.desis import DesisSummary
+    from repro.baselines.tdigest_system import TDigestSummary
+    from repro.baselines.qdigest_system import QDigestSummary
+    from repro.baselines.kll_system import KllSummary
 
     if name == "dema":
         return DemaEngine(
@@ -289,27 +494,29 @@ def build_system(
             f"{name} supports tumbling windows only; sliding-window "
             "queries are a Dema extension"
         )
-    pairs = {
-        "scotty": (ScottyRootNode, ScottyLocalNode),
-        "desis": (DesisRootNode, DesisLocalNode),
-        "tdigest": (TDigestRootNode, TDigestLocalNode),
-        "qdigest": (QDigestRootNode, QDigestLocalNode),
-        "kll": (KllRootNode, KllLocalNode),
+    if name == "scotty":
+        return BaselineEngine(
+            query,
+            topology_config,
+            root=partial(ScottyRootNode, query=query),
+            local=partial(ScottyLocalNode, query=query),
+            batch_size=batch_size,
+            tracer=tracer,
+        )
+    summaries = {
+        "desis": DesisSummary,
+        "tdigest": TDigestSummary,
+        "qdigest": QDigestSummary,
+        "kll": KllSummary,
     }
-    if name not in pairs:
+    if name not in summaries:
         raise ConfigurationError(
             f"unknown system {name!r}; known: {SYSTEM_NAMES}"
         )
-    root_cls, local_cls = pairs[name]
-    return BaselineEngine(
+    return build_summary_system(
+        summaries[name](query.q),
         query,
         topology_config,
-        root_factory=lambda nid, ops, locals_, q: root_cls(
-            nid, local_ids=locals_, query=q, ops_per_second=ops
-        ),
-        local_factory=lambda nid, ops, root_id, q: local_cls(
-            nid, root_id=root_id, query=q, ops_per_second=ops
-        ),
         batch_size=batch_size,
         tracer=tracer,
     )

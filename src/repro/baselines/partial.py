@@ -14,39 +14,27 @@ exact partial exists — that gap is what Dema fills.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from types import SimpleNamespace
+from typing import Any
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.network.messages import (
-    EventBatchMessage,
-    Message,
-    PartialAggregateMessage,
-)
-from repro.network.simulator import INGEST_OPS, SimulatedNode, receive_ops
+from repro.network.messages import PartialAggregateMessage
 from repro.streaming.aggregates import (
     AggregationFunction,
     get_function,
 )
 from repro.streaming.columns import EventColumns
-from repro.streaming.windows import TumblingWindows, Window
+from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.network.topology import TopologyConfig
-from repro.baselines.base import (
-    BaselineEngine,
-    BaselineRootMixin,
-    bucket_by_window,
-)
+from repro.baselines.base import BaselineEngine, Summary, build_summary_system
 
 __all__ = [
-    "PartialAggLocalNode",
-    "PartialAggRootNode",
+    "PartialSummary",
     "build_partial_system",
     "serialize_partial",
     "deserialize_partial",
 ]
-
-#: Abstract ops for lifting + combining one event into the running partial.
-_FOLD_OPS_PER_EVENT = 2.0
 
 
 def serialize_partial(
@@ -59,9 +47,7 @@ def serialize_partial(
             (i.e. it is non-decomposable).
     """
     name = function.name
-    if name in ("sum", "min", "max"):
-        return (float(partial),)
-    if name == "count":
+    if name in ("sum", "count", "min", "max"):
         return (float(partial),)
     if name in ("average", "variance"):
         return (float(partial.count), partial.total, partial.total_sq)
@@ -91,139 +77,59 @@ def deserialize_partial(
     raise AggregationError(f"cannot deserialize a partial for {name}")
 
 
-class PartialAggLocalNode(SimulatedNode):
-    """Edge operator folding events into constant-size partials."""
+class PartialSummary(Summary):
+    """A local window as one constant-size partial aggregate; the root
+    combines the partials and lowers the answer, both without a charge.
 
-    def __init__(
-        self,
-        node_id: int,
-        *,
-        root_id: int,
-        function: AggregationFunction,
-        window_length_ms: int,
-        ops_per_second: float = 1e8,
-    ) -> None:
-        super().__init__(node_id, ops_per_second=ops_per_second)
+    Raises:
+        ConfigurationError: If the function is non-decomposable — the gap
+            Dema exists to fill.
+    """
+
+    message = PartialAggregateMessage
+    #: Lifting + combining one event into the running partial.
+    ops_per_event = 2.0
+
+    def __init__(self, function: AggregationFunction) -> None:
         if not function.is_decomposable:
             raise ConfigurationError(
                 f"{function.name} is non-decomposable; partial aggregation "
-                "cannot compute it exactly (this is the paper's premise)"
+                "cannot compute it exactly — use Dema"
             )
-        self._root_id = root_id
         self._function = function
-        self._assigner = TumblingWindows(window_length_ms)
-        self._partials: dict[Window, Any] = {}
-        self._counts: dict[Window, int] = {}
-        self._completed: set[Window] = set()
-        self._events_ingested = 0
-        self._late_events = 0
 
-    @property
-    def events_ingested(self) -> int:
-        """Raw events accepted so far."""
-        return self._events_ingested
+    def new(self, node_id: int) -> SimpleNamespace:
+        return SimpleNamespace(partial=None, count=0)
 
-    @property
-    def late_events(self) -> int:
-        """Events dropped because their window had already shipped."""
-        return self._late_events
+    def fold(self, state: SimpleNamespace, rows: EventColumns) -> float:
+        function = self._function
+        for value in rows.values.tolist():
+            lifted = function.lift(value)
+            state.partial = (
+                lifted
+                if state.partial is None
+                else function.combine(state.partial, lifted)
+            )
+        state.count += len(rows)
+        return 0.0
 
-    def ingest(self, events: EventColumns, now: float) -> float:
-        """Fold the batch into per-window partial aggregates (O(1) state)."""
-        groups, late = bucket_by_window(
-            events, self._assigner.length, self._completed
-        )
-        self._late_events += late
-        for window, rows in groups:
-            for value in rows.values.tolist():
-                lifted = self._function.lift(value)
-                if window in self._partials:
-                    self._partials[window] = self._function.combine(
-                        self._partials[window], lifted
-                    )
-                else:
-                    self._partials[window] = lifted
-            self._counts[window] = self._counts.get(window, 0) + len(rows)
-        self._events_ingested += len(events)
-        ops = (INGEST_OPS + _FOLD_OPS_PER_EVENT) * len(events)
-        return self.work(ops, now)
-
-    def on_window_complete(self, window: Window, now: float) -> None:
-        """Ship the window's partial aggregate (a few floats)."""
-        if window in self._completed:
-            return
-        self._completed.add(window)
-        partial = self._partials.pop(window, None)
-        count = self._counts.pop(window, 0)
-        state = (
-            serialize_partial(self._function, partial)
-            if partial is not None
+    def ship(self, state: SimpleNamespace, sender: int, window: Window):
+        wire_state = (
+            serialize_partial(self._function, state.partial)
+            if state.partial is not None
             else ()
         )
-        message = PartialAggregateMessage(
-            sender=self.node_id,
+        return PartialAggregateMessage(
+            sender=sender,
             window=window,
-            state=state,
-            local_window_size=count,
-        )
-        self.send(message, self._root_id, now)
+            state=wire_state,
+            local_window_size=state.count,
+        ), None
 
-    def on_message(self, message: Message, now: float) -> None:
-        if isinstance(message, EventBatchMessage):
-            finish = self.work(receive_ops(message.payload_bytes), now)
-            self.ingest(message.events, finish)
-            return
-        raise AggregationError(
-            f"partial-agg local node received unexpected "
-            f"{type(message).__name__}"
-        )
-
-
-class PartialAggRootNode(SimulatedNode, BaselineRootMixin):
-    """Root operator combining partials and lowering the final answer."""
-
-    def __init__(
-        self,
-        node_id: int,
-        *,
-        local_ids: Sequence[int],
-        function: AggregationFunction,
-        ops_per_second: float = 2e8,
-    ) -> None:
-        SimulatedNode.__init__(self, node_id, ops_per_second=ops_per_second)
-        BaselineRootMixin.__init__(self)
-        self._local_ids = tuple(local_ids)
-        self._function = function
-        self._pending: dict[Window, dict[int, PartialAggregateMessage]] = {}
-
-    @property
-    def open_windows(self) -> int:
-        """Windows still awaiting partials."""
-        return len(self._pending)
-
-    def on_message(self, message: Message, now: float) -> None:
-        """Collect one partial per local node; combine and answer."""
-        if not isinstance(message, PartialAggregateMessage):
-            raise AggregationError(
-                f"partial-agg root received unexpected "
-                f"{type(message).__name__}"
-            )
-        self.work(receive_ops(message.payload_bytes), now)
-        pending = self._pending.setdefault(message.window, {})
-        if message.sender in pending:
-            raise AggregationError(
-                f"duplicate partial from node {message.sender} for window "
-                f"{message.window}"
-            )
-        pending[message.sender] = message
-        if len(pending) == len(self._local_ids):
-            self._close(message.window, now)
-
-    def _close(self, window: Window, now: float) -> None:
-        messages = self._pending.pop(window)
+    def merge(self, messages: list):
         combined: Any = None
         total = 0
-        for incoming in messages.values():
+        for incoming in messages:
             total += incoming.local_window_size
             if not incoming.state:
                 continue
@@ -234,9 +140,8 @@ class PartialAggRootNode(SimulatedNode, BaselineRootMixin):
                 else self._function.combine(combined, partial)
             )
         if combined is None:
-            self._emit(window, None, 0, now)
-            return
-        self._emit(window, self._function.lower(combined), total, now)
+            return None, 0, None, {}
+        return self._function.lower(combined), total, None, {}
 
 
 def build_partial_system(
@@ -252,26 +157,9 @@ def build_partial_system(
         ConfigurationError: If the function is non-decomposable — the gap
             Dema exists to fill.
     """
-    function = get_function(function_name)
-    if not function.is_decomposable:
-        raise ConfigurationError(
-            f"{function_name} is non-decomposable; partial aggregation "
-            "cannot compute it exactly — use Dema"
-        )
-    # The engine only uses the query for its window shape.
+    summary = PartialSummary(get_function(function_name))
+    # The engine and the locals use the query only for its window shape.
     shape_query = QuantileQuery(q=0.5, window_length_ms=window_length_ms)
-    return BaselineEngine(
-        shape_query,
-        topology_config,
-        root_factory=lambda nid, ops, locals_, _query: PartialAggRootNode(
-            nid, local_ids=locals_, function=function, ops_per_second=ops
-        ),
-        local_factory=lambda nid, ops, root_id, _query: PartialAggLocalNode(
-            nid,
-            root_id=0,
-            function=function,
-            window_length_ms=window_length_ms,
-            ops_per_second=ops,
-        ),
-        batch_size=batch_size,
+    return build_summary_system(
+        summary, shape_query, topology_config, batch_size=batch_size
     )

@@ -9,176 +9,59 @@ Dema on throughput — but the answer is approximate (Fig. 7b).
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from repro.errors import AggregationError
-from repro.network.messages import DigestMessage, EventBatchMessage, Message
-from repro.network.simulator import INGEST_OPS, SimulatedNode, receive_ops
+from repro.network.messages import DigestMessage
 from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
-from repro.core.query import QuantileQuery
 from repro.sketches.tdigest import DEFAULT_COMPRESSION, TDigest
-from repro.baselines.base import BaselineRootMixin, bucket_by_window
+from repro.baselines.base import Summary
 
-__all__ = ["TDigestLocalNode", "TDigestRootNode"]
-
-#: Abstract CPU ops per event folded into a digest (buffered insert plus an
-#: amortized share of the periodic compression pass).
-_DIGEST_OPS_PER_EVENT = 8.0
-
-#: Abstract CPU ops per centroid when merging digests at the root.
-_MERGE_OPS_PER_CENTROID = 16.0
+__all__ = ["TDigestSummary"]
 
 
-class TDigestLocalNode(SimulatedNode):
-    """Local operator: digests each window, ships centroids at window end."""
+class TDigestSummary(Summary):
+    """A local window as a t-digest's centroids; the root merges them."""
 
-    def __init__(
-        self,
-        node_id: int,
-        *,
-        root_id: int,
-        query: QuantileQuery,
-        ops_per_second: float = 1e8,
-        compression: float = DEFAULT_COMPRESSION,
-    ) -> None:
-        super().__init__(node_id, ops_per_second=ops_per_second)
-        self._root_id = root_id
-        self._query = query
-        self._assigner = query.assigner()
-        self._compression = compression
-        self._open: dict[Window, TDigest] = {}
-        self._counts: dict[Window, int] = {}
-        self._completed: set[Window] = set()
-        self._events_ingested = 0
-        self._late_events = 0
+    message = DigestMessage
+    span = "digest_merge"
+    #: Buffered insert plus an amortized share of the periodic compression.
+    ops_per_event = 8.0
+    #: Abstract CPU ops per centroid, paid to ship and again to merge.
+    ops_per_item = 16.0
 
-    @property
-    def events_ingested(self) -> int:
-        """Raw events accepted so far."""
-        return self._events_ingested
+    def new(self, node_id: int) -> TDigest:
+        return TDigest(DEFAULT_COMPRESSION)
 
-    @property
-    def late_events(self) -> int:
-        """Events dropped because their window had already shipped."""
-        return self._late_events
+    def fold(self, state: TDigest, rows: EventColumns) -> float:
+        state.add_all(rows.values.tolist())
+        return 0.0
 
-    def ingest(self, events: EventColumns, now: float) -> float:
-        """Fold the batch into the owning window's digest."""
-        groups, late = bucket_by_window(
-            events, self._assigner.length, self._completed
-        )
-        self._late_events += late
-        for window, rows in groups:
-            digest = self._open.get(window)
-            if digest is None:
-                digest = TDigest(self._compression)
-                self._open[window] = digest
-                self._counts[window] = 0
-            digest.add_all(rows.values.tolist())
-            self._counts[window] += len(rows)
-        self._events_ingested += len(events)
-        ops = (INGEST_OPS + _DIGEST_OPS_PER_EVENT) * len(events)
-        return self.work(ops, now)
-
-    def on_window_complete(self, window: Window, now: float) -> None:
-        """Serialize the window's digest and ship it upstream."""
-        if window in self._completed:
-            return
-        self._completed.add(window)
-        digest = self._open.pop(window, None)
-        self._counts.pop(window, None)
-        centroids = digest.to_centroid_tuples() if digest is not None else ()
-        finish = self.work(_MERGE_OPS_PER_CENTROID * len(centroids), now)
+    def ship(self, state: TDigest, sender: int, window: Window):
+        centroids = state.to_centroid_tuples()
         message = DigestMessage(
-            sender=self.node_id,
+            sender=sender,
             window=window,
             centroids=centroids,
             # Ship the exact extremes: tail centroid means sit inside the
             # data range, so without these the root's extreme quantiles
             # flatten toward the tail means.
-            minimum=digest.min if centroids else 0.0,
-            maximum=digest.max if centroids else 0.0,
+            minimum=state.min if centroids else 0.0,
+            maximum=state.max if centroids else 0.0,
         )
-        self.send(message, self._root_id, finish)
+        return message, self.ops_per_item * len(centroids)
 
-    def on_message(self, message: Message, now: float) -> None:
-        if isinstance(message, EventBatchMessage):
-            finish = self.work(receive_ops(message.payload_bytes), now)
-            self.ingest(message.events, finish)
-            return
-        raise AggregationError(
-            f"t-digest local node received unexpected {type(message).__name__}"
-        )
-
-
-class TDigestRootNode(SimulatedNode, BaselineRootMixin):
-    """Root operator: merges per-node digests and answers approximately."""
-
-    def __init__(
-        self,
-        node_id: int,
-        *,
-        local_ids: Sequence[int],
-        query: QuantileQuery,
-        ops_per_second: float = 2e8,
-        compression: float = DEFAULT_COMPRESSION,
-    ) -> None:
-        SimulatedNode.__init__(self, node_id, ops_per_second=ops_per_second)
-        BaselineRootMixin.__init__(self)
-        self._local_ids = tuple(local_ids)
-        self._query = query
-        self._compression = compression
-        self._digests: dict[Window, dict[int, DigestMessage]] = {}
-
-    @property
-    def open_windows(self) -> int:
-        """Windows still awaiting digests."""
-        return len(self._digests)
-
-    def on_message(self, message: Message, now: float) -> None:
-        """Collect one digest per local node, then merge and answer."""
-        if not isinstance(message, DigestMessage):
-            raise AggregationError(
-                f"t-digest root received unexpected {type(message).__name__}"
-            )
-        self.work(receive_ops(message.payload_bytes), now)
-        digests = self._digests.setdefault(message.window, {})
-        if message.sender in digests:
-            raise AggregationError(
-                f"duplicate digest from node {message.sender} for window "
-                f"{message.window}"
-            )
-        digests[message.sender] = message
-        if len(digests) == len(self._local_ids):
-            self._close(message.window, now)
-
-    def _close(self, window: Window, now: float) -> None:
-        messages = self._digests.pop(window)
-        total_centroids = sum(len(m.centroids) for m in messages.values())
-        merged = TDigest(self._compression)
-        for incoming in messages.values():
+    def merge(self, messages: list):
+        merged = TDigest(DEFAULT_COMPRESSION)
+        for incoming in messages:
             if incoming.centroids:
                 merged.merge(
                     TDigest.from_centroid_tuples(
                         incoming.centroids,
-                        self._compression,
+                        DEFAULT_COMPRESSION,
                         minimum=incoming.minimum,
                         maximum=incoming.maximum,
                     )
                 )
-        finish = self.work(_MERGE_OPS_PER_CENTROID * total_centroids, now)
-        if self._tracer.enabled:
-            self._tracer.record(
-                "digest_merge",
-                self.node_id,
-                now,
-                finish,
-                window=window,
-                centroids=total_centroids,
-            )
-        if merged.count == 0:
-            self._emit(window, None, 0, finish)
-            return
-        value = merged.quantile(self._query.q)
-        self._emit(window, value, int(merged.count), finish)
+        centroids = sum(len(m.centroids) for m in messages)
+        value = merged.quantile(self.q) if merged.count else None
+        ops = self.ops_per_item * centroids
+        return value, int(merged.count), ops, {"centroids": centroids}

@@ -33,21 +33,12 @@ from repro.network.simulator import (
     SORT_OPS_PER_CMP,
 )
 from repro.streaming.events import EVENT_WIRE_BYTES
+from repro.core.local_node import _SLICE_OPS_PER_EVENT
+from repro.core.root_node import _IDENTIFY_OPS_PER_SYNOPSIS
+from repro.baselines.qdigest_system import QDigestSummary
+from repro.baselines.tdigest_system import TDigestSummary
 
 __all__ = ["SystemModel", "ThroughputPrediction", "predict"]
-
-#: Slicing pass at the Dema local node, per event.
-_SLICE_OPS_PER_EVENT = 0.5
-
-#: Serving one candidate event at the Dema local node.
-_SERVE_OPS_PER_EVENT = 0.5
-
-#: Identification work per synopsis at the Dema root.
-_IDENTIFY_OPS_PER_SYNOPSIS = 4.0
-
-#: Per-event digesting cost of the sketch systems (matches the operators).
-_TDIGEST_OPS_PER_EVENT = 8.0
-_QDIGEST_OPS_PER_EVENT = 6.0
 
 #: Typical serialized sketch sizes per node per window (weakly dependent on
 #: the data; calibrated to the implementations' steady state).
@@ -152,9 +143,9 @@ class SystemModel:
         if system == "dema":
             return INGEST_OPS + log_term + _SLICE_OPS_PER_EVENT
         if system == "tdigest":
-            return INGEST_OPS + _TDIGEST_OPS_PER_EVENT
+            return INGEST_OPS + TDigestSummary.ops_per_event
         if system == "qdigest":
-            return INGEST_OPS + _QDIGEST_OPS_PER_EVENT
+            return INGEST_OPS + QDigestSummary.ops_per_event
         raise ConfigurationError(f"unknown system {system!r}")
 
     def _root_ops_per_window(self, system: str, per_node_rate: float) -> float:
@@ -193,14 +184,14 @@ class SystemModel:
             per_node = (
                 RECEIVE_OPS_PER_BYTE * (_TDIGEST_CENTROIDS * 16 + 4)
                 + RECEIVE_OPS_BASE
-                + 16.0 * _TDIGEST_CENTROIDS
+                + TDigestSummary.ops_per_item * _TDIGEST_CENTROIDS
             )
             return n * per_node
         if system == "qdigest":
             per_node = (
                 RECEIVE_OPS_PER_BYTE * (_QDIGEST_NODES * 16 + 12)
                 + RECEIVE_OPS_BASE
-                + 8.0 * _QDIGEST_NODES
+                + QDigestSummary.ops_per_item * _QDIGEST_NODES
             )
             return n * per_node
         raise ConfigurationError(f"unknown system {system!r}")

@@ -54,6 +54,7 @@ from repro.core.calculation import calculate_quantile
 from repro.core.identification import MultiIdentificationResult, identify_multi
 from repro.core.local_node import _SERVE_OPS_PER_EVENT, _SLICE_OPS_PER_EVENT
 from repro.core.query import QuantileQuery
+from repro.core.root_node import _IDENTIFY_OPS_PER_SYNOPSIS
 from repro.core.slicing import SlicedWindow, slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 from repro.core.synopsis import SliceSynopsis
@@ -72,9 +73,6 @@ __all__ = [
     "ConcurrentDemaRootNode",
     "ConcurrentDemaEngine",
 ]
-
-#: Abstract ops per synopsis during identification.
-_IDENTIFY_OPS_PER_SYNOPSIS = 4.0
 
 
 @dataclass(frozen=True)

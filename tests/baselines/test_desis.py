@@ -10,7 +10,8 @@ from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
-from repro.baselines.desis import DesisLocalNode, DesisRootNode
+from repro.baselines.base import SummaryLocalNode, SummaryRootNode
+from repro.baselines.desis import DesisSummary
 
 WINDOW = Window(0, 1000)
 
@@ -29,7 +30,10 @@ class TestLocal:
         simulator = Simulator()
         root = Sink()
         query = QuantileQuery(q=0.5, window_length_ms=1000)
-        local = DesisLocalNode(1, root_id=0, query=query, ops_per_second=1e9)
+        local = SummaryLocalNode(
+            1, root_id=0, query=query, summary=DesisSummary(query.q),
+            ops_per_second=1e9,
+        )
         simulator.add_node(root)
         simulator.add_node(local)
         simulator.connect(Channel(1, 0))
@@ -76,8 +80,9 @@ class TestRoot:
     def deploy(self, local_ids=(1, 2)):
         simulator = Simulator()
         query = QuantileQuery(q=0.5, window_length_ms=1000)
-        root = DesisRootNode(
-            0, local_ids=list(local_ids), query=query, ops_per_second=1e9
+        root = SummaryRootNode(
+            0, local_ids=list(local_ids), summary=DesisSummary(query.q),
+            ops_per_second=1e9,
         )
         simulator.add_node(root)
         senders = {}

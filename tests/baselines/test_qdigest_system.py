@@ -11,8 +11,8 @@ from repro.streaming.events import make_events
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.sketches.qdigest import QDigest
-from repro.baselines.base import build_system
-from repro.baselines.qdigest_system import QDigestLocalNode, QDigestRootNode
+from repro.baselines.base import SummaryLocalNode, SummaryRootNode, build_system
+from repro.baselines.qdigest_system import QDigestSummary
 from repro.bench.generator import GeneratorConfig, workload
 from repro.bench.workloads import bench_topology, median_query
 
@@ -55,7 +55,10 @@ class TestLocalNode:
         simulator = Simulator()
         root = Sink()
         query = QuantileQuery(q=0.5, window_length_ms=1000)
-        local = QDigestLocalNode(1, root_id=0, query=query, ops_per_second=1e9)
+        local = SummaryLocalNode(
+            1, root_id=0, query=query, summary=QDigestSummary(query.q),
+            ops_per_second=1e9,
+        )
         simulator.add_node(root)
         simulator.add_node(local)
         simulator.connect(Channel(1, 0))
@@ -122,7 +125,9 @@ class TestFullSystem:
     def test_empty_window(self):
         simulator = Simulator()
         query = QuantileQuery(q=0.5, window_length_ms=1000)
-        root = QDigestRootNode(0, local_ids=[1], query=query, ops_per_second=1e9)
+        root = SummaryRootNode(
+            0, local_ids=[1], summary=QDigestSummary(query.q), ops_per_second=1e9
+        )
         sender = Sink(1)
         simulator.add_node(root)
         simulator.add_node(sender)
@@ -135,8 +140,9 @@ class TestFullSystem:
     def test_duplicate_digest_rejected(self):
         simulator = Simulator()
         query = QuantileQuery(q=0.5, window_length_ms=1000)
-        root = QDigestRootNode(
-            0, local_ids=[1, 2], query=query, ops_per_second=1e9
+        root = SummaryRootNode(
+            0, local_ids=[1, 2], summary=QDigestSummary(query.q),
+            ops_per_second=1e9,
         )
         sender = Sink(1)
         simulator.add_node(root)

@@ -12,7 +12,8 @@ from repro.streaming.columns import EventColumns
 from repro.streaming.events import make_events
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
-from repro.baselines.tdigest_system import TDigestLocalNode, TDigestRootNode
+from repro.baselines.base import SummaryLocalNode, SummaryRootNode
+from repro.baselines.tdigest_system import TDigestSummary
 
 WINDOW = Window(0, 1000)
 
@@ -31,7 +32,10 @@ class TestLocal:
         simulator = Simulator()
         root = Sink()
         query = QuantileQuery(q=0.5, window_length_ms=1000)
-        local = TDigestLocalNode(1, root_id=0, query=query, ops_per_second=1e9)
+        local = SummaryLocalNode(
+            1, root_id=0, query=query, summary=TDigestSummary(query.q),
+            ops_per_second=1e9,
+        )
         simulator.add_node(root)
         simulator.add_node(local)
         simulator.connect(Channel(1, 0))
@@ -80,8 +84,9 @@ class TestRoot:
     def deploy(self, local_ids=(1, 2)):
         simulator = Simulator()
         query = QuantileQuery(q=0.5, window_length_ms=1000)
-        root = TDigestRootNode(
-            0, local_ids=list(local_ids), query=query, ops_per_second=1e9
+        root = SummaryRootNode(
+            0, local_ids=list(local_ids), summary=TDigestSummary(query.q),
+            ops_per_second=1e9,
         )
         simulator.add_node(root)
         senders = {}

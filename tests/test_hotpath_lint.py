@@ -33,6 +33,10 @@ The last keeps the shared cut in one place: quantiles become ranks, one
 window-cut sweep and one union fetch plan only in ``identify_multi``, which
 the in-memory entry points, the simulator's concurrent root and the live
 query root all call instead of re-deriving it.
+
+And one keeps the baselines at four node classes: Scotty's pair and the
+summary pair that Desis, t-digest, KLL, q-digest and partial aggregation
+share, so a per-system copy of the local/root protocol cannot grow back.
 """
 
 import ast
@@ -55,6 +59,7 @@ PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 #: The modules expected to carry the marker today; the lint fails if one
 #: loses it, so the discipline cannot be turned off by deleting a comment.
 EXPECTED_MARKED = {
+    "baselines/base.py",
     "baselines/desis.py",
     "core/calculation.py",
     "core/concurrent.py",
@@ -437,6 +442,55 @@ def _call_sites(package, callee):
 def test_quantiles_are_ranked_and_cut_in_one_place():
     assert _call_sites(".", "window_cut_multi") == WINDOW_CUT_MULTI_CALLERS
     assert _call_sites("core", "quantile_rank") == QUANTILE_RANK_CALLERS
+
+
+#: The baselines' node classes: Scotty's forwarding pair and the one summary
+#: pair every other baseline runs with its ``Summary``.  Held with ``==``: a
+#: per-system local or root growing back fails here.
+BASELINE_NODE_CLASSES = {
+    "ScottyLocalNode",
+    "ScottyRootNode",
+    "SummaryLocalNode",
+    "SummaryRootNode",
+}
+
+
+def _node_classes(sources):
+    """Classes deriving from ``SimulatedNode``, directly or through another
+    class defined in ``sources``."""
+    bases = {
+        node.name: {
+            getattr(base, "id", None) or getattr(base, "attr", None)
+            for base in node.bases
+        }
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+    }
+    nodes = {"SimulatedNode"}
+    while True:
+        grown = nodes | {name for name, of in bases.items() if of & nodes}
+        if grown == nodes:
+            return nodes - {"SimulatedNode"}
+        nodes = grown
+
+
+def test_baselines_have_four_node_classes():
+    sources = [
+        path.read_text()
+        for path in sorted((PACKAGE_ROOT / "baselines").rglob("*.py"))
+    ]
+    assert _node_classes(sources) == BASELINE_NODE_CLASSES
+
+
+def test_node_class_lint_sees_direct_and_indirect_subclasses():
+    source = (
+        "class A(SimulatedNode, Mixin):\n    pass\n"
+        "class B(A):\n    pass\n"
+        "class C(simulator.SimulatedNode):\n    pass\n"
+        "class D(Mixin):\n    pass\n"
+    )
+    assert _node_classes([source]) == {"A", "B", "C"}
 
 
 def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
