@@ -6,7 +6,6 @@ ships synopses once per window and fetches the union of candidate slices,
 so its cost grows far slower than linearly in the query count.
 """
 
-from repro.core.concurrent import ConcurrentDemaEngine
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.bench.generator import GeneratorConfig, workload
@@ -27,7 +26,7 @@ def _compare(quantiles, streams):
         QuantileQuery(q=q, window_length_ms=1000, gamma=120)
         for q in quantiles
     ]
-    shared_engine = ConcurrentDemaEngine(queries, bench_topology(2))
+    shared_engine = DemaEngine(queries, bench_topology(2))
     shared = shared_engine.run(streams)
     separate_bytes = 0
     for query in queries:

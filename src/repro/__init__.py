@@ -42,7 +42,6 @@ from repro.streaming.aggregates import exact_quantile, get_function, quantile_ra
 from repro.core.engine import DemaEngine, DemaResult, MultiQuantileResult
 from repro.core.engine import dema_quantile, dema_quantiles
 from repro.core.reliability import ReliabilityConfig
-from repro.core.concurrent import ConcurrentDemaEngine
 from repro.core.query import QuantileQuery
 from repro.core.adaptive import AdaptiveGammaController, optimal_gamma
 from repro.network.topology import TopologyConfig
@@ -71,7 +70,6 @@ __all__ = [
     "DemaResult",
     "MultiQuantileResult",
     "DemaEngine",
-    "ConcurrentDemaEngine",
     "ReliabilityConfig",
     "QuantileQuery",
     "AdaptiveGammaController",

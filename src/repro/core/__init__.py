@@ -13,9 +13,8 @@ Entry points, all identifying through one
 
 * :func:`repro.core.engine.dema_quantile` / ``dema_quantiles`` — pure
   in-memory algorithm (no simulator), the easiest way to use or study Dema;
-* :class:`repro.core.engine.DemaEngine` /
-  :class:`~repro.core.concurrent.ConcurrentDemaEngine` — one query or many
-  sharing their synopses, deployed on the simulated network.
+* :class:`repro.core.engine.DemaEngine` — one query or many sharing their
+  synopses, deployed on the simulated network.
 """
 
 from repro.core.synopsis import SliceSynopsis
@@ -32,16 +31,16 @@ from repro.core.adaptive import (
     transfer_cost,
 )
 from repro.core.reliability import ReliabilityConfig
-from repro.core.concurrent import (
-    ConcurrentDemaEngine,
-    ConcurrentOutcome,
-    QueryGroup,
-    group_queries,
-)
-from repro.core.query import QuantileQuery
+from repro.core.query import QuantileQuery, QueryGroup, group_queries
 from repro.core.local_node import DemaLocalNode
 from repro.core.root_node import DemaRootNode
-from repro.core.engine import DemaEngine, MultiQuantileResult, dema_quantile, dema_quantiles
+from repro.core.engine import (
+    ConcurrentOutcome,
+    DemaEngine,
+    MultiQuantileResult,
+    dema_quantile,
+    dema_quantiles,
+)
 
 __all__ = [
     "SliceSynopsis",
@@ -66,7 +65,6 @@ __all__ = [
     "MultiQuantileResult",
     "dema_quantiles",
     "ReliabilityConfig",
-    "ConcurrentDemaEngine",
     "ConcurrentOutcome",
     "QueryGroup",
     "group_queries",

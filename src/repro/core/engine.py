@@ -8,14 +8,18 @@ paper in one call, used by tests, examples and the accuracy experiment.
 
 :class:`DemaEngine` deploys Dema operators on the simulated three-layer
 network, drives per-node workloads through it, and reports results together
-with network and latency metrics.  The benchmark harness builds every Dema
-datapoint through this class.
+with network and latency metrics.  It serves one query or many: several
+queries share one deployment in groups (:func:`~repro.core.query.group_queries`),
+each group's quantiles answered from one synopsis batch per node.  The
+benchmark harness builds every Dema datapoint through this class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.driver import (
@@ -31,21 +35,21 @@ from repro.obs.tracer import NOOP_TRACER
 from repro.network.topology import Topology, TopologyConfig
 from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
+from repro.streaming.windows import Window
 
-# Hot-path module: every stream becomes an ``EventColumns`` once — at the
-# driver's door, or here where no driver is in the way — and window sets come
-# from the driver's segmenter: no loop here assigns windows (enforced by
-# tests/test_hotpath_lint.py).
+# Hot-path module: every stream becomes an ``EventColumns`` once, at this
+# door, and window sets come from the driver's segmenter: no loop here
+# assigns windows (enforced by tests/test_hotpath_lint.py).
 from repro.core.calculation import calculate_quantile
 from repro.core.identification import MultiIdentificationResult, identify_multi
 from repro.core.local_node import DemaLocalNode
-from repro.core.query import QuantileQuery
+from repro.core.query import QuantileQuery, QueryGroup, served_groups
 from repro.core.root_node import DemaRootNode, WindowOutcome
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 
-__all__ = ["DemaResult", "MultiQuantileResult", "DemaRunReport", "dema_quantile",
-           "dema_quantiles", "DemaEngine"]
+__all__ = ["DemaResult", "MultiQuantileResult", "ConcurrentOutcome",
+           "DemaRunReport", "dema_quantile", "dema_quantiles", "DemaEngine"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -197,11 +201,28 @@ def dema_quantile(
     )
 
 
+@dataclass(frozen=True, slots=True)
+class ConcurrentOutcome:
+    """One query's result for one window of a many-query run."""
+
+    query_index: int
+    q: float
+    window: Window
+    value: float | None
+    global_window_size: int
+    result_time: float
+
+
 @dataclass
 class DemaRunReport:
-    """Everything a benchmark needs from one simulated Dema run."""
+    """Everything a benchmark needs from one simulated Dema run.
 
-    outcomes: list[WindowOutcome]
+    ``outcomes`` is the root's per-window list for one query; for several
+    it is one :class:`ConcurrentOutcome` row per query per window, in
+    completion order and then member order.
+    """
+
+    outcomes: "list[WindowOutcome] | list[ConcurrentOutcome]"
     network: NetworkMetrics
     latency: LatencyStats
     final_time: float
@@ -212,13 +233,26 @@ class DemaRunReport:
         """Per-window quantile values in completion order."""
         return [outcome.value for outcome in self.outcomes]
 
+    def outcomes_for(self, query_index: int) -> list:
+        """Chronological outcomes of one query (a one-query run's are all
+        query 0's)."""
+        return sorted(
+            (
+                o
+                for o in self.outcomes
+                if getattr(o, "query_index", 0) == query_index
+            ),
+            key=lambda o: o.window,
+        )
+
 
 class DemaEngine:
-    """A Dema deployment on the simulated three-layer network."""
+    """A Dema deployment on the simulated three-layer network, serving one
+    query or a sequence of them."""
 
     def __init__(
         self,
-        query: QuantileQuery,
+        queries: "QuantileQuery | Sequence[QuantileQuery]",
         topology_config: TopologyConfig,
         *,
         batch_size: int = 512,
@@ -227,7 +261,10 @@ class DemaEngine:
         trace=None,
         tracer=None,
     ) -> None:
-        self._query = query
+        if isinstance(queries, QuantileQuery):
+            queries = (queries,)
+        self._queries = tuple(queries)
+        self._groups = served_groups(self._queries)
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._simulator = Simulator(trace=trace, tracer=self._tracer)
         self._root: DemaRootNode | None = None
@@ -240,7 +277,7 @@ class DemaEngine:
             self._root = DemaRootNode(
                 node_id,
                 local_ids=local_ids,
-                query=query,
+                queries=self._queries,
                 ops_per_second=ops,
                 reliability=reliability,
                 degrade_after_retries=degrade_after_retries,
@@ -251,7 +288,7 @@ class DemaEngine:
             return DemaLocalNode(
                 node_id,
                 root_id=0,
-                query=query,
+                queries=self._queries,
                 ops_per_second=ops,
                 reliability=reliability,
             )
@@ -294,6 +331,11 @@ class DemaEngine:
         return self._topology
 
     @property
+    def groups(self) -> list[QueryGroup]:
+        """The sharing groups the queries were partitioned into."""
+        return list(self._groups)
+
+    @property
     def root(self) -> DemaRootNode:
         """The root operator."""
         assert self._root is not None
@@ -314,8 +356,8 @@ class DemaEngine:
         Args:
             streams: Event streams keyed by *local node id* (the ids in
                 ``topology.local_ids``), each an ``EventColumns`` or a
-                sequence of ``Event`` — converted to columns once, by the
-                driver; missing nodes receive no events.
+                sequence of ``Event`` — converted to columns once, here;
+                missing nodes receive no events.
 
         Returns:
             The run report with per-window outcomes and metrics.
@@ -324,13 +366,17 @@ class DemaEngine:
             ConfigurationError: If a stream targets an unknown node.
         """
         self._check_known(streams)
-        assigner = self._query.assigner()
-        all_windows: set = set()
+        windows: dict[int, set[Window]] = {}
         for local_id in self._topology.local_ids:
-            events = streams.get(local_id, ())
-            operator = self._simulator.nodes[local_id]
-            all_windows.update(self._driver.feed(operator, events, assigner))
-        return self._finish(all_windows, allowed_lateness_ms=0)
+            events = as_event_columns(streams.get(local_id, ()))
+            timestamps = event_timestamps(events, ordered=True)
+            self._driver.schedule_batches(
+                self._simulator.nodes[local_id],
+                events,
+                timestamps,
+                self._segment(timestamps, windows),
+            )
+        return self._finish(windows, allowed_lateness_ms=0)
 
     def run_unordered(
         self,
@@ -348,19 +394,14 @@ class DemaEngine:
                 the local nodes and counted in their ``late_events``.
         """
         self._check_known(arrivals)
-        assigner = self._query.assigner()
-        all_windows: set = set()
+        windows: dict[int, set[Window]] = {}
         for local_id in self._topology.local_ids:
             events, arrival_ms = split_arrivals(arrivals.get(local_id, ()))
-            operator = self._simulator.nodes[local_id]
-            all_windows.update(
-                self._driver.feed_arrivals(
-                    operator, events, arrival_ms, assigner
-                )
+            self._segment(event_timestamps(events), windows)
+            self._driver.feed_arrivals(
+                self._simulator.nodes[local_id], events, arrival_ms
             )
-        return self._finish(
-            all_windows, allowed_lateness_ms=allowed_lateness_ms
-        )
+        return self._finish(windows, allowed_lateness_ms=allowed_lateness_ms)
 
     def run_via_sensors(
         self,
@@ -407,34 +448,65 @@ class DemaEngine:
                 + int(self._topology.config.link_latency_s * 1000 * 4)
                 + 2
             )
-        assigner = self._query.assigner()
-        all_windows: set = set()
+        windows: dict[int, set[Window]] = {}
         for local_id in self._topology.local_ids:
             events = as_event_columns(streams.get(local_id, ()))
             sensors = self._topology.stream_ids[local_id]
-            _, windows = window_segments(event_timestamps(events), assigner)
-            all_windows.update(windows)
+            self._segment(event_timestamps(events), windows)
             for index, sensor_id in enumerate(sensors):
                 self._simulator.nodes[sensor_id].load(
                     events[index :: len(sensors)]
                 )
             self._driver.account_external_events(len(events))
-        return self._finish(
-            all_windows, allowed_lateness_ms=allowed_lateness_ms
-        )
+        return self._finish(windows, allowed_lateness_ms=allowed_lateness_ms)
+
+    def _segment(
+        self, timestamps: np.ndarray, windows: dict[int, set[Window]]
+    ) -> np.ndarray:
+        """Add the windows ``timestamps`` touch to ``windows``, per group,
+        and return where any group's window assignment changes: a batch
+        split there stays within the windows of every group."""
+        cuts = []
+        for group in self._groups:
+            starts, touched = window_segments(
+                timestamps, group.prototype.assigner()
+            )
+            cuts.append(starts)
+            windows.setdefault(group.group_id, set()).update(touched)
+        return np.unique(np.concatenate(cuts))
 
     def _finish(
-        self, all_windows: set, *, allowed_lateness_ms: int
+        self, windows: dict[int, set[Window]], *, allowed_lateness_ms: int
     ) -> DemaRunReport:
-        ordered = sorted(all_windows)
+        ordered = {group_id: sorted(touched) for group_id, touched in windows.items()}
         for local_id in self._topology.local_ids:
             operator = self._simulator.nodes[local_id]
-            self._driver.announce_windows(
-                operator, ordered, allowed_lateness_ms=allowed_lateness_ms
-            )
+            for group_id, group_windows in ordered.items():
+                self._driver.announce_windows(
+                    operator,
+                    group_windows,
+                    allowed_lateness_ms=allowed_lateness_ms,
+                    group_id=group_id,
+                )
 
         final_time = self._simulator.run()
-        outcomes = self.root.outcomes
+        answered = self.root.outcomes
+        outcomes = answered
+        if len(self._queries) > 1:
+            outcomes = [
+                ConcurrentOutcome(
+                    query_index=index,
+                    q=query.q,
+                    window=outcome.window,
+                    value=value,
+                    global_window_size=outcome.global_window_size,
+                    result_time=outcome.result_time,
+                )
+                for outcome in answered
+                for (index, query), value in zip(
+                    self._groups[outcome.group_id].queries, outcome.values
+                )
+            ]
         latency = LatencyStats()
         for outcome in outcomes:
             window_end_s = outcome.window.end / MS_PER_SECOND
@@ -444,7 +516,7 @@ class DemaEngine:
             registry.counter(
                 "windows_completed_total", "Windows that produced a result."
             ).inc(len(outcomes))
-            for outcome in outcomes:
+            for outcome in answered:
                 registry.counter(
                     "candidate_events_total",
                     "Candidate events fetched for calculation.",

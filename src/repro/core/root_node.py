@@ -6,6 +6,13 @@ requests exactly the candidate slices, merges the pre-sorted candidate runs
 as they arrive, and emits the exact quantile.  With adaptivity enabled it
 then re-optimizes γ from the observed window statistics and broadcasts the
 new factor to every local node (Section 3.3).
+
+One root serves any number of queries.  Window state is keyed by
+``(group_id, window)``: each sharing group
+(:func:`~repro.core.query.served_groups`) is one protocol instance
+multiplexed over the same channels, answering every quantile of the group
+with one identification pass and one union candidate fetch.  A single query
+is group 0, and only it may be adaptive.
 """
 
 from __future__ import annotations
@@ -26,12 +33,12 @@ from repro.network.messages import (
 )
 from repro.network.driver import MS_PER_SECOND
 from repro.network.simulator import SimulatedNode, merge_cost, receive_ops
-from repro.streaming.events import Event
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 from repro.core.adaptive import AdaptiveGammaController, NodeGammaController
 from repro.core.calculation import calculate_quantile
-from repro.core.identification import IdentificationResult, identify
-from repro.core.query import QuantileQuery
+from repro.core.identification import MultiIdentificationResult, identify_multi
+from repro.core.query import QuantileQuery, served_groups
 from repro.core.reliability import ReliabilityConfig
 from repro.core.synopsis import SliceSynopsis
 
@@ -57,6 +64,11 @@ class WindowOutcome:
     #: 1.0 is the normal case; < 1.0 marks a degraded answer computed
     #: without locals that were declared dead or gave up.
     completeness: float = 1.0
+    #: The query group this window belongs to (0 for one query).
+    group_id: int = 0
+    #: One value per member query of the group, in member order;
+    #: ``value`` is the first.
+    values: tuple[float | None, ...] = ()
 
     @property
     def is_empty(self) -> bool:
@@ -71,13 +83,12 @@ class WindowOutcome:
 
 @dataclass
 class _WindowState:
-    """Root-side bookkeeping for one in-flight global window."""
+    """Root-side bookkeeping for one in-flight (group, window)."""
 
     synopses: dict[int, Sequence[SliceSynopsis]] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
-    identification: IdentificationResult | None = None
-    runs: dict[tuple[int, int], tuple[Event, ...]] = field(default_factory=dict)
-    expected_runs: int = 0
+    plan: MultiIdentificationResult | None = None
+    runs: dict[tuple[int, int], EventColumns] = field(default_factory=dict)
     gamma_used: int = 0
     retries: int = 0
     #: Locals whose synopses the current identification was computed over
@@ -99,7 +110,7 @@ class DemaRootNode(SimulatedNode):
         node_id: int,
         *,
         local_ids: Sequence[int],
-        query: QuantileQuery,
+        queries: Sequence[QuantileQuery],
         ops_per_second: float = 2e8,
         reliability: ReliabilityConfig | None = None,
         degrade_after_retries: bool = False,
@@ -111,8 +122,13 @@ class DemaRootNode(SimulatedNode):
         self._degrade = degrade_after_retries
         self._aborted_windows = 0
         self._local_ids = tuple(local_ids)
-        self._query = query
-        self._gamma = query.gamma
+        self._groups = {group.group_id: group for group in served_groups(queries)}
+        self._gammas = {
+            group_id: group.prototype.gamma
+            for group_id, group in self._groups.items()
+        }
+        # Only a one-query deployment can be adaptive (group_queries).
+        query = self._groups[0].prototype
         self._controller: AdaptiveGammaController | None = None
         self._node_controller: NodeGammaController | None = None
         if query.adaptive:
@@ -120,14 +136,8 @@ class DemaRootNode(SimulatedNode):
                 self._node_controller = NodeGammaController(query.gamma)
             else:
                 self._controller = AdaptiveGammaController(gamma=query.gamma)
-        self._states: dict[Window, _WindowState] = {}
+        self._states: dict[tuple[int, Window], _WindowState] = {}
         self._outcomes: list[WindowOutcome] = []
-        #: Tombstones for released windows: a synopsis arriving for one of
-        #: these means the local never saw the release (it was lost) and is
-        #: resending; answering with a fresh release — instead of opening
-        #: phantom window state — keeps the protocol convergent.  Entries
-        #: expire once the local's own resend retries must have run out.
-        self._released: dict[Window, float] = {}
         #: Locals the failure detector has declared dead (until revived).
         self._dead: set[int] = set()
         self._deaths_declared = 0
@@ -139,16 +149,18 @@ class DemaRootNode(SimulatedNode):
         self._joined_from: dict[int, int] = {}
         self._left_at: dict[int, int] = {}
         self._membership_epoch = 0
-        #: Windows answered or aborted, permanently.  Unlike the expiring
-        #: tombstones above, this survives arbitrarily long outages: a
-        #: local resuming after minutes still gets a release, never a
-        #: phantom re-opened window.  One ``Window`` per grid window for
-        #: the run's lifetime — cheap at reproduction scale.
-        self._finalized: set[Window] = set()
+        #: (group, window) pairs answered or aborted, permanently.  A
+        #: synopsis arriving for one of these means the local never saw the
+        #: release (it was lost) and is resending; answering with a fresh
+        #: release — instead of opening phantom window state — keeps the
+        #: protocol convergent, even for a local resuming after minutes.
+        #: One entry per grid window for the run's lifetime — cheap at
+        #: reproduction scale.
+        self._finalized: set[tuple[int, Window]] = set()
 
     @property
     def outcomes(self) -> list[WindowOutcome]:
-        """Completed global windows, in completion order."""
+        """Completed (group, window) pairs, in completion order."""
         return list(self._outcomes)
 
     @property
@@ -173,8 +185,8 @@ class DemaRootNode(SimulatedNode):
 
     @property
     def gamma(self) -> int:
-        """Slice factor the root currently prescribes."""
-        return self._gamma
+        """Slice factor the root currently prescribes (group 0's)."""
+        return self._gammas[0]
 
     @property
     def node_gammas(self) -> dict[int, int]:
@@ -185,7 +197,7 @@ class DemaRootNode(SimulatedNode):
 
     @property
     def open_windows(self) -> int:
-        """Global windows still awaiting synopses or candidate events."""
+        """(group, window) pairs still awaiting synopses or candidates."""
         return len(self._states)
 
     @property
@@ -244,12 +256,12 @@ class DemaRootNode(SimulatedNode):
             return False
         self._left_at[node_id] = effective_from
         self._membership_epoch += 1
-        for window in sorted(self._states):
-            if window.start < effective_from:
+        for key in sorted(self._states):
+            if key[1].start < effective_from:
                 continue
-            state = self._states.get(window)
+            state = self._states.get(key)
             if state is not None:
-                self._give_up_on(window, state, {node_id}, now)
+                self._give_up_on(key, state, {node_id}, now)
         return True
 
     def _eligible_locals(self, window: Window) -> tuple[int, ...]:
@@ -274,27 +286,28 @@ class DemaRootNode(SimulatedNode):
 
     def _on_synopses(self, message: SynopsisMessage, now: float) -> None:
         now = self.work(receive_ops(message.payload_bytes), now)
-        if self._reliability is not None and self._was_released(
-            message.window, now
-        ):
+        key = (message.group_id, message.window)
+        if self._reliability is not None and key in self._finalized:
             # The window is already answered; this synopsis is a local
             # resend, so the release we sent it must have been lost.
             self.send(
                 WindowReleaseMessage(
-                    sender=self.node_id, window=message.window
+                    sender=self.node_id,
+                    window=message.window,
+                    group_id=message.group_id,
                 ),
                 message.sender,
                 now,
             )
             return
-        fresh = message.window not in self._states
-        state = self._states.setdefault(message.window, _WindowState())
+        fresh = key not in self._states
+        state = self._states.setdefault(key, _WindowState())
         if message.sender in state.synopses:
             if self._reliability is not None:
                 return  # retransmission of a batch that did arrive
             raise IdentificationError(
-                f"duplicate synopsis batch from node {message.sender} "
-                f"for window {message.window}"
+                f"duplicate synopsis batch from node {message.sender} for "
+                f"group {message.group_id}, window {message.window}"
             )
         state.synopses[message.sender] = message.synopses
         state.sizes[message.sender] = message.local_window_size
@@ -308,11 +321,9 @@ class DemaRootNode(SimulatedNode):
                 window=message.window,
             )
         if fresh and self._reliability is not None:
-            self._arm_timer(message.window, now)
-        if state.identification is None and self._synopses_complete(
-            message.window, state
-        ):
-            self._identify(message.window, state, now)
+            self._arm_timer(key, now)
+        if state.plan is None and self._synopses_complete(message.window, state):
+            self._identify(key, state, now)
 
     def _expected_locals(
         self, window: Window, state: _WindowState
@@ -328,11 +339,11 @@ class DemaRootNode(SimulatedNode):
         return set(self._expected_locals(window, state)) <= set(state.synopses)
 
     def _required_runs(self, state: _WindowState) -> set[tuple[int, int]]:
-        """Run keys the current identification is waiting for."""
-        assert state.identification is not None
+        """Run keys the current plan is waiting for."""
+        assert state.plan is not None
         return {
             (local_id, index)
-            for local_id, indices in state.identification.requests.items()
+            for local_id, indices in state.plan.requests.items()
             for index in indices
         }
 
@@ -342,10 +353,10 @@ class DemaRootNode(SimulatedNode):
     def _stalled_locals(self, window: Window, state: _WindowState) -> set[int]:
         """Expected locals the current phase is still blocked on."""
         expected = set(self._expected_locals(window, state))
-        if state.identification is None:
+        if state.plan is None:
             return expected - set(state.synopses)
         stalled = set()
-        for local_id, indices in state.identification.requests.items():
+        for local_id, indices in state.plan.requests.items():
             if local_id not in expected:
                 continue
             if any((local_id, index) not in state.runs for index in indices):
@@ -364,10 +375,10 @@ class DemaRootNode(SimulatedNode):
             return False
         self._dead.add(node_id)
         self._deaths_declared += 1
-        for window in sorted(self._states):
-            state = self._states.get(window)
+        for key in sorted(self._states):
+            state = self._states.get(key)
             if state is not None:
-                self._give_up_on(window, state, {node_id}, now)
+                self._give_up_on(key, state, {node_id}, now)
         return True
 
     def mark_alive(self, node_id: int) -> bool:
@@ -387,30 +398,39 @@ class DemaRootNode(SimulatedNode):
 
         A reconnecting local announces the end of the highest window it
         has seen released (``resume_from``, from the ``Hello`` preamble).
-        Finalized windows past that cursor whose releases it evidently
-        missed are re-acknowledged with one cumulative release — capped
-        below the earliest still-open window, because a release frees
-        everything at or below its end.  Returns whether one was sent.
+        Per group, finalized windows past that cursor whose releases it
+        evidently missed are re-acknowledged with one cumulative release —
+        capped below the group's earliest still-open window, because a
+        release frees everything of its group at or below its end.
+        Returns whether one was sent.
         """
         if self._reliability is None:
             return False
-        candidates = [w.end for w in self._finalized if w.end > resume_from]
-        if not candidates:
-            return False
-        open_ends = [w.end for w in self._states]
-        cap = min(open_ends) if open_ends else None
-        safe = [end for end in candidates if cap is None or end < cap]
-        if not safe:
-            return False
-        end = max(safe)
-        self.send(
-            WindowReleaseMessage(
-                sender=self.node_id, window=Window(end - 1, end)
-            ),
-            local_id,
-            now,
-        )
-        return True
+        sent = False
+        for group_id in self._groups:
+            open_ends = [w.end for g, w in self._states if g == group_id]
+            cap = min(open_ends, default=None)
+            safe = [
+                w.end
+                for g, w in self._finalized
+                if g == group_id
+                and w.end > resume_from
+                and (cap is None or w.end < cap)
+            ]
+            if not safe:
+                continue
+            end = max(safe)
+            self.send(
+                WindowReleaseMessage(
+                    sender=self.node_id,
+                    window=Window(end - 1, end),
+                    group_id=group_id,
+                ),
+                local_id,
+                now,
+            )
+            sent = True
+        return sent
 
     def inherit_finalized(self, windows) -> int:
         """Shard failover: adopt a dead predecessor's answered windows.
@@ -421,17 +441,22 @@ class DemaRootNode(SimulatedNode):
         completion arithmetic.  Marking the predecessor's windows
         finalized makes replayed synopses for them get a fresh release
         (the convergent answered-window path) instead of opening phantom
-        state.  Returns how many windows were newly inherited.
+        state.  A live root serves one query, so the windows are group
+        0's.  Returns how many windows were newly inherited.
         """
         inherited = 0
         for window in windows:
-            if window not in self._finalized:
-                self._finalized.add(window)
+            if (0, window) not in self._finalized:
+                self._finalized.add((0, window))
                 inherited += 1
         return inherited
 
     def _give_up_on(
-        self, window: Window, state: _WindowState, gone: set[int], now: float
+        self,
+        key: tuple[int, Window],
+        state: _WindowState,
+        gone: set[int],
+        now: float,
     ) -> None:
         """Progress one window without ``gone``: re-plan or answer degraded.
 
@@ -440,40 +465,42 @@ class DemaRootNode(SimulatedNode):
         answer) and, if the current candidate plan depended on them,
         rebuilds it from scratch over the surviving synopses.
         """
+        window = key[1]
         for node_id in gone:
             state.synopses.pop(node_id, None)
             state.sizes.pop(node_id, None)
         if not self._expected_locals(window, state):
-            self._abort(window, state, now)
+            self._abort(key, state, now)
             return
-        if state.identification is not None:
+        if state.plan is not None:
             if not (set(state.participants or ()) & gone):
                 # The plan never involved them; we may only have been
                 # waiting for their (never-requested) data — check if the
                 # surviving runs already complete the window.
                 if self._runs_complete(state):
-                    self._calculate(window, state, now)
+                    self._calculate(key, state, now)
                 return
-            state.identification = None
+            state.plan = None
             state.participants = None
             state.runs.clear()
         if self._synopses_complete(window, state):
-            self._identify(window, state, now)
+            self._identify(key, state, now)
 
-    def _arm_timer(self, window: Window, now: float) -> None:
+    def _arm_timer(self, key: tuple[int, Window], now: float) -> None:
         assert self._reliability is not None
         self.call_later(
             self._reliability.timeout_s,
-            lambda t, w=window: self._check_window(w, t),
+            lambda t, k=key: self._check_window(k, t),
             now,
         )
 
-    def _check_window(self, window: Window, now: float) -> None:
+    def _check_window(self, key: tuple[int, Window], now: float) -> None:
         """Reliability timer: retransmit whatever is still missing."""
-        state = self._states.get(window)
+        state = self._states.get(key)
         if state is None:
             return  # window completed meanwhile
         assert self._reliability is not None
+        group_id, window = key
         if state.retries >= self._reliability.max_retries:
             if self._degrade:
                 stalled = self._stalled_locals(window, state)
@@ -484,25 +511,25 @@ class DemaRootNode(SimulatedNode):
                     # fresh retry budget for the re-planned fetch.
                     state.retries = 0
                     state.excluded |= stalled
-                    self._give_up_on(window, state, stalled, now)
-                    if window in self._states:
-                        self._arm_timer(window, now)
+                    self._give_up_on(key, state, stalled, now)
+                    if key in self._states:
+                        self._arm_timer(key, now)
                     return
-            self._abort(window, state, now)
+            self._abort(key, state, now)
             return
         state.retries += 1
-        if state.identification is None:
+        if state.plan is None:
             missing = set(
                 self._expected_locals(window, state)
             ) - set(state.synopses)
             for local_id in sorted(missing):
                 request = SynopsisRequestMessage(
-                    sender=self.node_id, window=window
+                    sender=self.node_id, window=window, group_id=group_id
                 )
                 self.send(request, local_id, now)
         else:
             received = set(state.runs)
-            for local_id, indices in state.identification.requests.items():
+            for local_id, indices in state.plan.requests.items():
                 outstanding = tuple(
                     index
                     for index in indices
@@ -512,20 +539,24 @@ class DemaRootNode(SimulatedNode):
                     request = CandidateRequestMessage(
                         sender=self.node_id,
                         window=window,
+                        group_id=group_id,
                         slice_indices=outstanding,
                     )
                     self.send(request, local_id, now)
-        self._arm_timer(window, now)
+        self._arm_timer(key, now)
 
-    def _abort(self, window: Window, state: _WindowState, now: float) -> None:
+    def _abort(
+        self, key: tuple[int, Window], state: _WindowState, now: float
+    ) -> None:
         """Abandon a window that exhausted its retries: release and move on."""
-        self._states.pop(window, None)
+        window = key[1]
+        self._states.pop(key, None)
         self._aborted_windows += 1
-        self._finalized.add(window)
+        self._finalized.add(key)
         if self._tracer.enabled:
             # Close out whichever phase the window died in, so aborted
             # windows still partition their (truncated) lifetime.
-            if state.identification is None:
+            if state.plan is None:
                 self._tracer.record(
                     "synopsis_wait",
                     self.node_id,
@@ -548,32 +579,26 @@ class DemaRootNode(SimulatedNode):
                 )
             self._tracer.end(state.window_span, now, aborted=1)
         if self._reliability is not None:
-            self._release(window, now)
+            self._release(key, now)
 
-    def _was_released(self, window: Window, now: float) -> bool:
-        """Whether ``window`` was already released (pruning stale tombstones)."""
-        expired = [w for w, expiry in self._released.items() if expiry <= now]
-        for stale in expired:
-            del self._released[stale]
-        return window in self._released or window in self._finalized
-
-    def _release(self, window: Window, now: float) -> None:
-        """Tell every local node to free its retained state for ``window``."""
-        assert self._reliability is not None
-        # A local that misses this release resends its synopsis every
-        # timeout until its own retries run out; remember the window long
-        # enough to answer every possible resend with a fresh release.
-        horizon = (self._reliability.max_retries + 2) * self._reliability.timeout_s
-        self._released[window] = now + horizon
+    def _release(self, key: tuple[int, Window], now: float) -> None:
+        """Tell every local node to free its retained state for ``key``."""
+        group_id, window = key
         for local_id in self._eligible_locals(window):
             self.send(
-                WindowReleaseMessage(sender=self.node_id, window=window),
+                WindowReleaseMessage(
+                    sender=self.node_id, window=window, group_id=group_id
+                ),
                 local_id,
                 now,
             )
 
-    def _identify(self, window: Window, state: _WindowState, now: float) -> None:
-        state.gamma_used = self._gamma
+    def _identify(
+        self, key: tuple[int, Window], state: _WindowState, now: float
+    ) -> None:
+        group_id, window = key
+        members = self._groups[group_id].queries
+        state.gamma_used = self._gammas[group_id]
         # Plan over the locals this window still expects; a straggler's
         # synopsis that arrived after its node was given up on must not
         # drag an unanswerable candidate request into the plan.
@@ -600,10 +625,10 @@ class DemaRootNode(SimulatedNode):
                 synopses=sum(len(batch) for batch in state.synopses.values()),
             )
         if total == 0:
-            self._states.pop(window)
-            self._finalized.add(window)
+            self._states.pop(key)
+            self._finalized.add(key)
             if self._reliability is not None:
-                self._release(window, now)
+                self._release(key, now)
             if tracing:
                 self._tracer.end(state.window_span, now, empty=1)
             self._outcomes.append(
@@ -617,16 +642,22 @@ class DemaRootNode(SimulatedNode):
                     synopses_received=0,
                     gamma_used=state.gamma_used,
                     completeness=completeness,
+                    group_id=group_id,
+                    values=(None,) * len(members),
                 )
             )
             return
 
+        # One synopsis sort and sweep per member quantile; ``· 1`` is exact
+        # for a single query.
         n_synopses = sum(len(batch) for batch in synopses.values())
         ops = _IDENTIFY_OPS_PER_SYNOPSIS * n_synopses * max(
             1.0, math.log2(max(n_synopses, 2))
-        )
+        ) * len(members)
         finish = self.work(ops, now)
-        state.identification = identify(synopses, sizes, self._query.q)
+        state.plan = identify_multi(
+            synopses, sizes, [query.q for _, query in members]
+        )
         if tracing:
             self._tracer.record(
                 "identification",
@@ -638,58 +669,65 @@ class DemaRootNode(SimulatedNode):
                 ops=ops,
                 synopses=n_synopses,
                 gamma=state.gamma_used,
-                rank=state.identification.rank,
+                rank=state.plan.cuts[members[0][1].q].rank,
             )
             state.fetch_started = finish
-        state.expected_runs = sum(
-            len(indices) for indices in state.identification.requests.values()
-        )
         # Every *expected* local gets a request — an empty index tuple for
         # non-candidates — which doubles as the acknowledgement that stops
         # its synopsis resend timer.  Dead locals get nothing.
         for local_id in expected:
-            indices = state.identification.requests.get(local_id, ())
             request = CandidateRequestMessage(
                 sender=self.node_id,
                 window=window,
-                slice_indices=tuple(indices),
+                group_id=group_id,
+                slice_indices=tuple(state.plan.requests.get(local_id, ())),
             )
             self.send(request, local_id, finish)
 
     def _on_candidates(self, message: CandidateEventsMessage, now: float) -> None:
         now = self.work(receive_ops(message.payload_bytes), now)
-        state = self._states.get(message.window)
-        if state is None or state.identification is None:
+        key = (message.group_id, message.window)
+        state = self._states.get(key)
+        if state is None or state.plan is None:
             if self._reliability is not None:
                 return  # stale run for a window already answered or aborted
             raise IdentificationError(
-                f"unexpected candidate events for window {message.window}"
+                f"unexpected candidate events for group {message.group_id}, "
+                f"window {message.window}"
             )
-        key = (message.sender, message.slice_index)
-        if key in state.runs:
+        run_key = (message.sender, message.slice_index)
+        if run_key in state.runs:
             if self._reliability is not None:
                 return  # retransmission of a run that did arrive
             raise IdentificationError(
-                f"duplicate candidate run {key} for window {message.window}"
+                f"duplicate candidate run {run_key} for window {message.window}"
             )
-        if self._reliability is not None and key not in self._required_runs(
+        if self._reliability is not None and run_key not in self._required_runs(
             state
         ):
             # A run the *current* plan never asked for — typically a reply
             # to a request from a plan since rebuilt without its sender.
             # Mixing it into the merge would corrupt the rank arithmetic.
             return
-        state.runs[key] = message.events
+        state.runs[run_key] = message.events
         if self._runs_complete(state):
-            self._calculate(message.window, state, now)
+            self._calculate(key, state, now)
 
-    def _calculate(self, window: Window, state: _WindowState, now: float) -> None:
-        identification = state.identification
-        assert identification is not None
-        cut = identification.cut
-        n = cut.candidate_events
+    def _calculate(
+        self, key: tuple[int, Window], state: _WindowState, now: float
+    ) -> None:
+        group_id, window = key
+        plan = state.plan
+        assert plan is not None
+        n = plan.candidate_events
         finish = self.work(merge_cost(n, max(len(state.runs), 1)), now)
-        answer = calculate_quantile(cut, state.runs.values())
+        values = tuple(
+            calculate_quantile(
+                plan.cuts[query.q],
+                [state.runs[s.slice_id] for s in plan.cuts[query.q].candidates],
+            ).value
+            for _, query in self._groups[group_id].queries
+        )
         if self._tracer.enabled:
             self._tracer.record(
                 "candidate_fetch",
@@ -709,46 +747,51 @@ class DemaRootNode(SimulatedNode):
                 window=window,
                 parent=state.window_span,
                 candidate_events=n,
-                value=answer.value,
+                value=values[0],
             )
             self._tracer.end(
                 state.window_span,
                 finish,
-                global_window_size=identification.global_window_size,
+                global_window_size=plan.global_window_size,
                 candidate_events=n,
                 gamma=state.gamma_used,
             )
-        self._states.pop(window)
-        self._finalized.add(window)
+        self._states.pop(key)
+        self._finalized.add(key)
         if self._reliability is not None:
-            self._release(window, finish)
+            self._release(key, finish)
         eligible = self._eligible_locals(window)
         participants = (
             state.participants
             if state.participants is not None
             else eligible
         )
+        candidates_by_node = {
+            local_id: len(indices) for local_id, indices in plan.requests.items()
+        }
         self._outcomes.append(
             WindowOutcome(
                 window=window,
-                value=answer.value,
-                global_window_size=identification.global_window_size,
+                value=values[0],
+                global_window_size=plan.global_window_size,
                 result_time=finish,
                 candidate_events=n,
-                candidate_slices=len(cut.candidates),
+                candidate_slices=sum(candidates_by_node.values()),
                 synopses_received=sum(
                     len(batch) for batch in state.synopses.values()
                 ),
                 gamma_used=state.gamma_used,
                 completeness=len(participants) / max(len(eligible), 1),
+                group_id=group_id,
+                values=values,
             )
         )
         if self._controller is not None:
             new_gamma = self._controller.observe(
-                identification.global_window_size, len(cut.candidates)
+                plan.global_window_size, sum(candidates_by_node.values())
             )
-            if new_gamma != self._gamma:
-                self._gamma = new_gamma
+            if new_gamma != self._gammas[0]:
+                self._gammas[0] = new_gamma
                 for local_id in self._local_ids:
                     update = GammaUpdateMessage(
                         sender=self.node_id,
@@ -757,11 +800,6 @@ class DemaRootNode(SimulatedNode):
                     )
                     self.send(update, local_id, finish)
         elif self._node_controller is not None:
-            candidates_by_node: dict[int, int] = {}
-            for synopsis in cut.candidates:
-                candidates_by_node[synopsis.node_id] = (
-                    candidates_by_node.get(synopsis.node_id, 0) + 1
-                )
             previous = self._node_controller.gammas
             updated = self._node_controller.observe(
                 dict(state.sizes), candidates_by_node

@@ -15,6 +15,7 @@ batches are ``events[a:b]`` slices inside those segments.
 
 from __future__ import annotations
 
+import functools
 import operator as _operator
 from typing import Iterable, Protocol, Sequence
 
@@ -247,16 +248,18 @@ class BatchSourceDriver:
             window was sealed before they arrived are dropped by the
             operator and counted as late.
         """
-        return self.feed_arrivals(operator, *split_arrivals(arrivals), assigner)
+        events, arrival_ms = split_arrivals(arrivals)
+        self.feed_arrivals(operator, events, arrival_ms)
+        return window_segments(event_timestamps(events), assigner)[1]
 
     def feed_arrivals(
         self,
         operator: LocalOperator,
         events: "EventColumns | Iterable[Event]",
         arrival_ms: np.ndarray,
-        assigner: WindowAssigner,
-    ) -> list[Window]:
-        """:meth:`feed_unordered` on a stream and its arrival column.
+    ) -> None:
+        """Schedule a stream by its arrival column (:meth:`feed_unordered`
+        without the window bookkeeping).
 
         Events are delivered in ``(arrival_ms, position)`` order.  A batch
         only groups events sharing one arrival instant, so nothing is
@@ -273,12 +276,9 @@ class BatchSourceDriver:
                 f"negative arrival time {arrival_ms[0]} for "
                 f"{events[int(order[0])]}"
             )
-        events = events[order]
-        _, windows = window_segments(event_timestamps(events), assigner)
         self.schedule_batches(
-            operator, events, arrival_ms, _run_starts(arrival_ms)
+            operator, events[order], arrival_ms, _run_starts(arrival_ms)
         )
-        return windows
 
     def announce_windows(
         self,
@@ -286,14 +286,19 @@ class BatchSourceDriver:
         windows: Sequence[Window],
         *,
         allowed_lateness_ms: int = 0,
+        group_id: int = 0,
     ) -> None:
         """Schedule window-completion callbacks on ``operator``.
 
         Call once per operator with the union of all nodes' windows so that
         empty local windows are still announced.  ``allowed_lateness_ms``
         delays completion past the window's event-time end so that
-        bounded-delay arrivals can still be folded in.
+        bounded-delay arrivals can still be folded in.  A nonzero
+        ``group_id`` names the query group of an operator serving several.
         """
+        complete = operator.on_window_complete
+        if group_id:
+            complete = functools.partial(complete, group_id=group_id)
         for window in windows:
             completion = (
                 (window.end + allowed_lateness_ms) / MS_PER_SECOND
@@ -301,5 +306,5 @@ class BatchSourceDriver:
             )
             self._simulator.schedule(
                 completion,
-                lambda now, w=window: operator.on_window_complete(w, now),
+                lambda now, w=window: complete(w, now),
             )

@@ -652,7 +652,7 @@ async def run_cluster(
             DemaLocalNode(
                 local_id,
                 root_id=0,
-                query=config.query,
+                queries=(config.query,),
                 ops_per_second=LIVE_OPS_PER_SECOND,
                 reliability=reliability,
                 # Sharded roots release windows independently, so a
@@ -883,7 +883,7 @@ async def run_cluster(
                 DemaRootNode(
                     node_id,
                     local_ids=initial_ids,
-                    query=config.query,
+                    queries=(config.query,),
                     ops_per_second=LIVE_OPS_PER_SECOND,
                     reliability=reliability,
                     degrade_after_retries=tolerance is not None,

@@ -3,13 +3,9 @@
 import pytest
 
 from repro.errors import ConfigurationError, IdentificationError
-from repro.core.concurrent import (
-    ConcurrentDemaEngine,
-    ConcurrentDemaRootNode,
-    group_queries,
-)
 from repro.core.engine import DemaEngine
-from repro.core.query import QuantileQuery
+from repro.core.query import QuantileQuery, group_queries
+from repro.core.root_node import DemaRootNode
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 from repro.network.messages import SynopsisMessage
@@ -76,7 +72,7 @@ class TestConcurrentCorrectness:
 
     @pytest.fixture(scope="class")
     def run(self):
-        engine = ConcurrentDemaEngine(
+        engine = DemaEngine(
             self.QUERIES, TopologyConfig(n_local_nodes=2)
         )
         streams = make_streams()
@@ -126,7 +122,7 @@ class TestSharing:
             QuantileQuery(q=0.5, window_length_ms=1000, gamma=200),
             QuantileQuery(q=0.51, window_length_ms=1000, gamma=200),
         ]
-        concurrent = ConcurrentDemaEngine(
+        concurrent = DemaEngine(
             shared_queries, TopologyConfig(n_local_nodes=2)
         )
         shared_bytes = concurrent.run(streams).network.total_bytes
@@ -140,11 +136,11 @@ class TestSharing:
 
     def test_single_query_degenerates_to_one_group(self):
         queries = [QuantileQuery(q=0.5, gamma=50)]
-        engine = ConcurrentDemaEngine(queries, TopologyConfig(n_local_nodes=2))
+        engine = DemaEngine(queries, TopologyConfig(n_local_nodes=2))
         assert len(engine.groups) == 1
 
     def test_unknown_stream_node_rejected(self):
-        engine = ConcurrentDemaEngine(
+        engine = DemaEngine(
             [QuantileQuery(q=0.5, gamma=50)], TopologyConfig(n_local_nodes=2)
         )
         with pytest.raises(ConfigurationError):
@@ -164,7 +160,7 @@ class _RecordingFabric:
 class TestRootValidation:
     def test_per_node_size_skew_rejected_even_when_it_cancels(self):
         group = group_queries([QuantileQuery(q=0.5, gamma=10)])[0]
-        root = ConcurrentDemaRootNode(0, local_ids=[1, 2], groups=[group])
+        root = DemaRootNode(0, local_ids=[1, 2], queries=[group.prototype])
         fabric = _RecordingFabric()
         root.attach(fabric)
         window = Window(0, 1000)

@@ -17,7 +17,6 @@ from repro.streaming.events import Event, make_events
 from repro.streaming.windows import TumblingWindows
 from repro.baselines.base import build_system
 from repro.baselines.partial import build_partial_system
-from repro.core.concurrent import ConcurrentDemaEngine
 from repro.core.engine import DemaEngine, dema_quantile
 from repro.core.query import QuantileQuery
 
@@ -262,7 +261,7 @@ def door_runs(columnar):
             ),
         )
 
-    engine = ConcurrentDemaEngine(DOOR_CONCURRENT, topology)
+    engine = DemaEngine(DOOR_CONCURRENT, topology)
     runs["concurrent"] = _summary(engine, engine.run(streams))
 
     def baseline(name):
@@ -493,7 +492,7 @@ DOOR_GOLDEN = {
             2: 153948.193631112,
             3: 153907.193631112,
         },
-        "late_events": {},
+        "late_events": {1: 0, 2: 0, 3: 0},
     },
     "scotty/run": {
         "outcomes": [

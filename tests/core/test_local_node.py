@@ -33,7 +33,7 @@ def deploy(gamma=5):
     simulator = Simulator()
     root = RootStub()
     query = QuantileQuery(q=0.5, window_length_ms=1000, gamma=gamma)
-    local = DemaLocalNode(1, root_id=0, query=query, ops_per_second=1e9)
+    local = DemaLocalNode(1, root_id=0, queries=(query,), ops_per_second=1e9)
     simulator.add_node(root)
     simulator.add_node(local)
     simulator.connect(Channel(1, 0))
@@ -74,7 +74,7 @@ class TestIngestAndSynopses:
         # no event is an empty batch, the form every later reader expects.
         simulator, root, local = deploy()
         local.on_window_complete(WINDOW, 1.0)
-        sliced = local._pending[WINDOW]
+        sliced = local._sealed[(0, WINDOW)].sliced
         assert sliced.events is EMPTY_EVENTS
         assert sliced.n_slices == sliced.window_size == 0
 
@@ -250,6 +250,57 @@ class TestCandidateServing:
         simulator.schedule(0.0, lambda t: root.send(request, 1, t))
         with pytest.raises(SliceError):
             simulator.run()
+
+
+class TestReleasesPerGroup:
+    """A release is cumulative only within its own query group: a 500 ms
+    group's release of [1000, 1500) says nothing about a 1000 ms group's
+    [0, 1000), which must still serve its candidate request."""
+
+    def test_release_of_one_group_keeps_another_groups_earlier_window(self):
+        from repro.core.query import group_queries
+        from repro.network.messages import WindowReleaseMessage
+
+        queries = (
+            QuantileQuery(q=0.5, window_length_ms=500, gamma=4),
+            QuantileQuery(q=0.5, window_length_ms=1000, gamma=4),
+        )
+        short, long_ = (
+            next(g.group_id for g in group_queries(queries) if g.prototype is q)
+            for q in queries
+        )
+        simulator = Simulator()
+        root = RootStub()
+        local = DemaLocalNode(1, root_id=0, queries=queries, ops_per_second=1e9)
+        simulator.add_node(root)
+        simulator.add_node(local)
+        simulator.connect(Channel(1, 0))
+        simulator.connect(Channel(0, 1))
+        events = columns(range(15), node_id=1, timestamp_step=100)
+        simulator.schedule(0.1, lambda t: local.ingest(events, t))
+        simulator.schedule(1.0, lambda t: local.on_window_complete(
+            WINDOW, t, long_
+        ))
+        for start in (0, 500, 1000):
+            simulator.schedule(1.5, lambda t, s=start: local.on_window_complete(
+                Window(s, s + 500), t, short
+            ))
+        release = WindowReleaseMessage(
+            sender=0, window=Window(1000, 1500), group_id=short
+        )
+        simulator.schedule(2.0, lambda t: root.send(release, 1, t))
+        request = CandidateRequestMessage(
+            sender=0, window=WINDOW, group_id=long_, slice_indices=(0,)
+        )
+        simulator.schedule(2.5, lambda t: root.send(request, 1, t))
+        simulator.run()
+        replies = [
+            m for m in root.received if isinstance(m, CandidateEventsMessage)
+        ]
+        assert [(m.group_id, m.window) for m in replies] == [(long_, WINDOW)]
+        assert [e.value for e in replies[0].events] == [0.0, 1.0, 2.0, 3.0]
+        # The short group's windows were all released cumulatively.
+        assert local.pending_windows == 0
 
 
 class TestGammaUpdates:

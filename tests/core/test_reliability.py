@@ -155,6 +155,19 @@ class TestExactnessUnderLoss:
         # window on nodes whose final release was itself lost.
         assert all(count <= 1 for count in pending)
 
+    def test_released_windows_leave_no_acknowledgement_or_retry_state(self):
+        engine, _, _ = run_lossy(
+            0.10, reliability=ReliabilityConfig(max_retries=30)
+        )
+        for local_id in engine.topology.local_ids:
+            local = engine.simulator.nodes[local_id]
+            assert local.last_release_end > 0
+            # A sealed window's slices, acknowledgement and retry count are
+            # one record; a release frees it, so only windows past the
+            # release cursor may still hold any of them.
+            retained = [window for _, window in local._sealed]
+            assert all(w.end > local.last_release_end for w in retained)
+
 
 class TestAbort:
     def test_hopeless_loss_aborts_not_hangs(self):

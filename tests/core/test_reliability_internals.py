@@ -63,7 +63,7 @@ def deploy(reliability, *, serve_candidates=(True, True)):
     simulator = Simulator()
     query = QuantileQuery(q=0.5, gamma=5)
     root = DemaRootNode(
-        0, local_ids=[1, 2], query=query, ops_per_second=1e9,
+        0, local_ids=[1, 2], queries=(query,), ops_per_second=1e9,
         reliability=reliability,
     )
     simulator.add_node(root)

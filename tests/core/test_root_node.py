@@ -50,7 +50,7 @@ def deploy(node_values, q=0.5, gamma=5, adaptive=False):
     query = QuantileQuery(q=q, window_length_ms=1000, gamma=gamma,
                           adaptive=adaptive)
     root = DemaRootNode(
-        0, local_ids=sorted(node_values), query=query, ops_per_second=1e9
+        0, local_ids=sorted(node_values), queries=(query,), ops_per_second=1e9
     )
     simulator.add_node(root)
     locals_ = {}
@@ -109,7 +109,7 @@ class TestProtocol:
     def test_waits_for_all_locals(self):
         simulator = Simulator()
         query = QuantileQuery(gamma=5)
-        root = DemaRootNode(0, local_ids=[1, 2], query=query)
+        root = DemaRootNode(0, local_ids=[1, 2], queries=(query,))
         simulator.add_node(root)
         local = LocalStub(1, slice_sorted_events(
             EventColumns.from_events(make_events(range(10), node_id=1)), 5, 1))
@@ -167,7 +167,7 @@ class TestProtocol:
 
     def test_needs_local_ids(self):
         with pytest.raises(IdentificationError):
-            DemaRootNode(0, local_ids=[], query=QuantileQuery())
+            DemaRootNode(0, local_ids=[], queries=(QuantileQuery(),))
 
 
 class TestAdaptivity:

@@ -3,12 +3,11 @@
 Each extension is tested in isolation elsewhere; these runs exercise the
 interesting pairings — sliding windows under message loss, per-node γ with
 unbalanced rates and loss, sensors with reliability, concurrency with
-sliding groups — and require bit-exactness throughout.
+sliding groups and with loss — and require bit-exactness throughout.
 """
 
 import pytest
 
-from repro.core.concurrent import ConcurrentDemaEngine
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.core.reliability import ReliabilityConfig
@@ -43,6 +42,33 @@ class TestSlidingPlusReliability:
         assert engine.root.aborted_windows == 0
         verification = verify_outcomes(report.outcomes, streams, query)
         assert verification.is_exact, verification.summary()
+
+
+class TestConcurrencyPlusReliability:
+    def test_query_groups_exact_under_loss(self):
+        """Four queries in three groups, one sliding, over lossy links:
+        every group runs the reliability protocol."""
+        queries = [
+            QuantileQuery(q=0.5, window_length_ms=1000, gamma=40),
+            QuantileQuery(q=0.9, window_length_ms=1000, gamma=40),
+            QuantileQuery(q=0.25, window_length_ms=500, gamma=30),
+            QuantileQuery(
+                q=0.5, window_length_ms=1000, window_step_ms=500, gamma=40
+            ),
+        ]
+        engine = DemaEngine(
+            queries,
+            TopologyConfig(n_local_nodes=2, loss_rate=0.10, loss_seed=4),
+            reliability=RELIABLE,
+        )
+        streams = make_streams()
+        report = engine.run(streams)
+        assert engine.root.aborted_windows == 0
+        assert len(engine.groups) == 3
+        for query_index, query in enumerate(queries):
+            outcomes = report.outcomes_for(query_index)
+            verification = verify_outcomes(outcomes, streams, query)
+            assert verification.is_exact, (query_index, verification.summary())
 
 
 class TestPerNodeGammaPlusLoss:
@@ -83,7 +109,7 @@ class TestConcurrentWithSlidingGroups:
                 q=0.9, window_length_ms=1000, window_step_ms=250, gamma=40
             ),
         ]
-        engine = ConcurrentDemaEngine(queries, TopologyConfig(n_local_nodes=2))
+        engine = DemaEngine(queries, TopologyConfig(n_local_nodes=2))
         streams = make_streams()
         report = engine.run(streams)
         for query_index, query in enumerate(queries):
@@ -104,7 +130,7 @@ class TestMultiQuantileMatchesConcurrent:
         queries = [
             QuantileQuery(q=q, window_length_ms=1000, gamma=40) for q in qs
         ]
-        engine = ConcurrentDemaEngine(queries, TopologyConfig(n_local_nodes=2))
+        engine = DemaEngine(queries, TopologyConfig(n_local_nodes=2))
         report = engine.run(streams)
 
         assigner = TumblingWindows(1000)

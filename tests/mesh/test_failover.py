@@ -172,7 +172,7 @@ class TestFailoverMechanics:
                 DemaRootNode(
                     1 << 20,
                     local_ids=[1, 2],
-                    query=QUERY,
+                    queries=(QUERY,),
                     ops_per_second=1e9,
                 ),
                 LiveFabric(asyncio.get_event_loop().time()),

@@ -10,7 +10,7 @@ W3 = Window(3_000, 4_000)
 
 
 def root(local_ids=(1, 2)) -> DemaRootNode:
-    return DemaRootNode(0, local_ids=local_ids, query=QuantileQuery())
+    return DemaRootNode(0, local_ids=local_ids, queries=(QuantileQuery(),))
 
 
 class TestJoin:

@@ -9,7 +9,6 @@ import pytest
 
 from repro.bench.generator import GeneratorConfig, workload
 from repro.bench.harness import run_workload
-from repro.core.concurrent import ConcurrentDemaEngine
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.core.reliability import ReliabilityConfig
@@ -197,7 +196,7 @@ class TestTracedBaselines:
 class TestTracedConcurrent:
     def test_concurrent_engine_records_root_phases(self):
         tracer = RecordingTracer()
-        engine = ConcurrentDemaEngine(
+        engine = DemaEngine(
             [QuantileQuery(q=0.5, gamma=8), QuantileQuery(q=0.9, gamma=8)],
             TopologyConfig(n_local_nodes=2),
             tracer=tracer,

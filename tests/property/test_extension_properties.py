@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptive import NodeGammaController, optimal_gamma, transfer_cost
-from repro.core.concurrent import group_queries
+from repro.core.query import group_queries
 from repro.core.engine import dema_quantile
 from repro.core import dema_quantiles
 from repro.core.query import QuantileQuery

@@ -25,7 +25,7 @@ def make_root(loop_time: float) -> RootServer:
         DemaRootNode(
             0,
             local_ids=[1, 2, 3],
-            query=QuantileQuery(q=0.5, gamma=32),
+            queries=(QuantileQuery(q=0.5, gamma=32),),
             ops_per_second=1e9,
         ),
         LiveFabric(loop_time),

@@ -31,12 +31,14 @@ path occur only inside a short list of named functions, so a second
 
 The last keeps the shared cut in one place: quantiles become ranks, one
 window-cut sweep and one union fetch plan only in ``identify_multi``, which
-the in-memory entry points, the simulator's concurrent root and the live
-query root all call instead of re-deriving it.
+the in-memory entry points, the simulator's Dema root and the live query
+root all call instead of re-deriving it.
 
-And one keeps the baselines at four node classes: Scotty's pair and the
-summary pair that Desis, t-digest, KLL, q-digest and partial aggregation
-share, so a per-system copy of the local/root protocol cannot grow back.
+And two keep the protocol's node classes few: Dema is one local and one
+root under ``core/`` (a single query is a one-query group), and the
+baselines are Scotty's pair and the summary pair that Desis, t-digest, KLL,
+q-digest and partial aggregation share, so a per-path or per-system copy of
+the local/root protocol cannot grow back.
 """
 
 import ast
@@ -62,7 +64,6 @@ EXPECTED_MARKED = {
     "baselines/base.py",
     "baselines/desis.py",
     "core/calculation.py",
-    "core/concurrent.py",
     "core/engine.py",
     "core/identification.py",
     "core/local_node.py",
@@ -228,7 +229,6 @@ SEGMENTED_MODULES = (
     "network/driver.py",
     "core/engine.py",
     "core/local_node.py",
-    "core/concurrent.py",
 )
 
 _LOOPS = (
@@ -481,6 +481,19 @@ def test_baselines_have_four_node_classes():
         for path in sorted((PACKAGE_ROOT / "baselines").rglob("*.py"))
     ]
     assert _node_classes(sources) == BASELINE_NODE_CLASSES
+
+
+#: Dema's node classes: one local and one root serve one query or many.
+#: Held with ``==``: a second (per-query-count) copy of either fails here.
+DEMA_NODE_CLASSES = {"DemaLocalNode", "DemaRootNode"}
+
+
+def test_dema_has_one_local_and_one_root():
+    sources = [
+        path.read_text()
+        for path in sorted((PACKAGE_ROOT / "core").rglob("*.py"))
+    ]
+    assert _node_classes(sources) == DEMA_NODE_CLASSES
 
 
 def test_node_class_lint_sees_direct_and_indirect_subclasses():
