@@ -447,7 +447,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
           f"({report.queries_per_second:,.1f} results/s), "
           f"graded {report.results_graded} against the oracle")
     print(f"identification cuts: {report.identification_cuts} "
-          f"({report.duplicate_cuts} duplicated per (group, window))")
+          f"({report.duplicate_cuts} duplicated per (selector, γ, window))")
     print(_wire_line(report.live))
     for nack in report.nacks:
         print(f"  nack: {nack}")

@@ -9,21 +9,24 @@ ships whatever the plane returns — which keeps it directly unit-testable
 without a transport.
 
 Execution is *shared-cut*: all queries of a group (same selector and
-window shape) are answered from **one** identification pass per window.
-The plane collects one synopsis batch per local, runs
+γ, any window shape) are answered from **one** identification pass per
+distinct window.  The plane collects one synopsis batch per local, runs
 :func:`~repro.core.identification.identify_multi` over the distinct
-quantiles of the group's members, fetches the union of the candidate
-slices once, and fans the per-query results out to the owning clients.
-Every identification opens exactly one ``query_identification`` span per
-(group, window) — the invariant the scenario runner asserts.
+quantiles of every member whose window grid contains the window, fetches
+the union of the candidate slices once, and fans the per-query results
+out to the owning clients.  Every identification opens exactly one
+``query_identification`` span per (group, window) — the invariant the
+scenario runner asserts.
 
-Group activation: a new shape triggers a negotiation round — the root
-broadcasts the registration to every local, each local proposes the
-earliest window start it can guarantee, and the root activates the group
-at the **max** proposal, which every local can honour.  Queries joining
-an already-active group start at the group's next unidentified window
-(window completions arrive in order on FIFO streams, so that horizon is
-race-free).
+Shape activation: a window shape new to its group triggers a negotiation
+round — the root broadcasts the registration (named by the shape's id in
+``query_id``) to every local, each local proposes the earliest window
+start it can guarantee, and the root activates the shape at the **max**
+proposal, which every local can honour.  A local proposes a start above
+everything it has ingested *and* above its watermark, so no window from
+the agreed start on can have been sealed, or released, before the local
+learnt of the shape.  Queries joining an already-active shape start one
+step past the shape's latest identified window.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from repro.network.messages import (
 )
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.queries.registry import QueryGroup, QueryRecord, QueryRegistry
-from repro.queries.spec import CONTROL_WINDOW, QuerySpec
+from repro.queries.spec import CONTROL_WINDOW, QuerySpec, on_grid
 from repro.streaming.events import Event
 from repro.streaming.windows import Window
 
@@ -212,9 +215,7 @@ class RootQueryPlane:
             return []
         out: Outgoing = []
         for record in self.registry.queries_of_client(client_id):
-            _, group, emptied = self.registry.deregister(record.query_id)
-            if emptied:
-                out.extend(self._teardown_group(group))
+            out.extend(self._withdraw(record))
         self._set_gauges()
         return out
 
@@ -242,17 +243,15 @@ class RootQueryPlane:
             )
         ]
 
-    def _ack(
-        self, record: QueryRecord, group: QueryGroup
-    ) -> tuple[int, Message]:
+    def _ack(self, record: QueryRecord) -> tuple[int, Message]:
         start = record.horizon_start
         assert start is not None
         return (
             record.client_id,
             QueryAckMessage(
                 sender=ROOT_SENDER,
-                window=Window(start, start + group.length_ms),
-                group_id=group.group_id,
+                window=Window(start, start + record.spec.length_ms),
+                group_id=record.group_id,
                 query_id=record.query_id,
                 accepted=True,
             ),
@@ -289,15 +288,10 @@ class RootQueryPlane:
         ):
             # Idempotent re-registration: a reconnecting driver replays
             # requests it cannot prove were applied.  Same client, same
-            # spec — re-ack (or stay silent while the group is still
+            # spec — re-ack (or stay silent while its shape is still
             # negotiating; activation will ack) instead of nacking.
-            group = self.registry.group(existing.group_id)
-            if (
-                group is not None
-                and group.active
-                and existing.horizon_start is not None
-            ):
-                return [self._ack(existing, group)]
+            if existing.horizon_start is not None:
+                return [self._ack(existing)]
             return []
         try:
             record, group, created = self.registry.register(
@@ -305,15 +299,17 @@ class RootQueryPlane:
             )
         except QueryError as exc:
             return self._nack(client_id, message.query_id, str(exc))
+        shape = self.registry.shape_of(record)
         out: Outgoing = []
         if created:
-            # New shape: open the start negotiation with every local.
-            # Client acks are deferred until the group activates.
+            # New window shape: open the start negotiation with every
+            # local, naming the shape by its id.  Client acks are deferred
+            # until the shape activates.
             propagated = QueryRegisterMessage(
                 sender=ROOT_SENDER,
                 window=CONTROL_WINDOW,
                 group_id=group.group_id,
-                query_id=record.query_id,
+                query_id=shape.shape_id,
                 q=spec.q,
                 kind=spec.kind,
                 length_ms=spec.length_ms,
@@ -323,12 +319,12 @@ class RootQueryPlane:
                 selector=spec.selector,
             )
             out.extend((local_id, propagated) for local_id in self.local_ids)
-        elif group.active:
-            # Joining an active group: guaranteed from the next window the
-            # root has not yet identified.
-            record.horizon_start = group.next_cut_start
-            out.append(self._ack(record, group))
-        # else: the group is still negotiating; activation acks this query.
+        elif shape.active:
+            # Joining an active shape: guaranteed from the next window of
+            # its grid the root has not yet identified.
+            record.horizon_start = shape.next_cut_start
+            out.append(self._ack(record))
+        # else: the shape is still negotiating; activation acks this query.
         self._set_gauges()
         return out
 
@@ -349,34 +345,52 @@ class RootQueryPlane:
                 f"query id {message.query_id} is owned by client "
                 f"{record.client_id}",
             )
-        _, group, emptied = self.registry.deregister(message.query_id)
         out: Outgoing = [
             (
                 client_id,
                 QueryAckMessage(
                     sender=ROOT_SENDER,
                     window=CONTROL_WINDOW,
-                    group_id=group.group_id,
+                    group_id=record.group_id,
                     query_id=message.query_id,
                     accepted=True,
                 ),
             )
         ]
-        if emptied:
-            out.extend(self._teardown_group(group))
+        out.extend(self._withdraw(record))
         self._set_gauges()
         return out
 
-    def _teardown_group(self, group: QueryGroup) -> Outgoing:
-        """Drop a group's in-flight state and tell the locals to forget it."""
-        for key in [k for k in self._cuts if k[0] == group.group_id]:
-            del self._cuts[key]
+    def _withdraw(self, record: QueryRecord) -> Outgoing:
+        """Deregister one query; tear down its shape or group if emptied.
+
+        The locals hear ``query_id`` 0 for a whole group and the shape's
+        id for one shape; the root drops every in-flight cut no remaining
+        shape of the group wants, as each local drops its sealed windows.
+        """
+        shape = self.registry.shape_of(record)
+        _, group, emptied = self.registry.deregister(record.query_id)
+        if emptied:
+            name = 0
+        elif not shape.query_ids:
+            name = shape.shape_id
+        else:
+            return []
+        self._drop_unwanted_cuts(group)
         drop = QueryDeregisterMessage(
             sender=ROOT_SENDER,
             window=CONTROL_WINDOW,
             group_id=group.group_id,
+            query_id=name,
         )
         return [(local_id, drop) for local_id in self.local_ids]
+
+    def _drop_unwanted_cuts(self, group: QueryGroup) -> None:
+        for key in [
+            key for key in self._cuts
+            if key[0] == group.group_id and not group.wants(key[1])
+        ]:
+            del self._cuts[key]
 
     # -- local side -----------------------------------------------------
 
@@ -392,28 +406,33 @@ class RootQueryPlane:
 
     def _on_proposal(self, message: QueryAckMessage) -> Outgoing:
         group = self.registry.group(message.group_id)
-        if group is None or group.active:
+        shape = None if group is None else group.shape_by_id(message.query_id)
+        if shape is None or shape.active:
             return []
-        group.proposals[message.sender] = message.window.start
-        if set(group.proposals) != set(self.local_ids):
+        shape.proposals[message.sender] = message.window.start
+        if set(shape.proposals) != set(self.local_ids):
             return []
         # Every local proposed; the max is a start they all can honour.
-        start = max(group.proposals.values())
-        group.active = True
-        group.start = start
-        group.next_cut_start = start
+        start = max(shape.proposals.values())
+        shape.start = start
+        shape.next_cut_start = start
         activation = QueryAckMessage(
             sender=ROOT_SENDER,
-            window=Window(start, start + group.length_ms),
+            window=Window(start, start + shape.length_ms),
             group_id=group.group_id,
+            query_id=shape.shape_id,
             accepted=True,
         )
         out: Outgoing = [
             (local_id, activation) for local_id in self.local_ids
         ]
-        for record in self.registry.queries_of(group.group_id):
+        for query_id in shape.query_ids:
+            record = self.registry.get(query_id)
             record.horizon_start = start
-            out.append(self._ack(record, group))
+            out.append(self._ack(record))
+        # Windows of the grid below the agreed start were kept only in case
+        # the shape wanted them.
+        self._drop_unwanted_cuts(group)
         self._set_gauges()
         return out
 
@@ -421,9 +440,12 @@ class RootQueryPlane:
         group = self.registry.group(message.group_id)
         if group is None:
             return []  # deregistered while the synopsis was in flight
-        state = self._cuts.setdefault(
-            (message.group_id, message.window), _CutState()
-        )
+        key = (message.group_id, message.window)
+        state = self._cuts.get(key)
+        if state is None:
+            if not group.wants(message.window):
+                return []  # its shape left while the synopsis was in flight
+            state = self._cuts[key] = _CutState()
         state.synopses[message.sender] = message.synopses
         state.sizes[message.sender] = message.local_window_size
         if set(state.synopses) != set(self.local_ids):
@@ -433,14 +455,18 @@ class RootQueryPlane:
     def _identify(
         self, group: QueryGroup, window: Window, state: _CutState
     ) -> Outgoing:
-        # Window completions arrive in order, so this is the horizon for
-        # queries joining the group after this point.
-        group.next_cut_start = window.start + group.step_ms
+        for shape in group.shapes.values():
+            if shape.active and on_grid(shape.shape, window):
+                # The horizon for queries joining the shape after this point.
+                shape.next_cut_start = max(
+                    shape.next_cut_start, window.start + shape.step_ms
+                )
         snapshot = tuple(
             record
             for record in self.registry.queries_of(group.group_id)
             if record.horizon_start is not None
             and record.horizon_start <= window.start
+            and on_grid(record.spec.window_shape, window)
         )
         total = sum(state.sizes.values())
         key = (group.group_id, window)

@@ -7,8 +7,9 @@ key selectors *before* the replay, optionally churning (joining and
 deregistering queries) mid-run — then grades **every served result**
 bit-identically against the centralized oracle and asserts the
 shared-cut invariant from the trace: exactly one
-``query_identification`` span per (group, window), no matter how many
-queries ride the group.
+``query_identification`` span per (selector, γ, window) — what a cut
+depends on — no matter how many queries, of how many window shapes,
+ride it.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ class QueryScenarioReport:
     results_graded: int
     mismatches: list[str]
     identification_cuts: int
-    #: (group, window) pairs with more than one identification span —
-    #: the shared-cut invariant demands this stays 0.
+    #: (selector, γ, window) triples with more than one identification
+    #: span — the shared-cut invariant demands this stays 0.
     duplicate_cuts: int
     horizons: dict[int, int]
     wall_seconds: float
@@ -122,7 +123,7 @@ def run_query_scenario(
 
     With ``churn`` (requires ``config.time_scale > 0`` so there *is* a
     mid-run) the driver additionally registers two late joiners — one
-    into an already-active group, one forcing a fresh group — and
+    into an already-active window shape, one forcing a fresh group — and
     deregisters every other initial query while the streams are still
     flowing.
 
@@ -216,10 +217,10 @@ def run_query_scenario(
             if churn:
                 # Churn once the run is demonstrably mid-protocol (at
                 # least one result served): every other initial query
-                # leaves; two joiners arrive — one sharing spec 1's shape
-                # (an active group, so it starts at the group's next
-                # unidentified window), one with a fresh shape (a full
-                # activation round mid-stream).
+                # leaves; two joiners arrive — one sharing spec 1's key
+                # and window shape (an active shape, so it starts at the
+                # shape's next unidentified window), one with a fresh key
+                # (a full activation round mid-stream).
                 await asyncio.sleep(0.4 * duration_s * time_scale)
                 await client.wait_for(
                     lambda c: any(c.results.values()), timeout=timeout_s
@@ -313,13 +314,15 @@ def run_query_scenario(
         )
 
     # Shared-cut invariant from the trace: one identification span per
-    # (group, window), no matter how many queries the group carries.
+    # (selector, γ, window), whatever the queries and window shapes riding
+    # it — the key is resolved from the span's queries, not its group id.
     cut_spans: dict[tuple, int] = {}
     if isinstance(tracer, RecordingTracer):
         for span in tracer.spans:
             if span.name != "query_identification":
                 continue
-            key = (span.attrs.get("group"), span.window)
+            first = int(str(span.attrs["query_ids"]).split(",")[0])
+            key = (*all_specs[first].group_key, span.window)
             cut_spans[key] = cut_spans.get(key, 0) + 1
     duplicate_cuts = sum(1 for count in cut_spans.values() if count > 1)
 
@@ -327,7 +330,7 @@ def run_query_scenario(
         n_queries=len(all_specs),
         n_registered=len(all_specs),
         n_deregistered=len(dropped),
-        groups=len({spec.shape for spec in all_specs.values()}),
+        groups=len({spec.group_key for spec in all_specs.values()}),
         results_served=sum(len(r) for r in served.values()),
         results_graded=graded,
         mismatches=mismatches,

@@ -40,7 +40,9 @@ __all__ = [
     "Selector",
     "VALID_KINDS",
     "parse_selector",
-    "GroupShape",
+    "GroupKey",
+    "WindowShape",
+    "on_grid",
     "CONTROL_WINDOW",
 ]
 
@@ -56,10 +58,32 @@ CONTROL_WINDOW = Window(0, 1)
 #: per-local pane store cannot decide.
 VALID_KINDS = ("tumbling", "sliding", "session")
 
-#: The execution-group key: queries with equal shapes share one group —
-#: one pane store, one synopsis transfer, one identification cut per
-#: window.  ``(selector, kind, length_ms, step_ms, gamma)``.
-GroupShape = tuple[str, str, int, int, int]
+#: The execution-group key, ``(selector, gamma)``: every query over the
+#: same key and slice factor shares one group — one synopsis transfer, one
+#: identification cut and one candidate fetch per distinct window, whatever
+#: window shape each member asks for.
+GroupKey = tuple[str, int]
+
+#: A member's window shape, ``(length_ms, step_ms)``.  A tumbling query is
+#: the sliding shape whose step equals its length.
+WindowShape = tuple[int, int]
+
+
+def on_grid(
+    shape: WindowShape, window: Window, start: int | None = None
+) -> bool:
+    """Whether ``window`` is one of the windows of ``shape``.
+
+    Window starts are the epoch-aligned multiples of the step, as in
+    :meth:`QuerySpec.window_starts`; with ``start`` only those from there
+    on count.
+    """
+    length, step = shape
+    return (
+        window.end - window.start == length
+        and window.start % step == 0
+        and (start is None or start <= window.start)
+    )
 
 _U32_MAX = 0xFFFFFFFF
 
@@ -213,10 +237,14 @@ class QuerySpec:
         return math.gcd(self.length_ms, self.step)
 
     @property
-    def shape(self) -> GroupShape:
-        """The execution-group key this query shares a cut under."""
-        return (self.selector, self.kind, self.length_ms, self.step,
-                self.gamma)
+    def group_key(self) -> GroupKey:
+        """The execution-group key this query shares its cuts under."""
+        return (self.selector, self.gamma)
+
+    @property
+    def window_shape(self) -> WindowShape:
+        """``(length, step)``: which windows of the group this query reads."""
+        return (self.length_ms, self.step)
 
     def predicate(self) -> Selector:
         """The parsed key selector (``.matches(event)`` per event)."""

@@ -4,7 +4,7 @@ The scenario tests boot a real cluster (memory transport, wire codec,
 asyncio servers) and rely on :func:`run_query_scenario`'s built-in
 grading: every served result compared bit-identically against the
 centralized oracle, plus the shared-cut invariant — one
-``query_identification`` span per (group, window) — read back from the
+``query_identification`` span per (selector, γ, window) — read back from the
 trace.  The registration/nack unit tests drive :class:`RootQueryPlane`
 directly, without a cluster.
 """
@@ -212,6 +212,32 @@ class TestRootPlaneControl:
         ]
         assert len(plane.registry.groups()) == 1
 
+    def test_another_window_shape_negotiates_inside_the_same_group(self):
+        plane = self.plane()
+        first = plane.on_client_message(
+            9001, register_message(1, QuerySpec(length_ms=500))
+        )
+        other = plane.on_client_message(
+            9001,
+            register_message(
+                2, QuerySpec(kind="sliding", length_ms=500, step_ms=250)
+            ),
+        )
+        opened = [
+            [m for _, m in out if isinstance(m, QueryRegisterMessage)]
+            for out in (first, other)
+        ]
+        assert [len(messages) for messages in opened] == [2, 2]
+        # One group; each shape is named by its own id on the control
+        # messages, not by the id of the query that opened it.
+        (group,) = plane.registry.groups()
+        assert {m.group_id for m in opened[0] + opened[1]} == {group.group_id}
+        shape_ids = {m.query_id for m in opened[0]} | {
+            m.query_id for m in opened[1]
+        }
+        assert shape_ids == {s.shape_id for s in group.shapes.values()}
+        assert len(shape_ids) == 2
+
     def test_client_gone_drops_all_its_queries(self):
         plane = self.plane()
         plane.on_client_message(9001, register_message(1, QuerySpec()))
@@ -237,3 +263,15 @@ class TestRegistry:
         _, _, emptied = registry.deregister(2)
         assert emptied
         assert len(registry) == 0
+
+    def test_window_shapes_share_a_group_and_leave_it_one_by_one(self):
+        registry = QueryRegistry()
+        _, group, created = registry.register(1, QuerySpec(length_ms=500), 1)
+        sliding = QuerySpec(kind="sliding", length_ms=500, step_ms=250)
+        _, same, created_shape = registry.register(2, sliding, 1)
+        assert created and created_shape and same is group
+        assert list(group.shapes) == [(500, 500), (500, 250)]
+        _, _, emptied = registry.deregister(1)
+        assert not emptied and list(group.shapes) == [(500, 250)]
+        _, _, emptied = registry.deregister(2)
+        assert emptied and not registry.groups()

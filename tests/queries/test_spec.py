@@ -110,9 +110,19 @@ class TestWindowArithmetic:
     def test_shape_groups_equal_execution(self):
         a = QuerySpec(q=0.5, kind="sliding", length_ms=1000, step_ms=500)
         b = QuerySpec(q=0.99, kind="sliding", length_ms=1000, step_ms=500)
-        assert a.shape == b.shape  # q is NOT part of the shape
+        assert a.group_key == b.group_key  # q is NOT part of the key
+        assert a.window_shape == b.window_shape == (1000, 500)
         c = QuerySpec(q=0.5, kind="sliding", length_ms=1000, step_ms=250)
-        assert a.shape != c.shape
+        # Another window shape over the same key shares the group.
+        assert a.group_key == c.group_key
+        assert a.window_shape != c.window_shape
+        # A tumbling query is the sliding shape whose step is its length.
+        tumbling = QuerySpec(length_ms=1000)
+        assert tumbling.window_shape == QuerySpec(
+            kind="sliding", length_ms=1000, step_ms=1000
+        ).window_shape
+        assert a.group_key != QuerySpec(selector="mod:2:1").group_key
+        assert a.group_key != QuerySpec(gamma=32).group_key
 
     def test_window_starts_align_to_step_grid(self):
         spec = QuerySpec(kind="sliding", length_ms=1000, step_ms=500)

@@ -604,4 +604,5 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     )
     assert queries.ok, queries.mismatches
     assert queries.results_graded > 0
-    assert queries.groups == 6
+    # One group per selector, each cutting a tumbling and a sliding shape.
+    assert queries.groups == 3
