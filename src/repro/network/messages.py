@@ -294,10 +294,13 @@ class QueryRegisterMessage(Message):
     """Register (or propagate) a continuous quantile query at runtime.
 
     Sent client → root to register a query, and root → local (with the
-    assigned ``group_id``) to propagate a new execution group.  The fixed
-    part carries the query id, the quantile, the window shape (kind code,
-    length, step) plus the slice factor and the freshness budget; the
-    variable part is the UTF-8 key selector behind a u32 byte count.
+    assigned ``group_id``) to propagate a new window shape of an execution
+    group: root → local, ``query_id`` is the root-allocated shape id, and
+    the start negotiation that follows runs per (group, window shape).
+    The fixed part carries the query id, the quantile, the window shape
+    (kind code, length, step) plus the slice factor and the freshness
+    budget; the variable part is the UTF-8 key selector behind a u32 byte
+    count.
     """
 
     query_id: int = 0
@@ -325,9 +328,10 @@ class QueryAckMessage(Message):
     Three uses, distinguished by direction and ``group_id``: root → client
     accepts or rejects a registration (the header window carries the
     query's first guaranteed window, its *horizon*); local → root proposes
-    the earliest window start the local can fully serve for a new group
-    (in the header window); root → local activates a group at the agreed
-    start.  ``reason`` is empty unless ``accepted`` is false.
+    the earliest window start the local can fully serve for a new window
+    shape of a group (in the header window); root → local activates that
+    shape at the agreed start.  Between root and local, ``query_id`` is the
+    shape id.  ``reason`` is empty unless ``accepted`` is false.
     """
 
     query_id: int = 0
@@ -364,10 +368,11 @@ class QueryResultMessage(Message):
 
 @dataclass(frozen=True, slots=True)
 class QueryDeregisterMessage(Message):
-    """Remove a query (client → root) or a whole group (root → local).
+    """Remove a query (client → root) or a window shape (root → local).
 
     Client → root carries the query id with ``group_id`` 0; root → local
-    carries ``query_id`` 0 and the emptied group in ``group_id``.
+    carries the group in ``group_id`` and the emptied shape's id in
+    ``query_id`` — ``query_id`` 0 removes the whole group.
     """
 
     query_id: int = 0

@@ -45,8 +45,8 @@ from repro.queries.spec import (
     QuerySpec,
     Selector,
     WindowShape,
-    on_grid,
     parse_selector,
+    wanted,
 )
 from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
@@ -97,14 +97,9 @@ class _LocalGroup:
     pending: dict[Window, SlicedWindow] = field(default_factory=dict)
 
     def wants(self, window: Window) -> bool:
-        """Whether any cursor of the group may still need ``window``.
-
-        A cursor still negotiating may need any window of its grid; an
-        active one, its grid from the agreed start.
-        """
-        return any(
-            on_grid(cursor.shape, window, cursor.start)
-            for cursor in self.cursors.values()
+        """Whether any cursor of the group may still need ``window``."""
+        return wanted(
+            window, ((c.shape, c.start) for c in self.cursors.values())
         )
 
 

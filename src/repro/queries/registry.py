@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import QueryError
-from repro.queries.spec import GroupKey, QuerySpec, WindowShape, on_grid
+from repro.queries.spec import GroupKey, QuerySpec, WindowShape, wanted
 from repro.streaming.windows import Window
 
 __all__ = ["QueryRecord", "QueryGroup", "QueryRegistry", "ShapeRecord"]
@@ -111,14 +111,9 @@ class QueryGroup:
         return None
 
     def wants(self, window: Window) -> bool:
-        """Whether any shape of the group still needs ``window`` cut.
-
-        A shape still negotiating may need any window of its grid (its
-        start is not agreed yet); an active one, its grid from the start.
-        """
-        return any(
-            on_grid(shape.shape, window, shape.start)
-            for shape in self.shapes.values()
+        """Whether any shape of the group still needs ``window`` cut."""
+        return wanted(
+            window, ((s.shape, s.start) for s in self.shapes.values())
         )
 
 

@@ -27,6 +27,7 @@ protocol error.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.errors import QueryError
@@ -43,6 +44,7 @@ __all__ = [
     "GroupKey",
     "WindowShape",
     "on_grid",
+    "wanted",
     "CONTROL_WINDOW",
 ]
 
@@ -84,6 +86,21 @@ def on_grid(
         and window.start % step == 0
         and (start is None or start <= window.start)
     )
+
+
+def wanted(
+    window: Window, shapes: Iterable[tuple[WindowShape, int | None]]
+) -> bool:
+    """Whether any of ``shapes`` still needs ``window`` cut.
+
+    ``shapes`` pairs each member window shape of a group with its agreed
+    start, ``None`` while the shape is still negotiating (it may then need
+    any window of its grid).  The root and every local decide with this one
+    rule which sealed windows and cuts a group keeps, so the two sides never
+    disagree on what to free.
+    """
+    return any(on_grid(shape, window, start) for shape, start in shapes)
+
 
 _U32_MAX = 0xFFFFFFFF
 
