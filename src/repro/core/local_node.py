@@ -9,13 +9,16 @@ requested slices, and then frees the window.
 One node serves any number of queries: each sharing group
 (:func:`~repro.core.query.served_groups`) keeps its own sorted windows and
 ships its own synopsis batches, tagged with the group's ``group_id``;
-ingestion is paid once per event.  A single query is group 0.
+ingestion is paid once per event.  A single query is group 0.  A host that
+windows and sorts its own runs opens groups at runtime
+(:meth:`DemaLocalNode.open_group`) and seals each window from its run
+(:meth:`DemaLocalNode.seal_sorted`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import SliceError
 from repro.network.messages import (
@@ -76,7 +79,8 @@ class DemaLocalNode(SimulatedNode):
     ) -> None:
         super().__init__(node_id, ops_per_second=ops_per_second)
         self._root_id = root_id
-        groups = served_groups(queries)
+        # No queries: a host that opens its groups at runtime.
+        groups = served_groups(queries) if queries else ()
         #: ``(group_id, window length, window step)`` per group.
         self._shapes = tuple((g.group_id, *g.shape[:2]) for g in groups)
         self._gammas = {g.group_id: g.prototype.gamma for g in groups}
@@ -84,12 +88,12 @@ class DemaLocalNode(SimulatedNode):
         self._per_event_charge = len(queries) > 1
         self._reliability = reliability
         #: Single-root runs prune every pending window of the released
-        #: group at or below a release (a group's windows complete in end
-        #: order at the one root).  With sharded roots that inference is
-        #: wrong — shard A's release says nothing about shard B's windows,
-        #: and pruning them would destroy the failover replay source — so
-        #: mesh hosts turn this off and each release frees exactly its own
-        #: window.
+        #: group at or below a release (the one root releases a window only
+        #: once no earlier one of its group is open).  With sharded roots
+        #: that inference is wrong — shard A's release says nothing about
+        #: shard B's windows, and pruning them would destroy the failover
+        #: replay source — so mesh hosts turn this off and each release
+        #: frees exactly its own window.
         self._cumulative_releases = cumulative_releases
         self._open: dict[tuple[int, Window], SortedLocalWindow] = {}
         self._sealed: dict[tuple[int, Window], _Sealed] = {}
@@ -118,6 +122,24 @@ class DemaLocalNode(SimulatedNode):
     def pending_windows(self) -> int:
         """Sealed windows still awaiting a candidate request (or release)."""
         return len(self._sealed)
+
+    def holds(self, group_id: int, window: Window) -> bool:
+        """Whether sealed ``window`` of ``group_id`` is still retained."""
+        return (group_id, window) in self._sealed
+
+    def open_group(self, group_id: int, gamma: int) -> None:
+        """Serve ``group_id`` from now on, slicing its windows by ``gamma``."""
+        self._gammas[group_id] = gamma
+
+    def close_group(self, group_id: int) -> None:
+        """Stop serving ``group_id`` and free its retained windows."""
+        self.drop_windows(group_id, lambda _: False)
+        del self._gammas[group_id]
+
+    def drop_windows(self, group_id: int, keep: Callable[[Window], bool]) -> None:
+        """Free the retained windows of ``group_id`` that ``keep`` rejects."""
+        for key in [k for k in self._sealed if k[0] == group_id and not keep(k[1])]:
+            del self._sealed[key]
 
     @property
     def late_events(self) -> int:
@@ -228,6 +250,14 @@ class DemaLocalNode(SimulatedNode):
             return
         self._completed.add(key)
         events = self._open.pop(key, SortedLocalWindow()).seal()
+        self.seal_sorted(window, events, now, group_id)
+
+    def seal_sorted(
+        self, window: Window, events: EventColumns, now: float, group_id: int = 0
+    ) -> None:
+        """Slice ``events``, already sorted, as ``window`` of ``group_id``;
+        retain the slices and send the synopses."""
+        key = (group_id, window)
         # The sort was *charged* at ingest (the cost model is per-event
         # insertion) even though the batched implementation pays it inside
         # seal(); only the slicing pass is charged at window end.
@@ -314,9 +344,9 @@ class DemaLocalNode(SimulatedNode):
 
     def _release(self, release: WindowReleaseMessage) -> None:
         """Free the released window's retained state — cumulatively within
-        its group on a single root: windows complete in end order there, so
-        an acknowledgement for this window also covers any earlier window
-        of the group whose own release was lost."""
+        its group on a single root: it releases a window only once every
+        earlier window of the group is closed, so an acknowledgement for
+        this window also covers any earlier one whose release was lost."""
         self._last_release_end = max(self._last_release_end, release.window.end)
         if not self._cumulative_releases:
             self._sealed.pop((release.group_id, release.window), None)
@@ -359,7 +389,8 @@ class DemaLocalNode(SimulatedNode):
         served = 0
         for slice_index in request.slice_indices:
             run = sealed.sliced.run_for(slice_index)
-            send_at = self.work(_SERVE_OPS_PER_EVENT * len(run), send_at)
+            count = len(run)
+            send_at = self.work(_SERVE_OPS_PER_EVENT * count, send_at)
             reply = CandidateEventsMessage(
                 sender=self.node_id,
                 window=request.window,
@@ -368,7 +399,7 @@ class DemaLocalNode(SimulatedNode):
                 events=run,
             )
             self.send(reply, self._root_id, send_at)
-            served += len(run)
+            served += count
         if self._tracer.enabled and request.slice_indices:
             self._tracer.record(
                 "serve_candidates",

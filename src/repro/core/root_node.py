@@ -12,14 +12,16 @@ One root serves any number of queries.  Window state is keyed by
 (:func:`~repro.core.query.served_groups`) is one protocol instance
 multiplexed over the same channels, answering every quantile of the group
 with one identification pass and one union candidate fetch.  A single query
-is group 0, and only it may be adaptive.
+is group 0, and only it may be adaptive.  A host may also open and close
+groups at runtime (:meth:`DemaRootNode.open_group`), choosing the quantiles
+each window is cut for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import IdentificationError
 from repro.network.messages import (
@@ -66,9 +68,13 @@ class WindowOutcome:
     completeness: float = 1.0
     #: The query group this window belongs to (0 for one query).
     group_id: int = 0
-    #: One value per member query of the group, in member order;
-    #: ``value`` is the first.
+    #: One value per quantile the window was cut for (member order for
+    #: the constructor's queries); ``value`` is the first.
     values: tuple[float | None, ...] = ()
+    #: The quantiles ``values`` answer, and each one's global rank (0 for
+    #: an empty window).
+    quantiles: tuple[float, ...] = ()
+    ranks: tuple[int, ...] = ()
 
     @property
     def is_empty(self) -> bool:
@@ -87,7 +93,11 @@ class _WindowState:
 
     synopses: dict[int, Sequence[SliceSynopsis]] = field(default_factory=dict)
     sizes: dict[int, int] = field(default_factory=dict)
+    #: The quantiles the window is cut for, chosen at identification.
+    quantiles: tuple[float, ...] = ()
     plan: MultiIdentificationResult | None = None
+    #: Run keys the current plan still waits for.
+    missing: set[tuple[int, int]] = field(default_factory=set)
     runs: dict[tuple[int, int], EventColumns] = field(default_factory=dict)
     gamma_used: int = 0
     retries: int = 0
@@ -122,16 +132,19 @@ class DemaRootNode(SimulatedNode):
         self._degrade = degrade_after_retries
         self._aborted_windows = 0
         self._local_ids = tuple(local_ids)
-        self._groups = {group.group_id: group for group in served_groups(queries)}
-        self._gammas = {
-            group_id: group.prototype.gamma
-            for group_id, group in self._groups.items()
-        }
+        self._gammas: dict[int, int] = {}
+        self._quantiles: dict[int, Callable[[Window], Sequence[float]]] = {}
+        # No queries: a host that opens its groups at runtime.
+        for group in served_groups(queries) if queries else ():
+            qs = tuple(query.q for _, query in group.queries)
+            self.open_group(
+                group.group_id, group.prototype.gamma, lambda _, qs=qs: qs
+            )
         # Only a one-query deployment can be adaptive (group_queries).
-        query = self._groups[0].prototype
         self._controller: AdaptiveGammaController | None = None
         self._node_controller: NodeGammaController | None = None
-        if query.adaptive:
+        if queries and queries[0].adaptive:
+            query = queries[0]
             if query.per_node_gamma:
                 self._node_controller = NodeGammaController(query.gamma)
             else:
@@ -157,11 +170,51 @@ class DemaRootNode(SimulatedNode):
         #: One entry per grid window for the run's lifetime — cheap at
         #: reproduction scale.
         self._finalized: set[tuple[int, Window]] = set()
+        #: Finalized windows whose release waits for an earlier window of
+        #: their group to close (see :meth:`_release`).
+        self._unreleased: set[tuple[int, Window]] = set()
+        self._identifications = 0
 
     @property
     def outcomes(self) -> list[WindowOutcome]:
         """Completed (group, window) pairs, in completion order."""
         return list(self._outcomes)
+
+    def outcomes_since(self, index: int) -> list[WindowOutcome]:
+        """Outcomes from completion number ``index`` on."""
+        return self._outcomes[index:]
+
+    @property
+    def identifications(self) -> int:
+        """Identification passes run (windows cut, not empty ones)."""
+        return self._identifications
+
+    def open_group(
+        self,
+        group_id: int,
+        gamma: int,
+        quantiles: Callable[[Window], Sequence[float]],
+    ) -> None:
+        """Serve ``group_id`` from now on; ``quantiles(window)`` names the
+        quantiles each window is cut for, asked once at identification.
+        A window asked for none is released without a cut."""
+        self._gammas[group_id] = gamma
+        self._quantiles[group_id] = quantiles
+
+    def close_group(self, group_id: int) -> None:
+        """Stop serving ``group_id`` and forget its in-flight windows."""
+        self.drop_windows(group_id, lambda _: False)
+        del self._gammas[group_id], self._quantiles[group_id]
+
+    def drop_windows(self, group_id: int, keep: Callable[[Window], bool]) -> None:
+        """Forget the in-flight windows of ``group_id`` that ``keep``
+        rejects; frames still arriving for them are the host's to drop."""
+        for key in [k for k in self._states if k[0] == group_id and not keep(k[1])]:
+            del self._states[key]
+
+    def holds(self, group_id: int, window: Window) -> bool:
+        """Whether ``window`` of ``group_id`` is in flight here."""
+        return (group_id, window) in self._states
 
     @property
     def local_ids(self) -> tuple[int, ...]:
@@ -289,19 +342,25 @@ class DemaRootNode(SimulatedNode):
         key = (message.group_id, message.window)
         if self._reliability is not None and key in self._finalized:
             # The window is already answered; this synopsis is a local
-            # resend, so the release we sent it must have been lost.
-            self.send(
-                WindowReleaseMessage(
-                    sender=self.node_id,
-                    window=message.window,
-                    group_id=message.group_id,
-                ),
-                message.sender,
-                now,
-            )
+            # resend, so the release we sent it must have been lost — or
+            # is still waiting for an earlier window (see _release).
+            if message.window.end < self._release_cap(message.group_id):
+                self.send(
+                    WindowReleaseMessage(
+                        sender=self.node_id,
+                        window=message.window,
+                        group_id=message.group_id,
+                    ),
+                    message.sender,
+                    now,
+                )
+            else:
+                self._unreleased.add(key)
             return
-        fresh = key not in self._states
-        state = self._states.setdefault(key, _WindowState())
+        state = self._states.get(key)
+        fresh = state is None
+        if fresh:
+            state = self._states[key] = _WindowState()
         if message.sender in state.synopses:
             if self._reliability is not None:
                 return  # retransmission of a batch that did arrive
@@ -337,18 +396,6 @@ class DemaRootNode(SimulatedNode):
 
     def _synopses_complete(self, window: Window, state: _WindowState) -> bool:
         return set(self._expected_locals(window, state)) <= set(state.synopses)
-
-    def _required_runs(self, state: _WindowState) -> set[tuple[int, int]]:
-        """Run keys the current plan is waiting for."""
-        assert state.plan is not None
-        return {
-            (local_id, index)
-            for local_id, indices in state.plan.requests.items()
-            for index in indices
-        }
-
-    def _runs_complete(self, state: _WindowState) -> bool:
-        return self._required_runs(state) <= set(state.runs)
 
     def _stalled_locals(self, window: Window, state: _WindowState) -> set[int]:
         """Expected locals the current phase is still blocked on."""
@@ -407,15 +454,12 @@ class DemaRootNode(SimulatedNode):
         if self._reliability is None:
             return False
         sent = False
-        for group_id in self._groups:
-            open_ends = [w.end for g, w in self._states if g == group_id]
-            cap = min(open_ends, default=None)
+        for group_id in self._gammas:
+            cap = self._release_cap(group_id)
             safe = [
                 w.end
                 for g, w in self._finalized
-                if g == group_id
-                and w.end > resume_from
-                and (cap is None or w.end < cap)
+                if g == group_id and resume_from < w.end < cap
             ]
             if not safe:
                 continue
@@ -477,7 +521,7 @@ class DemaRootNode(SimulatedNode):
                 # The plan never involved them; we may only have been
                 # waiting for their (never-requested) data — check if the
                 # surviving runs already complete the window.
-                if self._runs_complete(state):
+                if not state.missing:
                     self._calculate(key, state, now)
                 return
             state.plan = None
@@ -581,23 +625,43 @@ class DemaRootNode(SimulatedNode):
         if self._reliability is not None:
             self._release(key, now)
 
+    def _release_cap(self, group_id: int) -> float:
+        """End of the group's earliest window still open here (infinite
+        if none): a release at or past it could free that window."""
+        return min(
+            (w.end for g, w in self._states if g == group_id),
+            default=math.inf,
+        )
+
     def _release(self, key: tuple[int, Window], now: float) -> None:
-        """Tell every local node to free its retained state for ``key``."""
-        group_id, window = key
-        for local_id in self._eligible_locals(window):
-            self.send(
-                WindowReleaseMessage(
-                    sender=self.node_id, window=window, group_id=group_id
-                ),
-                local_id,
-                now,
-            )
+        """Tell every local node to free its retained state for ``key``.
+
+        A single-root local frees cumulatively (every window of the group
+        up to the released one), and a group's windows need not finish in
+        end order.  So a release waits while an earlier window of its group
+        is still open here, and goes out once none is — still one release
+        per window, for the locals that free only the exact window.
+        """
+        self._unreleased.add(key)
+        cap = self._release_cap(key[0])
+        for group_id, window in sorted(
+            k for k in self._unreleased if k[0] == key[0] and k[1].end < cap
+        ):
+            self._unreleased.discard((group_id, window))
+            for local_id in self._eligible_locals(window):
+                self.send(
+                    WindowReleaseMessage(
+                        sender=self.node_id, window=window, group_id=group_id
+                    ),
+                    local_id,
+                    now,
+                )
 
     def _identify(
         self, key: tuple[int, Window], state: _WindowState, now: float
     ) -> None:
         group_id, window = key
-        members = self._groups[group_id].queries
+        qs = state.quantiles = tuple(self._quantiles[group_id](window))
         state.gamma_used = self._gammas[group_id]
         # Plan over the locals this window still expects; a straggler's
         # synopsis that arrived after its node was given up on must not
@@ -624,18 +688,26 @@ class DemaRootNode(SimulatedNode):
                 parent=state.window_span,
                 synopses=sum(len(batch) for batch in state.synopses.values()),
             )
-        if total == 0:
+        if total == 0 or not qs:
+            # Nothing to cut, or nobody to cut for: every expected local is
+            # released from this exact window.
             self._states.pop(key)
             self._finalized.add(key)
             if self._reliability is not None:
                 self._release(key, now)
+            else:
+                release = CandidateRequestMessage(
+                    sender=self.node_id, window=window, group_id=group_id
+                )
+                for local_id in expected:
+                    self.send(release, local_id, now)
             if tracing:
                 self._tracer.end(state.window_span, now, empty=1)
             self._outcomes.append(
                 WindowOutcome(
                     window=window,
                     value=None,
-                    global_window_size=0,
+                    global_window_size=total,
                     result_time=now,
                     candidate_events=0,
                     candidate_slices=0,
@@ -643,21 +715,27 @@ class DemaRootNode(SimulatedNode):
                     gamma_used=state.gamma_used,
                     completeness=completeness,
                     group_id=group_id,
-                    values=(None,) * len(members),
+                    values=(None,) * len(qs),
+                    quantiles=qs,
+                    ranks=(0,) * len(qs),
                 )
             )
             return
 
-        # One synopsis sort and sweep per member quantile; ``· 1`` is exact
-        # for a single query.
+        # One synopsis sort and sweep per quantile; ``· 1`` is exact for a
+        # single query.
         n_synopses = sum(len(batch) for batch in synopses.values())
         ops = _IDENTIFY_OPS_PER_SYNOPSIS * n_synopses * max(
             1.0, math.log2(max(n_synopses, 2))
-        ) * len(members)
+        ) * len(qs)
         finish = self.work(ops, now)
-        state.plan = identify_multi(
-            synopses, sizes, [query.q for _, query in members]
-        )
+        state.plan = identify_multi(synopses, sizes, qs)
+        state.missing = {
+            (local_id, index)
+            for local_id, indices in state.plan.requests.items()
+            for index in indices
+        }
+        self._identifications += 1
         if tracing:
             self._tracer.record(
                 "identification",
@@ -669,7 +747,7 @@ class DemaRootNode(SimulatedNode):
                 ops=ops,
                 synopses=n_synopses,
                 gamma=state.gamma_used,
-                rank=state.plan.cuts[members[0][1].q].rank,
+                rank=state.plan.cuts[qs[0]].rank,
             )
             state.fetch_started = finish
         # Every *expected* local gets a request — an empty index tuple for
@@ -702,15 +780,14 @@ class DemaRootNode(SimulatedNode):
             raise IdentificationError(
                 f"duplicate candidate run {run_key} for window {message.window}"
             )
-        if self._reliability is not None and run_key not in self._required_runs(
-            state
-        ):
+        if self._reliability is not None and run_key not in state.missing:
             # A run the *current* plan never asked for — typically a reply
             # to a request from a plan since rebuilt without its sender.
             # Mixing it into the merge would corrupt the rank arithmetic.
             return
         state.runs[run_key] = message.events
-        if self._runs_complete(state):
+        state.missing.discard(run_key)
+        if not state.missing:
             self._calculate(key, state, now)
 
     def _calculate(
@@ -723,10 +800,9 @@ class DemaRootNode(SimulatedNode):
         finish = self.work(merge_cost(n, max(len(state.runs), 1)), now)
         values = tuple(
             calculate_quantile(
-                plan.cuts[query.q],
-                [state.runs[s.slice_id] for s in plan.cuts[query.q].candidates],
+                plan.cuts[q], [state.runs[s.slice_id] for s in plan.cuts[q].candidates]
             ).value
-            for _, query in self._groups[group_id].queries
+            for q in state.quantiles
         )
         if self._tracer.enabled:
             self._tracer.record(
@@ -784,6 +860,8 @@ class DemaRootNode(SimulatedNode):
                 completeness=len(participants) / max(len(eligible), 1),
                 group_id=group_id,
                 values=values,
+                quantiles=state.quantiles,
+                ranks=tuple(plan.cuts[q].rank for q in state.quantiles),
             )
         )
         if self._controller is not None:

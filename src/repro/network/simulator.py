@@ -31,6 +31,7 @@ from repro.obs.tracer import NOOP_TRACER, Tracer
 __all__ = [
     "CpuModel",
     "Fabric",
+    "Outbox",
     "SimulatedNode",
     "Simulator",
     "MessageTrace",
@@ -143,6 +144,26 @@ class Fabric(Protocol):
     def schedule(self, time: float, action: Callable[[float], None]) -> None:
         """Run ``action(now)`` once the clock reaches ``time``."""
         ...
+
+
+class Outbox:
+    """A :class:`Fabric` that only collects what its nodes send, for a host
+    that ships messages itself.  It keeps no clock, so its nodes must not
+    set timers (reliability off)."""
+
+    def __init__(self) -> None:
+        self._sent: list[tuple[int, Message]] = []
+
+    def route(self, message: Message, src: int, dst: int, now: float) -> None:
+        self._sent.append((dst, message))
+
+    def schedule(self, time: float, action: Callable[[float], None]) -> None:
+        raise SimulationError("an outbox has no clock to run timers on")
+
+    def drain(self) -> list[tuple[int, Message]]:
+        """``(destination, message)`` pairs sent since the last drain."""
+        sent, self._sent = self._sent, []
+        return sent
 
 
 class SimulatedNode:

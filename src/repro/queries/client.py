@@ -154,10 +154,6 @@ class QueryClient:
                 )
             await asyncio.sleep(poll_s)
 
-    def results_for(self, query_id: int) -> tuple[QueryResultMessage, ...]:
-        """Every result served so far for one query, arrival order."""
-        return tuple(self.results.get(query_id, ()))
-
     async def _round_trip(
         self, query_id: int, message: Message, *, timeout: float
     ) -> QueryAckMessage:

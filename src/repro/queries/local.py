@@ -13,8 +13,10 @@ panes.  Stores are shared by every cursor with the same
 sorted pane runs instead of re-sorting every pane per slide.  A window
 two shapes share (same length, start on both grids) is sealed once, by
 whichever cursor reaches it first, and shipped as one synopsis batch.
-Batches stay columnar from the tap to the candidate runs the plane
-sends back.
+The plane hosts one :class:`~repro.core.local_node.DemaLocalNode`
+(reliability off) that slices each sorted window run, retains the slices
+and serves the root's candidate requests, as it does for the configured
+query.  Batches stay columnar from the tap to the candidate runs.
 
 Start negotiation: when a window shape enters a group the plane proposes
 the first window start it can *guarantee* — the smallest step-aligned
@@ -30,16 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.slicing import SlicedWindow, slice_sorted_events
+from repro.core.local_node import DemaLocalNode
 from repro.network.messages import (
-    CandidateEventsMessage,
     CandidateRequestMessage,
     Message,
     QueryAckMessage,
     QueryDeregisterMessage,
     QueryRegisterMessage,
-    SynopsisMessage,
 )
+from repro.network.simulator import Outbox
 from repro.queries.slide import PaneStore, SlidingRunAggregator
 from repro.queries.spec import (
     QuerySpec,
@@ -89,12 +90,8 @@ class _LocalGroup:
 
     group_id: int
     selector: str
-    gamma: int
     #: Cursors by shape id (the ``query_id`` the root names a shape by).
     cursors: dict[int, _Cursor] = field(default_factory=dict)
-    #: Sealed-but-unanswered windows of every shape, kept until the root's
-    #: candidate request (possibly empty) releases them.
-    pending: dict[Window, SlicedWindow] = field(default_factory=dict)
 
     def wants(self, window: Window) -> bool:
         """Whether any cursor of the group may still need ``window``."""
@@ -115,8 +112,17 @@ class LocalQueryPlane:
         self._groups: dict[int, _LocalGroup] = {}
         self._max_seen_ts = grid_start - 1
         self._watermark: int | None = None
-        #: Total synopsis batches emitted across all groups.
-        self.windows_sealed = 0
+        #: Slices, retains and serves every group's sealed windows; a
+        #: window stays retained until the root's candidate request
+        #: (possibly empty) releases it.
+        self.node = DemaLocalNode(node_id, root_id=0, queries=())
+        self._outbox = Outbox()
+        self.node.attach(self._outbox)
+
+    @property
+    def windows_sealed(self) -> int:
+        """Total synopsis batches emitted across all groups."""
+        return self.node.windows_completed
 
     @property
     def groups(self) -> tuple[int, ...]:
@@ -140,11 +146,10 @@ class LocalQueryPlane:
     def on_watermark(self, watermark: int) -> list[Message]:
         """Advance event time; seal and report every completed window."""
         self._watermark = watermark
-        out: list[Message] = []
         for group in self._groups.values():
-            out.extend(self._advance(group, watermark))
+            self._advance(group, watermark)
         self._prune_stores()
-        return out
+        return self._sent()
 
     def on_root_message(self, message: Message) -> list[Message]:
         """Handle a query-plane message from the root; return replies."""
@@ -153,10 +158,16 @@ class LocalQueryPlane:
         if isinstance(message, QueryAckMessage):
             return self._on_activation(message)
         if isinstance(message, CandidateRequestMessage):
-            return self._on_candidate_request(message)
+            if not self.node.holds(message.group_id, message.window):
+                return []  # its group or shape left while it was in flight
+            self.node.on_message(message, 0.0)
+            return self._sent()
         if isinstance(message, QueryDeregisterMessage):
             self._on_deregister(message)
         return []
+
+    def _sent(self) -> list[Message]:
+        return [message for _, message in self._outbox.drain()]
 
     # -- registration and activation ------------------------------------
 
@@ -173,8 +184,9 @@ class LocalQueryPlane:
         group = self._groups.get(message.group_id)
         if group is None:
             group = self._groups[message.group_id] = _LocalGroup(
-                message.group_id, spec.selector, spec.gamma
+                message.group_id, spec.selector
             )
+            self.node.open_group(group.group_id, spec.gamma)
         cursor = group.cursors.get(message.query_id)
         if cursor is None:
             key = (spec.selector, spec.pane_ms)
@@ -211,26 +223,24 @@ class LocalQueryPlane:
         if cursor is None or cursor.active:
             return []
         cursor.start = cursor.next_window_start = message.window.start
-        self._free_unwanted(group)
+        self.node.drop_windows(group.group_id, group.wants)
         if self._watermark is None:
             return []
-        out = self._advance(group, self._watermark)
+        self._advance(group, self._watermark)
         self._prune_stores()
-        return out
+        return self._sent()
 
     # -- window sealing -------------------------------------------------
 
-    def _advance(self, group: _LocalGroup, watermark: int) -> list[Message]:
+    def _advance(self, group: _LocalGroup, watermark: int) -> None:
         """Seal every window of every active cursor up to ``watermark``.
 
-        A window another cursor already sealed is still pending, never
+        A window another cursor already sealed is still retained, never
         released: cursors sharing a window reach it on the same watermark,
         and a shape activated later starts above every window released
         before this local learnt of it.  So it is skipped, not sealed
         twice.
         """
-        out: list[Message] = []
-        pending = group.pending
         for cursor in group.cursors.values():
             if not cursor.active:
                 continue
@@ -238,15 +248,12 @@ class LocalQueryPlane:
             start = cursor.next_window_start
             while start + length <= watermark:
                 window = Window(start, start + length)
-                if window not in pending:
-                    out.append(self._seal(group, cursor, window))
+                if not self.node.holds(group.group_id, window):
+                    self._seal(group, cursor, window)
                 start += step
             cursor.next_window_start = start
-        return out
 
-    def _seal(
-        self, group: _LocalGroup, cursor: _Cursor, window: Window
-    ) -> SynopsisMessage:
+    def _seal(self, group: _LocalGroup, cursor: _Cursor, window: Window) -> None:
         store = cursor.store
         aggregator = cursor.aggregator
         while aggregator.covered and aggregator.covered[0] < window.start:
@@ -259,37 +266,7 @@ class LocalQueryPlane:
         while pane < window.end:
             aggregator.push(pane, store.sealed_run(pane))
             pane += store.pane_ms
-        run = aggregator.query()
-        sliced = slice_sorted_events(run, group.gamma, self.node_id)
-        group.pending[window] = sliced
-        self.windows_sealed += 1
-        return SynopsisMessage(
-            sender=self.node_id,
-            window=window,
-            group_id=group.group_id,
-            synopses=sliced.synopses,
-            local_window_size=len(run),
-        )
-
-    def _on_candidate_request(
-        self, message: CandidateRequestMessage
-    ) -> list[Message]:
-        group = self._groups.get(message.group_id)
-        if group is None:
-            return []  # group deregistered while the request was in flight
-        sliced = group.pending.pop(message.window, None)
-        if sliced is None:
-            return []
-        return [
-            CandidateEventsMessage(
-                sender=self.node_id,
-                window=message.window,
-                group_id=group.group_id,
-                slice_index=index,
-                events=sliced.run_for(index),
-            )
-            for index in message.slice_indices
-        ]
+        self.node.seal_sorted(window, aggregator.query(), 0.0, group.group_id)
 
     # -- teardown and memory --------------------------------------------
 
@@ -305,20 +282,15 @@ class LocalQueryPlane:
             dropped = list(group.cursors.values())
             group.cursors.clear()
         if group.cursors:
-            self._free_unwanted(group)
+            self.node.drop_windows(group.group_id, group.wants)
         else:
             del self._groups[group.group_id]
+            self.node.close_group(group.group_id)
         readers = self._readers()
         for cursor in dropped:
             if id(cursor.store) not in readers:
                 # The last reader left: the store goes with it.
                 self._stores.pop((group.selector, cursor.store.pane_ms), None)
-
-    @staticmethod
-    def _free_unwanted(group: _LocalGroup) -> None:
-        """Release sealed windows no cursor of the group can still want."""
-        for window in [w for w in group.pending if not group.wants(w)]:
-            del group.pending[window]
 
     def _prune_stores(self) -> None:
         """Free panes no remaining cursor can still need.

@@ -151,10 +151,6 @@ class QueryRegistry:
         """Every live group, in creation order."""
         return tuple(self._groups.values())
 
-    def records(self) -> tuple[QueryRecord, ...]:
-        """Every registered query, in registration order."""
-        return tuple(self._queries.values())
-
     def shape_of(self, record: QueryRecord) -> ShapeRecord:
         """The window shape ``record`` rides in its group."""
         return self._groups[record.group_id].shapes[record.spec.window_shape]

@@ -10,13 +10,15 @@ without a transport.
 
 Execution is *shared-cut*: all queries of a group (same selector and
 γ, any window shape) are answered from **one** identification pass per
-distinct window.  The plane collects one synopsis batch per local, runs
-:func:`~repro.core.identification.identify_multi` over the distinct
-quantiles of every member whose window grid contains the window, fetches
-the union of the candidate slices once, and fans the per-query results
-out to the owning clients.  Every identification opens exactly one
-``query_identification`` span per (group, window) — the invariant the
-scenario runner asserts.
+distinct window.  The plane hosts one
+:class:`~repro.core.root_node.DemaRootNode` (reliability off), the
+operator that answers the configured query, with one of its groups per
+query group: it collects one synopsis batch per local, cuts the window
+for the distinct quantiles of every member whose window grid contains the
+window, fetches the union of the candidate slices once and calculates.
+The plane fans the per-query results out to the owning clients.  Every
+identification records exactly one ``query_identification`` span per
+(group, window) — the invariant the scenario runner asserts.
 
 Shape activation: a window shape new to its group triggers a negotiation
 round — the root broadcasts the registration (named by the shape's id in
@@ -33,16 +35,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
-from repro.core.calculation import calculate_quantile
-from repro.core.identification import identify_multi
-from repro.core.synopsis import SynopsisColumns
-from repro.core.window_cut import CutResult
+from repro.core.root_node import DemaRootNode, WindowOutcome
 from repro.errors import QueryError
 from repro.network.messages import (
     CandidateEventsMessage,
-    CandidateRequestMessage,
     Message,
     QueryAckMessage,
     QueryDeregisterMessage,
@@ -51,10 +49,10 @@ from repro.network.messages import (
     ResultAckMessage,
     SynopsisMessage,
 )
+from repro.network.simulator import Outbox
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.queries.registry import QueryGroup, QueryRecord, QueryRegistry
 from repro.queries.spec import CONTROL_WINDOW, QuerySpec, on_grid
-from repro.streaming.events import Event
 from repro.streaming.windows import Window
 
 __all__ = ["RootQueryPlane"]
@@ -103,24 +101,6 @@ class _ClientLog:
         return drop
 
 
-@dataclass(slots=True)
-class _CutState:
-    """In-flight state for one (group, window) shared cut."""
-
-    synopses: dict[int, SynopsisColumns] = field(default_factory=dict)
-    sizes: dict[int, int] = field(default_factory=dict)
-    #: Query ids snapshotted at identification time; results go to these.
-    snapshot: tuple[int, ...] = ()
-    cuts: Mapping[float, CutResult] = field(default_factory=dict)
-    total: int = 0
-    expected_runs: int = 0
-    #: Candidate runs as decoded — columnar on the live path, so the shared
-    #: cut takes calculation's rank select.
-    runs: dict[tuple[int, int], Sequence[Event]] = field(
-        default_factory=dict
-    )
-
-
 class RootQueryPlane:
     """Registry, activation protocol and shared-cut execution at the root."""
 
@@ -132,8 +112,6 @@ class RootQueryPlane:
         clock: Callable[[], float] = time.monotonic,
         durable: bool = False,
     ) -> None:
-        if not local_ids:
-            raise QueryError("the query plane needs at least one local node")
         self.local_ids = tuple(sorted(local_ids))
         self.tracer = tracer
         self.clock = clock
@@ -144,15 +122,24 @@ class RootQueryPlane:
         #: everything the client owned — the original semantics.
         self.durable = durable
         self.registry = QueryRegistry()
-        self._cuts: dict[tuple[int, Window], _CutState] = {}
+        #: Cuts and calculates every group's windows; a window's synopses,
+        #: plan and candidate runs live here until it is answered.
+        self.node = DemaRootNode(ROOT_SENDER, local_ids=self.local_ids, queries=())
+        self._outbox = Outbox()
+        self.node.attach(self._outbox)
+        #: The node's outcomes served so far.
+        self._answered = 0
         self._clients: set[int] = set()
         self._logs: dict[int, _ClientLog] = {}
-        #: Identification passes run (one per completed (group, window)).
-        self.identification_cuts = 0
         #: Per-query results shipped to clients.
         self.results_served = 0
         #: Results replayed to reconnecting clients (durable mode).
         self.results_replayed = 0
+
+    @property
+    def identification_cuts(self) -> int:
+        """Identification passes run (one per cut (group, window))."""
+        return self.node.identifications
 
     # -- client side ----------------------------------------------------
 
@@ -300,6 +287,12 @@ class RootQueryPlane:
         except QueryError as exc:
             return self._nack(client_id, message.query_id, str(exc))
         shape = self.registry.shape_of(record)
+        if group.query_ids == [record.query_id]:  # the group is new
+            self.node.open_group(
+                group.group_id,
+                spec.gamma,
+                lambda window, group=group: self._quantiles(group, window),
+            )
         out: Outgoing = []
         if created:
             # New window shape: open the start negotiation with every
@@ -372,11 +365,12 @@ class RootQueryPlane:
         _, group, emptied = self.registry.deregister(record.query_id)
         if emptied:
             name = 0
+            self.node.close_group(group.group_id)
         elif not shape.query_ids:
             name = shape.shape_id
+            self.node.drop_windows(group.group_id, group.wants)
         else:
             return []
-        self._drop_unwanted_cuts(group)
         drop = QueryDeregisterMessage(
             sender=ROOT_SENDER,
             window=CONTROL_WINDOW,
@@ -385,24 +379,45 @@ class RootQueryPlane:
         )
         return [(local_id, drop) for local_id in self.local_ids]
 
-    def _drop_unwanted_cuts(self, group: QueryGroup) -> None:
-        for key in [
-            key for key in self._cuts
-            if key[0] == group.group_id and not group.wants(key[1])
-        ]:
-            del self._cuts[key]
-
     # -- local side -----------------------------------------------------
 
     def on_local_message(self, message: Message) -> Outgoing:
-        """Handle a query-plane message from a local node."""
+        """Handle a query-plane message from a local node.
+
+        Frames for a group or window shape torn down while they were in
+        flight are dropped here: the hosted root would take them for a
+        protocol error.
+        """
         if isinstance(message, QueryAckMessage):
             return self._on_proposal(message)
-        if isinstance(message, SynopsisMessage):
-            return self._on_synopsis(message)
-        if isinstance(message, CandidateEventsMessage):
-            return self._on_candidates(message)
-        return []
+        calculating = isinstance(message, CandidateEventsMessage)
+        if calculating:
+            if not self.node.holds(message.group_id, message.window):
+                return []
+        elif isinstance(message, SynopsisMessage):
+            group = self.registry.group(message.group_id)
+            if group is None or not group.wants(message.window):
+                return []
+        else:
+            return []
+        cuts = self.node.identifications
+        start = self.clock()
+        self.node.on_message(message, start)
+        out: Outgoing = self._outbox.drain()
+        if self.node.identifications != cuts:  # only a synopsis completes a cut
+            self._record_cut("query_identification", group, message.window, start)
+            if self.tracer.enabled:
+                self.tracer.registry.counter(
+                    "query_identifications_total",
+                    "Shared identification cuts run by the query plane.",
+                ).inc()
+        for outcome in self.node.outcomes_since(self._answered):
+            self._answered += 1
+            group = self.registry.group(outcome.group_id)
+            out.extend(self._serve(group, outcome))
+            if calculating:
+                self._record_cut("query_calculation", group, outcome.window, start)
+        return out
 
     def _on_proposal(self, message: QueryAckMessage) -> Outgoing:
         group = self.registry.group(message.group_id)
@@ -432,208 +447,96 @@ class RootQueryPlane:
             out.append(self._ack(record))
         # Windows of the grid below the agreed start were kept only in case
         # the shape wanted them.
-        self._drop_unwanted_cuts(group)
+        self.node.drop_windows(group.group_id, group.wants)
         self._set_gauges()
         return out
 
-    def _on_synopsis(self, message: SynopsisMessage) -> Outgoing:
-        group = self.registry.group(message.group_id)
-        if group is None:
-            return []  # deregistered while the synopsis was in flight
-        key = (message.group_id, message.window)
-        state = self._cuts.get(key)
-        if state is None:
-            if not group.wants(message.window):
-                return []  # its shape left while the synopsis was in flight
-            state = self._cuts[key] = _CutState()
-        state.synopses[message.sender] = message.synopses
-        state.sizes[message.sender] = message.local_window_size
-        if set(state.synopses) != set(self.local_ids):
-            return []
-        return self._identify(group, message.window, state)
+    def _riders(self, group: QueryGroup, window: Window) -> list[QueryRecord]:
+        """The queries ``window`` is answered for: on their shape's grid,
+        from their horizon on, in registration order."""
+        return [
+            record
+            for record in self.registry.queries_of(group.group_id)
+            if record.horizon_start is not None
+            and record.horizon_start <= window.start
+            and on_grid(record.spec.window_shape, window)
+        ]
 
-    def _identify(
-        self, group: QueryGroup, window: Window, state: _CutState
-    ) -> Outgoing:
+    def _quantiles(self, group: QueryGroup, window: Window) -> list[float]:
+        """The quantiles the hosted root cuts ``window`` for: its riders'.
+        Asked once per window, at identification."""
         for shape in group.shapes.values():
             if shape.active and on_grid(shape.shape, window):
                 # The horizon for queries joining the shape after this point.
                 shape.next_cut_start = max(
                     shape.next_cut_start, window.start + shape.step_ms
                 )
-        snapshot = tuple(
-            record
-            for record in self.registry.queries_of(group.group_id)
-            if record.horizon_start is not None
-            and record.horizon_start <= window.start
-            and on_grid(record.spec.window_shape, window)
-        )
-        total = sum(state.sizes.values())
-        key = (group.group_id, window)
-        if total == 0 or not snapshot:
-            # Nothing to cut (or nobody to serve): release the locals with
-            # empty requests and answer whoever is snapshotted with the
-            # canonical empty-window result.
-            del self._cuts[key]
-            out: Outgoing = [
-                (
-                    local_id,
-                    CandidateRequestMessage(
-                        sender=ROOT_SENDER,
-                        window=window,
-                        group_id=group.group_id,
-                    ),
-                )
-                for local_id in self.local_ids
-            ]
-            if total == 0:
-                now = self.clock()
-                for record in snapshot:
-                    out.append(self._result(record, group, window, 0.0, 0, 0))
-                    self._record_result_span(record, group, window, now)
-            return out
-        qs = sorted({record.spec.q for record in snapshot})
-        start_time = self.clock()
-        span_id = self.tracer.begin(
-            "query_identification",
-            ROOT_SENDER,
-            start_time,
-            window=window,
-            group=group.group_id,
-            queries=len(snapshot),
-            query_ids=",".join(str(r.query_id) for r in snapshot),
-        )
-        plan = identify_multi(state.synopses, state.sizes, qs)
-        self.tracer.end(
-            span_id, self.clock(), candidate_events=plan.candidate_events
-        )
-        self.identification_cuts += 1
-        if self.tracer.enabled:
-            self.tracer.registry.counter(
-                "query_identifications_total",
-                "Shared identification cuts run by the query plane.",
-            ).inc()
-        state.snapshot = tuple(record.query_id for record in snapshot)
-        state.cuts = plan.cuts
-        state.total = total
-        state.expected_runs = sum(
-            len(indices) for indices in plan.requests.values()
-        )
-        # Every local gets a request — an empty one doubles as the release
-        # for its pending window state.
-        return [
-            (
-                local_id,
-                CandidateRequestMessage(
-                    sender=ROOT_SENDER,
-                    window=window,
-                    group_id=group.group_id,
-                    slice_indices=plan.requests.get(local_id, ()),
-                ),
-            )
-            for local_id in self.local_ids
-        ]
+        return sorted({record.spec.q for record in self._riders(group, window)})
 
-    def _on_candidates(self, message: CandidateEventsMessage) -> Outgoing:
-        state = self._cuts.get((message.group_id, message.window))
-        if state is None:
-            return []  # group torn down while the fetch was in flight
-        state.runs[(message.sender, message.slice_index)] = message.events
-        if len(state.runs) < state.expected_runs:
-            return []
-        group = self.registry.group(message.group_id)
-        del self._cuts[(message.group_id, message.window)]
-        if group is None:
-            return []
-        return self._calculate(group, message.window, state)
-
-    def _calculate(
-        self, group: QueryGroup, window: Window, state: _CutState
-    ) -> Outgoing:
-        start_time = self.clock()
-        span_id = self.tracer.begin(
-            "query_calculation",
-            ROOT_SENDER,
-            start_time,
-            window=window,
-            group=group.group_id,
-            queries=len(state.snapshot),
-            query_ids=",".join(str(qid) for qid in state.snapshot),
+    def _serve(self, group: QueryGroup, outcome: WindowOutcome) -> Outgoing:
+        """One result per rider of an answered window; an empty window
+        answers each with the canonical empty result (value 0.0, rank 0)."""
+        answers = dict(
+            zip(outcome.quantiles, zip(outcome.values, outcome.ranks))
         )
         out: Outgoing = []
-        for query_id in state.snapshot:
-            record = self.registry.get(query_id)
-            if record is None:
-                continue  # deregistered between identify and calculate
-            cut = state.cuts[record.spec.q]
-            runs = [
-                state.runs[synopsis.slice_id] for synopsis in cut.candidates
-            ]
-            located = calculate_quantile(cut, runs)
-            out.append(
-                self._result(
-                    record, group, window, located.value, state.total,
-                    cut.rank,
-                )
+        for record in self._riders(group, outcome.window):
+            value, rank = answers[record.spec.q]
+            message = QueryResultMessage(
+                sender=ROOT_SENDER,
+                window=outcome.window,
+                group_id=group.group_id,
+                query_id=record.query_id,
+                value=0.0 if value is None else value,
+                global_window_size=outcome.global_window_size,
+                rank=rank,
             )
-            self._record_result_span(record, group, window, self.clock())
-        self.tracer.end(span_id, self.clock(), results=len(out))
+            record.results_served += 1
+            self.results_served += 1
+            if self.durable:
+                # Results reach durable clients only through the log: the
+                # hosting server's per-connection writer drains it in
+                # order, which is what makes the resume cursor arithmetic
+                # exact (no live send can jump the replay queue).
+                self._logs.setdefault(record.client_id, _ClientLog()).append(
+                    message
+                )
+            out.append((record.client_id, message))
+            if self.tracer.enabled:
+                self.tracer.registry.counter(
+                    "query_results_served",
+                    "Per-query results shipped to driver clients.",
+                ).inc()
+                now = self.clock()
+                self.tracer.record(
+                    "query_result",
+                    ROOT_SENDER,
+                    now,
+                    now,
+                    window=outcome.window,
+                    group=group.group_id,
+                    query=record.query_id,
+                    q=record.spec.q,
+                )
         return out
 
-    # -- results and telemetry ------------------------------------------
+    # -- telemetry ------------------------------------------------------
 
-    def _result(
-        self,
-        record: QueryRecord,
-        group: QueryGroup,
-        window: Window,
-        value: float,
-        total: int,
-        rank: int,
-    ) -> tuple[int, Message]:
-        record.results_served += 1
-        self.results_served += 1
-        if self.tracer.enabled:
-            self.tracer.registry.counter(
-                "query_results_served",
-                "Per-query results shipped to driver clients.",
-            ).inc()
-        message = QueryResultMessage(
-            sender=ROOT_SENDER,
-            window=window,
-            group_id=group.group_id,
-            query_id=record.query_id,
-            value=value,
-            global_window_size=total,
-            rank=rank,
-        )
-        if self.durable:
-            # Results reach durable clients only through the log: the
-            # hosting server's per-connection writer drains it in
-            # order, which is what makes the resume cursor arithmetic
-            # exact (no live send can jump the replay queue).
-            self._logs.setdefault(record.client_id, _ClientLog()).append(
-                message
-            )
-        return (record.client_id, message)
-
-    def _record_result_span(
-        self,
-        record: QueryRecord,
-        group: QueryGroup,
-        window: Window,
-        now: float,
+    def _record_cut(
+        self, name: str, group: QueryGroup, window: Window, start: float
     ) -> None:
+        """A shared-cut span from ``start`` to now, naming every rider."""
         if self.tracer.enabled:
+            riders = self._riders(group, window)
             self.tracer.record(
-                "query_result",
+                name,
                 ROOT_SENDER,
-                now,
-                now,
+                start,
+                self.clock(),
                 window=window,
                 group=group.group_id,
-                query=record.query_id,
-                q=record.spec.q,
+                queries=len(riders),
+                query_ids=",".join(str(r.query_id) for r in riders),
             )
 
     def _set_gauges(self) -> None:

@@ -54,6 +54,10 @@ class TestGrouping:
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             group_queries([])
+        # The nodes take no queries (a host opens groups at runtime); an
+        # engine with nothing to answer is still refused.
+        with pytest.raises(ConfigurationError):
+            DemaEngine([], TopologyConfig(n_local_nodes=2))
 
     def test_adaptive_rejected(self):
         with pytest.raises(ConfigurationError):

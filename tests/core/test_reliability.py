@@ -9,7 +9,7 @@ from repro.core.reliability import ReliabilityConfig
 from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
 from repro.streaming.windows import TumblingWindows
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig, workload, workload_columns
 
 
 def ground_truth(streams, q=0.5):
@@ -142,6 +142,23 @@ class TestExactnessUnderLoss:
         assert engine.root.aborted_windows == 0
         assert engine.root.open_windows == 0
         assert [o.value for o in report.outcomes] == [0.0]
+
+    def test_a_later_release_never_frees_a_window_still_fetching(self):
+        # At 30 % loss windows finish out of end order; a cumulative release
+        # sent for a later window used to free an earlier one at the locals
+        # while its candidate re-requests were still out, losing 6 windows.
+        engine = DemaEngine(
+            QuantileQuery(q=0.5, gamma=50, window_length_ms=250),
+            TopologyConfig(n_local_nodes=4, loss_rate=0.3, loss_seed=1),
+            reliability=ReliabilityConfig(),
+        )
+        report = engine.run(workload_columns(
+            range(1, 5),
+            GeneratorConfig(event_rate=2000.0, duration_s=20.0, seed=42),
+        ))
+        assert engine.root.aborted_windows == 0
+        assert len(report.outcomes) == 80
+        assert all(outcome.value is not None for outcome in report.outcomes)
 
     def test_local_state_released(self):
         engine, _, _ = run_lossy(

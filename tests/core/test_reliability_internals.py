@@ -179,6 +179,56 @@ class TestSynopsisPhaseRetransmit:
             )
 
 
+class TestReleaseOrder:
+    def test_a_release_waits_for_every_earlier_window_of_its_group(self):
+        """A later window answered first is released only once the earlier
+        one closes: a cumulative release would free the earlier window at
+        the locals while the root still fetches it.  Each window still
+        gets its own release, for locals that free only the exact one."""
+        simulator = Simulator()
+        root = DemaRootNode(
+            0, local_ids=[1], queries=(QuantileQuery(q=0.5, gamma=5),),
+            ops_per_second=1e9, reliability=ReliabilityConfig(timeout_s=5.0),
+        )
+        events = EventColumns.from_events(
+            sorted(make_events(range(10, 20), node_id=1), key=event_key)
+        )
+        local = ScriptedLocal(1, slice_sorted_events(events, 5, 1))
+        local.serve_candidates = False
+        simulator.add_node(root)
+        simulator.add_node(local)
+        simulator.connect(Channel(1, 0))
+        simulator.connect(Channel(0, 1))
+        early, late = Window(0, 1000), Window(1000, 2000)
+        for window in (early, late):
+            root.on_message(SynopsisMessage(
+                sender=1, window=window, synopses=local.sliced.synopses,
+                local_window_size=local.sliced.window_size,
+            ), 0.0)
+        simulator.run(until=1.0)
+        requests = {
+            m.window: m.slice_indices for m in local.received
+            if isinstance(m, CandidateRequestMessage)
+        }
+        assert set(requests) == {early, late}
+
+        def answer(window):
+            for index in requests[window]:
+                root.on_message(CandidateEventsMessage(
+                    sender=1, window=window, slice_index=index,
+                    events=local.sliced.run_for(index),
+                ), simulator.now)
+            simulator.run(until=simulator.now + 1.0)
+            return [
+                m.window for m in local.received
+                if isinstance(m, WindowReleaseMessage)
+            ]
+
+        assert answer(late) == []
+        assert answer(early) == [early, late]
+        assert [o.window for o in root.outcomes] == [late, early]
+
+
 class TestCandidatePhaseRetransmit:
     def test_outstanding_runs_rerequested(self):
         simulator, root, locals_ = deploy(

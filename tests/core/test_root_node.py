@@ -106,6 +106,16 @@ class TestProtocol:
         assert outcome.is_empty
         assert outcome.value is None
 
+    def test_empty_global_window_releases_every_local(self):
+        # Without reliability nothing else frees a local's sealed window:
+        # the root releases each local with an empty request for it.
+        simulator, root, locals_ = deploy({1: [], 2: []})
+        simulator.run()
+        for local in locals_.values():
+            assert [(r.window, r.slice_indices) for r in local.requests] == [
+                (WINDOW, ())
+            ]
+
     def test_waits_for_all_locals(self):
         simulator = Simulator()
         query = QuantileQuery(gamma=5)

@@ -2,8 +2,9 @@
 
 A root plane and its local planes wired by hand, without a transport:
 every message is delivered at once and in order, except where a test
-holds a local's synopses back to keep windows pending.  Every served
-result is compared with ``==`` against :func:`oracle_results`.
+holds a local's synopses or candidate runs back to keep windows pending.
+Every served result is compared with ``==`` against :func:`oracle_results`.
+Pending windows are read from the core nodes the planes host.
 """
 
 from collections import deque
@@ -11,6 +12,8 @@ from collections import deque
 import numpy as np
 
 from repro.network.messages import (
+    CandidateEventsMessage,
+    CandidateRequestMessage,
     QueryDeregisterMessage,
     QueryRegisterMessage,
     QueryResultMessage,
@@ -63,9 +66,11 @@ class Wired:
         self.results = {}
         self.horizons = {}
         self.now = 0
-        #: Synopses a test keeps from the root for a while.
+        #: Messages a test keeps from the root for a while: those of type
+        #: ``hold_type`` sent by local ``hold_from``.
         self.held = []
         self.hold_from = None
+        self.hold_type = SynopsisMessage
 
     def pump(self, outgoing):
         queue = deque(outgoing)
@@ -84,7 +89,7 @@ class Wired:
 
     def to_root(self, message):
         if (
-            isinstance(message, SynopsisMessage)
+            isinstance(message, self.hold_type)
             and message.sender == self.hold_from
         ):
             self.held.append(message)
@@ -150,8 +155,15 @@ class Wired:
         return served
 
     def pending(self, local_id):
-        (group,) = self.locals[local_id]._groups.values()
-        return group.pending
+        """Windows of any shape's grid local ``local_id`` still retains."""
+        plane = self.locals[local_id]
+        (group_id,) = plane.groups
+        return {w for w in GRID if plane.node.holds(group_id, w)}
+
+    def in_flight(self):
+        """Windows of any shape's grid the root has yet to answer."""
+        (group,) = self.root.registry.groups()
+        return {w for w in GRID if self.root.node.holds(group.group_id, w)}
 
     def local_shapes(self, local_id):
         (group,) = self.locals[local_id]._groups.values()
@@ -163,6 +175,11 @@ def windows_of(spec, start_from, end=HORIZON):
         Window(start, start + spec.length_ms)
         for start in spec.window_starts(start_from, end)
     }
+
+
+GRID = set().union(
+    *(windows_of(s, 0) for s in (TUMBLING_500, SLIDING_500, TUMBLING_600))
+)
 
 
 def test_two_shapes_share_every_common_cut():
@@ -224,7 +241,7 @@ def test_dropping_a_shape_frees_its_windows_and_keeps_the_other():
         # The tumbling shape's pending windows and pane store are gone.
         assert {w.end - w.start for w in wired.pending(local_id)} == {500}
         assert [s.pane_ms for s in wired.locals[local_id].stores] == [250]
-    assert {w.end - w.start for _, w in wired.root._cuts} == {500}
+    assert {w.end - w.start for w in wired.in_flight()} == {500}
     # Its in-flight synopses are dropped at the root, not cut.
     cuts = wired.root.identification_cuts
     wired.release_held()
@@ -239,8 +256,44 @@ def test_dropping_a_shape_frees_its_windows_and_keeps_the_other():
     )
     assert max(m.window.end for m in wired.results[1]) <= 2400
     wired.assert_exact(2, SLIDING_500)
-    assert not wired.root._cuts
+    assert not wired.in_flight()
     assert not wired.pending(1) and not wired.pending(2)
+
+
+def test_frames_for_a_torn_down_group_are_dropped():
+    wired = Wired()
+    wired.register(1, TUMBLING_500)
+    wired.run_to(1000)
+    # Local 2's candidate runs stay away from the root: every window cut
+    # from here on is in flight at the root, awaiting them.
+    wired.hold_from, wired.hold_type = 2, CandidateEventsMessage
+    wired.run_to(2000)
+    assert wired.in_flight() == windows_of(TUMBLING_500, 1000, 2000)
+    runs = list(wired.held)
+    assert runs
+    # Local 1's synopses for the next window are in flight too.
+    wired.hold_from, wired.hold_type = 1, SynopsisMessage
+    wired.run_to(2500)
+    synopses = wired.held[len(runs):]
+    assert [m.window for m in synopses] == [Window(2000, 2500)]
+    wired.held = []
+    served = len(wired.results[1])
+    (group,) = wired.root.registry.groups()
+    wired.deregister(1)  # the group's last query: it is torn down
+    assert not wired.root.registry.groups()
+    assert wired.locals[1].groups == wired.locals[2].groups == ()
+    # Late candidate runs and synopses reach neither the hosted root nor a
+    # result; a request for the gone group is ignored at the local.
+    for message in runs + synopses:
+        assert wired.root.on_local_message(message) == []
+    assert len(wired.results[1]) == served
+    assert wired.root.node.open_windows == 0
+    assert wired.locals[2].node.pending_windows == 0
+    request = CandidateRequestMessage(
+        sender=0, window=Window(2000, 2500), group_id=group.group_id,
+        slice_indices=(0,),
+    )
+    assert wired.locals[1].on_root_message(request) == []
 
 
 def test_a_reused_query_id_does_not_tear_down_the_wrong_shape():

@@ -147,6 +147,35 @@ def test_tracer_records_live_links_and_messages():
         ) > 0
 
 
+def test_globally_empty_windows_free_every_local():
+    """A window no local saw an event in is answered empty, and every
+    local is released from it: nothing stays retained after the run."""
+    streams = {
+        node: tuple(
+            Event(float(node * i), t, node, i)
+            for i, t in enumerate([*range(0, 1000, 50), *range(3000, 4000, 50)])
+        )
+        for node in (1, 2)
+    }
+    servers = {}
+
+    async def capture(context):
+        servers.update(context.locals_by_id)
+
+    with hard_timeout(120):
+        report = run_live(
+            _config(streams_per_local=1, query=QuantileQuery(gamma=10)),
+            streams,
+            disturb=capture,
+        )
+    assert [outcome.is_empty for outcome in report.outcomes] == [
+        False, True, True, False
+    ]
+    assert [server.node.pending_windows for server in servers.values()] == [
+        0, 0
+    ]
+
+
 def test_clean_run_reports_no_fault_activity():
     """Without fault injection the tolerance counters stay at zero."""
     with hard_timeout(120):

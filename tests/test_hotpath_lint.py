@@ -444,6 +444,36 @@ def test_quantiles_are_ranked_and_cut_in_one_place():
     assert _call_sites("core", "quantile_rank") == QUANTILE_RANK_CALLERS
 
 
+#: Every function that calls one of Dema's protocol steps — identification,
+#: calculation, slicing — anywhere in the package: the core operators and
+#: the engine's offline shared answer, plus the window-cut ablation, which
+#: slices to measure the cut.  Held with ``==``: nothing under ``queries/``
+#: (the live query plane runs its cuts on the core nodes it hosts), and a
+#: second copy of the protocol growing back anywhere fails here.
+PROTOCOL_STEP_CALLERS = {
+    "identify_multi": {
+        ("core/identification.py", "identify"),
+        ("core/engine.py", "_answer"),
+        ("core/root_node.py", "_identify"),
+    },
+    "calculate_quantile": {
+        ("core/engine.py", "_answer"),
+        ("core/root_node.py", "_calculate"),
+    },
+    "slice_sorted_events": {
+        ("core/engine.py", "_answer"),
+        ("core/local_node.py", "seal_sorted"),
+        ("bench/runner.py", "exp_ablation_window_cut"),
+    },
+}
+
+
+def test_protocol_steps_run_only_on_the_core_operators():
+    assert {
+        callee: _call_sites(".", callee) for callee in PROTOCOL_STEP_CALLERS
+    } == PROTOCOL_STEP_CALLERS
+
+
 #: The baselines' node classes: Scotty's forwarding pair and the one summary
 #: pair every other baseline runs with its ``Summary``.  Held with ``==``: a
 #: per-system local or root growing back fails here.
