@@ -1,17 +1,18 @@
 """End-to-end chaos runs: a named scenario on either substrate, graded.
 
-:func:`run_chaos` generates a seeded workload, computes the fault-free
-ground truth with a plain :class:`~repro.core.engine.DemaEngine`, then runs
-the *same* workload under the scenario's fault plan — either compiled onto
-the simulator or handed to the one live cluster driver as
-``ClusterConfig.faults``, on whatever topology the caller's config
-names — and classifies every ground-truth window with the one grader,
+:func:`run_chaos` generates a seeded workload, computes ground truth (the
+exact centralized quantile of every window,
+:func:`~repro.mesh.cluster.mesh_oracle`), then runs the *same* workload
+under the scenario's fault plan — either compiled onto the simulator
+or handed to the one live cluster driver as ``ClusterConfig.faults``,
+on whatever topology the caller's config names — and classifies every
+ground-truth window with the one grader,
 :func:`~repro.mesh.cluster.grade_outcomes`:
 
 ``recovered``
     Answered with completeness 1.0 and a value bit-identical to the
-    fault-free run (retransmits, reconnects and session resume hid the
-    fault entirely).
+    exact centralized quantile (retransmits, reconnects and session
+    resume hid the fault entirely).
 ``degraded``
     Answered from a strict subset of the locals (completeness < 1.0)
     because the failure detector declared someone dead.
@@ -60,7 +61,7 @@ class ChaosReport:
     plan: FaultPlan
     #: Canonical fault-event strings actually applied, in order.
     applied: list[str]
-    #: Ground-truth window count (windows the fault-free run answered).
+    #: Ground-truth window count (windows holding an eligible event).
     windows: int
     #: Per-window grade: recovered / degraded / lost / mismatch.
     classes: dict[Window, str] = field(default_factory=dict)

@@ -25,7 +25,8 @@ death into one serialized takeover:
    relays converge on the epoch, fence the dead shard, and replay their
    retained sent-but-unreleased state to the successor — which then
    runs the *unmodified* identification/calculation operators, so
-   recovered windows stay bit-identical to the single-root oracle.
+   recovered windows stay bit-identical to the exact centralized
+   quantile.
 
 Late resurrection of the original shard is fenced by the epoch: every
 host drops frames from shards the current map declares dead, and stale
@@ -35,12 +36,12 @@ host drops frames from shards the current map declares dead, and stale
 from __future__ import annotations
 
 import asyncio
-import contextlib
 from typing import Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.mesh.routing import ShardMap
 from repro.obs.tracer import NOOP_TRACER, Tracer
+from repro.runtime.transport import FailureLatch
 from repro.streaming.windows import Window
 
 __all__ = ["FailoverController"]
@@ -61,14 +62,15 @@ class FailoverController:
         tracer: Observability hooks; takeovers are recorded as
             ``shard_failover_takeover`` spans and counted by the
             ``shard_failovers_total`` counter.
-        failures: Optional latch; an exception inside an async takeover
-            is recorded there instead of being swallowed.
+        failures: The cluster's latch: the sweep and every takeover are
+            spawned on it, so an exception inside either fails the run
+            instead of being swallowed.
         on_takeover: Optional synchronous callback fired after each
             completed takeover with ``(dead_index, successor_index,
             epoch, adopted)`` — the telemetry plane hooks flight-recorder
-            dumps and fleet failover events here.  Exceptions from the
-            callback are routed to ``failures`` (takeover itself has
-            already committed).
+            dumps and fleet failover events here.  An exception from the
+            callback lands in ``failures`` like any other (takeover itself
+            has already committed).
     """
 
     def __init__(
@@ -78,7 +80,7 @@ class FailoverController:
         *,
         heartbeat_interval_s: float = 0.05,
         tracer: Tracer = NOOP_TRACER,
-        failures=None,
+        failures: FailureLatch,
         on_takeover=None,
     ) -> None:
         if not shards:
@@ -110,7 +112,7 @@ class FailoverController:
     def start(self) -> None:
         """Start the coordinator's sweep over the shards' crash flags."""
         if self._sweep_task is None:
-            self._sweep_task = asyncio.ensure_future(self._sweep())
+            self._sweep_task = self._failures.spawn(self._sweep())
 
     def report_link_down(self, shard_index: int) -> None:
         """A local or relay lost its uplink to ``shard_index``.
@@ -144,27 +146,20 @@ class FailoverController:
         if index in self._pending:
             return
         self._pending.add(index)
-        task = asyncio.ensure_future(self._run_takeover(index))
+        task = self._failures.spawn(self._run_takeover(index))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
 
     # -- takeover ------------------------------------------------------
 
     async def _run_takeover(self, index: int) -> None:
-        try:
-            # Grace: let in-flight frames and EOFs drain so the dead
-            # shard's outcome log is quiescent before we snapshot it
-            # (its fabric is halted by crash(), so nothing mutates it
-            # after this sleep).
-            await asyncio.sleep(self._interval)
-            async with self._lock:
-                await self._take_over(index)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            if self._failures is None:
-                raise
-            self._failures.record(exc)
+        # Grace: let in-flight frames and EOFs drain so the dead
+        # shard's outcome log is quiescent before we snapshot it
+        # (its fabric is halted by crash(), so nothing mutates it
+        # after this sleep).
+        await asyncio.sleep(self._interval)
+        async with self._lock:
+            await self._take_over(index)
 
     async def _take_over(self, index: int) -> None:
         if self._closing or not self.map.is_live(index):
@@ -204,14 +199,9 @@ class FailoverController:
                 "Shard takeovers completed by the failover controller.",
             ).inc()
         if self._on_takeover is not None:
-            try:
-                self._on_takeover(
-                    index, successor_index, self.map.epoch, len(unanswered)
-                )
-            except BaseException as exc:
-                if self._failures is None:
-                    raise
-                self._failures.record(exc)
+            self._on_takeover(
+                index, successor_index, self.map.epoch, len(unanswered)
+            )
 
     # -- chaos & lifecycle ---------------------------------------------
 
@@ -240,8 +230,4 @@ class FailoverController:
             tasks.append(self._sweep_task)
             self._sweep_task = None
         self._tasks.clear()
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
+        await self._failures.reap(tasks)

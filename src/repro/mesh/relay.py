@@ -46,11 +46,12 @@ from repro.network.messages import (
     WindowReleaseMessage,
 )
 from repro.mesh.routing import ShardMap, relay_node_id
+from repro.obs.fleet.uplink import pump
 from repro.obs.live.context import TraceContext, trace_id_for_window
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.runtime.codec import Hello
 from repro.runtime.transport import FailureLatch, MessageStream
-from repro.streaming.windows import Window
+from repro.streaming.windows import CONTROL_WINDOW, Window
 
 __all__ = [
     "combine_synopses",
@@ -62,10 +63,6 @@ __all__ = [
 
 # Hot-path module: candidate runs are combined and exploded as the
 # columnar batches the codec decoded (tests/test_hotpath_lint.py).
-
-#: Placeholder window on control/telemetry frames (the wire header needs
-#: a valid window; these frames are not about any window).
-_CONTROL_WINDOW = Window(0, 1)
 
 
 def combine_synopses(
@@ -179,7 +176,7 @@ class RelayServer:
                  children: "tuple[int, ...]" = (),
                  flush_after_s: float = 1.0,
                  tracer: Tracer = NOOP_TRACER,
-                 failures: FailureLatch | None = None,
+                 failures: FailureLatch,
                  on_shard_down=None,
                  uplink=None,
                  uplink_interval_s: float = 0.25) -> None:
@@ -209,13 +206,14 @@ class RelayServer:
         self._left_at: dict[int, int] = {}
         #: Shard index → dialed upstream stream.
         self._shards: dict[int, MessageStream] = {}
-        self._readers: list[asyncio.Task] = []
+        #: One reader per shard plus the telemetry pump, all spawned on
+        #: ``failures``.
+        self._tasks: list[asyncio.Task] = []
         #: Optional :class:`~repro.obs.fleet.TelemetryUplink` for the
         #: relay's own metrics (flush delay digest, combine counters);
         #: ``None`` ships zero telemetry bytes.
         self.uplink = uplink
         self._uplink_interval = uplink_interval_s
-        self._telemetry_task: asyncio.Task | None = None
         #: Synopsis combine buffer: window → child → frame.
         self._syn_buffer: dict[Window, dict[int, SynopsisMessage]] = {}
         self._syn_timers: dict[Window, asyncio.TimerHandle] = {}
@@ -260,26 +258,22 @@ class RelayServer:
         self._shards = dict(shards)
         for stream in self._shards.values():
             await stream.send(Hello(node_id=self.node_id, role="relay"))
-        for shard_index, stream in self._shards.items():
-            task = asyncio.ensure_future(self._read_shard(shard_index, stream))
-            self._readers.append(task)
+        loops = [
+            self._read_shard(shard_index, stream)
+            for shard_index, stream in self._shards.items()
+        ]
         if self.uplink is not None:
-            self._telemetry_task = asyncio.ensure_future(
-                self._telemetry_uplink()
-            )
+            loops.append(pump(
+                self.uplink, self._uplink_interval, self.refresh_uplink_stats,
+                self.send_telemetry, lambda: self._closing,
+            ))
+        self._tasks = [self._failures.spawn(loop) for loop in loops]
 
-    async def _telemetry_uplink(self) -> None:
-        """Ship the relay's own metrics upstream on the uplink cadence."""
-        uplink = self.uplink
-        assert uplink is not None
-        while not self._closing:
-            before = self._loop.time()
-            await asyncio.sleep(self._uplink_interval)
-            lag = self._loop.time() - before - self._uplink_interval
-            uplink.observe("event_loop_lag_s", max(0.0, lag))
-            self.refresh_uplink_stats()
-            for frame in uplink.build(_CONTROL_WINDOW):
-                await self._send_shard(_CONTROL_WINDOW, frame)
+    async def send_telemetry(self, frames: "list[Message]") -> None:
+        """Ship the relay's own uplink frames to the control window's
+        owner shard."""
+        for frame in frames:
+            await self._send_shard(CONTROL_WINDOW, frame)
 
     def refresh_uplink_stats(self) -> None:
         """Refresh the flat stats the next uplink snapshot will carry."""
@@ -302,15 +296,8 @@ class RelayServer:
             timer.cancel()
         self._syn_timers.clear()
         self._run_timers.clear()
-        if self._telemetry_task is not None:
-            self._readers.append(self._telemetry_task)
-            self._telemetry_task = None
-        for task in self._readers:
-            task.cancel()
-        for task in self._readers:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._readers.clear()
+        tasks, self._tasks = self._tasks, []
+        await self._failures.reap(tasks)
         for stream in (*self._children.values(), *self._shards.values()):
             with contextlib.suppress(TransportError):
                 await stream.close()
@@ -386,28 +373,21 @@ class RelayServer:
     async def _read_shard(
         self, shard_index: int, stream: MessageStream
     ) -> None:
-        try:
-            while True:
-                try:
-                    message = await stream.recv()
-                except TransportError:
-                    self._report_shard_down(shard_index)
-                    return
-                if message is None:
-                    self._report_shard_down(shard_index)
-                    return
-                if not self._shard_map.is_live(shard_index):
-                    # Epoch fence: a dead shard resurrecting cannot speak
-                    # for windows that already moved to its successor.
-                    self.fenced_frames += 1
-                    continue
-                await self._on_shard_message(message)
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            if self._failures is None:
-                raise
-            self._failures.record(exc)
+        while True:
+            try:
+                message = await stream.recv()
+            except TransportError:
+                self._report_shard_down(shard_index)
+                return
+            if message is None:
+                self._report_shard_down(shard_index)
+                return
+            if not self._shard_map.is_live(shard_index):
+                # Epoch fence: a dead shard resurrecting cannot speak
+                # for windows that already moved to its successor.
+                self.fenced_frames += 1
+                continue
+            await self._on_shard_message(message)
 
     def _report_shard_down(self, shard_index: int) -> None:
         """Hand link-death evidence for a shard uplink to the coordinator."""
@@ -537,18 +517,7 @@ class RelayServer:
         """Deadline hook: flush whatever the window has accumulated."""
         if self._closing:
             return
-        task = asyncio.ensure_future(self._guarded(flush(window)))
-        del task  # fire-and-forget; failures land in the latch
-
-    async def _guarded(self, awaitable) -> None:
-        try:
-            await awaitable
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            if self._failures is None:
-                raise
-            self._failures.record(exc)
+        self._failures.spawn(flush(window))  # fire-and-forget
 
     def _observe_flush_delay(self, first_at: "float | None") -> None:
         if self.uplink is not None and first_at is not None:

@@ -19,7 +19,7 @@ from typing import Any
 
 from repro.runtime import wire
 from repro.obs.fleet.uplink import TelemetryUplink
-from repro.streaming.windows import Window
+from repro.streaming.windows import CONTROL_WINDOW
 
 __all__ = ["fleet_benchmark"]
 
@@ -32,8 +32,6 @@ DEFAULT_METRICS = (
     "event_loop_lag_s",
     "relay_flush_delay_s",
 )
-
-_CONTROL_WINDOW = Window(0, 1)
 
 
 def _raw_frame_bytes(metric: str, n_samples: int) -> int:
@@ -85,7 +83,7 @@ def fleet_benchmark(
                     raw_bytes += _raw_frame_bytes(metric, samples_per_round)
                     total_samples += samples_per_round
                 digest_bytes += sum(
-                    frame.wire_bytes for frame in uplink.build(_CONTROL_WINDOW)
+                    frame.wire_bytes for frame in uplink.build(CONTROL_WINDOW)
                 )
         points.append({
             "n_locals": n_locals,

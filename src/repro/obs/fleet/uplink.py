@@ -17,15 +17,18 @@ everything.
 
 from __future__ import annotations
 
+import asyncio
+from typing import Awaitable, Callable
+
 from repro.network.messages import (
     Message,
     TelemetryDigestMessage,
     TelemetrySnapshotMessage,
 )
 from repro.sketches.tdigest import TDigest
-from repro.streaming.windows import Window
+from repro.streaming.windows import CONTROL_WINDOW, Window
 
-__all__ = ["TelemetryUplink", "UPLINK_COMPRESSION"]
+__all__ = ["TelemetryUplink", "UPLINK_COMPRESSION", "pump"]
 
 #: Compression for uplinked digests.  Deliberately coarser than the
 #: query-path default (100): telemetry needs p50/p95/p99 to within a
@@ -111,3 +114,28 @@ class TelemetryUplink:
                 )
             )
         return frames
+
+
+async def pump(
+    uplink: TelemetryUplink,
+    interval_s: float,
+    refresh: Callable[[], None],
+    send: Callable[[list[Message]], Awaitable[None]],
+    closing: Callable[[], bool],
+) -> None:
+    """The summarize-and-send loop a local or relay host spawns.
+
+    Every ``interval_s`` the host samples its own event-loop lag,
+    ``refresh``-es its flat stats and hands one :meth:`TelemetryUplink.build`
+    to ``send``, which ships it on a connection the host already holds —
+    telemetry piggybacks like heartbeats, so partitions and failover
+    exercise it for free.  Stops once ``closing()`` is true.
+    """
+    loop = asyncio.get_event_loop()
+    while not closing():
+        before = loop.time()
+        await asyncio.sleep(interval_s)
+        lag = loop.time() - before - interval_s
+        uplink.observe("event_loop_lag_s", max(0.0, lag))
+        refresh()
+        await send(uplink.build(CONTROL_WINDOW))

@@ -34,7 +34,9 @@ from repro.errors import QueryError
 from repro.core.slicing import MIN_GAMMA
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
-from repro.streaming.windows import Window
+# Re-exported: the query plane's control messages (registration, nacks,
+# deregistration) carry the shared placeholder window in their header.
+from repro.streaming.windows import CONTROL_WINDOW, Window
 
 __all__ = [
     "QuerySpec",
@@ -47,12 +49,6 @@ __all__ = [
     "wanted",
     "CONTROL_WINDOW",
 ]
-
-#: Placeholder header window for query-plane control messages whose
-#: meaning does not involve a window (registration, nacks, deregistration).
-#: Handshake messages that *do* carry a window (start proposals and
-#: activations) put it in the header instead.
-CONTROL_WINDOW = Window(0, 1)
 
 #: Window kinds a spec may carry.  ``session`` is representable (and round
 #: trips the wire) but the live plane rejects it at registration: session

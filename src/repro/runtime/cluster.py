@@ -74,7 +74,7 @@ from repro.streaming.columns import (
     as_event_columns,
 )
 from repro.streaming.events import Event
-from repro.streaming.windows import Window
+from repro.streaming.windows import CONTROL_WINDOW, Window
 
 __all__ = [
     "ClusterConfig",
@@ -94,9 +94,6 @@ _STREAM_ID_BASE = 1 << 22
 
 #: Coordinator poll interval while waiting on shard membership epochs.
 _EPOCH_POLL_S = 0.002
-
-#: Placeholder window on telemetry frames built by the cluster driver.
-_TELEMETRY_WINDOW = Window(0, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,7 +283,6 @@ async def _drive_faults(
     replays_by_local: Mapping[int, "list[asyncio.Task]"],
     driver_links: "list[ChaosStream]",
     epoch: float,
-    failures: FailureLatch,
     tracer: Tracer,
 ) -> None:
     """Fire the fault plan against the live cluster on the wall clock.
@@ -303,27 +299,22 @@ async def _drive_faults(
         for node, intervals in plan.crash_intervals().items()
         if any(end is None for _, end in intervals)
     }
-    try:
-        for event in plan.schedule():
-            delay = epoch + event.at_s * config.time_scale - loop.time()
-            if delay > 0:
-                await asyncio.sleep(delay)
-            controller.record(event)
-            if tracer.enabled:
-                now = loop.time() - epoch
-                tracer.record(
-                    f"fault_{event.kind}",
-                    shard_node_id(0) if event.node is None else event.node,
-                    now, now,
-                )
-            await _apply_fault(
-                event, controller, hosts, replays_by_local, never_restart,
-                driver_links,
+    for event in plan.schedule():
+        delay = epoch + event.at_s * config.time_scale - loop.time()
+        if delay > 0:
+            await asyncio.sleep(delay)
+        controller.record(event)
+        if tracer.enabled:
+            now = loop.time() - epoch
+            tracer.record(
+                f"fault_{event.kind}",
+                shard_node_id(0) if event.node is None else event.node,
+                now, now,
             )
-    except asyncio.CancelledError:
-        raise
-    except BaseException as exc:
-        failures.record(exc)
+        await _apply_fault(
+            event, controller, hosts, replays_by_local, never_restart,
+            driver_links,
+        )
 
 
 async def _apply_fault(
@@ -746,15 +737,6 @@ async def run_cluster(
                 await asyncio.sleep(_EPOCH_POLL_S)
             gates[at_ms].set()
 
-    async def guarded(awaitable) -> None:
-        """Run a side task; its failure fails the run instead of hanging."""
-        try:
-            await awaitable
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            failures.record(exc)
-
     def seal_wall(window: Window) -> float:
         return max(
             (
@@ -798,7 +780,7 @@ async def run_cluster(
             shard.uplink.set_stat(
                 "heartbeat_misses", float(shard.heartbeat_misses)
             )
-            for frame in shard.uplink.build(_TELEMETRY_WINDOW):
+            for frame in shard.uplink.build(CONTROL_WINDOW):
                 collector.on_message(frame)
 
     def fleet_summary() -> dict:
@@ -971,9 +953,9 @@ async def run_cluster(
         # unpaced replay can burst through the whole run between two
         # ticks, and a shard kill due at time zero must not miss it.
         if controller is not None:
-            side_tasks.append(asyncio.ensure_future(_drive_faults(
+            side_tasks.append(failures.spawn(_drive_faults(
                 controller, config, hosts, replays_by_local, driver_links,
-                epoch, failures, tracer,
+                epoch, tracer,
             )))
 
         # -- locals, each replaying as soon as it is wired (a relay waits
@@ -983,7 +965,7 @@ async def run_cluster(
             start_replays(local_id)
 
         if disturb is not None:
-            side_tasks.append(asyncio.ensure_future(guarded(disturb(hosts))))
+            side_tasks.append(failures.spawn(disturb(hosts)))
         driver_task: asyncio.Task | None = None
         if driver is not None:
 
@@ -1012,7 +994,7 @@ async def run_cluster(
                 finally:
                     replay_gate.set()  # a dead driver must not hang replays
 
-            driver_task = asyncio.ensure_future(guarded(run_driver()))
+            driver_task = failures.spawn(run_driver())
             side_tasks.append(driver_task)
 
         coordinator = asyncio.ensure_future(coordinate_membership())
@@ -1057,14 +1039,7 @@ async def run_cluster(
             )
         main_task.result()  # propagate replay errors, if any
     finally:
-        for task in side_tasks:
-            if not task.done():
-                task.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await task
-        for task in replays:
-            if not task.done():
-                task.cancel()
+        await failures.reap([*side_tasks, *replays])
         if failover is not None:
             await failover.close()
         for shard in shards:
@@ -1150,7 +1125,7 @@ async def run_cluster(
         # digests with latest-sequence-wins make this idempotent.
         for host in (*locals_by_id.values(), *relays):
             host.refresh_uplink_stats()
-            for frame in host.uplink.build(_TELEMETRY_WINDOW):
+            for frame in host.uplink.build(CONTROL_WINDOW):
                 collector.on_message(frame)
         traced_live = 0
         if isinstance(tracer, RecordingTracer):

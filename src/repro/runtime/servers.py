@@ -82,6 +82,7 @@ from repro.network.messages import (
 )
 from repro.network.simulator import SimulatedNode
 from repro.obs.events import MessageTrace
+from repro.obs.fleet.uplink import pump
 from repro.obs.live.context import (
     TraceContext,
     context_scope,
@@ -92,7 +93,7 @@ from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.runtime.codec import Hello
 from repro.runtime.transport import FailureLatch, MessageStream
 from repro.streaming.columns import EventColumns
-from repro.streaming.windows import Window
+from repro.streaming.windows import CONTROL_WINDOW, Window
 
 # Hot-path module: event batches stay columnar from workload to window
 # (exploded relay sections included), and no per-event ``Event`` objects
@@ -115,10 +116,6 @@ LIVE_OPS_PER_SECOND = 1e15
 
 #: Milliseconds of event time per second of fabric time.
 _MS_PER_SECOND = 1000.0
-
-#: Placeholder window on heartbeat, membership and telemetry frames
-#: (they are not about any window, but the wire header needs a valid one).
-_CONTROL_WINDOW = Window(0, 1)
 
 #: Receiver-side live span names by incoming message type: the phase of
 #: the window lifecycle that handling this message performs.  Types not
@@ -202,7 +199,7 @@ class NodeHost:
     def __init__(self, node: SimulatedNode, fabric: LiveFabric,
                  tracer: Tracer = NOOP_TRACER, *,
                  drop_unroutable: bool = False,
-                 failures: FailureLatch | None = None,
+                 failures: FailureLatch,
                  wire_tracing: bool = False) -> None:
         self.node = node
         self.fabric = fabric
@@ -215,6 +212,7 @@ class NodeHost:
         #: Tolerant mode: a send to a missing/dead peer is counted here
         #: instead of raising — reliability retransmits repair the gap.
         self._drop_unroutable = drop_unroutable
+        #: Every background task this host starts is spawned on the latch.
         self._failures = failures
         self.dropped_sends = 0
         node.attach(fabric)
@@ -328,23 +326,11 @@ class NodeHost:
     def _on_fabric_timer(self) -> None:
         """Timer actions queue messages; spawn a task to flush them."""
         with contextlib.suppress(RuntimeError):  # event loop closing
-            asyncio.ensure_future(self._guarded(self._flush_after_timer()))
+            self._failures.spawn(self._flush_after_timer())
 
     async def _flush_after_timer(self) -> None:
         await self.flush()
         self._after_timer_flush()
-
-    async def _guarded(self, awaitable) -> None:
-        """Run a background task; its death trips the cluster's latch
-        instead of vanishing with the task."""
-        try:
-            await awaitable
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            if self._failures is None:
-                raise
-            self._failures.record(exc)
 
     def _after_timer_flush(self) -> None:
         """Subclass hook run after every timer-driven flush."""
@@ -408,7 +394,7 @@ class RootServer(NodeHost):
                  downstream: "Mapping[int, int] | None" = None,
                  tracer: Tracer = NOOP_TRACER,
                  tolerance: ToleranceConfig | None = None,
-                 failures: FailureLatch | None = None,
+                 failures: FailureLatch,
                  wire_tracing: bool = False,
                  echo_heartbeats: bool = False,
                  query_plane=None,
@@ -482,11 +468,11 @@ class RootServer(NodeHost):
 
     def _account_outcomes(self) -> None:
         """Stamp new outcomes and re-check the completion condition."""
-        outcomes = self.node.outcomes
-        for outcome in outcomes[self._accounted:]:
+        fresh = self.node.outcomes_since(self._accounted)
+        for outcome in fresh:
             self.result_walls[outcome.window] = self.fabric.now
-        self._accounted = len(outcomes)
-        if len(outcomes) + self.node.aborted_windows >= self._expected_windows:
+        self._accounted += len(fresh)
+        if self._accounted + self.node.aborted_windows >= self._expected_windows:
             self.done.set()
 
     def _after_timer_flush(self) -> None:
@@ -583,7 +569,7 @@ class RootServer(NodeHost):
             wake = asyncio.Event()
             wake.set()  # drain any retained backlog immediately
             self._driver_wakeups[client_id] = wake
-            writer = asyncio.ensure_future(
+            writer = self._failures.spawn(
                 self._drive_results(client_id, stream, cursor, wake)
             )
             if self.tracer.enabled and hello.resume_from >= 0:
@@ -607,9 +593,7 @@ class RootServer(NodeHost):
                 )
         finally:
             if writer is not None:
-                writer.cancel()
-                with contextlib.suppress(asyncio.CancelledError):
-                    await writer
+                await self._failures.reap([writer])
             if wake is not None and self._driver_wakeups.get(client_id) is wake:
                 del self._driver_wakeups[client_id]
             if self._peers.get(client_id) is stream:
@@ -749,7 +733,7 @@ class RootServer(NodeHost):
         await self._broadcast(
             RouteUpdateMessage(
                 sender=self.node_id,
-                window=_CONTROL_WINDOW,
+                window=CONTROL_WINDOW,
                 epoch=self.node.membership_epoch,
                 members=members,
             )
@@ -826,7 +810,7 @@ class RootServer(NodeHost):
             return False
         self.crashed = True
         self.fabric.halt()
-        asyncio.ensure_future(self.crash())
+        self._failures.spawn(self.crash())
         return True
 
     async def crash(self) -> None:
@@ -884,7 +868,7 @@ class RootServer(NodeHost):
         await self._broadcast(
             ShardFailoverMessage(
                 sender=self.node_id,
-                window=_CONTROL_WINDOW,
+                window=CONTROL_WINDOW,
                 epoch=shard_map.epoch,
                 dead=tuple(sorted(shard_map.dead)),
             )
@@ -894,14 +878,12 @@ class RootServer(NodeHost):
         """Start the heartbeat monitor task (tolerant mode only)."""
         if self._tolerance is None or self._monitor_task is not None:
             return
-        self._monitor_task = asyncio.ensure_future(self._monitor())
+        self._monitor_task = self._failures.spawn(self._monitor())
 
     async def stop_monitor(self) -> None:
         if self._monitor_task is None:
             return
-        self._monitor_task.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._monitor_task
+        await self._failures.reap([self._monitor_task])
         self._monitor_task = None
 
     async def _monitor(self) -> None:
@@ -920,75 +902,73 @@ class RootServer(NodeHost):
         assert tolerance is not None
         interval = tolerance.heartbeat_interval_s
         heap = self._deadlines
-        try:
-            while True:
-                now = self.fabric.now
-                while heap and heap[0][0] <= now:
-                    _, local_id, seen_then = heapq.heappop(heap)
-                    seen = self.last_seen.get(local_id, seen_then)
-                    if (
-                        local_id in self.node.dead_nodes
-                        or local_id not in self.node.current_members
-                    ):
-                        # Dead or gracefully departed: drop the tombstoned
-                        # entry instead of re-arming it forever (a leaver
-                        # never heartbeats again, so its entry would
-                        # otherwise accrue misses each interval and end in
-                        # a bogus death declaration).  A fresh hello
-                        # re-enrolls either way.
-                        self._monitored.discard(local_id)
-                        continue
-                    if seen != seen_then:
-                        # Heard from since this deadline was armed.
-                        heapq.heappush(
-                            heap, (seen + 1.5 * interval, local_id, seen)
-                        )
-                        continue
-                    silence = now - seen
-                    if silence <= 1.5 * interval:
-                        heapq.heappush(
-                            heap, (seen + 1.5 * interval, local_id, seen)
-                        )
-                        continue
-                    self.heartbeat_misses += 1
-                    if self.tracer.enabled:
-                        self.tracer.registry.counter(
-                            "heartbeat_misses_total",
-                            "Monitor ticks that found a local silent.",
-                        ).inc()
-                    if silence <= tolerance.declare_dead_after_s:
-                        heapq.heappush(
-                            heap, (now + interval, local_id, seen)
-                        )
-                        continue
+        loop = asyncio.get_event_loop()
+        while True:
+            now = self.fabric.now
+            while heap and heap[0][0] <= now:
+                _, local_id, seen_then = heapq.heappop(heap)
+                seen = self.last_seen.get(local_id, seen_then)
+                if (
+                    local_id in self.node.dead_nodes
+                    or local_id not in self.node.current_members
+                ):
+                    # Dead or gracefully departed: drop the tombstoned
+                    # entry instead of re-arming it forever (a leaver
+                    # never heartbeats again, so its entry would
+                    # otherwise accrue misses each interval and end in
+                    # a bogus death declaration).  A fresh hello
+                    # re-enrolls either way.
                     self._monitored.discard(local_id)
-                    if self.node.mark_dead(local_id, now):
-                        self.locals_declared_dead += 1
-                        if self.tracer.enabled:
-                            self.tracer.record(
-                                "fault_dead_local", self.node_id, now, now,
-                                local=local_id, silence=silence,
-                            )
-                            self.tracer.registry.counter(
-                                "locals_declared_dead_total",
-                                "Locals the failure detector gave up on.",
-                            ).inc()
-                        await self.flush()
-                        self._account_outcomes()
-                timeout = interval
-                if heap:
-                    timeout = max(0.001, heap[0][0] - self.fabric.now)
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(
-                        self._monitor_wake.wait(), timeout
+                    continue
+                if seen != seen_then:
+                    # Heard from since this deadline was armed.
+                    heapq.heappush(
+                        heap, (seen + 1.5 * interval, local_id, seen)
                     )
-                self._monitor_wake.clear()
-        except asyncio.CancelledError:
-            raise
-        except BaseException as exc:
-            if self._failures is None:
-                raise
-            self._failures.record(exc)
+                    continue
+                silence = now - seen
+                if silence <= 1.5 * interval:
+                    heapq.heappush(
+                        heap, (seen + 1.5 * interval, local_id, seen)
+                    )
+                    continue
+                self.heartbeat_misses += 1
+                if self.tracer.enabled:
+                    self.tracer.registry.counter(
+                        "heartbeat_misses_total",
+                        "Monitor ticks that found a local silent.",
+                    ).inc()
+                if silence <= tolerance.declare_dead_after_s:
+                    heapq.heappush(
+                        heap, (now + interval, local_id, seen)
+                    )
+                    continue
+                self._monitored.discard(local_id)
+                if self.node.mark_dead(local_id, now):
+                    self.locals_declared_dead += 1
+                    if self.tracer.enabled:
+                        self.tracer.record(
+                            "fault_dead_local", self.node_id, now, now,
+                            local=local_id, silence=silence,
+                        )
+                        self.tracer.registry.counter(
+                            "locals_declared_dead_total",
+                            "Locals the failure detector gave up on.",
+                        ).inc()
+                    await self.flush()
+                    self._account_outcomes()
+            timeout = interval
+            if heap:
+                timeout = max(0.001, heap[0][0] - self.fabric.now)
+            # The deadline sets the wake event itself: ``wait_for`` on
+            # Python 3.11 drops a cancel that lands as the event fires,
+            # and a monitor that outlives its cancel hangs every reaper.
+            timer = loop.call_later(timeout, self._monitor_wake.set)
+            try:
+                await self._monitor_wake.wait()
+            finally:
+                timer.cancel()
+            self._monitor_wake.clear()
 
 
 class LocalServer(NodeHost):
@@ -1016,7 +996,7 @@ class LocalServer(NodeHost):
                  dial: Callable[
                      [int], Awaitable[MessageStream]
                  ] | None = None,
-                 failures: FailureLatch | None = None,
+                 failures: FailureLatch,
                  wire_tracing: bool = False,
                  sample_rate: float = 1.0,
                  query_plane=None,
@@ -1120,7 +1100,7 @@ class LocalServer(NodeHost):
             await stream.send(
                 JoinMessage(
                     sender=self.node_id,
-                    window=_CONTROL_WINDOW,
+                    window=CONTROL_WINDOW,
                     first_window_start=join_from,
                 )
             )
@@ -1134,18 +1114,15 @@ class LocalServer(NodeHost):
         if self._tolerance is not None:
             loops.append(self._heartbeats())
         if self.uplink is not None:
-            loops.append(self._telemetry_uplink())
-        self._tasks = [
-            asyncio.ensure_future(self._guarded(loop)) for loop in loops
-        ]
+            loops.append(pump(
+                self.uplink, self._uplink_interval, self.refresh_uplink_stats,
+                self.send_telemetry, lambda: self._closing,
+            ))
+        self._tasks = [self._failures.spawn(loop) for loop in loops]
 
     async def _stop_tasks(self) -> None:
         tasks, self._tasks = self._tasks, []
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
+        await self._failures.reap(tasks)
 
     async def announce_leave(self, effective_from: int) -> None:
         """Tell every upstream this local serves no window past the mark."""
@@ -1154,7 +1131,7 @@ class LocalServer(NodeHost):
                 await stream.send(
                     LeaveMessage(
                         sender=self.node_id,
-                        window=_CONTROL_WINDOW,
+                        window=CONTROL_WINDOW,
                         effective_from=effective_from,
                     )
                 )
@@ -1267,7 +1244,7 @@ class LocalServer(NodeHost):
                 self._heartbeat_sent.pop(min(self._heartbeat_sent))
             beat = HeartbeatMessage(
                 sender=self.node_id,
-                window=_CONTROL_WINDOW,
+                window=CONTROL_WINDOW,
                 sequence=self._heartbeat_seq,
             )
             for stream in list(self._upstreams.values()):
@@ -1392,27 +1369,6 @@ class LocalServer(NodeHost):
             self.uplink.observe(
                 "seal_to_release_s", max(0.0, self.fabric.now - sealed)
             )
-
-    async def _telemetry_uplink(self) -> None:
-        """Summarize-and-send loop: this node's metrics, in-band.
-
-        Every interval the node refreshes its flat stats (window
-        progress, staleness, drop counters), samples its own event-loop
-        lag, and ships the cumulative digests + snapshot on the first
-        live upstream — telemetry piggybacks on connections that already
-        exist, exactly like heartbeats, so partitions and failover
-        exercise it for free.
-        """
-        uplink = self.uplink
-        assert uplink is not None
-        loop = asyncio.get_event_loop()
-        while not self._closing:
-            before = loop.time()
-            await asyncio.sleep(self._uplink_interval)
-            lag = loop.time() - before - self._uplink_interval
-            uplink.observe("event_loop_lag_s", max(0.0, lag))
-            self.refresh_uplink_stats()
-            await self.send_telemetry(uplink.build(_CONTROL_WINDOW))
 
     def refresh_uplink_stats(self) -> None:
         """Refresh the flat stats the next uplink snapshot will carry."""

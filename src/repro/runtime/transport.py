@@ -30,7 +30,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Protocol
+from typing import Awaitable, Callable, Coroutine, Iterable, Protocol
 
 from repro.errors import TransportError
 from repro.network.messages import Message
@@ -70,12 +70,16 @@ _EOF = b""
 
 
 class FailureLatch:
-    """First-failure latch shared by a cluster's background tasks.
+    """First-failure latch, and the one way a cluster runs a background task.
 
-    Connection handlers run as fire-and-forget tasks; without a latch their
-    exceptions die with the task and a run hangs instead of failing.  Every
-    handler records its first exception here, the cluster driver waits on
-    :attr:`event` alongside the main run, and whichever fires first wins.
+    Connection handlers, readers and timers run as fire-and-forget tasks;
+    without a latch their exceptions die with the task and a run hangs
+    instead of failing.  Every such task runs under :meth:`guard` (or is
+    started by :meth:`spawn`), which records its first unexpected
+    exception here; the cluster driver waits on :attr:`event` alongside
+    the main run, and whichever fires first wins.  A cancelled task is
+    teardown, not failure: :meth:`reap` cancels tasks and waits for them
+    quietly.
 
     ``on_trip`` (when given) runs exactly once, on the first recorded
     failure — the hook the flight recorder uses to dump its ring buffer at
@@ -108,6 +112,34 @@ class FailureLatch:
                 self._on_trip(exc)
             except Exception:
                 pass
+
+    async def guard(self, awaitable: Awaitable[object]) -> None:
+        """Await ``awaitable``; its unexpected exception trips the latch
+        instead of vanishing with the task, a cancellation propagates."""
+        try:
+            await awaitable
+        except asyncio.CancelledError:
+            raise
+        except BaseException as exc:
+            self.record(exc)
+
+    def spawn(self, coro: Coroutine[object, object, object]) -> asyncio.Task:
+        """Start ``coro`` as a background task under :meth:`guard`."""
+        return asyncio.ensure_future(self.guard(coro))
+
+    @staticmethod
+    async def reap(tasks: Iterable[asyncio.Task]) -> None:
+        """Cancel ``tasks`` and wait until each has finished.
+
+        Whatever a reaped task ends with is dropped: a guarded task's
+        failure was latched when it happened, and teardown must not let a
+        re-raise mask the latched error.
+        """
+        tasks = list(tasks)
+        for task in tasks:
+            task.cancel()
+        if tasks:
+            await asyncio.gather(*tasks, return_exceptions=True)
 
 
 @dataclass(slots=True)
@@ -261,24 +293,23 @@ class TcpMessageStream:
             pass
 
 
+@dataclass(eq=False)
 class TcpNetwork:
     """Localhost TCP fabric: listeners by node id, dial by node id.
 
     Every node that accepts connections calls :meth:`listen` and gets an
     ephemeral port; :meth:`dial` looks the port up by node id.  All servers
-    are torn down by :meth:`close`.
+    are torn down by :meth:`close`.  Connection handlers run under
+    ``failures`` (a fresh latch unless the cluster shares its own).
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        failures: FailureLatch | None = None,
-    ) -> None:
-        self._host = host
-        self._failures = failures
-        self._ports: dict[int, int] = {}
-        self._servers: list[asyncio.AbstractServer] = []
-        self._handlers: set[asyncio.Task] = set()
+    host: str = "127.0.0.1"
+    failures: FailureLatch = field(default_factory=FailureLatch)
+    _ports: dict[int, int] = field(default_factory=dict, init=False)
+    _servers: list[asyncio.AbstractServer] = field(
+        default_factory=list, init=False
+    )
+    _handlers: set[asyncio.Task] = field(default_factory=set, init=False)
 
     async def listen(self, node_id: int, handler: StreamHandler) -> int:
         """Start accepting for ``node_id``; returns the bound port."""
@@ -295,19 +326,13 @@ class TcpNetwork:
                 self._handlers.add(task)
             stream = TcpMessageStream(reader, writer)
             try:
-                await handler(stream)
-            except asyncio.CancelledError:
-                raise
-            except BaseException as exc:
-                if self._failures is not None:
-                    self._failures.record(exc)
-                raise
+                await self.failures.guard(handler(stream))
             finally:
                 await stream.close()
                 if task is not None:
                     self._handlers.discard(task)
 
-        server = await asyncio.start_server(on_connect, self._host, 0)
+        server = await asyncio.start_server(on_connect, self.host, 0)
         port = server.sockets[0].getsockname()[1]
         self._ports[node_id] = port
         self._servers.append(server)
@@ -319,10 +344,10 @@ class TcpNetwork:
         if port is None:
             raise TransportError(f"no listener registered for node {node_id}")
         try:
-            reader, writer = await asyncio.open_connection(self._host, port)
+            reader, writer = await asyncio.open_connection(self.host, port)
         except OSError as exc:
             raise TransportError(
-                f"dial to node {node_id} ({self._host}:{port}) failed: {exc}"
+                f"dial to node {node_id} ({self.host}:{port}) failed: {exc}"
             ) from exc
         return TcpMessageStream(reader, writer)
 
@@ -336,10 +361,7 @@ class TcpNetwork:
             # Dialers have closed by now, so handlers are draining EOFs;
             # give stragglers a short deadline before cancelling.
             done, pending = await asyncio.wait(self._handlers, timeout=5.0)
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+            await self.failures.reap(pending)
         self._handlers.clear()
         self._servers.clear()
         self._ports.clear()
@@ -426,23 +448,21 @@ def memory_pipe(
     )
 
 
+@dataclass(eq=False)
 class MemoryNetwork:
     """In-memory fabric with the same listen/dial surface as TCP.
 
     ``dial`` hands the server's handler one end of a fresh pipe as a task
-    and returns the other end, so server and client code are transport
-    agnostic.
+    spawned on ``failures`` and returns the other end, so server and
+    client code are transport agnostic.
     """
 
-    def __init__(
-        self,
-        max_frames: int = DEFAULT_QUEUE_FRAMES,
-        failures: FailureLatch | None = None,
-    ) -> None:
-        self._max_frames = max_frames
-        self._failures = failures
-        self._handlers: dict[int, StreamHandler] = {}
-        self._tasks: list[asyncio.Task] = []
+    max_frames: int = DEFAULT_QUEUE_FRAMES
+    failures: FailureLatch = field(default_factory=FailureLatch)
+    _handlers: dict[int, StreamHandler] = field(
+        default_factory=dict, init=False
+    )
+    _tasks: list[asyncio.Task] = field(default_factory=list, init=False)
 
     async def listen(self, node_id: int, handler: StreamHandler) -> int:
         if node_id in self._handlers:
@@ -454,37 +474,18 @@ class MemoryNetwork:
         handler = self._handlers.get(node_id)
         if handler is None:
             raise TransportError(f"no listener registered for node {node_id}")
-        client_end, server_end = memory_pipe(self._max_frames)
+        client_end, server_end = memory_pipe(self.max_frames)
 
         async def serve() -> None:
             try:
                 await handler(server_end)
-            except asyncio.CancelledError:
-                raise
-            except BaseException as exc:
-                # A dead serve task used to vanish silently and hang the
-                # run; record the failure so the cluster driver fails fast.
-                if self._failures is not None:
-                    self._failures.record(exc)
-                raise
             finally:
                 await server_end.close()
 
-        self._tasks.append(asyncio.ensure_future(serve()))
+        self._tasks.append(self.failures.spawn(serve()))
         return client_end
 
     async def close(self) -> None:
-        for task in self._tasks:
-            if not task.done():
-                task.cancel()
-        for task in self._tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-            except Exception:
-                # Recorded in the failure latch (if any) when it happened;
-                # teardown must not let a re-raise mask the latched error.
-                pass
+        await self.failures.reap(self._tasks)
         self._tasks.clear()
         self._handlers.clear()

@@ -18,6 +18,7 @@ from repro.errors import ConfigurationError, WindowError
 from repro.streaming.events import Event
 
 __all__ = [
+    "CONTROL_WINDOW",
     "Window",
     "WindowAssigner",
     "TumblingWindows",
@@ -59,6 +60,12 @@ class Window:
     def merge(self, other: "Window") -> "Window":
         """Return the smallest window covering both (used by sessions)."""
         return Window(min(self.start, other.start), max(self.end, other.end))
+
+
+#: Placeholder header window for frames that are not about any window
+#: (heartbeats, membership, telemetry, query-plane control): the wire
+#: header needs a valid one.
+CONTROL_WINDOW = Window(0, 1)
 
 
 class WindowAssigner(ABC):

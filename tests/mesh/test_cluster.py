@@ -1,10 +1,13 @@
-"""End-to-end mesh runs graded against the single-root engine oracle.
+"""End-to-end mesh runs graded against the exact centralized quantile.
 
 Everything here runs on the in-memory transport with unpaced replay, so
 the whole file stays in CI's sub-minute budget while exercising the real
 wire protocol, the shard routing, the relay tier and the membership
 coordinator.
 """
+
+import dataclasses
+import math
 
 import pytest
 
@@ -205,6 +208,63 @@ class TestElasticMembership:
         streams[3][10], streams[3][-10] = streams[3][-10], streams[3][10]
         with pytest.raises(ConfigurationError, match="timestamp order"):
             run_mesh(config, streams)
+
+
+class TestOracle:
+    """The grader's truth is the centralized system's answer, computed
+    without any Dema operator — so a defect shared by the core nodes
+    cannot grade itself ``recovered``."""
+
+    def test_truth_is_the_sorted_rank_of_the_eligible_events(self):
+        from repro.streaming.aggregates import quantile_rank
+
+        config = MeshConfig(
+            n_locals=4, query=QuantileQuery(q=0.9, gamma=50),
+            membership=TestElasticMembership.MEMBERSHIP,
+        )
+        streams = streams_for(range(1, 6), duration=4.0)
+        eligible = {1: (0, 10**9), 2: (0, 3_000), 3: (0, 10**9),
+                    4: (0, 10**9), 5: (2_000, 10**9)}
+        windows = {}
+        for local_id, events in streams.items():
+            lo, hi = eligible[local_id]
+            for event in events:
+                if lo <= event.timestamp < hi:
+                    start = event.timestamp // 1_000 * 1_000
+                    windows.setdefault(start, []).append(event.value)
+        truth = mesh_oracle(streams, config)
+        assert {window.start: value for window, value in truth.items()} == {
+            start: sorted(values)[quantile_rank(0.9, len(values)) - 1]
+            for start, values in windows.items()
+        }
+
+    def test_a_wrong_calculation_is_graded_mismatch(self, monkeypatch):
+        """Every answer one ulp high: an oracle that runs the same root
+        operator would agree with it and grade each window recovered."""
+        from repro.core import root_node
+        from repro.runtime.cluster import ClusterConfig, run_live
+
+        exact = root_node.calculate_quantile
+
+        def one_ulp_high(cut, runs):
+            event = exact(cut, runs)
+            return dataclasses.replace(
+                event, value=math.nextafter(event.value, math.inf)
+            )
+
+        monkeypatch.setattr(root_node, "calculate_quantile", one_ulp_high)
+        config = ClusterConfig(
+            n_locals=2,
+            query=QuantileQuery(q=0.5, gamma=50, window_length_ms=500),
+        )
+        streams = workload(
+            [1, 2],
+            GeneratorConfig(event_rate=2000, duration_s=2.0, seed=42),
+        )
+        report = run_live(config, streams)
+        classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+        assert classes["mismatch"] == report.windows == 4
+        assert classes["recovered"] == 0
 
 
 class TestChaosComposition:

@@ -165,6 +165,7 @@ class TestFailoverMechanics:
 
         from repro.core.root_node import DemaRootNode
         from repro.runtime.servers import LiveFabric
+        from repro.runtime.transport import FailureLatch
         from repro.streaming.windows import Window
 
         async def scenario():
@@ -177,6 +178,7 @@ class TestFailoverMechanics:
                 ),
                 LiveFabric(asyncio.get_event_loop().time()),
                 expected_windows=0,
+                failures=FailureLatch(),
             )
             shard._account_outcomes()
             assert shard.done.is_set()

@@ -14,6 +14,7 @@ from repro.core.query import QuantileQuery
 from repro.core.root_node import DemaRootNode
 from repro.faults.plan import ToleranceConfig
 from repro.runtime.servers import LiveFabric, RootServer
+from repro.runtime.transport import FailureLatch
 
 TOLERANCE = ToleranceConfig(
     heartbeat_interval_s=0.01, declare_dead_after_s=0.05
@@ -31,6 +32,7 @@ def make_root(loop_time: float) -> RootServer:
         LiveFabric(loop_time),
         expected_windows=1,
         tolerance=TOLERANCE,
+        failures=FailureLatch(),
     )
 
 

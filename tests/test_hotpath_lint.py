@@ -39,6 +39,11 @@ root under ``core/`` (a single query is a one-query group), and the
 baselines are Scotty's pair and the summary pair that Desis, t-digest, KLL,
 q-digest and partial aggregation share, so a per-path or per-system copy of
 the local/root protocol cannot grow back.
+
+The last one keeps a background task's failure policy in one place:
+``FailureLatch.guard`` is the only ``except BaseException`` handler and the
+only code that records on a latch, so every live task is spawned through
+the latch instead of carrying a hand-copied handler.
 """
 
 import ast
@@ -534,6 +539,105 @@ def test_node_class_lint_sees_direct_and_indirect_subclasses():
         "class D(Mixin):\n    pass\n"
     )
     assert _node_classes([source]) == {"A", "B", "C"}
+
+
+#: Where a background task's unexpected exception is caught and latched:
+#: ``FailureLatch.guard``, which ``spawn`` wraps every live task in.  Both
+#: sets are held with ``==`` — a hand-copied ``except BaseException``
+#: handler, or a latch recorded on from anywhere else, fails here.
+BASE_EXCEPTION_HANDLERS = {("runtime/transport.py", "guard")}
+LATCH_RECORDS = {("runtime/transport.py", "guard")}
+
+
+def _handled_names(handler):
+    """Exception class names an ``except`` clause names (bare: all)."""
+    if handler.type is None:
+        return {"BaseException"}
+    types = (
+        handler.type.elts
+        if isinstance(handler.type, ast.Tuple)
+        else [handler.type]
+    )
+    return {getattr(t, "id", None) or getattr(t, "attr", None) for t in types}
+
+
+def _failure_sites(source):
+    """``(base_exception_handlers, latch_records)``: the innermost function
+    of every handler that catches ``BaseException`` and of every
+    ``.record(`` call on a latch — a receiver named like one (``latch``,
+    ``failures``, ``self._failures``) or ``self`` inside ``FailureLatch``."""
+    handlers, records = set(), set()
+
+    def visit(node, cls, scope):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        if isinstance(node, ast.ExceptHandler):
+            if "BaseException" in _handled_names(node):
+                handlers.add(scope)
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "record"
+        ):
+            receiver = node.func.value
+            name = getattr(receiver, "id", None) or getattr(
+                receiver, "attr", ""
+            )
+            if re.search("latch|failure", name, re.IGNORECASE) or (
+                name == "self" and cls == "FailureLatch"
+            ):
+                records.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, cls, scope)
+
+    visit(ast.parse(source), None, "<module>")
+    return handlers, records
+
+
+def test_background_task_failures_are_latched_in_one_place():
+    handlers, records = set(), set()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        name = path.relative_to(PACKAGE_ROOT).as_posix()
+        in_file = _failure_sites(path.read_text())
+        handlers |= {(name, scope) for scope in in_file[0]}
+        records |= {(name, scope) for scope in in_file[1]}
+    assert handlers == BASE_EXCEPTION_HANDLERS
+    assert records == LATCH_RECORDS
+
+
+def test_failure_lint_sees_every_handler_and_latch_shape():
+    source = (
+        "class FailureLatch:\n"
+        "    def record(self, exc): ...\n"
+        "    async def guard(self, aw):\n"
+        "        try:\n"
+        "            await aw\n"
+        "        except BaseException as exc:\n"
+        "            self.record(exc)\n"
+        "class Host:\n"
+        "    async def loop(self):\n"
+        "        try:\n"
+        "            pass\n"
+        "        except (ValueError, builtins.BaseException) as exc:\n"
+        "            self._failures.record(exc)\n"
+        "        except:\n"
+        "            latch.record(None)\n"
+        "    def fine(self):\n"
+        "        try:\n"
+        "            pass\n"
+        "        except Exception:\n"
+        "            self.record(1)\n"
+        "            self.tracer.record('span')\n"
+        "def driver():\n"
+        "    def nested():\n"
+        "        failures.record(RuntimeError())\n"
+    )
+    assert _failure_sites(source) == (
+        {"guard", "loop"},
+        {"guard", "loop", "nested"},
+    )
 
 
 def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
