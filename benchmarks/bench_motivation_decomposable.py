@@ -55,5 +55,6 @@ def test_motivation_decomposable_gap(benchmark, once):
     # Dema closes most of the gap while staying exact.
     assert partial < 0.02 * scotty
     assert dema < 0.10 * scotty
-    assert abs(desis - scotty) < 0.05 * scotty
+    # Desis ships every event too, as its 8-byte value (Scotty: 20 bytes).
+    assert abs(desis - 0.4 * scotty) < 0.02 * scotty
     assert partial < dema

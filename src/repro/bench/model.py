@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.network.messages import MESSAGE_HEADER_BYTES, SYNOPSIS_WIRE_BYTES
+from repro.runtime.wire import F64_BYTES
 from repro.network.simulator import (
     INGEST_OPS,
     MERGE_OPS_PER_CMP,
@@ -96,15 +97,18 @@ class SystemModel:
     ) -> float:
         """Predicted total bytes for a fixed workload."""
         n, l, w = self.n_local_nodes, events_per_node_window, n_windows
-        if system in ("scotty", "desis"):
+        if system == "scotty":
             event_bytes = n * l * w * EVENT_WIRE_BYTES
             batches = n * w * math.ceil(l / self.batch_size)
-            # Each batch pays the frame header plus its u32 event count.
+            # Each batch pays the frame header plus its u32 event count,
+            # and every node sends one watermark message per window.
             headers = batches * (MESSAGE_HEADER_BYTES + 4)
-            if system == "scotty":
-                # Watermark message per node per window.
-                headers += n * w * (MESSAGE_HEADER_BYTES + 8)
+            headers += n * w * (MESSAGE_HEADER_BYTES + 8)
             return event_bytes + headers
+        if system == "desis":
+            # One sorted value run per node per window: frame header and
+            # u32 count, then 8 bytes an event.
+            return n * w * (MESSAGE_HEADER_BYTES + 4 + l * F64_BYTES)
         if system == "dema":
             slices_per_node = math.ceil(l / self.gamma)
             synopsis_bytes = n * w * (
@@ -116,8 +120,10 @@ class SystemModel:
             # One request per node per window (header + u32 count) plus a
             # u32 slice index for each of the m requested candidates.
             request_bytes = w * (n * (MESSAGE_HEADER_BYTES + 4) + m * 4)
+            # Each candidate run: header, slice index and count, then one
+            # 8-byte value per event.
             candidate_bytes = w * m * (
-                MESSAGE_HEADER_BYTES + 8 + self.gamma * EVENT_WIRE_BYTES
+                MESSAGE_HEADER_BYTES + 8 + self.gamma * F64_BYTES
             )
             return synopsis_bytes + request_bytes + candidate_bytes
         if system == "tdigest":
@@ -152,13 +158,15 @@ class SystemModel:
         n = self.n_local_nodes
         global_window = n * per_node_rate * self.window_length_s
         receive_event = RECEIVE_OPS_PER_BYTE * EVENT_WIRE_BYTES
+        # Desis' runs and Dema's candidates carry values only.
+        receive_value = RECEIVE_OPS_PER_BYTE * F64_BYTES
         if system == "scotty":
             per_event = receive_event + INGEST_OPS + SORT_OPS_PER_CMP * (
                 math.log2(max(global_window, 2.0))
             )
             return global_window * per_event
         if system == "desis":
-            per_event = receive_event + MERGE_OPS_PER_CMP * math.log2(max(n, 2))
+            per_event = receive_value + MERGE_OPS_PER_CMP * math.log2(max(n, 2))
             return global_window * per_event + n * RECEIVE_OPS_BASE
         if system == "dema":
             slices = global_window / self.gamma
@@ -175,7 +183,7 @@ class SystemModel:
                 self.candidate_slices * self.gamma, global_window
             )
             candidate_cost = candidates * (
-                receive_event
+                receive_value
                 + MERGE_OPS_PER_CMP
                 * math.log2(max(self.candidate_slices, 2))
             )

@@ -4,8 +4,8 @@ Decentralized window aggregation for non-decomposable quantile functions.
 Local nodes keep their windows incrementally sorted, cut them into γ-sized
 slices and ship only *synopses* (first event, last event, count) to the root.
 The root runs the window-cut algorithm to identify the few candidate slices
-that can contain the requested quantile rank, fetches exactly those events,
-and selects the answer — bit-exact, at a fraction of the network cost of
+that can contain the requested quantile rank, fetches exactly those slices'
+values, and selects the answer — bit-exact, at a fraction of the network cost of
 centralized aggregation.
 
 Entry points, all identifying through one

@@ -374,7 +374,7 @@ class DemaLocalNode(SimulatedNode):
     def _serve_candidates(
         self, request: CandidateRequestMessage, sealed: _Sealed | None, now: float
     ) -> None:
-        """Ship the requested slices' events; free the window unless
+        """Ship the requested slices' value runs; free the window unless
         reliability retains it until its release."""
         if sealed is None:
             if self._reliability is not None:

@@ -134,18 +134,18 @@ def explode_synopses(
 def explode_runs(message: RelayRunsMessage) -> "list[CandidateEventsMessage]":
     """Reconstruct the per-child candidate-run frames a relay combined.
 
-    Each section's events pass through as decoded — columnar off the
-    wire — so a run that crossed a relay reaches the root's calculation
-    in the same form as one sent directly.
+    Each section's value run passes through as decoded — a ``float64``
+    view off the wire — so a run that crossed a relay reaches the root's
+    calculation in the same form as one sent directly.
     """
     return [
         CandidateEventsMessage(
             sender=node_id,
             window=message.window,
             slice_index=slice_index,
-            events=events,
+            events=values,
         )
-        for node_id, slice_index, events in message.sections
+        for node_id, slice_index, values in message.sections
     ]
 
 

@@ -16,7 +16,7 @@ whichever cursor reaches it first, and shipped as one synopsis batch.
 The plane hosts one :class:`~repro.core.local_node.DemaLocalNode`
 (reliability off) that slices each sorted window run, retains the slices
 and serves the root's candidate requests, as it does for the configured
-query.  Batches stay columnar from the tap to the candidate runs.
+query.  Batches stay columnar from the tap to the candidate value runs.
 
 Start negotiation: when a window shape enters a group the plane proposes
 the first window start it can *guarantee* — the smallest step-aligned

@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable
 
+import numpy as _np
+
 from repro.core.synopsis import SynopsisColumns, as_synopsis_columns
 from repro.errors import CodecError
 from repro.obs.live.context import TraceContext
@@ -68,10 +70,10 @@ from repro.runtime import wire
 from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
-# Hot-path module: event and synopsis arrays decode into zero-copy
-# ``EventColumns`` / ``SynopsisColumns`` views and encode from them — no
-# per-event ``Event`` or per-slice ``SliceSynopsis`` construction here
-# (enforced by tests/test_hotpath_lint.py).
+# Hot-path module: event, value and synopsis arrays decode into zero-copy
+# ``EventColumns`` / ``float64`` / ``SynopsisColumns`` views and encode
+# from them — no per-event ``Event`` or per-slice ``SliceSynopsis``
+# construction here (enforced by tests/test_hotpath_lint.py).
 
 __all__ = [
     "Hello",
@@ -188,8 +190,13 @@ def _encode_event_batch(m: EventBatchMessage) -> bytes:
     return _encode_events(m.events)
 
 
+def _encode_values(values) -> bytes:
+    # A float64 run already *is* the wire layout.
+    return wire.COUNT.pack(len(values)) + _np.asarray(values, "<f8").tobytes()
+
+
 def _encode_sorted_run(m: SortedRunMessage) -> bytes:
-    return _encode_events(m.events)
+    return _encode_values(m.events)
 
 
 def _encode_synopsis(m: SynopsisMessage) -> bytes:
@@ -207,7 +214,7 @@ def _encode_candidate_request(m: CandidateRequestMessage) -> bytes:
 
 
 def _encode_candidate_events(m: CandidateEventsMessage) -> bytes:
-    return wire.U32.pack(m.slice_index) + _encode_events(m.events)
+    return wire.U32.pack(m.slice_index) + _encode_values(m.events)
 
 
 def _encode_empty(_: Message) -> bytes:
@@ -366,13 +373,13 @@ def _encode_relay_synopsis(m: RelaySynopsisMessage) -> bytes:
 
 def _encode_relay_runs(m: RelayRunsMessage) -> bytes:
     parts = [wire.COUNT.pack(len(m.sections))]
-    for node_id, slice_index, events in m.sections:
+    for node_id, slice_index, values in m.sections:
         parts.append(
             wire.RELAY_RUN_SECTION_FIXED.pack(
-                node_id, slice_index, len(events)
+                node_id, slice_index, len(values)
             )
         )
-        parts.append(events.to_wire())
+        parts.append(_np.asarray(values, "<f8").tobytes())
     return b"".join(parts)
 
 
@@ -477,8 +484,35 @@ def _decode_event_batch(r, sender, window, group_id):
     return EventBatchMessage(sender, window, group_id, _decode_events(r))
 
 
+def _values_from_wire(raw: memoryview, count: int):
+    """Zero-copy ``float64`` view over ``count`` wire values.
+
+    Raises:
+        CodecError: If the byte length is not a multiple of the 8-byte
+            value stride, or disagrees with ``count``.
+    """
+    stride = wire.F64_BYTES
+    if len(raw) % stride:
+        raise CodecError(
+            f"value array of {len(raw)} bytes is not a multiple of the "
+            f"{stride}-byte value stride"
+        )
+    if len(raw) != count * stride:
+        raise CodecError(
+            f"value array of {len(raw)} bytes does not hold the "
+            f"announced {count} values ({count * stride} bytes)"
+        )
+    return _np.frombuffer(raw, dtype="<f8")
+
+
+def _decode_values(r: _Reader):
+    # Like an event array, the value array is the payload tail.
+    n = r.count()
+    return _values_from_wire(r.rest(), n)
+
+
 def _decode_sorted_run(r, sender, window, group_id):
-    return SortedRunMessage(sender, window, group_id, _decode_events(r))
+    return SortedRunMessage(sender, window, group_id, _decode_values(r))
 
 
 def _decode_synopsis(r, sender, window, group_id):
@@ -500,7 +534,7 @@ def _decode_candidate_request(r, sender, window, group_id):
 def _decode_candidate_events(r, sender, window, group_id):
     (slice_index,) = r.unpack(wire.U32)
     return CandidateEventsMessage(
-        sender, window, group_id, slice_index, _decode_events(r)
+        sender, window, group_id, slice_index, _decode_values(r)
     )
 
 
@@ -675,10 +709,8 @@ def _decode_relay_runs(r, sender, window, group_id):
     sections = []
     for _ in range(n_sections):
         node_id, slice_index, n = r.unpack(wire.RELAY_RUN_SECTION_FIXED)
-        raw = r.view(n * wire.EVENT.size)
-        sections.append(
-            (node_id, slice_index, EventColumns.from_wire(raw, count=n))
-        )
+        raw = r.view(n * wire.F64_BYTES)
+        sections.append((node_id, slice_index, _values_from_wire(raw, n)))
     return RelayRunsMessage(sender, window, group_id, tuple(sections))
 
 

@@ -34,9 +34,9 @@ block* between the fixed header and the payload::
 Extensions are optional, length-delimited and skippable: a decoder that
 does not understand an extension type steps over it by its declared
 length, so frames from a newer peer still decode.  Frames without the
-flag bit are byte-for-byte identical to wire version 1 as first shipped —
-``payload_bytes`` accounting and the simulator's byte model are
-untouched.  Two extension types are assigned: :data:`EXT_TRACE_CONTEXT`,
+flag bit are byte-for-byte identical to the same version without
+extensions — ``payload_bytes`` accounting and the simulator's byte model
+are untouched.  Two extension types are assigned: :data:`EXT_TRACE_CONTEXT`,
 carrying a distributed-tracing context (trace id u64, parent span id u64,
 flags u8 — bit 0 = sampled), and :data:`EXT_SECTION_CONTEXT`, one entry
 *per section* of a relay-combined frame carrying that child section's
@@ -101,8 +101,10 @@ __all__ = [
 ]
 
 #: Protocol version stamped into every frame header.  A decoder refuses
-#: frames from a different version instead of mis-parsing them.
-WIRE_VERSION = 1
+#: frames from a different version instead of mis-parsing them.  Version 2
+#: ships candidate runs (tags 6 and 24) and Desis' sorted runs (tag 3) as
+#: 8-byte values instead of 20-byte events.
+WIRE_VERSION = 2
 
 #: Flags bit announcing a header extension block after the fixed header.
 FLAG_EXTENSIONS = 0x0001
@@ -225,7 +227,7 @@ RELAY_SYNOPSIS_SECTION_FIXED = struct.Struct("<IQI")
 RELAY_SYNOPSIS_SECTION_FIXED_BYTES = RELAY_SYNOPSIS_SECTION_FIXED.size
 
 #: Relay candidate-run section header: node_id u32, slice_index u32,
-#: event count u32.  The run's events follow.
+#: value count u32.  The run's values follow, one f64 each.
 RELAY_RUN_SECTION_FIXED = struct.Struct("<III")
 RELAY_RUN_SECTION_FIXED_BYTES = RELAY_RUN_SECTION_FIXED.size
 

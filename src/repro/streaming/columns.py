@@ -470,64 +470,45 @@ def merge_runs(
     return EventColumns(arr.take(order))
 
 
-def select_rank(
-    runs: Sequence[EventColumns], local_rank: int
-) -> "Event | None":
-    """The event at 1-based ``local_rank`` of the merged sorted ``runs``.
+def select_rank(runs: Sequence, local_rank: int) -> "float | None":
+    """The value at 1-based ``local_rank`` of the merged sorted value ``runs``.
 
-    The root's calculation step as a rank select: one concatenation, a
-    vectorised sortedness check, ``np.partition`` for the rank's value and
-    a ``(node_id, seq)`` sort over the rows tied at that value only.  It
-    picks the row a stable key-sort of the concatenated runs puts at that
-    rank, which is the element a k-way merge of the runs yields, and
-    materialises that one row.
+    The root's calculation step as a rank select over ``float64`` runs:
+    one concatenation, a vectorised sortedness check and ``np.partition``
+    for the rank's value.  Values that compare equal but differ in bits
+    (``-0.0`` and ``0.0``) resolve in stacking order.  Handed runs in
+    ``(node_id, slice_index)`` order, that is the order a k-way merge by
+    full event key ``(value, node_id, seq)`` puts them in: a local's events
+    carry its own id, and its slices ascend in key.
 
     Returns ``None`` — the caller's k-way merge owns the case — when a
     value is NaN (comparison order is the contract there, as in
-    :func:`merge_runs`) or when ``local_rank`` falls outside the rows.
+    :func:`merge_runs`) or when ``local_rank`` falls outside the values.
 
     Raises:
-        CalculationError: If a run is not sorted by event key, naming the
-            first offending event exactly as ``merge_candidate_runs`` does.
+        CalculationError: If a run descends, naming the first offending
+            value exactly as ``merge_candidate_runs`` does.
     """
     batches = [run for run in runs if len(run)]
     if not batches:
         return None
-    stacked = concat_columns(batches)
-    arr = stacked._arr
-    n = len(arr)
-    values = _np.ascontiguousarray(arr["value"])
+    values = _np.concatenate(batches, dtype=_np.float64)
     if _np.isnan(values.max()):
         return None
-    # Only neighbours that are not strictly ascending by value alone need
-    # a closer look — there ``values[left] >= values[right]``, so a pair is
-    # out of order unless it is a value tie in ``(node_id, seq)`` order.
-    # The pair straddling two runs is no constraint and is masked out.
-    ascending = values[:-1] < values[1:]
+    # A descent inside a run is a protocol violation; the pair straddling
+    # two runs is no constraint and is masked out.
+    descent = values[1:] < values[:-1]
     seams = _np.cumsum([len(b) for b in batches[:-1]], dtype=_np.intp)
-    ascending[seams - 1] = True
-    left = _np.flatnonzero(~ascending)
-    if len(left):
-        right = left + 1
-        node_ids, seqs = arr["node_id"], arr["seq"]
-        unsorted = (
-            (values[left] > values[right])
-            | (node_ids[left] > node_ids[right])
-            | ((node_ids[left] == node_ids[right]) & (seqs[left] > seqs[right]))
+    descent[seams - 1] = False
+    if descent.any():
+        offender = float(values[int(descent.argmax()) + 1])
+        raise CalculationError(
+            "candidate run is not sorted; local node violated the "
+            f"protocol near value {offender!r}"
         )
-        if unsorted.any():
-            offender = stacked[int(right[unsorted.argmax()])]
-            raise CalculationError(
-                "candidate run is not sorted; local node violated the "
-                f"protocol near event {offender}"
-            )
-    if not 1 <= local_rank <= n:
+    if not 1 <= local_rank <= len(values):
         return None
     kth = local_rank - 1
     pivot = _np.partition(values, kth)[kth]
     tied = _np.flatnonzero(values == pivot)
-    row = tied[0]
-    if len(tied) > 1:
-        order = _np.lexsort((arr["seq"][tied], arr["node_id"][tied]))
-        row = tied[order[kth - _np.count_nonzero(values < pivot)]]
-    return stacked[int(row)]
+    return float(values[tied[kth - _np.count_nonzero(values < pivot)]])

@@ -11,8 +11,9 @@ class TestExperimentShapes:
     def test_fig6a_network_ordering(self):
         results = runner.exp_fig6a(per_node_rate=3_000.0, n_windows=2)
         assert results["dema"]["reduction_vs_scotty"] > 0.85
-        assert results["desis"]["bytes"] == pytest.approx(
-            results["scotty"]["bytes"], rel=0.05
+        # Desis ships every event as its 8-byte value, Scotty as 20 bytes.
+        assert results["desis"]["reduction_vs_scotty"] == pytest.approx(
+            0.6, abs=0.02
         )
         assert results["tdigest"]["bytes"] < results["dema"]["bytes"]
 

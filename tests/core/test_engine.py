@@ -284,17 +284,21 @@ def door_runs(columnar):
 #: recorded while the operators still had an ``Event``-object arm: Dema's
 #: three tumbling doors at commit a9b1b41 (before the conversion moved to the
 #: engine's door), every other run at 9b87a79 (before that arm was deleted).
+#: Wire version 2 (candidate runs and Desis' sorted runs ship 8-byte
+#: values) re-recorded the clocks, byte totals and the roots' ``cpu_ops``
+#: (fewer bytes received); every value and every local's charge is as
+#: recorded then.
 DOOR_GOLDEN = {
     "run": {
         "outcomes": [
-            (0, 44.62493290929341, 1.000363745277327, 200),
-            (1000, 36.413325813564825, 2.000359953349234, 160),
-            (2000, 40.08423830462307, 3.0003367220146173, 160),
+            (0, 44.62493290929341, 1.0003545916773273, 200),
+            (1000, 36.413325813564825, 2.0003525997492337, 160),
+            (2000, 40.08423830462307, 3.000329368414617, 160),
         ],
-        "final_time": 3.000323142094617,
-        "total_bytes": 25372,
+        "final_time": 3.000322919694617,
+        "total_bytes": 19132,
         "cpu_ops": {
-            0: 27060.880235125278,
+            0: 22380.880235125278,
             1: 53404.38867460606,
             2: 53381.38867460606,
             3: 53381.38867460606,
@@ -303,14 +307,14 @@ DOOR_GOLDEN = {
     },
     "run_unordered": {
         "outcomes": [
-            (0, 44.85442718075182, 1.0403624945313183, 200),
-            (1000, 36.16412990883978, 2.0403624795313187, 200),
-            (2000, 40.08423830462307, 3.0403367220146174, 160),
+            (0, 44.85442718075182, 1.0403533409313186, 200),
+            (1000, 36.16412990883978, 2.040353325931318, 200),
+            (2000, 40.08423830462307, 3.040329368414617, 160),
         ],
-        "final_time": 3.040323142094617,
-        "total_bytes": 25928,
+        "final_time": 3.040322919694617,
+        "total_bytes": 19208,
         "cpu_ops": {
-            0: 27405.111450503402,
+            0: 22365.111450503402,
             1: 49603.080648718205,
             2: 49614.196420134664,
             3: 49536.10588265672,
@@ -319,14 +323,14 @@ DOOR_GOLDEN = {
     },
     "run_via_sensors": {
         "outcomes": [
-            (0, 44.62493290929341, 1.022363745277327, 200),
-            (1000, 36.413325813564825, 2.022359953349234, 160),
-            (2000, 40.08423830462307, 3.022336722014617, 160),
+            (0, 44.62493290929341, 1.0223545916773273, 200),
+            (1000, 36.413325813564825, 2.0223525997492335, 160),
+            (2000, 40.08423830462307, 3.0223293684146166, 160),
         ],
-        "final_time": 3.0223231420946166,
-        "total_bytes": 277372,
+        "final_time": 3.022322919694617,
+        "total_bytes": 271132,
         "cpu_ops": {
-            0: 27060.880235125278,
+            0: 22380.880235125278,
             1: 109625.98952375728,
             2: 109602.68039138155,
             3: 109602.68066778089,
@@ -336,23 +340,23 @@ DOOR_GOLDEN = {
     },
     "slide_1000_300/run": {
         "outcomes": [
-            (-900, 25.845423605916878, 0.10032339443909506, 200),
-            (-600, 45.08885505492683, 0.40033583567588155, 200),
-            (-300, 48.534929864752726, 0.7003500778850995, 200),
-            (0, 44.62493290929341, 1.000363745277327, 200),
-            (300, 43.656734147362535, 1.3003637452773271, 200),
-            (600, 38.312208905283605, 1.6003637452773272, 200),
-            (900, 36.365442715899405, 1.900363745277327, 200),
-            (1200, 37.30600701701204, 2.200363745277329, 200),
-            (1500, 37.99019124098767, 2.500363745277329, 200),
-            (1800, 39.35094666771359, 2.800350077885101, 200),
-            (2100, 38.46532404166111, 3.100335835675882, 200),
-            (2400, 18.885989451970087, 3.400323394439096, 200),
+            (-900, 25.845423605916878, 0.10031424083909508, 200),
+            (-600, 45.08885505492683, 0.40032668207588157, 200),
+            (-300, 48.534929864752726, 0.7003409242850998, 200),
+            (0, 44.62493290929341, 1.0003545916773273, 200),
+            (300, 43.656734147362535, 1.3003545916773274, 200),
+            (600, 38.312208905283605, 1.6003545916773274, 200),
+            (900, 36.365442715899405, 1.9003545916773272, 200),
+            (1200, 37.30600701701204, 2.2003545916773284, 200),
+            (1500, 37.99019124098767, 2.500354591677328, 200),
+            (1800, 39.35094666771359, 2.8003409242851003, 200),
+            (2100, 38.46532404166111, 3.1003266820758815, 200),
+            (2400, 18.885989451970087, 3.400314240839095, 200),
         ],
-        "final_time": 3.4003060225910007,
-        "total_bytes": 99600,
+        "final_time": 3.400305800191001,
+        "total_bytes": 70800,
         "cpu_ops": {
-            0: 102708.86082310155,
+            0: 81108.86082310155,
             1: 139067.33919860626,
             2: 138952.33919860626,
             3: 138975.33919860626,
@@ -361,23 +365,23 @@ DOOR_GOLDEN = {
     },
     "slide_1000_300/run_unordered": {
         "outcomes": [
-            (-900, 24.100715876696334, 0.1403205104721452, 179),
-            (-600, 43.74532852978323, 0.44033530694791917, 200),
-            (-300, 48.317772857276225, 0.7403488621955564, 200),
-            (0, 44.85442718075182, 1.0403624945313183, 200),
-            (300, 44.162838363867486, 1.3403625195313182, 200),
-            (600, 38.311499094278915, 1.6403624845313183, 200),
-            (900, 35.95597444857209, 1.9403624638253418, 200),
-            (1200, 37.002844744072675, 2.2403625145313186, 200),
-            (1500, 38.63123852860902, 2.5403624395313185, 200),
-            (1800, 39.35094666771359, 2.840350077885101, 200),
-            (2100, 38.46532404166111, 3.140335835675882, 200),
-            (2400, 18.885989451970087, 3.440323394439096, 200),
+            (-900, 24.100715876696334, 0.14031230187214522, 179),
+            (-600, 43.74532852978323, 0.4403261533479192, 200),
+            (-300, 48.317772857276225, 0.7403397085955566, 200),
+            (0, 44.85442718075182, 1.0403533409313186, 200),
+            (300, 44.162838363867486, 1.3403533659313185, 200),
+            (600, 38.311499094278915, 1.6403533309313185, 200),
+            (900, 35.95597444857209, 1.940353310225342, 200),
+            (1200, 37.002844744072675, 2.240353360931318, 200),
+            (1500, 38.63123852860902, 2.540353285931318, 200),
+            (1800, 39.35094666771359, 2.8403409242851003, 200),
+            (2100, 38.46532404166111, 3.1403266820758815, 200),
+            (2400, 18.885989451970087, 3.440314240839095, 200),
         ],
-        "final_time": 3.4403060225910007,
-        "total_bytes": 97980,
+        "final_time": 3.440305800191001,
+        "total_bytes": 69432,
         "cpu_ops": {
-            0: 100671.93672121939,
+            0: 79260.9367212194,
             1: 129528.13114924722,
             2: 129372.097397526,
             3: 129562.62762027835,
@@ -386,38 +390,38 @@ DOOR_GOLDEN = {
     },
     "slide_10_4/run": {
         "outcomes": [
-            (-8, 35.136141867348535, 0.002302444337750043, 3),
-            (-4, 35.136141867348535, 0.006303022737750044, 9),
-            (0, 32.40953720136979, 0.01030487113775004, 30),
-            (4, 32.95464031145466, 0.01430487113775004, 30),
-            (8, 41.94130660400724, 0.018303601137750033, 15),
-            (12, 45.26510651246423, 0.022303601137750033, 15),
-            (16, 51.68161085857804, 0.026303601137750033, 15),
-            (20, 55.821498290894255, 0.030303601137750033, 15),
-            (24, 54.42917538939788, 0.034303601137750064, 15),
-            (28, 27.230407751960087, 0.03830487113775006, 30),
-            (32, 17.006875082219473, 0.04230487113775006, 30),
-            (36, 16.668438524800617, 0.04630487113775006, 30),
-            (40, 17.401682143300974, 0.05030487113775006, 30),
-            (44, 20.28341326979892, 0.05430487113775006, 30),
-            (48, 20.638540215740317, 0.05830487113775006, 30),
-            (52, 18.160021734586824, 0.06230487113775006, 30),
-            (56, 16.110960410549605, 0.06630627275431271, 45),
-            (60, 16.110960410549605, 0.07030627275431271, 45),
-            (64, 18.13076745123325, 0.0743062727543127, 45),
-            (68, 20.547326004331314, 0.07830487113775005, 30),
-            (72, 21.34771966960445, 0.08230487113775005, 30),
-            (76, 26.284501125877995, 0.08630487113775004, 30),
-            (80, 35.335245697491715, 0.09030487113775004, 30),
-            (84, 35.00232882703085, 0.0943062727543127, 45),
-            (88, 32.780624465719654, 0.09830487113775005, 30),
-            (92, 32.780624465719654, 0.10230434193775005, 24),
-            (96, 40.6475171927896, 0.10630328353775005, 12),
+            (-8, 35.136141867348535, 0.002302297817750043, 3),
+            (-4, 35.136141867348535, 0.006302583177750044, 9),
+            (0, 32.40953720136979, 0.01030346353775004, 30),
+            (4, 32.95464031145466, 0.01430346353775004, 30),
+            (8, 41.94130660400724, 0.018302868537750035, 15),
+            (12, 45.26510651246423, 0.022302868537750035, 15),
+            (16, 51.68161085857804, 0.026302868537750036, 15),
+            (20, 55.821498290894255, 0.030302868537750036, 15),
+            (24, 54.42917538939788, 0.03430286853775005, 15),
+            (28, 27.230407751960087, 0.03830346353775004, 30),
+            (32, 17.006875082219473, 0.042303463537750045, 30),
+            (36, 16.668438524800617, 0.04630346353775004, 30),
+            (40, 17.401682143300974, 0.050303463537750046, 30),
+            (44, 20.28341326979892, 0.05430346353775004, 30),
+            (48, 20.638540215740317, 0.058303463537750046, 30),
+            (52, 18.160021734586824, 0.06230346353775004, 30),
+            (56, 16.110960410549605, 0.06630419015431274, 45),
+            (60, 16.110960410549605, 0.07030419015431275, 45),
+            (64, 18.13076745123325, 0.07430419015431274, 45),
+            (68, 20.547326004331314, 0.07830346353775007, 30),
+            (72, 21.34771966960445, 0.08230346353775007, 30),
+            (76, 26.284501125877995, 0.08630346353775006, 30),
+            (80, 35.335245697491715, 0.09030346353775007, 30),
+            (84, 35.00232882703085, 0.09430419015431274, 45),
+            (88, 32.780624465719654, 0.09830346353775007, 30),
+            (92, 32.780624465719654, 0.10230321585775004, 24),
+            (96, 40.6475171927896, 0.10630272049775003, 12),
         ],
-        "final_time": 0.10630218353775005,
-        "total_bytes": 27072,
+        "final_time": 0.10630216049775004,
+        "total_bytes": 18396,
         "cpu_ops": {
-            0: 17193.82110036346,
+            0: 10686.82110036346,
             1: 2278.946163871747,
             2: 2448.4461638717476,
             3: 2326.9461638717476,
@@ -426,38 +430,38 @@ DOOR_GOLDEN = {
     },
     "slide_10_4/run_unordered": {
         "outcomes": [
-            (-8, 1.9951765517321434, 0.04230179608, 1),
-            (-4, 16.599435963892756, 0.04630243433775004, 3),
-            (0, 30.862308816708506, 0.050303182137750056, 11),
-            (4, 32.95464031145466, 0.05430325073775006, 12),
-            (8, 38.11488059282907, 0.05830299773775006, 9),
-            (12, 31.825828331548756, 0.06230272353775004, 6),
-            (16, 35.71829707832267, 0.06630299773775006, 9),
-            (20, 55.821498290894255, 0.07030272353775006, 6),
-            (24, 61.09640072848312, 0.07430263213775005, 5),
-            (28, 19.29654856799806, 0.07830309073775006, 10),
-            (32, 17.27429053514393, 0.08230326713775006, 12),
-            (36, 17.006875082219473, 0.08630318713775005, 11),
-            (40, 16.668438524800617, 0.09030307433775006, 10),
-            (44, 17.8292766215027, 0.09430351853775006, 15),
-            (48, 20.638540215740317, 0.09830290633775006, 8),
-            (52, 17.553053772974984, 0.10230314933775003, 11),
-            (56, 14.341056290022088, 0.10630325073775004, 12),
-            (60, 15.007692653408405, 0.11030405203400012, 20),
-            (64, 16.110960410549605, 0.11430368753475012, 16),
-            (68, 20.547326004331314, 0.11830301073775006, 9),
-            (72, 16.89745342098975, 0.12230309213775005, 10),
-            (76, 7.7533853436790565, 0.12630324713774996, 12),
-            (80, 19.85688601196631, 0.13030271353775003, 6),
-            (84, 37.96918574180901, 0.13430307433775002, 10),
-            (88, 61.1507839026077, 0.13830289633775003, 8),
-            (92, 40.6475171927896, 0.14230291433775, 8),
-            (96, 34.60445892622459, 0.14630243433775, 3),
+            (-8, 1.9951765517321434, 0.04230174724000001, 1),
+            (-4, 16.599435963892756, 0.046302287817750046, 3),
+            (0, 30.862308816708506, 0.05030266793775006, 11),
+            (4, 32.95464031145466, 0.05430269537775006, 12),
+            (8, 38.11488059282907, 0.058302558177750055, 9),
+            (12, 31.825828331548756, 0.06230243049775005, 6),
+            (16, 35.71829707832267, 0.06630255817775006, 9),
+            (20, 55.821498290894255, 0.07030243049775005, 6),
+            (24, 61.09640072848312, 0.07430238793775004, 5),
+            (28, 19.29654856799806, 0.07830262537775005, 10),
+            (32, 17.27429053514393, 0.08230270793775005, 12),
+            (36, 17.006875082219473, 0.08630267293775003, 11),
+            (40, 16.668438524800617, 0.09030261281775007, 10),
+            (44, 17.8292766215027, 0.09430282049775005, 15),
+            (48, 20.638540215740317, 0.09830251561775008, 8),
+            (52, 17.553053772974984, 0.10230264281775005, 11),
+            (56, 14.341056290022088, 0.10630269537775006, 12),
+            (60, 15.007692653408405, 0.1103031289940001, 20),
+            (64, 16.110960410549605, 0.11430295217475012, 16),
+            (68, 20.547326004331314, 0.11830259037775005, 9),
+            (72, 16.89745342098975, 0.12230262293775003, 10),
+            (76, 7.7533853436790565, 0.12630268793774999, 12),
+            (80, 19.85688601196631, 0.13030242049775004, 6),
+            (84, 37.96918574180901, 0.13430261281775, 10),
+            (88, 61.1507839026077, 0.13830250561775004, 8),
+            (92, 40.6475171927896, 0.14230254281774998, 8),
+            (96, 34.60445892622459, 0.14630228781774998, 3),
         ],
         "final_time": 0.214,
-        "total_bytes": 17312,
+        "total_bytes": 14276,
         "cpu_ops": {
-            0: 9418.56695025096,
+            0: 7141.566950250961,
             1: 1208.3783974426797,
             2: 1339.2224344411707,
             3: 1286.042734435402,
@@ -466,28 +470,28 @@ DOOR_GOLDEN = {
     },
     "concurrent": {
         "outcomes": [
-            (-500, 48.34736233285829, 0.5003367220146162, 2250, 3, 500),
-            (0, 28.89746403570742, 0.5003591676887229, 2250, 2, 500),
-            (0, 44.62493290929341, 1.000363745277327, 4500, 3, 1000),
-            (0, 44.62493290929341, 1.000435381463887, 4500, 0, 1000),
-            (0, 87.59944700116623, 1.000435381463887, 4500, 1, 1000),
-            (500, 22.252865948112163, 1.0004487229099577, 2250, 2, 1000),
-            (500, 38.37467317629719, 1.500363745277327, 4500, 3, 1500),
-            (1000, 20.0303678343035, 1.5003823990233383, 2250, 2, 1500),
-            (1000, 36.413325813564825, 2.000359953349234, 4500, 3, 2000),
-            (1000, 36.413325813564825, 2.000431373472701, 4500, 0, 2000),
-            (1000, 66.6118506885392, 2.000431373472701, 4500, 1, 2000),
-            (1500, 20.4258889208535, 2.000444714918773, 2250, 2, 2000),
-            (1500, 37.99019124098767, 2.500363745277329, 4500, 3, 2500),
-            (2000, 20.5063844435135, 2.500382399023342, 2250, 2, 2500),
-            (2000, 40.08423830462307, 3.0003367220146173, 2250, 3, 3000),
-            (2000, 40.08423830462307, 3.000375147283849, 2250, 0, 3000),
-            (2000, 82.2506680543423, 3.000375147283849, 2250, 1, 3000),
+            (-500, 48.34736233285829, 0.5003293684146164, 2250, 3, 500),
+            (0, 28.89746403570742, 0.5003523024887229, 2250, 2, 500),
+            (0, 44.62493290929341, 1.0003545916773273, 4500, 3, 1000),
+            (0, 44.62493290929341, 1.0004172278638876, 4500, 0, 1000),
+            (0, 87.59944700116623, 1.0004172278638876, 4500, 1, 1000),
+            (500, 22.252865948112163, 1.0004274668018043, 2250, 2, 1000),
+            (500, 38.37467317629719, 1.5003545916773273, 4500, 3, 1500),
+            (1000, 20.0303678343035, 1.5003755338233393, 2250, 2, 1500),
+            (1000, 36.413325813564825, 2.0003525997492337, 4500, 3, 2000),
+            (1000, 36.413325813564825, 2.0004150198726998, 4500, 0, 2000),
+            (1000, 66.6118506885392, 2.0004150198726998, 4500, 1, 2000),
+            (1500, 20.4258889208535, 2.0004274668018054, 2250, 2, 2000),
+            (1500, 37.99019124098767, 2.500354591677328, 4500, 3, 2500),
+            (2000, 20.5063844435135, 2.5003755338233407, 2250, 2, 2500),
+            (2000, 40.08423830462307, 3.000329368414617, 2250, 3, 3000),
+            (2000, 40.08423830462307, 3.000361043683848, 2250, 0, 3000),
+            (2000, 82.2506680543423, 3.000361043683848, 2250, 1, 3000),
         ],
-        "final_time": 3.0003475562438493,
-        "total_bytes": 123876,
+        "final_time": 3.0003471962438497,
+        "total_bytes": 89076,
         "cpu_ops": {
-            0: 136683.7536669072,
+            0: 110583.75366690717,
             1: 153963.193631112,
             2: 153948.193631112,
             3: 153907.193631112,
@@ -518,14 +522,14 @@ DOOR_GOLDEN = {
     },
     "desis/run": {
         "outcomes": [
-            (0, 44.62493290929341, 1.0004839381762662, 4500),
-            (1000, 36.413325813564825, 2.000483938176266, 4500),
-            (2000, 40.08423830462307, 3.0002925573481343, 2250),
+            (0, 44.62493290929341, 1.000275678176266, 4500),
+            (1000, 36.413325813564825, 2.000275678176267, 4500),
+            (2000, 40.08423830462307, 3.000188427348134, 2250),
         ],
-        "final_time": 3.0001058115200006,
-        "total_bytes": 225324,
+        "final_time": 3.0001029315200003,
+        "total_bytes": 90324,
         "cpu_ops": {
-            0: 186679.82813311298,
+            0: 85429.82813311301,
             1: 51381.38867460606,
             2: 51381.38867460606,
             3: 51381.38867460606,
@@ -534,14 +538,14 @@ DOOR_GOLDEN = {
     },
     "desis/run_unordered": {
         "outcomes": [
-            (0, 44.85442718075182, 1.040473897048391, 4382),
-            (1000, 36.16412990883978, 2.0404737949235785, 4381),
-            (2000, 40.08423830462307, 3.0402925573481343, 2250),
+            (0, 44.85442718075182, 1.0402711006483907, 4382),
+            (1000, 36.16412990883978, 2.0402710550435788, 4381),
+            (2000, 40.08423830462307, 3.040188427348134, 2250),
         ],
-        "final_time": 3.0401058115200006,
-        "total_bytes": 220584,
+        "final_time": 3.0401029315200003,
+        "total_bytes": 88428,
         "cpu_ops": {
-            0: 182749.19202044207,
+            0: 83632.19202044209,
             1: 47619.080648718176,
             2: 47629.69642013466,
             3: 47577.10588265671,

@@ -1,8 +1,10 @@
 """Tests for the Dema root-node operator on the simulator."""
 
+import random
+
 import pytest
 
-from repro.errors import IdentificationError
+from repro.errors import CalculationError, IdentificationError
 from repro.network.channels import Channel
 from repro.network.messages import (
     CandidateEventsMessage,
@@ -29,6 +31,8 @@ class LocalStub(SimulatedNode):
         self.sliced = sliced
         self.requests = []
         self.gamma_updates = []
+        #: Slice index → the slice actually served for it (a faulty local).
+        self.serve_instead = {}
 
     def on_message(self, message, now):
         if isinstance(message, CandidateRequestMessage):
@@ -38,7 +42,9 @@ class LocalStub(SimulatedNode):
                     sender=self.node_id,
                     window=message.window,
                     slice_index=index,
-                    events=self.sliced.run_for(index),
+                    events=self.sliced.run_for(
+                        self.serve_instead.get(index, index)
+                    ),
                 )
                 self.send(reply, 0, now)
         elif isinstance(message, GammaUpdateMessage):
@@ -157,13 +163,31 @@ class TestProtocol:
         simulator, root, locals_ = deploy(values)
         simulator.run()
         stray = CandidateEventsMessage(
-            sender=1, window=Window(9000, 10000), slice_index=0, events=()
+            sender=1, window=Window(9000, 10000), slice_index=0
         )
         simulator.schedule(
             simulator.now + 1, lambda t: locals_[1].send(stray, 0, t)
         )
         with pytest.raises(IdentificationError):
             simulator.run()
+
+    def test_mis_served_slice_rejected(self):
+        # A local that serves its neighbouring slice: same length, sorted,
+        # so only the synopsis the root requested the slice by can tell.
+        rng = random.Random(7)
+        values = {
+            node: [rng.gauss(0.0, 1.0) for _ in range(1000)] for node in (1, 2)
+        }
+        simulator, root, locals_ = deploy(values, gamma=100)
+        simulator.run()
+        honest = root.outcomes[0].value
+        requested = {i for r in locals_[1].requests for i in r.slice_indices}
+        assert 4 in requested and 5 not in requested
+        simulator, root, locals_ = deploy(values, gamma=100)
+        locals_[1].serve_instead = {4: 5}
+        with pytest.raises(CalculationError, match=r"\(1, 4\) does not match"):
+            simulator.run()
+        assert not root.outcomes, honest
 
     def test_outcome_metrics(self):
         values = {1: list(range(20)), 2: list(range(20, 40))}

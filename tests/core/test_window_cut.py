@@ -34,8 +34,12 @@ def sliced_workload(node_values, gamma):
             EventColumns.from_events(events), gamma, node_id
         )
         synopses.extend(sliced.synopses)
+        # The events behind each slice (the wire ships only their values).
+        bounds = sliced.bounds
         for index in range(sliced.n_slices):
-            runs[(node_id, index)] = sliced.run_for(index)
+            runs[(node_id, index)] = sliced.events[
+                bounds[index]:bounds[index + 1]
+            ]
         all_events.extend(events)
     all_events.sort(key=event_key)
     return synopses, runs, all_events

@@ -6,7 +6,6 @@ wire protocol, the shard routing, the relay tier and the membership
 coordinator.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -247,9 +246,9 @@ class TestOracle:
         exact = root_node.calculate_quantile
 
         def one_ulp_high(cut, runs):
-            event = exact(cut, runs)
-            return dataclasses.replace(
-                event, value=math.nextafter(event.value, math.inf)
+            answer = exact(cut, runs)
+            return answer._replace(
+                value=math.nextafter(answer.value, math.inf)
             )
 
         monkeypatch.setattr(root_node, "calculate_quantile", one_ulp_high)

@@ -5,6 +5,8 @@ frame must yield the exact per-child frames the children sent, so the
 root operators cannot tell a relay was involved.
 """
 
+import numpy as np
+
 from repro import make_events
 from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SynopsisColumns
@@ -88,11 +90,9 @@ class TestSynopsisRoundTrip:
 
 class TestRunsRoundTrip:
     def run_frame(self, child: int, index: int) -> CandidateEventsMessage:
-        events = tuple(
-            make_events([1.0 * child, 2.0 * child + index], node_id=child)
-        )
+        values = np.array([1.0 * child, 2.0 * child + index])
         return CandidateEventsMessage(
-            sender=child, window=WINDOW, slice_index=index, events=events
+            sender=child, window=WINDOW, slice_index=index, events=values
         )
 
     def test_explode_reconstructs_runs(self):

@@ -1,5 +1,7 @@
 """Tests for message types and byte-exact sizing."""
 
+import numpy as np
+
 from repro.network.messages import (
     MESSAGE_HEADER_BYTES,
     SYNOPSIS_WIRE_BYTES,
@@ -35,17 +37,22 @@ class TestEventCarryingMessages:
         assert message.payload_bytes == 4 + 3 * EVENT_WIRE_BYTES
 
     def test_sorted_run_same_cost_as_raw(self):
+        # Same count framing as the raw batch, but the root reads only
+        # values, so a sorted run ships 8 bytes an event, not 20.
         events = tuple(make_events([1, 2, 3]))
         raw = EventBatchMessage(sender=1, window=WINDOW, events=events)
-        run = SortedRunMessage(sender=1, window=WINDOW, events=events)
-        assert run.payload_bytes == raw.payload_bytes
+        run = SortedRunMessage(
+            sender=1, window=WINDOW, events=np.array([1.0, 2.0, 3.0])
+        )
+        assert run.payload_bytes == raw.payload_bytes - 3 * (
+            EVENT_WIRE_BYTES - 8
+        )
 
     def test_candidate_events_adds_slice_index(self):
-        events = tuple(make_events([1, 2]))
         message = CandidateEventsMessage(
-            sender=1, window=WINDOW, slice_index=0, events=events
+            sender=1, window=WINDOW, slice_index=0, events=np.array([1.0, 2.0])
         )
-        assert message.payload_bytes == 8 + 2 * EVENT_WIRE_BYTES
+        assert message.payload_bytes == 8 + 2 * 8
 
     def test_batch_events_helper(self):
         events = make_events([1.0])

@@ -152,6 +152,6 @@ def test_slicing_invariants(values, gamma):
         assert len(run) <= gamma + 1
         if len(values) > 1:
             assert len(run) >= 2
-    # Reassembling runs reproduces the sorted window.
-    reassembled = [e for run in sliced.runs for e in run]
-    assert reassembled == events
+    # Reassembling runs reproduces the sorted window's values.
+    reassembled = [value for run in sliced.runs for value in run.tolist()]
+    assert reassembled == [event.value for event in events]

@@ -126,9 +126,9 @@ def test_every_synopsis_batch_and_candidate_run_matches_the_naive_window():
         for reply in replies:
             assert reply.window == message.window
             assert reply.group_id == message.group_id
-            assert reply.events.to_wire() == expected.run_for(
+            assert reply.events.tobytes() == expected.run_for(
                 reply.slice_index
-            ).to_wire()
+            ).tobytes()
         # The request released the window: asking again finds nothing.
         assert plane.on_root_message(request) == []
     assert all(store.late_dropped == 0 for store in plane.stores)

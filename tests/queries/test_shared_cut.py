@@ -101,13 +101,12 @@ def test_shared_calculation_matches_solo_answers():
         solo = identify(batches, sizes, q)
         solo_runs = [
             nodes[node_id].run_for(index)
-            for node_id, indices in solo.requests.items()
+            for node_id, indices in sorted(solo.requests.items())
             for index in indices
         ]
-        wanted = {s.slice_id for s in multi.cuts[q].candidates}
+        wanted = sorted(s.slice_id for s in multi.cuts[q].candidates)
         shared_value = calculate_quantile(
-            multi.cuts[q],
-            [run for key, run in shared_runs.items() if key in wanted],
+            multi.cuts[q], [shared_runs[key] for key in wanted],
         ).value
         assert shared_value == calculate_quantile(solo.cut, solo_runs).value
 

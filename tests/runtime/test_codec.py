@@ -10,6 +10,7 @@ NaN payloads, whose dataclasses are never ``==`` to anything, still count.
 import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +70,11 @@ from repro.streaming.events import Event
 cols = EventColumns.from_events
 from repro.streaming.windows import Window
 
+
+def vals(*values):
+    """A value run as the wire carries it: contiguous little-endian f64."""
+    return np.array(values, dtype="<f8")
+
 # ----------------------------------------------------------------------
 # Strategies.
 # ----------------------------------------------------------------------
@@ -86,6 +92,7 @@ windows = st.builds(
 
 events = st.builds(Event, value=f64, timestamp=u32, node_id=u32, seq=u32)
 event_batches = st.lists(events, max_size=30).map(cols)
+value_runs = st.lists(f64, max_size=30).map(lambda v: vals(*v))
 
 #: Key selectors are arbitrary UTF-8 text on the wire (validation happens
 #: in QuerySpec, above the codec) — including astral-plane codepoints,
@@ -158,7 +165,7 @@ def relay_run_sections(draw):
         (
             draw(u32),
             draw(u32),
-            draw(st.lists(events, max_size=6).map(cols)),
+            draw(st.lists(f64, max_size=6).map(lambda v: vals(*v))),
         )
         for _ in range(draw(st.integers(min_value=0, max_value=3)))
     )
@@ -174,14 +181,14 @@ messages = st.one_of(
     _with_header(event_batches).map(
         lambda t: EventBatchMessage(t[0], t[1], t[2], t[3])
     ),
-    _with_header(event_batches).map(
+    _with_header(value_runs).map(
         lambda t: SortedRunMessage(t[0], t[1], t[2], t[3])
     ),
     synopsis_messages(),
     _with_header(st.lists(u32, max_size=30).map(tuple)).map(
         lambda t: CandidateRequestMessage(t[0], t[1], t[2], t[3])
     ),
-    _with_header(st.tuples(u32, event_batches)).map(
+    _with_header(st.tuples(u32, value_runs)).map(
         lambda t: CandidateEventsMessage(t[0], t[1], t[2], t[3][0], t[3][1])
     ),
     _with_header(st.none()).map(
@@ -295,14 +302,14 @@ messages = st.one_of(
 
 
 def _nan_events(message):
-    """Whether an event batch of ``message`` (its repr hides the rows)
-    carries a NaN value."""
+    """Whether an event batch or value run of ``message`` (its repr hides
+    the rows) carries a NaN value."""
     batches = [getattr(message, "events", ())]
     batches += [section[2] for section in getattr(message, "sections", ())]
     return any(
-        any(map(math.isnan, batch.values.tolist()))
+        np.isnan(batch.values if isinstance(batch, EventColumns) else batch).any()
         for batch in batches
-        if isinstance(batch, EventColumns)
+        if isinstance(batch, (EventColumns, np.ndarray))
     )
 
 
@@ -367,10 +374,11 @@ S = SliceSynopsis(
 SAMPLES = [
     (Message(1, W), 0),
     (EventBatchMessage(1, W, events=cols((E, E))), 4 + 2 * 20),
-    (SortedRunMessage(1, W, events=cols((E,))), 4 + 20),
+    # Desis' sorted run and Dema's candidate run carry 8-byte values.
+    (SortedRunMessage(1, W, events=vals(1.5)), 4 + 8),
     (SynopsisMessage(3, W, synopses=(S,), local_window_size=6), 4 + 8 + 48),
     (CandidateRequestMessage(0, W, slice_indices=(0, 1, 2)), 4 + 3 * 4),
-    (CandidateEventsMessage(1, W, slice_index=1, events=cols((E,))), 4 + 4 + 20),
+    (CandidateEventsMessage(1, W, slice_index=1, events=vals(1.5)), 4 + 4 + 8),
     (SynopsisRequestMessage(0, W), 0),
     (WindowReleaseMessage(0, W), 0),
     (GammaUpdateMessage(0, W, gamma=64), 4),
@@ -433,12 +441,12 @@ SAMPLES = [
         ),
         4 + 16 + 2 * 36,
     ),
-    # Two run sections: count + 2·(12 + 1·20).
+    # Two run sections: count + 2·(12 + 1·8).
     (
         RelayRunsMessage(
-            9, W, sections=((3, 0, cols((E,))), (4, 1, cols((E,)))),
+            9, W, sections=((3, 0, vals(1.5)), (4, 1, vals(1.5))),
         ),
-        4 + 2 * (12 + 20),
+        4 + 2 * (12 + 8),
     ),
     # Failover + durable query plane (tags 25–26): epoch u64 plus a
     # u32-counted dead-shard list; result-cursor ack is a bare u64.
@@ -730,7 +738,7 @@ def test_section_contexts_compose_with_frame_context(message, context):
 
 
 def test_section_context_count_mismatch_rejected():
-    message = RelayRunsMessage(9, W, sections=((3, 0, cols((E,))), (4, 1, cols((E,)))))
+    message = RelayRunsMessage(9, W, sections=((3, 0, vals(1.5)), (4, 1, vals(1.5))))
     ext = (
         wire.EXT_COUNT.pack(1)
         + wire.EXT_HEADER.pack(
@@ -743,7 +751,7 @@ def test_section_context_count_mismatch_rejected():
 
 
 def test_malformed_section_context_extension_rejected():
-    message = RelayRunsMessage(9, W, sections=((3, 0, cols((E,))),))
+    message = RelayRunsMessage(9, W, sections=((3, 0, vals(1.5)),))
     ext = (
         wire.EXT_COUNT.pack(1)
         + wire.EXT_HEADER.pack(wire.EXT_SECTION_CONTEXT, 5)
@@ -943,29 +951,33 @@ def test_result_ack_trailing_bytes_rejected():
         decode_payload(tag_of(message), b"\x00" * 9, sender=9001, window=W)
 
 
-# Columnar event arrays are decoded as one zero-copy tail slice, so the
-# decoder must check the byte length itself: a payload whose event array
-# is not a whole number of 20-byte strides (or disagrees with the
-# announced count) is rejected outright — iter_unpack's old behavior of
-# silently dropping a truncated final event is exactly the bug this
-# guards against.
+# Columnar event arrays and value runs are decoded as one zero-copy tail
+# slice, so the decoder must check the byte length itself: a payload whose
+# array is not a whole number of strides (20 bytes an event, 8 a value) or
+# disagrees with the announced count is rejected outright —
+# iter_unpack's old behavior of silently dropping a truncated final row is
+# exactly the bug this guards against.
+
+#: One message per array-tailed tag, with the bytes of one more row.
+_ARRAY_TAILED = [
+    (
+        EventBatchMessage(1, W, events=cols((E, E, E))),
+        wire.EVENT.pack(E.value, E.timestamp, E.node_id, E.seq),
+    ),
+    (SortedRunMessage(1, W, events=vals(1.5, 2.5, 3.5)), wire.F64.pack(4.5)),
+    (
+        CandidateEventsMessage(1, W, slice_index=0, events=vals(1.5, 2.5, 3.5)),
+        wire.F64.pack(4.5),
+    ),
+]
+_ARRAY_TAILED_IDS = ["event_batch", "sorted_run", "candidate_events"]
 
 
-@pytest.mark.parametrize(
-    "factory",
-    [
-        lambda events: EventBatchMessage(1, W, events=events),
-        lambda events: SortedRunMessage(1, W, events=events),
-        lambda events: CandidateEventsMessage(
-            1, W, slice_index=0, events=events
-        ),
-    ],
-    ids=["event_batch", "sorted_run", "candidate_events"],
-)
-def test_event_array_stride_mismatch_rejected(factory):
-    message = factory(cols((E, E, E)))
+@pytest.mark.parametrize("message,row", _ARRAY_TAILED, ids=_ARRAY_TAILED_IDS)
+def test_event_array_stride_mismatch_rejected(message, row):
     payload = encode_payload(message)
-    for cut in (1, 19):  # mid-event truncation from either end of a stride
+    # Mid-row truncation from either end of a stride.
+    for cut in (1, len(row) - 1):
         with pytest.raises(CodecError, match="stride"):
             decode_payload(
                 tag_of(message), payload[:-cut], sender=1, window=W
@@ -976,47 +988,124 @@ def test_event_array_stride_mismatch_rejected(factory):
         )
 
 
-@pytest.mark.parametrize(
-    "factory",
-    [
-        lambda events: EventBatchMessage(1, W, events=events),
-        lambda events: SortedRunMessage(1, W, events=events),
-        lambda events: CandidateEventsMessage(
-            1, W, slice_index=0, events=events
-        ),
-    ],
-    ids=["event_batch", "sorted_run", "candidate_events"],
-)
-def test_event_array_count_mismatch_rejected(factory):
-    # A whole extra (or missing) event is stride-aligned, so only the
+@pytest.mark.parametrize("message,row", _ARRAY_TAILED, ids=_ARRAY_TAILED_IDS)
+def test_event_array_count_mismatch_rejected(message, row):
+    # A whole extra (or missing) row is stride-aligned, so only the
     # announced count can catch it.
-    message = factory(cols((E, E)))
     payload = encode_payload(message)
-    extra = wire.EVENT.pack(E.value, E.timestamp, E.node_id, E.seq)
     with pytest.raises(CodecError, match="announced"):
-        decode_payload(tag_of(message), payload + extra, sender=1, window=W)
+        decode_payload(tag_of(message), payload + row, sender=1, window=W)
     with pytest.raises(CodecError, match="announced"):
         decode_payload(
-            tag_of(message), payload[:-wire.EVENT.size], sender=1, window=W
+            tag_of(message), payload[:-len(row)], sender=1, window=W
         )
 
 
 def test_relay_runs_truncated_section_events_rejected():
-    message = RelayRunsMessage(9, W, sections=((3, 0, cols((E, E))),))
+    message = RelayRunsMessage(9, W, sections=((3, 0, vals(1.5, 2.5)),))
     payload = encode_payload(message)
     with pytest.raises(CodecError, match="truncated"):
         decode_payload(tag_of(message), payload[:-3], sender=9, window=W)
 
 
 def test_relay_runs_section_count_overruns_rejected():
-    # The section header announces more events than the payload holds.
-    message = RelayRunsMessage(9, W, sections=((3, 0, cols((E,))),))
+    # The section header announces more values than the payload holds.
+    message = RelayRunsMessage(9, W, sections=((3, 0, vals(1.5)),))
     payload = bytearray(encode_payload(message))
-    # Section event count sits after the section count (4) and the
+    # Section value count sits after the section count (4) and the
     # node_id + slice_index pair (8).
     payload[12:16] = wire.U32.pack(2)
     with pytest.raises(CodecError, match="truncated"):
         decode_payload(tag_of(message), bytes(payload), sender=9, window=W)
+
+
+# Candidate runs (tags 6 and 24) ship 8-byte values since wire version 2.
+# Every way a run's bytes can disagree with its header is refused.
+
+_RUN = CandidateEventsMessage(1, W, slice_index=4, events=vals(-0.0, 2.5, 7.0))
+_RELAY_RUNS = RelayRunsMessage(
+    9, W, sections=((3, 0, vals(1.5, 2.5)), (4, 2, vals(0.5)))
+)
+
+
+def test_candidate_run_is_the_f64_packing_of_its_values():
+    payload = encode_payload(_RUN)
+    assert payload == wire.U32.pack(4) + wire.COUNT.pack(3) + struct.pack(
+        "<3d", -0.0, 2.5, 7.0
+    )
+    decoded = decode_payload(tag_of(_RUN), payload, sender=1, window=W)
+    assert decoded.events.dtype == np.dtype("<f8")
+    assert decoded.events.tobytes() == _RUN.events.tobytes()  # -0.0 kept
+    relay = encode_payload(_RELAY_RUNS)
+    assert relay == b"".join([
+        wire.COUNT.pack(2),
+        wire.RELAY_RUN_SECTION_FIXED.pack(3, 0, 2), struct.pack("<2d", 1.5, 2.5),
+        wire.RELAY_RUN_SECTION_FIXED.pack(4, 2, 1), struct.pack("<d", 0.5),
+    ])
+
+
+@pytest.mark.parametrize("cut", [1, 4, 7, 8])
+def test_candidate_run_truncated_header_rejected(cut):
+    # Slice index (4) and count (4) cut short.
+    payload = encode_payload(_RUN)[:8 - cut]
+    with pytest.raises(CodecError, match="truncated"):
+        decode_payload(tag_of(_RUN), payload, sender=1, window=W)
+
+
+def test_candidate_run_count_past_payload_rejected():
+    payload = bytearray(encode_payload(_RUN))
+    payload[4:8] = wire.COUNT.pack(4)  # four announced, three follow
+    with pytest.raises(CodecError, match="announced"):
+        decode_payload(tag_of(_RUN), bytes(payload), sender=1, window=W)
+
+
+def test_candidate_run_trailing_bytes_rejected():
+    payload = encode_payload(_RUN)
+    with pytest.raises(CodecError, match="announced"):  # a whole value
+        decode_payload(tag_of(_RUN), payload + bytes(8), sender=1, window=W)
+    with pytest.raises(CodecError, match="stride"):  # part of one
+        decode_payload(tag_of(_RUN), payload + bytes(3), sender=1, window=W)
+
+
+def test_relay_runs_truncated_rejected():
+    payload = encode_payload(_RELAY_RUNS)
+    for end in (2, 4 + 6, len(payload) - 8):  # count, a header, a section
+        with pytest.raises(CodecError, match="truncated"):
+            decode_payload(
+                tag_of(_RELAY_RUNS), payload[:end], sender=9, window=W
+            )
+
+
+def test_relay_runs_count_past_payload_rejected():
+    payload = bytearray(encode_payload(_RELAY_RUNS))
+    payload[0:4] = wire.COUNT.pack(3)  # three sections announced, two follow
+    with pytest.raises(CodecError, match="truncated"):
+        decode_payload(tag_of(_RELAY_RUNS), bytes(payload), sender=9, window=W)
+
+
+def test_relay_runs_trailing_bytes_rejected():
+    payload = encode_payload(_RELAY_RUNS) + bytes(8)
+    with pytest.raises(CodecError, match="trailing"):
+        decode_payload(tag_of(_RELAY_RUNS), payload, sender=9, window=W)
+
+
+def test_relay_runs_section_not_a_multiple_of_eight_rejected():
+    payload = encode_payload(_RELAY_RUNS)
+    # The last section announces one value, 8 bytes; give it other sizes.
+    for size in (3, 5, 12, 20):
+        bad = payload[:-8] + bytes(size)
+        error = "truncated" if size < 8 else "trailing"
+        with pytest.raises(CodecError, match=error):
+            decode_payload(tag_of(_RELAY_RUNS), bad, sender=9, window=W)
+
+
+@pytest.mark.parametrize("message", [_RUN, _RELAY_RUNS], ids=["tag6", "tag24"])
+def test_version_one_run_frame_refused(message):
+    frame = bytearray(encode_frame(message))
+    assert frame[wire.LENGTH_PREFIX.size] == wire.WIRE_VERSION == 2
+    frame[wire.LENGTH_PREFIX.size] = 1
+    with pytest.raises(CodecError, match="version mismatch"):
+        decode_frame(bytes(frame))
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,9 @@ def test_each_pair_is_two_names_for_one_object():
 # Golden wire: recorded at the parent commit with
 #   workload_columns([1..4], GeneratorConfig(200.0, 3.0, seed=5)),
 #   QuantileQuery(q=0.5, gamma=64), memory transport, 2 streams a local.
+# Uplink bytes re-recorded for wire version 2 (candidate runs ship 8-byte
+# values): 16,128 fewer on every uplink layer, 1,344 candidates × 12 B;
+# values and message counts unchanged.
 # ----------------------------------------------------------------------
 
 GOLDEN_VALUES = [34.952524624106594, 35.08097862671282, 54.22207658633975]
@@ -77,17 +80,17 @@ GOLDEN_VALUES = [34.952524624106594, 35.08097862671282, 54.22207658633975]
 GOLDEN = {
     "flat": (
         dict(n_shards=1, relay_fanin=0),
-        {"local_root": 31244, "stream_local": 50496},
+        {"local_root": 15116, "stream_local": 50496},
         {"local_root": 49, "stream_local": 64},
     ),
     "sharded": (
         dict(n_shards=2, relay_fanin=0),
-        {"local_root": 31420, "stream_local": 50496},
+        {"local_root": 15292, "stream_local": 50496},
         {"local_root": 53, "stream_local": 64},
     ),
     "relayed": (
         dict(n_shards=2, relay_fanin=2),
-        {"local_relay": 31244, "relay_root": 30815, "stream_local": 50496},
+        {"local_relay": 15116, "relay_root": 14687, "stream_local": 50496},
         {"local_relay": 49, "relay_root": 28, "stream_local": 64},
     ),
 }

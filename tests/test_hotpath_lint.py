@@ -40,10 +40,16 @@ baselines are Scotty's pair and the summary pair that Desis, t-digest, KLL,
 q-digest and partial aggregation share, so a per-path or per-system copy of
 the local/root protocol cannot grow back.
 
-The last one keeps a background task's failure policy in one place:
+One keeps a background task's failure policy in one place:
 ``FailureLatch.guard`` is the only ``except BaseException`` handler and the
 only code that records on a latch, so every live task is spawned through
 the latch instead of carrying a hand-copied handler.
+
+The last keeps whole events off the uplink: each system ships only the
+columns its root reads, so the raw event batch is the only message whose
+``payload_bytes`` counts the 20-byte event — candidate runs and Desis'
+sorted runs are 8-byte value runs, and a whole-tuple run cannot return
+quietly.
 """
 
 import ast
@@ -363,14 +369,14 @@ def test_cluster_configs_are_built_in_one_cli_function():
 
 #: The functions of the live-path modules that may call a numpy or in-place
 #: sort (``lexsort``, ``argsort``, ``np.sort``, ``.sort(``): the shared
-#: key-order kernel every window sort goes through, the root's rank select
-#: (ties at one value only) and window-cut's sweep over synopsis ranks.
+#: key-order kernel every window sort goes through and window-cut's sweep
+#: over synopsis ranks.  The root's rank select sorts nothing: it
+#: partitions the value runs.
 #: The builtin ``sorted`` is not policed — it orders dict keys all over
 #: ``runtime/``; the comparison mirrors (``_merge_comparison_mirror``,
 #: ``_sweep_rows``) are its only row users.
 ALLOWED_SORT_SITES = {
     ("streaming/columns.py", "_key_order"),
-    ("streaming/columns.py", "select_rank"),
     ("core/window_cut.py", "_sweep_columns"),
 }
 
@@ -638,6 +644,55 @@ def test_failure_lint_sees_every_handler_and_latch_shape():
         {"guard", "loop"},
         {"guard", "loop", "nested"},
     )
+
+
+#: The message classes whose ``payload_bytes`` counts whole 20-byte events
+#: (``EVENT_WIRE_BYTES``): the raw batch a stream or Scotty forwards, and
+#: nothing else — a root that reads only values is shipped only values.
+#: Held with ``==``: a whole-tuple candidate or sorted run fails here.
+WHOLE_EVENT_MESSAGES = {"EventBatchMessage"}
+
+
+def _whole_event_messages(source):
+    """Classes whose ``payload_bytes`` names ``EVENT_WIRE_BYTES``."""
+    return {
+        cls.name
+        for cls in ast.walk(ast.parse(source))
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef)
+        and method.name == "payload_bytes"
+        for node in ast.walk(method)
+        if (getattr(node, "id", None) or getattr(node, "attr", None))
+        == "EVENT_WIRE_BYTES"
+    }
+
+
+def test_only_the_raw_batch_ships_whole_events():
+    classes = set()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        classes |= _whole_event_messages(path.read_text())
+    assert classes == WHOLE_EVENT_MESSAGES
+
+
+def test_whole_event_lint_sees_names_and_attributes():
+    source = (
+        "class A(Message):\n"
+        "    @property\n"
+        "    def payload_bytes(self):\n"
+        "        return len(self.events) * EVENT_WIRE_BYTES\n"
+        "class B(Message):\n"
+        "    @property\n"
+        "    def payload_bytes(self):\n"
+        "        return 4 + sum(len(r) * wire.EVENT_WIRE_BYTES for r in x)\n"
+        "class C(Message):\n"
+        "    @property\n"
+        "    def payload_bytes(self):\n"
+        "        return len(self.events) * wire.F64_BYTES\n"
+        "class D:\n"
+        "    size = EVENT_WIRE_BYTES\n"
+    )
+    assert _whole_event_messages(source) == {"A", "B"}
 
 
 def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
