@@ -38,7 +38,9 @@ class IdentificationResult:
         global_window_size: Total events across all local windows.
         cut: The window-cut outcome (candidates, rank, ``n_below``).
         requests: Slice indices to fetch, keyed by local node id.  Nodes
-            owning no candidate slices do not appear.
+            owning no candidate slices do not appear.  Node ids and each
+            node's indices ascend, so fetching in iteration order yields
+            the runs in ``cut.candidates`` order.
     """
 
     q: float
@@ -68,7 +70,7 @@ class MultiIdentificationResult:
             each identical to what :func:`identify` alone would produce.
         requests: The **union** of every cut's candidate slice indices,
             keyed by local node id — a slice two quantiles both need is
-            fetched once.
+            fetched once.  Node ids and each node's indices ascend.
     """
 
     qs: tuple[float, ...]
@@ -160,7 +162,7 @@ def identify_multi(
         cuts={q: cuts_by_rank[rank] for q, rank in ranks.items()},
         requests={
             node_id: tuple(sorted(indices))
-            for node_id, indices in requests.items()
+            for node_id, indices in sorted(requests.items())
         },
     )
 

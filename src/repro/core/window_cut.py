@@ -25,6 +25,7 @@ All three return identical candidates and ``n_below`` (property-tested).
 from __future__ import annotations
 
 import bisect
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -57,7 +58,10 @@ class CutResult:
 
     Attributes:
         rank: The global rank ``k`` being located.
-        candidates: Candidate synopses, ascending ``first_key`` order.
+        candidates: Candidate synopses in ``(node_id, slice_index)``
+            order, however they were handed in: the order the calculation
+            step stacks their runs in, which is what breaks ties between
+            ``-0.0`` and ``0.0`` as the full event key does.
         n_below: Events guaranteed to rank strictly below rank ``k`` that are
             *not* part of any candidate slice.  The answer is the element at
             local rank ``rank - n_below`` of the merged candidate events.
@@ -70,6 +74,11 @@ class CutResult:
     n_below: int
     units_scanned: int = 0
     kinds: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "candidates", tuple(
+            sorted(self.candidates, key=attrgetter("slice_id"))
+        ))
 
     @property
     def candidate_events(self) -> int:

@@ -73,6 +73,31 @@ class TestIdentify:
         for indices in result.requests.values():
             assert list(indices) == sorted(indices)
 
+    def test_fetch_order_is_candidate_order(self):
+        # Overlapping nodes handed in out of id order: the sweep meets node
+        # 3's slices first, yet the candidates and the order the requests
+        # iterate in are both (node_id, slice_index) — the order the
+        # calculation step stacks the runs in.
+        nodes = {
+            3: sliced([x / 3 for x in range(60)], node_id=3),
+            1: sliced([x / 2 + 1 for x in range(60)], node_id=1),
+            2: sliced([x / 4 + 2 for x in range(60)], node_id=2),
+        }
+        result = identify(
+            {n: s.synopses for n, s in nodes.items()},
+            {n: s.window_size for n, s in nodes.items()},
+            q=0.5,
+        )
+        ids = [s.slice_id for s in result.cut.candidates]
+        assert len({node for node, _ in ids}) == 3
+        assert ids == sorted(ids)
+        fetched = [
+            (node, index)
+            for node, indices in result.requests.items()
+            for index in indices
+        ]
+        assert fetched == ids
+
     def test_candidate_events_exposed(self):
         a = sliced(range(20), node_id=1, gamma=4)
         result = identify({1: a.synopses}, {1: 20}, q=0.5)
