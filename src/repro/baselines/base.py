@@ -22,7 +22,14 @@ from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.network.driver import MS_PER_SECOND, BatchSourceDriver
+from repro.network.driver import (
+    MS_PER_SECOND,
+    BatchSourceDriver,
+    event_timestamps,
+    local_arrivals,
+    local_streams,
+    window_segments,
+)
 from repro.network.messages import EventBatchMessage, Message
 from repro.network.metrics import LatencyStats, NetworkMetrics
 from repro.network.simulator import (
@@ -366,26 +373,16 @@ class BaselineEngine:
         """The root operator."""
         return self._simulator.nodes[self._topology.root_id]
 
-    def _feeds(self, streams: Mapping[int, Any]) -> list[tuple[SimulatedNode, Any]]:
-        """Each local operator with its stream, after rejecting unknown ids."""
-        unknown = set(streams) - set(self._topology.local_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"streams reference unknown local nodes {sorted(unknown)}"
-            )
-        return [
-            (self._simulator.nodes[local_id], streams.get(local_id, ()))
-            for local_id in self._topology.local_ids
-        ]
-
     def run(
         self, streams: "Mapping[int, EventColumns | Sequence[Event]]"
     ) -> SystemReport:
         """Feed per-local-node streams (``EventColumns`` or sequences of
-        ``Event``; the driver converts) and drain the simulation."""
+        ``Event``, converted once at the door) and drain the simulation."""
         assigner = self._query.assigner()
         all_windows: set[Window] = set()
-        for operator, events in self._feeds(streams):
+        feeds = local_streams(self._topology.local_ids, streams)
+        for local_id, events in feeds.items():
+            operator = self._simulator.nodes[local_id]
             all_windows.update(self._driver.feed(operator, events, assigner))
         return self._finish(all_windows, allowed_lateness_ms=0)
 
@@ -402,9 +399,12 @@ class BaselineEngine:
         """
         assigner = self._query.assigner()
         all_windows: set[Window] = set()
-        for operator, pairs in self._feeds(arrivals):
+        split = local_arrivals(self._topology.local_ids, arrivals)
+        for local_id, (events, arrival_ms) in split.items():
+            operator = self._simulator.nodes[local_id]
+            self._driver.feed_arrivals(operator, events, arrival_ms)
             all_windows.update(
-                self._driver.feed_unordered(operator, pairs, assigner)
+                window_segments(event_timestamps(events), assigner)[1]
             )
         return self._finish(
             all_windows, allowed_lateness_ms=allowed_lateness_ms

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.network.topology import TopologyConfig
 from repro.core.query import QuantileQuery
-from repro.bench.generator import GeneratorConfig
 
 __all__ = ["bench_topology", "ExperimentSpec", "EXPERIMENTS", "BENCH_OPS"]
 
@@ -75,10 +74,6 @@ class ExperimentSpec:
     gammas: tuple[int, ...] = (BENCH_GAMMA,)
     scale_rate_configs: dict = field(default_factory=dict)
     notes: str = ""
-
-
-def _uniform_scale(n_nodes: int, rate: float = 1.0) -> dict[int, float]:
-    return {node_id: rate for node_id in range(1, n_nodes + 1)}
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -156,13 +151,6 @@ EXPERIMENTS: dict[str, ExperimentSpec] = {
         systems=("dema",),
     ),
 }
-
-
-def base_generator(event_rate: float, duration_s: float, seed: int = 42) -> GeneratorConfig:
-    """Generator defaults shared by all experiments."""
-    return GeneratorConfig(
-        event_rate=event_rate, duration_s=duration_s, seed=seed
-    )
 
 
 def median_query(gamma: int = BENCH_GAMMA, *, q: float = 0.5,

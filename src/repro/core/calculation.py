@@ -10,8 +10,9 @@ Values that compare equal but differ in bits (``-0.0`` and ``0.0``)
 resolve in the order the runs are handed in: the order of
 ``cut.candidates``, which :class:`~repro.core.window_cut.CutResult` keeps
 in ``(node_id, slice_index)`` order, and which the identification step's
-``requests`` iterate in.  That is the order of the full event key
-``(value, node_id, seq)``: a local's events carry its own id, and its
+``requests`` iterate in.  That is the order of the synopsis key ``(value,
+owner, position)`` and of the full event key ``(value, node_id, seq)``: a
+local's events carry its own id (the stream doors check it), and its
 slices ascend in key.  NaN-bearing windows go through the k-way merge over
 values, which is also the reference the select is tested against.
 """

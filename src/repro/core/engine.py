@@ -26,7 +26,8 @@ from repro.network.driver import (
     MS_PER_SECOND,
     BatchSourceDriver,
     event_timestamps,
-    split_arrivals,
+    local_arrivals,
+    local_streams,
     window_segments,
 )
 from repro.network.metrics import LatencyStats, NetworkMetrics
@@ -336,13 +337,6 @@ class DemaEngine:
         assert self._root is not None
         return self._root
 
-    def _check_known(self, streams: Mapping) -> None:
-        unknown = set(streams) - set(self._topology.local_ids)
-        if unknown:
-            raise ConfigurationError(
-                f"streams reference unknown local nodes {sorted(unknown)}"
-            )
-
     def run(
         self, streams: "Mapping[int, EventColumns | Sequence[Event]]"
     ) -> DemaRunReport:
@@ -358,12 +352,12 @@ class DemaEngine:
             The run report with per-window outcomes and metrics.
 
         Raises:
-            ConfigurationError: If a stream targets an unknown node.
+            ConfigurationError: If a stream targets an unknown node or
+                carries another node's events.
         """
-        self._check_known(streams)
         windows: dict[int, set[Window]] = {}
-        for local_id in self._topology.local_ids:
-            events = as_event_columns(streams.get(local_id, ()))
+        local_ids = self._topology.local_ids
+        for local_id, events in local_streams(local_ids, streams).items():
             timestamps = event_timestamps(events, ordered=True)
             self._driver.schedule_batches(
                 self._simulator.nodes[local_id],
@@ -388,10 +382,9 @@ class DemaEngine:
                 window stays open.  Arrivals later than this are dropped by
                 the local nodes and counted in their ``late_events``.
         """
-        self._check_known(arrivals)
         windows: dict[int, set[Window]] = {}
-        for local_id in self._topology.local_ids:
-            events, arrival_ms = split_arrivals(arrivals.get(local_id, ()))
+        split = local_arrivals(self._topology.local_ids, arrivals)
+        for local_id, (events, arrival_ms) in split.items():
             self._segment(event_timestamps(events), windows)
             self._driver.feed_arrivals(
                 self._simulator.nodes[local_id], events, arrival_ms
@@ -420,14 +413,14 @@ class DemaEngine:
 
         Raises:
             ConfigurationError: If the topology has no sensor tier, a
-                stream targets an unknown local node, or a sensor's share
-                regresses in time.
+                stream targets an unknown local node or carries another
+                node's events, or a sensor's share regresses in time.
         """
         if not any(self._topology.stream_ids.values()):
             raise ConfigurationError(
                 "run_via_sensors requires TopologyConfig.streams_per_local > 0"
             )
-        self._check_known(streams)
+        streams = local_streams(self._topology.local_ids, streams)
         if allowed_lateness_ms is None:
             # The sensor may hold a reading for up to its batch-age bound,
             # plus link latency and a transfer allowance.
@@ -444,8 +437,7 @@ class DemaEngine:
                 + 2
             )
         windows: dict[int, set[Window]] = {}
-        for local_id in self._topology.local_ids:
-            events = as_event_columns(streams.get(local_id, ()))
+        for local_id, events in streams.items():
             sensors = self._topology.stream_ids[local_id]
             self._segment(event_timestamps(events), windows)
             for index, sensor_id in enumerate(sensors):

@@ -7,6 +7,11 @@ events because a synopsis needs a distinct first and last event; the slicer
 enforces this by folding a trailing 1-event remainder into the previous
 slice.  A window with a single event yields one 1-event slice — its synopsis
 *is* the event, so the requirement is moot.
+
+A synopsis key is ``(value, owner, position)``: the boundary event's value,
+the window's owner and the event's row in the sorted window, not its
+``(node_id, seq)`` — what a decoder rebuilds from the 20-byte wire record,
+so the simulator, which never encodes, and the live root see one row.
 """
 
 from __future__ import annotations
@@ -113,7 +118,8 @@ def slice_sorted_events(
             each slice's own ``first_key <= last_key`` is checked;
             callers are the sorted window and tests.
         gamma: Target slice size; must be ≥ 2.
-        node_id: Owner stamped into every synopsis.
+        node_id: Owner stamped into every synopsis, the second component
+            of its keys; the third is the row in ``sorted_events``.
 
     Returns:
         The sliced window.  Empty input yields a window with zero slices.
@@ -134,14 +140,12 @@ def slice_sorted_events(
     lasts = bounds[1:] - 1
 
     records = _np.empty(len(starts), dtype=SYNOPSIS_DTYPE)
-    first, last = sorted_events[starts], sorted_events[lasts]
-    records["first_value"] = first.values
-    records["first_node"] = first.node_ids
-    records["first_seq"] = first.seqs
-    records["last_value"] = last.values
-    records["last_node"] = last.node_ids
-    records["last_seq"] = last.seqs
+    values = sorted_events.values
+    records["first_value"] = values[starts]
+    records["last_value"] = values[lasts]
     records["count"] = _np.diff(bounds)
+    records["first_pos"] = starts
+    records["last_pos"] = lasts
     records["slice_index"] = _np.arange(len(starts), dtype="<u4")
     records["n_slices"] = len(starts)
     records["node_id"] = node_id

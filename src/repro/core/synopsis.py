@@ -1,19 +1,26 @@
 """Slice synopses: the unit of information in Dema's identification step.
 
 A synopsis describes one slice of a locally sorted window: its first and
-last event keys, how many events it holds, which slice of how many it is, and
+last keys, how many events it holds, which slice of how many it is, and
 which node owns it.  The root node reasons about quantile ranks exclusively
 through synopses; the events themselves stay at the local node until the
 calculation step requests them.
 
+A synopsis key is ``(value, owner, position)``: the event's value, the
+local that owns the slice and the event's row in that local's sorted
+window.  It orders events as ``(value, node_id, seq)`` does — within a
+local the window is sorted by that key, across locals every event carries
+its local's id (the stream doors check it) — so only the paper's
+``(first, last, count)`` travels; owner and positions are rebuilt.
+
 Two representations, one per grain.  :class:`SliceSynopsis` is the *row*:
 what a :class:`~repro.core.window_cut.CutResult` hands out as a candidate
 and what tests build by hand.  :class:`SynopsisColumns` is the *batch*: all
-of a local window's synopses as one structured ndarray whose packed dtype
-is the 48-byte wire record, so the slicer writes it with a handful of
-column assignments, the codec moves it with ``tobytes``/``frombuffer``, the
-relay passes it through and window-cut reads its columns — rows are only
-materialised for the few candidates.
+of a local window's synopses as one structured ndarray whose leading 20
+bytes per record are the wire record, so the slicer writes it with a
+handful of column assignments, the codec moves it with one strided copy,
+the relay passes it through and window-cut reads its columns — rows are
+only materialised for the few candidates.
 """
 
 from __future__ import annotations
@@ -33,7 +40,6 @@ from repro.streaming.events import EventKey
 # (enforced by tests/test_hotpath_lint.py).
 
 __all__ = [
-    "RELAY_SYNOPSIS_DTYPE",
     "SYNOPSIS_DTYPE",
     "SliceSynopsis",
     "SynopsisColumns",
@@ -47,8 +53,10 @@ class SliceSynopsis:
     """Summary of one sorted slice of a local window.
 
     Attributes:
-        first_key: Total-order key of the smallest event in the slice.
-        last_key: Total-order key of the largest event in the slice.
+        first_key: Key ``(value, owner, position)`` of the smallest event
+            in the slice: its value, the owning node, and its row in the
+            owner's sorted window.
+        last_key: The same key of the largest event in the slice.
         count: Number of events in the slice (≥ 1; ≥ 2 for non-final
             slices per the paper, enforced by the slicer, not here).
         node_id: Local node that owns the slice.
@@ -115,41 +123,37 @@ class SliceSynopsis:
         return self.first_key > other.last_key
 
 
-#: The wire layout of one synopsis as a numpy structured dtype.  Packed
-#: (no padding), little-endian — ``frombuffer`` of a synopsis payload and
-#: ``tobytes`` of a batch are byte-identical to ``struct`` with
-#: :data:`repro.runtime.wire.SYNOPSIS`.
+#: One synopsis in memory: the wire record (:data:`repro.runtime.wire.
+#: SYNOPSIS`), then what a decoder rebuilds from the sender and the counts
+#: — both keys' positions, slice index and total, and the owner (the keys'
+#: second component).  40 bytes keep every field aligned.
 SYNOPSIS_DTYPE = _np.dtype(
     [
         ("first_value", "<f8"),
-        ("first_node", "<u4"),
-        ("first_seq", "<u4"),
         ("last_value", "<f8"),
-        ("last_node", "<u4"),
-        ("last_seq", "<u4"),
         ("count", "<u4"),
+        ("first_pos", "<u4"),
+        ("last_pos", "<u4"),
         ("slice_index", "<u4"),
         ("n_slices", "<u4"),
         ("node_id", "<u4"),
     ]
 )
-assert SYNOPSIS_DTYPE.itemsize == wire.SYNOPSIS_WIRE_BYTES
 
-#: The compact record of a relay-combined section
-#: (:data:`repro.runtime.wire.RELAY_SYNOPSIS`): the leading fields of
-#: :data:`SYNOPSIS_DTYPE` up to ``count``.  ``slice_index`` / ``n_slices``
-#: are a row's position and the section's length, ``node_id`` the section
-#: header's — exactly what :meth:`SynopsisColumns.validated` demands.
-RELAY_SYNOPSIS_DTYPE = _np.dtype(SYNOPSIS_DTYPE.descr[:7])
-assert RELAY_SYNOPSIS_DTYPE.itemsize == wire.RELAY_SYNOPSIS_WIRE_BYTES
+#: A record's wire prefix as one opaque unit, and a record viewed as its
+#: prefix: a batch packs and unpacks with one strided copy, not one a field.
+_WIRE_VOID = _np.dtype((_np.void, wire.SYNOPSIS_WIRE_BYTES))
+_AS_WIRE = _np.dtype({"names": ["wire"], "formats": [_WIRE_VOID],
+                      "itemsize": SYNOPSIS_DTYPE.itemsize})
+assert _np.dtype(SYNOPSIS_DTYPE.descr[:3]).itemsize == _WIRE_VOID.itemsize
 
 
 def _row(record: tuple) -> SliceSynopsis:
-    """One wire record (as Python scalars) as a synopsis row."""
-    fv, fn, fs, lv, ln, ls, count, slice_index, n_slices, node_id = record
+    """One in-memory record (as Python scalars) as a synopsis row."""
+    fv, lv, count, fp, lp, slice_index, n_slices, node_id = record
     return SliceSynopsis(
-        first_key=(fv, fn, fs),
-        last_key=(lv, ln, ls),
+        first_key=(fv, node_id, fp),
+        last_key=(lv, node_id, lp),
         count=count,
         node_id=node_id,
         slice_index=slice_index,
@@ -165,8 +169,8 @@ class SynopsisColumns:
     holds against any sequence of equal rows — while ``records`` exposes
     the columns to vectorised consumers.  Holding one says nothing about
     the rows being a *complete* local batch (window-cut concatenates
-    several); the doors that admit a batch — the slicer and both wire
-    decoders — call :meth:`validated`.
+    several); the doors that admit a batch — the slicer and the wire
+    decoder — call :meth:`validated`.
     """
 
     __slots__ = ("records",)
@@ -179,48 +183,49 @@ class SynopsisColumns:
 
     @classmethod
     def from_rows(cls, rows: Iterable[SliceSynopsis]) -> "SynopsisColumns":
-        """Build a batch from synopsis rows (tests and cold paths)."""
-        return cls(
-            _np.array(
-                [
-                    (*s.first_key, *s.last_key, s.count, s.slice_index,
-                     s.n_slices, s.node_id)
-                    for s in rows
-                ],
-                dtype=SYNOPSIS_DTYPE,
-            )
-        )
+        """Build a batch from synopsis rows (tests and cold paths).
+
+        Raises:
+            SliceError: If a key's second component is not the row's
+                owner — a record holds the owner once.
+        """
+        rows = list(rows)
+        if any(s.node_id != s.first_key[1] or s.node_id != s.last_key[1]
+               for s in rows):
+            raise SliceError("a synopsis key must name the slice's owner")
+        return cls(_np.array([
+            (s.first_key[0], s.last_key[0], s.count, s.first_key[2],
+             s.last_key[2], s.slice_index, s.n_slices, s.node_id)
+            for s in rows
+        ], dtype=SYNOPSIS_DTYPE))
 
     @classmethod
     def from_wire(
         cls, raw: "bytes | memoryview", count: int, node_id: int
     ) -> "SynopsisColumns":
-        """Zero-copy view over a wire synopsis array (``count`` × 48 bytes)
-        that must be node ``node_id``'s complete batch.
+        """Node ``node_id``'s complete batch from ``count`` wire records
+        (``count`` × 20 bytes), the rest rebuilt: owner ``node_id``, row
+        ``i`` as slice ``i`` of ``count``, and key positions from the
+        running sum of the counts.
 
         Raises:
-            CodecError: If the byte length disagrees with ``count``, or a
-                record fails :meth:`validated`.
+            CodecError: If the byte length disagrees with ``count``, the
+                counts overrun a ``u32`` position, or a record fails
+                :meth:`validated`.
         """
-        _check_length(raw, count, wire.SYNOPSIS_WIRE_BYTES)
-        batch = cls(_np.frombuffer(raw, dtype=SYNOPSIS_DTYPE))
-        return batch.validated(node_id, CodecError)
-
-    @classmethod
-    def from_relay_wire(
-        cls, raw: "bytes | memoryview", count: int, node_id: int
-    ) -> "SynopsisColumns":
-        """One relay section (``count`` × 36 bytes) as node ``node_id``'s
-        batch, the dropped fields rebuilt from position and header.
-
-        Raises:
-            CodecError: As :meth:`from_wire`.
-        """
-        _check_length(raw, count, wire.RELAY_SYNOPSIS_WIRE_BYTES)
-        compact = _np.frombuffer(raw, dtype=RELAY_SYNOPSIS_DTYPE)
+        if len(raw) != count * wire.SYNOPSIS_WIRE_BYTES:
+            raise CodecError(
+                f"synopsis array of {len(raw)} bytes does not hold the "
+                f"announced {count} synopses of 20 bytes"
+            )
         records = _np.empty(count, dtype=SYNOPSIS_DTYPE)
-        for name in RELAY_SYNOPSIS_DTYPE.names:
-            records[name] = compact[name]
+        records.view(_AS_WIRE)["wire"] = _np.frombuffer(raw, _WIRE_VOID)
+        counts = records["count"]
+        ends = _np.cumsum(counts, dtype=_np.uint64)
+        if count and ends[-1] > 2**32:
+            raise CodecError("synopsis counts overrun a u32 position")
+        _np.subtract(ends, counts, out=records["first_pos"], casting="unsafe")
+        _np.subtract(ends, 1, out=records["last_pos"], casting="unsafe")
         records["slice_index"] = _np.arange(count, dtype="<u4")
         records["n_slices"] = count
         records["node_id"] = node_id
@@ -239,15 +244,11 @@ class SynopsisColumns:
         arr = self.records
         n = len(arr)
         fv, lv = arr["first_value"], arr["last_value"]
-        fn, ln = arr["first_node"], arr["last_node"]
         checks = (
             ("count must be >= 1", arr["count"] < 1),
             (
                 "first_key exceeds last_key",
-                (fv > lv) | ((fv == lv) & (
-                    (fn > ln)
-                    | ((fn == ln) & (arr["first_seq"] > arr["last_seq"]))
-                )),
+                (fv > lv) | ((fv == lv) & (arr["first_pos"] > arr["last_pos"])),
             ),
             (
                 f"not labelled as slice <row> of {n} (complete, ordered batch)",
@@ -320,23 +321,23 @@ class SynopsisColumns:
     def key_ranks(self):
         """Dense ranks of the rows' first and last keys among all ``2n``
         of them, as two integer arrays: equal keys share a rank, so ``<``,
-        ``<=`` and ``==`` on ranks are those of the ``(value, node_id,
-        seq)`` tuples.  Meaningless if :meth:`has_nan`."""
+        ``<=`` and ``==`` on ranks are those of the ``(value, owner,
+        position)`` tuples.  Meaningless if :meth:`has_nan`."""
         arr = self.records
         values = _np.concatenate((arr["first_value"], arr["last_value"]))
-        nodes = _np.concatenate((arr["first_node"], arr["last_node"]))
-        seqs = _np.concatenate((arr["first_seq"], arr["last_seq"]))
+        owners = _np.concatenate((arr["node_id"], arr["node_id"]))
+        positions = _np.concatenate((arr["first_pos"], arr["last_pos"]))
         # A batch is a few nodes' slices, each node's in key order: on
         # sorted runs numpy's mergesort beats its unstable kernel (0.41
         # vs 0.70 ms for 40,000 keys; on random keys 3.1 vs 0.5).
-        order = _key_order(values, nodes, seqs, kind="stable")
+        order = _key_order(values, owners, positions, kind="stable")
         values = values[order]
-        nodes, seqs = nodes[order], seqs[order]
+        owners, positions = owners[order], positions[order]
         distinct = _np.ones(len(order), dtype=_np.intp)
         distinct[1:] = (
             (values[1:] != values[:-1])
-            | (nodes[1:] != nodes[:-1])
-            | (seqs[1:] != seqs[:-1])
+            | (owners[1:] != owners[:-1])
+            | (positions[1:] != positions[:-1])
         )
         ranks = _np.empty(len(order), dtype=_np.intp)
         ranks[order] = _np.cumsum(distinct)
@@ -346,24 +347,9 @@ class SynopsisColumns:
 
     def to_wire(self) -> bytes:
         """The batch's wire synopsis array — byte-identical to packing
-        each row with :data:`repro.runtime.wire.SYNOPSIS` in order."""
-        return _np.ascontiguousarray(self.records).tobytes()
-
-    def to_relay_wire(self) -> bytes:
-        """The batch as compact relay-section records
-        (:data:`repro.runtime.wire.RELAY_SYNOPSIS` per row)."""
-        compact = _np.empty(len(self.records), dtype=RELAY_SYNOPSIS_DTYPE)
-        for name in RELAY_SYNOPSIS_DTYPE.names:
-            compact[name] = self.records[name]
-        return compact.tobytes()
-
-
-def _check_length(raw, count: int, stride: int) -> None:
-    if len(raw) != count * stride:
-        raise CodecError(
-            f"synopsis array of {len(raw)} bytes does not hold the "
-            f"announced {count} synopses ({count * stride} bytes)"
-        )
+        each row's first value, last value and count with
+        :data:`repro.runtime.wire.SYNOPSIS` in order."""
+        return self.records.view(_AS_WIRE)["wire"].tobytes()
 
 
 def as_synopsis_columns(

@@ -75,11 +75,6 @@ class SliceUnit:
         """Largest key across members."""
         return max(member.last_key for member in self.members)
 
-    @property
-    def is_compound(self) -> bool:
-        """Whether the unit chains two or more slices."""
-        return len(self.members) > 1
-
     def contains_rank(self, rank: int) -> bool:
         """Whether the global ``rank`` falls inside this unit."""
         return self.pos_start <= rank <= self.pos_end

@@ -5,12 +5,12 @@ it looks exactly like the root (children dial it and speak the unmodified
 local protocol); upstream it looks like a single very productive local.
 Its one job is *combining*: the per-window synopsis batches of its
 children become one :class:`~repro.network.messages.RelaySynopsisMessage`
-whose compact 36-byte entries drop everything the section structure
-reconstructs, and candidate runs become one
+of sections holding the same 20-byte synopsis records the children sent,
+and candidate runs become one
 :class:`~repro.network.messages.RelayRunsMessage`.  The root explodes the
 sections back into the identical per-child frames, so the operators on
 both ends run unmodified and the quantile values stay bit-identical —
-the relay saves header and per-synopsis overhead, not information.
+the relay saves frame headers, not information.
 
 Combining waits for every window-eligible child, but never indefinitely:
 a flush deadline (:attr:`~repro.mesh.config.MeshConfig.relay_flush_s`)

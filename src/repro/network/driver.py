@@ -17,13 +17,18 @@ from __future__ import annotations
 
 import functools
 import operator as _operator
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.network.simulator import Simulator
-from repro.streaming.columns import EventColumns, as_event_columns
+from repro.streaming.columns import (
+    EMPTY_EVENTS,
+    EventColumns,
+    as_event_columns,
+    check_streams,
+)
 from repro.streaming.events import Event
 from repro.streaming.windows import (
     SlidingWindows,
@@ -41,6 +46,8 @@ __all__ = [
     "BatchSourceDriver",
     "MS_PER_SECOND",
     "event_timestamps",
+    "local_arrivals",
+    "local_streams",
     "split_arrivals",
     "window_segments",
 ]
@@ -135,6 +142,29 @@ def split_arrivals(
         EventColumns.from_events(event for event, _ in arrivals),
         np.fromiter((ms for _, ms in arrivals), np.int64, len(arrivals)),
     )
+
+
+def local_streams(
+    local_ids: Sequence[int],
+    streams: "Mapping[int, EventColumns | Iterable[Event]]",
+) -> dict[int, EventColumns]:
+    """Every local's stream as columns (a missing one empty) in
+    ``local_ids`` order, after :func:`~repro.streaming.columns.check_streams`:
+    the door of every simulated engine."""
+    columns = {i: as_event_columns(s) for i, s in streams.items()}
+    check_streams(local_ids, columns)
+    return {i: columns.get(i, EMPTY_EVENTS) for i in local_ids}
+
+
+def local_arrivals(
+    local_ids: Sequence[int],
+    arrivals: Mapping[int, Sequence[tuple[Event, int]]],
+) -> dict[int, tuple[EventColumns, np.ndarray]]:
+    """:func:`local_streams` for ``(event, arrival_ms)`` pairs, each local's
+    split by :func:`split_arrivals`."""
+    split = {i: split_arrivals(pairs) for i, pairs in arrivals.items()}
+    check_streams(local_ids, {i: events for i, (events, _) in split.items()})
+    return {i: split.get(i) or split_arrivals(()) for i in local_ids}
 
 
 class BatchSourceDriver:

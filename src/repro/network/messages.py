@@ -64,8 +64,8 @@ __all__ = [
 #: header (version, type tag, flags, sender, group id, window bounds).
 MESSAGE_HEADER_BYTES = wire.MESSAGE_HEADER_BYTES
 
-#: One slice synopsis: first key + last key (16 bytes each) plus count,
-#: slice index, slice total and owner id as u32 each.
+#: One slice synopsis on every link: first value and last value (f64
+#: each) plus count u32.
 SYNOPSIS_WIRE_BYTES = wire.SYNOPSIS_WIRE_BYTES
 
 #: The run of no values: a sorted run's default.  Read-only and shared.
@@ -485,12 +485,12 @@ class RelaySynopsisMessage(Message):
     """Several locals' synopsis batches combined into one relay frame.
 
     Each section is ``(node_id, local_window_size, synopses)`` and carries
-    one child's *complete, ordered* batch for the window.  The compact
-    36-byte synopsis encoding drops the owner id (section header) and the
-    slice index / slice total (position and length of the section), all of
-    which reconstruct exactly on decode — the root explodes sections back
-    into the identical per-child :class:`SynopsisMessage` frames, so the
-    identification operator runs unmodified and bit-identically.
+    one child's *complete, ordered* batch for the window, in the same
+    20-byte synopsis records a :class:`SynopsisMessage` carries; the
+    section header's node id is the owner a decoder rebuilds the rest
+    from — the root explodes sections back into the identical per-child
+    :class:`SynopsisMessage` frames, so the identification operator runs
+    unmodified and bit-identically.
 
     ``section_contexts`` (one trace context or ``None`` per section, in
     section order) travels in the frame's *header extension block*
@@ -512,7 +512,7 @@ class RelaySynopsisMessage(Message):
     def payload_bytes(self) -> int:
         return wire.COUNT_BYTES + sum(
             wire.RELAY_SYNOPSIS_SECTION_FIXED_BYTES
-            + len(synopses) * wire.RELAY_SYNOPSIS_WIRE_BYTES
+            + len(synopses) * SYNOPSIS_WIRE_BYTES
             for _, _, synopses in self.sections
         )
 

@@ -72,6 +72,7 @@ from repro.streaming.columns import (
     EMPTY_EVENTS,
     EventColumns,
     as_event_columns,
+    check_streams,
 )
 from repro.streaming.events import Event
 from repro.streaming.windows import CONTROL_WINDOW, Window
@@ -462,11 +463,7 @@ async def run_cluster(
     }
     grid_start, grid_end = _grid(streams, length)
     ranges = _membership_ranges(config, grid_start, grid_end)
-    unknown = set(streams) - set(ranges)
-    if unknown:
-        raise ConfigurationError(
-            f"streams reference unknown local nodes {sorted(unknown)}"
-        )
+    check_streams(ranges, streams)
     for event in config.membership:
         if not grid_start < event.at_ms < grid_end:
             raise ConfigurationError(

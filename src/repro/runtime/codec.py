@@ -367,7 +367,7 @@ def _encode_relay_synopsis(m: RelaySynopsisMessage) -> bytes:
                 node_id, local_window_size, len(synopses)
             )
         )
-        parts.append(as_synopsis_columns(synopses).to_relay_wire())
+        parts.append(as_synopsis_columns(synopses).to_wire())
     return b"".join(parts)
 
 
@@ -517,8 +517,9 @@ def _decode_sorted_run(r, sender, window, group_id):
 
 def _decode_synopsis(r, sender, window, group_id):
     # The synopsis array is the payload tail; the columnar constructor
-    # rejects a byte length that disagrees with the count and any batch
-    # that is not the sender's complete, ordered one.
+    # rejects a byte length that disagrees with the count, rebuilds what
+    # the 20-byte record leaves out from the sender and the counts, and
+    # validates the batch.
     n = r.count()
     (local_window_size,) = r.unpack(wire.U64)
     synopses = SynopsisColumns.from_wire(r.rest(), n, sender)
@@ -695,10 +696,8 @@ def _decode_relay_synopsis(r, sender, window, group_id):
         node_id, local_window_size, n = r.unpack(
             wire.RELAY_SYNOPSIS_SECTION_FIXED
         )
-        # ``slice_index`` / ``n_slices`` / ``node_id`` are not on the wire:
-        # they are the row's position, the section's length and its owner.
-        synopses = SynopsisColumns.from_relay_wire(
-            r.view(n * wire.RELAY_SYNOPSIS_WIRE_BYTES), n, node_id
+        synopses = SynopsisColumns.from_wire(
+            r.view(n * wire.SYNOPSIS_WIRE_BYTES), n, node_id
         )
         sections.append((node_id, local_window_size, synopses))
     return RelaySynopsisMessage(sender, window, group_id, tuple(sections))

@@ -68,8 +68,6 @@ __all__ = [
     "MESSAGE_HEADER_BYTES",
     "EVENT",
     "EVENT_WIRE_BYTES",
-    "KEY",
-    "KEY_WIRE_BYTES",
     "SYNOPSIS",
     "SYNOPSIS_WIRE_BYTES",
     "COUNT",
@@ -92,8 +90,6 @@ __all__ = [
     "QUERY_ACK_FIXED_BYTES",
     "QUERY_RESULT",
     "QUERY_RESULT_BYTES",
-    "RELAY_SYNOPSIS",
-    "RELAY_SYNOPSIS_WIRE_BYTES",
     "RELAY_SYNOPSIS_SECTION_FIXED",
     "RELAY_SYNOPSIS_SECTION_FIXED_BYTES",
     "RELAY_RUN_SECTION_FIXED",
@@ -103,8 +99,9 @@ __all__ = [
 #: Protocol version stamped into every frame header.  A decoder refuses
 #: frames from a different version instead of mis-parsing them.  Version 2
 #: ships candidate runs (tags 6 and 24) and Desis' sorted runs (tag 3) as
-#: 8-byte values instead of 20-byte events.
-WIRE_VERSION = 2
+#: 8-byte values instead of 20-byte events; version 3 ships a synopsis as
+#: the 20-byte :data:`SYNOPSIS` record on every link.
+WIRE_VERSION = 3
 
 #: Flags bit announcing a header extension block after the fixed header.
 FLAG_EXTENSIONS = 0x0001
@@ -163,13 +160,10 @@ MESSAGE_HEADER_BYTES = LENGTH_PREFIX.size + HEADER.size
 EVENT = struct.Struct("<dIII")
 EVENT_WIRE_BYTES = EVENT.size
 
-#: One event *key* (no timestamp): value f64, node_id u32, seq u32.
-KEY = struct.Struct("<dII")
-KEY_WIRE_BYTES = KEY.size
-
-#: One slice synopsis: first key, last key, then count / slice_index /
-#: n_slices / node_id as u32 each.
-SYNOPSIS = struct.Struct("<dIIdIIIIII")
+#: One slice synopsis on every link: first value f64, last value f64,
+#: count u32.  A decoder rebuilds the rest from the sender (or the relay
+#: section's node) and the counts (``SynopsisColumns.from_wire``).
+SYNOPSIS = struct.Struct("<ddI")
 SYNOPSIS_WIRE_BYTES = SYNOPSIS.size
 
 #: u32 element count prefixing every variable-length sequence.
@@ -213,16 +207,8 @@ QUERY_ACK_FIXED_BYTES = QUERY_ACK_FIXED.size
 QUERY_RESULT = struct.Struct("<IdQQ")
 QUERY_RESULT_BYTES = QUERY_RESULT.size
 
-#: One slice synopsis inside a relay-combined section: first key, last key,
-#: count u32.  12 bytes smaller than :data:`SYNOPSIS` because the owning
-#: node id lives in the section header and the slice index / slice total
-#: are implicit in the section (position and length) — the relay combines
-#: only *complete, ordered* synopsis batches, so both reconstruct exactly.
-RELAY_SYNOPSIS = struct.Struct("<dIIdIII")
-RELAY_SYNOPSIS_WIRE_BYTES = RELAY_SYNOPSIS.size
-
 #: Relay synopsis section header: node_id u32, local window size u64,
-#: synopsis count u32.  The compact synopses follow.
+#: synopsis count u32.  That many :data:`SYNOPSIS` records follow.
 RELAY_SYNOPSIS_SECTION_FIXED = struct.Struct("<IQI")
 RELAY_SYNOPSIS_SECTION_FIXED_BYTES = RELAY_SYNOPSIS_SECTION_FIXED.size
 
@@ -236,13 +222,11 @@ RELAY_RUN_SECTION_FIXED_BYTES = RELAY_RUN_SECTION_FIXED.size
 # accounting; fail at import time if a struct edit ever drifts from it.
 assert MESSAGE_HEADER_BYTES == 32
 assert EVENT_WIRE_BYTES == 20
-assert KEY_WIRE_BYTES == 16
-assert SYNOPSIS_WIRE_BYTES == 2 * KEY_WIRE_BYTES + 4 * U32_BYTES == 48
+assert SYNOPSIS_WIRE_BYTES == 2 * F64_BYTES + U32_BYTES == 20
 assert QDIGEST_NODE_WIRE_BYTES == 16
 assert TRACE_CONTEXT_EXT_BYTES == 17
 assert QUERY_REGISTER_FIXED_BYTES == 44
 assert QUERY_ACK_FIXED_BYTES == 8
 assert QUERY_RESULT_BYTES == 28
-assert RELAY_SYNOPSIS_WIRE_BYTES == 2 * KEY_WIRE_BYTES + U32_BYTES == 36
 assert RELAY_SYNOPSIS_SECTION_FIXED_BYTES == 16
 assert RELAY_RUN_SECTION_FIXED_BYTES == 12

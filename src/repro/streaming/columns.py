@@ -44,11 +44,11 @@ of the arrivals merged into the run with run priority on ties):
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 import numpy as _np
 
-from repro.errors import CalculationError, CodecError
+from repro.errors import CalculationError, CodecError, ConfigurationError
 from repro.runtime import wire
 from repro.streaming.events import Event
 
@@ -57,6 +57,7 @@ __all__ = [
     "EVENT_DTYPE",
     "EventColumns",
     "as_event_columns",
+    "check_streams",
     "concat_columns",
     "concat_records",
     "merge_runs",
@@ -348,6 +349,34 @@ def as_event_columns(events: "EventColumns | Iterable[Event]") -> EventColumns:
     if isinstance(events, EventColumns):
         return events
     return EventColumns.from_events(events)
+
+
+def check_streams(
+    local_ids: Collection[int], streams: Mapping[int, EventColumns]
+) -> None:
+    """Refuse streams of locals not in ``local_ids``, and a local's stream
+    that carries another node's events: synopsis keys order events as
+    ``(value, node_id, seq)`` does only if every local's events carry its
+    own id (:mod:`repro.core.synopsis`), else a ``-0.0``/``0.0`` tie could
+    take the other sign bit.  One vectorised comparison per stream.
+
+    Raises:
+        ConfigurationError: Naming the unknown locals, or the first local
+            with a foreign id and that id.
+    """
+    unknown = set(streams) - set(local_ids)
+    if unknown:
+        raise ConfigurationError(
+            f"streams reference unknown local nodes {sorted(unknown)}"
+        )
+    for local_id, events in streams.items():
+        foreign = events.node_ids != local_id
+        if foreign.any():
+            raise ConfigurationError(
+                f"local {local_id}'s stream carries events of node "
+                f"{int(events.node_ids[foreign.argmax()])}; a local's "
+                "events must carry its own id"
+            )
 
 
 def concat_records(arrays: Sequence, dtype):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.runtime import wire
@@ -125,9 +125,3 @@ def make_events(
             )
         )
     return events
-
-
-def iter_values(events: Iterable[Event]) -> Iterator[float]:
-    """Yield the values of ``events`` in iteration order."""
-    for event in events:
-        yield event.value

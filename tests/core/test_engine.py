@@ -287,18 +287,21 @@ def door_runs(columnar):
 #: Wire version 2 (candidate runs and Desis' sorted runs ship 8-byte
 #: values) re-recorded the clocks, byte totals and the roots' ``cpu_ops``
 #: (fewer bytes received); every value and every local's charge is as
+#: recorded then.  Wire version 3 (a synopsis is one 20-byte record)
+#: re-recorded Dema's clocks, byte totals and root ``cpu_ops`` the same
+#: way; every value, every local's charge and every baseline run is as
 #: recorded then.
 DOOR_GOLDEN = {
     "run": {
         "outcomes": [
-            (0, 44.62493290929341, 1.0003545916773273, 200),
-            (1000, 36.413325813564825, 2.0003525997492337, 160),
-            (2000, 40.08423830462307, 3.000329368414617, 160),
+            (0, 44.62493290929341, 1.0003422811973268, 200),
+            (1000, 36.413325813564825, 2.000340289269233, 160),
+            (2000, 40.08423830462307, 3.0003232131746174, 160),
         ],
-        "final_time": 3.000322919694617,
-        "total_bytes": 19132,
+        "final_time": 3.0003167644546176,
+        "total_bytes": 11152,
         "cpu_ops": {
-            0: 22380.880235125278,
+            0: 16395.880235125274,
             1: 53404.38867460606,
             2: 53381.38867460606,
             3: 53381.38867460606,
@@ -307,14 +310,14 @@ DOOR_GOLDEN = {
     },
     "run_unordered": {
         "outcomes": [
-            (0, 44.85442718075182, 1.0403533409313186, 200),
-            (1000, 36.16412990883978, 2.040353325931318, 200),
-            (2000, 40.08423830462307, 3.040329368414617, 160),
+            (0, 44.85442718075182, 1.0403413544113183, 200),
+            (1000, 36.16412990883978, 2.0403413394113183, 200),
+            (2000, 40.08423830462307, 3.0403232131746174, 160),
         ],
-        "final_time": 3.040322919694617,
-        "total_bytes": 19208,
+        "final_time": 3.0403167644546176,
+        "total_bytes": 11396,
         "cpu_ops": {
-            0: 22365.111450503402,
+            0: 16506.1114505034,
             1: 49603.080648718205,
             2: 49614.196420134664,
             3: 49536.10588265672,
@@ -323,14 +326,14 @@ DOOR_GOLDEN = {
     },
     "run_via_sensors": {
         "outcomes": [
-            (0, 44.62493290929341, 1.0223545916773273, 200),
-            (1000, 36.413325813564825, 2.0223525997492335, 160),
-            (2000, 40.08423830462307, 3.0223293684146166, 160),
+            (0, 44.62493290929341, 1.0223422811973268, 200),
+            (1000, 36.413325813564825, 2.022340289269233, 160),
+            (2000, 40.08423830462307, 3.022323213174617, 160),
         ],
-        "final_time": 3.022322919694617,
-        "total_bytes": 271132,
+        "final_time": 3.0223167644546174,
+        "total_bytes": 263152,
         "cpu_ops": {
-            0: 22380.880235125278,
+            0: 16395.880235125274,
             1: 109625.98952375728,
             2: 109602.68039138155,
             3: 109602.68066778089,
@@ -340,23 +343,23 @@ DOOR_GOLDEN = {
     },
     "slide_1000_300/run": {
         "outcomes": [
-            (-900, 25.845423605916878, 0.10031424083909508, 200),
-            (-600, 45.08885505492683, 0.40032668207588157, 200),
-            (-300, 48.534929864752726, 0.7003409242850998, 200),
-            (0, 44.62493290929341, 1.0003545916773273, 200),
-            (300, 43.656734147362535, 1.3003545916773274, 200),
-            (600, 38.312208905283605, 1.6003545916773274, 200),
-            (900, 36.365442715899405, 1.9003545916773272, 200),
-            (1200, 37.30600701701204, 2.2003545916773284, 200),
-            (1500, 37.99019124098767, 2.500354591677328, 200),
-            (1800, 39.35094666771359, 2.8003409242851003, 200),
-            (2100, 38.46532404166111, 3.1003266820758815, 200),
-            (2400, 18.885989451970087, 3.400314240839095, 200),
+            (-900, 25.845423605916878, 0.10031294499909507, 200),
+            (-600, 45.08885505492683, 0.40032182267588146, 200),
+            (-300, 48.534929864752726, 0.7003321773650999, 200),
+            (0, 44.62493290929341, 1.0003422811973268, 200),
+            (300, 43.656734147362535, 1.3003422811973269, 200),
+            (600, 38.312208905283605, 1.600342281197327, 200),
+            (900, 36.365442715899405, 1.9003422811973267, 200),
+            (1200, 37.30600701701204, 2.2003422811973277, 200),
+            (1500, 37.99019124098767, 2.5003422811973275, 200),
+            (1800, 39.35094666771359, 2.8003321773651, 200),
+            (2100, 38.46532404166111, 3.100321822675882, 200),
+            (2400, 18.885989451970087, 3.400312944999095, 200),
         ],
-        "final_time": 3.400305800191001,
-        "total_bytes": 70800,
+        "final_time": 3.4003045043510007,
+        "total_bytes": 43920,
         "cpu_ops": {
-            0: 81108.86082310155,
+            0: 60948.86082310157,
             1: 139067.33919860626,
             2: 138952.33919860626,
             3: 138975.33919860626,
@@ -365,23 +368,23 @@ DOOR_GOLDEN = {
     },
     "slide_1000_300/run_unordered": {
         "outcomes": [
-            (-900, 24.100715876696334, 0.14031230187214522, 179),
-            (-600, 43.74532852978323, 0.4403261533479192, 200),
-            (-300, 48.317772857276225, 0.7403397085955566, 200),
-            (0, 44.85442718075182, 1.0403533409313186, 200),
-            (300, 44.162838363867486, 1.3403533659313185, 200),
-            (600, 38.311499094278915, 1.6403533309313185, 200),
-            (900, 35.95597444857209, 1.940353310225342, 200),
-            (1200, 37.002844744072675, 2.240353360931318, 200),
-            (1500, 38.63123852860902, 2.540353285931318, 200),
-            (1800, 39.35094666771359, 2.8403409242851003, 200),
-            (2100, 38.46532404166111, 3.1403266820758815, 200),
-            (2400, 18.885989451970087, 3.440314240839095, 200),
+            (-900, 24.100715876696334, 0.1403113299921452, 179),
+            (-600, 43.74532852978323, 0.4403214079079191, 200),
+            (-300, 48.317772857276225, 0.7403312856355564, 200),
+            (0, 44.85442718075182, 1.0403413544113183, 200),
+            (300, 44.162838363867486, 1.3403413794113181, 200),
+            (600, 38.311499094278915, 1.6403413444113182, 200),
+            (900, 35.95597444857209, 1.9403413237053417, 200),
+            (1200, 37.002844744072675, 2.2403413744113183, 200),
+            (1500, 38.63123852860902, 2.540341299411318, 200),
+            (1800, 39.35094666771359, 2.8403321773651, 200),
+            (2100, 38.46532404166111, 3.1403218226758822, 200),
+            (2400, 18.885989451970087, 3.440312944999095, 200),
         ],
-        "final_time": 3.440305800191001,
-        "total_bytes": 69432,
+        "final_time": 3.4403045043510008,
+        "total_bytes": 43252,
         "cpu_ops": {
-            0: 79260.9367212194,
+            0: 59625.93672121942,
             1: 129528.13114924722,
             2: 129372.097397526,
             3: 129562.62762027835,
@@ -390,38 +393,38 @@ DOOR_GOLDEN = {
     },
     "slide_10_4/run": {
         "outcomes": [
-            (-8, 35.136141867348535, 0.002302297817750043, 3),
-            (-4, 35.136141867348535, 0.006302583177750044, 9),
-            (0, 32.40953720136979, 0.01030346353775004, 30),
-            (4, 32.95464031145466, 0.01430346353775004, 30),
-            (8, 41.94130660400724, 0.018302868537750035, 15),
-            (12, 45.26510651246423, 0.022302868537750035, 15),
-            (16, 51.68161085857804, 0.026302868537750036, 15),
-            (20, 55.821498290894255, 0.030302868537750036, 15),
-            (24, 54.42917538939788, 0.03430286853775005, 15),
-            (28, 27.230407751960087, 0.03830346353775004, 30),
-            (32, 17.006875082219473, 0.042303463537750045, 30),
-            (36, 16.668438524800617, 0.04630346353775004, 30),
-            (40, 17.401682143300974, 0.050303463537750046, 30),
-            (44, 20.28341326979892, 0.05430346353775004, 30),
-            (48, 20.638540215740317, 0.058303463537750046, 30),
-            (52, 18.160021734586824, 0.06230346353775004, 30),
-            (56, 16.110960410549605, 0.06630419015431274, 45),
-            (60, 16.110960410549605, 0.07030419015431275, 45),
-            (64, 18.13076745123325, 0.07430419015431274, 45),
-            (68, 20.547326004331314, 0.07830346353775007, 30),
-            (72, 21.34771966960445, 0.08230346353775007, 30),
-            (76, 26.284501125877995, 0.08630346353775006, 30),
-            (80, 35.335245697491715, 0.09030346353775007, 30),
-            (84, 35.00232882703085, 0.09430419015431274, 45),
-            (88, 32.780624465719654, 0.09830346353775007, 30),
-            (92, 32.780624465719654, 0.10230321585775004, 24),
-            (96, 40.6475171927896, 0.10630272049775003, 12),
+            (-8, 35.136141867348535, 0.0023019738577500426, 3),
+            (-4, 35.136141867348535, 0.006302259217750043, 9),
+            (0, 32.40953720136979, 0.010303139577750043, 30),
+            (4, 32.95464031145466, 0.014303139577750043, 30),
+            (8, 41.94130660400724, 0.018302544577750036, 15),
+            (12, 45.26510651246423, 0.022302544577750036, 15),
+            (16, 51.68161085857804, 0.026302544577750036, 15),
+            (20, 55.821498290894255, 0.030302544577750036, 15),
+            (24, 54.42917538939788, 0.03430254457775005, 15),
+            (28, 27.230407751960087, 0.03830313957775004, 30),
+            (32, 17.006875082219473, 0.042303139577750046, 30),
+            (36, 16.668438524800617, 0.04630313957775004, 30),
+            (40, 17.401682143300974, 0.050303139577750046, 30),
+            (44, 20.28341326979892, 0.05430313957775004, 30),
+            (48, 20.638540215740317, 0.058303139577750046, 30),
+            (52, 18.160021734586824, 0.06230313957775004, 30),
+            (56, 16.110960410549605, 0.06630386619431275, 45),
+            (60, 16.110960410549605, 0.07030386619431275, 45),
+            (64, 18.13076745123325, 0.07430386619431274, 45),
+            (68, 20.547326004331314, 0.07830313957775008, 30),
+            (72, 21.34771966960445, 0.08230313957775008, 30),
+            (76, 26.284501125877995, 0.08630313957775007, 30),
+            (80, 35.335245697491715, 0.09030313957775007, 30),
+            (84, 35.00232882703085, 0.09430386619431275, 45),
+            (88, 32.780624465719654, 0.09830313957775008, 30),
+            (92, 32.780624465719654, 0.10230289189775005, 24),
+            (96, 40.6475171927896, 0.10630239653775003, 12),
         ],
-        "final_time": 0.10630216049775004,
-        "total_bytes": 18396,
+        "final_time": 0.10630183653775005,
+        "total_bytes": 16128,
         "cpu_ops": {
-            0: 10686.82110036346,
+            0: 8985.821100363462,
             1: 2278.946163871747,
             2: 2448.4461638717476,
             3: 2326.9461638717476,
@@ -430,38 +433,38 @@ DOOR_GOLDEN = {
     },
     "slide_10_4/run_unordered": {
         "outcomes": [
-            (-8, 1.9951765517321434, 0.04230174724000001, 1),
-            (-4, 16.599435963892756, 0.046302287817750046, 3),
-            (0, 30.862308816708506, 0.05030266793775006, 11),
-            (4, 32.95464031145466, 0.05430269537775006, 12),
-            (8, 38.11488059282907, 0.058302558177750055, 9),
-            (12, 31.825828331548756, 0.06230243049775005, 6),
-            (16, 35.71829707832267, 0.06630255817775006, 9),
-            (20, 55.821498290894255, 0.07030243049775005, 6),
-            (24, 61.09640072848312, 0.07430238793775004, 5),
-            (28, 19.29654856799806, 0.07830262537775005, 10),
-            (32, 17.27429053514393, 0.08230270793775005, 12),
-            (36, 17.006875082219473, 0.08630267293775003, 11),
-            (40, 16.668438524800617, 0.09030261281775007, 10),
-            (44, 17.8292766215027, 0.09430282049775005, 15),
-            (48, 20.638540215740317, 0.09830251561775008, 8),
-            (52, 17.553053772974984, 0.10230264281775005, 11),
-            (56, 14.341056290022088, 0.10630269537775006, 12),
-            (60, 15.007692653408405, 0.1103031289940001, 20),
-            (64, 16.110960410549605, 0.11430295217475012, 16),
-            (68, 20.547326004331314, 0.11830259037775005, 9),
-            (72, 16.89745342098975, 0.12230262293775003, 10),
-            (76, 7.7533853436790565, 0.12630268793774999, 12),
-            (80, 19.85688601196631, 0.13030242049775004, 6),
-            (84, 37.96918574180901, 0.13430261281775, 10),
-            (88, 61.1507839026077, 0.13830250561775004, 8),
-            (92, 40.6475171927896, 0.14230254281774998, 8),
-            (96, 34.60445892622459, 0.14630228781774998, 3),
+            (-8, 1.9951765517321434, 0.042301642240000006, 1),
+            (-4, 16.599435963892756, 0.046301963857750046, 3),
+            (0, 30.862308816708506, 0.05030234397775006, 11),
+            (4, 32.95464031145466, 0.05430237141775006, 12),
+            (8, 38.11488059282907, 0.058302234217750055, 9),
+            (12, 31.825828331548756, 0.06230210653775005, 6),
+            (16, 35.71829707832267, 0.06630223421775007, 9),
+            (20, 55.821498290894255, 0.07030210653775006, 6),
+            (24, 61.09640072848312, 0.07430206397775005, 5),
+            (28, 19.29654856799806, 0.07830230141775006, 10),
+            (32, 17.27429053514393, 0.08230238397775005, 12),
+            (36, 17.006875082219473, 0.08630234897775003, 11),
+            (40, 16.668438524800617, 0.09030228885775007, 10),
+            (44, 17.8292766215027, 0.09430249653775005, 15),
+            (48, 20.638540215740317, 0.09830219165775009, 8),
+            (52, 17.553053772974984, 0.10230231885775005, 11),
+            (56, 14.341056290022088, 0.10630237141775006, 12),
+            (60, 15.007692653408405, 0.11030280503400011, 20),
+            (64, 16.110960410549605, 0.11430262821475012, 16),
+            (68, 20.547326004331314, 0.11830226641775006, 9),
+            (72, 16.89745342098975, 0.12230229897775004, 10),
+            (76, 7.7533853436790565, 0.12630236397775, 12),
+            (80, 19.85688601196631, 0.13030209653775005, 6),
+            (84, 37.96918574180901, 0.13430228885775, 10),
+            (88, 61.1507839026077, 0.13830218165775005, 8),
+            (92, 40.6475171927896, 0.14230221885775, 8),
+            (96, 34.60445892622459, 0.14630196385775, 3),
         ],
         "final_time": 0.214,
-        "total_bytes": 14276,
+        "total_bytes": 12064,
         "cpu_ops": {
-            0: 7141.566950250961,
+            0: 5482.566950250961,
             1: 1208.3783974426797,
             2: 1339.2224344411707,
             3: 1286.042734435402,
@@ -470,28 +473,28 @@ DOOR_GOLDEN = {
     },
     "concurrent": {
         "outcomes": [
-            (-500, 48.34736233285829, 0.5003293684146164, 2250, 3, 500),
-            (0, 28.89746403570742, 0.5003523024887229, 2250, 2, 500),
-            (0, 44.62493290929341, 1.0003545916773273, 4500, 3, 1000),
-            (0, 44.62493290929341, 1.0004172278638876, 4500, 0, 1000),
-            (0, 87.59944700116623, 1.0004172278638876, 4500, 1, 1000),
-            (500, 22.252865948112163, 1.0004274668018043, 2250, 2, 1000),
-            (500, 38.37467317629719, 1.5003545916773273, 4500, 3, 1500),
-            (1000, 20.0303678343035, 1.5003755338233393, 2250, 2, 1500),
-            (1000, 36.413325813564825, 2.0003525997492337, 4500, 3, 2000),
-            (1000, 36.413325813564825, 2.0004150198726998, 4500, 0, 2000),
-            (1000, 66.6118506885392, 2.0004150198726998, 4500, 1, 2000),
-            (1500, 20.4258889208535, 2.0004274668018054, 2250, 2, 2000),
-            (1500, 37.99019124098767, 2.500354591677328, 4500, 3, 2500),
-            (2000, 20.5063844435135, 2.5003755338233407, 2250, 2, 2500),
-            (2000, 40.08423830462307, 3.000329368414617, 2250, 3, 3000),
-            (2000, 40.08423830462307, 3.000361043683848, 2250, 0, 3000),
-            (2000, 82.2506680543423, 3.000361043683848, 2250, 1, 3000),
+            (-500, 48.34736233285829, 0.5003232131746165, 2250, 3, 500),
+            (0, 28.89746403570742, 0.5003382722487228, 2250, 2, 500),
+            (0, 44.62493290929341, 1.0003422811973268, 4500, 3, 1000),
+            (0, 44.62493290929341, 1.0003929473838866, 4500, 0, 1000),
+            (0, 87.59944700116623, 1.0003929473838866, 4500, 1, 1000),
+            (500, 22.252865948112163, 1.0003995388299582, 2250, 2, 1000),
+            (500, 38.37467317629719, 1.5003422811973268, 4500, 3, 1500),
+            (1000, 20.0303678343035, 1.5003553483433394, 2250, 2, 1500),
+            (1000, 36.413325813564825, 2.000340289269233, 4500, 3, 2000),
+            (1000, 36.413325813564825, 2.0003907393926985, 4500, 0, 2000),
+            (1000, 66.6118506885392, 2.0003907393926985, 4500, 1, 2000),
+            (1500, 20.4258889208535, 2.0003973308387692, 2250, 2, 2000),
+            (1500, 37.99019124098767, 2.5003422811973275, 4500, 3, 2500),
+            (2000, 20.5063844435135, 2.50035534834334, 2250, 2, 2500),
+            (2000, 40.08423830462307, 3.0003232131746174, 2250, 3, 3000),
+            (2000, 40.08423830462307, 3.000348903443849, 2250, 0, 3000),
+            (2000, 82.2506680543423, 3.000348903443849, 2250, 1, 3000),
         ],
-        "final_time": 3.0003471962438497,
-        "total_bytes": 89076,
+        "final_time": 3.0003350560038506,
+        "total_bytes": 54636,
         "cpu_ops": {
-            0: 110583.75366690717,
+            0: 84753.75366690716,
             1: 153963.193631112,
             2: 153948.193631112,
             3: 153907.193631112,
@@ -651,3 +654,56 @@ class TestColumnsAtTheDoor:
         runs = door_runs(columnar=True)
         assert any(runs["run_unordered"]["late_events"].values())
         assert runs == DOOR_GOLDEN
+
+
+class TestOwnIdsAtTheDoor:
+    """A local's stream must carry its own id: synopsis keys are ``(value,
+    owner, position)``, which order events as ``(value, node_id, seq)``
+    only then, so a ``-0.0``/``0.0`` tie across a foreign id could come out
+    with the wrong sign bit.  Every simulated door refuses such a stream up
+    front, naming the local and the foreign id."""
+
+    REFUSAL = "local 1's stream carries events of node 2"
+
+    def streams(self):
+        # Local 1 holds -0.0 stamped with node 2's id; local 2 holds 0.0.
+        return {
+            1: [Event(value=-0.0, timestamp=5, node_id=2, seq=0),
+                Event(value=1.0, timestamp=6, node_id=1, seq=1)],
+            2: [Event(value=0.0, timestamp=5, node_id=2, seq=0)],
+        }
+
+    @pytest.mark.parametrize("system", ["dema", "scotty", "tdigest"])
+    def test_run_refuses_a_foreign_id(self, system):
+        engine = build_system(system, QuantileQuery(q=0.5, gamma=2),
+                              TopologyConfig(n_local_nodes=2))
+        with pytest.raises(ConfigurationError, match=self.REFUSAL):
+            engine.run(self.streams())
+
+    @pytest.mark.parametrize("system", ["dema", "scotty", "tdigest"])
+    def test_run_unordered_refuses_a_foreign_id(self, system):
+        engine = build_system(system, QuantileQuery(q=0.5, gamma=2),
+                              TopologyConfig(n_local_nodes=2))
+        arrivals = {
+            node: [(event, event.timestamp) for event in events]
+            for node, events in self.streams().items()
+        }
+        with pytest.raises(ConfigurationError, match=self.REFUSAL):
+            engine.run_unordered(arrivals)
+
+    def test_run_via_sensors_refuses_a_foreign_id(self):
+        engine = DemaEngine(
+            QuantileQuery(q=0.5, gamma=2),
+            TopologyConfig(n_local_nodes=2, streams_per_local=1),
+        )
+        with pytest.raises(ConfigurationError, match=self.REFUSAL):
+            engine.run_via_sensors(self.streams())
+
+    def test_own_ids_pass(self):
+        streams = self.streams()
+        streams[1][0] = Event(value=-0.0, timestamp=5, node_id=1, seq=0)
+        engine = DemaEngine(
+            QuantileQuery(q=0.5, gamma=2), TopologyConfig(n_local_nodes=2)
+        )
+        (outcome,) = engine.run(streams).outcomes
+        assert outcome.value == 0.0

@@ -164,8 +164,11 @@ class TestMultiWindowBatches:
                 per_window[Window(start, start + 1000)], key=event_key
             )
             assert message.local_window_size == len(expected)
-            assert message.synopses[0].first_key == expected[0].key
-            assert message.synopses[-1].last_key == expected[-1].key
+            # Keys are (value, owner, row in the sorted window).
+            assert message.synopses[0].first_key == (expected[0].value, 1, 0)
+            assert message.synopses[-1].last_key == (
+                expected[-1].value, 1, len(expected) - 1
+            )
 
     def test_charge_is_summed_in_first_appearance_order(self):
         counts = {3000: 10, 1000: 3, 2000: 3}  # first-appearance order

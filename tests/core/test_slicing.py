@@ -65,9 +65,12 @@ class TestSynopses:
         assert isinstance(sliced.synopses, SynopsisColumns)
         assert sliced.synopses.validated(7, SliceError) is sliced.synopses
         for i, synopsis in enumerate(sliced.synopses):
-            events = sliced.events[sliced.bounds[i]:sliced.bounds[i + 1]]
-            assert synopsis.first_key == events[0].key
-            assert synopsis.last_key == events[-1].key
+            lo, hi = sliced.bounds[i], sliced.bounds[i + 1]
+            events = sliced.events[lo:hi]
+            # A key is (value, owner, row in the owner's sorted window),
+            # whatever node id the events carry.
+            assert synopsis.first_key == (events[0].value, 7, lo)
+            assert synopsis.last_key == (events[-1].value, 7, hi - 1)
             assert synopsis.count == len(events) == len(sliced.runs[i])
             assert synopsis.node_id == 7
 

@@ -128,7 +128,11 @@ class TestRankBounds:
             (e for events in node_events.values() for e in events),
             key=event_key,
         )
-        global_rank = {e.key: i + 1 for i, e in enumerate(all_events)}
+        # A synopsis key is (value, owner, row in the owner's sorted window).
+        global_rank = {}
+        for rank, e in enumerate(all_events, start=1):
+            position = node_events[e.node_id].index(e)
+            global_rank[(e.value, e.node_id, position)] = rank
         for unit in build_units(synopses):
             for member in unit.members:
                 true_first = global_rank[member.first_key]

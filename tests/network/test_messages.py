@@ -67,12 +67,14 @@ class TestControlMessages:
             sender=1, window=WINDOW, synopses=(object(), object()),
             local_window_size=100,
         )
-        assert message.payload_bytes == 2 * SYNOPSIS_WIRE_BYTES + 12
+        # Count and local size, then (first value, last value, count).
+        assert SYNOPSIS_WIRE_BYTES == 20
+        assert message.payload_bytes == 2 * SYNOPSIS_WIRE_BYTES + 12 == 52
 
     def test_synopsis_cheaper_than_raw_events_it_summarizes(self):
-        # One synopsis summarizes gamma >= 2 events; for gamma > 2 the
-        # synopsis must be strictly cheaper than the events it replaces.
-        assert SYNOPSIS_WIRE_BYTES < 4 * EVENT_WIRE_BYTES
+        # One synopsis summarizes gamma >= 2 events, so it must be strictly
+        # cheaper than the two events of the smallest slice.
+        assert SYNOPSIS_WIRE_BYTES < 2 * EVENT_WIRE_BYTES
 
     def test_candidate_request_size(self):
         message = CandidateRequestMessage(

@@ -232,8 +232,9 @@ def test_cuts_identical(chunks, gamma):
     starts = list(range(0, len(ordered), gamma))
     if len(starts) > 1 and len(ordered) - starts[-1] == 1:
         starts.pop()
-    runs = [ordered[a:b] for a, b in zip(starts, starts[1:] + [len(ordered)])]
-    if any(run[0].key > run[-1].key for run in runs):
+    ends = starts[1:] + [len(ordered)]
+    runs = [ordered[a:b] for a, b in zip(starts, ends)]
+    if any(run[0].value > run[-1].value for run in runs):
         # NaN can leave the "sorted" run unordered, which synopsis
         # validation rejects.
         assert _has_nan(events)
@@ -243,14 +244,17 @@ def test_cuts_identical(chunks, gamma):
     sliced = slice_sorted_events(sealed, gamma, node_id=1)
 
     assert sliced.window_size == len(ordered)
+    # A synopsis key is (value, owner, row in the sorted window).
     assert [_synopsis_bits(s) for s in sliced.synopses] == [
         _synopsis_bits(
             SliceSynopsis(
-                first_key=run[0].key, last_key=run[-1].key, count=len(run),
-                node_id=1, slice_index=index, n_slices=len(runs),
+                first_key=(run[0].value, 1, start),
+                last_key=(run[-1].value, 1, end - 1),
+                count=len(run), node_id=1, slice_index=index,
+                n_slices=len(runs),
             )
         )
-        for index, run in enumerate(runs)
+        for index, (run, start, end) in enumerate(zip(runs, starts, ends))
     ]
     assert [
         _window_bits(sliced.events[a:b])

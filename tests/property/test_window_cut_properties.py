@@ -1,13 +1,15 @@
 """Properties of units and the window-cut algorithm."""
 
+import struct
 from importlib import import_module
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.calculation import calculate_quantile
 from repro.core.slicing import slice_sorted_events
-from repro.core.synopsis import SynopsisColumns, concat_synopses
+from repro.core.synopsis import SliceSynopsis, SynopsisColumns, concat_synopses
 from repro.core.units import build_units
 from repro.core.window_cut import (
     rank_bound_candidates,
@@ -16,7 +18,7 @@ from repro.core.window_cut import (
 )
 from repro.errors import IdentificationError
 from repro.streaming.columns import EventColumns
-from repro.streaming.events import event_key, make_events
+from repro.streaming.events import Event, event_key, make_events
 
 #: ``repro.core.window_cut`` the module (the package re-exports the function
 #: under the same name).
@@ -53,6 +55,20 @@ def sliced_synopses(draw):
         all_events.extend(events)
     all_events.sort(key=event_key)
     return synopses, runs, all_events
+
+
+def synopsis_key_ranks(all_events):
+    """Global rank of every event under its synopsis key ``(value, owner,
+    position)``: each local holds only its own events, so the owner is the
+    event's node id and the position its row in that node's sorted window
+    (``all_events`` is sorted, so a node's events come in that order)."""
+    rows = {}
+    ranks = {}
+    for rank, event in enumerate(all_events, start=1):
+        position = rows.get(event.node_id, 0)
+        rows[event.node_id] = position + 1
+        ranks[(event.value, event.node_id, position)] = rank
+    return ranks
 
 
 @given(sliced_synopses(), st.floats(min_value=0.001, max_value=1.0))
@@ -97,7 +113,7 @@ def test_unit_rank_bounds_bracket_true_ranks(case):
     synopses, _, all_events = case
     if not all_events:
         return
-    global_rank = {e.key: i + 1 for i, e in enumerate(all_events)}
+    global_rank = synopsis_key_ranks(all_events)
     for unit in build_units(synopses):
         for member in unit.members:
             assert unit.min_rank(member) <= global_rank[member.first_key]
@@ -226,3 +242,71 @@ def test_nan_keyed_batches_take_the_row_sweep(batches, seeds, poison):
         assert cuts[rank].n_below == by_rows[rank].n_below == reference.n_below
         assert cuts[rank].units_scanned == by_rows[rank].units_scanned
         assert cuts[rank].kinds == by_rows[rank].kinds == reference.kinds
+
+
+# ---------------------------------------------------------------------------
+# The synopsis key ``(value, owner, position)`` against the true event key
+# ``(value, node_id, seq)``: when every local holds only its own events the
+# two orders agree, so the cut over what the slicer (and the wire) produces
+# is the cut over hand-built rows carrying the events' own keys.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def own_event_windows(draw):
+    """1–4 locals holding only their own events at one γ in 2–12; values
+    from ``_cut_values``, so ±0.0 and duplicates tie within and across
+    locals, and sequence numbers scrambled against value order."""
+    gamma = draw(st.integers(min_value=2, max_value=12))
+    windows = {}
+    for node_id in range(1, draw(st.integers(min_value=1, max_value=4)) + 1):
+        values = draw(st.lists(_cut_values, min_size=0, max_size=50))
+        seqs = draw(st.permutations(range(len(values))))
+        windows[node_id] = sorted(
+            (Event(value=v, timestamp=0, node_id=node_id, seq=s)
+             for v, s in zip(values, seqs)),
+            key=event_key,
+        )
+    return gamma, windows
+
+
+@given(own_event_windows(), _rank_seeds)
+@settings(max_examples=300, deadline=None)
+def test_position_keys_cut_as_event_keys_do(case, seeds):
+    gamma, windows = case
+    sliced = {
+        node_id: slice_sorted_events(
+            EventColumns.from_events(events), gamma, node_id
+        )
+        for node_id, events in windows.items()
+    }
+    event_rows = [
+        SliceSynopsis(
+            first_key=events[lo].key, last_key=events[hi - 1].key,
+            count=hi - lo, node_id=node_id, slice_index=index,
+            n_slices=sliced[node_id].n_slices,
+        )
+        for node_id, events in windows.items()
+        for index, (lo, hi) in enumerate(zip(
+            sliced[node_id].bounds, sliced[node_id].bounds[1:]
+        ))
+    ]
+    columns = concat_synopses([s.synopses for s in sliced.values()])
+    total = columns.event_count()
+    if not total:
+        return
+    ranks = _ranks(total, seeds)
+    by_position = window_cut_multi(columns, ranks)
+    by_event = window_cut_multi(event_rows, ranks)
+    truth = sorted(
+        (e for events in windows.values() for e in events), key=event_key
+    )
+    for rank in ranks:
+        cut = by_position[rank]
+        assert cut.n_below == by_event[rank].n_below
+        assert cut.candidate_ids == by_event[rank].candidate_ids
+        assert cut.kinds == by_event[rank].kinds
+        # And the answer is the true one, sign bit included.
+        runs = [sliced[s.node_id].run_for(s.slice_index) for s in cut.candidates]
+        value = calculate_quantile(cut, runs).value
+        assert struct.pack("<d", value) == struct.pack("<d", truth[rank - 1].value)

@@ -105,29 +105,29 @@ window_kinds = st.sampled_from(["tumbling", "sliding", "session"])
 def synopsis_batches(draw, node_id, max_size=8):
     """A complete, ordered batch as node ``node_id`` cuts it.
 
-    Row ``i`` is labelled slice ``i`` of ``n`` and every row is owned by
-    ``node_id`` — the only batches the decoders admit, and (tag 23 drops
-    owner, index and total) the only ones a relay section reconstructs.
+    Row ``i`` is labelled slice ``i`` of ``n``, every row is owned by
+    ``node_id``, and its keys' positions are the running sum of the
+    counts — exactly what a decoder rebuilds from the 20-byte records
+    (first value, last value, count), so the only batches that round-trip.
     """
     n = draw(st.integers(min_value=0, max_value=max_size))
     batch = []
+    position = 0
     for index in range(n):
-        keys = sorted(
-            [
-                (draw(finite_f64), draw(u32), draw(u32)),
-                (draw(finite_f64), draw(u32), draw(u32)),
-            ]
-        )
+        first, last = sorted((draw(finite_f64), draw(finite_f64)))
+        # The counts of a batch together stay within the u32 positions.
+        count = draw(st.integers(min_value=1, max_value=2**32 // max_size))
         batch.append(
             SliceSynopsis(
-                first_key=keys[0],
-                last_key=keys[1],
-                count=draw(st.integers(min_value=1, max_value=2**32 - 1)),
+                first_key=(first, node_id, position),
+                last_key=(last, node_id, position + count - 1),
+                count=count,
                 node_id=node_id,
                 slice_index=index,
                 n_slices=n,
             )
         )
+        position += count
     return tuple(batch)
 
 
@@ -376,7 +376,7 @@ SAMPLES = [
     (EventBatchMessage(1, W, events=cols((E, E))), 4 + 2 * 20),
     # Desis' sorted run and Dema's candidate run carry 8-byte values.
     (SortedRunMessage(1, W, events=vals(1.5)), 4 + 8),
-    (SynopsisMessage(3, W, synopses=(S,), local_window_size=6), 4 + 8 + 48),
+    (SynopsisMessage(3, W, synopses=(S,), local_window_size=6), 4 + 8 + 20),
     (CandidateRequestMessage(0, W, slice_indices=(0, 1, 2)), 4 + 3 * 4),
     (CandidateEventsMessage(1, W, slice_index=1, events=vals(1.5)), 4 + 4 + 8),
     (SynopsisRequestMessage(0, W), 0),
@@ -418,7 +418,7 @@ SAMPLES = [
     (JoinMessage(3, W, first_window_start=1000), 8),
     (LeaveMessage(3, W, effective_from=2000), 8),
     (RouteUpdateMessage(0, W, epoch=2, members=(1, 2, 3)), 8 + 4 + 3 * 4),
-    # One section of two compact synopses: count + (16 + 2·36).
+    # One section of two synopses: count + (16 + 2·20).
     (
         RelaySynopsisMessage(
             9, W,
@@ -439,7 +439,7 @@ SAMPLES = [
                 ),
             ),
         ),
-        4 + 16 + 2 * 36,
+        4 + 16 + 2 * 20,
     ),
     # Two run sections: count + 2·(12 + 1·8).
     (
@@ -523,7 +523,7 @@ def test_large_synopsis_batch_roundtrip():
         for i in range(500)
     )
     message = SynopsisMessage(1, W, synopses=synopses, local_window_size=5000)
-    assert message.payload_bytes == 4 + 8 + 500 * 48
+    assert message.payload_bytes == 4 + 8 + 500 * 20
     assert decode_frame(encode_frame(message)) == message
 
 
@@ -1102,7 +1102,7 @@ def test_relay_runs_section_not_a_multiple_of_eight_rejected():
 @pytest.mark.parametrize("message", [_RUN, _RELAY_RUNS], ids=["tag6", "tag24"])
 def test_version_one_run_frame_refused(message):
     frame = bytearray(encode_frame(message))
-    assert frame[wire.LENGTH_PREFIX.size] == wire.WIRE_VERSION == 2
+    assert frame[wire.LENGTH_PREFIX.size] == wire.WIRE_VERSION == 3
     frame[wire.LENGTH_PREFIX.size] = 1
     with pytest.raises(CodecError, match="version mismatch"):
         decode_frame(bytes(frame))
@@ -1110,26 +1110,15 @@ def test_version_one_run_frame_refused(message):
 
 # ----------------------------------------------------------------------
 # Synopsis batches (tags 4 and 23): columnar on both sides of the wire,
-# the same bytes as the row-at-a-time ``struct`` packing they replaced.
+# one 20-byte record (first value, last value, count) per synopsis on
+# either tag, the same bytes as packing each row with ``wire.SYNOPSIS``.
 # ----------------------------------------------------------------------
 
 
 def _pack_rows(rows):
-    """Tag 4's synopsis array, one ``struct`` pack per row."""
+    """A synopsis array, one ``struct`` pack per row."""
     return b"".join(
-        wire.SYNOPSIS.pack(
-            *s.first_key, *s.last_key,
-            s.count, s.slice_index, s.n_slices, s.node_id,
-        )
-        for s in rows
-    )
-
-
-def _pack_relay_rows(rows):
-    """A tag-23 section's compact synopsis array, one pack per row."""
-    return b"".join(
-        wire.RELAY_SYNOPSIS.pack(*s.first_key, *s.last_key, s.count)
-        for s in rows
+        wire.SYNOPSIS.pack(s.first_value, s.last_value, s.count) for s in rows
     )
 
 
@@ -1161,7 +1150,7 @@ def test_relay_synopsis_frame_is_the_struct_packing_of_its_rows(message):
         parts.append(
             wire.RELAY_SYNOPSIS_SECTION_FIXED.pack(node_id, size, len(rows))
         )
-        parts.append(_pack_relay_rows(rows))
+        parts.append(_pack_rows(rows))
     expected = b"".join(parts)
     assert encode_payload(message) == expected
     assert message.payload_bytes == len(expected)
@@ -1196,10 +1185,9 @@ def test_synopsis_nan_bit_patterns_survive_the_wire():
     rows = _nan_batch()
     flat = SynopsisMessage(3, W, synopses=rows, local_window_size=12)
     relayed = RelaySynopsisMessage(9, W, sections=((3, 12, rows),))
-    assert _pack_rows(rows) in encode_frame(flat)
-    assert _pack_relay_rows(rows) in encode_frame(relayed)
     for message in (flat, relayed):
         frame = encode_frame(message)
+        assert _pack_rows(rows) in frame
         assert encode_frame(decode_frame(frame)) == frame
 
 
@@ -1213,12 +1201,20 @@ _ROWS = (
         count=6, node_id=3, slice_index=1, n_slices=2,
     ),
 )
+_FLAT = SynopsisMessage(3, W, synopses=_ROWS, local_window_size=12)
+#: ``wire.SYNOPSIS`` as a numpy record, to overwrite one field of a payload.
+_WIRE_DTYPE = np.dtype(
+    [("first_value", "<f8"), ("last_value", "<f8"), ("count", "<u4")]
+)
+_RELAYED = RelaySynopsisMessage(
+    9, W, sections=((3, 12, _ROWS), (4, 6, _ROWS[:1]))
+)
 
 
 def _flat_payload(**fields):
-    """Node 3's tag-4 payload of ``_ROWS`` with ``fields`` of row 1
-    overwritten (names of ``SYNOPSIS_DTYPE``)."""
-    records = SynopsisColumns.from_rows(_ROWS).records.copy()
+    """Node 3's tag-4 payload of ``_ROWS`` with ``fields`` of row 1's
+    wire record overwritten (``first_value``, ``last_value``, ``count``)."""
+    records = np.frombuffer(_pack_rows(_ROWS), dtype=_WIRE_DTYPE).copy()
     for name, value in fields.items():
         records[name][1] = value
     return wire.COUNT.pack(2) + wire.U64.pack(12) + records.tobytes()
@@ -1231,7 +1227,18 @@ def _decode_flat(payload, sender=3):
 
 
 def test_flat_payload_helper_is_the_identity_without_fields():
+    assert _flat_payload() == encode_payload(_FLAT)
     assert _decode_flat(_flat_payload()).synopses == _ROWS
+
+
+def test_decoder_rebuilds_owner_index_and_positions():
+    # Only values and counts travel; the sender is the owner, and the
+    # positions are the running sum of the counts.
+    row = _decode_flat(_flat_payload(count=9), sender=5).synopses[1]
+    assert row == SliceSynopsis(
+        first_key=(2.5, 5, 6), last_key=(3.0, 5, 14),
+        count=9, node_id=5, slice_index=1, n_slices=2,
+    )
 
 
 @pytest.mark.parametrize(
@@ -1239,60 +1246,59 @@ def test_flat_payload_helper_is_the_identity_without_fields():
     [
         ({"count": 0}, "count must be >= 1"),
         ({"first_value": 3.5}, "first_key exceeds last_key"),
-        # A value tie on the same node: the sequence number decides.
-        ({"first_value": 3.0, "first_seq": 12}, "first_key exceeds last_key"),
+        # A value tie inside one slice: the positions decide.
+        ({"first_value": 3.0, "first_pos": 12}, "first_key exceeds last_key"),
         ({"slice_index": 0}, "complete, ordered batch"),
         ({"slice_index": 2, "n_slices": 3}, "complete, ordered batch"),
         ({"n_slices": 7}, "complete, ordered batch"),
         ({"node_id": 9}, "not owned by node 3"),
     ],
-    ids=["zero-count", "inverted-values", "inverted-seqs", "repeated-index",
-         "index-past-total", "wrong-total", "foreign-node"],
+    ids=["zero-count", "inverted-values", "inverted-positions",
+         "repeated-index", "index-past-total", "wrong-total", "foreign-node"],
 )
 def test_malformed_synopsis_record_is_a_codec_error(fields, reason):
-    # ``SliceSynopsis.__post_init__`` used to raise ``SliceError`` out of
-    # the decoder for the first three and ``index-past-total``; the rest
-    # it never checked.
+    # The check the decoder runs on the rebuilt records.  Only the first
+    # two can arrive on the wire — the rest of a record is rebuilt, not
+    # read — so those go through the decoder as well.
+    records = SynopsisColumns.from_rows(_ROWS).records.copy()
+    for name, value in fields.items():
+        records[name][1] = value
     with pytest.raises(CodecError, match=f"synopsis 1 of 2.*{reason}"):
-        _decode_flat(_flat_payload(**fields))
+        SynopsisColumns(records).validated(3, CodecError)
+    if set(fields) <= set(_WIRE_DTYPE.names):
+        with pytest.raises(CodecError, match=f"synopsis 1 of 2.*{reason}"):
+            _decode_flat(_flat_payload(**fields))
 
 
-def test_synopsis_batch_from_another_sender_rejected():
-    with pytest.raises(CodecError, match="synopsis 0 of 2.*not owned by node 1"):
-        _decode_flat(_flat_payload(), sender=1)
+def test_synopsis_counts_past_the_key_positions_rejected():
+    # Two slices of 2^31 + 1 events: the second one's last position
+    # would not fit the u32 a key holds.
+    record = wire.SYNOPSIS.pack(1.0, 2.0, 2**31 + 1)
+    payload = wire.COUNT.pack(2) + wire.U64.pack(2**32 + 2) + record * 2
+    with pytest.raises(CodecError, match="overrun a u32 position"):
+        _decode_flat(payload)
 
 
-def test_batch_the_relay_would_rewrite_is_rejected_on_the_flat_path():
-    # A lone record labelled slice 3 of 7 of node 9, sent by node 1: tag 23
-    # would rebuild it as slice 0 of 1 of the section's node, so tag 4
-    # must not admit it either.
-    record = wire.SYNOPSIS.pack(1.0, 9, 0, 2.0, 9, 5, 6, 3, 7, 9)
-    payload = wire.COUNT.pack(1) + wire.U64.pack(6) + record
-    with pytest.raises(CodecError, match="synopsis 0 of 1"):
-        decode_payload(TAG_BY_TYPE[SynopsisMessage], payload, sender=1, window=W)
-    # The very rows a relay section reconstructs are what tag 4 admits.
-    relayed = decode_frame(encode_frame(
-        RelaySynopsisMessage(9, W, sections=((3, 12, _ROWS),))
-    ))
-    (_, _, batch), = relayed.sections
+def test_flat_and_relay_paths_decode_the_same_batch():
+    # One record on both links: a relay section's bytes are the flat
+    # synopsis array, and both decode to the same rows.
+    (_, _, batch), _ = decode_frame(encode_frame(_RELAYED)).sections
     assert batch.to_wire() == _pack_rows(_ROWS)
-    assert decode_frame(
-        encode_frame(SynopsisMessage(3, W, synopses=batch, local_window_size=12))
-    ).synopses == _ROWS
+    assert batch == _decode_flat(encode_payload(_FLAT)).synopses == _ROWS
 
 
 @pytest.mark.parametrize(
     "record, reason",
     [
-        (wire.RELAY_SYNOPSIS.pack(2.5, 3, 6, 3.0, 3, 11, 0), "count must be"),
-        (wire.RELAY_SYNOPSIS.pack(3.5, 3, 6, 3.0, 3, 11, 6), "first_key exceeds"),
+        (wire.SYNOPSIS.pack(2.5, 3.0, 0), "count must be"),
+        (wire.SYNOPSIS.pack(3.5, 3.0, 6), "first_key exceeds"),
     ],
     ids=["zero-count", "inverted-keys"],
 )
 def test_malformed_relay_synopsis_record_is_a_codec_error(record, reason):
     message = RelaySynopsisMessage(9, W, sections=((3, 12, _ROWS),))
     payload = encode_payload(message)
-    payload = payload[:-wire.RELAY_SYNOPSIS_WIRE_BYTES] + record
+    payload = payload[:-wire.SYNOPSIS_WIRE_BYTES] + record
     with pytest.raises(CodecError, match=f"synopsis 1 of 2.*{reason}"):
         decode_payload(tag_of(message), payload, sender=9, window=W)
 
@@ -1302,12 +1308,56 @@ def test_synopsis_array_length_mismatch_rejected():
     payload = encode_payload(message)
     for bad in (
         payload[:-1],                        # mid-record truncation
-        payload[:-48],                       # one whole record short
+        payload[:-20],                       # count past the payload
         payload + _pack_rows(_ROWS[:1]),     # one whole record extra
-        payload + b"\x00" * 7,
+        payload + b"\x00" * 7,              # trailing part of a record
     ):
         with pytest.raises(CodecError, match="announced 2 synopses"):
             decode_payload(tag_of(message), bad, sender=3, window=W)
+
+
+@pytest.mark.parametrize("cut", [1, 4, 11, 12])
+def test_synopsis_truncated_header_rejected(cut):
+    # Count (4) and local window size (8) cut short.
+    payload = encode_payload(_FLAT)[:12 - cut]
+    with pytest.raises(CodecError, match="truncated"):
+        _decode_flat(payload)
+
+
+def test_relay_synopsis_truncated_rejected():
+    payload = encode_payload(_RELAYED)
+    # The section count, a section header, a record, the last section.
+    for end in (2, 4 + 10, 4 + 16 + 30, len(payload) - 1):
+        with pytest.raises(CodecError, match="truncated"):
+            decode_payload(
+                tag_of(_RELAYED), payload[:end], sender=9, window=W
+            )
+
+
+def test_relay_synopsis_count_past_payload_rejected():
+    payload = bytearray(encode_payload(_RELAYED))
+    payload[0:4] = wire.COUNT.pack(3)  # three sections announced, two follow
+    with pytest.raises(CodecError, match="truncated"):
+        decode_payload(tag_of(_RELAYED), bytes(payload), sender=9, window=W)
+
+
+def test_relay_synopsis_section_not_a_multiple_of_twenty_rejected():
+    payload = encode_payload(_RELAYED)
+    # The last section announces one record, 20 bytes; give it other sizes.
+    for size in (3, 8, 19, 21, 40):
+        bad = payload[:-20] + (payload[-20:] + bytes(20))[:size]
+        error = "truncated" if size < 20 else "trailing"
+        with pytest.raises(CodecError, match=error):
+            decode_payload(tag_of(_RELAYED), bad, sender=9, window=W)
+
+
+@pytest.mark.parametrize("message", [_FLAT, _RELAYED], ids=["tag4", "tag23"])
+def test_version_two_synopsis_frame_refused(message):
+    frame = bytearray(encode_frame(message))
+    assert frame[wire.LENGTH_PREFIX.size] == wire.WIRE_VERSION == 3
+    frame[wire.LENGTH_PREFIX.size] = 2
+    with pytest.raises(CodecError, match="version mismatch: got 2"):
+        decode_frame(bytes(frame))
 
 
 def test_relay_synopsis_section_count_overruns_rejected():
@@ -1318,8 +1368,9 @@ def test_relay_synopsis_section_count_overruns_rejected():
     payload[16:20] = wire.U32.pack(3)
     with pytest.raises(CodecError, match="truncated"):
         decode_payload(tag_of(message), bytes(payload), sender=9, window=W)
-    with pytest.raises(CodecError, match="trailing"):
-        decode_payload(
-            tag_of(message), encode_payload(message) + b"\x00" * 36,
-            sender=9, window=W,
-        )
+    for extra in (1, 20):  # part of a record, a whole one
+        with pytest.raises(CodecError, match="trailing"):
+            decode_payload(
+                tag_of(message), encode_payload(message) + bytes(extra),
+                sender=9, window=W,
+            )

@@ -226,6 +226,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="unknown local nodes"):
             run_live(_config(), {99: (Event(1.0, 0, 99, 0),)})
 
+    def test_rejects_a_stream_of_another_nodes_events(self):
+        with pytest.raises(
+            ConfigurationError, match="local 1's stream carries events of node 2"
+        ):
+            run_live(_config(), {1: (Event(1.0, 0, 2, 0),), 2: ()})
+
     def test_rejects_empty_workload(self):
         with pytest.raises(ConfigurationError, match="at least one event"):
             run_live(_config(), {1: (), 2: ()})

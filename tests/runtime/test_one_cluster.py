@@ -72,7 +72,10 @@ def test_each_pair_is_two_names_for_one_object():
 #   QuantileQuery(q=0.5, gamma=64), memory transport, 2 streams a local.
 # Uplink bytes re-recorded for wire version 2 (candidate runs ship 8-byte
 # values): 16,128 fewer on every uplink layer, 1,344 candidates × 12 B;
-# values and message counts unchanged.
+# values and message counts unchanged.  Re-recorded for wire version 3
+# (a synopsis is one 20-byte record on every link): 48 synopses, 28 B
+# fewer each local→root or local→relay (1,344 B) and 16 B fewer each
+# relay→root (768 B); values and message counts unchanged.
 # ----------------------------------------------------------------------
 
 GOLDEN_VALUES = [34.952524624106594, 35.08097862671282, 54.22207658633975]
@@ -80,17 +83,17 @@ GOLDEN_VALUES = [34.952524624106594, 35.08097862671282, 54.22207658633975]
 GOLDEN = {
     "flat": (
         dict(n_shards=1, relay_fanin=0),
-        {"local_root": 15116, "stream_local": 50496},
+        {"local_root": 13772, "stream_local": 50496},
         {"local_root": 49, "stream_local": 64},
     ),
     "sharded": (
         dict(n_shards=2, relay_fanin=0),
-        {"local_root": 15292, "stream_local": 50496},
+        {"local_root": 13948, "stream_local": 50496},
         {"local_root": 53, "stream_local": 64},
     ),
     "relayed": (
         dict(n_shards=2, relay_fanin=2),
-        {"local_relay": 15116, "relay_root": 14687, "stream_local": 50496},
+        {"local_relay": 13772, "relay_root": 13919, "stream_local": 50496},
         {"local_relay": 49, "relay_root": 28, "stream_local": 64},
     ),
 }

@@ -45,11 +45,16 @@ One keeps a background task's failure policy in one place:
 only code that records on a latch, so every live task is spawned through
 the latch instead of carrying a hand-copied handler.
 
-The last keeps whole events off the uplink: each system ships only the
+One keeps whole events off the uplink: each system ships only the
 columns its root reads, so the raw event batch is the only message whose
 ``payload_bytes`` counts the 20-byte event — candidate runs and Desis'
 sorted runs are 8-byte value runs, and a whole-tuple run cannot return
 quietly.
+
+The last keeps one synopsis record on the wire: ``runtime/wire.py``
+defines one synopsis record struct, the 20-byte (first value, last value,
+count) every link carries, and ``SynopsisColumns`` has one wire encoder and
+one decoder, so a per-link layout cannot grow back beside it.
 """
 
 import ast
@@ -795,3 +800,51 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     assert queries.results_graded > 0
     # One group per selector, each cutting a tumbling and a sliding shape.
     assert queries.groups == 3
+
+
+#: The record structs ``runtime/wire.py`` names after synopses (section
+#: headers aside): one, the same 20 bytes on every link.  Held with ``==``.
+SYNOPSIS_RECORD_STRUCTS = {"SYNOPSIS"}
+
+#: ``SynopsisColumns``' wire codec: one encoder and one decoder, held
+#: with ``==``.
+SYNOPSIS_WIRE_CODEC = {"from_wire", "to_wire"}
+
+
+def _synopsis_record_structs(source):
+    """Module-level ``struct.Struct`` names mentioning SYNOPSIS that are
+    not a section header."""
+    return {
+        target.id
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and (getattr(node.value.func, "attr", None)
+             or getattr(node.value.func, "id", None)) == "Struct"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+        and "SYNOPSIS" in target.id
+        and "_SECTION_" not in target.id
+    }
+
+
+def test_one_synopsis_record_on_the_wire():
+    source = (PACKAGE_ROOT / "runtime" / "wire.py").read_text()
+    assert _synopsis_record_structs(source) == SYNOPSIS_RECORD_STRUCTS
+    from repro.runtime import wire
+
+    assert wire.SYNOPSIS.format == "<ddI" and wire.SYNOPSIS.size == 20
+    assert {
+        name for name in vars(SynopsisColumns) if "wire" in name
+    } == SYNOPSIS_WIRE_CODEC
+
+
+def test_synopsis_record_lint_sees_struct_shapes():
+    source = (
+        "SYNOPSIS = struct.Struct('<ddI')\n"
+        "RELAY_SYNOPSIS = Struct('<dIIdIII')\n"
+        "RELAY_SYNOPSIS_SECTION_FIXED = struct.Struct('<IQI')\n"
+        "SYNOPSIS_WIRE_BYTES = SYNOPSIS.size\n"
+        "EVENT = struct.Struct('<dIII')\n"
+    )
+    assert _synopsis_record_structs(source) == {"SYNOPSIS", "RELAY_SYNOPSIS"}
