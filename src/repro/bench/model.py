@@ -24,8 +24,11 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.network.messages import MESSAGE_HEADER_BYTES, SYNOPSIS_WIRE_BYTES
-from repro.runtime.wire import F64_BYTES
+from repro.network.messages import (
+    MESSAGE_HEADER_BYTES,
+    synopsis_section_bytes,
+)
+from repro.runtime.wire import COUNT_BYTES, F64_BYTES
 from repro.network.simulator import (
     INGEST_OPS,
     MERGE_OPS_PER_CMP,
@@ -111,10 +114,12 @@ class SystemModel:
             return n * w * (MESSAGE_HEADER_BYTES + 4 + l * F64_BYTES)
         if system == "dema":
             slices_per_node = math.ceil(l / self.gamma)
+            # One synopsis frame per node per window: its count, then its
+            # section — local size, γ and the slices' boundaries.
             synopsis_bytes = n * w * (
-                slices_per_node * SYNOPSIS_WIRE_BYTES
-                + 12
-                + MESSAGE_HEADER_BYTES
+                MESSAGE_HEADER_BYTES
+                + COUNT_BYTES
+                + synopsis_section_bytes(slices_per_node)
             )
             m = self.candidate_slices
             # One request per node per window (header + u32 count) plus a
@@ -170,8 +175,9 @@ class SystemModel:
             return global_window * per_event + n * RECEIVE_OPS_BASE
         if system == "dema":
             slices = global_window / self.gamma
+            # n + 1 boundaries a node: one value a slice, one a node.
             synopsis_receive = (
-                RECEIVE_OPS_PER_BYTE * slices * SYNOPSIS_WIRE_BYTES
+                RECEIVE_OPS_PER_BYTE * (slices + n) * F64_BYTES
                 + n * RECEIVE_OPS_BASE
             )
             identify = _IDENTIFY_OPS_PER_SYNOPSIS * slices * max(

@@ -1,14 +1,20 @@
 """Adaptive slice factor (Section 3.3).
 
-Dema's network cost per global window is
+Dema's network cost per global window, in 8-byte values, is
 
-    Cost(γ) = 2·l_G / γ  +  m · (γ − 2)
+    Cost(γ) = l_G / γ  +  m · (γ − 1)  +  n
 
-where ``l_G`` is the global window size and ``m`` the number of candidate
-slices: the first term counts the events inside all synopses (two per
-slice), the second counts the candidate events shipped in the calculation
-step beyond the two already known from each candidate's synopsis.  The cost
-is convex in γ with closed-form minimizer ``γ* = sqrt(2·l_G / m)``.
+where ``l_G`` is the global window size, ``m`` the number of candidate
+slices and ``n`` the number of locals: the first term counts the slice
+boundaries (one first value per slice), the second the candidate values
+shipped in the calculation step beyond the first one, already known from
+each candidate's synopsis, and the last each local's window maximum.  A
+synopsis ships as one boundary value and a candidate event as its value,
+so both cost 8 bytes and the model counts bytes up to that factor.  The
+paper's event model — ``2·l_G/γ + m·(γ − 2)``, a synopsis as two events —
+prices the synopsis it ships, not this one (PAPER §3.1).  The cost is
+convex in γ with closed-form minimizer ``γ* = sqrt(l_G / m)``; ``n`` does
+not move it.
 
 The controller re-estimates γ after every window from the observed ``l_G``
 and ``m``, exactly as the paper's root node does, and reuses the previous
@@ -32,7 +38,9 @@ __all__ = [
 
 
 def transfer_cost(gamma: int, global_window_size: int, n_candidates: int) -> float:
-    """Events-on-the-wire cost model of Section 3.3.
+    """Values-on-the-wire cost model of Section 3.3, re-derived for slice
+    boundaries, for one local: ``l_G/γ + m·(γ − 1) + 1`` (its window
+    maximum is the ``+ 1``; :class:`NodeGammaController` sums it per node).
 
     Args:
         gamma: Slice factor, ≥ 2.
@@ -46,7 +54,7 @@ def transfer_cost(gamma: int, global_window_size: int, n_candidates: int) -> flo
         raise ConfigurationError(f"gamma must be >= {MIN_GAMMA}, got {gamma}")
     if global_window_size < 0 or n_candidates < 0:
         raise ConfigurationError("window size and candidate count must be >= 0")
-    return 2.0 * global_window_size / gamma + n_candidates * (gamma - 2)
+    return global_window_size / gamma + n_candidates * (gamma - 1) + 1
 
 
 def optimal_gamma(
@@ -57,7 +65,7 @@ def optimal_gamma(
 ) -> int:
     """Integer γ minimizing :func:`transfer_cost`.
 
-    The real-valued minimizer is ``sqrt(2·l_G/m)``; the two neighbouring
+    The real-valued minimizer is ``sqrt(l_G/m)``; the two neighbouring
     integers are compared to pick the true integer optimum.  With no
     candidate slices observed (``m == 0``) the identification term dominates
     and the best γ is as large as allowed.
@@ -79,7 +87,7 @@ def optimal_gamma(
         return MIN_GAMMA
     if n_candidates == 0:
         return ceiling
-    raw = math.sqrt(2.0 * global_window_size / n_candidates)
+    raw = math.sqrt(global_window_size / n_candidates)
     lo = max(MIN_GAMMA, min(ceiling, math.floor(raw)))
     hi = max(MIN_GAMMA, min(ceiling, math.ceil(raw)))
     cost_lo = transfer_cost(lo, global_window_size, n_candidates)
@@ -156,11 +164,11 @@ class NodeGammaController:
 
     The transfer cost decomposes over nodes:
 
-        Cost = Σ_i [ 2·l_i / γ_i  +  m_i · (γ_i − 2) ]
+        Cost = Σ_i [ l_i / γ_i  +  m_i · (γ_i − 1)  +  1 ]
 
     where ``l_i`` is node *i*'s local window size and ``m_i`` its candidate
     slices, so each node's factor can be optimized independently:
-    ``γ_i* = sqrt(2·l_i / m_i)``.  Nodes with high event rates get coarser
+    ``γ_i* = sqrt(l_i / m_i)``.  Nodes with high event rates get coarser
     slices; quiet nodes get finer ones — exactly the adaptation the paper
     sketches for "networks with nodes that have varying workloads".
 

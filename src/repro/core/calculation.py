@@ -28,6 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as _np
 
 from repro.errors import CalculationError
+from repro.runtime import wire
 from repro.streaming.columns import select_rank
 from repro.core.synopsis import SliceSynopsis
 from repro.core.window_cut import CutResult
@@ -110,23 +111,33 @@ def calculate_quantile(
 def check_run(run: Sequence[float], synopsis: SliceSynopsis) -> None:
     """Check a served run against the synopsis that requested its slice.
 
-    O(1): the run's length must be the synopsis ``count``, and its first
-    and last values bit-equal to the synopsis' ``first_value`` and
-    ``last_value``.  Slices are γ-sized and sorted, so a neighbouring
-    slice passes every check the calculation makes; this one tells them
-    apart.
+    O(1): the run's length must be the synopsis ``count`` and its first
+    value bit-equal to the synopsis' ``first_value``.  A non-final
+    slice's ``last_value`` is the next slice's first value, an upper
+    bound: the run's last value may not exceed it (a NaN does not, as in
+    the slicer's check).  The final slice's is the window's maximum: the
+    run's last value must be bit-equal to it.  Slices are γ-sized and
+    sorted, so a neighbouring slice passes every check the calculation
+    makes; this one tells them apart — a neighbour that passes it holds
+    the same values.
 
     Raises:
         CalculationError: If the run is not the requested slice.
     """
-    ends = _np.array([synopsis.first_value, synopsis.last_value], "<f8")
+    values = _np.asarray(run, "<f8")
+    final = synopsis.slice_index == synopsis.n_slices - 1
+    if final:
+        last_ok = values[-1:].tobytes() == wire.F64.pack(synopsis.last_value)
+    else:
+        last_ok = not (values[-1:] > synopsis.last_value).any()
     if (
-        len(run) != synopsis.count
-        or _np.asarray(run, "<f8")[[0, -1]].tobytes() != ends.tobytes()
+        len(values) != synopsis.count
+        or values[:1].tobytes() != wire.F64.pack(synopsis.first_value)
+        or not last_ok
     ):
         raise CalculationError(
             f"candidate run {synopsis.slice_id} does not match its synopsis; "
-            f"local node violated the protocol: {len(run)} values served, "
-            f"{synopsis.count} requested from {synopsis.first_value!r} to "
-            f"{synopsis.last_value!r}"
+            f"local node violated the protocol: {len(values)} values served, "
+            f"{synopsis.count} requested from {synopsis.first_value!r} "
+            f"{'to' if final else 'below'} {synopsis.last_value!r}"
         )

@@ -10,8 +10,10 @@ slice.  A window with a single event yields one 1-event slice — its synopsis
 
 A synopsis key is ``(value, owner, position)``: the boundary event's value,
 the window's owner and the event's row in the sorted window, not its
-``(node_id, seq)`` — what a decoder rebuilds from the 20-byte wire record,
-so the simulator, which never encodes, and the live root see one row.
+``(node_id, seq)``.  A non-final slice's last key is an upper bound: the
+next slice's first value with this slice's last position — what a decoder
+rebuilds from the local's boundaries on the wire, so the simulator, which
+never encodes, and the live root see one row.
 """
 
 from __future__ import annotations
@@ -24,7 +26,12 @@ import numpy as _np
 
 from repro.errors import SliceError
 from repro.streaming.columns import EventColumns
-from repro.core.synopsis import SYNOPSIS_DTYPE, SynopsisColumns
+from repro.core.synopsis import (
+    MIN_GAMMA,
+    SYNOPSIS_DTYPE,
+    SynopsisColumns,
+    slice_bounds,
+)
 
 # Hot-path module: a window's synopses are one ``SynopsisColumns`` batch
 # written column by column from the slice boundaries, and a slice's value
@@ -33,9 +40,6 @@ from repro.core.synopsis import SYNOPSIS_DTYPE, SynopsisColumns
 # tests/test_hotpath_lint.py).
 
 __all__ = ["SlicedWindow", "slice_sorted_events", "MIN_GAMMA"]
-
-#: Every slice must hold at least two events (Section 3.1), hence γ ≥ 2.
-MIN_GAMMA = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,7 +51,9 @@ class SlicedWindow:
         events: The sealed window in ascending key order.
         bounds: Slice boundaries into ``events``: slice ``i`` is
             ``events[bounds[i]:bounds[i + 1]]``.
-        synopses: One synopsis per slice, in value order.
+        synopses: One synopsis per slice, in value order; a non-final
+            slice's last key is the next slice's first value with its own
+            last position, an upper bound on its largest event.
     """
 
     node_id: int
@@ -113,10 +119,17 @@ def slice_sorted_events(
 ) -> SlicedWindow:
     """Cut a sorted local window into γ-sized slices with synopses.
 
+    Slice ``i``'s last key is written as ``(first value of slice i + 1,
+    owner, last position of slice i)`` — at least its true last key and
+    strictly below slice ``i + 1``'s first key — and the final slice's as
+    its true maximum's: the batch is the window's boundaries, what the wire
+    carries (:meth:`SynopsisColumns.to_wire`).
+
     Args:
         sorted_events: The window's events in ascending key order.  Only
-            each slice's own ``first_key <= last_key`` is checked;
-            callers are the sorted window and tests.
+            each slice's own ``first_key <= last_key`` is checked (before
+            its last key becomes the boundary); callers are the sorted
+            window and tests.
         gamma: Target slice size; must be ≥ 2.
         node_id: Owner stamped into every synopsis, the second component
             of its keys; the third is the row in ``sorted_events``.
@@ -126,18 +139,14 @@ def slice_sorted_events(
 
     Raises:
         SliceError: If ``gamma < 2``, or a slice's first key exceeds its
-            last (a NaN value left the run unordered).
+            own last key (a NaN value left the run unordered).  A NaN can
+            also leave the boundaries out of order; the decoder and the
+            rows refuse such a batch, as every descending boundary.
     """
     if gamma < MIN_GAMMA:
         raise SliceError(f"gamma must be >= {MIN_GAMMA}, got {gamma}")
-    n = len(sorted_events)
-    starts = _np.arange(0, n, gamma)
-    # A trailing 1-event slice cannot form a synopsis with two distinct
-    # events; merge it into the previous slice (only possible when n > 1).
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts = starts[:-1]
-    bounds = _np.append(starts, n)
-    lasts = bounds[1:] - 1
+    bounds = slice_bounds(len(sorted_events), gamma)
+    starts, lasts = bounds[:-1], bounds[1:] - 1
 
     records = _np.empty(len(starts), dtype=SYNOPSIS_DTYPE)
     values = sorted_events.values
@@ -149,9 +158,13 @@ def slice_sorted_events(
     records["slice_index"] = _np.arange(len(starts), dtype="<u4")
     records["n_slices"] = len(starts)
     records["node_id"] = node_id
+    # Each slice is checked against its own last value; then every
+    # non-final last value becomes the next boundary.
+    synopses = SynopsisColumns(records).validated(node_id, SliceError)
+    records["last_value"][:-1] = records["first_value"][1:]
     return SlicedWindow(
         node_id=node_id,
         events=sorted_events,
         bounds=bounds,
-        synopses=SynopsisColumns(records).validated(node_id, SliceError),
+        synopses=synopses,
     )

@@ -10,17 +10,26 @@ A synopsis key is ``(value, owner, position)``: the event's value, the
 local that owns the slice and the event's row in that local's sorted
 window.  It orders events as ``(value, node_id, seq)`` does — within a
 local the window is sorted by that key, across locals every event carries
-its local's id (the stream doors check it) — so only the paper's
-``(first, last, count)`` travels; owner and positions are rebuilt.
+its local's id (the stream doors check it).
+
+A non-final slice's last key is an **upper bound**, not its largest
+event: ``(first value of the next slice, owner, last position of this
+slice)``.  It is at least the true last key and strictly below the next
+slice's first key (the positions differ), so a local's slices stay
+disjoint in key order and every rank bound window-cut derives stays
+sound, only looser.  The final slice keeps its true maximum.  So a local
+ships its slice *boundaries* — every slice's first value plus the
+window's maximum, n + 1 values for n slices, next to its window size and
+γ — and the counts, positions and last keys are rebuilt.  This departs
+from the paper's synopsis (PAPER §3.1: first event, last event, count).
 
 Two representations, one per grain.  :class:`SliceSynopsis` is the *row*:
 what a :class:`~repro.core.window_cut.CutResult` hands out as a candidate
 and what tests build by hand.  :class:`SynopsisColumns` is the *batch*: all
-of a local window's synopses as one structured ndarray whose leading 20
-bytes per record are the wire record, so the slicer writes it with a
-handful of column assignments, the codec moves it with one strided copy,
-the relay passes it through and window-cut reads its columns — rows are
-only materialised for the few candidates.
+of a local window's synopses as one structured ndarray, so the slicer
+writes it with a handful of column assignments, the codec packs its
+boundary column, the relay passes it through and window-cut reads its
+columns — rows are only materialised for the few candidates.
 """
 
 from __future__ import annotations
@@ -40,12 +49,35 @@ from repro.streaming.events import EventKey
 # (enforced by tests/test_hotpath_lint.py).
 
 __all__ = [
+    "MIN_GAMMA",
     "SYNOPSIS_DTYPE",
     "SliceSynopsis",
     "SynopsisColumns",
     "as_synopsis_columns",
     "concat_synopses",
+    "slice_bounds",
+    "slice_count",
 ]
+
+#: Every slice must hold at least two events (Section 3.1), hence γ ≥ 2.
+MIN_GAMMA = 2
+
+
+def slice_count(size: int, gamma: int) -> int:
+    """How many slices the slicer cuts a ``size``-event window into at
+    ``gamma``: γ events each, a trailing one-event remainder folded into
+    the slice before it.  ``gamma`` must be ≥ 1 unless ``size <= 1``."""
+    if size <= 1:
+        return size
+    n = -(-size // gamma)
+    return n - 1 if n > 1 and size - (n - 1) * gamma == 1 else n
+
+
+def slice_bounds(size: int, gamma: int) -> _np.ndarray:
+    """The slicer's cut as row bounds: slice ``i`` of the
+    :func:`slice_count` slices is rows ``bounds[i]:bounds[i + 1]``."""
+    starts = _np.arange(slice_count(size, gamma), dtype=_np.int64) * gamma
+    return _np.append(starts, size)
 
 
 @dataclass(frozen=True, slots=True)
@@ -56,7 +88,10 @@ class SliceSynopsis:
         first_key: Key ``(value, owner, position)`` of the smallest event
             in the slice: its value, the owning node, and its row in the
             owner's sorted window.
-        last_key: The same key of the largest event in the slice.
+        last_key: An upper bound on the same key of the largest event
+            in the slice: for a non-final slice the next slice's first
+            value with this slice's last position, for the final slice
+            its largest event's key.
         count: Number of events in the slice (≥ 1; ≥ 2 for non-final
             slices per the paper, enforced by the slicer, not here).
         node_id: Local node that owns the slice.
@@ -123,10 +158,11 @@ class SliceSynopsis:
         return self.first_key > other.last_key
 
 
-#: One synopsis in memory: the wire record (:data:`repro.runtime.wire.
-#: SYNOPSIS`), then what a decoder rebuilds from the sender and the counts
-#: — both keys' positions, slice index and total, and the owner (the keys'
-#: second component).  40 bytes keep every field aligned.
+#: One synopsis in memory: the first value and the (bounding) last value
+#: — a local's boundaries on the wire — then what a decoder rebuilds from
+#: the local size, γ and the owner: count, both keys' positions, slice
+#: index and total, and the owner (the keys' second component).  40 bytes
+#: keep every field aligned.
 SYNOPSIS_DTYPE = _np.dtype(
     [
         ("first_value", "<f8"),
@@ -139,14 +175,6 @@ SYNOPSIS_DTYPE = _np.dtype(
         ("node_id", "<u4"),
     ]
 )
-
-#: A record's wire prefix as one opaque unit, and a record viewed as its
-#: prefix: a batch packs and unpacks with one strided copy, not one a field.
-_WIRE_VOID = _np.dtype((_np.void, wire.SYNOPSIS_WIRE_BYTES))
-_AS_WIRE = _np.dtype({"names": ["wire"], "formats": [_WIRE_VOID],
-                      "itemsize": SYNOPSIS_DTYPE.itemsize})
-assert _np.dtype(SYNOPSIS_DTYPE.descr[:3]).itemsize == _WIRE_VOID.itemsize
-
 
 def _row(record: tuple) -> SliceSynopsis:
     """One in-memory record (as Python scalars) as a synopsis row."""
@@ -201,35 +229,58 @@ class SynopsisColumns:
 
     @classmethod
     def from_wire(
-        cls, raw: "bytes | memoryview", count: int, node_id: int
-    ) -> "SynopsisColumns":
-        """Node ``node_id``'s complete batch from ``count`` wire records
-        (``count`` × 20 bytes), the rest rebuilt: owner ``node_id``, row
-        ``i`` as slice ``i`` of ``count``, and key positions from the
-        running sum of the counts.
+        cls, raw: "bytes | memoryview", node_id: int
+    ) -> "tuple[SynopsisColumns, int, int]":
+        """Decode the :data:`~repro.runtime.wire.SYNOPSIS_SECTION` at the
+        head of ``raw`` as node ``node_id``'s complete batch.
+
+        The counts and key positions are the slicer's cut of the local
+        size at γ, row ``i`` is slice ``i`` of them, its first value
+        boundary ``i`` and its last value boundary ``i + 1`` (the final
+        one the window's maximum), all owned by ``node_id``.
+
+        Returns:
+            The batch, the local window size, and the bytes the section
+            took from ``raw``.
 
         Raises:
-            CodecError: If the byte length disagrees with ``count``, the
-                counts overrun a ``u32`` position, or a record fails
-                :meth:`validated`.
+            CodecError: If the section is cut short, its size overruns a
+                ``u32`` position, γ < 2 would cut more than one slice, or
+                the boundaries descend (:meth:`validated`).
         """
-        if len(raw) != count * wire.SYNOPSIS_WIRE_BYTES:
+        head = wire.SYNOPSIS_SECTION_BYTES
+        if len(raw) < head:
             raise CodecError(
-                f"synopsis array of {len(raw)} bytes does not hold the "
-                f"announced {count} synopses of 20 bytes"
+                f"synopsis section truncated: need {head} bytes, "
+                f"have {len(raw)}"
             )
-        records = _np.empty(count, dtype=SYNOPSIS_DTYPE)
-        records.view(_AS_WIRE)["wire"] = _np.frombuffer(raw, _WIRE_VOID)
-        counts = records["count"]
-        ends = _np.cumsum(counts, dtype=_np.uint64)
-        if count and ends[-1] > 2**32:
-            raise CodecError("synopsis counts overrun a u32 position")
-        _np.subtract(ends, counts, out=records["first_pos"], casting="unsafe")
-        _np.subtract(ends, 1, out=records["last_pos"], casting="unsafe")
-        records["slice_index"] = _np.arange(count, dtype="<u4")
-        records["n_slices"] = count
+        size, gamma = wire.SYNOPSIS_SECTION.unpack_from(raw)
+        if size > 2**32:
+            raise CodecError(f"local size {size} overruns a u32 position")
+        if gamma < MIN_GAMMA and size > 1:
+            raise CodecError(
+                f"gamma {gamma} < {MIN_GAMMA} cannot cut {size} events "
+                "into slices of at least two"
+            )
+        n = slice_count(size, gamma)
+        end = head + (n + 1 if n else 0) * wire.F64_BYTES
+        if len(raw) < end:
+            raise CodecError(
+                f"synopsis section truncated: {n} slices need {end} bytes, "
+                f"have {len(raw)}"
+            )
+        boundaries = _np.frombuffer(raw[head:end], dtype="<f8")
+        bounds = slice_bounds(size, gamma)
+        records = _np.empty(n, dtype=SYNOPSIS_DTYPE)
+        records["first_value"] = boundaries[:-1]
+        records["last_value"] = boundaries[1:]
+        records["count"] = _np.diff(bounds)
+        records["first_pos"] = bounds[:-1]
+        records["last_pos"] = bounds[1:] - 1
+        records["slice_index"] = _np.arange(n, dtype="<u4")
+        records["n_slices"] = n
         records["node_id"] = node_id
-        return cls(records).validated(node_id, CodecError)
+        return cls(records).validated(node_id, CodecError), size, end
 
     def validated(self, node_id: int, error: type) -> "SynopsisColumns":
         """This batch, checked in one vectorised pass to be what a local
@@ -319,37 +370,112 @@ class SynopsisColumns:
         )
 
     def key_ranks(self):
-        """Dense ranks of the rows' first and last keys among all ``2n``
-        of them, as two integer arrays: equal keys share a rank, so ``<``,
-        ``<=`` and ``==`` on ranks are those of the ``(value, owner,
-        position)`` tuples.  Meaningless if :meth:`has_nan`."""
+        """Ranks of the rows' first and last keys among all ``2n`` of them,
+        as two integer arrays: equal keys share a rank, so ``<``, ``<=``
+        and ``==`` on ranks are those of the ``(value, owner, position)``
+        tuples.  Meaningless if :meth:`has_nan`.
+
+        A bounding last key — the next row's first value, same owner, one
+        position lower — has no key between it and that first key, so it
+        is not sorted: it ranks one below the first key, and every sorted
+        key at twice its dense rank.  Sorting only the rest keeps the
+        boundaries' value ties out of the sort (they would take it to a
+        full three-key ``lexsort``)."""
         arr = self.records
-        values = _np.concatenate((arr["first_value"], arr["last_value"]))
-        owners = _np.concatenate((arr["node_id"], arr["node_id"]))
-        positions = _np.concatenate((arr["first_pos"], arr["last_pos"]))
-        # A batch is a few nodes' slices, each node's in key order: on
-        # sorted runs numpy's mergesort beats its unstable kernel (0.41
-        # vs 0.70 ms for 40,000 keys; on random keys 3.1 vs 0.5).
-        order = _key_order(values, owners, positions, kind="stable")
-        values = values[order]
-        owners, positions = owners[order], positions[order]
-        distinct = _np.ones(len(order), dtype=_np.intp)
-        distinct[1:] = (
-            (values[1:] != values[:-1])
-            | (owners[1:] != owners[:-1])
-            | (positions[1:] != positions[:-1])
+        n = len(arr)
+        fv, lv = arr["first_value"], arr["last_value"]
+        owners, fp, lp = arr["node_id"], arr["first_pos"], arr["last_pos"]
+        bound = _np.zeros(n, dtype=bool)
+        bound[:-1] = (
+            (lv[:-1] == fv[1:])
+            & (owners[:-1] == owners[1:])
+            & (fp[1:].astype(_np.int64) - lp[:-1] == 1)
         )
-        ranks = _np.empty(len(order), dtype=_np.intp)
-        ranks[order] = _np.cumsum(distinct)
-        return ranks[:len(arr)], ranks[len(arr):]
+        ranked = ~bound
+        keys, starts, ranks = _dense_ranks(
+            _np.concatenate((fv, lv[ranked])),
+            _np.concatenate((owners, owners[ranked])),
+            _np.concatenate((fp, lp[ranked])),
+        )
+        first = 2 * ranks[:n]
+        last = _np.empty(n, dtype=_np.intp)
+        last[ranked] = 2 * ranks[n:]
+        last[bound] = first[1:][bound[:-1]] - 1
+        # Only a key equal to a bound could lie between it and its first
+        # key: the sorted key just below that first key's run of equals.
+        # No slicer cut holds one; a hand-built batch may, and then every
+        # key is sorted.
+        below = starts[ranks[1:n][bound[:-1]] - 1] - 1
+        if (
+            (keys[0][below] == lv[bound])
+            & (keys[1][below] == owners[bound])
+            & (keys[2][below] == lp[bound])
+        ).any():
+            _, _, ranks = _dense_ranks(
+                _np.concatenate((fv, lv)),
+                _np.concatenate((owners, owners)),
+                _np.concatenate((fp, lp)),
+            )
+            return ranks[:n], ranks[n:]
+        return first, last
 
     # -- wire -----------------------------------------------------------
 
-    def to_wire(self) -> bytes:
-        """The batch's wire synopsis array — byte-identical to packing
-        each row's first value, last value and count with
-        :data:`repro.runtime.wire.SYNOPSIS` in order."""
-        return self.records.view(_AS_WIRE)["wire"].tobytes()
+    def to_wire(self, local_window_size: int) -> bytes:
+        """The batch as its local's :data:`~repro.runtime.wire.
+        SYNOPSIS_SECTION`: ``local_window_size``, γ — the first slice's
+        count, which is γ whenever there are two or more slices — and the
+        boundaries, every first value then the final last value.
+
+        Raises:
+            CodecError: If the batch is not one slicer cut of
+                ``local_window_size`` events at that γ: a count differs
+                from the cut's, or a non-final last value is not the next
+                slice's first value bit for bit.
+        """
+        arr = self.records
+        n = len(arr)
+        counts = arr["count"]
+        gamma = int(counts[0]) if n else 0
+        boundaries = _np.empty(n + 1 if n else 0, dtype="<f8")
+        boundaries[:n] = arr["first_value"]
+        boundaries[n:] = arr["last_value"][-1:]
+        if (
+            (gamma < MIN_GAMMA and local_window_size > 1)
+            or slice_count(local_window_size, gamma) != n
+            or (n and int(counts[-1]) != local_window_size - gamma * (n - 1))
+            # Bytes compared, not elements: no per-element ufunc pass.
+            or counts[1:-1].tobytes() != wire.U32.pack(gamma) * (n - 2)
+            or arr["last_value"][:-1].tobytes() != boundaries[1:n].tobytes()
+        ):
+            raise CodecError(
+                f"{n} synopses are not one slicer cut of "
+                f"{local_window_size} events at gamma {gamma}"
+            )
+        return (
+            wire.SYNOPSIS_SECTION.pack(local_window_size, gamma)
+            + boundaries.tobytes()
+        )
+
+
+def _dense_ranks(values, owners, positions):
+    """Sort ``(value, owner, position)`` keys: the keys in order, where in
+    it each run of equal keys starts, and each key's dense rank from 1
+    (equal keys share one)."""
+    # A batch is a few nodes' slices, each node's in key order: on sorted
+    # runs numpy's mergesort beats its unstable kernel (0.41 vs 0.70 ms for
+    # 40,000 keys; on random keys 3.1 vs 0.5).
+    order = _key_order(values, owners, positions, kind="stable")
+    keys = (values[order], owners[order], positions[order])
+    distinct = _np.ones(len(order), dtype=_np.intp)
+    distinct[1:] = (
+        (keys[0][1:] != keys[0][:-1])
+        | (keys[1][1:] != keys[1][:-1])
+        | (keys[2][1:] != keys[2][:-1])
+    )
+    ranks = _np.empty(len(order), dtype=_np.intp)
+    ranks[order] = _np.cumsum(distinct)
+    return keys, _np.flatnonzero(distinct), ranks
 
 
 def as_synopsis_columns(

@@ -5,8 +5,8 @@ it looks exactly like the root (children dial it and speak the unmodified
 local protocol); upstream it looks like a single very productive local.
 Its one job is *combining*: the per-window synopsis batches of its
 children become one :class:`~repro.network.messages.RelaySynopsisMessage`
-of sections holding the same 20-byte synopsis records the children sent,
-and candidate runs become one
+of sections holding the same synopsis sections (local size, γ, slice
+boundaries) the children sent, and candidate runs become one
 :class:`~repro.network.messages.RelayRunsMessage`.  The root explodes the
 sections back into the identical per-child frames, so the operators on
 both ends run unmodified and the quantile values stay bit-identical —

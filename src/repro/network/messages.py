@@ -28,7 +28,7 @@ from repro.streaming.windows import Window
 
 __all__ = [
     "MESSAGE_HEADER_BYTES",
-    "SYNOPSIS_WIRE_BYTES",
+    "synopsis_section_bytes",
     "EMPTY_VALUES",
     "Message",
     "EventBatchMessage",
@@ -64,9 +64,13 @@ __all__ = [
 #: header (version, type tag, flags, sender, group id, window bounds).
 MESSAGE_HEADER_BYTES = wire.MESSAGE_HEADER_BYTES
 
-#: One slice synopsis on every link: first value and last value (f64
-#: each) plus count u32.
-SYNOPSIS_WIRE_BYTES = wire.SYNOPSIS_WIRE_BYTES
+
+def synopsis_section_bytes(n_synopses: int) -> int:
+    """Bytes of one local's synopsis section on every link: local size and
+    γ, then ``n + 1`` f64 boundaries for ``n`` slices (none when empty)."""
+    boundaries = n_synopses + 1 if n_synopses else 0
+    return wire.SYNOPSIS_SECTION_BYTES + boundaries * wire.F64_BYTES
+
 
 #: The run of no values: a sorted run's default.  Read-only and shared.
 EMPTY_VALUES = _np.empty(0, dtype="<f8")
@@ -157,11 +161,7 @@ class SynopsisMessage(Message):
 
     @property
     def payload_bytes(self) -> int:
-        return (
-            wire.COUNT_BYTES
-            + wire.U64_BYTES
-            + len(self.synopses) * SYNOPSIS_WIRE_BYTES
-        )
+        return wire.COUNT_BYTES + synopsis_section_bytes(len(self.synopses))
 
 
 @dataclass(frozen=True, slots=True)
@@ -485,12 +485,12 @@ class RelaySynopsisMessage(Message):
     """Several locals' synopsis batches combined into one relay frame.
 
     Each section is ``(node_id, local_window_size, synopses)`` and carries
-    one child's *complete, ordered* batch for the window, in the same
-    20-byte synopsis records a :class:`SynopsisMessage` carries; the
-    section header's node id is the owner a decoder rebuilds the rest
-    from — the root explodes sections back into the identical per-child
-    :class:`SynopsisMessage` frames, so the identification operator runs
-    unmodified and bit-identically.
+    one child's *complete, ordered* batch for the window: the child's node
+    id, then the same synopsis section a :class:`SynopsisMessage` carries
+    (local size, γ, boundaries); the node id is the owner a decoder
+    rebuilds the rest with — the root explodes sections back into the
+    identical per-child :class:`SynopsisMessage` frames, so the
+    identification operator runs unmodified and bit-identically.
 
     ``section_contexts`` (one trace context or ``None`` per section, in
     section order) travels in the frame's *header extension block*
@@ -511,8 +511,7 @@ class RelaySynopsisMessage(Message):
     @property
     def payload_bytes(self) -> int:
         return wire.COUNT_BYTES + sum(
-            wire.RELAY_SYNOPSIS_SECTION_FIXED_BYTES
-            + len(synopses) * SYNOPSIS_WIRE_BYTES
+            wire.U32_BYTES + synopsis_section_bytes(len(synopses))
             for _, _, synopses in self.sections
         )
 

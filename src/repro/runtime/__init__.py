@@ -37,7 +37,7 @@ from __future__ import annotations
 from repro.runtime.wire import (
     EVENT_WIRE_BYTES,
     MESSAGE_HEADER_BYTES,
-    SYNOPSIS_WIRE_BYTES,
+    SYNOPSIS_SECTION_BYTES,
     WIRE_VERSION,
 )
 
@@ -58,7 +58,7 @@ __all__ = [
     "WIRE_VERSION",
     "MESSAGE_HEADER_BYTES",
     "EVENT_WIRE_BYTES",
-    "SYNOPSIS_WIRE_BYTES",
+    "SYNOPSIS_SECTION_BYTES",
 ]
 
 #: Lazily resolved exports: attribute name -> defining submodule.

@@ -200,11 +200,9 @@ def _encode_sorted_run(m: SortedRunMessage) -> bytes:
 
 
 def _encode_synopsis(m: SynopsisMessage) -> bytes:
-    return (
-        wire.COUNT.pack(len(m.synopses))
-        + wire.U64.pack(m.local_window_size)
-        + as_synopsis_columns(m.synopses).to_wire()
-    )
+    return wire.COUNT.pack(len(m.synopses)) + as_synopsis_columns(
+        m.synopses
+    ).to_wire(m.local_window_size)
 
 
 def _encode_candidate_request(m: CandidateRequestMessage) -> bytes:
@@ -362,12 +360,8 @@ def _encode_telemetry_digest(m: TelemetryDigestMessage) -> bytes:
 def _encode_relay_synopsis(m: RelaySynopsisMessage) -> bytes:
     parts = [wire.COUNT.pack(len(m.sections))]
     for node_id, local_window_size, synopses in m.sections:
-        parts.append(
-            wire.RELAY_SYNOPSIS_SECTION_FIXED.pack(
-                node_id, local_window_size, len(synopses)
-            )
-        )
-        parts.append(as_synopsis_columns(synopses).to_wire())
+        parts.append(wire.U32.pack(node_id))
+        parts.append(as_synopsis_columns(synopses).to_wire(local_window_size))
     return b"".join(parts)
 
 
@@ -463,6 +457,15 @@ class _Reader:
         self._pos = len(self._view)
         return raw
 
+    def section(self, node_id: int) -> "tuple[SynopsisColumns, int]":
+        """Read one synopsis section as ``node_id``'s batch, and its local
+        window size; its length follows from its own header."""
+        synopses, size, used = SynopsisColumns.from_wire(
+            self._view[self._pos:], node_id
+        )
+        self._pos += used
+        return synopses, size
+
     def finish(self) -> None:
         if self._pos != len(self._view):
             raise CodecError(
@@ -516,13 +519,16 @@ def _decode_sorted_run(r, sender, window, group_id):
 
 
 def _decode_synopsis(r, sender, window, group_id):
-    # The synopsis array is the payload tail; the columnar constructor
-    # rejects a byte length that disagrees with the count, rebuilds what
-    # the 20-byte record leaves out from the sender and the counts, and
-    # validates the batch.
+    # The section is the payload tail; the columnar constructor rebuilds
+    # counts, positions and last values from the size, γ and boundaries,
+    # and validates the batch.  The announced count must be the cut's.
     n = r.count()
-    (local_window_size,) = r.unpack(wire.U64)
-    synopses = SynopsisColumns.from_wire(r.rest(), n, sender)
+    synopses, local_window_size = r.section(sender)
+    if len(synopses) != n:
+        raise CodecError(
+            f"synopsis frame announces {n} synopses, but {local_window_size} "
+            f"events cut into {len(synopses)}"
+        )
     return SynopsisMessage(sender, window, group_id, synopses, local_window_size)
 
 
@@ -693,12 +699,8 @@ def _decode_relay_synopsis(r, sender, window, group_id):
     n_sections = r.count()
     sections = []
     for _ in range(n_sections):
-        node_id, local_window_size, n = r.unpack(
-            wire.RELAY_SYNOPSIS_SECTION_FIXED
-        )
-        synopses = SynopsisColumns.from_wire(
-            r.view(n * wire.SYNOPSIS_WIRE_BYTES), n, node_id
-        )
+        (node_id,) = r.unpack(wire.U32)
+        synopses, local_window_size = r.section(node_id)
         sections.append((node_id, local_window_size, synopses))
     return RelaySynopsisMessage(sender, window, group_id, tuple(sections))
 

@@ -68,8 +68,8 @@ __all__ = [
     "MESSAGE_HEADER_BYTES",
     "EVENT",
     "EVENT_WIRE_BYTES",
-    "SYNOPSIS",
-    "SYNOPSIS_WIRE_BYTES",
+    "SYNOPSIS_SECTION",
+    "SYNOPSIS_SECTION_BYTES",
     "COUNT",
     "COUNT_BYTES",
     "U32",
@@ -90,8 +90,6 @@ __all__ = [
     "QUERY_ACK_FIXED_BYTES",
     "QUERY_RESULT",
     "QUERY_RESULT_BYTES",
-    "RELAY_SYNOPSIS_SECTION_FIXED",
-    "RELAY_SYNOPSIS_SECTION_FIXED_BYTES",
     "RELAY_RUN_SECTION_FIXED",
     "RELAY_RUN_SECTION_FIXED_BYTES",
 ]
@@ -100,8 +98,9 @@ __all__ = [
 #: frames from a different version instead of mis-parsing them.  Version 2
 #: ships candidate runs (tags 6 and 24) and Desis' sorted runs (tag 3) as
 #: 8-byte values instead of 20-byte events; version 3 ships a synopsis as
-#: the 20-byte :data:`SYNOPSIS` record on every link.
-WIRE_VERSION = 3
+#: a 20-byte (first value, last value, count) record; version 4 ships a
+#: local's synopses as one :data:`SYNOPSIS_SECTION`: its slice boundaries.
+WIRE_VERSION = 4
 
 #: Flags bit announcing a header extension block after the fixed header.
 FLAG_EXTENSIONS = 0x0001
@@ -160,11 +159,15 @@ MESSAGE_HEADER_BYTES = LENGTH_PREFIX.size + HEADER.size
 EVENT = struct.Struct("<dIII")
 EVENT_WIRE_BYTES = EVENT.size
 
-#: One slice synopsis on every link: first value f64, last value f64,
-#: count u32.  A decoder rebuilds the rest from the sender (or the relay
-#: section's node) and the counts (``SynopsisColumns.from_wire``).
-SYNOPSIS = struct.Struct("<ddI")
-SYNOPSIS_WIRE_BYTES = SYNOPSIS.size
+#: One local's synopses of a window on every link: local window size u64,
+#: γ u32, then n + 1 f64 boundaries for n slices — every slice's first
+#: value, then the window's maximum (no boundary for an empty window).
+#: The counts follow from the size and γ (the slicer's cut); a decoder
+#: rebuilds them, the key positions and each slice's last value — the
+#: next boundary, an upper bound — from the section and its owner, the
+#: sender or the relay section's node (``SynopsisColumns.from_wire``).
+SYNOPSIS_SECTION = struct.Struct("<QI")
+SYNOPSIS_SECTION_BYTES = SYNOPSIS_SECTION.size
 
 #: u32 element count prefixing every variable-length sequence.
 COUNT = struct.Struct("<I")
@@ -207,11 +210,6 @@ QUERY_ACK_FIXED_BYTES = QUERY_ACK_FIXED.size
 QUERY_RESULT = struct.Struct("<IdQQ")
 QUERY_RESULT_BYTES = QUERY_RESULT.size
 
-#: Relay synopsis section header: node_id u32, local window size u64,
-#: synopsis count u32.  That many :data:`SYNOPSIS` records follow.
-RELAY_SYNOPSIS_SECTION_FIXED = struct.Struct("<IQI")
-RELAY_SYNOPSIS_SECTION_FIXED_BYTES = RELAY_SYNOPSIS_SECTION_FIXED.size
-
 #: Relay candidate-run section header: node_id u32, slice_index u32,
 #: value count u32.  The run's values follow, one f64 each.
 RELAY_RUN_SECTION_FIXED = struct.Struct("<III")
@@ -222,11 +220,10 @@ RELAY_RUN_SECTION_FIXED_BYTES = RELAY_RUN_SECTION_FIXED.size
 # accounting; fail at import time if a struct edit ever drifts from it.
 assert MESSAGE_HEADER_BYTES == 32
 assert EVENT_WIRE_BYTES == 20
-assert SYNOPSIS_WIRE_BYTES == 2 * F64_BYTES + U32_BYTES == 20
+assert SYNOPSIS_SECTION_BYTES == U64_BYTES + U32_BYTES == 12
 assert QDIGEST_NODE_WIRE_BYTES == 16
 assert TRACE_CONTEXT_EXT_BYTES == 17
 assert QUERY_REGISTER_FIXED_BYTES == 44
 assert QUERY_ACK_FIXED_BYTES == 8
 assert QUERY_RESULT_BYTES == 28
-assert RELAY_SYNOPSIS_SECTION_FIXED_BYTES == 16
 assert RELAY_RUN_SECTION_FIXED_BYTES == 12

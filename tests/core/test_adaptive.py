@@ -13,12 +13,29 @@ from repro.core.adaptive import (
 
 
 class TestTransferCost:
-    def test_paper_formula(self):
-        # Cost = 2*l_G/gamma + m*(gamma-2)
-        assert transfer_cost(10, 1000, 3) == pytest.approx(200 + 24)
+    def test_boundary_formula(self):
+        # Values on the wire: l_G/gamma boundaries + m*(gamma-1) candidate
+        # values + the local's maximum.
+        assert transfer_cost(10, 1000, 3) == pytest.approx(100 + 27 + 1)
 
-    def test_gamma_two_ships_everything_as_synopses(self):
-        assert transfer_cost(2, 1000, 5) == pytest.approx(1000.0)
+    def test_gamma_two_ships_half_the_window_as_boundaries(self):
+        # A boundary a slice of two; a candidate adds the one value its
+        # boundary leaves unknown.
+        assert transfer_cost(2, 1000, 5) == pytest.approx(500 + 5 + 1)
+
+    def test_counts_the_bytes_the_wire_carries(self):
+        # Every term is one 8-byte value: the section's boundaries (one a
+        # slice, plus the maximum) and the candidate values past each
+        # run's first.
+        from repro.core.slicing import slice_sorted_events
+        from repro.streaming.columns import EventColumns
+        from repro.streaming.events import make_events
+
+        events = EventColumns.from_events(make_events(range(1000), node_id=1))
+        sliced = slice_sorted_events(events, 10, 1)
+        section = sliced.synopses.to_wire(1000)
+        boundaries = (len(section) - 12) // 8
+        assert boundaries == transfer_cost(10, 1000, 0) == 101
 
     def test_invalid_gamma_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -41,7 +58,7 @@ class TestTransferCost:
 class TestOptimalGamma:
     def test_matches_closed_form(self):
         gamma = optimal_gamma(100_000, 4)
-        assert gamma == pytest.approx(math.sqrt(2 * 100_000 / 4), abs=1)
+        assert gamma == pytest.approx(math.sqrt(100_000 / 4), abs=1)
 
     def test_is_integer_optimum(self):
         for l_g, m in [(1000, 1), (5000, 3), (77, 5), (123_456, 17)]:

@@ -218,13 +218,47 @@ class TestErrorParity:
 class TestCheckRun:
     """A served run must be the slice its synopsis describes."""
 
+    #: A non-final slice: its last value 3.0 is the next slice's first.
     SYNOPSIS = SliceSynopsis(
         first_key=(-0.0, 1, 4), last_key=(3.0, 1, 7),
         count=4, node_id=1, slice_index=2, n_slices=5,
     )
+    #: The final slice: its last value is the window's maximum.
+    FINAL = SliceSynopsis(
+        first_key=(5.0, 1, 16), last_key=(9.0, 1, 19),
+        count=4, node_id=1, slice_index=4, n_slices=5,
+    )
 
     def test_the_requested_slice_passes(self):
         check_run(vals([-0.0, 1.0, 2.0, 3.0]), self.SYNOPSIS)
+        check_run(vals([5.0, 6.0, 7.0, 9.0]), self.FINAL)
+
+    def test_a_last_value_below_the_boundary_passes(self):
+        # The boundary bounds the slice; its own last value may be lower.
+        check_run(vals([-0.0, 1.0, 2.0, 2.5]), self.SYNOPSIS)
+
+    def test_a_last_value_past_the_next_boundary_is_refused(self):
+        with pytest.raises(
+            CalculationError, match=r"\(1, 2\) does not match.*below 3\.0"
+        ):
+            check_run(vals([-0.0, 1.0, 2.0, 3.0 + 1e-9]), self.SYNOPSIS)
+
+    @pytest.mark.parametrize("last", [8.5, 9.5])
+    def test_a_final_run_off_the_shipped_maximum_is_refused(self, last):
+        # The final slice ships its true maximum: below it is refused too.
+        with pytest.raises(
+            CalculationError, match=r"\(1, 4\) does not match.*to 9\.0"
+        ):
+            check_run(vals([5.0, 6.0, 7.0, last]), self.FINAL)
+
+    def test_a_final_maximum_is_checked_bit_for_bit(self):
+        final = SliceSynopsis(
+            first_key=(-1.0, 1, 0), last_key=(0.0, 1, 1),
+            count=2, node_id=1, slice_index=0, n_slices=1,
+        )
+        check_run(vals([-1.0, 0.0]), final)
+        with pytest.raises(CalculationError, match="does not match"):
+            check_run(vals([-1.0, -0.0]), final)
 
     @pytest.mark.parametrize(
         "run",

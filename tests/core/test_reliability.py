@@ -147,10 +147,13 @@ class TestExactnessUnderLoss:
         # At 30 % loss windows finish out of end order; a cumulative release
         # sent for a later window used to free an earlier one at the locals
         # while its candidate re-requests were still out, losing 6 windows.
+        # A freed window can never be served, whatever the retry budget;
+        # 30 retries keep a window from merely running out of them (at 30 %
+        # loss 10 retries lose about one window in 130 by chance alone).
         engine = DemaEngine(
             QuantileQuery(q=0.5, gamma=50, window_length_ms=250),
             TopologyConfig(n_local_nodes=4, loss_rate=0.3, loss_seed=1),
-            reliability=ReliabilityConfig(),
+            reliability=ReliabilityConfig(max_retries=30),
         )
         report = engine.run(workload_columns(
             range(1, 5),

@@ -68,9 +68,12 @@ class TestSynopses:
             lo, hi = sliced.bounds[i], sliced.bounds[i + 1]
             events = sliced.events[lo:hi]
             # A key is (value, owner, row in the owner's sorted window),
-            # whatever node id the events carry.
+            # whatever node id the events carry.  A non-final last key
+            # bounds the slice with the next slice's first value.
             assert synopsis.first_key == (events[0].value, 7, lo)
-            assert synopsis.last_key == (events[-1].value, 7, hi - 1)
+            bound = sliced.events[hi].value if hi < 10 else events[-1].value
+            assert synopsis.last_key == (bound, 7, hi - 1)
+            assert synopsis.last_key >= (events[-1].value, 7, hi - 1)
             assert synopsis.count == len(events) == len(sliced.runs[i])
             assert synopsis.node_id == 7
 
@@ -90,6 +93,18 @@ class TestSynopses:
         sliced = slice_sorted_events(sorted_events(100), 9, 1)
         for left, right in zip(sliced.synopses, sliced.synopses[1:]):
             assert left.last_key < right.first_key
+            # The boundary: the same value, one row lower.
+            assert left.last_key[0] == right.first_key[0]
+
+    def test_ties_across_a_boundary_stay_disjoint(self):
+        # Slice 0 ends on 1.0 and slice 1 starts on it: the bound (1.0,
+        # owner, 2) sorts between the tied events' keys.
+        events = EventColumns.from_events(
+            sorted(make_events([0.0, 1.0, 1.0, 1.0], node_id=1), key=event_key)
+        )
+        first, second = slice_sorted_events(events, 2, 1).synopses
+        assert first.last_key == (1.0, 1, 1) < second.first_key == (1.0, 1, 2)
+        assert second.last_key == (1.0, 1, 3)
 
 
 class TestRunAccess:

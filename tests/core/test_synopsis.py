@@ -1,6 +1,7 @@
 """Tests for slice synopses."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SliceError
 from repro.core.synopsis import (
@@ -190,10 +191,59 @@ class TestSynopsisColumns:
             SliceSynopsis((-0.0, 3, 0), (0.0, 3, 0), 1, 3, 0, 1),
             SliceSynopsis((1.0, 2, 5), (1.0, 2, 5), 1, 2, 0, 1),
         )
-        first, last = SynopsisColumns.from_rows(rows).key_ranks()
-        keys = [s.first_key for s in rows] + [s.last_key for s in rows]
-        ranks = [*first.tolist(), *last.tolist()]
-        for a, rank_a in zip(keys, ranks):
-            for b, rank_b in zip(keys, ranks):
-                assert (a < b) == (rank_a < rank_b)
-                assert (a == b) == (rank_a == rank_b)
+        assert_ranks_order_like_keys(rows)
+
+    def test_bounding_last_keys_rank_just_below_their_first_key(self):
+        # Row 0's last key bounds it with row 1's first value one position
+        # lower; a key of node 2 with the same value sorts after both.
+        rows = (
+            SliceSynopsis((1.0, 1, 0), (2.0, 1, 3), 4, 1, 0, 2),
+            SliceSynopsis((2.0, 1, 4), (5.0, 1, 7), 4, 1, 1, 2),
+            SliceSynopsis((2.0, 2, 0), (2.0, 2, 1), 2, 2, 0, 1),
+        )
+        first, last = assert_ranks_order_like_keys(rows)
+        assert last[0] == first[1] - 1
+
+    def test_a_key_equal_to_a_bound_shares_its_rank(self):
+        # A hand-built row whose first key is row 0's bound: no slicer cuts
+        # it, and the ranks still order like the tuples.
+        rows = (
+            SliceSynopsis((1.0, 1, 0), (2.0, 1, 3), 4, 1, 0, 2),
+            SliceSynopsis((2.0, 1, 4), (5.0, 1, 7), 4, 1, 1, 2),
+            SliceSynopsis((2.0, 1, 3), (2.0, 1, 3), 1, 1, 0, 1),
+        )
+        first, last = assert_ranks_order_like_keys(rows)
+        assert last[0] == first[2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_key_ranks_order_like_key_tuples_on_any_batch(self, data):
+        # Keys from small pools, often chained as bounds (a row's last key
+        # one position below the next row's first), so ties, bounds and
+        # keys equal to a bound all occur.
+        key = st.tuples(
+            st.sampled_from([0.0, -0.0, 1.0, 2.0]),
+            st.integers(min_value=1, max_value=2),
+            st.integers(min_value=0, max_value=6),
+        )
+        rows = []
+        for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+            first = data.draw(key)
+            if rows and data.draw(st.booleans()):
+                _, owner, position = rows[-1].last_key
+                first = (rows[-1].last_key[0], owner, position + 1)
+            last = max(first, data.draw(key))
+            last = (last[0], first[1], max(last[2], first[2]))
+            rows.append(SliceSynopsis(first, last, 1, first[1], 0, 1))
+        assert_ranks_order_like_keys(rows)
+
+
+def assert_ranks_order_like_keys(rows):
+    first, last = SynopsisColumns.from_rows(rows).key_ranks()
+    keys = [s.first_key for s in rows] + [s.last_key for s in rows]
+    ranks = [*first.tolist(), *last.tolist()]
+    for a, rank_a in zip(keys, ranks):
+        for b, rank_b in zip(keys, ranks):
+            assert (a < b) == (rank_a < rank_b)
+            assert (a == b) == (rank_a == rank_b)
+    return first, last

@@ -136,7 +136,12 @@ class TestRankBounds:
         for unit in build_units(synopses):
             for member in unit.members:
                 true_first = global_rank[member.first_key]
-                true_last = global_rank[member.last_key]
+                # A last key bounds the slice; its true last event sits at
+                # the key's position.
+                _, node_id, last = member.last_key
+                true_last = global_rank[
+                    (node_events[node_id][last].value, node_id, last)
+                ]
                 assert unit.min_rank(member) <= true_first
                 assert unit.max_rank(member) >= true_last
 

@@ -113,7 +113,7 @@ class TestPerformanceClaims:
         assert latencies["scotty"] > latencies["desis"]
         assert latencies["desis"] > latencies["dema"]
         # Dema and t-digest are both far below the centralized systems.
-        # With 20-byte synopses Dema's root receives less and answers
-        # first (measured p50 0.0497 vs t-digest's 0.0642, 1.29x).
-        assert latencies["dema"] < latencies["tdigest"]
-        assert latencies["tdigest"] < 1.35 * latencies["dema"]
+        # With slice boundaries on the wire Dema's root receives less and
+        # answers first (measured p50 0.04736 vs t-digest's 0.06418, 1.355x).
+        assert 1.33 * latencies["dema"] < latencies["tdigest"]
+        assert latencies["tdigest"] < 1.38 * latencies["dema"]

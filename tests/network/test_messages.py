@@ -4,7 +4,6 @@ import numpy as np
 
 from repro.network.messages import (
     MESSAGE_HEADER_BYTES,
-    SYNOPSIS_WIRE_BYTES,
     CandidateEventsMessage,
     CandidateRequestMessage,
     DigestMessage,
@@ -16,6 +15,7 @@ from repro.network.messages import (
     SynopsisMessage,
     WatermarkMessage,
     batch_events,
+    synopsis_section_bytes,
 )
 from repro.streaming.events import EVENT_WIRE_BYTES, make_events
 from repro.streaming.windows import Window
@@ -67,14 +67,17 @@ class TestControlMessages:
             sender=1, window=WINDOW, synopses=(object(), object()),
             local_window_size=100,
         )
-        # Count and local size, then (first value, last value, count).
-        assert SYNOPSIS_WIRE_BYTES == 20
-        assert message.payload_bytes == 2 * SYNOPSIS_WIRE_BYTES + 12 == 52
+        # Count, local size and gamma, then 2 + 1 boundaries.
+        assert message.payload_bytes == 4 + 8 + 4 + 3 * 8 == 40
+        empty = SynopsisMessage(sender=1, window=WINDOW, local_window_size=0)
+        assert empty.payload_bytes == 4 + 8 + 4 == 16
 
     def test_synopsis_cheaper_than_raw_events_it_summarizes(self):
         # One synopsis summarizes gamma >= 2 events, so it must be strictly
-        # cheaper than the two events of the smallest slice.
-        assert SYNOPSIS_WIRE_BYTES < 2 * EVENT_WIRE_BYTES
+        # cheaper than the two events of the smallest slice: a boundary is
+        # one value, and each local adds one more and its section header.
+        per_synopsis = synopsis_section_bytes(2) - synopsis_section_bytes(1)
+        assert per_synopsis == 8 < 2 * EVENT_WIRE_BYTES
 
     def test_candidate_request_size(self):
         message = CandidateRequestMessage(

@@ -110,14 +110,19 @@ def test_window_cut_equals_reference_and_is_sound(case, rank_seed):
 @given(sliced_synopses())
 @settings(max_examples=150, deadline=None)
 def test_unit_rank_bounds_bracket_true_ranks(case):
-    synopses, _, all_events = case
+    synopses, runs, all_events = case
     if not all_events:
         return
     global_rank = synopsis_key_ranks(all_events)
     for unit in build_units(synopses):
         for member in unit.members:
+            # A last key bounds the slice; its true last event is the run's.
+            true_last = (
+                runs[member.slice_id][-1].value, member.node_id,
+                member.last_key[2],
+            )
             assert unit.min_rank(member) <= global_rank[member.first_key]
-            assert unit.max_rank(member) >= global_rank[member.last_key]
+            assert unit.max_rank(member) >= global_rank[true_last]
             assert unit.pos_start <= unit.min_rank(member)
             assert unit.max_rank(member) <= unit.pos_end
 
@@ -248,7 +253,10 @@ def test_nan_keyed_batches_take_the_row_sweep(batches, seeds, poison):
 # The synopsis key ``(value, owner, position)`` against the true event key
 # ``(value, node_id, seq)``: when every local holds only its own events the
 # two orders agree, so the cut over what the slicer (and the wire) produces
-# is the cut over hand-built rows carrying the events' own keys.
+# is the cut over hand-built rows carrying the events' own keys.  A
+# non-final last key is the boundary: the next slice's first value at this
+# slice's last row, which in event keys is that value just below the next
+# event's sequence number.
 # ---------------------------------------------------------------------------
 
 
@@ -280,9 +288,17 @@ def test_position_keys_cut_as_event_keys_do(case, seeds):
         )
         for node_id, events in windows.items()
     }
+    def key(event, below=0):
+        # Event keys with room for a bound between neighbouring sequence
+        # numbers (a row holds positions as u32): seq s is 2·s + 1.
+        return (event.value, event.node_id, 2 * event.seq + 1 - below)
+
+    def bound(events, hi):
+        return key(events[hi - 1]) if hi == len(events) else key(events[hi], 1)
+
     event_rows = [
         SliceSynopsis(
-            first_key=events[lo].key, last_key=events[hi - 1].key,
+            first_key=key(events[lo]), last_key=bound(events, hi),
             count=hi - lo, node_id=node_id, slice_index=index,
             n_slices=sliced[node_id].n_slices,
         )

@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SliceSynopsis, SynopsisColumns
-from repro.errors import CodecError
+from repro.errors import CodecError, SliceError
 from repro.network.messages import (
     MESSAGE_HEADER_BYTES,
     CandidateEventsMessage,
@@ -64,8 +65,8 @@ from repro.runtime.codec import (
     tag_of,
 )
 from repro.obs.live.context import TraceContext
-from repro.streaming.columns import EventColumns
-from repro.streaming.events import Event
+from repro.streaming.columns import EventColumns, merge_runs
+from repro.streaming.events import Event, make_events
 
 cols = EventColumns.from_events
 from repro.streaming.windows import Window
@@ -103,24 +104,31 @@ window_kinds = st.sampled_from(["tumbling", "sliding", "session"])
 
 @st.composite
 def synopsis_batches(draw, node_id, max_size=8):
-    """A complete, ordered batch as node ``node_id`` cuts it.
-
-    Row ``i`` is labelled slice ``i`` of ``n``, every row is owned by
-    ``node_id``, and its keys' positions are the running sum of the
-    counts — exactly what a decoder rebuilds from the 20-byte records
-    (first value, last value, count), so the only batches that round-trip.
+    """A complete batch as node ``node_id``'s slicer cuts it, with its
+    local window size: ``n`` slices of γ events (the last one 2 to γ + 1,
+    or a single slice of any size) keyed by ``n + 1`` ascending boundaries
+    — every first value, then the maximum — exactly what a decoder
+    rebuilds from the size, γ and the boundaries, so the only batches that
+    round-trip.
     """
     n = draw(st.integers(min_value=0, max_value=max_size))
+    if n == 0:
+        return 0, ()
+    # The window stays within the u32 key positions.
+    gamma = draw(st.integers(min_value=2, max_value=2**32 // (max_size + 1)))
+    if n == 1:
+        counts = [draw(st.integers(min_value=1, max_value=2**31))]
+    else:
+        last = draw(st.integers(min_value=2, max_value=gamma + 1))
+        counts = [gamma] * (n - 1) + [last]
+    bounds = sorted(draw(finite_f64) for _ in range(n + 1))
     batch = []
     position = 0
-    for index in range(n):
-        first, last = sorted((draw(finite_f64), draw(finite_f64)))
-        # The counts of a batch together stay within the u32 positions.
-        count = draw(st.integers(min_value=1, max_value=2**32 // max_size))
+    for index, count in enumerate(counts):
         batch.append(
             SliceSynopsis(
-                first_key=(first, node_id, position),
-                last_key=(last, node_id, position + count - 1),
+                first_key=(bounds[index], node_id, position),
+                last_key=(bounds[index + 1], node_id, position + count - 1),
                 count=count,
                 node_id=node_id,
                 slice_index=index,
@@ -128,16 +136,14 @@ def synopsis_batches(draw, node_id, max_size=8):
             )
         )
         position += count
-    return tuple(batch)
+    return position, tuple(batch)
 
 
 @st.composite
 def synopsis_messages(draw):
     sender = draw(u32)
-    return SynopsisMessage(
-        sender, draw(windows), draw(u32),
-        draw(synopsis_batches(sender)), draw(u64),
-    )
+    size, batch = draw(synopsis_batches(sender))
+    return SynopsisMessage(sender, draw(windows), draw(u32), batch, size)
 
 
 @st.composite
@@ -145,9 +151,8 @@ def relay_synopsis_sections(draw):
     sections = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         node_id = draw(u32)
-        sections.append(
-            (node_id, draw(u64), draw(synopsis_batches(node_id, max_size=4)))
-        )
+        size, batch = draw(synopsis_batches(node_id, max_size=4))
+        sections.append((node_id, size, batch))
     return tuple(sections)
 
 
@@ -376,7 +381,8 @@ SAMPLES = [
     (EventBatchMessage(1, W, events=cols((E, E))), 4 + 2 * 20),
     # Desis' sorted run and Dema's candidate run carry 8-byte values.
     (SortedRunMessage(1, W, events=vals(1.5)), 4 + 8),
-    (SynopsisMessage(3, W, synopses=(S,), local_window_size=6), 4 + 8 + 20),
+    # Count, then the section: local size, gamma and 1 + 1 boundaries.
+    (SynopsisMessage(3, W, synopses=(S,), local_window_size=6), 4 + 12 + 16),
     (CandidateRequestMessage(0, W, slice_indices=(0, 1, 2)), 4 + 3 * 4),
     (CandidateEventsMessage(1, W, slice_index=1, events=vals(1.5)), 4 + 4 + 8),
     (SynopsisRequestMessage(0, W), 0),
@@ -418,7 +424,7 @@ SAMPLES = [
     (JoinMessage(3, W, first_window_start=1000), 8),
     (LeaveMessage(3, W, effective_from=2000), 8),
     (RouteUpdateMessage(0, W, epoch=2, members=(1, 2, 3)), 8 + 4 + 3 * 4),
-    # One section of two synopses: count + (16 + 2·20).
+    # One section of two synopses: count + (node + 12 + 3·8).
     (
         RelaySynopsisMessage(
             9, W,
@@ -428,7 +434,7 @@ SAMPLES = [
                     12,
                     (
                         SliceSynopsis(
-                            first_key=(1.0, 3, 0), last_key=(2.0, 3, 5),
+                            first_key=(1.0, 3, 0), last_key=(2.5, 3, 5),
                             count=6, node_id=3, slice_index=0, n_slices=2,
                         ),
                         SliceSynopsis(
@@ -439,7 +445,7 @@ SAMPLES = [
                 ),
             ),
         ),
-        4 + 16 + 2 * 20,
+        4 + 4 + 12 + 3 * 8,
     ),
     # Two run sections: count + 2·(12 + 1·8).
     (
@@ -514,7 +520,7 @@ def test_large_synopsis_batch_roundtrip():
     synopses = tuple(
         SliceSynopsis(
             first_key=(float(i), 1, i * 10),
-            last_key=(float(i) + 0.5, 1, i * 10 + 9),
+            last_key=(float(i) + (1.0 if i < 499 else 0.5), 1, i * 10 + 9),
             count=10,
             node_id=1,
             slice_index=i,
@@ -523,7 +529,7 @@ def test_large_synopsis_batch_roundtrip():
         for i in range(500)
     )
     message = SynopsisMessage(1, W, synopses=synopses, local_window_size=5000)
-    assert message.payload_bytes == 4 + 8 + 500 * 20
+    assert message.payload_bytes == 4 + 12 + 501 * 8
     assert decode_frame(encode_frame(message)) == message
 
 
@@ -1102,7 +1108,7 @@ def test_relay_runs_section_not_a_multiple_of_eight_rejected():
 @pytest.mark.parametrize("message", [_RUN, _RELAY_RUNS], ids=["tag6", "tag24"])
 def test_version_one_run_frame_refused(message):
     frame = bytearray(encode_frame(message))
-    assert frame[wire.LENGTH_PREFIX.size] == wire.WIRE_VERSION == 3
+    assert frame[wire.LENGTH_PREFIX.size] == wire.WIRE_VERSION == 4
     frame[wire.LENGTH_PREFIX.size] = 1
     with pytest.raises(CodecError, match="version mismatch"):
         decode_frame(bytes(frame))
@@ -1110,25 +1116,33 @@ def test_version_one_run_frame_refused(message):
 
 # ----------------------------------------------------------------------
 # Synopsis batches (tags 4 and 23): columnar on both sides of the wire,
-# one 20-byte record (first value, last value, count) per synopsis on
-# either tag, the same bytes as packing each row with ``wire.SYNOPSIS``.
+# one section per local — local size u64, gamma u32, then n + 1 f64
+# boundaries for n slices — on either tag.
 # ----------------------------------------------------------------------
 
 
-def _pack_rows(rows):
-    """A synopsis array, one ``struct`` pack per row."""
-    return b"".join(
-        wire.SYNOPSIS.pack(s.first_value, s.last_value, s.count) for s in rows
+def _section(size, gamma, boundaries):
+    """A synopsis section, one ``struct`` pack per field."""
+    return wire.SYNOPSIS_SECTION.pack(size, gamma) + b"".join(
+        wire.F64.pack(value) for value in boundaries
     )
+
+
+def _boundaries(rows):
+    """Every row's first value, then the last row's last value."""
+    return [s.first_value for s in rows] + [s.last_value for s in rows[-1:]]
+
+
+def _section_of(size, rows):
+    return _section(size, rows[0].count if rows else 0, _boundaries(rows))
 
 
 @settings(max_examples=100, deadline=None)
 @given(synopsis_messages())
 def test_synopsis_frame_is_the_struct_packing_of_its_rows(message):
-    expected = (
-        wire.COUNT.pack(len(message.synopses))
-        + wire.U64.pack(message.local_window_size)
-        + _pack_rows(message.synopses)
+    rows = message.synopses
+    expected = wire.COUNT.pack(len(rows)) + _section_of(
+        message.local_window_size, rows
     )
     assert encode_payload(message) == expected
     assert message.payload_bytes == len(expected)
@@ -1147,10 +1161,7 @@ def test_synopsis_frame_is_the_struct_packing_of_its_rows(message):
 def test_relay_synopsis_frame_is_the_struct_packing_of_its_rows(message):
     parts = [wire.COUNT.pack(len(message.sections))]
     for node_id, size, rows in message.sections:
-        parts.append(
-            wire.RELAY_SYNOPSIS_SECTION_FIXED.pack(node_id, size, len(rows))
-        )
-        parts.append(_pack_rows(rows))
+        parts.append(wire.U32.pack(node_id) + _section_of(size, rows))
     expected = b"".join(parts)
     assert encode_payload(message) == expected
     assert message.payload_bytes == len(expected)
@@ -1163,15 +1174,52 @@ def test_relay_synopsis_frame_is_the_struct_packing_of_its_rows(message):
     assert hash(decoded) == hash(message)
 
 
+#: Window values with ties, signed zeros, infinities and NaN: what the
+#: sorted window can hand the slicer.
+_SLICED_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf")]),
+    st.floats(width=64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_SLICED_VALUES, max_size=60),
+    st.integers(min_value=2, max_value=12),
+    u32,
+)
+def test_every_slicer_cut_survives_the_wire(values, gamma, node_id):
+    events = merge_runs(None, EventColumns.from_events(
+        make_events(values, node_id=node_id)
+    ))
+    try:
+        sliced = slice_sorted_events(events, gamma, node_id)
+    except SliceError:
+        return  # a NaN left a slice unordered: nothing to send
+    raw = sliced.synopses.to_wire(sliced.window_size)
+    boundaries = sliced.synopses.records["first_value"]
+    if (boundaries[:-1] > boundaries[1:]).any() or (
+        len(boundaries) and boundaries[-1] > events.values[-1]
+    ):
+        # A NaN can also leave the boundaries out of order; the wire
+        # carries an ascending histogram and refuses that one.
+        with pytest.raises(CodecError, match="first_key exceeds last_key"):
+            SynopsisColumns.from_wire(raw, node_id)
+        return
+    decoded, size, used = SynopsisColumns.from_wire(raw, node_id)
+    assert (size, used) == (len(events), len(raw))
+    assert decoded.records.tobytes() == sliced.synopses.records.tobytes()
+
+
 def _nan_batch():
-    """Two rows whose keys carry NaNs with distinct payload bits (a NaN
-    never *exceeds* anything, so the rows are valid)."""
+    """Two rows whose boundaries are NaNs with distinct payload bits (a NaN
+    never *exceeds* anything, so the boundaries ascend)."""
     quiet, payload = struct.unpack(
         "<dd", bytes.fromhex("000000000000f87f" "efbeadde0000f8ff")
     )
     return (
         SliceSynopsis(
-            first_key=(quiet, 3, 0), last_key=(2.0, 3, 5),
+            first_key=(quiet, 3, 0), last_key=(2.5, 3, 5),
             count=6, node_id=3, slice_index=0, n_slices=2,
         ),
         SliceSynopsis(
@@ -1187,13 +1235,14 @@ def test_synopsis_nan_bit_patterns_survive_the_wire():
     relayed = RelaySynopsisMessage(9, W, sections=((3, 12, rows),))
     for message in (flat, relayed):
         frame = encode_frame(message)
-        assert _pack_rows(rows) in frame
+        assert _section_of(12, rows) in frame
         assert encode_frame(decode_frame(frame)) == frame
 
 
+#: Node 3's 12 events in two slices of 6, boundaries 1.0, 2.5 and 3.0.
 _ROWS = (
     SliceSynopsis(
-        first_key=(1.0, 3, 0), last_key=(2.0, 3, 5),
+        first_key=(1.0, 3, 0), last_key=(2.5, 3, 5),
         count=6, node_id=3, slice_index=0, n_slices=2,
     ),
     SliceSynopsis(
@@ -1202,22 +1251,31 @@ _ROWS = (
     ),
 )
 _FLAT = SynopsisMessage(3, W, synopses=_ROWS, local_window_size=12)
-#: ``wire.SYNOPSIS`` as a numpy record, to overwrite one field of a payload.
-_WIRE_DTYPE = np.dtype(
-    [("first_value", "<f8"), ("last_value", "<f8"), ("count", "<u4")]
+#: Node 4's 3 events in one slice.
+_ONE = (
+    SliceSynopsis(
+        first_key=(-1.0, 4, 0), last_key=(0.5, 4, 2),
+        count=3, node_id=4, slice_index=0, n_slices=1,
+    ),
 )
 _RELAYED = RelaySynopsisMessage(
-    9, W, sections=((3, 12, _ROWS), (4, 6, _ROWS[:1]))
+    9, W, sections=((3, 12, _ROWS), (4, 3, _ONE))
 )
 
 
-def _flat_payload(**fields):
-    """Node 3's tag-4 payload of ``_ROWS`` with ``fields`` of row 1's
-    wire record overwritten (``first_value``, ``last_value``, ``count``)."""
-    records = np.frombuffer(_pack_rows(_ROWS), dtype=_WIRE_DTYPE).copy()
-    for name, value in fields.items():
-        records[name][1] = value
-    return wire.COUNT.pack(2) + wire.U64.pack(12) + records.tobytes()
+def _flat_payload(count=2, size=12, gamma=6, boundaries=(1.0, 2.5, 3.0)):
+    """Node 3's tag-4 payload of ``_ROWS``, any field overwritten."""
+    return wire.COUNT.pack(count) + _section(size, gamma, boundaries)
+
+
+def _relay_payload(size=12, gamma=6, boundaries=(1.0, 2.5, 3.0)):
+    """``_RELAYED``'s tag-23 payload, its first section's fields
+    overwritten."""
+    return (
+        wire.COUNT.pack(2)
+        + wire.U32.pack(3) + _section(size, gamma, boundaries)
+        + wire.U32.pack(4) + _section(3, 3, (-1.0, 0.5))
+    )
 
 
 def _decode_flat(payload, sender=3):
@@ -1226,19 +1284,53 @@ def _decode_flat(payload, sender=3):
     )
 
 
+def _decode_relay(payload):
+    return decode_payload(
+        TAG_BY_TYPE[RelaySynopsisMessage], payload, sender=9, window=W
+    )
+
+
 def test_flat_payload_helper_is_the_identity_without_fields():
     assert _flat_payload() == encode_payload(_FLAT)
     assert _decode_flat(_flat_payload()).synopses == _ROWS
+    assert _relay_payload() == encode_payload(_RELAYED)
+    assert _decode_relay(_relay_payload()) == _RELAYED
 
 
 def test_decoder_rebuilds_owner_index_and_positions():
-    # Only values and counts travel; the sender is the owner, and the
-    # positions are the running sum of the counts.
-    row = _decode_flat(_flat_payload(count=9), sender=5).synopses[1]
-    assert row == SliceSynopsis(
-        first_key=(2.5, 5, 6), last_key=(3.0, 5, 14),
-        count=9, node_id=5, slice_index=1, n_slices=2,
+    # Only the size, gamma and boundaries travel: 11 events at gamma 5
+    # fold their one-event remainder into a second slice of 6, the sender
+    # is the owner, and a non-final last value is the next boundary.
+    rows = _decode_flat(
+        _flat_payload(size=11, gamma=5), sender=5
+    ).synopses
+    assert tuple(rows) == (
+        SliceSynopsis(
+            first_key=(1.0, 5, 0), last_key=(2.5, 5, 4),
+            count=5, node_id=5, slice_index=0, n_slices=2,
+        ),
+        SliceSynopsis(
+            first_key=(2.5, 5, 5), last_key=(3.0, 5, 10),
+            count=6, node_id=5, slice_index=1, n_slices=2,
+        ),
     )
+
+
+def test_empty_and_single_event_windows_on_the_wire():
+    empty = SynopsisMessage(3, W, local_window_size=0)
+    assert encode_payload(empty) == wire.COUNT.pack(0) + _section(0, 0, ())
+    assert decode_frame(encode_frame(empty)) == empty
+    one = (
+        SliceSynopsis(
+            first_key=(7.0, 3, 0), last_key=(7.0, 3, 0),
+            count=1, node_id=3, slice_index=0, n_slices=1,
+        ),
+    )
+    single = SynopsisMessage(3, W, synopses=one, local_window_size=1)
+    assert encode_payload(single) == wire.COUNT.pack(1) + _section(
+        1, 1, (7.0, 7.0)
+    )
+    assert decode_frame(encode_frame(single)) == single
 
 
 @pytest.mark.parametrize(
@@ -1257,120 +1349,187 @@ def test_decoder_rebuilds_owner_index_and_positions():
          "repeated-index", "index-past-total", "wrong-total", "foreign-node"],
 )
 def test_malformed_synopsis_record_is_a_codec_error(fields, reason):
-    # The check the decoder runs on the rebuilt records.  Only the first
-    # two can arrive on the wire — the rest of a record is rebuilt, not
-    # read — so those go through the decoder as well.
+    # The check the decoder runs on the rebuilt records; of these only
+    # inverted values can arrive on the wire (descending boundaries, below).
     records = SynopsisColumns.from_rows(_ROWS).records.copy()
     for name, value in fields.items():
         records[name][1] = value
     with pytest.raises(CodecError, match=f"synopsis 1 of 2.*{reason}"):
         SynopsisColumns(records).validated(3, CodecError)
-    if set(fields) <= set(_WIRE_DTYPE.names):
-        with pytest.raises(CodecError, match=f"synopsis 1 of 2.*{reason}"):
-            _decode_flat(_flat_payload(**fields))
 
 
-def test_synopsis_counts_past_the_key_positions_rejected():
-    # Two slices of 2^31 + 1 events: the second one's last position
-    # would not fit the u32 a key holds.
-    record = wire.SYNOPSIS.pack(1.0, 2.0, 2**31 + 1)
-    payload = wire.COUNT.pack(2) + wire.U64.pack(2**32 + 2) + record * 2
-    with pytest.raises(CodecError, match="overrun a u32 position"):
-        _decode_flat(payload)
+_DESCENDING = [
+    ((2.6, 2.5, 3.0), "synopsis 0 of 2.*first_key exceeds last_key"),
+    ((1.0, 3.5, 3.0), "synopsis 1 of 2.*first_key exceeds last_key"),
+]
 
 
-def test_flat_and_relay_paths_decode_the_same_batch():
-    # One record on both links: a relay section's bytes are the flat
-    # synopsis array, and both decode to the same rows.
-    (_, _, batch), _ = decode_frame(encode_frame(_RELAYED)).sections
-    assert batch.to_wire() == _pack_rows(_ROWS)
-    assert batch == _decode_flat(encode_payload(_FLAT)).synopses == _ROWS
+@pytest.mark.parametrize("boundaries, reason", _DESCENDING)
+def test_descending_boundaries_rejected(boundaries, reason):
+    with pytest.raises(CodecError, match=reason):
+        _decode_flat(_flat_payload(boundaries=boundaries))
+
+
+@pytest.mark.parametrize("gamma", [0, 1])
+def test_gamma_below_two_with_more_than_one_slice_rejected(gamma):
+    with pytest.raises(CodecError, match=f"gamma {gamma} < 2 cannot cut 12"):
+        _decode_flat(_flat_payload(gamma=gamma))
 
 
 @pytest.mark.parametrize(
-    "record, reason",
+    "fields, reason",
     [
-        (wire.SYNOPSIS.pack(2.5, 3.0, 0), "count must be"),
-        (wire.SYNOPSIS.pack(3.5, 3.0, 6), "first_key exceeds"),
+        # Gamma is a slice's count on the wire: zero cuts nothing.
+        ({"gamma": 0}, "gamma 0 < 2 cannot cut 12"),
+        ({"boundaries": (1.0, 3.5, 3.0)}, "synopsis 1 of 2.*first_key exceeds"),
     ],
     ids=["zero-count", "inverted-keys"],
 )
-def test_malformed_relay_synopsis_record_is_a_codec_error(record, reason):
-    message = RelaySynopsisMessage(9, W, sections=((3, 12, _ROWS),))
-    payload = encode_payload(message)
-    payload = payload[:-wire.SYNOPSIS_WIRE_BYTES] + record
-    with pytest.raises(CodecError, match=f"synopsis 1 of 2.*{reason}"):
-        decode_payload(tag_of(message), payload, sender=9, window=W)
+def test_malformed_relay_synopsis_record_is_a_codec_error(fields, reason):
+    with pytest.raises(CodecError, match=reason):
+        _decode_relay(_relay_payload(**fields))
+
+
+def test_count_disagreeing_with_size_and_gamma_rejected():
+    # Announced 3, the section cuts 2; announced 2, 19 events cut 3 (three
+    # slices of 6 and a folded remainder) — boundaries present for either.
+    with pytest.raises(CodecError, match="announces 3 synopses, but 12"):
+        _decode_flat(_flat_payload(count=3))
+    with pytest.raises(CodecError, match="announces 2 synopses, but 19"):
+        _decode_flat(_flat_payload(size=19, boundaries=(1.0, 2.0, 2.5, 3.0)))
+    # A relay section announces no count: a size that cuts another count
+    # leaves its boundaries short or long.
+    for size, error in ((19, "truncated"), (6, "trailing")):
+        payload = wire.COUNT.pack(1) + wire.U32.pack(3) + _section(
+            size, 6, (1.0, 2.5, 3.0)
+        )
+        with pytest.raises(CodecError, match=error):
+            _decode_relay(payload)
+
+
+def test_synopsis_counts_past_the_key_positions_rejected():
+    # 2^32 + 2 events: the last position would not fit the u32 a key holds.
+    for decode, payload in (
+        (_decode_flat, _flat_payload(size=2**32 + 2, gamma=2**31 + 1)),
+        (_decode_relay, _relay_payload(size=2**32 + 2, gamma=2**31 + 1)),
+    ):
+        with pytest.raises(CodecError, match="overruns a u32 position"):
+            decode(payload)
 
 
 def test_synopsis_array_length_mismatch_rejected():
-    message = SynopsisMessage(3, W, synopses=_ROWS, local_window_size=12)
-    payload = encode_payload(message)
-    for bad in (
-        payload[:-1],                        # mid-record truncation
-        payload[:-20],                       # count past the payload
-        payload + _pack_rows(_ROWS[:1]),     # one whole record extra
-        payload + b"\x00" * 7,              # trailing part of a record
+    # The boundaries the section's header counts, and nothing else.
+    payload = _flat_payload()
+    for bad, error in (
+        (payload[:-1], "truncated"),         # mid-value truncation
+        (payload[:-8], "truncated"),         # a boundary short
+        (payload + bytes(8), "trailing"),    # one whole value extra
+        (payload + bytes(7), "trailing"),    # trailing part of a value
     ):
-        with pytest.raises(CodecError, match="announced 2 synopses"):
-            decode_payload(tag_of(message), bad, sender=3, window=W)
+        with pytest.raises(CodecError, match=error):
+            _decode_flat(bad)
 
 
 @pytest.mark.parametrize("cut", [1, 4, 11, 12])
 def test_synopsis_truncated_header_rejected(cut):
-    # Count (4) and local window size (8) cut short.
-    payload = encode_payload(_FLAT)[:12 - cut]
+    # Count (4), local window size (8) and gamma (4) cut short.
     with pytest.raises(CodecError, match="truncated"):
-        _decode_flat(payload)
+        _decode_flat(_flat_payload()[:16 - cut])
 
 
 def test_relay_synopsis_truncated_rejected():
-    payload = encode_payload(_RELAYED)
-    # The section count, a section header, a record, the last section.
-    for end in (2, 4 + 10, 4 + 16 + 30, len(payload) - 1):
+    payload = _relay_payload()
+    # The section count, a node id, a section header, a boundary, the
+    # last section.
+    for end in (2, 4 + 2, 4 + 4 + 9, 4 + 4 + 12 + 10, len(payload) - 1):
         with pytest.raises(CodecError, match="truncated"):
-            decode_payload(
-                tag_of(_RELAYED), payload[:end], sender=9, window=W
-            )
+            _decode_relay(payload[:end])
 
 
 def test_relay_synopsis_count_past_payload_rejected():
-    payload = bytearray(encode_payload(_RELAYED))
+    payload = bytearray(_relay_payload())
     payload[0:4] = wire.COUNT.pack(3)  # three sections announced, two follow
     with pytest.raises(CodecError, match="truncated"):
-        decode_payload(tag_of(_RELAYED), bytes(payload), sender=9, window=W)
+        _decode_relay(bytes(payload))
 
 
-def test_relay_synopsis_section_not_a_multiple_of_twenty_rejected():
-    payload = encode_payload(_RELAYED)
-    # The last section announces one record, 20 bytes; give it other sizes.
-    for size in (3, 8, 19, 21, 40):
-        bad = payload[:-20] + (payload[-20:] + bytes(20))[:size]
-        error = "truncated" if size < 20 else "trailing"
-        with pytest.raises(CodecError, match=error):
-            decode_payload(tag_of(_RELAYED), bad, sender=9, window=W)
+def test_relay_synopsis_section_count_overruns_rejected():
+    # The last section's size says 4 slices at gamma 3 (12 events): five
+    # boundaries, of which two follow.
+    payload = _relay_payload()[:-28] + _section(12, 3, (-1.0, 0.5))
+    with pytest.raises(CodecError, match="truncated"):
+        _decode_relay(payload)
+    for extra in (1, 8):  # part of a value, a whole one
+        with pytest.raises(CodecError, match="trailing"):
+            _decode_relay(_relay_payload() + bytes(extra))
+
+
+def test_synopsis_section_not_whole_f8s_or_trailing_rejected():
+    # Boundaries are whole f8s the section header counts: anything past
+    # them — part of a value or a whole one — is refused on either tag,
+    # and short of whole f8s the section is cut short.
+    for extra in (1, 3, 8, 11):
+        with pytest.raises(CodecError, match="trailing"):
+            _decode_flat(_flat_payload() + bytes(extra))
+        with pytest.raises(CodecError, match="trailing"):
+            _decode_relay(_relay_payload() + bytes(extra))
+        with pytest.raises(CodecError, match="truncated"):
+            _decode_flat(_flat_payload()[:-extra])
+
+
+def test_flat_and_relay_paths_decode_the_same_batch():
+    # One section on both links: a relay section is the node id and the
+    # flat payload's section, and both decode to the same rows.
+    (_, _, batch), _ = decode_frame(encode_frame(_RELAYED)).sections
+    assert batch.to_wire(12) == encode_payload(_FLAT)[wire.COUNT_BYTES:]
+    assert batch == _decode_flat(encode_payload(_FLAT)).synopses == _ROWS
+
+
+@pytest.mark.parametrize(
+    "rows, size",
+    [
+        # True last values, not the next boundary.
+        ((SliceSynopsis(
+            first_key=(1.0, 3, 0), last_key=(2.0, 3, 5), count=6,
+            node_id=3, slice_index=0, n_slices=2,
+        ), _ROWS[1]), 12),
+        # Counts the slicer never cuts: 5 then 7.
+        ((SliceSynopsis(
+            first_key=(1.0, 3, 0), last_key=(2.5, 3, 4), count=5,
+            node_id=3, slice_index=0, n_slices=2,
+        ), SliceSynopsis(
+            first_key=(2.5, 3, 5), last_key=(3.0, 3, 11), count=7,
+            node_id=3, slice_index=1, n_slices=2,
+        )), 12),
+        # A local size the counts do not add up to.
+        (_ROWS, 13),
+        (_ROWS, 11),
+        # Events and no synopses.
+        ((), 4),
+    ],
+    ids=["true-last-value", "uneven-counts", "size-over", "size-under",
+         "no-slices"],
+)
+def test_encoder_refuses_a_batch_that_is_not_one_slicer_cut(rows, size):
+    message = SynopsisMessage(3, W, synopses=rows, local_window_size=size)
+    with pytest.raises(CodecError, match="not one slicer cut"):
+        encode_payload(message)
+    with pytest.raises(CodecError, match="not one slicer cut"):
+        encode_payload(RelaySynopsisMessage(9, W, sections=((3, size, rows),)))
+
+
+@pytest.mark.parametrize("message", [_FLAT, _RELAYED], ids=["tag4", "tag23"])
+def test_version_three_synopsis_frame_refused(message):
+    frame = bytearray(encode_frame(message))
+    assert frame[wire.LENGTH_PREFIX.size] == wire.WIRE_VERSION == 4
+    frame[wire.LENGTH_PREFIX.size] = 3
+    with pytest.raises(CodecError, match="version mismatch: got 3"):
+        decode_frame(bytes(frame))
 
 
 @pytest.mark.parametrize("message", [_FLAT, _RELAYED], ids=["tag4", "tag23"])
 def test_version_two_synopsis_frame_refused(message):
     frame = bytearray(encode_frame(message))
-    assert frame[wire.LENGTH_PREFIX.size] == wire.WIRE_VERSION == 3
     frame[wire.LENGTH_PREFIX.size] = 2
     with pytest.raises(CodecError, match="version mismatch: got 2"):
         decode_frame(bytes(frame))
-
-
-def test_relay_synopsis_section_count_overruns_rejected():
-    message = RelaySynopsisMessage(9, W, sections=((3, 12, _ROWS),))
-    payload = bytearray(encode_payload(message))
-    # Section synopsis count: after the section count (4), node_id (4)
-    # and local window size (8).
-    payload[16:20] = wire.U32.pack(3)
-    with pytest.raises(CodecError, match="truncated"):
-        decode_payload(tag_of(message), bytes(payload), sender=9, window=W)
-    for extra in (1, 20):  # part of a record, a whole one
-        with pytest.raises(CodecError, match="trailing"):
-            decode_payload(
-                tag_of(message), encode_payload(message) + bytes(extra),
-                sender=9, window=W,
-            )

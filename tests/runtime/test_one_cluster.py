@@ -75,7 +75,12 @@ def test_each_pair_is_two_names_for_one_object():
 # values and message counts unchanged.  Re-recorded for wire version 3
 # (a synopsis is one 20-byte record on every link): 48 synopses, 28 B
 # fewer each local→root or local→relay (1,344 B) and 16 B fewer each
-# relay→root (768 B); values and message counts unchanged.
+# relay→root (768 B); values and message counts unchanged.  Re-recorded
+# for wire version 4 (a local's synopses are its n + 1 slice boundaries
+# after local size and gamma): 48 synopses in 12 sections, 12·n − 12 B
+# fewer a synopsis frame (432 B each local→root or local→relay) and
+# 12·n − 8 B fewer a relay section (480 B relay→root); candidates, values
+# and message counts unchanged.
 # ----------------------------------------------------------------------
 
 GOLDEN_VALUES = [34.952524624106594, 35.08097862671282, 54.22207658633975]
@@ -83,17 +88,17 @@ GOLDEN_VALUES = [34.952524624106594, 35.08097862671282, 54.22207658633975]
 GOLDEN = {
     "flat": (
         dict(n_shards=1, relay_fanin=0),
-        {"local_root": 13772, "stream_local": 50496},
+        {"local_root": 13340, "stream_local": 50496},
         {"local_root": 49, "stream_local": 64},
     ),
     "sharded": (
         dict(n_shards=2, relay_fanin=0),
-        {"local_root": 13948, "stream_local": 50496},
+        {"local_root": 13516, "stream_local": 50496},
         {"local_root": 53, "stream_local": 64},
     ),
     "relayed": (
         dict(n_shards=2, relay_fanin=2),
-        {"local_relay": 13772, "relay_root": 13919, "stream_local": 50496},
+        {"local_relay": 13340, "relay_root": 13439, "stream_local": 50496},
         {"local_relay": 49, "relay_root": 28, "stream_local": 64},
     ),
 }

@@ -51,10 +51,13 @@ columns its root reads, so the raw event batch is the only message whose
 sorted runs are 8-byte value runs, and a whole-tuple run cannot return
 quietly.
 
-The last keeps one synopsis record on the wire: ``runtime/wire.py``
-defines one synopsis record struct, the 20-byte (first value, last value,
-count) every link carries, and ``SynopsisColumns`` has one wire encoder and
-one decoder, so a per-link layout cannot grow back beside it.
+The last keeps one synopsis layout on the wire: ``runtime/wire.py``
+defines one synopsis section struct — local size and γ, which the slice
+boundaries follow on every link — and no per-slice record struct,
+``SynopsisColumns`` has one wire encoder and one decoder, and only
+``slice_sorted_events`` writes a slice's bounding last value from the next
+slice's first, so a per-link or per-slice layout cannot grow back beside
+it.
 """
 
 import ast
@@ -802,18 +805,23 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     assert queries.groups == 3
 
 
-#: The record structs ``runtime/wire.py`` names after synopses (section
-#: headers aside): one, the same 20 bytes on every link.  Held with ``==``.
-SYNOPSIS_RECORD_STRUCTS = {"SYNOPSIS"}
+#: The structs ``runtime/wire.py`` names after synopses: one section
+#: header — local size and γ, the boundaries follow — on every link, and
+#: no per-slice record.  Held with ``==``.
+SYNOPSIS_STRUCTS = {"SYNOPSIS_SECTION"}
 
 #: ``SynopsisColumns``' wire codec: one encoder and one decoder, held
 #: with ``==``.
 SYNOPSIS_WIRE_CODEC = {"from_wire", "to_wire"}
 
+#: Where a slice's bounding last value — the next slice's first — is
+#: written, held with ``==``: the slicer, nowhere else (the decoder reads
+#: it off the wire's boundaries).
+BOUNDARY_WRITERS = {("core/slicing.py", "slice_sorted_events")}
 
-def _synopsis_record_structs(source):
-    """Module-level ``struct.Struct`` names mentioning SYNOPSIS that are
-    not a section header."""
+
+def _synopsis_structs(source):
+    """Module-level ``struct.Struct`` names mentioning SYNOPSIS."""
     return {
         target.id
         for node in ast.parse(source).body
@@ -822,29 +830,68 @@ def _synopsis_record_structs(source):
         and (getattr(node.value.func, "attr", None)
              or getattr(node.value.func, "id", None)) == "Struct"
         for target in node.targets
-        if isinstance(target, ast.Name)
-        and "SYNOPSIS" in target.id
-        and "_SECTION_" not in target.id
+        if isinstance(target, ast.Name) and "SYNOPSIS" in target.id
     }
+
+
+def _mentions(node, name):
+    return any(
+        isinstance(sub, ast.Constant) and sub.value == name
+        for sub in ast.walk(node)
+    )
+
+
+def _boundary_writers(sources):
+    """``(module, function)`` of every assignment that writes a
+    ``"last_value"`` column from a ``"first_value"`` one."""
+    writers = set()
+    for name, source in sources:
+        for function in ast.walk(ast.parse(source)):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Assign)
+                    and any(_mentions(t, "last_value") for t in node.targets)
+                    and _mentions(node.value, "first_value")
+                ):
+                    writers.add((name, function.name))
+    return writers
 
 
 def test_one_synopsis_record_on_the_wire():
     source = (PACKAGE_ROOT / "runtime" / "wire.py").read_text()
-    assert _synopsis_record_structs(source) == SYNOPSIS_RECORD_STRUCTS
+    assert _synopsis_structs(source) == SYNOPSIS_STRUCTS
     from repro.runtime import wire
 
-    assert wire.SYNOPSIS.format == "<ddI" and wire.SYNOPSIS.size == 20
+    assert wire.SYNOPSIS_SECTION.format == "<QI"
+    assert wire.SYNOPSIS_SECTION.size == 12
     assert {
         name for name in vars(SynopsisColumns) if "wire" in name
     } == SYNOPSIS_WIRE_CODEC
+    sources = [
+        (path.relative_to(PACKAGE_ROOT).as_posix(), path.read_text())
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+    ]
+    assert _boundary_writers(sources) == BOUNDARY_WRITERS
 
 
 def test_synopsis_record_lint_sees_struct_shapes():
     source = (
         "SYNOPSIS = struct.Struct('<ddI')\n"
         "RELAY_SYNOPSIS = Struct('<dIIdIII')\n"
-        "RELAY_SYNOPSIS_SECTION_FIXED = struct.Struct('<IQI')\n"
-        "SYNOPSIS_WIRE_BYTES = SYNOPSIS.size\n"
+        "SYNOPSIS_SECTION = struct.Struct('<QI')\n"
+        "SYNOPSIS_SECTION_BYTES = SYNOPSIS_SECTION.size\n"
         "EVENT = struct.Struct('<dIII')\n"
     )
-    assert _synopsis_record_structs(source) == {"SYNOPSIS", "RELAY_SYNOPSIS"}
+    assert _synopsis_structs(source) == {
+        "SYNOPSIS", "RELAY_SYNOPSIS", "SYNOPSIS_SECTION"
+    }
+    writer = (
+        "def cut(records, rows):\n"
+        "    records['last_value'][:-1] = records['first_value'][1:]\n"
+        "    rows['last_value'] = rows['last_value'] * 2\n"
+        "def rebuild(records, boundaries):\n"
+        "    records['last_value'] = boundaries[1:]\n"
+    )
+    assert _boundary_writers([("m.py", writer)]) == {("m.py", "cut")}
