@@ -18,28 +18,7 @@ Run with::
 from repro import DemaEngine, QuantileQuery, ReliabilityConfig, TopologyConfig
 from repro.bench.generator import GeneratorConfig, workload
 from repro.bench.reporting import format_bytes, format_table
-from repro.streaming.aggregates import exact_quantile
-from repro.streaming.windows import TumblingWindows
-
-
-def ground_truth(streams):
-    assigner = TumblingWindows(1000)
-    per_window = {}
-    for events in streams.values():
-        for event in events:
-            per_window.setdefault(
-                assigner.window_for(event.timestamp), []
-            ).append(event.value)
-    return {w: exact_quantile(v, 0.5) for w, v in per_window.items()}
-
-
-def check(report, truth):
-    exact = sum(
-        1
-        for outcome in report.outcomes
-        if outcome.value == truth[outcome.window]
-    )
-    return f"{exact}/{len(truth)} windows exact"
+from repro.testing import verify_outcomes
 
 
 def main() -> None:
@@ -47,14 +26,17 @@ def main() -> None:
     streams = workload(
         [1, 2, 3], GeneratorConfig(event_rate=1_500.0, duration_s=4.0, seed=55)
     )
-    truth = ground_truth(streams)
+
+    def check(report):
+        return verify_outcomes(report.outcomes, streams, query).summary()
+
     rows = []
 
     # 1. Clean network, driver-fed (the paper's evaluation setting).
     engine = DemaEngine(query, TopologyConfig(n_local_nodes=3))
     report = engine.run(streams)
     rows.append([
-        "clean network", check(report, truth),
+        "clean network", check(report),
         format_bytes(report.network.total_bytes), "0",
     ])
 
@@ -64,7 +46,7 @@ def main() -> None:
     )
     report = engine.run_via_sensors(streams)
     rows.append([
-        "explicit sensor tier", check(report, truth),
+        "explicit sensor tier", check(report),
         format_bytes(report.network.total_bytes), "0",
     ])
 
@@ -80,7 +62,7 @@ def main() -> None:
         for channel in engine.simulator.channels.values()
     )
     rows.append([
-        "15% message loss", check(report, truth),
+        "15% message loss", check(report),
         format_bytes(report.network.total_bytes), str(dropped),
     ])
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from collections import Counter
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -365,12 +366,16 @@ def _run_cluster(config, generator, **run_kwargs):
     """
     from repro.bench.generator import workload
     from repro.bench.reporting import format_bytes
-    from repro.mesh import classify_outcomes, mesh_oracle, run_mesh
+    from repro.mesh import run_mesh
+    from repro.mesh.cluster import served_windows
+    from repro.testing import grade, oracle
 
     joiners = [e.local_id for e in config.membership if e.kind == "join"]
     streams = workload(list(range(1, config.n_locals + 1)) + joiners, generator)
     report = run_mesh(config, streams, **run_kwargs)
-    counts = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+    events, starts = served_windows(streams, config)
+    (truth,) = oracle(events, starts, config.query.window_length_ms, [config.query.q])
+    counts = Counter(verdict for _, verdict, _ in grade(truth, report.outcomes))
 
     tier = (f"relay fan-in {config.relay_fanin}" if config.relay_fanin
             else "flat (no relay tier)")
@@ -477,9 +482,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     for line in report.applied or ["(none)"]:
         print(f"  {line}")
     print()
-    grades = ("recovered", "degraded", "lost", "mismatch")
-    _print_graded(sorted(report.classes.items()),
-                  {grade: report.count(grade) for grade in grades},
+    _print_graded(sorted(report.classes.items()), report.class_counts,
                   report.windows, notes=[""], label="windows  : ")
     print(f"tolerance: {report.reconnects} reconnects, "
           f"{report.heartbeat_misses} heartbeat misses, "

@@ -1,13 +1,12 @@
 """End-to-end chaos runs: a named scenario on either substrate, graded.
 
 :func:`run_chaos` generates a seeded workload, computes ground truth (the
-exact centralized quantile of every window,
-:func:`~repro.mesh.cluster.mesh_oracle`), then runs the *same* workload
-under the scenario's fault plan — either compiled onto the simulator
-or handed to the one live cluster driver as ``ClusterConfig.faults``,
-on whatever topology the caller's config names — and classifies every
-ground-truth window with the one grader,
-:func:`~repro.mesh.cluster.grade_outcomes`:
+exact centralized quantile of every window the cluster serves,
+:func:`repro.testing.oracle`), then runs the *same* workload under the
+scenario's fault plan — either compiled onto the simulator or handed to
+the one live cluster driver as ``ClusterConfig.faults``, on whatever
+topology the caller's config names — and classifies every ground-truth
+window with the one grader, :func:`repro.testing.grade`:
 
 ``recovered``
     Answered with completeness 1.0 and a value bit-identical to the
@@ -19,8 +18,8 @@ ground-truth window with the one grader,
 ``lost``
     No answer at all — the window was aborted or the run gave up on it.
 ``mismatch``
-    Answered at full completeness but with a different value; this is
-    never expected and always indicates a protocol bug.
+    A wrong value, size or rank at full completeness, or a second answer;
+    this is never expected and always indicates a protocol bug.
 
 This module imports the live runtime, so :mod:`repro.faults` loads it
 lazily; plan building stays importable without asyncio machinery.
@@ -29,6 +28,7 @@ lazily; plan building stays importable without asyncio machinery.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.bench.generator import GeneratorConfig, workload
@@ -37,12 +37,13 @@ from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, ToleranceConfig
 from repro.faults.scenarios import build_plan, get_scenario
 from repro.faults.simulate import compile_plan
-from repro.mesh.cluster import grade_outcomes, mesh_oracle
+from repro.mesh.cluster import served_windows
 from repro.mesh.config import ClusterConfig
 from repro.network.topology import TopologyConfig
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.runtime.cluster import run_live
 from repro.streaming.windows import Window
+from repro.testing import grade, oracle
 
 __all__ = ["ChaosReport", "run_chaos"]
 
@@ -80,32 +81,25 @@ class ChaosReport:
     relay_frames_replayed: int = 0
     #: Query scenarios: driver connections re-established mid-run.
     driver_reconnects: int = 0
-    #: Aggregate grade counts where grading is not per-window (query
-    #: scenarios grade per (query, window) pair).  When set, it is the
-    #: source of truth for :meth:`count` and :attr:`classes` stays empty.
-    class_counts: "dict[str, int] | None" = None
-
-    def count(self, grade: str) -> int:
-        """Windows (or graded pairs) with the given grade."""
-        if self.class_counts is not None:
-            return self.class_counts.get(grade, 0)
-        return sum(1 for g in self.classes.values() if g == grade)
+    #: Answers per grade, as the grader counted them; query scenarios grade
+    #: (query, window) pairs and leave :attr:`classes` empty.
+    class_counts: "Counter[str]" = field(default_factory=Counter)
 
     @property
     def recovered(self) -> int:
-        return self.count("recovered")
+        return self.class_counts["recovered"]
 
     @property
     def degraded(self) -> int:
-        return self.count("degraded")
+        return self.class_counts["degraded"]
 
     @property
     def lost(self) -> int:
-        return self.count("lost")
+        return self.class_counts["lost"]
 
     @property
     def mismatched(self) -> int:
-        return self.count("mismatch")
+        return self.class_counts["mismatch"]
 
 
 def run_chaos(
@@ -168,23 +162,14 @@ def run_chaos(
             generator,
             driver_drop=True,
         )
-        lost = sum(
-            "no result for window" in note for note in qreport.mismatches
-        )
-        bad = len(qreport.mismatches) - lost
         return ChaosReport(
             scenario=scenario_name,
             mode=mode,
             seed=seed,
             plan=plan,
             applied=list(qreport.live.fault_events),
-            windows=qreport.results_graded + lost,
-            class_counts={
-                "recovered": qreport.results_graded - bad,
-                "degraded": 0,
-                "lost": lost,
-                "mismatch": bad,
-            },
+            windows=sum(qreport.classes.values()),
+            class_counts=Counter(qreport.classes),
             wall_seconds=time.monotonic() - started,
             driver_reconnects=qreport.driver_reconnects,
         )
@@ -208,9 +193,22 @@ def run_chaos(
         ),
     )
     streams = workload(list(range(1, config.n_locals + 1)), generator)
-    truth = mesh_oracle(streams, config)
+    events, starts = served_windows(streams, config)
+    (truth,) = oracle(events, starts, config.query.window_length_ms, [config.query.q])
 
     started = time.monotonic()
+
+    def report(outcomes, applied: list[str], **fields) -> ChaosReport:
+        """The run's report, every answer graded against ``truth``."""
+        graded = grade(truth, outcomes)
+        return ChaosReport(
+            scenario=scenario_name, mode=mode, seed=seed, plan=plan,
+            applied=applied, windows=len(truth),
+            classes={window: verdict for window, verdict, _ in graded},
+            class_counts=Counter(verdict for _, verdict, _ in graded),
+            wall_seconds=time.monotonic() - started, **fields,
+        )
+
     if mode == "sim":
         engine = DemaEngine(
             config.query,
@@ -225,31 +223,16 @@ def run_chaos(
             root=engine.root,
             detect_after_s=detect,
         )
-        return ChaosReport(
-            scenario=scenario_name,
-            mode=mode,
-            seed=seed,
-            plan=plan,
-            applied=applied,
-            windows=len(truth),
-            classes=grade_outcomes(truth, engine.run(streams).outcomes),
-            locals_declared_dead=engine.root.deaths_declared,
-            wall_seconds=time.monotonic() - started,
-        )
+        return report(engine.run(streams).outcomes, applied,
+                      locals_declared_dead=engine.root.deaths_declared)
 
     live = run_live(config, streams, tracer=tracer)
-    return ChaosReport(
-        scenario=scenario_name,
-        mode=mode,
-        seed=seed,
-        plan=plan,
-        applied=list(live.fault_events),
-        windows=len(truth),
-        classes=grade_outcomes(truth, live.outcomes),
+    return report(
+        live.outcomes,
+        list(live.fault_events),
         reconnects=live.reconnects,
         heartbeat_misses=live.heartbeat_misses,
         locals_declared_dead=live.locals_declared_dead,
-        wall_seconds=time.monotonic() - started,
         telemetry=live.telemetry,
         shards=config.n_shards,
         relay_fanin=config.relay_fanin,

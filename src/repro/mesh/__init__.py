@@ -41,8 +41,6 @@ __all__ = [
     "MeshChaosContext",
     "MeshConfig",
     "ShardMap",
-    "classify_outcomes",
-    "mesh_oracle",
     "run_mesh",
     "RELAY_ID_BASE",
     "SHARD_ID_BASE",
@@ -57,8 +55,6 @@ _LAZY = {
     "MembershipEvent": "repro.mesh.config",
     "MeshConfig": "repro.mesh.config",
     "MeshChaosContext": "repro.mesh.cluster",
-    "classify_outcomes": "repro.mesh.cluster",
-    "mesh_oracle": "repro.mesh.cluster",
     "run_mesh": "repro.mesh.cluster",
 }
 

@@ -17,7 +17,7 @@ Layers:
 * :mod:`repro.queries.local` — the local node's plane, on a DemaLocalNode.
 * :mod:`repro.queries.root` — the root node's plane, on a DemaRootNode.
 * :mod:`repro.queries.client` — the dialing client (driver role).
-* :mod:`repro.queries.oracle` — centralized ground truth for grading.
+* :mod:`repro.queries.oracle` — its names for :mod:`repro.testing`'s oracle and grader.
 * :mod:`repro.queries.runner` — live scenarios with churn and grading.
 """
 

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 import asyncio
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.bench.generator import GeneratorConfig, workload
 from repro.errors import ConfigurationError, QueryError
 from repro.obs.tracer import RecordingTracer, Tracer
 from repro.queries.client import QueryClient
-from repro.queries.oracle import grade_results, oracle_results
+from repro.queries.oracle import oracle_results
 from repro.queries.spec import QuerySpec
 from repro.faults.scenarios import build_plan
 from repro.mesh.config import ClusterConfig
 from repro.runtime.cluster import ClusterReport, QueryDriverContext, run_live
+from repro.testing import grade
 
 __all__ = ["QueryScenarioReport", "build_specs", "run_query_scenario"]
 
@@ -47,7 +49,9 @@ class QueryScenarioReport:
     groups: int
     results_served: int
     results_graded: int
+    #: The grader's notes on (query, window) pairs not recovered, and counts.
     mismatches: list[str]
+    classes: dict[str, int]
     identification_cuts: int
     #: (selector, γ, window) triples with more than one identification
     #: span — the shared-cut invariant demands this stays 0.
@@ -131,7 +135,7 @@ def run_query_scenario(
     seeded ``driver-drop`` fault plan: mid-run the cluster severs the
     driver's connection, and the client redials with its resume cursor;
     grading then proves every result still arrived exactly once (the
-    duplicate check in :func:`~repro.queries.oracle.grade_results` makes
+    duplicate check in :func:`~repro.testing.grade` makes
     "at most once" explicit, completeness makes it "at least once").
 
     ``specs`` overrides the generated batch (the tests use this to run
@@ -293,25 +297,24 @@ def run_query_scenario(
     all_specs = dict(initial)
     all_specs.update(joiners)
     mismatches: list[str] = []
+    classes = Counter()
     graded = 0
     for query_id, spec in all_specs.items():
         horizon = horizons.get(query_id)
         if horizon is None:
             mismatches.append(f"query {query_id}: never acknowledged")
+            classes["mismatch"] += 1
             continue
+        results = served.get(query_id, [])
+        graded += len(results)
         expected = oracle_results(
             all_events, spec, start_from=horizon, horizon_end=grid_end
         )
-        results = served.get(query_id, [])
-        graded += len(results)
-        mismatches.extend(
-            grade_results(
-                query_id,
-                results,
-                expected,
-                require_complete=query_id not in dropped,
-            )
-        )
+        for _, verdict, note in grade(expected, results, label=f"query {query_id}",
+                                      complete=query_id not in dropped):
+            classes[verdict] += 1
+            if verdict != "recovered":
+                mismatches.append(note)
 
     # Shared-cut invariant from the trace: one identification span per
     # (selector, γ, window), whatever the queries and window shapes riding
@@ -334,6 +337,7 @@ def run_query_scenario(
         results_served=sum(len(r) for r in served.values()),
         results_graded=graded,
         mismatches=mismatches,
+        classes=dict(classes),
         identification_cuts=sum(cut_spans.values()),
         duplicate_cuts=duplicate_cuts,
         horizons=dict(horizons),

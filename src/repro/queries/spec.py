@@ -103,8 +103,8 @@ _U32_MAX = 0xFFFFFFFF
 
 @dataclass(frozen=True, slots=True)
 class Selector:
-    """A parsed key selector: one grammar, two evaluators — per event for
-    the oracle, per columnar batch for the live plane."""
+    """A parsed key selector: one grammar, two evaluators — per columnar
+    batch for the live plane and the oracle, per event as their reference."""
 
     kind: str = "all"  # "all" | "node" | "mod"
     modulus: int = 1
@@ -260,7 +260,7 @@ class QuerySpec:
         return (self.length_ms, self.step)
 
     def predicate(self) -> Selector:
-        """The parsed key selector (``.matches(event)`` per event)."""
+        """The parsed key selector (``.mask(columns)`` per batch)."""
         return parse_selector(self.selector)
 
     def window_starts(self, start_from: int, horizon_end: int) -> list[int]:

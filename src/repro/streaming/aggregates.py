@@ -77,9 +77,8 @@ def quantile_rank(q: float, n: int) -> int:
 def exact_quantile(values: Iterable[float], q: float) -> float:
     """Exact ``q``-quantile under the paper's rank definition.
 
-    Sorts the values and returns the element at rank ``ceil(q * n)``.  This
-    is the ground-truth oracle the whole test suite compares against.
-    """
+    Sorts the values and returns the element at rank ``ceil(q * n)``.  A
+    window's answer over events is :func:`repro.testing.oracle`."""
     ordered = sorted(values)
     rank = quantile_rank(q, len(ordered))
     return ordered[rank - 1]

@@ -6,10 +6,9 @@ import pytest
 
 from repro.core.query import QuantileQuery
 from repro.network.topology import TopologyConfig
-from repro.streaming.aggregates import exact_quantile
-from repro.streaming.windows import TumblingWindows
 from repro.baselines.base import build_system
 from repro.bench.generator import GeneratorConfig, SensorStreamGenerator
+from repro.testing import verify_outcomes
 
 QUERY = QuantileQuery(q=0.5, gamma=30)
 TOPO = TopologyConfig(n_local_nodes=2)
@@ -29,15 +28,12 @@ def delayed_arrivals(max_delay_ms, *, seed=13):
     return arrivals
 
 
-def ground_truth(arrivals):
-    assigner = TumblingWindows(1000)
-    per_window = {}
-    for pairs in arrivals.values():
-        for event, _ in pairs:
-            per_window.setdefault(
-                assigner.window_for(event.timestamp), []
-            ).append(event.value)
-    return {w: exact_quantile(v, 0.5) for w, v in per_window.items()}
+def streams_of(arrivals):
+    """The events of ``(event, arrival)`` pairs, per node."""
+    return {
+        node_id: [event for event, _ in pairs]
+        for node_id, pairs in arrivals.items()
+    }
 
 
 @pytest.mark.parametrize("system", ["scotty", "desis", "tdigest"])
@@ -46,14 +42,17 @@ class TestBaselinesUnderDisorder:
         arrivals = delayed_arrivals(60)
         engine = build_system(system, QUERY, TOPO)
         report = engine.run_unordered(arrivals, allowed_lateness_ms=80)
-        truth = ground_truth(arrivals)
-        assert len(report.outcomes) == len(truth)
-        for outcome in report.outcomes:
-            expected = truth[outcome.window]
-            if system == "tdigest":
-                assert outcome.value == pytest.approx(expected, rel=0.05)
-            else:
-                assert outcome.value == expected
+        verification = verify_outcomes(
+            report.outcomes, streams_of(arrivals), QUERY
+        )
+        assert not verification.missing_windows
+        windows = {outcome.window for outcome in report.outcomes}
+        assert len(windows) == verification.checked == len(report.outcomes)
+        if system == "tdigest":
+            for _, value, expected in verification.mismatches:
+                assert value == pytest.approx(expected, rel=0.05)
+        else:
+            assert verification.is_exact, verification.summary()
 
     def test_insufficient_lateness_counts_drops(self, system):
         arrivals = delayed_arrivals(60)

@@ -13,6 +13,7 @@ from repro.streaming.aggregates import exact_quantile
 from repro.streaming.events import make_events
 from repro.streaming.windows import TumblingWindows, Window
 from repro.bench.generator import GeneratorConfig, SensorStreamGenerator
+from repro.testing import verify_outcomes
 
 
 def delayed_arrivals(max_delay_ms, *, rate=800.0, seconds=3.0, seed=9):
@@ -29,15 +30,12 @@ def delayed_arrivals(max_delay_ms, *, rate=800.0, seconds=3.0, seed=9):
     return arrivals
 
 
-def ground_truth(arrivals, q=0.5):
-    assigner = TumblingWindows(1000)
-    per_window = {}
-    for pairs in arrivals.values():
-        for event, _ in pairs:
-            per_window.setdefault(
-                assigner.window_for(event.timestamp), []
-            ).append(event.value)
-    return {w: exact_quantile(v, q) for w, v in per_window.items()}
+def streams_of(arrivals):
+    """The events of ``(event, arrival)`` pairs, per node."""
+    return {
+        node_id: [event for event, _ in pairs]
+        for node_id, pairs in arrivals.items()
+    }
 
 
 class TestGeneratorArrivals:
@@ -124,14 +122,14 @@ class TestFeedUnordered:
 class TestAllowedLateness:
     def test_lateness_covering_delay_stays_exact(self):
         arrivals = delayed_arrivals(80)
-        engine = DemaEngine(
-            QuantileQuery(q=0.5, gamma=50), TopologyConfig(n_local_nodes=2)
-        )
+        query = QuantileQuery(q=0.5, gamma=50)
+        engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
         report = engine.run_unordered(arrivals, allowed_lateness_ms=100)
-        truth = ground_truth(arrivals)
-        assert len(report.outcomes) == len(truth)
-        for outcome in report.outcomes:
-            assert outcome.value == truth[outcome.window]
+        verification = verify_outcomes(
+            report.outcomes, streams_of(arrivals), query
+        )
+        assert verification.is_exact, verification.summary()
+        assert verification.checked == len(report.outcomes)
         assert all(
             engine.simulator.nodes[i].late_events == 0
             for i in engine.topology.local_ids
@@ -139,9 +137,8 @@ class TestAllowedLateness:
 
     def test_insufficient_lateness_drops_and_counts(self):
         arrivals = delayed_arrivals(80)
-        engine = DemaEngine(
-            QuantileQuery(q=0.5, gamma=50), TopologyConfig(n_local_nodes=2)
-        )
+        query = QuantileQuery(q=0.5, gamma=50)
+        engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
         report = engine.run_unordered(arrivals, allowed_lateness_ms=0)
         dropped = sum(
             engine.simulator.nodes[i].late_events
@@ -149,7 +146,12 @@ class TestAllowedLateness:
         )
         assert dropped > 0
         # Results are still produced for every window...
-        assert len(report.outcomes) == len(ground_truth(arrivals))
+        verification = verify_outcomes(
+            report.outcomes, streams_of(arrivals), query
+        )
+        assert not verification.missing_windows
+        windows = {outcome.window for outcome in report.outcomes}
+        assert len(windows) == verification.checked == len(report.outcomes)
         # ...over the on-time subset, so window sizes shrink by the drops.
         total_truth = sum(len(p) for p in arrivals.values())
         total_reported = sum(o.global_window_size for o in report.outcomes)

@@ -7,28 +7,17 @@ from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.core.reliability import ReliabilityConfig
 from repro.network.topology import TopologyConfig
-from repro.streaming.aggregates import exact_quantile
-from repro.streaming.windows import TumblingWindows
 from repro.bench.generator import GeneratorConfig, workload, workload_columns
+from repro.testing import verify_outcomes
 
-
-def ground_truth(streams, q=0.5):
-    assigner = TumblingWindows(1000)
-    per_window = {}
-    for events in streams.values():
-        for event in events:
-            per_window.setdefault(
-                assigner.window_for(event.timestamp), []
-            ).append(event.value)
-    return {w: exact_quantile(v, q) for w, v in per_window.items()}
+QUERY = QuantileQuery(q=0.5, gamma=50)
 
 
 def run_lossy(loss_rate, *, reliability, n_nodes=3, seed=77, loss_seed=7):
-    query = QuantileQuery(q=0.5, gamma=50)
     topo = TopologyConfig(
         n_local_nodes=n_nodes, loss_rate=loss_rate, loss_seed=loss_seed
     )
-    engine = DemaEngine(query, topo, reliability=reliability)
+    engine = DemaEngine(QUERY, topo, reliability=reliability)
     streams = workload(
         range(1, n_nodes + 1),
         GeneratorConfig(event_rate=800.0, duration_s=4.0, seed=seed),
@@ -102,11 +91,10 @@ class TestExactnessUnderLoss:
         engine, report, streams = run_lossy(
             loss_rate, reliability=ReliabilityConfig(max_retries=30)
         )
-        truth = ground_truth(streams)
-        assert len(report.outcomes) == len(truth)
+        verification = verify_outcomes(report.outcomes, streams, QUERY)
+        assert verification.is_exact, verification.summary()
+        assert verification.checked == len(report.outcomes)
         assert engine.root.aborted_windows == 0
-        for outcome in report.outcomes:
-            assert outcome.value == truth[outcome.window]
 
     def test_retransmissions_cost_extra_bytes(self):
         _, lossless, _ = run_lossy(
@@ -119,9 +107,8 @@ class TestExactnessUnderLoss:
 
     def test_reliability_off_is_protocol_identical(self):
         _, plain, streams = run_lossy(0.0, reliability=None)
-        truth = ground_truth(streams)
-        for outcome in plain.outcomes:
-            assert outcome.value == truth[outcome.window]
+        verification = verify_outcomes(plain.outcomes, streams, QUERY)
+        assert verification.is_exact, verification.summary()
 
     def test_lost_release_answered_with_fresh_release(self):
         # Regression: when a WindowReleaseMessage is lost, the local keeps
@@ -207,7 +194,7 @@ class TestAbort:
             0.5,
             reliability=ReliabilityConfig(timeout_s=0.02, max_retries=2),
         )
-        truth = ground_truth(streams)
-        for outcome in report.outcomes:
-            if outcome.value is not None:
-                assert outcome.value == truth[outcome.window]
+        verification = verify_outcomes(
+            report.outcomes, streams, QUERY, require_all_windows=False
+        )
+        assert not verification.mismatches, verification.summary()

@@ -3,25 +3,17 @@
 import pytest
 
 from repro.network.topology import TopologyConfig
-from repro.streaming.aggregates import exact_quantile
-from repro.streaming.windows import TumblingWindows
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.bench.generator import GeneratorConfig, workload
+from repro.testing import verify_outcomes
 
 
-def ground_truth_per_window(streams, window_length_ms, q):
-    assigner = TumblingWindows(window_length_ms)
-    per_window = {}
-    for events in streams.values():
-        for event in events:
-            per_window.setdefault(
-                assigner.window_for(event.timestamp), []
-            ).append(event.value)
-    return {
-        window: exact_quantile(values, q)
-        for window, values in per_window.items()
-    }
+def assert_exact(outcomes, streams, query):
+    """Every window of the streams answered once, bit-identical."""
+    verification = verify_outcomes(outcomes, streams, query)
+    assert verification.is_exact, verification.summary()
+    assert verification.checked == len(outcomes)
 
 
 @pytest.mark.parametrize("q", [0.25, 0.5, 0.9])
@@ -32,10 +24,7 @@ def test_dema_exact_on_generated_workloads(q, n_nodes):
     query = QuantileQuery(q=q, window_length_ms=1000, gamma=40)
     engine = DemaEngine(query, TopologyConfig(n_local_nodes=n_nodes))
     report = engine.run(streams)
-    truth = ground_truth_per_window(streams, 1000, q)
-    assert len(report.outcomes) == len(truth)
-    for outcome in report.outcomes:
-        assert outcome.value == truth[outcome.window]
+    assert_exact(report.outcomes, streams, query)
 
 
 def test_dema_exact_with_skewed_scale_rates():
@@ -44,9 +33,7 @@ def test_dema_exact_with_skewed_scale_rates():
     query = QuantileQuery(q=0.3, window_length_ms=1000, gamma=25)
     engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
     report = engine.run(streams)
-    truth = ground_truth_per_window(streams, 1000, 0.3)
-    for outcome in report.outcomes:
-        assert outcome.value == truth[outcome.window]
+    assert_exact(report.outcomes, streams, query)
 
 
 def test_dema_exact_with_unbalanced_event_rates():
@@ -55,9 +42,7 @@ def test_dema_exact_with_unbalanced_event_rates():
     query = QuantileQuery(q=0.5, window_length_ms=1000, gamma=30)
     engine = DemaEngine(query, TopologyConfig(n_local_nodes=3))
     report = engine.run(streams)
-    truth = ground_truth_per_window(streams, 1000, 0.5)
-    for outcome in report.outcomes:
-        assert outcome.value == truth[outcome.window]
+    assert_exact(report.outcomes, streams, query)
 
 
 def test_adaptive_gamma_stays_exact_and_reduces_cost():
@@ -72,9 +57,7 @@ def test_adaptive_gamma_stays_exact_and_reduces_cost():
         adaptive, TopologyConfig(n_local_nodes=2)
     ).run(streams)
 
-    truth = ground_truth_per_window(streams, 1000, 0.5)
-    for outcome in report_adaptive.outcomes:
-        assert outcome.value == truth[outcome.window]
+    assert_exact(report_adaptive.outcomes, streams, adaptive)
     # Adaptivity converges to a far cheaper gamma than the pathological fix.
     assert (
         report_adaptive.network.total_bytes < report_bad.network.total_bytes / 2
@@ -89,10 +72,8 @@ def test_half_second_windows():
     query = QuantileQuery(q=0.5, window_length_ms=500, gamma=20)
     engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
     report = engine.run(streams)
-    truth = ground_truth_per_window(streams, 500, 0.5)
     assert len(report.outcomes) == 4
-    for outcome in report.outcomes:
-        assert outcome.value == truth[outcome.window]
+    assert_exact(report.outcomes, streams, query)
 
 
 def test_network_cost_scales_with_synopses_not_events():

@@ -16,10 +16,9 @@ from repro.faults.plan import ToleranceConfig
 from repro.mesh import (
     MembershipEvent,
     MeshConfig,
-    classify_outcomes,
-    mesh_oracle,
     run_mesh,
 )
+from tests.mesh.grading import cluster_truth, grade_counts
 
 QUERY = QuantileQuery(q=0.5, gamma=10_000)
 
@@ -33,7 +32,7 @@ def streams_for(local_ids, rate=120.0, duration=3.0, seed=42):
 
 def assert_bit_identical(config, streams):
     report = run_mesh(config, streams)
-    classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+    classes = grade_counts(streams, config, report.outcomes)
     assert classes["mismatch"] == 0
     assert classes["lost"] == 0
     assert classes["degraded"] == 0
@@ -174,9 +173,9 @@ class TestElasticMembership:
         )
         streams = self.streams()
         report = run_mesh(config, streams)
-        truth = mesh_oracle(streams, config)
+        truth = cluster_truth(streams, config)
         by_window = report.outcome_by_window()
-        for window, expected in truth.items():
+        for window, (expected, _, _) in truth.items():
             if window.start >= 2_000:
                 assert by_window[window].value == expected
 
@@ -231,11 +230,28 @@ class TestOracle:
                 if lo <= event.timestamp < hi:
                     start = event.timestamp // 1_000 * 1_000
                     windows.setdefault(start, []).append(event.value)
-        truth = mesh_oracle(streams, config)
-        assert {window.start: value for window, value in truth.items()} == {
+        truth = cluster_truth(streams, config)
+        assert {window.start: value for window, (value, _, _) in truth.items()} == {
             start: sorted(values)[quantile_rank(0.9, len(values)) - 1]
             for start, values in windows.items()
         }
+
+    def test_signed_zeros_rank_in_event_key_order(self):
+        """``-0.0 == 0.0``: local 1's ``+0.0`` comes first in event-key
+        order, and a sharded cluster's ``+0.0`` answer grades recovered."""
+        from repro.streaming.events import make_events
+
+        streams = {
+            1: make_events([0.0] * 4, node_id=1),
+            2: make_events([0.0, 0.0, 0.0, 0.0, -0.0], node_id=2),
+        }
+        config = MeshConfig(
+            n_locals=2, n_shards=2, query=QuantileQuery(q=0.1, gamma=2)
+        )
+        ((value, size, rank),) = cluster_truth(streams, config).values()
+        assert (math.copysign(1.0, value), size, rank) == (1.0, 9, 1)
+        report = run_mesh(config, streams)
+        assert grade_counts(streams, config, report.outcomes) == {"recovered": 1}
 
     def test_a_wrong_calculation_is_graded_mismatch(self, monkeypatch):
         """Every answer one ulp high: an oracle that runs the same root
@@ -261,7 +277,7 @@ class TestOracle:
             GeneratorConfig(event_rate=2000, duration_s=2.0, seed=42),
         )
         report = run_live(config, streams)
-        classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+        classes = grade_counts(streams, config, report.outcomes)
         assert classes["mismatch"] == report.windows == 4
         assert classes["recovered"] == 0
 
@@ -286,9 +302,7 @@ class TestChaosComposition:
         )
         streams = streams_for(range(1, 5))
         report = run_mesh(config, streams, disturb=crash_one)
-        classes = classify_outcomes(
-            mesh_oracle(streams, config), report.outcomes
-        )
+        classes = grade_counts(streams, config, report.outcomes)
         assert classes["mismatch"] == 0
         assert classes["lost"] == 0
         assert classes["degraded"] == report.windows

@@ -19,7 +19,8 @@ import pytest
 from repro.bench.generator import GeneratorConfig, workload
 from repro.core.query import QuantileQuery
 from repro.faults.plan import ToleranceConfig
-from repro.mesh.cluster import classify_outcomes, mesh_oracle, run_mesh
+from repro.mesh.cluster import run_mesh
+from tests.mesh.grading import grade_counts
 from repro.mesh.config import MeshConfig
 from repro.mesh.routing import ShardMap
 from repro.runtime.servers import RootServer
@@ -69,7 +70,7 @@ def kill_after_first_outcome(victim: int):
 
 def assert_no_window_lost(config, streams, disturb):
     report = run_mesh(config, streams, disturb=disturb)
-    classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+    classes = grade_counts(streams, config, report.outcomes)
     assert classes["lost"] == 0, classes
     assert classes["mismatch"] == 0, classes
     assert classes["degraded"] == 0, classes
@@ -152,9 +153,7 @@ class TestFailoverMechanics:
         assert report.shard_failovers == 1
         # The kill raced the replay from the wall clock, so windows may
         # or may not have been adopted — but none may be lost.
-        classes = classify_outcomes(
-            mesh_oracle(streams_20_windows(), config), report.outcomes
-        )
+        classes = grade_counts(streams_20_windows(), config, report.outcomes)
         assert classes["lost"] == 0
         assert classes["mismatch"] == 0
 

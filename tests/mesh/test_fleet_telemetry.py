@@ -20,7 +20,8 @@ import pytest
 from repro.bench.generator import GeneratorConfig, workload
 from repro.core.query import QuantileQuery
 from repro.faults.plan import ToleranceConfig
-from repro.mesh.cluster import classify_outcomes, mesh_oracle, run_mesh
+from repro.mesh.cluster import run_mesh
+from tests.mesh.grading import grade_counts
 from repro.mesh.config import MeshConfig
 from repro.mesh.routing import shard_node_id
 from repro.obs.live.config import TelemetryConfig
@@ -87,7 +88,7 @@ class TestFleetView:
         config = mesh_config(telemetry=TELEMETRY)
         streams = streams_for()
         report = run_mesh(config, streams)
-        classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+        classes = grade_counts(streams, config, report.outcomes)
         assert classes["lost"] == classes["mismatch"] == 0
         fleet = report.telemetry["fleet"]
         assert fleet["digest_count"] > 0
@@ -128,7 +129,7 @@ class TestStitchedTimelines:
             ctx.shards[0].crash_after(1)
 
         report = run_mesh(config, streams, tracer=tracer, disturb=disturb)
-        classes = classify_outcomes(mesh_oracle(streams, config), report.outcomes)
+        classes = grade_counts(streams, config, report.outcomes)
         assert classes["lost"] == classes["mismatch"] == 0
         assert report.shard_failovers == 1
         assert report.windows_adopted > 0

@@ -148,10 +148,7 @@ class Wired:
         expected = oracle_results(
             self.events(), spec, start_from=horizon, horizon_end=HORIZON
         )
-        assert got == {
-            window: (truth.value, truth.size, truth.rank)
-            for window, truth in expected.items()
-        }
+        assert got == expected
         return served
 
     def pending(self, local_id):

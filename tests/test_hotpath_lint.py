@@ -51,13 +51,18 @@ columns its root reads, so the raw event batch is the only message whose
 sorted runs are 8-byte value runs, and a whole-tuple run cannot return
 quietly.
 
-The last keeps one synopsis layout on the wire: ``runtime/wire.py``
+One keeps one synopsis layout on the wire: ``runtime/wire.py``
 defines one synopsis section struct — local size and γ, which the slice
 boundaries follow on every link — and no per-slice record struct,
 ``SynopsisColumns`` has one wire encoder and one decoder, and only
 ``slice_sorted_events`` writes a slice's bounding last value from the next
 slice's first, so a per-link or per-slice layout cannot grow back beside
 it.
+
+The last keeps exactness checked one way: ``repro.testing`` defines the one
+window oracle and the one grader, and the query plane's two names for them
+in ``queries/oracle.py`` only call into it, so a per-path oracle or grader
+(each with its own idea of a tie or a grade) cannot grow back.
 """
 
 import ast
@@ -895,3 +900,71 @@ def test_synopsis_record_lint_sees_struct_shapes():
         "    records['last_value'] = boundaries[1:]\n"
     )
     assert _boundary_writers([("m.py", writer)]) == {("m.py", "cut")}
+
+
+#: A function whose name has the word oracle, truth or grade computes a
+#: window's exact answer or grades answers against it.  Held with ``==``:
+#: ``repro.testing`` defines the one oracle and the one grader, and
+#: ``queries/oracle.py`` keeps the two names ``perfbench`` imports as thin
+#: calls into them, so a per-path oracle or grader cannot grow back.
+TRUTH_OR_GRADE_WORD = re.compile(r"(?:^|_)(?:oracle|truth|grade)(?:_|$)")
+ONE_ORACLE_AND_GRADER = {
+    ("testing.py", "oracle"),
+    ("testing.py", "grade"),
+    ("queries/oracle.py", "oracle_results"),
+    ("queries/oracle.py", "grade_results"),
+}
+#: The word without the role: the paper's accuracy metric over truths its
+#: caller hands it.
+NOT_WINDOW_TRUTH = {("bench/accuracy.py", "accuracy_vs_ground_truth")}
+
+
+def _truth_and_grade_functions(source):
+    return {
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and TRUTH_OR_GRADE_WORD.search(node.name)
+    }
+
+
+def test_one_oracle_and_one_grader():
+    found = {
+        (path.relative_to(PACKAGE_ROOT).as_posix(), name)
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        for name in _truth_and_grade_functions(path.read_text())
+    }
+    assert found == ONE_ORACLE_AND_GRADER | NOT_WINDOW_TRUTH
+    adapters = (PACKAGE_ROOT / "queries" / "oracle.py").read_text()
+    assert {
+        (node.module, alias.name)
+        for node in ast.walk(ast.parse(adapters))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in ("oracle", "grade")
+    } == {("repro.testing", "oracle"), ("repro.testing", "grade")}
+    assert _constructions(adapters, {"oracle", "grade"}) == {
+        ("oracle", "oracle_results"), ("grade", "grade_results")
+    }
+
+
+def test_oracle_lint_sees_functions_methods_and_nested_defs():
+    source = (
+        "def mesh_oracle(streams): pass\n"
+        "async def window_truth(streams): pass\n"
+        "class Report:\n"
+        "    def grade(self): pass\n"
+        "def run():\n"
+        "    def ground_truth(events): pass\n"
+        "def grade_outcomes(truth, outcomes): pass\n"
+        "def degraded(self): pass\n"
+        "def _print_graded(rows): pass\n"
+        "def classify_slice(unit): pass\n"
+        "def upgrade(x): pass\n"
+        "def truthy(x): pass\n"
+        "oracle = grade = None\n"
+    )
+    assert _truth_and_grade_functions(source) == {
+        "mesh_oracle", "window_truth", "grade", "ground_truth",
+        "grade_outcomes",
+    }
