@@ -19,8 +19,7 @@ import numpy as np
 from repro.mesh.config import ClusterConfig
 from repro.runtime.cluster import (
     MeshChaosContext,
-    _grid,
-    _membership_ranges,
+    membership_grid,
     run_live as run_mesh,
 )
 from repro.streaming.columns import (
@@ -43,7 +42,7 @@ def served_windows(
     they touch: :func:`repro.testing.oracle`'s input for the run."""
     columns = {n: as_event_columns(share) for n, share in streams.items()}
     length = config.query.window_length_ms
-    ranges = _membership_ranges(config, *_grid(columns, length))
+    _, _, ranges = membership_grid(config, columns)
     eligible = []
     for local_id, (lo, hi) in ranges.items():
         share = columns.get(local_id, EMPTY_EVENTS)

@@ -133,6 +133,11 @@ class TestStitchedTimelines:
         assert classes["lost"] == classes["mismatch"] == 0
         assert report.shard_failovers == 1
         assert report.windows_adopted > 0
+        # One seal→result sample per answered window, even across the
+        # takeover, and the fleet digest holds exactly those samples.
+        merged = report.telemetry["fleet"]["metrics"]["seal_to_result_s"]
+        assert merged["count"] == len(report.seal_to_result.samples)
+        assert len(report.seal_to_result.samples) <= len(report.outcomes)
         return config, report, tracer
 
     def test_kill_shard_stitches_dead_and_successor_under_one_tree(self):

@@ -20,6 +20,7 @@ from repro.bench.generator import GeneratorConfig, workload
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
+from repro.mesh.config import MembershipEvent
 from repro.mesh.routing import shard_node_id
 from repro.network.topology import TopologyConfig
 from repro.obs.tracer import RecordingTracer
@@ -235,3 +236,68 @@ class TestConfigValidation:
     def test_rejects_empty_workload(self):
         with pytest.raises(ConfigurationError, match="at least one event"):
             run_live(_config(), {1: (), 2: ()})
+
+
+def _kill_shard_without_failover():
+    """``kill_shard`` on a one-shard run: no successor, no controller."""
+    refused = []
+
+    async def disturb(context):
+        try:
+            await context.kill_shard(0)
+        except ConfigurationError as exc:
+            refused.append(exc)
+
+    with hard_timeout(120):
+        run_live(_config(), _streams(), disturb=disturb)
+    raise refused[0]
+
+
+def _run_with_membership(*events, streams=None):
+    config = _config(membership=tuple(
+        MembershipEvent(at_ms, local_id, kind)
+        for at_ms, local_id, kind in events
+    ))
+    with hard_timeout(120):
+        run_live(config, _streams() if streams is None else streams)
+
+
+#: Every refusal the cluster driver raises itself, pinned before the
+#: driver is restructured: ``(run, message)`` — ``_streams()`` spans the
+#: grid [0, 3000) ms of 1000 ms windows.
+DRIVER_REFUSALS = {
+    "leave-without-join": (
+        lambda: _run_with_membership((1000, 3, "leave")),
+        "local 3 leaves but never joins",
+    ),
+    "leave-before-join": (
+        lambda: _run_with_membership((2000, 3, "join"), (1000, 3, "leave")),
+        r"local 3 leaves at 1000 before it is a member \(from 2000\)",
+    ),
+    "boundary-outside-grid": (
+        lambda: _run_with_membership((5000, 2, "leave")),
+        r"membership boundary 5000 outside the grid \(0, 3000\)",
+    ),
+    "boundary-off-grid": (
+        lambda: _run_with_membership((1500, 2, "leave")),
+        "membership boundary 1500 is not on the 1000 ms tumbling grid",
+    ),
+    "unordered-stream-under-membership": (
+        lambda: _run_with_membership((1000, 2, "leave"), streams={
+            1: (Event(1.0, 2500, 1, 0), Event(2.0, 100, 1, 1)),
+            2: (Event(3.0, 200, 2, 0),),
+        }),
+        "local 1's stream is not in timestamp order",
+    ),
+    "kill-shard-without-failover": (
+        _kill_shard_without_failover,
+        "kill_shard needs a failover controller",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DRIVER_REFUSALS))
+def test_driver_refusals(case):
+    run, message = DRIVER_REFUSALS[case]
+    with pytest.raises(ConfigurationError, match=message):
+        run()

@@ -18,12 +18,14 @@ what it newly composes.
 import contextlib
 import signal
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.bench.generator import GeneratorConfig, workload, workload_columns
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
+from repro.core.root_node import WindowOutcome
 from repro.mesh import MeshConfig, run_mesh
 from repro.mesh.routing import relay_node_id, shard_node_id
 from repro.network.topology import TopologyConfig
@@ -35,6 +37,7 @@ from repro.runtime.cluster import (
     _cluster_summary,
     run_live,
 )
+from repro.streaming.windows import Window
 
 
 @contextlib.contextmanager
@@ -208,6 +211,23 @@ def test_sharded_relayed_run_traces_stream_batches_and_serves_summary():
     fleet = report.telemetry["fleet"]
     assert {relay_node_id(0), relay_node_id(1)} <= set(fleet["senders"])
     assert len(fleet["relays"]) == 2
+
+
+def test_a_window_answered_on_two_shards_is_one_answered_window():
+    """A race on a takeover boundary can answer one window on the dead
+    shard and on its successor (identically): ``/summary`` counts it once,
+    as the report keeps one outcome for it."""
+    window = Window(0, 1000)
+    outcome = WindowOutcome(window, 1.0, 4, 0.0, 0, 0, 0, 64)
+    shards = [
+        SimpleNamespace(node=SimpleNamespace(outcomes=[outcome]))
+        for _ in range(2)
+    ]
+    summary = _cluster_summary(
+        transport="memory", expected_windows=1, shards=shards,
+        tracer=RecordingTracer(), dialed=(),
+    )
+    assert summary["windows_done"] == 1
 
 
 def test_summary_and_fleet_are_both_served_mid_run():
