@@ -17,17 +17,16 @@ Every system but Scotty is one operator pair,
 :class:`~repro.baselines.base.SummaryLocalNode` and
 :class:`~repro.baselines.base.SummaryRootNode`, run with that system's
 :class:`~repro.baselines.base.Summary`.  All six deploy on the identical
-simulated topology through the common
-:class:`~repro.baselines.base.BaselineEngine` machinery so every figure
-compares systems under the same workload, links and CPU budgets.
+simulated topology as operator pairs on the one
+:class:`~repro.network.deployment.SimulatedDeployment` Dema runs on, so
+every figure compares systems under the same workload, links and CPU
+budgets.
 """
 
 from repro.baselines.base import (
-    BaselineEngine,
     Summary,
     SummaryLocalNode,
     SummaryRootNode,
-    SystemReport,
     WindowRecord,
     build_system,
     SYSTEM_NAMES,
@@ -40,8 +39,6 @@ from repro.baselines.qdigest_system import QDigestSummary
 from repro.baselines.partial import PartialSummary, build_partial_system
 
 __all__ = [
-    "BaselineEngine",
-    "SystemReport",
     "WindowRecord",
     "build_system",
     "build_partial_system",

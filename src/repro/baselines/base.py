@@ -1,11 +1,11 @@
 """Shared machinery for baseline deployments.
 
-Every system exposes the same run interface so the benchmark harness can
-sweep systems generically: build an engine for a query and topology, feed
-per-local-node streams, and read back a :class:`SystemReport` with window
-records, network metrics and latency statistics.  Dema's own engine returns
-a structurally identical report, so ``report.outcomes[i].value`` means the
-same thing for every system.
+Every system is a root/local operator pair run on the one
+:class:`~repro.network.deployment.SimulatedDeployment`, so the benchmark
+harness sweeps systems generically: :func:`build_system` deploys a pair for
+a query and topology, and every run returns the same
+:class:`~repro.network.deployment.RunReport`.  A baseline root's
+``outcomes`` are :class:`WindowRecord` rows.
 
 Every baseline but Scotty runs one protocol: a local folds each window into
 a summary, ships it once at window end, and the root waits for one summary
@@ -19,29 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.errors import AggregationError, ConfigurationError
-from repro.network.driver import (
-    MS_PER_SECOND,
-    BatchSourceDriver,
-    event_timestamps,
-    local_arrivals,
-    local_streams,
-    window_segments,
-)
+from repro.network.deployment import SimulatedDeployment
+from repro.network.driver import MS_PER_SECOND
 from repro.network.messages import EventBatchMessage, Message
-from repro.network.metrics import LatencyStats, NetworkMetrics
-from repro.network.simulator import (
-    INGEST_OPS,
-    SimulatedNode,
-    Simulator,
-    receive_ops,
-)
-from repro.network.topology import ROOT_NODE_ID, Topology, TopologyConfig
+from repro.network.simulator import INGEST_OPS, SimulatedNode, receive_ops
+from repro.network.topology import TopologyConfig
 from repro.obs.tracer import NOOP_TRACER
 from repro.streaming.columns import EventColumns
-from repro.streaming.events import Event
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 
@@ -51,11 +38,9 @@ from repro.core.query import QuantileQuery
 __all__ = [
     "bucket_by_window",
     "WindowRecord",
-    "SystemReport",
     "Summary",
     "SummaryLocalNode",
     "SummaryRootNode",
-    "BaselineEngine",
     "build_summary_system",
     "build_system",
     "SYSTEM_NAMES",
@@ -94,22 +79,6 @@ class WindowRecord:
         return self.global_window_size == 0
 
 
-@dataclass
-class SystemReport:
-    """Uniform run report: window records plus network/latency metrics."""
-
-    outcomes: list[WindowRecord]
-    network: NetworkMetrics
-    latency: LatencyStats
-    final_time: float
-    events_ingested: int
-
-    @property
-    def values(self) -> list[float | None]:
-        """Per-window results in completion order."""
-        return [record.value for record in self.outcomes]
-
-
 class BaselineRootMixin:
     """Root-side record collection shared by all baseline roots."""
 
@@ -117,7 +86,7 @@ class BaselineRootMixin:
         self._records: list[WindowRecord] = []
 
     @property
-    def records(self) -> list[WindowRecord]:
+    def outcomes(self) -> list[WindowRecord]:
         """Completed windows in completion order."""
         return list(self._records)
 
@@ -317,128 +286,6 @@ class SummaryRootNode(SimulatedNode, BaselineRootMixin):
         self._emit(window, value, size, finish)
 
 
-class BaselineEngine:
-    """Deploys one baseline's local/root operators and runs workloads.
-
-    ``root(node_id, local_ids=…, ops_per_second=…)`` and ``local(node_id,
-    root_id=…, ops_per_second=…)`` build the operators.
-    """
-
-    def __init__(
-        self,
-        query: QuantileQuery,
-        topology_config: TopologyConfig,
-        *,
-        root: Callable[..., SimulatedNode],
-        local: Callable[..., SimulatedNode],
-        batch_size: int = 512,
-        tracer=None,
-    ) -> None:
-        self._query = query
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
-        self._simulator = Simulator(tracer=self._tracer)
-        local_ids = list(range(1, topology_config.n_local_nodes + 1))
-        self._topology = Topology.build(
-            self._simulator,
-            topology_config,
-            root_factory=lambda node_id, ops: root(
-                node_id, local_ids=local_ids, ops_per_second=ops
-            ),
-            local_factory=lambda node_id, ops: local(
-                node_id, root_id=ROOT_NODE_ID, ops_per_second=ops
-            ),
-        )
-        self._driver = BatchSourceDriver(self._simulator, batch_size=batch_size)
-        if self._tracer.enabled:
-            for node in self._simulator.nodes.values():
-                node.set_tracer(self._tracer)
-
-    @property
-    def simulator(self) -> Simulator:
-        """The underlying discrete-event engine."""
-        return self._simulator
-
-    @property
-    def tracer(self):
-        """The run's span tracer (the shared no-op tracer by default)."""
-        return self._tracer
-
-    @property
-    def topology(self) -> Topology:
-        """The wired deployment."""
-        return self._topology
-
-    @property
-    def root(self) -> SimulatedNode:
-        """The root operator."""
-        return self._simulator.nodes[self._topology.root_id]
-
-    def run(
-        self, streams: "Mapping[int, EventColumns | Sequence[Event]]"
-    ) -> SystemReport:
-        """Feed per-local-node streams (``EventColumns`` or sequences of
-        ``Event``, converted once at the door) and drain the simulation."""
-        assigner = self._query.assigner()
-        all_windows: set[Window] = set()
-        feeds = local_streams(self._topology.local_ids, streams)
-        for local_id, events in feeds.items():
-            operator = self._simulator.nodes[local_id]
-            all_windows.update(self._driver.feed(operator, events, assigner))
-        return self._finish(all_windows, allowed_lateness_ms=0)
-
-    def run_unordered(
-        self,
-        arrivals: Mapping[int, Sequence[tuple[Event, int]]],
-        *,
-        allowed_lateness_ms: int = 0,
-    ) -> SystemReport:
-        """Like :meth:`run`, but events arrive with per-event delays.
-
-        Arrivals later than their window's end plus the allowed lateness
-        are dropped by the operators and counted as late.
-        """
-        assigner = self._query.assigner()
-        all_windows: set[Window] = set()
-        split = local_arrivals(self._topology.local_ids, arrivals)
-        for local_id, (events, arrival_ms) in split.items():
-            operator = self._simulator.nodes[local_id]
-            self._driver.feed_arrivals(operator, events, arrival_ms)
-            all_windows.update(
-                window_segments(event_timestamps(events), assigner)[1]
-            )
-        return self._finish(
-            all_windows, allowed_lateness_ms=allowed_lateness_ms
-        )
-
-    def _finish(
-        self, all_windows: set[Window], *, allowed_lateness_ms: int
-    ) -> SystemReport:
-        ordered = sorted(all_windows)
-        for local_id in self._topology.local_ids:
-            operator = self._simulator.nodes[local_id]
-            self._driver.announce_windows(
-                operator, ordered, allowed_lateness_ms=allowed_lateness_ms
-            )
-
-        final_time = self._simulator.run()
-        records = self.root.records  # type: ignore[attr-defined]
-        latency = LatencyStats()
-        for record in records:
-            latency.add(record.result_time - record.window.end / MS_PER_SECOND)
-        if self._tracer.enabled:
-            self._tracer.registry.counter(
-                "windows_completed_total", "Windows that produced a result."
-            ).inc(len(records))
-            self._tracer.finalize(self._simulator, final_time)
-        return SystemReport(
-            outcomes=records,
-            network=NetworkMetrics.capture(self._simulator),
-            latency=latency,
-            final_time=final_time,
-            events_ingested=self._driver.scheduled_events,
-        )
-
-
 def build_summary_system(
     summary: Summary,
     query: QuantileQuery,
@@ -446,13 +293,13 @@ def build_summary_system(
     *,
     batch_size: int = 512,
     tracer=None,
-) -> BaselineEngine:
+) -> SimulatedDeployment:
     """Deploy the summary pair over ``query``'s tumbling windows."""
-    return BaselineEngine(
-        query,
+    return SimulatedDeployment(
         topology_config,
         root=partial(SummaryRootNode, summary=summary),
         local=partial(SummaryLocalNode, query=query, summary=summary),
+        groups=[(0, query.assigner())],
         batch_size=batch_size,
         tracer=tracer,
     )
@@ -468,9 +315,11 @@ def build_system(
 ):
     """Factory for any system of :data:`SYSTEM_NAMES` by name.
 
-    Dema runs its own engine and Scotty its forwarding pair; desis,
-    tdigest, qdigest and kll run the summary pair with their summary.
-    Returns an engine with a uniform ``run(streams) -> report`` interface.
+    Dema runs its operator pair (:class:`~repro.core.engine.DemaEngine`)
+    and Scotty its forwarding pair; desis, tdigest, qdigest and kll run
+    the summary pair with their summary.  Every one is a
+    :class:`~repro.network.deployment.SimulatedDeployment`, so ``run``,
+    ``run_unordered`` and ``run_via_sensors`` mean the same for each.
     Passing a :class:`~repro.obs.tracer.RecordingTracer` instruments the
     deployment; the default is the shared no-op tracer.
 
@@ -495,11 +344,11 @@ def build_system(
             "queries are a Dema extension"
         )
     if name == "scotty":
-        return BaselineEngine(
-            query,
+        return SimulatedDeployment(
             topology_config,
             root=partial(ScottyRootNode, query=query),
             local=partial(ScottyLocalNode, query=query),
+            groups=[(0, query.assigner())],
             batch_size=batch_size,
             tracer=tracer,
         )

@@ -18,6 +18,7 @@ from types import SimpleNamespace
 from typing import Any
 
 from repro.errors import AggregationError, ConfigurationError
+from repro.network.deployment import SimulatedDeployment
 from repro.network.messages import PartialAggregateMessage
 from repro.streaming.aggregates import (
     AggregationFunction,
@@ -27,7 +28,7 @@ from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.network.topology import TopologyConfig
-from repro.baselines.base import BaselineEngine, Summary, build_summary_system
+from repro.baselines.base import Summary, build_summary_system
 
 __all__ = [
     "PartialSummary",
@@ -150,7 +151,7 @@ def build_partial_system(
     *,
     window_length_ms: int = 1000,
     batch_size: int = 512,
-) -> BaselineEngine:
+) -> SimulatedDeployment:
     """Deploy partial aggregation for a decomposable function by name.
 
     Raises:

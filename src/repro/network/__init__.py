@@ -6,7 +6,8 @@ simulator: nodes exchange typed messages over channels with configurable
 bandwidth and latency, every message has a byte-exact serialized size, and
 each node owns a CPU model with a configurable operations-per-second budget.
 All evaluation metrics — throughput, latency, network cost — are read off the
-simulator clock and the channel byte counters.
+simulator clock and the channel byte counters.  Every system runs as a
+root/local operator pair on one :class:`SimulatedDeployment`.
 """
 
 from repro.network.messages import (
@@ -25,6 +26,7 @@ from repro.network.channels import Channel, ChannelStats
 from repro.network.simulator import Simulator, SimulatedNode, CpuModel
 from repro.network.topology import Topology, TopologyConfig, NodeRole
 from repro.network.metrics import NetworkMetrics, LinkUsage
+from repro.network.deployment import RunReport, SimulatedDeployment
 
 __all__ = [
     "Message",
@@ -47,4 +49,6 @@ __all__ = [
     "NodeRole",
     "NetworkMetrics",
     "LinkUsage",
+    "RunReport",
+    "SimulatedDeployment",
 ]

@@ -150,7 +150,7 @@ def local_streams(
 ) -> dict[int, EventColumns]:
     """Every local's stream as columns (a missing one empty) in
     ``local_ids`` order, after :func:`~repro.streaming.columns.check_streams`:
-    the door of every simulated engine."""
+    the simulated deployment's door for every system."""
     columns = {i: as_event_columns(s) for i, s in streams.items()}
     check_streams(local_ids, columns)
     return {i: columns.get(i, EMPTY_EVENTS) for i in local_ids}
@@ -190,7 +190,7 @@ class BatchSourceDriver:
 
     @property
     def scheduled_events(self) -> int:
-        """Events scheduled across all :meth:`feed` calls."""
+        """Events scheduled so far, plus those accounted externally."""
         return self._scheduled_events
 
     def account_external_events(self, count: int) -> None:
@@ -221,75 +221,14 @@ class BatchSourceDriver:
                 )
         self._scheduled_events += len(events)
 
-    def feed(
-        self,
-        operator: LocalOperator,
-        events: "EventColumns | Iterable[Event]",
-        assigner: WindowAssigner,
-    ) -> list[Window]:
-        """Schedule ``events`` into ``operator``; returns the windows touched.
-
-        Args:
-            operator: The local operator to drive.
-            events: The node's stream in non-decreasing timestamp order, as
-                an ``EventColumns`` or a sequence of ``Event`` (converted
-                here); the operator is handed ``EventColumns`` slices.
-            assigner: Any window assigner (tumbling, sliding, session).  A
-                batch never spans a change of window assignment, holds at
-                most ``batch_size`` events, and arrives at the timestamp of
-                its last event.
-
-        Window completion is *not* scheduled here: in a multi-node deployment
-        every local node must announce every global window (a node whose
-        local window is empty still sends an empty synopsis batch), so the
-        caller unions the windows of all nodes and then calls
-        :meth:`announce_windows` per operator.
-
-        Returns:
-            The windows this node's events touch, in chronological order.
-
-        Raises:
-            ConfigurationError: If timestamps regress; nothing is scheduled.
-        """
-        events = as_event_columns(events)
-        timestamps = event_timestamps(events, ordered=True)
-        starts, windows = window_segments(timestamps, assigner)
-        self.schedule_batches(operator, events, timestamps, starts)
-        return windows
-
-    def feed_unordered(
-        self,
-        operator: LocalOperator,
-        arrivals: Sequence[tuple[Event, int]],
-        assigner: WindowAssigner,
-    ) -> list[Window]:
-        """Schedule events by *arrival* time; arrivals may be out of order
-        with respect to event time.
-
-        Args:
-            operator: The local operator to drive.
-            arrivals: ``(event, arrival_ms)`` pairs in any order.
-            assigner: Windows framing the stream (by event time).
-
-        Returns:
-            The windows the events belong to, in chronological order.
-            Combine with :meth:`announce_windows` and a positive
-            ``allowed_lateness_ms`` to tolerate the disorder; events whose
-            window was sealed before they arrived are dropped by the
-            operator and counted as late.
-        """
-        events, arrival_ms = split_arrivals(arrivals)
-        self.feed_arrivals(operator, events, arrival_ms)
-        return window_segments(event_timestamps(events), assigner)[1]
-
     def feed_arrivals(
         self,
         operator: LocalOperator,
-        events: "EventColumns | Iterable[Event]",
+        events: EventColumns,
         arrival_ms: np.ndarray,
     ) -> None:
-        """Schedule a stream by its arrival column (:meth:`feed_unordered`
-        without the window bookkeeping).
+        """Schedule a stream by its arrival column; arrivals may be out of
+        order with respect to event time.
 
         Events are delivered in ``(arrival_ms, position)`` order.  A batch
         only groups events sharing one arrival instant, so nothing is
@@ -298,7 +237,6 @@ class BatchSourceDriver:
         Raises:
             ConfigurationError: If an arrival time is negative.
         """
-        events = as_event_columns(events)
         order = np.argsort(arrival_ms, kind="stable")
         arrival_ms = arrival_ms[order]
         if len(order) and arrival_ms[0] < 0:

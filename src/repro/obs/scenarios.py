@@ -26,7 +26,7 @@ class ScenarioResult:
     name: str
     description: str
     tracer: RecordingTracer
-    report: object  # DemaRunReport; typed loosely to keep imports light
+    report: object  # RunReport; typed loosely to keep imports light
 
 
 def _quickstart(tracer: RecordingTracer, seed: int):

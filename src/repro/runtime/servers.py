@@ -86,6 +86,7 @@ from repro.obs.fleet.uplink import pump
 from repro.obs.live.context import (
     TraceContext,
     context_scope,
+    set_context,
     should_sample,
     trace_id_for_window,
 )
@@ -255,6 +256,7 @@ class NodeHost:
                     message=message,
                 )
             )
+        token = None
         if self.wire_tracing and context is not None and context.sampled:
             name = _LIVE_SPAN_NAMES.get(type(message), "live_dispatch")
             span_id = self.tracer.begin(
@@ -264,13 +266,15 @@ class NodeHost:
                 trace_id=context.trace_id,
                 wire_bytes=message.wire_bytes,
             )
-            with context_scope(context.child(span_id)):
-                self.node.on_message(message, now)
-                await self.flush()
-            self.tracer.end(span_id, self.fabric.now)
-        else:
+            token = set_context(context.child(span_id))
+        try:
             self.node.on_message(message, now)
             await self.flush()
+        finally:
+            if token is not None:
+                token.var.reset(token)
+        if token is not None:
+            self.tracer.end(span_id, self.fabric.now)
 
     def _resolve(self, dst: int, message: Message) -> int:
         """The peer whose stream carries ``message`` toward ``dst``."""
@@ -1469,6 +1473,7 @@ class LocalServer(NodeHost):
         ):
             window = Window(self._next_start, self._next_start + length)
             now = self.fabric.now
+            token = None
             if self.wire_tracing:
                 # The seal is a trace *root*: caused by the minimum
                 # watermark over every stream, so it parents on no single
@@ -1480,20 +1485,17 @@ class LocalServer(NodeHost):
                         "live_synopsis", self.node_id, now,
                         window=window, trace_id=trace_id,
                     )
-                    scope = context_scope(
-                        TraceContext(trace_id, span_id)
-                    )
-                    with scope:
-                        self.node.on_window_complete(window, now)
-                        self.seal_walls[window] = now
-                        self._next_start += length
-                        await self.flush()
-                    self.tracer.end(span_id, self.fabric.now)
-                    continue
-            self.node.on_window_complete(window, now)
-            self.seal_walls[window] = now
-            self._next_start += length
-            await self.flush()
+                    token = set_context(TraceContext(trace_id, span_id))
+            try:
+                self.node.on_window_complete(window, now)
+                self.seal_walls[window] = now
+                self._next_start += length
+                await self.flush()
+            finally:
+                if token is not None:
+                    token.var.reset(token)
+            if token is not None:
+                self.tracer.end(span_id, self.fabric.now)
 
     async def _advance_query_plane(self) -> None:
         """Seal query-group windows behind the min stream watermark."""
@@ -1671,7 +1673,7 @@ class StreamServer:
                     sender=self.stream_id, window=span,
                     watermark_time=last_ts,
                 )
-            span_id = 0
+            token = None
             if self.wire_tracing:
                 # One window per batch ⇒ one trace per batch.
                 window_start = window_index * length
@@ -1684,25 +1686,21 @@ class StreamServer:
                         trace_id=trace_id,
                         events=len(batch),
                     )
-                    with context_scope(TraceContext(trace_id, span_id)):
-                        # Batch + sealing watermark coalesce into one
-                        # writev/drain when the transport supports it.
-                        if watermark_message is not None and send_many:
-                            await send_many(
-                                (batch_message, watermark_message)
-                            )
-                        else:
-                            await stream.send(batch_message)
-                            if watermark_message is not None:
-                                await stream.send(watermark_message)
-                    self.tracer.end(span_id, loop.time() - clock_zero)
-            if not span_id:
+                    token = set_context(TraceContext(trace_id, span_id))
+            try:
+                # Batch + sealing watermark coalesce into one writev/drain
+                # when the transport supports it.
                 if watermark_message is not None and send_many:
                     await send_many((batch_message, watermark_message))
                 else:
                     await stream.send(batch_message)
                     if watermark_message is not None:
                         await stream.send(watermark_message)
+            finally:
+                if token is not None:
+                    token.var.reset(token)
+            if token is not None:
+                self.tracer.end(span_id, loop.time() - clock_zero)
             self.events_sent += len(batch)
         await stream.send(
             WatermarkMessage(

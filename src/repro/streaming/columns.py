@@ -342,7 +342,7 @@ def as_event_columns(events: "EventColumns | Iterable[Event]") -> EventColumns:
     """``events`` as a batch: itself if columnar, else built from objects.
 
     The one door every public entry point converts at — the live cluster,
-    the simulated engines, the driver, the sensors and the in-memory
+    the simulated deployment, the sensors and the in-memory
     ``dema_quantile(s)`` / ``calculate_quantile`` — so nothing behind them
     asks which form it was handed.
     """
@@ -354,15 +354,17 @@ def as_event_columns(events: "EventColumns | Iterable[Event]") -> EventColumns:
 def check_streams(
     local_ids: Collection[int], streams: Mapping[int, EventColumns]
 ) -> None:
-    """Refuse streams of locals not in ``local_ids``, and a local's stream
-    that carries another node's events: synopsis keys order events as
-    ``(value, node_id, seq)`` does only if every local's events carry its
-    own id (:mod:`repro.core.synopsis`), else a ``-0.0``/``0.0`` tie could
-    take the other sign bit.  One vectorised comparison per stream.
+    """Refuse streams of locals not in ``local_ids``, a local's stream
+    that carries another node's events, and a NaN value: synopsis keys
+    order events as ``(value, node_id, seq)`` does only if every local's
+    events carry its own id (:mod:`repro.core.synopsis`), else a
+    ``-0.0``/``0.0`` tie could take the other sign bit, and a NaN has no
+    rank at all.  Two vectorised passes per stream.
 
     Raises:
         ConfigurationError: Naming the unknown locals, or the first local
-            with a foreign id and that id.
+            with a foreign id and that id, or the first local with a NaN
+            value and its first NaN row.
     """
     unknown = set(streams) - set(local_ids)
     if unknown:
@@ -376,6 +378,12 @@ def check_streams(
                 f"local {local_id}'s stream carries events of node "
                 f"{int(events.node_ids[foreign.argmax()])}; a local's "
                 "events must carry its own id"
+            )
+        nan = _np.isnan(events.values)
+        if nan.any():
+            raise ConfigurationError(
+                f"local {local_id}'s stream has a NaN value at row "
+                f"{int(nan.argmax())}; a quantile needs ordered values"
             )
 
 

@@ -108,14 +108,14 @@ class TestRoot:
         self.send_run(simulator, senders[1], [1, 3, 5], 1)
         self.send_run(simulator, senders[2], [2, 4], 2)
         simulator.run()
-        assert root.records[0].value == 3.0
-        assert root.records[0].global_window_size == 5
+        assert root.outcomes[0].value == 3.0
+        assert root.outcomes[0].global_window_size == 5
 
     def test_waits_for_all_runs(self):
         simulator, root, senders = self.deploy()
         self.send_run(simulator, senders[1], [1, 2], 1)
         simulator.run()
-        assert root.records == []
+        assert root.outcomes == []
         assert root.open_windows == 1
 
     def test_empty_global_window(self):
@@ -123,7 +123,7 @@ class TestRoot:
         self.send_run(simulator, senders[1], [], 1)
         self.send_run(simulator, senders[2], [], 2)
         simulator.run()
-        assert root.records[0].value is None
+        assert root.outcomes[0].value is None
 
     def test_duplicate_run_rejected(self):
         simulator, root, senders = self.deploy()

@@ -135,7 +135,7 @@ class TestFullSystem:
         message = QDigestMessage(sender=1, window=WINDOW, nodes=(), local_count=0)
         simulator.schedule(1.0, lambda t: sender.send(message, 0, t))
         simulator.run()
-        assert root.records[0].value is None
+        assert root.outcomes[0].value is None
 
     def test_duplicate_digest_rejected(self):
         simulator = Simulator()

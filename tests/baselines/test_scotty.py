@@ -111,16 +111,16 @@ class TestRoot:
                 1.0, lambda t, s=senders[local_id], m=wm: s.send(m, 0, t)
             )
         simulator.run()
-        assert len(root.records) == 1
-        assert root.records[0].value == 5.0
-        assert root.records[0].global_window_size == 5
+        assert len(root.outcomes) == 1
+        assert root.outcomes[0].value == 5.0
+        assert root.outcomes[0].global_window_size == 5
 
     def test_waits_for_all_watermarks(self):
         simulator, root, senders = deploy_root()
         wm = WatermarkMessage(sender=1, window=WINDOW, watermark_time=1000)
         simulator.schedule(1.0, lambda t: senders[1].send(wm, 0, t))
         simulator.run()
-        assert root.records == []
+        assert root.outcomes == []
 
     def test_empty_window_emits_none(self):
         simulator, root, senders = deploy_root()
@@ -132,8 +132,8 @@ class TestRoot:
                 1.0, lambda t, s=senders[local_id], m=wm: s.send(m, 0, t)
             )
         simulator.run()
-        assert root.records[0].value is None
-        assert root.records[0].is_empty
+        assert root.outcomes[0].value is None
+        assert root.outcomes[0].is_empty
 
     def test_unexpected_message_rejected(self):
         simulator, root, senders = deploy_root()

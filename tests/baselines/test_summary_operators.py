@@ -122,7 +122,7 @@ def test_empty_window_ships_empty_summary_and_answers_none(name):
     simulator, root, senders = deploy_root(summary, local_ids=(1,))
     simulator.schedule(1.0, lambda t: senders[1].send(message, 0, t))
     simulator.run()
-    (record,) = root.records
+    (record,) = root.outcomes
     assert record.value is None
     assert record.global_window_size == 0
     assert root.open_windows == 0
@@ -134,13 +134,13 @@ def test_root_waits_for_every_local(name):
     first = shipped(summary, 1, [1.0, 3.0, 5.0])
     simulator.schedule(1.0, lambda t: senders[1].send(first, 0, t))
     simulator.run()
-    assert root.records == []
+    assert root.outcomes == []
     assert root.open_windows == 1
 
     second = shipped(summary, 2, [2.0, 4.0])
     simulator.schedule(2.0, lambda t: senders[2].send(second, 0, t))
     simulator.run()
-    (record,) = root.records
+    (record,) = root.outcomes
     assert record.value is not None
     assert record.global_window_size == 5
     assert root.open_windows == 0

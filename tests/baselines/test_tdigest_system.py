@@ -120,7 +120,7 @@ class TestRoot:
                 1.0, lambda t, s=senders[node_id], m=message: s.send(m, 0, t)
             )
         simulator.run()
-        record = root.records[0]
+        record = root.outcomes[0]
         truth = sorted(values_a + values_b)[4_999]
         assert record.value == pytest.approx(truth, rel=0.02)
         assert record.global_window_size == 10_000
@@ -130,7 +130,7 @@ class TestRoot:
         message = self.make_digest_message([1.0, 2.0], 1)
         simulator.schedule(1.0, lambda t: senders[1].send(message, 0, t))
         simulator.run()
-        assert root.records == []
+        assert root.outcomes == []
 
     def test_empty_window(self):
         simulator, root, senders = self.deploy()
@@ -140,7 +140,7 @@ class TestRoot:
                 1.0, lambda t, s=senders[node_id], m=message: s.send(m, 0, t)
             )
         simulator.run()
-        assert root.records[0].value is None
+        assert root.outcomes[0].value is None
 
     def test_duplicate_digest_rejected(self):
         simulator, root, senders = self.deploy()

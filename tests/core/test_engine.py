@@ -1,6 +1,7 @@
 """Tests for the Dema engine facade (in-memory and simulated)."""
 
 import random
+import struct
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
 from repro.streaming.events import Event, make_events
 from repro.streaming.windows import TumblingWindows
-from repro.baselines.base import build_system
+from repro.baselines.base import SYSTEM_NAMES, build_system
 from repro.baselines.partial import build_partial_system
 from repro.core.engine import DemaEngine, dema_quantile
 from repro.core.query import QuantileQuery
@@ -665,10 +666,14 @@ class TestOwnIdsAtTheDoor:
     """A local's stream must carry its own id: synopsis keys are ``(value,
     owner, position)``, which order events as ``(value, node_id, seq)``
     only then, so a ``-0.0``/``0.0`` tie across a foreign id could come out
-    with the wrong sign bit.  Every simulated door refuses such a stream up
-    front, naming the local and the foreign id."""
+    with the wrong sign bit.  Nor may it carry a NaN, which has no rank.
+    Every door of every system refuses such a stream up front, naming the
+    local and the foreign id or the first NaN row."""
 
     REFUSAL = "local 1's stream carries events of node 2"
+    NAN_REFUSAL = "local 1's stream has a NaN value at row 1"
+    SYSTEMS = ["dema", "scotty", "tdigest"]
+    DOORS = ["run", "run_unordered", "run_via_sensors"]
 
     def streams(self):
         # Local 1 holds -0.0 stamped with node 2's id; local 2 holds 0.0.
@@ -678,31 +683,64 @@ class TestOwnIdsAtTheDoor:
             2: [Event(value=0.0, timestamp=5, node_id=2, seq=0)],
         }
 
-    @pytest.mark.parametrize("system", ["dema", "scotty", "tdigest"])
-    def test_run_refuses_a_foreign_id(self, system):
-        engine = build_system(system, QuantileQuery(q=0.5, gamma=2),
-                              TopologyConfig(n_local_nodes=2))
-        with pytest.raises(ConfigurationError, match=self.REFUSAL):
-            engine.run(self.streams())
-
-    @pytest.mark.parametrize("system", ["dema", "scotty", "tdigest"])
-    def test_run_unordered_refuses_a_foreign_id(self, system):
-        engine = build_system(system, QuantileQuery(q=0.5, gamma=2),
-                              TopologyConfig(n_local_nodes=2))
-        arrivals = {
-            node: [(event, event.timestamp) for event in events]
-            for node, events in self.streams().items()
+    def nan_streams(self):
+        # Own ids throughout; local 1's second row is NaN.
+        return {
+            1: [Event(value=1.0, timestamp=5, node_id=1, seq=0),
+                Event(value=float("nan"), timestamp=6, node_id=1, seq=1),
+                Event(value=2.0, timestamp=7, node_id=1, seq=2)],
+            2: [Event(value=0.0, timestamp=5, node_id=2, seq=0)],
         }
-        with pytest.raises(ConfigurationError, match=self.REFUSAL):
-            engine.run_unordered(arrivals)
 
-    def test_run_via_sensors_refuses_a_foreign_id(self):
-        engine = DemaEngine(
-            QuantileQuery(q=0.5, gamma=2),
-            TopologyConfig(n_local_nodes=2, streams_per_local=1),
+    def enter(self, system, door, streams):
+        """Hand ``streams`` to one door of a two-local ``system``."""
+        sensors = 1 if door == "run_via_sensors" else 0
+        engine = build_system(
+            system, QuantileQuery(q=0.5, gamma=2),
+            TopologyConfig(n_local_nodes=2, streams_per_local=sensors),
         )
+        if door == "run_unordered":
+            return engine.run_unordered({
+                node: [(event, event.timestamp) for event in events]
+                for node, events in streams.items()
+            })
+        return getattr(engine, door)(streams)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_run_refuses_a_foreign_id(self, system):
         with pytest.raises(ConfigurationError, match=self.REFUSAL):
-            engine.run_via_sensors(self.streams())
+            self.enter(system, "run", self.streams())
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_run_unordered_refuses_a_foreign_id(self, system):
+        with pytest.raises(ConfigurationError, match=self.REFUSAL):
+            self.enter(system, "run_unordered", self.streams())
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_run_via_sensors_refuses_a_foreign_id(self, system):
+        with pytest.raises(ConfigurationError, match=self.REFUSAL):
+            self.enter(system, "run_via_sensors", self.streams())
+
+    @pytest.mark.parametrize("door", DOORS)
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_every_door_refuses_nan(self, system, door):
+        with pytest.raises(ConfigurationError, match=self.NAN_REFUSAL):
+            self.enter(system, door, self.nan_streams())
+
+    def test_run_live_refuses_nan_before_any_server_starts(self, monkeypatch):
+        from repro.runtime import cluster
+
+        def no_server(*args, **kwargs):
+            raise AssertionError("a server started")
+
+        for host in ("RootServer", "LocalServer", "RelayServer", "StreamServer"):
+            monkeypatch.setattr(cluster, host, no_server)
+        config = cluster.LiveClusterConfig(
+            n_locals=2, query=QuantileQuery(q=0.5, gamma=2),
+            transport="memory", timeout_s=10.0,
+        )
+        with pytest.raises(ConfigurationError, match=self.NAN_REFUSAL):
+            cluster.run_live(config, self.nan_streams())
 
     def test_own_ids_pass(self):
         streams = self.streams()
@@ -712,3 +750,31 @@ class TestOwnIdsAtTheDoor:
         )
         (outcome,) = engine.run(streams).outcomes
         assert outcome.value == 0.0
+
+
+def _value_bits(report):
+    """``{window: value bits}`` of a run (``None`` for an empty window)."""
+    return {
+        o.window: None if o.value is None else struct.pack("<d", o.value)
+        for o in report.outcomes
+    }
+
+
+@pytest.mark.parametrize("system", SYSTEM_NAMES)
+def test_every_system_runs_through_the_sensor_tier(system):
+    """One deployment, so every system has the three-tier door; the exact
+    ones answer every window with ``run``'s value bits."""
+    streams = workload_columns([1, 2], DOOR_CONFIG)
+    query = QuantileQuery(q=0.5, window_length_ms=1000, gamma=40)
+    via_sensors = build_system(
+        system, query, TopologyConfig(n_local_nodes=2, streams_per_local=1)
+    ).run_via_sensors(streams)
+    direct = build_system(
+        system, query, TopologyConfig(n_local_nodes=2)
+    ).run(streams)
+    assert via_sensors.events_ingested == direct.events_ingested
+    assert [o.window for o in via_sensors.outcomes_for(0)] == [
+        o.window for o in direct.outcomes_for(0)
+    ]
+    if system in ("dema", "scotty", "desis"):
+        assert _value_bits(via_sensors) == _value_bits(direct)

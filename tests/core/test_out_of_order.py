@@ -7,11 +7,11 @@ import pytest
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.network.simulator import Simulator
-from repro.network.driver import BatchSourceDriver
+from repro.network.driver import BatchSourceDriver, split_arrivals
 from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
 from repro.streaming.events import make_events
-from repro.streaming.windows import TumblingWindows, Window
+from repro.streaming.windows import Window
 from repro.bench.generator import GeneratorConfig, SensorStreamGenerator
 from repro.testing import verify_outcomes
 
@@ -90,7 +90,7 @@ class TestFeedUnordered:
         operator = self.Recorder()
         events = make_events([1.0, 2.0, 3.0], timestamp_step=100)
         arrivals = [(events[0], 250), (events[1], 100), (events[2], 210)]
-        driver.feed_unordered(operator, arrivals, TumblingWindows(1000))
+        driver.feed_arrivals(operator, *split_arrivals(arrivals))
         simulator.run()
         delivered = [e.value for batch, _ in operator.batches for e in batch]
         assert delivered == [2.0, 3.0, 1.0]
@@ -102,7 +102,7 @@ class TestFeedUnordered:
         driver = BatchSourceDriver(simulator)
         operator = self.Recorder()
         events = make_events([1.0], timestamp_step=1)
-        driver.feed_unordered(operator, [(events[0], 777)], TumblingWindows(1000))
+        driver.feed_arrivals(operator, *split_arrivals([(events[0], 777)]))
         simulator.run()
         assert operator.batches[0][1] == pytest.approx(0.777)
 
@@ -114,9 +114,7 @@ class TestFeedUnordered:
         operator = self.Recorder()
         events = make_events([1.0])
         with pytest.raises(ConfigurationError):
-            driver.feed_unordered(
-                operator, [(events[0], -1)], TumblingWindows(1000)
-            )
+            driver.feed_arrivals(operator, *split_arrivals([(events[0], -1)]))
 
 
 class TestAllowedLateness:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
 from repro.network.simulator import Simulator
-from repro.streaming.columns import EventColumns
+from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event, make_events
 from repro.streaming.windows import (
     SessionWindows,
@@ -37,13 +37,24 @@ class RecordingOperator:
         self.completed.append((window, now))
 
 
+def feed(driver, operator, events, assigner):
+    """Schedule one local's stream the way ``SimulatedDeployment.run``
+    does: cut at every change of window assignment, then into batches.
+    Returns the windows the stream touches."""
+    events = as_event_columns(events)
+    timestamps = event_timestamps(events, ordered=True)
+    starts, windows = window_segments(timestamps, assigner)
+    driver.schedule_batches(operator, events, timestamps, starts)
+    return windows
+
+
 class TestFeed:
     def test_events_arrive_at_event_time(self):
         simulator = Simulator()
         driver = BatchSourceDriver(simulator, batch_size=2)
         operator = RecordingOperator()
         events = make_events([1, 2, 3, 4], timestamp_step=100)
-        driver.feed(operator, events, TumblingWindows(1000))
+        feed(driver, operator, events, TumblingWindows(1000))
         simulator.run()
         # Batches arrive at the timestamp of their last event.
         arrivals = [now for _, now in operator.batches]
@@ -54,7 +65,7 @@ class TestFeed:
         driver = BatchSourceDriver(simulator, batch_size=3)
         operator = RecordingOperator()
         events = make_events(range(10), timestamp_step=10)
-        driver.feed(operator, events, TumblingWindows(1000))
+        feed(driver, operator, events, TumblingWindows(1000))
         simulator.run()
         delivered = [e for batch, _ in operator.batches for e in batch]
         assert delivered == events
@@ -66,7 +77,7 @@ class TestFeed:
         operator = RecordingOperator()
         assigner = TumblingWindows(50)
         events = make_events(range(10), timestamp_step=10)
-        driver.feed(operator, events, assigner)
+        feed(driver, operator, events, assigner)
         simulator.run()
         for batch, _ in operator.batches:
             windows = {assigner.window_for(e.timestamp) for e in batch}
@@ -77,7 +88,7 @@ class TestFeed:
         driver = BatchSourceDriver(simulator)
         operator = RecordingOperator()
         events = make_events([1, 2], timestamp_step=1500)
-        windows = driver.feed(operator, events, TumblingWindows(1000))
+        windows = feed(driver, operator, events, TumblingWindows(1000))
         assert windows == [Window(0, 1000), Window(1000, 2000)]
 
     def test_regressing_timestamps_rejected(self):
@@ -89,7 +100,7 @@ class TestFeed:
             Event(value=2.0, timestamp=5, node_id=0, seq=1),
         ]
         with pytest.raises(ConfigurationError, match="saw 5 after 10"):
-            driver.feed(operator, events, TumblingWindows(1000))
+            feed(driver, operator, events, TumblingWindows(1000))
         assert driver.scheduled_events == 0
 
     def test_columnar_stream_is_delivered_as_column_slices(self):
@@ -103,8 +114,9 @@ class TestFeed:
                 return now
 
         events = make_events(range(7), timestamp_step=10)
-        driver.feed(
-            Keeper(), EventColumns.from_events(events), TumblingWindows(50)
+        feed(
+            driver, Keeper(), EventColumns.from_events(events),
+            TumblingWindows(50),
         )
         simulator.run()
         assert all(isinstance(batch, EventColumns) for batch in batches)
@@ -115,7 +127,7 @@ class TestFeed:
         simulator = Simulator()
         driver = BatchSourceDriver(simulator)
         operator = RecordingOperator()
-        assert driver.feed(operator, [], TumblingWindows(1000)) == []
+        assert feed(driver, operator, [], TumblingWindows(1000)) == []
         assert driver.scheduled_events == 0
 
 
@@ -151,8 +163,8 @@ class TestValidation:
 
 
 def reference_feed(simulator, operator, events, assigner, batch_size):
-    """The per-event loop ``BatchSourceDriver.feed`` replaced, kept as the
-    test-only reference: three ``assign`` calls per event.  Returns
+    """The per-event loop the segmenter replaced, kept as the test-only
+    reference: three ``assign`` calls per event.  Returns
     ``(windows, scheduled_events)``."""
     windows = set()
     batch = []
@@ -220,10 +232,10 @@ def _stream(start, gaps):
     ]
 
 
-def _run(feed):
+def _run(schedule):
     simulator = Simulator()
     operator = RecordingOperator()
-    result = feed(simulator, operator)
+    result = schedule(simulator, operator)
     simulator.run()
     return result, operator.batches
 
@@ -245,13 +257,13 @@ class TestSegmenterMatchesThePerEventLoop:
             lambda sim, op: reference_feed(sim, op, events, assigner, batch_size)
         )
 
-        def feed(simulator, operator):
+        def segmented(simulator, operator):
             driver = BatchSourceDriver(simulator, batch_size=batch_size)
             stream = EventColumns.from_events(events) if columnar else events
-            windows = driver.feed(operator, stream, assigner)
+            windows = feed(driver, operator, stream, assigner)
             return windows, driver.scheduled_events
 
-        got, got_batches = _run(feed)
+        got, got_batches = _run(segmented)
         assert got == expected
         # RecordingOperator stores tuple(batch): column slices compare as
         # the events they hold, arrival instants as exact floats.
@@ -279,7 +291,7 @@ class TestSegmenterMatchesThePerEventLoop:
         stream = EventColumns.from_events(events) if columnar else events
         driver = BatchSourceDriver(Simulator(), batch_size=8)
         try:
-            driver.feed(RecordingOperator(), stream, assigner)
+            feed(driver, RecordingOperator(), stream, assigner)
         except ConfigurationError as error:
             assert str(error) == expected
             assert driver.scheduled_events == 0

@@ -127,9 +127,8 @@ def test_lossy_channel_conservation(loss_rate, seed, n_messages):
 )
 @settings(max_examples=150, deadline=None)
 def test_unordered_feed_delivers_everything_in_arrival_order(spec):
-    from repro.network.driver import BatchSourceDriver
+    from repro.network.driver import BatchSourceDriver, split_arrivals
     from repro.network.simulator import Simulator
-    from repro.streaming.windows import TumblingWindows
 
     events = make_events(
         [float(i) for i in range(len(spec))], timestamp_step=0
@@ -154,7 +153,7 @@ def test_unordered_feed_delivers_everything_in_arrival_order(spec):
 
     simulator = Simulator()
     driver = BatchSourceDriver(simulator)
-    driver.feed_unordered(Recorder(), arrivals, TumblingWindows(1000))
+    driver.feed_arrivals(Recorder(), *split_arrivals(arrivals))
     simulator.run()
 
     assert len(received) == len(arrivals)

@@ -64,6 +64,10 @@ boundaries follow on every link — and no per-slice record struct,
 slice's first, so a per-link or per-slice layout cannot grow back beside
 it.
 
+One keeps the simulated side to one deployment: ``Simulator`` and
+``BatchSourceDriver`` are each constructed in one function, the
+``SimulatedDeployment`` every system's operator pair runs on.
+
 The last keeps exactness checked one way: ``repro.testing`` defines the one
 window oracle and the one grader, and the query plane's two names for them
 in ``queries/oracle.py`` only call into it, so a per-path oracle or grader
@@ -101,6 +105,7 @@ EXPECTED_MARKED = {
     "core/synopsis.py",
     "core/window_cut.py",
     "mesh/relay.py",
+    "network/deployment.py",
     "network/driver.py",
     "network/sources.py",
     "queries/local.py",
@@ -256,6 +261,7 @@ def test_simulated_path_forks_on_representation_only_where_listed():
 #: event must not grow back.
 SEGMENTED_MODULES = (
     "network/driver.py",
+    "network/deployment.py",
     "core/engine.py",
     "core/local_node.py",
 )
@@ -337,14 +343,35 @@ def _constructions(source, names):
     }
 
 
-def test_each_host_is_constructed_in_exactly_one_function():
+def _construction_sites(names):
+    """``{name: {(module, innermost function)}}`` over the package."""
     sites = {}
     for path in sorted(PACKAGE_ROOT.rglob("*.py")):
-        name = path.relative_to(PACKAGE_ROOT).as_posix()
-        for host, scope in _constructions(path.read_text(), HOST_CONSTRUCTORS):
-            sites.setdefault(host, set()).add((name, scope))
-    assert sites == {
+        module = path.relative_to(PACKAGE_ROOT).as_posix()
+        for name, scope in _constructions(path.read_text(), names):
+            sites.setdefault(name, set()).add((module, scope))
+    return sites
+
+
+def test_each_host_is_constructed_in_exactly_one_function():
+    assert _construction_sites(HOST_CONSTRUCTORS) == {
         host: {site} for host, site in HOST_CONSTRUCTORS.items()
+    }
+
+
+#: One simulated deployment: the simulator and its batch driver are each
+#: constructed in exactly one function of the package — the deployment
+#: Dema and every baseline run on.  A second site is a second engine (with
+#: its own build, feed, announce and collect loop) growing back.
+SIMULATOR_CONSTRUCTORS = {
+    "Simulator": ("network/deployment.py", "__init__"),
+    "BatchSourceDriver": ("network/deployment.py", "__init__"),
+}
+
+
+def test_the_simulator_is_constructed_in_exactly_one_function():
+    assert _construction_sites(SIMULATOR_CONSTRUCTORS) == {
+        name: {site} for name, site in SIMULATOR_CONSTRUCTORS.items()
     }
 
 
