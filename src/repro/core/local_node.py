@@ -95,9 +95,12 @@ class DemaLocalNode(SimulatedNode):
         #: replay source — so mesh hosts turn this off and each release
         #: frees exactly its own window.
         self._cumulative_releases = cumulative_releases
-        self._open: dict[tuple[int, Window], SortedLocalWindow] = {}
+        #: Open and sealed windows as ``(group_id, start, end)``: ingest
+        #: looks them up once per batch, and a tuple of ints hashes in C
+        #: where a ``Window``'s dataclass hash runs Python.
+        self._open: dict[tuple[int, int, int], SortedLocalWindow] = {}
+        self._completed: set[tuple[int, int, int]] = set()
         self._sealed: dict[tuple[int, Window], _Sealed] = {}
-        self._completed: set[tuple[int, Window]] = set()
         self._events_ingested = 0
         self._windows_completed = 0
         self._late_events = 0
@@ -192,14 +195,15 @@ class DemaLocalNode(SimulatedNode):
         inserts: list[tuple[int, int]] = []  # (size before, rows added)
         for group_id, length, step in self._shapes:
             for start, rows in events.by_window(length, step):
-                key = (group_id, Window(start, start + length))
+                added = len(rows)
+                key = (group_id, start, start + length)
                 if key in self._completed:
-                    self._late_events += len(rows)
+                    self._late_events += added
                     continue
                 sorted_window = self._open.get(key)
                 if sorted_window is None:
                     sorted_window = self._open[key] = SortedLocalWindow()
-                inserts.append((len(sorted_window), len(rows)))
+                inserts.append((len(sorted_window), added))
                 sorted_window.add_all(rows)
         ops = INGEST_OPS * n_events + self._insert_ops(inserts, n_events)
         self._events_ingested += n_events
@@ -245,7 +249,7 @@ class DemaLocalNode(SimulatedNode):
         empty synopsis batch so the root's completeness check can fire.
         Completion is idempotent: repeated announcements are ignored.
         """
-        key = (group_id, window)
+        key = (group_id, window.start, window.end)
         if key in self._completed:
             return
         self._completed.add(key)

@@ -73,9 +73,10 @@ class SortedLocalWindow:
         """
         if self._sealed:
             raise SliceError("cannot add events to a sealed window")
-        if len(events):
+        n = len(events)
+        if n:
             self._chunks.append(events)
-            self._chunked += len(events)
+            self._chunked += n
 
     def seal(self) -> EventColumns:
         """Close the window and return its events in sorted order.

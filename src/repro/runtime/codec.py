@@ -28,6 +28,7 @@ simulator's byte accounting and old captures valid.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -165,6 +166,13 @@ TAG_BY_TYPE: dict[type, int] = {
 
 TYPE_BY_TAG: dict[int, type] = {tag: cls for cls, tag in TAG_BY_TYPE.items()}
 
+#: A frame's length prefix and fixed header, packed in one call.
+_FRAME_HEAD = struct.Struct(
+    wire.LENGTH_PREFIX.format + wire.HEADER.format.lstrip("<")
+)
+
+_EVENT_BATCH_TAG = TAG_BY_TYPE[EventBatchMessage]
+
 
 def tag_of(message: Message) -> int:
     """Wire type tag for ``message`` (exact type, not isinstance)."""
@@ -181,13 +189,20 @@ def tag_of(message: Message) -> int:
 # ----------------------------------------------------------------------
 
 
-def _encode_events(events: EventColumns) -> bytes:
-    # A columnar batch already *is* the wire layout.
-    return wire.COUNT.pack(len(events)) + events.to_wire()
+def _event_batch_payload(events: EventColumns) -> "tuple[tuple, int]":
+    """The payload as parts of the frame's one join — the count, then the
+    batch's records as they lie (a columnar batch already *is* the wire
+    layout; a strided one is copied once, whole records at a time) — and
+    its length in bytes."""
+    n = len(events)
+    return (
+        (wire.COUNT.pack(n), events.wire_records()),
+        wire.COUNT_BYTES + n * wire.EVENT_WIRE_BYTES,
+    )
 
 
 def _encode_event_batch(m: EventBatchMessage) -> bytes:
-    return _encode_events(m.events)
+    return b"".join(_event_batch_payload(m.events)[0])
 
 
 def _encode_values(values) -> bytes:
@@ -473,18 +488,26 @@ class _Reader:
             )
 
 
-def _decode_events(r: _Reader) -> EventColumns:
-    # The event array is always the payload tail, so hand the remaining
-    # bytes to the columnar constructor, which rejects byte lengths that
-    # are not a multiple of the event stride or disagree with the count —
-    # strict validation instead of iter_unpack's truncation behavior.
-    n = r.count()
-    raw = r.rest()
-    return EventColumns.from_wire(raw, count=n)
+def _event_batch(
+    payload: memoryview, sender: int, window: Window, group_id: int
+) -> EventBatchMessage:
+    """An event-batch payload: the count, then the event array as the
+    payload tail.  The columnar constructor takes the remaining bytes and
+    rejects a length that is not a multiple of the event stride or
+    disagrees with the count — strict validation instead of
+    iter_unpack's truncation behavior."""
+    if len(payload) < wire.COUNT.size:
+        raise CodecError(
+            f"payload truncated: need {wire.COUNT.size} bytes, "
+            f"have {len(payload)}"
+        )
+    (count,) = wire.COUNT.unpack_from(payload)
+    events = EventColumns.from_wire(payload[wire.COUNT.size:], count)
+    return EventBatchMessage(sender, window, group_id, events)
 
 
 def _decode_event_batch(r, sender, window, group_id):
-    return EventBatchMessage(sender, window, group_id, _decode_events(r))
+    return _event_batch(r.rest(), sender, window, group_id)
 
 
 def _values_from_wire(raw: memoryview, count: int):
@@ -870,23 +893,26 @@ def encode_payload(message: Message) -> bytes:
 
 
 def _frame(tag: int, sender: int, group_id: int, start: int, end: int,
-           payload: bytes, context: TraceContext | None = None,
+           payload: tuple, payload_bytes: int,
+           context: TraceContext | None = None,
            section_contexts: "tuple[TraceContext | None, ...]" = ()) -> bytes:
+    """One frame from its header fields and its ``payload`` parts
+    (``payload_bytes`` long in all), built by one join."""
     flags = 0
     extensions = b""
     if context is not None or section_contexts:
         flags = wire.FLAG_EXTENSIONS
         extensions = encode_extensions(context, section_contexts)
-    header = wire.HEADER.pack(
-        wire.WIRE_VERSION, tag, flags, sender, group_id, start, end
-    )
-    length = len(header) + len(extensions) + len(payload)
+    length = wire.HEADER.size + len(extensions) + payload_bytes
     if length > wire.MAX_FRAME_BYTES:
         raise CodecError(
             f"frame of {length} bytes exceeds MAX_FRAME_BYTES "
             f"({wire.MAX_FRAME_BYTES})"
         )
-    return wire.LENGTH_PREFIX.pack(length) + header + extensions + payload
+    head = _FRAME_HEAD.pack(
+        length, wire.WIRE_VERSION, tag, flags, sender, group_id, start, end
+    )
+    return b"".join((head, extensions, *payload))
 
 
 def encode_frame(
@@ -901,13 +927,22 @@ def encode_frame(
     grows by one section-context entry per section — again real,
     reported bytes, and skippable by peers that predate the extension.
     """
+    if type(message) is EventBatchMessage:
+        tag = _EVENT_BATCH_TAG
+        payload, payload_bytes = _event_batch_payload(message.events)
+    else:
+        tag = tag_of(message)
+        payload = (encode_payload(message),)
+        payload_bytes = len(payload[0])
+    window = message.window
     return _frame(
-        tag_of(message),
+        tag,
         message.sender,
         message.group_id,
-        message.window.start,
-        message.window.end,
-        encode_payload(message),
+        window.start,
+        window.end,
+        payload,
+        payload_bytes,
         context,
         getattr(message, "section_contexts", ()),
     )
@@ -920,7 +955,7 @@ def encode_hello(hello: Hello) -> bytes:
         wire.U32.pack(_ROLE_CODES[hello.role])
         + wire.I64.pack(hello.resume_from)
     )
-    return _frame(HELLO_TAG, hello.node_id, 0, 0, 0, payload)
+    return _frame(HELLO_TAG, hello.node_id, 0, 0, 0, (payload,), len(payload))
 
 
 def decode_body_traced(
@@ -955,6 +990,10 @@ def decode_body_traced(
             f"unknown flag bits {flags & ~wire.KNOWN_FLAGS:#06x} "
             f"(known: {wire.KNOWN_FLAGS:#06x})"
         )
+    if tag == _EVENT_BATCH_TAG and not flags:
+        # The hot frame: its payload straight to its decoder, no reader.
+        payload = view[wire.HEADER.size:]
+        return _event_batch(payload, sender, Window(start, end), group_id), None
     reader = _Reader(view[wire.HEADER.size:])
     context: TraceContext | None = None
     section_contexts: "list[TraceContext | None] | None" = None

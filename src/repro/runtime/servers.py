@@ -1429,7 +1429,12 @@ class LocalServer(NodeHost):
                 # A crashed process consumes nothing; the bounded pipe
                 # backpressures the sender until restart() resumes us.
                 await self._resumed.wait()
-            if isinstance(message, WatermarkMessage):
+            if isinstance(message, EventBatchMessage):
+                # First: all but one frame a window is a batch.
+                if self._query_plane is not None:
+                    self._query_plane.ingest(message.events)
+                await self.dispatch(message, stream.last_context)
+            elif isinstance(message, WatermarkMessage):
                 # Host concern: the operator itself rejects watermarks.
                 self._watermarks[hello.node_id] = max(
                     self._watermarks.get(hello.node_id, 0),
@@ -1452,10 +1457,6 @@ class LocalServer(NodeHost):
                     )
                 await self._seal_ready_windows()
                 await self._advance_query_plane()
-            elif isinstance(message, EventBatchMessage):
-                if self._query_plane is not None:
-                    self._query_plane.ingest(message.events)
-                await self.dispatch(message, stream.last_context)
             else:
                 raise TransportError(
                     f"stream {hello.node_id} sent "
@@ -1540,18 +1541,27 @@ def batches_for(
     ``timestamp // window_length_ms`` is chopped at ``batch_size`` — and
     the batches come back as zero-copy slices of ``events``.
     """
+    starts = _batch_starts(events, window_length_ms, batch_size)
+    return [events[i:j] for i, j in zip(starts, starts[1:])]
+
+
+def _batch_starts(
+    events: EventColumns, window_length_ms: int, batch_size: int
+) -> "list[int]":
+    """The first row of every batch :func:`batches_for` cuts, then
+    ``len(events)``."""
     n = len(events)
     if not n:
-        return []
+        return [0]
     size = max(1, batch_size)
     windows = events.timestamps // window_length_ms
     run_starts = np.flatnonzero(windows[1:] != windows[:-1]) + 1
     bounds = [0, *run_starts.tolist(), n]
-    return [
-        events[i:min(i + size, hi)]
-        for lo, hi in zip(bounds, bounds[1:])
-        for i in range(lo, hi, size)
+    starts = [
+        i for lo, hi in zip(bounds, bounds[1:]) for i in range(lo, hi, size)
     ]
+    starts.append(n)
+    return starts
 
 
 class StreamServer:
@@ -1648,9 +1658,13 @@ class StreamServer:
         length = self._window_length_ms
         watermarked_window: int | None = None
         send_many = getattr(stream, "send_many", None)
-        for batch in batches_for(events, length, self._batch_size):
-            first_ts = batch.timestamp_at(0)
-            last_ts = batch.timestamp_at(-1)
+        # Every batch's bounds and first and last timestamps, up front.
+        starts = _batch_starts(events, length, self._batch_size)
+        rows = np.asarray(starts)
+        firsts = events.timestamps[rows[:-1]].tolist()
+        lasts = events.timestamps[rows[1:] - 1].tolist()
+        for lo, hi, first_ts, last_ts in zip(starts, starts[1:], firsts, lasts):
+            batch = events[lo:hi]
             if self._time_scale > 0:
                 target = epoch + (
                     (last_ts - self._grid_start) / _MS_PER_SECOND

@@ -277,6 +277,12 @@ class TcpMessageStream:
                 f"connection died mid-frame ({len(exc.partial)}/{length} "
                 "payload bytes)"
             ) from exc
+        except ConnectionError as exc:
+            # A reset after the prefix is a dead peer too, not a bug of ours.
+            raise TransportError(
+                f"connection died mid-frame (reset before the {length}-byte "
+                f"payload: {exc})"
+            ) from exc
         self.stats.messages_received += 1
         self.stats.bytes_received += wire.LENGTH_PREFIX.size + length
         message, self.last_context = decode_body_traced(body)

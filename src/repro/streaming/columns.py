@@ -78,6 +78,11 @@ EVENT_DTYPE = _np.dtype(
 )
 assert EVENT_DTYPE.itemsize == wire.EVENT_WIRE_BYTES
 
+#: One event as an opaque 20-byte record.  numpy copies a strided batch of
+#: these whole, where a copy of the structured dtype goes field by field
+#: (about a third of the time for 512 records, docs/performance.md).
+_RECORD = _np.dtype((_np.void, EVENT_DTYPE.itemsize))
+
 
 #: Largest timestamp, node id or sequence number the wire layout holds.
 _U32_MAX = 0xFFFFFFFF
@@ -287,12 +292,14 @@ class EventColumns:
             return []
         if step is None:
             step = length
-        lo, hi = self.min_timestamp(), self.max_timestamp()
+        timestamps = self._arr["timestamp"]
+        lo = int(_np.minimum.reduce(timestamps))
+        hi = int(_np.maximum.reduce(timestamps))
         number, last = (lo - length) // step + 1, hi // step
         if (hi - length) // step + 1 == number and lo // step == last:
             return [(k * step, self) for k in range(number, last + 1)]
         # int64: the u32 column wraps below zero and near 2**32.
-        timestamps = self._arr["timestamp"].astype(_np.int64)
+        timestamps = timestamps.astype(_np.int64)
         groups = []
         while number <= last:
             start = number * step
@@ -321,7 +328,14 @@ class EventColumns:
     def to_wire(self) -> bytes:
         """The batch's wire event array — byte-identical to packing each
         event with :data:`repro.runtime.wire.EVENT` in order."""
-        return _np.ascontiguousarray(self._arr).tobytes()
+        return self._arr.view(_RECORD).tobytes()
+
+    def wire_records(self):
+        """The wire event array as a buffer ``bytes.join`` takes: the
+        batch's own records when they are contiguous, else
+        :meth:`to_wire`'s one whole-record copy of a strided batch."""
+        arr = self._arr
+        return arr if arr.flags.c_contiguous else arr.view(_RECORD).tobytes()
 
     # -- sorting --------------------------------------------------------
 
@@ -390,15 +404,14 @@ def check_streams(
 def concat_records(arrays: Sequence, dtype):
     """Concatenate packed structured arrays of one ``dtype``, in order.
 
-    As bytes: numpy concatenates packed records field by field, several
-    times slower than the one copy this is.
+    As opaque records: numpy concatenates (and packs a strided input of)
+    a structured dtype field by field, several times slower than the one
+    whole-record copy this is.
     """
     if not arrays:
         return _np.empty(0, dtype=dtype)
-    raw = _np.concatenate(
-        [_np.ascontiguousarray(arr).view(_np.uint8) for arr in arrays]
-    )
-    return raw.view(dtype)
+    record = _np.dtype((_np.void, dtype.itemsize))
+    return _np.concatenate([arr.view(record) for arr in arrays]).view(dtype)
 
 
 def concat_columns(chunks: Sequence[EventColumns]) -> EventColumns:

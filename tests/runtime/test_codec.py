@@ -92,7 +92,12 @@ windows = st.builds(
 )
 
 events = st.builds(Event, value=f64, timestamp=u32, node_id=u32, seq=u32)
-event_batches = st.lists(events, max_size=30).map(cols)
+#: Contiguous batches, and the strided views a multi-stream replay ships.
+event_batches = st.builds(
+    lambda rows, step: cols(rows)[::step],
+    st.lists(events, max_size=30),
+    st.sampled_from([1, 2, 3, -1]),
+)
 value_runs = st.lists(f64, max_size=30).map(lambda v: vals(*v))
 
 #: Key selectors are arbitrary UTF-8 text on the wire (validation happens
@@ -979,19 +984,27 @@ _ARRAY_TAILED = [
 _ARRAY_TAILED_IDS = ["event_batch", "sorted_run", "candidate_events"]
 
 
+def _refused(message, payload, match):
+    """``payload`` under ``message``'s tag is refused as a bare payload and
+    inside a frame body (where an event batch skips the payload reader)."""
+    with pytest.raises(CodecError, match=match):
+        decode_payload(tag_of(message), payload, sender=1, window=W)
+    header = wire.HEADER.pack(
+        wire.WIRE_VERSION, tag_of(message), 0, 1, 0, W.start, W.end
+    )
+    with pytest.raises(CodecError, match=match):
+        decode_body(header + payload)
+
+
 @pytest.mark.parametrize("message,row", _ARRAY_TAILED, ids=_ARRAY_TAILED_IDS)
 def test_event_array_stride_mismatch_rejected(message, row):
     payload = encode_payload(message)
     # Mid-row truncation from either end of a stride.
     for cut in (1, len(row) - 1):
-        with pytest.raises(CodecError, match="stride"):
-            decode_payload(
-                tag_of(message), payload[:-cut], sender=1, window=W
-            )
-    with pytest.raises(CodecError, match="stride"):  # oversize, non-stride
-        decode_payload(
-            tag_of(message), payload + b"\x00" * 7, sender=1, window=W
-        )
+        _refused(message, payload[:-cut], "stride")
+    _refused(message, payload + b"\x00" * 7, "stride")  # oversize, non-stride
+    # No whole count in front of the array.
+    _refused(message, payload[:3], "truncated")
 
 
 @pytest.mark.parametrize("message,row", _ARRAY_TAILED, ids=_ARRAY_TAILED_IDS)
@@ -999,12 +1012,8 @@ def test_event_array_count_mismatch_rejected(message, row):
     # A whole extra (or missing) row is stride-aligned, so only the
     # announced count can catch it.
     payload = encode_payload(message)
-    with pytest.raises(CodecError, match="announced"):
-        decode_payload(tag_of(message), payload + row, sender=1, window=W)
-    with pytest.raises(CodecError, match="announced"):
-        decode_payload(
-            tag_of(message), payload[:-len(row)], sender=1, window=W
-        )
+    _refused(message, payload + row, "announced")
+    _refused(message, payload[:-len(row)], "announced")
 
 
 def test_relay_runs_truncated_section_events_rejected():

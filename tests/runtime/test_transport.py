@@ -20,6 +20,7 @@ from repro.runtime import wire
 from repro.runtime.codec import Hello
 from repro.runtime.transport import (
     MemoryNetwork,
+    TcpMessageStream,
     TcpNetwork,
     memory_pipe,
 )
@@ -190,6 +191,32 @@ def test_tcp_mid_frame_death_raises():
         return message
 
     assert "mid-frame" in asyncio.run(scenario())
+
+
+class _ResetAfterPrefix:
+    """A stream reader whose peer resets between the length prefix and
+    the body: the first ``readexactly`` returns a prefix, the second
+    raises ``ConnectionResetError``."""
+
+    def __init__(self) -> None:
+        self.reads = 0
+
+    async def readexactly(self, n):
+        self.reads += 1
+        if self.reads == 1:
+            return wire.LENGTH_PREFIX.pack(64)
+        raise ConnectionResetError(104, "Connection reset by peer")
+
+
+def test_tcp_reset_mid_frame_raises_transport_error():
+    """Every ``except TransportError`` (the relay's shard reader, a local's
+    upstream reader) must see a reset mid-frame as a dead link."""
+    reader = _ResetAfterPrefix()
+    stream = TcpMessageStream(reader, writer=None)
+    with pytest.raises(TransportError, match="mid-frame") as caught:
+        asyncio.run(stream.recv())
+    assert isinstance(caught.value.__cause__, ConnectionResetError)
+    assert reader.reads == 2
 
 
 def test_tcp_oversize_frame_announcement_raises():

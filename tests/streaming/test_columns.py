@@ -191,7 +191,20 @@ class TestSequenceProtocol:
         assert tuple(cols[1:3]) == EVENTS[1:3]
         assert tuple(cols[::2]) == EVENTS[::2]
         assert tuple(cols[1::2]) == EVENTS[1::2]
-        assert cols[1:3].to_wire() == _pack(EVENTS[1:3])
+        # Every multi-stream replay ships strided views: each must pack
+        # to the bytes of its own events, records copied whole.
+        for batch, events in (
+            (cols[1:3], EVENTS[1:3]),
+            (cols[::2], EVENTS[::2]),
+            (cols[1::3], EVENTS[1::3]),
+            (cols[::-1], EVENTS[::-1]),
+            (
+                concat_columns([cols[::2], cols[1::3], cols[::-1]]),
+                EVENTS[::2] + EVENTS[1::3] + EVENTS[::-1],
+            ),
+        ):
+            assert batch.to_wire() == _pack(events)
+            assert b"".join([batch.wire_records()]) == _pack(events)
 
     def test_equality_against_event_sequences(self, backend):
         cols = EventColumns.from_events(EVENTS)

@@ -68,10 +68,15 @@ One keeps the simulated side to one deployment: ``Simulator`` and
 ``BatchSourceDriver`` are each constructed in one function, the
 ``SimulatedDeployment`` every system's operator pair runs on.
 
-The last keeps exactness checked one way: ``repro.testing`` defines the one
+One keeps exactness checked one way: ``repro.testing`` defines the one
 window oracle and the one grader, and the query plane's two names for them
 in ``queries/oracle.py`` only call into it, so a per-path oracle or grader
 (each with its own idea of a tie or a grade) cannot grow back.
+
+The last holds the per-frame cost of the stream → local hop: the Python
+calls into ``src/repro`` that one strided event batch costs from encode
+through decode to ingest are counted and held with ``==``, so a change
+that adds a call per frame has to say so.
 """
 
 import ast
@@ -1037,3 +1042,95 @@ def test_oracle_lint_sees_functions_methods_and_nested_defs():
         "mesh_oracle", "window_truth", "grade", "ground_truth",
         "grade_outcomes",
     }
+
+
+#: Python calls into ``src/repro`` for one strided 512-event batch from
+#: encode through decode to ingest at a ``DemaLocalNode`` — the fixed
+#: per-frame cost of the stream → local hop.  Held with ``==``: a change
+#: that adds a call per frame says so here.
+EVENT_BATCH_FRAME_CALLS = 28
+
+#: Comprehensions run inline on Python 3.12 and as a call on 3.11.
+_INLINE_ON_312 = {"<listcomp>", "<dictcomp>", "<setcomp>"}
+
+
+def _repro_calls(action):
+    """``Counter`` of the qualified names of every Python function under
+    ``src/repro`` that ``action()`` calls, comprehensions aside."""
+    import collections
+    import sys
+
+    root = str(PACKAGE_ROOT)
+    calls = collections.Counter()
+
+    def profile(frame, event, _):
+        code = frame.f_code
+        if (
+            event == "call"
+            and code.co_filename.startswith(root)
+            and code.co_name not in _INLINE_ON_312
+        ):
+            calls[code.co_qualname] += 1
+
+    sys.setprofile(profile)
+    try:
+        action()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def _event_batch_frame_hop():
+    """``action()`` running one frame's hop, and the node it ingests at."""
+    import numpy as np
+
+    from repro.core.local_node import DemaLocalNode
+    from repro.core.query import QuantileQuery
+    from repro.network.messages import EventBatchMessage
+    from repro.runtime import wire
+    from repro.runtime.codec import decode_body_traced, encode_frame
+    from repro.streaming.windows import Window
+
+    rng = np.random.default_rng(7)
+    share = EventColumns.from_arrays(
+        rng.normal(size=1024), np.sort(rng.integers(0, 1000, 1024)), 1
+    )
+    batch = share[::2]  # stream 0 of two: a strided view
+    message = EventBatchMessage(
+        sender=1001,
+        window=Window(batch.timestamp_at(0), batch.timestamp_at(-1) + 1),
+        events=batch,
+    )
+    node = DemaLocalNode(1, root_id=0, queries=[QuantileQuery(gamma=100)])
+
+    def action():
+        frame = encode_frame(message)
+        received, _ = decode_body_traced(
+            memoryview(frame)[wire.LENGTH_PREFIX.size:]
+        )
+        node.on_message(received, 0.0)
+
+    return action, node
+
+
+def test_event_batch_frame_call_budget():
+    action, node = _event_batch_frame_hop()
+    action()  # first-use work (imports, caches) is not per frame
+    calls = _repro_calls(action)
+    assert node.events_ingested == 2 * 512
+    assert sum(calls.values()) == EVENT_BATCH_FRAME_CALLS, sorted(
+        calls.items()
+    )
+
+
+def test_call_budget_counts_repro_functions_only():
+    import json
+
+    from repro.streaming.windows import Window
+
+    assert _repro_calls(lambda: json.dumps({"a": [1]})) == {}
+    assert _repro_calls(lambda: Window(0, 1)) == {"Window.__post_init__": 1}
+    # ``_keys`` builds its list in a comprehension: one call on 3.11 and
+    # on 3.12 alike.
+    batch = EventColumns.from_arrays([1.0, 2.0], [0, 1], 1)
+    assert _repro_calls(batch._keys) == {"EventColumns._keys": 1}
