@@ -19,7 +19,6 @@ from repro.network.simulator import merge_cost
 from repro.streaming.aggregates import quantile_rank
 from repro.streaming.columns import EventColumns, select_rank
 from repro.streaming.windows import Window
-from repro.core.calculation import merge_candidate_runs
 from repro.core.sorted_window import SortedLocalWindow
 from repro.baselines.base import Summary
 
@@ -63,7 +62,5 @@ class DesisSummary(Summary):
             return None, 0, None, {}
         rank = quantile_rank(self.q, total)
         selected = select_rank(runs, rank)
-        if selected is None:  # NaN values: the k-way merge owns their order
-            selected = merge_candidate_runs(runs)[rank - 1]
         ops = merge_cost(total, len(runs))
         return selected, total, ops, {"events": total, "runs": len(runs)}

@@ -23,7 +23,7 @@ from repro.core.slicing import SlicedWindow, slice_sorted_events
 from repro.core.units import SliceKind, SliceUnit, build_units, classify_slice
 from repro.core.window_cut import CutResult, rank_bound_candidates, window_cut
 from repro.core.identification import IdentificationResult, identify
-from repro.core.calculation import calculate_quantile, merge_candidate_runs
+from repro.core.calculation import calculate_quantile
 from repro.core.adaptive import (
     AdaptiveGammaController,
     NodeGammaController,
@@ -57,7 +57,6 @@ __all__ = [
     "IdentificationResult",
     "identify",
     "calculate_quantile",
-    "merge_candidate_runs",
     "AdaptiveGammaController",
     "NodeGammaController",
     "optimal_gamma",

@@ -13,8 +13,9 @@ in ``(node_id, slice_index)`` order, and which the identification step's
 ``requests`` iterate in.  That is the order of the synopsis key ``(value,
 owner, position)`` and of the full event key ``(value, node_id, seq)``: a
 local's events carry its own id (the stream doors check it), and its
-slices ascend in key.  NaN-bearing windows go through the k-way merge over
-values, which is also the reference the select is tested against.
+slices ascend in key.  A NaN is refused at the door; a wire-fed NaN is
+refused where it is first ordered, and a run holding one here is a
+:class:`~repro.errors.CalculationError`.
 """
 
 # Hot-path module: no per-event ``Event`` construction here — see
@@ -22,7 +23,6 @@ values, which is also the reference the select is tested against.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as _np
@@ -35,7 +35,6 @@ from repro.core.window_cut import CutResult
 
 __all__ = [
     "QuantileAnswer",
-    "merge_candidate_runs",
     "calculate_quantile",
     "check_run",
 ]
@@ -45,24 +44,6 @@ class QuantileAnswer(NamedTuple):
     """What the calculation step selects: the value at the cut's rank."""
 
     value: float
-
-
-def merge_candidate_runs(runs: Iterable[Sequence[float]]) -> list[float]:
-    """K-way merge of sorted candidate value runs into one sorted list.
-
-    Raises:
-        CalculationError: If a value run descends — that would mean a local
-            node violated the protocol.
-    """
-    materialized = [_np.asarray(run, dtype=_np.float64).tolist() for run in runs]
-    for run in materialized:
-        for left, right in zip(run, run[1:]):
-            if left > right:
-                raise CalculationError(
-                    "candidate run is not sorted; local node violated the "
-                    f"protocol near value {right!r}"
-                )
-    return list(heapq.merge(*materialized))
 
 
 def calculate_quantile(
@@ -80,32 +61,18 @@ def calculate_quantile(
         The value whose global rank is ``cut.rank``.
 
     Raises:
-        CalculationError: If a run is not sorted, or the runs do not match
-            the cut (wrong total count, or the local rank falls outside the
-            merged values).
+        CalculationError: If the runs do not match the cut (wrong total
+            count, or the local rank falls outside the values), or a run
+            is not sorted or holds a NaN (:func:`select_rank`).
     """
     runs = list(runs)
-    selected = select_rank(runs, cut.local_rank)
-    if (
-        selected is not None
-        and sum(len(run) for run in runs) == cut.candidate_events
-    ):
-        return QuantileAnswer(selected)
-    # NaN values, or a count/rank mismatch to report: the merge below is
-    # the reference for all of them.
-    merged = merge_candidate_runs(runs)
-    if len(merged) != cut.candidate_events:
+    received = sum(len(run) for run in runs)
+    if received != cut.candidate_events:
         raise CalculationError(
             f"expected {cut.candidate_events} candidate events, "
-            f"received {len(merged)}"
+            f"received {received}"
         )
-    local_rank = cut.local_rank
-    if not 1 <= local_rank <= len(merged):
-        raise CalculationError(
-            f"local rank {local_rank} outside the {len(merged)} fetched "
-            "events; identification and calculation disagree"
-        )
-    return QuantileAnswer(merged[local_rank - 1])
+    return QuantileAnswer(select_rank(runs, cut.local_rank))
 
 
 def check_run(run: Sequence[float], synopsis: SliceSynopsis) -> None:
@@ -114,9 +81,8 @@ def check_run(run: Sequence[float], synopsis: SliceSynopsis) -> None:
     O(1): the run's length must be the synopsis ``count`` and its first
     value bit-equal to the synopsis' ``first_value``.  A non-final
     slice's ``last_value`` is the next slice's first value, an upper
-    bound: the run's last value may not exceed it (a NaN does not, as in
-    the slicer's check).  The final slice's is the window's maximum: the
-    run's last value must be bit-equal to it.  Slices are γ-sized and
+    bound: the run's last value may not exceed it.  The final slice's is
+    the window's maximum: the run's last value must be bit-equal to it.  Slices are γ-sized and
     sorted, so a neighbouring slice passes every check the calculation
     makes; this one tells them apart — a neighbour that passes it holds
     the same values.

@@ -14,6 +14,9 @@ the window's owner and the event's row in the sorted window, not its
 next slice's first value with this slice's last position — what a decoder
 rebuilds from the local's boundaries on the wire, so the simulator, which
 never encodes, and the live root see one row.
+
+No value here is NaN: it is refused at the door, and a wire-fed one where
+it is first ordered (the window's sort; a boundary at the decoder).
 """
 
 from __future__ import annotations
@@ -126,10 +129,11 @@ def slice_sorted_events(
     carries (:meth:`SynopsisColumns.to_wire`).
 
     Args:
-        sorted_events: The window's events in ascending key order.  Only
-            each slice's own ``first_key <= last_key`` is checked (before
-            its last key becomes the boundary); callers are the sorted
-            window and tests.
+        sorted_events: The window's events in ascending key order, no
+            value NaN (:func:`~repro.streaming.columns.merge_runs` refuses
+            one).  Only each slice's own ``first_key <= last_key`` is
+            checked (before its last key becomes the boundary); callers are
+            the sorted window and tests.
         gamma: Target slice size; must be ≥ 2.
         node_id: Owner stamped into every synopsis, the second component
             of its keys; the third is the row in ``sorted_events``.
@@ -139,9 +143,9 @@ def slice_sorted_events(
 
     Raises:
         SliceError: If ``gamma < 2``, or a slice's first key exceeds its
-            own last key (a NaN value left the run unordered).  A NaN can
-            also leave the boundaries out of order; the decoder and the
-            rows refuse such a batch, as every descending boundary.
+            own last key (the run is not sorted).  A boundary that descends
+            across slices is not checked here; the decoder and the rows
+            refuse such a batch.
     """
     if gamma < MIN_GAMMA:
         raise SliceError(f"gamma must be >= {MIN_GAMMA}, got {gamma}")

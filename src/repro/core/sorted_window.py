@@ -14,8 +14,9 @@ batch; the run *stays* columnar through :meth:`seal` into slicing.
 :meth:`seal`, :meth:`sorted_events` and iteration yield the one sequence
 ``sorted(events, key=event_key)`` yields (the total-order key is strict, so
 there is exactly one sorted permutation and no sort needs to be stable to
-find it; with NaN values ``merge_runs`` mirrors a comparison sort's
-decisions bit for bit).
+find it).  A NaN value has no rank: it is refused at the door, and a
+wire-fed NaN is refused where it is first ordered — compaction, where
+``merge_runs`` raises :class:`~repro.errors.CodecError` naming the row.
 """
 
 from __future__ import annotations

@@ -109,10 +109,10 @@ class SliceSynopsis:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise SliceError(f"slice count must be >= 1, got {self.count}")
-        if self.first_key > self.last_key:
+        if not self.first_key <= self.last_key:
             raise SliceError(
                 f"slice first_key {self.first_key} exceeds last_key "
-                f"{self.last_key}"
+                f"{self.last_key}, or a key is NaN"
             )
         if not 0 <= self.slice_index < self.n_slices:
             raise SliceError(
@@ -246,7 +246,7 @@ class SynopsisColumns:
         Raises:
             CodecError: If the section is cut short, its size overruns a
                 ``u32`` position, γ < 2 would cut more than one slice, or
-                the boundaries descend (:meth:`validated`).
+                the boundaries descend or hold a NaN (:meth:`validated`).
         """
         head = wire.SYNOPSIS_SECTION_BYTES
         if len(raw) < head:
@@ -284,10 +284,9 @@ class SynopsisColumns:
 
     def validated(self, node_id: int, error: type) -> "SynopsisColumns":
         """This batch, checked in one vectorised pass to be what a local
-        node cuts from one window: every count ≥ 1, no first key above its
-        last key (the comparison :class:`SliceSynopsis` makes per row),
-        row ``i`` labelled slice ``i`` of ``len(self)``, all owned by
-        ``node_id``.
+        node cuts from one window: every count ≥ 1, every first key at or
+        below its last key (a NaN key is neither), row ``i`` labelled
+        slice ``i`` of ``len(self)``, all owned by ``node_id``.
 
         Raises:
             error: Naming the first offending row.
@@ -298,8 +297,9 @@ class SynopsisColumns:
         checks = (
             ("count must be >= 1", arr["count"] < 1),
             (
-                "first_key exceeds last_key",
-                (fv > lv) | ((fv == lv) & (arr["first_pos"] > arr["last_pos"])),
+                "first_key exceeds last_key, or a key is NaN",
+                ~(fv <= lv)
+                | ((fv == lv) & (arr["first_pos"] > arr["last_pos"])),
             ),
             (
                 f"not labelled as slice <row> of {n} (complete, ordered batch)",
@@ -336,8 +336,7 @@ class SynopsisColumns:
         return tuple(map(_row, self.records[indices].tolist()))
 
     def __eq__(self, other) -> bool:
-        """Rowwise equality against any synopsis sequence, with object
-        semantics (a NaN key is unequal to itself).  Also invoked
+        """Rowwise equality against any synopsis sequence.  Also invoked
         *reflected* when a message built with a tuple of rows is compared
         to its decoded, columnar twin."""
         if other is self:
@@ -362,18 +361,11 @@ class SynopsisColumns:
         """Events covered by the batch: the sum of the slice counts."""
         return int(self.records["count"].sum(dtype=_np.int64))
 
-    def has_nan(self) -> bool:
-        arr = self.records
-        return bool(
-            _np.isnan(arr["first_value"]).any()
-            or _np.isnan(arr["last_value"]).any()
-        )
-
     def key_ranks(self):
         """Ranks of the rows' first and last keys among all ``2n`` of them,
         as two integer arrays: equal keys share a rank, so ``<``, ``<=``
         and ``==`` on ranks are those of the ``(value, owner, position)``
-        tuples.  Meaningless if :meth:`has_nan`.
+        tuples (:meth:`validated` refuses a NaN key).
 
         A bounding last key — the next row's first value, same owner, one
         position lower — has no key between it and that first key, so it

@@ -16,8 +16,9 @@ calculation step can select the right element from the merged candidates.
   Cover-slices enclosed by a candidate are kept whenever their bound
   interval can reach ``k``, exactly as Section 3.2 prescribes.  One sweep,
   vectorised over a :class:`~repro.core.synopsis.SynopsisColumns` batch,
-  serves any number of ranks; its row-at-a-time form takes NaN-keyed
-  batches.
+  serves any number of ranks.  Its keys are never NaN: the stream doors
+  refuse a NaN value, and the batch's doors (the slicer and the wire
+  decoder) a NaN boundary.
 
 All three return identical candidates and ``n_below`` (property-tested).
 """
@@ -221,8 +222,7 @@ def window_cut_multi(
     each :class:`CutResult` what a sweep for that rank alone produces.
 
     The sweep is vectorised over the batch's columns (rows handed in are
-    converted here).  A NaN key makes comparison order the contract, as in
-    :func:`~repro.streaming.columns.merge_runs`, and takes the row sweep.
+    converted here): every key comparison is an integer one.
 
     Args:
         synopses: All slice synopses of the global window.
@@ -249,15 +249,6 @@ def window_cut_multi(
     pending = sorted(set(ranks))
     for rank in pending:
         _validate_rank(rank, total)
-    if columns.has_nan():
-        return _sweep_rows(list(columns), pending)
-    return _sweep_columns(columns, pending)
-
-
-def _sweep_columns(
-    columns: SynopsisColumns, pending: Sequence[int]
-) -> dict[int, CutResult]:
-    """The sweep on columns: every key comparison is an integer one."""
     first, last = columns.key_ranks()
     n = len(first)
     # Sweep order: ascending (first_key, last_key), stable like ``sorted``.
@@ -307,46 +298,6 @@ def _sweep_columns(
                 SliceKind.COVER.value: covers,
             },
         )
-    return cuts
-
-
-def _sweep_rows(
-    synopses: Sequence[SliceSynopsis], pending: Sequence[int]
-) -> dict[int, CutResult]:
-    """The sweep on rows, comparing key tuples: the NaN path, and the form
-    the tests hold the vectorised sweep against."""
-    ordered = sorted(synopses, key=lambda s: (s.first_key, s.last_key))
-    cuts: dict[int, CutResult] = {}
-    n_below = 0
-    scanned = 0
-    index = 0
-    next_rank = 0  # index into ``pending``
-    while index < len(ordered) and next_rank < len(pending):
-        scanned += 1
-        members = [ordered[index]]
-        current_max = ordered[index].last_key
-        index += 1
-        while index < len(ordered) and ordered[index].first_key <= current_max:
-            members.append(ordered[index])
-            if ordered[index].last_key > current_max:
-                current_max = ordered[index].last_key
-            index += 1
-        unit = SliceUnit(members=tuple(members), offset=n_below)
-        while (
-            next_rank < len(pending)
-            and pending[next_rank] <= unit.pos_end
-        ):
-            rank = pending[next_rank]
-            candidates, below_in_unit = _cut_unit(unit, rank)
-            cuts[rank] = CutResult(
-                rank=rank,
-                candidates=tuple(candidates),
-                n_below=n_below + below_in_unit,
-                units_scanned=scanned,
-                kinds=_census([unit], candidates),
-            )
-            next_rank += 1
-        n_below += unit.size
     return cuts
 
 

@@ -78,8 +78,8 @@ EMPTY_VALUES.setflags(write=False)
 
 
 def _same(a, b) -> bool:
-    """Field equality where value runs (ndarrays) compare elementwise —
-    a NaN unequal to itself, as :class:`EventColumns` compares."""
+    """Field equality where value runs (ndarrays) compare elementwise,
+    as :class:`EventColumns` compares."""
     if isinstance(a, _np.ndarray) or isinstance(b, _np.ndarray):
         return _np.array_equal(a, b)
     if isinstance(a, tuple) and isinstance(b, tuple):

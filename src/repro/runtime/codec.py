@@ -3,9 +3,10 @@
 One frame per message: a u32 length prefix followed by the fixed header
 (version, type tag, flags, sender, group id, window bounds — layout in
 :mod:`repro.runtime.wire`) and a type-specific payload.  Encoding is
-lossless: ``decode_frame(encode_frame(m)) == m`` for every message type,
-including NaN values (bit patterns survive the f64 round trip, although
-``==`` on NaN-carrying dataclasses needs a bit-level comparison).
+lossless: ``decode_frame(encode_frame(m)) == m`` for every message type.
+A NaN is refused at the door, and a wire-fed one where it is first
+ordered: a slice boundary here, an event or run value by the sort or the
+root's rank select (its bits survive decode).
 
 The payload encoders here and the ``payload_bytes`` properties in
 :mod:`repro.network.messages` are two views of the same layout; the test

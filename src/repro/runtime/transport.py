@@ -125,7 +125,11 @@ class FailureLatch:
 
     def spawn(self, coro: Coroutine[object, object, object]) -> asyncio.Task:
         """Start ``coro`` as a background task under :meth:`guard`."""
-        return asyncio.ensure_future(self.guard(coro))
+        task = asyncio.ensure_future(self.guard(coro))
+        # A task cancelled before its first step never awaits ``coro``:
+        # close it (a no-op once it ran) rather than leave it unawaited.
+        task.add_done_callback(lambda _: coro.close())
+        return task
 
     @staticmethod
     async def reap(tasks: Iterable[asyncio.Task]) -> None:

@@ -9,9 +9,9 @@ frame *is* the columnar layout) or once at a door from a sequence of
 simulated operators and the baselines into
 :class:`~repro.core.sorted_window.SortedLocalWindow`, and is sorted,
 merged, sliced and re-encoded without materializing objects.  Events only
-become :class:`Event` instances at the columnar boundary — element access,
-iteration, and the NaN reference merge — which is exactly where the
-hot-path lint allows construction.
+become :class:`Event` instances at the columnar boundary — element access
+and iteration — which is exactly where the hot-path lint allows
+construction.
 
 The columns are views into one structured ndarray with the exact wire
 dtype (:data:`EVENT_DTYPE`), so decode is ``np.frombuffer`` and encode is
@@ -25,20 +25,19 @@ sequence a comparison sort of ``Event`` objects by key produces
 of the arrivals merged into the run with run priority on ties):
 
 * The total-order key ``(value, node_id, seq)`` is strict (node_id/seq
-  pairs are unique), so for NaN-free data there is exactly one sorted
-  permutation and any correct sort yields it — stability buys nothing.
+  pairs are unique), so there is exactly one sorted permutation and any
+  correct sort yields it — stability buys nothing.
   The sort therefore orders by value alone with numpy's fastest
   (unstable) kernel and then puts only the rows inside runs of equal
   values (``-0.0 == 0.0`` included) in ``(node_id, seq)`` order.  Should
   keys ever collide outright, the repair leaves exact twins in arrival
   order over ``run ++ buffer``, which equals "sort the buffer, then merge
   with run priority on ties".
-* NaN values break comparison sorts deterministically-but-arbitrarily;
-  numpy would instead push NaNs last.  Batches containing NaN (seen on
-  the last sorted value) therefore fall back to a comparison mirror —
-  index sort with the same key tuples plus the same two-pointer merge —
-  which performs the identical comparisons in the identical order,
-  reproducing that permutation bit for bit.
+* A NaN value has no rank, so no sorted order exists with one.  It is
+  refused at the door (:func:`check_streams`); a wire-fed NaN is refused
+  where it is first ordered: numpy sorts it last, and :func:`merge_runs`
+  reads the last sorted value and raises :class:`CodecError` naming the
+  row.
 """
 
 from __future__ import annotations
@@ -181,9 +180,6 @@ class EventColumns:
             arr[field] = column
         return cls(arr)
 
-    def _take(self, indices) -> "EventColumns":
-        return EventColumns(self._arr.take(indices))
-
     # -- sequence protocol ----------------------------------------------
 
     def __len__(self) -> int:
@@ -217,14 +213,10 @@ class EventColumns:
         """
         if other is self:
             return True
-        if isinstance(other, EventColumns):
-            if len(other) != len(self):
-                return False
-            return all(a == b for a, b in zip(self, other))
-        if isinstance(other, (tuple, list)):
-            if len(other) != len(self):
-                return False
-            return all(a == b for a, b in zip(self, other))
+        if isinstance(other, (EventColumns, tuple, list)):
+            return len(other) == len(self) and all(
+                a == b for a, b in zip(self, other)
+            )
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -337,15 +329,6 @@ class EventColumns:
         arr = self._arr
         return arr if arr.flags.c_contiguous else arr.view(_RECORD).tobytes()
 
-    # -- sorting --------------------------------------------------------
-
-    def _keys(self) -> list[tuple[float, int, int]]:
-        """All total-order keys as pure-Python tuples, in batch order."""
-        return [
-            (value, node_id, seq)
-            for value, _, node_id, seq in self._arr.tolist()
-        ]
-
 
 #: The batch of no events: what an empty window seals to and a message
 #: without events carries.  Shared — batches are immutable.
@@ -423,44 +406,6 @@ def concat_columns(chunks: Sequence[EventColumns]) -> EventColumns:
     )
 
 
-def _merge_comparison_mirror(
-    run: "EventColumns | None", pending: EventColumns
-) -> EventColumns:
-    """A comparison-sorted window's exact algorithm on columns.
-
-    Stable index sort of the pending batch by key tuple (the same Timsort
-    comparisons ``list.sort(key=event_key)`` performs), then a two-pointer
-    merge with run priority on ``<=``.  Used whenever NaN values make
-    comparison order the contract
-    (``tests/property/test_columnar_identity.py`` holds the reference).
-
-    The append-only early-out (whole batch lands after the run) is part
-    of that contract too — with a NaN mid-run it is *not* equivalent to
-    the merge loop, which dumps the rest of the batch the moment it
-    reaches the incomparable key, so skipping it would reorder.
-    """
-    pending_keys = pending._keys()
-    order = sorted(range(len(pending_keys)), key=pending_keys.__getitem__)
-    if run is None or not len(run):
-        return pending._take(order)
-    run_keys = run._keys()
-    n_run, n_pending = len(run_keys), len(order)
-    if run_keys[-1] <= pending_keys[order[0]]:
-        return concat_columns([run, pending._take(order)])
-    merged: list[int] = []  # indices into run ++ pending
-    i = j = 0
-    while i < n_run and j < n_pending:
-        if run_keys[i] <= pending_keys[order[j]]:
-            merged.append(i)
-            i += 1
-        else:
-            merged.append(n_run + order[j])
-            j += 1
-    merged.extend(range(i, n_run))
-    merged.extend(n_run + order[k] for k in range(j, n_pending))
-    return concat_columns([run, pending])._take(merged)
-
-
 #: ``_key_order`` repairs ties in place while at most one neighbouring
 #: pair of sorted values in this many is equal; above that (quantised
 #: data) one stable sort of everything is cheaper than the repair.
@@ -507,8 +452,12 @@ def merge_runs(
 
     Bit-identical to a comparison sort (see the module docstring): the one
     permutation the strict key allows over ``run ++ pending`` — exact
-    twins in arrival order, run first — when no value is NaN, the
-    comparison mirror otherwise.
+    twins in arrival order, run first.
+
+    Raises:
+        CodecError: If a value is NaN (sorted last), naming that row's
+            ``node_id`` and ``seq``.  Below :func:`check_streams` only a
+            peer's frame can carry one.
     """
     full = pending if run is None or not len(run) else concat_columns(
         [run, pending]
@@ -516,11 +465,15 @@ def merge_runs(
     arr = full._arr
     order = _key_order(arr["value"], arr["node_id"], arr["seq"])
     if _np.isnan(arr["value"][order[-1:]]).any():
-        return _merge_comparison_mirror(run, pending)
+        row = arr[order[-1]]
+        raise CodecError(
+            f"event of node {int(row['node_id'])} seq {int(row['seq'])} "
+            "has a NaN value; a quantile needs ordered values"
+        )
     return EventColumns(arr.take(order))
 
 
-def select_rank(runs: Sequence, local_rank: int) -> "float | None":
+def select_rank(runs: Sequence, local_rank: int) -> float:
     """The value at 1-based ``local_rank`` of the merged sorted value ``runs``.
 
     The root's calculation step as a rank select over ``float64`` runs:
@@ -531,20 +484,23 @@ def select_rank(runs: Sequence, local_rank: int) -> "float | None":
     full event key ``(value, node_id, seq)`` puts them in: a local's events
     carry its own id, and its slices ascend in key.
 
-    Returns ``None`` — the caller's k-way merge owns the case — when a
-    value is NaN (comparison order is the contract there, as in
-    :func:`merge_runs`) or when ``local_rank`` falls outside the values.
-
     Raises:
-        CalculationError: If a run descends, naming the first offending
-            value exactly as ``merge_candidate_runs`` does.
+        CalculationError: If ``local_rank`` falls outside the values, a
+            value is NaN, or a run descends (naming the first offending
+            value).
     """
     batches = [run for run in runs if len(run)]
-    if not batches:
-        return None
+    n = sum(map(len, batches))
+    if not 1 <= local_rank <= n:
+        raise CalculationError(
+            f"local rank {local_rank} outside the {n} fetched events; "
+            "identification and calculation disagree"
+        )
     values = _np.concatenate(batches, dtype=_np.float64)
     if _np.isnan(values.max()):
-        return None
+        raise CalculationError(
+            "candidate run holds a NaN value; a quantile needs ordered values"
+        )
     # A descent inside a run is a protocol violation; the pair straddling
     # two runs is no constraint and is masked out.
     descent = values[1:] < values[:-1]
@@ -556,8 +512,6 @@ def select_rank(runs: Sequence, local_rank: int) -> "float | None":
             "candidate run is not sorted; local node violated the "
             f"protocol near value {offender!r}"
         )
-    if not 1 <= local_rank <= len(values):
-        return None
     kth = local_rank - 1
     pivot = _np.partition(values, kth)[kth]
     tied = _np.flatnonzero(values == pivot)

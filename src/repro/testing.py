@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.query import QuantileQuery
-from repro.errors import HarnessError
+from repro.errors import ConfigurationError, HarnessError
 from repro.streaming.aggregates import quantile_rank
 from repro.streaming.columns import EventColumns, as_event_columns, concat_columns
 from repro.streaming.events import Event
@@ -40,10 +40,20 @@ def oracle(
     schedule's; ``None`` keeps all.  Its entry is ``(value, size, rank)``:
     the value at rank ``ceil(q * size)`` in ``event_key`` order, or
     ``(None, 0, 0)`` when empty.  ``np.partition`` finds the value; as only
-    NaN and ``±0.0`` compare equal while differing in bits, a window with a
-    NaN, or whose value is a zero, sorts its keys in arrival order instead.
+    ``±0.0`` compare equal while differing in bits, a window whose value is
+    a zero sorts its rows by full key instead.
+
+    Raises:
+        ConfigurationError: If a value of ``events`` is NaN, naming its
+            row: a NaN has no rank, so no window holding one has an answer.
     """
     events = as_event_columns(events)
+    nan = np.isnan(events.values)
+    if nan.any():
+        raise ConfigurationError(
+            f"event row {int(nan.argmax())} has a NaN value; a quantile "
+            "needs ordered values"
+        )
     if mask is not None:
         events = events[np.asarray(mask, dtype=bool)]
     order = np.argsort(events.timestamps, kind="stable")
@@ -60,9 +70,8 @@ def oracle(
         values = events.values[rows]
         ranks = [quantile_rank(q, hi - lo) for q in qs]
         kth = [rank - 1 for rank in ranks]
-        nan = np.isnan(values).any()
-        picked = [] if nan else np.partition(values, kth)[kth].tolist()
-        if nan or 0.0 in picked:
+        picked = np.partition(values, kth)[kth].tolist()
+        if 0.0 in picked:
             keys = sorted(zip(values.tolist(), events.node_ids[rows].tolist(),
                               events.seqs[rows].tolist()))
             picked = [keys[k][0] for k in kth]

@@ -7,11 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CalculationError
-from repro.core.calculation import (
-    calculate_quantile,
-    check_run,
-    merge_candidate_runs,
-)
+from repro.core.calculation import calculate_quantile, check_run
 from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SliceSynopsis
 from repro.core.window_cut import CutResult, window_cut
@@ -28,23 +24,39 @@ def _bits(value):
 
 
 class TestMergeCandidateRuns:
+    """The calculation step merges the candidate runs by a rank select:
+    held against one sort of every value."""
+
     def test_merges_sorted_runs(self):
-        merged = merge_candidate_runs([vals([1, 3, 5]), vals([2, 4, 6])])
-        assert merged == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        rng = np.random.default_rng(3)
+        runs = [
+            np.sort(rng.normal(size=size)) for size in (0, 7, 1, 12, 5)
+        ]
+        merged = np.sort(np.concatenate(runs))
+        for k in range(1, len(merged) + 1):
+            assert select_rank(runs, k) == merged[k - 1]
 
     def test_empty_runs(self):
-        assert merge_candidate_runs([]) == []
-        assert merge_candidate_runs([[], []]) == []
+        for runs in ([], [vals([]), vals([])]):
+            with pytest.raises(CalculationError, match="outside the 0"):
+                select_rank(runs, 1)
 
     def test_unsorted_run_rejected(self):
         with pytest.raises(CalculationError, match="near value 1.0"):
-            merge_candidate_runs([vals([3, 1])])
+            select_rank([vals([3, 1])], 1)
+
+    def test_nan_is_refused(self):
+        # A wire-fed NaN reaches the root only in a peer's run: no rank.
+        runs = [vals([1.0, 4.0, 7.0]), vals([2.0, float("nan")])]
+        for k in range(1, 6):
+            with pytest.raises(CalculationError, match="holds a NaN value"):
+                select_rank(runs, k)
 
     def test_duplicate_values_keep_key_order(self):
         # Equal values resolve in the order the runs are handed in: the
         # (node_id, slice_index) order, which is the full key's order.
-        merged = merge_candidate_runs([vals([-0.0, 2.0]), vals([0.0])])
-        assert [_bits(v) for v in merged] == [
+        runs = [vals([-0.0, 2.0]), vals([0.0])]
+        assert [_bits(select_rank(runs, k)) for k in (1, 2, 3)] == [
             _bits(-0.0), _bits(0.0), _bits(2.0)
         ]
 
@@ -143,7 +155,7 @@ class TestCalculateQuantileColumns(TestCalculateQuantile):
 
 
 class TestPathSelection:
-    """Which inputs the select answers; the merge takes the rest."""
+    """Every input form the select answers, and the one it refuses."""
 
     def runs(self):
         return [[1.0, 4.0, 7.0], [2.0, 5.0]]
@@ -153,14 +165,12 @@ class TestPathSelection:
         mixed = [vals(first), second]
         assert calculate_quantile(_cut(3, 5), mixed).value == 4.0
 
-    def test_nan_takes_the_merge(self):
+    def test_nan_is_refused_in_every_form(self):
         first = self.runs()[0]
         second = [2.0, float("nan")]
-        arrays = [vals(first), vals(second)]
-        assert select_rank(arrays, 3) is None
-        assert calculate_quantile(_cut(3, 5), arrays) == calculate_quantile(
-            _cut(3, 5), [first, second]
-        )
+        for runs in ([vals(first), vals(second)], [first, second]):
+            with pytest.raises(CalculationError, match="holds a NaN value"):
+                calculate_quantile(_cut(3, 5), runs)
 
     def test_strided_columns_select(self):
         first, second = self.runs()
@@ -169,7 +179,8 @@ class TestPathSelection:
 
 
 class TestErrorParity:
-    """The select reports protocol violations exactly as the merge does."""
+    """The calculation reports each protocol violation in one message,
+    whatever form the runs come in."""
 
     def runs(self):
         # Slices of one sorted window: sorted, disjoint, with tied values.
@@ -188,19 +199,23 @@ class TestErrorParity:
         runs = self.runs()
         runs[1] = [runs[1][2], runs[1][0], runs[1][1]]
         runs[2] = list(reversed(runs[2]))
-        with pytest.raises(CalculationError) as merge_error:
-            merge_candidate_runs(runs)
         message = self.message(_cut(5, 10), runs)
-        assert message == str(merge_error.value)
-        assert f"near value {float(runs[1][1])!r}" in message
+        with pytest.raises(CalculationError) as as_lists:
+            calculate_quantile(_cut(5, 10), runs)
+        assert message == str(as_lists.value) == (
+            "candidate run is not sorted; local node violated the protocol "
+            f"near value {float(runs[1][1])!r}"
+        )
 
-    def test_unsorted_beats_wrong_count_beats_rank(self):
+    def test_wrong_count_beats_rank_beats_unsorted(self):
+        # The count is the cut's own check; the select's come after it.
         runs = self.runs()
         tampered = [runs[0], list(reversed(runs[1])), runs[2]]
-        assert "not sorted" in self.message(_cut(0, 99), tampered)
         assert "expected 99 candidate events, received 10" in self.message(
-            _cut(0, 99), runs
+            _cut(0, 99), tampered
         )
+        assert "local rank 0 outside" in self.message(_cut(0, 10), tampered)
+        assert "not sorted" in self.message(_cut(1, 10), tampered)
         for rank in (0, 11):
             assert (
                 f"local rank {rank} outside the 10 fetched"

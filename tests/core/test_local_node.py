@@ -2,10 +2,9 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from repro.errors import SliceError
+from repro.errors import CodecError, SliceError
 from repro.network.channels import Channel
 from repro.network.messages import (
     CandidateEventsMessage,
@@ -189,32 +188,19 @@ class TestMultiWindowBatches:
         # float sum, so the assertion above can tell the two apart.
         assert total([1000, 2000, 3000]) != total([3000, 1000, 2000])
 
-    def test_nan_values_seal_through_the_comparison_mirror(self):
+    def test_nan_values_are_refused_where_first_ordered(self):
         nan = float("nan")
         values = [3.0, nan, 1.0, 2.0, nan, 0.5]
         batch = [
             Event(value=v, timestamp=10 * i, node_id=1, seq=i)
             for i, v in enumerate(values)
         ]
-        # Timsort on key tuples: with NaN, comparison order is the contract.
-        expected = sorted(batch, key=lambda e: e.key)
         simulator, root, local = deploy(gamma=2)
+        # Ingest only buffers; the window's sort at its end is the first
+        # place the values are ordered, and it refuses a NaN.
         local.ingest(EventColumns.from_events(batch), 0.1)
-        local.on_window_complete(WINDOW, 1.0)
-        request = CandidateRequestMessage(
-            sender=0, window=WINDOW, slice_indices=(0, 1, 2)
-        )
-        local.on_message(request, 1.5)
-        simulator.run()
-        served = np.concatenate([
-            m.events
-            for m in root.received
-            if isinstance(m, CandidateEventsMessage)
-        ])
-        # Value runs: the NaNs sit where the comparison order put them.
-        assert served.tobytes() == np.array(
-            [e.value for e in expected], dtype="<f8"
-        ).tobytes()
+        with pytest.raises(CodecError, match="node 1 seq [14] has a NaN"):
+            local.on_window_complete(WINDOW, 1.0)
 
 
 class TestCandidateServing:

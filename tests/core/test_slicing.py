@@ -148,9 +148,9 @@ class TestRunAccess:
 class TestBatch:
     @pytest.mark.parametrize("columnar", [True])  # keeps the recorded id
     def test_unordered_run_is_a_slice_error(self, columnar):
-        # What a NaN mid-window leaves behind: a "sorted" run that is not.
+        # A "sorted" run that is not: its first slice descends.
         events = EventColumns.from_events(
-            make_events([3.0, float("nan"), 1.0, 5.0, 6.0], node_id=1)
+            make_events([3.0, 2.0, 1.0, 5.0, 6.0], node_id=1)
         )
         with pytest.raises(SliceError, match="synopsis 0 of 2.*first_key"):
             slice_sorted_events(events, 3, 1)

@@ -36,6 +36,13 @@ class TestValidation:
         with pytest.raises(SliceError):
             synopsis(5.0, 1.0)
 
+    def test_nan_key_rejected(self):
+        # A NaN is neither at nor below its partner: the row refuses it,
+        # as the batch's ``validated`` does.
+        for first, last in ((float("nan"), 5.0), (1.0, float("nan"))):
+            with pytest.raises(SliceError, match="or a key is NaN"):
+                synopsis(first, last)
+
     def test_index_out_of_range_rejected(self):
         with pytest.raises(SliceError):
             synopsis(1.0, 5.0, index=1, total=1)
@@ -167,6 +174,8 @@ class TestSynopsisColumns:
         [
             ("count", 0, "count must be >= 1"),
             ("first_value", 99.0, "first_key exceeds last_key"),
+            ("first_value", float("nan"), "or a key is NaN"),
+            ("last_value", float("nan"), "or a key is NaN"),
             ("slice_index", 0, "complete, ordered batch"),
             ("n_slices", 4, "complete, ordered batch"),
             ("node_id", 5, "not owned by node 4"),

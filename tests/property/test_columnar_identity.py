@@ -7,19 +7,19 @@ slices a walk over that list cuts, and serve the same quantiles — and a
 live cluster or sharded mesh handed ``Event`` sequences must be
 indistinguishable from one handed the same events as ``EventColumns``.
 
-With NaN values no sorted order exists and the *comparison order* is the
-contract: ``merge_runs`` must make the decisions a comparison sort of each
-compaction's arrivals followed by a two-pointer merge makes —
-:class:`ComparisonSortedWindow` below, the algorithm ``SortedLocalWindow``
-ran on ``Event`` objects before it became columnar-only.
+A NaN value has no rank, so no sorted order exists with one.  It is
+refused at the door, and a NaN that gets past it is refused where it is
+first ordered: a window's sort raises ``CodecError``, the root's rank
+select ``CalculationError``.  The draws below keep NaN in their pools to
+hold both refusals.
 
-Event fingerprints compare ``struct.pack``ed value bits, not ``==``:
-NaN events are never equal to anything, yet must still come out in that
-exact order.
+Event fingerprints compare ``struct.pack``ed value bits, not ``==``, so
+``-0.0`` and ``0.0`` stay apart.
 """
 
 import contextlib
 import math
+import re
 import signal
 import struct
 
@@ -27,9 +27,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.calculation import calculate_quantile, merge_candidate_runs
+from repro.core.calculation import calculate_quantile
 from repro.core.engine import dema_quantile
-from repro.errors import CalculationError, SliceError
+from repro.errors import CalculationError, CodecError
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 from repro.core.synopsis import SliceSynopsis
@@ -41,7 +41,7 @@ _F64 = struct.Struct("<d")
 
 
 def _bits(event):
-    """Bit-exact fingerprint; NaN payloads compare by representation."""
+    """Bit-exact fingerprint: the value's bits, not its ``==``."""
     return (
         _F64.pack(event.value), event.timestamp, event.node_id, event.seq
     )
@@ -53,9 +53,7 @@ def _window_bits(events):
 
 # Values drawn from a small pool (forcing exact duplicates) or from the
 # full float line including NaN and infinities.  Every draw is re-packed
-# into a *fresh* float object, the way wire decode always produces them:
-# a shared NaN object would flip tuple comparisons through CPython's
-# identity fast path, an order production never sees.
+# into a *fresh* float object, the way wire decode always produces them.
 _values = st.one_of(
     st.sampled_from(
         [0.0, -0.0, 1.0, -1.0, float("nan"), float("inf"), float("-inf")]
@@ -137,44 +135,19 @@ def backend(request):
     return request.param
 
 
-class ComparisonSortedWindow:
-    """The NaN reference: a window kept sorted by comparisons alone.
-
-    Each compaction stable-sorts the arrivals since the last one and merges
-    them into the run with two pointers, the run winning ``<=``; a batch
-    that lands wholly after the run is appended without the merge (with a
-    NaN mid-run that is *not* the same as merging, which dumps the rest of
-    the batch the moment it meets the incomparable key).
-    """
-
-    def __init__(self):
-        self.run, self.buffer = [], []
-
-    def add_all(self, events):
-        self.buffer.extend(events)
-
-    def sorted_events(self):
-        buf, self.buffer = sorted(self.buffer, key=event_key), []
-        run = self.run
-        if not buf:
-            return run
-        if not run or run[-1].key <= buf[0].key:
-            run.extend(buf)
-            return run
-        merged, i, j = [], 0, 0
-        while i < len(run) and j < len(buf):
-            if run[i].key <= buf[j].key:
-                merged.append(run[i])
-                i += 1
-            else:
-                merged.append(buf[j])
-                j += 1
-        self.run = merged + run[i:] + buf[j:]
-        return self.run
-
-
 def _has_nan(events):
     return any(math.isnan(event.value) for event in events)
+
+
+def _seal(chunks, compact_between):
+    window = SortedLocalWindow()
+    for chunk in chunks:
+        window.add_all(EventColumns.from_events(chunk))
+        if compact_between:
+            # Mid-window cuts force the incremental merge path (run +
+            # pending) instead of one big terminal sort.
+            window.sorted_events()
+    return window.seal()
 
 
 @given(
@@ -187,35 +160,28 @@ def _has_nan(events):
 )
 @settings(max_examples=300, deadline=None)
 def test_sealed_windows_identical(chunks, compact_between):
-    reference = ComparisonSortedWindow()
-    window = SortedLocalWindow()
-    for chunk in chunks:
-        reference.add_all(chunk)
-        window.add_all(EventColumns.from_events(chunk))
-        if compact_between:
-            # Mid-window cuts force the incremental merge path (run +
-            # pending) instead of one big terminal sort.
-            reference.sorted_events()
-            window.sorted_events()
     events = [event for chunk in chunks for event in chunk]
-    expected = reference.sorted_events()
-    if not _has_nan(events):
-        # The independent oracle: one stable sort of everything (exact
-        # twins stay in arrival order).
-        assert _window_bits(expected) == _window_bits(
-            sorted(events, key=event_key)
-        )
-    assert _window_bits(window.seal()) == _window_bits(expected)
+    if _has_nan(events):
+        with pytest.raises(CodecError, match="has a NaN value"):
+            _seal(chunks, compact_between)
+        return
+    # The independent oracle: one stable sort of everything (exact twins
+    # stay in arrival order).
+    assert _window_bits(_seal(chunks, compact_between)) == _window_bits(
+        sorted(events, key=event_key)
+    )
 
 
 @given(event_batches(), st.integers(min_value=2, max_value=20))
 @settings(max_examples=100, deadline=None)
 def test_cuts_identical(chunks, gamma):
     events = [event for chunk in chunks for event in chunk]
-    reference = ComparisonSortedWindow()
-    reference.add_all(events)
-    ordered = reference.sorted_events()
-    sealed = SortedLocalWindow(EventColumns.from_events(events)).seal()
+    if _has_nan(events):
+        with pytest.raises(CodecError, match="has a NaN value"):
+            _seal([events], False)
+        return
+    ordered = sorted(events, key=event_key)
+    sealed = _seal([events], False)
 
     # The slices a walk over the list cuts: γ events each, a trailing
     # single event folded into the slice before it.
@@ -224,19 +190,12 @@ def test_cuts_identical(chunks, gamma):
         starts.pop()
     ends = starts[1:] + [len(ordered)]
     runs = [ordered[a:b] for a, b in zip(starts, ends)]
-    if any(run[0].value > run[-1].value for run in runs):
-        # NaN can leave the "sorted" run unordered, which synopsis
-        # validation rejects.
-        assert _has_nan(events)
-        with pytest.raises(SliceError):
-            slice_sorted_events(sealed, gamma, node_id=1)
-        return
     sliced = slice_sorted_events(sealed, gamma, node_id=1)
 
     assert sliced.window_size == len(ordered)
     # A synopsis key is (value, owner, row in the sorted window); a
-    # non-final last value is the next slice's first.  Compared as records:
-    # with NaN the boundaries may descend, and a row refuses that.
+    # non-final last value is the next slice's first.  Compared as records,
+    # value bits included.
     bounds = [run[0].value for run in runs[1:]] + [
         run[-1].value for run in runs[-1:]
     ]
@@ -299,7 +258,7 @@ def test_served_quantiles_identical(per_node, q, gamma):
 # ---------------------------------------------------------------------------
 # Root calculation: a candidate is its value.  The rank select over value
 # runs, stacked in (node_id, slice_index) order, must return the value bits
-# the full-event key merge puts at the local rank.
+# the full-event key merge puts at the local rank, and refuse a NaN.
 
 # A pool this small makes every window mostly ties, so the rank's value
 # routinely spans several runs and both zeros sit side by side.
@@ -338,31 +297,6 @@ def _value_runs(runs):
     return [np.array([e.value for e in run], dtype="<f8") for run in runs]
 
 
-def _merged(cut, runs):
-    """``calculate_quantile`` as the reference merge alone computes it."""
-    merged = merge_candidate_runs(runs)
-    if len(merged) != cut.candidate_events:
-        raise CalculationError(
-            f"expected {cut.candidate_events} candidate events, "
-            f"received {len(merged)}"
-        )
-    if not 1 <= cut.local_rank <= len(merged):
-        raise CalculationError(
-            f"local rank {cut.local_rank} outside the {len(merged)} fetched "
-            "events; identification and calculation disagree"
-        )
-    return merged[cut.local_rank - 1]
-
-
-def _outcome(calculate, cut, runs):
-    """The selected value's bits, or the error the calculation raised."""
-    try:
-        value = calculate(cut, runs)
-    except CalculationError as error:
-        return str(error)
-    return _F64.pack(getattr(value, "value", value))
-
-
 def _cut(local_rank, n):
     candidates = ()
     if n:
@@ -378,44 +312,48 @@ def _cut(local_rank, n):
 @given(candidate_runs(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_rank_select_identical_to_merge(runs, data):
-    """NaN-free: at every rank, the value runs give the value bits of the
-    full-event key merge ``sorted(events, key=event_key)`` — ``-0.0`` and
-    ``0.0`` included, which only the stacking order tells apart.
-
-    With NaN there is no exact answer to hold the runs to: the event path
-    before value runs gave none either (over random three-local NaN
-    windows ``dema_quantile`` raised ``SliceError`` on about a third and
-    disagreed with ``sorted(events, key=event_key)`` on another third).
-    So a NaN draw asserts what is left: the select hands the window to the
-    k-way merge over values, the answer is that merge's, and the same runs
-    give the same bits twice.
+    """At every rank, the value runs give the value bits of the full-event
+    key merge ``sorted(events, key=event_key)`` — ``-0.0`` and ``0.0``
+    included, which only the stacking order tells apart.  A rank just
+    outside the fetched values is refused, and so is every rank of runs
+    holding a NaN or a run that descends, naming the first descent.
     """
     events = [event for run in runs for event in run]
     n = len(events)
     values = _value_runs(runs)
-    nan = any(math.isnan(event.value) for event in events)
-    if not nan:
-        reference = sorted(events, key=event_key)
+    for local_rank in (0, n + 1):
+        with pytest.raises(
+            CalculationError,
+            match=f"local rank {local_rank} outside the {n} fetched",
+        ):
+            calculate_quantile(_cut(local_rank, n), values)
+    if _has_nan(events):
         for local_rank in range(1, n + 1):
-            answer = calculate_quantile(_cut(local_rank, n), values)
-            assert _F64.pack(answer.value) == _F64.pack(
-                reference[local_rank - 1].value
-            )
-    # Every rank, plus the two just outside the fetched values.
-    for local_rank in range(0, n + 2):
-        cut = _cut(local_rank, n)
-        outcome = _outcome(calculate_quantile, cut, values)
-        assert outcome == _outcome(_merged, cut, values)
-        assert outcome == _outcome(calculate_quantile, cut, _value_runs(runs))
+            with pytest.raises(CalculationError, match="holds a NaN value"):
+                calculate_quantile(_cut(local_rank, n), values)
+        return
+    reference = sorted(events, key=event_key)
+    for local_rank in range(1, n + 1):
+        answer = calculate_quantile(_cut(local_rank, n), values)
+        assert _F64.pack(answer.value) == _F64.pack(
+            reference[local_rank - 1].value
+        )
     if runs and data.draw(st.booleans()):
-        # A protocol violation: both paths must name the same value.
+        # A protocol violation: the first descent inside a run is named.
         victim = data.draw(st.integers(min_value=0, max_value=len(runs) - 1))
         values[victim] = values[victim][::-1]
-        for local_rank in range(0, n + 2):
-            cut = _cut(local_rank, n)
-            assert _outcome(calculate_quantile, cut, values) == _outcome(
-                _merged, cut, values
-            )
+        descents = [
+            float(run[i]) for run in values for i in range(1, len(run))
+            if run[i] < run[i - 1]
+        ]
+        if descents:
+            for local_rank in range(1, n + 1):
+                with pytest.raises(
+                    CalculationError, match="near value " + re.escape(
+                        repr(descents[0])
+                    ),
+                ):
+                    calculate_quantile(_cut(local_rank, n), values)
 
 
 # ---------------------------------------------------------------------------

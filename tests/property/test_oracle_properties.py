@@ -5,21 +5,23 @@ included), key selector and membership schedule, :func:`repro.testing.oracle`
 returns per window and quantile the reference's value (bit for bit), the
 window's size and the rank ``k = ceil(q * size)``.  The reference filters
 event objects one at a time with ``Selector.matches`` and each local's
-eligibility range, and sorts each window's events by ``event_key`` in
-arrival order: with NaN there is no sorted order, and comparison order is
-the contract.
+eligibility range, and sorts each window's events by ``event_key``.  A
+NaN has no rank: the oracle refuses any input holding one.
 
-Values come from the pool ``test_columnar_identity.py`` draws from — both
-zeros, ±1, ±inf and NaN, so most windows are ties the value alone cannot
-rank — or from the whole float line; each is re-packed into a fresh float
-object, as wire decode produces them.
+Values come from a pool of both zeros, ±1 and ±inf, so most windows are
+ties the value alone cannot rank, or from the whole float line without
+NaN; each is re-packed into a fresh float object, as wire decode produces
+them.
 """
 
 import math
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+
+from repro.errors import ConfigurationError
 
 from repro.queries.spec import parse_selector
 from repro.streaming.columns import EventColumns
@@ -29,11 +31,11 @@ from repro.testing import oracle
 
 _F64 = struct.Struct("<d")
 
-_POOL = [0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), float("nan")]
+_POOL = [0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf")]
 
 _values = st.one_of(
     st.sampled_from(_POOL),
-    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.floats(allow_nan=False, allow_infinity=True, width=64),
 ).map(lambda v: _F64.unpack(_F64.pack(v))[0])
 
 _selectors = st.one_of(
@@ -132,3 +134,16 @@ def test_oracle_equals_the_sorted_reference(
         assert [_bits(answer) for answer in table.values()] == [
             _bits(answers[index]) for answers in reference.values()
         ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=events(), row=st.integers(min_value=0), masked=st.booleans())
+def test_oracle_refuses_a_nan(drawn, row, masked):
+    """Any NaN in the input, even in a row the mask drops, is refused and
+    named: no window holding one has an answer."""
+    drawn = [*drawn, Event(float("nan"), 0, 1, 0)]
+    row %= len(drawn)
+    drawn.insert(row, drawn.pop())
+    mask = [index != row for index in range(len(drawn))] if masked else None
+    with pytest.raises(ConfigurationError, match=f"event row {row} has a NaN"):
+        oracle(EventColumns.from_events(drawn), [0], 1000, [0.5], mask=mask)

@@ -1,8 +1,6 @@
 """Properties of units and the window-cut algorithm."""
 
 import struct
-from importlib import import_module
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,13 +14,10 @@ from repro.core.window_cut import (
     window_cut,
     window_cut_multi,
 )
-from repro.errors import IdentificationError
+from repro.errors import CodecError, IdentificationError, SliceError
+from repro.runtime import wire
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event, event_key, make_events
-
-#: ``repro.core.window_cut`` the module (the package re-exports the function
-#: under the same name).
-window_cut_module = import_module("repro.core.window_cut")
 
 
 @st.composite
@@ -146,9 +141,11 @@ def test_pruned_slices_are_classifiable(case, rank_seed):
 
 
 # ---------------------------------------------------------------------------
-# One sweep, three forms: the vectorised sweep over a ``SynopsisColumns``
-# batch, the row sweep it replaced on the live path (now the NaN path) and
-# the exhaustive reference must agree on everything a ``CutResult`` says.
+# One sweep, held two ways: the vectorised sweep over a ``SynopsisColumns``
+# batch must agree with the exhaustive reference on everything a
+# ``CutResult`` says, and its ``units_scanned`` with the units
+# ``build_units`` groups.  A NaN key never reaches it: the batch's doors
+# refuse one.
 # ---------------------------------------------------------------------------
 
 # A tiny pool forces duplicate values within and across nodes (ties are
@@ -182,9 +179,17 @@ def _ranks(total, seeds):
 _rank_seeds = st.lists(st.integers(min_value=0, max_value=10**6), max_size=5)
 
 
+def _units_scanned(rows, rank):
+    """The units up to and including the one holding ``rank``."""
+    for number, unit in enumerate(build_units(rows), start=1):
+        if unit.contains_rank(rank):
+            return number
+    raise AssertionError(f"no unit holds rank {rank}")
+
+
 @given(node_batches(), _rank_seeds)
 @settings(max_examples=300, deadline=None)
-def test_vectorised_sweep_equals_row_sweep_and_reference(batches, seeds):
+def test_vectorised_sweep_equals_reference(batches, seeds):
     columns = concat_synopses(batches)
     rows = list(columns)
     total = columns.event_count()
@@ -193,60 +198,39 @@ def test_vectorised_sweep_equals_row_sweep_and_reference(batches, seeds):
             window_cut_multi(columns, [1])
         return
     ranks = _ranks(total, seeds)
-    by_rows = window_cut_module._sweep_rows(rows, ranks)
-    # Columns in, and rows in (converted at the door): both vectorised.
-    with mock.patch.object(
-        window_cut_module, "_sweep_rows", side_effect=AssertionError
-    ):
-        by_columns = window_cut_multi(columns, ranks, global_window_size=total)
-        assert window_cut_multi(rows, ranks) == by_columns
-        assert window_cut(columns, ranks[-1]) == by_columns[ranks[-1]]
-    # ``CutResult`` equality covers candidates (in order), ``n_below``,
-    # ``units_scanned`` and the ``kinds`` census.
-    assert by_columns == by_rows
+    # Columns in, and rows in (converted at the door).
+    cuts = window_cut_multi(columns, ranks, global_window_size=total)
+    assert window_cut_multi(rows, ranks) == cuts
+    assert window_cut(columns, ranks[-1]) == cuts[ranks[-1]]
     for rank in ranks:
         reference = rank_bound_candidates(rows, rank)
-        assert by_columns[rank].candidates == reference.candidates
-        assert by_columns[rank].n_below == reference.n_below
-        assert by_columns[rank].kinds == reference.kinds
+        assert cuts[rank].candidates == reference.candidates
+        assert cuts[rank].n_below == reference.n_below
+        assert cuts[rank].kinds == reference.kinds
+        assert cuts[rank].units_scanned == _units_scanned(rows, rank)
 
 
 @given(
-    node_batches(), _rank_seeds,
-    st.lists(
-        st.tuples(
-            st.integers(min_value=0, max_value=10**6),
-            st.sampled_from(["first_value", "last_value"]),
-        ),
-        min_size=1, max_size=3,
-    ),
+    node_batches(),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["first_value", "last_value"]),
 )
 @settings(max_examples=150, deadline=None)
-def test_nan_keyed_batches_take_the_row_sweep(batches, seeds, poison):
-    records = concat_synopses(batches).records.copy()
-    if not len(records):
+def test_a_nan_key_is_refused_at_the_batch_doors(batches, seed, field):
+    batch = batches[0]  # node 1's cut
+    if not len(batch):
         return
-    for seed, field in poison:
-        # A NaN key never *exceeds* its partner, so the rows stay valid.
-        records[field][seed % len(records)] = float("nan")
-    columns = SynopsisColumns(records)
-    assert columns.has_nan()
-    ranks = _ranks(columns.event_count(), seeds)
-    with mock.patch.object(
-        window_cut_module, "_sweep_columns", side_effect=AssertionError
-    ):
-        cuts = window_cut_multi(columns, ranks)
-    # NaN rows are unequal to themselves: compare ids, not rows.
-    rows = list(columns)
-    by_rows = window_cut_module._sweep_rows(rows, ranks)
-    for rank in ranks:
-        reference = rank_bound_candidates(rows, rank)
-        ids = [s.slice_id for s in cuts[rank].candidates]
-        assert ids == [s.slice_id for s in by_rows[rank].candidates]
-        assert ids == [s.slice_id for s in reference.candidates]
-        assert cuts[rank].n_below == by_rows[rank].n_below == reference.n_below
-        assert cuts[rank].units_scanned == by_rows[rank].units_scanned
-        assert cuts[rank].kinds == by_rows[rank].kinds == reference.kinds
+    # The slicer's door: a NaN key is not at or below its partner.
+    records = batch.records.copy()
+    records[field][seed % len(records)] = float("nan")
+    with pytest.raises(SliceError, match="or a key is NaN"):
+        SynopsisColumns(records).validated(1, SliceError)
+    # The decoder's door: a NaN boundary on the wire.
+    raw = bytearray(batch.to_wire(batch.event_count()))
+    at = wire.SYNOPSIS_SECTION_BYTES + seed % (len(batch) + 1) * wire.F64_BYTES
+    raw[at:at + wire.F64_BYTES] = struct.pack("<d", float("nan"))
+    with pytest.raises(CodecError, match="or a key is NaN"):
+        SynopsisColumns.from_wire(bytes(raw), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SliceSynopsis, SynopsisColumns
-from repro.errors import CodecError, SliceError
+from repro.errors import CodecError
 from repro.network.messages import (
     MESSAGE_HEADER_BYTES,
     CandidateEventsMessage,
@@ -1183,11 +1183,11 @@ def test_relay_synopsis_frame_is_the_struct_packing_of_its_rows(message):
     assert hash(decoded) == hash(message)
 
 
-#: Window values with ties, signed zeros, infinities and NaN: what the
-#: sorted window can hand the slicer.
+#: Window values with ties, signed zeros and infinities: what the sorted
+#: window can hand the slicer (it refuses a NaN).
 _SLICED_VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf")]),
-    st.floats(width=64),
+    st.floats(width=64, allow_nan=False),
 )
 
 
@@ -1201,51 +1201,11 @@ def test_every_slicer_cut_survives_the_wire(values, gamma, node_id):
     events = merge_runs(None, EventColumns.from_events(
         make_events(values, node_id=node_id)
     ))
-    try:
-        sliced = slice_sorted_events(events, gamma, node_id)
-    except SliceError:
-        return  # a NaN left a slice unordered: nothing to send
+    sliced = slice_sorted_events(events, gamma, node_id)
     raw = sliced.synopses.to_wire(sliced.window_size)
-    boundaries = sliced.synopses.records["first_value"]
-    if (boundaries[:-1] > boundaries[1:]).any() or (
-        len(boundaries) and boundaries[-1] > events.values[-1]
-    ):
-        # A NaN can also leave the boundaries out of order; the wire
-        # carries an ascending histogram and refuses that one.
-        with pytest.raises(CodecError, match="first_key exceeds last_key"):
-            SynopsisColumns.from_wire(raw, node_id)
-        return
     decoded, size, used = SynopsisColumns.from_wire(raw, node_id)
     assert (size, used) == (len(events), len(raw))
     assert decoded.records.tobytes() == sliced.synopses.records.tobytes()
-
-
-def _nan_batch():
-    """Two rows whose boundaries are NaNs with distinct payload bits (a NaN
-    never *exceeds* anything, so the boundaries ascend)."""
-    quiet, payload = struct.unpack(
-        "<dd", bytes.fromhex("000000000000f87f" "efbeadde0000f8ff")
-    )
-    return (
-        SliceSynopsis(
-            first_key=(quiet, 3, 0), last_key=(2.5, 3, 5),
-            count=6, node_id=3, slice_index=0, n_slices=2,
-        ),
-        SliceSynopsis(
-            first_key=(2.5, 3, 6), last_key=(payload, 3, 11),
-            count=6, node_id=3, slice_index=1, n_slices=2,
-        ),
-    )
-
-
-def test_synopsis_nan_bit_patterns_survive_the_wire():
-    rows = _nan_batch()
-    flat = SynopsisMessage(3, W, synopses=rows, local_window_size=12)
-    relayed = RelaySynopsisMessage(9, W, sections=((3, 12, rows),))
-    for message in (flat, relayed):
-        frame = encode_frame(message)
-        assert _section_of(12, rows) in frame
-        assert encode_frame(decode_frame(frame)) == frame
 
 
 #: Node 3's 12 events in two slices of 6, boundaries 1.0, 2.5 and 3.0.
@@ -1297,6 +1257,25 @@ def _decode_relay(payload):
     return decode_payload(
         TAG_BY_TYPE[RelaySynopsisMessage], payload, sender=9, window=W
     )
+
+
+def test_synopsis_nan_boundaries_are_refused_by_the_decoder():
+    # A NaN boundary has no place in an ascending histogram: a wire-fed
+    # NaN is refused where it is first ordered, here the decoder.  Two
+    # payload bit patterns, on the first and on the last boundary.
+    quiet, payload = struct.unpack(
+        "<dd", bytes.fromhex("000000000000f87f" "efbeadde0000f8ff")
+    )
+    for row, boundaries in ((0, (quiet, 2.5, 3.0)), (1, (1.0, 2.5, payload))):
+        for decode, raw in (
+            (_decode_flat, _flat_payload(boundaries=boundaries)),
+            (_decode_relay, _relay_payload(boundaries=boundaries)),
+        ):
+            with pytest.raises(
+                CodecError,
+                match=f"synopsis {row} of 2 is malformed: .* a key is NaN",
+            ):
+                decode(raw)
 
 
 def test_flat_payload_helper_is_the_identity_without_fields():

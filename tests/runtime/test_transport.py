@@ -7,6 +7,9 @@ has no pytest-asyncio).
 """
 
 import asyncio
+import gc
+import sys
+import warnings
 
 import pytest
 
@@ -293,3 +296,30 @@ class TestFailureLatch:
         error = asyncio.run(scenario())
         assert isinstance(error, RuntimeError)
         assert "handler blew up" in str(error)
+
+    def test_spawn_cancelled_before_its_first_step_closes_its_coroutine(
+        self, monkeypatch
+    ):
+        """A task cancelled before it first runs never awaits its guarded
+        coroutine; that coroutine is closed, not collected with a
+        "never awaited" warning (which, as an error, is unraisable)."""
+        from repro.runtime.transport import FailureLatch
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        async def tick():
+            pass
+
+        async def scenario():
+            latch = FailureLatch()
+            task = latch.spawn(tick())
+            task.cancel()
+            await FailureLatch.reap([task])
+            return task.cancelled(), latch.error
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert asyncio.run(scenario()) == (True, None)
+            gc.collect()
+        assert not unraisable, [hook.exc_value for hook in unraisable]

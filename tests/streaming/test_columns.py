@@ -293,54 +293,28 @@ class TestMergeRuns:
             list(EVENTS) + list(extra), key=event_key
         )
 
-    def test_nan_matches_object_sort_exactly(self, backend):
+    def test_nan_in_a_batch_is_refused_naming_its_row(self, backend):
+        # A NaN has no rank; numpy sorts it last, and the sort names the
+        # row it reads there (a wire-fed NaN is refused where it is first
+        # ordered).
         events = [
             Event(value=2.0, timestamp=0, node_id=1, seq=0),
-            Event(value=float("nan"), timestamp=1, node_id=1, seq=1),
+            Event(value=float("nan"), timestamp=1, node_id=4, seq=9),
             Event(value=1.0, timestamp=2, node_id=1, seq=2),
-            Event(value=float("nan"), timestamp=3, node_id=2, seq=0),
-            Event(value=0.5, timestamp=4, node_id=2, seq=1),
         ]
-        # The object path: sort the arrival buffer with Timsort.  NaN
-        # makes the result order-dependent but deterministic; the
-        # columnar path must reproduce that exact permutation.
-        expected = sorted(events, key=event_key)
-        merged = merge_runs(None, EventColumns.from_events(events))
-        assert [(e.node_id, e.seq) for e in merged] == [
-            (e.node_id, e.seq) for e in expected
-        ]
+        with pytest.raises(CodecError, match="node 4 seq 9 has a NaN value"):
+            merge_runs(None, EventColumns.from_events(events))
 
-    def test_nan_merge_into_run_matches_object_merge(self, backend):
-        # Distinct NaN objects per event, exactly as wire decode produces
-        # them.  (A shared NaN object would flip tuple comparisons via
-        # CPython's identity fast path — an order production never sees.)
-        run_events = [
-            Event(value=1.0, timestamp=0, node_id=1, seq=0),
-            Event(value=float("nan"), timestamp=1, node_id=1, seq=1),
-            Event(value=3.0, timestamp=2, node_id=1, seq=2),
-        ]
-        pending = [
+    def test_nan_merged_into_a_run_is_refused(self, backend):
+        run = merge_runs(None, EventColumns.from_events(
+            make_events([1.0, 3.0], node_id=1)
+        ))
+        pending = EventColumns.from_events([
             Event(value=2.0, timestamp=3, node_id=2, seq=0),
-            Event(value=float("nan"), timestamp=4, node_id=2, seq=1),
-        ]
-        # Mirror of SortedLocalWindow._compact on objects.
-        buf = sorted(pending, key=event_key)
-        merged_obj, i, j = [], 0, 0
-        while i < len(run_events) and j < len(buf):
-            if run_events[i].key <= buf[j].key:
-                merged_obj.append(run_events[i])
-                i += 1
-            else:
-                merged_obj.append(buf[j])
-                j += 1
-        merged_obj.extend(run_events[i:])
-        merged_obj.extend(buf[j:])
-
-        run = EventColumns.from_events(run_events)
-        merged = merge_runs(run, EventColumns.from_events(pending))
-        assert [(e.node_id, e.seq) for e in merged] == [
-            (e.node_id, e.seq) for e in merged_obj
-        ]
+            Event(value=-_nan(0xBEEF), timestamp=4, node_id=2, seq=1),
+        ])
+        with pytest.raises(CodecError, match="node 2 seq 1 has a NaN value"):
+            merge_runs(run, pending)
 
     def test_duplicate_keys_stable(self, backend):
         # node_id/seq pairs make keys strict in production; a pathological
@@ -389,7 +363,7 @@ class TestMergeRuns:
 
     def test_nan_values_order_last(self, backend):
         # The kernel's own NaN rule (merge_runs reads it off the last row
-        # and hands the batch to the comparison mirror).
+        # and refuses the batch).
         values = np.array([2.0, float("nan"), 1.0, 1.0, float("nan"), 0.5])
         nodes = np.array([1, 1, 2, 1, 2, 2], dtype="<u4")
         seqs = np.arange(6, dtype="<u4")

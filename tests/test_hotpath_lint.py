@@ -73,6 +73,13 @@ window oracle and the one grader, and the query plane's two names for them
 in ``queries/oracle.py`` only call into it, so a per-path oracle or grader
 (each with its own idea of a tie or a grade) cannot grow back.
 
+One keeps one strict order below the door: ``repro.core``,
+``repro.streaming`` and ``repro.testing`` call ``isnan`` and branch on or
+name a function for NaN only where a NaN is refused — the stream door
+``check_streams``, an event batch's sort and the root's rank select (where
+a wire-fed NaN is first ordered) and the oracle — so a NaN fallback path
+cannot grow back below the door.
+
 The last holds the per-frame cost of the stream → local hop: the Python
 calls into ``src/repro`` that one strided event batch costs from encode
 through decode to ingest are counted and held with ``==``, so a change
@@ -85,7 +92,7 @@ import re
 
 import repro
 from repro.core.synopsis import SynopsisColumns, concat_synopses
-from repro.streaming.columns import EventColumns
+from repro.streaming.columns import EVENT_DTYPE, EventColumns, concat_records
 
 MARKER = "Hot-path module:"
 
@@ -460,11 +467,10 @@ def test_cluster_configs_are_built_in_one_cli_function():
 #: over synopsis ranks.  The root's rank select sorts nothing: it
 #: partitions the value runs.
 #: The builtin ``sorted`` is not policed — it orders dict keys all over
-#: ``runtime/``; the comparison mirrors (``_merge_comparison_mirror``,
-#: ``_sweep_rows``) are its only row users.
+#: ``runtime/``; no row of the live path is ordered with it.
 ALLOWED_SORT_SITES = {
     ("streaming/columns.py", "_key_order"),
-    ("core/window_cut.py", "_sweep_columns"),
+    ("core/window_cut.py", "window_cut_multi"),
 }
 
 SORT_CALLS = {"lexsort", "argsort", "sort"}
@@ -1044,6 +1050,101 @@ def test_oracle_lint_sees_functions_methods_and_nested_defs():
     }
 
 
+#: Every function of ``repro.core``, ``repro.streaming`` and
+#: ``repro.testing`` that calls ``isnan`` (or ``has_nan``), branches on a
+#: name for NaN, or is named for NaN: the door and the refusals where a
+#: wire-fed NaN is first ordered — an event batch's sort and the root's rank
+#: select — and the oracle's.  A synopsis boundary's refusal is a ``<=`` in
+#: ``SynopsisColumns.validated``, no call.  Held with ``==``: below the door
+#: one strict order rules, and a NaN fallback growing back fails here.
+NAN_SITES = {
+    ("streaming/columns.py", "check_streams"),
+    ("streaming/columns.py", "merge_runs"),
+    ("streaming/columns.py", "select_rank"),
+    ("testing.py", "oracle"),
+}
+
+NAN_CALLS = {"isnan", "has_nan"}
+
+#: The comparison-order fallbacks below the door; none comes back.
+DELETED_NAN_FALLBACKS = {
+    "_merge_comparison_mirror", "_sweep_rows", "has_nan",
+    "merge_candidate_runs",
+}
+
+
+def _named_for_nan(name):
+    return "nan" in name.lower().split("_")
+
+
+def _nan_sites(source):
+    sites = set()
+    for scope, node in _innermost_scopes(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if _named_for_nan(node.name):
+                sites.add(node.name)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if (getattr(func, "id", None) or getattr(func, "attr", None)) in (
+                NAN_CALLS
+            ):
+                sites.add(scope)
+        elif isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            if any(
+                _named_for_nan(getattr(name, "id", "") or getattr(name, "attr", ""))
+                for name in ast.walk(node.test)
+            ):
+                sites.add(scope)
+    return sites
+
+
+def test_nan_is_refused_only_at_the_door_and_where_first_ordered():
+    paths = [
+        *sorted((PACKAGE_ROOT / "core").rglob("*.py")),
+        *sorted((PACKAGE_ROOT / "streaming").rglob("*.py")),
+        PACKAGE_ROOT / "testing.py",
+    ]
+    sites = {
+        (path.relative_to(PACKAGE_ROOT).as_posix(), scope)
+        for path in paths
+        for scope in _nan_sites(path.read_text())
+    }
+    assert sites == NAN_SITES
+    defined = {
+        node.name
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    assert not defined & DELETED_NAN_FALLBACKS
+    assert not hasattr(EventColumns, "_keys")
+    assert not hasattr(EventColumns, "_take")
+
+
+def test_nan_lint_sees_calls_branches_and_names():
+    source = (
+        "def door(v):\n"
+        "    if np.isnan(v).any():\n"
+        "        raise ValueError\n"
+        "def fallback(batch):\n"
+        "    if batch.has_nan():\n"
+        "        return rows(batch)\n"
+        "def pick(nan, v):\n"
+        "    return 0 if nan else v\n"
+        "def drain(state):\n"
+        "    while state.nan_left:\n"
+        "        state.step()\n"
+        "def _sweep_nan_rows(rows):\n"
+        "    return rows\n"
+        "def fine(values, nanos):\n"
+        "    if nanos > 0:\n"
+        "        return float('nan'), values.max()\n"
+    )
+    assert _nan_sites(source) == {
+        "door", "fallback", "pick", "drain", "_sweep_nan_rows",
+    }
+
+
 #: Python calls into ``src/repro`` for one strided 512-event batch from
 #: encode through decode to ingest at a ``DemaLocalNode`` — the fixed
 #: per-frame cost of the stream → local hop.  Held with ``==``: a change
@@ -1130,7 +1231,9 @@ def test_call_budget_counts_repro_functions_only():
 
     assert _repro_calls(lambda: json.dumps({"a": [1]})) == {}
     assert _repro_calls(lambda: Window(0, 1)) == {"Window.__post_init__": 1}
-    # ``_keys`` builds its list in a comprehension: one call on 3.11 and
-    # on 3.12 alike.
+    # ``concat_records`` builds its list in a comprehension: one call on
+    # 3.11 and on 3.12 alike.
     batch = EventColumns.from_arrays([1.0, 2.0], [0, 1], 1)
-    assert _repro_calls(batch._keys) == {"EventColumns._keys": 1}
+    assert _repro_calls(
+        lambda: concat_records([batch._arr, batch._arr], EVENT_DTYPE)
+    ) == {"concat_records": 1}
