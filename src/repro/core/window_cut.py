@@ -235,7 +235,9 @@ def window_cut_multi(
 
     Raises:
         IdentificationError: On an empty window, no ranks, an out-of-range
-            rank, or a ``global_window_size`` mismatch.
+            rank, a ``global_window_size`` mismatch, or a rank no synopsis
+            brackets (keys not totally ordered, e.g. a NaN in a batch that
+            skipped ``validated``).
     """
     if not ranks:
         raise IdentificationError("need at least one rank to cut for")
@@ -284,6 +286,13 @@ def window_cut_multi(
         # Only rows of the unit holding ``rank`` can bracket it; every row
         # of a unit below it, and nothing of a unit above, tops out short.
         chosen = _np.flatnonzero((min_rank <= rank) & (rank <= max_rank))
+        if not chosen.size:
+            # Keys that are not totally ordered (a batch that skipped
+            # ``validated``) leave a rank that no row brackets.
+            raise IdentificationError(
+                f"no synopsis brackets rank {rank}: the synopsis keys are "
+                f"not totally ordered"
+            )
         head = chosen[0]
         alone = bool(opens[head] and opens[head + 1])
         covers = int(enclosed[chosen].sum())

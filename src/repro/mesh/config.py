@@ -76,6 +76,11 @@ class ClusterConfig:
             needs ``n_shards == 1``; bit-identity with the simulator
             needs a fixed γ either way.
         batch_size: Events per replayed batch (window splits still apply).
+            The cap trades per-frame cost (cut, codec, transport, one
+            event-loop turn a frame) against in-flight memory (a bounded
+            pipe holds ``queue_frames`` frames of up to this many events).
+            It does not trade seal latency: a window's sealing watermark
+            rides its last batch, whatever the batch size.
         transport: ``"memory"`` (deterministic, in-process) or ``"tcp"``
             (real localhost sockets).
         time_scale: Wall-clock seconds per second of event time.  ``1.0``
@@ -111,7 +116,7 @@ class ClusterConfig:
     n_shards: int = 1
     relay_fanin: int = 0
     query: QuantileQuery = field(default_factory=QuantileQuery)
-    batch_size: int = 512
+    batch_size: int = 4096
     transport: str = "memory"
     time_scale: float = 0.0
     queue_frames: int = DEFAULT_QUEUE_FRAMES

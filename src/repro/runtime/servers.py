@@ -5,10 +5,9 @@ Three hosts mirror the simulated three-layer topology:
 ``StreamServer``
     Replays one sensor's share of the workload into its local node —
     batches that never span a window boundary, a
-    :class:`~repro.network.messages.WatermarkMessage` carrying the last
-    event timestamp with the first batch of each window (later watermarks
-    inside the same window cannot seal anything new, so they are not
-    sent), and a final watermark that seals every window.
+    :class:`~repro.network.messages.WatermarkMessage` at the window's end
+    with the last batch of each window (so the window seals as soon as its
+    last frame is in), and a final watermark that seals every window.
 
 ``LocalServer``
     Wraps an **unmodified** :class:`~repro.core.local_node.DemaLocalNode`.
@@ -1581,7 +1580,10 @@ class StreamServer:
     has applied the boundary's joins and leaves — so data and membership
     can never race.  A stream replayed across a boundary must be in
     timestamp order (the mesh driver rejects any other before it starts a
-    server); without gates the replay is one phase and any order goes.
+    server); without gates the replay is one phase, and the events inside
+    a window may come in any order.  The windows themselves come in order:
+    each window's watermark says that nothing of the stream below its end
+    is still to come.
     """
 
     def __init__(self, stream_id: int, *, events: EventColumns,
@@ -1643,27 +1645,36 @@ class StreamServer:
     ) -> None:
         """One phase: every batch, then the watermark sealing to ``seal_to``.
 
-        A watermark is emitted only with the *first* batch of each window,
-        not with every batch: the local server seals on
-        ``min(watermarks) >= window end``, and a watermark whose time lies
-        inside window ``w`` can only ever satisfy that predicate for
-        windows ending at or before ``w.start`` — which the first
-        watermark of ``w`` already sealed.  Intra-window watermarks are
-        pure overhead (they used to double the stream → local frame
-        count), and dropping them leaves every seal on exactly the same
-        received frame as before.
+        A watermark travels with the *last* batch of each window, in the
+        same ``send_many``: its time is the start of the next batch's
+        window — the window's end, or later when the stream has no event
+        in the windows between — and nothing of this stream below it is
+        still to come.  The local seals on ``min(watermarks) >= window
+        end``, so a window is sealed as soon as its last frame is in, not
+        when the next window's first frame falls due.  The phase's last
+        batch carries none: the phase-end watermark follows it.
         """
         loop = asyncio.get_event_loop()
         span = Window(self._grid_start, max(self._grid_end, self._grid_start + 1))
         length = self._window_length_ms
-        watermarked_window: int | None = None
         send_many = getattr(stream, "send_many", None)
-        # Every batch's bounds and first and last timestamps, up front.
+        # Every batch's bounds, first and last timestamps and window, up front.
         starts = _batch_starts(events, length, self._batch_size)
         rows = np.asarray(starts)
         firsts = events.timestamps[rows[:-1]].tolist()
-        lasts = events.timestamps[rows[1:] - 1].tolist()
-        for lo, hi, first_ts, last_ts in zip(starts, starts[1:], firsts, lasts):
+        last_column = events.timestamps[rows[1:] - 1]
+        lasts = last_column.tolist()
+        # Batches never span a window boundary, so a batch's window index
+        # is well-defined by any of its timestamps.
+        windows = (last_column // length).tolist()
+        seals = [
+            following * length if following != window else None
+            for window, following in zip(windows, windows[1:])
+        ]
+        seals.append(None)
+        for lo, hi, first_ts, last_ts, window_index, seal in zip(
+            starts, starts[1:], firsts, lasts, windows, seals
+        ):
             batch = events[lo:hi]
             if self._time_scale > 0:
                 target = epoch + (
@@ -1677,15 +1688,10 @@ class StreamServer:
                 window=Window(first_ts, last_ts + 1),
                 events=batch,
             )
-            # Batches never span a window boundary, so the batch's window
-            # index is well-defined by any of its timestamps.
-            window_index = last_ts // length
             watermark_message = None
-            if window_index != watermarked_window:
-                watermarked_window = window_index
+            if seal is not None:
                 watermark_message = WatermarkMessage(
-                    sender=self.stream_id, window=span,
-                    watermark_time=last_ts,
+                    sender=self.stream_id, window=span, watermark_time=seal,
                 )
             token = None
             if self.wire_tracing:

@@ -62,8 +62,10 @@ __all__ = [
 #: Anything the codec produces: a protocol message or the hello preamble.
 Frame = "Message | Hello"
 
-#: Default capacity (frames) of one direction of an in-memory pipe.
-DEFAULT_QUEUE_FRAMES = 1024
+#: Default capacity (frames) of one direction of an in-memory pipe.  The
+#: bound is meant in bytes: 128 frames of the cluster's 4096-event batches
+#: hold 524,288 events (~10 MiB) on a stalled stream → local pipe.
+DEFAULT_QUEUE_FRAMES = 128
 
 #: Closed-pipe sentinel (queues cannot carry ``None`` ambiguously).
 _EOF = b""

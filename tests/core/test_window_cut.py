@@ -2,12 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.errors import IdentificationError
 from repro.core.slicing import slice_sorted_events
-from repro.core.synopsis import SliceSynopsis
-from repro.core.window_cut import rank_bound_candidates, window_cut
+from repro.core.synopsis import SYNOPSIS_DTYPE, SliceSynopsis, SynopsisColumns
+from repro.core.window_cut import (
+    rank_bound_candidates,
+    window_cut,
+    window_cut_multi,
+)
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 
@@ -117,6 +122,21 @@ class TestValidation:
         with pytest.raises(IdentificationError):
             window_cut(slices, rank=1, global_window_size=6)
         assert window_cut(slices, rank=1, global_window_size=5).n_below == 0
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_unordered_keys_are_a_named_error(self, rank):
+        """A batch built straight from records skips ``validated``: a NaN
+        first value leaves ranks no row brackets, and the sweep says so
+        instead of indexing an empty selection."""
+        records = np.array(
+            [
+                (float("nan"), 2.0, 2, 0, 1, 0, 1, 1),
+                (1.0, 1.0, 1, 0, 0, 0, 1, 2),
+            ],
+            dtype=SYNOPSIS_DTYPE,
+        )
+        with pytest.raises(IdentificationError, match="brackets rank"):
+            window_cut_multi(SynopsisColumns(records), [rank])
 
 
 class TestEquivalenceWithReference:

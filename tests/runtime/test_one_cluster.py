@@ -83,7 +83,11 @@ def test_each_pair_is_two_names_for_one_object():
 # after local size and gamma): 48 synopses in 12 sections, 12·n − 12 B
 # fewer a synopsis frame (432 B each local→root or local→relay) and
 # 12·n − 8 B fewer a relay section (480 B relay→root); candidates, values
-# and message counts unchanged.
+# and message counts unchanged.  Stream → local re-recorded for the
+# last-batch watermark (a window's sealing watermark rides its last batch,
+# none rides the phase's last batch): 8 streams × 3 windows, one 40-byte
+# watermark frame fewer a stream (320 B, 8 messages); every uplink layer,
+# the values and the wire version unchanged.
 # ----------------------------------------------------------------------
 
 GOLDEN_VALUES = [34.952524624106594, 35.08097862671282, 54.22207658633975]
@@ -91,18 +95,18 @@ GOLDEN_VALUES = [34.952524624106594, 35.08097862671282, 54.22207658633975]
 GOLDEN = {
     "flat": (
         dict(n_shards=1, relay_fanin=0),
-        {"local_root": 13340, "stream_local": 50496},
-        {"local_root": 49, "stream_local": 64},
+        {"local_root": 13340, "stream_local": 50176},
+        {"local_root": 49, "stream_local": 56},
     ),
     "sharded": (
         dict(n_shards=2, relay_fanin=0),
-        {"local_root": 13516, "stream_local": 50496},
-        {"local_root": 53, "stream_local": 64},
+        {"local_root": 13516, "stream_local": 50176},
+        {"local_root": 53, "stream_local": 56},
     ),
     "relayed": (
         dict(n_shards=2, relay_fanin=2),
-        {"local_relay": 13340, "relay_root": 13439, "stream_local": 50496},
-        {"local_relay": 49, "relay_root": 28, "stream_local": 64},
+        {"local_relay": 13340, "relay_root": 13439, "stream_local": 50176},
+        {"local_relay": 49, "relay_root": 28, "stream_local": 56},
     ),
 }
 

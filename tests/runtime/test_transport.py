@@ -22,6 +22,7 @@ from repro.network.messages import (
 from repro.runtime import wire
 from repro.runtime.codec import Hello
 from repro.runtime.transport import (
+    DEFAULT_QUEUE_FRAMES,
     MemoryNetwork,
     TcpMessageStream,
     TcpNetwork,
@@ -170,6 +171,45 @@ def test_memory_backpressure_blocks_sender():
         assert await asyncio.wait_for(b.recv(), timeout=5.0) is None
 
     asyncio.run(scenario())
+
+
+def test_a_consumer_that_never_reads_stops_the_sender_at_the_event_bound():
+    """A stalled stream → local pipe holds 524,288 events (~10 MiB) of the
+    cluster's frames, whatever their size: the frame bound times the
+    cluster's batch size."""
+    from repro.mesh.config import ClusterConfig
+
+    batch_size = ClusterConfig().batch_size
+    assert DEFAULT_QUEUE_FRAMES * batch_size == 1024 * 512
+    batch = EventColumns.from_arrays(
+        [float(i) for i in range(batch_size)], list(range(batch_size)), 3
+    )
+    message = EventBatchMessage(3, Window(0, batch_size), events=batch)
+
+    async def scenario():
+        sender, _never_read = memory_pipe()
+        sent = 0
+
+        async def send_forever():
+            nonlocal sent
+            while True:
+                await sender.send(message)
+                sent += 1
+
+        task = asyncio.ensure_future(send_forever())
+        while True:
+            before = sent
+            for _ in range(10):
+                await asyncio.sleep(0)
+            if sent == before:
+                break
+        assert not task.done()
+        task.cancel()
+        return sent, sender.stats.bytes_sent
+
+    sent, in_flight = asyncio.run(scenario())
+    assert sent == DEFAULT_QUEUE_FRAMES
+    assert in_flight < 11 * 2**20
 
 
 def test_tcp_mid_frame_death_raises():

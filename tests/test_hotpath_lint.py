@@ -90,8 +90,11 @@ import ast
 import pathlib
 import re
 
+import pytest
+
 import repro
 from repro.core.synopsis import SynopsisColumns, concat_synopses
+from repro.mesh.config import ClusterConfig
 from repro.streaming.columns import EVENT_DTYPE, EventColumns, concat_records
 
 MARKER = "Hot-path module:"
@@ -1145,10 +1148,12 @@ def test_nan_lint_sees_calls_branches_and_names():
     }
 
 
-#: Python calls into ``src/repro`` for one strided 512-event batch from
-#: encode through decode to ingest at a ``DemaLocalNode`` — the fixed
-#: per-frame cost of the stream → local hop.  Held with ``==``: a change
-#: that adds a call per frame says so here.
+#: Python calls into ``src/repro`` for one strided event batch from encode
+#: through decode to ingest at a ``DemaLocalNode`` — the fixed per-frame
+#: cost of the stream → local hop — at 512 events and at the cluster's
+#: ``batch_size``, the frame the system sends.  Held with ``==`` at both: a
+#: change that adds a call per frame says so here, and one that adds a
+#: call per event cannot hide behind a small frame.
 EVENT_BATCH_FRAME_CALLS = 28
 
 #: Comprehensions run inline on Python 3.12 and as a call on 3.11.
@@ -1181,8 +1186,9 @@ def _repro_calls(action):
     return calls
 
 
-def _event_batch_frame_hop():
-    """``action()`` running one frame's hop, and the node it ingests at."""
+def _event_batch_frame_hop(batch_size):
+    """``action()`` running one ``batch_size``-event frame's hop, and the
+    node it ingests at."""
     import numpy as np
 
     from repro.core.local_node import DemaLocalNode
@@ -1194,7 +1200,9 @@ def _event_batch_frame_hop():
 
     rng = np.random.default_rng(7)
     share = EventColumns.from_arrays(
-        rng.normal(size=1024), np.sort(rng.integers(0, 1000, 1024)), 1
+        rng.normal(size=2 * batch_size),
+        np.sort(rng.integers(0, 1000, 2 * batch_size)),
+        1,
     )
     batch = share[::2]  # stream 0 of two: a strided view
     message = EventBatchMessage(
@@ -1214,11 +1222,12 @@ def _event_batch_frame_hop():
     return action, node
 
 
-def test_event_batch_frame_call_budget():
-    action, node = _event_batch_frame_hop()
+@pytest.mark.parametrize("batch_size", [512, ClusterConfig().batch_size])
+def test_event_batch_frame_call_budget(batch_size):
+    action, node = _event_batch_frame_hop(batch_size)
     action()  # first-use work (imports, caches) is not per frame
     calls = _repro_calls(action)
-    assert node.events_ingested == 2 * 512
+    assert node.events_ingested == 2 * batch_size
     assert sum(calls.values()) == EVENT_BATCH_FRAME_CALLS, sorted(
         calls.items()
     )
