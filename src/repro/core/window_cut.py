@@ -235,9 +235,9 @@ def window_cut_multi(
 
     Raises:
         IdentificationError: On an empty window, no ranks, an out-of-range
-            rank, a ``global_window_size`` mismatch, or a rank no synopsis
-            brackets (keys not totally ordered, e.g. a NaN in a batch that
-            skipped ``validated``).
+            rank, a ``global_window_size`` mismatch, or a row whose first
+            key ranks above its last (keys not totally ordered, e.g. a NaN
+            in a batch that skipped ``validated``).
     """
     if not ranks:
         raise IdentificationError("need at least one rank to cut for")
@@ -252,6 +252,16 @@ def window_cut_multi(
     for rank in pending:
         _validate_rank(rank, total)
     first, last = columns.key_ranks()
+    # A slicer's cut has first <= last on every row (a bounding last key
+    # ranks one below the next first key); keys that are not totally
+    # ordered, in a batch that skipped ``validated``, may not.  With it,
+    # every rank in range has a row that brackets it.
+    unordered = _np.flatnonzero(first > last)
+    if unordered.size:
+        raise IdentificationError(
+            f"synopsis keys are not totally ordered: row {unordered[0]}'s "
+            f"first key ranks above its last"
+        )
     n = len(first)
     # Sweep order: ascending (first_key, last_key), stable like ``sorted``.
     by_first = _np.lexsort((last, first))
@@ -286,13 +296,6 @@ def window_cut_multi(
         # Only rows of the unit holding ``rank`` can bracket it; every row
         # of a unit below it, and nothing of a unit above, tops out short.
         chosen = _np.flatnonzero((min_rank <= rank) & (rank <= max_rank))
-        if not chosen.size:
-            # Keys that are not totally ordered (a batch that skipped
-            # ``validated``) leave a rank that no row brackets.
-            raise IdentificationError(
-                f"no synopsis brackets rank {rank}: the synopsis keys are "
-                f"not totally ordered"
-            )
         head = chosen[0]
         alone = bool(opens[head] and opens[head + 1])
         covers = int(enclosed[chosen].sum())

@@ -99,6 +99,12 @@ class ChaosStream:
             held, self._held = self._held, None
             await self._inner.send(held)
 
+    async def send_many(self, messages) -> None:
+        """Frame by frame through :meth:`send`, so sever, delay and reorder
+        act on each frame as they do on single sends."""
+        for message in messages:
+            await self.send(message)
+
     async def recv(self) -> Message | Hello | None:
         if self.severed:
             return None

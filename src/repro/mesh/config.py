@@ -18,7 +18,6 @@ from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
 from repro.faults.plan import FaultPlan, ToleranceConfig
 from repro.obs.live.config import TelemetryConfig
-from repro.runtime.transport import DEFAULT_QUEUE_FRAMES
 
 __all__ = ["MembershipEvent", "ClusterConfig", "MeshConfig"]
 
@@ -78,14 +77,13 @@ class ClusterConfig:
         batch_size: Events per replayed batch (window splits still apply).
             The cap trades per-frame cost (cut, codec, transport, one
             event-loop turn a frame) against in-flight memory (a bounded
-            pipe holds ``queue_frames`` frames of up to this many events).
-            It does not trade seal latency: a window's sealing watermark
-            rides its last batch, whatever the batch size.
+            pipe holds ``DEFAULT_QUEUE_FRAMES`` frames of up to this many
+            events).  It does not trade seal latency: a window's sealing
+            watermark rides its last batch, whatever the batch size.
         transport: ``"memory"`` (deterministic, in-process) or ``"tcp"``
             (real localhost sockets).
         time_scale: Wall-clock seconds per second of event time.  ``1.0``
             replays in real time, ``0.0`` as fast as backpressure allows.
-        queue_frames: Bound of each in-memory pipe direction.
         timeout_s: Overall deadline for the run; ``None`` waits forever.
         faults: Optional fault schedule injected while the run is live;
             event times scale to the wall clock by ``time_scale``.
@@ -119,7 +117,6 @@ class ClusterConfig:
     batch_size: int = 4096
     transport: str = "memory"
     time_scale: float = 0.0
-    queue_frames: int = DEFAULT_QUEUE_FRAMES
     timeout_s: float | None = 60.0
     faults: FaultPlan | None = None
     tolerance: ToleranceConfig | None = None

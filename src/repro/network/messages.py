@@ -2,9 +2,13 @@
 
 Network cost in the evaluation is counted in bytes on the wire, so every
 message type declares how large its serialized form is.  Sizes are not
-estimates: each ``payload_bytes`` property mirrors, field for field, the
-binary encoding in :mod:`repro.runtime.codec` (struct layouts in
-:mod:`repro.runtime.wire`), and the runtime test suite asserts that
+estimates.  A fixed-size message states its payload once, as its class's
+``LAYOUT``: one struct over the fields the class declares, in declaration
+order.  ``payload_bytes`` is that struct's size, and
+:mod:`repro.runtime.codec` packs and unpacks with it.  A variable-length
+message (a batch, a run, a list or a string) sums its ``payload_bytes``
+over the constants of :mod:`repro.runtime.wire`, beside the hand encoder
+and decoder the codec lists for it; the runtime test suite asserts that
 ``payload_bytes == len(encode_payload(message))`` for every type.  The
 simulator therefore charges exactly the bytes the live asyncio runtime
 puts on a socket.
@@ -12,6 +16,7 @@ puts on a socket.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -110,10 +115,15 @@ class Message:
     window: Window
     group_id: int = 0
 
+    #: A fixed-size message's payload: one struct over the fields its class
+    #: declares, in declaration order (none here).  A variable-length
+    #: message overrides ``payload_bytes`` and never reads it.
+    LAYOUT = struct.Struct("<")
+
     @property
     def payload_bytes(self) -> int:
         """Serialized payload size, excluding the fixed header."""
-        return 0
+        return self.LAYOUT.size
 
     @property
     def wire_bytes(self) -> int:
@@ -208,6 +218,8 @@ class SynopsisRequestMessage(Message):
     window in the header says everything, so the payload is empty.
     """
 
+    LAYOUT = struct.Struct("<")
+
 
 @dataclass(frozen=True, slots=True)
 class WindowReleaseMessage(Message):
@@ -218,6 +230,8 @@ class WindowReleaseMessage(Message):
     control message with an empty payload.
     """
 
+    LAYOUT = struct.Struct("<")
+
 
 @dataclass(frozen=True, slots=True)
 class GammaUpdateMessage(Message):
@@ -225,9 +239,7 @@ class GammaUpdateMessage(Message):
 
     gamma: int = 2
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.U32_BYTES
+    LAYOUT = struct.Struct("<I")
 
 
 @dataclass(frozen=True, slots=True)
@@ -297,9 +309,7 @@ class WatermarkMessage(Message):
 
     watermark_time: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.U64_BYTES
+    LAYOUT = struct.Struct("<Q")
 
 
 @dataclass(frozen=True, slots=True)
@@ -309,9 +319,7 @@ class ResultMessage(Message):
     value: float = 0.0
     global_window_size: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.F64_BYTES + wire.U64_BYTES
+    LAYOUT = struct.Struct("<dQ")
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,9 +334,7 @@ class HeartbeatMessage(Message):
 
     sequence: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.U64_BYTES
+    LAYOUT = struct.Struct("<Q")
 
 
 @dataclass(frozen=True, slots=True)
@@ -403,9 +409,12 @@ class QueryResultMessage(Message):
     global_window_size: int = 0
     rank: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.QUERY_RESULT_BYTES
+    LAYOUT = struct.Struct("<IdQQ")
+
+
+# The documented 28-byte result is load-bearing for the simulator's byte
+# accounting; fail at import time if an edit ever drifts from it.
+assert QueryResultMessage.LAYOUT.size == 28
 
 
 @dataclass(frozen=True, slots=True)
@@ -419,9 +428,7 @@ class QueryDeregisterMessage(Message):
 
     query_id: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.U32_BYTES
+    LAYOUT = struct.Struct("<I")
 
 
 @dataclass(frozen=True, slots=True)
@@ -437,9 +444,7 @@ class JoinMessage(Message):
 
     first_window_start: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.I64_BYTES
+    LAYOUT = struct.Struct("<q")
 
 
 @dataclass(frozen=True, slots=True)
@@ -454,9 +459,7 @@ class LeaveMessage(Message):
 
     effective_from: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.I64_BYTES
+    LAYOUT = struct.Struct("<q")
 
 
 @dataclass(frozen=True, slots=True)
@@ -587,9 +590,7 @@ class ResultAckMessage(Message):
 
     cursor: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.U64_BYTES
+    LAYOUT = struct.Struct("<Q")
 
 
 @dataclass(frozen=True, slots=True)

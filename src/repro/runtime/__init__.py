@@ -7,10 +7,10 @@ bytes** — over localhost TCP or over deterministic in-memory duplex
 streams.  The package is organised bottom-up:
 
 ``wire``
-    Struct formats and byte-size constants.  The single source of truth
-    for wire sizes; the simulator's ``payload_bytes`` estimates are
-    derived from the same constants and property-tested to match the
-    encoder exactly.
+    Struct formats and byte-size constants: the frame header and the
+    parts of variable-length payloads (a fixed-size message's payload is
+    its class's ``LAYOUT``).  The simulator's ``payload_bytes`` are
+    property-tested to match the encoder exactly.
 ``codec``
     Length-prefixed binary encoding of every protocol message
     (version byte, type tag, lossless round-trip).

@@ -415,9 +415,7 @@ class Cluster:
         self.network = (
             TcpNetwork(failures=self.failures)
             if config.transport == "tcp"
-            else MemoryNetwork(
-                max_frames=config.queue_frames, failures=self.failures
-            )
+            else MemoryNetwork(failures=self.failures)
         )
         self.loop = asyncio.get_event_loop()
         self.epoch = self.loop.time()

@@ -8,10 +8,13 @@ A NaN is refused at the door, and a wire-fed one where it is first
 ordered: a slice boundary here, an event or run value by the sort or the
 root's rank select (its bits survive decode).
 
-The payload encoders here and the ``payload_bytes`` properties in
-:mod:`repro.network.messages` are two views of the same layout; the test
-suite asserts ``len(encode_payload(m)) == m.payload_bytes`` exactly, which
-is what lets the discrete-event simulator charge real wire bytes.
+One table, ``_CODECS``, lists every message type once with its tag.  A
+fixed-size type's payload is the ``LAYOUT`` its class declares in
+:mod:`repro.network.messages`: this module packs and unpacks the class's
+own fields with it, and ``payload_bytes`` is its size.  A variable-length
+type names its hand encoder and decoder in the table.  The test suite
+asserts ``len(encode_payload(m)) == m.payload_bytes`` exactly, which is
+what lets the discrete-event simulator charge real wire bytes.
 
 Framing is deliberately dumb — no compression, no varints — so that sizes
 are arithmetic over the struct constants and a reader can frame a stream
@@ -30,7 +33,7 @@ simulator's byte accounting and old captures valid.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as _np
@@ -130,49 +133,10 @@ class Hello:
             )
 
 
-# ----------------------------------------------------------------------
-# Tag registry.  Wire compatibility: tags are append-only, never reused.
-# ----------------------------------------------------------------------
-
-TAG_BY_TYPE: dict[type, int] = {
-    Message: 1,
-    EventBatchMessage: 2,
-    SortedRunMessage: 3,
-    SynopsisMessage: 4,
-    CandidateRequestMessage: 5,
-    CandidateEventsMessage: 6,
-    SynopsisRequestMessage: 7,
-    WindowReleaseMessage: 8,
-    GammaUpdateMessage: 9,
-    DigestMessage: 10,
-    PartialAggregateMessage: 11,
-    QDigestMessage: 12,
-    WatermarkMessage: 13,
-    ResultMessage: 14,
-    HeartbeatMessage: 15,
-    QueryRegisterMessage: 16,
-    QueryAckMessage: 17,
-    QueryResultMessage: 18,
-    QueryDeregisterMessage: 19,
-    JoinMessage: 20,
-    LeaveMessage: 21,
-    RouteUpdateMessage: 22,
-    RelaySynopsisMessage: 23,
-    RelayRunsMessage: 24,
-    ShardFailoverMessage: 25,
-    ResultAckMessage: 26,
-    TelemetrySnapshotMessage: 27,
-    TelemetryDigestMessage: 28,
-}
-
-TYPE_BY_TAG: dict[int, type] = {tag: cls for cls, tag in TAG_BY_TYPE.items()}
-
 #: A frame's length prefix and fixed header, packed in one call.
 _FRAME_HEAD = struct.Struct(
     wire.LENGTH_PREFIX.format + wire.HEADER.format.lstrip("<")
 )
-
-_EVENT_BATCH_TAG = TAG_BY_TYPE[EventBatchMessage]
 
 
 def tag_of(message: Message) -> int:
@@ -186,7 +150,7 @@ def tag_of(message: Message) -> int:
 
 
 # ----------------------------------------------------------------------
-# Payload encoders.
+# Hand encoders of the variable-length payloads.
 # ----------------------------------------------------------------------
 
 
@@ -231,14 +195,6 @@ def _encode_candidate_events(m: CandidateEventsMessage) -> bytes:
     return wire.U32.pack(m.slice_index) + _encode_values(m.events)
 
 
-def _encode_empty(_: Message) -> bytes:
-    return b""
-
-
-def _encode_gamma(m: GammaUpdateMessage) -> bytes:
-    return wire.U32.pack(m.gamma)
-
-
 def _encode_digest(m: DigestMessage) -> bytes:
     parts = [
         wire.COUNT.pack(len(m.centroids)),
@@ -268,18 +224,6 @@ def _encode_qdigest(m: QDigestMessage) -> bytes:
         for level, index, count in m.nodes
     )
     return b"".join(parts)
-
-
-def _encode_watermark(m: WatermarkMessage) -> bytes:
-    return wire.U64.pack(m.watermark_time)
-
-
-def _encode_result(m: ResultMessage) -> bytes:
-    return wire.F64.pack(m.value) + wire.U64.pack(m.global_window_size)
-
-
-def _encode_heartbeat(m: HeartbeatMessage) -> bytes:
-    return wire.U64.pack(m.sequence)
 
 
 #: Window-kind codes on the wire.  Append-only, like message tags.
@@ -317,24 +261,6 @@ def _encode_query_ack(m: QueryAckMessage) -> bytes:
     ) + _encode_string(m.reason)
 
 
-def _encode_query_result(m: QueryResultMessage) -> bytes:
-    return wire.QUERY_RESULT.pack(
-        m.query_id, m.value, m.global_window_size, m.rank
-    )
-
-
-def _encode_query_deregister(m: QueryDeregisterMessage) -> bytes:
-    return wire.U32.pack(m.query_id)
-
-
-def _encode_join(m: JoinMessage) -> bytes:
-    return wire.I64.pack(m.first_window_start)
-
-
-def _encode_leave(m: LeaveMessage) -> bytes:
-    return wire.I64.pack(m.effective_from)
-
-
 def _encode_route_update(m: RouteUpdateMessage) -> bytes:
     parts = [wire.U64.pack(m.epoch), wire.COUNT.pack(len(m.members))]
     parts.extend(wire.U32.pack(member) for member in m.members)
@@ -345,10 +271,6 @@ def _encode_shard_failover(m: ShardFailoverMessage) -> bytes:
     parts = [wire.U64.pack(m.epoch), wire.COUNT.pack(len(m.dead))]
     parts.extend(wire.U32.pack(index) for index in m.dead)
     return b"".join(parts)
-
-
-def _encode_result_ack(m: ResultAckMessage) -> bytes:
-    return wire.U64.pack(m.cursor)
 
 
 def _encode_telemetry_snapshot(m: TelemetrySnapshotMessage) -> bytes:
@@ -393,40 +315,9 @@ def _encode_relay_runs(m: RelayRunsMessage) -> bytes:
     return b"".join(parts)
 
 
-_ENCODERS: dict[type, Callable[[Message], bytes]] = {
-    Message: _encode_empty,
-    EventBatchMessage: _encode_event_batch,
-    SortedRunMessage: _encode_sorted_run,
-    SynopsisMessage: _encode_synopsis,
-    CandidateRequestMessage: _encode_candidate_request,
-    CandidateEventsMessage: _encode_candidate_events,
-    SynopsisRequestMessage: _encode_empty,
-    WindowReleaseMessage: _encode_empty,
-    GammaUpdateMessage: _encode_gamma,
-    DigestMessage: _encode_digest,
-    PartialAggregateMessage: _encode_partial,
-    QDigestMessage: _encode_qdigest,
-    WatermarkMessage: _encode_watermark,
-    ResultMessage: _encode_result,
-    HeartbeatMessage: _encode_heartbeat,
-    QueryRegisterMessage: _encode_query_register,
-    QueryAckMessage: _encode_query_ack,
-    QueryResultMessage: _encode_query_result,
-    QueryDeregisterMessage: _encode_query_deregister,
-    JoinMessage: _encode_join,
-    LeaveMessage: _encode_leave,
-    RouteUpdateMessage: _encode_route_update,
-    RelaySynopsisMessage: _encode_relay_synopsis,
-    RelayRunsMessage: _encode_relay_runs,
-    ShardFailoverMessage: _encode_shard_failover,
-    ResultAckMessage: _encode_result_ack,
-    TelemetrySnapshotMessage: _encode_telemetry_snapshot,
-    TelemetryDigestMessage: _encode_telemetry_digest,
-}
-
-
 # ----------------------------------------------------------------------
-# Payload decoders.  Each consumes a memoryview and must use it fully.
+# Hand decoders of the variable-length payloads.  Each consumes a
+# memoryview and must use it fully.
 # ----------------------------------------------------------------------
 
 
@@ -569,18 +460,6 @@ def _decode_candidate_events(r, sender, window, group_id):
     )
 
 
-def _decode_bare(cls):
-    def decode(r, sender, window, group_id):
-        return cls(sender, window, group_id)
-
-    return decode
-
-
-def _decode_gamma(r, sender, window, group_id):
-    (gamma,) = r.unpack(wire.U32)
-    return GammaUpdateMessage(sender, window, group_id, gamma)
-
-
 def _decode_digest(r, sender, window, group_id):
     n = r.count()
     (minimum,) = r.unpack(wire.F64)
@@ -605,22 +484,6 @@ def _decode_qdigest(r, sender, window, group_id):
     (local_count,) = r.unpack(wire.U64)
     nodes = tuple(r.unpack(wire.QDIGEST_NODE) for _ in range(n))
     return QDigestMessage(sender, window, group_id, nodes, local_count)
-
-
-def _decode_watermark(r, sender, window, group_id):
-    (watermark_time,) = r.unpack(wire.U64)
-    return WatermarkMessage(sender, window, group_id, watermark_time)
-
-
-def _decode_result(r, sender, window, group_id):
-    (value,) = r.unpack(wire.F64)
-    (global_window_size,) = r.unpack(wire.U64)
-    return ResultMessage(sender, window, group_id, value, global_window_size)
-
-
-def _decode_heartbeat(r, sender, window, group_id):
-    (sequence,) = r.unpack(wire.U64)
-    return HeartbeatMessage(sender, window, group_id, sequence)
 
 
 def _decode_string(r: _Reader) -> str:
@@ -653,28 +516,6 @@ def _decode_query_ack(r, sender, window, group_id):
     )
 
 
-def _decode_query_result(r, sender, window, group_id):
-    (query_id, value, size, rank) = r.unpack(wire.QUERY_RESULT)
-    return QueryResultMessage(
-        sender, window, group_id, query_id, value, size, rank
-    )
-
-
-def _decode_query_deregister(r, sender, window, group_id):
-    (query_id,) = r.unpack(wire.U32)
-    return QueryDeregisterMessage(sender, window, group_id, query_id)
-
-
-def _decode_join(r, sender, window, group_id):
-    (first_window_start,) = r.unpack(wire.I64)
-    return JoinMessage(sender, window, group_id, first_window_start)
-
-
-def _decode_leave(r, sender, window, group_id):
-    (effective_from,) = r.unpack(wire.I64)
-    return LeaveMessage(sender, window, group_id, effective_from)
-
-
 def _decode_route_update(r, sender, window, group_id):
     (epoch,) = r.unpack(wire.U64)
     n = r.count()
@@ -687,11 +528,6 @@ def _decode_shard_failover(r, sender, window, group_id):
     n = r.count()
     dead = tuple(r.unpack(wire.U32)[0] for _ in range(n))
     return ShardFailoverMessage(sender, window, group_id, epoch, dead)
-
-
-def _decode_result_ack(r, sender, window, group_id):
-    (cursor,) = r.unpack(wire.U64)
-    return ResultAckMessage(sender, window, group_id, cursor)
 
 
 def _decode_telemetry_snapshot(r, sender, window, group_id):
@@ -739,36 +575,80 @@ def _decode_relay_runs(r, sender, window, group_id):
     return RelayRunsMessage(sender, window, group_id, tuple(sections))
 
 
-_DECODERS: dict[int, Callable] = {
-    TAG_BY_TYPE[Message]: _decode_bare(Message),
-    TAG_BY_TYPE[EventBatchMessage]: _decode_event_batch,
-    TAG_BY_TYPE[SortedRunMessage]: _decode_sorted_run,
-    TAG_BY_TYPE[SynopsisMessage]: _decode_synopsis,
-    TAG_BY_TYPE[CandidateRequestMessage]: _decode_candidate_request,
-    TAG_BY_TYPE[CandidateEventsMessage]: _decode_candidate_events,
-    TAG_BY_TYPE[SynopsisRequestMessage]: _decode_bare(SynopsisRequestMessage),
-    TAG_BY_TYPE[WindowReleaseMessage]: _decode_bare(WindowReleaseMessage),
-    TAG_BY_TYPE[GammaUpdateMessage]: _decode_gamma,
-    TAG_BY_TYPE[DigestMessage]: _decode_digest,
-    TAG_BY_TYPE[PartialAggregateMessage]: _decode_partial,
-    TAG_BY_TYPE[QDigestMessage]: _decode_qdigest,
-    TAG_BY_TYPE[WatermarkMessage]: _decode_watermark,
-    TAG_BY_TYPE[ResultMessage]: _decode_result,
-    TAG_BY_TYPE[HeartbeatMessage]: _decode_heartbeat,
-    TAG_BY_TYPE[QueryRegisterMessage]: _decode_query_register,
-    TAG_BY_TYPE[QueryAckMessage]: _decode_query_ack,
-    TAG_BY_TYPE[QueryResultMessage]: _decode_query_result,
-    TAG_BY_TYPE[QueryDeregisterMessage]: _decode_query_deregister,
-    TAG_BY_TYPE[JoinMessage]: _decode_join,
-    TAG_BY_TYPE[LeaveMessage]: _decode_leave,
-    TAG_BY_TYPE[RouteUpdateMessage]: _decode_route_update,
-    TAG_BY_TYPE[RelaySynopsisMessage]: _decode_relay_synopsis,
-    TAG_BY_TYPE[RelayRunsMessage]: _decode_relay_runs,
-    TAG_BY_TYPE[ShardFailoverMessage]: _decode_shard_failover,
-    TAG_BY_TYPE[ResultAckMessage]: _decode_result_ack,
-    TAG_BY_TYPE[TelemetrySnapshotMessage]: _decode_telemetry_snapshot,
-    TAG_BY_TYPE[TelemetryDigestMessage]: _decode_telemetry_digest,
+# ----------------------------------------------------------------------
+# The codec table.  Wire compatibility: tags are append-only, never reused.
+# ----------------------------------------------------------------------
+
+
+def _fixed(cls: type) -> "tuple[Callable, Callable]":
+    """The encoder and decoder of a fixed-size message: its class's
+    ``LAYOUT`` over the fields the class declares, in declaration order."""
+    layout = cls.LAYOUT
+    names = [f.name for f in fields(cls)[len(fields(Message)):]]
+    assert len(layout.unpack(bytes(layout.size))) == len(names), cls
+
+    def encode(m: Message) -> bytes:
+        return layout.pack(*[getattr(m, name) for name in names])
+
+    def decode(r, sender, window, group_id):
+        return cls(sender, window, group_id, *r.unpack(layout))
+
+    return encode, decode
+
+
+#: Every message type once, with its tag.  A fixed-size type's payload
+#: codec follows from its ``LAYOUT``; a variable-length type names its
+#: hand encoder and decoder.
+_CODECS = (
+    (1, Message),
+    (2, EventBatchMessage, _encode_event_batch, _decode_event_batch),
+    (3, SortedRunMessage, _encode_sorted_run, _decode_sorted_run),
+    (4, SynopsisMessage, _encode_synopsis, _decode_synopsis),
+    (5, CandidateRequestMessage, _encode_candidate_request,
+     _decode_candidate_request),
+    (6, CandidateEventsMessage, _encode_candidate_events,
+     _decode_candidate_events),
+    (7, SynopsisRequestMessage),
+    (8, WindowReleaseMessage),
+    (9, GammaUpdateMessage),
+    (10, DigestMessage, _encode_digest, _decode_digest),
+    (11, PartialAggregateMessage, _encode_partial, _decode_partial),
+    (12, QDigestMessage, _encode_qdigest, _decode_qdigest),
+    (13, WatermarkMessage),
+    (14, ResultMessage),
+    (15, HeartbeatMessage),
+    (16, QueryRegisterMessage, _encode_query_register,
+     _decode_query_register),
+    (17, QueryAckMessage, _encode_query_ack, _decode_query_ack),
+    (18, QueryResultMessage),
+    (19, QueryDeregisterMessage),
+    (20, JoinMessage),
+    (21, LeaveMessage),
+    (22, RouteUpdateMessage, _encode_route_update, _decode_route_update),
+    (23, RelaySynopsisMessage, _encode_relay_synopsis,
+     _decode_relay_synopsis),
+    (24, RelayRunsMessage, _encode_relay_runs, _decode_relay_runs),
+    (25, ShardFailoverMessage, _encode_shard_failover,
+     _decode_shard_failover),
+    (26, ResultAckMessage),
+    (27, TelemetrySnapshotMessage, _encode_telemetry_snapshot,
+     _decode_telemetry_snapshot),
+    (28, TelemetryDigestMessage, _encode_telemetry_digest,
+     _decode_telemetry_digest),
+)
+
+TAG_BY_TYPE: dict[type, int] = {cls: tag for tag, cls, *_ in _CODECS}
+TYPE_BY_TAG: dict[int, type] = {tag: cls for cls, tag in TAG_BY_TYPE.items()}
+assert len(TAG_BY_TYPE) == len(TYPE_BY_TAG) == len(_CODECS)
+_PAIRS = {tag: pair or _fixed(cls) for tag, cls, *pair in _CODECS}
+_ENCODERS: dict[type, Callable[[Message], bytes]] = {
+    TYPE_BY_TAG[tag]: encode for tag, (encode, _) in _PAIRS.items()
 }
+_DECODERS: dict[int, Callable] = {
+    tag: decode for tag, (_, decode) in _PAIRS.items()
+}
+
+_EVENT_BATCH_TAG = TAG_BY_TYPE[EventBatchMessage]
 
 
 # ----------------------------------------------------------------------

@@ -314,13 +314,8 @@ class NodeHost:
                 raise TransportError(
                     f"node {self.node_id} has no stream to peer {peer_id}"
                 )
-            send_many = getattr(stream, "send_many", None)
             try:
-                if len(group) > 1 and send_many is not None:
-                    await send_many(group)
-                else:
-                    for message in group:
-                        await stream.send(message)
+                await stream.send_many(group)
             except TransportError:
                 if not droppable:
                     raise
@@ -1657,7 +1652,6 @@ class StreamServer:
         loop = asyncio.get_event_loop()
         span = Window(self._grid_start, max(self._grid_end, self._grid_start + 1))
         length = self._window_length_ms
-        send_many = getattr(stream, "send_many", None)
         # Every batch's bounds, first and last timestamps and window, up front.
         starts = _batch_starts(events, length, self._batch_size)
         rows = np.asarray(starts)
@@ -1708,14 +1702,11 @@ class StreamServer:
                     )
                     token = set_context(TraceContext(trace_id, span_id))
             try:
-                # Batch + sealing watermark coalesce into one writev/drain
-                # when the transport supports it.
-                if watermark_message is not None and send_many:
-                    await send_many((batch_message, watermark_message))
+                # Batch + sealing watermark coalesce into one writev/drain.
+                if watermark_message is not None:
+                    await stream.send_many((batch_message, watermark_message))
                 else:
                     await stream.send(batch_message)
-                    if watermark_message is not None:
-                        await stream.send(watermark_message)
             finally:
                 if token is not None:
                     token.var.reset(token)

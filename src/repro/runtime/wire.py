@@ -1,11 +1,13 @@
 """Wire-format constants: struct layouts and byte sizes.
 
-This module is the **single source of truth for wire sizes**.  The binary
-codec (:mod:`repro.runtime.codec`) packs with these struct objects, and the
-simulator's per-message ``payload_bytes`` estimates
-(:mod:`repro.network.messages`) are arithmetic over the same constants — a
-property test asserts that every estimate equals the encoder's output byte
-for byte, so simulated byte counts and live byte counts stay comparable.
+The frame header, its extensions and the parts of every variable-length
+payload are defined here.  The binary codec (:mod:`repro.runtime.codec`)
+packs with these struct objects, and the variable-length messages'
+``payload_bytes`` (:mod:`repro.network.messages`) are arithmetic over the
+same constants; a fixed-size message declares its whole payload once, as
+its class's ``LAYOUT``.  A property test asserts that every message's
+``payload_bytes`` equals the encoder's output byte for byte, so simulated
+byte counts and live byte counts stay comparable.
 
 It deliberately imports nothing from the rest of the package (only
 :mod:`struct`), so the lowest layers (``repro.streaming.events``,
@@ -88,8 +90,6 @@ __all__ = [
     "QUERY_REGISTER_FIXED_BYTES",
     "QUERY_ACK_FIXED",
     "QUERY_ACK_FIXED_BYTES",
-    "QUERY_RESULT",
-    "QUERY_RESULT_BYTES",
     "RELAY_RUN_SECTION_FIXED",
     "RELAY_RUN_SECTION_FIXED_BYTES",
 ]
@@ -205,11 +205,6 @@ QUERY_REGISTER_FIXED_BYTES = QUERY_REGISTER_FIXED.size
 QUERY_ACK_FIXED = struct.Struct("<II")
 QUERY_ACK_FIXED_BYTES = QUERY_ACK_FIXED.size
 
-#: One served query result: query_id u32, value f64, global window size
-#: u64, rank u64.
-QUERY_RESULT = struct.Struct("<IdQQ")
-QUERY_RESULT_BYTES = QUERY_RESULT.size
-
 #: Relay candidate-run section header: node_id u32, slice_index u32,
 #: value count u32.  The run's values follow, one f64 each.
 RELAY_RUN_SECTION_FIXED = struct.Struct("<III")
@@ -225,5 +220,4 @@ assert QDIGEST_NODE_WIRE_BYTES == 16
 assert TRACE_CONTEXT_EXT_BYTES == 17
 assert QUERY_REGISTER_FIXED_BYTES == 44
 assert QUERY_ACK_FIXED_BYTES == 8
-assert QUERY_RESULT_BYTES == 28
 assert RELAY_RUN_SECTION_FIXED_BYTES == 12

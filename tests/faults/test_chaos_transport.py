@@ -110,6 +110,39 @@ class TestChaosStream:
 
         asyncio.run(scenario())
 
+    def test_severed_send_many_raises(self):
+        async def scenario():
+            near, _far = memory_pipe()
+            chaos = ChaosStream(near)
+            chaos.sever()
+            with pytest.raises(TransportError, match="severed"):
+                await chaos.send_many([_watermark(1), _watermark(2)])
+
+        asyncio.run(scenario())
+
+    def test_send_many_reorders_like_single_sends(self):
+        async def received(coalesce):
+            near, far = memory_pipe()
+            chaos = ChaosStream(
+                near, reorder_rate=0.5, rng=random.Random(3)
+            )
+            frames = [_watermark(mark) for mark in range(12)]
+            if coalesce:
+                for i in range(0, len(frames), 3):
+                    await chaos.send_many(frames[i:i + 3])
+            else:
+                for frame in frames:
+                    await chaos.send(frame)
+            await chaos.close()
+            marks = []
+            while (message := await far.recv()) is not None:
+                marks.append(message.watermark_time)
+            return marks
+
+        single = asyncio.run(received(False))
+        assert single != list(range(12))  # the seed does reorder
+        assert asyncio.run(received(True)) == single
+
     def test_hello_is_never_reordered(self):
         async def scenario():
             near, far = memory_pipe()

@@ -80,6 +80,9 @@ class RecordingStream:
     async def send(self, message):
         self.sent.append(message)
 
+    async def send_many(self, messages):
+        self.sent.extend(messages)
+
     async def close(self):
         self.closed = True
 

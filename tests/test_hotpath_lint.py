@@ -64,6 +64,12 @@ boundaries follow on every link — and no per-slice record struct,
 slice's first, so a per-link or per-slice layout cannot grow back beside
 it.
 
+One keeps each wire payload declared once: the twelve fixed-size
+message types each state their payload as one ``LAYOUT`` struct in
+``network/messages.py``, from which ``payload_bytes``, the encoder and the
+decoder follow, and none of them has a hand ``payload_bytes`` or codec
+beside it; the codec's one table names every message type exactly once.
+
 One keeps the simulated side to one deployment: ``Simulator`` and
 ``BatchSourceDriver`` are each constructed in one function, the
 ``SimulatedDeployment`` every system's operator pair runs on.
@@ -789,6 +795,110 @@ def test_whole_event_lint_sees_names_and_attributes():
         "    size = EVENT_WIRE_BYTES\n"
     )
     assert _whole_event_messages(source) == {"A", "B"}
+
+
+#: The message types whose payload is one declared ``LAYOUT``, a struct
+#: over the fields the class declares: three empty payloads and nine of
+#: fixed fields.  Held with ``==``: ``payload_bytes`` (the base's, derived
+#: from the layout), the encoder and the decoder all follow from it, and a
+#: type that also writes them by hand fails here.
+FIXED_LAYOUT_MESSAGES = {
+    "Message", "SynopsisRequestMessage", "WindowReleaseMessage",
+    "GammaUpdateMessage", "WatermarkMessage", "ResultMessage",
+    "HeartbeatMessage", "QueryResultMessage", "QueryDeregisterMessage",
+    "JoinMessage", "LeaveMessage", "ResultAckMessage",
+}
+
+
+def _class_members(source):
+    """``{class: the names its body assigns or defines}``."""
+    members = {}
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = members.setdefault(cls.name, set())
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(
+                    t.id for t in node.targets if isinstance(t, ast.Name)
+                )
+    return members
+
+
+def _codec_rows(source):
+    """``(type name, row length)`` of each row of the ``_CODECS`` table."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "_CODECS" for t in node.targets
+        ):
+            return [(row.elts[1].id, len(row.elts)) for row in node.value.elts]
+    return []
+
+
+def _functions_naming(source, names):
+    """Functions that name one of ``names``, signature included: a hand
+    codec for that type."""
+    return {
+        function.name
+        for function in ast.walk(ast.parse(source))
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id in names
+    }
+
+
+def test_each_fixed_size_message_states_its_payload_once():
+    from repro.runtime.codec import TAG_BY_TYPE
+
+    members = _class_members(
+        (PACKAGE_ROOT / "network" / "messages.py").read_text()
+    )
+    declared = {cls for cls, names in members.items() if "LAYOUT" in names}
+    assert declared == FIXED_LAYOUT_MESSAGES
+    assert {
+        cls for cls in declared if "payload_bytes" in members[cls]
+    } == {"Message"}
+    codec = (PACKAGE_ROOT / "runtime" / "codec.py").read_text()
+    rows = _codec_rows(codec)
+    assert sorted(name for name, _ in rows) == sorted(
+        cls.__name__ for cls in TAG_BY_TYPE
+    )
+    assert {name for name, length in rows if length == 2} == (
+        FIXED_LAYOUT_MESSAGES
+    )
+    # ``Message`` annotates codec functions of every type; its row above
+    # already says it has no hand pair.
+    assert _functions_naming(codec, FIXED_LAYOUT_MESSAGES - {"Message"}) == set()
+
+
+def test_layout_lint_sees_layouts_rows_and_hand_codecs():
+    messages = (
+        "class A(Message):\n"
+        "    x: int = 0\n"
+        "    LAYOUT = struct.Struct('<I')\n"
+        "class B(Message):\n"
+        "    @property\n"
+        "    def payload_bytes(self):\n"
+        "        return 4\n"
+    )
+    assert _class_members(messages) == {"A": {"LAYOUT"}, "B": {"payload_bytes"}}
+    codec = (
+        "def _encode_a(m: A):\n"
+        "    return b''\n"
+        "def _decode_b(r, sender, window, group_id):\n"
+        "    return B(sender, window, group_id)\n"
+        "def _encode_c(m):\n"
+        "    return b''\n"
+        "_CODECS = (\n"
+        "    (1, A),\n"
+        "    (2, B, _encode_b, _decode_b),\n"
+        "    (3, A),\n"
+        ")\n"
+    )
+    assert _codec_rows(codec) == [("A", 2), ("B", 4), ("A", 2)]
+    assert _functions_naming(codec, {"A", "B"}) == {"_encode_a", "_decode_b"}
 
 
 def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
