@@ -48,7 +48,7 @@ class DesisSummary(Summary):
     def ship(self, state: SortedLocalWindow, sender: int, window: Window):
         return SortedRunMessage(
             sender=sender, window=window,
-            events=state.seal().values,
+            events=state.seal(),
         ), None
 
     def merge(self, messages: list):

@@ -171,4 +171,4 @@ class ScottyRootNode(SimulatedNode, BaselineRootMixin):
             )
         ordered = events.seal()
         rank = quantile_rank(self._query.q, len(ordered))
-        self._emit(window, ordered[rank - 1].value, len(ordered), finish)
+        self._emit(window, float(ordered[rank - 1]), len(ordered), finish)

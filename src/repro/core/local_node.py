@@ -1,7 +1,7 @@
 """Dema local-node operator (edge device).
 
 A local node ingests raw events from its data streams, keeps each open
-window incrementally sorted, and on window end cuts the sorted run into
+window incrementally sorted, and on window end cuts its sorted values into
 γ-slices and ships only the synopses to the root.  It retains the sliced
 runs until the root's candidate request arrives, answers with exactly the
 requested slices, and then frees the window.
@@ -10,9 +10,9 @@ One node serves any number of queries: each sharing group
 (:func:`~repro.core.query.served_groups`) keeps its own sorted windows and
 ships its own synopsis batches, tagged with the group's ``group_id``;
 ingestion is paid once per event.  A single query is group 0.  A host that
-windows and sorts its own runs opens groups at runtime
-(:meth:`DemaLocalNode.open_group`) and seals each window from its run
-(:meth:`DemaLocalNode.seal_sorted`).
+windows and sorts its own windows opens groups at runtime
+(:meth:`DemaLocalNode.open_group`) and seals each window from its sorted
+value column (:meth:`DemaLocalNode.seal_sorted`).
 """
 
 from __future__ import annotations
@@ -253,21 +253,21 @@ class DemaLocalNode(SimulatedNode):
         if key in self._completed:
             return
         self._completed.add(key)
-        events = self._open.pop(key, SortedLocalWindow()).seal()
-        self.seal_sorted(window, events, now, group_id)
+        values = self._open.pop(key, SortedLocalWindow()).seal()
+        self.seal_sorted(window, values, now, group_id)
 
     def seal_sorted(
-        self, window: Window, events: EventColumns, now: float, group_id: int = 0
+        self, window: Window, values, now: float, group_id: int = 0
     ) -> None:
-        """Slice ``events``, already sorted, as ``window`` of ``group_id``;
-        retain the slices and send the synopses."""
+        """Slice ``values``, a sorted value column, as ``window`` of
+        ``group_id``; retain the slices and send the synopses."""
         key = (group_id, window)
         # The sort was *charged* at ingest (the cost model is per-event
         # insertion) even though the batched implementation pays it inside
         # seal(); only the slicing pass is charged at window end.
-        finish = self.work(_SLICE_OPS_PER_EVENT * len(events), now)
+        finish = self.work(_SLICE_OPS_PER_EVENT * len(values), now)
         gamma = self._gammas[group_id]
-        sliced = slice_sorted_events(events, gamma, self.node_id)
+        sliced = slice_sorted_events(values, gamma, self.node_id)
         self._sealed[key] = _Sealed(sliced)
         self._windows_completed += 1
         if self._tracer.enabled:
@@ -277,7 +277,7 @@ class DemaLocalNode(SimulatedNode):
                 now,
                 finish,
                 window=window,
-                events=len(events),
+                events=len(values),
                 gamma=gamma,
                 synopses=len(sliced.synopses),
             )

@@ -1,6 +1,7 @@
 """γ-slicing of sorted local windows.
 
-When a local window ends, the node cuts the sorted run into consecutive
+When a local window ends, the node cuts its sorted value column
+(:meth:`~repro.core.sorted_window.SortedLocalWindow.seal`) into consecutive
 slices of ``γ`` events (the final slice may be shorter) and produces one
 synopsis per slice.  The paper requires every slice to contain at least two
 events because a synopsis needs a distinct first and last event; the slicer
@@ -17,6 +18,8 @@ never encodes, and the live root see one row.
 
 No value here is NaN: it is refused at the door, and a wire-fed one where
 it is first ordered (the window's sort; a boundary at the decoder).
+Nothing here needs an event's node or seq, so a window is sliced as its
+values alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from typing import Sequence
 import numpy as _np
 
 from repro.errors import SliceError
-from repro.streaming.columns import EventColumns
 from repro.core.synopsis import (
     MIN_GAMMA,
     SYNOPSIS_DTYPE,
@@ -38,7 +40,7 @@ from repro.core.synopsis import (
 
 # Hot-path module: a window's synopses are one ``SynopsisColumns`` batch
 # written column by column from the slice boundaries, and a slice's value
-# run is cut from the sealed window on request — no per-event ``Event`` and
+# run is cut from the sealed value column on request — no per-event ``Event`` and
 # no per-slice ``SliceSynopsis`` objects are built here (enforced by
 # tests/test_hotpath_lint.py).
 
@@ -51,23 +53,23 @@ class SlicedWindow:
 
     Attributes:
         node_id: Owner of the window.
-        events: The sealed window in ascending key order.
-        bounds: Slice boundaries into ``events``: slice ``i`` is
-            ``events[bounds[i]:bounds[i + 1]]``.
+        values: The sealed window's values in ascending key order.
+        bounds: Slice boundaries into ``values``: slice ``i`` is
+            ``values[bounds[i]:bounds[i + 1]]``.
         synopses: One synopsis per slice, in value order; a non-final
             slice's last key is the next slice's first value with its own
             last position, an upper bound on its largest event.
     """
 
     node_id: int
-    events: EventColumns
+    values: _np.ndarray
     bounds: Sequence[int]
     synopses: SynopsisColumns
 
     @property
     def window_size(self) -> int:
         """Total number of events in the local window."""
-        return len(self.events)
+        return len(self.values)
 
     @property
     def n_slices(self) -> int:
@@ -82,8 +84,8 @@ class SlicedWindow:
 
     def run_for(self, slice_index: int) -> _np.ndarray:
         """The sorted value run backing slice ``slice_index`` — a zero-copy
-        ``float64`` view of the slice's value column, what the root's
-        calculation step reads and the wire carries.
+        ``float64`` view of the sealed column, what the root's calculation
+        step reads and the wire carries.
 
         Raises:
             SliceError: If the index is out of range.
@@ -93,7 +95,7 @@ class SlicedWindow:
                 f"slice index {slice_index} out of range "
                 f"(window has {self.n_slices} slices)"
             )
-        return self.events.values[
+        return self.values[
             self.bounds[slice_index]:self.bounds[slice_index + 1]
         ]
 
@@ -118,7 +120,7 @@ class _Runs(_SequenceABC):
 
 
 def slice_sorted_events(
-    sorted_events: EventColumns, gamma: int, node_id: int
+    sorted_values: _np.ndarray, gamma: int, node_id: int
 ) -> SlicedWindow:
     """Cut a sorted local window into γ-sized slices with synopses.
 
@@ -129,14 +131,14 @@ def slice_sorted_events(
     carries (:meth:`SynopsisColumns.to_wire`).
 
     Args:
-        sorted_events: The window's events in ascending key order, no
-            value NaN (:func:`~repro.streaming.columns.merge_runs` refuses
-            one).  Only each slice's own ``first_key <= last_key`` is
+        sorted_values: The window's values in ascending key order, no NaN
+            (:func:`~repro.streaming.columns.sort_values` refuses one).
+            Only each slice's own ``first_key <= last_key`` is
             checked (before its last key becomes the boundary); callers are
             the sorted window and tests.
         gamma: Target slice size; must be ≥ 2.
         node_id: Owner stamped into every synopsis, the second component
-            of its keys; the third is the row in ``sorted_events``.
+            of its keys; the third is the row in ``sorted_values``.
 
     Returns:
         The sliced window.  Empty input yields a window with zero slices.
@@ -149,13 +151,12 @@ def slice_sorted_events(
     """
     if gamma < MIN_GAMMA:
         raise SliceError(f"gamma must be >= {MIN_GAMMA}, got {gamma}")
-    bounds = slice_bounds(len(sorted_events), gamma)
+    bounds = slice_bounds(len(sorted_values), gamma)
     starts, lasts = bounds[:-1], bounds[1:] - 1
 
     records = _np.empty(len(starts), dtype=SYNOPSIS_DTYPE)
-    values = sorted_events.values
-    records["first_value"] = values[starts]
-    records["last_value"] = values[lasts]
+    records["first_value"] = sorted_values[starts]
+    records["last_value"] = sorted_values[lasts]
     records["count"] = _np.diff(bounds)
     records["first_pos"] = starts
     records["last_pos"] = lasts
@@ -168,7 +169,7 @@ def slice_sorted_events(
     records["last_value"][:-1] = records["first_value"][1:]
     return SlicedWindow(
         node_id=node_id,
-        events=sorted_events,
+        values=sorted_values,
         bounds=bounds,
         synopses=synopses,
     )

@@ -2,104 +2,79 @@
 
 Dema "incrementally sorts arriving events into windows" (Section 3.1): when
 the window ends, its events are already in key order, so slicing is a single
-linear pass.  The implementation collects arriving :class:`EventColumns`
-batches unconverted and pays for order exactly once, at the window cut:
-compaction concatenates the batches and orders the rows via
-:func:`repro.streaming.columns.merge_runs` — one unstable ``argsort`` of the
-value column, ties repaired by ``(node_id, seq)``, one ``take`` of whole
-records — and merges them into the run sorted so far.  That is O(n log n)
-total, the same bound as per-event ``insort``, with O(1) ingest cost per
-batch; the run *stays* columnar through :meth:`seal` into slicing.
+linear pass.  Everything downstream of that sort — slice boundaries,
+candidate runs, Desis' runs, Scotty's rank — reads only the values, so a
+sealed window *is* its sorted value column.  The implementation collects
+arriving :class:`EventColumns` batches unconverted and pays for order
+exactly once, at the cut: :func:`repro.streaming.columns.sort_values`
+copies the batches' value fields into one ``float64`` array and sorts it in
+place.  That is O(n log n) total, the same bound as per-event ``insort``,
+with O(1) ingest cost per batch.
 
-:meth:`seal`, :meth:`sorted_events` and iteration yield the one sequence
-``sorted(events, key=event_key)`` yields (the total-order key is strict, so
-there is exactly one sorted permutation and no sort needs to be stable to
-find it).  A NaN value has no rank: it is refused at the door, and a
-wire-fed NaN is refused where it is first ordered — compaction, where
-``merge_runs`` raises :class:`~repro.errors.CodecError` naming the row.
+:meth:`seal` returns the value column of the one sequence
+``sorted(events, key=event_key)`` yields, bit for bit (the total-order key
+is strict, and only a ``-0.0``/``0.0`` tie differs in bits; ``sort_values``
+puts that tie in key order).  A NaN value has no rank: it is refused at the
+door, and a wire-fed NaN is refused where it is first ordered — the seal,
+where ``sort_values`` raises :class:`~repro.errors.CodecError` naming the
+row.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from repro.errors import SliceError
-from repro.streaming.columns import (
-    EMPTY_EVENTS,
-    EventColumns,
-    concat_columns,
-    merge_runs,
-)
-from repro.streaming.events import Event
+from repro.streaming.columns import EMPTY_EVENTS, EventColumns, sort_values
 
-# Hot-path module: events stay columnar through compaction; ``Event``
-# objects only materialize when a window is iterated, inside columns.py
-# (enforced by tests/test_hotpath_lint.py).
+# Hot-path module: events stay columnar until the seal keeps only their
+# values; no ``Event`` object is built here (enforced by
+# tests/test_hotpath_lint.py).
 
 __all__ = ["SortedLocalWindow"]
 
 
 class SortedLocalWindow:
-    """Events of one local window, kept sorted by total-order key."""
+    """Events of one local window; sealing sorts their values once."""
 
-    __slots__ = ("_run", "_chunks", "_chunked", "_sealed")
+    __slots__ = ("_chunks", "_size", "_sealed")
 
     def __init__(self, events: EventColumns = EMPTY_EVENTS) -> None:
-        self._run = EMPTY_EVENTS
         self._chunks: list[EventColumns] = []
-        #: Events held in ``_chunks`` — ``len()`` runs once per ingested
-        #: batch, so it must not walk the chunk list.
-        self._chunked = 0
-        self._sealed = False
+        #: Events added — ``len()`` runs once per ingested batch, so it
+        #: must not walk the chunk list.
+        self._size = 0
+        #: The sorted value column, once sealed.
+        self._sealed = None
         self.add_all(events)
 
     def __len__(self) -> int:
-        return len(self._run) + self._chunked
-
-    def __iter__(self) -> Iterator[Event]:
-        """Iterate events in sorted order (compacts first)."""
-        self._compact()
-        return iter(self._run)
+        return self._size
 
     @property
     def is_sealed(self) -> bool:
         """Whether the window has been closed to further inserts."""
-        return self._sealed
+        return self._sealed is not None
 
     def add_all(self, events: EventColumns) -> None:
-        """Insert a batch of events; ordering is deferred to the cut.
+        """Insert a batch of events; ordering is deferred to the seal.
 
         Raises:
             SliceError: If the window was already sealed.
         """
-        if self._sealed:
+        if self._sealed is not None:
             raise SliceError("cannot add events to a sealed window")
         n = len(events)
         if n:
             self._chunks.append(events)
-            self._chunked += n
+            self._size += n
 
-    def seal(self) -> EventColumns:
-        """Close the window and return its events in sorted order.
+    def seal(self):
+        """Close the window and return its values in ascending key order:
+        a read-only ``float64`` column.  Sealing is idempotent.
 
-        Sealing is idempotent; the returned batch is immutable, an empty
-        window's is the shared empty one.
+        Raises:
+            CodecError: If a value is NaN, naming its row.
         """
-        self._compact()
-        self._sealed = True
-        return self._run
-
-    def sorted_events(self) -> EventColumns:
-        """The events in sorted order, as a snapshot.
-
-        Returns the window's own compacted run without copying, so
-        repeated mid-window cuts cost O(1) when nothing new arrived.
-        """
-        self._compact()
-        return self._run
-
-    def _compact(self) -> None:
-        if self._chunks:
-            pending = concat_columns(self._chunks)
-            self._chunks, self._chunked = [], 0
-            self._run = merge_runs(self._run, pending)
+        if self._sealed is None:
+            self._sealed = sort_values(self._chunks)
+            self._chunks = []
+        return self._sealed

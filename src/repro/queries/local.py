@@ -9,12 +9,12 @@ member window shape ``(length, step)``, each with a
 :class:`~repro.queries.slide.SlidingRunAggregator` over a
 :class:`~repro.queries.slide.PaneStore` of ``gcd(length, step)`` ms
 panes.  Stores are shared by every cursor with the same
-``(selector, pane length)``, and overlapping sliding windows reuse
-sorted pane runs instead of re-sorting every pane per slide.  A window
+``(selector, pane length)``, and overlapping sliding windows share the
+panes' batches; each window's values are sorted once, when it seals.  A window
 two shapes share (same length, start on both grids) is sealed once, by
 whichever cursor reaches it first, and shipped as one synopsis batch.
 The plane hosts one :class:`~repro.core.local_node.DemaLocalNode`
-(reliability off) that slices each sorted window run, retains the slices
+(reliability off) that slices each sorted window, retains the slices
 and serves the root's candidate requests, as it does for the configured
 query.  Batches stay columnar from the tap to the candidate value runs.
 
@@ -52,7 +52,7 @@ from repro.queries.spec import (
 from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
-# Hot-path module: batches, panes and runs are ``EventColumns``; selectors
+# Hot-path module: batches and panes are ``EventColumns``; selectors
 # are row masks, never per-event calls (tests/test_hotpath_lint.py).
 
 __all__ = ["LocalQueryPlane"]
@@ -264,7 +264,7 @@ class LocalQueryPlane:
         covered = aggregator.covered
         pane = covered[-1] + store.pane_ms if covered else window.start
         while pane < window.end:
-            aggregator.push(pane, store.sealed_run(pane))
+            aggregator.push(pane, store.sealed_pane(pane))
             pane += store.pane_ms
         self.node.seal_sorted(window, aggregator.query(), 0.0, group.group_id)
 

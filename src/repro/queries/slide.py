@@ -1,68 +1,57 @@
-"""Shared-slice sliding windows: sealed pane runs, one sort per window.
+"""Shared-slice sliding windows: panes of arrived batches, one sort per window.
 
-Overlapping sliding windows share events; re-sorting every window from
-scratch sorts every shared event once per *slide*.  For a non-decomposable
-function the partial that overlapping windows can share is the **sorted
-pane run**: events are bucketed into fixed panes of ``gcd(length, step)``
-ms, each pane is sorted exactly once, and a window's run is one sort of
-the concatenation of its panes' runs.  Because the total order
-:func:`~repro.streaming.events.event_key` is strict (no two events compare
-equal) that is the byte-identical sequence a full sort of the window gives
-(property-tested in ``tests/queries``).  There is no merge tree over the
-runs: on columns merging two sorted runs *is* a sort of their
-concatenation, so each node of a tree would re-sort its inputs
-(docs/queries.md has the measurements).
+Overlapping sliding windows share events.  Events are bucketed into fixed
+panes of ``gcd(length, step)`` ms, and a window is the panes it covers.  A
+pane keeps its rows as the batches they arrived in and is never sorted on
+its own: on columns, merging sorted runs *is* a sort of their
+concatenation, so sorting each pane first would only add a sort.  A
+window's run is one :func:`~repro.streaming.columns.sort_values` of its
+panes' batches — the sorted value column a full sort of the window gives,
+bit for bit (property-tested in ``tests/queries``; docs/queries.md has
+the measurements).
 
 Two pieces:
 
 * :class:`PaneStore` — columnar batches split by ``timestamp // pane_ms``
-  into one :class:`~repro.core.sorted_window.SortedLocalWindow` per pane,
-  sealed exactly once into a cached sorted run.  Stores are shared across
-  every query group with the same (selector, pane length), so one ingest
-  sort serves all of them.
-* :class:`SlidingRunAggregator` — a group's FIFO of sealed pane runs;
-  ``query()`` returns the current window's full sorted run.
+  into one list of batches per pane, closed exactly once.  Stores are
+  shared across every query group with the same (selector, pane length),
+  so one ingest split serves all of them.
+* :class:`SlidingRunAggregator` — a group's FIFO of closed panes;
+  ``query()`` sorts the current window's values.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from repro.core.sorted_window import SortedLocalWindow
 from repro.errors import QueryError
-from repro.streaming.columns import (
-    EMPTY_EVENTS,
-    EventColumns,
-    concat_columns,
-    merge_runs,
-)
+from repro.streaming.columns import EventColumns, sort_values
 
-# Hot-path module: panes, pane runs and window runs are ``EventColumns``
-# from ingest to the slicer; no per-event object is built and no batch is
-# iterated here (enforced by tests/test_hotpath_lint.py).
+# Hot-path module: panes hold ``EventColumns`` batches from ingest to the
+# window's sort; no per-event object is built and no batch is iterated
+# here (enforced by tests/test_hotpath_lint.py).
 
 __all__ = ["PaneStore", "SlidingRunAggregator"]
 
 
 class PaneStore:
-    """Fixed panes of sorted events, sealed once, shared across groups.
+    """Fixed panes of arrived batches, closed once, shared across groups.
 
     A pane is the half-open interval ``[k * pane_ms, (k+1) * pane_ms)``.
     Ingest hands each pane its rows of the batch unconverted (no per-event
-    work); :meth:`sealed_run` sorts the pane exactly once and caches the
-    run, so every window overlapping the pane reuses the same sorted
-    slice.  Rows arriving for a pane that is already sealed or pruned are
-    counted and dropped — on the live path the min-watermark seal
-    guarantee makes this impossible, but the store is also a direct API
-    for tests.
+    work); :meth:`sealed_pane` closes the pane on first call and caches
+    its batches, so every window overlapping the pane reads the same rows.
+    Rows arriving for a pane that is already closed or pruned are counted
+    and dropped — on the live path the min-watermark seal guarantee makes
+    this impossible, but the store is also a direct API for tests.
     """
 
     def __init__(self, pane_ms: int) -> None:
         if pane_ms <= 0:
             raise QueryError(f"pane length must be > 0 ms, got {pane_ms}")
         self._pane_ms = pane_ms
-        self._open: dict[int, SortedLocalWindow] = {}
-        self._sealed: dict[int, EventColumns] = {}
+        self._open: dict[int, list[EventColumns]] = {}
+        self._sealed: dict[int, tuple[EventColumns, ...]] = {}
         #: Start of the oldest pane not yet pruned; everything below it is
         #: gone for good (a pruned pane was sealed or will never be read).
         self._floor = 0
@@ -88,19 +77,15 @@ class PaneStore:
         if start < self._floor or start in self._sealed:
             self.late_dropped += len(rows)
             return
-        pane = self._open.get(start)
-        if pane is None:
-            pane = self._open[start] = SortedLocalWindow()
-        pane.add_all(rows)
+        self._open.setdefault(start, []).append(rows)
 
-    def sealed_run(self, start: int) -> EventColumns:
-        """The pane's sorted run; seals (sorts) the pane on first call."""
-        run = self._sealed.get(start)
-        if run is None:
-            pane = self._open.pop(start, None)
-            run = EMPTY_EVENTS if pane is None else pane.seal()
-            self._sealed[start] = run
-        return run
+    def sealed_pane(self, start: int) -> tuple[EventColumns, ...]:
+        """The pane's batches, in arrival order; closes the pane on first
+        call."""
+        pane = self._sealed.get(start)
+        if pane is None:
+            pane = self._sealed[start] = tuple(self._open.pop(start, ()))
+        return pane
 
     def prune_before(self, timestamp: int) -> None:
         """Drop every pane entirely before ``timestamp``, for good."""
@@ -111,18 +96,18 @@ class PaneStore:
 
 
 class SlidingRunAggregator:
-    """A group's sliding window as a FIFO of sealed pane runs.
+    """A group's sliding window as a FIFO of closed panes.
 
     :meth:`push` admits the newest pane, :meth:`evict` retires the oldest,
-    and :meth:`query` returns everything in between as one sorted run.
-    Sliding costs O(panes entering + leaving) bookkeeping; the sort itself
-    is paid once per window, over runs each pane sorted once.
+    and :meth:`query` sorts everything in between into one value column.
+    Sliding costs O(panes entering + leaving) bookkeeping; the sort is paid
+    once per window.
     """
 
     def __init__(self) -> None:
-        #: ``(pane start, sealed run)`` of the panes in the window, oldest
-        #: first.
-        self._panes: deque[tuple[int, EventColumns]] = deque()
+        #: ``(pane start, pane batches)`` of the panes in the window,
+        #: oldest first.
+        self._panes: deque[tuple[int, tuple[EventColumns, ...]]] = deque()
 
     def __len__(self) -> int:
         return len(self._panes)
@@ -132,14 +117,14 @@ class SlidingRunAggregator:
         """Pane starts currently aggregated, oldest first."""
         return tuple(start for start, _ in self._panes)
 
-    def push(self, pane_start: int, run: EventColumns) -> None:
-        """Admit the next pane's sorted run (panes must arrive in order)."""
+    def push(self, pane_start: int, pane: tuple[EventColumns, ...]) -> None:
+        """Admit the next pane's batches (panes must arrive in order)."""
         if self._panes and pane_start <= self._panes[-1][0]:
             raise QueryError(
                 f"panes must be pushed in ascending order; got {pane_start} "
                 f"after {self._panes[-1][0]}"
             )
-        self._panes.append((pane_start, run))
+        self._panes.append((pane_start, pane))
 
     def evict(self) -> None:
         """Retire the oldest pane still in the window."""
@@ -147,9 +132,10 @@ class SlidingRunAggregator:
             raise QueryError("cannot evict from an empty aggregator")
         self._panes.popleft()
 
-    def query(self) -> EventColumns:
-        """The current window's full sorted run."""
-        runs = [run for _, run in self._panes if len(run)]
-        stacked = concat_columns(runs)
-        # A lone pane's run is already the window's run.
-        return stacked if len(runs) <= 1 else merge_runs(None, stacked)
+    def query(self):
+        """The current window's values in ascending key order.
+
+        Raises:
+            CodecError: If a value is NaN, naming its row.
+        """
+        return sort_values([rows for _, pane in self._panes for rows in pane])

@@ -5,37 +5,32 @@ An :class:`EventColumns` holds one batch of events as parallel columns
 :class:`~repro.streaming.events.Event` objects.  It is built zero-copy
 straight off the wire (the 20-byte-stride event array of an event-batch
 frame *is* the columnar layout) or once at a door from a sequence of
-``Event`` (:func:`as_event_columns`), flows through the live servers, the
-simulated operators and the baselines into
-:class:`~repro.core.sorted_window.SortedLocalWindow`, and is sorted,
-merged, sliced and re-encoded without materializing objects.  Events only
-become :class:`Event` instances at the columnar boundary — element access
-and iteration — which is exactly where the hot-path lint allows
-construction.
+``Event`` (:func:`as_event_columns`), and flows through the live servers,
+the simulated operators and the baselines into
+:class:`~repro.core.sorted_window.SortedLocalWindow` without materializing
+objects.  A window is sorted as its value column alone
+(:func:`sort_values`): slicing, candidate runs and the baselines' ranks
+read nothing else.  Events only become :class:`Event` instances at the
+columnar boundary — element access and iteration — which is exactly where
+the hot-path lint allows construction.
 
 The columns are views into one structured ndarray with the exact wire
 dtype (:data:`EVENT_DTYPE`), so decode is ``np.frombuffer`` and encode is
-``tobytes`` — no per-event work at all.  Sorting is one unstable
-``np.argsort`` of the value column plus a repair of the rows whose
-values tie (:func:`_key_order`).
+``tobytes`` — no per-event work at all.
 
-**Bit-identity contract.**  Every operation here produces *exactly* the
-sequence a comparison sort of ``Event`` objects by key produces
-(``sorted(events, key=event_key)``, and for incremental compaction a sort
-of the arrivals merged into the run with run priority on ties):
+**Bit-identity contract.**  :func:`sort_values` produces *exactly* the
+value column of the sequence a comparison sort of ``Event`` objects by
+key produces (``sorted(events, key=event_key)``):
 
 * The total-order key ``(value, node_id, seq)`` is strict (node_id/seq
-  pairs are unique), so there is exactly one sorted permutation and any
-  correct sort yields it — stability buys nothing.
-  The sort therefore orders by value alone with numpy's fastest
-  (unstable) kernel and then puts only the rows inside runs of equal
-  values (``-0.0 == 0.0`` included) in ``(node_id, seq)`` order.  Should
-  keys ever collide outright, the repair leaves exact twins in arrival
-  order over ``run ++ buffer``, which equals "sort the buffer, then merge
-  with run priority on ties".
+  pairs are unique), so there is exactly one sorted permutation.  Two
+  values that compare equal have equal bits unless they are ``-0.0`` and
+  ``0.0``, so one unstable ``np.sort`` of the values gives that
+  permutation's value column everywhere but in the block of zeros; only
+  that block is rewritten from the rows, in ``(node_id, seq)`` order.
 * A NaN value has no rank, so no sorted order exists with one.  It is
   refused at the door (:func:`check_streams`); a wire-fed NaN is refused
-  where it is first ordered: numpy sorts it last, and :func:`merge_runs`
+  where it is first ordered: numpy sorts it last, and :func:`sort_values`
   reads the last sorted value and raises :class:`CodecError` naming the
   row.
 """
@@ -59,8 +54,8 @@ __all__ = [
     "check_streams",
     "concat_columns",
     "concat_records",
-    "merge_runs",
     "select_rank",
+    "sort_values",
 ]
 
 #: The wire layout of one event as a numpy structured dtype.  Packed (no
@@ -406,71 +401,53 @@ def concat_columns(chunks: Sequence[EventColumns]) -> EventColumns:
     )
 
 
-#: ``_key_order`` repairs ties in place while at most one neighbouring
-#: pair of sorted values in this many is equal; above that (quantised
-#: data) one stable sort of everything is cheaper than the repair.
-#: Measured, not a setting: on a 50,000-row window the repair wins up to
-#: about two equal pairs in five (docs/performance.md).
-_TIE_REPAIR_LIMIT = 4
+def sort_values(chunks: Sequence[EventColumns]):
+    """The value column of a window that arrived as ``chunks``, in
+    ``(value, node_id, seq)`` order: a fresh, read-only ``float64`` array.
 
-
-def _key_order(values, node_ids, seqs, kind=None):
-    """The permutation ``np.lexsort((seqs, node_ids, values))`` returns —
-    rows by ``(value, node_id, seq)``, equal keys in index order — without
-    a stable sort of every row.  NaN values come last, in no set order.
-
-    One ``argsort`` of the contiguous value column — numpy's default,
-    unstable kernel unless the caller knows a ``kind`` that suits its
-    input better — orders all rows whose value is unique.  Rows in runs
-    of equal values are taken in index order and sorted by the full key
-    among themselves, which fills the positions they occupy; only they
-    are touched.
-    """
-    values = _np.ascontiguousarray(values)
-    order = _np.argsort(values, kind=kind)
-    ranked = values.take(order)
-    tie = ranked[1:] == ranked[:-1]
-    ties = _np.count_nonzero(tie)
-    if not ties:
-        return order
-    if ties * _TIE_REPAIR_LIMIT > len(order):
-        return _np.lexsort((seqs, node_ids, values))
-    tied = _np.zeros(len(order) + 1, dtype=bool)
-    tied[1:-1] = tie
-    tied = _np.flatnonzero(tied[1:] | tied[:-1])
-    rows = _np.sort(order[tied])
-    order[tied] = rows[
-        _np.lexsort((seqs[rows], node_ids[rows], values[rows]))
-    ]
-    return order
-
-
-def merge_runs(
-    run: "EventColumns | None", pending: EventColumns
-) -> EventColumns:
-    """Sort ``pending`` and merge it into the sorted ``run``.
-
-    Bit-identical to a comparison sort (see the module docstring): the one
-    permutation the strict key allows over ``run ++ pending`` — exact
-    twins in arrival order, run first.
+    One copy of the chunks' value fields and one in-place ``np.sort`` of
+    it, numpy's SIMD kernel.  Equal values are equal bits except ``-0.0``
+    and ``0.0``, so the column is bit for bit the value column of the
+    full-key order once its zeros are: a window holding a zero has that
+    block rewritten from its rows, in ``(node_id, seq)`` order when both
+    signs occur; no other block is touched.  Exact twins (the whole key
+    equal) keep arrival order.
 
     Raises:
-        CodecError: If a value is NaN (sorted last), naming that row's
-            ``node_id`` and ``seq``.  Below :func:`check_streams` only a
-            peer's frame can carry one.
+        CodecError: If a value is NaN (sorted last, whatever its sign
+            bit), naming its row's ``node_id`` and ``seq``.  Below
+            :func:`check_streams` only a peer's frame can carry one.
     """
-    full = pending if run is None or not len(run) else concat_columns(
-        [run, pending]
-    )
-    arr = full._arr
-    order = _key_order(arr["value"], arr["node_id"], arr["seq"])
-    if _np.isnan(arr["value"][order[-1:]]).any():
-        row = arr[order[-1]]
-        raise CodecError(
-            f"event of node {int(row['node_id'])} seq {int(row['seq'])} "
-            "has a NaN value; a quantile needs ordered values"
+    if not chunks:
+        values = _np.empty(0)
+    else:
+        values = _np.concatenate(
+            [chunk.values for chunk in chunks], dtype=_np.float64
         )
-    return EventColumns(arr.take(order))
+        values.sort()
+    if len(values) and _np.isnan(values[-1]):
+        for chunk in chunks:
+            nan = _np.isnan(chunk.values)
+            if nan.any():
+                row = int(nan.argmax())
+                raise CodecError(
+                    f"event of node {int(chunk.node_ids[row])} seq "
+                    f"{int(chunk.seqs[row])} has a NaN value; a quantile "
+                    "needs ordered values"
+                )
+    lo, hi = values.searchsorted(0.0, "left"), values.searchsorted(0.0, "right")
+    if lo < hi:
+        # The SIMD kernel sorts with min/max, which may hand back one
+        # zero's bits for both of a -0.0/0.0 pair: the block is rewritten
+        # from the rows, in key order when it holds both signs.
+        zeros = concat_columns([chunk[chunk.values == 0] for chunk in chunks])
+        zero = zeros.values
+        negative = _np.count_nonzero(_np.signbit(zero))
+        if 0 < negative < len(zero):
+            zero = zero[_np.lexsort((zeros.seqs, zeros.node_ids))]
+        values[lo:hi] = zero
+    values.flags.writeable = False
+    return values
 
 
 def select_rank(runs: Sequence, local_rank: int) -> float:

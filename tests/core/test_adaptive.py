@@ -32,7 +32,7 @@ class TestTransferCost:
         from repro.streaming.events import make_events
 
         events = EventColumns.from_events(make_events(range(1000), node_id=1))
-        sliced = slice_sorted_events(events, 10, 1)
+        sliced = slice_sorted_events(events.values, 10, 1)
         section = sliced.synopses.to_wire(1000)
         boundaries = (len(section) - 12) // 8
         assert boundaries == transfer_cost(10, 1000, 0) == 101

@@ -78,7 +78,7 @@ class TestCalculateQuantile:
     def make_cut_and_runs(self, values, gamma, rank):
         events = sorted(make_events(values, node_id=1), key=event_key)
         sliced = slice_sorted_events(
-            EventColumns.from_events(events), gamma, 1
+            EventColumns.from_events(events).values, gamma, 1
         )
         cut = window_cut(sliced.synopses, rank)
         runs = [

@@ -12,7 +12,7 @@ from repro.streaming.events import event_key, make_events
 def sliced(values, node_id, gamma=5):
     events = sorted(make_events(values, node_id=node_id), key=event_key)
     return slice_sorted_events(
-        EventColumns.from_events(events), gamma, node_id
+        EventColumns.from_events(events).values, gamma, node_id
     )
 
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import CodecError, SliceError
@@ -13,7 +14,7 @@ from repro.network.messages import (
     SynopsisMessage,
 )
 from repro.network.simulator import INGEST_OPS, SimulatedNode, Simulator
-from repro.streaming.columns import EMPTY_EVENTS, EventColumns
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event, event_key, make_events
 from repro.streaming.windows import TumblingWindows, Window
 from repro.core.local_node import DemaLocalNode
@@ -75,7 +76,8 @@ class TestIngestAndSynopses:
         simulator, root, local = deploy()
         local.on_window_complete(WINDOW, 1.0)
         sliced = local._sealed[(0, WINDOW)].sliced
-        assert sliced.events is EMPTY_EVENTS
+        assert sliced.values.dtype == np.float64
+        assert sliced.values.tobytes() == b""
         assert sliced.n_slices == sliced.window_size == 0
 
     def test_events_split_across_windows(self):

@@ -75,7 +75,9 @@ def deploy(reliability, *, serve_candidates=(True, True)):
             make_events(range(10, 20), node_id=node_id),
             key=event_key,
         ))
-        local = ScriptedLocal(node_id, slice_sorted_events(events, 5, node_id))
+        local = ScriptedLocal(
+            node_id, slice_sorted_events(events.values, 5, node_id)
+        )
         local.serve_candidates = serving
         simulator.add_node(local)
         simulator.connect(Channel(node_id, 0))
@@ -193,7 +195,7 @@ class TestReleaseOrder:
         events = EventColumns.from_events(
             sorted(make_events(range(10, 20), node_id=1), key=event_key)
         )
-        local = ScriptedLocal(1, slice_sorted_events(events, 5, 1))
+        local = ScriptedLocal(1, slice_sorted_events(events.values, 5, 1))
         local.serve_candidates = False
         simulator.add_node(root)
         simulator.add_node(local)

@@ -63,7 +63,7 @@ def deploy(node_values, q=0.5, gamma=5, adaptive=False):
     for node_id, values in node_values.items():
         events = sorted(make_events(values, node_id=node_id), key=event_key)
         sliced = slice_sorted_events(
-            EventColumns.from_events(events), gamma, node_id
+            EventColumns.from_events(events).values, gamma, node_id
         )
         local = LocalStub(node_id, sliced)
         simulator.add_node(local)
@@ -128,7 +128,8 @@ class TestProtocol:
         root = DemaRootNode(0, local_ids=[1, 2], queries=(query,))
         simulator.add_node(root)
         local = LocalStub(1, slice_sorted_events(
-            EventColumns.from_events(make_events(range(10), node_id=1)), 5, 1))
+            EventColumns.from_events(make_events(range(10), node_id=1)).values,
+            5, 1))
         simulator.add_node(local)
         simulator.connect(Channel(1, 0))
         simulator.connect(Channel(0, 1))

@@ -122,7 +122,7 @@ class TestRankBounds:
         synopses = []
         for node_id, events in node_events.items():
             synopses.extend(slice_sorted_events(
-                EventColumns.from_events(events), 20, node_id
+                EventColumns.from_events(events).values, 20, node_id
             ).synopses)
         all_events = sorted(
             (e for events in node_events.values() for e in events),

@@ -36,13 +36,13 @@ def sliced_workload(node_values, gamma):
     for node_id, values in node_values.items():
         events = sorted(make_events(values, node_id=node_id), key=event_key)
         sliced = slice_sorted_events(
-            EventColumns.from_events(events), gamma, node_id
+            EventColumns.from_events(events).values, gamma, node_id
         )
         synopses.extend(sliced.synopses)
         # The events behind each slice (the wire ships only their values).
         bounds = sliced.bounds
         for index in range(sliced.n_slices):
-            runs[(node_id, index)] = sliced.events[
+            runs[(node_id, index)] = events[
                 bounds[index]:bounds[index + 1]
             ]
         all_events.extend(events)

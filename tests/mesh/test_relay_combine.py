@@ -70,7 +70,7 @@ class TestSynopsisRoundTrip:
             events = EventColumns.from_events(
                 make_events([float(i) for i in range(25)], node_id=child)
             )
-            cut = slice_sorted_events(events, 4, child)
+            cut = slice_sorted_events(events.values, 4, child)
             parts[child] = decode_frame(encode_frame(SynopsisMessage(
                 sender=child, window=WINDOW, synopses=cut.synopses,
                 local_window_size=cut.window_size,

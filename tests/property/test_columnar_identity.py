@@ -2,7 +2,7 @@
 
 The columnar layout changes *where* bytes live, never *what* the protocol
 computes: a ``SortedLocalWindow`` fed ``EventColumns`` batches must seal
-the window ``sorted(events, key=event_key)`` yields (bit for bit), cut the
+to the values of ``sorted(events, key=event_key)`` (bit for bit), cut the
 slices a walk over that list cuts, and serve the same quantiles — and a
 live cluster or sharded mesh handed ``Event`` sequences must be
 indistinguishable from one handed the same events as ``EventColumns``.
@@ -40,15 +40,9 @@ from repro.streaming.events import Event, event_key, make_events
 _F64 = struct.Struct("<d")
 
 
-def _bits(event):
-    """Bit-exact fingerprint: the value's bits, not its ``==``."""
-    return (
-        _F64.pack(event.value), event.timestamp, event.node_id, event.seq
-    )
-
-
-def _window_bits(events):
-    return [_bits(e) for e in events]
+def _value_bits(values):
+    """A value sequence's bits, so ``-0.0`` and ``0.0`` stay apart."""
+    return [_F64.pack(value) for value in values]
 
 
 # Values drawn from a small pool (forcing exact duplicates) or from the
@@ -139,15 +133,15 @@ def _has_nan(events):
     return any(math.isnan(event.value) for event in events)
 
 
-def _seal(chunks, compact_between):
+def _seal(chunks, one_batch):
+    """The sealed value column of ``chunks``, added as they came or as one
+    batch (the sort must not see the difference)."""
+    if one_batch:
+        chunks = [[event for chunk in chunks for event in chunk]]
     window = SortedLocalWindow()
     for chunk in chunks:
         window.add_all(EventColumns.from_events(chunk))
-        if compact_between:
-            # Mid-window cuts force the incremental merge path (run +
-            # pending) instead of one big terminal sort.
-            window.sorted_events()
-    return window.seal()
+    return window.seal().tolist()
 
 
 @given(
@@ -159,16 +153,16 @@ def _seal(chunks, compact_between):
     st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_sealed_windows_identical(chunks, compact_between):
+def test_sealed_windows_identical(chunks, one_batch):
     events = [event for chunk in chunks for event in chunk]
     if _has_nan(events):
         with pytest.raises(CodecError, match="has a NaN value"):
-            _seal(chunks, compact_between)
+            _seal(chunks, one_batch)
         return
     # The independent oracle: one stable sort of everything (exact twins
     # stay in arrival order).
-    assert _window_bits(_seal(chunks, compact_between)) == _window_bits(
-        sorted(events, key=event_key)
+    assert _value_bits(_seal(chunks, one_batch)) == _value_bits(
+        e.value for e in sorted(events, key=event_key)
     )
 
 
@@ -181,7 +175,7 @@ def test_cuts_identical(chunks, gamma):
             _seal([events], False)
         return
     ordered = sorted(events, key=event_key)
-    sealed = _seal([events], False)
+    sealed = np.array(_seal([events], False))
 
     # The slices a walk over the list cuts: γ events each, a trailing
     # single event folded into the slice before it.
@@ -210,9 +204,9 @@ def test_cuts_identical(chunks, gamma):
         )
     ]
     assert [
-        _window_bits(sliced.events[a:b])
+        _value_bits(sliced.values[a:b].tolist())
         for a, b in zip(sliced.bounds, sliced.bounds[1:])
-    ] == [_window_bits(run) for run in runs]
+    ] == [_value_bits(e.value for e in run) for run in runs]
     assert [run.tobytes() for run in sliced.runs] == [
         run.tobytes() for run in _value_runs(runs)
     ]

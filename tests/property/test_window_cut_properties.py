@@ -38,13 +38,13 @@ def sliced_synopses(draw):
         )
         events = sorted(make_events(values, node_id=node_id), key=event_key)
         sliced = slice_sorted_events(
-            EventColumns.from_events(events), gamma, node_id
+            EventColumns.from_events(events).values, gamma, node_id
         )
         synopses.extend(sliced.synopses)
         # The events behind each slice (the wire ships only their values).
         bounds = sliced.bounds
         for index in range(sliced.n_slices):
-            runs[(node_id, index)] = sliced.events[
+            runs[(node_id, index)] = events[
                 bounds[index]:bounds[index + 1]
             ]
         all_events.extend(events)
@@ -166,7 +166,7 @@ def node_batches(draw):
         values = draw(st.lists(_cut_values, min_size=0, max_size=60))
         events = sorted(make_events(values, node_id=node_id), key=event_key)
         batches.append(slice_sorted_events(
-            EventColumns.from_events(events), gamma, node_id
+            EventColumns.from_events(events).values, gamma, node_id
         ).synopses)
     return batches
 
@@ -268,7 +268,7 @@ def test_position_keys_cut_as_event_keys_do(case, seeds):
     gamma, windows = case
     sliced = {
         node_id: slice_sorted_events(
-            EventColumns.from_events(events), gamma, node_id
+            EventColumns.from_events(events).values, gamma, node_id
         )
         for node_id, events in windows.items()
     }

@@ -18,7 +18,7 @@ from repro.network.messages import (
 )
 from repro.queries.local import LocalQueryPlane
 from repro.queries.spec import CONTROL_WINDOW, QuerySpec
-from repro.streaming.columns import EVENT_DTYPE, EventColumns
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
 NODE = 3
@@ -69,7 +69,8 @@ def activate(plane, group_id, spec, start):
 
 
 def naive_window(events, spec, window):
-    """Row-wise selector, window filter, sort from scratch — as columns."""
+    """Row-wise selector, window filter, sort from scratch by the full
+    event key — as the sorted value column."""
     matches = spec.predicate().matches
     rows = [
         (e.value, e.timestamp, e.node_id, e.seq)
@@ -77,7 +78,7 @@ def naive_window(events, spec, window):
         if matches(e) and window.start <= e.timestamp < window.end
     ]
     rows.sort(key=lambda r: (r[0], r[2], r[3]))
-    return EventColumns(np.array(rows, dtype=EVENT_DTYPE))
+    return np.array([r[0] for r in rows], dtype="<f8")
 
 
 def drive(plane, events, batch_rows=50, end=HORIZON):

@@ -28,7 +28,7 @@ def sliced_nodes(seed, n_nodes=3, per_node=120, gamma=7):
         values = [rng.gauss(25.0 * node_id, 30.0) for _ in range(per_node)]
         events = sorted(make_events(values, node_id=node_id), key=event_key)
         nodes[node_id] = slice_sorted_events(
-            EventColumns.from_events(events), gamma, node_id
+            EventColumns.from_events(events).values, gamma, node_id
         )
     return nodes
 

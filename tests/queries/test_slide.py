@@ -1,14 +1,14 @@
 """Shared-slice sliding windows: bit-identity against the naive recompute.
 
-The plane sorts each pane once and builds a window's run with one stable
-sort over its panes' runs; these tests check the sharing is invisible —
-every window's run is **bit-identical** (the same value/timestamp/
-node_id/seq bytes in the same order) to filtering the window out of the
-stream and sorting it from scratch — across overlap, tumbling
-degeneration and gap configurations, including a full hypothesis sweep
-over random streams, window shapes and batch sizes, plus the cases only
-batches have: a batch spanning several panes, out-of-order timestamps
-inside a batch, an empty batch, an empty pane inside a window.
+Panes keep the batches that fell in them, and a window's run is one sort
+of its panes' values; these tests check the sharing is invisible — every
+window's sorted value column is **bit-identical** (the same value bytes in
+the same order, ``-0.0`` apart from ``0.0``) to filtering the window out of
+the stream and sorting it from scratch by the full event key — across
+overlap, tumbling degeneration and gap configurations, including a full
+hypothesis sweep over random streams, window shapes and batch sizes, plus
+the cases only batches have: a batch spanning several panes, out-of-order
+timestamps inside a batch, an empty batch, an empty pane inside a window.
 """
 
 import math
@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.slicing import slice_sorted_events
 from repro.errors import QueryError
 from repro.queries.slide import PaneStore, SlidingRunAggregator
-from repro.streaming.columns import EMPTY_EVENTS, EVENT_DTYPE, EventColumns
+from repro.streaming.columns import EVENT_DTYPE, EventColumns, sort_values
 
 
 def make_stream(n, *, span_ms, seed, n_nodes=3, ordered=False):
@@ -29,10 +29,10 @@ def make_stream(n, *, span_ms, seed, n_nodes=3, ordered=False):
     timestamps = rng.integers(0, span_ms, size=n)
     if ordered:
         timestamps.sort()
+    values = rng.normal(0.0, 20.0, size=n).round(1)  # rounded: value ties
+    values[rng.random(n) < 0.05] = -0.0  # and both signs of zero
     return EventColumns.from_arrays(
-        rng.normal(50.0, 20.0, size=n).round(1),  # rounded: value ties
-        timestamps,
-        rng.integers(1, n_nodes + 1, size=n),
+        values, timestamps, rng.integers(1, n_nodes + 1, size=n)
     )
 
 
@@ -54,10 +54,15 @@ def rows_of(events):
 
 def naive_window_run(events, start, length):
     """The reference, with no numpy sort in it: filter the window's rows,
-    sort them from scratch by the event key, pack them as wire bytes."""
+    sort them from scratch by the event key, pack their values' bytes."""
     inside = [r for r in rows_of(events) if start <= r[1] < start + length]
     inside.sort(key=lambda r: (r[0], r[2], r[3]))
-    return np.array(inside, dtype=EVENT_DTYPE).tobytes()
+    return np.array([r[0] for r in inside], dtype="<f8").tobytes()
+
+
+def pane_seqs(store, start):
+    """The seqs of a closed pane's rows, in arrival order."""
+    return [seq for rows in store.sealed_pane(start) for seq in rows.seqs]
 
 
 def fill(store, events, batch_rows):
@@ -78,7 +83,7 @@ def windows_via_aggregator(events, *, length, step, horizon, batch_rows=64):
             aggregator.evict()
         while next_pane < start + length:
             if next_pane >= start:
-                aggregator.push(next_pane, store.sealed_run(next_pane))
+                aggregator.push(next_pane, store.sealed_pane(next_pane))
             next_pane += pane_ms
         runs[start] = aggregator.query()
     return runs
@@ -98,12 +103,12 @@ def test_bit_identical_to_naive_recompute(length, step):
                                       horizon=6000, batch_rows=batch_rows)
         assert runs  # the shape must actually produce windows
         for start, run in runs.items():
-            assert run.to_wire() == naive_window_run(events, start, length)
+            assert run.tobytes() == naive_window_run(events, start, length)
 
 
 def test_slide_equals_size_is_bit_identical_to_tumbling():
     # slide == size must degenerate to tumbling exactly: one pane per
-    # window, and the window's run IS the pane's cached run (no re-sort).
+    # window, the pane's cached batches, sorted once.
     events = make_stream(400, span_ms=4000, seed=7)
     store = PaneStore(1000)
     fill(store, events, 64)
@@ -111,10 +116,11 @@ def test_slide_equals_size_is_bit_identical_to_tumbling():
     for start in range(0, 3001, 1000):
         if len(aggregator):
             aggregator.evict()
-        aggregator.push(start, store.sealed_run(start))
+        aggregator.push(start, store.sealed_pane(start))
+        assert aggregator.covered == (start,)
+        assert store.sealed_pane(start) is store.sealed_pane(start)
         run = aggregator.query()
-        assert run is store.sealed_run(start)
-        assert run.to_wire() == naive_window_run(events, start, 1000)
+        assert run.tobytes() == naive_window_run(events, start, 1000)
     sliding = windows_via_aggregator(events, length=1000, step=1000,
                                      horizon=4000)
     assert sorted(sliding) == [0, 1000, 2000, 3000]
@@ -126,14 +132,14 @@ def test_gap_windows_skip_uncovered_events():
     events = make_stream(500, span_ms=8000, seed=3)
     runs = windows_via_aggregator(events, length=500, step=2000,
                                   horizon=8000)
-    served = set()
     for start, run in runs.items():
-        assert run.to_wire() == naive_window_run(events, start, 500)
-        served.update(run.seqs.tolist())
-    in_gaps = {r[3] for r in rows_of(events) if r[1] % 2000 >= 500}
+        assert run.tobytes() == naive_window_run(events, start, 500)
+    in_gaps = [r for r in rows_of(events) if r[1] % 2000 >= 500]
     assert in_gaps  # the workload really had gap events
-    assert not in_gaps & served
-    assert len(in_gaps) + len(served) == len(events)
+    # The naive runs hold no gap row, so neither do these: every row is
+    # either in a gap or served by exactly one window.
+    served = sum(len(run) for run in runs.values())
+    assert len(in_gaps) + served == len(events)
 
 
 def test_batch_spanning_several_panes_is_split_by_pane():
@@ -144,8 +150,8 @@ def test_batch_spanning_several_panes_is_split_by_pane():
     )
     store.add(batch)
     for start in (0, 500, 1000):
-        assert store.sealed_run(start).to_wire() == naive_window_run(
-            batch, start, 500
+        assert sort_values(store.sealed_pane(start)).tobytes() == (
+            naive_window_run(batch, start, 500)
         )
     assert store.late_dropped == 0
 
@@ -153,7 +159,7 @@ def test_batch_spanning_several_panes_is_split_by_pane():
 def test_empty_batch_is_a_no_op():
     store = PaneStore(500)
     store.add(EventColumns.from_wire(b""))
-    assert len(store.sealed_run(0)) == 0
+    assert store.sealed_pane(0) == ()
     assert store.late_dropped == 0
 
 
@@ -165,26 +171,26 @@ def test_empty_pane_inside_a_window():
     store.add(events)
     aggregator = SlidingRunAggregator()
     for start in (0, 500, 1000):
-        aggregator.push(start, store.sealed_run(start))
-    assert len(store.sealed_run(500)) == 0
-    assert aggregator.query().to_wire() == naive_window_run(events, 0, 1500)
+        aggregator.push(start, store.sealed_pane(start))
+    assert store.sealed_pane(500) == ()
+    assert aggregator.query().tobytes() == naive_window_run(events, 0, 1500)
     empty = SlidingRunAggregator()
-    empty.push(2000, store.sealed_run(2000))
-    empty.push(2500, store.sealed_run(2500))
+    empty.push(2000, store.sealed_pane(2000))
+    empty.push(2500, store.sealed_pane(2500))
     assert len(empty.query()) == 0
     assert len(SlidingRunAggregator().query()) == 0
 
 
 def test_pane_less_slide_cuts_a_columnar_zero_slice_window():
     # No pane at all, and panes that never saw an event: the window's run
-    # is an empty batch — never a list — and slices to nothing.
+    # is an empty value column — never a list — and slices to nothing.
     store = PaneStore(500)
-    assert store.sealed_run(0) is EMPTY_EVENTS
+    assert store.sealed_pane(0) == ()
     pushed = SlidingRunAggregator()
-    pushed.push(0, store.sealed_run(0))
+    pushed.push(0, store.sealed_pane(0))
     for aggregator in (SlidingRunAggregator(), pushed):
         sliced = slice_sorted_events(aggregator.query(), 4, node_id=1)
-        assert isinstance(sliced.events, EventColumns)
+        assert sliced.values.dtype == np.float64
         assert sliced.n_slices == sliced.window_size == 0
 
 
@@ -196,37 +202,38 @@ def test_late_event_in_overlap_lands_in_both_windows():
     store = PaneStore(500)
     on_time = columns(*((float(i), i * 90, 1, i) for i in range(15)))
     store.add(on_time)
-    store.sealed_run(0)  # pane [0, 500) seals first
+    store.sealed_pane(0)  # pane [0, 500) seals first
     late = columns((-1.0, 700, 2, 99))
     store.add(late)  # late, but its pane [500, 1000) is still open
     assert store.late_dropped == 0
 
     events = columns(*rows_of(on_time), *rows_of(late))
     aggregator = SlidingRunAggregator()
-    aggregator.push(0, store.sealed_run(0))
-    aggregator.push(500, store.sealed_run(500))
+    aggregator.push(0, store.sealed_pane(0))
+    aggregator.push(500, store.sealed_pane(500))
     first = aggregator.query()
-    assert first.to_wire() == naive_window_run(events, 0, 1000)
-    assert 99 in first.seqs.tolist()
+    assert first.tobytes() == naive_window_run(events, 0, 1000)
+    assert first[0] == -1.0  # the late row, the only negative value
     aggregator.evict()
-    aggregator.push(1000, store.sealed_run(1000))
+    aggregator.push(1000, store.sealed_pane(1000))
     second = aggregator.query()
-    assert second.to_wire() == naive_window_run(events, 500, 1000)
-    assert 99 in second.seqs.tolist()
+    assert second.tobytes() == naive_window_run(events, 500, 1000)
+    assert second[0] == -1.0
 
 
 def test_event_late_past_the_seal_is_dropped_and_counted():
     store = PaneStore(500)
     store.add(columns((1.0, 100, 1, 0)))
-    sealed = store.sealed_run(0)
+    sealed = store.sealed_pane(0)
     # Three rows for the sealed pane, one for an open one: rows are
     # counted (not calls) and only the late ones go.
     store.add(columns(
         (2.0, 200, 1, 1), (3.0, 600, 1, 2), (4.0, 10, 1, 3), (5.0, 499, 1, 4)
     ))
     assert store.late_dropped == 3
-    assert store.sealed_run(0) is sealed  # the cached run is immutable
-    assert store.sealed_run(500).seqs.tolist() == [2]
+    assert store.sealed_pane(0) is sealed  # the cached pane is immutable
+    assert pane_seqs(store, 0) == [0]
+    assert pane_seqs(store, 500) == [2]
 
 
 def test_row_for_a_pruned_pane_is_dropped_and_counted():
@@ -235,31 +242,31 @@ def test_row_for_a_pruned_pane_is_dropped_and_counted():
     # next prune, never counted).
     store = PaneStore(500)
     store.add(columns((1.0, 100, 1, 0), (2.0, 600, 1, 1)))
-    store.sealed_run(0)
+    store.sealed_pane(0)
     store.prune_before(1000)  # pane 0 was sealed, pane 500 still open
     store.add(columns((3.0, 150, 1, 2), (4.0, 700, 1, 3), (5.0, 1001, 1, 4)))
     assert store.late_dropped == 2
-    assert len(store.sealed_run(0)) == 0
-    assert len(store.sealed_run(500)) == 0
-    assert store.sealed_run(1000).seqs.tolist() == [4]
+    assert store.sealed_pane(0) == ()
+    assert store.sealed_pane(500) == ()
+    assert pane_seqs(store, 1000) == [4]
 
 
 def test_pane_store_prune_drops_old_panes_only():
     store = PaneStore(500)
     store.add(columns((1.0, 100, 1, 100), (1.0, 600, 1, 600),
                       (1.0, 1100, 1, 1100)))
-    store.sealed_run(0)
+    store.sealed_pane(0)
     store.prune_before(1000)
-    assert len(store.sealed_run(0)) == 0    # pruned (open AND sealed)
-    assert len(store.sealed_run(500)) == 0  # pruned while still open
-    assert len(store.sealed_run(1000)) == 1
+    assert store.sealed_pane(0) == ()    # pruned (open AND sealed)
+    assert store.sealed_pane(500) == ()  # pruned while still open
+    assert pane_seqs(store, 1000) == [1100]
 
 
 def test_push_out_of_order_rejected():
     aggregator = SlidingRunAggregator()
-    aggregator.push(1000, EventColumns.from_wire(b""))
+    aggregator.push(1000, ())
     with pytest.raises(QueryError, match="ascending order"):
-        aggregator.push(500, EventColumns.from_wire(b""))
+        aggregator.push(500, ())
 
 
 def test_evict_from_empty_rejected():
@@ -286,4 +293,4 @@ def test_property_any_shape_matches_naive(seed, n, length_panes, step_panes,
     runs = windows_via_aggregator(events, length=length, step=step,
                                   horizon=span, batch_rows=batch_rows)
     for start, run in runs.items():
-        assert run.to_wire() == naive_window_run(events, start, length)
+        assert run.tobytes() == naive_window_run(events, start, length)

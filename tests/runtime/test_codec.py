@@ -65,7 +65,7 @@ from repro.runtime.codec import (
     tag_of,
 )
 from repro.obs.live.context import TraceContext
-from repro.streaming.columns import EventColumns, merge_runs
+from repro.streaming.columns import EventColumns, sort_values
 from repro.streaming.events import Event, make_events
 
 cols = EventColumns.from_events
@@ -1198,9 +1198,9 @@ _SLICED_VALUES = st.one_of(
     u32,
 )
 def test_every_slicer_cut_survives_the_wire(values, gamma, node_id):
-    events = merge_runs(None, EventColumns.from_events(
+    events = sort_values([EventColumns.from_events(
         make_events(values, node_id=node_id)
-    ))
+    )])
     sliced = slice_sorted_events(events, gamma, node_id)
     raw = sliced.synopses.to_wire(sliced.window_size)
     decoded, size, used = SynopsisColumns.from_wire(raw, node_id)

@@ -10,7 +10,7 @@ import pytest
 from repro.errors import CodecError
 from repro.runtime import wire
 from repro.streaming import columns
-from repro.streaming.columns import EventColumns, concat_columns, merge_runs
+from repro.streaming.columns import EventColumns, concat_columns, sort_values
 from repro.streaming.events import Event, event_key, make_events
 
 
@@ -278,103 +278,119 @@ def _input_classes():
 INPUT_CLASSES = _input_classes()
 
 
+def _value_bits(values):
+    return np.asarray(values, dtype=np.float64).view("<u8").tolist()
+
+
+def _key_sorted_bits(events):
+    """The reference: the values of a Python sort by the full event key."""
+    return _value_bits([e.value for e in sorted(events, key=event_key)])
+
+
 class TestMergeRuns:
+    """:func:`sort_values` merges a window's chunks — raw batches, or
+    batches that are themselves sorted runs — into one value column."""
+
     def test_sorts_like_object_path(self, backend):
-        pending = EventColumns.from_events(EVENTS)
-        merged = merge_runs(None, pending)
-        assert list(merged) == sorted(EVENTS, key=event_key)
+        merged = sort_values([EventColumns.from_events(EVENTS)])
+        assert _value_bits(merged) == _key_sorted_bits(EVENTS)
 
     def test_merges_into_run(self, backend):
         base = sorted(EVENTS, key=event_key)
-        run = merge_runs(None, EventColumns.from_events(base))
         extra = make_events([2.0, -5.0], node_id=9, start_timestamp=20)
-        merged = merge_runs(run, EventColumns.from_events(extra))
-        assert list(merged) == sorted(
-            list(EVENTS) + list(extra), key=event_key
-        )
+        merged = sort_values([
+            EventColumns.from_events(base), EventColumns.from_events(extra)
+        ])
+        assert _value_bits(merged) == _key_sorted_bits(list(EVENTS) + extra)
 
     def test_nan_in_a_batch_is_refused_naming_its_row(self, backend):
-        # A NaN has no rank; numpy sorts it last, and the sort names the
-        # row it reads there (a wire-fed NaN is refused where it is first
-        # ordered).
+        # A NaN has no rank; numpy sorts it last, and the sort names its
+        # row (a wire-fed NaN is refused where it is first ordered).
         events = [
             Event(value=2.0, timestamp=0, node_id=1, seq=0),
             Event(value=float("nan"), timestamp=1, node_id=4, seq=9),
             Event(value=1.0, timestamp=2, node_id=1, seq=2),
         ]
         with pytest.raises(CodecError, match="node 4 seq 9 has a NaN value"):
-            merge_runs(None, EventColumns.from_events(events))
+            sort_values([EventColumns.from_events(events)])
 
     def test_nan_merged_into_a_run_is_refused(self, backend):
-        run = merge_runs(None, EventColumns.from_events(
-            make_events([1.0, 3.0], node_id=1)
-        ))
+        run = EventColumns.from_events(make_events([1.0, 3.0], node_id=1))
         pending = EventColumns.from_events([
             Event(value=2.0, timestamp=3, node_id=2, seq=0),
             Event(value=-_nan(0xBEEF), timestamp=4, node_id=2, seq=1),
         ])
         with pytest.raises(CodecError, match="node 2 seq 1 has a NaN value"):
-            merge_runs(run, pending)
+            sort_values([run, pending])
 
     def test_duplicate_keys_stable(self, backend):
-        # node_id/seq pairs make keys strict in production; a pathological
-        # exact-duplicate key must still sort stably (run before pending).
-        twin = Event(value=1.0, timestamp=0, node_id=1, seq=0)
-        run = merge_runs(None, EventColumns.from_events([twin]))
-        merged = merge_runs(run, EventColumns.from_events([twin]))
-        assert list(merged) == [twin, twin]
+        # node_id/seq pairs make keys strict in production; exact-duplicate
+        # keys keep arrival order, which shows only on a signed zero.
+        zero = Event(value=0.0, timestamp=0, node_id=1, seq=0)
+        negative = Event(value=-0.0, timestamp=1, node_id=1, seq=0)
+        for events in ([zero, negative], [negative, zero]):
+            chunks = [EventColumns.from_events([event]) for event in events]
+            assert _value_bits(sort_values(chunks)) == _value_bits(
+                [event.value for event in events]
+            )
 
     @pytest.mark.parametrize("name", sorted(INPUT_CLASSES))
     def test_input_class_sorts_like_object_path(self, backend, name):
         events = INPUT_CLASSES[name]
-        merged = merge_runs(None, EventColumns.from_events(events))
-        assert merged.to_wire() == _pack(sorted(events, key=event_key))
+        merged = sort_values([EventColumns.from_events(events)])
+        assert _value_bits(merged) == _key_sorted_bits(events)
 
     @pytest.mark.parametrize("name", sorted(INPUT_CLASSES))
     def test_input_class_merges_into_sorted_run(self, backend, name):
         events = INPUT_CLASSES[name]
-        head, tail = events[:70], events[70:]
-        run = merge_runs(None, EventColumns.from_events(head))
-        merged = merge_runs(run, EventColumns.from_events(tail))
-        # Twins: the run's before pending's, each side in arrival order.
-        expected = sorted(sorted(head, key=event_key) + tail, key=event_key)
-        assert merged.to_wire() == _pack(expected)
+        head, tail = sorted(events[:70], key=event_key), events[70:]
+        merged = sort_values([
+            EventColumns.from_events(head), EventColumns.from_events(tail)
+        ])
+        # Twins: the run's before the tail's, each side in arrival order.
+        assert _value_bits(merged) == _key_sorted_bits(head + tail)
 
     @pytest.mark.parametrize(
-        "decimals, repaired", [(3, True), (0, False)]
+        "decimals, rare_ties", [(3, True), (0, False)]
     )
     def test_large_windows_on_both_sides_of_the_tie_limit(
-        self, backend, decimals, repaired
+        self, backend, decimals, rare_ties
     ):
-        # Hypothesis-sized windows never reach the tie limit with real
-        # values; these land below it (ties repaired in place) and above
-        # it (one stable sort of everything).
+        # Hypothesis-sized windows never reach SIMD-sized inputs with real
+        # ties; these hold fewer and more than one tied neighbour pair in
+        # four rows, with both signs of zero among them.
         n = 16_384
         rng = np.random.default_rng(42)
-        values = np.round(rng.normal(50.0, 20.0, n), decimals)
+        values = np.round(rng.normal(0.0, 20.0, n), decimals)
+        values[rng.integers(0, n, 64)] = -0.0
+        values[rng.integers(0, n, 64)] = 0.0
         cols = EventColumns.from_arrays(
             values, np.arange(n), rng.integers(1, 4, n)
         )
         ties = n - len(np.unique(values))
         assert 0 < ties
-        assert (ties * columns._TIE_REPAIR_LIMIT <= n) == repaired
+        assert (ties * 4 <= n) == rare_ties
         expected = np.lexsort((cols.seqs, cols.node_ids, cols.values))
-        assert merge_runs(None, cols).to_wire() == cols[expected].to_wire()
+        chunks = [cols[at:at + 4096] for at in range(0, n, 4096)]
+        assert _value_bits(sort_values(chunks)) == _value_bits(
+            cols.values[expected]
+        )
 
     def test_nan_values_order_last(self, backend):
-        # The kernel's own NaN rule (merge_runs reads it off the last row
-        # and refuses the batch).
-        values = np.array([2.0, float("nan"), 1.0, 1.0, float("nan"), 0.5])
-        nodes = np.array([1, 1, 2, 1, 2, 2], dtype="<u4")
-        seqs = np.arange(6, dtype="<u4")
-        order = columns._key_order(values, nodes, seqs).tolist()
-        assert order[:4] == [5, 3, 2, 0]
-        assert sorted(order[4:]) == [1, 4]
+        # The kernel's own NaN rule, which sort_values reads off the last
+        # sorted value: every NaN sorts last, whatever its sign bit.
+        for n in (6, 4096):
+            values = np.random.default_rng(n).normal(size=n)
+            values[[1, n // 2]] = [np.copysign(np.nan, -1), np.nan]
+            ordered = np.sort(values)
+            assert np.isnan(ordered[-2:]).all()
+            assert not np.isnan(ordered[:-2]).any()
 
     def test_empty(self, backend):
         empty = EventColumns.from_wire(b"")
-        assert merge_runs(None, empty).to_wire() == b""
-        assert merge_runs(empty, empty).to_wire() == b""
+        for chunks in ([], [empty], [empty, empty]):
+            sealed = sort_values(chunks)
+            assert sealed.dtype == np.float64 and len(sealed) == 0
 
 
 class TestConcat:

@@ -99,6 +99,7 @@ import re
 import pytest
 
 import repro
+from repro.core.sorted_window import SortedLocalWindow
 from repro.core.synopsis import SynopsisColumns, concat_synopses
 from repro.mesh.config import ClusterConfig
 from repro.streaming.columns import EVENT_DTYPE, EventColumns, concat_records
@@ -471,16 +472,21 @@ def test_cluster_configs_are_built_in_one_cli_function():
 
 
 #: The functions of the live-path modules that may call a numpy or in-place
-#: sort (``lexsort``, ``argsort``, ``np.sort``, ``.sort(``): the shared
-#: key-order kernel every window sort goes through and window-cut's sweep
-#: over synopsis ranks.  The root's rank select sorts nothing: it
-#: partitions the value runs.
+#: sort (``lexsort``, ``argsort``, ``np.sort``, ``.sort(``): the one value
+#: sort every window's events go through, the ranking of synopsis keys and
+#: window-cut's sweep over those ranks.  The root's rank select sorts
+#: nothing: it partitions the value runs.
 #: The builtin ``sorted`` is not policed — it orders dict keys all over
 #: ``runtime/``; no row of the live path is ordered with it.
 ALLOWED_SORT_SITES = {
-    ("streaming/columns.py", "_key_order"),
+    ("streaming/columns.py", "sort_values"),
+    ("core/synopsis.py", "_dense_ranks"),
     ("core/window_cut.py", "window_cut_multi"),
 }
+
+#: The ordering paths ``sort_values`` replaced: a permutation of whole
+#: records, its tie repair and the merge around it.  None comes back.
+DELETED_ORDERING_PATHS = {"merge_runs", "_key_order"}
 
 SORT_CALLS = {"lexsort", "argsort", "sort"}
 
@@ -515,6 +521,16 @@ def test_rows_are_ordered_in_one_place():
             name = path.relative_to(PACKAGE_ROOT).as_posix()
             sites |= {(name, scope) for scope in _sort_sites(path.read_text())}
     assert sites == ALLOWED_SORT_SITES
+    names = set()
+    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+    assert not names & (DELETED_ORDERING_PATHS | {"_TIE_REPAIR_LIMIT"})
+    assert not hasattr(SortedLocalWindow, "sorted_events")
+    assert not hasattr(SortedLocalWindow, "__iter__")
 
 
 def test_sort_lint_sees_numpy_and_method_sorts_only():
@@ -919,7 +935,6 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     from repro.core.calculation import calculate_quantile
     from repro.core.query import QuantileQuery
     from repro.core.slicing import slice_sorted_events
-    from repro.core.sorted_window import SortedLocalWindow
     from repro.core.window_cut import window_cut
     from repro.mesh import MeshConfig, run_mesh
     from repro.queries.runner import run_query_scenario
@@ -1172,8 +1187,8 @@ def test_oracle_lint_sees_functions_methods_and_nested_defs():
 #: one strict order rules, and a NaN fallback growing back fails here.
 NAN_SITES = {
     ("streaming/columns.py", "check_streams"),
-    ("streaming/columns.py", "merge_runs"),
     ("streaming/columns.py", "select_rank"),
+    ("streaming/columns.py", "sort_values"),
     ("testing.py", "oracle"),
 }
 
@@ -1264,7 +1279,7 @@ def test_nan_lint_sees_calls_branches_and_names():
 #: ``batch_size``, the frame the system sends.  Held with ``==`` at both: a
 #: change that adds a call per frame says so here, and one that adds a
 #: call per event cannot hide behind a small frame.
-EVENT_BATCH_FRAME_CALLS = 28
+EVENT_BATCH_FRAME_CALLS = 27
 
 #: Comprehensions run inline on Python 3.12 and as a call on 3.11.
 _INLINE_ON_312 = {"<listcomp>", "<dictcomp>", "<setcomp>"}
