@@ -2,26 +2,32 @@
 
 Network cost in the evaluation is counted in bytes on the wire, so every
 message type declares how large its serialized form is.  Sizes are not
-estimates.  A fixed-size message states its payload once, as its class's
-``LAYOUT``: one struct over the fields the class declares, in declaration
-order.  ``payload_bytes`` is that struct's size, and
-:mod:`repro.runtime.codec` packs and unpacks with it.  A variable-length
-message (a batch, a run, a list or a string) sums its ``payload_bytes``
-over the constants of :mod:`repro.runtime.wire`, beside the hand encoder
-and decoder the codec lists for it; the runtime test suite asserts that
-``payload_bytes == len(encode_payload(message))`` for every type.  The
-simulator therefore charges exactly the bytes the live asyncio runtime
-puts on a socket.
+estimates, and every payload is stated once.  A fixed-size message's
+payload is its class's ``LAYOUT``: one struct over the fields the class
+declares, in declaration order.  A variable-length message's payload is
+its class's ``PAYLOAD``: the wire parts below, in wire order — struct
+fields, a sequence's u32 count, a u32 code map, a UTF-8 string, a run of
+structs or of records, a tail of ``<f8`` values.  ``payload_bytes``
+follows from either, and :mod:`repro.runtime.codec` packs and unpacks
+with the same declaration.  Five types keep hand code: the event batch
+(its per-frame call budget), the two synopsis carriers (their section is
+``SynopsisColumns``' own format) and the two candidate-run carriers (a
+declared part costs one Python call, and their codec stage measured
+slower declared).  The runtime test suite asserts ``payload_bytes ==
+len(encode_payload(message))`` for every type, so the simulator charges
+exactly the bytes the live asyncio runtime puts on a socket.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, fields
+from operator import attrgetter, itemgetter
 from typing import Sequence
 
 import numpy as _np
 
+from repro.errors import CodecError
 from repro.runtime import wire
 from repro.streaming.columns import (
     EMPTY_EVENTS,
@@ -102,6 +108,222 @@ def _runs_eq(self, other) -> bool:
     )
 
 
+# ----------------------------------------------------------------------
+# The parts a variable-length payload is declared from.  A part sizes,
+# packs and unpacks one piece of the payload over the message's fields,
+# or, inside :class:`Rows`, over a record's elements by position;
+# ``unpack`` fills the keyword arguments the message is rebuilt from.
+# ----------------------------------------------------------------------
+
+
+def _values_from_wire(raw: memoryview, count: int):
+    """Zero-copy ``float64`` view over ``count`` wire values.
+
+    Raises:
+        CodecError: If the byte length is not a multiple of the 8-byte
+            value stride, or disagrees with ``count``.
+    """
+    stride = wire.F64_BYTES
+    if len(raw) % stride:
+        raise CodecError(
+            f"value array of {len(raw)} bytes is not a multiple of the "
+            f"{stride}-byte value stride"
+        )
+    if len(raw) != count * stride:
+        raise CodecError(
+            f"value array of {len(raw)} bytes does not hold the "
+            f"announced {count} values ({count * stride} bytes)"
+        )
+    return _np.frombuffer(raw, dtype="<f8")
+
+
+def _getter(*names):
+    """Reads ``names`` off a message (field names) or a record (element
+    positions); several read as a tuple."""
+    return (attrgetter if isinstance(names[0], str) else itemgetter)(*names)
+
+
+class Fields:
+    """Struct fields over the message's own fields ``names`` (inside
+    :class:`Rows`, over a record's positions)."""
+
+    def __init__(self, fmt: str, *names) -> None:
+        self.struct = struct.Struct(fmt)
+        self.names = names
+        self.get = _getter(*names)
+        self.fixed = self.min_size = self.struct.size
+        assert len(self.struct.unpack(bytes(self.fixed))) == len(names)
+
+    def size(self, m) -> int:
+        return self.fixed
+
+    def pack(self, m, out: list) -> None:
+        value = self.get(m)
+        out.append(
+            self.struct.pack(*value) if len(self.names) > 1
+            else self.struct.pack(value)
+        )
+
+    def unpack(self, r, fields: dict) -> None:
+        fields.update(zip(self.names, r.unpack(self.struct)))
+
+
+class Count:
+    """The u32 count of sequence field ``name``.  Its items follow in a
+    later part, not necessarily the next; on decode the count stands in
+    for the sequence until that part replaces it."""
+
+    fixed = wire.COUNT_BYTES
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def pack(self, m, out: list) -> None:
+        out.append(wire.COUNT.pack(len(getattr(m, self.name))))
+
+    def unpack(self, r, fields: dict) -> None:
+        fields[self.name] = r.count()
+
+
+class Code:
+    """Field ``name`` as the u32 code ``codes`` maps its value to; a value
+    or a code outside the map is refused."""
+
+    fixed = wire.U32_BYTES
+
+    def __init__(self, name: str, codes: dict) -> None:
+        self.name = name
+        self.codes = codes
+        self.values = {code: value for value, code in codes.items()}
+
+    def pack(self, m, out: list) -> None:
+        value = getattr(m, self.name)
+        if value not in self.codes:
+            raise CodecError(
+                f"{self.name} {value!r} is not one of {sorted(self.codes)}"
+            )
+        out.append(wire.U32.pack(self.codes[value]))
+
+    def unpack(self, r, fields: dict) -> None:
+        (code,) = r.unpack(wire.U32)
+        if code not in self.values:
+            raise CodecError(
+                f"{self.name} code {code} is not one of {sorted(self.values)}"
+            )
+        fields[self.name] = self.values[code]
+
+
+class Text:
+    """Field ``name`` as a UTF-8 string behind its u32 **byte** count."""
+
+    fixed, min_size = None, wire.COUNT_BYTES
+
+    def __init__(self, name) -> None:
+        self.name = name
+        self.get = _getter(name)
+
+    def size(self, m) -> int:
+        return wire.COUNT_BYTES + len(self.get(m).encode("utf-8"))
+
+    def pack(self, m, out: list) -> None:
+        raw = self.get(m).encode("utf-8")
+        out += (wire.COUNT.pack(len(raw)), raw)
+
+    def unpack(self, r, fields: dict) -> None:
+        raw = r.take(r.count())
+        try:
+            fields[self.name] = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"string payload is not valid UTF-8: {exc}") from exc
+
+
+class Run:
+    """The items of sequence field ``name``, one struct ``fmt`` each (a
+    one-field struct's item is its bare value), behind its count."""
+
+    fixed = None
+
+    def __init__(self, name: str, fmt: str) -> None:
+        self.name = name
+        self.struct = struct.Struct(fmt)
+        self.bare = len(self.struct.unpack(bytes(self.struct.size))) == 1
+
+    def size(self, m) -> int:
+        return len(getattr(m, self.name)) * self.struct.size
+
+    def pack(self, m, out: list) -> None:
+        items, pack = getattr(m, self.name), self.struct.pack
+        out.append(b"".join(
+            map(pack, items) if self.bare else [pack(*item) for item in items]
+        ))
+
+    def unpack(self, r, fields: dict) -> None:
+        n = fields[self.name]
+        rows = self.struct.iter_unpack(r.view(n * self.struct.size))
+        fields[self.name] = tuple([row for (row,) in rows] if self.bare else rows)
+
+
+class Rows:
+    """The records of sequence field ``name``, behind its count, each
+    declared by ``parts`` over its elements, in position order."""
+
+    fixed = None
+
+    def __init__(self, name: str, *parts) -> None:
+        self.name = name
+        self.parts = parts
+        self.min_size = sum(part.min_size for part in parts)
+
+    def size(self, m) -> int:
+        return sum([p.size(row) for row in getattr(m, self.name) for p in self.parts])
+
+    def pack(self, m, out: list) -> None:
+        for row in getattr(m, self.name):
+            for part in self.parts:
+                part.pack(row, out)
+
+    def unpack(self, r, fields: dict) -> None:
+        n = fields[self.name]
+        r.need(n * self.min_size)  # a count the payload cannot hold
+        rows = []
+        for _ in range(n):
+            row: dict = {}
+            for part in self.parts:
+                part.unpack(r, row)
+            rows.append(tuple(row.values()))
+        fields[self.name] = tuple(rows)
+
+
+class Values:
+    """Field ``name``'s ``<f8`` values as the payload's tail, behind its
+    count: a zero-copy view of the rest, which must hold exactly the
+    count."""
+
+    fixed = None
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def size(self, m) -> int:
+        return len(getattr(m, self.name)) * wire.F64_BYTES
+
+    def pack(self, m, out: list) -> None:
+        out.append(_np.asarray(getattr(m, self.name), "<f8").tobytes())
+
+    def unpack(self, r, fields: dict) -> None:
+        fields[self.name] = _values_from_wire(r.rest(), fields[self.name])
+
+
+class Payload:
+    """A variable-length message's payload, declared once: its parts in
+    wire order.  The fixed-size parts are summed once, here."""
+
+    def __init__(self, *parts) -> None:
+        self.parts = parts
+        self.fixed = sum(part.fixed for part in parts if part.fixed is not None)
+        self.sized = tuple(part for part in parts if part.fixed is None)
+
+
 @dataclass(frozen=True, slots=True)
 class Message:
     """Base class for everything that crosses a channel.
@@ -116,14 +338,21 @@ class Message:
     group_id: int = 0
 
     #: A fixed-size message's payload: one struct over the fields its class
-    #: declares, in declaration order (none here).  A variable-length
-    #: message overrides ``payload_bytes`` and never reads it.
+    #: declares, in declaration order (none here).
     LAYOUT = struct.Struct("<")
+    #: A variable-length message's payload: its :class:`Payload` parts.
+    PAYLOAD = None
 
     @property
     def payload_bytes(self) -> int:
         """Serialized payload size, excluding the fixed header."""
-        return self.LAYOUT.size
+        payload = self.PAYLOAD
+        if payload is None:
+            return self.LAYOUT.size
+        size = payload.fixed
+        for part in payload.sized:
+            size += part.size(self)
+        return size
 
     @property
     def wire_bytes(self) -> int:
@@ -155,9 +384,7 @@ class SortedRunMessage(Message):
     __eq__ = _runs_eq
     __hash__ = Message.__hash__
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.COUNT_BYTES + len(self.events) * wire.F64_BYTES
+    PAYLOAD = Payload(Count("events"), Values("events"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -180,9 +407,7 @@ class CandidateRequestMessage(Message):
 
     slice_indices: tuple[int, ...] = ()
 
-    @property
-    def payload_bytes(self) -> int:
-        return wire.COUNT_BYTES + len(self.slice_indices) * wire.U32_BYTES
+    PAYLOAD = Payload(Count("slice_indices"), Run("slice_indices", "<I"))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -244,26 +469,20 @@ class GammaUpdateMessage(Message):
 
 @dataclass(frozen=True, slots=True)
 class DigestMessage(Message):
-    """A serialized quantile sketch (t-digest and KLL baselines).
-
-    The payload is the sender's exact ``minimum``/``maximum`` (two f64 —
-    sketches track true extremes, and tail centroid *means* sit strictly
-    inside the data range, so extreme quantiles need the real bounds on
-    the wire) followed by ``centroid_count`` (mean, weight) pairs of 16
-    bytes each behind a u32 count.
-    """
+    """A serialized quantile sketch (t-digest and KLL baselines): its
+    (mean, weight) centroids and the sender's exact extremes — tail
+    centroid *means* sit strictly inside the data range, so extreme
+    quantiles need the real bounds on the wire."""
 
     centroids: tuple[tuple[float, float], ...] = ()
     minimum: float = 0.0
     maximum: float = 0.0
 
-    @property
-    def payload_bytes(self) -> int:
-        return (
-            wire.COUNT_BYTES
-            + 2 * wire.F64_BYTES
-            + len(self.centroids) * wire.CENTROID_WIRE_BYTES
-        )
+    PAYLOAD = Payload(
+        Count("centroids"),
+        Fields("<dd", "minimum", "maximum"),
+        Run("centroids", "<dd"),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -278,13 +497,9 @@ class PartialAggregateMessage(Message):
     state: tuple[float, ...] = ()
     local_window_size: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return (
-            wire.COUNT_BYTES
-            + wire.U64_BYTES
-            + len(self.state) * wire.F64_BYTES
-        )
+    PAYLOAD = Payload(
+        Count("state"), Fields("<Q", "local_window_size"), Run("state", "<d")
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,13 +509,9 @@ class QDigestMessage(Message):
     nodes: tuple[tuple[int, int, int], ...] = ()
     local_count: int = 0
 
-    @property
-    def payload_bytes(self) -> int:
-        return (
-            wire.COUNT_BYTES
-            + wire.U64_BYTES
-            + len(self.nodes) * wire.QDIGEST_NODE_WIRE_BYTES
-        )
+    PAYLOAD = Payload(
+        Count("nodes"), Fields("<Q", "local_count"), Run("nodes", "<IQI")
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,10 +556,6 @@ class QueryRegisterMessage(Message):
     assigned ``group_id``) to propagate a new window shape of an execution
     group: root → local, ``query_id`` is the root-allocated shape id, and
     the start negotiation that follows runs per (group, window shape).
-    The fixed part carries the query id, the quantile, the window shape
-    (kind code, length, step) plus the slice factor and the freshness
-    budget; the variable part is the UTF-8 key selector behind a u32 byte
-    count.
     """
 
     query_id: int = 0
@@ -360,13 +567,12 @@ class QueryRegisterMessage(Message):
     freshness_ms: int = 0
     selector: str = "all"
 
-    @property
-    def payload_bytes(self) -> int:
-        return (
-            wire.QUERY_REGISTER_FIXED_BYTES
-            + wire.COUNT_BYTES
-            + len(self.selector.encode("utf-8"))
-        )
+    PAYLOAD = Payload(
+        Fields("<Id", "query_id", "q"),
+        Code("kind", {"tumbling": 1, "sliding": 2, "session": 3}),
+        Fields("<QQIQ", "length_ms", "step_ms", "gamma", "freshness_ms"),
+        Text("selector"),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -386,13 +592,11 @@ class QueryAckMessage(Message):
     accepted: bool = True
     reason: str = ""
 
-    @property
-    def payload_bytes(self) -> int:
-        return (
-            wire.QUERY_ACK_FIXED_BYTES
-            + wire.COUNT_BYTES
-            + len(self.reason.encode("utf-8"))
-        )
+    PAYLOAD = Payload(
+        Fields("<I", "query_id"),
+        Code("accepted", {False: 0, True: 1}),
+        Text("reason"),
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -412,9 +616,14 @@ class QueryResultMessage(Message):
     LAYOUT = struct.Struct("<IdQQ")
 
 
-# The documented 28-byte result is load-bearing for the simulator's byte
-# accounting; fail at import time if an edit ever drifts from it.
+# The documented 28-byte result, the register's 44-byte and the ack's
+# 8-byte fixed parts (each before a u32-counted string) and the 16-byte
+# q-digest node are load-bearing for the simulator's byte accounting;
+# fail at import time if an edit ever drifts from them.
 assert QueryResultMessage.LAYOUT.size == 28
+assert QueryRegisterMessage(0, Window(0, 1), selector="").payload_bytes == 44 + 4
+assert QueryAckMessage(0, Window(0, 1)).payload_bytes == 8 + 4
+assert QDigestMessage(0, Window(0, 1), nodes=((0, 0, 0),)).payload_bytes == 4 + 8 + 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -474,13 +683,7 @@ class RouteUpdateMessage(Message):
     epoch: int = 0
     members: tuple[int, ...] = ()
 
-    @property
-    def payload_bytes(self) -> int:
-        return (
-            wire.U64_BYTES
-            + wire.COUNT_BYTES
-            + len(self.members) * wire.U32_BYTES
-        )
+    PAYLOAD = Payload(Fields("<Q", "epoch"), Count("members"), Run("members", "<I"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -568,13 +771,7 @@ class ShardFailoverMessage(Message):
     epoch: int = 0
     dead: tuple[int, ...] = ()
 
-    @property
-    def payload_bytes(self) -> int:
-        return (
-            wire.U64_BYTES
-            + wire.COUNT_BYTES
-            + len(self.dead) * wire.U32_BYTES
-        )
+    PAYLOAD = Payload(Fields("<Q", "epoch"), Count("dead"), Run("dead", "<I"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -601,8 +798,7 @@ class TelemetrySnapshotMessage(Message):
     scalar vitals (frames sent, windows sealed, oldest-pending-window age,
     …) in-band to the coordinator, the way heartbeats ride the data
     links — so chaos and partition scenarios exercise the telemetry path
-    automatically.  ``stats`` is a tuple of ``(name, value)`` pairs; each
-    name travels as UTF-8 behind a u32 byte count, each value as one f64.
+    automatically.  ``stats`` is a tuple of ``(name, value)`` pairs.
     The header window is a placeholder (snapshots are not window-scoped)
     and ``sequence`` orders snapshots from one sender so a late frame
     routed through a second shard never rolls the collector backwards.
@@ -611,18 +807,9 @@ class TelemetrySnapshotMessage(Message):
     sequence: int = 0
     stats: tuple[tuple[str, float], ...] = ()
 
-    @property
-    def payload_bytes(self) -> int:
-        return (
-            wire.U64_BYTES
-            + wire.COUNT_BYTES
-            + sum(
-                wire.COUNT_BYTES
-                + len(name.encode("utf-8"))
-                + wire.F64_BYTES
-                for name, _ in self.stats
-            )
-        )
+    PAYLOAD = Payload(
+        Fields("<Q", "sequence"), Count("stats"), Rows("stats", Text(0), Fields("<d", 1))
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -632,9 +819,8 @@ class TelemetryDigestMessage(Message):
     The fleet collector merges these per-metric across nodes into
     cluster-wide percentiles — the repo's own sketch machinery applied to
     its own operational latencies, at a fraction of the bytes raw-sample
-    shipping would cost.  The layout mirrors :class:`DigestMessage`
-    (u32 centroid count, exact min/max f64, 16-byte centroid pairs) with
-    a UTF-8 metric name and a snapshot ``sequence`` in front; digests are
+    shipping would cost.  Its payload is :class:`DigestMessage`'s with
+    the metric name and a snapshot ``sequence`` in front; digests are
     cumulative per (sender, metric), so the collector keeps only the
     highest sequence from each sender and merges across senders.
     """
@@ -645,16 +831,13 @@ class TelemetryDigestMessage(Message):
     minimum: float = 0.0
     maximum: float = 0.0
 
-    @property
-    def payload_bytes(self) -> int:
-        return (
-            wire.COUNT_BYTES
-            + len(self.metric.encode("utf-8"))
-            + wire.U64_BYTES
-            + wire.COUNT_BYTES
-            + 2 * wire.F64_BYTES
-            + len(self.centroids) * wire.CENTROID_WIRE_BYTES
-        )
+    PAYLOAD = Payload(
+        Text("metric"),
+        Fields("<Q", "sequence"),
+        Count("centroids"),
+        Fields("<dd", "minimum", "maximum"),
+        Run("centroids", "<dd"),
+    )
 
 
 def batch_events(

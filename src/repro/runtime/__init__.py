@@ -8,9 +8,11 @@ streams.  The package is organised bottom-up:
 
 ``wire``
     Struct formats and byte-size constants: the frame header and the
-    parts of variable-length payloads (a fixed-size message's payload is
-    its class's ``LAYOUT``).  The simulator's ``payload_bytes`` are
-    property-tested to match the encoder exactly.
+    pieces the hand-coded payloads share.  Every other payload is declared
+    once in its message class — a fixed-size ``LAYOUT`` or
+    variable-length ``PAYLOAD`` parts — and ``payload_bytes``, the encoder
+    and the decoder follow from it.  The simulator's ``payload_bytes``
+    are property-tested to match the encoder exactly.
 ``codec``
     Length-prefixed binary encoding of every protocol message
     (version byte, type tag, lossless round-trip).

@@ -905,7 +905,8 @@ class Cluster:
 
     async def close(self) -> None:
         """Reap every task, then stop failover, shards, locals, relays,
-        links, the network and the telemetry plane, in that order."""
+        links, the network and the telemetry plane, in that order, and
+        close the latch on whatever they left spawned."""
         await self.failures.reap([*self.side_tasks, *self.replays])
         if self.failover is not None:
             await self.failover.close()
@@ -923,6 +924,7 @@ class Cluster:
             await self.http_server.stop()
         if self.sampler is not None:
             await self.sampler.stop()
+        await self.failures.close()
 
     def _seal_wall(self, window: Window) -> float:
         return max(

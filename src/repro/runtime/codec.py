@@ -9,12 +9,16 @@ ordered: a slice boundary here, an event or run value by the sort or the
 root's rank select (its bits survive decode).
 
 One table, ``_CODECS``, lists every message type once with its tag.  A
-fixed-size type's payload is the ``LAYOUT`` its class declares in
-:mod:`repro.network.messages`: this module packs and unpacks the class's
-own fields with it, and ``payload_bytes`` is its size.  A variable-length
-type names its hand encoder and decoder in the table.  The test suite
-asserts ``len(encode_payload(m)) == m.payload_bytes`` exactly, which is
-what lets the discrete-event simulator charge real wire bytes.
+type's payload is declared once, in its class in
+:mod:`repro.network.messages`: a fixed-size type's ``LAYOUT`` struct, which
+this module packs and unpacks the class's own fields with, or a
+variable-length type's ``PAYLOAD`` parts (``_declared``), whose own
+``pack`` and ``unpack`` this module runs in wire order; ``payload_bytes``
+follows from the same declaration.  Five types keep a hand encoder and
+decoder, named in the table: the event batch, the two synopsis carriers
+and the two candidate-run carriers.  The test suite asserts
+``len(encode_payload(m)) == m.payload_bytes`` exactly, which is what lets
+the discrete-event simulator charge real wire bytes.
 
 Framing is deliberately dumb — no compression, no varints — so that sizes
 are arithmetic over the struct constants and a reader can frame a stream
@@ -70,6 +74,7 @@ from repro.network.messages import (
     TelemetrySnapshotMessage,
     WatermarkMessage,
     WindowReleaseMessage,
+    _values_from_wire,
 )
 from repro.runtime import wire
 from repro.streaming.columns import EventColumns
@@ -150,7 +155,10 @@ def tag_of(message: Message) -> int:
 
 
 # ----------------------------------------------------------------------
-# Hand encoders of the variable-length payloads.
+# Hand encoders: the event batch (held to its per-frame call budget), the
+# two synopsis carriers (their section is ``SynopsisColumns``' own) and
+# the two candidate-run carriers (declared parts cost their codec stage a
+# Python call a part).
 # ----------------------------------------------------------------------
 
 
@@ -170,129 +178,19 @@ def _encode_event_batch(m: EventBatchMessage) -> bytes:
     return b"".join(_event_batch_payload(m.events)[0])
 
 
-def _encode_values(values) -> bytes:
-    # A float64 run already *is* the wire layout.
-    return wire.COUNT.pack(len(values)) + _np.asarray(values, "<f8").tobytes()
-
-
-def _encode_sorted_run(m: SortedRunMessage) -> bytes:
-    return _encode_values(m.events)
-
-
 def _encode_synopsis(m: SynopsisMessage) -> bytes:
     return wire.COUNT.pack(len(m.synopses)) + as_synopsis_columns(
         m.synopses
     ).to_wire(m.local_window_size)
 
 
-def _encode_candidate_request(m: CandidateRequestMessage) -> bytes:
-    parts = [wire.COUNT.pack(len(m.slice_indices))]
-    parts.extend(wire.U32.pack(i) for i in m.slice_indices)
-    return b"".join(parts)
+def _encode_values(values) -> bytes:
+    # A float64 run already *is* the wire layout.
+    return wire.COUNT.pack(len(values)) + _np.asarray(values, "<f8").tobytes()
 
 
 def _encode_candidate_events(m: CandidateEventsMessage) -> bytes:
     return wire.U32.pack(m.slice_index) + _encode_values(m.events)
-
-
-def _encode_digest(m: DigestMessage) -> bytes:
-    parts = [
-        wire.COUNT.pack(len(m.centroids)),
-        wire.F64.pack(m.minimum),
-        wire.F64.pack(m.maximum),
-    ]
-    parts.extend(wire.CENTROID.pack(mean, weight) for mean, weight in m.centroids)
-    return b"".join(parts)
-
-
-def _encode_partial(m: PartialAggregateMessage) -> bytes:
-    parts = [
-        wire.COUNT.pack(len(m.state)),
-        wire.U64.pack(m.local_window_size),
-    ]
-    parts.extend(wire.F64.pack(x) for x in m.state)
-    return b"".join(parts)
-
-
-def _encode_qdigest(m: QDigestMessage) -> bytes:
-    parts = [
-        wire.COUNT.pack(len(m.nodes)),
-        wire.U64.pack(m.local_count),
-    ]
-    parts.extend(
-        wire.QDIGEST_NODE.pack(level, index, count)
-        for level, index, count in m.nodes
-    )
-    return b"".join(parts)
-
-
-#: Window-kind codes on the wire.  Append-only, like message tags.
-_QUERY_KIND_CODES = {"tumbling": 1, "sliding": 2, "session": 3}
-_QUERY_KIND_NAMES = {code: name for name, code in _QUERY_KIND_CODES.items()}
-
-
-def _encode_string(text: str) -> bytes:
-    """A UTF-8 string behind a u32 **byte** count."""
-    raw = text.encode("utf-8")
-    return wire.COUNT.pack(len(raw)) + raw
-
-
-def _encode_query_register(m: QueryRegisterMessage) -> bytes:
-    kind_code = _QUERY_KIND_CODES.get(m.kind)
-    if kind_code is None:
-        raise CodecError(
-            f"unknown query window kind {m.kind!r}; "
-            f"expected one of {sorted(_QUERY_KIND_CODES)}"
-        )
-    return wire.QUERY_REGISTER_FIXED.pack(
-        m.query_id,
-        m.q,
-        kind_code,
-        m.length_ms,
-        m.step_ms,
-        m.gamma,
-        m.freshness_ms,
-    ) + _encode_string(m.selector)
-
-
-def _encode_query_ack(m: QueryAckMessage) -> bytes:
-    return wire.QUERY_ACK_FIXED.pack(
-        m.query_id, 1 if m.accepted else 0
-    ) + _encode_string(m.reason)
-
-
-def _encode_route_update(m: RouteUpdateMessage) -> bytes:
-    parts = [wire.U64.pack(m.epoch), wire.COUNT.pack(len(m.members))]
-    parts.extend(wire.U32.pack(member) for member in m.members)
-    return b"".join(parts)
-
-
-def _encode_shard_failover(m: ShardFailoverMessage) -> bytes:
-    parts = [wire.U64.pack(m.epoch), wire.COUNT.pack(len(m.dead))]
-    parts.extend(wire.U32.pack(index) for index in m.dead)
-    return b"".join(parts)
-
-
-def _encode_telemetry_snapshot(m: TelemetrySnapshotMessage) -> bytes:
-    parts = [wire.U64.pack(m.sequence), wire.COUNT.pack(len(m.stats))]
-    for name, value in m.stats:
-        parts.append(_encode_string(name))
-        parts.append(wire.F64.pack(value))
-    return b"".join(parts)
-
-
-def _encode_telemetry_digest(m: TelemetryDigestMessage) -> bytes:
-    parts = [
-        _encode_string(m.metric),
-        wire.U64.pack(m.sequence),
-        wire.COUNT.pack(len(m.centroids)),
-        wire.F64.pack(m.minimum),
-        wire.F64.pack(m.maximum),
-    ]
-    parts.extend(
-        wire.CENTROID.pack(mean, weight) for mean, weight in m.centroids
-    )
-    return b"".join(parts)
 
 
 def _encode_relay_synopsis(m: RelaySynopsisMessage) -> bytes:
@@ -316,7 +214,7 @@ def _encode_relay_runs(m: RelayRunsMessage) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Hand decoders of the variable-length payloads.  Each consumes a
+# The payload reader, and the hand decoders.  A decoder consumes a
 # memoryview and must use it fully.
 # ----------------------------------------------------------------------
 
@@ -344,7 +242,7 @@ class _Reader:
         return self.unpack(wire.COUNT)[0]
 
     def take(self, n: int) -> bytes:
-        """Read ``n`` raw bytes (extension bodies of arbitrary length)."""
+        """Read ``n`` raw bytes (extension bodies, strings)."""
         return bytes(self.view(n))
 
     def view(self, n: int) -> memoryview:
@@ -357,6 +255,15 @@ class _Reader:
         raw = self._view[self._pos:end]
         self._pos = end
         return raw
+
+    def need(self, n: int) -> None:
+        """Refuse a payload without ``n`` more bytes (a count the rest
+        cannot hold), before anything is built for them."""
+        if self._pos + n > len(self._view):
+            raise CodecError(
+                f"payload truncated: need {self._pos + n} bytes, "
+                f"have {len(self._view)}"
+            )
 
     def rest(self) -> memoryview:
         """All remaining bytes as a zero-copy view (payload-tail arrays)."""
@@ -402,37 +309,6 @@ def _decode_event_batch(r, sender, window, group_id):
     return _event_batch(r.rest(), sender, window, group_id)
 
 
-def _values_from_wire(raw: memoryview, count: int):
-    """Zero-copy ``float64`` view over ``count`` wire values.
-
-    Raises:
-        CodecError: If the byte length is not a multiple of the 8-byte
-            value stride, or disagrees with ``count``.
-    """
-    stride = wire.F64_BYTES
-    if len(raw) % stride:
-        raise CodecError(
-            f"value array of {len(raw)} bytes is not a multiple of the "
-            f"{stride}-byte value stride"
-        )
-    if len(raw) != count * stride:
-        raise CodecError(
-            f"value array of {len(raw)} bytes does not hold the "
-            f"announced {count} values ({count * stride} bytes)"
-        )
-    return _np.frombuffer(raw, dtype="<f8")
-
-
-def _decode_values(r: _Reader):
-    # Like an event array, the value array is the payload tail.
-    n = r.count()
-    return _values_from_wire(r.rest(), n)
-
-
-def _decode_sorted_run(r, sender, window, group_id):
-    return SortedRunMessage(sender, window, group_id, _decode_values(r))
-
-
 def _decode_synopsis(r, sender, window, group_id):
     # The section is the payload tail; the columnar constructor rebuilds
     # counts, positions and last values from the size, γ and boundaries,
@@ -447,111 +323,16 @@ def _decode_synopsis(r, sender, window, group_id):
     return SynopsisMessage(sender, window, group_id, synopses, local_window_size)
 
 
-def _decode_candidate_request(r, sender, window, group_id):
+def _decode_values(r: _Reader):
+    # Like an event array, the value array is the payload tail.
     n = r.count()
-    indices = tuple(r.unpack(wire.U32)[0] for _ in range(n))
-    return CandidateRequestMessage(sender, window, group_id, indices)
+    return _values_from_wire(r.rest(), n)
 
 
 def _decode_candidate_events(r, sender, window, group_id):
     (slice_index,) = r.unpack(wire.U32)
     return CandidateEventsMessage(
         sender, window, group_id, slice_index, _decode_values(r)
-    )
-
-
-def _decode_digest(r, sender, window, group_id):
-    n = r.count()
-    (minimum,) = r.unpack(wire.F64)
-    (maximum,) = r.unpack(wire.F64)
-    centroids = tuple(r.unpack(wire.CENTROID) for _ in range(n))
-    return DigestMessage(
-        sender, window, group_id, centroids, minimum, maximum
-    )
-
-
-def _decode_partial(r, sender, window, group_id):
-    n = r.count()
-    (local_window_size,) = r.unpack(wire.U64)
-    state = tuple(r.unpack(wire.F64)[0] for _ in range(n))
-    return PartialAggregateMessage(
-        sender, window, group_id, state, local_window_size
-    )
-
-
-def _decode_qdigest(r, sender, window, group_id):
-    n = r.count()
-    (local_count,) = r.unpack(wire.U64)
-    nodes = tuple(r.unpack(wire.QDIGEST_NODE) for _ in range(n))
-    return QDigestMessage(sender, window, group_id, nodes, local_count)
-
-
-def _decode_string(r: _Reader) -> str:
-    raw = r.take(r.count())
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CodecError(f"string payload is not valid UTF-8: {exc}") from exc
-
-
-def _decode_query_register(r, sender, window, group_id):
-    (
-        query_id, q, kind_code, length_ms, step_ms, gamma, freshness_ms,
-    ) = r.unpack(wire.QUERY_REGISTER_FIXED)
-    kind = _QUERY_KIND_NAMES.get(kind_code)
-    if kind is None:
-        raise CodecError(f"unknown query window kind code {kind_code}")
-    selector = _decode_string(r)
-    return QueryRegisterMessage(
-        sender, window, group_id, query_id, q, kind,
-        length_ms, step_ms, gamma, freshness_ms, selector,
-    )
-
-
-def _decode_query_ack(r, sender, window, group_id):
-    (query_id, accepted) = r.unpack(wire.QUERY_ACK_FIXED)
-    reason = _decode_string(r)
-    return QueryAckMessage(
-        sender, window, group_id, query_id, bool(accepted), reason
-    )
-
-
-def _decode_route_update(r, sender, window, group_id):
-    (epoch,) = r.unpack(wire.U64)
-    n = r.count()
-    members = tuple(r.unpack(wire.U32)[0] for _ in range(n))
-    return RouteUpdateMessage(sender, window, group_id, epoch, members)
-
-
-def _decode_shard_failover(r, sender, window, group_id):
-    (epoch,) = r.unpack(wire.U64)
-    n = r.count()
-    dead = tuple(r.unpack(wire.U32)[0] for _ in range(n))
-    return ShardFailoverMessage(sender, window, group_id, epoch, dead)
-
-
-def _decode_telemetry_snapshot(r, sender, window, group_id):
-    (sequence,) = r.unpack(wire.U64)
-    n = r.count()
-    stats = []
-    for _ in range(n):
-        name = _decode_string(r)
-        (value,) = r.unpack(wire.F64)
-        stats.append((name, value))
-    return TelemetrySnapshotMessage(
-        sender, window, group_id, sequence, tuple(stats)
-    )
-
-
-def _decode_telemetry_digest(r, sender, window, group_id):
-    metric = _decode_string(r)
-    (sequence,) = r.unpack(wire.U64)
-    n = r.count()
-    (minimum,) = r.unpack(wire.F64)
-    (maximum,) = r.unpack(wire.F64)
-    centroids = tuple(r.unpack(wire.CENTROID) for _ in range(n))
-    return TelemetryDigestMessage(
-        sender, window, group_id, metric, sequence, centroids, minimum, maximum
     )
 
 
@@ -596,51 +377,77 @@ def _fixed(cls: type) -> "tuple[Callable, Callable]":
     return encode, decode
 
 
+def _declared(cls: type) -> "tuple[Callable, Callable]":
+    """The encoder and decoder of a variable-length message: its class's
+    ``PAYLOAD`` parts, in wire order."""
+    parts = cls.PAYLOAD.parts
+
+    def encode(m: Message) -> bytes:
+        out: list = []
+        for part in parts:
+            part.pack(m, out)
+        return b"".join(out)
+
+    def decode(r, sender, window, group_id):
+        kwargs: dict = {}
+        for part in parts:
+            part.unpack(r, kwargs)
+        return cls(sender, window, group_id, **kwargs)
+
+    return encode, decode
+
+
 #: Every message type once, with its tag.  A fixed-size type's payload
-#: codec follows from its ``LAYOUT``; a variable-length type names its
-#: hand encoder and decoder.
+#: codec follows from its ``LAYOUT``, a ``_declared`` one's from its
+#: ``PAYLOAD``; a hand-coded type names its encoder and decoder.
 _CODECS = (
     (1, Message),
     (2, EventBatchMessage, _encode_event_batch, _decode_event_batch),
-    (3, SortedRunMessage, _encode_sorted_run, _decode_sorted_run),
+    (3, SortedRunMessage, _declared),
     (4, SynopsisMessage, _encode_synopsis, _decode_synopsis),
-    (5, CandidateRequestMessage, _encode_candidate_request,
-     _decode_candidate_request),
+    (5, CandidateRequestMessage, _declared),
     (6, CandidateEventsMessage, _encode_candidate_events,
      _decode_candidate_events),
     (7, SynopsisRequestMessage),
     (8, WindowReleaseMessage),
     (9, GammaUpdateMessage),
-    (10, DigestMessage, _encode_digest, _decode_digest),
-    (11, PartialAggregateMessage, _encode_partial, _decode_partial),
-    (12, QDigestMessage, _encode_qdigest, _decode_qdigest),
+    (10, DigestMessage, _declared),
+    (11, PartialAggregateMessage, _declared),
+    (12, QDigestMessage, _declared),
     (13, WatermarkMessage),
     (14, ResultMessage),
     (15, HeartbeatMessage),
-    (16, QueryRegisterMessage, _encode_query_register,
-     _decode_query_register),
-    (17, QueryAckMessage, _encode_query_ack, _decode_query_ack),
+    (16, QueryRegisterMessage, _declared),
+    (17, QueryAckMessage, _declared),
     (18, QueryResultMessage),
     (19, QueryDeregisterMessage),
     (20, JoinMessage),
     (21, LeaveMessage),
-    (22, RouteUpdateMessage, _encode_route_update, _decode_route_update),
+    (22, RouteUpdateMessage, _declared),
     (23, RelaySynopsisMessage, _encode_relay_synopsis,
      _decode_relay_synopsis),
     (24, RelayRunsMessage, _encode_relay_runs, _decode_relay_runs),
-    (25, ShardFailoverMessage, _encode_shard_failover,
-     _decode_shard_failover),
+    (25, ShardFailoverMessage, _declared),
     (26, ResultAckMessage),
-    (27, TelemetrySnapshotMessage, _encode_telemetry_snapshot,
-     _decode_telemetry_snapshot),
-    (28, TelemetryDigestMessage, _encode_telemetry_digest,
-     _decode_telemetry_digest),
+    (27, TelemetrySnapshotMessage, _declared),
+    (28, TelemetryDigestMessage, _declared),
 )
 
 TAG_BY_TYPE: dict[type, int] = {cls: tag for tag, cls, *_ in _CODECS}
 TYPE_BY_TAG: dict[int, type] = {tag: cls for cls, tag in TAG_BY_TYPE.items()}
 assert len(TAG_BY_TYPE) == len(TYPE_BY_TAG) == len(_CODECS)
-_PAIRS = {tag: pair or _fixed(cls) for tag, cls, *pair in _CODECS}
+
+
+def _pair(cls: type, *codec: Callable) -> "tuple[Callable, Callable]":
+    """A row's encoder and decoder: its hand pair, or derived from its
+    class by ``_declared`` or, when the row names none, by ``_fixed``."""
+    if len(codec) == 2:
+        return codec
+    (derive,) = codec or (_fixed,)
+    return derive(cls)
+
+
+_PAIRS = {tag: _pair(cls, *codec) for tag, cls, *codec in _CODECS}
 _ENCODERS: dict[type, Callable[[Message], bytes]] = {
     TYPE_BY_TAG[tag]: encode for tag, (encode, _) in _PAIRS.items()
 }

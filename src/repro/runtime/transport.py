@@ -81,7 +81,9 @@ class FailureLatch:
     exception here; the cluster driver waits on :attr:`event` alongside
     the main run, and whichever fires first wins.  A cancelled task is
     teardown, not failure: :meth:`reap` cancels tasks and waits for them
-    quietly.
+    quietly, and the owner's teardown ends with :meth:`close`, which reaps
+    every spawned task still live and refuses later spawns — a timer that
+    fires as the loop shuts down must not leave a task behind unstarted.
 
     ``on_trip`` (when given) runs exactly once, on the first recorded
     failure — the hook the flight recorder uses to dump its ring buffer at
@@ -97,6 +99,8 @@ class FailureLatch:
         self._error: BaseException | None = None
         self._on_trip = on_trip
         self.event = asyncio.Event()
+        #: Spawned tasks not yet done; ``None`` once the latch is closed.
+        self._live: "set[asyncio.Task] | None" = set()
 
     @property
     def error(self) -> BaseException | None:
@@ -125,13 +129,28 @@ class FailureLatch:
         except BaseException as exc:
             self.record(exc)
 
-    def spawn(self, coro: Coroutine[object, object, object]) -> asyncio.Task:
-        """Start ``coro`` as a background task under :meth:`guard`."""
+    def spawn(
+        self, coro: Coroutine[object, object, object]
+    ) -> "asyncio.Task | None":
+        """Start ``coro`` as a background task under :meth:`guard`; once
+        the latch is closed, close ``coro`` unstarted and return ``None``."""
+        if self._live is None:
+            coro.close()
+            return None
         task = asyncio.ensure_future(self.guard(coro))
+        self._live.add(task)
+        task.add_done_callback(self._live.discard)
         # A task cancelled before its first step never awaits ``coro``:
         # close it (a no-op once it ran) rather than leave it unawaited.
         task.add_done_callback(lambda _: coro.close())
         return task
+
+    async def close(self) -> None:
+        """Reap every spawned task that is still live, including any a
+        reaped task's teardown spawns, then refuse further spawns."""
+        while self._live:
+            await self.reap(self._live)
+        self._live = None
 
     @staticmethod
     async def reap(tasks: Iterable[asyncio.Task]) -> None:

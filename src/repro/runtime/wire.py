@@ -1,11 +1,13 @@
 """Wire-format constants: struct layouts and byte sizes.
 
-The frame header, its extensions and the parts of every variable-length
-payload are defined here.  The binary codec (:mod:`repro.runtime.codec`)
-packs with these struct objects, and the variable-length messages'
-``payload_bytes`` (:mod:`repro.network.messages`) are arithmetic over the
-same constants; a fixed-size message declares its whole payload once, as
-its class's ``LAYOUT``.  A property test asserts that every message's
+The frame header, its extensions and the shared pieces of the payloads
+(the u32 count, the event record, the synopsis section) are defined here.
+A message's payload itself is declared once, in its class in
+:mod:`repro.network.messages` — a fixed-size one as a ``LAYOUT`` struct,
+a variable-length one as ``PAYLOAD`` parts — and its ``payload_bytes``,
+its encoder and its decoder follow from that declaration; the five
+hand-coded types (:mod:`repro.runtime.codec`) size and pack with the
+constants here.  A property test asserts that every message's
 ``payload_bytes`` equals the encoder's output byte for byte, so simulated
 byte counts and live byte counts stay comparable.
 
@@ -76,20 +78,11 @@ __all__ = [
     "COUNT_BYTES",
     "U32",
     "U32_BYTES",
-    "U64",
     "U64_BYTES",
     "F64",
     "F64_BYTES",
-    "CENTROID",
-    "CENTROID_WIRE_BYTES",
-    "QDIGEST_NODE",
-    "QDIGEST_NODE_WIRE_BYTES",
     "I64",
     "I64_BYTES",
-    "QUERY_REGISTER_FIXED",
-    "QUERY_REGISTER_FIXED_BYTES",
-    "QUERY_ACK_FIXED",
-    "QUERY_ACK_FIXED_BYTES",
     "RELAY_RUN_SECTION_FIXED",
     "RELAY_RUN_SECTION_FIXED_BYTES",
 ]
@@ -176,34 +169,13 @@ COUNT_BYTES = COUNT.size
 U32 = struct.Struct("<I")
 U32_BYTES = U32.size
 
-U64 = struct.Struct("<Q")
-U64_BYTES = U64.size
+U64_BYTES = struct.calcsize("<Q")
 
 F64 = struct.Struct("<d")
 F64_BYTES = F64.size
 
 I64 = struct.Struct("<q")
 I64_BYTES = I64.size
-
-#: One t-digest centroid: mean f64, weight f64.
-CENTROID = struct.Struct("<dd")
-CENTROID_WIRE_BYTES = CENTROID.size
-
-#: One q-digest tree node: level u32, index u64, count u32.
-QDIGEST_NODE = struct.Struct("<IQI")
-QDIGEST_NODE_WIRE_BYTES = QDIGEST_NODE.size
-
-#: Query registration, fixed part: query_id u32, q f64, window kind u32,
-#: window length u64 (ms), window step u64 (ms), gamma u32, freshness u64
-#: (ms).  The variable part — the UTF-8 key selector behind a u32 count —
-#: follows it.
-QUERY_REGISTER_FIXED = struct.Struct("<IdIQQIQ")
-QUERY_REGISTER_FIXED_BYTES = QUERY_REGISTER_FIXED.size
-
-#: Query ack, fixed part: query_id u32, accepted u32 (0/1).  The UTF-8
-#: reason string behind a u32 count follows it.
-QUERY_ACK_FIXED = struct.Struct("<II")
-QUERY_ACK_FIXED_BYTES = QUERY_ACK_FIXED.size
 
 #: Relay candidate-run section header: node_id u32, slice_index u32,
 #: value count u32.  The run's values follow, one f64 each.
@@ -216,8 +188,5 @@ RELAY_RUN_SECTION_FIXED_BYTES = RELAY_RUN_SECTION_FIXED.size
 assert MESSAGE_HEADER_BYTES == 32
 assert EVENT_WIRE_BYTES == 20
 assert SYNOPSIS_SECTION_BYTES == U64_BYTES + U32_BYTES == 12
-assert QDIGEST_NODE_WIRE_BYTES == 16
 assert TRACE_CONTEXT_EXT_BYTES == 17
-assert QUERY_REGISTER_FIXED_BYTES == 44
-assert QUERY_ACK_FIXED_BYTES == 8
 assert RELAY_RUN_SECTION_FIXED_BYTES == 12

@@ -10,6 +10,8 @@ lands in ``latch.error``; teardown cancels them with
 
 import asyncio
 import contextlib
+import gc
+import warnings
 
 import pytest
 
@@ -72,6 +74,33 @@ class TestLatchMembers:
         assert sleeping.cancelled()
         assert finished.done() and not finished.cancelled()
         assert latch.error is None
+
+    def test_a_spawn_as_the_owner_tears_down_never_outlives_the_loop(self):
+        """A fabric or relay timer can fire while the loop shuts down.  A
+        task it spawned after the owner's teardown never got a first step
+        before the loop closed, and its ``guard`` coroutine was reported
+        never awaited.  Closing the latch reaps what is live and refuses
+        what comes later."""
+        loop = asyncio.new_event_loop()
+        latch = FailureLatch()
+        ran = []
+
+        async def flush():
+            ran.append("flush")
+
+        async def owner():
+            latch.spawn(flush())  # right before teardown: not started yet
+            await latch.close()
+            # A timer firing in the loop's last iteration, after teardown.
+            loop.call_soon(lambda: ran.append(latch.spawn(flush())))
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loop.run_until_complete(owner())
+            loop.close()
+            gc.collect()
+        assert ran == [None]  # the first was reaped, the late one refused
+        assert not [w for w in caught if "never awaited" in str(w.message)]
 
 
 class TestGuardedHostTasks:

@@ -69,6 +69,8 @@ message types each state their payload as one ``LAYOUT`` struct in
 ``network/messages.py``, from which ``payload_bytes``, the encoder and the
 decoder follow, and none of them has a hand ``payload_bytes`` or codec
 beside it; the codec's one table names every message type exactly once.
+Every other type states its payload once too, as ``PAYLOAD`` parts, but
+for the five hand-coded ones, held with ``==``.
 
 One keeps the simulated side to one deployment: ``Simulator`` and
 ``BatchSourceDriver`` are each constructed in one function, the
@@ -887,6 +889,46 @@ def test_each_fixed_size_message_states_its_payload_once():
     # ``Message`` annotates codec functions of every type; its row above
     # already says it has no hand pair.
     assert _functions_naming(codec, FIXED_LAYOUT_MESSAGES - {"Message"}) == set()
+
+
+#: The message types whose payload is written by hand, held with ``==``:
+#: the event batch (its per-frame call budget below), the two synopsis
+#: carriers (their section is ``SynopsisColumns``' own wire format) and
+#: the two candidate-run carriers (declared, their codec stage measured
+#: slower: one Python call a part).  Every other type declares its payload
+#: once, as a ``LAYOUT`` or as ``PAYLOAD`` parts.
+HAND_CODED_MESSAGES = {
+    "EventBatchMessage", "SynopsisMessage", "RelaySynopsisMessage",
+    "CandidateEventsMessage", "RelayRunsMessage",
+}
+
+
+def test_each_message_states_its_payload_once():
+    from repro.runtime.codec import TAG_BY_TYPE
+
+    members = _class_members(
+        (PACKAGE_ROOT / "network" / "messages.py").read_text()
+    )
+    codec = (PACKAGE_ROOT / "runtime" / "codec.py").read_text()
+    # ``Message`` is the base: it derives ``payload_bytes`` from either
+    # declaration, and it annotates codec functions of every type.
+    types = {cls.__name__ for cls in TAG_BY_TYPE} - {"Message"}
+    hand = {
+        cls for cls in types
+        if "payload_bytes" in members[cls] or _functions_naming(codec, {cls})
+    }
+    assert hand == HAND_CODED_MESSAGES
+    layouts = {cls for cls in types if "LAYOUT" in members[cls]}
+    declared = {cls for cls in types if "PAYLOAD" in members[cls]}
+    assert len(layouts) + len(declared) + len(hand) == len(types)
+    assert layouts | declared | hand == types
+    # A layout's row names no codec, a declaration's names ``_declared``,
+    # and a hand-coded type's names its encoder and decoder.
+    assert dict(_codec_rows(codec)) == {
+        **{cls: 2 for cls in layouts | {"Message"}},
+        **{cls: 3 for cls in declared},
+        **{cls: 4 for cls in hand},
+    }
 
 
 def test_layout_lint_sees_layouts_rows_and_hand_codecs():
