@@ -14,6 +14,11 @@ by zero (so scaled streams still overlap near the origin, which is what
 makes the paper's Dema #2 / #10 configurations "denser on the left"), and
 span roughly ``[0, 2·mean]``.  Replay offsets are emulated by seeding each
 node's walk independently.
+
+A stream is born columnar: one :class:`~repro.streaming.columns.EventColumns`
+batch per node, built from the value and timestamp arrays, which every
+simulated and live door takes as it is (iterating it yields ``Event``
+objects).  ``workload_columns`` is :func:`workload` under its former name.
 """
 
 from __future__ import annotations
@@ -26,6 +31,9 @@ import numpy as np
 from repro.errors import GeneratorError
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
+
+# Hot-path module: streams are built as columns from the generated arrays;
+# no per-event ``Event`` here (enforced by tests/test_hotpath_lint.py).
 
 __all__ = [
     "GeneratorConfig",
@@ -133,28 +141,9 @@ class SensorStreamGenerator:
         np.maximum.accumulate(stamps, out=stamps)
         return stamps
 
-    def generate(self, node_id: int) -> list[Event]:
-        """Build the node's full event stream in timestamp order."""
-        values = self.values(node_id)
-        stamps = self.timestamps(node_id)
-        return [
-            Event(
-                value=float(values[i]),
-                timestamp=int(stamps[i]),
-                node_id=node_id,
-                seq=i,
-            )
-            for i in range(len(values))
-        ]
-
-    def generate_columns(self, node_id: int) -> EventColumns:
-        """The node's stream as one columnar batch — no per-event objects.
-
-        Bit-identical to :meth:`generate`: the float64 values and int64
-        timestamps land in the wire columns through the same conversions
-        (f64 bits preserved; timestamps are non-negative and in u32
-        range for any realistic duration).
-        """
+    def generate(self, node_id: int) -> EventColumns:
+        """The node's full stream in timestamp order, ``seq`` from 0 (its
+        timestamps are in the wire's u32 range for any realistic duration)."""
         return EventColumns.from_arrays(
             self.values(node_id), self.timestamps(node_id), node_id
         )
@@ -177,9 +166,9 @@ class SensorStreamGenerator:
         self, node_id: int
     ) -> list[tuple[Event, int]]:
         """Build ``(event, arrival_ms)`` pairs in event-time order."""
-        events = self.generate(node_id)
-        arrivals = self.arrival_times(node_id)
-        return [(event, int(arrivals[i])) for i, event in enumerate(events)]
+        return list(
+            zip(self.generate(node_id), self.arrival_times(node_id).tolist())
+        )
 
 
 def workload(
@@ -188,7 +177,7 @@ def workload(
     *,
     scale_rates: Mapping[int, float] | None = None,
     event_rates: Mapping[int, float] | None = None,
-) -> dict[int, list[Event]]:
+) -> dict[int, EventColumns]:
     """Generate streams for many nodes with per-node overrides.
 
     Args:
@@ -199,37 +188,19 @@ def workload(
         event_rates: Optional per-node event-rate overrides.
 
     Returns:
-        Event streams keyed by node id, each in timestamp order.
+        One columnar batch per node id, each in timestamp order.
     """
-    streams: dict[int, list[Event]] = {}
-    for node_id in node_ids:
-        config = _node_config(
-            base_config, node_id, scale_rates, event_rates
-        )
-        streams[node_id] = SensorStreamGenerator(config).generate(node_id)
-    return streams
+    return {
+        node_id: SensorStreamGenerator(
+            _node_config(base_config, node_id, scale_rates, event_rates)
+        ).generate(node_id)
+        for node_id in node_ids
+    }
 
 
-def workload_columns(
-    node_ids: list[int] | range,
-    base_config: GeneratorConfig,
-    *,
-    scale_rates: Mapping[int, float] | None = None,
-    event_rates: Mapping[int, float] | None = None,
-) -> dict[int, EventColumns]:
-    """:func:`workload`, emitted as columnar batches (the live fast path).
-
-    Same streams event for event; only the container differs.
-    """
-    streams: dict[int, EventColumns] = {}
-    for node_id in node_ids:
-        config = _node_config(
-            base_config, node_id, scale_rates, event_rates
-        )
-        streams[node_id] = SensorStreamGenerator(config).generate_columns(
-            node_id
-        )
-    return streams
+#: The same function under its former columnar name, kept only because the
+#: benchmark's workload module imports it by that name.
+workload_columns = workload
 
 
 def _node_config(

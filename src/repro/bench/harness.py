@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 from repro.errors import HarnessError
 from repro.network.driver import MS_PER_SECOND
 from repro.network.topology import TopologyConfig
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
 from repro.core.query import QuantileQuery
 from repro.baselines.base import build_system
@@ -61,7 +62,7 @@ def _build_streams(
     *,
     seed: int,
     scale_rates: Mapping[int, float] | None,
-) -> dict[int, list[Event]]:
+) -> dict[int, EventColumns]:
     config = GeneratorConfig(
         event_rate=rate, duration_s=float(n_windows), seed=seed
     )
@@ -192,7 +193,7 @@ def run_workload(
     system: str,
     query: QuantileQuery,
     topology: TopologyConfig,
-    streams: Mapping[int, Sequence[Event]],
+    streams: Mapping[int, EventColumns | Sequence[Event]],
     *,
     tracer=None,
 ):

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 from repro.network.messages import (
     MESSAGE_HEADER_BYTES,
+    DigestMessage,
+    QDigestMessage,
     synopsis_section_bytes,
 )
 from repro.runtime.wire import COUNT_BYTES, F64_BYTES
@@ -35,8 +37,10 @@ from repro.network.simulator import (
     RECEIVE_OPS_BASE,
     RECEIVE_OPS_PER_BYTE,
     SORT_OPS_PER_CMP,
+    receive_ops,
 )
 from repro.streaming.events import EVENT_WIRE_BYTES
+from repro.streaming.windows import Window
 from repro.core.local_node import _SLICE_OPS_PER_EVENT
 from repro.core.root_node import _IDENTIFY_OPS_PER_SYNOPSIS
 from repro.baselines.qdigest_system import QDigestSummary
@@ -48,6 +52,13 @@ __all__ = ["SystemModel", "ThroughputPrediction", "predict"]
 #: the data; calibrated to the implementations' steady state).
 _TDIGEST_CENTROIDS = 70
 _QDIGEST_NODES = 700
+
+#: One node-window's sketch frame of those sizes, priced by the messages'
+#: own declarations (a t-digest also carries its exact min and max).
+_TDIGEST_FRAME = DigestMessage(
+    0, Window(0, 1), centroids=((0.0, 0.0),) * _TDIGEST_CENTROIDS
+)
+_QDIGEST_FRAME = QDigestMessage(0, Window(0, 1), nodes=((0, 0, 0),) * _QDIGEST_NODES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,13 +143,9 @@ class SystemModel:
             )
             return synopsis_bytes + request_bytes + candidate_bytes
         if system == "tdigest":
-            return self.n_local_nodes * n_windows * (
-                MESSAGE_HEADER_BYTES + 4 + _TDIGEST_CENTROIDS * 16
-            )
+            return n * w * _TDIGEST_FRAME.wire_bytes
         if system == "qdigest":
-            return self.n_local_nodes * n_windows * (
-                MESSAGE_HEADER_BYTES + 12 + _QDIGEST_NODES * 16
-            )
+            return n * w * _QDIGEST_FRAME.wire_bytes
         raise ConfigurationError(f"unknown system {system!r}")
 
     # ------------------------------------------------------------------
@@ -195,19 +202,15 @@ class SystemModel:
             )
             return synopsis_receive + identify + candidate_cost
         if system == "tdigest":
-            per_node = (
-                RECEIVE_OPS_PER_BYTE * (_TDIGEST_CENTROIDS * 16 + 4)
-                + RECEIVE_OPS_BASE
+            return n * (
+                receive_ops(_TDIGEST_FRAME.payload_bytes)
                 + TDigestSummary.ops_per_item * _TDIGEST_CENTROIDS
             )
-            return n * per_node
         if system == "qdigest":
-            per_node = (
-                RECEIVE_OPS_PER_BYTE * (_QDIGEST_NODES * 16 + 12)
-                + RECEIVE_OPS_BASE
+            return n * (
+                receive_ops(_QDIGEST_FRAME.payload_bytes)
                 + QDigestSummary.ops_per_item * _QDIGEST_NODES
             )
-            return n * per_node
         raise ConfigurationError(f"unknown system {system!r}")
 
     def local_capacity(self, system: str) -> float:

@@ -16,10 +16,12 @@ import argparse
 import sys
 from typing import Mapping
 
+import numpy as np
+
 from repro.network.metrics import LatencyStats
 from repro.bench.accuracy import accuracy_vs_ground_truth
 from repro.bench.charts import bar_chart, series_chart
-from repro.bench.generator import GeneratorConfig, workload, workload_columns
+from repro.bench.generator import GeneratorConfig, SensorStreamGenerator, workload
 from repro.bench.harness import (
     ThroughputResult,
     capacity_estimate,
@@ -34,6 +36,10 @@ from repro.bench.reporting import (
     format_table,
 )
 from repro.bench.workloads import BENCH_GAMMA, bench_topology, median_query
+from repro.streaming.columns import EventColumns, concat_columns
+
+# Hot-path module: experiment streams are built as columns; no per-event
+# ``Event`` here (enforced by tests/test_hotpath_lint.py).
 
 __all__ = [
     "exp_fig5a",
@@ -273,7 +279,7 @@ def exp_ablation_window_cut(
     config = GeneratorConfig(
         event_rate=per_node_rate, duration_s=float(n_windows), seed=seed
     )
-    streams = workload_columns(range(1, 3), config)
+    streams = workload(range(1, 3), config)
     per_window: dict = {}
     for node_id, events in streams.items():
         for start, rows in events.by_window(1000):
@@ -304,40 +310,37 @@ def exp_ablation_window_cut(
     }
 
 
+def _drifting_streams(n_windows: int, seed: int) -> dict[int, EventColumns]:
+    """Ablation A2's two streams: each one-second window generated at its
+    own rate and shifted to its place, ``seq`` counting on across them."""
+    streams: dict[int, EventColumns] = {}
+    for node_id in (1, 2):
+        windows = []
+        seq = 0
+        for window_index in range(n_windows):
+            rate = int(1_500 * (1.0 + 0.8 * np.sin(window_index / 2.0)))
+            generator = SensorStreamGenerator(GeneratorConfig(
+                event_rate=rate, duration_s=1.0,
+                seed=seed + window_index, replay_offset=node_id,
+            ))
+            values = generator.values(node_id)
+            windows.append(EventColumns.from_arrays(
+                values,
+                generator.timestamps(node_id) + window_index * 1000,
+                node_id,
+                np.arange(seq, seq + len(values)),
+            ))
+            seq += len(values)
+        streams[node_id] = concat_columns(windows)
+    return streams
+
+
 def exp_ablation_adaptive_gamma(
     *, n_windows: int = 10, seed: int = 42
 ) -> dict[str, float]:
     """Ablation A2: adaptive γ vs fixed extremes under a drifting rate."""
-    import numpy as np
-
-    from repro.streaming.events import Event
-
     topology = bench_topology(2)
-    rng = np.random.default_rng(seed)
-    streams: dict[int, list[Event]] = {}
-    for node_id in (1, 2):
-        events = []
-        seq = 0
-        for window_index in range(n_windows):
-            rate = int(1_500 * (1.0 + 0.8 * np.sin(window_index / 2.0)))
-            config = GeneratorConfig(
-                event_rate=rate, duration_s=1.0,
-                seed=seed + window_index, replay_offset=node_id,
-            )
-            from repro.bench.generator import SensorStreamGenerator
-
-            for event in SensorStreamGenerator(config).generate(node_id):
-                events.append(
-                    Event(
-                        value=event.value,
-                        timestamp=event.timestamp + window_index * 1000,
-                        node_id=node_id,
-                        seq=seq,
-                    )
-                )
-                seq += 1
-        streams[node_id] = events
-
+    streams = _drifting_streams(n_windows, seed)
     results: dict[str, float] = {}
     for label, gamma, adaptive in (
         ("fixed γ=2", 2, False),
@@ -362,18 +365,15 @@ def exp_ablation_bandwidth() -> dict[str, dict[str, float]]:
     )
     path = os.path.normpath(path)
     if not os.path.exists(path):  # installed without the benchmarks tree
-        from repro.bench.generator import GeneratorConfig, workload as _workload
-        from repro.bench.harness import run_workload as _run
-
         def latencies(bps):
             query = median_query(gamma=100)
             topology = bench_topology(2, uplink_bandwidth_bps=bps)
-            streams = _workload(
+            streams = workload(
                 [1, 2],
                 GeneratorConfig(event_rate=700.0, duration_s=6.0, seed=31),
             )
             return {
-                system: _run(system, query, topology, streams).latency.p50
+                system: run_workload(system, query, topology, streams).latency.p50
                 for system in ("dema", "scotty", "desis", "tdigest")
             }
 

@@ -4,8 +4,9 @@ A :class:`QueryClient` wraps one driver connection to the root: it says
 hello with the ``driver`` role, then multiplexes register/deregister
 round trips (futures keyed by query id) and a stream of per-query
 results over the single socket.  Results accumulate in
-:attr:`QueryClient.results` in arrival order; scenario code polls
-:meth:`wait_for` until its completion predicate holds.
+:attr:`QueryClient.results` in arrival order; scenario code awaits
+:meth:`wait_for`, which re-checks its completion predicate as each one
+lands.
 
 Given a ``dial`` callback the client is **durable**: when the
 connection dies it redials, says hello again with ``resume_from`` set
@@ -71,6 +72,9 @@ class QueryClient:
         self.reconnects = 0
         self._reader: asyncio.Task | None = None
         self._closed = False
+        #: Set by the read loop whenever something lands (a result, an
+        #: ack, a reconnect): :meth:`wait_for` re-checks its predicate.
+        self._landed = asyncio.Event()
 
     async def start(self) -> None:
         """Announce the driver role and start the receive loop."""
@@ -142,17 +146,25 @@ class QueryClient:
         predicate: Callable[["QueryClient"], bool],
         *,
         timeout: float = 60.0,
-        poll_s: float = 0.02,
     ) -> None:
-        """Poll until ``predicate(self)`` holds (or raise on timeout)."""
+        """Wait until ``predicate(self)`` holds, re-checking it whenever a
+        result or an ack lands or the client reconnects (or raise on
+        timeout).  ``asyncio.wait`` bounds each wait: ``wait_for`` can
+        swallow a cancel that lands as its future completes."""
         loop = asyncio.get_event_loop()
         deadline = loop.time() + timeout
         while not predicate(self):
-            if loop.time() > deadline:
+            remaining = deadline - loop.time()
+            if remaining <= 0:
                 raise QueryError(
                     f"client {self.client_id} timed out waiting for results"
                 )
-            await asyncio.sleep(poll_s)
+            self._landed.clear()
+            landed = asyncio.ensure_future(self._landed.wait())
+            try:
+                await asyncio.wait((landed,), timeout=remaining)
+            finally:
+                landed.cancel()
 
     async def _round_trip(
         self, query_id: int, message: Message, *, timeout: float
@@ -217,8 +229,7 @@ class QueryClient:
                         break
                     if not await self._reconnect():
                         break
-                    continue
-                if isinstance(message, QueryAckMessage):
+                elif isinstance(message, QueryAckMessage):
                     entry = self._acks.get(message.query_id)
                     if entry is not None and not entry[0].done():
                         entry[0].set_result(message)
@@ -228,6 +239,7 @@ class QueryClient:
                     )
                     self.received += 1
                     await self._send_ack()
+                self._landed.set()
         finally:
             if not self._closed:
                 # EOF with requests still pending: fail them fast.

@@ -28,6 +28,7 @@ from repro.queries.spec import QuerySpec
 from repro.faults.scenarios import build_plan
 from repro.mesh.config import ClusterConfig
 from repro.runtime.cluster import ClusterReport, QueryDriverContext, run_live
+from repro.streaming.columns import concat_columns
 from repro.testing import grade
 
 __all__ = ["QueryScenarioReport", "build_specs", "run_query_scenario"]
@@ -293,7 +294,7 @@ def run_query_scenario(
     served = report.queries.get("results", {})
     horizons = report.queries.get("horizons", {})
     grid_end = grid_end_box["grid_end"]
-    all_events = [event for share in streams.values() for event in share]
+    all_events = concat_columns(list(streams.values()))
     all_specs = dict(initial)
     all_specs.update(joiners)
     mismatches: list[str] = []

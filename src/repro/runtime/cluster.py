@@ -904,9 +904,12 @@ class Cluster:
             await driver_task
 
     async def close(self) -> None:
-        """Reap every task, then stop failover, shards, locals, relays,
-        links, the network and the telemetry plane, in that order, and
-        close the latch on whatever they left spawned."""
+        """Halt every host's timers and reap every task, then stop
+        failover, shards, locals, relays, links, the network and the
+        telemetry plane, in that order, and close the latch on whatever
+        they left spawned."""
+        for host in [*self.shards, *self.locals_by_id.values()]:
+            host.fabric.halt()
         await self.failures.reap([*self.side_tasks, *self.replays])
         if self.failover is not None:
             await self.failover.close()

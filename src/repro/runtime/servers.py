@@ -143,6 +143,8 @@ class LiveFabric:
         self._epoch = self._loop.time() if epoch is None else epoch
         self._outbox: list[tuple[int, Message]] = []
         self._halted = False
+        #: Armed timers not yet fired, so :meth:`halt` can cancel them.
+        self._timers: set[asyncio.TimerHandle] = set()
         #: Set by the owning host: called after each timer action so
         #: messages the action queued (reliability retransmits, releases)
         #: get flushed — a timer has no dispatch to piggyback on.
@@ -169,23 +171,30 @@ class LiveFabric:
         delay = max(0.0, time - self.now)
 
         def fire() -> None:
+            self._timers.discard(handle)
             if self._halted:
                 return
             action(self.now)
             if self.on_timer is not None:
                 self.on_timer()
 
-        self._loop.call_later(delay, fire)
+        handle = self._loop.call_later(delay, fire)
+        self._timers.add(handle)
 
     def halt(self) -> None:
-        """Stop firing scheduled actions: the owning host crashed.
+        """Stop firing scheduled actions and cancel the armed ones: the
+        owning host crashed, or the cluster is torn down.
 
         A killed shard's armed reliability timers must not keep mutating
         its operator — the takeover protocol snapshots the dead node's
         answered windows, and a post-mortem timer answering one more
-        window would race that snapshot.
+        window would race that snapshot — and no action may run on a host
+        while the loop shuts down.
         """
         self._halted = True
+        for handle in self._timers:
+            handle.cancel()
+        self._timers.clear()
 
     def drain(self) -> list[tuple[int, Message]]:
         """Take every queued ``(dst, message)`` pair."""

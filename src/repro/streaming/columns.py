@@ -128,7 +128,7 @@ class EventColumns:
     def from_arrays(
         cls, values, timestamps, node_ids, seqs=None
     ) -> "EventColumns":
-        """Build a batch from numpy arrays (the generator's fast path).
+        """Build a batch from numpy arrays (how the generator builds every stream).
 
         ``node_ids`` may be a scalar (broadcast); ``seqs`` defaults to
         ``0..n-1``.  Values outside the wire ranges are the caller's bug

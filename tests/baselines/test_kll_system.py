@@ -4,13 +4,14 @@ import pytest
 
 from repro.baselines.base import build_system
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.bench.workloads import bench_topology, median_query
 
 
 def make_streams(rate=2_000.0, seconds=2.0, seed=61):
-    return workload(
+    return event_objects(workload(
         [1, 2], GeneratorConfig(event_rate=rate, duration_s=seconds, seed=seed)
-    )
+    ))
 
 
 class TestKllSystem:

@@ -15,15 +15,16 @@ from repro.baselines.partial import (
     serialize_partial,
 )
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.bench.workloads import bench_topology, median_query
 
 TOPO = TopologyConfig(n_local_nodes=2)
 
 
 def make_streams(rate=1_000.0, seconds=3.0, seed=31):
-    return workload(
+    return event_objects(workload(
         [1, 2], GeneratorConfig(event_rate=rate, duration_s=seconds, seed=seed)
-    )
+    ))
 
 
 def per_window_values(streams, window_length_ms=1000):

@@ -14,6 +14,7 @@ from repro.sketches.qdigest import QDigest
 from repro.baselines.base import SummaryLocalNode, SummaryRootNode, build_system
 from repro.baselines.qdigest_system import QDigestSummary
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.bench.workloads import bench_topology, median_query
 
 WINDOW = Window(0, 1000)
@@ -99,9 +100,9 @@ class TestFullSystem:
     def test_accuracy_within_error_bound(self):
         query = median_query(100)
         topo = bench_topology(2)
-        streams = workload(
+        streams = event_objects(workload(
             [1, 2], GeneratorConfig(event_rate=2_000.0, duration_s=2.0, seed=8)
-        )
+        ))
         truth = {
             o.window: o.value
             for o in build_system("scotty", query, topo).run(streams).outcomes
@@ -115,9 +116,9 @@ class TestFullSystem:
     def test_network_much_cheaper_than_raw(self):
         query = median_query(100)
         topo = bench_topology(2)
-        streams = workload(
+        streams = event_objects(workload(
             [1, 2], GeneratorConfig(event_rate=3_000.0, duration_s=2.0, seed=9)
-        )
+        ))
         scotty = build_system("scotty", query, topo).run(streams)
         qdigest = build_system("qdigest", query, topo).run(streams)
         assert qdigest.network.total_bytes < 0.3 * scotty.network.total_bytes

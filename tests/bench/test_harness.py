@@ -13,6 +13,7 @@ from repro.bench.harness import (
     sustainable_throughput,
 )
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.bench.workloads import bench_topology, median_query
 
 TOPO = bench_topology(2)
@@ -111,9 +112,9 @@ class TestMeasureLatency:
 
 class TestRunWorkload:
     def test_runs_explicit_streams(self):
-        streams = workload(
+        streams = event_objects(workload(
             range(1, 3), GeneratorConfig(event_rate=500, duration_s=2.0)
-        )
+        ))
         report = run_workload("dema", QUERY, TOPO, streams)
         assert len(report.outcomes) == 2
         assert report.events_ingested == 2000

@@ -4,9 +4,12 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.bench.harness import capacity_estimate, run_workload
 from repro.bench.model import SystemModel, predict
 from repro.bench.workloads import bench_topology, median_query
+from repro.network.messages import DigestMessage, QDigestMessage
+from repro.streaming.windows import Window
 
 MODEL = SystemModel(n_local_nodes=2, node_ops_per_second=1e5, gamma=100)
 
@@ -81,11 +84,11 @@ class TestNetworkPredictions:
     @pytest.mark.parametrize("system", ["scotty", "desis", "dema", "tdigest"])
     def test_bytes_match_simulation(self, system):
         rate, n_windows = 2_000, 3
-        streams = workload(
+        streams = event_objects(workload(
             [1, 2],
             GeneratorConfig(event_rate=rate, duration_s=float(n_windows),
                             seed=23),
-        )
+        ))
         report = run_workload(
             system, median_query(100), bench_topology(2), streams
         )
@@ -118,6 +121,25 @@ class TestNetworkPredictions:
     def test_unknown_system_rejected(self):
         with pytest.raises(ConfigurationError):
             MODEL.network_bytes("flink", 100, 1)
+
+    def test_sketch_frames_are_priced_as_their_messages(self):
+        # One node-window's frame is exactly a message of the model's
+        # typical size: 70 centroids plus the exact min and max for a
+        # t-digest (1,172 B), 700 tree nodes for a q-digest.
+        window = Window(0, 1000)
+        frames = {
+            "tdigest": DigestMessage(
+                1, window, centroids=((1.0, 1.0),) * 70, maximum=1.0
+            ),
+            "qdigest": QDigestMessage(
+                1, window, nodes=((0, 0, 1),) * 700, local_count=700
+            ),
+        }
+        single = SystemModel(n_local_nodes=1)
+        for system, frame in frames.items():
+            assert single.network_bytes(system, 5_000, 1) == frame.wire_bytes
+            assert MODEL.network_bytes(system, 5_000, 3) == 6 * frame.wire_bytes
+        assert frames["tdigest"].wire_bytes == 1_172
 
 
 class TestModelValidation:

@@ -12,15 +12,16 @@ from repro.network.messages import SynopsisMessage
 from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.streaming.columns import as_event_columns
 from repro.streaming.events import make_events
 from repro.streaming.windows import Window
 
 
 def make_streams(rate=1_000.0, seconds=3.0, seed=5):
-    return workload(
+    return event_objects(workload(
         [1, 2], GeneratorConfig(event_rate=rate, duration_s=seconds, seed=seed)
-    )
+    ))
 
 
 class TestGrouping:

@@ -9,7 +9,6 @@ from repro.bench.generator import (
     GeneratorConfig,
     SensorStreamGenerator,
     workload,
-    workload_columns,
 )
 from repro.errors import ConfigurationError
 from repro.network.topology import TopologyConfig
@@ -223,8 +222,9 @@ DOOR_BASELINES = ("scotty", "desis", "tdigest", "kll", "qdigest")
 def door_runs(columnar):
     """One seeded workload through every simulated engine's doors, fed as
     ``Event`` objects or as ``EventColumns``."""
-    generate = workload_columns if columnar else workload
-    streams = generate(DOOR_NODES, DOOR_CONFIG)
+    streams = workload(DOOR_NODES, DOOR_CONFIG)
+    if not columnar:
+        streams = {n: list(share) for n, share in streams.items()}
     delays = {
         n: SensorStreamGenerator(DOOR_CONFIG).arrival_times(n).tolist()
         for n in DOOR_NODES
@@ -764,7 +764,7 @@ def _value_bits(report):
 def test_every_system_runs_through_the_sensor_tier(system):
     """One deployment, so every system has the three-tier door; the exact
     ones answer every window with ``run``'s value bits."""
-    streams = workload_columns([1, 2], DOOR_CONFIG)
+    streams = workload([1, 2], DOOR_CONFIG)
     query = QuantileQuery(q=0.5, window_length_ms=1000, gamma=40)
     via_sensors = build_system(
         system, query, TopologyConfig(n_local_nodes=2, streams_per_local=1)

@@ -66,16 +66,17 @@ class TestDeployment:
         from repro.core.engine import DemaEngine
         from repro.network.topology import TopologyConfig
         from repro.bench.generator import GeneratorConfig, workload
+        from tests.event_objects import event_objects
 
         query = QuantileQuery(
             q=0.5, gamma=50, adaptive=True, per_node_gamma=per_node
         )
         engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
-        streams = workload(
+        streams = event_objects(workload(
             [1, 2],
             GeneratorConfig(event_rate=400.0, duration_s=4.0, seed=5),
             event_rates={2: 4_000.0},
-        )
+        ))
         report = engine.run(streams)
         return engine, report, streams
 

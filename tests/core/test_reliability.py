@@ -7,7 +7,8 @@ from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.core.reliability import ReliabilityConfig
 from repro.network.topology import TopologyConfig
-from repro.bench.generator import GeneratorConfig, workload, workload_columns
+from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.testing import verify_outcomes
 
 QUERY = QuantileQuery(q=0.5, gamma=50)
@@ -18,10 +19,10 @@ def run_lossy(loss_rate, *, reliability, n_nodes=3, seed=77, loss_seed=7):
         n_local_nodes=n_nodes, loss_rate=loss_rate, loss_seed=loss_seed
     )
     engine = DemaEngine(QUERY, topo, reliability=reliability)
-    streams = workload(
+    streams = event_objects(workload(
         range(1, n_nodes + 1),
         GeneratorConfig(event_rate=800.0, duration_s=4.0, seed=seed),
-    )
+    ))
     report = engine.run(streams)
     return engine, report, streams
 
@@ -142,7 +143,7 @@ class TestExactnessUnderLoss:
             TopologyConfig(n_local_nodes=4, loss_rate=0.3, loss_seed=1),
             reliability=ReliabilityConfig(max_retries=30),
         )
-        report = engine.run(workload_columns(
+        report = engine.run(workload(
             range(1, 5),
             GeneratorConfig(event_rate=2000.0, duration_s=20.0, seed=42),
         ))

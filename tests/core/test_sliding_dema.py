@@ -10,6 +10,7 @@ from repro.streaming.aggregates import exact_quantile
 from repro.streaming.windows import SlidingWindows, TumblingWindows
 from repro.baselines.base import build_system
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 
 
 class TestQueryShape:
@@ -46,9 +47,9 @@ class TestSlidingDeployment:
             q=q, window_length_ms=1000, window_step_ms=step_ms, gamma=40
         )
         engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
-        streams = workload(
+        streams = event_objects(workload(
             [1, 2], GeneratorConfig(event_rate=600.0, duration_s=3.0, seed=seed)
-        )
+        ))
         report = engine.run(streams)
         assigner = SlidingWindows(1000, step_ms)
         per_window = {}
@@ -71,9 +72,9 @@ class TestSlidingDeployment:
         sliding_report, _ = self.run_sliding(500)
         tumbling_query = QuantileQuery(q=0.5, window_length_ms=1000, gamma=40)
         engine = DemaEngine(tumbling_query, TopologyConfig(n_local_nodes=2))
-        streams = workload(
+        streams = event_objects(workload(
             [1, 2], GeneratorConfig(event_rate=600.0, duration_s=3.0, seed=3)
-        )
+        ))
         tumbling_report = engine.run(streams)
         assert len(sliding_report.outcomes) > len(tumbling_report.outcomes)
 

@@ -20,6 +20,7 @@ from repro.faults.simulate import compile_plan
 from repro.mesh.config import ClusterConfig
 from repro.network.topology import TopologyConfig
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 
 SEED = 7
 N_LOCALS = 2
@@ -58,10 +59,10 @@ def _sim_outcomes():
         root=engine.root,
         detect_after_s=SCENARIOS["dead-local"].detect_after_s,
     )
-    streams = workload(
+    streams = event_objects(workload(
         list(range(1, N_LOCALS + 1)),
         GeneratorConfig(event_rate=150.0, duration_s=3.0, seed=SEED),
-    )
+    ))
     report = engine.run(streams)
     return plan, applied, engine.root, report.outcomes
 
@@ -140,10 +141,10 @@ class TestDegradationRequiresOptIn:
             degrade_after_retries=False,
         )
         compile_plan(plan, engine.simulator, root=engine.root)
-        streams = workload(
+        streams = event_objects(workload(
             list(range(1, N_LOCALS + 1)),
             GeneratorConfig(event_rate=150.0, duration_s=3.0, seed=SEED),
-        )
+        ))
         report = engine.run(streams)
         # Without detection + degradation the crashed local's windows
         # exhaust their retries and abort.

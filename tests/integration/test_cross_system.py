@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.bench.harness import capacity_estimate, measure_latency, run_workload
 from repro.bench.workloads import bench_topology, median_query
 
@@ -13,7 +14,7 @@ QUERY = median_query(gamma=50)
 @pytest.fixture(scope="module")
 def streams():
     config = GeneratorConfig(event_rate=2_000.0, duration_s=3.0, seed=21)
-    return workload([1, 2], config)
+    return event_objects(workload([1, 2], config))
 
 
 @pytest.fixture(scope="module")

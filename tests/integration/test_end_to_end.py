@@ -6,6 +6,7 @@ from repro.network.topology import TopologyConfig
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.testing import verify_outcomes
 
 
@@ -20,7 +21,7 @@ def assert_exact(outcomes, streams, query):
 @pytest.mark.parametrize("n_nodes", [1, 3])
 def test_dema_exact_on_generated_workloads(q, n_nodes):
     config = GeneratorConfig(event_rate=800.0, duration_s=3.0, seed=11)
-    streams = workload(range(1, n_nodes + 1), config)
+    streams = event_objects(workload(range(1, n_nodes + 1), config))
     query = QuantileQuery(q=q, window_length_ms=1000, gamma=40)
     engine = DemaEngine(query, TopologyConfig(n_local_nodes=n_nodes))
     report = engine.run(streams)
@@ -29,7 +30,7 @@ def test_dema_exact_on_generated_workloads(q, n_nodes):
 
 def test_dema_exact_with_skewed_scale_rates():
     config = GeneratorConfig(event_rate=600.0, duration_s=3.0, seed=12)
-    streams = workload([1, 2], config, scale_rates={2: 10.0})
+    streams = event_objects(workload([1, 2], config, scale_rates={2: 10.0}))
     query = QuantileQuery(q=0.3, window_length_ms=1000, gamma=25)
     engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
     report = engine.run(streams)
@@ -38,7 +39,9 @@ def test_dema_exact_with_skewed_scale_rates():
 
 def test_dema_exact_with_unbalanced_event_rates():
     config = GeneratorConfig(event_rate=400.0, duration_s=3.0, seed=13)
-    streams = workload([1, 2, 3], config, event_rates={2: 1_200.0, 3: 50.0})
+    streams = event_objects(
+        workload([1, 2, 3], config, event_rates={2: 1_200.0, 3: 50.0})
+    )
     query = QuantileQuery(q=0.5, window_length_ms=1000, gamma=30)
     engine = DemaEngine(query, TopologyConfig(n_local_nodes=3))
     report = engine.run(streams)
@@ -47,7 +50,7 @@ def test_dema_exact_with_unbalanced_event_rates():
 
 def test_adaptive_gamma_stays_exact_and_reduces_cost():
     config = GeneratorConfig(event_rate=1_500.0, duration_s=6.0, seed=14)
-    streams = workload([1, 2], config)
+    streams = event_objects(workload([1, 2], config))
     fixed_bad = QuantileQuery(q=0.5, gamma=2, adaptive=False)
     adaptive = QuantileQuery(q=0.5, gamma=2, adaptive=True)
     report_bad = DemaEngine(
@@ -68,7 +71,7 @@ def test_adaptive_gamma_stays_exact_and_reduces_cost():
 
 def test_half_second_windows():
     config = GeneratorConfig(event_rate=1_000.0, duration_s=2.0, seed=15)
-    streams = workload([1, 2], config)
+    streams = event_objects(workload([1, 2], config))
     query = QuantileQuery(q=0.5, window_length_ms=500, gamma=20)
     engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
     report = engine.run(streams)
@@ -82,7 +85,7 @@ def test_network_cost_scales_with_synopses_not_events():
     query = QuantileQuery(q=0.5, gamma=100)
 
     def dema_bytes(config):
-        streams = workload([1, 2], config)
+        streams = event_objects(workload([1, 2], config))
         engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
         return engine.run(streams).network.total_bytes
 

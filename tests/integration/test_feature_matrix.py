@@ -15,16 +15,17 @@ from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
 from repro.testing import verify_outcomes
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 
 RELIABLE = ReliabilityConfig(timeout_s=0.05, max_retries=30)
 
 
 def make_streams(n_nodes=2, rate=800.0, seconds=3.0, seed=71, **overrides):
-    return workload(
+    return event_objects(workload(
         range(1, n_nodes + 1),
         GeneratorConfig(event_rate=rate, duration_s=seconds, seed=seed),
         **overrides,
-    )
+    ))
 
 
 class TestSlidingPlusReliability:

@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.core.query import QuantileQuery
 from repro.faults.plan import ToleranceConfig
 from repro.mesh import (
@@ -24,10 +25,10 @@ QUERY = QuantileQuery(q=0.5, gamma=10_000)
 
 
 def streams_for(local_ids, rate=120.0, duration=3.0, seed=42):
-    return workload(
+    return event_objects(workload(
         list(local_ids),
         GeneratorConfig(event_rate=rate, duration_s=duration, seed=seed),
-    )
+    ))
 
 
 def assert_bit_identical(config, streams):
@@ -272,10 +273,10 @@ class TestOracle:
             n_locals=2,
             query=QuantileQuery(q=0.5, gamma=50, window_length_ms=500),
         )
-        streams = workload(
+        streams = event_objects(workload(
             [1, 2],
             GeneratorConfig(event_rate=2000, duration_s=2.0, seed=42),
-        )
+        ))
         report = run_live(config, streams)
         classes = grade_counts(streams, config, report.outcomes)
         assert classes["mismatch"] == report.windows == 4

@@ -17,6 +17,7 @@ land after completion and test nothing.
 import pytest
 
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.core.query import QuantileQuery
 from repro.faults.plan import ToleranceConfig
 from repro.mesh.cluster import run_mesh
@@ -42,10 +43,10 @@ N_LOCALS = 6
 def streams_20_windows():
     """A 20-window tumbling grid: enough for every shard to own several
     windows before and after the kill."""
-    return workload(
+    return event_objects(workload(
         list(range(1, N_LOCALS + 1)),
         GeneratorConfig(event_rate=40.0, duration_s=20.0, seed=42),
-    )
+    ))
 
 
 def mesh_config(**overrides):

@@ -18,6 +18,7 @@ Three contracts:
 import pytest
 
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.core.query import QuantileQuery
 from repro.faults.plan import ToleranceConfig
 from repro.mesh.cluster import run_mesh
@@ -44,10 +45,10 @@ TELEMETRY = TelemetryConfig(sampler_interval_s=0.0)
 
 
 def streams_for(duration_s=8.0, seed=42):
-    return workload(
+    return event_objects(workload(
         list(range(1, N_LOCALS + 1)),
         GeneratorConfig(event_rate=40.0, duration_s=duration_s, seed=seed),
-    )
+    ))
 
 
 def mesh_config(**overrides):

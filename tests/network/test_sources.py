@@ -14,6 +14,7 @@ from repro.streaming.aggregates import exact_quantile
 from repro.streaming.events import Event, make_events
 from repro.streaming.windows import TumblingWindows, Window
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 
 
 class Sink(SimulatedNode):
@@ -106,9 +107,9 @@ class TestThreeTierDeployment:
             n_local_nodes=2, streams_per_local=streams_per_local
         )
         engine = DemaEngine(query, topo)
-        streams = workload(
+        streams = event_objects(workload(
             [1, 2], GeneratorConfig(event_rate=rate, duration_s=3.0, seed=4)
-        )
+        ))
         report = engine.run_via_sensors(streams)
         return engine, report, streams
 

@@ -8,6 +8,7 @@ construction), for every system that can be traced.
 import pytest
 
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.bench.harness import run_workload
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
@@ -26,10 +27,10 @@ ROOT_PHASES = {
 
 
 def small_streams(node_ids=(1, 2), rate=800.0, duration=3.0, seed=42):
-    return workload(
+    return event_objects(workload(
         list(node_ids),
         GeneratorConfig(event_rate=rate, duration_s=duration, seed=seed),
-    )
+    ))
 
 
 def traced_run(**engine_kwargs):

@@ -36,6 +36,7 @@ from repro.core.synopsis import SliceSynopsis
 from repro.core.window_cut import CutResult
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event, event_key, make_events
+from tests.event_objects import event_objects
 
 _F64 = struct.Struct("<d")
 
@@ -379,16 +380,12 @@ def _outcome_bits(report):
     ]
 
 
-def _as_objects(streams):
-    return {node_id: list(events) for node_id, events in streams.items()}
-
-
 def test_live_run_object_fed_equals_column_fed():
-    from repro.bench.generator import GeneratorConfig, workload_columns
+    from repro.bench.generator import GeneratorConfig, workload
     from repro.core.query import QuantileQuery
     from repro.runtime.cluster import LiveClusterConfig, run_live
 
-    streams = workload_columns(
+    streams = workload(
         [1, 2], GeneratorConfig(event_rate=300.0, duration_s=2.0, seed=23)
     )
     config = LiveClusterConfig(
@@ -400,18 +397,18 @@ def test_live_run_object_fed_equals_column_fed():
     )
     with _hard_timeout(120):
         columns = run_live(config, streams)
-        objects = run_live(config, _as_objects(streams))
+        objects = run_live(config, event_objects(streams))
     assert len(_outcome_bits(columns)) >= 2
     assert _outcome_bits(objects) == _outcome_bits(columns)
     assert objects.total_bytes == columns.total_bytes
 
 
 def test_mesh_run_object_fed_equals_column_fed():
-    from repro.bench.generator import GeneratorConfig, workload_columns
+    from repro.bench.generator import GeneratorConfig, workload
     from repro.core.query import QuantileQuery
     from repro.mesh import MeshConfig, run_mesh
 
-    streams = workload_columns(
+    streams = workload(
         [1, 2], GeneratorConfig(event_rate=120.0, duration_s=2.0, seed=29)
     )
     config = MeshConfig(
@@ -423,7 +420,7 @@ def test_mesh_run_object_fed_equals_column_fed():
     )
     with _hard_timeout(120):
         columns = run_mesh(config, streams)
-        objects = run_mesh(config, _as_objects(streams))
+        objects = run_mesh(config, event_objects(streams))
     assert len(_outcome_bits(columns)) >= 1
     assert _outcome_bits(objects) == _outcome_bits(columns)
     assert objects.total_bytes == columns.total_bytes

@@ -153,3 +153,44 @@ class TestGuardedHostTasks:
         error = run(scenario())
         assert isinstance(error, RuntimeError)
         assert "crash flag unreadable" in str(error)
+
+
+class TestTeardown:
+    def test_closing_the_cluster_cancels_every_armed_fabric_timer(self):
+        """An operator timer armed on any host and due only after the
+        cluster closed never runs: ``close`` halts every host's fabric,
+        which cancels its pending timers instead of firing their actions
+        on a torn-down host while the loop winds down."""
+        from repro.bench.generator import GeneratorConfig, workload
+        from repro.core.query import QuantileQuery
+        from repro.obs.tracer import NOOP_TRACER
+        from repro.runtime.cluster import Cluster, LiveClusterConfig
+
+        async def scenario():
+            config = LiveClusterConfig(
+                n_locals=2,
+                streams_per_local=1,
+                query=QuantileQuery(q=0.5, gamma=64),
+                transport="memory",
+                timeout_s=20.0,
+            )
+            streams = workload(
+                [1, 2], GeneratorConfig(event_rate=200.0, duration_s=1.0, seed=3)
+            )
+            cluster = Cluster(config, streams, tracer=NOOP_TRACER, driver=None)
+            fired = []
+            try:
+                await cluster.wire()
+                await cluster.drive(None)
+                hosts = [*cluster.shards, *cluster.locals_by_id.values()]
+                for host in hosts:
+                    fabric = host.fabric
+                    fabric.schedule(fabric.now + 0.05, fired.append)
+            finally:
+                await cluster.close()
+            await asyncio.sleep(0.2)  # well past every timer's deadline
+            return len(hosts), fired
+
+        armed, fired = run(scenario())
+        assert armed == 3
+        assert fired == []

@@ -29,6 +29,7 @@ import urllib.request
 import pytest
 
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.errors import TransportError
@@ -210,9 +211,9 @@ def test_scrape_endpoint_serves_during_a_live_run():
         time_scale=1.0,  # paced: the run stays alive long enough to scrape
         telemetry=TelemetryConfig(http_port=0, announce=ports.put),
     )
-    streams = workload(
+    streams = event_objects(workload(
         [1, 2], GeneratorConfig(event_rate=150.0, duration_s=2.0, seed=23)
-    )
+    ))
 
     def runner():
         try:
@@ -269,9 +270,9 @@ def test_endpoint_rejects_unknown_paths_and_bad_windows():
         time_scale=1.0,
         telemetry=TelemetryConfig(http_port=0, announce=ports.put),
     )
-    streams = workload(
+    streams = event_objects(workload(
         [1, 2], GeneratorConfig(event_rate=100.0, duration_s=1.0, seed=29)
-    )
+    ))
     done: dict = {}
 
     def runner():

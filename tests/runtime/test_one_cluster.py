@@ -22,7 +22,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.bench.generator import GeneratorConfig, workload, workload_columns
+from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.core.root_node import WindowOutcome
@@ -114,7 +115,7 @@ GOLDEN = {
 @pytest.mark.parametrize("topology", sorted(GOLDEN))
 def test_golden_wire(topology):
     shape, golden_bytes, golden_messages = GOLDEN[topology]
-    streams = workload_columns(
+    streams = workload(
         [1, 2, 3, 4], GeneratorConfig(event_rate=200.0, duration_s=3.0, seed=5)
     )
     config = LiveClusterConfig(
@@ -147,7 +148,7 @@ def test_no_relay_flushes_before_its_siblings_are_wired():
     n_locals = 16
     streams = {
         local_id: share[:1]
-        for local_id, share in workload_columns(
+        for local_id, share in workload(
             range(1, n_locals + 1),
             GeneratorConfig(event_rate=100.0, duration_s=1.0, seed=42),
         ).items()
@@ -179,10 +180,10 @@ TELEMETRY = TelemetryConfig(sampler_interval_s=0.0)
 
 
 def _streams(n_locals):
-    return workload(
+    return event_objects(workload(
         list(range(1, n_locals + 1)),
         GeneratorConfig(event_rate=150.0, duration_s=3.0, seed=31),
-    )
+    ))
 
 
 def test_sharded_relayed_run_traces_stream_batches_and_serves_summary():

@@ -6,7 +6,9 @@ stream → local → root pipeline as parallel arrays; a single stray
 ``Event(...)`` constructor in one of these modules silently reintroduces
 the per-event allocation the refactor removed, and nothing else would
 catch it (the bit-identity suite compares *results*, not allocation
-counts).  Every module that opts into the discipline carries a
+counts).  The workload generator and the experiment runner are marked
+too: a stream is born columnar, so no run starts by rebuilding columns
+from objects.  Every module that opts into the discipline carries a
 ``Hot-path module:`` marker comment naming this test; the lint walks the
 whole package so a marked module can never silently drop out of the
 checked set by being moved.
@@ -119,6 +121,8 @@ PACKAGE_ROOT = pathlib.Path(repro.__file__).parent
 #: loses it, so the discipline cannot be turned off by deleting a comment.
 EXPECTED_MARKED = {
     "baselines/base.py",
+    "bench/generator.py",
+    "bench/runner.py",
     "baselines/desis.py",
     "core/calculation.py",
     "core/engine.py",
@@ -973,7 +977,7 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     trapped too: window-cut over the concatenated batches, live runs at
     both ends of gamma, the relayed mesh run and the multi-query run
     must complete on columns, materialising candidates only."""
-    from repro.bench.generator import GeneratorConfig, workload_columns
+    from repro.bench.generator import GeneratorConfig, workload
     from repro.core.calculation import calculate_quantile
     from repro.core.query import QuantileQuery
     from repro.core.slicing import slice_sorted_events
@@ -983,7 +987,7 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     from repro.runtime.cluster import LiveClusterConfig, run_live
 
     config = GeneratorConfig(event_rate=20_000.0, duration_s=2.0, seed=11)
-    streams = workload_columns([1, 2], config)
+    streams = workload([1, 2], config)
 
     def trap(self):
         raise AssertionError("EventColumns iterated on the live path")
@@ -1020,7 +1024,7 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
         assert len(answered) >= 2
         assert sum(o.candidate_events for o in answered) > 0
 
-    mesh_streams = workload_columns(
+    mesh_streams = workload(
         list(range(1, 7)),
         GeneratorConfig(event_rate=5_000.0, duration_s=2.0, seed=11),
     )
@@ -1041,8 +1045,8 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
         assert sum(o.candidate_events for o in answered) > 0
 
     # Tumbling ∥ sliding queries over three selectors, every served result
-    # graded against the per-event oracle (which reads the object streams
-    # it was handed, never a columnar batch).
+    # graded against the oracle, which is handed the generated columns
+    # concatenated, never a batch walked event by event.
     queries = run_query_scenario(
         LiveClusterConfig(
             n_locals=3,

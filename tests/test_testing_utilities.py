@@ -13,6 +13,7 @@ from repro.streaming.events import make_events
 from repro.streaming.windows import Window
 from repro.testing import grade, oracle, verify_outcomes
 from repro.bench.generator import GeneratorConfig, workload
+from tests.event_objects import event_objects
 
 
 QUERY = QuantileQuery(q=0.5, gamma=30)
@@ -49,9 +50,9 @@ class TestGroundTruth:
 
 class TestVerifyOutcomes:
     def test_exact_run_verifies(self):
-        streams = workload(
+        streams = event_objects(workload(
             [1, 2], GeneratorConfig(event_rate=500, duration_s=2.0, seed=3)
-        )
+        ))
         report = run_dema(streams)
         verification = verify_outcomes(report.outcomes, streams, QUERY)
         assert verification.is_exact
