@@ -23,14 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as _np
+
 from repro.errors import ConfigurationError
 from repro.network.messages import (
-    MESSAGE_HEADER_BYTES,
+    CandidateEventsMessage,
+    CandidateRequestMessage,
     DigestMessage,
+    EventBatchMessage,
+    Message,
     QDigestMessage,
-    synopsis_section_bytes,
+    SortedRunMessage,
+    SynopsisMessage,
+    WatermarkMessage,
 )
-from repro.runtime.wire import COUNT_BYTES, F64_BYTES
+from repro.runtime.wire import F64_BYTES
 from repro.network.simulator import (
     INGEST_OPS,
     MERGE_OPS_PER_CMP,
@@ -39,10 +46,12 @@ from repro.network.simulator import (
     SORT_OPS_PER_CMP,
     receive_ops,
 )
+from repro.streaming.columns import EventColumns
 from repro.streaming.events import EVENT_WIRE_BYTES
 from repro.streaming.windows import Window
 from repro.core.local_node import _SLICE_OPS_PER_EVENT
 from repro.core.root_node import _IDENTIFY_OPS_PER_SYNOPSIS
+from repro.core.synopsis import SYNOPSIS_DTYPE, SynopsisColumns
 from repro.baselines.qdigest_system import QDigestSummary
 from repro.baselines.tdigest_system import TDigestSummary
 
@@ -59,6 +68,44 @@ _TDIGEST_FRAME = DigestMessage(
     0, Window(0, 1), centroids=((0.0, 0.0),) * _TDIGEST_CENTROIDS
 )
 _QDIGEST_FRAME = QDigestMessage(0, Window(0, 1), nodes=((0, 0, 0),) * _QDIGEST_NODES)
+
+
+def _priced(empty: Message, one: Message) -> "tuple[int, int]":
+    """A frame type's bytes with no items, and what each item adds, read
+    off two sample messages: one empty, one with a single item."""
+    return empty.wire_bytes, one.wire_bytes - empty.wire_bytes
+
+
+_W = Window(0, 1)
+_ONE_VALUE = _np.zeros(1, dtype="<f8")
+#: The exact systems' frames, priced by the messages' own declarations:
+#: a Scotty event batch and its watermark, a Desis sorted run, and Dema's
+#: candidate request (per slice index) and candidate run (per value).
+_EVENT_BATCH = _priced(
+    EventBatchMessage(0, _W),
+    EventBatchMessage(0, _W, events=EventColumns.from_arrays(
+        _ONE_VALUE, _np.zeros(1, dtype="<u4"), 0
+    )),
+)
+_WATERMARK_FRAME = WatermarkMessage(0, _W).wire_bytes
+_SORTED_RUN = _priced(
+    SortedRunMessage(0, _W), SortedRunMessage(0, _W, events=_ONE_VALUE)
+)
+_REQUEST = _priced(
+    CandidateRequestMessage(0, _W),
+    CandidateRequestMessage(0, _W, slice_indices=(0,)),
+)
+_CANDIDATE_RUN = _priced(
+    CandidateEventsMessage(0, _W),
+    CandidateEventsMessage(0, _W, events=_ONE_VALUE),
+)
+
+
+def _synopsis_frame(n_synopses: int) -> int:
+    """Bytes of one local's synopsis frame of ``n_synopses`` slices."""
+    return SynopsisMessage(0, _W, synopses=SynopsisColumns(
+        _np.zeros(n_synopses, dtype=SYNOPSIS_DTYPE)
+    )).wire_bytes
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,35 +159,27 @@ class SystemModel:
         """Predicted total bytes for a fixed workload."""
         n, l, w = self.n_local_nodes, events_per_node_window, n_windows
         if system == "scotty":
-            event_bytes = n * l * w * EVENT_WIRE_BYTES
-            batches = n * w * math.ceil(l / self.batch_size)
-            # Each batch pays the frame header plus its u32 event count,
-            # and every node sends one watermark message per window.
-            headers = batches * (MESSAGE_HEADER_BYTES + 4)
-            headers += n * w * (MESSAGE_HEADER_BYTES + 8)
-            return event_bytes + headers
+            # ⌈l / batch size⌉ event batches a node-window, then one
+            # watermark.
+            frame, per_event = _EVENT_BATCH
+            batches = math.ceil(l / self.batch_size)
+            return n * w * (
+                batches * frame + l * per_event + _WATERMARK_FRAME
+            )
         if system == "desis":
-            # One sorted value run per node per window: frame header and
-            # u32 count, then 8 bytes an event.
-            return n * w * (MESSAGE_HEADER_BYTES + 4 + l * F64_BYTES)
+            # One sorted value run per node per window.
+            frame, per_value = _SORTED_RUN
+            return n * w * (frame + l * per_value)
         if system == "dema":
-            slices_per_node = math.ceil(l / self.gamma)
-            # One synopsis frame per node per window: its count, then its
-            # section — local size, γ and the slices' boundaries.
-            synopsis_bytes = n * w * (
-                MESSAGE_HEADER_BYTES
-                + COUNT_BYTES
-                + synopsis_section_bytes(slices_per_node)
-            )
+            # One synopsis frame per node per window, one request per node
+            # per window naming the m candidates between them, and one run
+            # of γ values per candidate.
+            synopsis_bytes = n * w * _synopsis_frame(math.ceil(l / self.gamma))
             m = self.candidate_slices
-            # One request per node per window (header + u32 count) plus a
-            # u32 slice index for each of the m requested candidates.
-            request_bytes = w * (n * (MESSAGE_HEADER_BYTES + 4) + m * 4)
-            # Each candidate run: header, slice index and count, then one
-            # 8-byte value per event.
-            candidate_bytes = w * m * (
-                MESSAGE_HEADER_BYTES + 8 + self.gamma * F64_BYTES
-            )
+            frame, per_index = _REQUEST
+            request_bytes = w * (n * frame + m * per_index)
+            frame, per_value = _CANDIDATE_RUN
+            candidate_bytes = w * m * (frame + self.gamma * per_value)
             return synopsis_bytes + request_bytes + candidate_bytes
         if system == "tdigest":
             return n * w * _TDIGEST_FRAME.wire_bytes

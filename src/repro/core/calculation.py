@@ -23,19 +23,20 @@ refused where it is first ordered, and a run holding one here is a
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as _np
 
 from repro.errors import CalculationError
 from repro.runtime import wire
-from repro.streaming.columns import select_rank
+from repro.streaming.columns import select_rank, select_ranks
 from repro.core.synopsis import SliceSynopsis
 from repro.core.window_cut import CutResult
 
 __all__ = [
     "QuantileAnswer",
     "calculate_quantile",
+    "calculate_quantiles",
     "check_run",
 ]
 
@@ -66,13 +67,43 @@ def calculate_quantile(
             is not sorted or holds a NaN (:func:`select_rank`).
     """
     runs = list(runs)
-    received = sum(len(run) for run in runs)
+    _check_count(cut, sum(len(run) for run in runs))
+    return QuantileAnswer(select_rank(runs, cut.local_rank))
+
+
+def calculate_quantiles(
+    cuts: Sequence[CutResult],
+    runs: Mapping[tuple[int, int], Sequence[float]],
+) -> tuple[float, ...]:
+    """:func:`calculate_quantile` for every cut of one window, over the
+    window's fetched runs keyed by slice id: the runs are stacked and
+    checked once (:func:`~repro.streaming.columns.select_ranks`), and
+    each cut selects from its own candidates' runs.  Every stack is in
+    ``(node_id, slice_index)`` order — the window's and, as
+    ``cut.candidates`` holds that order, each cut's — so a ``-0.0``/``0.0``
+    tie resolves as :func:`calculate_quantile` resolves it, whichever
+    runs a sibling cut fetched.
+
+    Raises:
+        CalculationError: As :func:`calculate_quantile`, for any cut.
+    """
+    ids = sorted({s.slice_id for cut in cuts for s in cut.candidates})
+    position = {slice_id: i for i, slice_id in enumerate(ids)}
+    stacked = [runs[slice_id] for slice_id in ids]
+    picks = []
+    for cut in cuts:
+        indices = [position[s.slice_id] for s in cut.candidates]  # ascend
+        _check_count(cut, sum(len(stacked[i]) for i in indices))
+        picks.append((indices, cut.local_rank))
+    return tuple(select_ranks(stacked, picks))
+
+
+def _check_count(cut: CutResult, received: int) -> None:
     if received != cut.candidate_events:
         raise CalculationError(
             f"expected {cut.candidate_events} candidate events, "
             f"received {received}"
         )
-    return QuantileAnswer(select_rank(runs, cut.local_rank))
 
 
 def check_run(run: Sequence[float], synopsis: SliceSynopsis) -> None:
@@ -92,14 +123,16 @@ def check_run(run: Sequence[float], synopsis: SliceSynopsis) -> None:
     """
     values = _np.asarray(run, "<f8")
     final = synopsis.slice_index == synopsis.n_slices - 1
-    if final:
-        last_ok = values[-1:].tobytes() == wire.F64.pack(synopsis.last_value)
-    else:
-        last_ok = not (values[-1:] > synopsis.last_value).any()
-    if (
-        len(values) != synopsis.count
-        or values[:1].tobytes() != wire.F64.pack(synopsis.first_value)
-        or not last_ok
+    pack = wire.F64.pack
+    # A synopsis counts at least one event, so a run of its length has a
+    # first and a last value: compared as scalars, by their bits where the
+    # synopsis fixes the value.
+    if len(values) != synopsis.count or (
+        pack(values[0]) != pack(synopsis.first_value)
+        or (
+            pack(values[-1]) != pack(synopsis.last_value) if final
+            else values[-1] > synopsis.last_value
+        )
     ):
         raise CalculationError(
             f"candidate run {synopsis.slice_id} does not match its synopsis; "

@@ -12,7 +12,10 @@ ships its own synopsis batches, tagged with the group's ``group_id``;
 ingestion is paid once per event.  A single query is group 0.  A host that
 windows and sorts its own windows opens groups at runtime
 (:meth:`DemaLocalNode.open_group`) and seals each window from its sorted
-value column (:meth:`DemaLocalNode.seal_sorted`).
+value column (:meth:`DemaLocalNode.seal_sorted`); it may ask for several
+windows' candidates in one
+:class:`~repro.network.messages.CandidateRequestBatchMessage`, answered
+by one :class:`~repro.network.messages.CandidateBatchMessage`.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from typing import Callable, Sequence
 
 from repro.errors import SliceError
 from repro.network.messages import (
+    CandidateBatchMessage,
     CandidateEventsMessage,
+    CandidateRequestBatchMessage,
     CandidateRequestMessage,
     EventBatchMessage,
     GammaUpdateMessage,
@@ -30,6 +35,7 @@ from repro.network.messages import (
     SynopsisMessage,
     SynopsisRequestMessage,
     WindowReleaseMessage,
+    covering_window,
 )
 import math
 
@@ -330,6 +336,9 @@ class DemaLocalNode(SimulatedNode):
         if isinstance(message, WindowReleaseMessage):
             self._release(message)
             return
+        if isinstance(message, CandidateRequestBatchMessage):
+            self._serve_batch(message, now)
+            return
         if not isinstance(
             message, (CandidateRequestMessage, SynopsisRequestMessage)
         ):
@@ -414,3 +423,50 @@ class DemaLocalNode(SimulatedNode):
                 slices=len(request.slice_indices),
                 events=served,
             )
+
+    def _serve_batch(
+        self, request: CandidateRequestBatchMessage, now: float
+    ) -> None:
+        """Answer every section of ``request`` in one
+        :class:`CandidateBatchMessage`: per window, its requested runs
+        concatenated in index order.  A section asking for nothing only
+        releases its window; one for a window not retained is refused as
+        :meth:`_serve_candidates` refuses it."""
+        send_at = self.work(receive_ops(request.payload_bytes), now)
+        sections = []
+        for group_id, window, indices in request.sections:
+            key = (group_id, window)
+            sealed = self._sealed.get(key)
+            if sealed is None:
+                if self._reliability is not None:
+                    continue  # stale retransmit for a window already released
+                raise SliceError(
+                    f"node {self.node_id} has no sealed window {window} "
+                    f"for group {group_id}"
+                )
+            sealed.acknowledged = True
+            if self._reliability is None:
+                del self._sealed[key]
+            if not indices:
+                continue
+            start = send_at
+            values = sealed.sliced.runs_for(indices)
+            send_at = self.work(_SERVE_OPS_PER_EVENT * len(values), send_at)
+            sections.append((group_id, window, indices, values))
+            if self._tracer.enabled:
+                self._tracer.record(
+                    "serve_candidates",
+                    self.node_id,
+                    start,
+                    send_at,
+                    window=window,
+                    slices=len(indices),
+                    events=len(values),
+                )
+        if sections:
+            reply = CandidateBatchMessage(
+                sender=self.node_id,
+                window=covering_window(sections),
+                sections=tuple(sections),
+            )
+            self.send(reply, self._root_id, send_at)

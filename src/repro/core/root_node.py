@@ -16,6 +16,15 @@ with one identification pass and one union candidate fetch.  A single query
 is group 0, and only it may be adaptive.  A host may also open and close
 groups at runtime (:meth:`DemaRootNode.open_group`), choosing the quantiles
 each window is cut for.
+
+Such a host may batch its windows across groups: a
+:class:`~repro.network.messages.SynopsisBatchMessage` carries one local's
+synopses of several (group, window) pairs.  Every window the frame
+completes is cut, each local gets one
+:class:`~repro.network.messages.CandidateRequestBatchMessage` for all of
+them, and its one :class:`~repro.network.messages.CandidateBatchMessage`
+answer is split into runs at the counts of the synopses that asked for
+them.  Every answer is the one the per-window carriers give.
 """
 
 from __future__ import annotations
@@ -26,23 +35,31 @@ from typing import Callable, Sequence
 
 from repro.errors import IdentificationError
 from repro.network.messages import (
+    CandidateBatchMessage,
     CandidateEventsMessage,
+    CandidateRequestBatchMessage,
     CandidateRequestMessage,
     GammaUpdateMessage,
     Message,
+    SynopsisBatchMessage,
     SynopsisMessage,
     SynopsisRequestMessage,
     WindowReleaseMessage,
+    covering_window,
 )
 from repro.network.driver import MS_PER_SECOND
 from repro.network.simulator import SimulatedNode, merge_cost, receive_ops
 from repro.streaming.windows import Window
 from repro.core.adaptive import AdaptiveGammaController, NodeGammaController
-from repro.core.calculation import calculate_quantile, check_run
+from repro.core.calculation import calculate_quantiles, check_run
 from repro.core.identification import MultiIdentificationResult, identify_multi
 from repro.core.query import QuantileQuery, served_groups
 from repro.core.reliability import ReliabilityConfig
 from repro.core.synopsis import SliceSynopsis
+
+# Hot-path module: synopses stay ``SynopsisColumns`` batches from the
+# decoder to the sweep, and a candidate batch is split into runs as
+# ``float64`` views (tests/test_hotpath_lint.py).
 
 __all__ = ["WindowOutcome", "DemaRootNode"]
 
@@ -175,7 +192,8 @@ class DemaRootNode(SimulatedNode):
         #: Finalized windows whose release waits for an earlier window of
         #: their group to close (see :meth:`_release`).
         self._unreleased: set[tuple[int, Window]] = set()
-        self._identifications = 0
+        #: Every (group, window) cut so far, in cut order.
+        self._cuts: list[tuple[int, Window]] = []
 
     @property
     def outcomes(self) -> list[WindowOutcome]:
@@ -188,8 +206,12 @@ class DemaRootNode(SimulatedNode):
 
     @property
     def identifications(self) -> int:
-        """Identification passes run (windows cut, not empty ones)."""
-        return self._identifications
+        """Windows cut (not empty ones), however many shared a sweep."""
+        return len(self._cuts)
+
+    def cuts_since(self, index: int) -> list[tuple[int, Window]]:
+        """The (group, window) pairs cut from cut number ``index`` on."""
+        return self._cuts[index:]
 
     def open_group(
         self,
@@ -331,60 +353,120 @@ class DemaRootNode(SimulatedNode):
     def on_message(self, message: Message, now: float) -> None:
         """Dispatch local → root protocol messages."""
         if isinstance(message, SynopsisMessage):
-            self._on_synopses(message, now)
+            now = self.work(receive_ops(message.payload_bytes), now)
+            if self._admit(
+                message.sender, message.group_id, message.window,
+                message.synopses, message.local_window_size, now,
+            ):
+                self._identify([(message.group_id, message.window)], now)
         elif isinstance(message, CandidateEventsMessage):
-            self._on_candidates(message, now)
+            now = self.work(receive_ops(message.payload_bytes), now)
+            key = (message.group_id, message.window)
+            state = self._fetching(key)
+            if state is not None and self._take_run(
+                state, key, message.sender, message.slice_index, message.events
+            ) and not state.missing:
+                self._calculate(key, state, now)
+        elif isinstance(message, SynopsisBatchMessage):
+            self._on_synopsis_batch(message, now)
+        elif isinstance(message, CandidateBatchMessage):
+            self._on_candidate_batch(message, now)
         else:
             raise IdentificationError(
                 f"root cannot handle {type(message).__name__}"
             )
 
-    def _on_synopses(self, message: SynopsisMessage, now: float) -> None:
+    def _on_synopsis_batch(self, message: SynopsisBatchMessage, now: float) -> None:
+        """Admit every section; cut every window they complete in one sweep."""
         now = self.work(receive_ops(message.payload_bytes), now)
-        key = (message.group_id, message.window)
+        due = [
+            (group_id, window)
+            for group_id, window, local_window_size, synopses in message.sections
+            if self._admit(
+                message.sender, group_id, window, synopses, local_window_size,
+                now,
+            )
+        ]
+        if due:
+            self._identify(due, now, batched=True)
+
+    def _on_candidate_batch(
+        self, message: CandidateBatchMessage, now: float
+    ) -> None:
+        """Split each section's values into runs at the requested slices'
+        counts, check every run, and calculate each window it completes."""
+        now = self.work(receive_ops(message.payload_bytes), now)
+        for group_id, window, indices, values in message.sections:
+            key = (group_id, window)
+            state = self._fetching(key)
+            if state is None:
+                continue
+            at = 0
+            for slice_index in indices:
+                requested = state.missing.get((message.sender, slice_index))
+                end = at + (0 if requested is None else requested.count)
+                if not self._take_run(
+                    state, key, message.sender, slice_index, values[at:end]
+                ):
+                    break  # the rest of the section cannot be split
+                at = end
+            else:
+                if at != len(values):
+                    raise IdentificationError(
+                        f"candidate section for group {group_id}, window "
+                        f"{window} holds {len(values)} values, its slices "
+                        f"{at}"
+                    )
+            if not state.missing:
+                self._calculate(key, state, now)
+
+    def _admit(
+        self, sender: int, group_id: int, window: Window, synopses,
+        local_window_size: int, now: float,
+    ) -> bool:
+        """Record one local's synopses of ``window``; whether the window is
+        now complete and due for identification."""
+        key = (group_id, window)
         if self._reliability is not None and key in self._finalized:
             # The window is already answered; this synopsis is a local
             # resend, so the release we sent it must have been lost — or
             # is still waiting for an earlier window (see _release).
-            if message.window.end < self._release_cap(message.group_id):
+            if window.end < self._release_cap(group_id):
                 self.send(
                     WindowReleaseMessage(
-                        sender=self.node_id,
-                        window=message.window,
-                        group_id=message.group_id,
+                        sender=self.node_id, window=window, group_id=group_id,
                     ),
-                    message.sender,
+                    sender,
                     now,
                 )
             else:
                 self._unreleased.add(key)
-            return
+            return False
         state = self._states.get(key)
         fresh = state is None
         if fresh:
             state = self._states[key] = _WindowState()
-        if message.sender in state.synopses:
+        if sender in state.synopses:
             if self._reliability is not None:
-                return  # retransmission of a batch that did arrive
+                return False  # retransmission of a batch that did arrive
             raise IdentificationError(
-                f"duplicate synopsis batch from node {message.sender} for "
-                f"group {message.group_id}, window {message.window}"
+                f"duplicate synopsis batch from node {sender} for "
+                f"group {group_id}, window {window}"
             )
-        state.synopses[message.sender] = message.synopses
-        state.sizes[message.sender] = message.local_window_size
+        state.synopses[sender] = synopses
+        state.sizes[sender] = local_window_size
         if fresh and self._tracer.enabled:
             # The window span covers the full end-to-end latency interval,
             # so it starts at the window's event-time end, not at arrival.
             state.window_span = self._tracer.begin(
                 "window",
                 self.node_id,
-                message.window.end / MS_PER_SECOND,
-                window=message.window,
+                window.end / MS_PER_SECOND,
+                window=window,
             )
         if fresh and self._reliability is not None:
             self._arm_timer(key, now)
-        if state.plan is None and self._synopses_complete(message.window, state):
-            self._identify(key, state, now)
+        return state.plan is None and self._synopses_complete(window, state)
 
     def _expected_locals(
         self, window: Window, state: _WindowState
@@ -530,7 +612,7 @@ class DemaRootNode(SimulatedNode):
             state.participants = None
             state.runs.clear()
         if self._synopses_complete(window, state):
-            self._identify(key, state, now)
+            self._identify([key], now)
 
     def _arm_timer(self, key: tuple[int, Window], now: float) -> None:
         assert self._reliability is not None
@@ -660,127 +742,175 @@ class DemaRootNode(SimulatedNode):
                 )
 
     def _identify(
-        self, key: tuple[int, Window], state: _WindowState, now: float
+        self, keys: Sequence[tuple[int, Window]], now: float, *,
+        batched: bool = False,
     ) -> None:
-        group_id, window = key
-        qs = state.quantiles = tuple(self._quantiles[group_id](window))
-        state.gamma_used = self._gammas[group_id]
-        # Plan over the locals this window still expects; a straggler's
-        # synopsis that arrived after its node was given up on must not
-        # drag an unanswerable candidate request into the plan.
-        expected = self._expected_locals(window, state)
-        synopses = {i: state.synopses[i] for i in expected if i in state.synopses}
-        sizes = {i: state.sizes[i] for i in expected if i in state.sizes}
-        state.participants = tuple(sorted(synopses))
-        eligible = max(len(self._eligible_locals(window)), 1)
-        completeness = len(state.participants) / eligible
-        total = sum(sizes.values())
+        """Cut every window of ``keys``, each complete.
+
+        A window with nothing to cut, or nobody to cut for, is answered
+        empty.  Every *expected* local gets a request per window — an
+        empty index tuple for non-candidates — which doubles as the
+        acknowledgement that stops its synopsis resend timer; ``batched``,
+        one :class:`CandidateRequestBatchMessage` per local carries all
+        of them.  Dead locals get nothing.
+        """
         tracing = self._tracer.enabled
-        if tracing:
-            # synopsis_wait runs from the window's event-time end until the
-            # last synopsis has been received and deserialized; the phases
-            # recorded below are deliberately contiguous so that, per
-            # window, their durations sum to the end-to-end latency.
-            self._tracer.record(
-                "synopsis_wait",
-                self.node_id,
-                window.end / MS_PER_SECOND,
-                now,
-                window=window,
-                parent=state.window_span,
-                synopses=sum(len(batch) for batch in state.synopses.values()),
-            )
-        if total == 0 or not qs:
-            # Nothing to cut, or nobody to cut for: every expected local is
-            # released from this exact window.
-            self._states.pop(key)
-            self._finalized.add(key)
-            if self._reliability is not None:
-                self._release(key, now)
-            else:
-                release = CandidateRequestMessage(
-                    sender=self.node_id, window=window, group_id=group_id
-                )
-                for local_id in expected:
-                    self.send(release, local_id, now)
+        #: Per local, its ``(group_id, window, indices)`` requests, and the
+        #: time the last of them was ready.
+        requests: dict[int, list] = {}
+        ready: dict[int, float] = {}
+        for key in keys:
+            group_id, window = key
+            state = self._states[key]
+            qs = state.quantiles = tuple(self._quantiles[group_id](window))
+            state.gamma_used = self._gammas[group_id]
+            # Plan over the locals this window still expects; a straggler's
+            # synopsis that arrived after its node was given up on must not
+            # drag an unanswerable candidate request into the plan.
+            expected = self._expected_locals(window, state)
+            synopses = {
+                i: state.synopses[i] for i in expected if i in state.synopses
+            }
+            sizes = {i: state.sizes[i] for i in expected if i in state.sizes}
+            state.participants = tuple(sorted(synopses))
+            total = sum(sizes.values())
             if tracing:
-                self._tracer.end(state.window_span, now, empty=1)
-            self._outcomes.append(
-                WindowOutcome(
+                # synopsis_wait runs from the window's event-time end until
+                # the last synopsis has been received and deserialized; the
+                # phases recorded below are deliberately contiguous so that,
+                # per window, their durations sum to the end-to-end latency.
+                self._tracer.record(
+                    "synopsis_wait",
+                    self.node_id,
+                    window.end / MS_PER_SECOND,
+                    now,
                     window=window,
-                    value=None,
-                    global_window_size=total,
-                    result_time=now,
-                    candidate_events=0,
-                    candidate_slices=0,
-                    synopses_received=0,
-                    gamma_used=state.gamma_used,
-                    completeness=completeness,
-                    group_id=group_id,
-                    values=(None,) * len(qs),
-                    quantiles=qs,
-                    ranks=(0,) * len(qs),
+                    parent=state.window_span,
+                    synopses=sum(len(b) for b in state.synopses.values()),
                 )
-            )
-            return
+            if total == 0 or not qs:
+                self._answer_empty(key, state, expected, total, now)
+                if self._reliability is None:
+                    # Released from this exact window by an empty request.
+                    for local_id in expected:
+                        requests.setdefault(local_id, []).append(
+                            (group_id, window, ())
+                        )
+                        ready[local_id] = max(ready.get(local_id, now), now)
+                continue
+            plan = identify_multi(synopses, sizes, qs)
+            # One synopsis sort and sweep per quantile; ``· 1`` is exact for
+            # a single query.
+            n_synopses = sum(len(batch) for batch in synopses.values())
+            ops = _IDENTIFY_OPS_PER_SYNOPSIS * n_synopses * max(
+                1.0, math.log2(max(n_synopses, 2))
+            ) * len(state.quantiles)
+            finish = self.work(ops, now)
+            state.plan = plan
+            state.missing = {
+                synopsis.slice_id: synopsis
+                for cut_result in plan.cuts.values()
+                for synopsis in cut_result.candidates
+            }
+            self._cuts.append(key)
+            if tracing:
+                self._tracer.record(
+                    "identification",
+                    self.node_id,
+                    now,
+                    finish,
+                    window=window,
+                    parent=state.window_span,
+                    ops=ops,
+                    synopses=n_synopses,
+                    gamma=state.gamma_used,
+                    rank=plan.cuts[state.quantiles[0]].rank,
+                )
+                state.fetch_started = finish
+            for local_id in expected:
+                requests.setdefault(local_id, []).append(
+                    (group_id, window, tuple(plan.requests.get(local_id, ())))
+                )
+                ready[local_id] = max(ready.get(local_id, finish), finish)
+        for local_id, sections in requests.items():
+            if batched:
+                self.send(
+                    CandidateRequestBatchMessage(
+                        sender=self.node_id,
+                        window=covering_window(sections),
+                        sections=tuple(sections),
+                    ),
+                    local_id,
+                    ready[local_id],
+                )
+                continue
+            for group_id, window, indices in sections:
+                request = CandidateRequestMessage(
+                    sender=self.node_id,
+                    window=window,
+                    group_id=group_id,
+                    slice_indices=indices,
+                )
+                self.send(request, local_id, ready[local_id])
 
-        # One synopsis sort and sweep per quantile; ``· 1`` is exact for a
-        # single query.
-        n_synopses = sum(len(batch) for batch in synopses.values())
-        ops = _IDENTIFY_OPS_PER_SYNOPSIS * n_synopses * max(
-            1.0, math.log2(max(n_synopses, 2))
-        ) * len(qs)
-        finish = self.work(ops, now)
-        state.plan = identify_multi(synopses, sizes, qs)
-        state.missing = {
-            synopsis.slice_id: synopsis
-            for cut in state.plan.cuts.values()
-            for synopsis in cut.candidates
-        }
-        self._identifications += 1
-        if tracing:
-            self._tracer.record(
-                "identification",
-                self.node_id,
-                now,
-                finish,
+    def _answer_empty(
+        self, key: tuple[int, Window], state: _WindowState,
+        expected: tuple[int, ...], total: int, now: float,
+    ) -> None:
+        """Answer a window with nothing to cut, or nobody to cut for."""
+        group_id, window = key
+        qs = state.quantiles
+        self._states.pop(key)
+        self._finalized.add(key)
+        if self._reliability is not None:
+            self._release(key, now)
+        if self._tracer.enabled:
+            self._tracer.end(state.window_span, now, empty=1)
+        eligible = max(len(self._eligible_locals(window)), 1)
+        self._outcomes.append(
+            WindowOutcome(
                 window=window,
-                parent=state.window_span,
-                ops=ops,
-                synopses=n_synopses,
-                gamma=state.gamma_used,
-                rank=state.plan.cuts[qs[0]].rank,
-            )
-            state.fetch_started = finish
-        # Every *expected* local gets a request — an empty index tuple for
-        # non-candidates — which doubles as the acknowledgement that stops
-        # its synopsis resend timer.  Dead locals get nothing.
-        for local_id in expected:
-            request = CandidateRequestMessage(
-                sender=self.node_id,
-                window=window,
+                value=None,
+                global_window_size=total,
+                result_time=now,
+                candidate_events=0,
+                candidate_slices=0,
+                synopses_received=0,
+                gamma_used=state.gamma_used,
+                completeness=len(state.participants) / eligible,
                 group_id=group_id,
-                slice_indices=tuple(state.plan.requests.get(local_id, ())),
+                values=(None,) * len(qs),
+                quantiles=qs,
+                ranks=(0,) * len(qs),
             )
-            self.send(request, local_id, finish)
+        )
 
-    def _on_candidates(self, message: CandidateEventsMessage, now: float) -> None:
-        now = self.work(receive_ops(message.payload_bytes), now)
-        key = (message.group_id, message.window)
+    def _fetching(self, key: tuple[int, Window]) -> "_WindowState | None":
+        """The state of a window waiting for candidate runs; ``None`` for a
+        stale run under reliability."""
         state = self._states.get(key)
         if state is None or state.plan is None:
             if self._reliability is not None:
-                return  # stale run for a window already answered or aborted
+                return None  # stale run for a window already answered or aborted
             raise IdentificationError(
-                f"unexpected candidate events for group {message.group_id}, "
-                f"window {message.window}"
+                f"unexpected candidate events for group {key[0]}, "
+                f"window {key[1]}"
             )
-        run_key = (message.sender, message.slice_index)
+        return state
+
+    def _take_run(
+        self, state: _WindowState, key: tuple[int, Window], sender: int,
+        slice_index: int, run,
+    ) -> bool:
+        """Check ``run`` against the synopsis that requested it and keep
+        it; whether it was taken (reliability drops a repeated or an
+        unrequested run, which is otherwise an error)."""
+        run_key = (sender, slice_index)
         if run_key in state.runs:
             if self._reliability is not None:
-                return  # retransmission of a run that did arrive
+                return False  # retransmission of a run that did arrive
             raise IdentificationError(
-                f"duplicate candidate run {run_key} for window {message.window}"
+                f"duplicate candidate run {run_key} for window {key[1]}"
             )
         requested = state.missing.pop(run_key, None)
         if requested is None:
@@ -788,15 +918,14 @@ class DemaRootNode(SimulatedNode):
                 # A run the *current* plan never asked for — typically a
                 # reply to a request from a plan since rebuilt without its
                 # sender.  Mixing it in would corrupt the rank arithmetic.
-                return
+                return False
             raise IdentificationError(
                 f"candidate run {run_key} was never requested for window "
-                f"{message.window}"
+                f"{key[1]}"
             )
-        check_run(message.events, requested)
-        state.runs[run_key] = message.events
-        if not state.missing:
-            self._calculate(key, state, now)
+        check_run(run, requested)
+        state.runs[run_key] = run
+        return True
 
     def _calculate(
         self, key: tuple[int, Window], state: _WindowState, now: float
@@ -806,11 +935,8 @@ class DemaRootNode(SimulatedNode):
         assert plan is not None
         n = plan.candidate_events
         finish = self.work(merge_cost(n, max(len(state.runs), 1)), now)
-        values = tuple(
-            calculate_quantile(plan.cuts[q], [
-                state.runs[s.slice_id] for s in plan.cuts[q].candidates
-            ]).value
-            for q in state.quantiles
+        values = calculate_quantiles(
+            [plan.cuts[q] for q in state.quantiles], state.runs
         )
         if self._tracer.enabled:
             self._tracer.record(

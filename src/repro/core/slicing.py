@@ -100,6 +100,34 @@ class SlicedWindow:
         ]
 
 
+    def runs_for(self, slice_indices: Sequence[int]) -> _np.ndarray:
+        """The runs of ascending ``slice_indices``, concatenated in index
+        order: one view of the sealed column when they are adjacent.
+
+        Raises:
+            SliceError: If the indices do not strictly ascend, or one is
+                out of range.
+        """
+        if not slice_indices:
+            return self.values[:0]
+        if any(b <= a for a, b in zip(slice_indices, slice_indices[1:])):
+            raise SliceError(
+                f"slice indices {tuple(slice_indices)} do not strictly ascend"
+            )
+        first, last = slice_indices[0], slice_indices[-1]
+        if not (0 <= first and last < self.n_slices):
+            raise SliceError(
+                f"slice indices {first}..{last} out of range "
+                f"(window has {self.n_slices} slices)"
+            )
+        bounds = self.bounds
+        if last - first + 1 == len(slice_indices):
+            return self.values[bounds[first]:bounds[last + 1]]
+        return _np.concatenate(
+            [self.values[bounds[i]:bounds[i + 1]] for i in slice_indices]
+        )
+
+
 class _Runs(_SequenceABC):
     """``SlicedWindow.runs``: the runs as a lazy sequence."""
 
@@ -157,7 +185,7 @@ def slice_sorted_events(
     records = _np.empty(len(starts), dtype=SYNOPSIS_DTYPE)
     records["first_value"] = sorted_values[starts]
     records["last_value"] = sorted_values[lasts]
-    records["count"] = _np.diff(bounds)
+    records["count"] = bounds[1:] - bounds[:-1]
     records["first_pos"] = starts
     records["last_pos"] = lasts
     records["slice_index"] = _np.arange(len(starts), dtype="<u4")

@@ -76,8 +76,11 @@ def slice_count(size: int, gamma: int) -> int:
 def slice_bounds(size: int, gamma: int) -> _np.ndarray:
     """The slicer's cut as row bounds: slice ``i`` of the
     :func:`slice_count` slices is rows ``bounds[i]:bounds[i + 1]``."""
-    starts = _np.arange(slice_count(size, gamma), dtype=_np.int64) * gamma
-    return _np.append(starts, size)
+    n = slice_count(size, gamma)
+    bounds = _np.arange(n + 1, dtype=_np.int64)
+    bounds *= gamma
+    bounds[n] = size
+    return bounds
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,6 +179,10 @@ SYNOPSIS_DTYPE = _np.dtype(
     ]
 )
 
+#: Why a row whose first key is not at or below its last key is refused.
+_INVERTED = "first_key exceeds last_key, or a key is NaN"
+
+
 def _row(record: tuple) -> SliceSynopsis:
     """One in-memory record (as Python scalars) as a synopsis row."""
     fv, lv, count, fp, lp, slice_index, n_slices, node_id = record
@@ -197,8 +204,8 @@ class SynopsisColumns:
     holds against any sequence of equal rows — while ``records`` exposes
     the columns to vectorised consumers.  Holding one says nothing about
     the rows being a *complete* local batch (window-cut concatenates
-    several); the doors that admit a batch — the slicer and the wire
-    decoder — call :meth:`validated`.
+    several); the slicer admits a batch through :meth:`validated`, the
+    wire decoder through the one check the wire can fail.
     """
 
     __slots__ = ("records",)
@@ -246,7 +253,8 @@ class SynopsisColumns:
         Raises:
             CodecError: If the section is cut short, its size overruns a
                 ``u32`` position, γ < 2 would cut more than one slice, or
-                the boundaries descend or hold a NaN (:meth:`validated`).
+                the boundaries descend or hold a NaN (named as
+                :meth:`validated` names an inverted row).
         """
         head = wire.SYNOPSIS_SECTION_BYTES
         if len(raw) < head:
@@ -274,13 +282,22 @@ class SynopsisColumns:
         records = _np.empty(n, dtype=SYNOPSIS_DTYPE)
         records["first_value"] = boundaries[:-1]
         records["last_value"] = boundaries[1:]
-        records["count"] = _np.diff(bounds)
+        records["count"] = bounds[1:] - bounds[:-1]
         records["first_pos"] = bounds[:-1]
         records["last_pos"] = bounds[1:] - 1
         records["slice_index"] = _np.arange(n, dtype="<u4")
         records["n_slices"] = n
         records["node_id"] = node_id
-        return cls(records).validated(node_id, CodecError), size, end
+        # The decoder wrote every count, label, owner and position from the
+        # cut: only the boundaries came off the wire.  Row ``i`` spans
+        # boundaries ``i`` and ``i + 1``, which must ascend (a NaN does not).
+        bad = ~(boundaries[:-1] <= boundaries[1:])
+        if bad.any():
+            raise CodecError(
+                f"synopsis {int(bad.argmax())} of {n} is malformed: "
+                f"{_INVERTED}"
+            )
+        return cls(records), size, end
 
     def validated(self, node_id: int, error: type) -> "SynopsisColumns":
         """This batch, checked in one vectorised pass to be what a local
@@ -297,7 +314,7 @@ class SynopsisColumns:
         checks = (
             ("count must be >= 1", arr["count"] < 1),
             (
-                "first_key exceeds last_key, or a key is NaN",
+                _INVERTED,
                 ~(fv <= lv)
                 | ((fv == lv) & (arr["first_pos"] > arr["last_pos"])),
             ),

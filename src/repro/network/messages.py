@@ -9,11 +9,12 @@ its class's ``PAYLOAD``: the wire parts below, in wire order — struct
 fields, a sequence's u32 count, a u32 code map, a UTF-8 string, a run of
 structs or of records, a tail of ``<f8`` values.  ``payload_bytes``
 follows from either, and :mod:`repro.runtime.codec` packs and unpacks
-with the same declaration.  Five types keep hand code: the event batch
-(its per-frame call budget), the two synopsis carriers (their section is
-``SynopsisColumns``' own format) and the two candidate-run carriers (a
-declared part costs one Python call, and their codec stage measured
-slower declared).  The runtime test suite asserts ``payload_bytes ==
+with the same declaration.  Eight types keep hand code: the event batch
+(its per-frame call budget), the three synopsis carriers (their section
+is ``SynopsisColumns``' own format), the three candidate-run carriers
+and the query plane's batched candidate request (a declared part costs
+one Python call, and their codec stage measured slower declared).  The
+runtime test suite asserts ``payload_bytes ==
 len(encode_payload(message))`` for every type, so the simulator charges
 exactly the bytes the live asyncio runtime puts on a socket.
 """
@@ -65,6 +66,11 @@ __all__ = [
     "RouteUpdateMessage",
     "RelaySynopsisMessage",
     "RelayRunsMessage",
+    "SynopsisBatchMessage",
+    "CandidateRequestBatchMessage",
+    "CandidateBatchMessage",
+    "QUERY_PLANE_BATCHES",
+    "covering_window",
     "ShardFailoverMessage",
     "ResultAckMessage",
     "TelemetrySnapshotMessage",
@@ -751,6 +757,93 @@ class RelayRunsMessage(Message):
             + len(values) * wire.F64_BYTES
             for _, _, values in self.sections
         )
+
+
+def covering_window(sections) -> Window:
+    """The header window of a batched carrier: the smallest window
+    covering its sections' windows (each section's second element)."""
+    return Window(
+        min(section[1].start for section in sections),
+        max(section[1].end for section in sections),
+    )
+
+
+@dataclass(frozen=True, slots=True)
+class SynopsisBatchMessage(Message):
+    """One local's synopses of every query-plane window one watermark
+    sealed: one frame per local per watermark.
+
+    Each section is ``(group_id, window, local_window_size, synopses)``:
+    the window's query group and bounds, then the same synopsis section a
+    :class:`SynopsisMessage` carries (local size, γ, boundaries), owned
+    by the sender.  The header's ``group_id`` is 0 and its window covers
+    the sections' (:func:`covering_window`).
+    """
+
+    #: tuple[(group_id, Window, local_window_size, SynopsisColumns), ...]
+    sections: tuple = ()
+
+    @property
+    def payload_bytes(self) -> int:
+        return wire.COUNT_BYTES + sum(
+            wire.WINDOW_SECTION_BYTES + synopsis_section_bytes(len(synopses))
+            for _, _, _, synopses in self.sections
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class CandidateRequestBatchMessage(Message):
+    """The root's candidate requests to one local for every window one
+    synopsis batch let it cut: one frame per local per batch.
+
+    Each section is ``(group_id, window, slice_indices)``.  An empty index
+    tuple asks for nothing and releases the window, as an empty
+    :class:`CandidateRequestMessage` does.
+    """
+
+    #: tuple[(group_id, Window, tuple[int, ...]), ...]
+    sections: tuple = ()
+
+    @property
+    def payload_bytes(self) -> int:
+        return wire.COUNT_BYTES + sum(
+            wire.REQUEST_SECTION_BYTES + len(indices) * wire.U32_BYTES
+            for _, _, indices in self.sections
+        )
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class CandidateBatchMessage(Message):
+    """One local's answer to a :class:`CandidateRequestBatchMessage`: the
+    requested slices' sorted values, one section per window that asked
+    for any.
+
+    Each section is ``(group_id, window, slice_indices, values)``: the
+    slices' value runs concatenated in index order, a ``float64`` array.
+    The root splits it at the counts its synopses give.
+    """
+
+    #: tuple[(group_id, Window, tuple[int, ...], float64 ndarray), ...]
+    sections: tuple = ()
+
+    __eq__ = _runs_eq
+    __hash__ = Message.__hash__
+
+    @property
+    def payload_bytes(self) -> int:
+        return wire.COUNT_BYTES + sum(
+            wire.RUN_SECTION_BYTES
+            + len(indices) * wire.U32_BYTES
+            + len(values) * wire.F64_BYTES
+            for _, _, indices, values in self.sections
+        )
+
+
+#: The query plane's batched carriers: their header ``group_id`` is 0, so
+#: a host routes them to its query plane by type.
+QUERY_PLANE_BATCHES = (
+    SynopsisBatchMessage, CandidateRequestBatchMessage, CandidateBatchMessage,
+)
 
 
 @dataclass(frozen=True, slots=True)

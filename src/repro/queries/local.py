@@ -12,11 +12,18 @@ panes.  Stores are shared by every cursor with the same
 ``(selector, pane length)``, and overlapping sliding windows share the
 panes' batches; each window's values are sorted once, when it seals.  A window
 two shapes share (same length, start on both grids) is sealed once, by
-whichever cursor reaches it first, and shipped as one synopsis batch.
-The plane hosts one :class:`~repro.core.local_node.DemaLocalNode`
-(reliability off) that slices each sorted window, retains the slices
-and serves the root's candidate requests, as it does for the configured
-query.  Batches stay columnar from the tap to the candidate value runs.
+whichever cursor reaches it first.  The plane hosts one
+:class:`~repro.core.local_node.DemaLocalNode` (reliability off) that
+slices each sorted window, retains the slices and serves the root's
+candidate requests, as it does for the configured query.  Batches stay
+columnar from the tap to the candidate value runs.
+
+One cut per watermark: every window one watermark (or one activation)
+seals, across groups, ships in one
+:class:`~repro.network.messages.SynopsisBatchMessage`, one section per
+window; the root answers with one
+:class:`~repro.network.messages.CandidateRequestBatchMessage` per batch,
+and the node with one :class:`~repro.network.messages.CandidateBatchMessage`.
 
 Start negotiation: when a window shape enters a group the plane proposes
 the first window start it can *guarantee* — the smallest step-aligned
@@ -30,15 +37,18 @@ start on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.local_node import DemaLocalNode
 from repro.network.messages import (
-    CandidateRequestMessage,
+    CandidateRequestBatchMessage,
     Message,
     QueryAckMessage,
     QueryDeregisterMessage,
     QueryRegisterMessage,
+    SynopsisBatchMessage,
+    SynopsisMessage,
+    covering_window,
 )
 from repro.network.simulator import Outbox
 from repro.queries.slide import PaneStore, SlidingRunAggregator
@@ -121,7 +131,7 @@ class LocalQueryPlane:
 
     @property
     def windows_sealed(self) -> int:
-        """Total synopsis batches emitted across all groups."""
+        """Total windows sealed and shipped across all groups."""
         return self.node.windows_completed
 
     @property
@@ -157,9 +167,16 @@ class LocalQueryPlane:
             return self._on_register(message)
         if isinstance(message, QueryAckMessage):
             return self._on_activation(message)
-        if isinstance(message, CandidateRequestMessage):
-            if not self.node.holds(message.group_id, message.window):
-                return []  # its group or shape left while it was in flight
+        if isinstance(message, CandidateRequestBatchMessage):
+            # Sections whose group or shape left while they were in flight
+            # are dropped here: the hosted node would take them for a
+            # protocol error.
+            holds = self.node.holds
+            kept = tuple(s for s in message.sections if holds(s[0], s[1]))
+            if not kept:
+                return []
+            if len(kept) != len(message.sections):
+                message = replace(message, sections=kept)
             self.node.on_message(message, 0.0)
             return self._sent()
         if isinstance(message, QueryDeregisterMessage):
@@ -167,7 +184,24 @@ class LocalQueryPlane:
         return []
 
     def _sent(self) -> list[Message]:
-        return [message for _, message in self._outbox.drain()]
+        """What the node queued, its windows' synopses as one batch."""
+        sent: list[Message] = []
+        sections = []
+        for _, message in self._outbox.drain():
+            if isinstance(message, SynopsisMessage):
+                sections.append((
+                    message.group_id, message.window,
+                    message.local_window_size, message.synopses,
+                ))
+            else:
+                sent.append(message)
+        if sections:
+            sent.append(SynopsisBatchMessage(
+                sender=self.node_id,
+                window=covering_window(sections),
+                sections=tuple(sections),
+            ))
+        return sent
 
     # -- registration and activation ------------------------------------
 

@@ -13,12 +13,17 @@ Execution is *shared-cut*: all queries of a group (same selector and
 distinct window.  The plane hosts one
 :class:`~repro.core.root_node.DemaRootNode` (reliability off), the
 operator that answers the configured query, with one of its groups per
-query group: it collects one synopsis batch per local, cuts the window
+query group: it collects each local's synopses of the window, cuts it
 for the distinct quantiles of every member whose window grid contains the
 window, fetches the union of the candidate slices once and calculates.
-The plane fans the per-query results out to the owning clients.  Every
-identification records exactly one ``query_identification`` span per
-(group, window) — the invariant the scenario runner asserts.
+The plane fans the per-query results out to the owning clients.
+
+One cut per watermark: a local ships every window one watermark sealed,
+across groups, in one synopsis batch, and each window a batch completes
+is cut — one candidate request and one candidate frame per local for
+all of them.  Every cut (group, window) records exactly one
+``query_identification`` span — the invariant the scenario runner
+asserts.
 
 Shape activation: a window shape new to its group triggers a negotiation
 round — the root broadcasts the registration (named by the shape's id in
@@ -34,26 +39,30 @@ step past the shape's latest identified window.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.core.root_node import DemaRootNode, WindowOutcome
 from repro.errors import QueryError
 from repro.network.messages import (
-    CandidateEventsMessage,
+    CandidateBatchMessage,
     Message,
     QueryAckMessage,
     QueryDeregisterMessage,
     QueryRegisterMessage,
     QueryResultMessage,
     ResultAckMessage,
-    SynopsisMessage,
+    SynopsisBatchMessage,
 )
 from repro.network.simulator import Outbox
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.queries.registry import QueryGroup, QueryRecord, QueryRegistry
 from repro.queries.spec import CONTROL_WINDOW, QuerySpec, on_grid
 from repro.streaming.windows import Window
+
+# Hot-path module: a local's synopses and candidate runs reach the hosted
+# root as the batches the decoder built; no row is built here
+# (tests/test_hotpath_lint.py).
 
 __all__ = ["RootQueryPlane"]
 
@@ -138,7 +147,8 @@ class RootQueryPlane:
 
     @property
     def identification_cuts(self) -> int:
-        """Identification passes run (one per cut (group, window))."""
+        """Windows cut: one per (group, window), however many share a
+        sweep."""
         return self.node.identifications
 
     # -- client side ----------------------------------------------------
@@ -384,33 +394,37 @@ class RootQueryPlane:
     def on_local_message(self, message: Message) -> Outgoing:
         """Handle a query-plane message from a local node.
 
-        Frames for a group or window shape torn down while they were in
+        Sections for a group or window shape torn down while they were in
         flight are dropped here: the hosted root would take them for a
         protocol error.
         """
         if isinstance(message, QueryAckMessage):
             return self._on_proposal(message)
-        calculating = isinstance(message, CandidateEventsMessage)
+        calculating = isinstance(message, CandidateBatchMessage)
         if calculating:
-            if not self.node.holds(message.group_id, message.window):
-                return []
-        elif isinstance(message, SynopsisMessage):
-            group = self.registry.group(message.group_id)
-            if group is None or not group.wants(message.window):
-                return []
+            holds = self.node.holds
+            kept = tuple(s for s in message.sections if holds(s[0], s[1]))
+        elif isinstance(message, SynopsisBatchMessage):
+            kept = tuple(s for s in message.sections if self._wants(s[0], s[1]))
         else:
             return []
+        if not kept:
+            return []
+        if len(kept) != len(message.sections):
+            message = replace(message, sections=kept)
         cuts = self.node.identifications
         start = self.clock()
         self.node.on_message(message, start)
         out: Outgoing = self._outbox.drain()
-        if self.node.identifications != cuts:  # only a synopsis completes a cut
-            self._record_cut("query_identification", group, message.window, start)
-            if self.tracer.enabled:
-                self.tracer.registry.counter(
-                    "query_identifications_total",
-                    "Shared identification cuts run by the query plane.",
-                ).inc()
+        cut = self.node.cuts_since(cuts)  # only a synopsis batch cuts
+        for group_id, window in cut:
+            group = self.registry.group(group_id)
+            self._record_cut("query_identification", group, window, start)
+        if cut and self.tracer.enabled:
+            self.tracer.registry.counter(
+                "query_identifications_total",
+                "Shared identification cuts run by the query plane.",
+            ).inc(len(cut))
         for outcome in self.node.outcomes_since(self._answered):
             self._answered += 1
             group = self.registry.group(outcome.group_id)
@@ -418,6 +432,11 @@ class RootQueryPlane:
             if calculating:
                 self._record_cut("query_calculation", group, outcome.window, start)
         return out
+
+    def _wants(self, group_id: int, window: Window) -> bool:
+        """Whether a registered group still wants ``window`` cut."""
+        group = self.registry.group(group_id)
+        return group is not None and group.wants(window)
 
     def _on_proposal(self, message: QueryAckMessage) -> Outgoing:
         group = self.registry.group(message.group_id)

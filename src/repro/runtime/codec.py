@@ -14,9 +14,10 @@ type's payload is declared once, in its class in
 this module packs and unpacks the class's own fields with, or a
 variable-length type's ``PAYLOAD`` parts (``_declared``), whose own
 ``pack`` and ``unpack`` this module runs in wire order; ``payload_bytes``
-follows from the same declaration.  Five types keep a hand encoder and
-decoder, named in the table: the event batch, the two synopsis carriers
-and the two candidate-run carriers.  The test suite asserts
+follows from the same declaration.  Eight types keep a hand encoder and
+decoder, named in the table: the event batch, the three synopsis
+carriers, the three candidate-run carriers and the query plane's batched
+candidate request.  The test suite asserts
 ``len(encode_payload(m)) == m.payload_bytes`` exactly, which is what lets
 the discrete-event simulator charge real wire bytes.
 
@@ -46,7 +47,9 @@ from repro.core.synopsis import SynopsisColumns, as_synopsis_columns
 from repro.errors import CodecError
 from repro.obs.live.context import TraceContext
 from repro.network.messages import (
+    CandidateBatchMessage,
     CandidateEventsMessage,
+    CandidateRequestBatchMessage,
     CandidateRequestMessage,
     DigestMessage,
     EventBatchMessage,
@@ -68,6 +71,7 @@ from repro.network.messages import (
     RouteUpdateMessage,
     ShardFailoverMessage,
     SortedRunMessage,
+    SynopsisBatchMessage,
     SynopsisMessage,
     SynopsisRequestMessage,
     TelemetryDigestMessage,
@@ -156,9 +160,9 @@ def tag_of(message: Message) -> int:
 
 # ----------------------------------------------------------------------
 # Hand encoders: the event batch (held to its per-frame call budget), the
-# two synopsis carriers (their section is ``SynopsisColumns``' own) and
-# the two candidate-run carriers (declared parts cost their codec stage a
-# Python call a part).
+# three synopsis carriers (their section is ``SynopsisColumns``' own), the
+# three candidate-run carriers and the batched candidate request (declared
+# parts cost their codec stage a Python call a part).
 # ----------------------------------------------------------------------
 
 
@@ -209,6 +213,35 @@ def _encode_relay_runs(m: RelayRunsMessage) -> bytes:
                 node_id, slice_index, len(values)
             )
         )
+        parts.append(_np.asarray(values, "<f8").tobytes())
+    return b"".join(parts)
+
+
+def _encode_synopsis_batch(m: SynopsisBatchMessage) -> bytes:
+    parts = [wire.COUNT.pack(len(m.sections))]
+    for group_id, window, local_window_size, synopses in m.sections:
+        parts.append(wire.WINDOW_SECTION.pack(group_id, window.start, window.end))
+        parts.append(as_synopsis_columns(synopses).to_wire(local_window_size))
+    return b"".join(parts)
+
+
+def _encode_request_batch(m: CandidateRequestBatchMessage) -> bytes:
+    parts = [wire.COUNT.pack(len(m.sections))]
+    for group_id, window, indices in m.sections:
+        parts.append(wire.REQUEST_SECTION.pack(
+            group_id, window.start, window.end, len(indices)
+        ))
+        parts.append(_np.asarray(indices, "<u4").tobytes())
+    return b"".join(parts)
+
+
+def _encode_candidate_batch(m: CandidateBatchMessage) -> bytes:
+    parts = [wire.COUNT.pack(len(m.sections))]
+    for group_id, window, indices, values in m.sections:
+        parts.append(wire.RUN_SECTION.pack(
+            group_id, window.start, window.end, len(indices), len(values)
+        ))
+        parts.append(_np.asarray(indices, "<u4").tobytes())
         parts.append(_np.asarray(values, "<f8").tobytes())
     return b"".join(parts)
 
@@ -356,6 +389,50 @@ def _decode_relay_runs(r, sender, window, group_id):
     return RelayRunsMessage(sender, window, group_id, tuple(sections))
 
 
+def _section_window(start: int, end: int) -> Window:
+    """A batched carrier's section window; an empty or inverted one is a
+    malformed frame."""
+    if end <= start:
+        raise CodecError(f"section window [{start}, {end}) is empty")
+    return Window(start, end)
+
+
+def _indices(r: _Reader, n: int) -> "tuple[int, ...]":
+    return tuple(_np.frombuffer(r.view(n * wire.U32_BYTES), "<u4").tolist())
+
+
+def _decode_synopsis_batch(r, sender, window, group_id):
+    sections = []
+    for _ in range(r.count()):
+        group, start, end = r.unpack(wire.WINDOW_SECTION)
+        synopses, local_window_size = r.section(sender)
+        sections.append(
+            (group, _section_window(start, end), local_window_size, synopses)
+        )
+    return SynopsisBatchMessage(sender, window, group_id, tuple(sections))
+
+
+def _decode_request_batch(r, sender, window, group_id):
+    sections = []
+    for _ in range(r.count()):
+        group, start, end, n = r.unpack(wire.REQUEST_SECTION)
+        sections.append((group, _section_window(start, end), _indices(r, n)))
+    return CandidateRequestBatchMessage(sender, window, group_id, tuple(sections))
+
+
+def _decode_candidate_batch(r, sender, window, group_id):
+    sections = []
+    for _ in range(r.count()):
+        group, start, end, n, n_values = r.unpack(wire.RUN_SECTION)
+        indices = _indices(r, n)
+        raw = r.view(n_values * wire.F64_BYTES)
+        sections.append((
+            group, _section_window(start, end), indices,
+            _values_from_wire(raw, n_values),
+        ))
+    return CandidateBatchMessage(sender, window, group_id, tuple(sections))
+
+
 # ----------------------------------------------------------------------
 # The codec table.  Wire compatibility: tags are append-only, never reused.
 # ----------------------------------------------------------------------
@@ -431,6 +508,11 @@ _CODECS = (
     (26, ResultAckMessage),
     (27, TelemetrySnapshotMessage, _declared),
     (28, TelemetryDigestMessage, _declared),
+    (29, SynopsisBatchMessage, _encode_synopsis_batch, _decode_synopsis_batch),
+    (30, CandidateRequestBatchMessage, _encode_request_batch,
+     _decode_request_batch),
+    (31, CandidateBatchMessage, _encode_candidate_batch,
+     _decode_candidate_batch),
 )
 
 TAG_BY_TYPE: dict[type, int] = {cls: tag for tag, cls, *_ in _CODECS}

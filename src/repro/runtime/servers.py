@@ -67,6 +67,7 @@ from repro.network.messages import (
     JoinMessage,
     LeaveMessage,
     Message,
+    QUERY_PLANE_BATCHES,
     QueryResultMessage,
     RelayRunsMessage,
     RelaySynopsisMessage,
@@ -666,7 +667,10 @@ class RootServer(NodeHost):
                     if self._on_telemetry is not None:
                         self._on_telemetry(message)
                     continue
-                if message.group_id != 0 and self._query_plane is not None:
+                if self._query_plane is not None and (
+                    message.group_id != 0
+                    or isinstance(message, QUERY_PLANE_BATCHES)
+                ):
                     # Query-plane traffic multiplexed on the local link:
                     # handled by the plane, never by the base operator.
                     self._note_plane_message(message)
@@ -1184,7 +1188,10 @@ class LocalServer(NodeHost):
             elif isinstance(message, HeartbeatMessage):
                 # Telemetry echo from the root: close the RTT loop.
                 self._record_heartbeat_rtt(message.sequence)
-            elif message.group_id != 0 and self._query_plane is not None:
+            elif self._query_plane is not None and (
+                message.group_id != 0
+                or isinstance(message, QUERY_PLANE_BATCHES)
+            ):
                 # Query-plane traffic multiplexed on the root link.
                 self._note_plane_message(message)
                 await self._ship_plane(

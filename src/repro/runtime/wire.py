@@ -5,7 +5,7 @@ The frame header, its extensions and the shared pieces of the payloads
 A message's payload itself is declared once, in its class in
 :mod:`repro.network.messages` — a fixed-size one as a ``LAYOUT`` struct,
 a variable-length one as ``PAYLOAD`` parts — and its ``payload_bytes``,
-its encoder and its decoder follow from that declaration; the five
+its encoder and its decoder follow from that declaration; the eight
 hand-coded types (:mod:`repro.runtime.codec`) size and pack with the
 constants here.  A property test asserts that every message's
 ``payload_bytes`` equals the encoder's output byte for byte, so simulated
@@ -85,6 +85,12 @@ __all__ = [
     "I64_BYTES",
     "RELAY_RUN_SECTION_FIXED",
     "RELAY_RUN_SECTION_FIXED_BYTES",
+    "WINDOW_SECTION",
+    "WINDOW_SECTION_BYTES",
+    "REQUEST_SECTION",
+    "REQUEST_SECTION_BYTES",
+    "RUN_SECTION",
+    "RUN_SECTION_BYTES",
 ]
 
 #: Protocol version stamped into every frame header.  A decoder refuses
@@ -182,6 +188,24 @@ I64_BYTES = I64.size
 RELAY_RUN_SECTION_FIXED = struct.Struct("<III")
 RELAY_RUN_SECTION_FIXED_BYTES = RELAY_RUN_SECTION_FIXED.size
 
+#: The query plane's batched carriers (tags 29-31) hold one section per
+#: (group, window) that one watermark sealed.  A section opens with its
+#: window: group id u32, window start i64, window end i64.  On a synopsis
+#: batch the window's :data:`SYNOPSIS_SECTION` and boundaries follow.
+WINDOW_SECTION = struct.Struct("<Iqq")
+WINDOW_SECTION_BYTES = WINDOW_SECTION.size
+
+#: A candidate-request batch section: the window, then the slice count
+#: u32; that many u32 slice indices follow.
+REQUEST_SECTION = struct.Struct("<IqqI")
+REQUEST_SECTION_BYTES = REQUEST_SECTION.size
+
+#: A candidate batch section: the window, the slice count u32 and the
+#: value count u32; the u32 slice indices follow, then the slices' value
+#: runs concatenated in index order, one f64 each.
+RUN_SECTION = struct.Struct("<IqqII")
+RUN_SECTION_BYTES = RUN_SECTION.size
+
 
 # The documented layout above is load-bearing for the simulator's byte
 # accounting; fail at import time if a struct edit ever drifts from it.
@@ -190,3 +214,6 @@ assert EVENT_WIRE_BYTES == 20
 assert SYNOPSIS_SECTION_BYTES == U64_BYTES + U32_BYTES == 12
 assert TRACE_CONTEXT_EXT_BYTES == 17
 assert RELAY_RUN_SECTION_FIXED_BYTES == 12
+assert WINDOW_SECTION_BYTES == 20
+assert REQUEST_SECTION_BYTES == WINDOW_SECTION_BYTES + COUNT_BYTES == 24
+assert RUN_SECTION_BYTES == WINDOW_SECTION_BYTES + 2 * COUNT_BYTES == 28

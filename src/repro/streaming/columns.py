@@ -55,6 +55,7 @@ __all__ = [
     "concat_columns",
     "concat_records",
     "select_rank",
+    "select_ranks",
     "sort_values",
 ]
 
@@ -466,13 +467,28 @@ def select_rank(runs: Sequence, local_rank: int) -> float:
             value is NaN, or a run descends (naming the first offending
             value).
     """
+    runs = list(runs)
+    return select_ranks(runs, [(range(len(runs)), local_rank)])[0]
+
+
+def select_ranks(runs: Sequence, picks: Sequence) -> "list[float]":
+    """:func:`select_rank` for several picks over one set of runs, each a
+    ``(run indices, local rank)`` pair: the rank of the merged runs it
+    names, ascending indices.  The runs are stacked and checked once; a
+    pick stacks its own runs only when it names a subset.
+
+    Raises:
+        CalculationError: As :func:`select_rank`, for any pick.
+    """
+    lengths = [len(run) for run in runs]
+    for indices, local_rank in picks:
+        n = sum(lengths[i] for i in indices)
+        if not 1 <= local_rank <= n:
+            raise CalculationError(
+                f"local rank {local_rank} outside the {n} fetched events; "
+                "identification and calculation disagree"
+            )
     batches = [run for run in runs if len(run)]
-    n = sum(map(len, batches))
-    if not 1 <= local_rank <= n:
-        raise CalculationError(
-            f"local rank {local_rank} outside the {n} fetched events; "
-            "identification and calculation disagree"
-        )
     values = _np.concatenate(batches, dtype=_np.float64)
     if _np.isnan(values.max()):
         raise CalculationError(
@@ -489,7 +505,20 @@ def select_rank(runs: Sequence, local_rank: int) -> float:
             "candidate run is not sorted; local node violated the "
             f"protocol near value {offender!r}"
         )
-    kth = local_rank - 1
-    pivot = _np.partition(values, kth)[kth]
-    tied = _np.flatnonzero(values == pivot)
-    return float(values[tied[kth - _np.count_nonzero(values < pivot)]])
+    starts = [0]
+    for length in lengths:
+        starts.append(starts[-1] + length)
+    selected = []
+    for indices, local_rank in picks:
+        picked = values
+        if len(indices) != len(runs):
+            picked = _np.concatenate(
+                [values[starts[i]:starts[i + 1]] for i in indices]
+            )
+        kth = local_rank - 1
+        pivot = _np.partition(picked, kth)[kth]
+        tied = _np.flatnonzero(picked == pivot)
+        selected.append(
+            float(picked[tied[kth - _np.count_nonzero(picked < pivot)]])
+        )
+    return selected

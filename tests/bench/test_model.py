@@ -1,14 +1,26 @@
 """Tests validating the analytical model against the simulator."""
 
+import numpy as np
 import pytest
 
+from repro.core.slicing import slice_sorted_events
 from repro.errors import ConfigurationError
 from repro.bench.generator import GeneratorConfig, workload
 from tests.event_objects import event_objects
 from repro.bench.harness import capacity_estimate, run_workload
 from repro.bench.model import SystemModel, predict
 from repro.bench.workloads import bench_topology, median_query
-from repro.network.messages import DigestMessage, QDigestMessage
+from repro.network.messages import (
+    CandidateEventsMessage,
+    CandidateRequestMessage,
+    DigestMessage,
+    EventBatchMessage,
+    QDigestMessage,
+    SortedRunMessage,
+    SynopsisMessage,
+    WatermarkMessage,
+)
+from repro.streaming.columns import EventColumns
 from repro.streaming.windows import Window
 
 MODEL = SystemModel(n_local_nodes=2, node_ops_per_second=1e5, gamma=100)
@@ -140,6 +152,45 @@ class TestNetworkPredictions:
             assert single.network_bytes(system, 5_000, 1) == frame.wire_bytes
             assert MODEL.network_bytes(system, 5_000, 3) == 6 * frame.wire_bytes
         assert frames["tdigest"].wire_bytes == 1_172
+
+    def test_exact_frames_are_priced_as_their_messages(self):
+        # One node-window of 1,000 events: Scotty's two 512-event batch
+        # frames and a watermark, Desis' one sorted run, and Dema's
+        # synopsis frame of the slicer's cut at γ = 100, one request for
+        # its 3 candidates and their 3 runs of γ values.
+        window = Window(0, 1000)
+        values = np.arange(1_000, dtype="<f8")
+        events = EventColumns.from_arrays(
+            values, np.zeros(1_000, dtype="<u4"), 1
+        )
+        sliced = slice_sorted_events(values, 100, 1)
+        frames = {
+            "scotty": [
+                EventBatchMessage(1, window, events=events[:512]),
+                EventBatchMessage(1, window, events=events[512:]),
+                WatermarkMessage(1, window, watermark_time=1000),
+            ],
+            "desis": [SortedRunMessage(1, window, events=values)],
+            "dema": [
+                SynopsisMessage(
+                    1, window, synopses=sliced.synopses,
+                    local_window_size=1_000,
+                ),
+                CandidateRequestMessage(0, window, slice_indices=(0, 4, 9)),
+                *(
+                    CandidateEventsMessage(
+                        1, window, slice_index=index,
+                        events=sliced.run_for(index),
+                    )
+                    for index in (0, 4, 9)
+                ),
+            ],
+        }
+        single = SystemModel(n_local_nodes=1, gamma=100, candidate_slices=3)
+        for system, sent in frames.items():
+            assert single.network_bytes(system, 1_000, 1) == sum(
+                frame.wire_bytes for frame in sent
+            )
 
 
 class TestModelValidation:

@@ -7,12 +7,19 @@ import numpy as np
 import pytest
 
 from repro.errors import CalculationError
-from repro.core.calculation import calculate_quantile, check_run
+from repro.core.calculation import (
+    calculate_quantile,
+    calculate_quantiles,
+    check_run,
+)
+from repro.core.engine import dema_quantiles
+from repro.core.identification import identify_multi
 from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SliceSynopsis
 from repro.core.window_cut import CutResult, window_cut
 from repro.streaming.columns import EventColumns, select_rank
-from repro.streaming.events import event_key, make_events
+from repro.streaming.events import Event, event_key, make_events
+from repro.testing import oracle
 
 
 def vals(values):
@@ -142,6 +149,67 @@ class TestCalculateQuantile:
             broken = dataclasses.replace(cut, n_below=n_below)
             with pytest.raises(CalculationError, match="local rank"):
                 calculate_quantile(broken, runs)
+
+
+class TestCalculateQuantiles:
+    """One window's quantiles over one stack of fetched runs, held bit for
+    bit against the oracle where zeros of both signs tie across nodes."""
+
+    # Node 2's slice [-3, 0.0] sweeps before node 1's [-0.0, 5]; merged by
+    # full event key the -0.0 of node 1 comes first.
+    PER_NODE = {
+        2: [-3.0, 0.0, 0.0, 6.0, 7.0, -0.0],
+        1: [-0.0, 5.0, 8.0, 9.0, -0.0, 0.0],
+        3: [0.0, -0.0, 1.0, 2.0, 10.0, 11.0],
+    }
+
+    def windows(self):
+        return {
+            node: [
+                Event(value=v, timestamp=i, node_id=node, seq=i)
+                for i, v in enumerate(values)
+            ]
+            for node, values in self.PER_NODE.items()
+        }
+
+    @pytest.mark.parametrize("gamma", [2, 3, 4])
+    def test_every_rank_matches_the_oracle(self, gamma):
+        windows = self.windows()
+        n = sum(map(len, windows.values()))
+        qs = [rank / n for rank in range(1, n + 1)]
+        # Each local's sealed column in full event key order.
+        sliced = {
+            node: slice_sorted_events(
+                vals([e.value for e in sorted(events, key=event_key)]),
+                gamma, node,
+            )
+            for node, events in windows.items()
+        }
+        plan = identify_multi(
+            {node: s.synopses for node, s in sliced.items()},
+            {node: s.window_size for node, s in sliced.items()}, qs,
+        )
+        cuts = [plan.cuts[q] for q in qs]
+        assert len({frozenset(cut.candidate_ids) for cut in cuts}) > 1
+        runs = {
+            s.slice_id: sliced[s.node_id].run_for(s.slice_index)
+            for cut in cuts for s in cut.candidates
+        }
+        values = calculate_quantiles(cuts, runs)
+        truth = oracle(
+            [e for events in windows.values() for e in events],
+            [0], 100, qs,
+        )
+        expected = [next(iter(table.values()))[0] for table in truth]
+        assert [_bits(v) for v in values] == [_bits(v) for v in expected]
+        # Each cut alone, and the in-memory engine, select the same bits.
+        assert [
+            _bits(calculate_quantiles([cut], runs)[0]) for cut in cuts
+        ] == [_bits(v) for v in expected]
+        engine = dema_quantiles(windows, qs, gamma)
+        assert [_bits(engine.values[q]) for q in qs] == [
+            _bits(v) for v in expected
+        ]
 
 
 class TestCalculateQuantileColumns(TestCalculateQuantile):

@@ -141,6 +141,26 @@ class TestRunAccess:
         assert np.shares_memory(run, values)
         assert run.tolist() == values[4:8].tolist()
 
+    def test_runs_for_concatenates_in_index_order(self):
+        # Adjacent slices are one view of the column; others are stacked.
+        values = sorted_values(20)
+        sliced = slice_sorted_events(values, 4, 1)
+        adjacent = sliced.runs_for((1, 2, 3))
+        assert np.shares_memory(adjacent, values)
+        assert adjacent.tolist() == values[4:16].tolist()
+        assert sliced.runs_for((0, 2, 4)).tolist() == (
+            values[0:4].tolist() + values[8:12].tolist() + values[16:20].tolist()
+        )
+        assert sliced.runs_for(()).tolist() == []
+        for indices in ((4, 5), (-1, 0), (3, 5)):
+            with pytest.raises(SliceError, match="out of range"):
+                sliced.runs_for(indices)
+        # Indices that do not ascend are refused, also when their ends
+        # would pass for an adjacent range.
+        for indices in ((0, 5, 2, 3), (0, 7, 2, 3, 4), (2, 1), (1, 1)):
+            with pytest.raises(SliceError, match="do not strictly ascend"):
+                sliced.runs_for(indices)
+
 
 class TestBatch:
     @pytest.mark.parametrize("columnar", [True])  # keeps the recorded id

@@ -260,15 +260,14 @@ class TestOracle:
         from repro.core import root_node
         from repro.runtime.cluster import ClusterConfig, run_live
 
-        exact = root_node.calculate_quantile
+        exact = root_node.calculate_quantiles
 
-        def one_ulp_high(cut, runs):
-            answer = exact(cut, runs)
-            return answer._replace(
-                value=math.nextafter(answer.value, math.inf)
+        def one_ulp_high(cuts, runs):
+            return tuple(
+                math.nextafter(value, math.inf) for value in exact(cuts, runs)
             )
 
-        monkeypatch.setattr(root_node, "calculate_quantile", one_ulp_high)
+        monkeypatch.setattr(root_node, "calculate_quantiles", one_ulp_high)
         config = ClusterConfig(
             n_locals=2,
             query=QuantileQuery(q=0.5, gamma=50, window_length_ms=500),

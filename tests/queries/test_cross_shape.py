@@ -2,7 +2,7 @@
 
 A root plane and its local planes wired by hand, without a transport:
 every message is delivered at once and in order, except where a test
-holds a local's synopses or candidate runs back to keep windows pending.
+holds a local's synopsis or candidate frames back to keep windows pending.
 Every served result is compared with ``==`` against :func:`oracle_results`.
 Pending windows are read from the core nodes the planes host.
 """
@@ -12,12 +12,12 @@ from collections import deque
 import numpy as np
 
 from repro.network.messages import (
-    CandidateEventsMessage,
-    CandidateRequestMessage,
+    CandidateBatchMessage,
+    CandidateRequestBatchMessage,
     QueryDeregisterMessage,
     QueryRegisterMessage,
     QueryResultMessage,
-    SynopsisMessage,
+    SynopsisBatchMessage,
 )
 from repro.queries.local import LocalQueryPlane
 from repro.queries.oracle import oracle_results
@@ -70,7 +70,7 @@ class Wired:
         #: ``hold_type`` sent by local ``hold_from``.
         self.held = []
         self.hold_from = None
-        self.hold_type = SynopsisMessage
+        self.hold_type = SynopsisBatchMessage
 
     def pump(self, outgoing):
         queue = deque(outgoing)
@@ -263,16 +263,18 @@ def test_frames_for_a_torn_down_group_are_dropped():
     wired.run_to(1000)
     # Local 2's candidate runs stay away from the root: every window cut
     # from here on is in flight at the root, awaiting them.
-    wired.hold_from, wired.hold_type = 2, CandidateEventsMessage
+    wired.hold_from, wired.hold_type = 2, CandidateBatchMessage
     wired.run_to(2000)
     assert wired.in_flight() == windows_of(TUMBLING_500, 1000, 2000)
     runs = list(wired.held)
     assert runs
     # Local 1's synopses for the next window are in flight too.
-    wired.hold_from, wired.hold_type = 1, SynopsisMessage
+    wired.hold_from, wired.hold_type = 1, SynopsisBatchMessage
     wired.run_to(2500)
     synopses = wired.held[len(runs):]
-    assert [m.window for m in synopses] == [Window(2000, 2500)]
+    assert [w for m in synopses for _, w, _, _ in m.sections] == [
+        Window(2000, 2500)
+    ]
     wired.held = []
     served = len(wired.results[1])
     (group,) = wired.root.registry.groups()
@@ -286,9 +288,9 @@ def test_frames_for_a_torn_down_group_are_dropped():
     assert len(wired.results[1]) == served
     assert wired.root.node.open_windows == 0
     assert wired.locals[2].node.pending_windows == 0
-    request = CandidateRequestMessage(
-        sender=0, window=Window(2000, 2500), group_id=group.group_id,
-        slice_indices=(0,),
+    window = Window(2000, 2500)
+    request = CandidateRequestBatchMessage(
+        sender=0, window=window, sections=((group.group_id, window, (0,)),)
     )
     assert wired.locals[1].on_root_message(request) == []
 

@@ -9,6 +9,9 @@ trace.  The registration/nack unit tests drive :class:`RootQueryPlane`
 directly, without a cluster.
 """
 
+import hashlib
+from collections import Counter
+
 import pytest
 
 from repro.bench.generator import GeneratorConfig
@@ -16,10 +19,14 @@ from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
 from repro.mesh.config import ClusterConfig
 from repro.network.messages import (
+    CandidateBatchMessage,
+    CandidateRequestBatchMessage,
     QueryAckMessage,
     QueryRegisterMessage,
+    SynopsisBatchMessage,
 )
 from repro.obs.tracer import RecordingTracer
+from repro.queries.local import LocalQueryPlane
 from repro.queries.registry import QueryRegistry
 from repro.queries.root import RootQueryPlane
 from repro.queries.runner import build_specs, run_query_scenario
@@ -57,6 +64,58 @@ class TestScenarios:
         # queries is the whole point.
         assert report.groups < report.n_registered
         assert report.identification_cuts > 0
+
+    def test_one_synopsis_frame_per_local_per_watermark(self, monkeypatch):
+        """Every window one watermark seals ships in one synopsis frame,
+        one section each; each request frame is answered by at most one
+        candidate frame.  The served results are those of the per-window
+        carriers: the SHA-256 of their sorted reprs was recorded with one
+        synopsis frame per window."""
+        sealed = []     # (local, windows one call sealed, its frames)
+        answered = []   # (local, frames one request batch was answered by)
+        on_watermark = LocalQueryPlane.on_watermark
+        on_root_message = LocalQueryPlane.on_root_message
+
+        def watermark(plane, value):
+            before = plane.windows_sealed
+            out = on_watermark(plane, value)
+            sealed.append((plane.node_id, plane.windows_sealed - before, out))
+            return out
+
+        def root_message(plane, message):
+            out = on_root_message(plane, message)
+            if isinstance(message, CandidateRequestBatchMessage):
+                answered.append((plane.node_id, out))
+            return out
+
+        monkeypatch.setattr(LocalQueryPlane, "on_watermark", watermark)
+        monkeypatch.setattr(LocalQueryPlane, "on_root_message", root_message)
+        report = run_query_scenario(
+            *configs(duration_s=3.0, rate=300.0), n_queries=8, n_keys=3
+        )
+        assert report.ok, report.mismatches
+        frames = Counter()
+        for local, windows, out in sealed:
+            batches = [m for m in out if isinstance(m, SynopsisBatchMessage)]
+            assert len(batches) == (1 if windows else 0)
+            assert sum(len(m.sections) for m in batches) == windows
+            frames[local] += len(batches)
+        assert sum(frames.values()) > 0
+        runs = Counter()
+        for local, out in answered:
+            assert all(isinstance(m, CandidateBatchMessage) for m in out)
+            assert len(out) <= 1
+            runs[local] += len(out)
+        assert all(runs[local] <= frames[local] for local in runs)
+        results = sorted(
+            repr(message)
+            for served in report.live.queries["results"].values()
+            for message in served
+        )
+        assert len(results) == 32
+        assert hashlib.sha256("\n".join(results).encode()).hexdigest() == (
+            "0ceb654fd97ecf8c7a8423513e37640662d8637efc73edfcf4c7a40e3c8edd59"
+        )
 
     def test_churn_registers_and_deregisters_mid_run(self):
         report = run_query_scenario(

@@ -1,20 +1,24 @@
 """``LocalQueryPlane`` driven directly as the state machine it is.
 
 register → activate → ``ingest`` columnar batches → ``on_watermark``:
-every synopsis batch the plane emits must equal ``slice_sorted_events``
-of the window filtered row by row and sorted from scratch, and the
-candidate request that releases a window must return exactly those rows.
+every window the plane seals — one section of the one synopsis frame a
+watermark emits — must equal ``slice_sorted_events`` of the window
+filtered row by row and sorted from scratch, and the candidate request
+that releases a window must return exactly those rows.
 """
 
 import numpy as np
+import pytest
 
 from repro.core.slicing import slice_sorted_events
+from repro.errors import SliceError
 from repro.network.messages import (
-    CandidateRequestMessage,
+    CandidateBatchMessage,
+    CandidateRequestBatchMessage,
     QueryAckMessage,
     QueryDeregisterMessage,
     QueryRegisterMessage,
-    SynopsisMessage,
+    SynopsisBatchMessage,
 )
 from repro.queries.local import LocalQueryPlane
 from repro.queries.spec import CONTROL_WINDOW, QuerySpec
@@ -81,15 +85,34 @@ def naive_window(events, spec, window):
     return np.array([r[0] for r in rows], dtype="<f8")
 
 
+def sealed(frames):
+    """The windows of synopsis frames, as ``(group_id, window, local size,
+    synopses)`` sections: every frame is one batch from this node."""
+    assert all(
+        isinstance(m, SynopsisBatchMessage) and m.sender == NODE
+        and m.group_id == 0 for m in frames
+    )
+    return [section for m in frames for section in m.sections]
+
+
 def drive(plane, events, batch_rows=50, end=HORIZON):
-    """Ingest in arrival order; the watermark trails each batch."""
+    """Ingest in arrival order; the watermark trails each batch.  Each
+    watermark ships at most one synopsis frame; returns the windows."""
     emitted = []
     for at in range(0, len(events), batch_rows):
         plane.ingest(events[at:at + batch_rows])
         following = events[at + batch_rows:at + batch_rows + 1]
         watermark = following.min_timestamp() if len(following) else end
-        emitted.extend(plane.on_watermark(watermark))
+        frames = plane.on_watermark(watermark)
+        assert len(frames) <= 1
+        emitted.extend(sealed(frames))
     return emitted
+
+
+def request(group_id, window, indices):
+    return CandidateRequestBatchMessage(
+        sender=0, window=window, sections=((group_id, window, indices),)
+    )
 
 
 def test_every_synopsis_batch_and_candidate_run_matches_the_naive_window():
@@ -102,36 +125,33 @@ def test_every_synopsis_batch_and_candidate_run_matches_the_naive_window():
     assert len(plane.stores) == 3  # groups 2 and 4 share one
 
     emitted = drive(plane, events)
-    assert all(isinstance(m, SynopsisMessage) for m in emitted)
     assert plane.windows_sealed == len(emitted)
     for group_id, spec in SPECS.items():
-        served = [m.window.start for m in emitted if m.group_id == group_id]
+        served = [w.start for g, w, _, _ in emitted if g == group_id]
         assert served == spec.window_starts(0, HORIZON)  # each once, in order
 
-    for message in emitted:
-        spec = SPECS[message.group_id]
+    for group_id, window, size, synopses in emitted:
+        spec = SPECS[group_id]
         expected = slice_sorted_events(
-            naive_window(events, spec, message.window), spec.gamma, NODE
+            naive_window(events, spec, window), spec.gamma, NODE
         )
-        assert message.sender == NODE
-        assert message.synopses == expected.synopses
-        assert message.local_window_size == expected.window_size
-        request = CandidateRequestMessage(
-            sender=0, window=message.window, group_id=message.group_id,
-            slice_indices=tuple(range(expected.n_slices)),
-        )
-        replies = plane.on_root_message(request)
-        assert [r.slice_index for r in replies] == list(
-            range(expected.n_slices)
-        )
-        for reply in replies:
-            assert reply.window == message.window
-            assert reply.group_id == message.group_id
-            assert reply.events.tobytes() == expected.run_for(
-                reply.slice_index
-            ).tobytes()
+        assert synopses == expected.synopses
+        assert size == expected.window_size
+        indices = tuple(range(expected.n_slices))
+        replies = plane.on_root_message(request(group_id, window, indices))
+        if not indices:
+            assert replies == []  # an empty request only releases
+        else:
+            [reply] = replies
+            assert isinstance(reply, CandidateBatchMessage)
+            assert reply.sender == NODE
+            [(g, w, served, values)] = reply.sections
+            assert (g, w, served) == (group_id, window, indices)
+            assert values.tobytes() == b"".join(
+                expected.run_for(index).tobytes() for index in indices
+            )
         # The request released the window: asking again finds nothing.
-        assert plane.on_root_message(request) == []
+        assert plane.on_root_message(request(group_id, window, indices)) == []
     assert all(store.late_dropped == 0 for store in plane.stores)
 
 
@@ -148,16 +168,16 @@ def test_a_group_registered_mid_stream_starts_above_everything_ingested():
     assert register(plane, 2, spec) == start  # idempotent until active
     activate(plane, 2, spec, start)
     emitted = drive(plane, events[half:])
-    assert [m.window.start for m in emitted] == spec.window_starts(
+    assert [w.start for _, w, _, _ in emitted] == spec.window_starts(
         start, HORIZON
     )
-    for message in emitted:
+    for _, window, _, synopses in emitted:
         expected = slice_sorted_events(
-            naive_window(events, spec, message.window), spec.gamma, NODE
+            naive_window(events, spec, window), spec.gamma, NODE
         )
-        assert message.synopses == expected.synopses
+        assert synopses == expected.synopses
     # An active group answers a repeated registration with its next window.
-    assert register(plane, 2, spec) == emitted[-1].window.start + spec.step
+    assert register(plane, 2, spec) == emitted[-1][1].start + spec.step
 
 
 def test_a_gap_window_reader_does_not_prune_what_a_later_joiner_is_promised():
@@ -172,20 +192,20 @@ def test_a_gap_window_reader_does_not_prune_what_a_later_joiner_is_promised():
     emitted = drive(
         plane, events[:split], end=events[split:split + 1].min_timestamp()
     )
-    assert [m.window.start for m in emitted] == [0]
+    assert [w.start for _, w, _, _ in emitted] == [0]
     start = register(plane, 2, joiner)
     assert start == 1000 and len(plane.stores) == 1
-    emitted += activate(plane, 2, joiner, start)
+    emitted += sealed(activate(plane, 2, joiner, start))
     emitted += drive(plane, events[split:])
     for group_id, spec, first in ((1, gaps, 0), (2, joiner, start)):
-        served = [m for m in emitted if m.group_id == group_id]
-        assert [m.window.start for m in served] == spec.window_starts(
+        served = [s for s in emitted if s[0] == group_id]
+        assert [w.start for _, w, _, _ in served] == spec.window_starts(
             first, HORIZON
         )
-        for message in served:
-            run = naive_window(events, spec, message.window)
-            assert message.local_window_size == len(run)
-            assert message.synopses == slice_sorted_events(
+        for _, window, size, synopses in served:
+            run = naive_window(events, spec, window)
+            assert size == len(run)
+            assert synopses == slice_sorted_events(
                 run, spec.gamma, NODE
             ).synopses
     # Rows in a gap no reader wants are discarded, but they are not late.
@@ -205,8 +225,28 @@ def test_deregistering_the_last_reader_drops_the_store():
         ) == []
     assert plane.groups == () and plane.stores == ()
     # A request racing the deregistration is ignored, not an error.
-    assert plane.on_root_message(
-        CandidateRequestMessage(
-            sender=0, window=Window(0, 1000), group_id=2, slice_indices=(0,)
-        )
-    ) == []
+    assert plane.on_root_message(request(2, Window(0, 1000), (0,))) == []
+
+
+def test_a_request_is_served_for_the_windows_still_held():
+    """The plane drops a section for a window it no longer holds and
+    serves the rest; the hosted node itself refuses such a section."""
+    events = make_stream()
+    plane = LocalQueryPlane(NODE)
+    spec = SPECS[1]
+    register(plane, 1, spec)
+    activate(plane, 1, spec, 0)
+    emitted = drive(plane, events)
+    (_, released, _, _), (_, held, _, synopses) = emitted[:2]
+    plane.on_root_message(request(1, released, ()))
+    assert not plane.node.holds(1, released)
+    both = CandidateRequestBatchMessage(
+        sender=0, window=Window(released.start, held.end),
+        sections=((1, released, (0,)), (1, held, (0,))),
+    )
+    [reply] = plane.on_root_message(both)
+    [(g, w, served, values)] = reply.sections
+    assert (g, w, served) == (1, held, (0,))
+    assert len(values) == synopses[0].count
+    with pytest.raises(SliceError, match="no sealed window"):
+        plane.node.on_message(request(1, released, (0,)), 0.0)

@@ -19,7 +19,9 @@ from repro.core.synopsis import SliceSynopsis, SynopsisColumns
 from repro.errors import CodecError
 from repro.network.messages import (
     MESSAGE_HEADER_BYTES,
+    CandidateBatchMessage,
     CandidateEventsMessage,
+    CandidateRequestBatchMessage,
     CandidateRequestMessage,
     DigestMessage,
     EventBatchMessage,
@@ -41,6 +43,7 @@ from repro.network.messages import (
     RouteUpdateMessage,
     ShardFailoverMessage,
     SortedRunMessage,
+    SynopsisBatchMessage,
     SynopsisMessage,
     SynopsisRequestMessage,
     TelemetryDigestMessage,
@@ -181,6 +184,30 @@ def relay_run_sections(draw):
     )
 
 
+@st.composite
+def synopsis_batch_messages(draw):
+    """A query-plane synopsis frame: the sender owns every section."""
+    sender = draw(u32)
+    sections = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        size, batch = draw(synopsis_batches(sender, max_size=4))
+        sections.append((draw(u32), draw(windows), size, batch))
+    return SynopsisBatchMessage(sender, draw(windows), draw(u32), tuple(sections))
+
+
+request_batch_sections = st.lists(
+    st.tuples(u32, windows, st.lists(u32, max_size=6).map(tuple)), max_size=3
+).map(tuple)
+
+candidate_batch_sections = st.lists(
+    st.tuples(
+        u32, windows, st.lists(u32, max_size=6).map(tuple),
+        st.lists(f64, max_size=8).map(lambda v: vals(*v)),
+    ),
+    max_size=3,
+).map(tuple)
+
+
 def _with_header(payload_strategy):
     """Wrap a payload-fields strategy with the shared header fields."""
     return st.tuples(u32, windows, u32, payload_strategy)
@@ -269,6 +296,14 @@ messages = st.one_of(
     _with_header(relay_run_sections()).map(
         lambda t: RelayRunsMessage(t[0], t[1], t[2], sections=t[3])
     ),
+    # The query plane's batched carriers (tags 29–31).
+    synopsis_batch_messages(),
+    _with_header(request_batch_sections).map(
+        lambda t: CandidateRequestBatchMessage(t[0], t[1], t[2], sections=t[3])
+    ),
+    _with_header(candidate_batch_sections).map(
+        lambda t: CandidateBatchMessage(t[0], t[1], t[2], sections=t[3])
+    ),
     _with_header(st.tuples(u64, st.lists(u32, max_size=8).map(tuple))).map(
         lambda t: ShardFailoverMessage(
             t[0], t[1], t[2], epoch=t[3][0], dead=t[3][1]
@@ -315,7 +350,10 @@ def _nan_events(message):
     """Whether an event batch or value run of ``message`` (its repr hides
     the rows) carries a NaN value."""
     batches = [getattr(message, "events", ())]
-    batches += [section[2] for section in getattr(message, "sections", ())]
+    batches += [
+        value for section in getattr(message, "sections", ())
+        for value in section
+    ]
     return any(
         np.isnan(batch.values if isinstance(batch, EventColumns) else batch).any()
         for batch in batches
@@ -480,6 +518,28 @@ SAMPLES = [
             centroids=((1.0, 2.0),), minimum=0.5, maximum=1.5,
         ),
         4 + 16 + 8 + 4 + 2 * 8 + 16,
+    ),
+    # The query plane's batched carriers (tags 29–31): a section count,
+    # then per section its 20-byte window head (group, start, end) and the
+    # synopsis section; or the head, a slice count and the u32 indices; or
+    # the head, slice and value counts, the indices and the f64 values.
+    (
+        SynopsisBatchMessage(
+            3, W, sections=((5, Window(0, 500), 6, (S,)),),
+        ),
+        4 + 20 + 12 + 2 * 8,
+    ),
+    (
+        CandidateRequestBatchMessage(
+            0, W, sections=((5, Window(0, 500), (0, 1)),),
+        ),
+        4 + 20 + 4 + 2 * 4,
+    ),
+    (
+        CandidateBatchMessage(
+            1, W, sections=((5, Window(0, 500), (1,), vals(1.5, 2.5)),),
+        ),
+        4 + 20 + 4 + 4 + 4 + 2 * 8,
     ),
 ]
 

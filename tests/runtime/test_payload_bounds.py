@@ -47,6 +47,11 @@ COUNTS = {
     # The metric name's count, then the centroid count after the name's 16
     # bytes and the sequence.
     "TelemetryDigestMessage": [(0, 16), (4 + 16 + 8, 1)],
+    # Section count, then after each section's 20-byte window head its
+    # slice count (and, for candidates, its value count).
+    "SynopsisBatchMessage": [(0, 1)],
+    "CandidateRequestBatchMessage": [(0, 1), (4 + 20, 2)],
+    "CandidateBatchMessage": [(0, 1), (4 + 20, 1), (4 + 24, 2)],
 }
 
 NON_EMPTY = [(m, encode_payload(m)) for m, _ in SAMPLES if encode_payload(m)]

@@ -8,8 +8,11 @@ the per-event allocation the refactor removed, and nothing else would
 catch it (the bit-identity suite compares *results*, not allocation
 counts).  The workload generator and the experiment runner are marked
 too: a stream is born columnar, so no run starts by rebuilding columns
-from objects.  Every module that opts into the discipline carries a
-``Hot-path module:`` marker comment naming this test; the lint walks the
+from objects, and so are the two roots' halves of the shared cut
+(``core/root_node.py`` and the query plane's ``queries/root.py``), which
+hand a local's batches to the sweep as they were decoded.  Every module
+that opts into the discipline carries a ``Hot-path module:`` marker
+comment naming this test; the lint walks the
 whole package so a marked module can never silently drop out of the
 checked set by being moved.
 
@@ -72,7 +75,7 @@ message types each state their payload as one ``LAYOUT`` struct in
 decoder follow, and none of them has a hand ``payload_bytes`` or codec
 beside it; the codec's one table names every message type exactly once.
 Every other type states its payload once too, as ``PAYLOAD`` parts, but
-for the five hand-coded ones, held with ``==``.
+for the eight hand-coded ones, held with ``==``.
 
 One keeps the simulated side to one deployment: ``Simulator`` and
 ``BatchSourceDriver`` are each constructed in one function, the
@@ -128,6 +131,7 @@ EXPECTED_MARKED = {
     "core/engine.py",
     "core/identification.py",
     "core/local_node.py",
+    "core/root_node.py",
     "core/slicing.py",
     "core/sorted_window.py",
     "core/synopsis.py",
@@ -137,6 +141,7 @@ EXPECTED_MARKED = {
     "network/driver.py",
     "network/sources.py",
     "queries/local.py",
+    "queries/root.py",
     "queries/slide.py",
     "runtime/codec.py",
     "runtime/servers.py",
@@ -591,10 +596,8 @@ PROTOCOL_STEP_CALLERS = {
         ("core/engine.py", "_answer"),
         ("core/root_node.py", "_identify"),
     },
-    "calculate_quantile": {
-        ("core/engine.py", "_answer"),
-        ("core/root_node.py", "_calculate"),
-    },
+    "calculate_quantile": {("core/engine.py", "_answer")},
+    "calculate_quantiles": {("core/root_node.py", "_calculate")},
     "slice_sorted_events": {
         ("core/engine.py", "_answer"),
         ("core/local_node.py", "seal_sorted"),
@@ -896,14 +899,16 @@ def test_each_fixed_size_message_states_its_payload_once():
 
 
 #: The message types whose payload is written by hand, held with ``==``:
-#: the event batch (its per-frame call budget below), the two synopsis
-#: carriers (their section is ``SynopsisColumns``' own wire format) and
-#: the two candidate-run carriers (declared, their codec stage measured
-#: slower: one Python call a part).  Every other type declares its payload
-#: once, as a ``LAYOUT`` or as ``PAYLOAD`` parts.
+#: the event batch (its per-frame call budget below), the three synopsis
+#: carriers (their section is ``SynopsisColumns``' own wire format), the
+#: three candidate-run carriers and the query plane's batched candidate
+#: request (declared, a codec stage pays one Python call a part; its
+#: sections' windows are no declared part).  Every other type declares its
+#: payload once, as a ``LAYOUT`` or as ``PAYLOAD`` parts.
 HAND_CODED_MESSAGES = {
     "EventBatchMessage", "SynopsisMessage", "RelaySynopsisMessage",
-    "CandidateEventsMessage", "RelayRunsMessage",
+    "SynopsisBatchMessage", "CandidateEventsMessage", "RelayRunsMessage",
+    "CandidateBatchMessage", "CandidateRequestBatchMessage",
 }
 
 
@@ -1228,12 +1233,14 @@ def test_oracle_lint_sees_functions_methods_and_nested_defs():
 #: ``repro.testing`` that calls ``isnan`` (or ``has_nan``), branches on a
 #: name for NaN, or is named for NaN: the door and the refusals where a
 #: wire-fed NaN is first ordered — an event batch's sort and the root's rank
-#: select — and the oracle's.  A synopsis boundary's refusal is a ``<=`` in
-#: ``SynopsisColumns.validated``, no call.  Held with ``==``: below the door
+#: select (``select_ranks``, one check for every rank a window selects) —
+#: and the oracle's.  A synopsis boundary's refusal is a ``<=`` in
+#: ``SynopsisColumns.validated`` and its decoder ``from_wire``, no call.
+#: Held with ``==``: below the door
 #: one strict order rules, and a NaN fallback growing back fails here.
 NAN_SITES = {
     ("streaming/columns.py", "check_streams"),
-    ("streaming/columns.py", "select_rank"),
+    ("streaming/columns.py", "select_ranks"),
     ("streaming/columns.py", "sort_values"),
     ("testing.py", "oracle"),
 }
