@@ -37,7 +37,7 @@ Quick start::
 
 from repro.errors import ReproError
 from repro.streaming.events import Event, make_events
-from repro.streaming.windows import SessionWindows, SlidingWindows, TumblingWindows
+from repro.streaming.windows import SlidingWindows, TumblingWindows
 from repro.streaming.aggregates import exact_quantile, get_function, quantile_rank
 from repro.core.engine import DemaEngine, DemaResult, MultiQuantileResult
 from repro.core.engine import dema_quantile, dema_quantiles
@@ -61,7 +61,6 @@ __all__ = [
     "make_events",
     "TumblingWindows",
     "SlidingWindows",
-    "SessionWindows",
     "exact_quantile",
     "quantile_rank",
     "get_function",

@@ -23,7 +23,7 @@ from repro.bench.harness import (
 )
 from repro.bench.accuracy import accuracy_vs_ground_truth, mean_percentage_error
 from repro.bench.charts import bar_chart, series_chart, sparkline
-from repro.bench.model import SystemModel, predict
+from repro.bench.model import SystemModel
 from repro.bench.sweep import SweepSpec, run_sweep
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "series_chart",
     "sparkline",
     "SystemModel",
-    "predict",
     "SweepSpec",
     "run_sweep",
     "GeneratorConfig",

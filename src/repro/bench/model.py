@@ -55,7 +55,7 @@ from repro.core.synopsis import SYNOPSIS_DTYPE, SynopsisColumns
 from repro.baselines.qdigest_system import QDigestSummary
 from repro.baselines.tdigest_system import TDigestSummary
 
-__all__ = ["SystemModel", "ThroughputPrediction", "predict"]
+__all__ = ["SystemModel", "ThroughputPrediction"]
 
 #: Typical serialized sketch sizes per node per window (weakly dependent on
 #: the data; calibrated to the implementations' steady state).
@@ -115,11 +115,6 @@ class ThroughputPrediction:
     system: str
     per_node_rate: float
     bottleneck: str  # "local" or "root"
-
-    @property
-    def aggregate_rate(self) -> float:
-        """Events/second across all local nodes."""
-        return self.per_node_rate  # overwritten by SystemModel.predict
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,21 +290,3 @@ class SystemModel:
     def aggregate_throughput(self, system: str) -> float:
         """Predicted events/second across all local nodes."""
         return self.throughput(system).per_node_rate * self.n_local_nodes
-
-
-def predict(
-    system: str,
-    *,
-    n_local_nodes: int = 2,
-    node_ops_per_second: float = 1e5,
-    gamma: int = 100,
-    candidate_slices: int = 3,
-) -> ThroughputPrediction:
-    """Convenience wrapper: one system's throughput prediction."""
-    model = SystemModel(
-        n_local_nodes=n_local_nodes,
-        node_ops_per_second=node_ops_per_second,
-        gamma=gamma,
-        candidate_slices=candidate_slices,
-    )
-    return model.throughput(system)

@@ -52,6 +52,10 @@ def calculate_quantile(
 ) -> QuantileAnswer:
     """Select the quantile value from the fetched candidate value runs.
 
+    The one-cut form of :func:`calculate_quantiles`, which the engine and
+    the root call; the benchmark's stage replay (``perfbench/stages.py``)
+    times this one.
+
     Args:
         cut: The window-cut result that produced the fetch plan.
         runs: The candidate slices' sorted ``float64`` value runs, in

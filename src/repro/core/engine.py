@@ -32,7 +32,7 @@ from repro.streaming.windows import Window
 # the in-memory door, and a run's windows come from the deployment's
 # segmenter: no loop here assigns windows (enforced by
 # tests/test_hotpath_lint.py).
-from repro.core.calculation import calculate_quantile
+from repro.core.calculation import calculate_quantiles
 from repro.core.identification import MultiIdentificationResult, identify_multi
 from repro.core.local_node import DemaLocalNode
 from repro.core.query import QuantileQuery, QueryGroup, served_groups
@@ -122,12 +122,13 @@ def _answer(
         {n: s.window_size for n, s in sliced.items()},
         qs,
     )
-    values = {
-        q: calculate_quantile(cut, [
-            sliced[s.node_id].run_for(s.slice_index) for s in cut.candidates
-        ]).value
-        for q, cut in plan.cuts.items()
+    runs = {
+        s.slice_id: sliced[s.node_id].run_for(s.slice_index)
+        for cut in plan.cuts.values() for s in cut.candidates
     }
+    values = dict(zip(
+        plan.cuts, calculate_quantiles(list(plan.cuts.values()), runs)
+    ))
     return plan, values, sum(len(s.synopses) for s in sliced.values())
 
 

@@ -24,7 +24,6 @@ values alone.
 
 from __future__ import annotations
 
-from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,12 +75,6 @@ class SlicedWindow:
         """Number of slices the window was cut into."""
         return len(self.synopses)
 
-    @property
-    def runs(self) -> Sequence[_np.ndarray]:
-        """Per-slice sorted value runs; ``runs[i]`` backs ``synopses[i]``.
-        A read-only sequence that cuts each run when it is asked for."""
-        return _Runs(self)
-
     def run_for(self, slice_index: int) -> _np.ndarray:
         """The sorted value run backing slice ``slice_index`` — a zero-copy
         ``float64`` view of the sealed column, what the root's calculation
@@ -126,25 +119,6 @@ class SlicedWindow:
         return _np.concatenate(
             [self.values[bounds[i]:bounds[i + 1]] for i in slice_indices]
         )
-
-
-class _Runs(_SequenceABC):
-    """``SlicedWindow.runs``: the runs as a lazy sequence."""
-
-    __slots__ = ("_window",)
-
-    def __init__(self, window: SlicedWindow) -> None:
-        self._window = window
-
-    def __len__(self) -> int:
-        return self._window.n_slices
-
-    def __getitem__(self, index: int) -> _np.ndarray:
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        return self._window.run_for(index)
 
 
 def slice_sorted_events(

@@ -138,13 +138,6 @@ class SliceSynopsis:
         """Value component of the largest event."""
         return self.last_key[0]
 
-    def overlaps(self, other: "SliceSynopsis") -> bool:
-        """Whether the two inclusive key ranges share any key."""
-        return (
-            self.first_key <= other.last_key
-            and other.first_key <= self.last_key
-        )
-
     def encloses(self, other: "SliceSynopsis") -> bool:
         """Whether ``other``'s key range lies entirely within this one."""
         return (

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import IdentificationError
 from repro.core.synopsis import SliceSynopsis
@@ -64,16 +64,6 @@ class SliceUnit:
     def pos_end(self) -> int:
         """Global rank of the unit's largest event (1-based)."""
         return self.offset + self.size
-
-    @property
-    def first_key(self):
-        """Smallest key across members."""
-        return self.members[0].first_key
-
-    @property
-    def last_key(self):
-        """Largest key across members."""
-        return max(member.last_key for member in self.members)
 
     def contains_rank(self, rank: int) -> bool:
         """Whether the global ``rank`` falls inside this unit."""
@@ -148,12 +138,3 @@ def classify_slice(unit: SliceUnit, member: SliceSynopsis) -> SliceKind:
         if other is not member and other.encloses(member):
             return SliceKind.COVER
     return SliceKind.COMPOUND
-
-
-def unit_statistics(units: Sequence[SliceUnit]) -> dict[str, int]:
-    """Count slices by kind across ``units`` (used by benchmark reporting)."""
-    counts = {kind.value: 0 for kind in SliceKind}
-    for unit in units:
-        for member in unit.members:
-            counts[classify_slice(unit, member).value] += 1
-    return counts

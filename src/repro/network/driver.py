@@ -16,7 +16,6 @@ batches are ``events[a:b]`` slices inside those segments.
 from __future__ import annotations
 
 import functools
-import operator as _operator
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -34,7 +33,6 @@ from repro.streaming.windows import (
     SlidingWindows,
     TumblingWindows,
     Window,
-    WindowAssigner,
 )
 
 # Hot-path module: a stream is segmented on its timestamp column — no loop
@@ -97,7 +95,7 @@ def event_timestamps(
 
 
 def window_segments(
-    timestamps: np.ndarray, assigner: WindowAssigner
+    timestamps: np.ndarray, assigner: TumblingWindows | SlidingWindows
 ) -> tuple[np.ndarray, list[Window]]:
     """Where the window assignment changes along a stream, and what it touches.
 
@@ -107,31 +105,22 @@ def window_segments(
     chronological order; both empty for an empty stream.  ``timestamps``
     (int64) may be in any order — sorted ones give the fewest segments.
 
-    Fixed-length assigners are integer arithmetic: an event at ``t`` is in
-    the windows numbered ``(t - length) // step + 1 .. t // step``, window
-    ``k`` starting at ``k * step`` (tumbling is ``step == length``).  Any
-    other assigner is asked once per distinct timestamp.
+    Assignment is integer arithmetic: an event at ``t`` is in the windows
+    numbered ``(t - length) // step + 1 .. t // step``, window ``k``
+    starting at ``k * step`` (tumbling is ``step == length``).
     """
     if not len(timestamps):
         return _run_starts(timestamps), []
-    if isinstance(assigner, (TumblingWindows, SlidingWindows)):
-        length = assigner.length
-        step = getattr(assigner, "step", length)
-        newest = timestamps // step
-        oldest = (timestamps - length) // step + 1
-        # Both are non-decreasing in t: between any two events they move
-        # the same way, so their sum changes exactly where either does.
-        starts = _run_starts(newest + oldest)
-        spans = zip(oldest[starts].tolist(), newest[starts].tolist())
-        numbers = sorted({k for lo, hi in spans for k in range(lo, hi + 1)})
-        return starts, [Window(k * step, k * step + length) for k in numbers]
-    runs = _run_starts(timestamps)
-    stamps = timestamps[runs].tolist()
-    distinct = list(dict.fromkeys(stamps))
-    assigned = dict(zip(distinct, map(assigner.assign, distinct)))
-    per_run = [assigned[stamp] for stamp in stamps]
-    changed = [True, *map(_operator.ne, per_run[1:], per_run)]
-    return runs[changed], sorted(set().union(*assigned.values()))
+    length = assigner.length
+    step = getattr(assigner, "step", length)
+    newest = timestamps // step
+    oldest = (timestamps - length) // step + 1
+    # Both are non-decreasing in t: between any two events they move
+    # the same way, so their sum changes exactly where either does.
+    starts = _run_starts(newest + oldest)
+    spans = zip(oldest[starts].tolist(), newest[starts].tolist())
+    numbers = sorted({k for lo, hi in spans for k in range(lo, hi + 1)})
+    return starts, [Window(k * step, k * step + length) for k in numbers]
 
 
 def split_arrivals(

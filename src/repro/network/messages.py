@@ -24,18 +24,13 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field, fields
 from operator import attrgetter, itemgetter
-from typing import Sequence
 
 import numpy as _np
 
 from repro.errors import CodecError
 from repro.runtime import wire
-from repro.streaming.columns import (
-    EMPTY_EVENTS,
-    EventColumns,
-    as_event_columns,
-)
-from repro.streaming.events import EVENT_WIRE_BYTES, Event
+from repro.streaming.columns import EMPTY_EVENTS, EventColumns
+from repro.streaming.events import EVENT_WIRE_BYTES
 from repro.streaming.windows import Window
 
 __all__ = [
@@ -930,13 +925,4 @@ class TelemetryDigestMessage(Message):
         Count("centroids"),
         Fields("<dd", "minimum", "maximum"),
         Run("centroids", "<dd"),
-    )
-
-
-def batch_events(
-    sender: int, window: Window, events: Sequence[Event]
-) -> EventBatchMessage:
-    """Convenience constructor for a raw-event batch."""
-    return EventBatchMessage(
-        sender=sender, window=window, events=as_event_columns(events)
     )

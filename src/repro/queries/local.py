@@ -290,13 +290,12 @@ class LocalQueryPlane:
     def _seal(self, group: _LocalGroup, cursor: _Cursor, window: Window) -> None:
         store = cursor.store
         aggregator = cursor.aggregator
-        while aggregator.covered and aggregator.covered[0] < window.start:
-            aggregator.evict()
-        # Panes still covered were pushed by the cursor's previous window;
+        aggregator.evict_before(window.start)
+        # Panes still held were pushed by the cursor's previous window;
         # with none left (first window, a skipped one, or step >= length)
         # start afresh.
-        covered = aggregator.covered
-        pane = covered[-1] + store.pane_ms if covered else window.start
+        newest = aggregator.newest
+        pane = window.start if newest is None else newest + store.pane_ms
         while pane < window.end:
             aggregator.push(pane, store.sealed_pane(pane))
             pane += store.pane_ms

@@ -98,8 +98,9 @@ class PaneStore:
 class SlidingRunAggregator:
     """A group's sliding window as a FIFO of closed panes.
 
-    :meth:`push` admits the newest pane, :meth:`evict` retires the oldest,
-    and :meth:`query` sorts everything in between into one value column.
+    :meth:`push` admits the newest pane, :meth:`evict_before` retires the
+    oldest, and :meth:`query` sorts everything in between into one value
+    column.
     Sliding costs O(panes entering + leaving) bookkeeping; the sort is paid
     once per window.
     """
@@ -109,13 +110,10 @@ class SlidingRunAggregator:
         #: oldest first.
         self._panes: deque[tuple[int, tuple[EventColumns, ...]]] = deque()
 
-    def __len__(self) -> int:
-        return len(self._panes)
-
     @property
-    def covered(self) -> "tuple[int, ...]":
-        """Pane starts currently aggregated, oldest first."""
-        return tuple(start for start, _ in self._panes)
+    def newest(self) -> "int | None":
+        """Start of the newest pane in the window; ``None`` when empty."""
+        return self._panes[-1][0] if self._panes else None
 
     def push(self, pane_start: int, pane: tuple[EventColumns, ...]) -> None:
         """Admit the next pane's batches (panes must arrive in order)."""
@@ -126,11 +124,11 @@ class SlidingRunAggregator:
             )
         self._panes.append((pane_start, pane))
 
-    def evict(self) -> None:
-        """Retire the oldest pane still in the window."""
-        if not self._panes:
-            raise QueryError("cannot evict from an empty aggregator")
-        self._panes.popleft()
+    def evict_before(self, start: int) -> None:
+        """Retire every pane that starts before ``start``."""
+        panes = self._panes
+        while panes and panes[0][0] < start:
+            panes.popleft()
 
     def query(self):
         """The current window's values in ascending key order.

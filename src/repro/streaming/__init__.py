@@ -1,17 +1,15 @@
-"""Stream-processing substrate: events, event time, windows, aggregations.
+"""Stream-processing substrate: events, windows, aggregations.
 
 This subpackage implements the background machinery from Section 2 of the
 paper: the event model used by data-stream nodes (value, timestamp, id), the
-Dataflow-model window types (tumbling, sliding, session), and the
+Dataflow-model window types (tumbling, sliding), and the
 aggregation-function classification of Jesus et al. (self-decomposable,
 decomposable, non-decomposable).  Every system in the reproduction — Dema, the
 Scotty and Desis baselines, and the t-digest system — runs on top of it.
 """
 
 from repro.streaming.events import Event, EventKey, event_key, make_events
-from repro.streaming.time import EventTimeClock, Watermark, WatermarkTracker
 from repro.streaming.windows import (
-    SessionWindows,
     SlidingWindows,
     TumblingWindows,
     Window,
@@ -24,29 +22,19 @@ from repro.streaming.aggregates import (
     get_function,
     list_functions,
 )
-from repro.streaming.operators import (
-    KeyedWindowState,
-    WindowedAggregationOperator,
-)
 
 __all__ = [
     "Event",
     "EventKey",
     "event_key",
     "make_events",
-    "EventTimeClock",
-    "Watermark",
-    "WatermarkTracker",
     "Window",
     "WindowAssigner",
     "TumblingWindows",
     "SlidingWindows",
-    "SessionWindows",
     "AggregationClass",
     "AggregationFunction",
     "classify",
     "get_function",
     "list_functions",
-    "KeyedWindowState",
-    "WindowedAggregationOperator",
 ]

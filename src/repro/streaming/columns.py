@@ -245,13 +245,7 @@ class EventColumns:
         """The per-node sequence column (u32)."""
         return self._arr["seq"]
 
-    # -- scalar accessors (exact Python types, for synopsis keys) -------
-
-    def key_at(self, index: int) -> tuple[float, int, int]:
-        """The strict total-order key of event ``index``, as pure floats
-        and ints — byte-identical to the ``Event.key`` of that row."""
-        rec = self._arr[index]
-        return (float(rec["value"]), int(rec["node_id"]), int(rec["seq"]))
+    # -- scalar accessors -----------------------------------------------
 
     def timestamp_at(self, index: int) -> int:
         return int(self._arr[index]["timestamp"])

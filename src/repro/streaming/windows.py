@@ -1,21 +1,19 @@
-"""Window types from the Dataflow model: tumbling, sliding, session.
+"""Window types from the Dataflow model: tumbling and sliding.
 
 The paper (Section 2.1) follows Akidau et al.'s classification.  A window
 assigner maps an event timestamp to the set of windows the event belongs to.
 Tumbling windows are the special case of sliding windows whose step equals
 their length; Dema's evaluation uses time-based tumbling windows throughout,
-but the substrate implements all three types so the baselines and extensions
-can be exercised on the full window algebra.
+and sliding windows serve the extensions.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError, WindowError
-from repro.streaming.events import Event
 
 __all__ = [
     "CONTROL_WINDOW",
@@ -23,7 +21,6 @@ __all__ = [
     "WindowAssigner",
     "TumblingWindows",
     "SlidingWindows",
-    "SessionWindows",
 ]
 
 
@@ -53,14 +50,6 @@ class Window:
         """Whether ``timestamp`` falls inside the half-open interval."""
         return self.start <= timestamp < self.end
 
-    def intersects(self, other: "Window") -> bool:
-        """Whether the two half-open intervals share any instant."""
-        return self.start < other.end and other.start < self.end
-
-    def merge(self, other: "Window") -> "Window":
-        """Return the smallest window covering both (used by sessions)."""
-        return Window(min(self.start, other.start), max(self.end, other.end))
-
 
 #: Placeholder header window for frames that are not about any window
 #: (heartbeats, membership, telemetry, query-plane control): the wire
@@ -74,15 +63,6 @@ class WindowAssigner(ABC):
     @abstractmethod
     def assign(self, timestamp: int) -> Sequence[Window]:
         """Return the windows containing ``timestamp``, earliest first."""
-
-    def assign_event(self, event: Event) -> Sequence[Window]:
-        """Assign an event by its event-time timestamp."""
-        return self.assign(event.timestamp)
-
-    @property
-    def is_merging(self) -> bool:
-        """Whether assigned windows may later merge (session windows)."""
-        return False
 
 
 class TumblingWindows(WindowAssigner):
@@ -158,58 +138,3 @@ class SlidingWindows(WindowAssigner):
     def __repr__(self) -> str:
         return f"SlidingWindows(length={self._length}, step={self._step})"
 
-
-class SessionWindows(WindowAssigner):
-    """Activity-based windows that close after a gap of inactivity.
-
-    Each event initially gets its own proto-window ``[t, t + gap)``;
-    overlapping proto-windows merge.  :meth:`merge_windows` performs the
-    merge over a batch of assigned windows.
-    """
-
-    def __init__(self, gap: int) -> None:
-        if gap <= 0:
-            raise ConfigurationError(f"session gap must be > 0, got {gap}")
-        self._gap = gap
-
-    @property
-    def gap(self) -> int:
-        """Inactivity gap that closes a session."""
-        return self._gap
-
-    @property
-    def is_merging(self) -> bool:
-        return True
-
-    def assign(self, timestamp: int) -> Sequence[Window]:
-        return (Window(timestamp, timestamp + self._gap),)
-
-    def merge_windows(self, windows: Iterable[Window]) -> list[Window]:
-        """Merge overlapping proto-windows into maximal sessions.
-
-        Args:
-            windows: Proto-windows in any order.
-
-        Returns:
-            Disjoint session windows in chronological order.
-        """
-        ordered = sorted(windows)
-        if not ordered:
-            return []
-        merged = [ordered[0]]
-        for window in ordered[1:]:
-            if window.intersects(merged[-1]) or window.start == merged[-1].end:
-                merged[-1] = merged[-1].merge(window)
-            else:
-                merged.append(window)
-        return merged
-
-    def sessions_for_events(self, events: Iterable[Event]) -> list[Window]:
-        """Compute the session windows covering ``events``."""
-        proto = []
-        for event in events:
-            proto.extend(self.assign_event(event))
-        return self.merge_windows(proto)
-
-    def __repr__(self) -> str:
-        return f"SessionWindows(gap={self._gap})"

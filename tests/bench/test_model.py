@@ -8,7 +8,7 @@ from repro.errors import ConfigurationError
 from repro.bench.generator import GeneratorConfig, workload
 from tests.event_objects import event_objects
 from repro.bench.harness import capacity_estimate, run_workload
-from repro.bench.model import SystemModel, predict
+from repro.bench.model import SystemModel
 from repro.bench.workloads import bench_topology, median_query
 from repro.network.messages import (
     CandidateEventsMessage,
@@ -82,8 +82,8 @@ class TestThroughputPredictions:
             small.aggregate_throughput("desis")
         )
 
-    def test_predict_wrapper(self):
-        prediction = predict("dema", node_ops_per_second=1e5)
+    def test_throughput_names_its_system(self):
+        prediction = SystemModel(node_ops_per_second=1e5).throughput("dema")
         assert prediction.system == "dema"
         assert prediction.per_node_rate > 0
 

@@ -372,35 +372,3 @@ class TestCrossLayerLateAccounting:
         assert local.last_release_end == 1000
         assert local.late_events == 0
         assert local.pending_windows == 0
-
-    def test_operator_agrees_with_local_node_on_the_boundary(self):
-        from repro.streaming.aggregates import get_function
-        from repro.streaming.operators import WindowedAggregationOperator
-        from repro.streaming.time import Watermark
-        from repro.streaming.windows import TumblingWindows
-
-        operator = WindowedAggregationOperator(
-            TumblingWindows(1000), get_function("count")
-        )
-        operator.process_all(
-            make_events(range(10), node_id=1, timestamp_step=5)
-        )
-        # Watermark end - 1 must NOT close [0, 1000): the local node
-        # still admits timestamps up to end - 1, and so must we.
-        assert operator.advance_watermark(Watermark(999)) == []
-        operator.process_all(
-            make_events([1.0], node_id=1, start_timestamp=999,
-                        start_seq=100)
-        )
-        results = operator.advance_watermark(Watermark(1000))
-        assert len(results) == 1
-        assert results[0].count == 11
-        # The boundary event lands in the next window, exactly like the
-        # local node's verdict above — no late drop on either layer.
-        operator.process_all(
-            make_events([2.0], node_id=1, start_timestamp=1000,
-                        start_seq=101)
-        )
-        assert operator.late_events == 0
-        assert operator.open_window_count == 1
-        assert operator.flush()[0].window == Window(1000, 2000)

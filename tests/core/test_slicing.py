@@ -18,17 +18,17 @@ class TestSliceSizes:
     def test_paper_example_1000_events_gamma_150(self):
         # Section 3.1: l=1000, gamma=150 -> 7 slices; 6 of 150 and one of 100.
         sliced = slice_sorted_events(sorted_values(1000), 150, 1)
-        sizes = [len(run) for run in sliced.runs]
+        sizes = [len(sliced.run_for(i)) for i in range(sliced.n_slices)]
         assert sizes == [150] * 6 + [100]
 
     def test_exact_division(self):
         sliced = slice_sorted_events(sorted_values(100), 25, 1)
-        assert [len(run) for run in sliced.runs] == [25] * 4
+        assert [len(sliced.run_for(i)) for i in range(sliced.n_slices)] == [25] * 4
 
     def test_trailing_single_event_folded_into_previous(self):
         # Every slice needs two events for a synopsis (Section 3.1).
         sliced = slice_sorted_events(sorted_values(7), 3, 1)
-        assert [len(run) for run in sliced.runs] == [3, 4]
+        assert [len(sliced.run_for(i)) for i in range(sliced.n_slices)] == [3, 4]
 
     def test_single_event_window(self):
         sliced = slice_sorted_events(sorted_values(1), 10, 1)
@@ -45,7 +45,7 @@ class TestSliceSizes:
     def test_gamma_larger_than_window(self):
         sliced = slice_sorted_events(sorted_values(5), 100, 1)
         assert sliced.n_slices == 1
-        assert len(sliced.runs[0]) == 5
+        assert len(sliced.run_for(0)) == 5
 
     def test_minimum_gamma_enforced(self):
         with pytest.raises(SliceError):
@@ -55,7 +55,9 @@ class TestSliceSizes:
         for n in range(2, 40):
             for gamma in range(2, 12):
                 sliced = slice_sorted_events(sorted_values(n), gamma, 1)
-                assert all(len(run) >= 2 for run in sliced.runs), (n, gamma)
+                assert all(
+                    len(sliced.run_for(i)) >= 2 for i in range(sliced.n_slices)
+                ), (n, gamma)
 
 
 class TestSynopses:
@@ -73,7 +75,7 @@ class TestSynopses:
             bound = float(sliced.values[hi]) if hi < 10 else values[-1]
             assert synopsis.last_key == (bound, 7, hi - 1)
             assert synopsis.last_key >= (values[-1], 7, hi - 1)
-            assert synopsis.count == len(values) == len(sliced.runs[i])
+            assert synopsis.count == len(values) == len(sliced.run_for(i))
             assert synopsis.node_id == 7
 
     def test_synopses_indexed_in_order(self):
@@ -115,20 +117,6 @@ class TestRunAccess:
             sliced.run_for(2)
         with pytest.raises(SliceError):
             sliced.run_for(-1)
-
-    def test_runs_is_a_lazy_read_only_sequence(self):
-        values = sorted_values(10)
-        sliced = slice_sorted_events(values, 4, 1)
-        runs = sliced.runs
-        assert len(runs) == 3
-        assert [run.tolist() for run in runs] == [
-            values[a:b].tolist() for a, b in ((0, 4), (4, 8), (8, 10))
-        ]
-        assert np.array_equal(runs[-1], sliced.run_for(2))
-        with pytest.raises(IndexError):
-            runs[3]
-        with pytest.raises(TypeError):
-            runs[0] = ()
 
     def test_columnar_runs_are_views_cut_on_request(self):
         # The window is its sealed value column; a run is a zero-copy f64

@@ -70,27 +70,9 @@ class TestAccessors:
 
 
 class TestRelations:
-    def test_overlap_symmetric(self):
-        a = synopsis(1, 5)
-        b = synopsis(4, 9, node_id=2)
-        assert a.overlaps(b) and b.overlaps(a)
-
-    def test_touching_ranges_overlap(self):
-        # Inclusive ranges sharing exactly the boundary key overlap.
-        a = SliceSynopsis(
-            first_key=(1.0, 1, 0), last_key=(5.0, 1, 4), count=5,
-            node_id=1, slice_index=0, n_slices=2,
-        )
-        b = SliceSynopsis(
-            first_key=(5.0, 1, 4), last_key=(9.0, 1, 8), count=5,
-            node_id=1, slice_index=1, n_slices=2,
-        )
-        assert a.overlaps(b)
-
     def test_disjoint_ranges_do_not_overlap(self):
         a = synopsis(1, 5)
         b = synopsis(6, 9, node_id=2)
-        assert not a.overlaps(b)
         assert a.certainly_below(b)
         assert b.certainly_above(a)
 

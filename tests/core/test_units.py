@@ -4,12 +4,7 @@ import pytest
 
 from repro.errors import IdentificationError
 from repro.core.synopsis import SliceSynopsis
-from repro.core.units import (
-    SliceKind,
-    build_units,
-    classify_slice,
-    unit_statistics,
-)
+from repro.core.units import SliceKind, build_units, classify_slice
 
 
 def synopsis(first, last, count=10, node_id=1, index=0, total=10):
@@ -169,15 +164,3 @@ class TestTaxonomy:
         unit = build_units([synopsis(0, 1)])[0]
         with pytest.raises(IdentificationError):
             classify_slice(unit, synopsis(5, 6, node_id=9))
-
-    def test_unit_statistics_census(self):
-        slices = [
-            synopsis(0, 1),                      # separate
-            synopsis(10, 20),                    # compound with next
-            synopsis(15, 25, node_id=2),         # compound
-            synopsis(16, 18, node_id=3),         # cover inside both
-        ]
-        stats = unit_statistics(build_units(slices))
-        assert stats["separate"] == 1
-        assert stats["compound"] == 2
-        assert stats["cover"] == 1

@@ -9,7 +9,6 @@ from repro.network.simulator import Simulator
 from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event, make_events
 from repro.streaming.windows import (
-    SessionWindows,
     SlidingWindows,
     TumblingWindows,
     Window,
@@ -214,7 +213,6 @@ assigners = st.one_of(
             SlidingWindows(1000, 300),
         ]
     ),
-    st.builds(SessionWindows, st.integers(1, 15)),
 )
 
 #: Gaps between consecutive timestamps: mostly runs of equal timestamps and
@@ -314,18 +312,6 @@ class TestSegmenterMatchesThePerEventLoop:
         for lo, hi in zip(bounds, bounds[1:]):
             first = assigner.assign(stamps[lo])
             assert all(assigner.assign(ts) == first for ts in stamps[lo:hi])
-
-    def test_one_assign_per_distinct_timestamp(self):
-        calls = []
-
-        class Counting(SessionWindows):
-            def assign(self, timestamp):
-                calls.append(timestamp)
-                return super().assign(timestamp)
-
-        stamps = np.array([5, 5, 5, 9, 9, 5, 12], dtype=np.int64)
-        window_segments(stamps, Counting(3))
-        assert sorted(calls) == [5, 9, 12]
 
     def test_window_arithmetic_near_the_u32_edge_does_not_wrap(self):
         top = 2**32 - 1

@@ -14,9 +14,9 @@ from repro.network.messages import (
     SortedRunMessage,
     SynopsisMessage,
     WatermarkMessage,
-    batch_events,
     synopsis_section_bytes,
 )
+from repro.streaming.columns import as_event_columns
 from repro.streaming.events import EVENT_WIRE_BYTES, make_events
 from repro.streaming.windows import Window
 
@@ -54,9 +54,11 @@ class TestEventCarryingMessages:
         )
         assert message.payload_bytes == 8 + 2 * 8
 
-    def test_batch_events_helper(self):
+    def test_batch_of_event_objects_equals_its_events(self):
         events = make_events([1.0])
-        message = batch_events(3, WINDOW, events)
+        message = EventBatchMessage(
+            sender=3, window=WINDOW, events=as_event_columns(events)
+        )
         assert message.sender == 3
         assert message.events == tuple(events)
 

@@ -208,7 +208,9 @@ def test_cuts_identical(chunks, gamma):
         _value_bits(sliced.values[a:b].tolist())
         for a, b in zip(sliced.bounds, sliced.bounds[1:])
     ] == [_value_bits(e.value for e in run) for run in runs]
-    assert [run.tobytes() for run in sliced.runs] == [
+    assert [
+        sliced.run_for(i).tobytes() for i in range(sliced.n_slices)
+    ] == [
         run.tobytes() for run in _value_runs(runs)
     ]
 

@@ -10,6 +10,7 @@ from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SliceSynopsis, SynopsisColumns, concat_synopses
 from repro.core.units import build_units
 from repro.core.window_cut import (
+    _cut_unit,
     rank_bound_candidates,
     window_cut,
     window_cut_multi,
@@ -120,6 +121,27 @@ def test_unit_rank_bounds_bracket_true_ranks(case):
             assert unit.max_rank(member) >= global_rank[true_last]
             assert unit.pos_start <= unit.min_rank(member)
             assert unit.max_rank(member) <= unit.pos_end
+
+
+@given(sliced_synopses(), st.integers(min_value=0, max_value=10**6))
+@settings(max_examples=150, deadline=None)
+def test_cut_unit_agrees_with_the_pairwise_rank_bounds(case, rank_seed):
+    """``_cut_unit``'s bisected bounds pick what the pairwise
+    :meth:`SliceUnit.min_rank` / :meth:`SliceUnit.max_rank` pick."""
+    synopses, _, all_events = case
+    if not all_events:
+        return
+    for unit in build_units(synopses):
+        rank = unit.pos_start + rank_seed % unit.size
+        candidates, below = _cut_unit(unit, rank)
+        assert candidates == [
+            member for member in unit.members
+            if unit.min_rank(member) <= rank <= unit.max_rank(member)
+        ]
+        assert below == sum(
+            member.count for member in unit.members
+            if unit.max_rank(member) < rank
+        )
 
 
 @given(sliced_synopses(), st.integers(min_value=0, max_value=10**6))

@@ -7,7 +7,7 @@ from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
-from repro.streaming.windows import SessionWindows, SlidingWindows, TumblingWindows
+from repro.streaming.windows import SlidingWindows, TumblingWindows
 
 timestamps = st.integers(min_value=0, max_value=10**9)
 
@@ -99,29 +99,6 @@ def test_by_window_equals_row_by_row_assignment(shape):
         assert [rows for _, rows in grouped] == list(expected.values())
 
 
-@given(st.lists(timestamps, min_size=1, max_size=60),
-       st.integers(min_value=1, max_value=10**4))
-@settings(max_examples=200, deadline=None)
-def test_session_windows_disjoint_and_cover(stamps, gap):
-    assigner = SessionWindows(gap)
-    events = [
-        event
-        for i, t in enumerate(stamps)
-        for event in make_events([0.0], start_timestamp=t, start_seq=i)
-    ]
-    sessions = assigner.sessions_for_events(events)
-    # Every event lies in exactly one session.
-    for event in events:
-        containing = [s for s in sessions if s.contains(event.timestamp)]
-        assert len(containing) == 1
-    # Sessions are disjoint and separated by at least the gap.
-    for left, right in zip(sessions, sessions[1:]):
-        assert left.end <= right.start
-    # No session is longer than events + gap allow.
-    for session in sessions:
-        assert session.length >= gap
-
-
 @given(st.lists(
     st.floats(min_value=-1e9, max_value=1e9, allow_nan=False),
     max_size=300,
@@ -151,10 +128,11 @@ def test_slicing_invariants(values, gamma):
     assert sum(s.count for s in sliced.synopses) == len(values)
     # Slice sizes: every slice <= gamma + 1 (remainder fold), and >= 2
     # except a single-event window.
-    for run in sliced.runs:
+    runs = [sliced.run_for(i) for i in range(sliced.n_slices)]
+    for run in runs:
         assert len(run) <= gamma + 1
         if len(values) > 1:
             assert len(run) >= 2
     # Reassembling runs reproduces the sorted window's values.
-    reassembled = [value for run in sliced.runs for value in run.tolist()]
+    reassembled = [value for run in runs for value in run.tolist()]
     assert reassembled == [event.value for event in events]

@@ -79,8 +79,7 @@ def windows_via_aggregator(events, *, length, step, horizon, batch_rows=64):
     runs = {}
     next_pane = 0
     for start in range(0, horizon - length + 1, step):
-        while aggregator.covered and aggregator.covered[0] < start:
-            aggregator.evict()
+        aggregator.evict_before(start)
         while next_pane < start + length:
             if next_pane >= start:
                 aggregator.push(next_pane, store.sealed_pane(next_pane))
@@ -114,10 +113,9 @@ def test_slide_equals_size_is_bit_identical_to_tumbling():
     fill(store, events, 64)
     aggregator = SlidingRunAggregator()
     for start in range(0, 3001, 1000):
-        if len(aggregator):
-            aggregator.evict()
+        aggregator.evict_before(start)
         aggregator.push(start, store.sealed_pane(start))
-        assert aggregator.covered == (start,)
+        assert aggregator.newest == start
         assert store.sealed_pane(start) is store.sealed_pane(start)
         run = aggregator.query()
         assert run.tobytes() == naive_window_run(events, start, 1000)
@@ -214,7 +212,7 @@ def test_late_event_in_overlap_lands_in_both_windows():
     first = aggregator.query()
     assert first.tobytes() == naive_window_run(events, 0, 1000)
     assert first[0] == -1.0  # the late row, the only negative value
-    aggregator.evict()
+    aggregator.evict_before(500)
     aggregator.push(1000, store.sealed_pane(1000))
     second = aggregator.query()
     assert second.tobytes() == naive_window_run(events, 500, 1000)
@@ -269,9 +267,19 @@ def test_push_out_of_order_rejected():
         aggregator.push(500, ())
 
 
-def test_evict_from_empty_rejected():
-    with pytest.raises(QueryError, match="empty"):
-        SlidingRunAggregator().evict()
+def test_evict_before_retires_only_older_panes():
+    aggregator = SlidingRunAggregator()
+    aggregator.evict_before(1000)  # nothing to retire
+    assert aggregator.newest is None
+    store = PaneStore(500)
+    store.add(columns((1.0, 100, 1, 0), (2.0, 600, 1, 1), (3.0, 1100, 1, 2)))
+    for start in (0, 500, 1000):
+        aggregator.push(start, store.sealed_pane(start))
+    aggregator.evict_before(500)
+    assert aggregator.newest == 1000
+    assert aggregator.query().tolist() == [2.0, 3.0]
+    aggregator.evict_before(1500)
+    assert aggregator.newest is None
 
 
 @settings(max_examples=60, deadline=None)

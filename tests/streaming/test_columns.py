@@ -217,9 +217,6 @@ class TestSequenceProtocol:
 
     def test_keys_and_timestamps(self, backend):
         cols = EventColumns.from_events(EVENTS)
-        assert cols.key_at(0) == EVENTS[0].key
-        assert cols.key_at(-1) == EVENTS[-1].key
-        assert all(type(part) in (float, int) for part in cols.key_at(2))
         assert cols.timestamp_at(2) == 9
         assert cols.min_timestamp() == 9
         assert cols.max_timestamp() == 12

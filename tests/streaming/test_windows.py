@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, WindowError
-from repro.streaming.events import Event
-from repro.streaming.windows import (
-    SessionWindows,
-    SlidingWindows,
-    TumblingWindows,
-    Window,
-)
+from repro.streaming.windows import SlidingWindows, TumblingWindows, Window
 
 
 class TestWindow:
@@ -22,13 +16,6 @@ class TestWindow:
         assert window.contains(9)
         assert not window.contains(10)
         assert not window.contains(-1)
-
-    def test_intersects(self):
-        assert Window(0, 10).intersects(Window(9, 20))
-        assert not Window(0, 10).intersects(Window(10, 20))
-
-    def test_merge_covers_both(self):
-        assert Window(0, 10).merge(Window(5, 20)) == Window(0, 20)
 
     def test_invalid_window_rejected(self):
         with pytest.raises(WindowError):
@@ -61,14 +48,6 @@ class TestTumblingWindows:
     def test_invalid_length_rejected(self):
         with pytest.raises(ConfigurationError):
             TumblingWindows(0)
-
-    def test_assign_event_uses_timestamp(self):
-        assigner = TumblingWindows(10)
-        event = Event(value=1.0, timestamp=25, node_id=0, seq=0)
-        assert assigner.assign_event(event) == (Window(20, 30),)
-
-    def test_not_merging(self):
-        assert not TumblingWindows(10).is_merging
 
 
 class TestSlidingWindows:
@@ -104,42 +83,3 @@ class TestSlidingWindows:
         with pytest.raises(ConfigurationError):
             SlidingWindows(length=5, step=0)
 
-
-class TestSessionWindows:
-    def test_assign_creates_proto_window(self):
-        assigner = SessionWindows(gap=5)
-        assert assigner.assign(10) == (Window(10, 15),)
-
-    def test_is_merging(self):
-        assert SessionWindows(gap=5).is_merging
-
-    def test_merge_overlapping_sessions(self):
-        assigner = SessionWindows(gap=5)
-        merged = assigner.merge_windows([Window(0, 5), Window(3, 8)])
-        assert merged == [Window(0, 8)]
-
-    def test_adjacent_sessions_merge(self):
-        assigner = SessionWindows(gap=5)
-        merged = assigner.merge_windows([Window(0, 5), Window(5, 10)])
-        assert merged == [Window(0, 10)]
-
-    def test_gap_separates_sessions(self):
-        assigner = SessionWindows(gap=2)
-        merged = assigner.merge_windows([Window(0, 2), Window(5, 7)])
-        assert merged == [Window(0, 2), Window(5, 7)]
-
-    def test_merge_empty(self):
-        assert SessionWindows(gap=1).merge_windows([]) == []
-
-    def test_sessions_for_events(self):
-        assigner = SessionWindows(gap=3)
-        events = [
-            Event(value=0.0, timestamp=t, node_id=0, seq=i)
-            for i, t in enumerate([0, 1, 2, 10, 11])
-        ]
-        sessions = assigner.sessions_for_events(events)
-        assert sessions == [Window(0, 5), Window(10, 14)]
-
-    def test_invalid_gap_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SessionWindows(gap=0)

@@ -39,10 +39,8 @@ MODULES = [
     "repro.core.engine",
     "repro.core.reliability",
     "repro.streaming.events",
-    "repro.streaming.time",
     "repro.streaming.windows",
     "repro.streaming.aggregates",
-    "repro.streaming.operators",
     "repro.network.messages",
     "repro.network.channels",
     "repro.network.simulator",

@@ -589,15 +589,21 @@ def test_quantiles_are_ranked_and_cut_in_one_place():
 #: the engine's offline shared answer, plus the window-cut ablation, which
 #: slices to measure the cut.  Held with ``==``: nothing under ``queries/``
 #: (the live query plane runs its cuts on the core nodes it hosts), and a
-#: second copy of the protocol growing back anywhere fails here.
+#: second copy of the protocol growing back anywhere fails here.  Every
+#: calculation goes through ``calculate_quantiles``; the one-cut
+#: ``calculate_quantile`` has no caller in the package (perfbench's stage
+#: replay times it).
 PROTOCOL_STEP_CALLERS = {
     "identify_multi": {
         ("core/identification.py", "identify"),
         ("core/engine.py", "_answer"),
         ("core/root_node.py", "_identify"),
     },
-    "calculate_quantile": {("core/engine.py", "_answer")},
-    "calculate_quantiles": {("core/root_node.py", "_calculate")},
+    "calculate_quantile": set(),
+    "calculate_quantiles": {
+        ("core/engine.py", "_answer"),
+        ("core/root_node.py", "_calculate"),
+    },
     "slice_sorted_events": {
         ("core/engine.py", "_answer"),
         ("core/local_node.py", "seal_sorted"),
