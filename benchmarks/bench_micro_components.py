@@ -11,7 +11,6 @@ from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 from repro.core.window_cut import window_cut
 from repro.core.engine import dema_quantile
-from repro.sketches.qdigest import QDigest
 from repro.sketches.tdigest import TDigest
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import make_events
@@ -85,26 +84,3 @@ def test_tdigest_merge_8_digests(benchmark):
 
     merged = benchmark(TDigest.merge_all, parts)
     assert merged.count == 10_000
-
-
-def test_kll_add_10k(benchmark):
-    from repro.sketches.kll import KllSketch
-
-    def build():
-        sketch = KllSketch(200, seed=1)
-        sketch.add_all(VALUES_10K)
-        return sketch.quantile(0.5)
-
-    result = benchmark(build)
-    assert 90 < result < 110
-
-
-def test_qdigest_add_10k(benchmark):
-    universe_values = [int(v * 10) % 4096 for v in VALUES_10K]
-
-    def build():
-        digest = QDigest(k=256, depth=12)
-        digest.add_all(universe_values)
-        return digest.quantile(0.5)
-
-    benchmark(build)

@@ -1,10 +1,9 @@
-"""Approximate sketches versus exact Dema: the accuracy/network trade-off.
+"""An approximate sketch versus exact Dema: the accuracy/network trade-off.
 
-The paper positions Dema against t-digest and q-digest; KLL (the Apache
-DataSketches workhorse) joins as the modern representative.  The sketches
-ship tiny summaries but answer approximately; Dema ships slightly more
-(synopses plus candidate events) and answers exactly.  This example
-quantifies that trade-off on one dataset.
+The paper evaluates Dema against the t-digest.  The sketch ships a tiny
+summary but answers approximately; Dema ships slightly more (synopses plus
+candidate events) and answers exactly.  This example quantifies that
+trade-off on one dataset.
 
 Run with::
 
@@ -13,8 +12,7 @@ Run with::
 
 import random
 
-from repro import QDigest, TDigest, dema_quantile, exact_quantile, make_events
-from repro.sketches.kll import KllSketch
+from repro import TDigest, dema_quantile, exact_quantile, make_events
 from repro.bench.reporting import format_bytes, format_table
 from repro.streaming.events import EVENT_WIRE_BYTES
 
@@ -48,28 +46,6 @@ def main() -> None:
     tdigest_value = merged.quantile(q)
     tdigest_bytes = sum(len(d.to_centroid_tuples()) * 16 for d in digests)
 
-    # --- KLL: mergeable compactor sketch --------------------------------
-    kll_parts = []
-    for node_id, values in readings.items():
-        sketch = KllSketch(200, seed=node_id)
-        sketch.add_all(values)
-        kll_parts.append(sketch)
-    kll_merged = kll_parts[0]
-    kll_merged.merge(kll_parts[1])
-    kll_value = kll_merged.quantile(q)
-    kll_bytes = sum(len(p.to_weighted_tuples()) * 16 for p in kll_parts)
-
-    # --- q-digest: approximate over a quantized universe ----------------
-    quantizers = []
-    for values in readings.values():
-        quantizer = QDigest.for_range(512, 0.0, max(all_values), depth=14)
-        quantizer.add_all(values)
-        quantizers.append(quantizer)
-    merged_qd = quantizers[0]
-    merged_qd.digest.merge(quantizers[1].digest)
-    qdigest_value = merged_qd.quantile(q)
-    qdigest_bytes = merged_qd.digest.node_count * 12
-
     def error(value: float) -> str:
         relative = abs(value - truth) / truth
         return "exact" if relative == 0 else f"{relative:.3%}"
@@ -79,16 +55,12 @@ def main() -> None:
          format_bytes(dema_bytes)],
         ["t-digest", f"{tdigest_value:9.3f}", error(tdigest_value),
          format_bytes(tdigest_bytes)],
-        ["kll", f"{kll_value:9.3f}", error(kll_value),
-         format_bytes(kll_bytes)],
-        ["q-digest", f"{qdigest_value:9.3f}", error(qdigest_value),
-         format_bytes(qdigest_bytes)],
     ]
     print(f"95th percentile over {len(all_values):,} readings "
           f"(ground truth {truth:.3f})")
     print(format_table(["method", "answer", "error", "bytes shipped"], rows))
     print()
-    print("Sketches ship the least but drift from the truth; Dema pays a")
+    print("The sketch ships the least but drifts from the truth; Dema pays a")
     print("small, bounded premium in bytes for a bit-exact answer.")
 
 

@@ -7,14 +7,13 @@ organized as:
   identification and calculation steps, adaptive slice factor, and both a
   pure in-memory API (:func:`repro.core.dema_quantile`) and a simulated
   deployment (:class:`repro.core.DemaEngine`).
-* :mod:`repro.streaming` — SPE substrate: events, event time, window types,
-  aggregation-function classification.
+* :mod:`repro.streaming` — SPE substrate: events, window types, columnar
+  event batches, the sum and exact-quantile aggregation functions.
 * :mod:`repro.network` — deterministic discrete-event network simulator that
   stands in for the paper's 9-node cluster.
-* :mod:`repro.sketches` — t-digest, q-digest and KLL, implemented from
-  scratch.
-* :mod:`repro.baselines` — Scotty, Desis, t-digest, KLL, q-digest and
-  partial-aggregation systems on the same simulated topology.
+* :mod:`repro.sketches` — the t-digest, implemented from scratch.
+* :mod:`repro.baselines` — Scotty, Desis, t-digest and partial-aggregation
+  systems on the same simulated topology.
 * :mod:`repro.bench` — workload generator, measurement harness, and the
   runner that regenerates every figure of the evaluation section.
 * :mod:`repro.obs` — observability: span tracer on the simulated clock,
@@ -50,7 +49,6 @@ from repro.obs.events import MessageTrace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NOOP_TRACER, RecordingTracer, Span, Tracer
 from repro.sketches.tdigest import TDigest
-from repro.sketches.qdigest import QDigest
 from repro.baselines.base import SYSTEM_NAMES, build_system
 
 __version__ = "1.0.0"
@@ -82,7 +80,6 @@ __all__ = [
     "Span",
     "Tracer",
     "TDigest",
-    "QDigest",
     "build_system",
     "SYSTEM_NAMES",
     "__version__",

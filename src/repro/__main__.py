@@ -467,7 +467,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.faults.runner import run_chaos
+    from repro.faults.runner import UnfiredFaultError, run_chaos
     from repro.faults.scenarios import SCENARIOS
 
     if args.list:
@@ -475,7 +475,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             print(f"{name:<16} {scenario.description}")
         return 0
     config, generator = _configs_from_args(args)
-    report = run_chaos(args.scenario, config, generator, mode=args.mode)
+    unfired = None
+    try:
+        report = run_chaos(args.scenario, config, generator, mode=args.mode)
+    except UnfiredFaultError as exc:
+        report, unfired = exc.report, exc
     print(f"chaos scenario {report.scenario!r} on the {report.mode} "
           f"substrate (seed {report.seed})")
     print("fault events applied:")
@@ -502,6 +506,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
               "— protocol bug")
     elif report.lost:
         print("LOST WINDOWS: some windows were never answered")
+    elif unfired:
+        print(f"UNFIRED FAULT: {unfired}")
+        return 3
     return 1 if report.mismatched or report.lost else 0
 
 
@@ -727,7 +734,8 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     chaos = command("chaos", _cmd_chaos,
-                    "run a cluster under a named fault scenario")
+                    "run a cluster under a named fault scenario (exit 1 on "
+                    "a lost or mismatched window, 3 if the fault never fired)")
     _add_cluster_flags(
         chaos, aggregate_rate=True, n_locals=2, streams_per_local=2,
         n_shards=None, relay_fanin=None, transport="memory", time_scale=0.3,

@@ -8,15 +8,13 @@
   cost as Scotty but a cheaper root.
 * **Tdigest** — local nodes build t-digests and ship only centroids; the
   root merges digests.  Fastest and lightest, but approximate.
-* **KLL** and **q-digest** — the same pattern with the two other mergeable
-  quantile sketches.
-* **Partial aggregation** — decomposable functions (sum, average, …) fold
-  into a constant-size partial per window: the paper's motivating contrast.
+* **Partial aggregation** — a decomposable function (sum) folds into a
+  constant-size partial per window: the paper's motivating contrast.
 
 Every system but Scotty is one operator pair,
 :class:`~repro.baselines.base.SummaryLocalNode` and
 :class:`~repro.baselines.base.SummaryRootNode`, run with that system's
-:class:`~repro.baselines.base.Summary`.  All six deploy on the identical
+:class:`~repro.baselines.base.Summary`.  All four deploy on the identical
 simulated topology as operator pairs on the one
 :class:`~repro.network.deployment.SimulatedDeployment` Dema runs on, so
 every figure compares systems under the same workload, links and CPU
@@ -34,8 +32,6 @@ from repro.baselines.base import (
 from repro.baselines.scotty import ScottyLocalNode, ScottyRootNode
 from repro.baselines.desis import DesisSummary
 from repro.baselines.tdigest_system import TDigestSummary
-from repro.baselines.kll_system import KllSummary
-from repro.baselines.qdigest_system import QDigestSummary
 from repro.baselines.partial import PartialSummary, build_partial_system
 
 __all__ = [
@@ -50,7 +46,5 @@ __all__ = [
     "ScottyRootNode",
     "DesisSummary",
     "TDigestSummary",
-    "KllSummary",
-    "QDigestSummary",
     "PartialSummary",
 ]

@@ -11,8 +11,7 @@ Every baseline but Scotty runs one protocol: a local folds each window into
 a summary, ships it once at window end, and the root waits for one summary
 per local, merges them and answers.  :class:`SummaryLocalNode` and
 :class:`SummaryRootNode` run that protocol; a :class:`Summary` supplies
-only what differs between Desis, t-digest, KLL, q-digest and partial
-aggregation.
+only what differs between Desis, t-digest and partial aggregation.
 """
 
 from __future__ import annotations
@@ -316,10 +315,10 @@ def build_system(
     """Factory for any system of :data:`SYSTEM_NAMES` by name.
 
     Dema runs its operator pair (:class:`~repro.core.engine.DemaEngine`)
-    and Scotty its forwarding pair; desis, tdigest, qdigest and kll run
-    the summary pair with their summary.  Every one is a
-    :class:`~repro.network.deployment.SimulatedDeployment`, so ``run``,
-    ``run_unordered`` and ``run_via_sensors`` mean the same for each.
+    and Scotty its forwarding pair; desis and tdigest run the summary
+    pair with their summary.  Every one is a
+    :class:`~repro.network.deployment.SimulatedDeployment`, so ``run`` and
+    ``run_via_sensors`` mean the same for each.
     Passing a :class:`~repro.obs.tracer.RecordingTracer` instruments the
     deployment; the default is the shared no-op tracer.
 
@@ -331,8 +330,6 @@ def build_system(
     from repro.baselines.scotty import ScottyLocalNode, ScottyRootNode
     from repro.baselines.desis import DesisSummary
     from repro.baselines.tdigest_system import TDigestSummary
-    from repro.baselines.qdigest_system import QDigestSummary
-    from repro.baselines.kll_system import KllSummary
 
     if name == "dema":
         return DemaEngine(
@@ -352,12 +349,7 @@ def build_system(
             batch_size=batch_size,
             tracer=tracer,
         )
-    summaries = {
-        "desis": DesisSummary,
-        "tdigest": TDigestSummary,
-        "qdigest": QDigestSummary,
-        "kll": KllSummary,
-    }
+    summaries = {"desis": DesisSummary, "tdigest": TDigestSummary}
     if name not in summaries:
         raise ConfigurationError(
             f"unknown system {name!r}; known: {SYSTEM_NAMES}"
@@ -372,4 +364,4 @@ def build_system(
 
 
 #: All systems the harness can sweep.
-SYSTEM_NAMES = ("dema", "scotty", "desis", "tdigest", "qdigest", "kll")
+SYSTEM_NAMES = ("dema", "scotty", "desis", "tdigest")

@@ -1,7 +1,7 @@
 """Decentralized partial aggregation for decomposable functions.
 
 This is the state of the art the paper builds on (Disco, Desis, §2.3): for
-self-decomposable and decomposable functions, local nodes fold their whole
+a decomposable function such as ``sum``, local nodes fold their whole
 window into a constant-size partial aggregate and ship only that — a few
 dozen bytes per window regardless of the event rate.  The root combines
 the partials and lowers the final answer, exactly.
@@ -41,41 +41,30 @@ __all__ = [
 def serialize_partial(
     function: AggregationFunction, partial: Any
 ) -> tuple[float, ...]:
-    """Encode a partial aggregate as a flat float tuple for the wire.
+    """Encode a partial aggregate as a flat float tuple for the wire: a
+    sum's partial is its one float.
 
     Raises:
         AggregationError: If the function has no constant-size encoding
-            (i.e. it is non-decomposable).
+            (a non-decomposable one).
     """
-    name = function.name
-    if name in ("sum", "count", "min", "max"):
-        return (float(partial),)
-    if name in ("average", "variance"):
-        return (float(partial.count), partial.total, partial.total_sq)
-    if name == "range":
-        return (partial[0], partial[1])
-    raise AggregationError(
-        f"{name} has no constant-size exact partial; use Dema for "
-        "non-decomposable functions"
-    )
+    if function.name != "sum":
+        raise AggregationError(
+            f"{function.name} has no constant-size exact partial; use Dema "
+            "for non-decomposable functions"
+        )
+    return (float(partial),)
 
 
 def deserialize_partial(
     function: AggregationFunction, state: tuple[float, ...]
 ) -> Any:
     """Decode a wire state back into the function's partial type."""
-    name = function.name
-    if name in ("sum", "min", "max"):
-        return state[0]
-    if name == "count":
-        return int(state[0])
-    if name in ("average", "variance"):
-        from repro.streaming.aggregates import _Moments
-
-        return _Moments(int(state[0]), state[1], state[2])
-    if name == "range":
-        return (state[0], state[1])
-    raise AggregationError(f"cannot deserialize a partial for {name}")
+    if function.name != "sum":
+        raise AggregationError(
+            f"cannot deserialize a partial for {function.name}"
+        )
+    return state[0]
 
 
 class PartialSummary(Summary):

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.errors import GeneratorError
 from repro.streaming.columns import EventColumns
-from repro.streaming.events import Event
 
 # Hot-path module: streams are built as columns from the generated arrays;
 # no per-event ``Event`` here (enforced by tests/test_hotpath_lint.py).
@@ -57,10 +56,6 @@ class GeneratorConfig:
         mean: Long-run mean of the (unscaled) value process.
         reversion: Mean-reversion strength per step, in ``(0, 1]``.
         volatility: Per-step noise standard deviation.
-        max_arrival_delay_ms: Upper bound on the per-event network delay
-            between event time and arrival at the local node.  Non-zero
-            values produce out-of-order arrival streams (events arrive in
-            arrival order, not event-time order).
     """
 
     event_rate: float
@@ -71,7 +66,6 @@ class GeneratorConfig:
     mean: float = 40.0
     reversion: float = 0.02
     volatility: float = 6.0
-    max_arrival_delay_ms: int = 0
 
     def __post_init__(self) -> None:
         if self.event_rate <= 0:
@@ -87,11 +81,6 @@ class GeneratorConfig:
         if self.volatility < 0:
             raise GeneratorError(
                 f"volatility must be >= 0, got {self.volatility}"
-            )
-        if self.max_arrival_delay_ms < 0:
-            raise GeneratorError(
-                f"max_arrival_delay_ms must be >= 0, got "
-                f"{self.max_arrival_delay_ms}"
             )
 
     @property
@@ -146,28 +135,6 @@ class SensorStreamGenerator:
         timestamps are in the wire's u32 range for any realistic duration)."""
         return EventColumns.from_arrays(
             self.values(node_id), self.timestamps(node_id), node_id
-        )
-
-    def arrival_times(self, node_id: int) -> np.ndarray:
-        """Per-event arrival timestamps (event time + random network delay)."""
-        cfg = self._config
-        stamps = self.timestamps(node_id)
-        if cfg.max_arrival_delay_ms == 0:
-            return stamps
-        rng = np.random.default_rng(
-            (cfg.seed + 7_777_777, node_id, cfg.replay_offset)
-        )
-        delays = rng.integers(
-            0, cfg.max_arrival_delay_ms + 1, size=len(stamps)
-        )
-        return stamps + delays
-
-    def generate_with_arrivals(
-        self, node_id: int
-    ) -> list[tuple[Event, int]]:
-        """Build ``(event, arrival_ms)`` pairs in event-time order."""
-        return list(
-            zip(self.generate(node_id), self.arrival_times(node_id).tolist())
         )
 
 

@@ -32,7 +32,6 @@ from repro.network.messages import (
     DigestMessage,
     EventBatchMessage,
     Message,
-    QDigestMessage,
     SortedRunMessage,
     SynopsisMessage,
     WatermarkMessage,
@@ -52,22 +51,19 @@ from repro.streaming.windows import Window
 from repro.core.local_node import _SLICE_OPS_PER_EVENT
 from repro.core.root_node import _IDENTIFY_OPS_PER_SYNOPSIS
 from repro.core.synopsis import SYNOPSIS_DTYPE, SynopsisColumns
-from repro.baselines.qdigest_system import QDigestSummary
 from repro.baselines.tdigest_system import TDigestSummary
 
 __all__ = ["SystemModel", "ThroughputPrediction"]
 
-#: Typical serialized sketch sizes per node per window (weakly dependent on
-#: the data; calibrated to the implementations' steady state).
+#: Typical serialized t-digest size per node per window (weakly dependent on
+#: the data; calibrated to the implementation's steady state).
 _TDIGEST_CENTROIDS = 70
-_QDIGEST_NODES = 700
 
-#: One node-window's sketch frame of those sizes, priced by the messages'
-#: own declarations (a t-digest also carries its exact min and max).
+#: One node-window's sketch frame of that size, priced by the message's
+#: own declaration (a t-digest also carries its exact min and max).
 _TDIGEST_FRAME = DigestMessage(
     0, Window(0, 1), centroids=((0.0, 0.0),) * _TDIGEST_CENTROIDS
 )
-_QDIGEST_FRAME = QDigestMessage(0, Window(0, 1), nodes=((0, 0, 0),) * _QDIGEST_NODES)
 
 
 def _priced(empty: Message, one: Message) -> "tuple[int, int]":
@@ -178,8 +174,6 @@ class SystemModel:
             return synopsis_bytes + request_bytes + candidate_bytes
         if system == "tdigest":
             return n * w * _TDIGEST_FRAME.wire_bytes
-        if system == "qdigest":
-            return n * w * _QDIGEST_FRAME.wire_bytes
         raise ConfigurationError(f"unknown system {system!r}")
 
     # ------------------------------------------------------------------
@@ -196,8 +190,6 @@ class SystemModel:
             return INGEST_OPS + log_term + _SLICE_OPS_PER_EVENT
         if system == "tdigest":
             return INGEST_OPS + TDigestSummary.ops_per_event
-        if system == "qdigest":
-            return INGEST_OPS + QDigestSummary.ops_per_event
         raise ConfigurationError(f"unknown system {system!r}")
 
     def _root_ops_per_window(self, system: str, per_node_rate: float) -> float:
@@ -239,11 +231,6 @@ class SystemModel:
             return n * (
                 receive_ops(_TDIGEST_FRAME.payload_bytes)
                 + TDigestSummary.ops_per_item * _TDIGEST_CENTROIDS
-            )
-        if system == "qdigest":
-            return n * (
-                receive_ops(_QDIGEST_FRAME.payload_bytes)
-                + QDigestSummary.ops_per_item * _QDIGEST_NODES
             )
         raise ConfigurationError(f"unknown system {system!r}")
 

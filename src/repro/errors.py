@@ -76,7 +76,7 @@ class TransportError(NetworkError):
 
 
 class SketchError(ReproError):
-    """A quantile sketch (t-digest / q-digest) was misused."""
+    """A quantile sketch (the t-digest) was misused."""
 
 
 class GeneratorError(ReproError):

@@ -21,6 +21,11 @@ window with the one grader, :func:`repro.testing.grade`:
     A wrong value, size or rank at full completeness, or a second answer;
     this is never expected and always indicates a protocol bug.
 
+A run whose fault never took effect tested nothing, whatever its grades:
+a ``kill_shard`` that left 0 shard failovers (the run ended before the
+victim answered another window) is named in :attr:`ChaosReport.unfired`,
+and :func:`run_chaos` raises :class:`UnfiredFaultError` with the report.
+
 This module imports the live runtime, so :mod:`repro.faults` loads it
 lazily; plan building stays importable without asyncio machinery.
 """
@@ -33,8 +38,8 @@ from dataclasses import dataclass, field, replace
 
 from repro.bench.generator import GeneratorConfig, workload
 from repro.core.engine import DemaEngine
-from repro.errors import ConfigurationError
-from repro.faults.plan import FaultPlan, ToleranceConfig
+from repro.errors import ConfigurationError, ReproError
+from repro.faults.plan import FaultPlan, ToleranceConfig, describe_event
 from repro.faults.scenarios import build_plan, get_scenario
 from repro.faults.simulate import compile_plan
 from repro.mesh.cluster import served_windows
@@ -45,7 +50,7 @@ from repro.runtime.cluster import run_live
 from repro.streaming.windows import Window
 from repro.testing import grade, oracle
 
-__all__ = ["ChaosReport", "run_chaos"]
+__all__ = ["ChaosReport", "UnfiredFaultError", "run_chaos"]
 
 #: Detector grace when the scenario declares no detection threshold: long
 #: enough that nothing is ever declared dead within a test-scale run.
@@ -84,6 +89,9 @@ class ChaosReport:
     #: Answers per grade, as the grader counted them; query scenarios grade
     #: (query, window) pairs and leave :attr:`classes` empty.
     class_counts: "Counter[str]" = field(default_factory=Counter)
+    #: Planned faults that never took effect: each ``kill_shard`` of a run
+    #: that ended with 0 shard failovers.
+    unfired: list[str] = field(default_factory=list)
 
     @property
     def recovered(self) -> int:
@@ -100,6 +108,13 @@ class ChaosReport:
     @property
     def mismatched(self) -> int:
         return self.class_counts["mismatch"]
+
+
+class UnfiredFaultError(ReproError):
+    """A chaos run ended before its planned fault took effect; ``report``
+    is the run's report, :attr:`ChaosReport.unfired` naming the fault."""
+
+    report: ChaosReport
 
 
 def run_chaos(
@@ -129,6 +144,9 @@ def run_chaos(
             Shard-kill and query scenarios, and any sharded or relayed
             topology, run live only.
         tracer: Observability hooks for the faulted run.
+
+    Raises:
+        UnfiredFaultError: If a ``kill_shard`` never fired.
     """
     if mode not in ("sim", "live"):
         raise ConfigurationError(
@@ -227,7 +245,7 @@ def run_chaos(
                       locals_declared_dead=engine.root.deaths_declared)
 
     live = run_live(config, streams, tracer=tracer)
-    return report(
+    graded = report(
         live.outcomes,
         list(live.fault_events),
         reconnects=live.reconnects,
@@ -239,4 +257,17 @@ def run_chaos(
         shard_failovers=live.shard_failovers,
         windows_adopted=live.windows_adopted,
         relay_frames_replayed=live.relay_frames_replayed,
+        unfired=[
+            describe_event(event) for event in plan.events
+            if event.kind == "kill_shard" and not live.shard_failovers
+        ],
     )
+    if graded.unfired:
+        error = UnfiredFaultError(
+            f"{', '.join(graded.unfired)} never fired: 0 shard failovers "
+            "(the run ended before the victim answered another window; a "
+            "longer duration gives it one)"
+        )
+        error.report = graded
+        raise error
+    return graded

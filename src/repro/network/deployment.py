@@ -22,7 +22,6 @@ from repro.network.driver import (
     MS_PER_SECOND,
     BatchSourceDriver,
     event_timestamps,
-    local_arrivals,
     local_streams,
     window_segments,
 )
@@ -173,30 +172,6 @@ class SimulatedDeployment:
                 self._segment(timestamps, windows),
             )
         return self._finish(windows, allowed_lateness_ms=0)
-
-    def run_unordered(
-        self,
-        arrivals: Mapping[int, Sequence[tuple[Event, int]]],
-        *,
-        allowed_lateness_ms: int = 0,
-    ) -> RunReport:
-        """Like :meth:`run`, but events arrive with per-event delays.
-
-        Args:
-            arrivals: ``(event, arrival_ms)`` pairs keyed by local node id
-                (see :meth:`SensorStreamGenerator.generate_with_arrivals`).
-            allowed_lateness_ms: How long past its event-time end each
-                window stays open.  Arrivals later than this are dropped by
-                the local nodes and counted in their ``late_events``.
-        """
-        windows: dict[int, set[Window]] = {}
-        split = local_arrivals(self._topology.local_ids, arrivals)
-        for local_id, (events, arrival_ms) in split.items():
-            self._segment(event_timestamps(events), windows)
-            self._driver.feed_arrivals(
-                self._simulator.nodes[local_id], events, arrival_ms
-            )
-        return self._finish(windows, allowed_lateness_ms=allowed_lateness_ms)
 
     def run_via_sensors(
         self,

@@ -44,9 +44,7 @@ __all__ = [
     "BatchSourceDriver",
     "MS_PER_SECOND",
     "event_timestamps",
-    "local_arrivals",
     "local_streams",
-    "split_arrivals",
     "window_segments",
 ]
 
@@ -123,16 +121,6 @@ def window_segments(
     return starts, [Window(k * step, k * step + length) for k in numbers]
 
 
-def split_arrivals(
-    arrivals: Sequence[tuple[Event, int]],
-) -> tuple[EventColumns, np.ndarray]:
-    """``(event, arrival_ms)`` pairs as an event batch and an int64 array."""
-    return (
-        EventColumns.from_events(event for event, _ in arrivals),
-        np.fromiter((ms for _, ms in arrivals), np.int64, len(arrivals)),
-    )
-
-
 def local_streams(
     local_ids: Sequence[int],
     streams: "Mapping[int, EventColumns | Iterable[Event]]",
@@ -143,17 +131,6 @@ def local_streams(
     columns = {i: as_event_columns(s) for i, s in streams.items()}
     check_streams(local_ids, columns)
     return {i: columns.get(i, EMPTY_EVENTS) for i in local_ids}
-
-
-def local_arrivals(
-    local_ids: Sequence[int],
-    arrivals: Mapping[int, Sequence[tuple[Event, int]]],
-) -> dict[int, tuple[EventColumns, np.ndarray]]:
-    """:func:`local_streams` for ``(event, arrival_ms)`` pairs, each local's
-    split by :func:`split_arrivals`."""
-    split = {i: split_arrivals(pairs) for i, pairs in arrivals.items()}
-    check_streams(local_ids, {i: events for i, (events, _) in split.items()})
-    return {i: split.get(i) or split_arrivals(()) for i in local_ids}
 
 
 class BatchSourceDriver:
@@ -190,14 +167,13 @@ class BatchSourceDriver:
         self,
         operator: LocalOperator,
         events: EventColumns,
-        arrival_ms: np.ndarray,
+        timestamps: np.ndarray,
         starts: np.ndarray,
     ) -> None:
         """Schedule ``events`` as slices that never cross a segment start.
 
         Each segment ``[starts[i], starts[i + 1])`` is cut into slices of at
-        most ``batch_size``; a slice arrives at the ``arrival_ms`` of its
-        last event.
+        most ``batch_size``; a slice arrives at its last event's timestamp.
         """
         size = self._batch_size
         bounds = [*starts.tolist(), len(events)]
@@ -205,37 +181,10 @@ class BatchSourceDriver:
             for a in range(lo, hi, size):
                 b = min(a + size, hi)
                 self._simulator.schedule(
-                    int(arrival_ms[b - 1]) / MS_PER_SECOND,
+                    int(timestamps[b - 1]) / MS_PER_SECOND,
                     lambda now, batch=events[a:b]: operator.ingest(batch, now),
                 )
         self._scheduled_events += len(events)
-
-    def feed_arrivals(
-        self,
-        operator: LocalOperator,
-        events: EventColumns,
-        arrival_ms: np.ndarray,
-    ) -> None:
-        """Schedule a stream by its arrival column; arrivals may be out of
-        order with respect to event time.
-
-        Events are delivered in ``(arrival_ms, position)`` order.  A batch
-        only groups events sharing one arrival instant, so nothing is
-        delivered earlier or later than it arrived.
-
-        Raises:
-            ConfigurationError: If an arrival time is negative.
-        """
-        order = np.argsort(arrival_ms, kind="stable")
-        arrival_ms = arrival_ms[order]
-        if len(order) and arrival_ms[0] < 0:
-            raise ConfigurationError(
-                f"negative arrival time {arrival_ms[0]} for "
-                f"{events[int(order[0])]}"
-            )
-        self.schedule_batches(
-            operator, events[order], arrival_ms, _run_starts(arrival_ms)
-        )
 
     def announce_windows(
         self,
@@ -249,8 +198,8 @@ class BatchSourceDriver:
 
         Call once per operator with the union of all nodes' windows so that
         empty local windows are still announced.  ``allowed_lateness_ms``
-        delays completion past the window's event-time end so that
-        bounded-delay arrivals can still be folded in.  A nonzero
+        delays completion past the window's event-time end so that events
+        the sensor tier delays can still be folded in.  A nonzero
         ``group_id`` names the query group of an operator serving several.
         """
         complete = operator.on_window_complete

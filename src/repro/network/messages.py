@@ -46,7 +46,6 @@ __all__ = [
     "CandidateEventsMessage",
     "GammaUpdateMessage",
     "DigestMessage",
-    "QDigestMessage",
     "PartialAggregateMessage",
     "SortedRunMessage",
     "WatermarkMessage",
@@ -470,7 +469,7 @@ class GammaUpdateMessage(Message):
 
 @dataclass(frozen=True, slots=True)
 class DigestMessage(Message):
-    """A serialized quantile sketch (t-digest and KLL baselines): its
+    """A serialized quantile sketch (the t-digest baseline): its
     (mean, weight) centroids and the sender's exact extremes — tail
     centroid *means* sit strictly inside the data range, so extreme
     quantiles need the real bounds on the wire."""
@@ -490,9 +489,9 @@ class DigestMessage(Message):
 class PartialAggregateMessage(Message):
     """A decomposable function's partial aggregate for one local window.
 
-    The payload is a small fixed-size state (e.g. ``(count, sum, sum_sq)``
-    for variance) — the reason decomposable functions aggregate cheaply at
-    the edge and non-decomposable ones need Dema.
+    The payload is a small fixed-size state (a sum's one float) — the
+    reason decomposable functions aggregate cheaply at the edge and
+    non-decomposable ones need Dema.
     """
 
     state: tuple[float, ...] = ()
@@ -500,18 +499,6 @@ class PartialAggregateMessage(Message):
 
     PAYLOAD = Payload(
         Count("state"), Fields("<Q", "local_window_size"), Run("state", "<d")
-    )
-
-
-@dataclass(frozen=True, slots=True)
-class QDigestMessage(Message):
-    """A serialized q-digest: ``(level, index, count)`` tree nodes."""
-
-    nodes: tuple[tuple[int, int, int], ...] = ()
-    local_count: int = 0
-
-    PAYLOAD = Payload(
-        Count("nodes"), Fields("<Q", "local_count"), Run("nodes", "<IQI")
     )
 
 
@@ -617,14 +604,13 @@ class QueryResultMessage(Message):
     LAYOUT = struct.Struct("<IdQQ")
 
 
-# The documented 28-byte result, the register's 44-byte and the ack's
-# 8-byte fixed parts (each before a u32-counted string) and the 16-byte
-# q-digest node are load-bearing for the simulator's byte accounting;
-# fail at import time if an edit ever drifts from them.
+# The documented 28-byte result and the register's 44-byte and the ack's
+# 8-byte fixed parts (each before a u32-counted string) are load-bearing
+# for the simulator's byte accounting; fail at import time if an edit
+# ever drifts from them.
 assert QueryResultMessage.LAYOUT.size == 28
 assert QueryRegisterMessage(0, Window(0, 1), selector="").payload_bytes == 44 + 4
 assert QueryAckMessage(0, Window(0, 1)).payload_bytes == 8 + 4
-assert QDigestMessage(0, Window(0, 1), nodes=((0, 0, 0),)).payload_bytes == 4 + 8 + 16
 
 
 @dataclass(frozen=True, slots=True)

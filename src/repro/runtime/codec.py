@@ -59,7 +59,6 @@ from repro.network.messages import (
     LeaveMessage,
     Message,
     PartialAggregateMessage,
-    QDigestMessage,
     QueryAckMessage,
     QueryDeregisterMessage,
     QueryRegisterMessage,
@@ -490,7 +489,7 @@ _CODECS = (
     (9, GammaUpdateMessage),
     (10, DigestMessage, _declared),
     (11, PartialAggregateMessage, _declared),
-    (12, QDigestMessage, _declared),
+    # 12 was the retired q-digest sketch: unassigned, never reused.
     (13, WatermarkMessage),
     (14, ResultMessage),
     (15, HeartbeatMessage),

@@ -1,16 +1,13 @@
-"""Approximate quantile sketches: t-digest and q-digest.
+"""Approximate quantile sketch: the t-digest.
 
-These are the approximate competitors the paper positions Dema against
-(Section 5): compact mergeable summaries that trade exactness for speed and
-fixed memory.  Both are implemented from scratch — the t-digest following
-Dunning & Ertl's merging variant with the k1 scale function, the q-digest
-following Shrivastava et al.'s sensor-network construction.
+The approximate competitor the paper evaluates Dema against (Section 4): a
+compact mergeable summary that trades exactness for speed and fixed
+memory, implemented from scratch following Dunning & Ertl's merging
+variant with the k1 scale function.
 """
 
 from repro.sketches.scale_functions import ScaleFunction, K0, K1, K2
 from repro.sketches.tdigest import Centroid, TDigest
-from repro.sketches.qdigest import QDigest
-from repro.sketches.kll import KllSketch
 
 __all__ = [
     "ScaleFunction",
@@ -19,6 +16,4 @@ __all__ = [
     "K2",
     "Centroid",
     "TDigest",
-    "QDigest",
-    "KllSketch",
 ]

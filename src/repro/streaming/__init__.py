@@ -2,9 +2,9 @@
 
 This subpackage implements the background machinery from Section 2 of the
 paper: the event model used by data-stream nodes (value, timestamp, id), the
-Dataflow-model window types (tumbling, sliding), and the
-aggregation-function classification of Jesus et al. (self-decomposable,
-decomposable, non-decomposable).  Every system in the reproduction — Dema, the
+Dataflow-model window types (tumbling, sliding), and the two aggregation
+functions on either side of Jesus et al.'s decomposability divide (sum and
+the exact quantile).  Every system in the reproduction — Dema, the
 Scotty and Desis baselines, and the t-digest system — runs on top of it.
 """
 
@@ -18,9 +18,7 @@ from repro.streaming.windows import (
 from repro.streaming.aggregates import (
     AggregationClass,
     AggregationFunction,
-    classify,
     get_function,
-    list_functions,
 )
 
 __all__ = [
@@ -34,7 +32,5 @@ __all__ = [
     "SlidingWindows",
     "AggregationClass",
     "AggregationFunction",
-    "classify",
     "get_function",
-    "list_functions",
 ]

@@ -1,20 +1,22 @@
-"""Aggregation functions and their decomposability classification.
+"""The paper's two sides of the decomposability divide: sum and the quantile.
 
 The paper (Section 2.2) adopts the taxonomy of Jesus et al.:
 
 * **self-decomposable** — partial aggregates combine with the function
-  itself (sum, count, min, max);
+  itself (sum);
 * **decomposable** — expressible through self-decomposable partials plus a
-  final transformation (average, variance, range);
+  final transformation (average, variance);
 * **non-decomposable** — exact computation needs the whole dataset (median,
-  quantile, mode, distinct count).
+  quantile).
 
-Every function is modelled with the lift / combine / lower pattern used by
+A function is modelled with the lift / combine / lower pattern used by
 slicing aggregators such as Scotty and Disco: ``lift`` turns one value into a
 partial aggregate, ``combine`` merges two partials, and ``lower`` extracts the
-final answer.  For non-decomposable functions the partial aggregate is the
-multiset of values itself, which is precisely why shipping partials to a root
-node is as expensive as shipping raw data — the gap Dema closes.
+final answer.  For the quantile the partial aggregate is the multiset of
+values itself, which is precisely why shipping partials to a root node is as
+expensive as shipping raw data — the gap Dema closes.  ``sum`` is what the
+motivation benchmark runs through partial aggregation; the quantile is what
+that system refuses.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ from __future__ import annotations
 import enum
 import math
 from abc import ABC, abstractmethod
-from collections import Counter
-from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.errors import AggregationError, ConfigurationError
@@ -31,22 +31,12 @@ from repro.errors import AggregationError, ConfigurationError
 __all__ = [
     "AggregationClass",
     "AggregationFunction",
-    "classify",
     "get_function",
-    "list_functions",
     "quantile_rank",
     "exact_quantile",
     "SumFunction",
-    "CountFunction",
-    "MinFunction",
-    "MaxFunction",
-    "AverageFunction",
-    "VarianceFunction",
-    "RangeFunction",
     "MedianFunction",
     "QuantileFunction",
-    "ModeFunction",
-    "DistinctCountFunction",
 ]
 
 
@@ -139,124 +129,6 @@ class SumFunction(AggregationFunction):
         return partial
 
 
-class CountFunction(AggregationFunction):
-    """Count — self-decomposable."""
-
-    name = "count"
-    aggregation_class = AggregationClass.SELF_DECOMPOSABLE
-
-    def lift(self, value: float) -> int:
-        return 1
-
-    def combine(self, left: int, right: int) -> int:
-        return left + right
-
-    def lower(self, partial: int) -> float:
-        return float(partial)
-
-
-class MinFunction(AggregationFunction):
-    """Minimum — self-decomposable."""
-
-    name = "min"
-    aggregation_class = AggregationClass.SELF_DECOMPOSABLE
-
-    def lift(self, value: float) -> float:
-        return value
-
-    def combine(self, left: float, right: float) -> float:
-        return left if left <= right else right
-
-    def lower(self, partial: float) -> float:
-        return partial
-
-
-class MaxFunction(AggregationFunction):
-    """Maximum — self-decomposable."""
-
-    name = "max"
-    aggregation_class = AggregationClass.SELF_DECOMPOSABLE
-
-    def lift(self, value: float) -> float:
-        return value
-
-    def combine(self, left: float, right: float) -> float:
-        return left if left >= right else right
-
-    def lower(self, partial: float) -> float:
-        return partial
-
-
-@dataclass(frozen=True, slots=True)
-class _Moments:
-    """Partial aggregate carrying count, sum and sum of squares."""
-
-    count: int
-    total: float
-    total_sq: float
-
-
-class AverageFunction(AggregationFunction):
-    """Arithmetic mean — decomposable via (count, sum)."""
-
-    name = "average"
-    aggregation_class = AggregationClass.DECOMPOSABLE
-
-    def lift(self, value: float) -> _Moments:
-        return _Moments(1, value, value * value)
-
-    def combine(self, left: _Moments, right: _Moments) -> _Moments:
-        return _Moments(
-            left.count + right.count,
-            left.total + right.total,
-            left.total_sq + right.total_sq,
-        )
-
-    def lower(self, partial: _Moments) -> float:
-        return partial.total / partial.count
-
-
-class VarianceFunction(AggregationFunction):
-    """Population variance — decomposable via (count, sum, sum of squares)."""
-
-    name = "variance"
-    aggregation_class = AggregationClass.DECOMPOSABLE
-
-    def lift(self, value: float) -> _Moments:
-        return _Moments(1, value, value * value)
-
-    def combine(self, left: _Moments, right: _Moments) -> _Moments:
-        return _Moments(
-            left.count + right.count,
-            left.total + right.total,
-            left.total_sq + right.total_sq,
-        )
-
-    def lower(self, partial: _Moments) -> float:
-        mean = partial.total / partial.count
-        variance = partial.total_sq / partial.count - mean * mean
-        # Guard against tiny negative values from floating-point cancellation.
-        return max(variance, 0.0)
-
-
-class RangeFunction(AggregationFunction):
-    """Max − min — decomposable via (min, max)."""
-
-    name = "range"
-    aggregation_class = AggregationClass.DECOMPOSABLE
-
-    def lift(self, value: float) -> tuple[float, float]:
-        return (value, value)
-
-    def combine(
-        self, left: tuple[float, float], right: tuple[float, float]
-    ) -> tuple[float, float]:
-        return (min(left[0], right[0]), max(left[1], right[1]))
-
-    def lower(self, partial: tuple[float, float]) -> float:
-        return partial[1] - partial[0]
-
-
 class QuantileFunction(AggregationFunction):
     """Exact ``q``-quantile — non-decomposable.
 
@@ -302,58 +174,8 @@ class MedianFunction(QuantileFunction):
         return "MedianFunction()"
 
 
-class ModeFunction(AggregationFunction):
-    """Most frequent value — non-decomposable.
-
-    Ties break toward the smallest value so results are deterministic.
-    """
-
-    name = "mode"
-    aggregation_class = AggregationClass.NON_DECOMPOSABLE
-
-    def lift(self, value: float) -> Counter:
-        return Counter({value: 1})
-
-    def combine(self, left: Counter, right: Counter) -> Counter:
-        merged = Counter(left)
-        merged.update(right)
-        return merged
-
-    def lower(self, partial: Counter) -> float:
-        best_count = max(partial.values())
-        return min(v for v, c in partial.items() if c == best_count)
-
-
-class DistinctCountFunction(AggregationFunction):
-    """Number of distinct values — non-decomposable."""
-
-    name = "distinct_count"
-    aggregation_class = AggregationClass.NON_DECOMPOSABLE
-
-    def lift(self, value: float) -> set[float]:
-        return {value}
-
-    def combine(self, left: set[float], right: set[float]) -> set[float]:
-        return left | right
-
-    def lower(self, partial: set[float]) -> float:
-        return float(len(partial))
-
-
 _REGISTRY: dict[str, type[AggregationFunction]] = {
-    cls.name: cls
-    for cls in (
-        SumFunction,
-        CountFunction,
-        MinFunction,
-        MaxFunction,
-        AverageFunction,
-        VarianceFunction,
-        RangeFunction,
-        MedianFunction,
-        ModeFunction,
-        DistinctCountFunction,
-    )
+    cls.name: cls for cls in (SumFunction, MedianFunction)
 }
 
 
@@ -376,15 +198,6 @@ def get_function(name: str, **kwargs: float) -> AggregationFunction:
         return _REGISTRY[name]()
     except KeyError:
         raise ConfigurationError(
-            f"unknown aggregation function {name!r}; known: {list_functions()}"
+            f"unknown aggregation function {name!r}; known: "
+            f"{sorted(_REGISTRY) + ['quantile']}"
         ) from None
-
-
-def list_functions() -> list[str]:
-    """Names of all registered aggregation functions (plus 'quantile')."""
-    return sorted(_REGISTRY) + ["quantile"]
-
-
-def classify(function: AggregationFunction) -> AggregationClass:
-    """Return the decomposability class of ``function``."""
-    return function.aggregation_class

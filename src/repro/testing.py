@@ -154,11 +154,15 @@ class VerificationReport:
 
     @property
     def is_exact(self) -> bool:
-        """Whether every produced window matched and none were missing."""
-        return not self.mismatches and not self.missing_windows
+        """Whether at least one window was checked, every produced window
+        matched and none were missing: a verification of nothing is not
+        exact."""
+        return bool(self.checked) and not self.mismatches and not self.missing_windows
 
     def summary(self) -> str:
         """One-line human-readable verdict."""
+        if not self.checked and not self.missing_windows:
+            return "nothing checked: no outcome had a value"
         if self.is_exact:
             return f"exact on all {self.checked} windows"
         parts = [f"{self.exact}/{self.checked} windows exact"]

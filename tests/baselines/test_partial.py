@@ -1,6 +1,4 @@
-"""Tests for decentralized partial aggregation (decomposable functions)."""
-
-import statistics
+"""Tests for decentralized partial aggregation (the decomposable sum)."""
 
 import pytest
 
@@ -43,12 +41,6 @@ class TestSerialization:
         "name,values",
         [
             ("sum", [1.0, 2.5, -3.0]),
-            ("count", [1.0, 2.0, 3.0]),
-            ("min", [4.0, -1.0, 2.0]),
-            ("max", [4.0, -1.0, 2.0]),
-            ("average", [1.0, 2.0, 4.0]),
-            ("variance", [1.0, 2.0, 4.0]),
-            ("range", [1.0, 9.0, 5.0]),
         ],
     )
     def test_roundtrip_preserves_result(self, name, values):
@@ -66,7 +58,7 @@ class TestSerialization:
         )
 
     def test_state_is_constant_size(self):
-        function = get_function("variance")
+        function = get_function("sum")
         small = function.lift(1.0)
         big = small
         for value in range(1_000):
@@ -86,12 +78,6 @@ class TestSystem:
         "name,oracle",
         [
             ("sum", sum),
-            ("count", len),
-            ("min", min),
-            ("max", max),
-            ("average", statistics.fmean),
-            ("variance", statistics.pvariance),
-            ("range", lambda vs: max(vs) - min(vs)),
         ],
     )
     def test_exact_per_window(self, name, oracle):
@@ -109,8 +95,6 @@ class TestSystem:
     def test_non_decomposable_function_rejected(self):
         with pytest.raises(ConfigurationError):
             build_partial_system("median", TOPO)
-        with pytest.raises(ConfigurationError):
-            build_partial_system("mode", TOPO)
 
     def test_network_cost_independent_of_rate(self):
         slow = build_partial_system("sum", TOPO).run(make_streams(rate=500))

@@ -1,8 +1,8 @@
 """The summary pair's shared contract, once per summary.
 
-Desis, t-digest, KLL, q-digest and partial aggregation run the same
-local/root operators; only the summary differs.  Each test here runs
-against all five.
+Desis, t-digest and partial aggregation run the same local/root
+operators; only the summary differs.  Each test here runs against all
+three.
 """
 
 import pytest
@@ -18,9 +18,7 @@ from repro.streaming.windows import Window
 from repro.core.query import QuantileQuery
 from repro.baselines.base import SummaryLocalNode, SummaryRootNode
 from repro.baselines.desis import DesisSummary
-from repro.baselines.kll_system import KllSummary
 from repro.baselines.partial import PartialSummary
-from repro.baselines.qdigest_system import QDigestSummary
 from repro.baselines.tdigest_system import TDigestSummary
 
 WINDOW = Window(0, 1000)
@@ -29,8 +27,6 @@ QUERY = QuantileQuery(q=0.5, window_length_ms=1000)
 SUMMARIES = {
     "desis": lambda: DesisSummary(QUERY.q),
     "tdigest": lambda: TDigestSummary(QUERY.q),
-    "kll": lambda: KllSummary(QUERY.q),
-    "qdigest": lambda: QDigestSummary(QUERY.q),
     "partial": lambda: PartialSummary(get_function("sum")),
 }
 
@@ -38,8 +34,6 @@ SUMMARIES = {
 PAYLOAD = {
     "desis": "events",
     "tdigest": "centroids",
-    "kll": "centroids",
-    "qdigest": "nodes",
     "partial": "state",
 }
 

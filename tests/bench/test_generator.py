@@ -124,14 +124,6 @@ class TestWorkload:
         assert all(type(s) is EventColumns for s in streams.values())
         assert type(SensorStreamGenerator(config()).generate(1)) is EventColumns
 
-    def test_arrival_pairs_are_the_stream_beside_its_arrivals(self):
-        generator = SensorStreamGenerator(config(max_arrival_delay_ms=50))
-        pairs = generator.generate_with_arrivals(2)
-        assert [event for event, _ in pairs] == list(generator.generate(2))
-        assert [arrival for _, arrival in pairs] == (
-            generator.arrival_times(2).tolist()
-        )
-
 
 def fingerprints(streams):
     return {

@@ -15,7 +15,6 @@ from repro.network.messages import (
     CandidateRequestMessage,
     DigestMessage,
     EventBatchMessage,
-    QDigestMessage,
     SortedRunMessage,
     SynopsisMessage,
     WatermarkMessage,
@@ -28,7 +27,7 @@ MODEL = SystemModel(n_local_nodes=2, node_ops_per_second=1e5, gamma=100)
 
 class TestThroughputPredictions:
     @pytest.mark.parametrize(
-        "system", ["dema", "scotty", "desis", "tdigest", "qdigest"]
+        "system", ["dema", "scotty", "desis", "tdigest"]
     )
     def test_matches_simulation_within_tolerance(self, system):
         predicted = MODEL.throughput(system).per_node_rate
@@ -137,21 +136,14 @@ class TestNetworkPredictions:
     def test_sketch_frames_are_priced_as_their_messages(self):
         # One node-window's frame is exactly a message of the model's
         # typical size: 70 centroids plus the exact min and max for a
-        # t-digest (1,172 B), 700 tree nodes for a q-digest.
-        window = Window(0, 1000)
-        frames = {
-            "tdigest": DigestMessage(
-                1, window, centroids=((1.0, 1.0),) * 70, maximum=1.0
-            ),
-            "qdigest": QDigestMessage(
-                1, window, nodes=((0, 0, 1),) * 700, local_count=700
-            ),
-        }
+        # t-digest (1,172 B).
+        frame = DigestMessage(
+            1, Window(0, 1000), centroids=((1.0, 1.0),) * 70, maximum=1.0
+        )
         single = SystemModel(n_local_nodes=1)
-        for system, frame in frames.items():
-            assert single.network_bytes(system, 5_000, 1) == frame.wire_bytes
-            assert MODEL.network_bytes(system, 5_000, 3) == 6 * frame.wire_bytes
-        assert frames["tdigest"].wire_bytes == 1_172
+        assert single.network_bytes("tdigest", 5_000, 1) == frame.wire_bytes
+        assert MODEL.network_bytes("tdigest", 5_000, 3) == 6 * frame.wire_bytes
+        assert frame.wire_bytes == 1_172
 
     def test_exact_frames_are_priced_as_their_messages(self):
         # One node-window of 1,000 events: Scotty's two 512-event batch

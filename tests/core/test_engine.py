@@ -5,11 +5,7 @@ import struct
 
 import pytest
 
-from repro.bench.generator import (
-    GeneratorConfig,
-    SensorStreamGenerator,
-    workload,
-)
+from repro.bench.generator import GeneratorConfig, workload
 from repro.errors import ConfigurationError
 from repro.network.topology import TopologyConfig
 from repro.streaming.aggregates import exact_quantile
@@ -175,9 +171,7 @@ class TestDemaEngine:
         assert report_a.final_time == report_b.final_time
 
 
-DOOR_CONFIG = GeneratorConfig(
-    event_rate=1500.0, duration_s=2.5, seed=5, max_arrival_delay_ms=120
-)
+DOOR_CONFIG = GeneratorConfig(event_rate=1500.0, duration_s=2.5, seed=5)
 DOOR_QUERY = QuantileQuery(q=0.5, window_length_ms=1000, gamma=40)
 DOOR_NODES = [1, 2, 3]
 
@@ -216,7 +210,7 @@ DOOR_CONCURRENT = [
     QuantileQuery(q=0.25, window_length_ms=500, gamma=30),
     QuantileQuery(q=0.5, window_length_ms=1000, window_step_ms=500, gamma=40),
 ]
-DOOR_BASELINES = ("scotty", "desis", "tdigest", "kll", "qdigest")
+DOOR_BASELINES = ("scotty", "desis", "tdigest")
 
 
 def door_runs(columnar):
@@ -225,19 +219,10 @@ def door_runs(columnar):
     streams = workload(DOOR_NODES, DOOR_CONFIG)
     if not columnar:
         streams = {n: list(share) for n, share in streams.items()}
-    delays = {
-        n: SensorStreamGenerator(DOOR_CONFIG).arrival_times(n).tolist()
-        for n in DOOR_NODES
-    }
-    arrivals = {n: list(zip(streams[n], delays[n])) for n in DOOR_NODES}
     topology = TopologyConfig(n_local_nodes=3)
     runs = {}
     engine = DemaEngine(DOOR_QUERY, topology)
     runs["run"] = _summary(engine, engine.run(streams))
-    engine = DemaEngine(DOOR_QUERY, topology)
-    runs["run_unordered"] = _summary(
-        engine, engine.run_unordered(arrivals, allowed_lateness_ms=40)
-    )
     engine = DemaEngine(
         DOOR_QUERY, TopologyConfig(n_local_nodes=3, streams_per_local=2)
     )
@@ -253,14 +238,6 @@ def door_runs(columnar):
         runs[f"slide_{length}_{step}/run"] = _summary(
             engine, engine.run({n: streams[n][:cut] for n in DOOR_NODES})
         )
-        engine = DemaEngine(query, topology)
-        runs[f"slide_{length}_{step}/run_unordered"] = _summary(
-            engine,
-            engine.run_unordered(
-                {n: arrivals[n][:cut] for n in DOOR_NODES},
-                allowed_lateness_ms=40,
-            ),
-        )
 
     engine = DemaEngine(DOOR_CONCURRENT, topology)
     runs["concurrent"] = _summary(engine, engine.run(streams))
@@ -273,10 +250,6 @@ def door_runs(columnar):
     for name in (*DOOR_BASELINES, "partial"):
         engine = baseline(name)
         runs[f"{name}/run"] = _summary(engine, engine.run(streams))
-        engine = baseline(name)
-        runs[f"{name}/run_unordered"] = _summary(
-            engine, engine.run_unordered(arrivals, allowed_lateness_ms=40)
-        )
     return runs
 
 
@@ -313,22 +286,6 @@ DOOR_GOLDEN = {
             3: 53404.38867460606,
         },
         "late_events": {1: 0, 2: 0, 3: 0},
-    },
-    "run_unordered": {
-        "outcomes": [
-            (0, 44.85442718075182, 1.0403363561713184, 200),
-            (1000, 36.16412990883978, 2.0403363411713187, 200),
-            (2000, 40.08423830462307, 3.040322705982712, 200),
-        ],
-        "final_time": 3.040314265334618,
-        "total_bytes": 8520,
-        "cpu_ops": {
-            0: 14474.497069480873,
-            1: 49626.080648718205,
-            2: 49614.196420134664,
-            3: 49536.10588265672,
-        },
-        "late_events": {1: 78, 2: 77, 3: 82},
     },
     "run_via_sensors": {
         "outcomes": [
@@ -372,31 +329,6 @@ DOOR_GOLDEN = {
         },
         "late_events": {1: 0, 2: 0, 3: 0},
     },
-    "slide_1000_300/run_unordered": {
-        "outcomes": [
-            (-900, 24.100715876696334, 0.1403110523121452, 179),
-            (-600, 43.74532852978323, 0.44031951298791916, 200),
-            (-300, 48.317772857276225, 0.7403278146355566, 200),
-            (0, 44.85442718075182, 1.0403363561713184, 200),
-            (300, 44.162838363867486, 1.3403363811713183, 200),
-            (600, 38.311499094278915, 1.6403363461713183, 200),
-            (900, 35.95597444857209, 1.9403363254653418, 200),
-            (1200, 37.002844744072675, 2.2403363761713186, 200),
-            (1500, 38.63123852860902, 2.5403363011713185, 200),
-            (1800, 39.35094666771359, 2.8403285675251, 200),
-            (2100, 38.46532404166111, 3.140319878915882, 200),
-            (2400, 18.885989451970087, 3.4403125284790947, 200),
-        ],
-        "final_time": 3.4403040878310005,
-        "total_bytes": 32464,
-        "cpu_ops": {
-            0: 51534.93672121942,
-            1: 129528.13114924722,
-            2: 129372.097397526,
-            3: 129562.62762027835,
-        },
-        "late_events": {1: 344, 2: 358, 3: 342},
-    },
     "slide_10_4/run": {
         "outcomes": [
             (-8, 35.136141867348535, 0.0023019738577500426, 3),
@@ -436,46 +368,6 @@ DOOR_GOLDEN = {
             3: 2326.9461638717476,
         },
         "late_events": {1: 0, 2: 0, 3: 0},
-    },
-    "slide_10_4/run_unordered": {
-        "outcomes": [
-            (-8, 1.9951765517321434, 0.04230167352000002, 1),
-            (-4, 16.599435963892756, 0.046301963857750046, 3),
-            (0, 30.862308816708506, 0.05030234397775006, 11),
-            (4, 32.95464031145466, 0.05430237141775006, 12),
-            (8, 38.11488059282907, 0.058302234217750055, 9),
-            (12, 31.825828331548756, 0.06230210653775005, 6),
-            (16, 35.71829707832267, 0.06630223421775007, 9),
-            (20, 55.821498290894255, 0.07030210653775006, 6),
-            (24, 61.09640072848312, 0.07430206397775005, 5),
-            (28, 19.29654856799806, 0.07830230141775006, 10),
-            (32, 17.27429053514393, 0.08230238397775005, 12),
-            (36, 17.006875082219473, 0.08630234897775003, 11),
-            (40, 16.668438524800617, 0.09030228885775007, 10),
-            (44, 17.8292766215027, 0.09430249653775005, 15),
-            (48, 20.638540215740317, 0.09830219165775009, 8),
-            (52, 17.553053772974984, 0.10230231885775005, 11),
-            (56, 14.341056290022088, 0.10630237141775006, 12),
-            (60, 15.007692653408405, 0.11030280503400011, 20),
-            (64, 16.110960410549605, 0.11430262821475012, 16),
-            (68, 20.547326004331314, 0.11830226641775006, 9),
-            (72, 16.89745342098975, 0.12230229897775004, 10),
-            (76, 7.7533853436790565, 0.12630236397775, 12),
-            (80, 19.85688601196631, 0.13030209653775005, 6),
-            (84, 37.96918574180901, 0.13430228885775, 10),
-            (88, 61.1507839026077, 0.13830218165775005, 8),
-            (92, 40.6475171927896, 0.14230221885775, 8),
-            (96, 34.60445892622459, 0.14630196385775, 3),
-        ],
-        "final_time": 0.214,
-        "total_bytes": 12072,
-        "cpu_ops": {
-            0: 5488.566950250961,
-            1: 1208.3783974426797,
-            2: 1339.2224344411707,
-            3: 1286.042734435402,
-        },
-        "late_events": {1: 250, 2: 237, 3: 240},
     },
     "concurrent": {
         "outcomes": [
@@ -518,17 +410,6 @@ DOOR_GOLDEN = {
         "cpu_ops": {0: 751120.917874698, 1: 15000.0, 2: 15000.0, 3: 15000.0},
         "late_events": {0: 0},
     },
-    "scotty/run_unordered": {
-        "outcomes": [
-            (0, 44.85442718075182, 1.0411612266371142, 4382),
-            (1000, 36.16412990883978, 2.041160955839031, 4381),
-            (2000, 40.08423830462307, 3.0406021197178754, 2250),
-        ],
-        "final_time": 3.0401010128000006,
-        "total_bytes": 439020,
-        "cpu_ops": {0: 803287.7588039356, 1: 15000.0, 2: 15000.0, 3: 15000.0},
-        "late_events": {0: 237},
-    },
     "desis/run": {
         "outcomes": [
             (0, 44.62493290929341, 1.000275678176266, 4500),
@@ -545,22 +426,6 @@ DOOR_GOLDEN = {
         },
         "late_events": {1: 0, 2: 0, 3: 0},
     },
-    "desis/run_unordered": {
-        "outcomes": [
-            (0, 44.85442718075182, 1.0402711006483907, 4382),
-            (1000, 36.16412990883978, 2.0402710550435788, 4381),
-            (2000, 40.08423830462307, 3.040188427348134, 2250),
-        ],
-        "final_time": 3.0401029315200003,
-        "total_bytes": 88428,
-        "cpu_ops": {
-            0: 83632.19202044209,
-            1: 47619.080648718176,
-            2: 47629.69642013466,
-            3: 47577.10588265671,
-        },
-        "late_events": {1: 78, 2: 77, 3: 82},
-    },
     "tdigest/run": {
         "outcomes": [
             (0, 44.58317129359473, 1.0001360237199999, 4500),
@@ -571,61 +436,6 @@ DOOR_GOLDEN = {
         "total_bytes": 9060,
         "cpu_ops": {0: 15243.0, 1: 47800.0, 2: 47928.0, 3: 47864.0},
         "late_events": {1: 0, 2: 0, 3: 0},
-    },
-    "tdigest/run_unordered": {
-        "outcomes": [
-            (0, 45.00868723845611, 1.0401363037199998, 4382),
-            (1000, 36.23527359289198, 2.0401370037200004, 4381),
-            (2000, 40.041957232741545, 3.0401352734800007, 2250),
-        ],
-        "final_time": 3.0401109238400004,
-        "total_bytes": 9108,
-        "cpu_ops": {0: 15327.0, 1: 47864.0, 2: 47896.0, 3: 47880.0},
-        "late_events": {1: 78, 2: 77, 3: 82},
-    },
-    "kll/run": {
-        "outcomes": [
-            (0, 44.32334752436114, 1.0002410761999998, 4500),
-            (1000, 36.07932459362675, 2.0002410762, 4500),
-            (2000, 40.14286751566015, 3.00019693028, 2250),
-        ],
-        "final_time": 3.0001256652800006,
-        "total_bytes": 37572,
-        "cpu_ops": {0: 55863.0, 1: 46776.0, 2: 46776.0, 3: 46776.0},
-        "late_events": {1: 0, 2: 0, 3: 0},
-    },
-    "kll/run_unordered": {
-        "outcomes": [
-            (0, 44.475387602968254, 1.0402364649999998, 4382),
-            (1000, 36.07932459362675, 2.0402359696400003, 4381),
-            (2000, 40.123814183661636, 3.04019693028, 2250),
-        ],
-        "final_time": 3.0401256652800006,
-        "total_bytes": 36660,
-        "cpu_ops": {0: 54495.0, 1: 46560.0, 2: 46572.0, 3: 46512.0},
-        "late_events": {1: 78, 2: 77, 3: 82},
-    },
-    "qdigest/run": {
-        "outcomes": [
-            (0, 45.35188915339071, 1.0002611682800002, 4500),
-            (1000, 36.80644570591467, 2.0002604534, 4500),
-            (2000, 40.712934139046574, 3.000267219480001, 2250),
-        ],
-        "final_time": 3.0001388073600004,
-        "total_bytes": 61100,
-        "cpu_ops": {0: 76033.0, 1: 47628.0, 2: 47620.0, 3: 47604.0},
-        "late_events": {1: 0, 2: 0, 3: 0},
-    },
-    "qdigest/run_unordered": {
-        "outcomes": [
-            (0, 45.59604468046145, 1.0402563914799998, 4382),
-            (1000, 36.562290178843924, 2.0402564022, 4381),
-            (2000, 40.712934139046574, 3.040267219480001, 2250),
-        ],
-        "final_time": 3.0401388073600004,
-        "total_bytes": 60028,
-        "cpu_ops": {0: 74693.0, 1: 47420.0, 2: 47460.0, 3: 47436.0},
-        "late_events": {1: 78, 2: 77, 3: 82},
     },
     "partial/run": {
         "outcomes": [
@@ -638,17 +448,6 @@ DOOR_GOLDEN = {
         "cpu_ops": {0: 207.0, 1: 22500.0, 2: 22500.0, 3: 22500.0},
         "late_events": {1: 0, 2: 0, 3: 0},
     },
-    "partial/run_unordered": {
-        "outcomes": [
-            (0, 209529.7953499243, 1.04010101664, 4382),
-            (1000, 163079.08328088486, 2.0401010166400004, 4381),
-            (2000, 98060.71471326289, 3.0401010166400004, 2250),
-        ],
-        "final_time": 3.0401010166400004,
-        "total_bytes": 468,
-        "cpu_ops": {0: 207.0, 1: 22500.0, 2: 22500.0, 3: 22500.0},
-        "late_events": {1: 78, 2: 77, 3: 82},
-    },
 }
 
 
@@ -657,9 +456,7 @@ class TestColumnsAtTheDoor:
         assert door_runs(columnar=False) == door_runs(columnar=True)
 
     def test_simulated_world_equals_the_parent_commit(self):
-        runs = door_runs(columnar=True)
-        assert any(runs["run_unordered"]["late_events"].values())
-        assert runs == DOOR_GOLDEN
+        assert door_runs(columnar=True) == DOOR_GOLDEN
 
 
 class TestOwnIdsAtTheDoor:
@@ -673,7 +470,7 @@ class TestOwnIdsAtTheDoor:
     REFUSAL = "local 1's stream carries events of node 2"
     NAN_REFUSAL = "local 1's stream has a NaN value at row 1"
     SYSTEMS = ["dema", "scotty", "tdigest"]
-    DOORS = ["run", "run_unordered", "run_via_sensors"]
+    DOORS = ["run", "run_via_sensors"]
 
     def streams(self):
         # Local 1 holds -0.0 stamped with node 2's id; local 2 holds 0.0.
@@ -699,22 +496,12 @@ class TestOwnIdsAtTheDoor:
             system, QuantileQuery(q=0.5, gamma=2),
             TopologyConfig(n_local_nodes=2, streams_per_local=sensors),
         )
-        if door == "run_unordered":
-            return engine.run_unordered({
-                node: [(event, event.timestamp) for event in events]
-                for node, events in streams.items()
-            })
         return getattr(engine, door)(streams)
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_run_refuses_a_foreign_id(self, system):
         with pytest.raises(ConfigurationError, match=self.REFUSAL):
             self.enter(system, "run", self.streams())
-
-    @pytest.mark.parametrize("system", SYSTEMS)
-    def test_run_unordered_refuses_a_foreign_id(self, system):
-        with pytest.raises(ConfigurationError, match=self.REFUSAL):
-            self.enter(system, "run_unordered", self.streams())
 
     @pytest.mark.parametrize("system", SYSTEMS)
     def test_run_via_sensors_refuses_a_foreign_id(self, system):

@@ -90,7 +90,7 @@ class TestBaselineGuard:
     def test_baselines_reject_sliding(self):
         query = QuantileQuery(window_length_ms=1000, window_step_ms=500)
         topo = TopologyConfig(n_local_nodes=2)
-        for name in ("scotty", "desis", "tdigest", "qdigest"):
+        for name in ("scotty", "desis", "tdigest"):
             with pytest.raises(ConfigurationError):
                 build_system(name, query, topo)
 

@@ -8,12 +8,14 @@ one root and no shard, relay or query plane, and the cluster config's one
 validator rejects the shapes a plan cannot run on.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.generator import GeneratorConfig
 from repro.core.query import QuantileQuery
 from repro.errors import ConfigurationError
-from repro.faults.runner import run_chaos
+from repro.faults.runner import UnfiredFaultError, run_chaos
 from repro.faults.scenarios import SCENARIOS
 from repro.mesh.config import ClusterConfig
 
@@ -82,17 +84,31 @@ class TestSubstrateDispatch:
 
     def test_explicit_zero_relay_fanin_is_honoured(self):
         """The runner runs the topology it is given: a relay scenario
-        asked for no relay tier kills a shard of a direct-wired mesh."""
+        asked for no relay tier kills a shard of a direct-wired mesh (ten
+        seconds, so the kill has a window to follow)."""
         report = run_chaos(
             "kill-shard-with-relay",
             cluster(n_locals=6, n_shards=2, relay_fanin=0),
-            GENERATOR,
+            replace(GENERATOR, duration_s=10.0),
             mode="live",
         )
         assert (report.shards, report.relay_fanin) == (2, 0)
+        assert report.shard_failovers == 1 and report.unfired == []
         assert report.relay_frames_replayed == 0
         assert report.recovered == report.windows >= 3
         assert report.lost == report.mismatched == 0
+
+    def test_a_kill_that_never_fired_is_named_and_raised(self):
+        """At three seconds the victim answers no further window: the
+        report names the kill as unfired and the run fails with it."""
+        with pytest.raises(UnfiredFaultError, match="never fired") as caught:
+            run_chaos("kill-shard", cluster(n_shards=2), GENERATOR, mode="live")
+        report = caught.value.report
+        assert report.shard_failovers == 0
+        assert report.unfired == [
+            line for line in report.applied if line.startswith("kill_shard")
+        ]
+        assert report.unfired
 
     def test_substrates_are_known(self):
         assert {s.substrate for s in SCENARIOS.values()} <= {

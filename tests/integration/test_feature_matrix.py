@@ -6,13 +6,10 @@ unbalanced rates and loss, sensors with reliability, concurrency with
 sliding groups and with loss — and require bit-exactness throughout.
 """
 
-import pytest
-
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.core.reliability import ReliabilityConfig
 from repro.network.topology import TopologyConfig
-from repro.streaming.aggregates import exact_quantile
 from repro.testing import verify_outcomes
 from repro.bench.generator import GeneratorConfig, workload
 from tests.event_objects import event_objects
@@ -150,34 +147,3 @@ class TestMultiQuantileMatchesConcurrent:
                     if o.window == window
                 )
                 assert outcome.value == in_memory.values[q]
-
-
-class TestLatenessPlusReliability:
-    def test_disordered_lossy_still_exact_over_retained(self):
-        import dataclasses
-
-        from repro.bench.generator import SensorStreamGenerator
-
-        base = GeneratorConfig(
-            event_rate=600.0, duration_s=3.0, seed=77,
-            max_arrival_delay_ms=50,
-        )
-        arrivals = {}
-        for node_id in (1, 2):
-            config = dataclasses.replace(base, replay_offset=node_id)
-            arrivals[node_id] = SensorStreamGenerator(
-                config
-            ).generate_with_arrivals(node_id)
-        query = QuantileQuery(q=0.5, gamma=40)
-        engine = DemaEngine(
-            query,
-            TopologyConfig(n_local_nodes=2, loss_rate=0.08, loss_seed=5),
-            reliability=RELIABLE,
-        )
-        report = engine.run_unordered(arrivals, allowed_lateness_ms=80)
-        streams = {
-            node_id: [event for event, _ in pairs]
-            for node_id, pairs in arrivals.items()
-        }
-        verification = verify_outcomes(report.outcomes, streams, query)
-        assert verification.is_exact, verification.summary()

@@ -20,7 +20,6 @@ from repro.network.messages import (
     CandidateRequestMessage,
     DigestMessage,
     PartialAggregateMessage,
-    QDigestMessage,
     QueryAckMessage,
     QueryRegisterMessage,
     RouteUpdateMessage,
@@ -89,18 +88,6 @@ PINS = [
     (
         PartialAggregateMessage(0, W, state=(NAN,), local_window_size=0),
         u32(1) + struct.pack("<Q", 0) + struct.pack("<d", NAN),
-    ),
-    # q-digest: node count, local count u64, then 16-byte <IQI nodes.
-    (
-        QDigestMessage(0, W, nodes=(), local_count=0),
-        u32(0) + struct.pack("<Q", 0),
-    ),
-    (
-        QDigestMessage(
-            0, W, nodes=((U32_MAX, U64_MAX, U32_MAX),), local_count=U64_MAX
-        ),
-        u32(1) + struct.pack("<Q", U64_MAX)
-        + struct.pack("<IQI", U32_MAX, U64_MAX, U32_MAX),
     ),
     # Query register: the 44-byte fixed part (kind as code 1/2/3), then
     # the selector behind its u32 byte count.
@@ -204,9 +191,9 @@ def test_variable_payload_is_the_documented_layout(message, payload):
         assert decoded == message
 
 
-def test_pins_cover_the_eleven_declared_types():
+def test_pins_cover_the_ten_declared_types():
     declared = {cls for cls in TAG_BY_TYPE if cls.PAYLOAD is not None}
-    assert len(declared) == 11
+    assert len(declared) == 10
     assert {type(message) for message, _ in PINS} == declared
 
 

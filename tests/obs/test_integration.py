@@ -154,8 +154,6 @@ class TestTracedBaselines:
             ("scotty", "sort"),
             ("desis", "merge"),
             ("tdigest", "digest_merge"),
-            ("qdigest", "digest_merge"),
-            ("kll", "digest_merge"),
         ],
     )
     def test_baseline_emits_window_and_work_spans(self, system, phase):

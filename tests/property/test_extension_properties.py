@@ -1,10 +1,9 @@
 """Property tests for the extension subsystems.
 
 Covers multi-quantile sharing, per-node γ optimality, lossy-channel
-accounting, out-of-order delivery, and query grouping.
+accounting and query grouping.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptive import NodeGammaController, optimal_gamma, transfer_cost
@@ -118,56 +117,6 @@ def test_lossy_channel_conservation(loss_rate, seed, n_messages):
 @given(
     st.lists(
         st.tuples(
-            st.integers(min_value=0, max_value=5_000),  # event time
-            st.integers(min_value=0, max_value=500),    # delay
-        ),
-        min_size=1,
-        max_size=80,
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_unordered_feed_delivers_everything_in_arrival_order(spec):
-    from repro.network.driver import BatchSourceDriver, split_arrivals
-    from repro.network.simulator import Simulator
-
-    events = make_events(
-        [float(i) for i in range(len(spec))], timestamp_step=0
-    )
-    events = [
-        type(e)(value=e.value, timestamp=ts, node_id=e.node_id, seq=e.seq)
-        for e, (ts, _) in zip(events, spec)
-    ]
-    arrivals = [
-        (event, ts + delay) for event, (ts, delay) in zip(events, spec)
-    ]
-
-    received = []
-
-    class Recorder:
-        def ingest(self, batch, now):
-            received.extend((e, now) for e in batch)
-            return now
-
-        def on_window_complete(self, window, now):
-            pass
-
-    simulator = Simulator()
-    driver = BatchSourceDriver(simulator)
-    driver.feed_arrivals(Recorder(), *split_arrivals(arrivals))
-    simulator.run()
-
-    assert len(received) == len(arrivals)
-    assert {e.key for e, _ in received} == {e.key for e, _ in arrivals}
-    times = [now for _, now in received]
-    assert times == sorted(times)
-    expected_arrival = {e.key: a / 1000.0 for e, a in arrivals}
-    for event, now in received:
-        assert now == pytest.approx(expected_arrival[event.key])
-
-
-@given(
-    st.lists(
-        st.tuples(
             st.sampled_from([500, 1000, 2000]),            # length
             st.sampled_from([None, 250, 500, 1000]),       # step
             st.sampled_from([10, 50, 100]),                # gamma
@@ -199,36 +148,3 @@ def test_query_grouping_partitions(specs):
         assert len(shapes) == 1
     shapes_across = [group.shape for group in groups]
     assert len(shapes_across) == len(set(shapes_across))
-
-
-@given(
-    st.lists(bounded_floats, min_size=1, max_size=300),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=0, max_value=50),
-)
-@settings(max_examples=100, deadline=None)
-def test_kll_invariants(values, n_parts, seed):
-    from repro.sketches.kll import KllSketch
-
-    parts = [KllSketch(32, seed=seed + i) for i in range(n_parts)]
-    for index, value in enumerate(values):
-        parts[index % n_parts].add(value)
-    merged = parts[0]
-    for part in parts[1:]:
-        merged.merge(part)
-
-    # Weight conservation and exact extremes survive any merge order.
-    assert merged.count == len(values)
-    pairs = merged.to_weighted_tuples()
-    assert sum(weight for _, weight in pairs) == len(values)
-    assert merged.min == min(values)
-    assert merged.max == max(values)
-    # Quantiles are monotone and bounded by the true extremes.
-    qs = [i / 10 for i in range(11)]
-    estimates = [merged.quantile(q) for q in qs]
-    assert all(a <= b for a, b in zip(estimates, estimates[1:]))
-    assert estimates[0] == merged.min
-    assert estimates[-1] == merged.max
-    # Every retained item is one of the inputs (compaction never invents).
-    inputs = set(values)
-    assert all(item in inputs for item, _ in pairs)

@@ -31,7 +31,6 @@ from repro.network.messages import (
     LeaveMessage,
     Message,
     PartialAggregateMessage,
-    QDigestMessage,
     QueryAckMessage,
     QueryDeregisterMessage,
     QueryRegisterMessage,
@@ -245,11 +244,6 @@ messages = st.one_of(
     _with_header(st.tuples(st.lists(f64, max_size=8).map(tuple), u64)).map(
         lambda t: PartialAggregateMessage(t[0], t[1], t[2], t[3][0], t[3][1])
     ),
-    _with_header(
-        st.tuples(
-            st.lists(st.tuples(u32, u64, u32), max_size=20).map(tuple), u64
-        )
-    ).map(lambda t: QDigestMessage(t[0], t[1], t[2], t[3][0], t[3][1])),
     _with_header(u64).map(lambda t: WatermarkMessage(t[0], t[1], t[2], t[3])),
     _with_header(st.tuples(f64, u64)).map(
         lambda t: ResultMessage(t[0], t[1], t[2], t[3][0], t[3][1])
@@ -439,7 +433,6 @@ SAMPLES = [
         PartialAggregateMessage(1, W, state=(1.0, 2.0, 3.0), local_window_size=5),
         4 + 8 + 3 * 8,
     ),
-    (QDigestMessage(1, W, nodes=((1, 2, 3),), local_count=9), 4 + 8 + 16),
     (WatermarkMessage(5, W, watermark_time=999), 8),
     (ResultMessage(0, W, value=1.5, global_window_size=10), 8 + 8),
     (HeartbeatMessage(1, W, sequence=17), 8),
@@ -887,6 +880,13 @@ def test_version_mismatch_rejected():
 def test_unknown_tag_rejected():
     with pytest.raises(CodecError, match="unknown frame type tag 200"):
         decode_frame(_mutated(_TAG_AT, 200))
+
+
+def test_retired_tag_stays_unassigned():
+    """Tag 12 carried the retired q-digest sketch; tags are never reused."""
+    assert 12 not in TYPE_BY_TAG
+    with pytest.raises(CodecError, match="unknown frame type tag 12"):
+        decode_frame(_mutated(_TAG_AT, 12))
 
 
 def test_unknown_flag_bits_rejected():

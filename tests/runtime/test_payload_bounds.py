@@ -33,7 +33,6 @@ COUNTS = {
     "CandidateEventsMessage": [(4, 1)],  # after the slice index
     "DigestMessage": [(0, 1)],
     "PartialAggregateMessage": [(0, 3)],
-    "QDigestMessage": [(0, 1)],
     "QueryRegisterMessage": [(44, 7)],  # after the 44-byte fixed part
     "QueryAckMessage": [(8, 2)],  # after query id and accepted
     "RouteUpdateMessage": [(8, 3)],  # after the epoch

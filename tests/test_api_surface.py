@@ -50,14 +50,10 @@ MODULES = [
     "repro.network.sources",
     "repro.sketches.scale_functions",
     "repro.sketches.tdigest",
-    "repro.sketches.qdigest",
-    "repro.sketches.kll",
     "repro.baselines.base",
     "repro.baselines.scotty",
     "repro.baselines.desis",
     "repro.baselines.tdigest_system",
-    "repro.baselines.qdigest_system",
-    "repro.baselines.kll_system",
     "repro.baselines.partial",
     "repro.bench.generator",
     "repro.bench.workloads",

@@ -9,7 +9,7 @@ class TestInfo:
     def test_lists_systems_and_experiments(self, capsys):
         assert main(["info"]) == 0
         out = capsys.readouterr().out
-        for name in ("dema", "scotty", "desis", "tdigest", "qdigest"):
+        for name in ("dema", "scotty", "desis", "tdigest"):
             assert name in out
         assert "fig5a" in out
         assert "Figure 8b" in out
@@ -201,6 +201,15 @@ class TestChaos:
         assert "crash local" in out
         assert "recovered" in out and "degraded" in out
         assert "locals declared dead" in out
+
+    def test_a_kill_that_never_fired_fails_the_run(self, capsys):
+        """At three seconds the run ends before the victim shard answers
+        another window: 0 failovers, so the scenario tested nothing."""
+        assert main(["chaos", "--scenario", "kill-shard", "--shards", "3",
+                     "--duration", "3"]) == 3
+        out = capsys.readouterr().out
+        assert "0 shard failovers" in out
+        assert "UNFIRED FAULT: kill_shard shard" in out
 
     def test_unknown_scenario_rejected(self, capsys):
         assert main(["chaos", "--scenario", "asteroid", "--mode", "sim"]) == 2

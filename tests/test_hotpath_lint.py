@@ -41,9 +41,9 @@ root all call instead of re-deriving it.
 
 And two keep the protocol's node classes few: Dema is one local and one
 root under ``core/`` (a single query is a one-query group), and the
-baselines are Scotty's pair and the summary pair that Desis, t-digest, KLL,
-q-digest and partial aggregation share, so a per-path or per-system copy of
-the local/root protocol cannot grow back.
+baselines are Scotty's pair and the summary pair that Desis, t-digest and
+partial aggregation share, so a per-path or per-system copy of the
+local/root protocol cannot grow back.
 
 One keeps the one cluster driver legible: no function or method of
 ``runtime/cluster.py`` runs past 150 lines, so the driver stays a cluster

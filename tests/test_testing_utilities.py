@@ -77,11 +77,14 @@ class TestVerifyOutcomes:
         assert verification.missing_windows == [Window(0, 1000)]
 
     def test_missing_windows_can_be_ignored(self):
-        streams = {1: make_events([1.0], node_id=1)}
+        # Two windows; only the first is answered.
+        streams = {1: make_events([1.0, 2.0], node_id=1, timestamp_step=1000)}
+        answered = SimpleNamespace(window=Window(0, 1000), value=1.0)
         verification = verify_outcomes(
-            [], streams, QUERY, require_all_windows=False
+            [answered], streams, QUERY, require_all_windows=False
         )
         assert verification.is_exact
+        assert verification.missing_windows == []
 
     def test_invented_window_rejected(self):
         class Fake:
@@ -102,6 +105,8 @@ class TestVerifyOutcomes:
             [Empty()], streams, QUERY, require_all_windows=False
         )
         assert verification.checked == 0
+        assert not verification.is_exact
+        assert verification.summary() == "nothing checked: no outcome had a value"
 
 
 class TestSignedZero:

@@ -18,12 +18,19 @@ is not listed again.  The entry points share one scratch working
 directory and run in order, so ``repro report`` reads the traces that
 ``examples/trace_inspection.py`` and ``repro trace lossy`` wrote there.
 
+The result is then held against ``docs/reachability.md``: every unreached
+function must have a "stays" row there, and every "stays" row must name a
+function that exists and is still unreached.  Each disagreement is named
+on standard error, and the exit status is 1 if there is one or if an
+entry point failed.  A run of only some entry points therefore fails on
+the functions only the others reach.
+
 ``ENTRY ...`` runs only the entry points whose name starts with one of
 them; ``--dumps DIR`` keeps the per-process records in ``DIR`` (one
 sub-directory per entry point), and ``--analyse-only`` reads them from
 there instead of running anything, so entry points can be run in parts.
 Progress and each entry point's exit status go to standard error.  The
-whole set takes about eight minutes on two cores; the profile hook costs
+whole set takes 7-8 minutes on two cores; the profile hook costs
 a Python call per Python and C call, so each entry point runs 2-3 times
 slower than without it.
 """
@@ -44,6 +51,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
+REPORT = ROOT / "docs" / "reachability.md"
 
 _HOOK = '''\
 import atexit, json, os, sys, threading
@@ -230,6 +238,28 @@ def unreached_defs(reached: "set[tuple[str, int]]"):
     return rows
 
 
+def stays_rows(report: Path) -> "set[tuple[str, str]]":
+    """``(module, function)`` of every "stays" row of the report's tables."""
+    rows = set()
+    for line in report.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("| `"):
+            continue
+        module, name, _, verdict, _ = line.strip("| ").split(" | ", 4)
+        if verdict.startswith("stays"):
+            rows.add((module.strip("`"), name.strip("`")))
+    return rows
+
+
+def disagreements(rows, stays: "set[tuple[str, str]]") -> "list[str]":
+    """What the measured ``rows`` and the report's "stays" rows disagree on."""
+    unreached = {(module, name) for module, name, _, _ in rows}
+    return [
+        *(f"unreached, no stays row: {m}.{n}" for m, n in sorted(unreached - stays)),
+        *(f"stays row, but reached or gone: {m}.{n}"
+          for m, n in sorted(stays - unreached)),
+    ]
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
@@ -257,7 +287,10 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"| `{module}` | `{name}` | {first} | {lines} |")
     if failures:
         print(f"\nfailed entry points: {', '.join(failures)}", file=sys.stderr)
-    return 1 if failures else 0
+    stale = disagreements(rows, stays_rows(REPORT))
+    for line in stale:
+        print(line, file=sys.stderr)
+    return 1 if failures or stale else 0
 
 
 if __name__ == "__main__":
