@@ -477,11 +477,11 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     config, generator = _configs_from_args(args)
     unfired = None
     try:
-        report = run_chaos(args.scenario, config, generator, mode=args.mode)
+        report = run_chaos(args.scenario, config, generator)
     except UnfiredFaultError as exc:
         report, unfired = exc.report, exc
-    print(f"chaos scenario {report.scenario!r} on the {report.mode} "
-          f"substrate (seed {report.seed})")
+    print(f"chaos scenario {report.scenario!r} on the live cluster "
+          f"(seed {report.seed})")
     print("fault events applied:")
     for line in report.applied or ["(none)"]:
         print(f"  {line}")
@@ -745,8 +745,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="scenario name (see --list)")
     chaos.add_argument("--list", action="store_true",
                        help="list available scenarios and exit")
-    chaos.add_argument("--mode", default="live", choices=["sim", "live"],
-                       help="substrate: discrete-event sim or live asyncio")
     _add_telemetry_flags(chaos)
 
     top = command("top", _cmd_top,

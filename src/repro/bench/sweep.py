@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.core.query import QuantileQuery

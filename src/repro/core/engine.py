@@ -214,7 +214,6 @@ class DemaEngine(SimulatedDeployment):
         *,
         batch_size: int = 512,
         reliability=None,
-        degrade_after_retries: bool = False,
         trace=None,
         tracer=None,
     ) -> None:
@@ -228,7 +227,6 @@ class DemaEngine(SimulatedDeployment):
                 DemaRootNode,
                 queries=self._queries,
                 reliability=reliability,
-                degrade_after_retries=degrade_after_retries,
             ),
             local=partial(
                 DemaLocalNode, queries=self._queries, reliability=reliability

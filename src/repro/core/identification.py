@@ -9,7 +9,7 @@ size, runs window-cut to select the candidate slices, and emits a fetch plan
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.errors import IdentificationError
 from repro.streaming.aggregates import quantile_rank

@@ -172,7 +172,6 @@ class DemaRootNode(SimulatedNode):
         self._outcomes: list[WindowOutcome] = []
         #: Locals the failure detector has declared dead (until revived).
         self._dead: set[int] = set()
-        self._deaths_declared = 0
         #: Elastic membership: first window start a runtime joiner serves,
         #: and first window start a departed local no longer serves.  The
         #: constructor's locals carry no entries — they are eligible for
@@ -249,11 +248,6 @@ class DemaRootNode(SimulatedNode):
     def dead_nodes(self) -> frozenset[int]:
         """Locals currently declared dead by the failure detector."""
         return frozenset(self._dead)
-
-    @property
-    def deaths_declared(self) -> int:
-        """Times :meth:`mark_dead` newly declared a local dead."""
-        return self._deaths_declared
 
     @property
     def degraded_windows(self) -> int:
@@ -505,7 +499,6 @@ class DemaRootNode(SimulatedNode):
         if node_id not in self._local_ids or node_id in self._dead:
             return False
         self._dead.add(node_id)
-        self._deaths_declared += 1
         for key in sorted(self._states):
             state = self._states.get(key)
             if state is not None:

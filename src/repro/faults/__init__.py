@@ -4,9 +4,7 @@ The package has two halves that share one vocabulary:
 
 * **Injection** — :mod:`repro.faults.plan` defines seeded, deterministic
   :class:`FaultPlan` schedules; :mod:`repro.faults.scenarios` names common
-  patterns; :mod:`repro.faults.simulate` compiles a plan onto the
-  discrete-event simulator (channel outages + scheduled detector calls);
-  :mod:`repro.faults.chaos` applies the same plan to the live asyncio
+  patterns; :mod:`repro.faults.chaos` applies a plan to the live asyncio
   transport (stream severing, delays, reorder, partition gating).
 * **Tolerance policy** — :class:`ToleranceConfig` bundles the heartbeat
   cadence, failure-detection threshold, reconnect backoff and the
@@ -16,7 +14,7 @@ The package has two halves that share one vocabulary:
   :mod:`repro.core.root_node` (degraded answers from surviving locals).
 
 :mod:`repro.faults.runner` (imported lazily — it pulls in the live
-runtime) runs a named scenario end to end on either substrate and
+runtime) runs a named scenario end to end on the live cluster and
 classifies every window as recovered, degraded or lost.
 """
 
@@ -40,17 +38,15 @@ __all__ = [
     "build_plan",
     "ChaosStream",
     "ChaosController",
-    "compile_plan",
     "ChaosReport",
     "run_chaos",
 ]
 
 _LAZY = {
-    # Imported on first touch: chaos/simulate/runner reach into the runtime
-    # and simulator layers, which must not load just to build a plan.
+    # Imported on first touch: chaos/runner reach into the runtime layer,
+    # which must not load just to build a plan.
     "ChaosStream": "repro.faults.chaos",
     "ChaosController": "repro.faults.chaos",
-    "compile_plan": "repro.faults.simulate",
     "ChaosReport": "repro.faults.runner",
     "run_chaos": "repro.faults.runner",
 }

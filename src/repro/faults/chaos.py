@@ -12,8 +12,8 @@ and gives the fault driver three levers the real world pulls all the time:
 :class:`ChaosController` owns one live run's worth of wrapped streams and
 translates :class:`~repro.faults.plan.FaultPlan` events into lever pulls:
 severing a local's links for a crash or link drop, gating redials during a
-partition.  Everything it applies is recorded as canonical event strings so
-the run can be compared against the simulator compilation of the same plan.
+partition.  Everything it applies is recorded as canonical event strings,
+in firing order.
 """
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ class ChaosController:
         self._plan = plan
         self._streams: dict[int, list[ChaosStream]] = {}
         self._partitioned = False
-        #: Canonical descriptions of events applied so far, in order —
-        #: compared against the simulator compilation for plan parity.
+        #: Canonical descriptions of events applied so far, in order.
         self.applied: list[str] = []
 
     @property

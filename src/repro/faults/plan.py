@@ -1,21 +1,15 @@
-"""Deterministic fault plans shared by the simulator and the live runtime.
+"""Deterministic fault plans for the live cluster.
 
 A :class:`FaultPlan` is a seeded, fully explicit schedule of fault events —
-node crashes and restarts, link drops, network partitions — expressed in
-*event time* (seconds since the run's epoch).  The same plan compiles onto
-both execution substrates:
+node crashes and restarts, link drops, network partitions, shard kills and
+driver drops — expressed in *event time* (seconds since the run's epoch).
+The chaos driver inside :func:`repro.runtime.cluster.run_cluster` fires it
+against the live asyncio cluster: crashes call ``LocalServer.crash()``,
+link drops sever the wrapped transport, and event times scale to wall time
+by the run's ``time_scale``.
 
-* the discrete-event simulator, via :func:`repro.faults.simulate.compile_plan`
-  (crash windows and partitions become channel outage intervals, detection
-  becomes scheduled ``mark_dead`` calls), and
-* the live asyncio cluster, via the chaos driver inside
-  :func:`repro.runtime.cluster.run_cluster` (crashes call
-  ``LocalServer.crash()``, link drops sever the wrapped transport, event
-  times scale to wall time by the run's ``time_scale``).
-
-Because the plan is data, not code, the acceptance property "same seed ⇒
-same fault schedule in both worlds" is checkable by comparing
-:meth:`FaultPlan.described` outputs.
+Because the plan is data, not code, :meth:`FaultPlan.described` is the
+schedule a run is expected to apply, checkable against the run's record.
 
 :class:`ToleranceConfig` is the matching survival policy: heartbeat cadence
 and failure-detection threshold for the root, reconnect backoff for the
@@ -40,9 +34,8 @@ __all__ = [
 
 #: Recognized fault kinds, in the tie-break order used by the schedule.
 #: ``kill_shard`` and ``driver_drop`` are mesh/query-plane kinds: they
-#: compile only onto the substrates that have root shards and durable
-#: driver sessions (see :func:`repro.faults.runner.run_chaos`); the flat
-#: simulator and live cluster ignore them.
+#: need root shards and durable driver sessions (see
+#: :func:`repro.faults.runner.run_chaos`).
 FAULT_KINDS = (
     "crash",
     "restart",
@@ -69,9 +62,9 @@ class FaultEvent:
             omitted for partitions, which cut every local off the root).
             A local id for crash/restart/drop_link; the 0-based shard
             index for ``kill_shard``.
-        duration_s: For ``drop_link`` only — how long the simulator models
-            the link as dead before the live runtime's reconnect would
-            have restored it.
+        duration_s: For ``drop_link`` only — the expected outage, shown
+            in the event's description; the live link comes back through
+            the local's reconnect.
     """
 
     at_s: float
@@ -102,7 +95,7 @@ class FaultEvent:
 
 
 def describe_event(event: FaultEvent) -> str:
-    """Canonical one-line description, identical on both substrates."""
+    """Canonical one-line description of one fault event."""
     noun = "shard" if event.kind == "kill_shard" else "local"
     target = f" {noun} {event.node}" if event.node is not None else ""
     extra = f" for {event.duration_s:.3f}s" if event.duration_s else ""
@@ -123,8 +116,8 @@ class FaultPlan:
                 f"plan horizon must be > 0 s, got {self.horizon_s}"
             )
         # Every restart must revive an earlier crash of the same node, and
-        # partitions must open before they heal — the compilers on both
-        # substrates rely on well-formed pairings.
+        # partitions must open before they heal — the chaos driver relies
+        # on well-formed pairings.
         crashed: set[int] = set()
         partitioned = False
         for event in self.schedule():
@@ -167,8 +160,7 @@ class FaultPlan:
         )
 
     def described(self) -> tuple[str, ...]:
-        """The schedule as canonical strings — the cross-substrate parity
-        artifact asserted by the acceptance tests."""
+        """The schedule as canonical strings, in firing order."""
         return tuple(describe_event(event) for event in self.schedule())
 
     def crash_intervals(self) -> dict[int, list[tuple[float, float | None]]]:
@@ -185,21 +177,6 @@ class FaultPlan:
                 )
         for node, start in open_at.items():
             intervals.setdefault(node, []).append((start, None))
-        return intervals
-
-    def partition_intervals(self) -> list[tuple[float, float | None]]:
-        """``(start, heal)`` pairs; ``None`` end = never heals."""
-        intervals: list[tuple[float, float | None]] = []
-        started: float | None = None
-        for event in self.schedule():
-            if event.kind == "partition_start":
-                started = event.at_s
-            elif event.kind == "partition_heal":
-                assert started is not None  # validated in __post_init__
-                intervals.append((started, event.at_s))
-                started = None
-        if started is not None:
-            intervals.append((started, None))
         return intervals
 
 

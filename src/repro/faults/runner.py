@@ -1,12 +1,12 @@
-"""End-to-end chaos runs: a named scenario on either substrate, graded.
+"""End-to-end chaos runs: a named scenario on the live cluster, graded.
 
 :func:`run_chaos` generates a seeded workload, computes ground truth (the
 exact centralized quantile of every window the cluster serves,
 :func:`repro.testing.oracle`), then runs the *same* workload under the
-scenario's fault plan — either compiled onto the simulator or handed to
-the one live cluster driver as ``ClusterConfig.faults``, on whatever
-topology the caller's config names — and classifies every ground-truth
-window with the one grader, :func:`repro.testing.grade`:
+scenario's fault plan — handed to the one live cluster driver as
+``ClusterConfig.faults``, on whatever topology the caller's config
+names — and classifies every ground-truth window with the one grader,
+:func:`repro.testing.grade`:
 
 ``recovered``
     Answered with completeness 1.0 and a value bit-identical to the
@@ -24,7 +24,8 @@ window with the one grader, :func:`repro.testing.grade`:
 A run whose fault never took effect tested nothing, whatever its grades:
 a ``kill_shard`` that left 0 shard failovers (the run ended before the
 victim answered another window) is named in :attr:`ChaosReport.unfired`,
-and :func:`run_chaos` raises :class:`UnfiredFaultError` with the report.
+left out of :attr:`ChaosReport.applied`, and :func:`run_chaos` raises
+:class:`UnfiredFaultError` with the report.
 
 This module imports the live runtime, so :mod:`repro.faults` loads it
 lazily; plan building stays importable without asyncio machinery.
@@ -37,14 +38,11 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 
 from repro.bench.generator import GeneratorConfig, workload
-from repro.core.engine import DemaEngine
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ReproError
 from repro.faults.plan import FaultPlan, ToleranceConfig, describe_event
 from repro.faults.scenarios import build_plan, get_scenario
-from repro.faults.simulate import compile_plan
 from repro.mesh.cluster import served_windows
 from repro.mesh.config import ClusterConfig
-from repro.network.topology import TopologyConfig
 from repro.obs.tracer import NOOP_TRACER, Tracer
 from repro.runtime.cluster import run_live
 from repro.streaming.windows import Window
@@ -62,10 +60,10 @@ class ChaosReport:
     """One graded chaos run."""
 
     scenario: str
-    mode: str
     seed: int
     plan: FaultPlan
-    #: Canonical fault-event strings actually applied, in order.
+    #: Canonical fault-event strings actually applied, in order; a fault
+    #: named in :attr:`unfired` is not among them.
     applied: list[str]
     #: Ground-truth window count (windows holding an eligible event).
     windows: int
@@ -75,10 +73,10 @@ class ChaosReport:
     heartbeat_misses: int = 0
     locals_declared_dead: int = 0
     wall_seconds: float = 0.0
-    #: Live mode with telemetry: the run report's telemetry section
-    #: (bound port, flight-recorder path, traced span count).
+    #: With telemetry: the run report's telemetry section (bound port,
+    #: flight-recorder path, traced span count).
     telemetry: dict = field(default_factory=dict)
-    #: Live mode: deployment shape and failover accounting.
+    #: Deployment shape and failover accounting.
     shards: int = 1
     relay_fanin: int = 0
     shard_failovers: int = 0
@@ -122,7 +120,6 @@ def run_chaos(
     config: ClusterConfig,
     generator: GeneratorConfig,
     *,
-    mode: str = "sim",
     tracer: Tracer = NOOP_TRACER,
 ) -> ChaosReport:
     """Run one named scenario and grade every window against ground truth.
@@ -139,30 +136,13 @@ def run_chaos(
         generator: Each local's workload; its ``seed`` also seeds the
             scenario's fault timings and its ``duration_s`` is the plan
             horizon.
-        mode: ``"sim"`` compiles the plan onto the discrete-event
-            simulator; ``"live"`` injects it into the asyncio cluster.
-            Shard-kill and query scenarios, and any sharded or relayed
-            topology, run live only.
         tracer: Observability hooks for the faulted run.
 
     Raises:
         UnfiredFaultError: If a ``kill_shard`` never fired.
     """
-    if mode not in ("sim", "live"):
-        raise ConfigurationError(
-            f"chaos mode must be 'sim' or 'live', got {mode!r}"
-        )
     scenario = get_scenario(scenario_name)
     kills_shard = scenario.substrate == "mesh"
-    if mode == "sim" and (
-        scenario.substrate != "flat" or config.n_shards > 1 or config.relay_fanin
-    ):
-        raise ConfigurationError(
-            f"scenario {scenario_name!r} with {config.n_shards} shard(s) and "
-            f"relay fan-in {config.relay_fanin} runs on the live substrate "
-            "only (the simulator has one root and no shard, relay or query "
-            "plane)"
-        )
     seed = generator.seed
     plan = build_plan(
         scenario_name, seed=seed, horizon_s=generator.duration_s,
@@ -182,7 +162,6 @@ def run_chaos(
         )
         return ChaosReport(
             scenario=scenario_name,
-            mode=mode,
             seed=seed,
             plan=plan,
             applied=list(qreport.live.fault_events),
@@ -215,39 +194,19 @@ def run_chaos(
     (truth,) = oracle(events, starts, config.query.window_length_ms, [config.query.q])
 
     started = time.monotonic()
-
-    def report(outcomes, applied: list[str], **fields) -> ChaosReport:
-        """The run's report, every answer graded against ``truth``."""
-        graded = grade(truth, outcomes)
-        return ChaosReport(
-            scenario=scenario_name, mode=mode, seed=seed, plan=plan,
-            applied=applied, windows=len(truth),
-            classes={window: verdict for window, verdict, _ in graded},
-            class_counts=Counter(verdict for _, verdict, _ in graded),
-            wall_seconds=time.monotonic() - started, **fields,
-        )
-
-    if mode == "sim":
-        engine = DemaEngine(
-            config.query,
-            TopologyConfig(n_local_nodes=config.n_locals),
-            reliability=config.tolerance.reliability,
-            degrade_after_retries=True,
-            tracer=tracer,
-        )
-        applied = compile_plan(
-            plan,
-            engine.simulator,
-            root=engine.root,
-            detect_after_s=detect,
-        )
-        return report(engine.run(streams).outcomes, applied,
-                      locals_declared_dead=engine.root.deaths_declared)
-
     live = run_live(config, streams, tracer=tracer)
-    graded = report(
-        live.outcomes,
-        list(live.fault_events),
+    graded = grade(truth, live.outcomes)
+    unfired = [
+        describe_event(event) for event in plan.events
+        if event.kind == "kill_shard" and not live.shard_failovers
+    ]
+    report = ChaosReport(
+        scenario=scenario_name, seed=seed, plan=plan,
+        applied=[line for line in live.fault_events if line not in unfired],
+        windows=len(truth),
+        classes={window: verdict for window, verdict, _ in graded},
+        class_counts=Counter(verdict for _, verdict, _ in graded),
+        wall_seconds=time.monotonic() - started,
         reconnects=live.reconnects,
         heartbeat_misses=live.heartbeat_misses,
         locals_declared_dead=live.locals_declared_dead,
@@ -257,17 +216,14 @@ def run_chaos(
         shard_failovers=live.shard_failovers,
         windows_adopted=live.windows_adopted,
         relay_frames_replayed=live.relay_frames_replayed,
-        unfired=[
-            describe_event(event) for event in plan.events
-            if event.kind == "kill_shard" and not live.shard_failovers
-        ],
+        unfired=unfired,
     )
-    if graded.unfired:
+    if unfired:
         error = UnfiredFaultError(
-            f"{', '.join(graded.unfired)} never fired: 0 shard failovers "
+            f"{', '.join(unfired)} never fired: 0 shard failovers "
             "(the run ended before the victim answered another window; a "
             "longer duration gives it one)"
         )
-        error.report = graded
+        error.report = report
         raise error
-    return graded
+    return report

@@ -2,8 +2,7 @@
 
 Each scenario turns ``(seed, horizon, n_locals)`` into a concrete
 :class:`~repro.faults.plan.FaultPlan` using its own deterministic RNG, so
-the same name + seed always yields the same schedule — on the simulator and
-on the live runtime alike.  Timings are fractions of the workload horizon
+the same name + seed always yields the same schedule.  Timings are fractions of the workload horizon
 rather than absolute seconds, so scenarios scale with run length.
 
 The scenario also carries the failure-detection posture that makes it
@@ -39,10 +38,9 @@ class ChaosScenario:
             pool is the local set for flat scenarios and the shard set
             for mesh ones.
         substrate: What the fault needs of the one live cluster.
-            ``"flat"`` targets locals and runs on the simulator or on any
-            live topology without relays; ``"mesh"`` targets a root shard
-            (at least two, live only); ``"query"`` needs a query driver
-            with durable sessions (live only).
+            ``"flat"`` targets locals and runs on any topology without
+            relays; ``"mesh"`` targets a root shard (at least two);
+            ``"query"`` needs a query driver with durable sessions.
         n_shards: Root shards the scenario needs; the CLI uses it when
             ``--shards`` is not given.  ``kill-shard`` needs two — the
             smallest ring with a successor to fail onto.

@@ -203,24 +203,7 @@ class FailoverController:
                 index, successor_index, self.map.epoch, len(unanswered)
             )
 
-    # -- chaos & lifecycle ---------------------------------------------
-
-    async def kill_shard(self, index: int) -> None:
-        """Chaos entry point: crash ``index`` and wait for the takeover.
-
-        Crashes the shard abruptly (severing every peer link), then
-        blocks until the detection → confirmation → takeover pipeline
-        has re-homed its windows — so a chaos scenario can assert on
-        the post-failover run without sleeping for magic durations.
-        """
-        if not 0 <= index < len(self._shards):
-            raise ConfigurationError(f"no shard {index} to kill")
-        if not self.map.is_live(index):
-            raise ConfigurationError(f"shard {index} is already dead")
-        await self._shards[index].crash()
-        self._schedule(index)
-        while self.map.is_live(index) and not self._closing:
-            await asyncio.sleep(self._interval / 4)
+    # -- lifecycle -----------------------------------------------------
 
     async def close(self) -> None:
         """Stop detection; in-flight takeovers are cancelled."""

@@ -448,7 +448,7 @@ class RelayServer:
             await self._send_child(child, message)
         elif isinstance(message, (
             WindowReleaseMessage, GammaUpdateMessage, RouteUpdateMessage,
-            SynopsisRequestMessage, HeartbeatMessage,
+            SynopsisRequestMessage,
         )):
             if message.group_id == 0:
                 for child in list(self._children):

@@ -14,19 +14,12 @@ Channels can optionally be *lossy* (``loss_rate``): a lost message still
 occupies the link and is still counted as sent bytes — the packet went out,
 it just never arrived — but no delivery happens.  Loss is driven by a
 deterministic per-channel RNG so simulations stay reproducible.
-
-Beyond i.i.d. loss, a channel can carry *outage intervals* — scheduled
-``[start, end)`` windows of simulated time during which every transmission
-is dropped.  Outages are how the fault-injection subsystem
-(:mod:`repro.faults`) models node crashes and network partitions on the
-simulator: deterministic, seed-independent total loss for the interval.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
 
 from repro.errors import ConfigurationError, NetworkError
 from repro.network.messages import Message
@@ -48,9 +41,6 @@ class ChannelStats:
     bytes: int = 0
     events: int = 0
     dropped: int = 0
-    #: Subset of ``dropped`` lost to scheduled outages (crashes/partitions)
-    #: rather than i.i.d. loss.
-    outage_drops: int = 0
     #: Bytes by concrete message class name (e.g. ``"SynopsisMessage"``) —
     #: the per-message-type split the observability report renders.
     bytes_by_type: dict[str, int] = field(default_factory=dict)
@@ -80,7 +70,6 @@ class Channel:
         latency_s: float = DEFAULT_LATENCY_S,
         loss_rate: float = 0.0,
         loss_seed: int = 0,
-        outages: Iterable[Sequence[float]] = (),
     ) -> None:
         if bandwidth_bps <= 0:
             raise ConfigurationError(
@@ -100,9 +89,6 @@ class Channel:
         self._loss_rng = random.Random(f"{loss_seed}:{src}:{dst}")
         self._link_free_at = 0.0
         self._stats = ChannelStats()
-        self._outages: list[tuple[float, float]] = []
-        for start, end in outages:
-            self.add_outage(start, end)
 
     @property
     def src(self) -> int:
@@ -139,33 +125,6 @@ class Channel:
         """Probability that a transmitted message never arrives."""
         return self._loss_rate
 
-    @property
-    def outages(self) -> tuple[tuple[float, float], ...]:
-        """Scheduled total-loss intervals, sorted by start time."""
-        return tuple(self._outages)
-
-    def add_outage(self, start_s: float, end_s: float) -> None:
-        """Schedule a ``[start_s, end_s)`` interval of total loss.
-
-        Transmissions started inside any outage are dropped
-        deterministically (bytes still charged, like probabilistic loss).
-        Intervals may overlap; each is validated independently.
-        """
-        if start_s < 0:
-            raise ConfigurationError(
-                f"outage start must be >= 0 s, got {start_s}"
-            )
-        if end_s <= start_s:
-            raise ConfigurationError(
-                f"outage must end after it starts, got [{start_s}, {end_s})"
-            )
-        self._outages.append((float(start_s), float(end_s)))
-        self._outages.sort()
-
-    def in_outage(self, now: float) -> bool:
-        """Whether ``now`` falls inside a scheduled outage."""
-        return any(start <= now < end for start, end in self._outages)
-
     def transmit(self, message: Message, now: float) -> float | None:
         """Account a transmission started at ``now``; return delivery time.
 
@@ -182,10 +141,6 @@ class Channel:
         transfer = message.wire_bytes / self._bandwidth_bps
         self._link_free_at = start + transfer
         self._stats.record(message)
-        if self._outages and self.in_outage(now):
-            self._stats.dropped += 1
-            self._stats.outage_drops += 1
-            return None
         if self._loss_rate > 0.0 and self._loss_rng.random() < self._loss_rate:
             self._stats.dropped += 1
             return None

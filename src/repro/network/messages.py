@@ -557,6 +557,8 @@ class QueryRegisterMessage(Message):
 
     PAYLOAD = Payload(
         Fields("<Id", "query_id", "q"),
+        # ``session`` keeps its code so a session registration decodes and
+        # is nacked by the plane instead of failing the driver link.
         Code("kind", {"tumbling": 1, "sliding": 2, "session": 3}),
         Fields("<QQIQ", "length_ms", "step_ms", "gamma", "freshness_ms"),
         Text("selector"),

@@ -38,10 +38,6 @@ class TelemetryConfig:
             disables the recorder.
         flight_recorder_capacity: Ring size — the last N span/event
             records kept for a crash dump.
-        heartbeat_rtt: Whether the root echoes heartbeats so locals can
-            measure round-trip time.  Adds one small frame per heartbeat
-            per local; off by default to keep traffic identical to an
-            untelemetered run unless asked for.
         announce: Called once with the bound HTTP port after the scrape
             endpoint starts (the config is frozen, so an ephemeral port
             cannot be written back; tests and the CLI use this to learn
@@ -54,7 +50,6 @@ class TelemetryConfig:
     sampler_interval_s: float = 0.05
     flight_recorder_path: Path | str | None = None
     flight_recorder_capacity: int = 2048
-    heartbeat_rtt: bool = False
     announce: Callable[[int], None] | None = None
 
     def __post_init__(self) -> None:

@@ -269,14 +269,6 @@ class RootQueryPlane:
             )
         except QueryError as exc:
             return self._nack(client_id, message.query_id, str(exc))
-        if spec.kind == "session":
-            return self._nack(
-                client_id,
-                message.query_id,
-                "session windows are not supported by the live plane: "
-                "session boundaries are a property of the merged stream, "
-                "which per-local pane stores cannot decide",
-            )
         existing = self.registry.get(message.query_id)
         if (
             existing is not None

@@ -3,7 +3,7 @@
 A :class:`QuerySpec` names everything the plane needs to execute one
 continuous quantile query: the quantile ``q``, a *key selector* choosing
 which events the query ranges over, the window shape (tumbling, sliding
-— including sliding with gaps, i.e. ``step > length`` — or session), the
+— including sliding with gaps, i.e. ``step > length``), the
 slice factor γ, and a freshness budget.  Specs are pure data: validation
 happens here, execution in :mod:`repro.queries.local` /
 :mod:`repro.queries.root`.
@@ -50,11 +50,11 @@ __all__ = [
     "CONTROL_WINDOW",
 ]
 
-#: Window kinds a spec may carry.  ``session`` is representable (and round
-#: trips the wire) but the live plane rejects it at registration: session
-#: boundaries are a *global* property of the merged stream, which a
-#: per-local pane store cannot decide.
-VALID_KINDS = ("tumbling", "sliding", "session")
+#: Window kinds a spec may carry.  The wire keeps a code for ``session``
+#: (tag 16), so a session registration still decodes — and is refused
+#: here: session boundaries are a *global* property of the merged stream,
+#: which a per-local pane store cannot decide.
+VALID_KINDS = ("tumbling", "sliding")
 
 #: The execution-group key, ``(selector, gamma)``: every query over the
 #: same key and slice factor shares one group — one synopsis transfer, one
@@ -179,7 +179,7 @@ class QuerySpec:
     Attributes:
         q: The quantile in ``(0, 1]``; NaN is rejected explicitly.
         selector: Key selector choosing the events the query ranges over.
-        kind: Window kind — ``"tumbling"``, ``"sliding"`` or ``"session"``.
+        kind: Window kind — ``"tumbling"`` or ``"sliding"``.
         length_ms: Window length in event-time milliseconds.
         step_ms: Distance between consecutive window starts.  ``None``
             resolves to ``length_ms`` (tumbling).  For sliding windows
@@ -277,8 +277,6 @@ class QuerySpec:
         """Human-readable one-liner for logs and reports."""
         if self.kind == "sliding":
             shape = f"{self.length_ms} ms windows every {self.step} ms"
-        elif self.kind == "session":
-            shape = f"session windows (gap {self.length_ms} ms)"
         else:
             shape = f"{self.length_ms} ms tumbling windows"
         return (

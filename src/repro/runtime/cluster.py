@@ -559,9 +559,6 @@ class Cluster:
                 tolerance=self.tolerance,
                 failures=self.failures,
                 wire_tracing=telemetry is not None,
-                echo_heartbeats=(
-                    telemetry.heartbeat_rtt if telemetry is not None else False
-                ),
                 query_plane=self.query_plane,
                 on_telemetry=(
                     self.collector.on_message
@@ -732,8 +729,8 @@ class Cluster:
 
         Event times are event-time seconds; the driver scales them by the
         run's ``time_scale`` (one second of event time replays in
-        ``time_scale`` wall seconds) so the same plan hits the same point
-        of the stream on both substrates.
+        ``time_scale`` wall seconds) so a plan hits the point of the
+        stream its event times name.
         """
         controller = self.controller
         plan = controller.plan
@@ -786,20 +783,6 @@ class Cluster:
         elif event.kind == "driver_drop":
             for link in self.driver_links:
                 link.sever()
-
-    async def kill_shard(self, index: int) -> None:
-        """Crash root shard ``index`` and wait for its takeover.
-
-        Requires a failover controller (``n_shards > 1`` plus a
-        tolerance config): killing the only root, or killing without a
-        failure detector, has no successor to recover onto.
-        """
-        if self.failover is None:
-            raise ConfigurationError(
-                "kill_shard needs a failover controller "
-                "(n_shards > 1 and a tolerance config)"
-            )
-        await self.failover.kill_shard(index)
 
     async def drive(
         self, disturb: Callable[["Cluster"], Awaitable[None]] | None

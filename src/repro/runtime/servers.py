@@ -404,7 +404,6 @@ class RootServer(NodeHost):
                  tolerance: ToleranceConfig | None = None,
                  failures: FailureLatch,
                  wire_tracing: bool = False,
-                 echo_heartbeats: bool = False,
                  query_plane=None,
                  on_telemetry=None,
                  uplink=None) -> None:
@@ -431,9 +430,6 @@ class RootServer(NodeHost):
         #: Durable-plane result writers: client id → the event that
         #: wakes its connection's log-drain task when new results land.
         self._driver_wakeups: dict[int, asyncio.Event] = {}
-        #: Telemetry: bounce each heartbeat back so the local can measure
-        #: round-trip time.  Off by default — the echo is extra traffic.
-        self._echo_heartbeats = echo_heartbeats
         self.done = asyncio.Event()
         if expected_windows == 0:
             self.done.set()  # a shard whose window share is empty
@@ -652,11 +648,6 @@ class RootServer(NodeHost):
                     if message.sender in self.node.local_ids:
                         self._observe(message.sender)
                     if isinstance(message, HeartbeatMessage):
-                        if self._echo_heartbeats:
-                            with contextlib.suppress(TransportError):
-                                await stream.send(
-                                    self._addressed(message.sender, message)
-                                )
                         continue
                 if isinstance(
                     message, (TelemetrySnapshotMessage, TelemetryDigestMessage)
@@ -1044,8 +1035,6 @@ class LocalServer(NodeHost):
         #: Head-based sampling rate for the trace roots this host opens
         #: (the per-window synopsis seal).
         self._sample_rate = sample_rate
-        #: Fabric send time by heartbeat sequence, for RTT on echoes.
-        self._heartbeat_sent: dict[int, float] = {}
         #: Optional :class:`~repro.obs.fleet.TelemetryUplink`.  ``None``
         #: (the default) starts no uplink task and ships zero telemetry
         #: bytes — the bit-identity configuration.
@@ -1185,9 +1174,6 @@ class LocalServer(NodeHost):
                 self.route_epochs[peer_id] = max(
                     self.route_epochs.get(peer_id, 0), message.epoch
                 )
-            elif isinstance(message, HeartbeatMessage):
-                # Telemetry echo from the root: close the RTT loop.
-                self._record_heartbeat_rtt(message.sequence)
             elif self._query_plane is not None and (
                 message.group_id != 0
                 or isinstance(message, QUERY_PLANE_BATCHES)
@@ -1253,9 +1239,6 @@ class LocalServer(NodeHost):
         while not self._closing:
             await asyncio.sleep(interval)
             self._heartbeat_seq += 1
-            self._heartbeat_sent[self._heartbeat_seq] = self.fabric.now
-            if len(self._heartbeat_sent) > 64:  # unechoed beats: cap it
-                self._heartbeat_sent.pop(min(self._heartbeat_sent))
             beat = HeartbeatMessage(
                 sender=self.node_id,
                 window=CONTROL_WINDOW,
@@ -1264,16 +1247,6 @@ class LocalServer(NodeHost):
             for stream in list(self._upstreams.values()):
                 with contextlib.suppress(TransportError):
                     await stream.send(beat)
-
-    def _record_heartbeat_rtt(self, sequence: int) -> None:
-        sent = self._heartbeat_sent.pop(sequence, None)
-        if sent is None or not self.tracer.enabled:
-            return
-        self.tracer.registry.histogram(
-            "live_heartbeat_rtt_seconds",
-            "Heartbeat round-trip time local -> root -> local.",
-            node=str(self.node_id),
-        ).observe(max(0.0, self.fabric.now - sent))
 
     async def crash(self) -> None:
         """Simulate abrupt process death: stop all activity, drop links.

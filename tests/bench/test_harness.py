@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import HarnessError
-from repro.core.query import QuantileQuery
 from repro.bench.harness import (
     ThroughputResult,
     capacity_estimate,

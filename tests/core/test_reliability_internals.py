@@ -11,6 +11,7 @@ from repro.network.messages import (
     WindowReleaseMessage,
 )
 from repro.network.simulator import SimulatedNode, Simulator
+from repro.streaming.aggregates import exact_quantile
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
 from repro.streaming.windows import Window
@@ -59,12 +60,12 @@ class ScriptedLocal(SimulatedNode):
         )
 
 
-def deploy(reliability, *, serve_candidates=(True, True)):
+def deploy(reliability, *, serve_candidates=(True, True), degrade=False):
     simulator = Simulator()
     query = QuantileQuery(q=0.5, gamma=5)
     root = DemaRootNode(
         0, local_ids=[1, 2], queries=(query,), ops_per_second=1e9,
-        reliability=reliability,
+        reliability=reliability, degrade_after_retries=degrade,
     )
     simulator.add_node(root)
     locals_ = {}
@@ -153,6 +154,22 @@ class TestSynopsisPhaseRetransmit:
         assert root.aborted_windows == 1
         assert root.open_windows == 0
         assert root.outcomes == []
+
+    def test_retries_bounded_then_degrade(self):
+        """With ``degrade_after_retries`` the silent local is given up on
+        for the window and the responsive one answers it alone."""
+        simulator, root, locals_ = deploy(RELIABILITY, degrade=True)
+        simulator.schedule(
+            1.0, lambda t: locals_[1].send(locals_[1].synopses_message(), 0, t)
+        )
+        simulator.run()
+        (outcome,) = root.outcomes
+        assert outcome.window == WINDOW
+        assert outcome.completeness == 0.5
+        assert outcome.is_degraded
+        assert outcome.value == exact_quantile(list(range(10, 20)), 0.5)
+        assert root.aborted_windows == 0
+        assert root.open_windows == 0
 
     def test_abort_releases_locals(self):
         simulator, root, locals_ = deploy(RELIABILITY)

@@ -15,7 +15,6 @@ import signal
 from repro.bench.generator import GeneratorConfig
 from repro.core.query import QuantileQuery
 from repro.faults.runner import run_chaos
-from repro.faults.scenarios import build_plan
 from repro.mesh.config import ClusterConfig
 
 SEED = 7
@@ -45,14 +44,14 @@ def hard_timeout(seconds: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _run(scenario: str, mode: str):
+def _run(scenario: str):
     with hard_timeout(120):
-        return run_chaos(scenario, CONFIG, GENERATOR, mode=mode)
+        return run_chaos(scenario, CONFIG, GENERATOR)
 
 
 class TestCrashReconnectLive:
     def test_every_window_recovered_exactly(self):
-        report = _run("crash-reconnect", "live")
+        report = _run("crash-reconnect")
         assert report.windows >= 3
         assert report.recovered == report.windows
         assert report.degraded == 0
@@ -60,49 +59,27 @@ class TestCrashReconnectLive:
         assert report.mismatched == 0
 
     def test_the_crash_actually_happened(self):
-        report = _run("crash-reconnect", "live")
+        report = _run("crash-reconnect")
         kinds = [line.split()[0] for line in report.applied]
         assert kinds == ["crash", "restart"]
         assert report.reconnects >= 1
         assert report.locals_declared_dead == 0
 
     def test_applied_schedule_matches_the_plan(self):
-        report = _run("crash-reconnect", "live")
+        report = _run("crash-reconnect")
         assert report.applied == list(report.plan.described())
-
-
-class TestSimLiveParity:
-    def test_same_seed_same_fault_schedule_on_both_substrates(self):
-        """The acceptance property: one plan, two worlds, same schedule."""
-        live = _run("crash-reconnect", "live")
-        sim = _run("crash-reconnect", "sim")
-        assert live.applied == sim.applied
-        assert live.applied == list(
-            build_plan(
-                "crash-reconnect",
-                seed=SEED,
-                horizon_s=GENERATOR.duration_s,
-                n_locals=CONFIG.n_locals,
-            ).described()
-        )
-
-    def test_sim_crash_reconnect_also_recovers_everything(self):
-        report = _run("crash-reconnect", "sim")
-        assert report.recovered == report.windows
-        assert report.lost == 0
-        assert report.mismatched == 0
 
 
 class TestOtherScenariosLive:
     def test_flaky_link_recovers_through_reconnect(self):
-        report = _run("flaky-link", "live")
+        report = _run("flaky-link")
         assert report.recovered == report.windows
         assert report.lost == 0
         assert report.mismatched == 0
         assert report.reconnects >= 1
 
     def test_partition_heals_and_catches_up(self):
-        report = _run("partition", "live")
+        report = _run("partition")
         assert report.recovered == report.windows
         assert report.lost == 0
         assert report.mismatched == 0

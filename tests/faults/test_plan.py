@@ -122,12 +122,6 @@ class TestSchedule:
             "crash local 1 @1.000s", "restart local 1 @2.000s",
         )
 
-    def test_partition_intervals_open_ended(self):
-        plan = FaultPlan(seed=1, horizon_s=5.0, events=(
-            FaultEvent(at_s=1.0, kind="partition_start"),
-        ))
-        assert plan.partition_intervals() == [(1.0, None)]
-
 
 class TestScenarios:
     def test_every_scenario_builds_a_valid_plan(self):

@@ -23,7 +23,6 @@ from repro.faults.plan import ToleranceConfig
 from repro.mesh.cluster import run_mesh
 from tests.mesh.grading import grade_counts
 from repro.mesh.config import MeshConfig
-from repro.mesh.routing import ShardMap
 from repro.runtime.servers import RootServer
 
 #: Fixed γ — the bit-identity configuration.
@@ -124,40 +123,6 @@ class TestKillShardWithRelay:
 
 
 class TestFailoverMechanics:
-    def test_kill_shard_without_controller_rejected(self):
-        """A lone root has no successor: the chaos context refuses."""
-
-        async def disturb(ctx):
-            await ctx.kill_shard(0)
-
-        config = mesh_config(n_shards=1)
-        with pytest.raises(Exception) as excinfo:
-            run_mesh(config, streams_20_windows(), disturb=disturb)
-        assert "failover controller" in str(excinfo.value)
-
-    def test_explicit_kill_shard_waits_for_takeover(self):
-        """``ctx.kill_shard`` is the wall-clock variant: it crashes the
-        shard and blocks until the takeover has applied."""
-        observed = {}
-
-        async def disturb(ctx):
-            await ctx.kill_shard(0)
-            assert ctx.failover is not None
-            observed["map"] = ctx.failover.map
-
-        config = mesh_config(n_shards=2)
-        report = run_mesh(config, streams_20_windows(), disturb=disturb)
-        shard_map = observed["map"]
-        assert isinstance(shard_map, ShardMap)
-        assert not shard_map.is_live(0)
-        assert shard_map.epoch == 1
-        assert report.shard_failovers == 1
-        # The kill raced the replay from the wall clock, so windows may
-        # or may not have been adopted — but none may be lost.
-        classes = grade_counts(streams_20_windows(), config, report.outcomes)
-        assert classes["lost"] == 0
-        assert classes["mismatch"] == 0
-
     def test_adopt_windows_rearms_completion(self):
         """Adopting windows after ``done`` was set must clear it, or the
         cluster's completion barrier would pass with work outstanding."""

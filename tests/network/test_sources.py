@@ -6,7 +6,7 @@ from repro.errors import ConfigurationError
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.network.channels import Channel
-from repro.network.messages import EventBatchMessage, GammaUpdateMessage
+from repro.network.messages import GammaUpdateMessage
 from repro.network.simulator import SimulatedNode, Simulator
 from repro.network.sources import StreamSensorNode
 from repro.network.topology import TopologyConfig

@@ -31,6 +31,7 @@ from repro.queries.registry import QueryRegistry
 from repro.queries.root import RootQueryPlane
 from repro.queries.runner import build_specs, run_query_scenario
 from repro.queries.spec import CONTROL_WINDOW, QuerySpec
+from repro.runtime.codec import decode_frame, encode_frame
 
 
 def configs(
@@ -209,9 +210,13 @@ class TestRootPlaneControl:
 
     def test_session_windows_nacked(self):
         plane = self.plane()
-        out = plane.on_client_message(
-            9001, register_message(1, QuerySpec(kind="session"))
+        message = QueryRegisterMessage(
+            sender=9001, window=CONTROL_WINDOW, query_id=1,
+            q=0.5, kind="session", length_ms=1000, step_ms=1000, gamma=64,
         )
+        # The wire still carries the kind: the frame decodes, then nacks.
+        assert decode_frame(encode_frame(message)) == message
+        out = plane.on_client_message(9001, message)
         (ack,) = self.acks_to(out, 9001)
         assert not ack.accepted
         assert "session" in ack.reason

@@ -54,10 +54,11 @@ class TestValidation:
         assert not spec.is_sliding  # no overlap
         assert spec.pane_ms == math.gcd(500, 2000)
 
-    def test_session_kind_is_representable(self):
-        # The live plane nacks sessions at registration, but the spec
-        # itself (and the wire) must carry them.
-        assert QuerySpec(kind="session").kind == "session"
+    def test_session_kind_rejected(self):
+        # Session boundaries are a property of the merged stream; the
+        # spec refuses them (the wire still carries the kind's code).
+        with pytest.raises(QueryError, match="window kind"):
+            QuerySpec(kind="session")
 
     def test_small_gamma_rejected(self):
         with pytest.raises(QueryError, match="gamma"):

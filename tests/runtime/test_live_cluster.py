@@ -238,21 +238,6 @@ class TestConfigValidation:
             run_live(_config(), {1: (), 2: ()})
 
 
-def _kill_shard_without_failover():
-    """``kill_shard`` on a one-shard run: no successor, no controller."""
-    refused = []
-
-    async def disturb(context):
-        try:
-            await context.kill_shard(0)
-        except ConfigurationError as exc:
-            refused.append(exc)
-
-    with hard_timeout(120):
-        run_live(_config(), _streams(), disturb=disturb)
-    raise refused[0]
-
-
 def _run_with_membership(*events, streams=None):
     config = _config(membership=tuple(
         MembershipEvent(at_ms, local_id, kind)
@@ -288,10 +273,6 @@ DRIVER_REFUSALS = {
             2: (Event(3.0, 200, 2, 0),),
         }),
         "local 1's stream is not in timestamp order",
-    ),
-    "kill-shard-without-failover": (
-        _kill_shard_without_failover,
-        "kill_shard needs a failover controller",
     ),
 }
 

@@ -1,6 +1,5 @@
 """Tests for the from-scratch merging t-digest."""
 
-import math
 import random
 
 import pytest

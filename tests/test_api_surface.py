@@ -81,7 +81,6 @@ MODULES = [
     "repro.faults.plan",
     "repro.faults.scenarios",
     "repro.faults.chaos",
-    "repro.faults.simulate",
     "repro.faults.runner",
 ]
 

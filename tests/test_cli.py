@@ -194,14 +194,6 @@ class TestChaos:
                      "partition"):
             assert name in out
 
-    def test_sim_run_reports_window_grades(self, capsys):
-        assert main(["chaos", "--scenario", "dead-local", "--mode", "sim",
-                     "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "crash local" in out
-        assert "recovered" in out and "degraded" in out
-        assert "locals declared dead" in out
-
     def test_a_kill_that_never_fired_fails_the_run(self, capsys):
         """At three seconds the run ends before the victim shard answers
         another window: 0 failovers, so the scenario tested nothing."""
@@ -209,13 +201,22 @@ class TestChaos:
                      "--duration", "3"]) == 3
         out = capsys.readouterr().out
         assert "0 shard failovers" in out
+        assert "fault events applied:\n  (none)\n" in out
         assert "UNFIRED FAULT: kill_shard shard" in out
 
     def test_unknown_scenario_rejected(self, capsys):
-        assert main(["chaos", "--scenario", "asteroid", "--mode", "sim"]) == 2
+        assert main(["chaos", "--scenario", "asteroid"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: unknown chaos scenario")
+
+    def test_mode_flag_is_gone(self, capsys):
+        """Faults run on the live cluster only: there is no substrate to
+        choose, and the parser refuses the old flag."""
+        with pytest.raises(SystemExit) as exited:
+            main(["chaos", "--mode", "sim"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --mode sim" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, topology", [
         (["--scenario", "kill-shard"], (2, 0)),

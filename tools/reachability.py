@@ -132,14 +132,12 @@ ENTRY_POINTS: "tuple[tuple[str, list[str]], ...]" = (
     ("repro chaos --list", _repro("chaos", "--list")),
     *((f"repro chaos --scenario {name}", _repro("chaos", "--scenario", name),
        ) for name in ("crash-reconnect", "flaky-link", "driver-drop")),
-    ("repro chaos --scenario dead-local --mode sim",
-     _repro("chaos", "--scenario", "dead-local", "--mode", "sim")),
     ("repro chaos --scenario dead-local", _repro(
         "chaos", "--scenario", "dead-local")),
     ("repro chaos --scenario partition --transport tcp", _repro(
         "chaos", "--scenario", "partition", "--transport", "tcp")),
     ("repro chaos --scenario partition --telemetry-port", _repro(
-        "chaos", "--scenario", "partition", "--mode", "live",
+        "chaos", "--scenario", "partition",
         "--telemetry-port", "0", "--flight-recorder", "chaos-fr.jsonl")),
     ("repro chaos --scenario kill-shard", _repro(
         "chaos", "--scenario", "kill-shard", "--shards", "3",
