@@ -1,16 +1,24 @@
 """Extension benchmark — concurrent query sharing.
 
 Measures the network cost of serving N same-window quantile queries from
-one shared deployment versus N independent deployments.  The shared run
-ships synopses once per window and fetches the union of candidate slices,
-so its cost grows far slower than linearly in the query count.
+one live query plane versus N planes serving one query each.  The shared
+plane ships synopses once per window and fetches the union of candidate
+slices, so its cost grows far slower than linearly in the query count.
+
+A run's plane bytes are its bytes above the stream tier minus those of a
+driverless run of the same cluster over the same streams: every run also
+serves the cluster's configured query, and that traffic is paid once
+whatever the plane does.  On the memory transport the counts are
+deterministic.
 """
 
-from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.bench.generator import GeneratorConfig, workload
 from repro.bench.reporting import format_bytes, format_table
-from repro.bench.workloads import bench_topology
+from repro.mesh.config import ClusterConfig
+from repro.queries.runner import run_query_scenario
+from repro.queries.spec import QuerySpec
+from repro.runtime.cluster import run_live
 
 #: Spread quantiles: only the synopsis transfer is shared (candidate
 #: slices are disjoint across ranks).
@@ -20,39 +28,58 @@ SPREAD = (0.1, 0.25, 0.5, 0.75, 0.9)
 #: fetches are shared as well.
 TIGHT = (0.49, 0.495, 0.5, 0.505, 0.51)
 
+CONFIG = ClusterConfig(
+    n_locals=2,
+    query=QuantileQuery(q=0.5, window_length_ms=1000, gamma=120),
+    transport="memory",
+    time_scale=0.0,
+)
+GENERATOR = GeneratorConfig(event_rate=3_000.0, duration_s=3.0, seed=17)
 
-def _compare(quantiles, streams):
-    queries = [
-        QuantileQuery(q=q, window_length_ms=1000, gamma=120)
+
+def _wire_bytes(report):
+    """Bytes on every link above the stream tier, both directions."""
+    return sum(
+        count for layer, count in report.bytes_by_layer.items()
+        if layer != "stream_local"
+    )
+
+
+def _plane(quantiles, baseline):
+    """One plane serving ``quantiles``: its plane bytes and the report."""
+    specs = [
+        QuerySpec(q=q, selector="all", length_ms=1000, gamma=120)
         for q in quantiles
     ]
-    shared_engine = DemaEngine(queries, bench_topology(2))
-    shared = shared_engine.run(streams)
-    separate_bytes = 0
-    for query in queries:
-        engine = DemaEngine(query, bench_topology(2))
-        separate_bytes += engine.run(streams).network.total_bytes
-    return shared, float(separate_bytes)
+    report = run_query_scenario(CONFIG, GENERATOR, specs=specs)
+    assert report.ok, report.mismatches
+    return _wire_bytes(report.live) - baseline, report
+
+
+def _compare(quantiles, baseline):
+    shared, report = _plane(quantiles, baseline)
+    separate = sum(_plane((q,), baseline)[0] for q in quantiles)
+    return float(shared), float(separate), report
 
 
 def run_experiment():
-    streams = workload(
-        [1, 2], GeneratorConfig(event_rate=3_000.0, duration_s=3.0, seed=17)
-    )
-    spread_shared, spread_separate = _compare(SPREAD, streams)
-    tight_shared, tight_separate = _compare(TIGHT, streams)
+    streams = workload([1, 2], GENERATOR)
+    truth_run = run_live(CONFIG, streams)
+    baseline = _wire_bytes(truth_run)
+    spread_shared, spread_separate, spread = _compare(SPREAD, baseline)
+    tight_shared, tight_separate, _ = _compare(TIGHT, baseline)
 
-    median_query = QuantileQuery(q=0.5, window_length_ms=1000, gamma=120)
-    truth_engine = DemaEngine(median_query, bench_topology(2))
-    truth = {o.window: o.value for o in truth_engine.run(streams).outcomes}
-    median_outcomes = spread_shared.outcomes_for(SPREAD.index(0.5))
-    agreement = all(
-        outcome.value == truth[outcome.window] for outcome in median_outcomes
+    # The plane's median query answers every window as the configured
+    # median query does.
+    truth = {o.window.start: o.value for o in truth_run.outcomes}
+    median_results = spread.live.queries["results"][SPREAD.index(0.5) + 1]
+    agreement = len(median_results) == len(truth) and all(
+        result.value == truth[result.window.start] for result in median_results
     )
     return {
-        "spread_shared_bytes": float(spread_shared.network.total_bytes),
+        "spread_shared_bytes": spread_shared,
         "spread_separate_bytes": spread_separate,
-        "tight_shared_bytes": float(tight_shared.network.total_bytes),
+        "tight_shared_bytes": tight_shared,
         "tight_separate_bytes": tight_separate,
         "median_agrees": agreement,
     }
@@ -69,7 +96,7 @@ def test_concurrent_query_sharing(benchmark, once):
     ]
     print()
     print(format_table(
-        ["configuration", "network bytes"], rows,
+        ["configuration", "plane bytes"], rows,
         title="Extension — concurrent query sharing",
     ))
     benchmark.extra_info.update(
@@ -77,10 +104,10 @@ def test_concurrent_query_sharing(benchmark, once):
     )
 
     assert results["median_agrees"]
-    # Spread quantiles share at least the synopsis traffic: since a local
-    # ships its slice boundaries, synopses are a smaller share of it
-    # (measured 46,932 of 53,940 B, 0.870)...
+    # Spread quantiles share the synopsis traffic (measured 47,953 of
+    # 59,385 B, 0.807)...
     spread = results["spread_shared_bytes"] / results["spread_separate_bytes"]
-    assert 0.86 < spread < 0.88
-    # ...tight quantiles share candidates too.
-    assert results["tight_shared_bytes"] < 0.45 * results["tight_separate_bytes"]
+    assert 0.80 < spread < 0.82
+    # ...tight quantiles share candidates too (16,009 of 59,385 B, 0.270).
+    tight = results["tight_shared_bytes"] / results["tight_separate_bytes"]
+    assert 0.26 < tight < 0.28

@@ -298,7 +298,7 @@ def build_summary_system(
         topology_config,
         root=partial(SummaryRootNode, summary=summary),
         local=partial(SummaryLocalNode, query=query, summary=summary),
-        groups=[(0, query.assigner())],
+        assigner=query.assigner(),
         batch_size=batch_size,
         tracer=tracer,
     )
@@ -345,7 +345,7 @@ def build_system(
             topology_config,
             root=partial(ScottyRootNode, query=query),
             local=partial(ScottyLocalNode, query=query),
-            groups=[(0, query.assigner())],
+            assigner=query.assigner(),
             batch_size=batch_size,
             tracer=tracer,
         )

@@ -13,8 +13,8 @@ Entry points, all identifying through one
 
 * :func:`repro.core.engine.dema_quantile` / ``dema_quantiles`` — pure
   in-memory algorithm (no simulator), the easiest way to use or study Dema;
-* :class:`repro.core.engine.DemaEngine` — one query or many sharing their
-  synopses, deployed on the simulated network.
+* :class:`repro.core.engine.DemaEngine` — one query deployed on the
+  simulated network.
 """
 
 from repro.core.synopsis import SliceSynopsis
@@ -31,11 +31,10 @@ from repro.core.adaptive import (
     transfer_cost,
 )
 from repro.core.reliability import ReliabilityConfig
-from repro.core.query import QuantileQuery, QueryGroup, group_queries
+from repro.core.query import QuantileQuery
 from repro.core.local_node import DemaLocalNode
 from repro.core.root_node import DemaRootNode
 from repro.core.engine import (
-    ConcurrentOutcome,
     DemaEngine,
     MultiQuantileResult,
     dema_quantile,
@@ -64,9 +63,6 @@ __all__ = [
     "MultiQuantileResult",
     "dema_quantiles",
     "ReliabilityConfig",
-    "ConcurrentOutcome",
-    "QueryGroup",
-    "group_queries",
     "QuantileQuery",
     "DemaLocalNode",
     "DemaRootNode",

@@ -8,11 +8,9 @@ paper in one call, used by tests, examples and the accuracy experiment.
 
 :class:`DemaEngine` is the Dema operator pair on the one
 :class:`~repro.network.deployment.SimulatedDeployment` every system runs
-on.  It serves one query or many: several queries share one deployment in
-groups (:func:`~repro.core.query.group_queries`), each group's quantiles
-answered from one synopsis batch per node, and a many-query run reports
-one :class:`ConcurrentOutcome` row per query per window.  The benchmark
-harness builds every Dema datapoint through this class.
+on, serving one query; concurrent queries share a deployment on the live
+query plane (:mod:`repro.queries`).  The benchmark harness builds every
+Dema datapoint through this class.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from repro.network.deployment import SimulatedDeployment
 from repro.network.topology import TopologyConfig
 from repro.streaming.columns import EventColumns, as_event_columns
 from repro.streaming.events import Event
-from repro.streaming.windows import Window
 
 # Hot-path module: every local window becomes an ``EventColumns`` once, at
 # the in-memory door, and a run's windows come from the deployment's
@@ -35,13 +32,13 @@ from repro.streaming.windows import Window
 from repro.core.calculation import calculate_quantiles
 from repro.core.identification import MultiIdentificationResult, identify_multi
 from repro.core.local_node import DemaLocalNode
-from repro.core.query import QuantileQuery, QueryGroup, served_groups
+from repro.core.query import QuantileQuery
 from repro.core.root_node import DemaRootNode, WindowOutcome
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 
-__all__ = ["DemaResult", "MultiQuantileResult", "ConcurrentOutcome",
-           "dema_quantile", "dema_quantiles", "DemaEngine"]
+__all__ = ["DemaResult", "MultiQuantileResult", "dema_quantile",
+           "dema_quantiles", "DemaEngine"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,27 +186,13 @@ def dema_quantile(
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ConcurrentOutcome:
-    """One query's result for one window of a many-query run."""
-
-    query_index: int
-    q: float
-    window: Window
-    value: float | None
-    global_window_size: int
-    result_time: float
-
-
-
-
 class DemaEngine(SimulatedDeployment):
     """A Dema deployment on the simulated three-layer network, serving one
-    query or a sequence of them."""
+    query."""
 
     def __init__(
         self,
-        queries: "QuantileQuery | Sequence[QuantileQuery]",
+        query: QuantileQuery,
         topology_config: TopologyConfig,
         *,
         batch_size: int = 512,
@@ -217,38 +200,25 @@ class DemaEngine(SimulatedDeployment):
         trace=None,
         tracer=None,
     ) -> None:
-        if isinstance(queries, QuantileQuery):
-            queries = (queries,)
-        self._queries = tuple(queries)
-        self._groups = served_groups(self._queries)
+        if not isinstance(query, QuantileQuery):
+            raise ConfigurationError(
+                "a simulated deployment serves one QuantileQuery; concurrent "
+                "queries share a deployment on the live query plane "
+                "(repro.queries)"
+            )
         super().__init__(
             topology_config,
-            root=partial(
-                DemaRootNode,
-                queries=self._queries,
-                reliability=reliability,
-            ),
-            local=partial(
-                DemaLocalNode, queries=self._queries, reliability=reliability
-            ),
-            groups=[
-                (group.group_id, group.prototype.assigner())
-                for group in self._groups
-            ],
+            root=partial(DemaRootNode, query=query, reliability=reliability),
+            local=partial(DemaLocalNode, query=query, reliability=reliability),
+            assigner=query.assigner(),
             batch_size=batch_size,
             trace=trace,
             tracer=tracer,
         )
 
-    @property
-    def groups(self) -> list[QueryGroup]:
-        """The sharing groups the queries were partitioned into."""
-        return list(self._groups)
-
-    def _outcomes(self) -> "list[WindowOutcome] | list[ConcurrentOutcome]":
-        """The root's per-window list for one query; for several, one
-        :class:`ConcurrentOutcome` row per query per window, in completion
-        order and then member order."""
+    def _outcomes(self) -> list[WindowOutcome]:
+        """The root's per-window list, counting its candidate fetches when
+        tracing."""
         answered = self.root.outcomes
         if self._tracer.enabled:
             for outcome in answered:
@@ -256,19 +226,4 @@ class DemaEngine(SimulatedDeployment):
                     "candidate_events_total",
                     "Candidate events fetched for calculation.",
                 ).inc(outcome.candidate_events)
-        if len(self._queries) == 1:
-            return answered
-        return [
-            ConcurrentOutcome(
-                query_index=index,
-                q=query.q,
-                window=outcome.window,
-                value=value,
-                global_window_size=outcome.global_window_size,
-                result_time=outcome.result_time,
-            )
-            for outcome in answered
-            for (index, query), value in zip(
-                self._groups[outcome.group_id].queries, outcome.values
-            )
-        ]
+        return answered

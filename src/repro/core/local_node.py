@@ -6,14 +6,12 @@ window incrementally sorted, and on window end cuts its sorted values into
 runs until the root's candidate request arrives, answers with exactly the
 requested slices, and then frees the window.
 
-One node serves any number of queries: each sharing group
-(:func:`~repro.core.query.served_groups`) keeps its own sorted windows and
-ships its own synopsis batches, tagged with the group's ``group_id``;
-ingestion is paid once per event.  A single query is group 0.  A host that
-windows and sorts its own windows opens groups at runtime
-(:meth:`DemaLocalNode.open_group`) and seals each window from its sorted
-value column (:meth:`DemaLocalNode.seal_sorted`); it may ask for several
-windows' candidates in one
+A simulated node serves one query, as group 0.  A host that windows and
+sorts its own windows serves any number of groups instead: it opens them
+at runtime (:meth:`DemaLocalNode.open_group`), each shipping its own
+synopsis batches tagged with the group's ``group_id``, and seals each
+window from its sorted value column (:meth:`DemaLocalNode.seal_sorted`);
+the root may ask for several windows' candidates in one
 :class:`~repro.network.messages.CandidateRequestBatchMessage`, answered
 by one :class:`~repro.network.messages.CandidateBatchMessage`.
 """
@@ -21,7 +19,7 @@ by one :class:`~repro.network.messages.CandidateBatchMessage`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import SliceError
 from repro.network.messages import (
@@ -46,7 +44,7 @@ from repro.streaming.windows import Window
 # Hot-path module: columnar batches flow through ingest → window → slices
 # without materializing per-event ``Event`` objects, and no loop here
 # assigns windows (enforced by tests/test_hotpath_lint.py).
-from repro.core.query import QuantileQuery, served_groups
+from repro.core.query import QuantileQuery
 from repro.core.slicing import SlicedWindow, slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 
@@ -78,20 +76,17 @@ class DemaLocalNode(SimulatedNode):
         node_id: int,
         *,
         root_id: int,
-        queries: Sequence[QuantileQuery],
+        query: QuantileQuery | None,
         ops_per_second: float = 1e8,
         reliability=None,
         cumulative_releases: bool = True,
     ) -> None:
         super().__init__(node_id, ops_per_second=ops_per_second)
         self._root_id = root_id
-        # No queries: a host that opens its groups at runtime.
-        groups = served_groups(queries) if queries else ()
-        #: ``(group_id, window length, window step)`` per group.
-        self._shapes = tuple((g.group_id, *g.shape[:2]) for g in groups)
-        self._gammas = {g.group_id: g.prototype.gamma for g in groups}
-        #: The sorted-insert charge's arm (see :meth:`_insert_ops`).
-        self._per_event_charge = len(queries) > 1
+        #: The query ingest windows events for, as group 0; ``None`` on a
+        #: host that windows events itself and opens its groups at runtime.
+        self._query = query
+        self._gammas = {0: query.gamma} if query is not None else {}
         self._reliability = reliability
         #: Single-root runs prune every pending window of the released
         #: group at or below a release (the one root releases a window only
@@ -101,11 +96,11 @@ class DemaLocalNode(SimulatedNode):
         #: replay source — so mesh hosts turn this off and each release
         #: frees exactly its own window.
         self._cumulative_releases = cumulative_releases
-        #: Open and sealed windows as ``(group_id, start, end)``: ingest
+        #: Open and sealed windows of the query as ``(start, end)``: ingest
         #: looks them up once per batch, and a tuple of ints hashes in C
         #: where a ``Window``'s dataclass hash runs Python.
-        self._open: dict[tuple[int, int, int], SortedLocalWindow] = {}
-        self._completed: set[tuple[int, int, int]] = set()
+        self._open: dict[tuple[int, int], SortedLocalWindow] = {}
+        self._completed: set[tuple[int, int]] = set()
         self._sealed: dict[tuple[int, Window], _Sealed] = {}
         self._events_ingested = 0
         self._windows_completed = 0
@@ -187,31 +182,30 @@ class DemaLocalNode(SimulatedNode):
     def ingest(self, events: EventColumns, now: float) -> float:
         """Accept a batch of raw events; returns CPU completion time.
 
-        Events are grouped by window, per group, and appended in one batch
-        per (group, window); the sort itself is deferred to the window cut
-        (the batched form of the paper's incremental sorting).  Ingestion
-        is charged once per event, the sorted insert once per (group,
-        window) an event lands in (:meth:`_insert_ops`), so simulator
-        results stay bit-identical while the live path pays only O(1) per
-        event.  Events of a window that already shipped its synopses would
-        break the root's rank arithmetic: they are dropped and counted as
-        late.
+        Events are grouped by window and appended in one batch per window;
+        the sort itself is deferred to the window cut (the batched form of
+        the paper's incremental sorting).  Ingestion is charged once per
+        event, the sorted insert once per window an event lands in
+        (:meth:`_insert_ops`), so simulator results stay bit-identical
+        while the live path pays only O(1) per event.  Events of a window
+        that already shipped its synopses would break the root's rank
+        arithmetic: they are dropped and counted as late.
         """
         n_events = len(events)
         inserts: list[tuple[int, int]] = []  # (size before, rows added)
-        for group_id, length, step in self._shapes:
-            for start, rows in events.by_window(length, step):
-                added = len(rows)
-                key = (group_id, start, start + length)
-                if key in self._completed:
-                    self._late_events += added
-                    continue
-                sorted_window = self._open.get(key)
-                if sorted_window is None:
-                    sorted_window = self._open[key] = SortedLocalWindow()
-                inserts.append((len(sorted_window), added))
-                sorted_window.add_all(rows)
-        ops = INGEST_OPS * n_events + self._insert_ops(inserts, n_events)
+        length = self._query.window_length_ms
+        for start, rows in events.by_window(length, self._query.window_step_ms):
+            added = len(rows)
+            key = (start, start + length)
+            if key in self._completed:
+                self._late_events += added
+                continue
+            sorted_window = self._open.get(key)
+            if sorted_window is None:
+                sorted_window = self._open[key] = SortedLocalWindow()
+            inserts.append((len(sorted_window), added))
+            sorted_window.add_all(rows)
+        ops = INGEST_OPS * n_events + self._insert_ops(inserts)
         self._events_ingested += n_events
         finish = self.work(ops, now)
         if self._tracer.enabled and n_events:
@@ -225,42 +219,31 @@ class DemaLocalNode(SimulatedNode):
             )
         return finish
 
-    def _insert_ops(self, inserts: list[tuple[int, int]], n_events: int) -> float:
-        """The sorted-insert charge of one batch (docs/cost-model.md: the
-        order of the float sum is part of the simulated clock).
-
-        A node serving one query charges ``rows · log2(size after the
-        batch)`` per window, summed in the order the windows first appear
-        in the batch.  A node serving several charges ``log2(size after
-        this insert)`` per event per (group, window), accumulated
-        event-major with ``math.log2`` and a plain ``+=``.
-        """
+    @staticmethod
+    def _insert_ops(inserts: list[tuple[int, int]]) -> float:
+        """The sorted-insert charge of one batch: ``rows · log2(size after
+        the batch)`` per window, summed with ``math.log2`` and a plain
+        ``+=`` in the order the windows first appear in the batch
+        (docs/cost-model.md: the order of the float sum is part of the
+        simulated clock)."""
         ops = 0.0
-        if not self._per_event_charge:
-            for before, added in inserts:
-                ops += added * math.log2(max(before + added, 2))
-            return ops
-        for row in range(1, n_events + 1):
-            for before, added in inserts:
-                if row <= added:
-                    ops += math.log2(max(before + row, 2))
+        for before, added in inserts:
+            ops += added * math.log2(max(before + added, 2))
         return ops
 
-    def on_window_complete(
-        self, window: Window, now: float, group_id: int = 0
-    ) -> None:
-        """Seal ``window`` of ``group_id``, slice it, and send synopses.
+    def on_window_complete(self, window: Window, now: float) -> None:
+        """Seal ``window``, slice it, and send synopses.
 
         Windows that received no events still announce themselves with an
         empty synopsis batch so the root's completeness check can fire.
         Completion is idempotent: repeated announcements are ignored.
         """
-        key = (group_id, window.start, window.end)
+        key = (window.start, window.end)
         if key in self._completed:
             return
         self._completed.add(key)
         values = self._open.pop(key, SortedLocalWindow()).seal()
-        self.seal_sorted(window, values, now, group_id)
+        self.seal_sorted(window, values, now)
 
     def seal_sorted(
         self, window: Window, values, now: float, group_id: int = 0

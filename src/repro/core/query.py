@@ -1,26 +1,21 @@
-"""Quantile query descriptions and the groups a deployment serves them in.
+"""Quantile query descriptions.
 
 A query names the quantile, the tumbling-window length, and the slice-factor
 policy (fixed γ or adaptive).  The same query object configures Dema and
-every baseline so benchmark comparisons are apples-to-apples.
-
-Several queries over one deployment are partitioned into **groups** by
-window shape and slice factor (:func:`group_queries`).  Within a group the
-local work happens once — one sorted window, one slicing pass, one synopsis
-batch — and the root answers every quantile of the group with one
-identification pass over those synopses.  A single query is group 0.
+every baseline so benchmark comparisons are apples-to-apples.  A simulated
+deployment serves one query, as group 0; several concurrent queries share
+their windows on the live query plane (:mod:`repro.queries`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.streaming.windows import SlidingWindows, TumblingWindows, WindowAssigner
 from repro.core.slicing import MIN_GAMMA
 
-__all__ = ["QuantileQuery", "QueryGroup", "group_queries", "served_groups"]
+__all__ = ["QuantileQuery"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,76 +92,3 @@ class QuantileQuery:
         else:
             shape = f"{self.window_length_ms} ms tumbling windows"
         return f"{self.q:.0%} quantile over {shape} ({policy})"
-
-
-@dataclass(frozen=True)
-class QueryGroup:
-    """Queries sharing window shape and slice factor.
-
-    Attributes:
-        group_id: Index used to multiplex protocol messages.
-        queries: ``(query_index, query)`` pairs; the index refers to the
-            caller's original query list.
-    """
-
-    group_id: int
-    queries: tuple[tuple[int, QuantileQuery], ...]
-
-    @property
-    def shape(self) -> tuple[int, int | None, int]:
-        """The shared ``(length, step, gamma)`` signature."""
-        query = self.queries[0][1]
-        return (query.window_length_ms, query.window_step_ms, query.gamma)
-
-    @property
-    def prototype(self) -> QuantileQuery:
-        """A representative query (window shape and γ are shared)."""
-        return self.queries[0][1]
-
-    @property
-    def quantiles(self) -> tuple[tuple[int, float], ...]:
-        """``(query_index, q)`` pairs answered by this group."""
-        return tuple(
-            (index, query.q) for index, query in self.queries
-        )
-
-
-def group_queries(queries: Sequence[QuantileQuery]) -> list[QueryGroup]:
-    """Partition queries into sharing groups by window shape and γ.
-
-    Group ids are dense and deterministic, so every node handed the same
-    queries agrees on them.
-
-    Raises:
-        ConfigurationError: If no queries are given or any query is
-            adaptive (concurrent deployments use fixed per-group γ; the
-            adaptive controller assumes a single query per root).
-    """
-    if not queries:
-        raise ConfigurationError("need at least one query")
-    for query in queries:
-        if query.adaptive:
-            raise ConfigurationError(
-                "concurrent deployments require fixed-γ queries"
-            )
-    by_shape: dict[tuple, list[tuple[int, QuantileQuery]]] = {}
-    for index, query in enumerate(queries):
-        shape = (query.window_length_ms, query.window_step_ms, query.gamma)
-        by_shape.setdefault(shape, []).append((index, query))
-    return [
-        QueryGroup(group_id=group_id, queries=tuple(members))
-        for group_id, members in enumerate(
-            by_shape[shape] for shape in sorted(by_shape, key=str)
-        )
-    ]
-
-
-def served_groups(queries: Sequence[QuantileQuery]) -> tuple[QueryGroup, ...]:
-    """The groups a Dema node serving ``queries`` multiplexes.
-
-    One query is group 0 and may be adaptive; several are
-    :func:`group_queries`'s partition (fixed γ only).
-    """
-    if len(queries) == 1:
-        return (QueryGroup(group_id=0, queries=((0, queries[0]),)),)
-    return tuple(group_queries(queries))

@@ -8,13 +8,12 @@ from the runs.  With adaptivity enabled it then re-optimizes γ from the
 observed window statistics and broadcasts the new factor to every local
 node (Section 3.3).
 
-One root serves any number of queries.  Window state is keyed by
-``(group_id, window)``: each sharing group
-(:func:`~repro.core.query.served_groups`) is one protocol instance
-multiplexed over the same channels, answering every quantile of the group
-with one identification pass and one union candidate fetch.  A single query
-is group 0, and only it may be adaptive.  A host may also open and close
-groups at runtime (:meth:`DemaRootNode.open_group`), choosing the quantiles
+Window state is keyed by ``(group_id, window)``: each group is one
+protocol instance multiplexed over the same channels, answering every
+quantile of the group with one identification pass and one union candidate
+fetch.  A simulated root serves one query, as group 0, and only it may be
+adaptive.  A host serving concurrent queries opens and closes groups at
+runtime instead (:meth:`DemaRootNode.open_group`), choosing the quantiles
 each window is cut for.
 
 Such a host may batch its windows across groups: a
@@ -53,7 +52,7 @@ from repro.streaming.windows import Window
 from repro.core.adaptive import AdaptiveGammaController, NodeGammaController
 from repro.core.calculation import calculate_quantiles, check_run
 from repro.core.identification import MultiIdentificationResult, identify_multi
-from repro.core.query import QuantileQuery, served_groups
+from repro.core.query import QuantileQuery
 from repro.core.reliability import ReliabilityConfig
 from repro.core.synopsis import SliceSynopsis
 
@@ -83,10 +82,11 @@ class WindowOutcome:
     #: 1.0 is the normal case; < 1.0 marks a degraded answer computed
     #: without locals that were declared dead or gave up.
     completeness: float = 1.0
-    #: The query group this window belongs to (0 for one query).
+    #: The query group this window belongs to (0 for the constructor's
+    #: query).
     group_id: int = 0
-    #: One value per quantile the window was cut for (member order for
-    #: the constructor's queries); ``value`` is the first.
+    #: One value per quantile the window was cut for; ``value`` is the
+    #: first.
     values: tuple[float | None, ...] = ()
     #: The quantiles ``values`` answer, and each one's global rank (0 for
     #: an empty window).
@@ -139,7 +139,7 @@ class DemaRootNode(SimulatedNode):
         node_id: int,
         *,
         local_ids: Sequence[int],
-        queries: Sequence[QuantileQuery],
+        query: QuantileQuery | None,
         ops_per_second: float = 2e8,
         reliability: ReliabilityConfig | None = None,
         degrade_after_retries: bool = False,
@@ -153,17 +153,14 @@ class DemaRootNode(SimulatedNode):
         self._local_ids = tuple(local_ids)
         self._gammas: dict[int, int] = {}
         self._quantiles: dict[int, Callable[[Window], Sequence[float]]] = {}
-        # No queries: a host that opens its groups at runtime.
-        for group in served_groups(queries) if queries else ():
-            qs = tuple(query.q for _, query in group.queries)
-            self.open_group(
-                group.group_id, group.prototype.gamma, lambda _, qs=qs: qs
-            )
-        # Only a one-query deployment can be adaptive (group_queries).
+        # No query: a host that opens its groups at runtime.
+        if query is not None:
+            qs = (query.q,)
+            self.open_group(0, query.gamma, lambda _: qs)
+        # Only the constructor's query can be adaptive.
         self._controller: AdaptiveGammaController | None = None
         self._node_controller: NodeGammaController | None = None
-        if queries and queries[0].adaptive:
-            query = queries[0]
+        if query is not None and query.adaptive:
             if query.per_node_gamma:
                 self._node_controller = NodeGammaController(query.gamma)
             else:

@@ -61,16 +61,13 @@ class FaultEvent:
         node: Target node (required for node-scoped kinds, must be
             omitted for partitions, which cut every local off the root).
             A local id for crash/restart/drop_link; the 0-based shard
-            index for ``kill_shard``.
-        duration_s: For ``drop_link`` only — the expected outage, shown
-            in the event's description; the live link comes back through
-            the local's reconnect.
+            index for ``kill_shard``.  A ``drop_link`` severs the
+            local's link; it comes back through the local's reconnect.
     """
 
     at_s: float
     kind: str
     node: int | None = None
-    duration_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -88,18 +85,13 @@ class FaultEvent:
             raise ConfigurationError(
                 f"{self.kind} fault takes no target node, got {self.node}"
             )
-        if self.duration_s < 0:
-            raise ConfigurationError(
-                f"fault duration must be >= 0 s, got {self.duration_s}"
-            )
 
 
 def describe_event(event: FaultEvent) -> str:
     """Canonical one-line description of one fault event."""
     noun = "shard" if event.kind == "kill_shard" else "local"
     target = f" {noun} {event.node}" if event.node is not None else ""
-    extra = f" for {event.duration_s:.3f}s" if event.duration_s else ""
-    return f"{event.kind}{target} @{event.at_s:.3f}s{extra}"
+    return f"{event.kind}{target} @{event.at_s:.3f}s"
 
 
 @dataclass(frozen=True, slots=True)

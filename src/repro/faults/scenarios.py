@@ -85,19 +85,16 @@ def _flaky_link(
     rng: random.Random, horizon_s: float, n_locals: int
 ) -> tuple[FaultEvent, ...]:
     victim = _pick_local(rng, n_locals)
-    gap = max(0.15, horizon_s * 0.05)
     return (
         FaultEvent(
             at_s=horizon_s * (0.25 + 0.05 * rng.random()),
             kind="drop_link",
             node=victim,
-            duration_s=gap,
         ),
         FaultEvent(
             at_s=horizon_s * (0.60 + 0.05 * rng.random()),
             kind="drop_link",
             node=victim,
-            duration_s=gap,
         ),
     )
 

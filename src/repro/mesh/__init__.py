@@ -38,7 +38,6 @@ from repro.mesh.routing import (
 __all__ = [
     "FailoverController",
     "MembershipEvent",
-    "MeshChaosContext",
     "MeshConfig",
     "ShardMap",
     "run_mesh",
@@ -54,7 +53,6 @@ _LAZY = {
     "FailoverController": "repro.mesh.failover",
     "MembershipEvent": "repro.mesh.config",
     "MeshConfig": "repro.mesh.config",
-    "MeshChaosContext": "repro.mesh.cluster",
     "run_mesh": "repro.mesh.cluster",
 }
 

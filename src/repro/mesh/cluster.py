@@ -17,11 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.mesh.config import ClusterConfig
-from repro.runtime.cluster import (
-    MeshChaosContext,
-    membership_grid,
-    run_live as run_mesh,
-)
+from repro.runtime.cluster import membership_grid, run_live as run_mesh
 from repro.streaming.columns import (
     EMPTY_EVENTS,
     EventColumns,
@@ -30,7 +26,7 @@ from repro.streaming.columns import (
 )
 from repro.streaming.events import Event
 
-__all__ = ["MeshChaosContext", "run_mesh", "served_windows"]
+__all__ = ["run_mesh", "served_windows"]
 
 
 def served_windows(

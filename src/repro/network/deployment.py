@@ -48,8 +48,7 @@ class RunReport:
     ``outcomes`` are the root's completed windows in completion order, each
     with a ``window``, ``value``, ``global_window_size`` and
     ``result_time``, so ``report.outcomes[i].value`` means the same thing
-    for every system.  A many-query Dema run has one row per query per
-    window, in completion order and then member order.
+    for every system.
     """
 
     outcomes: list
@@ -63,27 +62,14 @@ class RunReport:
         """Per-window results in completion order."""
         return [outcome.value for outcome in self.outcomes]
 
-    def outcomes_for(self, query_index: int) -> list:
-        """Chronological outcomes of one query (a one-query run's are all
-        query 0's)."""
-        return sorted(
-            (
-                o
-                for o in self.outcomes
-                if getattr(o, "query_index", 0) == query_index
-            ),
-            key=lambda o: o.window,
-        )
-
 
 class SimulatedDeployment:
     """A root/local operator pair deployed on the simulated network.
 
     ``root(node_id, local_ids=…, ops_per_second=…)`` and ``local(node_id,
-    root_id=…, ops_per_second=…)`` build the operators; ``groups`` are the
-    ``(group_id, assigner)`` pairs whose windows every local is told about
-    (a nonzero ``group_id`` is passed to ``on_window_complete``).  The
-    root's ``outcomes`` are the report's rows.
+    root_id=…, ops_per_second=…)`` build the operators; every local is told
+    about each window of ``assigner`` the streams touch.  The root's
+    ``outcomes`` are the report's rows.
     """
 
     def __init__(
@@ -92,12 +78,12 @@ class SimulatedDeployment:
         *,
         root: Callable[..., SimulatedNode],
         local: Callable[..., SimulatedNode],
-        groups: Sequence[tuple[int, WindowAssigner]],
+        assigner: WindowAssigner,
         batch_size: int = 512,
         trace=None,
         tracer=None,
     ) -> None:
-        self._window_groups = tuple(groups)
+        self._assigner = assigner
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._simulator = Simulator(trace=trace, tracer=self._tracer)
         local_ids = list(range(1, topology_config.n_local_nodes + 1))
@@ -161,7 +147,7 @@ class SimulatedDeployment:
                 carries another node's events or a NaN value, or its
                 timestamps regress.
         """
-        windows: dict[int, set[Window]] = {}
+        windows: set[Window] = set()
         local_ids = self._topology.local_ids
         for local_id, events in local_streams(local_ids, streams).items():
             timestamps = event_timestamps(events, ordered=True)
@@ -216,7 +202,7 @@ class SimulatedDeployment:
                 + int(self._topology.config.link_latency_s * 1000 * 4)
                 + 2
             )
-        windows: dict[int, set[Window]] = {}
+        windows: set[Window] = set()
         for local_id, events in streams.items():
             sensors = self._topology.stream_ids[local_id]
             self._segment(event_timestamps(events), windows)
@@ -228,35 +214,29 @@ class SimulatedDeployment:
         return self._finish(windows, allowed_lateness_ms=allowed_lateness_ms)
 
     def _segment(
-        self, timestamps: np.ndarray, windows: dict[int, set[Window]]
+        self, timestamps: np.ndarray, windows: set[Window]
     ) -> np.ndarray:
-        """Add the windows ``timestamps`` touch to ``windows``, per group,
-        and return where any group's window assignment changes: a batch
-        split there stays within the windows of every group."""
-        cuts = []
-        for group_id, assigner in self._window_groups:
-            starts, touched = window_segments(timestamps, assigner)
-            cuts.append(starts)
-            windows.setdefault(group_id, set()).update(touched)
-        return np.unique(np.concatenate(cuts))
+        """Add the windows ``timestamps`` touch to ``windows`` and return
+        where the window assignment changes: a batch split there stays
+        within its windows."""
+        starts, touched = window_segments(timestamps, self._assigner)
+        windows.update(touched)
+        return starts
 
     def _outcomes(self) -> list:
         """The report's rows: the root's completed windows."""
         return self.root.outcomes
 
     def _finish(
-        self, windows: dict[int, set[Window]], *, allowed_lateness_ms: int
+        self, windows: set[Window], *, allowed_lateness_ms: int
     ) -> RunReport:
-        ordered = {group_id: sorted(touched) for group_id, touched in windows.items()}
+        ordered = sorted(windows)
         for local_id in self._topology.local_ids:
-            operator = self._simulator.nodes[local_id]
-            for group_id, group_windows in ordered.items():
-                self._driver.announce_windows(
-                    operator,
-                    group_windows,
-                    allowed_lateness_ms=allowed_lateness_ms,
-                    group_id=group_id,
-                )
+            self._driver.announce_windows(
+                self._simulator.nodes[local_id],
+                ordered,
+                allowed_lateness_ms=allowed_lateness_ms,
+            )
 
         final_time = self._simulator.run()
         outcomes = self._outcomes()

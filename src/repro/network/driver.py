@@ -15,7 +15,6 @@ batches are ``events[a:b]`` slices inside those segments.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -192,19 +191,15 @@ class BatchSourceDriver:
         windows: Sequence[Window],
         *,
         allowed_lateness_ms: int = 0,
-        group_id: int = 0,
     ) -> None:
         """Schedule window-completion callbacks on ``operator``.
 
         Call once per operator with the union of all nodes' windows so that
         empty local windows are still announced.  ``allowed_lateness_ms``
         delays completion past the window's event-time end so that events
-        the sensor tier delays can still be folded in.  A nonzero
-        ``group_id`` names the query group of an operator serving several.
+        the sensor tier delays can still be folded in.
         """
         complete = operator.on_window_complete
-        if group_id:
-            complete = functools.partial(complete, group_id=group_id)
         for window in windows:
             completion = (
                 (window.end + allowed_lateness_ms) / MS_PER_SECOND

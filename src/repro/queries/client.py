@@ -17,7 +17,8 @@ once.  Requests still in flight at the disconnect are re-sent on the
 new connection (registration is idempotent at the root), and each
 received result is acknowledged with a
 :class:`~repro.network.messages.ResultAckMessage` so the root can prune
-its log to the acked horizon.
+its log to the acked horizon.  An ack exists only to bound what a resume
+replays, so a client without ``dial`` sends none.
 """
 
 from __future__ import annotations
@@ -238,7 +239,8 @@ class QueryClient:
                         message
                     )
                     self.received += 1
-                    await self._send_ack()
+                    if self._dial is not None:
+                        await self._send_ack()
                 self._landed.set()
         finally:
             if not self._closed:

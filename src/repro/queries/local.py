@@ -125,7 +125,7 @@ class LocalQueryPlane:
         #: Slices, retains and serves every group's sealed windows; a
         #: window stays retained until the root's candidate request
         #: (possibly empty) releases it.
-        self.node = DemaLocalNode(node_id, root_id=0, queries=())
+        self.node = DemaLocalNode(node_id, root_id=0, query=None)
         self._outbox = Outbox()
         self.node.attach(self._outbox)
 

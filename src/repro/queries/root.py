@@ -133,7 +133,7 @@ class RootQueryPlane:
         self.registry = QueryRegistry()
         #: Cuts and calculates every group's windows; a window's synopses,
         #: plan and candidate runs live here until it is answered.
-        self.node = DemaRootNode(ROOT_SENDER, local_ids=self.local_ids, queries=())
+        self.node = DemaRootNode(ROOT_SENDER, local_ids=self.local_ids, query=None)
         self._outbox = Outbox()
         self.node.attach(self._outbox)
         #: The node's outcomes served so far.

@@ -85,7 +85,6 @@ __all__ = [
     "ClusterConfig",
     "ClusterReport",
     "LiveClusterConfig",
-    "MeshChaosContext",
     "QueryDriverContext",
     "membership_grid",
     "run_cluster",
@@ -547,7 +546,7 @@ class Cluster:
                 DemaRootNode(
                     node_id,
                     local_ids=self.initial_ids,
-                    queries=(self.config.query,),
+                    query=self.config.query,
                     ops_per_second=LIVE_OPS_PER_SECOND,
                     reliability=self.reliability,
                     degrade_after_retries=self.tolerance is not None,
@@ -635,7 +634,7 @@ class Cluster:
             DemaLocalNode(
                 local_id,
                 root_id=0,
-                queries=(config.query,),
+                query=config.query,
                 ops_per_second=LIVE_OPS_PER_SECOND,
                 reliability=self.reliability,
                 # Sharded roots release windows independently, so a
@@ -1098,10 +1097,6 @@ class Cluster:
         )
 
 
-#: What the fault plan and a ``disturb`` hook receive: the cluster itself.
-MeshChaosContext = Cluster
-
-
 async def run_cluster(
     config: ClusterConfig,
     streams: Mapping[int, Sequence[Event]],
@@ -1110,7 +1105,7 @@ async def run_cluster(
     driver: Callable[
         [QueryDriverContext], Awaitable[dict | None]
     ] | None = None,
-    disturb: Callable[[MeshChaosContext], Awaitable[None]] | None = None,
+    disturb: Callable[[Cluster], Awaitable[None]] | None = None,
 ) -> ClusterReport:
     """Run the configured topology over ``streams`` and collect the report.
 
@@ -1132,7 +1127,7 @@ async def run_cluster(
             to every local, gates the replays on the driver's
             ``start_replay()`` call, and runs the driver alongside the
             cluster.
-        disturb: Optional ``async (MeshChaosContext) -> None`` test hook,
+        disturb: Optional ``async (Cluster) -> None`` test hook,
             started once every initial local is wired and cancelled at
             teardown.  Use with a tolerance config so the
             failure detectors can degrade around what it breaks.
@@ -1157,7 +1152,7 @@ def run_live(
     driver: Callable[
         [QueryDriverContext], Awaitable[dict | None]
     ] | None = None,
-    disturb: Callable[[MeshChaosContext], Awaitable[None]] | None = None,
+    disturb: Callable[[Cluster], Awaitable[None]] | None = None,
 ) -> ClusterReport:
     """Synchronous wrapper around :func:`run_cluster`."""
     return asyncio.run(

@@ -152,6 +152,17 @@ class TestDemaEngine:
         with pytest.raises(ConfigurationError):
             engine.run({5: make_events([1.0], node_id=5)})
 
+    @pytest.mark.parametrize("queries", [
+        [QuantileQuery(q=0.5, gamma=50), QuantileQuery(q=0.9, gamma=50)],
+        [QuantileQuery(q=0.5, gamma=50)],
+        [],
+    ], ids=["two", "one", "none"])
+    def test_a_sequence_of_queries_is_refused(self, queries):
+        """A simulated deployment serves one query; the refusal names the
+        live query plane, where concurrent queries share a deployment."""
+        with pytest.raises(ConfigurationError, match=r"repro\.queries"):
+            DemaEngine(queries, TopologyConfig(n_local_nodes=2))
+
     def test_missing_node_streams_allowed(self):
         engine = self.make_engine(n_nodes=2)
         streams = {1: make_events(range(100), node_id=1, timestamp_step=5)}
@@ -180,15 +191,12 @@ def _summary(engine, report):
     nodes = engine.simulator.nodes
 
     def row(o):
-        exact = (
+        return (
             o.window.start,
             o.value,
             o.result_time,
             getattr(o, "candidate_events", o.global_window_size),
         )
-        if hasattr(o, "query_index"):  # several window shapes in one run
-            exact += (o.query_index, o.window.end)
-        return exact
 
     return {
         "outcomes": [row(o) for o in report.outcomes],
@@ -203,13 +211,6 @@ def _summary(engine, report):
     }
 
 
-#: Four queries in three sharing groups, one of them sliding.
-DOOR_CONCURRENT = [
-    DOOR_QUERY,
-    QuantileQuery(q=0.9, window_length_ms=1000, gamma=40),
-    QuantileQuery(q=0.25, window_length_ms=500, gamma=30),
-    QuantileQuery(q=0.5, window_length_ms=1000, window_step_ms=500, gamma=40),
-]
 DOOR_BASELINES = ("scotty", "desis", "tdigest")
 
 
@@ -238,9 +239,6 @@ def door_runs(columnar):
         runs[f"slide_{length}_{step}/run"] = _summary(
             engine, engine.run({n: streams[n][:cut] for n in DOOR_NODES})
         )
-
-    engine = DemaEngine(DOOR_CONCURRENT, topology)
-    runs["concurrent"] = _summary(engine, engine.run(streams))
 
     def baseline(name):
         if name == "partial":
@@ -366,36 +364,6 @@ DOOR_GOLDEN = {
             1: 2278.946163871747,
             2: 2448.4461638717476,
             3: 2326.9461638717476,
-        },
-        "late_events": {1: 0, 2: 0, 3: 0},
-    },
-    "concurrent": {
-        "outcomes": [
-            (-500, 48.34736233285829, 0.5003227059827111, 2250, 3, 500),
-            (0, 28.89746403570742, 0.5003325331287226, 2250, 2, 500),
-            (0, 44.62493290929341, 1.0003371441173272, 4500, 3, 1000),
-            (0, 44.62493290929341, 1.0003828153038874, 4500, 0, 1000),
-            (0, 87.59944700116623, 1.0003828153038874, 4500, 1, 1000),
-            (500, 22.252865948112163, 1.000389406749959, 2250, 2, 1000),
-            (500, 38.37467317629719, 1.5003371441173272, 4500, 3, 1500),
-            (1000, 20.0303678343035, 1.5003469712633395, 2250, 2, 1500),
-            (1000, 36.413325813564825, 2.0003371441173274, 4500, 3, 2000),
-            (1000, 36.413325813564825, 2.0003828465838853, 4500, 0, 2000),
-            (1000, 66.6118506885392, 2.0003828465838853, 4500, 1, 2000),
-            (1500, 20.4258889208535, 2.000389438029956, 2250, 2, 2000),
-            (1500, 37.99019124098767, 2.5003371441173274, 4500, 3, 2500),
-            (2000, 20.5063844435135, 2.5003469712633395, 2250, 2, 2500),
-            (2000, 40.08423830462307, 3.000322705982712, 2250, 3, 3000),
-            (2000, 40.08423830462307, 3.000346141692601, 2250, 0, 3000),
-            (2000, 82.2506680543423, 3.000346141692601, 2250, 1, 3000),
-        ],
-        "final_time": 3.000330126883851,
-        "total_bytes": 42200,
-        "cpu_ops": {
-            0: 76131.9825117801,
-            1: 154009.193631112,
-            2: 153948.193631112,
-            3: 153976.193631112,
         },
         "late_events": {1: 0, 2: 0, 3: 0},
     },
@@ -560,8 +528,8 @@ def test_every_system_runs_through_the_sensor_tier(system):
         system, query, TopologyConfig(n_local_nodes=2)
     ).run(streams)
     assert via_sensors.events_ingested == direct.events_ingested
-    assert [o.window for o in via_sensors.outcomes_for(0)] == [
-        o.window for o in direct.outcomes_for(0)
+    assert [o.window for o in via_sensors.outcomes] == [
+        o.window for o in direct.outcomes
     ]
     if system in ("dema", "scotty", "desis"):
         assert _value_bits(via_sensors) == _value_bits(direct)

@@ -34,7 +34,7 @@ def deploy(gamma=5):
     simulator = Simulator()
     root = RootStub()
     query = QuantileQuery(q=0.5, window_length_ms=1000, gamma=gamma)
-    local = DemaLocalNode(1, root_id=0, queries=(query,), ops_per_second=1e9)
+    local = DemaLocalNode(1, root_id=0, query=query, ops_per_second=1e9)
     simulator.add_node(root)
     simulator.add_node(local)
     simulator.connect(Channel(1, 0))
@@ -250,32 +250,27 @@ class TestReleasesPerGroup:
     [0, 1000), which must still serve its candidate request."""
 
     def test_release_of_one_group_keeps_another_groups_earlier_window(self):
-        from repro.core.query import group_queries
         from repro.network.messages import WindowReleaseMessage
 
-        queries = (
-            QuantileQuery(q=0.5, window_length_ms=500, gamma=4),
-            QuantileQuery(q=0.5, window_length_ms=1000, gamma=4),
-        )
-        short, long_ = (
-            next(g.group_id for g in group_queries(queries) if g.prototype is q)
-            for q in queries
-        )
+        short, long_ = 1, 2
         simulator = Simulator()
         root = RootStub()
-        local = DemaLocalNode(1, root_id=0, queries=queries, ops_per_second=1e9)
+        # A host that opens its groups at runtime and seals sorted windows.
+        local = DemaLocalNode(1, root_id=0, query=None, ops_per_second=1e9)
+        local.open_group(short, 4)
+        local.open_group(long_, 4)
         simulator.add_node(root)
         simulator.add_node(local)
         simulator.connect(Channel(1, 0))
         simulator.connect(Channel(0, 1))
-        events = columns(range(15), node_id=1, timestamp_step=100)
-        simulator.schedule(0.1, lambda t: local.ingest(events, t))
-        simulator.schedule(1.0, lambda t: local.on_window_complete(
-            WINDOW, t, long_
+        # Values 0..14 at timestamps 0, 100, ..., 1400.
+        values = np.arange(15, dtype=np.float64)
+        simulator.schedule(1.0, lambda t: local.seal_sorted(
+            WINDOW, values[:10], t, long_
         ))
         for start in (0, 500, 1000):
-            simulator.schedule(1.5, lambda t, s=start: local.on_window_complete(
-                Window(s, s + 500), t, short
+            simulator.schedule(1.5, lambda t, s=start: local.seal_sorted(
+                Window(s, s + 500), values[s // 100:s // 100 + 5], t, short
             ))
         release = WindowReleaseMessage(
             sender=0, window=Window(1000, 1500), group_id=short

@@ -64,7 +64,7 @@ def deploy(reliability, *, serve_candidates=(True, True), degrade=False):
     simulator = Simulator()
     query = QuantileQuery(q=0.5, gamma=5)
     root = DemaRootNode(
-        0, local_ids=[1, 2], queries=(query,), ops_per_second=1e9,
+        0, local_ids=[1, 2], query=query, ops_per_second=1e9,
         reliability=reliability, degrade_after_retries=degrade,
     )
     simulator.add_node(root)
@@ -206,7 +206,7 @@ class TestReleaseOrder:
         gets its own release, for locals that free only the exact one."""
         simulator = Simulator()
         root = DemaRootNode(
-            0, local_ids=[1], queries=(QuantileQuery(q=0.5, gamma=5),),
+            0, local_ids=[1], query=QuantileQuery(q=0.5, gamma=5),
             ops_per_second=1e9, reliability=ReliabilityConfig(timeout_s=5.0),
         )
         events = EventColumns.from_events(

@@ -56,7 +56,7 @@ def deploy(node_values, q=0.5, gamma=5, adaptive=False):
     query = QuantileQuery(q=q, window_length_ms=1000, gamma=gamma,
                           adaptive=adaptive)
     root = DemaRootNode(
-        0, local_ids=sorted(node_values), queries=(query,), ops_per_second=1e9
+        0, local_ids=sorted(node_values), query=query, ops_per_second=1e9
     )
     simulator.add_node(root)
     locals_ = {}
@@ -125,7 +125,7 @@ class TestProtocol:
     def test_waits_for_all_locals(self):
         simulator = Simulator()
         query = QuantileQuery(gamma=5)
-        root = DemaRootNode(0, local_ids=[1, 2], queries=(query,))
+        root = DemaRootNode(0, local_ids=[1, 2], query=query)
         simulator.add_node(root)
         local = LocalStub(1, slice_sorted_events(
             EventColumns.from_events(make_events(range(10), node_id=1)).values,
@@ -158,6 +158,39 @@ class TestProtocol:
         )
         with pytest.raises(IdentificationError):
             simulator.run()
+
+    def test_per_node_size_skew_rejected_even_when_it_cancels(self):
+        class RecordingFabric:
+            """Stands in for the simulator: records what the root sends."""
+
+            def __init__(self):
+                self.routed = []
+
+            def route(self, message, src, dst, now):
+                self.routed.append((message, dst))
+
+        root = DemaRootNode(0, local_ids=[1, 2], query=QuantileQuery(gamma=10))
+        fabric = RecordingFabric()
+        root.attach(fabric)
+        messages = []
+        for node_id, skew in ((1, +5), (2, -5)):
+            sliced = slice_sorted_events(
+                EventColumns.from_events(
+                    make_events([float(v) for v in range(40)], node_id=node_id)
+                ).values,
+                10,
+                node_id,
+            )
+            messages.append(SynopsisMessage(
+                sender=node_id,
+                window=WINDOW,
+                synopses=sliced.synopses,
+                local_window_size=sliced.window_size + skew,
+            ))
+        root.on_message(messages[0], 0.0)
+        with pytest.raises(IdentificationError, match="node 1 "):
+            root.on_message(messages[1], 0.0)
+        assert fabric.routed == []
 
     def test_unexpected_candidates_rejected(self):
         values = {1: list(range(10))}
@@ -202,7 +235,7 @@ class TestProtocol:
 
     def test_needs_local_ids(self):
         with pytest.raises(IdentificationError):
-            DemaRootNode(0, local_ids=[], queries=(QuantileQuery(),))
+            DemaRootNode(0, local_ids=[], query=QuantileQuery())
 
 
 class TestAdaptivity:

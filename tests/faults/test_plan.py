@@ -33,21 +33,16 @@ class TestFaultEventValidation:
         with pytest.raises(ConfigurationError, match="takes no target node"):
             FaultEvent(at_s=1.0, kind=kind, node=1)
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ConfigurationError, match="duration"):
-            FaultEvent(at_s=1.0, kind="drop_link", node=1, duration_s=-1.0)
-
 
 class TestDescribeEvent:
     def test_node_scoped_format(self):
         event = FaultEvent(at_s=1.25, kind="crash", node=2)
         assert describe_event(event) == "crash local 2 @1.250s"
 
-    def test_duration_suffix(self):
-        event = FaultEvent(
-            at_s=0.5, kind="drop_link", node=1, duration_s=0.125
-        )
-        assert describe_event(event) == "drop_link local 1 @0.500s for 0.125s"
+    def test_drop_link_has_no_duration_suffix(self):
+        # The outage lasts as long as the local's redial takes.
+        event = FaultEvent(at_s=0.5, kind="drop_link", node=1)
+        assert describe_event(event) == "drop_link local 1 @0.500s"
 
     def test_partition_has_no_target(self):
         event = FaultEvent(at_s=2.0, kind="partition_start")

@@ -2,8 +2,8 @@
 
 Each extension is tested in isolation elsewhere; these runs exercise the
 interesting pairings — sliding windows under message loss, per-node γ with
-unbalanced rates and loss, sensors with reliability, concurrency with
-sliding groups and with loss — and require bit-exactness throughout.
+unbalanced rates and loss, sensors with skewed rates — and require
+bit-exactness throughout.
 """
 
 from repro.core.engine import DemaEngine
@@ -42,33 +42,6 @@ class TestSlidingPlusReliability:
         assert verification.is_exact, verification.summary()
 
 
-class TestConcurrencyPlusReliability:
-    def test_query_groups_exact_under_loss(self):
-        """Four queries in three groups, one sliding, over lossy links:
-        every group runs the reliability protocol."""
-        queries = [
-            QuantileQuery(q=0.5, window_length_ms=1000, gamma=40),
-            QuantileQuery(q=0.9, window_length_ms=1000, gamma=40),
-            QuantileQuery(q=0.25, window_length_ms=500, gamma=30),
-            QuantileQuery(
-                q=0.5, window_length_ms=1000, window_step_ms=500, gamma=40
-            ),
-        ]
-        engine = DemaEngine(
-            queries,
-            TopologyConfig(n_local_nodes=2, loss_rate=0.10, loss_seed=4),
-            reliability=RELIABLE,
-        )
-        streams = make_streams()
-        report = engine.run(streams)
-        assert engine.root.aborted_windows == 0
-        assert len(engine.groups) == 3
-        for query_index, query in enumerate(queries):
-            outcomes = report.outcomes_for(query_index)
-            verification = verify_outcomes(outcomes, streams, query)
-            assert verification.is_exact, (query_index, verification.summary())
-
-
 class TestPerNodeGammaPlusLoss:
     def test_heterogeneous_rates_lossy_links(self):
         query = QuantileQuery(
@@ -97,53 +70,3 @@ class TestSensorsPlusSkew:
         report = engine.run_via_sensors(streams)
         verification = verify_outcomes(report.outcomes, streams, query)
         assert verification.is_exact, verification.summary()
-
-
-class TestConcurrentWithSlidingGroups:
-    def test_mixed_tumbling_and_sliding_exact(self):
-        queries = [
-            QuantileQuery(q=0.5, window_length_ms=1000, gamma=40),
-            QuantileQuery(
-                q=0.9, window_length_ms=1000, window_step_ms=250, gamma=40
-            ),
-        ]
-        engine = DemaEngine(queries, TopologyConfig(n_local_nodes=2))
-        streams = make_streams()
-        report = engine.run(streams)
-        for query_index, query in enumerate(queries):
-            outcomes = report.outcomes_for(query_index)
-            verification = verify_outcomes(outcomes, streams, query)
-            assert verification.is_exact, (query_index, verification.summary())
-
-
-class TestMultiQuantileMatchesConcurrent:
-    def test_two_apis_agree(self):
-        """The in-memory multi-quantile API and the concurrent deployment
-        answer the same questions identically."""
-        from repro.core import dema_quantiles
-        from repro.streaming.windows import TumblingWindows
-
-        streams = make_streams(seconds=2.0)
-        qs = (0.25, 0.5, 0.75)
-        queries = [
-            QuantileQuery(q=q, window_length_ms=1000, gamma=40) for q in qs
-        ]
-        engine = DemaEngine(queries, TopologyConfig(n_local_nodes=2))
-        report = engine.run(streams)
-
-        assigner = TumblingWindows(1000)
-        per_window: dict = {}
-        for node_id, events in streams.items():
-            for event in events:
-                per_window.setdefault(
-                    assigner.window_for(event.timestamp), {}
-                ).setdefault(node_id, []).append(event)
-        for window, by_node in per_window.items():
-            in_memory = dema_quantiles(by_node, qs, gamma=40)
-            for query_index, q in enumerate(qs):
-                outcome = next(
-                    o
-                    for o in report.outcomes_for(query_index)
-                    if o.window == window
-                )
-                assert outcome.value == in_memory.values[q]

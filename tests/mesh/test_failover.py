@@ -138,7 +138,7 @@ class TestFailoverMechanics:
                 DemaRootNode(
                     1 << 20,
                     local_ids=[1, 2],
-                    queries=(QUERY,),
+                    query=QUERY,
                     ops_per_second=1e9,
                 ),
                 LiveFabric(asyncio.get_event_loop().time()),

@@ -192,21 +192,6 @@ class TestTracedBaselines:
             assert total == 0, system
 
 
-class TestTracedConcurrent:
-    def test_concurrent_engine_records_root_phases(self):
-        tracer = RecordingTracer()
-        engine = DemaEngine(
-            [QuantileQuery(q=0.5, gamma=8), QuantileQuery(q=0.9, gamma=8)],
-            TopologyConfig(n_local_nodes=2),
-            tracer=tracer,
-        )
-        report = engine.run(small_streams())
-        names = {span.name for span in tracer.spans}
-        assert {"identification", "calculation"} <= names
-        assert tracer.open_spans == 0
-        assert report.outcomes_for(0) and report.outcomes_for(1)
-
-
 class TestScenarios:
     def test_every_scenario_runs_consistently(self):
         for name in SCENARIOS:

@@ -1,16 +1,14 @@
 """Property tests for the extension subsystems.
 
-Covers multi-quantile sharing, per-node γ optimality, lossy-channel
-accounting and query grouping.
+Covers multi-quantile sharing, per-node γ optimality and lossy-channel
+accounting.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.adaptive import NodeGammaController, optimal_gamma, transfer_cost
-from repro.core.query import group_queries
 from repro.core.engine import dema_quantile
 from repro.core import dema_quantiles
-from repro.core.query import QuantileQuery
 from repro.streaming.aggregates import exact_quantile
 from repro.streaming.events import make_events
 
@@ -112,39 +110,3 @@ def test_lossy_channel_conservation(loss_rate, seed, n_messages):
     assert stats.messages == n_messages
     assert delivered + stats.dropped == n_messages
     assert stats.bytes == n_messages * 32  # lost bytes still sent
-
-
-@given(
-    st.lists(
-        st.tuples(
-            st.sampled_from([500, 1000, 2000]),            # length
-            st.sampled_from([None, 250, 500, 1000]),       # step
-            st.sampled_from([10, 50, 100]),                # gamma
-            st.floats(min_value=0.05, max_value=1.0),      # q
-        ),
-        min_size=1,
-        max_size=10,
-    )
-)
-@settings(max_examples=150, deadline=None)
-def test_query_grouping_partitions(specs):
-    queries = []
-    for length, step, gamma, q in specs:
-        if step is not None and step > length:
-            step = length
-        queries.append(
-            QuantileQuery(
-                q=q, window_length_ms=length, window_step_ms=step, gamma=gamma
-            )
-        )
-    groups = group_queries(queries)
-    seen = [index for group in groups for index, _ in group.queries]
-    assert sorted(seen) == list(range(len(queries)))
-    for group in groups:
-        shapes = {
-            (query.window_length_ms, query.window_step_ms, query.gamma)
-            for _, query in group.queries
-        }
-        assert len(shapes) == 1
-    shapes_across = [group.shape for group in groups]
-    assert len(shapes_across) == len(set(shapes_across))

@@ -6,7 +6,7 @@ import asyncio
 import pytest
 
 from repro.errors import QueryError
-from repro.network.messages import QueryResultMessage
+from repro.network.messages import QueryResultMessage, ResultAckMessage
 from repro.queries.client import QueryClient
 from repro.streaming.windows import Window
 
@@ -36,11 +36,30 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=30.0))
 
 
-async def started():
+async def started(dial=None):
     stream = QueueStream()
-    client = QueryClient(stream, 7)
+    client = QueryClient(stream, 7, dial=dial)
     await client.start()
     return stream, client
+
+
+async def redial():
+    return QueueStream()
+
+
+@pytest.mark.parametrize("dial, acks", [(None, 0), (redial, 3)])
+def test_only_a_client_that_can_resume_acks_its_results(dial, acks):
+    # An ack bounds what a resume replays; without ``dial`` there is no
+    # resume, so a result costs no uplink frame.
+    async def scenario():
+        stream, client = await started(dial)
+        for query_id in (3, 4, 3):
+            stream.inbox.put_nowait(result(query_id))
+        await client.wait_for(lambda c: c.received == 3)
+        await client.close()
+        return sum(isinstance(m, ResultAckMessage) for m in stream.sent)
+
+    assert run(scenario()) == acks
 
 
 def test_a_result_wakes_the_wait_within_a_few_loop_turns():

@@ -26,7 +26,7 @@ def make_root(loop_time: float) -> RootServer:
         DemaRootNode(
             0,
             local_ids=[1, 2, 3],
-            queries=(QuantileQuery(q=0.5, gamma=32),),
+            query=QuantileQuery(q=0.5, gamma=32),
             ops_per_second=1e9,
         ),
         LiveFabric(loop_time),

@@ -128,7 +128,7 @@ def _batches(rows_per_chunk, timestamp=100):
 def _local_window(batches):
     node = DemaLocalNode(
         batches[0].node_ids[0], root_id=0, ops_per_second=1e9,
-        queries=(QuantileQuery(q=0.5, window_length_ms=1000, gamma=2),),
+        query=QuantileQuery(q=0.5, window_length_ms=1000, gamma=2),
     )
     for batch in batches:
         node.ingest(batch, 0.1)

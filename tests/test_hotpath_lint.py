@@ -40,10 +40,12 @@ the in-memory entry points, the simulator's Dema root and the live query
 root all call instead of re-deriving it.
 
 And two keep the protocol's node classes few: Dema is one local and one
-root under ``core/`` (a single query is a one-query group), and the
+root under ``core/`` (a simulated deployment's one query is group 0), and the
 baselines are Scotty's pair and the summary pair that Desis, t-digest and
 partial aggregation share, so a per-path or per-system copy of the
-local/root protocol cannot grow back.
+local/root protocol cannot grow back.  A third keeps one grouping rule for
+concurrent queries: the live plane's registry defines the package's only
+``QueryGroup``.
 
 One keeps the one cluster driver legible: no function or method of
 ``runtime/cluster.py`` runs past 150 lines, so the driver stays a cluster
@@ -657,7 +659,8 @@ def test_baselines_have_four_node_classes():
     assert _node_classes(sources) == BASELINE_NODE_CLASSES
 
 
-#: Dema's node classes: one local and one root serve one query or many.
+#: Dema's node classes: one local and one root serve a simulated
+#: deployment's one query and the live plane's runtime groups alike.
 #: Held with ``==``: a second (per-query-count) copy of either fails here.
 DEMA_NODE_CLASSES = {"DemaLocalNode", "DemaRootNode"}
 
@@ -668,6 +671,22 @@ def test_dema_has_one_local_and_one_root():
         for path in sorted((PACKAGE_ROOT / "core").rglob("*.py"))
     ]
     assert _node_classes(sources) == DEMA_NODE_CLASSES
+
+
+#: Where concurrent queries are grouped: the live query plane's registry,
+#: keyed by (selector, γ).  Held with ``==``: a second grouping rule fails
+#: here.
+QUERY_GROUP_CLASSES = {("queries/registry.py", "QueryGroup")}
+
+
+def test_queries_are_grouped_in_one_place():
+    found = {
+        (path.relative_to(PACKAGE_ROOT).as_posix(), node.name)
+        for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef) and node.name == "QueryGroup"
+    }
+    assert found == QUERY_GROUP_CLASSES
 
 
 def test_node_class_lint_sees_direct_and_indirect_subclasses():
@@ -1394,7 +1413,7 @@ def _event_batch_frame_hop(batch_size):
         window=Window(batch.timestamp_at(0), batch.timestamp_at(-1) + 1),
         events=batch,
     )
-    node = DemaLocalNode(1, root_id=0, queries=[QuantileQuery(gamma=100)])
+    node = DemaLocalNode(1, root_id=0, query=QuantileQuery(gamma=100))
 
     def action():
         frame = encode_frame(message)
