@@ -3,8 +3,8 @@
 A typical observability dashboard wants p25/p50/p75/p95/p99 of request
 latencies collected on many edge gateways.  The multi-quantile extension
 answers all five exactly while shipping the synopses once and fetching the
-*union* of the candidate slices, and the sliding-window extension refreshes
-the dashboard more often than the window length.
+*union* of the candidate slices, and a sliding query on the live query
+plane refreshes the dashboard more often than the window length.
 
 Run with::
 
@@ -14,9 +14,11 @@ Run with::
 import random
 
 from repro import dema_quantile, dema_quantiles, make_events
-from repro.core import DemaEngine, QuantileQuery
-from repro.network.topology import TopologyConfig
-from repro.bench.generator import GeneratorConfig, workload
+from repro.bench.generator import GeneratorConfig
+from repro.core import QuantileQuery
+from repro.mesh.config import ClusterConfig
+from repro.queries.runner import run_query_scenario
+from repro.queries.spec import QuerySpec
 
 QS = (0.25, 0.5, 0.75, 0.95, 0.99)
 
@@ -49,24 +51,29 @@ def shared_identification() -> None:
 
 
 def sliding_refresh() -> None:
-    query = QuantileQuery(
-        q=0.95, window_length_ms=1_000, window_step_ms=250, gamma=100
+    spec = QuerySpec(
+        kind="sliding", length_ms=1000, step_ms=250, q=0.95, gamma=100
     )
-    print(f"Sliding refresh: {query.describe()}")
-    engine = DemaEngine(query, TopologyConfig(n_local_nodes=2))
-    streams = workload(
-        [1, 2], GeneratorConfig(event_rate=2_000.0, duration_s=3.0, seed=6)
+    print("Sliding refresh: p95 over 1000 ms windows every 250 ms (γ=100), "
+          "on the live query plane")
+    report = run_query_scenario(
+        ClusterConfig(n_locals=2, query=QuantileQuery(gamma=100)),
+        GeneratorConfig(event_rate=2_000.0, duration_s=3.0, seed=6),
+        specs=[spec],
     )
-    report = engine.run(streams)
+    assert report.ok, report.mismatches
+    results = sorted(
+        report.live.queries["results"][1], key=lambda result: result.window
+    )
     print(f"{'window':>16}  {'p95':>8}")
-    for outcome in report.outcomes[:8]:
+    for result in results[:8]:
         window = (
-            f"[{outcome.window.start / 1000:+.2f}s,"
-            f"{outcome.window.end / 1000:.2f}s)"
+            f"[{result.window.start / 1000:.2f}s,"
+            f"{result.window.end / 1000:.2f}s)"
         )
-        print(f"{window:>16}  {outcome.value:8.2f}")
-    print(f"... {len(report.outcomes)} overlapping windows total, "
-          "each exact over its full 1-second span.")
+        print(f"{window:>16}  {result.value:8.2f}")
+    print(f"... {len(results)} overlapping windows total, each graded "
+          "exact over its full 1-second span.")
 
 
 if __name__ == "__main__":

@@ -411,21 +411,6 @@ def _run_cluster(config, generator, **run_kwargs):
     return report, counts
 
 
-def _cmd_live(args: argparse.Namespace) -> int:
-    if args.uvloop:
-        # uvloop is an optional accelerator, never a requirement: when the
-        # module is absent the run proceeds on stock asyncio unchanged.
-        try:
-            import uvloop
-        except ImportError:
-            print("warning: --uvloop requested but uvloop is not installed; "
-                  "continuing on the default asyncio event loop",
-                  file=sys.stderr)
-        else:
-            uvloop.install()
-    return _cmd_mesh(args)
-
-
 def _cmd_mesh(args: argparse.Namespace) -> int:
     report, counts = _run_cluster(*_configs_from_args(args))
     _print_telemetry(report.telemetry)
@@ -683,17 +668,13 @@ def _parser() -> argparse.ArgumentParser:
 
     # The live commands: one topology/workload flag group, per-command
     # defaults (README.md, "Topology flags", tabulates them).
-    live = command("live", _cmd_live,
+    live = command("live", _cmd_mesh,
                    "run a live asyncio cluster (real wire protocol)")
     _add_cluster_flags(
         live, aggregate_rate=True, n_locals=2, streams_per_local=2,
         transport="tcp", time_scale=1.0, event_rate=20_000.0,
         duration_s=3.0, gamma=100, q=0.5, seed=42,
     )
-    live.add_argument("--uvloop", action="store_true",
-                      help="install uvloop as the event-loop policy if "
-                           "available (falls back to asyncio with a "
-                           "warning when it is not)")
     _add_telemetry_flags(live)
 
     query = command("query", _cmd_query,

@@ -335,11 +335,6 @@ def build_system(
         return DemaEngine(
             query, topology_config, batch_size=batch_size, tracer=tracer
         )
-    if query.is_sliding:
-        raise ConfigurationError(
-            f"{name} supports tumbling windows only; sliding-window "
-            "queries are a Dema extension"
-        )
     if name == "scotty":
         return SimulatedDeployment(
             topology_config,

@@ -41,6 +41,13 @@ __all__ = [
     "workload_columns",
 ]
 
+#: Long-run mean of the (unscaled) value process.
+MEAN = 40.0
+#: Mean-reversion strength per step, in ``(0, 1]``.
+REVERSION = 0.02
+#: Per-step noise standard deviation.
+VOLATILITY = 6.0
+
 
 @dataclass(frozen=True, slots=True)
 class GeneratorConfig:
@@ -53,9 +60,6 @@ class GeneratorConfig:
         seed: Base RNG seed; combined with node id and replay offset.
         replay_offset: Emulates replaying the dataset from a different
             position — different offsets give independent value walks.
-        mean: Long-run mean of the (unscaled) value process.
-        reversion: Mean-reversion strength per step, in ``(0, 1]``.
-        volatility: Per-step noise standard deviation.
     """
 
     event_rate: float
@@ -63,9 +67,6 @@ class GeneratorConfig:
     scale_rate: float = 1.0
     seed: int = 42
     replay_offset: int = 0
-    mean: float = 40.0
-    reversion: float = 0.02
-    volatility: float = 6.0
 
     def __post_init__(self) -> None:
         if self.event_rate <= 0:
@@ -74,14 +75,6 @@ class GeneratorConfig:
             raise GeneratorError(f"duration_s must be > 0, got {self.duration_s}")
         if self.scale_rate <= 0:
             raise GeneratorError(f"scale_rate must be > 0, got {self.scale_rate}")
-        if not 0.0 < self.reversion <= 1.0:
-            raise GeneratorError(
-                f"reversion must be in (0, 1], got {self.reversion}"
-            )
-        if self.volatility < 0:
-            raise GeneratorError(
-                f"volatility must be >= 0, got {self.volatility}"
-            )
 
     @property
     def n_events(self) -> int:
@@ -107,13 +100,13 @@ class SensorStreamGenerator:
         cfg = self._config
         rng = np.random.default_rng((cfg.seed, node_id, cfg.replay_offset))
         n = cfg.n_events
-        noise = rng.normal(0.0, cfg.volatility, size=n)
-        noise[0] += rng.normal(0.0, cfg.volatility * 4)
+        noise = rng.normal(0.0, VOLATILITY, size=n)
+        noise[0] += rng.normal(0.0, VOLATILITY * 4)
         # AR(1) deviation process x_i = (1 - reversion) * x_{i-1} + noise_i,
         # vectorized as an IIR filter; reflecting at zero keeps every stream
         # anchored at the origin so scaled streams still overlap there.
-        deviations = lfilter([1.0], [1.0, -(1.0 - cfg.reversion)], noise)
-        values = np.abs(cfg.mean + deviations)
+        deviations = lfilter([1.0], [1.0, -(1.0 - REVERSION)], noise)
+        values = np.abs(MEAN + deviations)
         return values * cfg.scale_rate
 
     def timestamps(self, node_id: int) -> np.ndarray:

@@ -26,7 +26,6 @@ from repro.core.identification import IdentificationResult, identify
 from repro.core.calculation import calculate_quantile
 from repro.core.adaptive import (
     AdaptiveGammaController,
-    NodeGammaController,
     optimal_gamma,
     transfer_cost,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "identify",
     "calculate_quantile",
     "AdaptiveGammaController",
-    "NodeGammaController",
     "optimal_gamma",
     "transfer_cost",
     "MultiQuantileResult",

@@ -33,14 +33,13 @@ __all__ = [
     "transfer_cost",
     "optimal_gamma",
     "AdaptiveGammaController",
-    "NodeGammaController",
 ]
 
 
 def transfer_cost(gamma: int, global_window_size: int, n_candidates: int) -> float:
     """Values-on-the-wire cost model of Section 3.3, re-derived for slice
     boundaries, for one local: ``l_G/γ + m·(γ − 1) + 1`` (its window
-    maximum is the ``+ 1``; :class:`NodeGammaController` sums it per node).
+    maximum is the ``+ 1``).
 
     Args:
         gamma: Slice factor, ≥ 2.
@@ -157,101 +156,3 @@ class AdaptiveGammaController:
         if previous is None:
             return observed
         return self.smoothing * observed + (1.0 - self.smoothing) * previous
-
-
-class NodeGammaController:
-    """Per-node slice factors (the paper's Section 3.3 extension).
-
-    The transfer cost decomposes over nodes:
-
-        Cost = Σ_i [ l_i / γ_i  +  m_i · (γ_i − 1)  +  1 ]
-
-    where ``l_i`` is node *i*'s local window size and ``m_i`` its candidate
-    slices, so each node's factor can be optimized independently:
-    ``γ_i* = sqrt(l_i / m_i)``.  Nodes with high event rates get coarser
-    slices; quiet nodes get finer ones — exactly the adaptation the paper
-    sketches for "networks with nodes that have varying workloads".
-
-    A node never observed as contributing candidates uses ``m_i = 1``
-    rather than the cost model's degenerate ``m_i = 0`` (which would push
-    γ to the window size and make the *next* window's candidate slice the
-    whole window).
-    """
-
-    def __init__(self, initial_gamma: int = 100, *,
-                 smoothing: float = 1.0,
-                 max_gamma: int | None = None) -> None:
-        if initial_gamma < MIN_GAMMA:
-            raise ConfigurationError(
-                f"initial gamma must be >= {MIN_GAMMA}, got {initial_gamma}"
-            )
-        if not 0.0 < smoothing <= 1.0:
-            raise ConfigurationError(
-                f"smoothing must be in (0, 1], got {smoothing}"
-            )
-        self._initial_gamma = initial_gamma
-        self._smoothing = smoothing
-        self._max_gamma = max_gamma
-        self._size_estimates: dict[int, float] = {}
-        self._candidate_estimates: dict[int, float] = {}
-        self._gammas: dict[int, int] = {}
-
-    def gamma_for(self, node_id: int) -> int:
-        """The factor currently prescribed for ``node_id``."""
-        return self._gammas.get(node_id, self._initial_gamma)
-
-    @property
-    def gammas(self) -> dict[int, int]:
-        """All per-node factors prescribed so far."""
-        return dict(self._gammas)
-
-    def observe(
-        self,
-        window_sizes: dict[int, int],
-        candidates_by_node: dict[int, int],
-    ) -> dict[int, int]:
-        """Fold one window's per-node statistics; return the new factors.
-
-        Args:
-            window_sizes: Local window size ``l_i`` per node.
-            candidates_by_node: Candidate-slice count ``m_i`` per node
-                (nodes with no candidates may be omitted).
-
-        Returns:
-            New γ per node, for every node present in ``window_sizes``.
-        """
-        updated: dict[int, int] = {}
-        for node_id, size in window_sizes.items():
-            observed_m = max(candidates_by_node.get(node_id, 0), 1)
-            self._size_estimates[node_id] = self._smooth(
-                self._size_estimates.get(node_id), float(size)
-            )
-            self._candidate_estimates[node_id] = self._smooth(
-                self._candidate_estimates.get(node_id), float(observed_m)
-            )
-            gamma = optimal_gamma(
-                round(self._size_estimates[node_id]),
-                round(self._candidate_estimates[node_id]),
-                max_gamma=self._max_gamma,
-            )
-            self._gammas[node_id] = gamma
-            updated[node_id] = gamma
-        return updated
-
-    def expected_cost(self) -> float | None:
-        """Modelled total cost of the current factors, if any observed."""
-        if not self._gammas:
-            return None
-        total = 0.0
-        for node_id, gamma in self._gammas.items():
-            total += transfer_cost(
-                gamma,
-                round(self._size_estimates[node_id]),
-                round(self._candidate_estimates[node_id]),
-            )
-        return total
-
-    def _smooth(self, previous: float | None, observed: float) -> float:
-        if previous is None:
-            return observed
-        return self._smoothing * observed + (1.0 - self._smoothing) * previous

@@ -194,7 +194,7 @@ class DemaLocalNode(SimulatedNode):
         n_events = len(events)
         inserts: list[tuple[int, int]] = []  # (size before, rows added)
         length = self._query.window_length_ms
-        for start, rows in events.by_window(length, self._query.window_step_ms):
+        for start, rows in events.by_window(length):
             added = len(rows)
             key = (start, start + length)
             if key in self._completed:

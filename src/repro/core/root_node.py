@@ -49,7 +49,7 @@ from repro.network.messages import (
 from repro.network.driver import MS_PER_SECOND
 from repro.network.simulator import SimulatedNode, merge_cost, receive_ops
 from repro.streaming.windows import Window
-from repro.core.adaptive import AdaptiveGammaController, NodeGammaController
+from repro.core.adaptive import AdaptiveGammaController
 from repro.core.calculation import calculate_quantiles, check_run
 from repro.core.identification import MultiIdentificationResult, identify_multi
 from repro.core.query import QuantileQuery
@@ -159,12 +159,8 @@ class DemaRootNode(SimulatedNode):
             self.open_group(0, query.gamma, lambda _: qs)
         # Only the constructor's query can be adaptive.
         self._controller: AdaptiveGammaController | None = None
-        self._node_controller: NodeGammaController | None = None
         if query is not None and query.adaptive:
-            if query.per_node_gamma:
-                self._node_controller = NodeGammaController(query.gamma)
-            else:
-                self._controller = AdaptiveGammaController(gamma=query.gamma)
+            self._controller = AdaptiveGammaController(gamma=query.gamma)
         self._states: dict[tuple[int, Window], _WindowState] = {}
         self._outcomes: list[WindowOutcome] = []
         #: Locals the failure detector has declared dead (until revived).
@@ -255,13 +251,6 @@ class DemaRootNode(SimulatedNode):
     def gamma(self) -> int:
         """Slice factor the root currently prescribes (group 0's)."""
         return self._gammas[0]
-
-    @property
-    def node_gammas(self) -> dict[int, int]:
-        """Per-node factors in force (empty unless ``per_node_gamma``)."""
-        if self._node_controller is None:
-            return {}
-        return self._node_controller.gammas
 
     @property
     def open_windows(self) -> int:
@@ -1001,15 +990,3 @@ class DemaRootNode(SimulatedNode):
                         gamma=new_gamma,
                     )
                     self.send(update, local_id, finish)
-        elif self._node_controller is not None:
-            previous = self._node_controller.gammas
-            updated = self._node_controller.observe(
-                dict(state.sizes), candidates_by_node
-            )
-            for local_id, gamma in updated.items():
-                if previous.get(local_id) == gamma:
-                    continue
-                update = GammaUpdateMessage(
-                    sender=self.node_id, window=window, gamma=gamma
-                )
-                self.send(update, local_id, finish)

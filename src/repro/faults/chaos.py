@@ -1,13 +1,10 @@
 """Chaos transport: fault injection for live message streams.
 
 :class:`ChaosStream` wraps any :class:`repro.runtime.transport.MessageStream`
-and gives the fault driver three levers the real world pulls all the time:
-
-* **sever** — the link dies abruptly; pending receives wake with EOF (as a
-  killed TCP peer would produce) and subsequent sends fail.
-* **delay** — a fixed per-frame delivery delay on receive.
-* **reorder** — seeded random hold-one-back swaps of adjacent frames
-  (never the ``Hello`` preamble, which must stay first on the wire).
+and gives the fault driver the one lever every fault plan pulls: **sever**
+— the link dies abruptly; pending receives wake with EOF (as a killed TCP
+peer would produce) and subsequent sends fail.  It never delays or
+reorders a frame: the protocol assumes each link is FIFO.
 
 :class:`ChaosController` owns one live run's worth of wrapped streams and
 translates :class:`~repro.faults.plan.FaultPlan` events into lever pulls:
@@ -20,7 +17,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import random
 
 from repro.errors import TransportError
 from repro.faults.plan import FaultEvent, FaultPlan, describe_event
@@ -32,22 +28,11 @@ __all__ = ["ChaosStream", "ChaosController"]
 
 
 class ChaosStream:
-    """A :class:`MessageStream` wrapper that can sever, delay and reorder."""
+    """A :class:`MessageStream` wrapper that can be severed."""
 
-    def __init__(
-        self,
-        inner: MessageStream,
-        *,
-        delay_s: float = 0.0,
-        reorder_rate: float = 0.0,
-        rng: random.Random | None = None,
-    ) -> None:
+    def __init__(self, inner: MessageStream) -> None:
         self._inner = inner
-        self._delay_s = delay_s
-        self._reorder_rate = reorder_rate
-        self._rng = rng if rng is not None else random.Random(0)
         self._cut = asyncio.Event()
-        self._held: Message | None = None
 
     @property
     def stats(self) -> StreamStats:
@@ -85,23 +70,11 @@ class ChaosStream:
     async def send(self, message: Message | Hello) -> None:
         if self.severed:
             raise TransportError("chaos: link severed")
-        if (
-            self._reorder_rate > 0.0
-            and self._held is None
-            and not isinstance(message, Hello)
-            and self._rng.random() < self._reorder_rate
-        ):
-            # Hold this frame back; it goes out right after the next one.
-            self._held = message
-            return
         await self._inner.send(message)
-        if self._held is not None:
-            held, self._held = self._held, None
-            await self._inner.send(held)
 
     async def send_many(self, messages) -> None:
-        """Frame by frame through :meth:`send`, so sever, delay and reorder
-        act on each frame as they do on single sends."""
+        """Frame by frame through :meth:`send`, so a sever acts on each
+        frame as it does on single sends."""
         for message in messages:
             await self.send(message)
 
@@ -120,10 +93,7 @@ class ChaosStream:
             return None
         cut_task.cancel()
         await self._reap(cut_task)
-        message = recv_task.result()
-        if self._delay_s > 0.0 and message is not None:
-            await asyncio.sleep(self._delay_s)
-        return message
+        return recv_task.result()
 
     @staticmethod
     async def _reap(task: asyncio.Task) -> None:
@@ -166,21 +136,9 @@ class ChaosController:
         """Whether a partition is currently in force."""
         return self._partitioned
 
-    def wrap(
-        self,
-        local_id: int,
-        stream: MessageStream,
-        *,
-        delay_s: float = 0.0,
-        reorder_rate: float = 0.0,
-    ) -> ChaosStream:
+    def wrap(self, local_id: int, stream: MessageStream) -> ChaosStream:
         """Wrap one local↔root stream so the plan can reach it later."""
-        chaos = ChaosStream(
-            stream,
-            delay_s=delay_s,
-            reorder_rate=reorder_rate,
-            rng=random.Random(f"chaos:{self._plan.seed}:{local_id}"),
-        )
+        chaos = ChaosStream(stream)
         self._streams.setdefault(local_id, []).append(chaos)
         return chaos
 

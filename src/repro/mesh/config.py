@@ -173,8 +173,6 @@ class ClusterConfig:
         whether a query driver will be attached (``driver=None``), and
         the cluster driver calls it again once it does.
         """
-        if self.query.is_sliding:
-            raise ConfigurationError("the live runtime seals tumbling grids only")
         if self.query.adaptive and self.n_shards > 1:
             raise ConfigurationError(
                 "sharded runs need a fixed gamma: adaptive gamma is per-root "

@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.network.channels import DEFAULT_LATENCY_S
 from repro.network.driver import (
     MS_PER_SECOND,
     BatchSourceDriver,
@@ -32,7 +33,7 @@ from repro.network.topology import ROOT_NODE_ID, Topology, TopologyConfig
 from repro.obs.tracer import NOOP_TRACER
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event
-from repro.streaming.windows import Window, WindowAssigner
+from repro.streaming.windows import TumblingWindows, Window
 
 # Hot-path module: every stream becomes an ``EventColumns`` once, at this
 # door, and window sets come from the driver's segmenter: no loop here
@@ -78,7 +79,7 @@ class SimulatedDeployment:
         *,
         root: Callable[..., SimulatedNode],
         local: Callable[..., SimulatedNode],
-        assigner: WindowAssigner,
+        assigner: TumblingWindows,
         batch_size: int = 512,
         trace=None,
         tracer=None,
@@ -199,7 +200,7 @@ class SimulatedDeployment:
             sensor = self._simulator.nodes[first_sensor_id]
             allowed_lateness_ms = (
                 sensor.max_batch_delay_ms
-                + int(self._topology.config.link_latency_s * 1000 * 4)
+                + int(DEFAULT_LATENCY_S * 1000 * 4)
                 + 2
             )
         windows: set[Window] = set()

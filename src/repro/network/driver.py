@@ -28,11 +28,7 @@ from repro.streaming.columns import (
     check_streams,
 )
 from repro.streaming.events import Event
-from repro.streaming.windows import (
-    SlidingWindows,
-    TumblingWindows,
-    Window,
-)
+from repro.streaming.windows import TumblingWindows, Window
 
 # Hot-path module: a stream is segmented on its timestamp column — no loop
 # here runs per event, and none assigns windows (enforced by
@@ -92,7 +88,7 @@ def event_timestamps(
 
 
 def window_segments(
-    timestamps: np.ndarray, assigner: TumblingWindows | SlidingWindows
+    timestamps: np.ndarray, assigner: TumblingWindows
 ) -> tuple[np.ndarray, list[Window]]:
     """Where the window assignment changes along a stream, and what it touches.
 
@@ -102,22 +98,18 @@ def window_segments(
     chronological order; both empty for an empty stream.  ``timestamps``
     (int64) may be in any order — sorted ones give the fewest segments.
 
-    Assignment is integer arithmetic: an event at ``t`` is in the windows
-    numbered ``(t - length) // step + 1 .. t // step``, window ``k``
-    starting at ``k * step`` (tumbling is ``step == length``).
+    Assignment is integer arithmetic: an event at ``t`` is in window
+    ``t // length``, starting at ``(t // length) * length``.
     """
     if not len(timestamps):
         return _run_starts(timestamps), []
     length = assigner.length
-    step = getattr(assigner, "step", length)
-    newest = timestamps // step
-    oldest = (timestamps - length) // step + 1
-    # Both are non-decreasing in t: between any two events they move
-    # the same way, so their sum changes exactly where either does.
-    starts = _run_starts(newest + oldest)
-    spans = zip(oldest[starts].tolist(), newest[starts].tolist())
-    numbers = sorted({k for lo, hi in spans for k in range(lo, hi + 1)})
-    return starts, [Window(k * step, k * step + length) for k in numbers]
+    numbers = timestamps // length
+    starts = _run_starts(numbers)
+    return starts, [
+        Window(k * length, (k + 1) * length)
+        for k in sorted(set(numbers[starts].tolist()))
+    ]
 
 
 def local_streams(

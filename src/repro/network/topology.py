@@ -18,11 +18,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.network.channels import (
-    DEFAULT_BANDWIDTH_BPS,
-    DEFAULT_LATENCY_S,
-    Channel,
-)
+from repro.network.channels import DEFAULT_BANDWIDTH_BPS, Channel
 from repro.network.simulator import SimulatedNode, Simulator
 
 __all__ = ["NodeRole", "TopologyConfig", "Topology", "relay_groups"]
@@ -57,8 +53,6 @@ class TopologyConfig:
         stream_ops_per_second: CPU budget of each data-stream node.
         uplink_bandwidth_bps: Bandwidth local → root, bytes/second.
         downlink_bandwidth_bps: Bandwidth root → local, bytes/second.
-        edge_bandwidth_bps: Bandwidth stream → local, bytes/second.
-        link_latency_s: One-way propagation latency on every link.
         loss_rate: Probability that any root↔local message is lost in
             transit (deterministic per-channel RNG; see ``loss_seed``).
             Requires a reliability-enabled protocol to still produce
@@ -73,8 +67,6 @@ class TopologyConfig:
     stream_ops_per_second: float = 2.0e7
     uplink_bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
     downlink_bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
-    edge_bandwidth_bps: float = DEFAULT_BANDWIDTH_BPS
-    link_latency_s: float = DEFAULT_LATENCY_S
     loss_rate: float = 0.0
     loss_seed: int = 0
 
@@ -147,7 +139,6 @@ class Topology:
                     local_id,
                     ROOT_NODE_ID,
                     bandwidth_bps=config.uplink_bandwidth_bps,
-                    latency_s=config.link_latency_s,
                     loss_rate=config.loss_rate,
                     loss_seed=config.loss_seed,
                 )
@@ -157,7 +148,6 @@ class Topology:
                     ROOT_NODE_ID,
                     local_id,
                     bandwidth_bps=config.downlink_bandwidth_bps,
-                    latency_s=config.link_latency_s,
                     loss_rate=config.loss_rate,
                     loss_seed=config.loss_seed,
                 )
@@ -173,14 +163,7 @@ class Topology:
                 )
                 _require_node(stream, "stream_factory")
                 simulator.add_node(stream)
-                simulator.connect(
-                    Channel(
-                        stream.node_id,
-                        local_id,
-                        bandwidth_bps=config.edge_bandwidth_bps,
-                        latency_s=config.link_latency_s,
-                    )
-                )
+                simulator.connect(Channel(stream.node_id, local_id))
                 attached.append(stream.node_id)
                 next_id += 1
             stream_ids[local_id] = attached

@@ -29,15 +29,14 @@ class TelemetryConfig:
             reruns.  ``1.0`` traces every window.
         http_port: Port for the scrape endpoint (``/metrics``,
             ``/timeline/<window-start>``, ``/summary``, ``/healthz``).
-            ``0`` binds an ephemeral port; ``None`` starts no server.
-        http_host: Interface the scrape endpoint binds.
+            ``0`` binds an ephemeral port; ``None`` starts no server.  It
+            binds the loopback interface.
         sampler_interval_s: Period of the runtime sampler (event-loop
             lag, send backlogs, GC pauses).  ``0`` disables the sampler.
         flight_recorder_path: Where the flight recorder dumps its ring
             buffer when the cluster's failure latch trips.  ``None``
-            disables the recorder.
-        flight_recorder_capacity: Ring size — the last N span/event
-            records kept for a crash dump.
+            disables the recorder.  The ring keeps the last 2048 span/event
+            records.
         announce: Called once with the bound HTTP port after the scrape
             endpoint starts (the config is frozen, so an ephemeral port
             cannot be written back; tests and the CLI use this to learn
@@ -46,10 +45,8 @@ class TelemetryConfig:
 
     sample_rate: float = 1.0
     http_port: int | None = None
-    http_host: str = "127.0.0.1"
     sampler_interval_s: float = 0.05
     flight_recorder_path: Path | str | None = None
-    flight_recorder_capacity: int = 2048
     announce: Callable[[int], None] | None = None
 
     def __post_init__(self) -> None:
@@ -65,9 +62,4 @@ class TelemetryConfig:
             raise ConfigurationError(
                 "sampler_interval_s must be >= 0, got "
                 f"{self.sampler_interval_s}"
-            )
-        if self.flight_recorder_capacity <= 0:
-            raise ConfigurationError(
-                "flight_recorder_capacity must be positive, got "
-                f"{self.flight_recorder_capacity}"
             )

@@ -473,10 +473,7 @@ class Cluster:
         self.sample_rate = telemetry.sample_rate if telemetry is not None else 1.0
         self.recorder: FlightRecorder | None = None
         if telemetry is not None and telemetry.flight_recorder_path is not None:
-            self.recorder = FlightRecorder(
-                telemetry.flight_recorder_path,
-                capacity=telemetry.flight_recorder_capacity,
-            )
+            self.recorder = FlightRecorder(telemetry.flight_recorder_path)
             if isinstance(tracer, RecordingTracer):
                 tracer.on_record = self.recorder.record
         self.collector = FleetCollector() if telemetry is not None else None
@@ -510,7 +507,6 @@ class Cluster:
             tracer = self.tracer
             self.http_server = TelemetryServer(
                 tracer.registry,
-                host=telemetry.http_host,
                 port=telemetry.http_port,
                 spans=lambda: (
                     tracer.spans if isinstance(tracer, RecordingTracer) else []

@@ -256,45 +256,40 @@ class EventColumns:
     def max_timestamp(self) -> int:
         return int(self._arr["timestamp"].max())
 
-    def by_window(
-        self, length: int, step: "int | None" = None
-    ) -> "list[tuple[int, EventColumns]]":
-        """``(window start, rows)`` for each fixed-length window the batch
-        touches — ``SlidingWindows(length, step).assign`` row by row, on
-        the timestamp column (``step`` omitted: tumbling).
+    def by_window(self, length: int) -> "list[tuple[int, EventColumns]]":
+        """``(window start, rows)`` for each tumbling window of ``length``
+        the batch touches — ``TumblingWindows(length).assign`` row by row,
+        on the timestamp column.
 
-        An event at ``t`` is in the windows numbered ``(t - length) // step
-        + 1 .. t // step``, window ``k`` starting at ``k * step`` — negative
-        for the windows that straddle time zero.  Groups come in the order
-        the windows first appear in the batch, earliest window first within
-        a row; rows keep batch order.  A batch with one window assignment —
-        every batch of an ordered replay — is handed back as is.
+        An event at ``t`` is in window ``t // length``, starting at
+        ``(t // length) * length``.  Groups come in the order the windows
+        first appear in the batch; rows keep batch order.  A batch within
+        one window — every batch of an ordered replay — is handed back as
+        is.
         """
         if not len(self):
             return []
-        if step is None:
-            step = length
         timestamps = self._arr["timestamp"]
-        lo = int(_np.minimum.reduce(timestamps))
-        hi = int(_np.maximum.reduce(timestamps))
-        number, last = (lo - length) // step + 1, hi // step
-        if (hi - length) // step + 1 == number and lo // step == last:
-            return [(k * step, self) for k in range(number, last + 1)]
-        # int64: the u32 column wraps below zero and near 2**32.
+        number = int(_np.minimum.reduce(timestamps)) // length
+        last = int(_np.maximum.reduce(timestamps)) // length
+        if number == last:
+            return [(number * length, self)]
+        # int64: ``start + length`` can pass 2**32, where u32 wraps.
         timestamps = timestamps.astype(_np.int64)
         groups = []
         while number <= last:
-            start = number * step
+            start = number * length
             rows = (timestamps >= start) & (timestamps < start + length)
             first = int(rows.argmax())
             if rows[first]:
                 groups.append((first, start, self[rows]))
                 number += 1
             else:
-                # Nothing here: on to the oldest window of the next event.
+                # Nothing here: on to the window of the next event.
                 later = timestamps[timestamps >= start + length]
-                number = (int(later.min()) - length) // step + 1
-        # Stable, and the walk ascends: a row's windows stay earliest first.
+                number = int(later.min()) // length
+        # First-appearance order: DemaLocalNode._insert_ops sums its
+        # float charge in it.
         groups = sorted(groups, key=lambda group: group[0])
         return [group[1:] for group in groups]
 

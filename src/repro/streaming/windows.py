@@ -1,15 +1,14 @@
-"""Window types from the Dataflow model: tumbling and sliding.
+"""Time-based tumbling windows, the paper's evaluation setting.
 
-The paper (Section 2.1) follows Akidau et al.'s classification.  A window
-assigner maps an event timestamp to the set of windows the event belongs to.
-Tumbling windows are the special case of sliding windows whose step equals
-their length; Dema's evaluation uses time-based tumbling windows throughout,
-and sliding windows serve the extensions.
+The paper (Section 2.1) follows Akidau et al.'s classification; Dema's
+evaluation uses time-based tumbling windows throughout, and so does every
+simulated deployment here.  Sliding windows run on the live query plane
+(:mod:`repro.queries`), which shares sorted panes between overlapping
+windows.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,9 +17,7 @@ from repro.errors import ConfigurationError, WindowError
 __all__ = [
     "CONTROL_WINDOW",
     "Window",
-    "WindowAssigner",
     "TumblingWindows",
-    "SlidingWindows",
 ]
 
 
@@ -57,15 +54,7 @@ class Window:
 CONTROL_WINDOW = Window(0, 1)
 
 
-class WindowAssigner(ABC):
-    """Maps event timestamps to the windows the event belongs to."""
-
-    @abstractmethod
-    def assign(self, timestamp: int) -> Sequence[Window]:
-        """Return the windows containing ``timestamp``, earliest first."""
-
-
-class TumblingWindows(WindowAssigner):
+class TumblingWindows:
     """Fixed-length, non-overlapping windows aligned to the epoch.
 
     An event with timestamp ``t`` belongs to exactly one window,
@@ -83,6 +72,7 @@ class TumblingWindows(WindowAssigner):
         return self._length
 
     def assign(self, timestamp: int) -> Sequence[Window]:
+        """The windows containing ``timestamp``: exactly one."""
         start = (timestamp // self._length) * self._length
         return (Window(start, start + self._length),)
 
@@ -92,49 +82,3 @@ class TumblingWindows(WindowAssigner):
 
     def __repr__(self) -> str:
         return f"TumblingWindows(length={self._length})"
-
-
-class SlidingWindows(WindowAssigner):
-    """Fixed-length windows that start every ``step`` time units.
-
-    An event belongs to ``ceil(length / step)`` windows when ``step`` divides
-    ``length``, and up to that many otherwise.  With ``step == length`` this
-    degenerates to tumbling windows (asserted in tests).
-    """
-
-    def __init__(self, length: int, step: int) -> None:
-        if length <= 0:
-            raise ConfigurationError(f"window length must be > 0, got {length}")
-        if step <= 0:
-            raise ConfigurationError(f"window step must be > 0, got {step}")
-        if step > length:
-            raise ConfigurationError(
-                f"step ({step}) larger than length ({length}) would drop "
-                "events; use tumbling windows with gaps instead"
-            )
-        self._length = length
-        self._step = step
-
-    @property
-    def length(self) -> int:
-        """Window duration in event-time units."""
-        return self._length
-
-    @property
-    def step(self) -> int:
-        """Distance between consecutive window starts."""
-        return self._step
-
-    def assign(self, timestamp: int) -> Sequence[Window]:
-        last_start = (timestamp // self._step) * self._step
-        windows = []
-        start = last_start
-        while start > timestamp - self._length:
-            windows.append(Window(start, start + self._length))
-            start -= self._step
-        windows.reverse()
-        return tuple(windows)
-
-    def __repr__(self) -> str:
-        return f"SlidingWindows(length={self._length}, step={self._step})"
-

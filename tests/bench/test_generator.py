@@ -27,9 +27,6 @@ class TestConfigValidation:
             {"event_rate": 0},
             {"duration_s": 0},
             {"scale_rate": 0},
-            {"reversion": 0.0},
-            {"reversion": 1.5},
-            {"volatility": -1.0},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):

@@ -229,17 +229,6 @@ def door_runs(columnar):
     )
     runs["run_via_sensors"] = _summary(engine, engine.run_via_sensors(streams))
 
-    # Sliding windows; 10/4 (step does not divide length) on the streams'
-    # first 150 events, ~100 ms, to keep its window count readable.
-    for length, step, cut in ((1000, 300, None), (10, 4, 150)):
-        query = QuantileQuery(
-            q=0.5, window_length_ms=length, window_step_ms=step, gamma=40
-        )
-        engine = DemaEngine(query, topology)
-        runs[f"slide_{length}_{step}/run"] = _summary(
-            engine, engine.run({n: streams[n][:cut] for n in DOOR_NODES})
-        )
-
     def baseline(name):
         if name == "partial":
             return build_partial_system("sum", topology)
@@ -299,71 +288,6 @@ DOOR_GOLDEN = {
             2: 109602.68039138155,
             3: 109625.68066778089,
             **dict.fromkeys(range(4, 10), 7500.0),
-        },
-        "late_events": {1: 0, 2: 0, 3: 0},
-    },
-    "slide_1000_300/run": {
-        "outcomes": [
-            (-900, 25.845423605916878, 0.10031252847909504, 200),
-            (-600, 45.08885505492683, 0.40031987891588144, 200),
-            (-300, 48.534929864752726, 0.7003285675250995, 200),
-            (0, 44.62493290929341, 1.0003371441173272, 200),
-            (300, 43.656734147362535, 1.3003371441173273, 200),
-            (600, 38.312208905283605, 1.6003371441173273, 200),
-            (900, 36.365442715899405, 1.9003371441173271, 200),
-            (1200, 37.30600701701204, 2.2003371441173276, 200),
-            (1500, 37.99019124098767, 2.5003371441173274, 200),
-            (1800, 39.35094666771359, 2.8003285675251, 200),
-            (2100, 38.46532404166111, 3.100319878915882, 200),
-            (2400, 18.885989451970087, 3.4003125284790947, 200),
-        ],
-        "final_time": 3.4003040878310005,
-        "total_bytes": 32832,
-        "cpu_ops": {
-            0: 52632.86082310157,
-            1: 139067.33919860626,
-            2: 138952.33919860626,
-            3: 138975.33919860626,
-        },
-        "late_events": {1: 0, 2: 0, 3: 0},
-    },
-    "slide_10_4/run": {
-        "outcomes": [
-            (-8, 35.136141867348535, 0.0023019738577500426, 3),
-            (-4, 35.136141867348535, 0.006302259217750043, 9),
-            (0, 32.40953720136979, 0.010303139577750043, 30),
-            (4, 32.95464031145466, 0.014303139577750043, 30),
-            (8, 41.94130660400724, 0.018302544577750036, 15),
-            (12, 45.26510651246423, 0.022302544577750036, 15),
-            (16, 51.68161085857804, 0.026302544577750036, 15),
-            (20, 55.821498290894255, 0.030302544577750036, 15),
-            (24, 54.42917538939788, 0.03430254457775005, 15),
-            (28, 27.230407751960087, 0.03830313957775004, 30),
-            (32, 17.006875082219473, 0.042303139577750046, 30),
-            (36, 16.668438524800617, 0.04630313957775004, 30),
-            (40, 17.401682143300974, 0.050303139577750046, 30),
-            (44, 20.28341326979892, 0.05430313957775004, 30),
-            (48, 20.638540215740317, 0.058303139577750046, 30),
-            (52, 18.160021734586824, 0.06230313957775004, 30),
-            (56, 16.110960410549605, 0.06630386619431275, 45),
-            (60, 16.110960410549605, 0.07030386619431275, 45),
-            (64, 18.13076745123325, 0.07430386619431274, 45),
-            (68, 20.547326004331314, 0.07830313957775008, 30),
-            (72, 21.34771966960445, 0.08230313957775008, 30),
-            (76, 26.284501125877995, 0.08630313957775007, 30),
-            (80, 35.335245697491715, 0.09030313957775007, 30),
-            (84, 35.00232882703085, 0.09430386619431275, 45),
-            (88, 32.780624465719654, 0.09830313957775008, 30),
-            (92, 32.780624465719654, 0.10230289189775005, 24),
-            (96, 40.6475171927896, 0.10630239653775003, 12),
-        ],
-        "final_time": 0.10630183653775005,
-        "total_bytes": 16128,
-        "cpu_ops": {
-            0: 8985.821100363462,
-            1: 2278.946163871747,
-            2: 2448.4461638717476,
-            3: 2326.9461638717476,
         },
         "late_events": {1: 0, 2: 0, 3: 0},
     },

@@ -30,6 +30,16 @@ class TestValidation:
     def test_minimum_gamma_allowed(self):
         assert QuantileQuery(gamma=2).gamma == 2
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"window_step_ms": 250}, {"per_node_gamma": True}],
+        ids=["window_step_ms", "per_node_gamma"],
+    )
+    def test_sliding_and_per_node_gamma_are_not_fields(self, kwargs):
+        """Sliding windows run on the live query plane (``QuerySpec``);
+        a simulated query is tumbling with one γ."""
+        with pytest.raises(TypeError):
+            QuantileQuery(**kwargs)
+
     def test_queries_are_frozen_and_hashable(self):
         query = QuantileQuery()
         with pytest.raises(AttributeError):
@@ -44,8 +54,6 @@ class TestDefaults:
         assert query.window_length_ms == 1000
         assert query.gamma == 10_000
         assert not query.adaptive
-        assert not query.per_node_gamma
-        assert not query.is_sliding
 
     def test_default_assigner_is_one_second_tumbling(self):
         assigner = QuantileQuery().assigner()
@@ -63,9 +71,3 @@ class TestDescribe:
     def test_adaptive_mentioned(self):
         text = QuantileQuery(adaptive=True).describe()
         assert "adaptive" in text
-
-    def test_sliding_step_shown(self):
-        text = QuantileQuery(
-            window_length_ms=2000, window_step_ms=500
-        ).describe()
-        assert "every 500 ms" in text

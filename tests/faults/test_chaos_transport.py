@@ -1,4 +1,4 @@
-"""Chaos transport tests: severing, reorder, and the plan controller.
+"""Chaos transport tests: severing and the plan controller.
 
 Event loops are driven with ``asyncio.run`` (no pytest-asyncio in the
 container), and the wrapped streams are real in-memory pipes so severing
@@ -6,7 +6,6 @@ exercises the same wake-a-blocked-read path the live cluster relies on.
 """
 
 import asyncio
-import random
 
 import pytest
 
@@ -14,7 +13,6 @@ from repro.errors import TransportError
 from repro.faults.chaos import ChaosController, ChaosStream
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.network.messages import WatermarkMessage
-from repro.runtime.codec import Hello
 from repro.runtime.transport import memory_pipe
 from repro.streaming.windows import Window
 
@@ -97,19 +95,6 @@ class TestChaosStream:
 
         asyncio.run(scenario())
 
-    def test_reorder_holds_one_frame_back(self):
-        async def scenario():
-            near, far = memory_pipe()
-            chaos = ChaosStream(
-                near, reorder_rate=1.0, rng=random.Random(0)
-            )
-            await chaos.send(_watermark(1))  # held
-            await chaos.send(_watermark(2))  # flushes: 2 then 1
-            assert await far.recv() == _watermark(2)
-            assert await far.recv() == _watermark(1)
-
-        asyncio.run(scenario())
-
     def test_severed_send_many_raises(self):
         async def scenario():
             near, _far = memory_pipe()
@@ -117,52 +102,6 @@ class TestChaosStream:
             chaos.sever()
             with pytest.raises(TransportError, match="severed"):
                 await chaos.send_many([_watermark(1), _watermark(2)])
-
-        asyncio.run(scenario())
-
-    def test_send_many_reorders_like_single_sends(self):
-        async def received(coalesce):
-            near, far = memory_pipe()
-            chaos = ChaosStream(
-                near, reorder_rate=0.5, rng=random.Random(3)
-            )
-            frames = [_watermark(mark) for mark in range(12)]
-            if coalesce:
-                for i in range(0, len(frames), 3):
-                    await chaos.send_many(frames[i:i + 3])
-            else:
-                for frame in frames:
-                    await chaos.send(frame)
-            await chaos.close()
-            marks = []
-            while (message := await far.recv()) is not None:
-                marks.append(message.watermark_time)
-            return marks
-
-        single = asyncio.run(received(False))
-        assert single != list(range(12))  # the seed does reorder
-        assert asyncio.run(received(True)) == single
-
-    def test_hello_is_never_reordered(self):
-        async def scenario():
-            near, far = memory_pipe()
-            chaos = ChaosStream(
-                near, reorder_rate=1.0, rng=random.Random(0)
-            )
-            hello = Hello(node_id=1, role="local")
-            await chaos.send(hello)
-            received = await far.recv()
-            assert isinstance(received, Hello)
-            assert received.node_id == 1
-
-        asyncio.run(scenario())
-
-    def test_delay_still_delivers(self):
-        async def scenario():
-            near, far = memory_pipe()
-            chaos = ChaosStream(near, delay_s=0.001)
-            await far.send(_watermark(3))
-            assert await chaos.recv() == _watermark(3)
 
         asyncio.run(scenario())
 

@@ -1,20 +1,16 @@
 """Combination tests: extensions composed with each other.
 
-Each extension is tested in isolation elsewhere; these runs exercise the
-interesting pairings — sliding windows under message loss, per-node γ with
-unbalanced rates and loss, sensors with skewed rates — and require
-bit-exactness throughout.
+Each extension is tested in isolation elsewhere; this run exercises the
+sensor tier with skewed rates and requires bit-exactness.  Sliding
+windows compose with the rest on the live query plane (tests/queries).
 """
 
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
-from repro.core.reliability import ReliabilityConfig
 from repro.network.topology import TopologyConfig
 from repro.testing import verify_outcomes
 from repro.bench.generator import GeneratorConfig, workload
 from tests.event_objects import event_objects
-
-RELIABLE = ReliabilityConfig(timeout_s=0.05, max_retries=30)
 
 
 def make_streams(n_nodes=2, rate=800.0, seconds=3.0, seed=71, **overrides):
@@ -23,41 +19,6 @@ def make_streams(n_nodes=2, rate=800.0, seconds=3.0, seed=71, **overrides):
         GeneratorConfig(event_rate=rate, duration_s=seconds, seed=seed),
         **overrides,
     ))
-
-
-class TestSlidingPlusReliability:
-    def test_exact_overlapping_windows_under_loss(self):
-        query = QuantileQuery(
-            q=0.5, window_length_ms=1000, window_step_ms=500, gamma=40
-        )
-        engine = DemaEngine(
-            query,
-            TopologyConfig(n_local_nodes=2, loss_rate=0.10, loss_seed=4),
-            reliability=RELIABLE,
-        )
-        streams = make_streams()
-        report = engine.run(streams)
-        assert engine.root.aborted_windows == 0
-        verification = verify_outcomes(report.outcomes, streams, query)
-        assert verification.is_exact, verification.summary()
-
-
-class TestPerNodeGammaPlusLoss:
-    def test_heterogeneous_rates_lossy_links(self):
-        query = QuantileQuery(
-            q=0.5, gamma=50, adaptive=True, per_node_gamma=True
-        )
-        engine = DemaEngine(
-            query,
-            TopologyConfig(n_local_nodes=2, loss_rate=0.08, loss_seed=9),
-            reliability=RELIABLE,
-        )
-        streams = make_streams(event_rates={2: 4_000.0})
-        report = engine.run(streams)
-        verification = verify_outcomes(report.outcomes, streams, query)
-        assert verification.is_exact, verification.summary()
-        gammas = engine.root.node_gammas
-        assert gammas and gammas[2] > gammas[1]
 
 
 class TestSensorsPlusSkew:

@@ -36,12 +36,6 @@ class TestMeshConfig:
             MeshConfig(n_shards=2, query=adaptive)
         assert MeshConfig(n_shards=1, query=adaptive).query.adaptive
 
-    def test_sliding_windows_rejected(self):
-        with pytest.raises(ConfigurationError):
-            MeshConfig(
-                query=QuantileQuery(window_length_ms=1000, window_step_ms=500)
-            )
-
     def test_zero_shards_rejected(self):
         with pytest.raises(ConfigurationError):
             MeshConfig(n_shards=0)

@@ -114,7 +114,6 @@ class TestTelemetryConfig:
             {"http_port": -1},
             {"http_port": 70000},
             {"sampler_interval_s": -1.0},
-            {"flight_recorder_capacity": 0},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -1,12 +1,10 @@
 """Property tests for the extension subsystems.
 
-Covers multi-quantile sharing, per-node γ optimality and lossy-channel
-accounting.
+Covers multi-quantile sharing and lossy-channel accounting.
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.adaptive import NodeGammaController, optimal_gamma, transfer_cost
 from repro.core.engine import dema_quantile
 from repro.core import dema_quantiles
 from repro.streaming.aggregates import exact_quantile
@@ -53,35 +51,6 @@ def test_multi_quantile_agrees_with_singles_and_oracle(case):
         # and never smaller than the largest single candidate set.
         assert result.candidate_events >= single.candidate_events
     assert result.candidate_events <= result.global_window_size
-
-
-@given(
-    st.dictionaries(
-        keys=st.integers(min_value=1, max_value=8),
-        values=st.tuples(
-            st.integers(min_value=0, max_value=10**6),
-            st.integers(min_value=0, max_value=50),
-        ),
-        min_size=1,
-        max_size=8,
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_per_node_gamma_is_per_node_optimal(observations):
-    controller = NodeGammaController(10)
-    sizes = {node: size for node, (size, _) in observations.items()}
-    candidates = {node: m for node, (_, m) in observations.items()}
-    updated = controller.observe(sizes, candidates)
-    for node_id, gamma in updated.items():
-        effective_m = max(candidates.get(node_id, 0), 1)
-        expected = optimal_gamma(sizes[node_id], effective_m)
-        assert gamma == expected
-        # Integer optimality of the per-node cost.
-        for neighbour in (gamma - 1, gamma + 1):
-            if 2 <= neighbour <= max(sizes[node_id], 2):
-                assert transfer_cost(
-                    gamma, sizes[node_id], effective_m
-                ) <= transfer_cost(neighbour, sizes[node_id], effective_m)
 
 
 @given(

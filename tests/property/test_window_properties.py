@@ -7,7 +7,7 @@ from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
-from repro.streaming.windows import SlidingWindows, TumblingWindows
+from repro.streaming.windows import TumblingWindows
 
 timestamps = st.integers(min_value=0, max_value=10**9)
 
@@ -24,79 +24,43 @@ def test_tumbling_windows_partition_time(timestamp, length):
     assert window.length == length
 
 
-@given(
-    timestamps,
-    st.integers(min_value=1, max_value=1000),
-    st.integers(min_value=1, max_value=1000),
-)
-@settings(max_examples=200, deadline=None)
-def test_sliding_windows_cover_and_bound(timestamp, length, step):
-    if step > length:
-        step = length
-    assigner = SlidingWindows(length, step)
-    windows = assigner.assign(timestamp)
-    assert windows
-    expected = -(-length // step)  # ceil
-    assert len(windows) <= expected
-    for window in windows:
-        assert window.contains(timestamp)
-        assert window.start % step == 0
-    starts = [w.start for w in windows]
-    assert starts == sorted(starts)
-
-
 @st.composite
-def window_shapes_and_stamps(draw):
-    """``(length, step, timestamps)``: step | length, step ∤ length and
-    step == length (tumbling); timestamps below ``length`` (windows with
-    negative starts) and well above it, ordered or not, spanning anything
-    from one window assignment to dozens."""
-    step = draw(st.integers(min_value=1, max_value=50))
-    length = draw(st.one_of(
-        st.just(step),
-        st.integers(min_value=1, max_value=6).map(lambda k: k * step),
-        st.integers(min_value=step, max_value=6 * step),
-    ))
+def window_lengths_and_stamps(draw):
+    """``(length, timestamps)``: timestamps below ``length`` and well
+    above it, ordered or not, spanning anything from one window to
+    dozens."""
+    length = draw(st.integers(min_value=1, max_value=300))
     base = draw(st.sampled_from([0, length - 1, 7 * length, 2**32 - 1 - 400]))
-    base = max(base, 0)
     stamps = draw(st.lists(
         st.integers(min_value=base, max_value=base + draw(
-            st.sampled_from([0, step, length, 400])
+            st.sampled_from([0, 1, length, 400])
         )),
         max_size=40,
     ))
     if draw(st.booleans()):
         stamps.sort()
-    return length, step, stamps
+    return length, stamps
 
 
-@given(window_shapes_and_stamps())
+@given(window_lengths_and_stamps())
 @settings(max_examples=400, deadline=None)
 def test_by_window_equals_row_by_row_assignment(shape):
-    length, step, stamps = shape
-    assigner = (
-        TumblingWindows(length) if step == length
-        else SlidingWindows(length, step)
-    )
+    length, stamps = shape
+    assigner = TumblingWindows(length)
     events = [
         event
         for i, t in enumerate(stamps)
         for event in make_events([float(i)], start_timestamp=t, start_seq=i)
     ]
-    # dict order: windows as they first appear, earliest first within an
-    # event; each bucket in arrival order.
+    # dict order: windows as they first appear; each bucket in arrival
+    # order.
     expected = {}
     for event in events:
-        for window in assigner.assign(event.timestamp):
-            assert window.length == length
-            expected.setdefault(window.start, []).append(event)
-    batch = EventColumns.from_events(events)
-    groupings = [batch.by_window(length, step)]
-    if step == length:
-        groupings.append(batch.by_window(length))
-    for grouped in groupings:
-        assert [start for start, _ in grouped] == list(expected)
-        assert [rows for _, rows in grouped] == list(expected.values())
+        window = assigner.window_for(event.timestamp)
+        expected.setdefault(window.start, []).append(event)
+    grouped = EventColumns.from_events(events).by_window(length)
+    assert [start for start, _ in grouped] == list(expected)
+    assert [rows for _, rows in grouped] == list(expected.values())
 
 
 @given(st.lists(

@@ -216,13 +216,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="time_scale"):
             LiveClusterConfig(faults=plan)
 
-    def test_rejects_sliding_windows(self):
-        sliding = QuantileQuery(
-            q=0.5, gamma=64, window_length_ms=1000, window_step_ms=500
-        )
-        with pytest.raises(ConfigurationError, match="tumbling"):
-            run_live(_config(query=sliding), _streams())
-
     def test_rejects_unknown_stream_keys(self):
         with pytest.raises(ConfigurationError, match="unknown local nodes"):
             run_live(_config(), {99: (Event(1.0, 0, 99, 0),)})

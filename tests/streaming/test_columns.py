@@ -159,20 +159,6 @@ class TestByTumblingWindow:
         ]
         assert split[-1][0] + 1000 > 2**32
 
-    def test_sliding_rows_land_in_every_window_that_holds_them(self):
-        # 10/4: windows start at multiples of 4 and overlap; the ones
-        # straddling time zero have negative starts.
-        batch = self._batch([9, 1, 13])
-        split = batch.by_window(10, 4)
-        assert [start for start, _ in split] == [0, 4, 8, -8, -4, 12]
-        assert [[e.seq for e in rows] for _, rows in split] == [
-            [0, 1], [0, 2], [0, 2], [1], [1], [2]
-        ]
-        # One assignment for the whole batch: each window gets it as is.
-        whole = self._batch([8, 9, 9])
-        assert whole.by_window(10, 4) == [(0, whole), (4, whole), (8, whole)]
-        assert all(rows is whole for _, rows in whole.by_window(10, 4))
-
 
 class TestSequenceProtocol:
     def test_indexing_materializes_pure_python_types(self, backend):

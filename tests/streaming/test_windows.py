@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, WindowError
-from repro.streaming.windows import SlidingWindows, TumblingWindows, Window
+from repro.streaming.windows import TumblingWindows, Window
 
 
 class TestWindow:
@@ -48,38 +48,3 @@ class TestTumblingWindows:
     def test_invalid_length_rejected(self):
         with pytest.raises(ConfigurationError):
             TumblingWindows(0)
-
-
-class TestSlidingWindows:
-    def test_overlap_count(self):
-        assigner = SlidingWindows(length=10, step=5)
-        windows = assigner.assign(12)
-        assert windows == (Window(5, 15), Window(10, 20))
-
-    def test_every_assigned_window_contains_timestamp(self):
-        assigner = SlidingWindows(length=12, step=4)
-        for t in range(60):
-            for window in assigner.assign(t):
-                assert window.contains(t)
-
-    def test_step_equal_length_is_tumbling(self):
-        sliding = SlidingWindows(length=10, step=10)
-        tumbling = TumblingWindows(10)
-        for t in range(50):
-            assert sliding.assign(t) == tumbling.assign(t)
-
-    def test_windows_returned_in_chronological_order(self):
-        assigner = SlidingWindows(length=10, step=2)
-        windows = assigner.assign(9)
-        assert list(windows) == sorted(windows)
-
-    def test_step_larger_than_length_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SlidingWindows(length=5, step=6)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SlidingWindows(length=0, step=1)
-        with pytest.raises(ConfigurationError):
-            SlidingWindows(length=5, step=0)
-

@@ -120,8 +120,8 @@ ENTRY_POINTS: "tuple[tuple[str, list[str]], ...]" = (
     ("repro report lossy", _repro("report", "lossy.trace.jsonl")),
     ("repro live", _repro("live", "--locals", "2", "--streams", "2",
                           "--rate", "20000", "--duration", "3")),
-    ("repro live --time-scale 0 --uvloop", _repro(
-        "live", "--time-scale", "0", "--transport", "memory", "--uvloop")),
+    ("repro live --time-scale 0", _repro(
+        "live", "--time-scale", "0", "--transport", "memory")),
     ("repro live --telemetry-port", _repro(
         "live", "--telemetry-port", "0", "--flight-recorder", "fr.jsonl",
         "--trace-sample", "0.25")),
