@@ -9,7 +9,8 @@ values, and selects the answer — bit-exact, at a fraction of the network cost 
 centralized aggregation.
 
 Entry points, all identifying through one
-:func:`~repro.core.identification.identify_multi` pass per window:
+:func:`~repro.core.identification.identify_frame` sweep per frame of
+windows (one window, for the in-memory entry points):
 
 * :func:`repro.core.engine.dema_quantile` / ``dema_quantiles`` — pure
   in-memory algorithm (no simulator), the easiest way to use or study Dema;

@@ -2,7 +2,8 @@
 
 :func:`dema_quantiles` runs identification + calculation in-process over
 already-collected local windows — no simulator, no messages — for several
-quantiles with one :func:`~repro.core.identification.identify_multi` pass;
+quantiles with one :func:`~repro.core.identification.identify_multi` pass
+(the one-window frame of the root's identification);
 :func:`dema_quantile` is its one-``q`` case.  The algorithmic heart of the
 paper in one call, used by tests, examples and the accuracy experiment.
 

@@ -145,13 +145,21 @@ class LocalQueryPlane:
         return tuple(store for _, store in self._stores.values())
 
     def ingest(self, batch: EventColumns) -> None:
-        """Feed a decoded event batch into every store, one mask each."""
+        """Feed a decoded event batch into every store: each distinct
+        selector masks and copies the batch once, and every store of that
+        selector takes the same rows."""
         if not len(batch):
             return
         self._max_seen_ts = max(self._max_seen_ts, batch.max_timestamp())
+        selected: dict[Selector, EventColumns] = {}
         for selector, store in self._stores.values():
-            mask = selector.mask(batch)
-            store.add(batch if mask is None else batch[mask])
+            rows = selected.get(selector)
+            if rows is None:
+                mask = selector.mask(batch)
+                rows = selected[selector] = (
+                    batch if mask is None else batch[mask]
+                )
+            store.add(rows)
 
     def on_watermark(self, watermark: int) -> list[Message]:
         """Advance event time; seal and report every completed window."""

@@ -201,10 +201,13 @@ def verify_outcomes(
             streams (the run invented data).
     """
     events = concat_columns([as_event_columns(s) for s in streams.values()])
-    assign = query.assigner().assign
-    windows = {w for t in np.unique(events.timestamps).tolist() for w in assign(t)}
-    starts = sorted(window.start for window in windows)
-    (truth,) = oracle(events, starts, query.window_length_ms, [query.q])
+    # The query is tumbling: an event at ``t`` is in the window starting
+    # at ``(t // length) * length``.
+    length = query.window_length_ms
+    starts = (
+        np.unique(events.timestamps.astype(np.int64) // length) * length
+    ).tolist()
+    (truth,) = oracle(events, starts, length, [query.q])
     answered = [outcome for outcome in outcomes if outcome.value is not None]
     graded = grade(truth, answered, complete=require_all_windows)
     report = VerificationReport(checked=len(answered))

@@ -260,14 +260,15 @@ class TestOracle:
         from repro.core import root_node
         from repro.runtime.cluster import ClusterConfig, run_live
 
-        exact = root_node.calculate_quantiles
+        exact = root_node.select_frame
 
-        def one_ulp_high(cuts, runs):
-            return tuple(
-                math.nextafter(value, math.inf) for value in exact(cuts, runs)
-            )
+        def one_ulp_high(windows):
+            return [
+                tuple(math.nextafter(value, math.inf) for value in values)
+                for values in exact(windows)
+            ]
 
-        monkeypatch.setattr(root_node, "calculate_quantiles", one_ulp_high)
+        monkeypatch.setattr(root_node, "select_frame", one_ulp_high)
         config = ClusterConfig(
             n_locals=2,
             query=QuantileQuery(q=0.5, gamma=50, window_length_ms=500),

@@ -34,10 +34,11 @@ And one keeps the ordering of rows in one place: numpy sorts on the live
 path occur only inside a short list of named functions, so a second
 (stable, whole-window) sort cannot arrive unnoticed.
 
-The last keeps the shared cut in one place: quantiles become ranks, one
-window-cut sweep and one union fetch plan only in ``identify_multi``, which
-the in-memory entry points, the simulator's Dema root and the live query
-root all call instead of re-deriving it.
+The last keeps the shared cut in one place: quantiles become ranks and
+one window-cut sweep cuts a frame of windows only in ``identification._sweep``,
+which the in-memory entry points (through the one-window
+``identify_multi``), the simulator's Dema root and the live query root
+(through ``identify_frame``) all run instead of re-deriving it.
 
 And two keep the protocol's node classes few: Dema is one local and one
 root under ``core/`` (a simulated deployment's one query is group 0), and the
@@ -486,15 +487,17 @@ def test_cluster_configs_are_built_in_one_cli_function():
 
 #: The functions of the live-path modules that may call a numpy or in-place
 #: sort (``lexsort``, ``argsort``, ``np.sort``, ``.sort(``): the one value
-#: sort every window's events go through, the ranking of synopsis keys and
-#: window-cut's sweep over those ranks.  The root's rank select sorts
-#: nothing: it partitions the value runs.
+#: sort every window's events go through, the ranking of synopsis keys,
+#: window-cut's sweep over those ranks and the frame identification's
+#: ``(node_id, slice_index)`` order of each window's candidates.  The
+#: root's rank select sorts nothing: it partitions the value runs.
 #: The builtin ``sorted`` is not policed — it orders dict keys all over
 #: ``runtime/``; no row of the live path is ordered with it.
 ALLOWED_SORT_SITES = {
     ("streaming/columns.py", "sort_values"),
     ("core/synopsis.py", "_dense_ranks"),
-    ("core/window_cut.py", "window_cut_multi"),
+    ("core/window_cut.py", "cut_frame"),
+    ("core/identification.py", "identify_frame"),
 }
 
 #: The ordering paths ``sort_values`` replaced: a permutation of whole
@@ -509,6 +512,7 @@ LIVE_PATH_MODULES = (
     "core/slicing.py",
     "core/synopsis.py",
     "core/window_cut.py",
+    "core/identification.py",
     "queries/slide.py",
     "runtime/*.py",
     "mesh/*.py",
@@ -562,15 +566,17 @@ def test_sort_lint_sees_numpy_and_method_sorts_only():
     assert _sort_sites(source) == {"seal", "inner", "compact", "copy"}
 
 
-#: Every function that calls ``window_cut_multi`` (anywhere in the
-#: package) or ``quantile_rank`` (in ``core/``): the single-rank wrapper and
-#: the one shared cut.  A multi-quantile path that ranks or cuts on its own
-#: is a second copy of the cut growing back.
-WINDOW_CUT_MULTI_CALLERS = {
-    ("core/window_cut.py", "window_cut"),
-    ("core/identification.py", "identify_multi"),
+#: Every function that calls the frame sweep ``cut_frame`` or
+#: ``window_cut_multi`` (anywhere in the package), or ``quantile_rank`` (in
+#: ``core/``): the one-window adapters and the one shared cut.  A
+#: multi-quantile or multi-window path that ranks or cuts on its own is a
+#: second copy of the cut growing back.
+CUT_FRAME_CALLERS = {
+    ("core/window_cut.py", "window_cut_multi"),
+    ("core/identification.py", "_sweep"),
 }
-QUANTILE_RANK_CALLERS = {("core/identification.py", "identify_multi")}
+WINDOW_CUT_MULTI_CALLERS = {("core/window_cut.py", "window_cut")}
+QUANTILE_RANK_CALLERS = {("core/identification.py", "_sweep")}
 
 
 def _call_sites(package, callee):
@@ -582,6 +588,7 @@ def _call_sites(package, callee):
 
 
 def test_quantiles_are_ranked_and_cut_in_one_place():
+    assert _call_sites(".", "cut_frame") == CUT_FRAME_CALLERS
     assert _call_sites(".", "window_cut_multi") == WINDOW_CUT_MULTI_CALLERS
     assert _call_sites("core", "quantile_rank") == QUANTILE_RANK_CALLERS
 
@@ -591,19 +598,27 @@ def test_quantiles_are_ranked_and_cut_in_one_place():
 #: the engine's offline shared answer, plus the window-cut ablation, which
 #: slices to measure the cut.  Held with ``==``: nothing under ``queries/``
 #: (the live query plane runs its cuts on the core nodes it hosts), and a
-#: second copy of the protocol growing back anywhere fails here.  Every
-#: calculation goes through ``calculate_quantiles``; the one-cut
+#: second copy of the protocol growing back anywhere fails here.  The root
+#: identifies a frame of windows with ``identify_frame`` and selects them
+#: with ``select_frame``; the in-memory answer goes through the one-window
+#: ``identify_multi`` and ``calculate_quantiles``, which run the same
+#: sweep (``_sweep``, the one caller of ``cut_frame`` besides
+#: ``window_cut_multi``) and the same select.  The one-cut
 #: ``calculate_quantile`` has no caller in the package (perfbench's stage
 #: replay times it).
 PROTOCOL_STEP_CALLERS = {
+    "identify_frame": {("core/root_node.py", "_identify")},
     "identify_multi": {
         ("core/identification.py", "identify"),
         ("core/engine.py", "_answer"),
-        ("core/root_node.py", "_identify"),
     },
     "calculate_quantile": set(),
     "calculate_quantiles": {
         ("core/engine.py", "_answer"),
+    },
+    "select_frame": {
+        ("streaming/columns.py", "select_rank"),
+        ("core/calculation.py", "calculate_quantiles"),
         ("core/root_node.py", "_calculate"),
     },
     "slice_sorted_events": {
@@ -1258,14 +1273,14 @@ def test_oracle_lint_sees_functions_methods_and_nested_defs():
 #: ``repro.testing`` that calls ``isnan`` (or ``has_nan``), branches on a
 #: name for NaN, or is named for NaN: the door and the refusals where a
 #: wire-fed NaN is first ordered — an event batch's sort and the root's rank
-#: select (``select_ranks``, one check for every rank a window selects) —
+#: select (``select_frame``, one check for every rank a frame selects) —
 #: and the oracle's.  A synopsis boundary's refusal is a ``<=`` in
 #: ``SynopsisColumns.validated`` and its decoder ``from_wire``, no call.
 #: Held with ``==``: below the door
 #: one strict order rules, and a NaN fallback growing back fails here.
 NAN_SITES = {
     ("streaming/columns.py", "check_streams"),
-    ("streaming/columns.py", "select_ranks"),
+    ("streaming/columns.py", "select_frame"),
     ("streaming/columns.py", "sort_values"),
     ("testing.py", "oracle"),
 }

@@ -9,7 +9,7 @@ from repro.errors import HarnessError
 from repro.core.engine import DemaEngine
 from repro.core.query import QuantileQuery
 from repro.network.topology import TopologyConfig
-from repro.streaming.events import make_events
+from repro.streaming.events import Event, make_events
 from repro.streaming.windows import Window
 from repro.testing import grade, oracle, verify_outcomes
 from repro.bench.generator import GeneratorConfig, workload
@@ -75,6 +75,26 @@ class TestVerifyOutcomes:
         verification = verify_outcomes([], streams, QUERY)
         assert not verification.is_exact
         assert verification.missing_windows == [Window(0, 1000)]
+
+    def test_windows_are_the_assigners_over_gaps_and_last_milliseconds(self):
+        """The windows a run is graded on are the tumbling assigner's, one
+        per distinct ``t // length``: across a gap of empty windows, and
+        for events on a window's first and last millisecond."""
+        timestamps = [0, 999, 1000, 1999, 5999, 12_000, 12_999, 42_001]
+        streams = {
+            1: [Event(value=float(i), timestamp=t, node_id=1, seq=i)
+                for i, t in enumerate(timestamps[::2])],
+            2: [Event(value=float(i), timestamp=t, node_id=2, seq=i)
+                for i, t in enumerate(timestamps[1::2])],
+        }
+        assign = QUERY.assigner().assign
+        expected = sorted(
+            {w for t in timestamps for w in assign(t)},
+            key=lambda window: window.start,
+        )
+        assert [w.start for w in expected] == [0, 1000, 5000, 12_000, 42_000]
+        verification = verify_outcomes([], streams, QUERY)
+        assert verification.missing_windows == expected
 
     def test_missing_windows_can_be_ignored(self):
         # Two windows; only the first is answered.
