@@ -9,7 +9,8 @@ import random
 
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
-from repro.core.window_cut import window_cut
+from repro.core.synopsis import concat_synopses
+from repro.core.window_cut import cut_frame
 from repro.core.engine import dema_quantile
 from repro.sketches.tdigest import TDigest
 from repro.streaming.columns import EventColumns
@@ -37,7 +38,7 @@ def test_slicing_10k(benchmark):
 
 
 def test_window_cut_200_slices(benchmark):
-    synopses = []
+    batches = []
     for node_id in (1, 2):
         events = EventColumns.from_events(
             make_events(
@@ -45,13 +46,14 @@ def test_window_cut_200_slices(benchmark):
                 node_id=node_id,
             )
         )
-        synopses.extend(
+        batches.append(
             slice_sorted_events(
                 SortedLocalWindow(events).seal(), 100, node_id
             ).synopses
         )
-    result = benchmark(window_cut, synopses, 10_000)
-    assert result.candidates
+    synopses = concat_synopses(batches)
+    result = benchmark(cut_frame, synopses, [0], [10_000])
+    assert len(result.rows)
 
 
 def test_dema_quantile_in_memory_20k(benchmark):

@@ -271,10 +271,10 @@ def exp_ablation_window_cut(
     Without pruning, the whole overlap unit containing the quantile rank is
     fetched; window-cut keeps only members whose rank bounds reach the rank.
     """
+    from repro.core.identification import identify_frame
     from repro.core.slicing import slice_sorted_events
     from repro.core.sorted_window import SortedLocalWindow
     from repro.core.units import build_units
-    from repro.core.window_cut import window_cut
 
     config = GeneratorConfig(
         event_rate=per_node_rate, duration_s=float(n_windows), seed=seed
@@ -289,20 +289,25 @@ def exp_ablation_window_cut(
     unit_total = 0
     window_total = 0
     for window_events in per_window.values():
-        synopses = []
-        for node_id, events in window_events.items():
-            sliced = slice_sorted_events(
+        sliced = {
+            node_id: slice_sorted_events(
                 SortedLocalWindow(events).seal(), BENCH_GAMMA, node_id
             )
-            synopses.extend(sliced.synopses)
-        total = sum(s.count for s in synopses)
-        rank = (total + 1) // 2
-        cut = window_cut(synopses, rank)
-        cut_total += cut.candidate_events
-        for unit in build_units(synopses):
+            for node_id, events in window_events.items()
+        }
+        (plan,) = identify_frame([(
+            {n: s.synopses for n, s in sliced.items()},
+            {n: s.window_size for n, s in sliced.items()},
+            (0.5,),
+        )])
+        cut_total += plan.candidate_events
+        (rank,) = plan.ranks
+        for unit in build_units(
+            [row for s in sliced.values() for row in s.synopses]
+        ):
             if unit.contains_rank(rank):
                 unit_total += unit.size
-        window_total += total
+        window_total += plan.global_window_size
     return {
         "candidate_events_with_cut": float(cut_total),
         "candidate_events_without_cut": float(unit_total),

@@ -16,13 +16,22 @@ windows (one window, for the in-memory entry points):
   in-memory algorithm (no simulator), the easiest way to use or study Dema;
 * :class:`repro.core.engine.DemaEngine` — one query deployed on the
   simulated network.
+
+:func:`~repro.core.identification.identify` and
+:func:`~repro.core.calculation.calculate_quantile` run the same sweep and
+select for one quantile of one window, the cut as
+:class:`~repro.core.window_cut.CutResult` rows: the forms the benchmark's
+stage replay times.  :func:`~repro.core.window_cut.rank_bound_candidates`
+is Algorithm 1 as the paper writes it, over
+:func:`~repro.core.units.build_units`: the reference the sweep is held
+equal to.
 """
 
 from repro.core.synopsis import SliceSynopsis
 from repro.core.sorted_window import SortedLocalWindow
 from repro.core.slicing import SlicedWindow, slice_sorted_events
 from repro.core.units import SliceKind, SliceUnit, build_units, classify_slice
-from repro.core.window_cut import CutResult, rank_bound_candidates, window_cut
+from repro.core.window_cut import CutResult, rank_bound_candidates
 from repro.core.identification import IdentificationResult, identify
 from repro.core.calculation import calculate_quantile
 from repro.core.adaptive import (
@@ -52,7 +61,6 @@ __all__ = [
     "classify_slice",
     "CutResult",
     "rank_bound_candidates",
-    "window_cut",
     "IdentificationResult",
     "identify",
     "calculate_quantile",

@@ -24,20 +24,13 @@ refused where it is first ordered, and a run holding one here is a
 from __future__ import annotations
 
 from math import copysign
-from typing import Iterable, Mapping, NamedTuple, Sequence
-
-import numpy as _np
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.errors import CalculationError
-from repro.streaming.columns import select_frame, select_rank
+from repro.streaming.columns import select_rank
 from repro.core.window_cut import CutResult
 
-__all__ = [
-    "QuantileAnswer",
-    "calculate_quantile",
-    "calculate_quantiles",
-    "check_run",
-]
+__all__ = ["QuantileAnswer", "calculate_quantile", "check_run"]
 
 
 class QuantileAnswer(NamedTuple):
@@ -51,9 +44,10 @@ def calculate_quantile(
 ) -> QuantileAnswer:
     """Select the quantile value from the fetched candidate value runs.
 
-    The one-cut form of :func:`calculate_quantiles`, which the engine and
-    the root call; the benchmark's stage replay (``perfbench/stages.py``)
-    times this one.
+    The one-cut form of :func:`~repro.streaming.columns.select_frame`,
+    which the engine and the root call, for :func:`~repro.core.
+    identification.identify`'s cut: the form the benchmark's stage replay
+    (``perfbench/stages.py``) times.
 
     Args:
         cut: The window-cut result that produced the fetch plan.
@@ -70,54 +64,13 @@ def calculate_quantile(
             is not sorted or holds a NaN (:func:`select_rank`).
     """
     runs = list(runs)
-    _check_count(cut, sum(len(run) for run in runs))
-    return QuantileAnswer(select_rank(runs, cut.local_rank))
-
-
-def calculate_quantiles(
-    cuts: Sequence[CutResult],
-    runs: Mapping[tuple[int, int], Sequence[float]],
-) -> tuple[float, ...]:
-    """:func:`calculate_quantile` for every cut of one window, over the
-    window's fetched runs keyed by slice id: the one-window frame of
-    :func:`~repro.streaming.columns.select_frame`, its runs stacked and
-    checked once, each cut selecting from its own candidates' runs.
-    Every stack is in ``(node_id, slice_index)`` order — the window's and,
-    as ``cut.candidates`` holds that order, each cut's — so a
-    ``-0.0``/``0.0`` tie resolves as :func:`calculate_quantile` resolves
-    it, whichever runs a sibling cut fetched.  One cut stacks its own
-    candidates' runs and nothing else.
-
-    Raises:
-        CalculationError: As :func:`calculate_quantile`, for any cut.
-    """
-    if len(cuts) == 1:
-        (cut,) = cuts
-        stacked = [runs[s.slice_id] for s in cut.candidates]
-        _check_count(cut, sum(len(run) for run in stacked))
-        picks = [(None, cut.local_rank)]
-    else:
-        ids = sorted({s.slice_id for cut in cuts for s in cut.candidates})
-        position = {slice_id: i for i, slice_id in enumerate(ids)}
-        stacked = [runs[slice_id] for slice_id in ids]
-        picks = []
-        for cut in cuts:
-            indices = [position[s.slice_id] for s in cut.candidates]
-            _check_count(cut, sum(len(stacked[i]) for i in indices))
-            mask = None
-            if len(indices) != len(ids):
-                mask = _np.zeros(len(ids), dtype=bool)
-                mask[indices] = True
-            picks.append((mask, cut.local_rank))
-    return next(select_frame([(stacked, picks)]))
-
-
-def _check_count(cut: CutResult, received: int) -> None:
+    received = sum(len(run) for run in runs)
     if received != cut.candidate_events:
         raise CalculationError(
             f"expected {cut.candidate_events} candidate events, "
             f"received {received}"
         )
+    return QuantileAnswer(select_rank(runs, cut.local_rank))
 
 
 def check_run(

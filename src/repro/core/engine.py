@@ -2,8 +2,9 @@
 
 :func:`dema_quantiles` runs identification + calculation in-process over
 already-collected local windows — no simulator, no messages — for several
-quantiles with one :func:`~repro.core.identification.identify_multi` pass
-(the one-window frame of the root's identification);
+quantiles as a one-window frame of the root's steps
+(:func:`~repro.core.identification.identify_frame` and
+:func:`~repro.streaming.columns.select_frame`);
 :func:`dema_quantile` is its one-``q`` case.  The algorithmic heart of the
 paper in one call, used by tests, examples and the accuracy experiment.
 
@@ -23,15 +24,18 @@ from typing import Mapping, Sequence
 from repro.errors import ConfigurationError
 from repro.network.deployment import SimulatedDeployment
 from repro.network.topology import TopologyConfig
-from repro.streaming.columns import EventColumns, as_event_columns
+from repro.streaming.columns import (
+    EventColumns,
+    as_event_columns,
+    select_frame,
+)
 from repro.streaming.events import Event
 
 # Hot-path module: every local window becomes an ``EventColumns`` once, at
 # the in-memory door, and a run's windows come from the deployment's
 # segmenter: no loop here assigns windows (enforced by
 # tests/test_hotpath_lint.py).
-from repro.core.calculation import calculate_quantiles
-from repro.core.identification import MultiIdentificationResult, identify_multi
+from repro.core.identification import WindowPlan, identify_frame
 from repro.core.local_node import DemaLocalNode
 from repro.core.query import QuantileQuery
 from repro.core.root_node import DemaRootNode, WindowOutcome
@@ -101,32 +105,29 @@ def _answer(
     local_windows: "Mapping[int, EventColumns | Sequence[Event]]",
     qs: Sequence[float],
     gamma: int,
-) -> tuple[MultiIdentificationResult, dict[float, float], int]:
-    """Sort and slice every local window, identify every ``q`` in one
-    shared pass, fetch the union of the candidate slices once, and select
-    each answer; returns the plan, the values and the synopsis count."""
+) -> tuple[WindowPlan, dict[float, float], int]:
+    """Sort and slice every local window, identify every distinct ``q`` in
+    one shared pass, fetch the union of the candidate slices once, and
+    select each answer; returns the plan (its ranks in ascending ``q``
+    order), the values keyed by ``q`` and the synopsis count."""
     if not local_windows:
         raise ConfigurationError("need at least one local window")
     if not qs:
         raise ConfigurationError("need at least one quantile")
+    qs = sorted(set(qs))
     sliced = {
         node_id: slice_sorted_events(
             SortedLocalWindow(as_event_columns(events)).seal(), gamma, node_id
         )
         for node_id, events in local_windows.items()
     }
-    plan = identify_multi(
+    (plan,) = identify_frame([(
         {n: s.synopses for n, s in sliced.items()},
         {n: s.window_size for n, s in sliced.items()},
         qs,
-    )
-    runs = {
-        s.slice_id: sliced[s.node_id].run_for(s.slice_index)
-        for cut in plan.cuts.values() for s in cut.candidates
-    }
-    values = dict(zip(
-        plan.cuts, calculate_quantiles(list(plan.cuts.values()), runs)
-    ))
+    )])
+    runs = [sliced[n].run_for(i) for n, i in plan.candidates]
+    values = dict(zip(qs, next(select_frame([(runs, plan.picks)]))))
     return plan, values, sum(len(s.synopses) for s in sliced.values())
 
 
@@ -160,7 +161,7 @@ def dema_quantiles(
     plan, values, n_synopses = _answer(local_windows, qs, gamma)
     return MultiQuantileResult(
         values=values,
-        ranks={q: cut.rank for q, cut in plan.cuts.items()},
+        ranks=dict(zip(values, plan.ranks)),
         global_window_size=plan.global_window_size,
         candidate_events=plan.candidate_events,
         synopses=n_synopses,
@@ -176,13 +177,12 @@ def dema_quantile(
     transfer-cost accounting: :func:`dema_quantiles` for the single
     quantile ``q``, same arguments and errors."""
     plan, values, n_synopses = _answer(local_windows, (q,), gamma)
-    cut = plan.cuts[q]
     return DemaResult(
         value=values[q],
-        rank=cut.rank,
+        rank=plan.ranks[0],
         global_window_size=plan.global_window_size,
-        candidate_events=cut.candidate_events,
-        candidate_slices=len(cut.candidates),
+        candidate_events=plan.candidate_events,
+        candidate_slices=len(plan.candidates),
         synopses=n_synopses,
     )
 

@@ -6,9 +6,10 @@ size, runs window-cut to select the candidate slices, and emits a fetch plan
 — which slice indices to request from which node.
 
 :func:`identify_frame` does it for a frame of windows with one window-cut
-sweep, building each window's plan from the candidate rows' columns;
-:func:`identify_multi` and :func:`identify` are its one-window forms, which
-hand out :class:`~repro.core.window_cut.CutResult` rows.
+sweep, building each window's plan from the candidate rows' columns.
+:func:`identify` is the same sweep for one quantile of one window, its cut
+as :class:`~repro.core.window_cut.CutResult` rows: the form the
+benchmark's stage replay (``perfbench/stages.py``) times.
 """
 
 from __future__ import annotations
@@ -32,19 +33,12 @@ from repro.core.window_cut import CutResult, cut_frame
 # window-cut as one concatenated batch; only the candidates a cut returns
 # are rows (enforced by tests/test_hotpath_lint.py).
 
-__all__ = [
-    "IdentificationResult",
-    "MultiIdentificationResult",
-    "WindowPlan",
-    "identify",
-    "identify_frame",
-    "identify_multi",
-]
+__all__ = ["IdentificationResult", "WindowPlan", "identify", "identify_frame"]
 
 
 @dataclass(frozen=True, slots=True)
 class IdentificationResult:
-    """Fetch plan produced by the identification step.
+    """Fetch plan :func:`identify` produces for one quantile.
 
     Attributes:
         q: The requested quantile in ``(0, 1]``.
@@ -70,38 +64,6 @@ class IdentificationResult:
     def candidate_events(self) -> int:
         """Events the calculation step will pull over the network."""
         return self.cut.candidate_events
-
-
-@dataclass(frozen=True, slots=True)
-class MultiIdentificationResult:
-    """Shared fetch plan for several quantiles over one global window.
-
-    Attributes:
-        qs: The requested quantiles, ascending and deduplicated.
-        global_window_size: Total events across all local windows.
-        cuts: One :class:`~repro.core.window_cut.CutResult` per quantile,
-            each identical to what :func:`identify` alone would produce.
-        requests: The **union** of every cut's candidate slice indices,
-            keyed by local node id — a slice two quantiles both need is
-            fetched once.  Node ids and each node's indices ascend.
-    """
-
-    qs: tuple[float, ...]
-    global_window_size: int
-    cuts: Mapping[float, CutResult]
-    requests: Mapping[int, tuple[int, ...]]
-
-    @property
-    def candidate_events(self) -> int:
-        """Events the shared calculation step pulls over the network."""
-        ids: set[tuple[int, int]] = set()
-        total = 0
-        for cut in self.cuts.values():
-            for synopsis in cut.candidates:
-                if synopsis.slice_id not in ids:
-                    ids.add(synopsis.slice_id)
-                    total += synopsis.count
-        return total
 
 
 class WindowPlan(NamedTuple):
@@ -300,73 +262,35 @@ def identify_frame(
     return tuple(plans)
 
 
-def identify_multi(
-    synopses_by_node: Mapping[int, "SynopsisColumns | Sequence[SliceSynopsis]"],
-    window_sizes: Mapping[int, int],
-    qs: Sequence[float],
-) -> MultiIdentificationResult:
-    """Run one shared identification pass for several quantiles: the
-    frame sweep of :func:`identify_frame` over one window, each quantile's
-    cut as a :class:`~repro.core.window_cut.CutResult`.
-
-    The synopsis sweep happens once, and the fetch plan is the union of
-    every quantile's candidates — the amortization the multi-query
-    plane's shared-cut execution rests on.
-
-    Args:
-        synopses_by_node: Synopsis batches keyed by local node id.  A node
-            with an empty local window contributes an empty batch.
-        window_sizes: Reported local window sizes keyed by node id; must be
-            consistent with the synopses.
-        qs: The quantiles, each in ``(0, 1]``; duplicates collapse.
-
-    Raises:
-        IdentificationError: If the reported sizes disagree with the
-            synopses, node sets mismatch, the global window is empty, or
-            ``qs`` is.
-    """
-    unique_qs = tuple(sorted(set(qs)))
-    if not unique_qs:
-        raise IdentificationError("need at least one quantile to identify")
-    columns, cut, _, (total,), (ranks,), _ = _sweep(
-        [(synopses_by_node, window_sizes, unique_qs)]
-    )
-    # The window's picks are its distinct ranks, ascending.
-    distinct = sorted(set(ranks))
-    cuts = dict(zip(distinct, cut.results(columns, distinct)))
-    requests: dict[int, set[int]] = {}
-    for cut_result in cuts.values():
-        for synopsis in cut_result.candidates:
-            requests.setdefault(synopsis.node_id, set()).add(
-                synopsis.slice_index
-            )
-    return MultiIdentificationResult(
-        qs=unique_qs,
-        global_window_size=total,
-        cuts={q: cuts[rank] for q, rank in zip(unique_qs, ranks)},
-        requests={
-            node_id: tuple(sorted(indices))
-            for node_id, indices in sorted(requests.items())
-        },
-    )
-
-
 def identify(
     synopses_by_node: Mapping[int, "SynopsisColumns | Sequence[SliceSynopsis]"],
     window_sizes: Mapping[int, int],
     q: float,
 ) -> IdentificationResult:
-    """Run the identification step over one global window:
-    :func:`identify_multi` for the single quantile ``q``, same arguments
-    and errors.
+    """Run the identification step for the one quantile ``q`` of one
+    global window: the sweep of :func:`identify_frame`, its candidates
+    materialised as rows.  Arguments and errors are those of one window
+    of :func:`identify_frame`.
 
     Returns:
         The fetch plan.
     """
-    plan = identify_multi(synopses_by_node, window_sizes, (q,))
+    columns, cut, _, (total,), ((rank,),), _ = _sweep(
+        [(synopses_by_node, window_sizes, (q,))]
+    )
+    result = CutResult(
+        rank=rank,
+        candidates=columns.rows(cut.rows),
+        n_below=int(cut.n_below[0]),
+    )
+    requests: dict[int, list[int]] = {}
+    for synopsis in result.candidates:
+        requests.setdefault(synopsis.node_id, []).append(synopsis.slice_index)
     return IdentificationResult(
         q=q,
-        global_window_size=plan.global_window_size,
-        cut=plan.cuts[q],
-        requests=plan.requests,
+        global_window_size=total,
+        cut=result,
+        requests={
+            node_id: tuple(indices) for node_id, indices in requests.items()
+        },
     )

@@ -34,6 +34,7 @@ from repro.core.synopsis import (
     MIN_GAMMA,
     SYNOPSIS_DTYPE,
     SynopsisColumns,
+    check_ordered,
     slice_bounds,
 )
 
@@ -165,13 +166,15 @@ def slice_sorted_events(
     records["slice_index"] = _np.arange(len(starts), dtype="<u4")
     records["n_slices"] = len(starts)
     records["node_id"] = node_id
-    # Each slice is checked against its own last value; then every
+    # The counts, positions, labels and owner are the cut's by construction;
+    # only the values can be out of order.  Each slice is checked against
+    # its own last value (a NaN is at or below nothing); then every
     # non-final last value becomes the next boundary.
-    synopses = SynopsisColumns(records).validated(node_id, SliceError)
+    check_ordered(records["first_value"], records["last_value"], SliceError)
     records["last_value"][:-1] = records["first_value"][1:]
     return SlicedWindow(
         node_id=node_id,
         values=sorted_values,
         bounds=bounds,
-        synopses=synopses,
+        synopses=SynopsisColumns(records),
     )

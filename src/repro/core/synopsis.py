@@ -24,12 +24,12 @@ window's maximum, n + 1 values for n slices, next to its window size and
 from the paper's synopsis (PAPER §3.1: first event, last event, count).
 
 Two representations, one per grain.  :class:`SliceSynopsis` is the *row*:
-what a :class:`~repro.core.window_cut.CutResult` hands out as a candidate
-and what tests build by hand.  :class:`SynopsisColumns` is the *batch*: all
-of a local window's synopses as one structured ndarray, so the slicer
-writes it with a handful of column assignments, the codec packs its
-boundary column, the relay passes it through and window-cut reads its
-columns — rows are only materialised for the few candidates.
+a candidate materialised for the reference cut and the one-quantile
+``identify``, and what tests build by hand.  :class:`SynopsisColumns` is
+the *batch*: all of a local window's synopses as one structured ndarray,
+so the slicer writes it with a handful of column assignments, the codec
+packs its boundary column, the relay passes it through and window-cut
+reads its columns — rows are only materialised for the few candidates.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ __all__ = [
     "SliceSynopsis",
     "SynopsisColumns",
     "as_synopsis_columns",
+    "check_ordered",
     "concat_synopses",
     "slice_bounds",
     "slice_count",
@@ -176,6 +177,24 @@ SYNOPSIS_DTYPE = _np.dtype(
 _INVERTED = "first_key exceeds last_key, or a key is NaN"
 
 
+def check_ordered(first_values, last_values, error: type) -> None:
+    """Refuse a batch in which row ``i``'s first value is not at or below
+    its last (a NaN is neither): the one check the slicer's and the wire
+    decoder's batches can fail, as everything else in them is written from
+    the cut.
+
+    Raises:
+        error: Naming the first such row, as :meth:`SynopsisColumns.
+            validated` names an inverted row.
+    """
+    inverted = ~(first_values <= last_values)
+    if inverted.any():
+        raise error(
+            f"synopsis {int(inverted.argmax())} of {len(inverted)} is "
+            f"malformed: {_INVERTED}"
+        )
+
+
 def _row(record: tuple) -> SliceSynopsis:
     """One in-memory record (as Python scalars) as a synopsis row."""
     fv, lv, count, fp, lp, slice_index, n_slices, node_id = record
@@ -197,8 +216,10 @@ class SynopsisColumns:
     holds against any sequence of equal rows — while ``records`` exposes
     the columns to vectorised consumers.  Holding one says nothing about
     the rows being a *complete* local batch (window-cut concatenates
-    several); the slicer admits a batch through :meth:`validated`, the
-    wire decoder through the one check the wire can fail.
+    several).  The slicer and the wire decoder write every count, label,
+    owner and position from the cut, so each admits a batch through the
+    one check left, :func:`check_ordered`; :meth:`validated` is the whole
+    check, for a batch built any other way.
     """
 
     __slots__ = ("records",)
@@ -246,8 +267,8 @@ class SynopsisColumns:
         Raises:
             CodecError: If the section is cut short, its size overruns a
                 ``u32`` position, γ < 2 would cut more than one slice, or
-                the boundaries descend or hold a NaN (named as
-                :meth:`validated` names an inverted row).
+                the boundaries descend or hold a NaN
+                (:func:`check_ordered`).
         """
         head = wire.SYNOPSIS_SECTION_BYTES
         if len(raw) < head:
@@ -284,12 +305,7 @@ class SynopsisColumns:
         # The decoder wrote every count, label, owner and position from the
         # cut: only the boundaries came off the wire.  Row ``i`` spans
         # boundaries ``i`` and ``i + 1``, which must ascend (a NaN does not).
-        bad = ~(boundaries[:-1] <= boundaries[1:])
-        if bad.any():
-            raise CodecError(
-                f"synopsis {int(bad.argmax())} of {n} is malformed: "
-                f"{_INVERTED}"
-            )
+        check_ordered(boundaries[:-1], boundaries[1:], CodecError)
         return cls(records), size, end
 
     def validated(self, node_id: int, error: type) -> "SynopsisColumns":
@@ -375,7 +391,7 @@ class SynopsisColumns:
         """Ranks of the rows' first and last keys among all ``2n`` of them,
         as two integer arrays: equal keys share a rank, so ``<``, ``<=``
         and ``==`` on ranks are those of the ``(value, owner, position)``
-        tuples (:meth:`validated` refuses a NaN key).
+        tuples (the batch's doors refuse a NaN key: :func:`check_ordered`).
 
         ``segments``, a non-decreasing window id per row, ranks the keys
         of a frame of windows by ``(segment, value, owner, position)``:

@@ -19,28 +19,22 @@ calculation step can select the right element from the merged candidates.
   windows, serves any number of ``(window, rank)`` picks, as arrays.  Its
   keys are never NaN: the stream doors refuse a NaN value, and the
   batch's doors (the slicer and the wire decoder) a NaN boundary.
-* :func:`window_cut` / :func:`window_cut_multi` — its one-window form,
-  each rank's cut a :class:`CutResult` of candidate rows.
 
-All three return identical candidates and ``n_below`` (property-tested).
+Both return identical candidates and ``n_below`` (property-tested).
 """
 
 from __future__ import annotations
 
 import bisect
 from operator import attrgetter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as _np
 
 from repro.errors import IdentificationError
-from repro.core.synopsis import (
-    SliceSynopsis,
-    SynopsisColumns,
-    as_synopsis_columns,
-)
-from repro.core.units import SliceKind, SliceUnit, build_units, classify_slice
+from repro.core.synopsis import SliceSynopsis, SynopsisColumns
+from repro.core.units import SliceUnit, build_units
 
 # Hot-path module: the sweep reads a ``SynopsisColumns`` batch's columns
 # and materialises rows for the candidates only — through
@@ -52,14 +46,15 @@ __all__ = [
     "FrameCut",
     "cut_frame",
     "rank_bound_candidates",
-    "window_cut",
-    "window_cut_multi",
 ]
 
 
 @dataclass(frozen=True, slots=True)
 class CutResult:
-    """Outcome of candidate-slice selection for one quantile rank.
+    """Outcome of candidate-slice selection for one quantile rank, as
+    rows: what the reference :func:`rank_bound_candidates` returns, and the
+    cut :func:`~repro.core.identification.identify` carries to
+    :func:`~repro.core.calculation.calculate_quantile`.
 
     Attributes:
         rank: The global rank ``k`` being located.
@@ -70,15 +65,11 @@ class CutResult:
         n_below: Events guaranteed to rank strictly below rank ``k`` that are
             *not* part of any candidate slice.  The answer is the element at
             local rank ``rank - n_below`` of the merged candidate events.
-        units_scanned: How many units the algorithm examined (work metric).
-        kinds: Taxonomy census of the candidate slices.
     """
 
     rank: int
     candidates: tuple[SliceSynopsis, ...]
     n_below: int
-    units_scanned: int = 0
-    kinds: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(
@@ -185,75 +176,19 @@ def rank_bound_candidates(
         candidates.extend(unit_candidates)
         n_below += below_in_unit
     return CutResult(
-        rank=rank,
-        candidates=tuple(candidates),
-        n_below=n_below,
-        units_scanned=len(units),
-        kinds=_census(units, candidates),
+        rank=rank, candidates=tuple(candidates), n_below=n_below
     )
 
 
 class FrameCut(NamedTuple):
     """Window-cut's answer to every ``(segment, rank)`` pick of a frame,
     as arrays (:func:`cut_frame`).  Pick ``i``'s candidates are the frame
-    rows ``chosen[bounds[i]:bounds[i + 1]]`` of ``rows``, in sweep order,
-    and ``n_below[i]`` events of its window rank below all of them.  The
-    rest is the sweep, which :meth:`results` reads for the picks'
-    ``units_scanned`` and taxonomy census."""
+    rows ``rows[bounds[i]:bounds[i + 1]]``, in sweep order, and
+    ``n_below[i]`` events of its window rank below all of them."""
 
     rows: _np.ndarray
     bounds: _np.ndarray
     n_below: _np.ndarray
-    #: The sweep: the picks' candidates as positions in it, each
-    #: position's first- and last-key rank, and where each pick's window
-    #: starts in it.
-    chosen: _np.ndarray
-    first: _np.ndarray
-    last: _np.ndarray
-    window_starts: list[int]
-
-    def results(
-        self, columns: SynopsisColumns, ranks: Sequence[int]
-    ) -> list[CutResult]:
-        """Every pick as a :class:`CutResult`, pick ``i`` being of rank
-        ``ranks[i]`` in its window, its candidates materialised as rows."""
-        first, last = self.first, self.last
-        n = len(last)
-        # A row opens a unit when its first key lies beyond every last key
-        # of its window so far (a window's keys rank above every earlier
-        # window's, so the frame's running maximum serves); it is enclosed
-        # (a cover-slice) when an earlier row reaches at least as far, or
-        # the next row starts at the same key (and, sorted after it, ends
-        # no earlier).
-        reach = _np.maximum.accumulate(last)
-        opens = _np.ones(n + 1, dtype=bool)
-        opens[1:-1] = first[1:] > reach[:-1]
-        enclosed = _np.zeros(n, dtype=bool)
-        enclosed[1:] = reach[:-1] >= last[1:]
-        enclosed[:-1] |= first[1:] == first[:-1]
-        unit_number = _np.cumsum(opens)
-        results = []
-        for pick, rank in enumerate(ranks):
-            lo, hi = self.bounds[pick], self.bounds[pick + 1]
-            chosen = self.chosen[lo:hi]
-            head = chosen[0]
-            alone = bool(opens[head] and opens[head + 1])
-            covers = int(enclosed[chosen].sum())
-            results.append(CutResult(
-                rank=rank,
-                candidates=columns.rows(self.rows[lo:hi]),
-                n_below=int(self.n_below[pick]),
-                units_scanned=int(
-                    unit_number[head]
-                    - unit_number[self.window_starts[pick]] + 1
-                ),
-                kinds={
-                    SliceKind.SEPARATE.value: int(alone),
-                    SliceKind.COMPOUND.value: len(chosen) - covers - alone,
-                    SliceKind.COVER.value: covers,
-                },
-            ))
-        return results
 
 
 def cut_frame(
@@ -358,79 +293,9 @@ def cut_frame(
     )
     short = max_rank[row] < column
     hit = _np.flatnonzero((min_rank[row] <= column) & ~short)
-    chosen = row[hit]
     return FrameCut(
-        rows=by_first[chosen],
+        rows=by_first[row[hit]],
         bounds=_np.searchsorted(hit, _np.append(pair_starts, len(row))),
         n_below=_np.add.reduceat(short * counts[row], pair_starts),
-        chosen=chosen,
-        first=first,
-        last=last,
-        window_starts=[row_starts[segment] for segment in pick_segments],
     )
 
-
-def window_cut(
-    synopses: "SynopsisColumns | Iterable[SliceSynopsis]",
-    rank: int,
-    *,
-    global_window_size: int | None = None,
-) -> CutResult:
-    """Window-cut per Algorithm 1 for one rank: :func:`window_cut_multi`
-    with ``(rank,)``, same arguments and errors."""
-    return window_cut_multi(
-        synopses, (rank,), global_window_size=global_window_size
-    )[rank]
-
-
-def window_cut_multi(
-    synopses: "SynopsisColumns | Iterable[SliceSynopsis]",
-    ranks: Sequence[int],
-    *,
-    global_window_size: int | None = None,
-) -> dict[int, CutResult]:
-    """Resolve several ranks of one global window from **one** sweep: the
-    one-window frame of :func:`cut_frame`, each pick as a
-    :class:`CutResult`.  N queries sharing a (key, window) get their N
-    ranks from the one pass, each result what a sweep for that rank alone
-    produces.  Rows handed in are converted to a batch here.
-
-    Args:
-        synopses: All slice synopses of the global window.
-        ranks: The 1-based global ranks to locate; duplicates collapse.
-        global_window_size: Optional cross-check; when provided it must
-            equal the sum of synopsis counts.
-
-    Returns:
-        A :class:`CutResult` per distinct rank, keyed by rank.
-
-    Raises:
-        IdentificationError: On no ranks, a ``global_window_size``
-            mismatch, or what :func:`cut_frame` refuses (checked in
-            ascending rank order).
-    """
-    if not ranks:
-        raise IdentificationError("need at least one rank to cut for")
-    columns = as_synopsis_columns(synopses)
-    total = columns.event_count()
-    if global_window_size is not None and global_window_size != total:
-        raise IdentificationError(
-            f"synopses cover {total} events but the global window reports "
-            f"{global_window_size}"
-        )
-    pending = sorted(set(ranks))
-    cut = cut_frame(columns, [0] * len(pending), pending)
-    return dict(zip(pending, cut.results(columns, pending)))
-
-
-def _census(
-    units: Sequence[SliceUnit], candidates: Sequence[SliceSynopsis]
-) -> dict:
-    """Count candidate slices by taxonomy kind."""
-    chosen = {synopsis.slice_id for synopsis in candidates}
-    counts = {kind.value: 0 for kind in SliceKind}
-    for unit in units:
-        for member in unit.members:
-            if member.slice_id in chosen:
-                counts[classify_slice(unit, member).value] += 1
-    return counts

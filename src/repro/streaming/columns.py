@@ -326,8 +326,8 @@ def as_event_columns(events: "EventColumns | Iterable[Event]") -> EventColumns:
 
     The one door every public entry point converts at — the live cluster,
     the simulated deployment, the sensors and the in-memory
-    ``dema_quantile(s)`` / ``calculate_quantile`` — so nothing behind them
-    asks which form it was handed.
+    ``dema_quantile(s)`` — so nothing behind them asks which form it was
+    handed.
     """
     if isinstance(events, EventColumns):
         return events

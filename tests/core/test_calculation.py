@@ -8,28 +8,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import CalculationError
-from repro.core.calculation import (
-    calculate_quantile,
-    calculate_quantiles,
-    check_run as _check_run,
-)
+from repro.core.calculation import calculate_quantile, check_run as _check_run
 from repro.core.engine import dema_quantiles
 from repro.core.root_node import DemaRootNode
-from repro.core.identification import identify_multi
+from repro.core.identification import identify_frame
 from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SliceSynopsis
-from repro.core.window_cut import CutResult, window_cut
+from repro.core.window_cut import CutResult
 from repro.network.messages import (
     CandidateBatchMessage,
     SynopsisBatchMessage,
     covering_window,
 )
 from repro.network.simulator import Outbox
-from repro.streaming.columns import EventColumns, select_rank
+from repro.streaming.columns import EventColumns, select_frame, select_rank
 from repro.streaming.events import Event, event_key, make_events
 from repro.streaming.windows import Window
 from repro.testing import oracle
-from tests.property.test_window_cut_properties import frames
+from tests.property.test_window_cut_properties import frames, sweep
 
 
 def vals(values):
@@ -38,6 +34,19 @@ def vals(values):
 
 def _bits(value):
     return struct.pack("<d", value)
+
+
+def alone(sliced, qs):
+    """One window's values, as the in-memory answer selects them: its
+    ``identify_frame`` plan, the plan's runs stacked in ``(node_id,
+    slice_index)`` order and one ``select_frame``."""
+    (plan,) = identify_frame([(
+        {node: s.synopses for node, s in sliced.items()},
+        {node: s.window_size for node, s in sliced.items()},
+        qs,
+    )])
+    runs = [sliced[node].run_for(index) for node, index in plan.candidates]
+    return plan, next(select_frame([(runs, plan.picks)]))
 
 
 def check_run(run, synopsis):
@@ -105,7 +114,7 @@ class TestCalculateQuantile:
         sliced = slice_sorted_events(
             EventColumns.from_events(events).values, gamma, 1
         )
-        cut = window_cut(sliced.synopses, rank)
+        cut = sweep(sliced.synopses, [rank])[rank]
         runs = [
             self.as_run(sliced.run_for(s.slice_index)) for s in cut.candidates
         ]
@@ -203,26 +212,21 @@ class TestCalculateQuantiles:
             )
             for node, events in windows.items()
         }
-        plan = identify_multi(
-            {node: s.synopses for node, s in sliced.items()},
-            {node: s.window_size for node, s in sliced.items()}, qs,
-        )
-        cuts = [plan.cuts[q] for q in qs]
-        assert len({frozenset(cut.candidate_ids) for cut in cuts}) > 1
-        runs = {
-            s.slice_id: sliced[s.node_id].run_for(s.slice_index)
-            for cut in cuts for s in cut.candidates
-        }
-        values = calculate_quantiles(cuts, runs)
+        plan, values = alone(sliced, qs)
+        assert len({
+            None if runs is None else runs.tobytes()
+            for runs, _ in plan.picks
+        }) > 1
         truth = oracle(
             [e for events in windows.values() for e in events],
             [0], 100, qs,
         )
         expected = [next(iter(table.values()))[0] for table in truth]
         assert [_bits(v) for v in values] == [_bits(v) for v in expected]
-        # Each cut alone, and the in-memory engine, select the same bits.
+        # Each quantile alone, and the in-memory engine, select the same
+        # bits.
         assert [
-            _bits(calculate_quantiles([cut], runs)[0]) for cut in cuts
+            _bits(alone(sliced, [q])[1][0]) for q in qs
         ] == [_bits(v) for v in expected]
         engine = dema_quantiles(windows, qs, gamma)
         assert [_bits(engine.values[q]) for q in qs] == [
@@ -435,22 +439,9 @@ def _serve_frame(gamma, windows, corrupt=None, roots=None):
 
 class TestFrameCalculation:
     """The root calculates a frame of windows from one stacked value array,
-    each value bit for bit what :func:`calculate_quantiles` gives the
-    window alone and what the oracle gives, and refuses a wrong run in any
-    window as :func:`check_run` does."""
-
-    @staticmethod
-    def per_window(sliced, qs):
-        plan = identify_multi(
-            {node: s.synopses for node, s in sliced.items()},
-            {node: s.window_size for node, s in sliced.items()}, qs,
-        )
-        cuts = [plan.cuts[q] for q in qs]
-        runs = {
-            s.slice_id: sliced[s.node_id].run_for(s.slice_index)
-            for cut in cuts for s in cut.candidates
-        }
-        return calculate_quantiles(cuts, runs)
+    each value bit for bit what a one-window frame gives the window alone
+    and what the oracle gives, and refuses a wrong run in any window as
+    :func:`check_run` does."""
 
     @given(frames())
     @settings(max_examples=150, deadline=None)
@@ -464,7 +455,7 @@ class TestFrameCalculation:
             outcome = answered[w]
             assert outcome.quantiles == tuple(qs)
             assert [_bits(v) for v in outcome.values] == [
-                _bits(v) for v in self.per_window(sliced, qs)
+                _bits(v) for v in alone(sliced, qs)[1]
             ]
             # Each local's sorted column is its events in key order.
             events = [
@@ -541,5 +532,5 @@ class TestFrameCalculation:
         (root,) = roots
         assert [o.window for o in root.outcomes] == [Window(0, 1000)]
         assert [_bits(v) for v in root.outcomes[0].values] == [
-            _bits(v) for v in self.per_window(sliced, [0.5])
+            _bits(v) for v in alone(sliced, [0.5])[1]
         ]

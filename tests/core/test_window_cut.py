@@ -1,4 +1,5 @@
-"""Tests for the window-cut algorithm."""
+"""Tests for the window-cut algorithm: the frame sweep (``cut_frame``) on
+one window, held to the reference and to the true ranks."""
 
 import random
 
@@ -6,15 +7,18 @@ import numpy as np
 import pytest
 
 from repro.errors import IdentificationError
+from repro.core.identification import identify_frame
 from repro.core.slicing import slice_sorted_events
 from repro.core.synopsis import SYNOPSIS_DTYPE, SliceSynopsis, SynopsisColumns
-from repro.core.window_cut import (
-    rank_bound_candidates,
-    window_cut,
-    window_cut_multi,
-)
+from repro.core.window_cut import cut_frame, rank_bound_candidates
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import event_key, make_events
+from tests.property.test_window_cut_properties import sweep
+
+
+def cut_one(synopses, rank):
+    """The sweep's cut of one rank of one window of rows."""
+    return sweep(synopses, [rank])[rank]
 
 
 def synopsis(first, last, count=10, node_id=1, index=0, total=10):
@@ -57,22 +61,22 @@ class TestDisjointSlices:
             synopsis(2, 3, count=10, index=1),
             synopsis(4, 5, count=10, index=2),
         ]
-        cut = window_cut(slices, rank=15)
+        cut = cut_one(slices, rank=15)
         assert [s.slice_id for s in cut.candidates] == [(1, 1)]
         assert cut.n_below == 10
         assert cut.local_rank == 5
 
     def test_rank_at_unit_boundaries(self):
         slices = [synopsis(0, 1, count=10), synopsis(2, 3, count=10, index=1)]
-        low = window_cut(slices, rank=10)
+        low = cut_one(slices, rank=10)
         assert [s.slice_id for s in low.candidates] == [(1, 0)]
-        high = window_cut(slices, rank=11)
+        high = cut_one(slices, rank=11)
         assert [s.slice_id for s in high.candidates] == [(1, 1)]
 
     def test_first_and_last_rank(self):
         slices = [synopsis(0, 1, count=5), synopsis(2, 3, count=5, index=1)]
-        assert window_cut(slices, rank=1).n_below == 0
-        last = window_cut(slices, rank=10)
+        assert cut_one(slices, rank=1).n_below == 0
+        last = cut_one(slices, rank=10)
         assert last.local_rank == 5
 
 
@@ -82,14 +86,14 @@ class TestOverlaps:
             synopsis(0, 10, count=10),
             synopsis(0, 10, count=10, node_id=2),
         ]
-        cut = window_cut(slices, rank=10)
+        cut = cut_one(slices, rank=10)
         assert len(cut.candidates) == 2
         assert cut.n_below == 0
 
     def test_cover_slice_kept_when_it_may_reach_rank(self):
         outer = synopsis(0, 100, count=10)
         inner = synopsis(40, 60, count=10, node_id=2)
-        cut = window_cut([outer, inner], rank=10)
+        cut = cut_one([outer, inner], rank=10)
         assert {s.slice_id for s in cut.candidates} == {(1, 0), (2, 0)}
 
     def test_distant_member_pruned(self):
@@ -98,7 +102,7 @@ class TestOverlaps:
         a = synopsis(0, 4, count=10)
         b = synopsis(3, 8, count=2, node_id=2)
         c = synopsis(7, 12, count=10, index=1)
-        cut = window_cut([a, b, c], rank=21)
+        cut = cut_one([a, b, c], rank=21)
         ids = {s.slice_id for s in cut.candidates}
         assert (1, 1) in ids
         assert (1, 0) not in ids
@@ -108,20 +112,21 @@ class TestOverlaps:
 class TestValidation:
     def test_empty_synopses_rejected(self):
         with pytest.raises(IdentificationError):
-            window_cut([], rank=1)
+            cut_one([], rank=1)
 
     def test_out_of_range_rank_rejected(self):
         slices = [synopsis(0, 1, count=5)]
         with pytest.raises(IdentificationError):
-            window_cut(slices, rank=0)
+            cut_one(slices, rank=0)
         with pytest.raises(IdentificationError):
-            window_cut(slices, rank=6)
+            cut_one(slices, rank=6)
 
     def test_size_cross_check(self):
-        slices = [synopsis(0, 1, count=5)]
-        with pytest.raises(IdentificationError):
-            window_cut(slices, rank=1, global_window_size=6)
-        assert window_cut(slices, rank=1, global_window_size=5).n_below == 0
+        slices = [synopsis(0, 1, count=5, total=1)]
+        with pytest.raises(IdentificationError, match="reports window size 6"):
+            identify_frame([({1: slices}, {1: 6}, [0.2])])
+        (plan,) = identify_frame([({1: slices}, {1: 5}, [0.2])])
+        assert plan.picks == ((None, 1),)
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_unordered_keys_are_a_named_error(self, rank):
@@ -136,7 +141,7 @@ class TestValidation:
             dtype=SYNOPSIS_DTYPE,
         )
         with pytest.raises(IdentificationError, match="not totally ordered"):
-            window_cut_multi(SynopsisColumns(records), [rank])
+            cut_frame(SynopsisColumns(records), [0], [rank])
 
 
 class TestEquivalenceWithReference:
@@ -152,19 +157,10 @@ class TestEquivalenceWithReference:
         synopses, _, all_events = sliced_workload(node_values, gamma)
         total = len(all_events)
         for rank in {1, total // 4 + 1, total // 2 + 1, total}:
-            fast = window_cut(synopses, rank)
+            fast = cut_one(synopses, rank)
             slow = rank_bound_candidates(synopses, rank)
             assert fast.candidate_ids == slow.candidate_ids
             assert fast.n_below == slow.n_below
-
-    def test_window_cut_scans_fewer_units(self):
-        slices = [
-            synopsis(i * 10, i * 10 + 5, count=10, index=i, total=20)
-            for i in range(20)
-        ]
-        cut = window_cut(slices, rank=5)
-        reference = rank_bound_candidates(slices, rank=5)
-        assert cut.units_scanned < reference.units_scanned
 
 
 class TestCorrectSelection:
@@ -179,7 +175,7 @@ class TestCorrectSelection:
         synopses, runs, all_events = sliced_workload(node_values, gamma)
         for rank in (1, len(all_events) // 3, len(all_events)):
             rank = max(rank, 1)
-            cut = window_cut(synopses, rank)
+            cut = cut_one(synopses, rank)
             candidate_events = []
             for s in cut.candidates:
                 candidate_events.extend(runs[s.slice_id])
@@ -190,6 +186,5 @@ class TestCorrectSelection:
 
     def test_candidate_metrics(self):
         slices = [synopsis(0, 1, count=6), synopsis(2, 3, count=4, index=1)]
-        cut = window_cut(slices, rank=8)
+        cut = cut_one(slices, rank=8)
         assert cut.candidate_events == 4
-        assert cut.kinds["separate"] == 1

@@ -9,19 +9,41 @@ from hypothesis import given, settings, strategies as st
 from repro.core.calculation import calculate_quantile
 from repro.core.identification import identify_frame
 from repro.core.slicing import slice_sorted_events
-from repro.core.synopsis import SliceSynopsis, SynopsisColumns, concat_synopses
+from repro.core.synopsis import (
+    SliceSynopsis,
+    SynopsisColumns,
+    as_synopsis_columns,
+    concat_synopses,
+)
 from repro.core.units import build_units
 from repro.core.window_cut import (
+    CutResult,
     _cut_unit,
+    cut_frame,
     rank_bound_candidates,
-    window_cut,
-    window_cut_multi,
 )
 from repro.errors import CodecError, IdentificationError, SliceError
 from repro.runtime import wire
 from repro.streaming.aggregates import quantile_rank
 from repro.streaming.columns import EventColumns
 from repro.streaming.events import Event, event_key, make_events
+
+
+def sweep(synopses, ranks):
+    """:func:`cut_frame`'s picks of the distinct ``ranks`` in one window of
+    ``synopses`` (rows or a batch), from one sweep, each pick's candidate
+    rows as the reference's :class:`CutResult`, keyed by rank."""
+    columns = as_synopsis_columns(synopses)
+    cut = cut_frame(columns, [0] * len(ranks), ranks)
+    bounds = cut.bounds.tolist()
+    return {
+        rank: CutResult(
+            rank=rank,
+            candidates=columns.rows(cut.rows[bounds[i]:bounds[i + 1]]),
+            n_below=int(cut.n_below[i]),
+        )
+        for i, rank in enumerate(ranks)
+    }
 
 
 @st.composite
@@ -92,7 +114,7 @@ def test_window_cut_equals_reference_and_is_sound(case, rank_seed):
         return
     rank = rank_seed % len(all_events) + 1
 
-    fast = window_cut(synopses, rank)
+    fast = sweep(synopses, [rank])[rank]
     slow = rank_bound_candidates(synopses, rank)
     assert fast.candidate_ids == slow.candidate_ids
     assert fast.n_below == slow.n_below
@@ -155,8 +177,7 @@ def test_pruned_slices_are_classifiable(case, rank_seed):
     if not all_events:
         return
     rank = rank_seed % len(all_events) + 1
-    cut = window_cut(synopses, rank)
-    candidate_ids = cut.candidate_ids
+    candidate_ids = sweep(synopses, [rank])[rank].candidate_ids
     truth_key = all_events[rank - 1].key
     for synopsis in synopses:
         if synopsis.slice_id in candidate_ids:
@@ -168,8 +189,7 @@ def test_pruned_slices_are_classifiable(case, rank_seed):
 # ---------------------------------------------------------------------------
 # One sweep, held two ways: the vectorised sweep over a ``SynopsisColumns``
 # batch must agree with the exhaustive reference on everything a
-# ``CutResult`` says, and its ``units_scanned`` with the units
-# ``build_units`` groups.  A NaN key never reaches it: the batch's doors
+# ``CutResult`` says.  A NaN key never reaches it: the batch's doors
 # refuse one.
 # ---------------------------------------------------------------------------
 
@@ -204,14 +224,6 @@ def _ranks(total, seeds):
 _rank_seeds = st.lists(st.integers(min_value=0, max_value=10**6), max_size=5)
 
 
-def _units_scanned(rows, rank):
-    """The units up to and including the one holding ``rank``."""
-    for number, unit in enumerate(build_units(rows), start=1):
-        if unit.contains_rank(rank):
-            return number
-    raise AssertionError(f"no unit holds rank {rank}")
-
-
 @given(node_batches(), _rank_seeds)
 @settings(max_examples=300, deadline=None)
 def test_vectorised_sweep_equals_reference(batches, seeds):
@@ -220,19 +232,18 @@ def test_vectorised_sweep_equals_reference(batches, seeds):
     total = columns.event_count()
     if not total:
         with pytest.raises(IdentificationError):
-            window_cut_multi(columns, [1])
+            cut_frame(columns, [0], [1])
         return
     ranks = _ranks(total, seeds)
-    # Columns in, and rows in (converted at the door).
-    cuts = window_cut_multi(columns, ranks, global_window_size=total)
-    assert window_cut_multi(rows, ranks) == cuts
-    assert window_cut(columns, ranks[-1]) == cuts[ranks[-1]]
+    # Columns in, and rows in (converted at the door); every rank from one
+    # sweep, and a rank alone.
+    cuts = sweep(columns, ranks)
+    assert sweep(rows, ranks) == cuts
+    assert sweep(columns, ranks[-1:]) == {ranks[-1]: cuts[ranks[-1]]}
     for rank in ranks:
         reference = rank_bound_candidates(rows, rank)
         assert cuts[rank].candidates == reference.candidates
         assert cuts[rank].n_below == reference.n_below
-        assert cuts[rank].kinds == reference.kinds
-        assert cuts[rank].units_scanned == _units_scanned(rows, rank)
 
 
 @given(
@@ -321,8 +332,8 @@ def test_position_keys_cut_as_event_keys_do(case, seeds):
     if not total:
         return
     ranks = _ranks(total, seeds)
-    by_position = window_cut_multi(columns, ranks)
-    by_event = window_cut_multi(event_rows, ranks)
+    by_position = sweep(columns, ranks)
+    by_event = sweep(event_rows, ranks)
     truth = sorted(
         (e for events in windows.values() for e in events), key=event_key
     )
@@ -330,7 +341,6 @@ def test_position_keys_cut_as_event_keys_do(case, seeds):
         cut = by_position[rank]
         assert cut.n_below == by_event[rank].n_below
         assert cut.candidate_ids == by_event[rank].candidate_ids
-        assert cut.kinds == by_event[rank].kinds
         # And the answer is the true one, sign bit included.
         runs = [sliced[s.node_id].run_for(s.slice_index) for s in cut.candidates]
         value = calculate_quantile(cut, runs).value
@@ -427,21 +437,44 @@ def test_a_frame_cuts_each_window_as_the_reference_cuts_it_alone(case):
     check_plans(windows, identify_frame(frame_input(windows)))
 
 
-def test_a_frame_of_many_windows_cuts_each_as_the_reference():
-    """A catch-up frame: hundreds of small windows, each pick compared with
-    its own window's rows only."""
+def many_windows(values, smallest=1):
+    """A catch-up frame: 400 small windows of 1–3 locals at γ = 3, each
+    local's values ``values(rng, size)`` for a size from ``smallest`` to
+    11, three quantiles a window."""
     rng = np.random.default_rng(11)
     windows = []
     for _ in range(400):
         sliced = {}
         for node_id in range(1, int(rng.integers(1, 4)) + 1):
-            values = rng.integers(-3, 4, size=int(rng.integers(1, 12)))
             events = sorted(
-                make_events(values.astype(float).tolist(), node_id=node_id),
+                make_events(
+                    values(rng, int(rng.integers(smallest, 12))),
+                    node_id=node_id,
+                ),
                 key=event_key,
             )
             sliced[node_id] = slice_sorted_events(
                 EventColumns.from_events(events).values, 3, node_id
             )
         windows.append((sliced, [0.01, 0.5, 0.99]))
+    return windows
+
+
+def test_a_frame_of_many_windows_cuts_each_as_the_reference():
+    """A catch-up frame: hundreds of small windows, each pick compared with
+    its own window's rows only."""
+    windows = many_windows(
+        lambda rng, size: rng.integers(-3, 4, size=size).astype(float).tolist()
+    )
+    check_plans(windows, identify_frame(frame_input(windows)))
+
+
+def test_a_frame_of_untied_windows_cuts_each_as_the_reference():
+    """The same frame with no two keys equal (no value repeats, and no
+    one-event local window, whose first key is its last): its keys are
+    ranked without the full-key sort that ties take, by value within each
+    window and window after window."""
+    windows = many_windows(
+        lambda rng, size: rng.normal(size=size).tolist(), smallest=2
+    )
     check_plans(windows, identify_frame(frame_input(windows)))

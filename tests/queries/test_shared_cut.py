@@ -3,9 +3,10 @@
 The root resolves every query of a (key, window) group from one
 identification pass.  The amortization is only legal because the shared
 pass is *observationally identical* to running each query alone — these
-tests pin that equivalence at both layers (``window_cut_multi`` vs
-``window_cut``, ``identify_multi`` vs ``identify``) and check the fetch
-plan is the exact union of the per-query plans.
+tests pin that equivalence at both layers (one ``cut_frame`` sweep for
+every rank vs a sweep per rank, one ``identify_frame`` plan for every
+quantile vs ``identify`` per quantile) and check the fetch plan is the
+exact union of the per-query plans.
 """
 
 import random
@@ -13,12 +14,12 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.calculation import calculate_quantile
-from repro.core.identification import identify, identify_multi
+from repro.core.identification import identify, identify_frame
 from repro.core.slicing import slice_sorted_events
-from repro.core.window_cut import window_cut, window_cut_multi
 from repro.streaming.aggregates import quantile_rank
-from repro.streaming.columns import EventColumns
+from repro.streaming.columns import EventColumns, select_frame
 from repro.streaming.events import event_key, make_events
+from tests.property.test_window_cut_properties import sweep
 
 
 def sliced_nodes(seed, n_nodes=3, per_node=120, gamma=7):
@@ -33,6 +34,16 @@ def sliced_nodes(seed, n_nodes=3, per_node=120, gamma=7):
     return nodes
 
 
+def shared_plan(nodes, qs):
+    """The one plan ``identify_frame`` makes for every quantile."""
+    (plan,) = identify_frame([(
+        {n: s.synopses for n, s in nodes.items()},
+        {n: s.window_size for n, s in nodes.items()},
+        qs,
+    )])
+    return plan
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
@@ -41,19 +52,15 @@ def sliced_nodes(seed, n_nodes=3, per_node=120, gamma=7):
         min_size=1, max_size=6,
     ),
 )
-def test_window_cut_multi_matches_per_rank_window_cut(seed, qs):
+def test_a_shared_sweep_cuts_each_rank_as_a_sweep_alone(seed, qs):
     nodes = sliced_nodes(seed)
     synopses = [s for sliced in nodes.values() for s in sliced.synopses]
     total = sum(sliced.window_size for sliced in nodes.values())
     ranks = sorted({quantile_rank(q, total) for q in qs})
-    multi = window_cut_multi(synopses, ranks, global_window_size=total)
-    assert set(multi) == set(ranks)
+    shared = sweep(synopses, ranks)
+    assert set(shared) == set(ranks)
     for rank in ranks:
-        single = window_cut(synopses, rank, global_window_size=total)
-        shared = multi[rank]
-        assert shared.candidates == single.candidates
-        assert shared.n_below == single.n_below
-        assert shared.kinds == single.kinds
+        assert sweep(synopses, [rank]) == {rank: shared[rank]}
 
 
 @settings(max_examples=25, deadline=None)
@@ -64,23 +71,28 @@ def test_window_cut_multi_matches_per_rank_window_cut(seed, qs):
         min_size=1, max_size=5,
     ),
 )
-def test_identify_multi_matches_identify_per_query(seed, qs):
+def test_a_shared_plan_matches_identify_per_query(seed, qs):
     nodes = sliced_nodes(seed)
     batches = {n: s.synopses for n, s in nodes.items()}
     sizes = {n: s.window_size for n, s in nodes.items()}
-    multi = identify_multi(batches, sizes, qs)
+    plan = shared_plan(nodes, qs)
+    ids = list(plan.candidates)
     union: dict[int, set[int]] = {}
-    for q in multi.qs:
+    for q, rank, (runs, local_rank) in zip(qs, plan.ranks, plan.picks):
         single = identify(batches, sizes, q)
-        assert multi.cuts[q].candidates == single.cut.candidates
-        assert multi.cuts[q].n_below == single.cut.n_below
+        assert rank == single.rank
+        picked = ids if runs is None else [
+            slice_id for slice_id, taken in zip(ids, runs) if taken
+        ]
+        assert picked == [s.slice_id for s in single.cut.candidates]
+        assert rank - local_rank == single.cut.n_below
         for node_id, indices in single.requests.items():
             union.setdefault(node_id, set()).update(indices)
     # The shared fetch plan is exactly the union of the solo plans: a
     # slice two quantiles both need is requested once, nothing extra.
-    assert multi.requests == {
+    assert plan.requests == {
         node_id: tuple(sorted(indices))
-        for node_id, indices in union.items()
+        for node_id, indices in sorted(union.items())
     }
 
 
@@ -91,23 +103,16 @@ def test_shared_calculation_matches_solo_answers():
     batches = {n: s.synopses for n, s in nodes.items()}
     sizes = {n: s.window_size for n, s in nodes.items()}
     qs = [0.1, 0.25, 0.5, 0.9, 0.99, 1.0]
-    multi = identify_multi(batches, sizes, qs)
-    shared_runs = {
-        (node_id, index): nodes[node_id].run_for(index)
-        for node_id, indices in multi.requests.items()
-        for index in indices
-    }
-    for q in qs:
+    plan = shared_plan(nodes, qs)
+    shared_runs = [nodes[n].run_for(i) for n, i in plan.candidates]
+    shared = next(select_frame([(shared_runs, plan.picks)]))
+    for q, shared_value in zip(qs, shared):
         solo = identify(batches, sizes, q)
         solo_runs = [
             nodes[node_id].run_for(index)
             for node_id, indices in sorted(solo.requests.items())
             for index in indices
         ]
-        wanted = sorted(s.slice_id for s in multi.cuts[q].candidates)
-        shared_value = calculate_quantile(
-            multi.cuts[q], [shared_runs[key] for key in wanted],
-        ).value
         assert shared_value == calculate_quantile(solo.cut, solo_runs).value
 
 
@@ -117,6 +122,11 @@ def test_candidate_events_dedupes_across_cuts():
     sizes = {n: s.window_size for n, s in nodes.items()}
     # Two almost-equal quantiles share their candidate slices almost
     # entirely; the union accounting must not double charge them.
-    multi = identify_multi(batches, sizes, [0.5, 0.5000001])
-    per_cut = sum(c.candidate_events for c in multi.cuts.values())
-    assert multi.candidate_events <= per_cut
+    qs = [0.5, 0.5000001]
+    plan = shared_plan(nodes, qs)
+    cuts = [identify(batches, sizes, q).cut for q in qs]
+    assert plan.candidate_events == sum(
+        nodes[n].synopses[i].count
+        for n, i in set().union(*(cut.candidate_ids for cut in cuts))
+    )
+    assert plan.candidate_events < sum(cut.candidate_events for cut in cuts)

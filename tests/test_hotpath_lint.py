@@ -36,9 +36,8 @@ path occur only inside a short list of named functions, so a second
 
 The last keeps the shared cut in one place: quantiles become ranks and
 one window-cut sweep cuts a frame of windows only in ``identification._sweep``,
-which the in-memory entry points (through the one-window
-``identify_multi``), the simulator's Dema root and the live query root
-(through ``identify_frame``) all run instead of re-deriving it.
+which the in-memory entry points, the simulator's Dema root and the live
+query root (through ``identify_frame``) all run instead of re-deriving it.
 
 And two keep the protocol's node classes few: Dema is one local and one
 root under ``core/`` (a simulated deployment's one query is group 0), and the
@@ -110,9 +109,14 @@ import pytest
 
 import repro
 from repro.core.sorted_window import SortedLocalWindow
-from repro.core.synopsis import SynopsisColumns, concat_synopses
+from repro.core.synopsis import SynopsisColumns
 from repro.mesh.config import ClusterConfig
-from repro.streaming.columns import EVENT_DTYPE, EventColumns, concat_records
+from repro.streaming.columns import (
+    EVENT_DTYPE,
+    EventColumns,
+    concat_records,
+    select_frame,
+)
 
 MARKER = "Hot-path module:"
 
@@ -566,16 +570,11 @@ def test_sort_lint_sees_numpy_and_method_sorts_only():
     assert _sort_sites(source) == {"seal", "inner", "compact", "copy"}
 
 
-#: Every function that calls the frame sweep ``cut_frame`` or
-#: ``window_cut_multi`` (anywhere in the package), or ``quantile_rank`` (in
-#: ``core/``): the one-window adapters and the one shared cut.  A
-#: multi-quantile or multi-window path that ranks or cuts on its own is a
-#: second copy of the cut growing back.
-CUT_FRAME_CALLERS = {
-    ("core/window_cut.py", "window_cut_multi"),
-    ("core/identification.py", "_sweep"),
-}
-WINDOW_CUT_MULTI_CALLERS = {("core/window_cut.py", "window_cut")}
+#: Every function that calls the frame sweep ``cut_frame`` (anywhere in
+#: the package) or ``quantile_rank`` (in ``core/``): the one shared cut.
+#: A multi-quantile or multi-window path that ranks or cuts on its own is
+#: a second copy of the cut growing back.
+CUT_FRAME_CALLERS = {("core/identification.py", "_sweep")}
 QUANTILE_RANK_CALLERS = {("core/identification.py", "_sweep")}
 
 
@@ -589,7 +588,6 @@ def _call_sites(package, callee):
 
 def test_quantiles_are_ranked_and_cut_in_one_place():
     assert _call_sites(".", "cut_frame") == CUT_FRAME_CALLERS
-    assert _call_sites(".", "window_cut_multi") == WINDOW_CUT_MULTI_CALLERS
     assert _call_sites("core", "quantile_rank") == QUANTILE_RANK_CALLERS
 
 
@@ -598,27 +596,23 @@ def test_quantiles_are_ranked_and_cut_in_one_place():
 #: the engine's offline shared answer, plus the window-cut ablation, which
 #: slices to measure the cut.  Held with ``==``: nothing under ``queries/``
 #: (the live query plane runs its cuts on the core nodes it hosts), and a
-#: second copy of the protocol growing back anywhere fails here.  The root
-#: identifies a frame of windows with ``identify_frame`` and selects them
-#: with ``select_frame``; the in-memory answer goes through the one-window
-#: ``identify_multi`` and ``calculate_quantiles``, which run the same
-#: sweep (``_sweep``, the one caller of ``cut_frame`` besides
-#: ``window_cut_multi``) and the same select.  The one-cut
-#: ``calculate_quantile`` has no caller in the package (perfbench's stage
-#: replay times it).
+#: second copy of the protocol growing back anywhere fails here.  The root,
+#: the in-memory answer (a one-window frame) and the window-cut ablation
+#: identify with ``identify_frame``; the root and the in-memory answer
+#: select with ``select_frame``.  The one-quantile ``identify`` (the same
+#: ``_sweep``) and ``calculate_quantile`` have no caller in the package
+#: (perfbench's stage replay times them).
 PROTOCOL_STEP_CALLERS = {
-    "identify_frame": {("core/root_node.py", "_identify")},
-    "identify_multi": {
-        ("core/identification.py", "identify"),
+    "identify_frame": {
+        ("core/root_node.py", "_identify"),
         ("core/engine.py", "_answer"),
+        ("bench/runner.py", "exp_ablation_window_cut"),
     },
+    "identify": set(),
     "calculate_quantile": set(),
-    "calculate_quantiles": {
-        ("core/engine.py", "_answer"),
-    },
     "select_frame": {
         ("streaming/columns.py", "select_rank"),
-        ("core/calculation.py", "calculate_quantiles"),
+        ("core/engine.py", "_answer"),
         ("core/root_node.py", "_calculate"),
     },
     "slice_sorted_events": {
@@ -1023,10 +1017,9 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
     both ends of gamma, the relayed mesh run and the multi-query run
     must complete on columns, materialising candidates only."""
     from repro.bench.generator import GeneratorConfig, workload
-    from repro.core.calculation import calculate_quantile
+    from repro.core.identification import identify_frame
     from repro.core.query import QuantileQuery
     from repro.core.slicing import slice_sorted_events
-    from repro.core.window_cut import window_cut
     from repro.mesh import MeshConfig, run_mesh
     from repro.queries.runner import run_query_scenario
     from repro.runtime.cluster import LiveClusterConfig, run_live
@@ -1048,11 +1041,14 @@ def test_live_path_never_iterates_a_columnar_batch(monkeypatch):
         window = SortedLocalWindow()
         window.add_all(events)
         sliced[node_id] = slice_sorted_events(window.seal(), 1_000, node_id)
-    synopses = concat_synopses([cut.synopses for cut in sliced.values()])
-    cut = window_cut(synopses, (synopses.event_count() + 1) // 2)
-    runs = [sliced[s.node_id].run_for(s.slice_index) for s in cut.candidates]
+    (plan,) = identify_frame([(
+        {n: s.synopses for n, s in sliced.items()},
+        {n: s.window_size for n, s in sliced.items()},
+        (0.5,),
+    )])
+    runs = [sliced[n].run_for(i) for n, i in plan.candidates]
     assert len(runs) > 1
-    assert calculate_quantile(cut, runs).value > 0.0
+    assert next(select_frame([(runs, plan.picks)]))[0] > 0.0
 
     for gamma in (10_000, 10):
         report = run_live(
