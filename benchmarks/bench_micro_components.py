@@ -7,6 +7,9 @@ the pure-Python data structures on this machine.
 
 import random
 
+import numpy as np
+
+from repro.core.identification import identify_frame
 from repro.core.slicing import slice_sorted_events
 from repro.core.sorted_window import SortedLocalWindow
 from repro.core.synopsis import concat_synopses
@@ -54,6 +57,19 @@ def test_window_cut_200_slices(benchmark):
     synopses = concat_synopses(batches)
     result = benchmark(cut_frame, synopses, [0], [10_000])
     assert len(result.rows)
+
+
+def test_identify_frame_fine_gamma(benchmark):
+    """``flat-fine-gamma``'s window: 4 locals x 50,000 events at gamma 10,
+    20,000 synopses, cut for the median."""
+    rng = np.random.default_rng(1234)
+    synopses, sizes = {}, {}
+    for node_id in range(1, 5):
+        values = np.sort(rng.normal(100, 15, size=50_000))
+        synopses[node_id] = slice_sorted_events(values, 10, node_id).synopses
+        sizes[node_id] = len(values)
+    (plan,) = benchmark(identify_frame, [(synopses, sizes, [0.5])])
+    assert plan.global_window_size == 200_000
 
 
 def test_dema_quantile_in_memory_20k(benchmark):

@@ -72,6 +72,9 @@ __all__ = ["WindowOutcome", "DemaRootNode"]
 #: Abstract ops for sorting and sweeping s synopses during identification.
 _IDENTIFY_OPS_PER_SYNOPSIS = 4.0
 
+#: Window starts whose eligible locals a root keeps before starting over.
+_ELIGIBLE_CACHE = 256
+
 
 @dataclass(frozen=True, slots=True)
 class WindowOutcome:
@@ -184,6 +187,10 @@ class DemaRootNode(SimulatedNode):
         self._joined_from: dict[int, int] = {}
         self._left_at: dict[int, int] = {}
         self._membership_epoch = 0
+        #: ``_eligible_locals`` by window start, for the membership (local
+        #: ids, epoch) in ``_eligible_for``.
+        self._eligible: dict[int, tuple[int, ...]] = {}
+        self._eligible_for: tuple = ()
         #: (group, window) pairs answered or aborted, permanently.  A
         #: synopsis arriving for one of these means the local never saw the
         #: release (it was lost) and is resending; answering with a fresh
@@ -333,6 +340,18 @@ class DemaRootNode(SimulatedNode):
         return True
 
     def _eligible_locals(self, window: Window) -> tuple[int, ...]:
+        """:meth:`_members_for` ``window``, once per window start and
+        membership: each arriving section of each local asks."""
+        membership = (self._local_ids, self._membership_epoch)
+        if membership != self._eligible_for or len(self._eligible) >= _ELIGIBLE_CACHE:
+            self._eligible.clear()
+            self._eligible_for = membership
+        eligible = self._eligible.get(window.start)
+        if eligible is None:
+            eligible = self._eligible[window.start] = self._members_for(window)
+        return eligible
+
+    def _members_for(self, window: Window) -> tuple[int, ...]:
         """Locals that are members for ``window`` (joined, not yet left)."""
         return tuple(
             local_id

@@ -387,70 +387,6 @@ class SynopsisColumns:
         """Events covered by the batch: the sum of the slice counts."""
         return int(self.records["count"].sum(dtype=_np.int64))
 
-    def key_ranks(self, segments=None):
-        """Ranks of the rows' first and last keys among all ``2n`` of them,
-        as two integer arrays: equal keys share a rank, so ``<``, ``<=``
-        and ``==`` on ranks are those of the ``(value, owner, position)``
-        tuples (the batch's doors refuse a NaN key: :func:`check_ordered`).
-
-        ``segments``, a non-decreasing window id per row, ranks the keys
-        of a frame of windows by ``(segment, value, owner, position)``:
-        every key of a window ranks above every key of the windows before
-        it, and keys of two windows never tie.
-
-        A bounding last key — the next row's first value, same owner, one
-        position lower — has no key between it and that first key, so it
-        is not sorted: it ranks one below the first key, and every sorted
-        key at twice its dense rank.  Sorting only the rest keeps the
-        boundaries' value ties out of the sort (they would take it to a
-        full three-key ``lexsort``)."""
-        arr = self.records
-        n = len(arr)
-        fv, lv = arr["first_value"], arr["last_value"]
-        owners, fp, lp = arr["node_id"], arr["first_pos"], arr["last_pos"]
-        bound = _np.zeros(n, dtype=bool)
-        bound[:-1] = (
-            (lv[:-1] == fv[1:])
-            & (owners[:-1] == owners[1:])
-            & (fp[1:].astype(_np.int64) - lp[:-1] == 1)
-        )
-        if segments is not None:
-            bound[:-1] &= segments[:-1] == segments[1:]
-        ranked = ~bound
-        keys, starts, ranks = _dense_ranks(
-            _np.concatenate((fv, lv[ranked])),
-            _np.concatenate((owners, owners[ranked])),
-            _np.concatenate((fp, lp[ranked])),
-            None if segments is None
-            else _np.concatenate((segments, segments[ranked])),
-        )
-        first = 2 * ranks[:n]
-        last = _np.empty(n, dtype=_np.intp)
-        last[ranked] = 2 * ranks[n:]
-        last[bound] = first[1:][bound[:-1]] - 1
-        # Only a key equal to a bound could lie between it and its first
-        # key: the sorted key just below that first key's run of equals.
-        # No slicer cut holds one; a hand-built batch may, and then every
-        # key is sorted.
-        below = starts[ranks[1:n][bound[:-1]] - 1] - 1
-        equal = (
-            (keys[0][below] == lv[bound])
-            & (keys[1][below] == owners[bound])
-            & (keys[2][below] == lp[bound])
-        )
-        if segments is not None:
-            equal &= keys[3][below] == segments[bound]
-        if equal.any():
-            _, _, ranks = _dense_ranks(
-                _np.concatenate((fv, lv)),
-                _np.concatenate((owners, owners)),
-                _np.concatenate((fp, lp)),
-                None if segments is None
-                else _np.concatenate((segments, segments)),
-            )
-            return ranks[:n], ranks[n:]
-        return first, last
-
     # -- wire -----------------------------------------------------------
 
     def to_wire(self, local_window_size: int) -> bytes:
@@ -488,42 +424,6 @@ class SynopsisColumns:
             wire.SYNOPSIS_SECTION.pack(local_window_size, gamma)
             + boundaries.tobytes()
         )
-
-
-def _dense_ranks(values, owners, positions, segments=None):
-    """Sort ``(value, owner, position)`` keys — ``(segment, value, owner,
-    position)`` with ``segments`` — : the keys in order, where in it each
-    run of equal keys starts, and each key's dense rank from 1 (equal keys
-    share one)."""
-    # A batch is a few nodes' slices, each node's in key order: on sorted
-    # runs numpy's mergesort beats its unstable kernel (0.41 vs 0.70 ms for
-    # 40,000 keys; on random keys 3.1 vs 0.5).  Only tied values need the
-    # rest of the key.
-    order = _np.argsort(values, kind="stable")
-    columns = (positions, owners, values)
-    if segments is not None:
-        # Stable, so each window's keys keep their value order.
-        order = order[_np.argsort(segments[order], kind="stable")]
-        columns += (segments,)
-    ranked = values[order]
-    tied = ranked[1:] == ranked[:-1]
-    if segments is not None:
-        window = segments[order]
-        tied &= window[1:] == window[:-1]
-    if tied.any():
-        order = _np.lexsort(columns)
-    keys = tuple(column[order] for column in columns[2::-1] + columns[3:])
-    distinct = _np.ones(len(order), dtype=_np.intp)
-    distinct[1:] = (
-        (keys[0][1:] != keys[0][:-1])
-        | (keys[1][1:] != keys[1][:-1])
-        | (keys[2][1:] != keys[2][:-1])
-    )
-    if segments is not None:
-        distinct[1:] |= keys[3][1:] != keys[3][:-1]
-    ranks = _np.empty(len(order), dtype=_np.intp)
-    ranks[order] = _np.cumsum(distinct)
-    return keys, _np.flatnonzero(distinct), ranks
 
 
 def as_synopsis_columns(

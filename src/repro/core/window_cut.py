@@ -9,15 +9,17 @@ calculation step can select the right element from the merged candidates.
 * :func:`rank_bound_candidates` — the reference: computes per-slice rank
   bounds for every slice and keeps those whose bound interval contains
   ``k``.  Obviously correct, works on rows and :mod:`repro.core.units`.
-* :func:`cut_frame` — the paper's algorithm: a sweep in ascending
-  position order up to the unit containing ``k`` (the "scan from the
-  edges toward the quantile position, then break" of Algorithm 1),
-  pruning inside that unit with the same rank bounds.  Cover-slices
-  enclosed by a candidate are kept whenever their bound interval can
-  reach ``k``, exactly as Section 3.2 prescribes.  One sweep, vectorised
-  over a :class:`~repro.core.synopsis.SynopsisColumns` batch of a frame of
-  windows, serves any number of ``(window, rank)`` picks, as arrays.  Its
-  keys are never NaN: the stream doors refuse a NaN value, and the
+* :func:`cut_frame` — the paper's algorithm, by search: the candidates
+  of a rank are the slices whose rank bounds bracket it (Section 3.2's
+  test, cover-slices included), and along each local's slices both bounds
+  ascend, so they are one run of that local's slices.  The run's ends are
+  two binary searches in the local's sorted boundaries, for the two keys
+  at which the window's events, counted in key order, reach the rank;
+  those come from a stable merge of the keys near them, found by
+  counting to every ``√m``-th key of each local.  Vectorised over a
+  :class:`~repro.core.synopsis.SynopsisColumns` batch of a frame of
+  windows, it serves any number of ``(window, rank)`` picks, as arrays.
+  Its keys are never NaN: the stream doors refuse a NaN value, and the
   batch's doors (the slicer and the wire decoder) a NaN boundary.
 
 Both return identical candidates and ``n_below`` (property-tested).
@@ -36,7 +38,7 @@ from repro.errors import IdentificationError
 from repro.core.synopsis import SliceSynopsis, SynopsisColumns
 from repro.core.units import SliceUnit, build_units
 
-# Hot-path module: the sweep reads a ``SynopsisColumns`` batch's columns
+# Hot-path module: the cut reads a ``SynopsisColumns`` batch's columns
 # and materialises rows for the candidates only — through
 # ``SynopsisColumns.rows``, never by iterating the batch or constructing
 # ``SliceSynopsis`` here (enforced by tests/test_hotpath_lint.py).
@@ -183,12 +185,23 @@ def rank_bound_candidates(
 class FrameCut(NamedTuple):
     """Window-cut's answer to every ``(segment, rank)`` pick of a frame,
     as arrays (:func:`cut_frame`).  Pick ``i``'s candidates are the frame
-    rows ``rows[bounds[i]:bounds[i + 1]]``, in sweep order, and
-    ``n_below[i]`` events of its window rank below all of them."""
+    rows ``rows[bounds[i]:bounds[i + 1]]``, local after local in frame
+    order, and ``n_below[i]`` events of its window rank below all of
+    them."""
 
     rows: _np.ndarray
     bounds: _np.ndarray
     n_below: _np.ndarray
+
+
+#: Rows in a frame's largest local above which :func:`cut_frame` merges
+#: only the rows between sampled keys, not each window whole.
+_SAMPLE_ABOVE = 512
+
+#: The two kinds of key, as ``(2, 1, 1)`` masks: first keys (``x``'s)
+#: and last keys (``y``'s).
+_LAST = _np.arange(2).reshape(2, 1, 1)
+_FIRST = 1 - _LAST
 
 
 def cut_frame(
@@ -197,105 +210,229 @@ def cut_frame(
     pick_ranks: Sequence[int],
     segments=None,
 ) -> FrameCut:
-    """Window-cut per Algorithm 1 for every pick of a frame of windows, in
-    **one** sweep over the frame's synopses.
+    """Window-cut per Algorithm 1 for every pick of a frame of windows,
+    by searching each local's sorted boundaries.
 
     A frame is several global windows' synopses concatenated, ``segments``
     naming each row's window (non-decreasing ids from 0; ``None`` is a
-    one-window frame).  Keys rank by ``(segment, value, owner,
-    position)`` (:meth:`~repro.core.synopsis.SynopsisColumns.key_ranks`),
-    so the frame sweeps as its windows one after another: every unit lies
-    inside one window, and a window's ranks sit above the events of the
-    windows before it.  Pick ``i`` locates the 1-based rank
-    ``pick_ranks[i]`` of window ``pick_segments[i]``; picks are validated
-    in the order given.
+    one-window frame).  Within a window, a *local* is a run of one owner's
+    rows, which must ascend in key order (first key at or below last key,
+    that below the next row's first key), as a slicer's cut does.  Pick
+    ``i`` locates the 1-based rank ``pick_ranks[i]`` of window
+    ``pick_segments[i]``; picks are validated in the order given.
 
-    Slices are visited in ascending position order (ascending
-    ``first_key`` after unit grouping).  Units entirely left of a rank
-    only contribute their sizes to its ``n_below``; the unit whose exact
-    rank interval contains it ends its sweep — the early exits of lines 7
-    and 14 in Algorithm 1.  Within that unit, compound members are kept
-    when their rank-bound interval can reach the rank and cover-slices
-    enclosed by a candidate are kept under the same test (Section 3.2's
-    cover-slice rule).  Every key comparison is an integer one.
+    A row is a candidate when its rank bounds (``_cut_unit``'s, which
+    :func:`rank_bound_candidates` keeps a row by) bracket the rank ``k``:
+    ``upper``, the events of rows whose first key is at or below its last
+    key, at least ``k``; ``lower``, one more than the events of rows whose
+    last key is below its first key, at most ``k``.  Counted along the
+    window's first keys in order, the events reach ``k`` at a first key
+    ``x``, and ``upper < k`` exactly when the row's last key is below
+    ``x``.  Counted along the last keys, they reach ``k`` at a last key
+    ``y``, and ``lower <= k`` exactly when the row's first key is at or
+    below ``y``.  So a local's candidates are one run of its rows, from
+    a binary search for ``x`` among its last keys to one for ``y`` among
+    its first keys, and its events before the run rank below ``k``.
+
+    ``x`` and ``y`` come from a stable merge: of each window's keys whole
+    in a frame of small locals, else of the rows between the two sampled
+    keys that bracket each threshold (every ``s``-th key of each local,
+    ``s`` about ``3√(n / picks)``, counted to by one binary search per
+    local of its window): fewer than ``s`` of each local.  A frame costs
+    a fixed number of numpy calls however many windows, locals and picks
+    it has.
 
     Raises:
         IdentificationError: On a pick of an empty window or an
-            out-of-range rank, or a row whose first key ranks above its
-            last (keys not totally ordered, e.g. a NaN in a batch that
-            skipped ``validated``), named by its row in its window.
+            out-of-range rank, or a local whose rows do not ascend in key
+            order (e.g. a NaN key, in a batch that skipped ``validated``),
+            named by its row in its window.
     """
-    counts = columns.records["count"].astype(_np.int64)
-    n = len(counts)
+    records = columns.records
+    n = len(records)
+    counts = records["count"].astype(_np.int64)
+    cum = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(counts, out=cum[1:])
     # Each window's first row, and the events of the windows before it.
     if segments is None:
         row_starts = [0, n]
-        offsets = [0, int(counts.sum())]
     else:
-        starts = _np.searchsorted(
+        row_starts = _np.searchsorted(
             segments, _np.arange(max(pick_segments) + 2)
-        )
-        cum = _np.zeros(n + 1, dtype=_np.int64)
-        _np.cumsum(counts, out=cum[1:])
-        row_starts, offsets = starts.tolist(), cum[starts].tolist()
-    before = [offsets[segment] for segment in pick_segments]
+        ).tolist()
+    offsets = cum[row_starts]
+    sizes = offsets.tolist()
     for segment, rank in zip(pick_segments, pick_ranks):
-        _validate_rank(rank, offsets[segment + 1] - offsets[segment])
-    first, last = columns.key_ranks(segments)
-    # A slicer's cut has first <= last on every row (a bounding last key
-    # ranks one below the next first key); keys that are not totally
-    # ordered, in a batch that skipped ``validated``, may not.  With it,
-    # every rank in range has a row that brackets it.
-    unordered = first > last
-    if unordered.any():
-        row = int(unordered.argmax())
-        if segments is not None:
-            row -= int(row_starts[segments[row]])
-        raise IdentificationError(
-            f"synopsis keys are not totally ordered: row {row}'s "
-            f"first key ranks above its last"
-        )
-    # Sweep order: ascending (first_key, last_key), stable like ``sorted``;
-    # window after window, as every key of a window ranks above the last.
-    by_first = _np.lexsort((last, first))
-    first, last = first[by_first], last[by_first]
-    counts = counts[by_first]
-    # ``_cut_unit``'s rank bounds for every row at once.  Rows starting at
-    # or before a row's last key are a prefix of the sweep order, rows
-    # ending before its first key a prefix of ascending-last order; rows of
-    # earlier units — and windows — are in both prefixes and rows of later
-    # ones in neither, so the offsets come with the prefix sums.
-    started = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(counts, out=started[1:])
-    max_rank = started[_np.searchsorted(first, last, side="right")]
-    by_last = _np.argsort(last, kind="stable")
-    ended = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(counts[by_last], out=ended[1:])
-    min_rank = ended[_np.searchsorted(last[by_last], first, side="left")] + 1
-    # Only rows of the unit holding a rank can bracket it; every row of a
-    # unit below it, and nothing of a unit above, tops out short.  So a
-    # pick is compared with its own window's rows only — a stretch of the
-    # sweep, as the windows sweep one after another — and the work grows
-    # with the frame's size, not its square.  Each (pick, row) pair:
-    lo = _np.array([row_starts[s] for s in pick_segments], dtype=_np.intp)
-    widths = _np.array(
-        [row_starts[s + 1] for s in pick_segments], dtype=_np.intp
-    ) - lo
-    pair_starts = _np.zeros(len(lo), dtype=_np.intp)
-    _np.cumsum(widths[:-1], out=pair_starts[1:])
-    row = _np.arange(int(widths.sum())) + _np.repeat(lo - pair_starts, widths)
-    # In frame ranks, a window's rank is above the events of the windows
-    # before it.
-    column = _np.repeat(
-        _np.array(before, dtype=_np.int64)
-        + _np.array(pick_ranks, dtype=_np.int64),
-        widths,
+        _validate_rank(rank, sizes[segment + 1] - sizes[segment])
+    first_values, last_values = records["first_value"], records["last_value"]
+    first_pos, last_pos = records["first_pos"], records["last_pos"]
+    owners = records["node_id"]
+    # A new local wherever the owner or the window changes: locals are
+    # rows ``edges[j]..edges[j + 1]``.
+    new = _np.ones(n + 1, dtype=bool)
+    new[1:n] = owners[1:] != owners[:-1]
+    if segments is not None:
+        new[1:n] |= segments[1:] != segments[:-1]
+    edges = _np.flatnonzero(new)
+    starts = edges[:-1]
+    lengths = edges[1:] - starts
+    n_locals = len(starts)
+    local = _np.repeat(_np.arange(n_locals), lengths)
+    # Keys as ``(value, position)``, a local's owner being one: each
+    # row's first key at or below its last, that below the next row's
+    # first in its local.  A NaN is neither.
+    ordered = (first_values < last_values) | (
+        (first_values == last_values) & (first_pos <= last_pos)
     )
-    short = max_rank[row] < column
-    hit = _np.flatnonzero((min_rank[row] <= column) & ~short)
+    ordered[1:] &= new[1:n] | (last_values[:-1] < first_values[1:]) | (
+        (last_values[:-1] == first_values[1:]) & (last_pos[:-1] < first_pos[1:])
+    )
+    windows = _np.zeros(n_locals, dtype=_np.int64)
+    if segments is not None:
+        windows[:] = segments[starts]
+    # Tie ranks order a window's locals by owner, then run: a value tie
+    # goes to the lower.  One owner split into runs by another's rows (a
+    # hand-built batch) must ascend from run to run too.
+    grouping = (windows << 32) | owners[starts]
+    by_owner = _np.argsort(grouping, kind="stable")
+    split = grouping[by_owner[1:]] == grouping[by_owner[:-1]]
+    if split.any():
+        below = edges[by_owner[:-1][split] + 1] - 1
+        above = starts[by_owner[1:][split]]
+        ordered[above] &= (last_values[below] < first_values[above]) | (
+            (last_values[below] == first_values[above])
+            & (last_pos[below] < first_pos[above])
+        )
+    if not ordered.all():
+        row = int(ordered.argmin())
+        if segments is not None:
+            row -= int(_np.searchsorted(segments, segments[row]))
+        raise IdentificationError(
+            f"synopsis keys are not totally ordered: row {row}'s first "
+            "key is not above the key before it in its local, or is above "
+            "its last key"
+        )
+    ties = _np.empty(n_locals, dtype=_np.intp)
+    ties[by_owner] = _np.arange(n_locals)
+    # Every local's first values, then its last values, as ``(local,
+    # value)`` (``n_locals`` on for last values): sorted stretches.
+    keys = _np.empty(2 * n, dtype=complex)
+    keys.real[:n] = local
+    keys.real[n:] = local + n_locals
+    keys.imag[:n], keys.imag[n:] = first_values, last_values
+    # Each window's first local (frame order and tie order agree on it).
+    window_firsts = _np.searchsorted(windows, _np.arange(windows[-1] + 2))
+
+    def below(kind, value, holder, own, locals_):
+        """The frame row where each of ``locals_``'s rows whose ``kind``
+        of key is below ``holder``'s key of ``value`` end: ``own`` in the
+        holder, else one search, a value tie below when the tie rank is
+        the lower."""
+        needles = _np.empty(_np.broadcast(value, locals_).shape, complex)
+        needles.real = locals_ + kind * n_locals
+        needles.imag = value
+        return _np.where(locals_ == holder, own, _np.where(
+            ties[locals_] < ties[holder],
+            _np.searchsorted(keys, needles, side="right"),
+            _np.searchsorted(keys, needles, side="left"),
+        ) - kind * n)
+
+    pick_windows = _np.asarray(pick_segments)
+    if segments is None:
+        pairs, real = by_owner[None], True
+    else:
+        pairs, real = _slots(window_firsts, pick_windows)
+        pairs = by_owner[pairs]
+    sought = offsets[pick_windows] + _np.asarray(pick_ranks)
+    if lengths.max() <= _SAMPLE_ABOVE:
+        # Each window's keys whole, as indices into ``keys``: first keys,
+        # then last keys, whose count goes on from the first keys' total.
+        in_tie_order = _np.argsort(ties[local], kind="stable")
+        members = _np.concatenate((in_tie_order, in_tie_order + n))
+        groups = windows[local[in_tie_order]]
+        groups = _np.concatenate((groups, groups + n))
+        targets = sought + _LAST[:, 0] * cum[n]
+    else:
+        # The frame rank of every stride-th key of each local, both
+        # kinds, counted in each local of its window.  A pick's threshold
+        # lies above the last sample short of its rank and at or below
+        # the first reaching it: fewer than ``stride`` rows of each local
+        # lie between.
+        stride = int(3 * (n / len(pick_windows)) ** 0.5) + 1
+        per_local = (lengths - 1) // stride + 1
+        sampled = stride * _np.arange(per_local.sum()) + _np.repeat(
+            starts - stride * (_np.cumsum(per_local) - per_local), per_local
+        )
+        sample_local = local[sampled]
+        sample_windows = windows[sample_local]
+        sample_pairs, sample_real = _slots(window_firsts, sample_windows)
+        sample_pairs = by_owner[sample_pairs]
+        ends = below(
+            _LAST, keys.imag[sampled + _LAST[:, 0] * n][..., None],
+            sample_local[:, None], sampled[:, None] + 1, sample_pairs,
+        )
+        counted = _np.add.reduce(
+            (cum[ends] - cum[starts[sample_pairs]]) * sample_real, axis=-1
+        ) + cum[edges[window_firsts[sample_windows]]]
+        # Each pick's window's samples, as ``(kind, pick, sample)``.
+        taken, valid = _slots(
+            _np.searchsorted(sampled, edges[window_firsts]), pick_windows
+        )
+        counted, ends = counted[:, taken], ends[:, taken]
+        short = valid & (counted < sought[:, None])
+        reach = valid & ~short
+        lo = _np.where(short[..., None], ends, starts[pairs][:, None]).max(2)
+        hi = _np.where(reach[..., None], ends, edges[pairs + 1][:, None]).min(2)
+        base = _np.where(short, counted, offsets[pick_windows][:, None]).max(2)
+        # The rows between, as indices into ``keys``: kind after kind,
+        # pick after pick, local after local in tie order.  A pick's
+        # count starts from the events up to its bracket.
+        width = (hi - lo) * real
+        members = _spans(lo.ravel(), width.ravel())[0]
+        groups = _np.repeat(
+            _np.arange(2 * len(pick_windows)), width.sum(-1).ravel()
+        )
+        members += (groups >= len(pick_windows)) * n
+        events = _np.add.reduce((cum[hi] - cum[lo]) * real, axis=-1).ravel()
+        targets = (
+            _np.cumsum(events) - events + (sought - base).ravel()
+        ).reshape(2, -1)
+    # The merge, group by group (kind, then window or pick), is stable:
+    # a value tie stays in key order, tie rank then row.
+    merge = _np.empty(len(members), dtype=complex)
+    merge.real = groups
+    merge.imag = keys.imag[members]
+    members = members[_np.argsort(merge, kind="stable")]
+    reached = _np.cumsum(counts[members % n])
+    thresholds = members[_np.searchsorted(reached, targets)][..., None]
+    # Each pair's run starts after its rows with a last key below ``x``
+    # and ends after those with a first key at or below ``y``; the local
+    # holding a threshold row counts to that row.
+    rows = thresholds - _LAST * n
+    head, tail = below(
+        _FIRST, keys.imag[thresholds], local[rows], rows + _LAST, pairs
+    )
+    runs = ((tail - head) * real).ravel()
+    rows, run_ends = _spans(head.ravel(), runs)
     return FrameCut(
-        rows=by_first[row[hit]],
-        bounds=_np.searchsorted(hit, _np.append(pair_starts, len(row))),
-        n_below=_np.add.reduceat(short * counts[row], pair_starts),
+        rows=rows,
+        bounds=_np.append((run_ends - runs)[::pairs.shape[1]], run_ends[-1]),
+        n_below=_np.add.reduce((cum[head] - cum[starts[pairs]]) * real, axis=1),
     )
 
+
+def _slots(firsts, groups):
+    """Members ``firsts[g]..firsts[g + 1]`` of each of ``groups``, as
+    ``(group, slot)``, and which are real: slots past a group repeat its
+    first member."""
+    first = firsts[groups][:, None]
+    slots = _np.arange((firsts[1:] - firsts[:-1]).max())
+    real = slots < firsts[groups + 1][:, None] - first
+    return _np.where(real, first + slots, first), real
+
+
+def _spans(heads, widths):
+    """Rows ``heads[i]`` on, ``widths[i]`` of them, span after span, and
+    where each span ends among them."""
+    ends = _np.cumsum(widths)
+    return _np.arange(ends[-1]) + _np.repeat(heads - ends + widths, widths), ends

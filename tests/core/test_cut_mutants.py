@@ -16,9 +16,9 @@ import textwrap
 
 import pytest
 
-from repro.core import calculation, identification, synopsis, window_cut
+from repro.core import calculation, identification, window_cut
 from repro.streaming import columns
-from tests.core import test_calculation
+from tests.core import test_calculation, test_window_cut
 from tests.property import test_window_cut_properties as properties
 
 
@@ -54,6 +54,10 @@ def untied_windows():
     properties.test_a_frame_of_untied_windows_cuts_each_as_the_reference()
 
 
+def large_locals():
+    test_window_cut.TestSearch().test_large_tied_locals_cut_as_the_reference(0)
+
+
 def signed_zeros():
     test_calculation.TestCalculateQuantiles().test_every_rank_matches_the_oracle(2)
 
@@ -73,23 +77,30 @@ MUTANTS = {
         columns, "select_frame", "if pivot == 0.0:", "if False:",
         signed_zeros,
     ),
-    # A frame's keys rank by value alone, windows interleaved.
-    "segment sort": (
-        synopsis, "_dense_ranks",
-        'order = order[_np.argsort(segments[order], kind="stable")]',
-        "pass",
-        untied_windows,
-    ),
-    # Tied values rank in input order, not by owner and position.
-    "key tie sort": (
-        synopsis, "_dense_ranks", "if tied.any():", "if False:",
+    # A value tie goes to the local with the higher tie rank, not the
+    # lower owner.
+    "owner tie side": (
+        window_cut, "cut_frame",
+        "ties[locals_] < ties[holder]", "ties[locals_] > ties[holder]",
         many_windows,
     ),
-    # A window's rank is not lifted above the windows before it.
-    "n_below window offset": (
+    # The local holding a threshold row counts one row too few.
+    "own-local prefix": (
+        window_cut, "cut_frame", "rows + _LAST,", "rows + _LAST - 1,",
+        untied_windows,
+    ),
+    # The rows merged between two samples stop one row short.
+    "sample bracket": (
         window_cut, "cut_frame",
-        "before = [offsets[segment] for segment in pick_segments]",
-        "before = [0] * len(pick_segments)",
+        "edges[pairs + 1][:, None]).min(2)",
+        "edges[pairs + 1][:, None]).min(2) - 1",
+        large_locals,
+    ),
+    # A window's rank is not lifted above the windows before it.
+    "window event offset": (
+        window_cut, "cut_frame",
+        "sought = offsets[pick_windows] + _np.asarray(pick_ranks)",
+        "sought = _np.asarray(pick_ranks)",
         many_windows,
     ),
     # A window's candidates stack in arrival order, not by node id.

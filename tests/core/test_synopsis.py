@@ -1,9 +1,14 @@
 """Tests for slice synopses."""
 
+from collections import Counter
+from itertools import pairwise
+
+import numpy as _np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SliceError
+from repro.errors import IdentificationError, SliceError
+from repro.core.window_cut import cut_frame, rank_bound_candidates
 from repro.core.synopsis import (
     SliceSynopsis,
     SynopsisColumns,
@@ -175,50 +180,55 @@ class TestSynopsisColumns:
         with pytest.raises(SliceError, match="synopsis 0 of 2"):
             batch.validated(4, SliceError)
 
-    def test_key_ranks_order_like_key_tuples(self):
+    def test_the_cut_orders_keys_like_key_tuples(self):
+        # Value ties across three owners, signed zeros, and a local whose
+        # two rows share a value.
         rows = (
-            SliceSynopsis((1.0, 2, 0), (1.0, 2, 5), 6, 2, 0, 1),
+            SliceSynopsis((1.0, 2, 0), (1.0, 2, 5), 6, 2, 0, 2),
+            SliceSynopsis((1.0, 2, 6), (3.0, 2, 6), 1, 2, 1, 2),
             SliceSynopsis((1.0, 1, 7), (2.0, 1, 9), 3, 1, 0, 1),
             SliceSynopsis((-0.0, 3, 0), (0.0, 3, 0), 1, 3, 0, 1),
-            SliceSynopsis((1.0, 2, 5), (1.0, 2, 5), 1, 2, 0, 1),
         )
-        assert_ranks_order_like_keys(rows)
+        assert_cut_as_the_reference(rows)
 
     def test_bounding_last_keys_rank_just_below_their_first_key(self):
         # Row 0's last key bounds it with row 1's first value one position
-        # lower; a key of node 2 with the same value sorts after both.
+        # lower; a key of node 2 with the same value sorts after both, so
+        # no other slice can reach below row 0's top.
         rows = (
             SliceSynopsis((1.0, 1, 0), (2.0, 1, 3), 4, 1, 0, 2),
             SliceSynopsis((2.0, 1, 4), (5.0, 1, 7), 4, 1, 1, 2),
             SliceSynopsis((2.0, 2, 0), (2.0, 2, 1), 2, 2, 0, 1),
         )
-        first, last = assert_ranks_order_like_keys(rows)
-        assert last[0] == first[1] - 1
+        cuts = assert_cut_as_the_reference(rows)
+        assert cuts[4] == (((1, 0),), 0)
+        assert cuts[5] == (((1, 1), (2, 0)), 4)
 
-    def test_a_key_equal_to_a_bound_shares_its_rank(self):
+    def test_a_key_equal_to_a_bound_is_refused(self):
         # A hand-built row whose first key is row 0's bound: no slicer cuts
-        # it, and the ranks still order like the tuples.
+        # it, and node 1's rows no longer ascend.
         rows = (
             SliceSynopsis((1.0, 1, 0), (2.0, 1, 3), 4, 1, 0, 2),
             SliceSynopsis((2.0, 1, 4), (5.0, 1, 7), 4, 1, 1, 2),
             SliceSynopsis((2.0, 1, 3), (2.0, 1, 3), 1, 1, 0, 1),
         )
-        first, last = assert_ranks_order_like_keys(rows)
-        assert last[0] == first[2]
+        with pytest.raises(IdentificationError, match="not totally ordered"):
+            cut_frame(SynopsisColumns.from_rows(rows), [0], [1])
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_key_ranks_order_like_key_tuples_on_any_batch(self, data):
+    def test_the_cut_orders_keys_like_key_tuples_on_any_batch(self, data):
         # Keys from small pools, often chained as bounds (a row's last key
         # one position below the next row's first), so ties, bounds and
-        # keys equal to a bound all occur.
+        # keys equal to a bound all occur.  A batch whose every owner's
+        # rows ascend cuts as the reference; any other is refused.
         key = st.tuples(
             st.sampled_from([0.0, -0.0, 1.0, 2.0]),
             st.integers(min_value=1, max_value=2),
             st.integers(min_value=0, max_value=6),
         )
         rows = []
-        for _ in range(data.draw(st.integers(min_value=0, max_value=8))):
+        for _ in range(data.draw(st.integers(min_value=1, max_value=8))):
             first = data.draw(key)
             if rows and data.draw(st.booleans()):
                 _, owner, position = rows[-1].last_key
@@ -226,15 +236,31 @@ class TestSynopsisColumns:
             last = max(first, data.draw(key))
             last = (last[0], first[1], max(last[2], first[2]))
             rows.append(SliceSynopsis(first, last, 1, first[1], 0, 1))
-        assert_ranks_order_like_keys(rows)
+        ascending = all(
+            below.last_key < above.first_key
+            for owner in (1, 2)
+            for below, above in pairwise(s for s in rows if s.node_id == owner)
+        )
+        if ascending:
+            assert_cut_as_the_reference(rows)
+        else:
+            with pytest.raises(IdentificationError, match="not totally ordered"):
+                cut_frame(SynopsisColumns.from_rows(rows), [0], [1])
 
 
-def assert_ranks_order_like_keys(rows):
-    first, last = SynopsisColumns.from_rows(rows).key_ranks()
-    keys = [s.first_key for s in rows] + [s.last_key for s in rows]
-    ranks = [*first.tolist(), *last.tolist()]
-    for a, rank_a in zip(keys, ranks):
-        for b, rank_b in zip(keys, ranks):
-            assert (a < b) == (rank_a < rank_b)
-            assert (a == b) == (rank_a == rank_b)
-    return first, last
+def assert_cut_as_the_reference(rows):
+    """Cut the window ``rows`` at every rank, check each cut is the
+    reference's, and return them: per rank, the candidates' slice ids in
+    row order and ``n_below``."""
+    columns = SynopsisColumns.from_rows(rows)
+    ranks = list(range(1, columns.event_count() + 1))
+    cut = cut_frame(columns, [0] * len(ranks), ranks)
+    bounds = cut.bounds.tolist()
+    cuts = {}
+    for i, rank in enumerate(ranks):
+        picked = columns.rows(_np.sort(cut.rows[bounds[i]:bounds[i + 1]]))
+        reference = rank_bound_candidates(rows, rank)
+        assert Counter(picked) == Counter(reference.candidates)
+        assert int(cut.n_below[i]) == reference.n_below
+        cuts[rank] = (tuple(s.slice_id for s in picked), reference.n_below)
+    return cuts

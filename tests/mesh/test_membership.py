@@ -1,5 +1,7 @@
 """Tests for the root node's elastic membership table."""
 
+import random
+
 from repro.core.query import QuantileQuery
 from repro.core.root_node import DemaRootNode
 from repro.streaming.windows import Window
@@ -64,3 +66,27 @@ class TestLeave:
         assert 2 in node._eligible_locals(W2)
         assert node.current_members == (1, 2)
         assert node.membership_epoch == 2
+
+
+class TestEligibleCache:
+    def test_the_cached_answer_is_the_rule_through_joins_leaves_and_deaths(self):
+        """Each arriving section asks for a window's eligible locals; the
+        root answers from a cache per window start, which every join and
+        leave must invalidate (a death is not membership)."""
+        rng = random.Random(7)
+        node = root(local_ids=(1, 2, 3))
+        windows = [Window(start, start + 1_000) for start in range(0, 8_000, 1_000)]
+        for step in range(300):
+            kind = rng.choice(["join", "leave", "dead", "alive", "ask"])
+            local = rng.randint(1, 6)
+            start = rng.randrange(0, 8_000, 1_000)
+            if kind == "join":
+                node.add_local(local, start)
+            elif kind == "leave":
+                node.remove_local(local, start, now=float(step))
+            elif kind == "dead":
+                node.mark_dead(local, now=float(step))
+            elif kind == "alive":
+                node.mark_alive(local)
+            for window in rng.sample(windows, 3):
+                assert node._eligible_locals(window) == node._members_for(window)

@@ -491,22 +491,23 @@ def test_cluster_configs_are_built_in_one_cli_function():
 
 #: The functions of the live-path modules that may call a numpy or in-place
 #: sort (``lexsort``, ``argsort``, ``np.sort``, ``.sort(``): the one value
-#: sort every window's events go through, the ranking of synopsis keys,
-#: window-cut's sweep over those ranks and the frame identification's
-#: ``(node_id, slice_index)`` order of each window's candidates.  The
-#: root's rank select sorts nothing: it partitions the value runs.
-#: The builtin ``sorted`` is not policed — it orders dict keys all over
-#: ``runtime/``; no row of the live path is ordered with it.
+#: sort every window's events go through, window-cut's merge of the
+#: synopsis keys near each pick's thresholds (of a small frame's keys
+#: whole; it ranks no key) and the frame identification's ``(node_id,
+#: slice_index)`` order of each window's candidates.  The root's rank select sorts nothing: it
+#: partitions the value runs.  The builtin ``sorted`` is not policed — it
+#: orders dict keys all over ``runtime/``; no row of the live path is
+#: ordered with it.
 ALLOWED_SORT_SITES = {
     ("streaming/columns.py", "sort_values"),
-    ("core/synopsis.py", "_dense_ranks"),
     ("core/window_cut.py", "cut_frame"),
     ("core/identification.py", "identify_frame"),
 }
 
-#: The ordering paths ``sort_values`` replaced: a permutation of whole
-#: records, its tie repair and the merge around it.  None comes back.
-DELETED_ORDERING_PATHS = {"merge_runs", "_key_order"}
+#: The ordering paths ``sort_values`` replaced (a permutation of whole
+#: records, its tie repair and the merge around it) and the ranking of
+#: every synopsis key the search cut replaced.  None comes back.
+DELETED_ORDERING_PATHS = {"merge_runs", "_key_order", "key_ranks", "_dense_ranks"}
 
 SORT_CALLS = {"lexsort", "argsort", "sort"}
 
